@@ -102,7 +102,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		repeats   = fs.Int("repeats", 2, "accesses per site (the paper uses 5)")
 		attempts  = fs.Int("attempts", 2, "download attempts per file size")
 		sizes     = fs.String("sizes", "", "comma-separated file sizes in MB (default 5,10,20,50,100)")
-		timeScale = fs.Float64("timescale", 0, "deprecated no-op: the discrete-event clock always runs at CPU speed")
 		byteScale = fs.Float64("bytescale", 0.125, "byte-quantity scale (sizes, rates and caps together)")
 		pts       = fs.String("transports", "", "comma-separated methods (default: tor plus all 12 PTs)")
 		scenario  = fs.String("scenario", "", "censor scenario every experiment world is built under (see -list; default: no interference)")
@@ -143,8 +142,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 	}
-
-	_ = *timeScale // retired knob, accepted for compatibility
 
 	cfg := harness.Config{
 		Seed:         *seed,

@@ -13,7 +13,7 @@ import (
 // like the testbed's volunteer fleet) plus a client host to dial from.
 func testWorld(t *testing.T) (*netem.Network, *tor.Directory, *netem.Host, map[string]*tor.Relay) {
 	t.Helper()
-	n := netem.New(netem.WithTimeScale(0.001), netem.WithSeed(9))
+	n := netem.New(netem.WithSeed(9))
 	dir := tor.NewDirectory()
 	relays := map[string]*tor.Relay{}
 	mk := func(name string, flags tor.Flag, loc geo.Location) {

@@ -16,7 +16,7 @@ func testSetup(t *testing.T) (*netem.Network, *Client, *web.Origin, *web.Catalog
 	t.Helper()
 	// Scale 0.01 keeps goroutine-wakeup noise (~tens of µs real) well
 	// below the modeled RTTs, so latency-sensitive assertions hold.
-	n := netem.New(netem.WithTimeScale(0.01), netem.WithSeed(4))
+	n := netem.New(netem.WithSeed(4))
 	server := n.MustAddHost(netem.HostConfig{Name: "origin", Location: geo.Frankfurt})
 	clientHost := n.MustAddHost(netem.HostConfig{Name: "client", Location: geo.London})
 	cat := web.GenerateCatalog(web.Tranco, 4, 1, 0.1)
@@ -82,7 +82,7 @@ func TestDownloadFile(t *testing.T) {
 }
 
 func TestTimeoutYieldsPartial(t *testing.T) {
-	n := netem.New(netem.WithTimeScale(0.001), netem.WithSeed(4))
+	n := netem.New(netem.WithSeed(4))
 	// A slow origin link so the download cannot finish in time.
 	server := n.MustAddHost(netem.HostConfig{Name: "origin", Location: geo.Frankfurt, UplinkBps: 50 << 10})
 	clientHost := n.MustAddHost(netem.HostConfig{Name: "client", Location: geo.London})
@@ -132,7 +132,7 @@ func (c *cutConn) Read(p []byte) (int, error) {
 // client finishes the file via ?from= legs: full byte count, one resume
 // counted, first-leg TTFB preserved.
 func TestDownloadFileResumed(t *testing.T) {
-	n := netem.New(netem.WithTimeScale(0.01), netem.WithSeed(4))
+	n := netem.New(netem.WithSeed(4))
 	server := n.MustAddHost(netem.HostConfig{Name: "origin", Location: geo.Frankfurt})
 	clientHost := n.MustAddHost(netem.HostConfig{Name: "client", Location: geo.London})
 	o, err := web.StartOrigin(server, 80)
@@ -170,7 +170,7 @@ func TestDownloadFileResumed(t *testing.T) {
 // TestDownloadFileResumedGivesUp: a dialer that always cuts exhausts
 // maxResumes and reports a partial, failed transfer — never a hang.
 func TestDownloadFileResumedGivesUp(t *testing.T) {
-	n := netem.New(netem.WithTimeScale(0.01), netem.WithSeed(4))
+	n := netem.New(netem.WithSeed(4))
 	server := n.MustAddHost(netem.HostConfig{Name: "origin", Location: geo.Frankfurt})
 	clientHost := n.MustAddHost(netem.HostConfig{Name: "client", Location: geo.London})
 	o, err := web.StartOrigin(server, 80)

@@ -3,8 +3,8 @@
 // them, and the access-medium profiles (wired Ethernet vs. campus WiFi)
 // used in Section 4.7 of the paper.
 //
-// All delays are virtual durations; internal/netem scales them to real
-// time with its TimeScale.
+// All delays are virtual durations on internal/netem's discrete-event
+// clock.
 package geo
 
 import (

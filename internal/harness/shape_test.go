@@ -10,7 +10,7 @@ import (
 // TestPaperShapeHolds asserts the paper's qualitative findings on a
 // small but statistically meaningful campaign. This is the regression
 // guard for the reproduction itself: if a transport model drifts, this
-// fails before EXPERIMENTS.md does.
+// fails.
 //
 // Every expectation is derived from the campaign's own report — ordinal
 // relations on medians (robust to a single timeout draw, unlike the

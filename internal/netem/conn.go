@@ -316,10 +316,10 @@ func (c *Conn) RemoteAddr() net.Addr { return c.remote }
 // is rejected rather than silently stored as "already expired".
 const deadlineHorizon = 10 * 365 * 24 * time.Hour
 
-// checkDeadline is the runtime backstop behind the simlint wallclock
+// CheckDeadline is the runtime backstop behind the simlint wallclock
 // rule: deadlines reaching a simulated conn must be Epoch-relative
 // (Clock.VirtualDeadline), never wall-clock instants.
-func checkDeadline(t time.Time) error {
+func CheckDeadline(t time.Time) error {
 	if t.IsZero() {
 		return nil
 	}
@@ -331,7 +331,7 @@ func checkDeadline(t time.Time) error {
 
 // SetDeadline implements net.Conn.
 func (c *Conn) SetDeadline(t time.Time) error {
-	if err := checkDeadline(t); err != nil {
+	if err := CheckDeadline(t); err != nil {
 		return err
 	}
 	c.dlMu.Lock()
@@ -342,7 +342,7 @@ func (c *Conn) SetDeadline(t time.Time) error {
 
 // SetReadDeadline implements net.Conn.
 func (c *Conn) SetReadDeadline(t time.Time) error {
-	if err := checkDeadline(t); err != nil {
+	if err := CheckDeadline(t); err != nil {
 		return err
 	}
 	c.dlMu.Lock()
@@ -353,7 +353,7 @@ func (c *Conn) SetReadDeadline(t time.Time) error {
 
 // SetWriteDeadline implements net.Conn.
 func (c *Conn) SetWriteDeadline(t time.Time) error {
-	if err := checkDeadline(t); err != nil {
+	if err := CheckDeadline(t); err != nil {
 		return err
 	}
 	c.dlMu.Lock()

@@ -13,7 +13,7 @@ import (
 // blocked-dial cross-check depends on that), but conns already
 // established keep working until someone aborts them explicitly.
 func TestLinkDownBlocksNewDialsOnly(t *testing.T) {
-	n := New(WithTimeScale(0.001), WithSeed(3))
+	n := New(WithSeed(3))
 	a := n.MustAddHost(HostConfig{Name: "a", Location: geo.Frankfurt})
 	b := n.MustAddHost(HostConfig{Name: "b", Location: geo.London})
 	ln, err := b.Listen(80)

@@ -30,14 +30,8 @@ type Network struct {
 type Option func(*options)
 
 type options struct {
-	scale float64
-	seed  int64
+	seed int64
 }
-
-// WithTimeScale is a compatibility no-op. The retired wall-clock
-// implementation slept scale real seconds per virtual second; the
-// discrete-event scheduler always runs at CPU speed.
-func WithTimeScale(scale float64) Option { return func(o *options) { o.scale = scale } }
 
 // WithSeed sets the base RNG seed for jitter/loss draws.
 func WithSeed(seed int64) Option { return func(o *options) { o.seed = seed } }
@@ -51,7 +45,7 @@ func New(opts ...Option) *Network {
 		f(&o)
 	}
 	return &Network{
-		clock: NewClock(o.scale),
+		clock: NewClock(),
 		seed:  o.seed,
 		hosts: make(map[string]*Host),
 	}

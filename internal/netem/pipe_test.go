@@ -14,7 +14,7 @@ import (
 // (0, nil) while silently keeping the segment queued *after* charging
 // the window accounting for it.
 func TestPopZeroLengthBuf(t *testing.T) {
-	clock := NewClock(0)
+	clock := NewClock()
 	p := newPipe(clock, 0, nil)
 	data, base, pool := getSegBuf([]byte("abc"))
 	if err := p.push(data, base, pool, 0, time.Time{}); err != nil {

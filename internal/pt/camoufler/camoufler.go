@@ -180,7 +180,7 @@ func StartIMServer(host *netem.Host, port int, cfg Config) (*IMServer, error) {
 		accounts: make(map[string]*account),
 		rng:      rand.New(rand.NewSource(cfg.Seed + 2)),
 	}
-	host.Network().Go(s.acceptLoop)
+	pt.Serve(host.Network().Clock(), ln, s.serveConn)
 	return s, nil
 }
 
@@ -189,17 +189,6 @@ func (s *IMServer) Addr() string { return s.ln.Addr().String() }
 
 // Close stops the provider.
 func (s *IMServer) Close() error { return s.ln.Close() }
-
-func (s *IMServer) acceptLoop() {
-	for {
-		c, err := s.ln.Accept()
-		if err != nil {
-			return
-		}
-		conn := c
-		s.net.Go(func() { s.serveConn(conn) })
-	}
-}
 
 // serveConn handles one logged-in account: the first message names the
 // account ("login"), subsequent frames are relayed.
@@ -296,30 +285,21 @@ func (s *IMServer) serveConn(c net.Conn) {
 }
 
 // imConn is one end of the IM tunnel: a net.Conn whose bytes travel as
-// messages between two accounts.
+// messages between two accounts. Writes go straight to the provider as
+// messages; only the read half of the stream is used.
 type imConn struct {
+	*pt.Stream
 	cap     int
 	self    string
 	peer    string
-	clock   *netem.Clock
 	conn    net.Conn // to the IM server
 	wmu     sync.Mutex
 	sendSeq uint64
-
-	mu      sync.Mutex
-	cond    *netem.Cond
-	recvBuf []byte
-	rnext   uint64
-	held    map[uint64][]byte
-	closed  bool
-	rdl     time.Time
 	onClose func()
 }
 
 func newIMConn(clock *netem.Clock, conn net.Conn, self, peer string, capBytes int) *imConn {
-	// Data messages carry seq ≥ 1 (seq 0 is the login frame).
-	ic := &imConn{cap: capBytes, self: self, peer: peer, clock: clock, conn: conn, held: make(map[uint64][]byte), rnext: 1}
-	ic.cond = netem.NewCond(clock, &ic.mu)
+	ic := &imConn{Stream: pt.NewStream(clock, "im", self, peer, 0), cap: capBytes, self: self, peer: peer, conn: conn}
 	clock.Go(ic.recvLoop)
 	return ic
 }
@@ -332,65 +312,27 @@ func (ic *imConn) login() error {
 }
 
 func (ic *imConn) recvLoop() {
+	// The tunnel is over when the provider hangs up or the peer account
+	// logs off.
+	defer ic.Fail()
 	for {
 		from, seq, payload, err := readMessage(ic.conn)
 		if err != nil {
-			ic.mu.Lock()
-			ic.closed = true
-			ic.cond.Broadcast()
-			ic.mu.Unlock()
 			return
 		}
 		if seq == presenceGoneSeq {
-			if from != ic.peer {
-				continue
+			if from == ic.peer {
+				return
 			}
-			// The peer account logged off: the tunnel is over.
-			ic.mu.Lock()
-			ic.closed = true
-			ic.cond.Broadcast()
-			ic.mu.Unlock()
-			return
+			continue
 		}
-		ic.mu.Lock()
-		if seq == ic.rnext {
-			ic.recvBuf = append(ic.recvBuf, payload...)
-			ic.rnext++
-			for {
-				held, ok := ic.held[ic.rnext]
-				if !ok {
-					break
-				}
-				delete(ic.held, ic.rnext)
-				ic.recvBuf = append(ic.recvBuf, held...)
-				ic.rnext++
-			}
-			ic.cond.Broadcast()
-		} else if seq > ic.rnext {
-			// Out-of-order delivery; a lost message leaves a
-			// permanent gap and the stream stalls (no retransmit).
-			ic.held[seq] = append([]byte(nil), payload...)
+		// Data messages carry seq ≥ 1 (seq 0 is the login frame). They
+		// can arrive out of order, and a lost one leaves a permanent
+		// gap: the stream stalls, there is no retransmit.
+		if seq >= 1 {
+			ic.DeliverSeq(seq-1, payload)
 		}
-		ic.mu.Unlock()
 	}
-}
-
-// Read implements net.Conn.
-func (ic *imConn) Read(p []byte) (int, error) {
-	ic.mu.Lock()
-	defer ic.mu.Unlock()
-	for len(ic.recvBuf) == 0 {
-		if ic.closed {
-			return 0, io.EOF
-		}
-		if ic.clock.Expired(ic.rdl) {
-			return 0, errIMTimeout
-		}
-		ic.cond.WaitDeadline(ic.rdl)
-	}
-	n := copy(p, ic.recvBuf)
-	ic.recvBuf = ic.recvBuf[n:]
-	return n, nil
 }
 
 // Write implements net.Conn: chunk into messages.
@@ -399,10 +341,7 @@ func (ic *imConn) Write(p []byte) (int, error) {
 	defer ic.wmu.Unlock()
 	written := 0
 	for len(p) > 0 {
-		n := len(p)
-		if n > ic.cap {
-			n = ic.cap
-		}
+		n := min(len(p), ic.cap)
 		ic.sendSeq++
 		if err := writeMessage(ic.conn, ic.peer, ic.sendSeq, p[:n]); err != nil {
 			return written, err
@@ -413,54 +352,16 @@ func (ic *imConn) Write(p []byte) (int, error) {
 	return written, nil
 }
 
-// Close implements net.Conn.
+// Close implements net.Conn. onClose runs only when this call is what
+// ended the tunnel, not when the receive loop already had.
 func (ic *imConn) Close() error {
-	ic.mu.Lock()
-	wasClosed := ic.closed
-	ic.closed = true
-	ic.cond.Broadcast()
-	onClose := ic.onClose
-	ic.onClose = nil
-	ic.mu.Unlock()
-	if !wasClosed && onClose != nil {
-		onClose()
+	wasClosed := ic.Closed()
+	ic.Fail()
+	if !wasClosed && ic.onClose != nil {
+		ic.onClose()
 	}
 	return ic.conn.Close()
 }
-
-// LocalAddr implements net.Conn.
-func (ic *imConn) LocalAddr() net.Addr { return imAddr(ic.self) }
-
-// RemoteAddr implements net.Conn.
-func (ic *imConn) RemoteAddr() net.Addr { return imAddr(ic.peer) }
-
-// SetDeadline implements net.Conn.
-func (ic *imConn) SetDeadline(t time.Time) error { return ic.SetReadDeadline(t) }
-
-// SetReadDeadline implements net.Conn.
-func (ic *imConn) SetReadDeadline(t time.Time) error {
-	ic.mu.Lock()
-	ic.rdl = t
-	ic.cond.Broadcast()
-	ic.mu.Unlock()
-	return nil
-}
-
-// SetWriteDeadline implements net.Conn as a no-op.
-func (ic *imConn) SetWriteDeadline(time.Time) error { return nil }
-
-type imAddr string
-
-func (imAddr) Network() string  { return "im" }
-func (a imAddr) String() string { return string(a) }
-
-type imTimeout struct{}
-
-func (imTimeout) Error() string   { return "camoufler: i/o timeout" }
-func (imTimeout) Timeout() bool   { return true }
-func (imTimeout) Temporary() bool { return true }
-
-var errIMTimeout = imTimeout{}
 
 // Proxy is the uncensored-side camoufler endpoint: it logs into the
 // proxy account and serves each client session.
@@ -510,14 +411,7 @@ func (p *Proxy) serveSession(n uint64) error {
 	p.mu.Lock()
 	p.conns = append(p.conns, ic)
 	p.mu.Unlock()
-	p.host.Network().Go(func() {
-		target, err := pt.ReadTarget(ic)
-		if err != nil {
-			ic.Close()
-			return
-		}
-		p.handle(target, ic)
-	})
+	p.host.Network().Go(func() { pt.ServeStream(ic, p.handle) })
 	return nil
 }
 

@@ -49,7 +49,6 @@ type Config struct {
 type Infra struct {
 	cfg        Config
 	bridgeAddr string
-	regHost    *netem.Host
 	stationHst *netem.Host
 
 	regLn     *netem.Listener
@@ -78,14 +77,13 @@ func StartInfra(registrarHost, stationHost *netem.Host, regPort, phantomPort int
 	inf := &Infra{
 		cfg:        cfg,
 		bridgeAddr: bridgeAddr,
-		regHost:    registrarHost,
 		stationHst: stationHost,
 		regLn:      regLn,
 		phantomLn:  phantomLn,
 		registered: make(map[[nonceLen]byte]bool),
 	}
-	registrarHost.Network().Go(inf.serveRegistrar)
-	stationHost.Network().Go(inf.serveStation)
+	pt.Serve(registrarHost.Network().Clock(), regLn, inf.serveRegistration)
+	pt.Serve(stationHost.Network().Clock(), phantomLn, inf.serveFlow)
 	return inf, nil
 }
 
@@ -107,76 +105,56 @@ func (inf *Infra) mac(nonce []byte) []byte {
 	return m.Sum(nil)[:16]
 }
 
-// serveRegistrar accepts registrations: nonce ‖ MAC → ack.
-func (inf *Infra) serveRegistrar() {
-	for {
-		c, err := inf.regLn.Accept()
-		if err != nil {
-			return
-		}
-		conn := c
-		inf.regHost.Network().Go(func() {
-			c := conn
-			defer c.Close()
-			msg := make([]byte, nonceLen+16)
-			if _, err := io.ReadFull(c, msg); err != nil {
-				return
-			}
-			var nonce [nonceLen]byte
-			copy(nonce[:], msg[:nonceLen])
-			if !hmac.Equal(inf.mac(nonce[:]), msg[nonceLen:]) {
-				return // drop silently, like a real registrar
-			}
-			inf.mu.Lock()
-			inf.registered[nonce] = true
-			inf.mu.Unlock()
-			c.Write([]byte{0x01}) // ack
-		})
+// serveRegistration takes one registration: nonce ‖ MAC → ack.
+func (inf *Infra) serveRegistration(c net.Conn) {
+	defer c.Close()
+	msg := make([]byte, nonceLen+16)
+	if _, err := io.ReadFull(c, msg); err != nil {
+		return
 	}
+	var nonce [nonceLen]byte
+	copy(nonce[:], msg[:nonceLen])
+	if !hmac.Equal(inf.mac(nonce[:]), msg[nonceLen:]) {
+		return // drop silently, like a real registrar
+	}
+	inf.mu.Lock()
+	inf.registered[nonce] = true
+	inf.mu.Unlock()
+	c.Write([]byte{0x01}) // ack
 }
 
-// serveStation accepts phantom flows, validates their registration and
-// splices them to the bridge.
-func (inf *Infra) serveStation() {
-	for {
-		c, err := inf.phantomLn.Accept()
-		if err != nil {
-			return
-		}
-		conn := c
-		inf.stationHst.Network().Go(func() {
-			c := conn
-			hello := make([]byte, nonceLen)
-			if _, err := io.ReadFull(c, hello); err != nil {
-				c.Close()
-				return
-			}
-			var nonce [nonceLen]byte
-			copy(nonce[:], hello)
-			inf.mu.Lock()
-			ok := inf.registered[nonce]
-			delete(inf.registered, nonce)
-			inf.mu.Unlock()
-			if !ok {
-				// Unregistered flows to phantom IPs look like scans;
-				// the station lets them time out.
-				c.Close()
-				return
-			}
-			down, err := inf.stationHst.Dial(inf.bridgeAddr)
-			if err != nil {
-				c.Close()
-				return
-			}
-			// Forward the nonce so the bridge can derive the session key.
-			if _, err := down.Write(nonce[:]); err != nil {
-				c.Close()
-				down.Close()
-				return
-			}
-			pt.Splice(inf.stationHst.Network().Clock(), c, down)
-		})
+// serveFlow validates one phantom flow's registration and splices it to
+// the bridge.
+func (inf *Infra) serveFlow(c net.Conn) {
+	hello := make([]byte, nonceLen)
+	if _, err := io.ReadFull(c, hello); err != nil {
+		c.Close()
+		return
 	}
+	var nonce [nonceLen]byte
+	copy(nonce[:], hello)
+	inf.mu.Lock()
+	ok := inf.registered[nonce]
+	delete(inf.registered, nonce)
+	inf.mu.Unlock()
+	if !ok {
+		// Unregistered flows to phantom IPs look like scans;
+		// the station lets them time out.
+		c.Close()
+		return
+	}
+	down, err := inf.stationHst.Dial(inf.bridgeAddr)
+	if err != nil {
+		c.Close()
+		return
+	}
+	// Forward the nonce so the bridge can derive the session key.
+	if _, err := down.Write(nonce[:]); err != nil {
+		c.Close()
+		down.Close()
+		return
+	}
+	pt.Splice(inf.stationHst.Network().Clock(), c, down)
 }
 
 func sessionKey(secret, nonce []byte) []byte {

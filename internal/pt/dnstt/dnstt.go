@@ -17,7 +17,6 @@ package dnstt
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -47,12 +46,17 @@ const (
 	// lifetime (a cut just forces a fresh circuit), but bulk downloads
 	// exhaust it mid-file — the paper's §4.6 failure mode.
 	DefaultBudgetMedian = 6 << 20
-	// DefaultStaleness is how long the tunnel server keeps a session
-	// whose client has stopped querying before reaping it (mirroring
-	// meek-server's 120 s). It must comfortably exceed both the
-	// client's idle-poll ceiling (~1.5 s) and the worst queueing a live
-	// client's queries can suffer behind a censor throttle backlog.
-	DefaultStaleness = 120 * time.Second
+)
+
+const (
+	// resolverDelay is the recursive resolver's per-query processing
+	// time.
+	resolverDelay = 4 * time.Millisecond
+	// serverQueue bounds the server's downstream queue, so the tunnel
+	// applies backpressure at roughly one window of responses.
+	serverQueue = 64 << 10
+	// clientQueue bounds the client's upstream queue.
+	clientQueue = 32 << 10
 )
 
 // Config parameterizes the tunnel.
@@ -66,11 +70,6 @@ type Config struct {
 	// BudgetMedian overrides DefaultBudgetMedian; 0 keeps the default,
 	// negative disables throttling.
 	BudgetMedian int64
-	// ResolverDelay is the recursive resolver's per-query processing
-	// time.
-	ResolverDelay time.Duration
-	// Staleness overrides DefaultStaleness.
-	Staleness time.Duration
 	// Seed drives identifiers and budget draws.
 	Seed int64
 }
@@ -87,12 +86,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BudgetMedian == 0 {
 		c.BudgetMedian = DefaultBudgetMedian
-	}
-	if c.ResolverDelay <= 0 {
-		c.ResolverDelay = 4 * time.Millisecond
-	}
-	if c.Staleness <= 0 {
-		c.Staleness = DefaultStaleness
 	}
 	return c
 }
@@ -137,10 +130,9 @@ type Resolver struct {
 	host       *netem.Host
 	serverAddr string
 	ln         *netem.Listener
-
-	mu       sync.Mutex
+	// rng draws session budgets; the session table serializes it.
 	rng      *rand.Rand
-	sessions map[string]*sessionMeter
+	sessions *pt.Sessions[string, *sessionMeter]
 }
 
 // sessionMeter tracks a tunnel session's downstream volume against its
@@ -158,15 +150,16 @@ func StartResolver(host *netem.Host, port int, cfg Config, serverAddr string) (*
 	if err != nil {
 		return nil, err
 	}
+	clock := host.Network().Clock()
 	r := &Resolver{
 		cfg:        cfg.withDefaults(),
 		host:       host,
 		serverAddr: serverAddr,
 		ln:         ln,
 		rng:        rand.New(rand.NewSource(cfg.Seed + 29)),
-		sessions:   make(map[string]*sessionMeter),
 	}
-	host.Network().Go(r.acceptLoop)
+	r.sessions = pt.NewSessions(clock, r.newMeter, nil)
+	pt.Serve(clock, ln, r.serveConn)
 	return r, nil
 }
 
@@ -176,33 +169,15 @@ func (r *Resolver) Addr() string { return r.ln.Addr().String() }
 // Close stops the resolver.
 func (r *Resolver) Close() error { return r.ln.Close() }
 
-func (r *Resolver) acceptLoop() {
-	for {
-		c, err := r.ln.Accept()
-		if err != nil {
-			return
+// newMeter draws the byte budget of a session seen for the first time.
+func (r *Resolver) newMeter(string) *sessionMeter {
+	m := &sessionMeter{budget: 1 << 62}
+	if r.cfg.BudgetMedian > 0 {
+		b := int64(float64(r.cfg.BudgetMedian) * math.Exp(r.rng.NormFloat64()))
+		if b < r.cfg.BudgetMedian/8 {
+			b = r.cfg.BudgetMedian / 8
 		}
-		conn := c
-		r.host.Network().Go(func() { r.serveConn(conn) })
-	}
-}
-
-// meter returns the byte meter for a session, drawing its budget on
-// first use.
-func (r *Resolver) meter(id string) *sessionMeter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	m := r.sessions[id]
-	if m == nil {
-		m = &sessionMeter{budget: 1 << 62}
-		if r.cfg.BudgetMedian > 0 {
-			b := int64(float64(r.cfg.BudgetMedian) * math.Exp(r.rng.NormFloat64()))
-			if b < r.cfg.BudgetMedian/8 {
-				b = r.cfg.BudgetMedian / 8
-			}
-			m.budget = b
-		}
-		r.sessions[id] = m
+		m.budget = b
 	}
 	return m
 }
@@ -227,9 +202,9 @@ func (r *Resolver) serveConn(c net.Conn) {
 		if len(q) < sessionLen+4 {
 			return
 		}
-		m := r.meter(string(q[:sessionLen]))
+		m := r.sessions.Touch(string(q[:sessionLen]))
 		// Recursive resolution work per query.
-		clock.Sleep(r.cfg.ResolverDelay)
+		clock.Sleep(resolverDelay)
 
 		m.mu.Lock()
 		over := m.bytes > m.budget
@@ -271,13 +246,9 @@ func appendLen(frame []byte) []byte {
 
 // Server is the authoritative dnstt endpoint, co-located with the guard.
 type Server struct {
-	cfg    Config
-	ln     *netem.Listener
-	clock  *netem.Clock
-	handle pt.StreamHandler
-
-	mu       sync.Mutex
-	sessions map[string]*serverSession
+	cfg      Config
+	ln       *netem.Listener
+	sessions *pt.Sessions[string, *serverSession]
 }
 
 // StartServer runs the dnstt server on host:port.
@@ -286,8 +257,15 @@ func StartServer(host *netem.Host, port int, cfg Config, handle pt.StreamHandler
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{cfg: cfg.withDefaults(), ln: ln, clock: host.Network().Clock(), handle: handle, sessions: make(map[string]*serverSession)}
-	s.clock.Go(s.acceptLoop)
+	clock := host.Network().Clock()
+	s := &Server{cfg: cfg.withDefaults(), ln: ln}
+	// The handler sees an ordinary stream; dnstt framing hides behind it.
+	s.sessions = pt.NewSessions(clock, func(string) *serverSession {
+		ss := &serverSession{Stream: pt.NewStream(clock, "dns", "dnstt-server", "dnstt-client", serverQueue)}
+		clock.Go(func() { pt.ServeStream(ss, handle) })
+		return ss
+	}, (*serverSession).Fail)
+	pt.Serve(clock, ln, s.serveResolverConn)
 	return s, nil
 }
 
@@ -297,77 +275,13 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 // Close stops the server.
 func (s *Server) Close() error { return s.ln.Close() }
 
-func (s *Server) acceptLoop() {
-	for {
-		c, err := s.ln.Accept()
-		if err != nil {
-			return
-		}
-		conn := c
-		s.clock.Go(func() { s.serveResolverConn(conn) })
-	}
-}
-
-// serverSession reassembles one client's tunnel.
+// serverSession is one client's tunnel at the server: upstream query
+// payloads reassemble into the stream the handler reads, and what the
+// handler writes leaves one response at a time.
 type serverSession struct {
-	srv *Server
-
-	mu      sync.Mutex
-	cond    *netem.Cond
-	upNext  uint32
-	upHeld  map[uint32][]byte
-	upBuf   []byte
-	downBuf []byte
-	rseq    uint32
-	// lastSeen is the virtual time of the latest query; the reaper cuts
-	// sessions whose client stopped querying.
-	lastSeen time.Duration
-	closed   bool
-}
-
-func (s *Server) session(id string) *serverSession {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if ss := s.sessions[id]; ss != nil {
-		return ss
-	}
-	ss := &serverSession{srv: s, upHeld: make(map[uint32][]byte), lastSeen: s.clock.Now()}
-	ss.cond = netem.NewCond(s.clock, &ss.mu)
-	s.sessions[id] = ss
-	// The handler sees an ordinary stream; dnstt framing hides behind it.
-	s.clock.Go(func() {
-		conn := &sessionConn{ss: ss}
-		target, err := pt.ReadTarget(conn)
-		if err != nil {
-			conn.Close()
-			return
-		}
-		s.handle(target, conn)
-	})
-	s.clock.Go(func() { s.reapWhenStale(ss) })
-	return ss
-}
-
-// reapWhenStale cuts a session once its client has stopped querying for
-// a full staleness window, like dnstt's turbotunnel sessions expiring.
-// The EOF tears the spliced server-side chain down; without it a client
-// that vanishes leaks the whole chain forever.
-func (s *Server) reapWhenStale(ss *serverSession) {
-	for {
-		s.clock.Sleep(s.cfg.Staleness)
-		ss.mu.Lock()
-		if ss.closed {
-			ss.mu.Unlock()
-			return
-		}
-		if s.clock.Now()-ss.lastSeen >= s.cfg.Staleness {
-			ss.closed = true
-			ss.cond.Broadcast()
-			ss.mu.Unlock()
-			return
-		}
-		ss.mu.Unlock()
-	}
+	*pt.Stream
+	mu   sync.Mutex
+	rseq uint32
 }
 
 // serveResolverConn processes the per-session query pipe from the
@@ -382,14 +296,9 @@ func (s *Server) serveResolverConn(c net.Conn) {
 		if len(q) < sessionLen+4 {
 			return
 		}
-		sid := string(q[:sessionLen])
 		qseq := binary.BigEndian.Uint32(q[sessionLen : sessionLen+4])
-		data := q[sessionLen+4:]
-		ss := s.session(sid)
-		ss.mu.Lock()
-		ss.lastSeen = s.clock.Now()
-		ss.mu.Unlock()
-		ss.acceptUpstream(qseq, data)
+		ss := s.sessions.Touch(string(q[:sessionLen]))
+		ss.acceptUpstream(qseq, q[sessionLen+4:])
 
 		// Answer with up to RespCap downstream bytes.
 		chunk, rseq := ss.takeDownstream(s.cfg.RespCap)
@@ -402,133 +311,25 @@ func (s *Server) serveResolverConn(c net.Conn) {
 }
 
 // acceptUpstream reorders query payloads into the upstream byte stream.
+// Data-less polls carry no sequence number.
 func (ss *serverSession) acceptUpstream(qseq uint32, data []byte) {
-	if qseq == emptyQseq {
-		return
-	}
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	if ss.closed {
-		// A straggler query after the session was reaped or closed:
-		// nobody will ever read these buffers, so do not grow them.
-		return
-	}
-	if len(data) > 0 {
-		if qseq == ss.upNext {
-			ss.upBuf = append(ss.upBuf, data...)
-			ss.upNext++
-			for {
-				held, ok := ss.upHeld[ss.upNext]
-				if !ok {
-					break
-				}
-				delete(ss.upHeld, ss.upNext)
-				ss.upBuf = append(ss.upBuf, held...)
-				ss.upNext++
-			}
-			ss.cond.Broadcast()
-		} else if qseq > ss.upNext {
-			ss.upHeld[qseq] = append([]byte(nil), data...)
-		}
+	if qseq != emptyQseq && len(data) > 0 {
+		ss.DeliverSeq(uint64(qseq), data)
 	}
 }
 
-// takeDownstream pops at most capBytes from the downstream queue.
+// takeDownstream pops at most capBytes from the downstream queue and
+// numbers the chunk.
 func (ss *serverSession) takeDownstream(capBytes int) ([]byte, uint32) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
-	if len(ss.downBuf) == 0 {
+	chunk := ss.Take(capBytes)
+	if chunk == nil {
 		return nil, emptyRseq
 	}
-	n := len(ss.downBuf)
-	if n > capBytes {
-		n = capBytes
-	}
-	chunk := append([]byte(nil), ss.downBuf[:n]...)
-	ss.downBuf = ss.downBuf[n:]
-	rseq := ss.rseq
 	ss.rseq++
-	ss.cond.Broadcast()
-	return chunk, rseq
+	return chunk, ss.rseq - 1
 }
-
-// sessionConn is the handler-facing stream of one server session.
-type sessionConn struct{ ss *serverSession }
-
-// Read pulls reassembled upstream bytes.
-func (c *sessionConn) Read(p []byte) (int, error) {
-	ss := c.ss
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	for len(ss.upBuf) == 0 && !ss.closed {
-		ss.cond.Wait()
-	}
-	if ss.closed {
-		return 0, io.EOF
-	}
-	n := copy(p, ss.upBuf)
-	ss.upBuf = ss.upBuf[n:]
-	return n, nil
-}
-
-// Write queues downstream bytes, bounded so the tunnel applies
-// backpressure at roughly one window of responses.
-func (c *sessionConn) Write(p []byte) (int, error) {
-	ss := c.ss
-	maxQueue := 64 << 10
-	written := 0
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	for len(p) > 0 {
-		if ss.closed {
-			return written, errors.New("dnstt: session closed")
-		}
-		for len(ss.downBuf) >= maxQueue && !ss.closed {
-			ss.cond.Wait()
-		}
-		if ss.closed {
-			return written, errors.New("dnstt: session closed")
-		}
-		room := maxQueue - len(ss.downBuf)
-		n := len(p)
-		if n > room {
-			n = room
-		}
-		ss.downBuf = append(ss.downBuf, p[:n]...)
-		written += n
-		p = p[n:]
-	}
-	return written, nil
-}
-
-// Close marks the session dead.
-func (c *sessionConn) Close() error {
-	c.ss.mu.Lock()
-	c.ss.closed = true
-	c.ss.cond.Broadcast()
-	c.ss.mu.Unlock()
-	return nil
-}
-
-// LocalAddr implements net.Conn.
-func (c *sessionConn) LocalAddr() net.Addr { return dnsAddr("dnstt-server") }
-
-// RemoteAddr implements net.Conn.
-func (c *sessionConn) RemoteAddr() net.Addr { return dnsAddr("dnstt-client") }
-
-// SetDeadline implements net.Conn (unsupported; polls pace the tunnel).
-func (c *sessionConn) SetDeadline(time.Time) error { return nil }
-
-// SetReadDeadline implements net.Conn.
-func (c *sessionConn) SetReadDeadline(time.Time) error { return nil }
-
-// SetWriteDeadline implements net.Conn.
-func (c *sessionConn) SetWriteDeadline(time.Time) error { return nil }
-
-type dnsAddr string
-
-func (dnsAddr) Network() string  { return "dns" }
-func (a dnsAddr) String() string { return string(a) }
 
 // Dialer is the dnstt client.
 type Dialer struct {
@@ -565,17 +366,15 @@ func (d *Dialer) Dial(target string) (net.Conn, error) {
 		}
 		conns = append(conns, c)
 	}
+	clock := d.host.Network().Clock()
 	t := &tunnelConn{
-		cfg:   d.cfg,
-		clock: d.host.Network().Clock(),
-		sid:   sid,
-		conns: conns,
-		held:  make(map[uint32][]byte),
+		Stream:   pt.NewStream(clock, "dns", "dnstt-client", "dnstt-tunnel", clientQueue),
+		queryCap: d.cfg.QueryCap,
+		clock:    clock,
+		sid:      sid,
 	}
-	t.cond = netem.NewCond(t.clock, &t.mu)
 	for _, c := range conns {
-		conn := c
-		t.clock.Go(func() { t.pollLoop(conn) })
+		clock.Go(func() { t.pollLoop(c) })
 	}
 	if err := pt.WriteTarget(t, target); err != nil {
 		t.Close()
@@ -586,54 +385,39 @@ func (d *Dialer) Dial(target string) (net.Conn, error) {
 
 // tunnelConn is the client-side stream over the poll pipelines.
 type tunnelConn struct {
-	cfg   Config
-	clock *netem.Clock
-	sid   []byte
-	conns []net.Conn
+	*pt.Stream
+	queryCap int
+	clock    *netem.Clock
+	sid      []byte
 
-	mu      sync.Mutex
-	cond    *netem.Cond
-	upBuf   []byte
-	qseq    uint32
-	downBuf []byte
-	rnext   uint32
-	held    map[uint32][]byte
-	closed  bool
-	rdl     time.Time
+	mu   sync.Mutex
+	qseq uint32
 }
 
 // pollLoop drives one pipeline: send a query (data or empty poll), read
 // the response, deliver, pace.
 func (t *tunnelConn) pollLoop(c net.Conn) {
 	defer c.Close()
+	defer t.Fail()
 	idlePoll := 50 * time.Millisecond
-	for {
-		data, qseq, hasData := t.takeUpstream()
-		if t.isClosed() {
-			return
-		}
+	for !t.Closed() {
+		data, qseq := t.takeUpstream()
 		head := make([]byte, sessionLen+4)
 		copy(head, t.sid)
 		binary.BigEndian.PutUint32(head[sessionLen:], qseq)
 		if err := writeFrame(c, head, data); err != nil {
-			t.fail()
 			return
 		}
 		resp, err := readFrame(c)
-		if err != nil {
-			t.fail()
-			return
-		}
-		if len(resp) < 4 {
-			t.fail()
+		if err != nil || len(resp) < 4 {
 			return
 		}
 		rseq := binary.BigEndian.Uint32(resp[:4])
 		gotData := rseq != emptyRseq && len(resp) > 4
 		if gotData {
-			t.acceptDownstream(rseq, resp[4:])
+			t.DeliverSeq(uint64(rseq), resp[4:])
 		}
-		if !hasData && !gotData {
+		if data == nil && !gotData {
 			// Idle: back off, like dnstt's poll pacing.
 			t.clock.Sleep(idlePoll)
 			if idlePoll < time.Second {
@@ -645,141 +429,15 @@ func (t *tunnelConn) pollLoop(c net.Conn) {
 	}
 }
 
-// takeUpstream pops up to QueryCap pending upstream bytes.
-func (t *tunnelConn) takeUpstream() ([]byte, uint32, bool) {
+// takeUpstream pops up to QueryCap pending upstream bytes and numbers
+// them; a data-less poll consumes no sequence number.
+func (t *tunnelConn) takeUpstream() ([]byte, uint32) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.closed {
-		return nil, 0, false
+	data := t.Take(t.queryCap)
+	if data == nil {
+		return nil, emptyQseq
 	}
-	if len(t.upBuf) == 0 {
-		return nil, emptyQseq, false
-	}
-	n := len(t.upBuf)
-	if n > t.cfg.QueryCap {
-		n = t.cfg.QueryCap
-	}
-	data := append([]byte(nil), t.upBuf[:n]...)
-	t.upBuf = t.upBuf[n:]
-	q := t.qseq
 	t.qseq++
-	t.cond.Broadcast()
-	return data, q, true
+	return data, t.qseq - 1
 }
-
-// acceptDownstream reorders response payloads into the read buffer.
-func (t *tunnelConn) acceptDownstream(rseq uint32, data []byte) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if rseq == t.rnext {
-		t.downBuf = append(t.downBuf, data...)
-		t.rnext++
-		for {
-			held, ok := t.held[t.rnext]
-			if !ok {
-				break
-			}
-			delete(t.held, t.rnext)
-			t.downBuf = append(t.downBuf, held...)
-			t.rnext++
-		}
-		t.cond.Broadcast()
-	} else if rseq > t.rnext {
-		t.held[rseq] = append([]byte(nil), data...)
-	}
-}
-
-func (t *tunnelConn) isClosed() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.closed
-}
-
-func (t *tunnelConn) fail() {
-	t.mu.Lock()
-	t.closed = true
-	t.cond.Broadcast()
-	t.mu.Unlock()
-}
-
-// Read implements net.Conn.
-func (t *tunnelConn) Read(p []byte) (int, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for len(t.downBuf) == 0 {
-		if t.closed {
-			return 0, io.EOF
-		}
-		if t.clock.Expired(t.rdl) {
-			return 0, errTunnelTimeout
-		}
-		t.cond.WaitDeadline(t.rdl)
-	}
-	n := copy(p, t.downBuf)
-	t.downBuf = t.downBuf[n:]
-	return n, nil
-}
-
-// Write implements net.Conn: bytes queue for the poll loops, with a
-// bounded buffer supplying backpressure.
-func (t *tunnelConn) Write(p []byte) (int, error) {
-	const maxQueue = 32 << 10
-	written := 0
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for len(p) > 0 {
-		if t.closed {
-			return written, errors.New("dnstt: tunnel closed")
-		}
-		for len(t.upBuf) >= maxQueue && !t.closed {
-			t.cond.Wait()
-		}
-		if t.closed {
-			return written, errors.New("dnstt: tunnel closed")
-		}
-		room := maxQueue - len(t.upBuf)
-		n := len(p)
-		if n > room {
-			n = room
-		}
-		t.upBuf = append(t.upBuf, p[:n]...)
-		written += n
-		p = p[n:]
-	}
-	return written, nil
-}
-
-// Close implements net.Conn.
-func (t *tunnelConn) Close() error {
-	t.fail()
-	return nil
-}
-
-// LocalAddr implements net.Conn.
-func (t *tunnelConn) LocalAddr() net.Addr { return dnsAddr("dnstt-client") }
-
-// RemoteAddr implements net.Conn.
-func (t *tunnelConn) RemoteAddr() net.Addr { return dnsAddr("dnstt-tunnel") }
-
-// SetDeadline implements net.Conn.
-func (t *tunnelConn) SetDeadline(dl time.Time) error { return t.SetReadDeadline(dl) }
-
-// SetReadDeadline implements net.Conn.
-func (t *tunnelConn) SetReadDeadline(dl time.Time) error {
-	t.mu.Lock()
-	t.rdl = dl
-	t.cond.Broadcast()
-	t.mu.Unlock()
-	return nil
-}
-
-// SetWriteDeadline implements net.Conn as a no-op.
-func (t *tunnelConn) SetWriteDeadline(time.Time) error { return nil }
-
-type tunnelTimeout struct{}
-
-func (tunnelTimeout) Error() string   { return "dnstt: i/o timeout" }
-func (tunnelTimeout) Timeout() bool   { return true }
-func (tunnelTimeout) Temporary() bool { return true }
-
-var errTunnelTimeout = tunnelTimeout{}

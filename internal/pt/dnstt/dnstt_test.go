@@ -2,10 +2,12 @@ package dnstt
 
 import (
 	"bytes"
+	"io"
 	"testing"
 	"testing/quick"
 
 	"ptperf/internal/netem"
+	"ptperf/internal/pt"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -40,54 +42,36 @@ func TestConfigDefaults(t *testing.T) {
 	}
 }
 
+func newTestSession() *serverSession {
+	return &serverSession{Stream: pt.NewStream(netem.NewClock(), "dns", "server", "client", serverQueue)}
+}
+
 func TestServerSessionReassembly(t *testing.T) {
-	ss := &serverSession{upHeld: make(map[uint32][]byte)}
-	ss.cond = netem.NewCond(netem.NewClock(0), &ss.mu)
+	ss := newTestSession()
 	ss.acceptUpstream(1, []byte("BB"))
 	ss.acceptUpstream(0, []byte("AA"))
+	// Neither the empty-poll sentinel nor a data-less query may consume
+	// a sequence number.
+	ss.acceptUpstream(emptyQseq, []byte("xx"))
+	ss.acceptUpstream(2, nil)
 	ss.acceptUpstream(2, []byte("CC"))
-	if string(ss.upBuf) != "AABBCC" {
-		t.Fatalf("reassembly: %q", ss.upBuf)
-	}
-	// Empty-poll sentinel must not block the sequence.
-	ss.acceptUpstream(emptyQseq, nil)
-	ss.acceptUpstream(3, []byte("DD"))
-	if string(ss.upBuf) != "AABBCCDD" {
-		t.Fatalf("after empty poll: %q", ss.upBuf)
+	got := make([]byte, 6)
+	if _, err := io.ReadFull(ss, got); err != nil || string(got) != "AABBCC" {
+		t.Fatalf("reassembly: %q %v", got, err)
 	}
 }
 
 func TestTakeDownstreamRespectsCap(t *testing.T) {
-	ss := &serverSession{upHeld: make(map[uint32][]byte)}
-	ss.cond = netem.NewCond(netem.NewClock(0), &ss.mu)
-	ss.downBuf = bytes.Repeat([]byte{1}, 1500)
-	chunk, rseq := ss.takeDownstream(512)
-	if len(chunk) != 512 || rseq != 0 {
-		t.Fatalf("chunk=%d rseq=%d", len(chunk), rseq)
+	ss := newTestSession()
+	if _, err := ss.Write(bytes.Repeat([]byte{1}, 1500)); err != nil {
+		t.Fatal(err)
 	}
-	chunk, rseq = ss.takeDownstream(512)
-	if len(chunk) != 512 || rseq != 1 {
-		t.Fatalf("second chunk=%d rseq=%d", len(chunk), rseq)
+	for i, want := range []int{512, 512, 476} {
+		if chunk, rseq := ss.takeDownstream(512); len(chunk) != want || rseq != uint32(i) {
+			t.Fatalf("chunk %d: len=%d rseq=%d", i, len(chunk), rseq)
+		}
 	}
-	chunk, rseq = ss.takeDownstream(512)
-	if len(chunk) != 476 || rseq != 2 {
-		t.Fatalf("tail chunk=%d rseq=%d", len(chunk), rseq)
-	}
-	if chunk, rseq = ss.takeDownstream(512); chunk != nil || rseq != emptyRseq {
+	if chunk, rseq := ss.takeDownstream(512); chunk != nil || rseq != emptyRseq {
 		t.Fatal("empty queue must answer the empty sentinel")
-	}
-}
-
-func TestClientReorder(t *testing.T) {
-	tc := &tunnelConn{held: make(map[uint32][]byte)}
-	tc.cond = netem.NewCond(netem.NewClock(0), &tc.mu)
-	tc.acceptDownstream(1, []byte("bb"))
-	tc.acceptDownstream(0, []byte("aa"))
-	if string(tc.downBuf) != "aabb" {
-		t.Fatalf("reorder: %q", tc.downBuf)
-	}
-	tc.acceptDownstream(0, []byte("zz")) // stale duplicate ignored
-	if string(tc.downBuf) != "aabb" {
-		t.Fatalf("duplicate accepted: %q", tc.downBuf)
 	}
 }

@@ -236,33 +236,30 @@ func readFrame(r io.Reader) (cover string, payload []byte, fin bool, err error) 
 	return string(coverBuf), payload, false, nil
 }
 
-// marionetteConn walks the automaton to move bytes.
-type marionetteConn struct {
-	model *Model
-	conn  net.Conn
-	clock *netem.Clock
-	rng   *rand.Rand
+// maxQueue bounds the bytes waiting for data transitions.
+const maxQueue = 64 << 10
 
-	mu         sync.Mutex
-	cond       *netem.Cond
-	upBuf      []byte // bytes waiting for a data transition
-	downBuf    []byte // bytes recovered from peer messages
-	replyCh    *netem.Chan[struct{}]
-	closed     bool
-	wdone      bool // local half-close requested
-	remoteDone bool // peer sent FIN
-	rdl        time.Time
+// marionetteConn walks the automaton to move bytes: written bytes wait
+// in the stream for a data transition, and bytes recovered from the
+// peer's messages are delivered into it.
+type marionetteConn struct {
+	*pt.Stream
+	model   *Model
+	conn    net.Conn
+	clock   *netem.Clock
+	rng     *rand.Rand
+	replyCh *netem.Chan[struct{}]
 }
 
 func newConn(model *Model, conn net.Conn, clock *netem.Clock, seed int64) *marionetteConn {
 	mc := &marionetteConn{
+		Stream:  pt.NewStream(clock, "marionette", "marionette", "marionette-peer", maxQueue),
 		model:   model,
 		conn:    conn,
 		clock:   clock,
 		rng:     rand.New(rand.NewSource(seed)),
 		replyCh: netem.NewChan[struct{}](clock, 16),
 	}
-	mc.cond = netem.NewCond(clock, &mc.mu)
 	clock.Go(mc.recvLoop)
 	clock.Go(mc.walk)
 	return mc
@@ -273,22 +270,16 @@ func (mc *marionetteConn) recvLoop() {
 	for {
 		_, payload, fin, err := readFrame(mc.conn)
 		if err != nil {
-			mc.fail()
+			mc.Fail()
 			return
 		}
 		mc.replyCh.TrySend(struct{}{})
 		if fin {
-			mc.mu.Lock()
-			mc.remoteDone = true
-			mc.cond.Broadcast()
-			mc.mu.Unlock()
+			mc.PeerFin(0)
 			continue
 		}
 		if len(payload) > 0 {
-			mc.mu.Lock()
-			mc.downBuf = append(mc.downBuf, payload...)
-			mc.cond.Broadcast()
-			mc.mu.Unlock()
+			mc.Deliver(payload)
 		}
 	}
 }
@@ -297,10 +288,7 @@ func (mc *marionetteConn) recvLoop() {
 // embedding and lockstep setup.
 func (mc *marionetteConn) walk() {
 	state := mc.model.Start
-	for {
-		if mc.isClosed() {
-			return
-		}
+	for !mc.Closed() {
 		ts := mc.model.States[state]
 		t := pick(mc.rng, ts)
 		delay := t.MinDelay
@@ -312,21 +300,11 @@ func (mc *marionetteConn) walk() {
 		var payload []byte
 		sendFin := false
 		if t.Act.Capacity > 0 {
-			mc.mu.Lock()
-			n := len(mc.upBuf)
-			if n > t.Act.Capacity {
-				n = t.Act.Capacity
-			}
-			if n > 0 {
-				payload = append(payload, mc.upBuf[:n]...)
-				mc.upBuf = mc.upBuf[n:]
-				mc.cond.Broadcast()
-			}
-			sendFin = mc.wdone && len(mc.upBuf) == 0
-			mc.mu.Unlock()
+			payload = mc.Take(t.Act.Capacity)
+			sendFin = mc.WriteEnded()
 		}
 		if err := writeFrame(mc.conn, t.Act.Cover, payload); err != nil {
-			mc.fail()
+			mc.Fail()
 			return
 		}
 		if sendFin {
@@ -337,7 +315,7 @@ func (mc *marionetteConn) walk() {
 		}
 		if t.AwaitReply {
 			if _, ok, timedOut := mc.replyCh.RecvTimeout(30 * time.Second); timedOut || !ok {
-				mc.fail()
+				mc.Fail()
 				return
 			}
 		}
@@ -345,114 +323,18 @@ func (mc *marionetteConn) walk() {
 	}
 }
 
-func (mc *marionetteConn) isClosed() bool {
-	mc.mu.Lock()
-	defer mc.mu.Unlock()
-	return mc.closed
-}
-
-func (mc *marionetteConn) fail() {
-	mc.mu.Lock()
-	mc.closed = true
-	mc.cond.Broadcast()
-	mc.mu.Unlock()
-}
-
-// Read implements net.Conn.
-func (mc *marionetteConn) Read(p []byte) (int, error) {
-	mc.mu.Lock()
-	defer mc.mu.Unlock()
-	for len(mc.downBuf) == 0 {
-		if mc.closed || mc.remoteDone {
-			return 0, io.EOF
-		}
-		if mc.clock.Expired(mc.rdl) {
-			return 0, errMarTimeout
-		}
-		mc.cond.WaitDeadline(mc.rdl)
-	}
-	n := copy(p, mc.downBuf)
-	mc.downBuf = mc.downBuf[n:]
-	return n, nil
-}
-
-// Write implements net.Conn: bytes wait for data transitions.
-func (mc *marionetteConn) Write(p []byte) (int, error) {
-	const maxQueue = 64 << 10
-	written := 0
-	mc.mu.Lock()
-	defer mc.mu.Unlock()
-	for len(p) > 0 {
-		if mc.closed {
-			return written, errors.New("marionette: closed")
-		}
-		for len(mc.upBuf) >= maxQueue && !mc.closed {
-			mc.cond.Wait()
-		}
-		if mc.closed {
-			return written, errors.New("marionette: closed")
-		}
-		room := maxQueue - len(mc.upBuf)
-		n := len(p)
-		if n > room {
-			n = room
-		}
-		mc.upBuf = append(mc.upBuf, p[:n]...)
-		written += n
-		p = p[n:]
-	}
-	return written, nil
-}
-
 // CloseWrite half-closes the sending direction: queued bytes still walk
 // out of the automaton before the FIN cover is emitted.
 func (mc *marionetteConn) CloseWrite() error {
-	mc.mu.Lock()
-	mc.wdone = true
-	mc.cond.Broadcast()
-	mc.mu.Unlock()
+	mc.EndWrite()
 	return nil
 }
 
 // Close implements net.Conn.
 func (mc *marionetteConn) Close() error {
-	mc.fail()
+	mc.Fail()
 	return mc.conn.Close()
 }
-
-// LocalAddr implements net.Conn.
-func (mc *marionetteConn) LocalAddr() net.Addr { return marAddr("marionette") }
-
-// RemoteAddr implements net.Conn.
-func (mc *marionetteConn) RemoteAddr() net.Addr { return marAddr("marionette-peer") }
-
-// SetDeadline implements net.Conn.
-func (mc *marionetteConn) SetDeadline(t time.Time) error { return mc.SetReadDeadline(t) }
-
-// SetReadDeadline implements net.Conn.
-func (mc *marionetteConn) SetReadDeadline(t time.Time) error {
-	mc.mu.Lock()
-	mc.rdl = t
-	mc.cond.Broadcast()
-	mc.mu.Unlock()
-	return nil
-}
-
-// SetWriteDeadline implements net.Conn as a no-op.
-func (mc *marionetteConn) SetWriteDeadline(time.Time) error { return nil }
-
-type marAddr string
-
-func (marAddr) Network() string  { return "marionette" }
-func (a marAddr) String() string { return string(a) }
-
-type marTimeout struct{}
-
-func (marTimeout) Error() string   { return "marionette: i/o timeout" }
-func (marTimeout) Timeout() bool   { return true }
-func (marTimeout) Temporary() bool { return true }
-
-var errMarTimeout = marTimeout{}
 
 // StartServer runs a marionette server on host:port using the model.
 func StartServer(host *netem.Host, port int, model *Model, seed int64, handle pt.StreamHandler) (pt.Server, error) {

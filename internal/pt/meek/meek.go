@@ -30,72 +30,48 @@ import (
 	"ptperf/internal/pt"
 )
 
-// Defaults for the polling and policy model.
+// The polling model.
 const (
-	// DefaultChunk is the maximum body per POST or response.
-	DefaultChunk = 64 << 10
-	// DefaultMinPoll is the immediate re-poll interval when the tunnel
-	// is active.
-	DefaultMinPoll = 20 * time.Millisecond
-	// DefaultMaxPoll is the idle back-off ceiling.
-	DefaultMaxPoll = 5 * time.Second
-	// DefaultFrontDelay is the CDN's per-request processing time.
-	DefaultFrontDelay = 15 * time.Millisecond
+	// chunk is the maximum body per POST or response.
+	chunk = 64 << 10
+	// minPoll is the immediate re-poll interval when the tunnel is
+	// active.
+	minPoll = 20 * time.Millisecond
+	// maxPoll is the idle back-off ceiling.
+	maxPoll = 5 * time.Second
+	// frontDelay is the CDN's per-request processing time.
+	frontDelay = 15 * time.Millisecond
+	// maxQueue bounds the bytes either end queues for the next polls.
+	maxQueue = 256 << 10
+)
+
+// Defaults for the bridge's policy.
+const (
 	// DefaultBridgeRate is the bridge maintainer's rate limit in bytes
 	// per virtual second.
 	DefaultBridgeRate = 1 << 20
 	// DefaultSessionBudgetMedian is the median of the lognormal bridge
 	// byte budget after which a session is cut.
 	DefaultSessionBudgetMedian = 3 << 20
-	// DefaultStaleness is how long the bridge keeps a session that has
-	// stopped polling before reaping it — meek-server's 120 s session
-	// staleness. It must comfortably exceed not just MaxPoll but the
-	// worst queueing a live client's polls can suffer behind a censor
-	// throttle backlog, or working-but-throttled tunnels get reaped
-	// mid-transfer.
-	DefaultStaleness = 120 * time.Second
 )
 
 // Config parameterizes meek.
 type Config struct {
-	// Chunk overrides DefaultChunk.
-	Chunk int
-	// MinPoll / MaxPoll override the polling cadence.
-	MinPoll, MaxPoll time.Duration
-	// FrontDelay overrides DefaultFrontDelay.
-	FrontDelay time.Duration
 	// BridgeRate overrides DefaultBridgeRate (bytes per virtual second).
 	BridgeRate float64
 	// SessionBudgetMedian overrides DefaultSessionBudgetMedian;
 	// negative disables the budget.
 	SessionBudgetMedian int64
-	// Staleness overrides DefaultStaleness.
-	Staleness time.Duration
 	// Seed drives randomized budgets.
 	Seed int64
 }
 
 func (c Config) withDefaults() Config {
-	if c.Chunk <= 0 {
-		c.Chunk = DefaultChunk
-	}
-	if c.MinPoll <= 0 {
-		c.MinPoll = DefaultMinPoll
-	}
-	if c.MaxPoll <= 0 {
-		c.MaxPoll = DefaultMaxPoll
-	}
-	if c.FrontDelay <= 0 {
-		c.FrontDelay = DefaultFrontDelay
-	}
 	if c.BridgeRate <= 0 {
 		c.BridgeRate = DefaultBridgeRate
 	}
 	if c.SessionBudgetMedian == 0 {
 		c.SessionBudgetMedian = DefaultSessionBudgetMedian
-	}
-	if c.Staleness <= 0 {
-		c.Staleness = DefaultStaleness
 	}
 	return c
 }
@@ -163,20 +139,19 @@ func readReply(r io.Reader) (byte, []byte, error) {
 // Front is the CDN edge: it terminates client TLS and forwards each
 // request to the bridge, adding its processing delay.
 type Front struct {
-	cfg        Config
 	host       *netem.Host
 	bridgeAddr string
 	ln         *netem.Listener
 }
 
 // StartFront runs the CDN front on host:port, forwarding to bridgeAddr.
-func StartFront(host *netem.Host, port int, cfg Config, bridgeAddr string) (*Front, error) {
+func StartFront(host *netem.Host, port int, _ Config, bridgeAddr string) (*Front, error) {
 	ln, err := host.Listen(port)
 	if err != nil {
 		return nil, err
 	}
-	f := &Front{cfg: cfg.withDefaults(), host: host, bridgeAddr: bridgeAddr, ln: ln}
-	host.Network().Go(f.acceptLoop)
+	f := &Front{host: host, bridgeAddr: bridgeAddr, ln: ln}
+	pt.Serve(host.Network().Clock(), ln, f.serveConn)
 	return f, nil
 }
 
@@ -185,17 +160,6 @@ func (f *Front) Addr() string { return f.ln.Addr().String() }
 
 // Close stops the front.
 func (f *Front) Close() error { return f.ln.Close() }
-
-func (f *Front) acceptLoop() {
-	for {
-		c, err := f.ln.Accept()
-		if err != nil {
-			return
-		}
-		conn := c
-		f.host.Network().Go(func() { f.serveConn(conn) })
-	}
-}
 
 // serveConn relays one client's polling connection; the front keeps a
 // matching upstream connection to the bridge.
@@ -212,7 +176,7 @@ func (f *Front) serveConn(c net.Conn) {
 		if err != nil {
 			return
 		}
-		clock.Sleep(f.cfg.FrontDelay)
+		clock.Sleep(frontDelay)
 		if err := writePoll(up, sid, body); err != nil {
 			return
 		}
@@ -228,30 +192,28 @@ func (f *Front) serveConn(c net.Conn) {
 
 // Bridge is the meek server co-located with the guard.
 type Bridge struct {
-	cfg    Config
-	host   *netem.Host
-	ln     *netem.Listener
-	handle pt.StreamHandler
-
-	mu       sync.Mutex
+	cfg  Config
+	host *netem.Host
+	ln   *netem.Listener
+	// rng draws session budgets; the session table serializes it.
 	rng      *rand.Rand
-	sessions map[uint64]*bridgeSession
+	sessions *pt.Sessions[uint64, *bridgeSession]
+
+	mu sync.Mutex
 	// rateFree is the virtual time the shared rate limiter frees up.
 	rateFree time.Duration
 }
 
+// bridgeSession is one tunnel at the bridge: the handler-facing stream
+// and the byte budget the polls are charged against (guarded by the
+// bridge mutex).
 type bridgeSession struct {
-	mu      sync.Mutex
-	cond    *netem.Cond
-	upBuf   []byte
-	downBuf []byte
-	budget  int64
-	served  int64
-	// lastSeen is the virtual time of the session's latest poll; the
-	// reaper cuts sessions whose client stopped polling.
-	lastSeen time.Duration
-	closed   bool
-	gone     bool
+	*pt.Stream
+	budget int64
+	served int64
+	// gone answers every further poll with statusGone: the budget ran
+	// out or the client stopped polling.
+	gone bool
 }
 
 // StartBridge runs the meek bridge on host:port.
@@ -260,15 +222,22 @@ func StartBridge(host *netem.Host, port int, cfg Config, handle pt.StreamHandler
 	if err != nil {
 		return nil, err
 	}
+	clock := host.Network().Clock()
 	b := &Bridge{
-		cfg:      cfg.withDefaults(),
-		host:     host,
-		ln:       ln,
-		handle:   handle,
-		rng:      rand.New(rand.NewSource(cfg.Seed + 3)),
-		sessions: make(map[uint64]*bridgeSession),
+		cfg:  cfg.withDefaults(),
+		host: host,
+		ln:   ln,
+		rng:  rand.New(rand.NewSource(cfg.Seed + 3)),
 	}
-	host.Network().Go(b.acceptLoop)
+	b.sessions = pt.NewSessions(clock, func(uint64) *bridgeSession {
+		s := &bridgeSession{
+			Stream: pt.NewStream(clock, "meek", "meek-bridge", "meek-client", maxQueue),
+			budget: b.drawBudget(),
+		}
+		clock.Go(func() { pt.ServeStream(s, handle) })
+		return s
+	}, b.cut)
+	pt.Serve(clock, ln, b.serveFrontConn)
 	return b, nil
 }
 
@@ -278,65 +247,14 @@ func (b *Bridge) Addr() string { return b.ln.Addr().String() }
 // Close stops the bridge.
 func (b *Bridge) Close() error { return b.ln.Close() }
 
-func (b *Bridge) acceptLoop() {
-	for {
-		c, err := b.ln.Accept()
-		if err != nil {
-			return
-		}
-		conn := c
-		b.host.Network().Go(func() { b.serveFrontConn(conn) })
-	}
-}
-
-// session fetches or creates the session state.
-func (b *Bridge) session(sid uint64) *bridgeSession {
+// cut ends a session from the bridge's side, like meek-server expiring
+// it: the handler's stream gets EOF and the client's next poll is told
+// the session is gone.
+func (b *Bridge) cut(s *bridgeSession) {
 	b.mu.Lock()
-	defer b.mu.Unlock()
-	if s := b.sessions[sid]; s != nil {
-		return s
-	}
-	clock := b.host.Network().Clock()
-	s := &bridgeSession{budget: b.drawBudget(), lastSeen: clock.Now()}
-	s.cond = netem.NewCond(clock, &s.mu)
-	b.sessions[sid] = s
-	b.host.Network().Go(func() {
-		conn := &bridgeConn{s: s}
-		target, err := pt.ReadTarget(conn)
-		if err != nil {
-			conn.Close()
-			return
-		}
-		b.handle(target, conn)
-	})
-	b.host.Network().Go(func() { b.reapWhenStale(s) })
-	return s
-}
-
-// reapWhenStale cuts the session once its client has stopped polling
-// for a full staleness window, like meek-server expiring an abandoned
-// session. Marking it closed sends EOF into the handler's stream, which
-// tears the spliced Tor chain down; without this a client that vanishes
-// (crash, censor cut, parked circuit) leaks the whole server-side
-// circuit forever.
-func (b *Bridge) reapWhenStale(s *bridgeSession) {
-	clock := b.host.Network().Clock()
-	for {
-		clock.Sleep(b.cfg.Staleness)
-		s.mu.Lock()
-		if s.closed || s.gone {
-			s.mu.Unlock()
-			return
-		}
-		if clock.Now()-s.lastSeen >= b.cfg.Staleness {
-			s.closed = true
-			s.gone = true
-			s.cond.Broadcast()
-			s.mu.Unlock()
-			return
-		}
-		s.mu.Unlock()
-	}
+	s.gone = true
+	b.mu.Unlock()
+	s.Fail()
 }
 
 // drawBudget samples the lognormal session byte budget.
@@ -364,6 +282,15 @@ func (b *Bridge) reserveRate(now time.Duration, n int) time.Duration {
 	return wait
 }
 
+// charge books n tunnelled bytes against the session's budget and
+// reports whether that exhausted it.
+func (b *Bridge) charge(s *bridgeSession, n int) (over bool) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	s.served += int64(n)
+	return s.served > s.budget
+}
+
 // serveFrontConn processes polls arriving from the front.
 func (b *Bridge) serveFrontConn(c net.Conn) {
 	defer c.Close()
@@ -373,132 +300,38 @@ func (b *Bridge) serveFrontConn(c net.Conn) {
 		if err != nil {
 			return
 		}
-		s := b.session(sid)
-
-		s.mu.Lock()
-		s.lastSeen = clock.Now()
+		s := b.sessions.Touch(sid)
+		b.mu.Lock()
 		gone := s.gone
-		if !gone {
-			if len(body) > 0 {
-				s.upBuf = append(s.upBuf, body...)
-				s.cond.Broadcast()
-			}
-			s.served += int64(len(body))
-		}
-		s.mu.Unlock()
+		b.mu.Unlock()
 		if gone {
 			if err := writeReply(c, statusGone, nil); err != nil {
 				return
 			}
 			continue
 		}
-
-		// Assemble the downstream chunk.
-		s.mu.Lock()
-		n := len(s.downBuf)
-		if n > b.cfg.Chunk {
-			n = b.cfg.Chunk
+		if len(body) > 0 {
+			s.Deliver(body)
 		}
-		chunk := append([]byte(nil), s.downBuf[:n]...)
-		s.downBuf = s.downBuf[n:]
-		s.served += int64(n)
-		overBudget := s.served > s.budget
-		if overBudget {
-			s.gone = true
-			s.closed = true
+		down := s.Take(chunk)
+		if b.charge(s, len(body)+len(down)) {
+			b.cut(s)
 		}
-		s.cond.Broadcast()
-		s.mu.Unlock()
 
 		// Maintainer's rate limit applies to tunnelled bytes.
-		if wait := b.reserveRate(clock.Now(), len(chunk)); wait > 0 {
+		if wait := b.reserveRate(clock.Now(), len(down)); wait > 0 {
 			clock.Sleep(wait)
 		}
 		// The chunk that crossed the budget still ships; the session is
 		// gone from the next poll on.
-		if err := writeReply(c, statusOK, chunk); err != nil {
+		if err := writeReply(c, statusOK, down); err != nil {
 			return
 		}
 	}
 }
 
-// bridgeConn is the handler-facing stream of one bridge session.
-type bridgeConn struct{ s *bridgeSession }
-
-// Read pulls upstream bytes.
-func (c *bridgeConn) Read(p []byte) (int, error) {
-	s := c.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for len(s.upBuf) == 0 && !s.closed {
-		s.cond.Wait()
-	}
-	if len(s.upBuf) == 0 && s.closed {
-		return 0, io.EOF
-	}
-	n := copy(p, s.upBuf)
-	s.upBuf = s.upBuf[n:]
-	return n, nil
-}
-
-// Write queues downstream bytes with bounded buffering.
-func (c *bridgeConn) Write(p []byte) (int, error) {
-	s := c.s
-	const maxQueue = 256 << 10
-	written := 0
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for len(p) > 0 {
-		for len(s.downBuf) >= maxQueue && !s.closed {
-			s.cond.Wait()
-		}
-		if s.closed {
-			return written, errors.New("meek: session closed by bridge")
-		}
-		room := maxQueue - len(s.downBuf)
-		n := len(p)
-		if n > room {
-			n = room
-		}
-		s.downBuf = append(s.downBuf, p[:n]...)
-		written += n
-		p = p[n:]
-	}
-	return written, nil
-}
-
-// Close marks the session finished.
-func (c *bridgeConn) Close() error {
-	c.s.mu.Lock()
-	c.s.closed = true
-	c.s.cond.Broadcast()
-	c.s.mu.Unlock()
-	return nil
-}
-
-// LocalAddr implements net.Conn.
-func (c *bridgeConn) LocalAddr() net.Addr { return meekAddr("meek-bridge") }
-
-// RemoteAddr implements net.Conn.
-func (c *bridgeConn) RemoteAddr() net.Addr { return meekAddr("meek-client") }
-
-// SetDeadline implements net.Conn as a no-op (polling paces the tunnel).
-func (c *bridgeConn) SetDeadline(time.Time) error { return nil }
-
-// SetReadDeadline implements net.Conn.
-func (c *bridgeConn) SetReadDeadline(time.Time) error { return nil }
-
-// SetWriteDeadline implements net.Conn.
-func (c *bridgeConn) SetWriteDeadline(time.Time) error { return nil }
-
-type meekAddr string
-
-func (meekAddr) Network() string  { return "meek" }
-func (a meekAddr) String() string { return string(a) }
-
 // Dialer is the meek client.
 type Dialer struct {
-	cfg       Config
 	host      *netem.Host
 	frontAddr string
 
@@ -508,7 +341,7 @@ type Dialer struct {
 
 // NewDialer returns a meek client that polls through the front.
 func NewDialer(host *netem.Host, frontAddr string, cfg Config) *Dialer {
-	return &Dialer{cfg: cfg.withDefaults(), host: host, frontAddr: frontAddr, next: uint64(cfg.Seed)*2654435761 + 1}
+	return &Dialer{host: host, frontAddr: frontAddr, next: uint64(cfg.Seed)*2654435761 + 1}
 }
 
 // Dial implements pt.Dialer.
@@ -522,14 +355,14 @@ func (d *Dialer) Dial(target string) (net.Conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("meek: front unreachable: %w", err)
 	}
+	clock := d.host.Network().Clock()
 	t := &pollConn{
-		cfg:   d.cfg,
-		clock: d.host.Network().Clock(),
-		sid:   sid,
-		conn:  conn,
+		Stream: pt.NewStream(clock, "meek", "meek-client", "meek-tunnel", maxQueue),
+		clock:  clock,
+		sid:    sid,
+		conn:   conn,
 	}
-	t.cond = netem.NewCond(t.clock, &t.mu)
-	d.host.Network().Go(t.pollLoop)
+	clock.Go(t.pollLoop)
 	if err := pt.WriteTarget(t, target); err != nil {
 		t.Close()
 		return nil, err
@@ -539,155 +372,34 @@ func (d *Dialer) Dial(target string) (net.Conn, error) {
 
 // pollConn is the client-side tunnel endpoint.
 type pollConn struct {
-	cfg   Config
+	*pt.Stream
 	clock *netem.Clock
 	sid   uint64
 	conn  net.Conn
-
-	mu      sync.Mutex
-	cond    *netem.Cond
-	upBuf   []byte
-	downBuf []byte
-	closed  bool
-	gone    bool
-	rdl     time.Time
 }
 
 // pollLoop runs the HTTP polling cycle.
 func (t *pollConn) pollLoop() {
 	defer t.conn.Close()
-	interval := t.cfg.MinPoll
-	for {
-		t.mu.Lock()
-		if t.closed {
-			t.mu.Unlock()
-			return
-		}
-		n := len(t.upBuf)
-		if n > t.cfg.Chunk {
-			n = t.cfg.Chunk
-		}
-		body := append([]byte(nil), t.upBuf[:n]...)
-		t.upBuf = t.upBuf[n:]
-		t.cond.Broadcast()
-		t.mu.Unlock()
-
+	defer t.Fail()
+	interval := minPoll
+	for !t.Closed() {
+		body := t.Take(chunk)
 		if err := writePoll(t.conn, t.sid, body); err != nil {
-			t.fail(false)
 			return
 		}
 		status, reply, err := readReply(t.conn)
-		if err != nil {
-			t.fail(false)
-			return
-		}
-		if status == statusGone {
-			t.fail(true)
+		if err != nil || status == statusGone {
 			return
 		}
 		if len(reply) > 0 {
-			t.mu.Lock()
-			t.downBuf = append(t.downBuf, reply...)
-			t.cond.Broadcast()
-			t.mu.Unlock()
+			t.Deliver(reply)
 		}
 		if len(body) == 0 && len(reply) == 0 {
 			t.clock.Sleep(interval)
-			interval = interval * 3 / 2
-			if interval > t.cfg.MaxPoll {
-				interval = t.cfg.MaxPoll
-			}
+			interval = min(interval*3/2, maxPoll)
 		} else {
-			interval = t.cfg.MinPoll
+			interval = minPoll
 		}
 	}
 }
-
-func (t *pollConn) fail(gone bool) {
-	t.mu.Lock()
-	t.closed = true
-	t.gone = gone
-	t.cond.Broadcast()
-	t.mu.Unlock()
-}
-
-// Read implements net.Conn.
-func (t *pollConn) Read(p []byte) (int, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for len(t.downBuf) == 0 {
-		if t.closed {
-			return 0, io.EOF
-		}
-		if t.clock.Expired(t.rdl) {
-			return 0, errMeekTimeout
-		}
-		t.cond.WaitDeadline(t.rdl)
-	}
-	n := copy(p, t.downBuf)
-	t.downBuf = t.downBuf[n:]
-	return n, nil
-}
-
-// Write implements net.Conn with a bounded upstream queue.
-func (t *pollConn) Write(p []byte) (int, error) {
-	const maxQueue = 256 << 10
-	written := 0
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for len(p) > 0 {
-		if t.closed {
-			return written, errors.New("meek: tunnel closed")
-		}
-		for len(t.upBuf) >= maxQueue && !t.closed {
-			t.cond.Wait()
-		}
-		if t.closed {
-			return written, errors.New("meek: tunnel closed")
-		}
-		room := maxQueue - len(t.upBuf)
-		n := len(p)
-		if n > room {
-			n = room
-		}
-		t.upBuf = append(t.upBuf, p[:n]...)
-		written += n
-		p = p[n:]
-	}
-	return written, nil
-}
-
-// Close implements net.Conn.
-func (t *pollConn) Close() error {
-	t.fail(false)
-	return nil
-}
-
-// LocalAddr implements net.Conn.
-func (t *pollConn) LocalAddr() net.Addr { return meekAddr("meek-client") }
-
-// RemoteAddr implements net.Conn.
-func (t *pollConn) RemoteAddr() net.Addr { return meekAddr("meek-tunnel") }
-
-// SetDeadline implements net.Conn.
-func (t *pollConn) SetDeadline(dl time.Time) error { return t.SetReadDeadline(dl) }
-
-// SetReadDeadline implements net.Conn.
-func (t *pollConn) SetReadDeadline(dl time.Time) error {
-	t.mu.Lock()
-	t.rdl = dl
-	t.cond.Broadcast()
-	t.mu.Unlock()
-	return nil
-}
-
-// SetWriteDeadline implements net.Conn as a no-op.
-func (t *pollConn) SetWriteDeadline(time.Time) error { return nil }
-
-type meekTimeout struct{}
-
-func (meekTimeout) Error() string   { return "meek: i/o timeout" }
-func (meekTimeout) Timeout() bool   { return true }
-func (meekTimeout) Temporary() bool { return true }
-
-var errMeekTimeout = meekTimeout{}

@@ -52,8 +52,7 @@ func TestReadPollRejectsOversized(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.Chunk != DefaultChunk || c.MinPoll != DefaultMinPoll ||
-		c.BridgeRate != DefaultBridgeRate || c.SessionBudgetMedian != DefaultSessionBudgetMedian {
+	if c.BridgeRate != DefaultBridgeRate || c.SessionBudgetMedian != DefaultSessionBudgetMedian {
 		t.Fatalf("defaults: %+v", c)
 	}
 	// Negative budget disables the cut.

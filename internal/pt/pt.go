@@ -1,8 +1,11 @@
 // Package pt defines the pluggable-transport framework of the PTPerf
 // reproduction: transport metadata (category, integration set,
 // capabilities), the Dialer/Server contract every transport implements,
-// and shared wire helpers (record framing, stream ciphers, target
-// prologues, splicing).
+// shared wire helpers (record framing, stream ciphers, target
+// prologues, splicing), and the plumbing every tunnelling transport
+// stands on: Stream (the virtual byte-stream endpoint), Sessions (the
+// keyed session table with staleness expiry) and Serve (the accept
+// loop).
 //
 // The twelve transports of the paper live in subpackages; each implements
 // the same obfuscation idea and — crucially for performance fidelity —

@@ -26,6 +26,31 @@ func (s *listenServer) Addr() string { return s.addr }
 // Close implements Server.
 func (s *listenServer) Close() error { return s.ln.Close() }
 
+// Serve runs the accept loop every PT listener shares: each accepted
+// conn is served on a simulation goroutine of its own until ln closes.
+func Serve(clock *netem.Clock, ln *netem.Listener, serve func(net.Conn)) {
+	clock.Go(func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			clock.Go(func() { serve(conn) })
+		}
+	})
+}
+
+// ServeStream reads the target prologue off an unwrapped stream and
+// hands the stream to the handler, which owns it from then on.
+func ServeStream(conn net.Conn, handle StreamHandler) {
+	target, err := ReadTarget(conn)
+	if err != nil {
+		conn.Close()
+		return
+	}
+	handle(target, conn)
+}
+
 // ListenAndServe runs the common PT server skeleton: accept, wrap,
 // read the target prologue, hand off to the stream handler.
 func ListenAndServe(host *netem.Host, port int, wrap ServerWrapper, handle StreamHandler) (Server, error) {
@@ -33,35 +58,19 @@ func ListenAndServe(host *netem.Host, port int, wrap ServerWrapper, handle Strea
 	if err != nil {
 		return nil, err
 	}
-	srv := &listenServer{ln: ln, addr: fmt.Sprintf("%s:%d", host.Name(), port)}
-	clock := host.Network().Clock()
-	clock.Go(func() {
-		for {
-			raw, err := ln.Accept()
+	Serve(host.Network().Clock(), ln, func(raw net.Conn) {
+		conn := raw
+		if wrap != nil {
+			var err error
+			conn, err = wrap(raw)
 			if err != nil {
+				raw.Close()
 				return
 			}
-			rawConn := raw
-			clock.Go(func() {
-				conn := rawConn
-				if wrap != nil {
-					var err error
-					conn, err = wrap(rawConn)
-					if err != nil {
-						rawConn.Close()
-						return
-					}
-				}
-				target, err := ReadTarget(conn)
-				if err != nil {
-					conn.Close()
-					return
-				}
-				handle(target, conn)
-			})
 		}
+		ServeStream(conn, handle)
 	})
-	return srv, nil
+	return &listenServer{ln: ln, addr: fmt.Sprintf("%s:%d", host.Name(), port)}, nil
 }
 
 // DialWrapped runs the common PT client skeleton: dial, wrap, send the

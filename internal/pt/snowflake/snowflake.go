@@ -123,7 +123,7 @@ func Deploy(brokerHost *netem.Host, brokerPort int, cfg Config) (*Deployment, er
 			return nil, err
 		}
 	}
-	d.net.Go(d.serveBroker)
+	pt.Serve(d.net.Clock(), ln, d.serveRendezvous)
 	return d, nil
 }
 
@@ -194,7 +194,7 @@ func (d *Deployment) spawnProxy() error {
 	d.mu.Lock()
 	d.proxies = append(d.proxies, p)
 	d.mu.Unlock()
-	d.net.Go(p.serve)
+	pt.Serve(d.net.Clock(), ln, p.serveFlow)
 	if lifetime > 0 {
 		d.net.Go(func() {
 			d.net.Clock().Sleep(lifetime)
@@ -212,30 +212,21 @@ func proxyLocation(id int) geo.Location {
 	return geo.All[id%len(geo.All)]
 }
 
-// serve splices each accepted flow to the bridge address it announces.
-func (p *proxy) serve() {
-	for {
-		c, err := p.ln.Accept()
-		if err != nil {
-			return
-		}
-		conn := c
-		p.host.Network().Go(func() {
-			c := conn
-			bridgeAddr, err := readHello(c)
-			if err != nil {
-				c.Close()
-				return
-			}
-			down, err := p.host.Dial(bridgeAddr)
-			if err != nil {
-				c.Close()
-				return
-			}
-			p.track(c, down)
-			pt.Splice(p.host.Network().Clock(), c, down)
-		})
+// serveFlow splices one accepted flow to the bridge address it
+// announces.
+func (p *proxy) serveFlow(c net.Conn) {
+	bridgeAddr, err := readHello(c)
+	if err != nil {
+		c.Close()
+		return
 	}
+	down, err := p.host.Dial(bridgeAddr)
+	if err != nil {
+		c.Close()
+		return
+	}
+	p.track(c, down)
+	pt.Splice(p.host.Network().Clock(), c, down)
 }
 
 func (p *proxy) track(conns ...net.Conn) {
@@ -276,32 +267,22 @@ func (p *proxy) kill() {
 	}
 }
 
-// serveBroker answers rendezvous requests with a proxy address.
-func (d *Deployment) serveBroker() {
-	for {
-		c, err := d.brokerLn.Accept()
-		if err != nil {
-			return
-		}
-		conn := c
-		d.net.Go(func() {
-			c := conn
-			defer c.Close()
-			var req [1]byte
-			if _, err := io.ReadFull(c, req[:]); err != nil {
-				return
-			}
-			// Matching takes time; under load the queue is longer.
-			d.net.Clock().Sleep(d.cfg.MatchDelay)
-			d.mu.Lock()
-			var addr string
-			if len(d.proxies) > 0 {
-				addr = d.proxies[d.rng.Intn(len(d.proxies))].addr
-			}
-			d.mu.Unlock()
-			writeString(c, addr)
-		})
+// serveRendezvous answers one rendezvous request with a proxy address.
+func (d *Deployment) serveRendezvous(c net.Conn) {
+	defer c.Close()
+	var req [1]byte
+	if _, err := io.ReadFull(c, req[:]); err != nil {
+		return
 	}
+	// Matching takes time; under load the queue is longer.
+	d.net.Clock().Sleep(d.cfg.MatchDelay)
+	d.mu.Lock()
+	var addr string
+	if len(d.proxies) > 0 {
+		addr = d.proxies[d.rng.Intn(len(d.proxies))].addr
+	}
+	d.mu.Unlock()
+	writeString(c, addr)
 }
 
 func writeString(w io.Writer, s string) error {

@@ -42,7 +42,7 @@ func TestConfigDefaults(t *testing.T) {
 
 func testNet(t *testing.T) (*netem.Network, *netem.Host, *netem.Host) {
 	t.Helper()
-	n := netem.New(netem.WithTimeScale(0.002), netem.WithSeed(31))
+	n := netem.New(netem.WithSeed(31))
 	client := n.MustAddHost(netem.HostConfig{Name: "client", Location: geo.Toronto})
 	infra := n.MustAddHost(netem.HostConfig{Name: "infra", Location: geo.Frankfurt})
 	return n, client, infra

@@ -23,7 +23,6 @@ import (
 	"net"
 	"strconv"
 	"sync"
-	"time"
 
 	"ptperf/internal/netem"
 	"ptperf/internal/pt"
@@ -69,6 +68,10 @@ func (c Config) withDefaults() Config {
 // Block header inside the cover payload: [8B session][8B seq][4B len].
 const blockHeader = 20
 
+// maxCover bounds the Content-Length a cover may claim; a chopper block
+// is a few KB.
+const maxCover = 1 << 20
+
 // finLen marks an end-of-stream block: its seq field carries the total
 // number of data blocks sent, so the receiver can declare EOF only once
 // every block (possibly arriving out of order on other conns) is in.
@@ -109,6 +112,9 @@ func decodeCover(r *bufio.Reader) ([]byte, error) {
 			}
 		}
 	}
+	if contentLen < 0 || contentLen > maxCover {
+		return nil, errors.New("stegotorus: bad cover length")
+	}
 	payload := make([]byte, contentLen)
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, err
@@ -135,96 +141,15 @@ func cutPrefixFold(s, prefix string) (string, bool) {
 	return s[len(prefix):], true
 }
 
-// session reassembles one direction of a chopped stream.
-type session struct {
-	clock *netem.Clock
-	mu    sync.Mutex
-	cond  *netem.Cond
-	next  uint64
-	held  map[uint64][]byte
-	buf   []byte
-	// closed is the hard teardown (error or local close).
-	closed bool
-	// finSeq+1 is stored in fin when the peer's FIN announced the total
-	// block count; 0 means no FIN yet.
-	fin uint64
-	rdl time.Time
-}
-
-func newSession(clock *netem.Clock) *session {
-	s := &session{clock: clock, held: make(map[uint64][]byte)}
-	s.cond = netem.NewCond(clock, &s.mu)
-	return s
-}
-
-// accept delivers one block.
-func (s *session) accept(seq uint64, data []byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if seq == s.next {
-		s.buf = append(s.buf, data...)
-		s.next++
-		for {
-			held, ok := s.held[s.next]
-			if !ok {
-				break
-			}
-			delete(s.held, s.next)
-			s.buf = append(s.buf, held...)
-			s.next++
-		}
-		s.cond.Broadcast()
-	} else if seq > s.next {
-		s.held[seq] = append([]byte(nil), data...)
-	}
-}
-
-func (s *session) close() {
-	s.mu.Lock()
-	s.closed = true
-	s.cond.Broadcast()
-	s.mu.Unlock()
-}
-
-// setFin records the peer's announced total block count.
-func (s *session) setFin(total uint64) {
-	s.mu.Lock()
-	s.fin = total + 1
-	s.cond.Broadcast()
-	s.mu.Unlock()
-}
-
-// finished reports whether every announced block has been delivered.
-func (s *session) finishedLocked() bool {
-	return s.fin > 0 && s.next >= s.fin-1
-}
-
-// read pulls reassembled bytes.
-func (s *session) read(p []byte) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for len(s.buf) == 0 {
-		if s.closed || s.finishedLocked() {
-			return 0, io.EOF
-		}
-		if s.clock.Expired(s.rdl) {
-			return 0, errStegTimeout
-		}
-		s.cond.WaitDeadline(s.rdl)
-	}
-	n := copy(p, s.buf)
-	s.buf = s.buf[n:]
-	return n, nil
-}
-
 // chopConn is one endpoint of the chopped stream: it writes blocks
-// round-robin over the fan-out conns and reads from the session.
+// round-robin over the fan-out conns, and its read half reassembles the
+// peer's blocks by sequence number.
 type chopConn struct {
+	*pt.Stream
 	cfg   Config
 	sid   uint64
 	conns []net.Conn
 	wbufs []*bufio.Writer
-	recv  *session
 
 	wmu     sync.Mutex
 	sendSeq uint64
@@ -239,15 +164,14 @@ type chopConn struct {
 
 func newChopConn(clock *netem.Clock, cfg Config, sid uint64, conns []net.Conn, seed int64) *chopConn {
 	c := &chopConn{
+		Stream:  pt.NewStream(clock, "steg", "stegotorus", "stegotorus-peer", 0),
 		cfg:     cfg,
 		sid:     sid,
 		conns:   conns,
-		recv:    newSession(clock),
 		rng:     rand.New(rand.NewSource(seed)),
 		readers: len(conns),
 	}
 	for _, conn := range conns {
-		conn := conn
 		c.wbufs = append(c.wbufs, bufio.NewWriterSize(conn, 8<<10))
 		clock.Go(func() { c.readLoop(conn) })
 	}
@@ -265,7 +189,7 @@ func (c *chopConn) readLoop(conn net.Conn) {
 		last := c.readers == 0
 		c.readersMu.Unlock()
 		if last {
-			c.recv.close()
+			c.Fail()
 		}
 	}()
 	br := bufio.NewReaderSize(conn, 8<<10)
@@ -280,13 +204,13 @@ func (c *chopConn) readLoop(conn net.Conn) {
 		seq := binary.BigEndian.Uint64(block[8:16])
 		n := binary.BigEndian.Uint32(block[16:20])
 		if n == finLen {
-			c.recv.setFin(seq)
+			c.PeerFin(seq)
 			continue
 		}
 		if int(n)+blockHeader > len(block) {
 			return
 		}
-		c.recv.accept(seq, block[blockHeader:blockHeader+int(n)])
+		c.DeliverSeq(seq, block[blockHeader:blockHeader+int(n)])
 	}
 }
 
@@ -351,54 +275,17 @@ func (c *chopConn) Write(p []byte) (int, error) {
 	return written, nil
 }
 
-// Read implements net.Conn.
-func (c *chopConn) Read(p []byte) (int, error) { return c.recv.read(p) }
-
 // Close implements net.Conn.
 func (c *chopConn) Close() error {
 	c.wmu.Lock()
 	c.closed = true
 	c.wmu.Unlock()
-	c.recv.close()
+	c.Fail()
 	for _, conn := range c.conns {
 		conn.Close()
 	}
 	return nil
 }
-
-// LocalAddr implements net.Conn.
-func (c *chopConn) LocalAddr() net.Addr { return stegAddr("stegotorus") }
-
-// RemoteAddr implements net.Conn.
-func (c *chopConn) RemoteAddr() net.Addr { return stegAddr("stegotorus-peer") }
-
-// SetDeadline implements net.Conn.
-func (c *chopConn) SetDeadline(t time.Time) error { return c.SetReadDeadline(t) }
-
-// SetReadDeadline implements net.Conn.
-func (c *chopConn) SetReadDeadline(t time.Time) error {
-	c.recv.mu.Lock()
-	c.recv.rdl = t
-	c.recv.cond.Broadcast()
-	c.recv.mu.Unlock()
-	return nil
-}
-
-// SetWriteDeadline implements net.Conn as a no-op.
-func (c *chopConn) SetWriteDeadline(time.Time) error { return nil }
-
-type stegAddr string
-
-func (stegAddr) Network() string  { return "steg" }
-func (a stegAddr) String() string { return string(a) }
-
-type stegTimeout struct{}
-
-func (stegTimeout) Error() string   { return "stegotorus: i/o timeout" }
-func (stegTimeout) Timeout() bool   { return true }
-func (stegTimeout) Temporary() bool { return true }
-
-var errStegTimeout = stegTimeout{}
 
 // Server is the stegotorus server.
 type Server struct {
@@ -406,16 +293,21 @@ type Server struct {
 	ln     *netem.Listener
 	clock  *netem.Clock
 	handle pt.StreamHandler
+	// pending gathers each session's fan-out conns until all arrive; a
+	// fan-out whose last conn never comes goes stale and is closed.
+	pending *pt.Sessions[uint64, *fanOut]
 
 	mu       sync.Mutex
-	pending  map[uint64]*pendingSession
 	nextSeed int64
 }
 
-// pendingSession gathers a session's fan-out conns until all arrive.
-type pendingSession struct {
+// fanOut is a session's conns so far, guarded by the server mutex.
+type fanOut struct {
 	conns []net.Conn
 	want  int
+	// abandoned turns away a conn that arrives after the rest were
+	// closed.
+	abandoned bool
 }
 
 // StartServer runs a stegotorus server on host:port.
@@ -429,10 +321,10 @@ func StartServer(host *netem.Host, port int, cfg Config, handle pt.StreamHandler
 		ln:       ln,
 		clock:    host.Network().Clock(),
 		handle:   handle,
-		pending:  make(map[uint64]*pendingSession),
 		nextSeed: cfg.Seed + 11,
 	}
-	s.clock.Go(s.acceptLoop)
+	s.pending = pt.NewSessions(s.clock, func(uint64) *fanOut { return new(fanOut) }, s.abandon)
+	pt.Serve(s.clock, ln, s.serveConn)
 	return s, nil
 }
 
@@ -442,55 +334,57 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 // Close stops the server.
 func (s *Server) Close() error { return s.ln.Close() }
 
-// Connection preamble: [8B session][1B index][1B total].
-func (s *Server) acceptLoop() {
-	for {
-		c, err := s.ln.Accept()
-		if err != nil {
-			return
-		}
-		conn := c
-		s.clock.Go(func() {
-			c := conn
-			var pre [10]byte
-			if _, err := io.ReadFull(c, pre[:]); err != nil {
-				c.Close()
-				return
-			}
-			sid := binary.BigEndian.Uint64(pre[:8])
-			total := int(pre[9])
-			if total <= 0 || total > 16 {
-				c.Close()
-				return
-			}
-			s.mu.Lock()
-			ps := s.pending[sid]
-			if ps == nil {
-				ps = &pendingSession{want: total}
-				s.pending[sid] = ps
-			}
-			ps.conns = append(ps.conns, c)
-			ready := len(ps.conns) == ps.want
-			var conns []net.Conn
-			if ready {
-				conns = ps.conns
-				delete(s.pending, sid)
-				s.nextSeed++
-			}
-			seed := s.nextSeed
-			s.mu.Unlock()
-			if !ready {
-				return
-			}
-			cc := newChopConn(s.clock, s.cfg, sid, conns, seed)
-			target, err := pt.ReadTarget(cc)
-			if err != nil {
-				cc.Close()
-				return
-			}
-			s.handle(target, cc)
-		})
+// abandon closes the conns of a fan-out that never completed.
+func (s *Server) abandon(f *fanOut) {
+	s.mu.Lock()
+	conns := f.conns
+	f.conns = nil
+	f.abandoned = true
+	s.mu.Unlock()
+	for _, c := range conns {
+		c.Close()
 	}
+}
+
+// serveConn reads one fan-out conn's preamble, [8B session][1B index]
+// [1B total], and serves the session once its last conn is in.
+func (s *Server) serveConn(c net.Conn) {
+	var pre [10]byte
+	if _, err := io.ReadFull(c, pre[:]); err != nil {
+		c.Close()
+		return
+	}
+	sid := binary.BigEndian.Uint64(pre[:8])
+	total := int(pre[9])
+	if total <= 0 || total > 16 {
+		c.Close()
+		return
+	}
+	f := s.pending.Touch(sid)
+	s.mu.Lock()
+	if f.abandoned {
+		s.mu.Unlock()
+		c.Close()
+		return
+	}
+	if f.want == 0 {
+		f.want = total
+	}
+	f.conns = append(f.conns, c)
+	conns := f.conns
+	ready := len(conns) == f.want
+	if ready {
+		f.conns = nil
+		s.nextSeed++
+	}
+	seed := s.nextSeed
+	s.mu.Unlock()
+	if !ready {
+		return
+	}
+	s.pending.Remove(sid)
+	cc := newChopConn(s.clock, s.cfg, sid, conns, seed)
+	pt.ServeStream(cc, s.handle)
 }
 
 // Dialer is the stegotorus client.

@@ -6,8 +6,6 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
-
-	"ptperf/internal/netem"
 )
 
 func TestCoverCodecRoundTrip(t *testing.T) {
@@ -49,46 +47,6 @@ func TestCoverLooksLikeHTTP(t *testing.T) {
 func TestDecodeCoverRejectsGarbage(t *testing.T) {
 	if _, err := decodeCover(bufio.NewReader(strings.NewReader("GET / HTTP/1.1\r\n\r\n"))); err == nil {
 		t.Fatal("non-cover request must be rejected")
-	}
-}
-
-func TestSessionReorders(t *testing.T) {
-	s := newSession(netem.NewClock(0))
-	s.accept(2, []byte("cc"))
-	s.accept(0, []byte("aa"))
-	s.accept(1, []byte("bb"))
-	buf := make([]byte, 6)
-	n, err := s.read(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(buf[:n]) != "aabbcc" {
-		t.Fatalf("got %q", buf[:n])
-	}
-}
-
-func TestSessionDuplicateIgnored(t *testing.T) {
-	s := newSession(netem.NewClock(0))
-	s.accept(0, []byte("x"))
-	s.accept(0, []byte("y")) // duplicate seq: ignored
-	buf := make([]byte, 4)
-	n, _ := s.read(buf)
-	if string(buf[:n]) != "x" {
-		t.Fatalf("got %q", buf[:n])
-	}
-}
-
-func TestSessionCloseDrainsThenEOF(t *testing.T) {
-	s := newSession(netem.NewClock(0))
-	s.accept(0, []byte("tail"))
-	s.close()
-	buf := make([]byte, 8)
-	n, err := s.read(buf)
-	if err != nil || string(buf[:n]) != "tail" {
-		t.Fatalf("drain failed: %q %v", buf[:n], err)
-	}
-	if _, err := s.read(buf); err == nil {
-		t.Fatal("want EOF after drain")
 	}
 }
 

@@ -1,0 +1,236 @@
+package pt
+
+import (
+	"io"
+	"net"
+	"sync"
+	"time"
+
+	"ptperf/internal/netem"
+)
+
+// Addr names one end of a tunnelled stream: the transport it rides and
+// the role of the end.
+type Addr struct{ Transport, End string }
+
+// Network returns the transport name.
+func (a Addr) Network() string { return a.Transport }
+
+func (a Addr) String() string { return a.End }
+
+// Stream is the virtual byte-stream endpoint every tunnelling transport
+// hands out as its net.Conn. The application reads and writes it; the
+// transport's mechanism (a poll loop, a message receiver, an automaton
+// walk) moves the bytes on the other side with Deliver, DeliverSeq,
+// Take, PeerFin and Fail. A transport whose writes go straight to the
+// wire as messages or blocks shadows Write and uses the read half only.
+//
+// There is deliberately no CloseWrite: pt.Splice and the tor exit
+// half-close any conn that has one and Close the rest, and a polling or
+// messaging tunnel has no FIN frame to carry a half-close. A transport
+// that does have one (marionette) exports CloseWrite itself on top of
+// EndWrite.
+type Stream struct {
+	clock         *netem.Clock
+	local, remote Addr
+	outCap        int
+
+	mu   sync.Mutex
+	cond *netem.Cond
+	in   []byte // delivered, not yet read
+	// next is the sequence number DeliverSeq appends next; held keeps
+	// the deliveries that arrived ahead of it.
+	next uint64
+	held map[uint64][]byte
+	out  []byte // written, not yet taken
+	rdl  time.Time
+	// closed is the hard teardown (Close or Fail): reads drain what was
+	// delivered and then report io.EOF, writes fail.
+	closed bool
+	wdone  bool
+	// fin is the peer's announced delivery count plus one; 0 means no
+	// FIN yet.
+	fin uint64
+}
+
+// NewStream returns an open stream between the named ends of a
+// transport's tunnel; its Write blocks once outCap bytes wait to be
+// taken.
+func NewStream(clock *netem.Clock, transport, local, remote string, outCap int) *Stream {
+	s := &Stream{clock: clock, local: Addr{transport, local}, remote: Addr{transport, remote}, outCap: outCap}
+	s.cond = netem.NewCond(clock, &s.mu)
+	return s
+}
+
+// Read implements net.Conn. Delivered bytes drain before io.EOF.
+func (s *Stream) Read(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for len(s.in) == 0 {
+		if s.closed || (s.fin > 0 && s.next >= s.fin-1) {
+			return 0, io.EOF
+		}
+		if s.clock.Expired(s.rdl) {
+			return 0, netem.ErrTimeout
+		}
+		s.cond.WaitDeadline(s.rdl)
+	}
+	n := copy(p, s.in)
+	s.in = s.in[n:]
+	return n, nil
+}
+
+// Write implements net.Conn: bytes queue for the mechanism, and the
+// bounded queue is the tunnel's backpressure.
+func (s *Stream) Write(p []byte) (int, error) {
+	written := 0
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for len(p) > 0 {
+		for len(s.out) >= s.outCap && !s.closed {
+			s.cond.Wait()
+		}
+		if s.closed || s.wdone {
+			return written, netem.ErrClosed
+		}
+		n := min(len(p), s.outCap-len(s.out))
+		s.out = append(s.out, p[:n]...)
+		written += n
+		p = p[n:]
+	}
+	return written, nil
+}
+
+// Close implements net.Conn.
+func (s *Stream) Close() error {
+	s.Fail()
+	return nil
+}
+
+// LocalAddr implements net.Conn.
+func (s *Stream) LocalAddr() net.Addr { return s.local }
+
+// RemoteAddr implements net.Conn.
+func (s *Stream) RemoteAddr() net.Addr { return s.remote }
+
+// SetDeadline implements net.Conn; only reads observe deadlines.
+func (s *Stream) SetDeadline(t time.Time) error { return s.SetReadDeadline(t) }
+
+// SetReadDeadline implements net.Conn. A parked Read observes the new
+// deadline at once.
+func (s *Stream) SetReadDeadline(t time.Time) error {
+	if err := netem.CheckDeadline(t); err != nil {
+		return err
+	}
+	s.mu.Lock()
+	s.rdl = t
+	s.cond.Broadcast()
+	s.mu.Unlock()
+	return nil
+}
+
+// SetWriteDeadline implements net.Conn; writes are paced by the
+// mechanism and never time out.
+func (s *Stream) SetWriteDeadline(t time.Time) error { return netem.CheckDeadline(t) }
+
+// EndWrite half-closes the sending direction: queued bytes still go
+// out, and WriteEnded tells the mechanism when to send its FIN.
+func (s *Stream) EndWrite() {
+	s.mu.Lock()
+	s.wdone = true
+	s.cond.Broadcast()
+	s.mu.Unlock()
+}
+
+// WriteEnded reports whether EndWrite was called and every queued byte
+// has been taken.
+func (s *Stream) WriteEnded() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.wdone && len(s.out) == 0
+}
+
+// Deliver appends received bytes to the read side. Bytes arriving after
+// the stream closed are dropped: nobody will read them.
+func (s *Stream) Deliver(p []byte) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return
+	}
+	s.in = append(s.in, p...)
+	s.cond.Broadcast()
+}
+
+// DeliverSeq is Deliver for mechanisms whose units arrive out of order:
+// unit seq (counting from 0) is appended once every earlier one has
+// been, a duplicate is ignored, and a unit that never arrives stalls
+// the stream for good.
+func (s *Stream) DeliverSeq(seq uint64, p []byte) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed || seq < s.next {
+		return
+	}
+	if seq > s.next {
+		if s.held == nil {
+			s.held = make(map[uint64][]byte)
+		}
+		s.held[seq] = append([]byte(nil), p...)
+		return
+	}
+	s.in = append(s.in, p...)
+	s.next++
+	for {
+		early, ok := s.held[s.next]
+		if !ok {
+			break
+		}
+		delete(s.held, s.next)
+		s.in = append(s.in, early...)
+		s.next++
+	}
+	s.cond.Broadcast()
+}
+
+// Take removes and returns at most n written bytes, nil when none wait.
+// It keeps working after Close, so a queue filled before the close
+// still drains to the peer.
+func (s *Stream) Take(n int) []byte {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n = min(n, len(s.out))
+	if n == 0 {
+		return nil
+	}
+	chunk := append([]byte(nil), s.out[:n]...)
+	s.out = s.out[n:]
+	s.cond.Broadcast()
+	return chunk
+}
+
+// PeerFin records the peer's end of stream after total sequenced units
+// (0 for a mechanism that delivers in order): Read reports io.EOF once
+// they have all arrived and drained.
+func (s *Stream) PeerFin(total uint64) {
+	s.mu.Lock()
+	s.fin = total + 1
+	s.cond.Broadcast()
+	s.mu.Unlock()
+}
+
+// Fail tears the stream down from the mechanism side; it never parks,
+// so staleness events may call it.
+func (s *Stream) Fail() {
+	s.mu.Lock()
+	s.closed = true
+	s.cond.Broadcast()
+	s.mu.Unlock()
+}
+
+// Closed reports whether Close or Fail has been called.
+func (s *Stream) Closed() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.closed
+}

@@ -1,0 +1,200 @@
+package pt_test
+
+import (
+	"errors"
+	"io"
+	"testing"
+	"time"
+
+	"ptperf/internal/netem"
+	"ptperf/internal/pt"
+)
+
+// readNow reads what the stream holds without waiting: an already
+// expired deadline turns "nothing yet" into netem.ErrTimeout.
+func readNow(clock *netem.Clock, s *pt.Stream) (string, error) {
+	s.SetReadDeadline(clock.VirtualDeadline(0))
+	defer s.SetReadDeadline(time.Time{})
+	buf := make([]byte, 64)
+	n, err := s.Read(buf)
+	return string(buf[:n]), err
+}
+
+// TestStreamConformance is the one contract every tunnelled endpoint
+// (meek, dnstt, camoufler, stegotorus, marionette) inherits from
+// pt.Stream.
+func TestStreamConformance(t *testing.T) {
+	cases := []struct {
+		name   string
+		outCap int
+		run    func(t *testing.T, clock *netem.Clock, s *pt.Stream)
+	}{
+		{"delivered bytes drain before EOF", 16, func(t *testing.T, clock *netem.Clock, s *pt.Stream) {
+			s.Deliver([]byte("tail"))
+			s.Fail()
+			s.Deliver([]byte("late")) // nobody will read it: dropped
+			if got, err := readNow(clock, s); got != "tail" || err != nil {
+				t.Fatalf("drain: %q %v", got, err)
+			}
+			if _, err := readNow(clock, s); err != io.EOF {
+				t.Fatalf("after drain: %v, want io.EOF", err)
+			}
+			if !s.Closed() {
+				t.Fatal("Fail did not close the stream")
+			}
+		}},
+		{"read deadline expires with netem.ErrTimeout", 16, func(t *testing.T, clock *netem.Clock, s *pt.Stream) {
+			s.SetDeadline(clock.VirtualDeadline(50 * time.Millisecond))
+			_, err := s.Read(make([]byte, 1))
+			if err != netem.ErrTimeout || clock.Now() != 50*time.Millisecond {
+				t.Fatalf("err=%v at %v, want netem.ErrTimeout at 50ms", err, clock.Now())
+			}
+			// Clearing the deadline lets a later delivery through.
+			s.SetReadDeadline(time.Time{})
+			clock.Go(func() {
+				clock.Sleep(time.Second)
+				s.Deliver([]byte("x"))
+			})
+			if n, err := s.Read(make([]byte, 1)); n != 1 || err != nil {
+				t.Fatalf("read after clearing: n=%d err=%v", n, err)
+			}
+		}},
+		{"SetReadDeadline wakes a parked Read", 16, func(t *testing.T, clock *netem.Clock, s *pt.Stream) {
+			clock.Go(func() {
+				clock.Sleep(time.Second)
+				s.SetReadDeadline(clock.VirtualDeadline(2 * time.Second))
+			})
+			_, err := s.Read(make([]byte, 1))
+			if err != netem.ErrTimeout || clock.Now() != 3*time.Second {
+				t.Fatalf("err=%v at %v, want netem.ErrTimeout at 3s", err, clock.Now())
+			}
+		}},
+		{"wall-clock deadlines are rejected, not stored as expired", 16, func(t *testing.T, clock *netem.Clock, s *pt.Stream) {
+			// A fixed 2026 date stands in for the time.Now().Add(d)
+			// idiom, which simlint bans here too.
+			wall := time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC).Add(5 * time.Second)
+			for _, set := range []func(time.Time) error{s.SetDeadline, s.SetReadDeadline, s.SetWriteDeadline} {
+				if err := set(wall); err == nil {
+					t.Fatal("wall-clock deadline accepted; want rejection naming netem.Epoch")
+				}
+			}
+			s.Deliver([]byte("ok"))
+			if n, err := s.Read(make([]byte, 2)); n != 2 || err != nil {
+				t.Fatalf("rejected deadline was stored: n=%d err=%v", n, err)
+			}
+		}},
+		{"Write blocks at the cap and resumes on Take", 8, func(t *testing.T, clock *netem.Clock, s *pt.Stream) {
+			done := netem.NewChan[int](clock, 1)
+			clock.Go(func() {
+				n, err := s.Write([]byte("0123456789abcdefghij"))
+				if err != nil {
+					t.Errorf("write: %v", err)
+				}
+				done.Send(n)
+			})
+			var got []byte
+			for len(got) < 20 {
+				clock.Sleep(time.Second)
+				if len(got) < 12 && done.Len() != 0 {
+					t.Fatalf("Write returned with %d of 20 bytes taken and room for 8", len(got))
+				}
+				chunk := s.Take(100)
+				if len(chunk) == 0 || len(chunk) > 8 {
+					t.Fatalf("Take returned %d bytes, cap is 8", len(chunk))
+				}
+				got = append(got, chunk...)
+			}
+			if n, _ := done.Recv(); n != 20 || string(got) != "0123456789abcdefghij" {
+				t.Fatalf("wrote %d, took %q", n, got)
+			}
+			if s.Take(100) != nil {
+				t.Fatal("empty queue must Take nil")
+			}
+		}},
+		{"Fail releases a blocked Write; the queue still drains", 4, func(t *testing.T, clock *netem.Clock, s *pt.Stream) {
+			done := netem.NewChan[error](clock, 1)
+			clock.Go(func() {
+				n, err := s.Write([]byte("123456"))
+				if n != 4 {
+					t.Errorf("wrote %d before the close, want 4", n)
+				}
+				done.Send(err)
+			})
+			clock.Sleep(time.Second)
+			s.Close()
+			if err, _ := done.Recv(); !errors.Is(err, netem.ErrClosed) {
+				t.Fatalf("blocked write: %v, want netem.ErrClosed", err)
+			}
+			if got := s.Take(100); string(got) != "1234" {
+				t.Fatalf("Take after Close: %q", got)
+			}
+		}},
+		{"EndWrite, then the peer's FIN", 16, func(t *testing.T, clock *netem.Clock, s *pt.Stream) {
+			s.Write([]byte("bye"))
+			s.EndWrite()
+			if s.WriteEnded() {
+				t.Fatal("WriteEnded with bytes still queued")
+			}
+			if _, err := s.Write([]byte("more")); err == nil {
+				t.Fatal("Write after EndWrite must fail")
+			}
+			if got := s.Take(100); string(got) != "bye" || !s.WriteEnded() {
+				t.Fatalf("took %q, WriteEnded=%v", got, s.WriteEnded())
+			}
+			// The read side is still open until the peer's FIN, and
+			// what it sent before the FIN drains first.
+			if _, err := readNow(clock, s); err != netem.ErrTimeout {
+				t.Fatalf("half-closed read: %v, want a timeout", err)
+			}
+			s.Deliver([]byte("last"))
+			s.PeerFin(0)
+			if got, err := readNow(clock, s); got != "last" || err != nil {
+				t.Fatalf("before FIN: %q %v", got, err)
+			}
+			if _, err := readNow(clock, s); err != io.EOF {
+				t.Fatalf("after FIN: %v, want io.EOF", err)
+			}
+		}},
+		{"DeliverSeq: in order, gap, duplicate, FIN count", 16, func(t *testing.T, clock *netem.Clock, s *pt.Stream) {
+			s.DeliverSeq(1, []byte("bb"))
+			s.DeliverSeq(2, []byte("cc"))
+			if _, err := readNow(clock, s); err != netem.ErrTimeout {
+				t.Fatalf("gap at 0 must stall the stream, got %v", err)
+			}
+			s.DeliverSeq(0, []byte("aa"))
+			s.DeliverSeq(0, []byte("zz")) // duplicate
+			s.DeliverSeq(2, []byte("yy")) // stale
+			if got, _ := readNow(clock, s); got != "aabbcc" {
+				t.Fatalf("reassembly: %q", got)
+			}
+			// The FIN announces five units; EOF waits for all of them
+			// however late they arrive.
+			s.PeerFin(5)
+			s.DeliverSeq(4, []byte("ee"))
+			if _, err := readNow(clock, s); err != netem.ErrTimeout {
+				t.Fatalf("FIN with a unit missing: %v, want a timeout", err)
+			}
+			s.DeliverSeq(3, []byte("dd"))
+			if got, _ := readNow(clock, s); got != "ddee" {
+				t.Fatalf("tail: %q", got)
+			}
+			if _, err := readNow(clock, s); err != io.EOF {
+				t.Fatalf("all units in: %v, want io.EOF", err)
+			}
+		}},
+		{"one Addr type", 16, func(t *testing.T, clock *netem.Clock, s *pt.Stream) {
+			if a := s.LocalAddr(); a.Network() != "test" || a.String() != "here" {
+				t.Fatalf("local addr %s/%s", a.Network(), a)
+			}
+			if a := s.RemoteAddr(); a.Network() != "test" || a.String() != "there" {
+				t.Fatalf("remote addr %s/%s", a.Network(), a)
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			clock := netem.NewClock()
+			tc.run(t, clock, pt.NewStream(clock, "test", "here", "there", tc.outCap))
+		})
+	}
+}

@@ -34,16 +34,9 @@ type world struct {
 	extra2 *netem.Host
 }
 
-func newWorld(t *testing.T) *world { return newWorldScale(t, 0.002) }
-
-// newTimingWorld is newWorld under the retired wall-clock substrate; on
-// the discrete-event clock the distinction is gone, but timing tests
-// keep using it to mark that they compare virtual durations.
-func newTimingWorld(t *testing.T) *world { return newWorldScale(t, 0.03) }
-
-func newWorldScale(t *testing.T, scale float64) *world {
+func newWorld(t *testing.T) *world {
 	t.Helper()
-	n := netem.New(netem.WithTimeScale(scale), netem.WithSeed(21))
+	n := netem.New(netem.WithSeed(21))
 	return &world{
 		net:    n,
 		client: n.MustAddHost(netem.HostConfig{Name: "client", Location: geo.London}),
@@ -138,7 +131,7 @@ func TestShadowsocksEndToEnd(t *testing.T) {
 }
 
 func TestShadowsocksZeroRTTFasterThanObfs4(t *testing.T) {
-	w := newTimingWorld(t)
+	w := newWorld(t)
 	psk := []byte("k")
 	ssrv, _ := shadowsocks.StartServer(w.server, 8388, shadowsocks.Config{PSK: psk}, echoHandler(t, "g:1"))
 	defer ssrv.Close()
@@ -285,7 +278,7 @@ func TestDnsttEndToEnd(t *testing.T) {
 }
 
 func TestDnsttRespCapLimitsThroughput(t *testing.T) {
-	w := newTimingWorld(t)
+	w := newWorld(t)
 	sink := func(target string, conn net.Conn) {
 		defer conn.Close()
 		conn.Write(make([]byte, 8<<10)) // 8 KiB downstream
@@ -505,7 +498,7 @@ func TestCamouflerSingleStreamOnly(t *testing.T) {
 }
 
 func TestCamouflerRateLimitPacesBulk(t *testing.T) {
-	w := newTimingWorld(t)
+	w := newWorld(t)
 	cfgFast := camoufler.Config{Seed: 5, LossProb: -1, RatePerSec: 1000}
 	cfgSlow := camoufler.Config{Seed: 5, LossProb: -1, RatePerSec: 20}
 
@@ -575,7 +568,7 @@ func TestMarionetteModelValidate(t *testing.T) {
 }
 
 func TestMarionetteSlowerThanObfs4(t *testing.T) {
-	w := newTimingWorld(t)
+	w := newWorld(t)
 	secret := []byte("k")
 	osrv, _ := obfs4.StartServer(w.server, 443, obfs4.Config{Secret: secret}, echoHandler(t, "g:1"))
 	defer osrv.Close()

@@ -11,7 +11,7 @@ import (
 
 func bufferedPair(t *testing.T) (*netem.Network, net.Conn, net.Conn) {
 	t.Helper()
-	n := netem.New(netem.WithTimeScale(0.001), netem.WithSeed(11))
+	n := netem.New(netem.WithSeed(11))
 	a := n.MustAddHost(netem.HostConfig{Name: "a", Location: geo.London})
 	b := n.MustAddHost(netem.HostConfig{Name: "b", Location: geo.London})
 	ln, err := b.Listen(1)

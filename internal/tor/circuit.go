@@ -11,15 +11,6 @@ import (
 	"ptperf/internal/netem"
 )
 
-// errStreamTimeout satisfies net.Error with Timeout() == true.
-type streamTimeoutError struct{}
-
-func (streamTimeoutError) Error() string   { return "tor: stream i/o timeout" }
-func (streamTimeoutError) Timeout() bool   { return true }
-func (streamTimeoutError) Temporary() bool { return true }
-
-var errStreamTimeout = streamTimeoutError{}
-
 // circuit is the client's view of one 3-hop circuit.
 type circuit struct {
 	client *Client
@@ -609,7 +600,7 @@ func (s *Stream) Read(p []byte) (int, error) {
 			return 0, io.EOF
 		}
 		if s.circ.client.clock.Expired(s.rdl) {
-			return 0, errStreamTimeout
+			return 0, netem.ErrTimeout
 		}
 		s.cond.WaitDeadline(s.rdl)
 	}
@@ -641,7 +632,7 @@ func (s *Stream) ReadFull(p []byte) (int, error) {
 			return s.consume(p), io.EOF
 		}
 		if s.circ.client.clock.Expired(s.rdl) {
-			return s.consume(p), errStreamTimeout
+			return s.consume(p), netem.ErrTimeout
 		}
 		s.rdWant = len(p)
 		s.cond.WaitDeadline(s.rdl)
