@@ -6,7 +6,6 @@ import (
 
 	"ptperf/internal/fetch"
 	"ptperf/internal/pt"
-	"ptperf/internal/sim"
 	"ptperf/internal/testbed"
 )
 
@@ -31,32 +30,49 @@ const pageTimeout = 120 * time.Second
 // fileTimeout mirrors the paper's 1200 s bulk timeout.
 const fileTimeout = 1200 * time.Second
 
-// curlTask submits (once) the curl website-access campaign world: every
-// configured method over Tranco+CBL.
-func (r *Runner) curlTask() *sim.Future[any] {
-	return r.accessTask("curl", r.cfg.Transports, func(w *testbed.World, d *testbed.Deployment, site siteRef) (float64, float64, float64, error) {
-		c := &fetch.Client{Net: w.Net, Dial: d.Dial, Timeout: pageTimeout}
-		res := c.Get(w.Origin.Addr(), site.path, false)
-		return seconds(res.Total), seconds(res.TTFB), 0, nil
-	})
+// accessIn is what an access campaign (curl, selenium) reads of the
+// Config.
+type accessIn struct {
+	Methods    []string
+	Repeats    int
+	Sequential bool
 }
 
-// curlData joins the curl campaign.
-func (r *Runner) curlData() (map[string]*accessData, error) {
-	v, err := r.curlTask().Wait()
-	if err != nil {
-		return nil, err
+// accessCell names one access campaign's world. All three paper
+// campaigns build their world on streamCampaign, so curl, selenium and
+// bulk downloads measure the same topology, relay draws and catalogs —
+// they only differ in what the client does, exactly like the paper's
+// campaigns running on one deployment.
+type accessCell = cell[accessIn, map[string]*accessData]
+
+// curlCell is the curl website-access campaign: every configured method
+// over Tranco+CBL.
+func (c Config) curlCell() accessCell {
+	return accessCell{
+		key:     "access:curl",
+		opts:    c.worldOptions(streamCampaign),
+		in:      accessIn{c.Transports, c.Repeats, c.Sequential},
+		measure: measureCurl,
 	}
-	return v.(map[string]*accessData), nil
+}
+
+// seleniumCell is the browser campaign over the browser-capable methods.
+func (c Config) seleniumCell() accessCell {
+	return accessCell{
+		key:     "access:selenium",
+		opts:    c.worldOptions(streamCampaign),
+		in:      accessIn{c.seleniumMethods(), c.Repeats, c.Sequential},
+		measure: measureSelenium,
+	}
 }
 
 // seleniumMethods filters the configured transports down to the
 // browser-capable subset: transports that cannot serve parallel streams
 // (camoufler, §4.2) are excluded. Table 1's selenium and speed-index
 // counts use the same subset.
-func (r *Runner) seleniumMethods() []string {
-	methods := make([]string, 0, len(r.cfg.Transports))
-	for _, m := range r.cfg.Transports {
+func (c Config) seleniumMethods() []string {
+	methods := make([]string, 0, len(c.Transports))
+	for _, m := range c.Transports {
 		if info, ok := pt.InfoFor(m); ok && !info.ParallelStreams {
 			continue
 		}
@@ -65,52 +81,39 @@ func (r *Runner) seleniumMethods() []string {
 	return methods
 }
 
-// seleniumTask submits (once) the browser campaign world; camoufler is
-// excluded because it cannot serve parallel streams (§4.2).
-func (r *Runner) seleniumTask() *sim.Future[any] {
-	return r.accessTask("selenium", r.seleniumMethods(), func(w *testbed.World, d *testbed.Deployment, site siteRef) (float64, float64, float64, error) {
-		c := &fetch.Client{Net: w.Net, Dial: d.Dial, Timeout: pageTimeout}
-		pr := c.Browse(w.Origin.Addr(), site.path, fetch.DefaultBrowserConns)
-		if !pr.OK {
-			// Incomplete page loads count as the timeout, as selenium
-			// reports them; a dead circuit is rebuilt for the next run.
-			d.FreshCircuit()
-			return pageTimeout.Seconds(), seconds(pr.TTFB), pageTimeout.Seconds(), nil
-		}
-		return seconds(pr.PageLoadTime), seconds(pr.TTFB), seconds(pr.SpeedIndex), nil
-	})
+func measureCurl(w *testbed.World, in accessIn) (map[string]*accessData, error) {
+	return measureAccess(w, in, curlAccess)
 }
 
-// seleniumData joins the browser campaign.
-func (r *Runner) seleniumData() (map[string]*accessData, error) {
-	v, err := r.seleniumTask().Wait()
-	if err != nil {
-		return nil, err
+func measureSelenium(w *testbed.World, in accessIn) (map[string]*accessData, error) {
+	return measureAccess(w, in, browserAccess)
+}
+
+// curlAccess and browserAccess are one access of one site: total time,
+// time to first byte and speed index, in seconds.
+func curlAccess(w *testbed.World, d *testbed.Deployment, path string) (total, ttfb, speedIndex float64) {
+	c := &fetch.Client{Net: w.Net, Dial: d.Dial, Timeout: pageTimeout}
+	res := c.Get(w.Origin.Addr(), path, false)
+	return seconds(res.Total), seconds(res.TTFB), 0
+}
+
+func browserAccess(w *testbed.World, d *testbed.Deployment, path string) (total, ttfb, speedIndex float64) {
+	c := &fetch.Client{Net: w.Net, Dial: d.Dial, Timeout: pageTimeout}
+	pr := c.Browse(w.Origin.Addr(), path, fetch.DefaultBrowserConns)
+	if !pr.OK {
+		// Incomplete page loads count as the timeout, as selenium
+		// reports them; a dead circuit is rebuilt for the next run.
+		d.FreshCircuit()
+		return pageTimeout.Seconds(), seconds(pr.TTFB), pageTimeout.Seconds()
 	}
-	return v.(map[string]*accessData), nil
+	return seconds(pr.PageLoadTime), seconds(pr.TTFB), seconds(pr.SpeedIndex)
 }
 
-// accessTask submits one access-campaign world task. All three paper
-// campaigns build their world on streamCampaign, so curl, selenium and
-// bulk downloads measure the same topology, relay draws and catalogs —
-// they only differ in what the client does, exactly like the paper's
-// campaigns running on one deployment.
-func (r *Runner) accessTask(kind string, methods []string, measure func(*testbed.World, *testbed.Deployment, siteRef) (float64, float64, float64, error)) *sim.Future[any] {
-	spec := r.cellSpec(
-		fmt.Sprintf("methods=%v", methods),
-		fmt.Sprintf("repeats=%d", r.cfg.Repeats),
-	)
-	return r.worldTask("access:"+kind, r.worldOptions(streamCampaign), spec,
-		jsonValue[map[string]*accessData](),
-		func(w *testbed.World) (any, error) {
-			return r.measureAccess(w, methods, measure)
-		})
-}
-
-// measureAccess runs one access campaign over an already-built world.
-func (r *Runner) measureAccess(w *testbed.World, methods []string, measure func(*testbed.World, *testbed.Deployment, siteRef) (float64, float64, float64, error)) (map[string]*accessData, error) {
-	sites := r.sites(w)
-	results, err := r.forEachMethod(w, methods, func(name string) (any, error) {
+// measureAccess runs one access campaign over an already-built world:
+// per method, the per-site means of in.Repeats accesses.
+func measureAccess(w *testbed.World, in accessIn, access func(*testbed.World, *testbed.Deployment, string) (total, ttfb, speedIndex float64)) (map[string]*accessData, error) {
+	sites := sitePaths(w)
+	return forEachMethod(w, in.Methods, in.Sequential, func(name string) (*accessData, error) {
 		d, err := w.Deployment(name)
 		if err != nil {
 			return nil, err
@@ -119,6 +122,7 @@ func (r *Runner) measureAccess(w *testbed.World, methods []string, measure func(
 			return nil, fmt.Errorf("preheat: %w", err)
 		}
 		data := &accessData{Name: name}
+		n := float64(in.Repeats)
 		for si, site := range sites {
 			// MaxCircuitDirtiness analog: rotate circuits every few
 			// sites, as a real client browsing this long would.
@@ -129,25 +133,15 @@ func (r *Runner) measureAccess(w *testbed.World, methods []string, measure func(
 				}
 			}
 			var tSum, fSum, sSum float64
-			n := 0
-			for rep := 0; rep < r.cfg.Repeats; rep++ {
-				total, ttfb, si, err := measure(w, d, site)
-				if err != nil {
-					continue
-				}
+			for rep := 0; rep < in.Repeats; rep++ {
+				total, ttfb, speedIndex := access(w, d, site)
 				tSum += total
 				fSum += ttfb
-				sSum += si
-				n++
+				sSum += speedIndex
 			}
-			if n == 0 {
-				n = 1
-				tSum = pageTimeout.Seconds()
-				fSum = pageTimeout.Seconds()
-			}
-			data.Times = append(data.Times, tSum/float64(n))
-			data.TTFBs = append(data.TTFBs, fSum/float64(n))
-			data.SpeedIndexes = append(data.SpeedIndexes, sSum/float64(n))
+			data.Times = append(data.Times, tSum/n)
+			data.TTFBs = append(data.TTFBs, fSum/n)
+			data.SpeedIndexes = append(data.SpeedIndexes, sSum/n)
 		}
 		// Park the transport when its campaign ends: polling tunnels
 		// (dnstt, meek, camoufler) otherwise keep generating events
@@ -156,18 +150,6 @@ func (r *Runner) measureAccess(w *testbed.World, methods []string, measure func(
 		d.FreshCircuit()
 		return data, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-
-	out := make(map[string]*accessData, len(results))
-	//simlint:allow maprange -- map-to-map copy under the same keys; per-key writes commute, and every reader orders methods explicitly before rendering.
-	for name, v := range results {
-		if v != nil {
-			out[name] = v.(*accessData)
-		}
-	}
-	return out, nil
 }
 
 // fileAttempt is one bulk-download attempt.
@@ -232,73 +214,60 @@ func (fd *fileData) fractions() []float64 {
 	return out
 }
 
-// filesTask submits (once) the bulk-download campaign world.
-func (r *Runner) filesTask() *sim.Future[any] {
-	spec := r.cellSpec(
-		fmt.Sprintf("methods=%v", r.cfg.Transports),
-		fmt.Sprintf("sizes=%v", r.cfg.FileSizesMB),
-		fmt.Sprintf("attempts=%d", r.cfg.FileAttempts),
-	)
-	return r.worldTask("files", r.worldOptions(streamCampaign), spec,
-		jsonValue[map[string]*fileData](),
-		func(w *testbed.World) (any, error) {
-			results, err := r.forEachMethodN(w, r.cfg.Transports, 1, func(name string) (any, error) {
-				d, err := w.Deployment(name)
-				if err != nil {
-					return nil, err
-				}
-				if err := d.Preheat(); err != nil {
-					return nil, err
-				}
-				c := &fetch.Client{Net: w.Net, Dial: d.Dial, Timeout: fileTimeout}
-				data := &fileData{Name: name}
-				for _, mb := range r.cfg.FileSizesMB {
-					size := w.Bytes(mb << 20)
-					for attempt := 0; attempt < r.cfg.FileAttempts; attempt++ {
-						res := c.DownloadFile(w.Origin.Addr(), size)
-						data.Attempts = append(data.Attempts, fileAttempt{
-							SizeBytes: size,
-							SizeMB:    mb,
-							Seconds:   seconds(res.Total),
-							Fraction:  res.Fraction(),
-							Complete:  res.Complete(),
-							Failed:    res.Failed(),
-						})
-						// A broken circuit (snowflake churn, meek budget) must
-						// not poison subsequent attempts.
-						if !res.Complete() {
-							d.FreshCircuit()
-							if err := d.Preheat(); err != nil {
-								// The transport may be temporarily out of
-								// capacity; subsequent dials retry anyway.
-								continue
-							}
-						}
-					}
-				}
-				// Park the transport's tunnels (see measureAccess).
-				d.FreshCircuit()
-				return data, nil
-			})
-			if err != nil {
-				return nil, err
-			}
-			out := make(map[string]*fileData, len(results))
-			//simlint:allow maprange -- map-to-map copy under the same keys; per-key writes commute, and every reader orders methods explicitly before rendering.
-			for name, v := range results {
-				if v != nil {
-					out[name] = v.(*fileData)
-				}
-			}
-			return out, nil
-		})
+// filesIn is what the bulk-download campaign reads of the Config.
+type filesIn struct {
+	Methods  []string
+	SizesMB  []int
+	Attempts int
 }
 
-// filesData joins the bulk-download campaign.
-func (r *Runner) filesData() (map[string]*fileData, error) {
-	v, err := r.filesTask().Wait()
-	if err != nil {
-		return nil, err
+// filesCell is the bulk-download campaign world.
+func (c Config) filesCell() cell[filesIn, map[string]*fileData] {
+	return cell[filesIn, map[string]*fileData]{
+		key:     "files",
+		opts:    c.worldOptions(streamCampaign),
+		in:      filesIn{c.Transports, c.FileSizesMB, c.FileAttempts},
+		measure: measureFiles,
 	}
-	return v.(map[string]*fileData), nil
+}
+
+// measureFiles downloads every size in.Attempts times per method, one
+// method at a time whatever Config.Sequential says (see forEachMethod).
+func measureFiles(w *testbed.World, in filesIn) (map[string]*fileData, error) {
+	return forEachMethod(w, in.Methods, true, func(name string) (*fileData, error) {
+		d, err := w.Deployment(name)
+		if err != nil {
+			return nil, err
+		}
+		if err := d.Preheat(); err != nil {
+			return nil, err
+		}
+		c := &fetch.Client{Net: w.Net, Dial: d.Dial, Timeout: fileTimeout}
+		data := &fileData{Name: name}
+		for _, mb := range in.SizesMB {
+			size := w.Bytes(mb << 20)
+			for attempt := 0; attempt < in.Attempts; attempt++ {
+				res := c.DownloadFile(w.Origin.Addr(), size)
+				data.Attempts = append(data.Attempts, fileAttempt{
+					SizeBytes: size,
+					SizeMB:    mb,
+					Seconds:   seconds(res.Total),
+					Fraction:  res.Fraction(),
+					Complete:  res.Complete(),
+					Failed:    res.Failed(),
+				})
+				// A broken circuit (snowflake churn, meek budget) must
+				// not poison subsequent attempts.
+				if !res.Complete() {
+					d.FreshCircuit()
+					// The transport may be temporarily out of capacity;
+					// subsequent dials retry anyway.
+					_ = d.Preheat()
+				}
+			}
+		}
+		// Park the transport's tunnels (see measureAccess).
+		d.FreshCircuit()
+		return data, nil
+	})
 }

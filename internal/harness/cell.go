@@ -1,0 +1,151 @@
+package harness
+
+import (
+	"encoding/json"
+	"fmt"
+	"time"
+
+	"ptperf/internal/obs"
+	"ptperf/internal/sim"
+	"ptperf/internal/testbed"
+)
+
+// cell is one world computation of a campaign: build the world of opts,
+// run measure over it, get an Out. in holds every harness input measure
+// can read, and the cache digest is derived from it, so a knob that is
+// not declared in In cannot reach a result and one that is invalidates
+// the entry when it changes. That only holds while measure sees nothing
+// but its two arguments: it must be a top-level function, never a
+// closure or a method on *Runner (TestMeasureFunctionsAreTopLevel).
+// Values the world already carries — the catalog sizes, the scheduler
+// policy — are read from the world, whose options are digested too.
+//
+// Cells are built by methods on Config and submitted with submit or
+// waitAll. An Out must survive a JSON round trip unchanged (all cell
+// results do): that is what makes a cache hit render byte-identically.
+type cell[In, Out any] struct {
+	key     string
+	opts    testbed.Options
+	in      In
+	measure func(*testbed.World, In) (Out, error)
+}
+
+// digest is the cell's content address. Every digest covers the code
+// version, the key and the defaulted world options (obs.CellDigest) and
+// the sampling interval: the sampler's timer interleaves with the
+// campaign, so a sampled world is a different world (ROADMAP D.1). The
+// per-kind part is In. Jobs, Plot and Progress are in no In: the first
+// cannot change results (the determinism contract), the others only
+// touch rendering.
+func (c cell[In, Out]) digest(metrics time.Duration) string {
+	return obs.CellDigest(c.key, c.opts, struct {
+		MetricsInterval time.Duration
+		In              In
+	}{metrics, c.in})
+}
+
+// submit starts (once) the keyed cell on the shard executor and returns
+// its future; later calls with the same key return the same future.
+// This is the Runner's memoization: experiments submit every cell they
+// need up front, then join and render in canonical order, so reports
+// never depend on completion order. Cell bodies follow the sim
+// package's determinism contract — they build their own world, return
+// values, never write to r.out, and never wait on another cell's future
+// (a full executor would deadlock).
+func submit[In, Out any](r *Runner, c cell[In, Out]) *sim.Future[Out] {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if f, ok := r.cells[c.key]; ok {
+		return f.(*sim.Future[Out])
+	}
+	r.monitor.Register(c.key)
+	f := sim.Submit(r.exec, func() (Out, error) {
+		r.monitor.Start(c.key)
+		v, err := compute(r, c)
+		if err != nil {
+			err = fmt.Errorf("%s: %w", c.key, err)
+		}
+		r.monitor.Finish(c.key, err)
+		return v, err
+	})
+	r.cells[c.key] = f
+	return f
+}
+
+// compute answers the cell from the cache, else builds its world,
+// measures and stores the result. The recorder is attached between
+// world build and measure, so timelines cover exactly the measured
+// campaign.
+func compute[In, Out any](r *Runner, c cell[In, Out]) (Out, error) {
+	var digest string
+	if r.cache != nil {
+		digest = c.digest(r.cfg.MetricsInterval)
+		var v Out
+		if e, ok := r.cache.LoadInto(digest, &v); ok {
+			r.monitor.Cached(c.key)
+			r.setTimeline(c.key, e.Timeline)
+			return v, nil
+		}
+	}
+	var zero Out
+	w, err := testbed.New(c.opts)
+	if err != nil {
+		return zero, err
+	}
+	r.monitor.Horizon(c.key, w.Net.Clock().Now)
+	var rec *obs.Recorder
+	if r.cfg.MetricsInterval > 0 {
+		rec = obs.AttachWorld(w, r.cfg.MetricsInterval)
+	}
+	v, err := c.measure(w, c.in)
+	if err != nil {
+		return zero, err
+	}
+	var tl *obs.Timeline
+	if rec != nil {
+		tl = rec.Close()
+		r.setTimeline(c.key, tl)
+	}
+	if r.cache != nil {
+		raw, err := json.Marshal(v)
+		if err != nil {
+			return zero, fmt.Errorf("cache encode: %w", err)
+		}
+		if err := r.cache.Store(&obs.Entry{Key: c.key, Digest: digest, Value: raw, Timeline: tl}); err != nil {
+			return zero, err
+		}
+	}
+	return v, nil
+}
+
+// waitAll submits every cell before joining any, so a sweep's worlds
+// are all in flight at once, and joins them in the order given.
+func waitAll[In, Out any](r *Runner, cells []cell[In, Out]) ([]Out, error) {
+	futures := make([]*sim.Future[Out], len(cells))
+	for i, c := range cells {
+		futures[i] = submit(r, c)
+	}
+	out := make([]Out, len(cells))
+	for i, f := range futures {
+		v, err := f.Wait()
+		if err != nil {
+			return nil, err
+		}
+		out[i] = v
+	}
+	return out, nil
+}
+
+// one and each adapt an experiment's cell list to Experiment.prefetch:
+// the same cells its run joins, submitted with the futures dropped.
+func one[In, Out any](mk func(Config) cell[In, Out]) func(*Runner) {
+	return func(r *Runner) { submit(r, mk(r.cfg)) }
+}
+
+func each[In, Out any](mk func(Config) []cell[In, Out]) func(*Runner) {
+	return func(r *Runner) {
+		for _, c := range mk(r.cfg) {
+			submit(r, c)
+		}
+	}
+}

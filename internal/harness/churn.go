@@ -6,15 +6,13 @@ import (
 
 	"ptperf/internal/faults"
 	"ptperf/internal/fetch"
-	"ptperf/internal/sim"
-	"ptperf/internal/stats"
 	"ptperf/internal/testbed"
 	"ptperf/internal/tor"
 )
 
 // This file implements "-exp churn": the churn-resilience sweep over
 // the relay-failure scenario family. Each cell is one independent world
-// task on the same seed stream, so topology, catalogs and relay draws
+// on the same seed stream, so topology, catalogs and relay draws
 // are identical across columns and the only difference is the fault
 // plan (none at the baseline). It crosses the methods {tor, obfs4,
 // webtunnel, snowflake} with {none, slow, fast} churn, every method
@@ -71,7 +69,7 @@ type churnMethod struct {
 	Recovery tor.RecoveryStats
 }
 
-// churnCell is one churn-level world-task result.
+// churnCell is one churn-level cell's result.
 type churnCell struct {
 	Level   testbed.ChurnLevel
 	Methods map[string]*churnMethod
@@ -79,75 +77,74 @@ type churnCell struct {
 	Faults faults.Stats
 }
 
-// churnTask submits (once) one churn cell. All cells share one world
-// seed; only the attached fault plan differs.
-func (r *Runner) churnTask(li int) *sim.Future[any] {
-	lv := testbed.ChurnLevels[li]
-	opts := r.worldOptions(streamChurn)
-	opts.Retry = churnRetry
-	plan := testbed.ChurnPlanFor(lv, opts, churnHorizon)
-	if !plan.Empty() {
-		opts.FaultSpec = &plan
-	}
-	spec := r.cellSpec(
-		fmt.Sprintf("level=%s", lv.Name),
-		fmt.Sprintf("methods=%v attempts=%d fileMB=%d", churnMethods, churnAttempts, churnFileMB),
-	)
-	return r.worldTask(fmt.Sprintf("churn:%d", li), opts, spec, jsonValue[*churnCell](), func(w *testbed.World) (any, error) {
-		size := w.Bytes(churnFileMB << 20)
-		results, err := r.forEachMethod(w, churnMethods, func(name string) (any, error) {
-			dep, err := w.Deployment(name)
-			if err != nil {
-				return nil, err
-			}
-			if err := dep.Preheat(); err != nil {
-				return nil, fmt.Errorf("preheat: %w", err)
-			}
-			c := &fetch.Client{Net: w.Net, Dial: dep.Dial, Timeout: churnFileTimeout}
-			m := &churnMethod{}
-			for i := 0; i < churnAttempts; i++ {
-				if i > 0 {
-					w.Net.Clock().Sleep(churnThink)
-					// Each attempt measures a cold path, like the bulk
-					// campaign — and spreads fault exposure over circuits.
-					dep.FreshCircuit()
-				}
-				res := c.DownloadFileResumed(w.Origin.Addr(), size, churnMaxResumes)
-				m.Attempts++
-				m.Resumes += res.Resumes
-				if res.Complete() {
-					m.Completed++
-					m.Times = append(m.Times, seconds(res.Total))
-					m.TTFBs = append(m.TTFBs, seconds(res.TTFB))
-				} else {
-					m.Times = append(m.Times, churnFileTimeout.Seconds())
-					m.TTFBs = append(m.TTFBs, churnFileTimeout.Seconds())
-				}
-			}
-			m.Recovery = dep.Recovery()
-			return m, nil
+// churnIn is the input of one churn cell.
+type churnIn struct {
+	Level      testbed.ChurnLevel
+	Methods    []string
+	Sequential bool
+}
+
+// churnCells names every churn level. All cells share one world seed;
+// only the attached fault plan differs.
+func (c Config) churnCells() []cell[churnIn, *churnCell] {
+	var cells []cell[churnIn, *churnCell]
+	for li, lv := range testbed.ChurnLevels {
+		opts := c.worldOptions(streamChurn)
+		opts.Retry = churnRetry
+		plan := testbed.ChurnPlanFor(lv, opts, churnHorizon)
+		if !plan.Empty() {
+			opts.FaultSpec = &plan
+		}
+		cells = append(cells, cell[churnIn, *churnCell]{
+			key:     fmt.Sprintf("churn:%d", li),
+			opts:    opts,
+			in:      churnIn{lv, churnMethods, c.Sequential},
+			measure: measureChurn,
 		})
+	}
+	return cells
+}
+
+// measureChurn runs every method's resumable downloads concurrently
+// while the world's fault plan plays underneath them.
+func measureChurn(w *testbed.World, in churnIn) (*churnCell, error) {
+	size := w.Bytes(churnFileMB << 20)
+	methods, err := forEachMethod(w, in.Methods, in.Sequential, func(name string) (*churnMethod, error) {
+		dep, err := w.Deployment(name)
 		if err != nil {
 			return nil, err
 		}
-		cell := &churnCell{
-			Level:   lv,
-			Methods: make(map[string]*churnMethod, len(results)),
-			Faults:  w.FaultStats(),
+		if err := dep.Preheat(); err != nil {
+			return nil, fmt.Errorf("preheat: %w", err)
 		}
-		//simlint:allow maprange -- map-to-map copy under the same keys; per-key writes commute, and the churn report orders methods explicitly.
-		for name, v := range results {
-			cell.Methods[name] = v.(*churnMethod)
+		c := &fetch.Client{Net: w.Net, Dial: dep.Dial, Timeout: churnFileTimeout}
+		m := &churnMethod{}
+		for i := 0; i < churnAttempts; i++ {
+			if i > 0 {
+				w.Net.Clock().Sleep(churnThink)
+				// Each attempt measures a cold path, like the bulk
+				// campaign — and spreads fault exposure over circuits.
+				dep.FreshCircuit()
+			}
+			res := c.DownloadFileResumed(w.Origin.Addr(), size, churnMaxResumes)
+			m.Attempts++
+			m.Resumes += res.Resumes
+			if res.Complete() {
+				m.Completed++
+				m.Times = append(m.Times, seconds(res.Total))
+				m.TTFBs = append(m.TTFBs, seconds(res.TTFB))
+			} else {
+				m.Times = append(m.Times, churnFileTimeout.Seconds())
+				m.TTFBs = append(m.TTFBs, churnFileTimeout.Seconds())
+			}
 		}
-		return cell, nil
+		m.Recovery = dep.Recovery()
+		return m, nil
 	})
-}
-
-// prefetchChurn submits every churn level.
-func prefetchChurn(r *Runner) {
-	for li := range testbed.ChurnLevels {
-		r.churnTask(li)
+	if err != nil {
+		return nil, err
 	}
+	return &churnCell{Level: in.Level, Methods: methods, Faults: w.FaultStats()}, nil
 }
 
 // runChurn renders the churn-resilience sweep.
@@ -155,36 +152,16 @@ func (r *Runner) runChurn() error {
 	levels := testbed.ChurnLevels
 	fmt.Fprintf(r.out, "Relay churn: %d methods × %d failure rates, resumable %d MB downloads over a failing fleet (same world seed per cell)\n\n",
 		len(churnMethods), len(levels), churnFileMB)
-	prefetchChurn(r)
 
-	cells := make([]*churnCell, len(levels))
-	for li := range levels {
-		v, err := r.churnTask(li).Wait()
-		if err != nil {
-			return fmt.Errorf("churn %s: %w", levels[li].Name, err)
-		}
-		cells[li] = v.(*churnCell)
+	cells, err := waitAll(r, r.cfg.churnCells())
+	if err != nil {
+		return err
 	}
-
-	var timeRows, ttfbRows []struct {
-		Name string
-		Box  stats.Box
-	}
-	for _, cell := range cells {
-		for _, m := range churnMethods {
-			label := fmt.Sprintf("%s@%s", m, cell.Level.Name)
-			timeRows = append(timeRows, struct {
-				Name string
-				Box  stats.Box
-			}{label, stats.Summarize(cell.Methods[m].Times)})
-			ttfbRows = append(ttfbRows, struct {
-				Name string
-				Box  stats.Box
-			}{label, stats.Summarize(cell.Methods[m].TTFBs)})
-		}
-	}
-	r.writeBoxes("Download time under relay churn (s; failures count as the timeout)", timeRows)
-	r.writeBoxes("Time to first byte under relay churn (s)", ttfbRows)
+	g := grid[*churnCell]{cells, testbed.ChurnLevelNames(), churnMethods}
+	timesOf := func(c *churnCell, m string) []float64 { return c.Methods[m].Times }
+	r.writeBoxes("Download time under relay churn (s; failures count as the timeout)", g.rows("@", timesOf))
+	r.writeBoxes("Time to first byte under relay churn (s)",
+		g.rows("@", func(c *churnCell, m string) []float64 { return c.Methods[m].TTFBs }))
 
 	t := newTable("level", "method", "attempts", "ok", "success", "resumes",
 		"rebuilds", "build-timeouts", "stream-fails", "re-attaches", "abandoned", "probations")
@@ -218,18 +195,8 @@ func (r *Runner) runChurn() error {
 	ft.write(r.out)
 	fmt.Fprintln(r.out)
 
-	var pairs []pairResult
-	base := cells[0]
-	for _, cell := range cells[1:] {
-		for _, m := range churnMethods {
-			res, err := stats.PairedT(cell.Methods[m].Times, base.Methods[m].Times)
-			if err != nil {
-				continue
-			}
-			pairs = append(pairs, pairResult{Name: fmt.Sprintf("%s@%s-none", m, cell.Level.Name), Res: res})
-		}
-	}
-	writePairedT(r.out, "Paired t-tests, download time per churn level vs fault-free (positive mean-diff = churn slower)", pairs)
+	writePairedT(r.out, "Paired t-tests, download time per churn level vs fault-free (positive mean-diff = churn slower)",
+		g.pairsVsFirst(timesOf))
 
 	fmt.Fprintln(r.out, "Expected: downloads survive churn through resume legs and circuit rebuilds — success stays high while recovery counters, not failure rates, absorb the damage.")
 	fmt.Fprintln(r.out)

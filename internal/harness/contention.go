@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"ptperf/internal/fetch"
-	"ptperf/internal/sim"
 	"ptperf/internal/stats"
 	"ptperf/internal/testbed"
 	"ptperf/internal/tor"
@@ -13,7 +12,7 @@ import (
 
 // This file implements "-exp contention": the guard-contention sweep
 // over the relay-overload scenario family. Each cell is one independent
-// world task — the same seed for every cell, so topology, catalogs and
+// world — the same seed for every cell, so topology, catalogs and
 // relay draws are identical and the only difference between columns is
 // the competitor load (and, for the baseline cell, the scheduler
 // policy). It crosses the shared-guard methods {tor, obfs4, webtunnel}
@@ -22,7 +21,7 @@ import (
 // and re-runs the heaviest level under the FIFO scheduler to show what
 // EWMA priority buys.
 
-// contentionCell is one (level, policy) world-task result.
+// contentionCell is one (level, policy) cell's result.
 type contentionCell struct {
 	Level  testbed.ContentionLevel
 	Policy string
@@ -37,88 +36,83 @@ type contentionCell struct {
 // five representative sites in the fixed-circuit experiments.
 const contentionSites = 5
 
-// contentionTask submits (once) one contention cell. All cells share
-// one world seed; fifo selects the pre-KIST baseline scheduler.
-func (r *Runner) contentionTask(li int, fifo bool) *sim.Future[any] {
-	key := fmt.Sprintf("contention:%d", li)
-	if fifo {
-		key += ":fifo"
-	}
-	lv := testbed.ContentionLevels[li]
-	opts := r.worldOptions(streamContention)
-	if fifo {
-		opts.SchedPolicy = tor.SchedFIFO
-	}
-	spec := r.cellSpec(
-		fmt.Sprintf("level=%s", lv.Name),
-		fmt.Sprintf("repeats=%d", r.cfg.Repeats),
-	)
-	return r.worldTask(key, opts, spec, jsonValue[*contentionCell](), func(w *testbed.World) (any, error) {
-		rig, err := w.NewContentionRig(lv)
-		if err != nil {
-			return nil, err
-		}
-		clock := w.Net.Clock()
-		rig.Start()
-		clock.Sleep(lv.RampTime())
-
-		// Pin middle and exit so every cell measures the identical
-		// circuit; only the guard's contention varies.
-		middle, mok := w.Dir.Lookup("middle-0")
-		exit, eok := w.Dir.Lookup("exit-0")
-		if !mok || !eok {
-			return nil, fmt.Errorf("harness: consensus lacks middle-0/exit-0")
-		}
-		clients, err := rig.Clients(middle, exit)
-		if err != nil {
-			return nil, err
-		}
-		sites := r.sites(w)
-		if len(sites) > contentionSites {
-			sites = sites[:contentionSites]
-		}
-		cell := &contentionCell{
-			Level:  lv,
-			Policy: opts.SchedPolicy.String(),
-			Times:  make(map[string][]float64),
-			TTFBs:  make(map[string][]float64),
-		}
-		for _, method := range rig.Methods() {
-			cl := clients[method]
-			if err := cl.Preheat(); err != nil {
-				return nil, fmt.Errorf("%s preheat: %w", method, err)
-			}
-			c := &fetch.Client{Net: w.Net, Dial: cl.Dial, Timeout: pageTimeout}
-			for _, site := range sites {
-				for rep := 0; rep < r.cfg.Repeats; rep++ {
-					res := c.Get(w.Origin.Addr(), site.path, false)
-					if res.Err != nil || !res.Complete() {
-						cell.Times[method] = append(cell.Times[method], pageTimeout.Seconds())
-						cell.TTFBs[method] = append(cell.TTFBs[method], pageTimeout.Seconds())
-						continue
-					}
-					cell.Times[method] = append(cell.Times[method], seconds(res.Total))
-					cell.TTFBs[method] = append(cell.TTFBs[method], seconds(res.TTFB))
-				}
-			}
-			cl.Close()
-		}
-		// Stop before snapshotting: with the competitor circuits torn
-		// down the guard's queues are drained, so the reported counters
-		// satisfy queued == flushed + dropped.
-		rig.Stop()
-		cell.Sched = rig.GuardSched()
-		return cell, nil
-	})
+// contentionIn is the input of one contention cell.
+type contentionIn struct {
+	Level   testbed.ContentionLevel
+	Repeats int
 }
 
-// prefetchContention submits every level plus the FIFO baseline of the
-// heaviest level.
-func prefetchContention(r *Runner) {
-	for li := range testbed.ContentionLevels {
-		r.contentionTask(li, false)
+// contentionCells names every level plus, last, the heaviest level
+// under the pre-KIST FIFO baseline scheduler. All cells share one world
+// seed.
+func (c Config) contentionCells() []cell[contentionIn, *contentionCell] {
+	var cells []cell[contentionIn, *contentionCell]
+	for li, lv := range testbed.ContentionLevels {
+		cells = append(cells, cell[contentionIn, *contentionCell]{
+			key:     fmt.Sprintf("contention:%d", li),
+			opts:    c.worldOptions(streamContention),
+			in:      contentionIn{lv, c.Repeats},
+			measure: measureContention,
+		})
 	}
-	r.contentionTask(len(testbed.ContentionLevels)-1, true)
+	fifo := cells[len(cells)-1]
+	fifo.key += ":fifo"
+	fifo.opts.SchedPolicy = tor.SchedFIFO
+	return append(cells, fifo)
+}
+
+// measureContention measures the rig's methods through one guard shared
+// with the level's competitor fleet.
+func measureContention(w *testbed.World, in contentionIn) (*contentionCell, error) {
+	rig, err := w.NewContentionRig(in.Level)
+	if err != nil {
+		return nil, err
+	}
+	rig.Start()
+	w.Net.Clock().Sleep(in.Level.RampTime())
+
+	// Pin middle and exit so every cell measures the identical
+	// circuit; only the guard's contention varies.
+	middle, mok := w.Dir.Lookup("middle-0")
+	exit, eok := w.Dir.Lookup("exit-0")
+	if !mok || !eok {
+		return nil, fmt.Errorf("harness: consensus lacks middle-0/exit-0")
+	}
+	clients, err := rig.Clients(middle, exit)
+	if err != nil {
+		return nil, err
+	}
+	sites := firstSites(w, contentionSites)
+	out := &contentionCell{
+		Level:  in.Level,
+		Policy: w.Opts.SchedPolicy.String(),
+		Times:  make(map[string][]float64),
+		TTFBs:  make(map[string][]float64),
+	}
+	for _, method := range rig.Methods() {
+		cl := clients[method]
+		if err := cl.Preheat(); err != nil {
+			return nil, fmt.Errorf("%s preheat: %w", method, err)
+		}
+		c := &fetch.Client{Net: w.Net, Dial: cl.Dial, Timeout: pageTimeout}
+		for _, site := range sites {
+			for rep := 0; rep < in.Repeats; rep++ {
+				total, ttfb := pageTimeout.Seconds(), pageTimeout.Seconds()
+				if res := c.Get(w.Origin.Addr(), site, false); res.Err == nil && res.Complete() {
+					total, ttfb = seconds(res.Total), seconds(res.TTFB)
+				}
+				out.Times[method] = append(out.Times[method], total)
+				out.TTFBs[method] = append(out.TTFBs[method], ttfb)
+			}
+		}
+		cl.Close()
+	}
+	// Stop before snapshotting: with the competitor circuits torn
+	// down the guard's queues are drained, so the reported counters
+	// satisfy queued == flushed + dropped.
+	rig.Stop()
+	out.Sched = rig.GuardSched()
+	return out, nil
 }
 
 // runContention renders the guard-contention sweep.
@@ -127,41 +121,17 @@ func (r *Runner) runContention() error {
 	methods := []string{"tor", "obfs4", "webtunnel"}
 	fmt.Fprintf(r.out, "Guard contention: %d methods × %d load levels over one shared guard (same world seed per cell)\n\n",
 		len(methods), len(levels))
-	prefetchContention(r)
 
-	cells := make([]*contentionCell, len(levels))
-	for li := range levels {
-		v, err := r.contentionTask(li, false).Wait()
-		if err != nil {
-			return fmt.Errorf("contention %s: %w", levels[li].Name, err)
-		}
-		cells[li] = v.(*contentionCell)
-	}
-	vf, err := r.contentionTask(len(levels)-1, true).Wait()
+	all, err := waitAll(r, r.cfg.contentionCells())
 	if err != nil {
-		return fmt.Errorf("contention fifo baseline: %w", err)
+		return err
 	}
-	fifo := vf.(*contentionCell)
-
-	var timeRows, ttfbRows []struct {
-		Name string
-		Box  stats.Box
-	}
-	for _, cell := range cells {
-		for _, m := range methods {
-			label := fmt.Sprintf("%s@%s", m, cell.Level.Name)
-			timeRows = append(timeRows, struct {
-				Name string
-				Box  stats.Box
-			}{label, stats.Summarize(cell.Times[m])})
-			ttfbRows = append(ttfbRows, struct {
-				Name string
-				Box  stats.Box
-			}{label, stats.Summarize(cell.TTFBs[m])})
-		}
-	}
-	r.writeBoxes("Download time under guard contention (s; failures count as the timeout)", timeRows)
-	r.writeBoxes("Time to first byte under guard contention (s)", ttfbRows)
+	cells, fifo := all[:len(levels)], all[len(levels)]
+	g := grid[*contentionCell]{cells, testbed.ContentionLevelNames(), methods}
+	timesOf := func(c *contentionCell, m string) []float64 { return c.Times[m] }
+	r.writeBoxes("Download time under guard contention (s; failures count as the timeout)", g.rows("@", timesOf))
+	r.writeBoxes("Time to first byte under guard contention (s)",
+		g.rows("@", func(c *contentionCell, m string) []float64 { return c.TTFBs[m] }))
 
 	t := newTable("level", "policy", "competitors", "cells-queued", "flushed", "dropped", "mean-queue-delay", "passes")
 	addSched := func(cell *contentionCell) {
@@ -179,18 +149,8 @@ func (r *Runner) runContention() error {
 	t.write(r.out)
 	fmt.Fprintln(r.out)
 
-	var pairs []pairResult
-	base := cells[0]
-	for _, cell := range cells[1:] {
-		for _, m := range methods {
-			res, err := stats.PairedT(cell.Times[m], base.Times[m])
-			if err != nil {
-				continue
-			}
-			pairs = append(pairs, pairResult{Name: fmt.Sprintf("%s@%s-idle", m, cell.Level.Name), Res: res})
-		}
-	}
-	writePairedT(r.out, "Paired t-tests, download time per load level vs idle (positive mean-diff = contention slower)", pairs)
+	writePairedT(r.out, "Paired t-tests, download time per load level vs idle (positive mean-diff = contention slower)",
+		g.pairsVsFirst(timesOf))
 
 	top := cells[len(cells)-1]
 	fmt.Fprintf(r.out, "EWMA vs FIFO at %q: mean guard queueing delay %.1fms vs %.1fms",

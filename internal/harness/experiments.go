@@ -7,37 +7,35 @@ import (
 	"ptperf/internal/fetch"
 	"ptperf/internal/geo"
 	"ptperf/internal/pt"
-	"ptperf/internal/sim"
 	"ptperf/internal/stats"
 	"ptperf/internal/testbed"
 	"ptperf/internal/tor"
 )
 
-// The experiments that build their own worlds are split in two: a
-// *Task method submits the world task (build world, measure, return
-// values) on the shard executor, and the run* method joins the future
-// and renders the report. Prefetching submits every task before any
-// render, so "-exp all" keeps all -jobs cores busy while reports still
-// come out strictly in paper order.
+// Every experiment that measures is split in two: a Config method names
+// its cells (world options, declared inputs, a top-level measure
+// function) and the run* method joins them and renders the report.
+// Prefetching submits every cell before any render, so "-exp all" keeps
+// all -jobs cores busy while reports still come out strictly in paper
+// order.
 
-// boxRows builds the standard per-method box table from a dataset.
-func boxRows(data map[string]*accessData, pick func(*accessData) []float64, order []string) []struct {
-	Name string
-	Box  stats.Box
-} {
-	var rows []struct {
-		Name string
-		Box  stats.Box
-	}
+// boxRows builds the standard per-method box table from a dataset:
+// one row per method of order that the dataset holds.
+func boxRows[D any](data map[string]D, pick func(D) []float64, order []string) []boxRow {
+	var rows []boxRow
 	for _, name := range order {
-		d, ok := data[name]
-		if !ok {
-			continue
+		if d, ok := data[name]; ok {
+			rows = append(rows, boxRow{name, stats.Summarize(pick(d))})
 		}
-		rows = append(rows, struct {
-			Name string
-			Box  stats.Box
-		}{name, stats.Summarize(pick(d))})
+	}
+	return rows
+}
+
+// sampleRows builds one box row per method from per-method samples.
+func sampleRows(samples map[string][]float64, methods []string) []boxRow {
+	var rows []boxRow
+	for _, m := range methods {
+		rows = append(rows, boxRow{m, stats.Summarize(samples[m])})
 	}
 	return rows
 }
@@ -55,7 +53,7 @@ func (r *Runner) runTable1() error {
 	// The selenium rows count the browser-capable subset, not
 	// methods-1: that shortcut assumed camoufler is always in the
 	// configured set.
-	selenium := len(r.seleniumMethods())
+	selenium := len(c.seleniumMethods())
 	t.add("Website Download (curl)", fmt.Sprintf("%d", sites*c.Repeats*methods), fmt.Sprintf("Tranco top-%d & CBL-%d", c.Sites, c.Sites))
 	t.add("Website Download (selenium)", fmt.Sprintf("%d", sites*c.Repeats*selenium), fmt.Sprintf("Tranco top-%d & CBL-%d", c.Sites, c.Sites))
 	t.add("File Downloads (curl)", fmt.Sprintf("%d", len(c.FileSizesMB)*c.FileAttempts*methods), fmt.Sprintf("%v MB", c.FileSizesMB))
@@ -85,15 +83,19 @@ func (r *Runner) runTable2() error {
 	return nil
 }
 
-// accessSamples measures plain curl access for every method of one
-// world, returning per-method aligned sample vectors. Shared by the
-// medium and location world tasks.
-func (r *Runner) accessSamples(w *testbed.World, methods []string) (map[string][]float64, error) {
-	sites := r.sites(w)
-	if len(sites) > r.cfg.Sites {
-		sites = sites[:r.cfg.Sites]
-	}
-	results, err := r.forEachMethod(w, methods, func(name string) (any, error) {
+// methodsIn is the input of the cells that fan one measurement out
+// over a method list.
+type methodsIn struct {
+	Methods    []string
+	Sequential bool
+}
+
+// accessSamples measures plain curl access to the Tranco sites for
+// every method of one world, returning per-method aligned sample
+// vectors. It is the measurement of the medium and location cells.
+func accessSamples(w *testbed.World, in methodsIn) (map[string][]float64, error) {
+	sites := firstSites(w, len(w.Tranco.Sites))
+	return forEachMethod(w, in.Methods, in.Sequential, func(name string) ([]float64, error) {
 		d, err := w.Deployment(name)
 		if err != nil {
 			return nil, err
@@ -101,83 +103,107 @@ func (r *Runner) accessSamples(w *testbed.World, methods []string) (map[string][
 		if err := d.Preheat(); err != nil {
 			return nil, err
 		}
-		c := &fetch.Client{Net: w.Net, Dial: d.Dial, Timeout: pageTimeout}
-		var xs []float64
-		for _, site := range sites {
-			res := c.Get(w.Origin.Addr(), site.path, false)
-			xs = append(xs, seconds(res.Total))
-		}
-		return xs, nil
+		return getAll(w, d.Dial, sites), nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string][]float64, len(results))
-	//simlint:allow maprange -- map-to-map copy under the same keys; per-key writes commute, and readers order methods explicitly before rendering.
-	for name, v := range results {
-		if xs, ok := v.([]float64); ok {
-			out[name] = xs
-		}
-	}
-	return out, nil
 }
 
-// mediumMethods and mediumKinds are the §4.7 grid; prefetchMedium and
-// runMedium must iterate the same cells, so both loop over mediumKinds.
+// getAll fetches each site once with curl and returns the access times.
+func getAll(w *testbed.World, dial testbed.Dialer, sites []string) []float64 {
+	c := &fetch.Client{Net: w.Net, Dial: dial, Timeout: pageTimeout}
+	var xs []float64
+	for _, site := range sites {
+		xs = append(xs, seconds(c.Get(w.Origin.Addr(), site, false).Total))
+	}
+	return xs
+}
+
+// grid is a joined sweep: cells[i] is the world labelled labels[i], and
+// every cell measured the same methods.
+type grid[C any] struct {
+	cells   []C
+	labels  []string
+	methods []string
+}
+
+// rows renders one box row per (cell, method), cells outermost,
+// labelled method+sep+label.
+func (g grid[C]) rows(sep string, pick func(C, string) []float64) []boxRow {
+	var rows []boxRow
+	for i, c := range g.cells {
+		for _, m := range g.methods {
+			rows = append(rows, boxRow{m + sep + g.labels[i], stats.Summarize(pick(c, m))})
+		}
+	}
+	return rows
+}
+
+// pairsVsFirst runs each method's paired t-test of every later cell
+// against the first (the sweep's baseline); unpairable vectors are
+// skipped.
+func (g grid[C]) pairsVsFirst(pick func(C, string) []float64) []pairResult {
+	var pairs []pairResult
+	for i, c := range g.cells[1:] {
+		for _, m := range g.methods {
+			res, err := stats.PairedT(pick(c, m), pick(g.cells[0], m))
+			if err != nil {
+				continue
+			}
+			pairs = append(pairs, pairResult{fmt.Sprintf("%s@%s-%s", m, g.labels[i+1], g.labels[0]), res})
+		}
+	}
+	return pairs
+}
+
+func sampleOf(c map[string][]float64, m string) []float64 { return c[m] }
+
+// samplesCell names one world measured by accessSamples.
+func (c Config) samplesCell(key string, opts testbed.Options, methods []string) cell[methodsIn, map[string][]float64] {
+	return cell[methodsIn, map[string][]float64]{
+		key:     key,
+		opts:    opts,
+		in:      methodsIn{methods, c.Sequential},
+		measure: accessSamples,
+	}
+}
+
+// mediumMethods and mediumKinds are the §4.7 grid.
 var (
 	mediumMethods = []string{"tor", "obfs4", "meek", "dnstt", "cloak"}
 	mediumKinds   = []geo.Medium{geo.Wired, geo.Wireless}
 )
 
-// mediumTask submits the §4.7 world for one access medium.
-func (r *Runner) mediumTask(mi int, medium geo.Medium) *sim.Future[any] {
-	opts := r.worldOptions(streamMedium, int64(mi))
-	opts.Medium = medium
-	opts.ClientLocation = geo.Toronto
-	spec := r.cellSpec(fmt.Sprintf("methods=%v", mediumMethods))
-	return r.worldTask("medium:"+medium.String(), opts, spec,
-		jsonValue[map[string][]float64](),
-		func(w *testbed.World) (any, error) {
-			return r.accessSamples(w, mediumMethods)
-		})
-}
-
-func prefetchMedium(r *Runner) {
+// mediumCells names the §4.7 worlds, one per access medium.
+func (c Config) mediumCells() []cell[methodsIn, map[string][]float64] {
+	var cells []cell[methodsIn, map[string][]float64]
 	for mi, medium := range mediumKinds {
-		r.mediumTask(mi, medium)
+		opts := c.worldOptions(streamMedium, int64(mi))
+		opts.Medium = medium
+		opts.ClientLocation = geo.Toronto
+		cells = append(cells, c.samplesCell("medium:"+medium.String(), opts, mediumMethods))
 	}
+	return cells
 }
 
 // runMedium reproduces §4.7: the same website-access measurement over a
 // wired and a wireless (campus WiFi) client, expecting no change in the
 // between-transport trend.
 func (r *Runner) runMedium() error {
-	prefetchMedium(r) // both media in flight before the first join
-	var rows []struct {
-		Name string
-		Box  stats.Box
+	cells, err := waitAll(r, r.cfg.mediumCells())
+	if err != nil {
+		return err
 	}
-	for mi, medium := range mediumKinds {
-		v, err := r.mediumTask(mi, medium).Wait()
-		if err != nil {
-			return err
-		}
-		samples := v.(map[string][]float64)
-		for _, name := range mediumMethods {
-			rows = append(rows, struct {
-				Name string
-				Box  stats.Box
-			}{fmt.Sprintf("%s/%s", name, medium), stats.Summarize(samples[name])})
-		}
+	g := grid[map[string][]float64]{cells: cells, methods: mediumMethods}
+	for _, medium := range mediumKinds {
+		g.labels = append(g.labels, medium.String())
 	}
-	r.writeBoxes("Website access time by access medium (s)", rows)
+	r.writeBoxes("Website access time by access medium (s)", g.rows("/", sampleOf))
 	fmt.Fprintln(r.out, "Expected: the between-transport ordering is unchanged by the medium (§4.7).")
 	return nil
 }
 
 // runFig2a prints the curl website-access box plots.
 func (r *Runner) runFig2a() error {
-	data, err := r.curlData()
+	data, err := submit(r, r.cfg.curlCell()).Wait()
 	if err != nil {
 		return err
 	}
@@ -188,7 +214,7 @@ func (r *Runner) runFig2a() error {
 
 // runFig2b prints the selenium page-load box plots.
 func (r *Runner) runFig2b() error {
-	data, err := r.seleniumData()
+	data, err := submit(r, r.cfg.seleniumCell()).Wait()
 	if err != nil {
 		return err
 	}
@@ -210,17 +236,31 @@ func (r *Runner) runFig2b() error {
 	return nil
 }
 
-// fixedCircuitSamples measures the rig's three methods over pinned
+// fixedCircuitIn is the input of the fig3/fig4 cells: Iters circuits,
+// with the middle/exit pair pinned per iteration or left to Tor.
+type fixedCircuitIn struct {
+	Iters   int
+	PinPair bool
+}
+
+// fixedCircuitData is the result of the fig3/fig4 cells.
+type fixedCircuitData struct {
+	Methods []string
+	Samples map[string][]float64
+}
+
+// measureFixedCircuit measures the rig's three methods over pinned
 // circuits; aligned by (iteration, site).
-func (r *Runner) fixedCircuitSamples(w *testbed.World, rig *testbed.FixedCircuitRig, iters int, pinPair bool) (map[string][]float64, error) {
-	sites := r.sites(w)
-	if len(sites) > 5 {
-		sites = sites[:5] // the paper samples five representative sites
+func measureFixedCircuit(w *testbed.World, in fixedCircuitIn) (*fixedCircuitData, error) {
+	rig, err := w.NewFixedCircuitRig()
+	if err != nil {
+		return nil, err
 	}
+	sites := firstSites(w, 5) // the paper samples five representative sites
 	out := map[string][]float64{}
-	for it := 0; it < iters; it++ {
+	for it := 0; it < in.Iters; it++ {
 		var m, e *tor.Descriptor
-		if pinPair {
+		if in.PinPair {
 			m, e = rig.PickPair(it)
 		}
 		clients, err := rig.Clients(m, e)
@@ -232,69 +272,40 @@ func (r *Runner) fixedCircuitSamples(w *testbed.World, rig *testbed.FixedCircuit
 			if err := cl.Preheat(); err != nil {
 				return nil, fmt.Errorf("%s preheat: %w", method, err)
 			}
-			c := &fetch.Client{Net: w.Net, Dial: cl.Dial, Timeout: pageTimeout}
-			for _, site := range sites {
-				res := c.Get(w.Origin.Addr(), site.path, false)
-				out[method] = append(out[method], seconds(res.Total))
-			}
+			out[method] = append(out[method], getAll(w, cl.Dial, sites)...)
 			cl.Close()
 		}
 	}
-	return out, nil
+	return &fixedCircuitData{Methods: rig.Methods(), Samples: out}, nil
 }
 
-// fixedCircuitData is the result of the fig3/fig4 world tasks.
-type fixedCircuitData struct {
-	Methods []string
-	Samples map[string][]float64
-}
-
-// fixedCircuitTask submits a fixed-circuit rig world.
-func (r *Runner) fixedCircuitTask(key string, stream int64, iters int, pinPair bool) *sim.Future[any] {
-	spec := r.cellSpec(fmt.Sprintf("iters=%d pin=%v", iters, pinPair))
-	return r.worldTask(key, r.worldOptions(stream), spec,
-		jsonValue[*fixedCircuitData](),
-		func(w *testbed.World) (any, error) {
-			rig, err := w.NewFixedCircuitRig()
-			if err != nil {
-				return nil, err
-			}
-			samples, err := r.fixedCircuitSamples(w, rig, iters, pinPair)
-			if err != nil {
-				return nil, err
-			}
-			return &fixedCircuitData{Methods: rig.Methods(), Samples: samples}, nil
-		})
-}
-
-func (r *Runner) fig3Task() *sim.Future[any] {
-	iters := r.cfg.Repeats * 3
-	if iters < 4 {
-		iters = 4
+// fixedCircuitCell names a fixed-circuit rig world.
+func (c Config) fixedCircuitCell(key string, stream int64, iters int, pinPair bool) cell[fixedCircuitIn, *fixedCircuitData] {
+	return cell[fixedCircuitIn, *fixedCircuitData]{
+		key:     key,
+		opts:    c.worldOptions(stream),
+		in:      fixedCircuitIn{iters, pinPair},
+		measure: measureFixedCircuit,
 	}
-	return r.fixedCircuitTask("fig3", streamFig3, iters, true)
+}
+
+func (c Config) fig3Cell() cell[fixedCircuitIn, *fixedCircuitData] {
+	return c.fixedCircuitCell("fig3", streamFig3, max(c.Repeats*3, 4), true)
+}
+
+func (c Config) fig4Cell() cell[fixedCircuitIn, *fixedCircuitData] {
+	return c.fixedCircuitCell("fig4", streamFig4, max(c.Repeats*2, 3), false)
 }
 
 // runFig3 prints the fixed-circuit boxes (3a) and the ECDF of per-site
 // absolute differences (3b).
 func (r *Runner) runFig3() error {
-	v, err := r.fig3Task().Wait()
+	fc, err := submit(r, r.cfg.fig3Cell()).Wait()
 	if err != nil {
 		return err
 	}
-	fc := v.(*fixedCircuitData)
 	samples := fc.Samples
-	var rows []struct {
-		Name string
-		Box  stats.Box
-	}
-	for _, m := range fc.Methods {
-		rows = append(rows, struct {
-			Name string
-			Box  stats.Box
-		}{m, stats.Summarize(samples[m])})
-	}
-	r.writeBoxes("Fixed circuit (same guard/middle/exit) website access time (s)", rows)
+	r.writeBoxes("Fixed circuit (same guard/middle/exit) website access time (s)", sampleRows(samples, fc.Methods))
 
 	for _, m := range []string{"obfs4", "webtunnel"} {
 		res, err := stats.PairedT(samples[m], samples["tor"])
@@ -310,39 +321,21 @@ func (r *Runner) runFig3() error {
 	return nil
 }
 
-func (r *Runner) fig4Task() *sim.Future[any] {
-	iters := r.cfg.Repeats * 2
-	if iters < 3 {
-		iters = 3
-	}
-	return r.fixedCircuitTask("fig4", streamFig4, iters, false)
-}
-
 // runFig4 prints the fixed-guard / variable middle+exit comparison.
 func (r *Runner) runFig4() error {
-	v, err := r.fig4Task().Wait()
+	fc, err := submit(r, r.cfg.fig4Cell()).Wait()
 	if err != nil {
 		return err
 	}
-	samples := v.(*fixedCircuitData).Samples
-	var rows []struct {
-		Name string
-		Box  stats.Box
-	}
-	for _, m := range []string{"tor", "obfs4"} {
-		rows = append(rows, struct {
-			Name string
-			Box  stats.Box
-		}{m, stats.Summarize(samples[m])})
-	}
-	r.writeBoxes("Fixed guard, Tor-selected middle/exit: website access time (s)", rows)
+	r.writeBoxes("Fixed guard, Tor-selected middle/exit: website access time (s)",
+		sampleRows(fc.Samples, []string{"tor", "obfs4"}))
 	return nil
 }
 
 // runFig5 prints mean download time per file size, excluding methods
 // that completed a size fewer than two times (as the paper does).
 func (r *Runner) runFig5() error {
-	data, err := r.filesData()
+	data, err := submit(r, r.cfg.filesCell()).Wait()
 	if err != nil {
 		return err
 	}
@@ -384,7 +377,7 @@ func (r *Runner) runFig5() error {
 
 // runFig6 prints the TTFB ECDF.
 func (r *Runner) runFig6() error {
-	data, err := r.curlData()
+	data, err := submit(r, r.cfg.curlCell()).Wait()
 	if err != nil {
 		return err
 	}
@@ -403,54 +396,36 @@ var (
 	fig7Locations = []geo.Location{geo.Bangalore, geo.London, geo.Toronto}
 )
 
-// fig7Task submits the location world for one client city.
-func (r *Runner) fig7Task(li int) *sim.Future[any] {
-	loc := fig7Locations[li]
-	opts := r.worldOptions(streamFig7, int64(li))
-	opts.ClientLocation = loc
-	spec := r.cellSpec(fmt.Sprintf("methods=%v", fig7Methods))
-	return r.worldTask("fig7:"+loc.Short(), opts, spec,
-		jsonValue[map[string][]float64](),
-		func(w *testbed.World) (any, error) {
-			return r.accessSamples(w, fig7Methods)
-		})
-}
-
-func prefetchFig7(r *Runner) {
-	for li := range fig7Locations {
-		r.fig7Task(li)
+// fig7Cells names the location worlds, one per client city.
+func (c Config) fig7Cells() []cell[methodsIn, map[string][]float64] {
+	var cells []cell[methodsIn, map[string][]float64]
+	for li, loc := range fig7Locations {
+		opts := c.worldOptions(streamFig7, int64(li))
+		opts.ClientLocation = loc
+		cells = append(cells, c.samplesCell("fig7:"+loc.Short(), opts, fig7Methods))
 	}
+	return cells
 }
 
 // runFig7 measures meek/obfs4/snowflake from the paper's three client
 // cities — one independent world per city, all three in flight at once.
 func (r *Runner) runFig7() error {
-	prefetchFig7(r)
-	var rows []struct {
-		Name string
-		Box  stats.Box
+	cells, err := waitAll(r, r.cfg.fig7Cells())
+	if err != nil {
+		return err
 	}
-	for li, loc := range fig7Locations {
-		v, err := r.fig7Task(li).Wait()
-		if err != nil {
-			return err
-		}
-		samples := v.(map[string][]float64)
-		for _, name := range fig7Methods {
-			rows = append(rows, struct {
-				Name string
-				Box  stats.Box
-			}{fmt.Sprintf("%s@%s", name, loc.Short()), stats.Summarize(samples[name])})
-		}
+	g := grid[map[string][]float64]{cells: cells, methods: fig7Methods}
+	for _, loc := range fig7Locations {
+		g.labels = append(g.labels, loc.Short())
 	}
-	r.writeBoxes("Website access time by client location (s)", rows)
+	r.writeBoxes("Website access time by client location (s)", g.rows("@", sampleOf))
 	return nil
 }
 
 // runFig8 prints reliability: the complete/partial/failed split (8a)
 // and the downloaded-fraction ECDF for the three unreliable PTs (8b).
 func (r *Runner) runFig8() error {
-	data, err := r.filesData()
+	data, err := submit(r, r.cfg.filesCell()).Wait()
 	if err != nil {
 		return err
 	}
@@ -482,71 +457,52 @@ func (r *Runner) runFig8() error {
 	return nil
 }
 
-// fig9Task submits the pinned-circuit overhead world: per-transport
-// time difference over an identical circuit.
-func (r *Runner) fig9Task() *sim.Future[any] {
-	spec := r.cellSpec(fmt.Sprintf("sites=%d", r.cfg.Sites))
-	return r.worldTask("fig9", r.worldOptions(streamFig9), spec,
-		jsonValue[map[string][]float64](),
-		func(w *testbed.World) (any, error) {
-			sites := r.sites(w)
-			if len(sites) > r.cfg.Sites {
-				sites = sites[:r.cfg.Sites]
-			}
-			results, err := r.forEachMethod(w, testbed.OverheadPTs, func(name string) (any, error) {
-				rig, err := w.NewOverheadRig(name, int64(len(name))*13)
-				if err != nil {
-					return nil, err
-				}
-				var diffs []float64
-				for _, site := range sites {
-					torC := &fetch.Client{Net: w.Net, Dial: rig.TorDial, Timeout: pageTimeout}
-					ptC := &fetch.Client{Net: w.Net, Dial: rig.PTDial, Timeout: pageTimeout}
-					tTor := torC.Get(w.Origin.Addr(), site.path, false)
-					tPT := ptC.Get(w.Origin.Addr(), site.path, false)
-					diffs = append(diffs, seconds(tPT.Total)-seconds(tTor.Total))
-				}
-				return diffs, nil
-			})
-			if err != nil {
-				return nil, err
-			}
-			out := make(map[string][]float64, len(results))
-			//simlint:allow maprange -- map-to-map copy under the same keys; per-key writes commute, and readers order methods explicitly before rendering.
-			for name, v := range results {
-				if diffs, ok := v.([]float64); ok {
-					out[name] = diffs
-				}
-			}
-			return out, nil
-		})
+// fig9Cell names the pinned-circuit overhead world.
+func (c Config) fig9Cell() cell[methodsIn, map[string][]float64] {
+	return cell[methodsIn, map[string][]float64]{
+		key:     "fig9",
+		opts:    c.worldOptions(streamFig9),
+		in:      methodsIn{testbed.OverheadPTs, c.Sequential},
+		measure: measureOverhead,
+	}
+}
+
+// measureOverhead returns, per transport, the time difference to
+// vanilla Tor over an identical circuit for each Tranco site.
+func measureOverhead(w *testbed.World, in methodsIn) (map[string][]float64, error) {
+	sites := firstSites(w, len(w.Tranco.Sites))
+	return forEachMethod(w, in.Methods, in.Sequential, func(name string) ([]float64, error) {
+		rig, err := w.NewOverheadRig(name, int64(len(name))*13)
+		if err != nil {
+			return nil, err
+		}
+		var diffs []float64
+		for _, site := range sites {
+			torC := &fetch.Client{Net: w.Net, Dial: rig.TorDial, Timeout: pageTimeout}
+			ptC := &fetch.Client{Net: w.Net, Dial: rig.PTDial, Timeout: pageTimeout}
+			tTor := torC.Get(w.Origin.Addr(), site, false)
+			tPT := ptC.Get(w.Origin.Addr(), site, false)
+			diffs = append(diffs, seconds(tPT.Total)-seconds(tTor.Total))
+		}
+		return diffs, nil
+	})
 }
 
 // runFig9 prints per-transport overhead over an identical pinned
 // circuit: positive means the PT added time over vanilla Tor.
 func (r *Runner) runFig9() error {
-	v, err := r.fig9Task().Wait()
+	samples, err := submit(r, r.cfg.fig9Cell()).Wait()
 	if err != nil {
 		return err
 	}
-	samples := v.(map[string][]float64)
-	var rows []struct {
-		Name string
-		Box  stats.Box
-	}
-	for _, name := range testbed.OverheadPTs {
-		rows = append(rows, struct {
-			Name string
-			Box  stats.Box
-		}{name, stats.Summarize(samples[name])})
-	}
-	r.writeBoxes("PT − vanilla Tor time difference on an identical circuit (s)", rows)
+	r.writeBoxes("PT − vanilla Tor time difference on an identical circuit (s)",
+		sampleRows(samples, testbed.OverheadPTs))
 	return nil
 }
 
 // snowflakeAccess measures snowflake website access in the current load
 // state of its own world.
-func (r *Runner) snowflakeAccess(w *testbed.World, nSites int) ([]float64, error) {
+func snowflakeAccess(w *testbed.World, nSites int) ([]float64, error) {
 	d, err := w.Deployment("snowflake")
 	if err != nil {
 		return nil, err
@@ -563,17 +519,7 @@ func (r *Runner) snowflakeAccess(w *testbed.World, nSites int) ([]float64, error
 	if err != nil {
 		return nil, err
 	}
-	c := &fetch.Client{Net: w.Net, Dial: d.Dial, Timeout: pageTimeout}
-	sites := r.sites(w)
-	if len(sites) > nSites {
-		sites = sites[:nSites]
-	}
-	var xs []float64
-	for _, site := range sites {
-		res := c.Get(w.Origin.Addr(), site.path, false)
-		xs = append(xs, seconds(res.Total))
-	}
-	return xs, nil
+	return getAll(w, d.Dial, firstSites(w, nSites)), nil
 }
 
 // surgePhases is the §5.3 snowflake load timeline, owned by the censor
@@ -585,8 +531,8 @@ var surgePhases = censor.SurgePhases
 // phases by hand (10 and 12): a scenario that carries its own phase
 // timeline is dropped there, because the armed timers would override
 // the manual SetLoad stepping mid-measurement.
-func (r *Runner) manualLoadOptions(stream int64) testbed.Options {
-	opts := r.worldOptions(stream)
+func (c Config) manualLoadOptions(stream int64) testbed.Options {
+	opts := c.worldOptions(stream)
 	if opts.Scenario != "" {
 		if sc, err := censor.Lookup(opts.Scenario); err == nil && len(sc.Phases) > 0 {
 			opts.Scenario = ""
@@ -595,34 +541,39 @@ func (r *Runner) manualLoadOptions(stream int64) testbed.Options {
 	return opts
 }
 
-// surgeAccess is the fig10 world-task result.
+// surgeAccess is the fig10 cell result.
 type surgeAccess struct {
 	Pre, Post []float64
 }
 
-// fig10Task submits the §5.3 surge world: snowflake access before and
+// fig10Cell names the §5.3 surge world. Its measurement reads nothing
+// of the Config that the world does not carry.
+func (c Config) fig10Cell() cell[struct{}, *surgeAccess] {
+	return cell[struct{}, *surgeAccess]{
+		key:     "fig10",
+		opts:    c.manualLoadOptions(streamFig10),
+		measure: measureSurge,
+	}
+}
+
+// measureSurge measures snowflake access to the Tranco sites before and
 // after the September load step.
-func (r *Runner) fig10Task() *sim.Future[any] {
-	spec := r.cellSpec(fmt.Sprintf("sites=%d", r.cfg.Sites))
-	return r.worldTask("fig10", r.manualLoadOptions(streamFig10), spec,
-		jsonValue[*surgeAccess](),
-		func(w *testbed.World) (any, error) {
-			d, err := w.Deployment("snowflake")
-			if err != nil {
-				return nil, err
-			}
-			d.Snowflake().SetLoad(surgePhases[0].Util, surgePhases[0].Lifetime)
-			pre, err := r.snowflakeAccess(w, r.cfg.Sites)
-			if err != nil {
-				return nil, err
-			}
-			d.Snowflake().SetLoad(surgePhases[1].Util, surgePhases[1].Lifetime)
-			post, err := r.snowflakeAccess(w, r.cfg.Sites)
-			if err != nil {
-				return nil, err
-			}
-			return &surgeAccess{Pre: pre, Post: post}, nil
-		})
+func measureSurge(w *testbed.World, _ struct{}) (*surgeAccess, error) {
+	d, err := w.Deployment("snowflake")
+	if err != nil {
+		return nil, err
+	}
+	d.Snowflake().SetLoad(surgePhases[0].Util, surgePhases[0].Lifetime)
+	pre, err := snowflakeAccess(w, len(w.Tranco.Sites))
+	if err != nil {
+		return nil, err
+	}
+	d.Snowflake().SetLoad(surgePhases[1].Util, surgePhases[1].Lifetime)
+	post, err := snowflakeAccess(w, len(w.Tranco.Sites))
+	if err != nil {
+		return nil, err
+	}
+	return &surgeAccess{Pre: pre, Post: post}, nil
 }
 
 // runFig10 prints the snowflake user-count timeline (10a, from the load
@@ -638,15 +589,11 @@ func (r *Runner) runFig10() error {
 	t.write(r.out)
 	fmt.Fprintln(r.out)
 
-	v, err := r.fig10Task().Wait()
+	surge, err := submit(r, r.cfg.fig10Cell()).Wait()
 	if err != nil {
 		return err
 	}
-	surge := v.(*surgeAccess)
-	rows := []struct {
-		Name string
-		Box  stats.Box
-	}{
+	rows := []boxRow{
 		{"pre-September", stats.Summarize(surge.Pre)},
 		{"post-September", stats.Summarize(surge.Post)},
 	}
@@ -660,7 +607,7 @@ func (r *Runner) runFig10() error {
 
 // runFig11 prints the browsertime speed-index boxes.
 func (r *Runner) runFig11() error {
-	data, err := r.seleniumData()
+	data, err := submit(r, r.cfg.seleniumCell()).Wait()
 	if err != nil {
 		return err
 	}
@@ -669,58 +616,54 @@ func (r *Runner) runFig11() error {
 	return nil
 }
 
-// labeledSamples is one labeled sample vector of a world-task result.
+// labeledSamples is one labeled sample vector of a cell result.
 type labeledSamples struct {
 	Label string
 	Xs    []float64
 }
 
-// fig12Task submits the monthly-monitoring world: the surge phases
-// stepped in sequence on one snowflake deployment.
-func (r *Runner) fig12Task() *sim.Future[any] {
-	spec := r.cellSpec(fmt.Sprintf("sites=%d", r.cfg.Sites))
-	return r.worldTask("fig12", r.manualLoadOptions(streamFig12), spec,
-		jsonValue[[]labeledSamples](),
-		func(w *testbed.World) (any, error) {
-			d, err := w.Deployment("snowflake")
-			if err != nil {
-				return nil, err
-			}
-			n := r.cfg.Sites / 2
-			if n < 4 {
-				n = 4
-			}
-			var series []labeledSamples
-			for _, lv := range surgePhases {
-				if lv.Label == "post-Sept-2022" {
-					continue // fig12 shows pre + the monthly series
-				}
-				d.Snowflake().SetLoad(lv.Util, lv.Lifetime)
-				xs, err := r.snowflakeAccess(w, n)
-				if err != nil {
-					return nil, err
-				}
-				series = append(series, labeledSamples{Label: lv.Label, Xs: xs})
-			}
-			return series, nil
-		})
+// fig12Cell names the monthly-monitoring world.
+func (c Config) fig12Cell() cell[struct{}, []labeledSamples] {
+	return cell[struct{}, []labeledSamples]{
+		key:     "fig12",
+		opts:    c.manualLoadOptions(streamFig12),
+		measure: measureMonthly,
+	}
+}
+
+// measureMonthly steps the surge phases in sequence on one snowflake
+// deployment, sampling half the Tranco sites (at least four sites) per
+// phase.
+func measureMonthly(w *testbed.World, _ struct{}) ([]labeledSamples, error) {
+	d, err := w.Deployment("snowflake")
+	if err != nil {
+		return nil, err
+	}
+	n := max(len(w.Tranco.Sites)/2, 4)
+	var series []labeledSamples
+	for _, lv := range surgePhases {
+		if lv.Label == "post-Sept-2022" {
+			continue // fig12 shows pre + the monthly series
+		}
+		d.Snowflake().SetLoad(lv.Util, lv.Lifetime)
+		xs, err := snowflakeAccess(w, n)
+		if err != nil {
+			return nil, err
+		}
+		series = append(series, labeledSamples{Label: lv.Label, Xs: xs})
+	}
+	return series, nil
 }
 
 // runFig12 prints the post-September monthly monitoring boxes.
 func (r *Runner) runFig12() error {
-	v, err := r.fig12Task().Wait()
+	series, err := submit(r, r.cfg.fig12Cell()).Wait()
 	if err != nil {
 		return err
 	}
-	var rows []struct {
-		Name string
-		Box  stats.Box
-	}
-	for _, s := range v.([]labeledSamples) {
-		rows = append(rows, struct {
-			Name string
-			Box  stats.Box
-		}{s.Label, stats.Summarize(s.Xs)})
+	var rows []boxRow
+	for _, s := range series {
+		rows = append(rows, boxRow{s.Label, stats.Summarize(s.Xs)})
 	}
 	r.writeBoxes("Snowflake monthly website access time (s)", rows)
 	return nil
@@ -728,7 +671,7 @@ func (r *Runner) runFig12() error {
 
 // runTables34 prints the curl paired t-test table.
 func (r *Runner) runTables34() error {
-	data, err := r.curlData()
+	data, err := submit(r, r.cfg.curlCell()).Wait()
 	if err != nil {
 		return err
 	}
@@ -739,7 +682,7 @@ func (r *Runner) runTables34() error {
 
 // runTables56 prints the selenium paired t-test table.
 func (r *Runner) runTables56() error {
-	data, err := r.seleniumData()
+	data, err := submit(r, r.cfg.seleniumCell()).Wait()
 	if err != nil {
 		return err
 	}
@@ -751,7 +694,7 @@ func (r *Runner) runTables56() error {
 // runTable7 prints the file-download paired t-test table, pairing
 // attempts by (size, attempt index).
 func (r *Runner) runTable7() error {
-	data, err := r.filesData()
+	data, err := submit(r, r.cfg.filesCell()).Wait()
 	if err != nil {
 		return err
 	}
@@ -771,7 +714,7 @@ func (r *Runner) runTable7() error {
 
 // runTables89 prints the speed-index paired t-test table.
 func (r *Runner) runTables89() error {
-	data, err := r.seleniumData()
+	data, err := submit(r, r.cfg.seleniumCell()).Wait()
 	if err != nil {
 		return err
 	}
@@ -782,16 +725,16 @@ func (r *Runner) runTables89() error {
 
 // runTable10 prints the category-pair t-tests over the curl data.
 func (r *Runner) runTable10() error {
-	data, err := r.curlData()
+	data, err := submit(r, r.cfg.curlCell()).Wait()
 	if err != nil {
 		return err
 	}
 	cats := pt.ByCategory()
 	catData := map[string]*accessData{}
 	if d, ok := data["tor"]; ok {
-		catData["Tor"] = d
+		catData["Tor"] = &accessData{Name: "Tor", Times: d.Times}
 	}
-	//simlint:allow maprange -- per-category aggregation: each key writes only its own catData entry (members iterate a slice), so writes commute; allPairsNamed fixes the output order.
+	//simlint:allow maprange -- per-category aggregation: each key writes only its own catData entry (members iterate a slice), so writes commute; allPairs fixes the output order.
 	for cat, members := range cats {
 		agg := &accessData{Name: cat.String()}
 		var n int
@@ -818,29 +761,6 @@ func (r *Runner) runTable10() error {
 	}
 	order := []string{"Tor", pt.ProxyLayer.String(), pt.Tunneling.String(), pt.Mimicry.String(), pt.FullyEncrypted.String()}
 	writePairedT(r.out, "Paired t-tests, PT category pairs (curl access)",
-		allPairsNamed(catData, order))
+		allPairs(catData, times, order))
 	return nil
-}
-
-// allPairsNamed is allPairs over explicitly named datasets.
-func allPairsNamed(data map[string]*accessData, order []string) []pairResult {
-	var out []pairResult
-	for i := 0; i < len(order); i++ {
-		a, ok := data[order[i]]
-		if !ok {
-			continue
-		}
-		for j := i + 1; j < len(order); j++ {
-			b, ok := data[order[j]]
-			if !ok {
-				continue
-			}
-			res, err := stats.PairedT(a.Times, b.Times)
-			if err != nil {
-				continue
-			}
-			out = append(out, pairResult{Name: order[i] + "-" + order[j], Res: res})
-		}
-	}
-	return out
 }

@@ -122,7 +122,7 @@ type Runner struct {
 	cache   *obs.Cache   // nil unless EnableCache was called
 
 	mu    sync.Mutex
-	tasks map[string]*sim.Future[any]
+	cells map[string]any // cell key → its *sim.Future[Out] (see submit)
 
 	// omu guards the observability sinks: per-cell timelines and the
 	// captured experiment sections the HTML report embeds.
@@ -138,7 +138,7 @@ func New(cfg Config, out io.Writer) *Runner {
 		cfg:       c,
 		out:       out,
 		exec:      sim.NewExecutor(c.Jobs),
-		tasks:     make(map[string]*sim.Future[any]),
+		cells:     make(map[string]any),
 		timelines: make(map[string]*obs.Timeline),
 	}
 	if c.Progress != nil {
@@ -149,31 +149,6 @@ func New(cfg Config, out io.Writer) *Runner {
 
 // Config returns the effective (defaulted) configuration.
 func (r *Runner) Config() Config { return r.cfg }
-
-// task submits (once) the keyed world task fn on the shard executor and
-// returns its future; later calls with the same key return the same
-// future. This is the Runner's memoization: experiments submit every
-// world they need up front (prefetch), then join and render in
-// canonical order, so reports never depend on completion order. Task
-// bodies must follow the sim package's determinism contract — build
-// their own world, return values, never write to r.out, and never wait
-// on another task's future (a full executor would deadlock).
-func (r *Runner) task(key string, fn func() (any, error)) *sim.Future[any] {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if f, ok := r.tasks[key]; ok {
-		return f
-	}
-	r.monitor.Register(key)
-	f := sim.Submit(r.exec, func() (any, error) {
-		r.monitor.Start(key)
-		v, err := fn()
-		r.monitor.Finish(key, err)
-		return v, err
-	})
-	r.tasks[key] = f
-	return f
-}
 
 // Experiment describes one runnable artifact reproduction.
 type Experiment struct {
@@ -186,9 +161,10 @@ type Experiment struct {
 	// Optional experiments (the censor scenarios and the sweep) go
 	// beyond the paper's artifacts and are excluded from "all".
 	Optional bool
-	// prefetch submits the experiment's world tasks without waiting,
-	// so "all" overlaps every experiment's simulation work across the
-	// executor while still rendering in paper order.
+	// prefetch submits the experiment's cells without waiting (the
+	// same cells run joins), so "all" overlaps every experiment's
+	// simulation work across the executor while still rendering in
+	// paper order.
 	prefetch func(*Runner)
 	run      func(*Runner) error
 }
@@ -199,24 +175,24 @@ func Experiments() []Experiment {
 	exps := []Experiment{
 		{ID: "table1", Artifact: "Table 1", Title: "measurement campaign overview", run: (*Runner).runTable1},
 		{ID: "table2", Artifact: "Table 2", Title: "28 candidate transports at a glance", run: (*Runner).runTable2},
-		{ID: "fig2a", Artifact: "Figure 2a", Title: "website access time, curl", prefetch: prefetchCurl, run: (*Runner).runFig2a},
-		{ID: "fig2b", Artifact: "Figure 2b", Title: "website access time, selenium", prefetch: prefetchSelenium, run: (*Runner).runFig2b},
-		{ID: "fig3", Artifact: "Figure 3a/3b", Title: "fixed-circuit comparison and ECDF", prefetch: func(r *Runner) { r.fig3Task() }, run: (*Runner).runFig3},
-		{ID: "fig4", Artifact: "Figure 4", Title: "fixed guard, variable middle/exit", prefetch: func(r *Runner) { r.fig4Task() }, run: (*Runner).runFig4},
-		{ID: "fig5", Artifact: "Figure 5", Title: "file download time by size", prefetch: prefetchFiles, run: (*Runner).runFig5},
-		{ID: "fig6", Artifact: "Figure 6", Title: "time to first byte ECDF", prefetch: prefetchCurl, run: (*Runner).runFig6},
-		{ID: "fig7", Artifact: "Figure 7", Title: "client-location variation", prefetch: prefetchFig7, run: (*Runner).runFig7},
-		{ID: "fig8", Artifact: "Figure 8a/8b", Title: "download reliability", prefetch: prefetchFiles, run: (*Runner).runFig8},
-		{ID: "fig9", Artifact: "Figure 9", Title: "PT overhead vs vanilla Tor", prefetch: func(r *Runner) { r.fig9Task() }, run: (*Runner).runFig9},
-		{ID: "fig10", Artifact: "Figure 10a/10b", Title: "snowflake under load", prefetch: func(r *Runner) { r.fig10Task() }, run: (*Runner).runFig10},
-		{ID: "fig11", Artifact: "Figure 11", Title: "speed index", prefetch: prefetchSelenium, run: (*Runner).runFig11},
-		{ID: "fig12", Artifact: "Figure 12", Title: "snowflake post-September months", prefetch: func(r *Runner) { r.fig12Task() }, run: (*Runner).runFig12},
-		{ID: "medium", Artifact: "Section 4.7", Title: "wired vs wireless access medium", prefetch: prefetchMedium, run: (*Runner).runMedium},
-		{ID: "table3", Artifact: "Tables 3–4", Title: "paired t-tests, curl access", prefetch: prefetchCurl, run: (*Runner).runTables34},
-		{ID: "table5", Artifact: "Tables 5–6", Title: "paired t-tests, selenium access", prefetch: prefetchSelenium, run: (*Runner).runTables56},
-		{ID: "table7", Artifact: "Table 7", Title: "paired t-tests, file download", prefetch: prefetchFiles, run: (*Runner).runTable7},
-		{ID: "table8", Artifact: "Tables 8–9", Title: "paired t-tests, speed index", prefetch: prefetchSelenium, run: (*Runner).runTables89},
-		{ID: "table10", Artifact: "Table 10", Title: "paired t-tests, PT categories", prefetch: prefetchCurl, run: (*Runner).runTable10},
+		{ID: "fig2a", Artifact: "Figure 2a", Title: "website access time, curl", prefetch: one(Config.curlCell), run: (*Runner).runFig2a},
+		{ID: "fig2b", Artifact: "Figure 2b", Title: "website access time, selenium", prefetch: one(Config.seleniumCell), run: (*Runner).runFig2b},
+		{ID: "fig3", Artifact: "Figure 3a/3b", Title: "fixed-circuit comparison and ECDF", prefetch: one(Config.fig3Cell), run: (*Runner).runFig3},
+		{ID: "fig4", Artifact: "Figure 4", Title: "fixed guard, variable middle/exit", prefetch: one(Config.fig4Cell), run: (*Runner).runFig4},
+		{ID: "fig5", Artifact: "Figure 5", Title: "file download time by size", prefetch: one(Config.filesCell), run: (*Runner).runFig5},
+		{ID: "fig6", Artifact: "Figure 6", Title: "time to first byte ECDF", prefetch: one(Config.curlCell), run: (*Runner).runFig6},
+		{ID: "fig7", Artifact: "Figure 7", Title: "client-location variation", prefetch: each(Config.fig7Cells), run: (*Runner).runFig7},
+		{ID: "fig8", Artifact: "Figure 8a/8b", Title: "download reliability", prefetch: one(Config.filesCell), run: (*Runner).runFig8},
+		{ID: "fig9", Artifact: "Figure 9", Title: "PT overhead vs vanilla Tor", prefetch: one(Config.fig9Cell), run: (*Runner).runFig9},
+		{ID: "fig10", Artifact: "Figure 10a/10b", Title: "snowflake under load", prefetch: one(Config.fig10Cell), run: (*Runner).runFig10},
+		{ID: "fig11", Artifact: "Figure 11", Title: "speed index", prefetch: one(Config.seleniumCell), run: (*Runner).runFig11},
+		{ID: "fig12", Artifact: "Figure 12", Title: "snowflake post-September months", prefetch: one(Config.fig12Cell), run: (*Runner).runFig12},
+		{ID: "medium", Artifact: "Section 4.7", Title: "wired vs wireless access medium", prefetch: each(Config.mediumCells), run: (*Runner).runMedium},
+		{ID: "table3", Artifact: "Tables 3–4", Title: "paired t-tests, curl access", prefetch: one(Config.curlCell), run: (*Runner).runTables34},
+		{ID: "table5", Artifact: "Tables 5–6", Title: "paired t-tests, selenium access", prefetch: one(Config.seleniumCell), run: (*Runner).runTables56},
+		{ID: "table7", Artifact: "Table 7", Title: "paired t-tests, file download", prefetch: one(Config.filesCell), run: (*Runner).runTable7},
+		{ID: "table8", Artifact: "Tables 8–9", Title: "paired t-tests, speed index", prefetch: one(Config.seleniumCell), run: (*Runner).runTables89},
+		{ID: "table10", Artifact: "Table 10", Title: "paired t-tests, PT categories", prefetch: one(Config.curlCell), run: (*Runner).runTable10},
 	}
 	for _, name := range censor.Names() {
 		name := name
@@ -226,7 +202,7 @@ func Experiments() []Experiment {
 			Artifact: "Censor layer",
 			Title:    sc.Description,
 			Optional: true,
-			prefetch: func(r *Runner) { r.scenarioTask(name) },
+			prefetch: func(r *Runner) { submit(r, r.cfg.sweepCell(name)) },
 			run:      func(r *Runner) error { return r.runScenario(name) },
 		})
 	}
@@ -235,7 +211,7 @@ func Experiments() []Experiment {
 		Artifact: "Censor layer",
 		Title:    "scenario sweep: {transports} × {scenarios} vs the clean baseline",
 		Optional: true,
-		prefetch: prefetchSweep,
+		prefetch: each(Config.sweepCells),
 		run:      (*Runner).runSweep,
 	})
 	exps = append(exps, Experiment{
@@ -243,7 +219,7 @@ func Experiments() []Experiment {
 		Artifact: "Relay scheduler",
 		Title:    "guard-contention sweep: {tor,obfs4,webtunnel} × {competitor load} + FIFO baseline",
 		Optional: true,
-		prefetch: prefetchContention,
+		prefetch: each(Config.contentionCells),
 		run:      (*Runner).runContention,
 	})
 	exps = append(exps, Experiment{
@@ -251,15 +227,11 @@ func Experiments() []Experiment {
 		Artifact: "Failure & recovery",
 		Title:    "churn-resilience sweep: {tor,obfs4,webtunnel,snowflake} × {relay churn rate} vs the fault-free baseline",
 		Optional: true,
-		prefetch: prefetchChurn,
+		prefetch: each(Config.churnCells),
 		run:      (*Runner).runChurn,
 	})
 	return exps
 }
-
-func prefetchCurl(r *Runner)     { r.curlTask() }
-func prefetchSelenium(r *Runner) { r.seleniumTask() }
-func prefetchFiles(r *Runner)    { r.filesTask() }
 
 // Run executes one experiment by ID ("all" runs every paper artifact;
 // the scenario experiments and the sweep run by explicit ID).
@@ -309,7 +281,7 @@ func (r *Runner) Run(id string) error {
 	return fmt.Errorf("harness: unknown experiment %q (have all, %s)", id, strings.Join(ids, ", "))
 }
 
-// Seed streams. Every world task derives its Options.Seed from
+// Seed streams. Every cell derives its Options.Seed from
 // sim.DeriveSeed(cfg.Seed, stream): distinct streams are statistically
 // independent, equal streams rebuild identical worlds. The campaign
 // worlds (curl, selenium, files) share streamCampaign so the three
@@ -330,58 +302,56 @@ const (
 	streamChurn      = 7000 // one seed for every churn cell
 )
 
-// worldOptions builds one world task's Options on the given seed
-// stream. Per-cell indices (fig7's location, medium's access medium)
-// go in as further path elements — never added into the stream id,
-// which would reintroduce the additive collisions DeriveSeed removes.
-func (r *Runner) worldOptions(stream ...int64) testbed.Options {
+// worldOptions builds one cell's Options on the given seed stream.
+// Per-cell indices (fig7's location, medium's access medium) go in as
+// further path elements — never added into the stream id, which would
+// reintroduce the additive collisions DeriveSeed removes.
+func (c Config) worldOptions(stream ...int64) testbed.Options {
 	return testbed.Options{
-		Seed:      sim.DeriveSeed(r.cfg.Seed, stream...),
-		ByteScale: r.cfg.ByteScale,
-		TrancoN:   r.cfg.Sites,
-		CBLN:      r.cfg.Sites,
-		Scenario:  r.cfg.Scenario,
+		Seed:      sim.DeriveSeed(c.Seed, stream...),
+		ByteScale: c.ByteScale,
+		TrancoN:   c.Sites,
+		CBLN:      c.Sites,
+		Scenario:  c.Scenario,
 	}
 }
 
-// sites returns the measured site set: the first Sites entries of each
-// catalog, Tranco first (order is what aligns paired samples).
-type siteRef struct {
-	list web.List
-	path string
-}
-
-func (r *Runner) sites(w *testbed.World) []siteRef {
-	var out []siteRef
-	for i := 0; i < r.cfg.Sites && i < len(w.Tranco.Sites); i++ {
-		out = append(out, siteRef{web.Tranco, w.Tranco.Sites[i].Path})
-	}
-	for i := 0; i < r.cfg.Sites && i < len(w.CBL.Sites); i++ {
-		out = append(out, siteRef{web.CBL, w.CBL.Sites[i].Path})
+// sitePaths returns the measured site set: every site of each catalog
+// (Config.Sites sized them), Tranco first — order is what aligns paired
+// samples.
+func sitePaths(w *testbed.World) []string {
+	var out []string
+	for _, cat := range []*web.Catalog{w.Tranco, w.CBL} {
+		for _, s := range cat.Sites {
+			out = append(out, s.Path)
+		}
 	}
 	return out
 }
 
-// forEachMethod runs fn for each configured method over world w, in
-// parallel unless Sequential, and returns results keyed by method name.
-// The per-method goroutines are simulation goroutines on w's scheduler,
-// so they interleave deterministically at virtual-time waits.
-func (r *Runner) forEachMethod(w *testbed.World, methods []string, fn func(name string) (any, error)) (map[string]any, error) {
-	return r.forEachMethodN(w, methods, r.parallelism(), fn)
+// firstSites bounds the site sample to its first n paths; the Tranco
+// catalog's size selects exactly the Tranco sites.
+func firstSites(w *testbed.World, n int) []string {
+	paths := sitePaths(w)
+	return paths[:min(n, len(paths))]
 }
 
-// forEachMethodN bounds the concurrency explicitly; bulk campaigns use a
-// low bound so simultaneous downloads do not contend on the shared relay
-// fleet in a way the paper's time-gapped measurements never did. All
-// per-method errors are aggregated (errors.Join); failed methods leave
-// no entry in the result map. Error order is deterministic: the
-// per-method goroutines finish in virtual-time order.
-func (r *Runner) forEachMethodN(w *testbed.World, methods []string, limit int, fn func(name string) (any, error)) (map[string]any, error) {
-	if r.cfg.Sequential || limit < 1 {
+// forEachMethod runs fn for each method over world w — up to 16 at a
+// time, one at a time when sequential — and returns the results keyed
+// by method name. Bulk campaigns run sequentially so simultaneous
+// downloads do not contend on the shared relay fleet in a way the
+// paper's time-gapped measurements never did. The per-method goroutines
+// are simulation goroutines on w's scheduler, so they interleave
+// deterministically at virtual-time waits. Any failure fails the whole
+// call with every per-method error aggregated (errors.Join), in
+// deterministic order: the goroutines finish in virtual-time order.
+func forEachMethod[T any](w *testbed.World, methods []string, sequential bool, fn func(name string) (T, error)) (map[string]T, error) {
+	limit := 16
+	if sequential {
 		limit = 1
 	}
 	clock := w.Net.Clock()
-	out := make(map[string]any, len(methods))
+	out := make(map[string]T, len(methods))
 	var mu sync.Mutex
 	var errs []error
 	wg := netem.NewWaitGroup(clock)
@@ -404,14 +374,10 @@ func (r *Runner) forEachMethodN(w *testbed.World, methods []string, limit int, f
 		})
 	}
 	wg.Wait()
-	return out, errors.Join(errs...)
-}
-
-func (r *Runner) parallelism() int {
-	if r.cfg.Sequential {
-		return 1
+	if len(errs) > 0 {
+		return nil, errors.Join(errs...)
 	}
-	return 16
+	return out, nil
 }
 
 // seconds converts a virtual duration to float seconds for stats.

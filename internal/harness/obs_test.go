@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"strings"
 	"testing"
@@ -144,6 +145,51 @@ func TestCacheSoundness(t *testing.T) {
 	_, _, st3 := cacheRun(t, mutated, dir)
 	if st3.Hits != 3 || st3.Misses != 1 || st3.Stores != 1 {
 		t.Fatalf("mutated run stats = %+v, want 3 hits / 1 miss / 1 store", st3)
+	}
+}
+
+// TestUndecodableEntryCountsAsMiss files garbage under a cell's own
+// digest (schema drift without a version bump): the cell is recomputed
+// and the entry overwritten, so the run must say misses=1, not hits=1 —
+// "hits=N misses=0" is the CI gate for "recomputed nothing".
+func TestUndecodableEntryCountsAsMiss(t *testing.T) {
+	cfg := obsConfig(11)
+	var want bytes.Buffer
+	if err := New(cfg, &want).Run("fig4"); err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	cache, err := obs.OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := cfg.withDefaults().fig4Cell()
+	garbage := &obs.Entry{Key: c.key, Digest: c.digest(cfg.MetricsInterval), Value: json.RawMessage(`"garbage"`)}
+	if err := cache.Store(garbage); err != nil {
+		t.Fatal(err)
+	}
+
+	run := func() (string, obs.CacheStats) {
+		var buf bytes.Buffer
+		r := New(cfg, &buf)
+		if err := r.EnableCache(dir); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Run("fig4"); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String(), r.CacheStats()
+	}
+	rep, st := run()
+	if st != (obs.CacheStats{Misses: 1, Stores: 1}) {
+		t.Fatalf("stats over a garbage entry = %+v, want 0 hits / 1 miss / 1 store", st)
+	}
+	if rep != want.String() {
+		t.Fatalf("recomputed report differs from an uncached run:\n--- uncached ---\n%s\n--- over garbage ---\n%s", want.String(), rep)
+	}
+	if rep, st = run(); st != (obs.CacheStats{Hits: 1}) || rep != want.String() {
+		t.Fatalf("overwritten entry did not answer the rerun: stats %+v", st)
 	}
 }
 

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -11,38 +10,14 @@ import (
 	"strings"
 
 	"ptperf/internal/obs"
-	"ptperf/internal/sim"
-	"ptperf/internal/testbed"
 )
 
 // This file wires the observability layer (internal/obs) into the
-// Runner: every world task goes through worldTask, which attaches a
-// metric recorder when Config.MetricsInterval is set, consults the
-// content-addressed result cache when EnableCache was called, and
-// reports the cell's virtual-time horizon to the progress monitor.
-//
-// The cache contract: a cell's digest covers its key, its (defaulted)
-// testbed.Options, a spec string naming exactly the harness knobs its
-// measurement reads, and the code version. Specs are deliberately
-// per-cell-kind — fig7's cells do not read Config.Repeats, so changing
-// Repeats must invalidate fig3/fig4 but not fig7. Jobs and Plot are
-// never in a spec: the first cannot change results (the determinism
-// contract) and the second only affects rendering.
-
-// decodeFunc decodes a cached cell value back into the concrete type
-// the render paths type-assert on.
-type decodeFunc func([]byte) (any, error)
-
-// jsonValue builds the decoder for a cell kind whose result is T.
-func jsonValue[T any]() decodeFunc {
-	return func(b []byte) (any, error) {
-		var v T
-		if err := json.Unmarshal(b, &v); err != nil {
-			return nil, err
-		}
-		return v, nil
-	}
-}
+// Runner: compute (cell.go) attaches a metric recorder to every cell
+// when Config.MetricsInterval is set, consults the content-addressed
+// result cache when EnableCache was called, and reports the cell's
+// virtual-time horizon to the progress monitor; the sinks and exports
+// live here.
 
 // EnableCache attaches a content-addressed result cache rooted at dir
 // (created if needed). Call before submitting any task.
@@ -62,71 +37,6 @@ func (r *Runner) CacheStats() obs.CacheStats {
 		return obs.CacheStats{}
 	}
 	return r.cache.Stats()
-}
-
-// cellSpec renders the campaign-input spec of one cell kind: the
-// globally relevant knobs first (sampling interval changes the world's
-// event stream; Sequential changes per-method concurrency), then the
-// cell kind's own.
-func (r *Runner) cellSpec(parts ...string) string {
-	base := []string{
-		fmt.Sprintf("metrics=%s", r.cfg.MetricsInterval),
-		fmt.Sprintf("sequential=%v", r.cfg.Sequential),
-	}
-	return strings.Join(append(base, parts...), " ")
-}
-
-// worldTask submits (once) the keyed world cell: consult the cache,
-// else build the world from opts, run measure over it, and store the
-// result. The recorder is attached between world build and measure, so
-// timelines cover exactly the measured campaign. measure's result must
-// survive a JSON round trip unchanged (all cell types do) — that is
-// what makes a cache hit render byte-identically.
-func (r *Runner) worldTask(key string, opts testbed.Options, spec string, decode decodeFunc, measure func(*testbed.World) (any, error)) *sim.Future[any] {
-	return r.task(key, func() (any, error) {
-		var digest string
-		if r.cache != nil {
-			digest = obs.CellDigest(key, opts, spec)
-			if e, ok := r.cache.Load(digest); ok {
-				if v, err := decode(e.Value); err == nil {
-					r.monitor.Cached(key)
-					r.setTimeline(key, e.Timeline)
-					return v, nil
-				}
-				// An undecodable entry (schema drift without a version
-				// bump) falls through to recompute and overwrite.
-			}
-		}
-		w, err := testbed.New(opts)
-		if err != nil {
-			return nil, err
-		}
-		clock := w.Net.Clock()
-		r.monitor.Horizon(key, clock.Now)
-		var rec *obs.Recorder
-		if r.cfg.MetricsInterval > 0 {
-			rec = obs.AttachWorld(w, r.cfg.MetricsInterval)
-		}
-		v, err := measure(w)
-		if err != nil {
-			return nil, err
-		}
-		var tl *obs.Timeline
-		if rec != nil {
-			tl = rec.Close()
-			r.setTimeline(key, tl)
-		}
-		if r.cache != nil {
-			raw, jerr := json.Marshal(v)
-			if jerr != nil {
-				return nil, fmt.Errorf("%s: cache encode: %w", key, jerr)
-			}
-			if serr := r.cache.Store(&obs.Entry{Key: key, Digest: digest, Value: raw, Timeline: tl}); serr != nil {
-				return nil, fmt.Errorf("%s: %w", key, serr)
-			}
-		}
-		return v, nil
-	})
 }
 
 func (r *Runner) setTimeline(key string, tl *obs.Timeline) {

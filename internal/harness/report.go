@@ -55,10 +55,17 @@ func (t *table) write(w io.Writer) {
 	}
 }
 
-// boxRow renders a stats.Box as table cells.
-func boxRow(name string, b stats.Box) []string {
+// boxRow is one labelled row of a box-plot table.
+type boxRow struct {
+	Name string
+	Box  stats.Box
+}
+
+// cells renders the row as table cells.
+func (row boxRow) cells() []string {
+	b := row.Box
 	return []string{
-		name,
+		row.Name,
 		fmt.Sprintf("%d", b.N),
 		fmt.Sprintf("%.2f", b.Min),
 		fmt.Sprintf("%.2f", b.Q1),
@@ -74,15 +81,12 @@ var boxHeader = []string{"method", "n", "min", "q1", "median", "q3", "max", "mea
 
 // writeBoxes prints one box-plot table (plus the ASCII figure when the
 // runner plots).
-func (r *Runner) writeBoxes(title string, rows []struct {
-	Name string
-	Box  stats.Box
-}) {
+func (r *Runner) writeBoxes(title string, rows []boxRow) {
 	w := r.out
 	fmt.Fprintf(w, "%s\n", title)
 	t := newTable(boxHeader...)
 	for _, row := range rows {
-		t.add(boxRow(row.Name, row.Box)...)
+		t.add(row.cells()...)
 	}
 	t.write(w)
 	fmt.Fprintln(w)

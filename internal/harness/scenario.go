@@ -6,8 +6,6 @@ import (
 
 	"ptperf/internal/censor"
 	"ptperf/internal/fetch"
-	"ptperf/internal/sim"
-	"ptperf/internal/stats"
 	"ptperf/internal/testbed"
 )
 
@@ -35,7 +33,7 @@ type scenarioResult struct {
 	Failed int
 }
 
-// scenarioCell is one sweep cell's world-task result.
+// scenarioCell is one sweep cell's result.
 type scenarioCell struct {
 	Data  map[string]*scenarioResult
 	Stats censor.Stats
@@ -59,20 +57,34 @@ func sweepScenarios() []string {
 	return append(order, extra...)
 }
 
-// scenarioOptions builds one scenario cell's world options. All
-// scenarios share one world seed stream, so topology, catalogs and
-// relay draws are identical across the sweep.
-func (r *Runner) scenarioOptions(name string) testbed.Options {
-	opts := r.worldOptions(streamScenario)
+// sweepCell names the world of one scenario. All scenarios share one
+// world seed stream, so topology, catalogs and relay draws are
+// identical across the sweep.
+func (c Config) sweepCell(name string) cell[methodsIn, *scenarioCell] {
+	opts := c.worldOptions(streamScenario)
 	opts.Scenario = name
-	return opts
+	return cell[methodsIn, *scenarioCell]{
+		key:     "scenario:" + name,
+		opts:    opts,
+		in:      methodsIn{c.Transports, c.Sequential},
+		measure: scenarioAccess,
+	}
 }
 
-// scenarioAccess measures website access for every configured transport
-// under one named scenario, over an already-built world.
-func (r *Runner) scenarioAccess(w *testbed.World) (map[string]*scenarioResult, censor.Stats, error) {
-	sites := r.sites(w)
-	results, err := r.forEachMethod(w, r.cfg.Transports, func(method string) (any, error) {
+// sweepCells names every sweep cell in sweepScenarios order.
+func (c Config) sweepCells() []cell[methodsIn, *scenarioCell] {
+	var cells []cell[methodsIn, *scenarioCell]
+	for _, name := range sweepScenarios() {
+		cells = append(cells, c.sweepCell(name))
+	}
+	return cells
+}
+
+// scenarioAccess measures website access for every method under the
+// world's scenario.
+func scenarioAccess(w *testbed.World, in methodsIn) (*scenarioCell, error) {
+	sites := sitePaths(w)
+	data, err := forEachMethod(w, in.Methods, in.Sequential, func(method string) (*scenarioResult, error) {
 		d, err := w.Deployment(method)
 		if err != nil {
 			return nil, err
@@ -83,7 +95,7 @@ func (r *Runner) scenarioAccess(w *testbed.World) (map[string]*scenarioResult, c
 		c := &fetch.Client{Net: w.Net, Dial: d.Dial, Timeout: pageTimeout}
 		res := &scenarioResult{Name: method}
 		for _, site := range sites {
-			got := c.Get(w.Origin.Addr(), site.path, false)
+			got := c.Get(w.Origin.Addr(), site, false)
 			if got.Err != nil || !got.Complete() {
 				res.Times = append(res.Times, pageTimeout.Seconds())
 				res.Failed++
@@ -97,63 +109,23 @@ func (r *Runner) scenarioAccess(w *testbed.World) (map[string]*scenarioResult, c
 		return res, nil
 	})
 	if err != nil {
-		return nil, censor.Stats{}, err
+		return nil, err
 	}
-	out := make(map[string]*scenarioResult, len(results))
-	//simlint:allow maprange -- map-to-map copy under the same keys; per-key writes commute, and every reader orders methods explicitly before rendering.
-	for method, v := range results {
-		if v != nil {
-			out[method] = v.(*scenarioResult)
-		}
-	}
-	var st censor.Stats
+	out := &scenarioCell{Data: data}
 	if w.Censor != nil {
-		st = w.Censor.Stats()
+		out.Stats = w.Censor.Stats()
 	}
-	return out, st, nil
-}
-
-// scenarioTask submits (once) the world task of one scenario cell.
-func (r *Runner) scenarioTask(name string) *sim.Future[any] {
-	spec := r.cellSpec(fmt.Sprintf("methods=%v", r.cfg.Transports))
-	return r.worldTask("scenario:"+name, r.scenarioOptions(name), spec,
-		jsonValue[*scenarioCell](),
-		func(w *testbed.World) (any, error) {
-			data, st, err := r.scenarioAccess(w)
-			if err != nil {
-				return nil, err
-			}
-			return &scenarioCell{Data: data, Stats: st}, nil
-		})
-}
-
-// prefetchSweep submits every sweep cell.
-func prefetchSweep(r *Runner) {
-	for _, name := range sweepScenarios() {
-		r.scenarioTask(name)
-	}
+	return out, nil
 }
 
 // writeScenarioReport prints one scenario's boxes, reliability split and
 // interference counters.
-func (r *Runner) writeScenarioReport(name string, data map[string]*scenarioResult, st censor.Stats) {
+func (r *Runner) writeScenarioReport(name string, sc *scenarioCell) {
+	data, st := sc.Data, sc.Stats
 	order := orderedMethods(r.cfg.Transports)
-	var rows []struct {
-		Name string
-		Box  stats.Box
-	}
-	for _, m := range order {
-		d, ok := data[m]
-		if !ok {
-			continue
-		}
-		rows = append(rows, struct {
-			Name string
-			Box  stats.Box
-		}{m, stats.Summarize(d.Times)})
-	}
 	r.writeBoxes(fmt.Sprintf("Website access time under scenario %q (s; failures count as the %gs timeout)",
-		name, pageTimeout.Seconds()), rows)
+		name, pageTimeout.Seconds()),
+		boxRows(data, func(d *scenarioResult) []float64 { return d.Times }, order))
 
 	t := newTable("method", "ok", "failed", "ok%")
 	for _, m := range order {
@@ -180,12 +152,11 @@ func (r *Runner) runScenario(name string) error {
 	if _, err := censor.Lookup(name); err != nil {
 		return err
 	}
-	v, err := r.scenarioTask(name).Wait()
+	sc, err := submit(r, r.cfg.sweepCell(name)).Wait()
 	if err != nil {
 		return err
 	}
-	cell := v.(*scenarioCell)
-	r.writeScenarioReport(name, cell.Data, cell.Stats)
+	r.writeScenarioReport(name, sc)
 	return nil
 }
 
@@ -197,40 +168,15 @@ func (r *Runner) runSweep() error {
 	names := sweepScenarios()
 	fmt.Fprintf(r.out, "Scenario sweep: %d transports × %d scenarios (same world seed per scenario)\n\n",
 		len(r.cfg.Transports), len(names))
-	prefetchSweep(r)
-	all := make(map[string]map[string]*scenarioResult, len(names))
-	for _, name := range names {
-		v, err := r.scenarioTask(name).Wait()
-		if err != nil {
-			return fmt.Errorf("scenario %s: %w", name, err)
-		}
-		cell := v.(*scenarioCell)
-		all[name] = cell.Data
-		r.writeScenarioReport(name, cell.Data, cell.Stats)
+	cells, err := waitAll(r, r.cfg.sweepCells())
+	if err != nil {
+		return err
 	}
-
-	clean, ok := all["clean"]
-	if !ok {
-		return nil
+	for i, name := range names {
+		r.writeScenarioReport(name, cells[i])
 	}
-	var pairs []pairResult
-	for _, name := range names {
-		if name == "clean" {
-			continue
-		}
-		for _, m := range orderedMethods(r.cfg.Transports) {
-			base, okB := clean[m]
-			under, okU := all[name][m]
-			if !okB || !okU {
-				continue
-			}
-			res, err := stats.PairedT(under.Times, base.Times)
-			if err != nil {
-				continue
-			}
-			pairs = append(pairs, pairResult{Name: fmt.Sprintf("%s@%s-clean", m, name), Res: res})
-		}
-	}
-	writePairedT(r.out, "Paired t-tests, access time per scenario vs clean (positive mean-diff = scenario slower)", pairs)
+	g := grid[*scenarioCell]{cells, names, orderedMethods(r.cfg.Transports)}
+	writePairedT(r.out, "Paired t-tests, access time per scenario vs clean (positive mean-diff = scenario slower)",
+		g.pairsVsFirst(func(c *scenarioCell, m string) []float64 { return c.Data[m].Times }))
 	return nil
 }

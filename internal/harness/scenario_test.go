@@ -78,11 +78,16 @@ func TestScenariosShapeOutcomes(t *testing.T) {
 	r := New(cfg, io.Discard)
 
 	measure := func(name string) (map[string]*scenarioResult, censor.Stats, error) {
-		w, err := testbed.New(r.scenarioOptions(name))
+		c := r.cfg.sweepCell(name)
+		w, err := testbed.New(c.opts)
 		if err != nil {
 			return nil, censor.Stats{}, err
 		}
-		return r.scenarioAccess(w)
+		sc, err := c.measure(w, c.in)
+		if err != nil {
+			return nil, censor.Stats{}, err
+		}
+		return sc.Data, sc.Stats, nil
 	}
 
 	clean, cleanStats, err := measure("clean")

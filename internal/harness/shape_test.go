@@ -32,7 +32,7 @@ func TestPaperShapeHolds(t *testing.T) {
 	}
 	r := New(cfg, io.Discard)
 
-	curl, err := r.curlData()
+	curl, err := submit(r, r.cfg.curlCell()).Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestPaperShapeHolds(t *testing.T) {
 
 	// §4.6: bulk-download reliability splits, from the recorded
 	// attempts themselves.
-	files, err := r.filesData()
+	files, err := submit(r, r.cfg.filesCell()).Wait()
 	if err != nil {
 		t.Fatal(err)
 	}

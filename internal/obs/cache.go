@@ -14,31 +14,31 @@ import (
 )
 
 // This file is the content-addressed world-result cache. A cell's cache
-// key digests everything its result is a function of: the cell key, the
-// fully-defaulted testbed.Options (scenario and fault specs included —
-// they are plain value trees, so encoding/json renders them
-// canonically), a campaign-spec string naming the harness knobs the
-// cell's measurement reads (sites, repeats, method list, sampling
-// interval, ...), and the code version. Equal digest ⇒ byte-identical
+// key digests everything its result is a function of: the code version,
+// the cell key, the fully-defaulted testbed.Options (scenario and fault
+// specs included — they are plain value trees, so encoding/json renders
+// them canonically), and the cell's declared inputs: the plain struct
+// holding every harness knob its measurement can read (method list,
+// repeats, sampling interval, ...). Equal digest ⇒ byte-identical
 // result, because worlds are deterministic functions of exactly those
 // inputs — the determinism tests are what make this cache sound.
 //
 // Entries are JSON files named <digest>.json under the cache directory,
 // written atomically (temp file + rename) so a killed run never leaves
 // a torn entry. The value is the cell's result re-encoded as JSON; the
-// harness registers a decoder per cell kind and the determinism
-// contract plus Go's canonical float formatting guarantee a decoded
-// value renders byte-identically to a computed one.
+// determinism contract plus Go's canonical float formatting guarantee a
+// decoded value renders byte-identically to a computed one.
 
 // CacheVersion invalidates every cache entry when the measurement
-// semantics change. It is combined with the module's VCS revision when
-// the binary carries one; bump it when making changes that alter
-// results without a revision change being visible (e.g. `go test` in a
-// dirty tree).
-const CacheVersion = "ptperf-cache-v1"
+// semantics or the digest layout change. It is combined with the
+// module's VCS revision when the binary carries one; bump it when making
+// changes that alter results without a revision change being visible
+// (e.g. `go test` in a dirty tree).
+const CacheVersion = "ptperf-cache-v2"
 
-// codeVersion returns the cache's code-version component.
-func codeVersion() string {
+// codeVersion is the cache's code-version component, fixed for the life
+// of the process: every digest of every run reads it.
+var codeVersion = func() string {
 	v := CacheVersion
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		for _, s := range bi.Settings {
@@ -51,23 +51,24 @@ func codeVersion() string {
 		}
 	}
 	return v
-}
+}()
 
 // CellDigest returns the content address of one world-cell computation:
-// sha256 over the canonical JSON of (version, cell key, campaign spec,
-// fully-defaulted options). opts is digested after defaulting so two
-// spellings of the same world share an entry.
-func CellDigest(key string, opts testbed.Options, spec string) string {
+// sha256 over the canonical JSON of (version, cell key, fully-defaulted
+// options, declared inputs). opts is digested after defaulting so two
+// spellings of the same world share an entry; in is any JSON-marshalable
+// value (the harness passes the cell's input struct).
+func CellDigest(key string, opts testbed.Options, in any) string {
 	fp := struct {
 		Version string
 		Key     string
-		Spec    string
 		Opts    testbed.Options
-	}{codeVersion(), key, spec, opts.WithDefaults()}
+		In      any
+	}{codeVersion, key, opts.WithDefaults(), in}
 	b, err := json.Marshal(fp)
 	if err != nil {
-		// Options is a plain value tree; a marshal failure is a
-		// programming error in this package, not an input condition.
+		// Options and cell inputs are plain value trees; a marshal
+		// failure is a programming error, not an input condition.
 		panic(fmt.Sprintf("obs: cell digest marshal: %v", err))
 	}
 	sum := sha256.Sum256(b)
@@ -132,27 +133,36 @@ func (c *Cache) path(digest string) string {
 // Load fetches the entry at digest. A missing, unreadable or
 // digest-mismatched entry is a miss (corrupt entries are treated as
 // absent, never fatal).
-func (c *Cache) Load(digest string) (*Entry, bool) {
-	count := func(hit bool) {
-		c.mu.Lock()
-		if hit {
-			c.stats.Hits++
-		} else {
-			c.stats.Misses++
-		}
-		c.mu.Unlock()
+func (c *Cache) Load(digest string) (*Entry, bool) { return c.LoadInto(digest, nil) }
+
+// LoadInto is Load that also decodes the entry's Value into out (when
+// non-nil). A value that does not decode — schema drift without a
+// version bump — is a miss like any other corrupt entry: the caller
+// recomputes and overwrites it, and the run's stats say so.
+func (c *Cache) LoadInto(digest string, out any) (*Entry, bool) {
+	e, ok := c.read(digest, out)
+	c.mu.Lock()
+	if ok {
+		c.stats.Hits++
+	} else {
+		c.stats.Misses++
 	}
+	c.mu.Unlock()
+	return e, ok
+}
+
+func (c *Cache) read(digest string, out any) (*Entry, bool) {
 	data, err := os.ReadFile(c.path(digest))
 	if err != nil {
-		count(false)
 		return nil, false
 	}
 	var e Entry
 	if err := json.Unmarshal(data, &e); err != nil || e.Digest != digest {
-		count(false)
 		return nil, false
 	}
-	count(true)
+	if out != nil && json.Unmarshal(e.Value, out) != nil {
+		return nil, false
+	}
 	return &e, true
 }
 

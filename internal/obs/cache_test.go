@@ -29,8 +29,8 @@ func TestCellDigest(t *testing.T) {
 	if d == CellDigest("other", opts, "spec") {
 		t.Fatal("digest insensitive to cell key")
 	}
-	if d == CellDigest("cell", opts, "spec2") {
-		t.Fatal("digest insensitive to campaign spec")
+	if d == CellDigest("cell", opts, struct{ Repeats int }{2}) {
+		t.Fatal("digest insensitive to the declared inputs")
 	}
 	mutated := opts
 	mutated.TrancoN = 3
@@ -98,5 +98,21 @@ func TestCacheCorruptEntry(t *testing.T) {
 	}
 	if _, ok := c.Load(digest); ok {
 		t.Fatal("digest-mismatched entry loaded as a hit")
+	}
+	// A well-filed entry whose value does not decode into what the
+	// caller expects is a miss too, and is counted as one.
+	if err := c.Store(&Entry{Key: "cell", Digest: digest, Value: json.RawMessage(`"text"`)}); err != nil {
+		t.Fatal(err)
+	}
+	var n int
+	if _, ok := c.LoadInto(digest, &n); ok {
+		t.Fatal("undecodable value loaded as a hit")
+	}
+	if st := c.Stats(); st != (CacheStats{Misses: 3, Stores: 1}) {
+		t.Fatalf("stats = %+v, want 0 hits / 3 misses / 1 store", st)
+	}
+	var s string
+	if _, ok := c.LoadInto(digest, &s); !ok || s != "text" {
+		t.Fatalf("decodable value: ok=%v s=%q", ok, s)
 	}
 }
