@@ -249,6 +249,9 @@ func TestAcctSubConcurrentMonotone(t *testing.T) {
 	var a Acct
 	stop := make(chan struct{})
 	done := make(chan struct{})
+	// Before the writers start: the interval sum below reconstructs the
+	// last snapshot only from a zero first one.
+	prev := a.Snapshot()
 	for g := 0; g < 4; g++ {
 		go func() {
 			defer func() { done <- struct{}{} }()
@@ -268,7 +271,6 @@ func TestAcctSubConcurrentMonotone(t *testing.T) {
 		}()
 	}
 
-	prev := a.Snapshot()
 	var total AcctSnapshot
 	for i := 0; i < 200; i++ {
 		cur := a.Snapshot()

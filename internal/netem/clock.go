@@ -16,8 +16,13 @@
 // speed, reported durations carry no OS-scheduler noise, and identical
 // seeds produce bit-identical results.
 //
+// Simulation goroutines (Clock.Go) are coroutines of the driver, the
+// plain goroutine that built the network, so a hand-over wakes no OS
+// thread and a panic on one comes out of the driver's wait. That takes a
+// go 1.23 toolchain; go.mod says why its go line says less.
+//
 // Pure data-plane consumers need not be goroutines at all: Clock.EventAt
-// runs a callback inline on the dispatching goroutine at a virtual
+// runs a callback inline on the driver's dispatch loop at a virtual
 // instant, Conn.SetReadSink delivers each arrived segment to an inline
 // callback at exactly its arrival time, and Conn.ReadFull parks a
 // record-structured reader once per request instead of once per segment.

@@ -1,8 +1,11 @@
+//go:build go1.23
+
 package netem
 
 import (
 	"container/heap"
 	"fmt"
+	"iter"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,6 +20,11 @@ import (
 // because exactly one simulation goroutine executes at a time and all
 // wake-ups are ordered deterministically — identical seeds produce
 // bit-identical results.
+//
+// Simulation goroutines are coroutines of the clock's driver: a park
+// switches to the driver's dispatch loop, a wake-up is the driver
+// resuming the coroutine, and no second thread is ever woken (DESIGN.md
+// "Performance notes"). The build tag lets a go 1.22 module import iter.
 
 // Epoch anchors the time.Time encoding of virtual deadlines: a virtual
 // instant vt is encoded as Epoch.Add(vt). It is deliberately placed far
@@ -28,15 +36,13 @@ var Epoch = time.Date(2100, 1, 1, 0, 0, 0, 0, time.UTC)
 const noDeadline = time.Duration(-1)
 
 // waiter is one parked simulation goroutine (or one not-yet-started
-// goroutine queued by Go). Waiters are pooled: wake-up is a send on a
-// reusable buffered channel rather than a close, and every structure
-// holding a waiter (ready queue, timer heap, cond wait lists) drops its
-// reference before the wake-up send, so the woken goroutine can recycle
-// it.
+// goroutine queued by Go). Waiters are pooled: every structure holding
+// a waiter (ready queue, timer heap, cond wait lists) drops its
+// reference before the wake-up, so the woken goroutine can recycle it.
 type waiter struct {
-	// ch receives the run-token hand-over; buffered so the dispatcher
-	// never blocks.
-	ch chan struct{}
+	// co is the coroutine to resume; nil for the driver, whose dispatch
+	// loop simply returns when its own waiter comes up.
+	co *coro
 	// at is the virtual wake-up time when timed.
 	at    time.Duration
 	timed bool
@@ -54,7 +60,7 @@ type waiter struct {
 	cond *Cond
 	// timedOut reports, after wake-up, that the timer (not a
 	// broadcast) fired. Written under the scheduler lock before the
-	// wake-up send, read only after it.
+	// wake-up, read only after it.
 	timedOut bool
 	// fn, when non-nil, marks this timer entry as an inline event: when
 	// it reaches the head of the timer heap the dispatcher runs fn on
@@ -64,11 +70,12 @@ type waiter struct {
 
 // waiterPool recycles waiters; a campaign parks millions of times.
 var waiterPool = sync.Pool{
-	New: func() any { return &waiter{ch: make(chan struct{}, 1), heapIndex: -1} },
+	New: func() any { return &waiter{heapIndex: -1} },
 }
 
 // release returns a woken waiter to the pool.
 func (w *waiter) release() {
+	w.co = nil
 	w.timed = false
 	w.woken = false
 	w.timedOut = false
@@ -108,6 +115,26 @@ func (h *timerHeap) Pop() any {
 	return w
 }
 
+// coro is the execution context of one simulation goroutine, a
+// coroutine of the driver. It outlives the function it was minted for: a
+// coroutine costs about nine heap objects, and worlds spawn a goroutine
+// per SENDME.
+type coro struct {
+	// resume switches from the driver into the coroutine and returns
+	// when it parks or finishes, or panics with what it panicked with;
+	// yield, set on the first resume, switches back.
+	resume func() (struct{}, bool)
+	yield  func(struct{}) bool
+	// fn is what Go wants run next, start the ready-queue entry for it.
+	fn    func()
+	start *waiter
+}
+
+// freeCoros bounds the finished coroutines a clock keeps for its next
+// Go. Each is a goroutine an abandoned world never gives back, so the
+// list is small and fixed; two absorb the spawn-per-SENDME pattern.
+const freeCoros = 2
+
 // Clock is the discrete-event scheduler shared by one Network. The name
 // is historical: it still answers Now, but it also owns the registry of
 // simulation goroutines and the event queue that drives virtual time.
@@ -116,7 +143,9 @@ func (h *timerHeap) Pop() any {
 // other goroutine participating in the simulation must be spawned via
 // Go. Exactly one registered goroutine executes at any moment; the rest
 // are parked in scheduler waits (Sleep, Cond, Chan, Mutex, WaitGroup or
-// the conn/pipe operations built on them).
+// the conn/pipe operations built on them). Whenever the driver parks it
+// dispatches: it runs due events on its own stack and resumes
+// coroutines until its own wait is over.
 type Clock struct {
 	mu sync.Mutex
 	// now mirrors the current virtual time; it is written only under mu
@@ -129,6 +158,10 @@ type Clock struct {
 	// registered counts live simulation goroutines, including the
 	// creator.
 	registered int
+	// cur is the coroutine holding the run token, nil for the driver.
+	cur *coro
+	// free holds up to freeCoros finished coroutines for reuse.
+	free []*coro
 	// ready is the FIFO run queue of woken-but-not-yet-running
 	// goroutines. It is a head-indexed ring slice: dispatch advances
 	// readyHead instead of re-slicing, so a long campaign reuses one
@@ -172,18 +205,32 @@ func (c *Clock) newWaiter() *waiter {
 	return w
 }
 
-// park releases the caller's run token and blocks until the dispatcher
+// park releases the caller's run token and returns once the dispatcher
 // hands it back, then recycles the waiter and reports whether its timer
-// fired. The scheduler lock must be held; park unlocks it.
-func (c *Clock) park(w *waiter) (timedOut bool) {
+// fired. The scheduler lock must be held; park unlocks it. l, when
+// non-nil, is the lock the caller holds around the wait (Cond.L): it is
+// released for the wait and held again when park returns or panics — a
+// panic out of dispatch unwinds through callers that unlock l in a defer.
+func (c *Clock) park(w *waiter, l sync.Locker) (timedOut bool) {
 	c.active--
 	if c.active < 0 {
 		c.mu.Unlock()
 		panic("netem: scheduler wait from an unregistered goroutine — spawn simulation goroutines with Clock.Go")
 	}
-	c.dispatchLocked()
-	c.mu.Unlock()
-	<-w.ch
+	if l != nil {
+		// Before dispatching: inline events (Clock.EventAt) may need
+		// the very lock this waiter guards, e.g. a flush callback
+		// pushing into the pipe a reader is parked on.
+		l.Unlock()
+		defer l.Lock()
+	}
+	if co := c.cur; co != nil {
+		w.co = co
+		c.mu.Unlock()
+		co.yield(struct{}{})
+	} else {
+		c.dispatch(w)
+	}
 	timedOut = w.timedOut
 	w.release()
 	return timedOut
@@ -192,30 +239,30 @@ func (c *Clock) park(w *waiter) (timedOut bool) {
 // readyLen reports the number of queued runnable goroutines.
 func (c *Clock) readyLen() int { return len(c.ready) - c.readyHead }
 
-// dispatchLocked hands the run token to the next goroutine: first the
-// ready queue (work at the current virtual time), then the earliest
-// timer (advancing the clock). Inline events (EventAt) encountered at
-// the head of the timer heap are executed on the calling goroutine's
-// stack — the scheduler lock is dropped around the callback and the
-// loop continues, so a burst of data-plane events costs zero goroutine
-// switches. Called with the scheduler lock held and active == 0, or as
-// a no-op when another goroutine still runs.
-func (c *Clock) dispatchLocked() {
-	for c.active == 0 {
-		if c.readyLen() > 0 {
-			w := c.ready[c.readyHead]
+// dispatch is the driver's park: it hands the run token to one waiter
+// after another — first the ready queue (work at the current virtual
+// time), then the earliest timer (advancing the clock) — resuming its
+// coroutine until that parks or finishes, and returns when own, the
+// driver's waiter, comes up. Inline events (EventAt) at the head of the
+// timer heap run here, on the driver's stack, with the scheduler lock
+// dropped around the callback, so a burst of data-plane events costs
+// zero switches. Called with the scheduler lock held and active == 0;
+// returns or panics with it released: a driver that recovers (sim.Submit
+// does) leaves a clock that still answers Registered.
+func (c *Clock) dispatch(own *waiter) {
+	for {
+		var w *waiter
+		switch {
+		case c.readyLen() > 0:
+			w = c.ready[c.readyHead]
 			c.ready[c.readyHead] = nil
 			c.readyHead++
 			if c.readyHead == len(c.ready) {
 				c.ready = c.ready[:0]
 				c.readyHead = 0
 			}
-			c.active++
-			w.ch <- struct{}{}
-			return
-		}
-		if c.timers.Len() > 0 {
-			w := heap.Pop(&c.timers).(*waiter)
+		case c.timers.Len() > 0:
+			w = heap.Pop(&c.timers).(*waiter)
 			if w.at > c.nowLocked() {
 				c.now.Store(int64(w.at))
 			}
@@ -238,16 +285,27 @@ func (c *Clock) dispatchLocked() {
 				w.cond.remove(w)
 				w.cond = nil
 			}
-			c.active++
-			w.ch <- struct{}{}
+		default:
+			msg := fmt.Sprintf(
+				"netem: deadlock — all %d simulation goroutines are blocked with no pending timers at virtual t=%v",
+				c.registered, c.nowLocked())
+			c.mu.Unlock()
+			panic(msg)
+		}
+		c.active++
+		co := w.co
+		if co == nil {
+			c.mu.Unlock()
+			if w != own {
+				panic("netem: two plain goroutines are parked on one clock — all but the driver must be spawned with Clock.Go")
+			}
 			return
 		}
-		if c.registered > 0 {
-			panic(fmt.Sprintf(
-				"netem: deadlock — all %d simulation goroutines are blocked with no pending timers at virtual t=%v",
-				c.registered, c.nowLocked()))
-		}
-		return
+		c.cur = co
+		c.mu.Unlock()
+		co.resume()
+		c.mu.Lock()
+		c.cur = nil
 	}
 }
 
@@ -271,24 +329,40 @@ func (c *Clock) Go(fn func()) {
 	c.mu.Lock()
 	w := c.newWaiter()
 	c.registered++
+	if n := len(c.free); n > 0 {
+		w.co, c.free = c.free[n-1], c.free[:n-1]
+	} else {
+		w.co = c.newCoro()
+	}
+	w.co.fn, w.co.start = fn, w
 	c.readyLocked(w)
 	c.mu.Unlock()
-	//simlint:allow rawgo -- Clock.Go is the one place sim goroutines are minted; the waiter is registered under the scheduler lock above, before the OS goroutine starts.
-	go func() {
-		<-w.ch
-		w.release()
-		defer c.exit()
-		fn()
-	}()
 }
 
-// exit retires a goroutine spawned by Go.
-func (c *Clock) exit() {
-	c.mu.Lock()
-	c.registered--
-	c.active--
-	c.dispatchLocked()
-	c.mu.Unlock()
+// newCoro mints a coroutine that runs the function Go handed it, then
+// waits on the free list for the next one, or returns if that is full.
+func (c *Clock) newCoro() *coro {
+	co := new(coro)
+	co.resume, _ = iter.Pull(func(yield func(struct{}) bool) {
+		co.yield = yield
+		for {
+			co.start.release()
+			co.start = nil
+			co.fn()
+			co.fn = nil
+			c.mu.Lock()
+			c.registered--
+			c.active--
+			if len(c.free) == freeCoros {
+				c.mu.Unlock()
+				return
+			}
+			c.free = append(c.free, co)
+			c.mu.Unlock()
+			yield(struct{}{})
+		}
+	})
+	return co
 }
 
 // Sleep pauses the calling goroutine for a virtual duration. No real
@@ -329,15 +403,15 @@ func (c *Clock) sleepUntilLocked(vt time.Duration) {
 	w.at = vt
 	w.timed = true
 	heap.Push(&c.timers, w)
-	c.park(w)
+	c.park(w, nil)
 }
 
 // EventAt schedules fn to run when virtual time reaches vt (or at the
 // current instant, if vt has already passed). The callback executes
-// inline on whichever goroutine is dispatching at that moment — no
-// goroutine is spawned or unparked for it — which makes it the cheap
-// way to model pure data-plane events: segment deliveries, paced flush
-// passes, SYN arrivals. Ordering is deterministic: events and timers
+// inline on the driver while it dispatches — no goroutine is spawned or
+// unparked for it — which makes it the cheap way to model pure
+// data-plane events: segment deliveries, paced flush passes, SYN
+// arrivals. Ordering is deterministic: events and timers
 // share one heap ordered by (at, seq), so two events at the same
 // instant fire in registration order.
 //

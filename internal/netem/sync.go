@@ -81,24 +81,8 @@ func (cd *Cond) WaitVT(vt time.Duration) bool {
 	cd.nwait.Store(int32(len(cd.waiters)))
 	// Registering under the scheduler lock is what makes the wait
 	// atomic with the condition check: a Broadcast needs the scheduler
-	// lock, which we hold until the waiter is listed. L itself is
-	// released *before* dispatching — the dispatch below may execute
-	// inline events (Clock.EventAt) that need the very lock this waiter
-	// guards, e.g. a flush callback pushing into the pipe a reader is
-	// parked on.
-	c.active--
-	if c.active < 0 {
-		c.mu.Unlock()
-		panic("netem: Cond.Wait from an unregistered goroutine — spawn simulation goroutines with Clock.Go")
-	}
-	cd.L.Unlock()
-	c.dispatchLocked()
-	c.mu.Unlock()
-	<-w.ch
-	timedOut := w.timedOut
-	w.release()
-	cd.L.Lock()
-	return timedOut
+	// lock, which we hold until the waiter is listed.
+	return c.park(w, cd.L)
 }
 
 // remove drops a waiter from the wait list (timer fired before any
@@ -193,7 +177,7 @@ func (m *Mutex) Lock() {
 
 // TryLock acquires the mutex without parking; false means contended.
 // It is the form event callbacks must use: a callback runs on the
-// dispatching goroutine and may not release a run token it doesn't
+// dispatching driver and may not release a run token it doesn't
 // hold.
 func (m *Mutex) TryLock() bool {
 	m.mu.Lock()

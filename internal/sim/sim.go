@@ -80,9 +80,10 @@ func (f *Future[T]) Err() error {
 
 // Submit schedules fn as a world task and returns its future
 // immediately. fn must follow the package-level task contract. A panic
-// on the task goroutine is captured as the future's error (panics on
-// simulation goroutines the task spawns still crash the process, as
-// they would sequentially).
+// on the task goroutine is captured as the future's error, and so is a
+// panic on a simulation goroutine of the task's world: those are
+// coroutines of the task goroutine, and their panics come out of its
+// next scheduler wait.
 func Submit[T any](e *Executor, fn func() (T, error)) *Future[T] {
 	f := &Future[T]{done: make(chan struct{})}
 	go func() {

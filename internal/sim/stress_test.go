@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"ptperf/internal/fetch"
+	"ptperf/internal/netem"
 	"ptperf/internal/sim"
 	"ptperf/internal/testbed"
 )
@@ -87,5 +89,28 @@ func TestConcurrentWorldsMatchSequential(t *testing.T) {
 			t.Errorf("world %d diverged under concurrency:\n--- sequential ---\n%s--- concurrent ---\n%s",
 				i, sequential[i], sig)
 		}
+	}
+}
+
+// TestSimulationGoroutinePanicBecomesError: simulation goroutines are
+// coroutines of the task goroutine, so a panic on one comes out of the
+// task's own wait and lands in the future like any other task panic.
+func TestSimulationGoroutinePanicBecomesError(t *testing.T) {
+	e := sim.NewExecutor(1)
+	f := sim.Submit(e, func() (int, error) {
+		clock := netem.NewClock()
+		clock.Go(func() {
+			clock.Sleep(time.Millisecond)
+			panic("child kaput")
+		})
+		clock.Sleep(time.Second)
+		return 1, nil
+	})
+	if err := f.Err(); err == nil || !strings.Contains(err.Error(), "child kaput") {
+		t.Fatalf("Err() = %v, want the child's panic value", err)
+	}
+	// The executor slot must have been released.
+	if v, err := sim.Submit(e, func() (int, error) { return 7, nil }).Wait(); err != nil || v != 7 {
+		t.Fatalf("executor dead after panic: (%d, %v)", v, err)
 	}
 }

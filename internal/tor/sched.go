@@ -32,7 +32,7 @@ import (
 // Flush passes are inline clock events (netem.Clock.EventAt), not a
 // goroutine: enqueue arms at most one timer per relay per Interval
 // (the armed flag batches arms across circuits), and the pass runs on
-// whichever goroutine is dispatching when the timer fires, writing
+// the world's driver, in its dispatch loop, when the timer fires, writing
 // cells with the non-parking zero-copy Conn.TryWriteOwned. A link that
 // cannot take the write this pass is skipped — KIST semantics — and
 // retried next Interval. Links without the fast path (PT stream

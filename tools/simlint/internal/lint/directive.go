@@ -19,8 +19,8 @@ import (
 //
 //	doRisky() //simlint:allow wallclock -- operator-facing timing output
 //
-//	//simlint:allow rawgo -- scheduler-internal spawn, registered by hand
-//	go func() { ... }()
+//	//simlint:allow maprange -- summing counters: addition commutes
+//	for _, n := range perHost { ... }
 //
 // One directive names one analyzer; stack directives to suppress more
 // than one. As a hard policy floor, noparkinevent may never be
