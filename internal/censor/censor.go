@@ -14,7 +14,6 @@ package censor
 import (
 	"errors"
 	"math/rand"
-	"sync"
 	"time"
 
 	"ptperf/internal/netem"
@@ -61,7 +60,6 @@ type Censor struct {
 	// (nil for non-throttle rules).
 	shapers []*netem.Bucket
 
-	mu    sync.Mutex
 	rng   *rand.Rand
 	conns []*netem.Conn
 	stats Stats
@@ -110,9 +108,7 @@ func (c *Censor) Scenario() Scenario { return c.sc }
 
 // Stats returns a snapshot of the interference counters.
 func (c *Censor) Stats() Stats {
-	c.mu.Lock()
 	s := c.stats
-	c.mu.Unlock()
 	if statsFault != nil {
 		statsFault(&s)
 	}
@@ -146,7 +142,6 @@ func (c *Censor) BindLoad(fn func(LoadPhase)) {
 
 // cut aborts every live flow crossing the match.
 func (c *Censor) cut(m Match) {
-	c.mu.Lock()
 	var victims []*netem.Conn
 	for _, conn := range c.conns {
 		if conn.Closed() {
@@ -157,7 +152,6 @@ func (c *Censor) cut(m Match) {
 		}
 	}
 	c.stats.FlowsCut += len(victims)
-	c.mu.Unlock()
 	for _, conn := range victims {
 		conn.Abort()
 	}
@@ -169,9 +163,7 @@ func (c *Censor) FilterDial(src, dst string) error {
 	now := c.clock.Now()
 	for _, ev := range c.sc.Events {
 		if ev.Rule.Block && ev.active(now) && ev.Rule.Match.Hit(src, dst) {
-			c.mu.Lock()
 			c.stats.BlockedDials++
-			c.mu.Unlock()
 			return ErrBlocked
 		}
 	}
@@ -189,14 +181,10 @@ func (c *Censor) ConnOpened(conn *netem.Conn) {
 		if ev.Rule.Block && ev.active(now) &&
 			ev.Rule.Match.Hit(conn.LocalAddr().String(), conn.RemoteAddr().String()) {
 			conn.Abort()
-			c.mu.Lock()
 			c.stats.FlowsCut++
-			c.mu.Unlock()
 			return
 		}
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if len(c.conns) >= 64 && len(c.conns)%64 == 0 {
 		live := c.conns[:0]
 		for _, cn := range c.conns {
@@ -226,36 +214,22 @@ func (c *Censor) FilterSegment(f netem.Flow, n int) netem.Verdict {
 		if r.Block {
 			// Backstop for any matched flow still alive inside a block
 			// window: the censor RSTs its traffic on sight.
-			c.mu.Lock()
 			c.stats.Resets++
-			c.mu.Unlock()
 			return netem.Verdict{Action: netem.Reset}
 		}
-		if r.ResetProb > 0 {
-			c.mu.Lock()
-			hit := c.rng.Float64() < r.ResetProb
-			if hit {
-				c.stats.Resets++
-			}
-			c.mu.Unlock()
-			if hit {
-				return netem.Verdict{Action: netem.Reset}
-			}
+		if r.ResetProb > 0 && c.rng.Float64() < r.ResetProb {
+			c.stats.Resets++
+			return netem.Verdict{Action: netem.Reset}
 		}
 		if sh := c.shapers[i]; sh != nil && v.Shaper == nil {
 			v.Shaper = sh
-			c.mu.Lock()
 			c.stats.ThrottledSegments++
-			c.mu.Unlock()
 		}
 		v.Extra += r.ExtraDelay
 		if r.Jitter > 0 {
-			c.mu.Lock()
 			v.Extra += time.Duration(c.rng.Int63n(int64(r.Jitter)))
-			c.mu.Unlock()
 		}
 		if r.Loss > 0 {
-			c.mu.Lock()
 			if c.rng.Float64() < r.Loss {
 				pen := r.LossPenalty
 				if pen <= 0 {
@@ -264,7 +238,6 @@ func (c *Censor) FilterSegment(f netem.Flow, n int) netem.Verdict {
 				v.Extra += pen
 				c.stats.LossEvents++
 			}
-			c.mu.Unlock()
 		}
 	}
 	if v.Extra > 0 || v.Shaper != nil {

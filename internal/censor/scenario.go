@@ -178,7 +178,11 @@ type Scenario struct {
 	Phases []LoadPhase
 }
 
+// The registry is the one piece of this package shared by every world
+// of the process: tests Register while parallel cells Lookup from their
+// own drivers' goroutines.
 var (
+	//simlint:allow nolocks -- process-wide scenario registry, read by every world's driver
 	regMu    sync.Mutex
 	registry = map[string]Scenario{}
 )

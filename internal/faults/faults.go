@@ -20,8 +20,6 @@ package faults
 import (
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"ptperf/internal/netem"
@@ -114,14 +112,10 @@ type Injector struct {
 	clock *netem.Clock
 	plan  Plan
 
-	mu      sync.Mutex
 	relays  map[string]*tor.Relay
 	flapped map[string]*netem.Host
 
-	crashes, restarts   atomic.Int64
-	flapsDown, flapsUp  atomic.Int64
-	withdrawn, rejoined atomic.Int64
-	skipped             atomic.Int64
+	stats Stats
 }
 
 // Attach compiles the plan onto the network's virtual clock and returns
@@ -153,15 +147,7 @@ func (inj *Injector) Plan() Plan { return inj.plan }
 // RegisterRelay makes a relay crashable by name. Safe to call after
 // Attach — targets resolve at fire time.
 func (inj *Injector) RegisterRelay(r *tor.Relay) {
-	inj.mu.Lock()
 	inj.relays[r.Descriptor().Name] = r
-	inj.mu.Unlock()
-}
-
-func (inj *Injector) relay(name string) *tor.Relay {
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
-	return inj.relays[name]
 }
 
 // fire executes one event at its instant (and its recovery half after
@@ -169,77 +155,63 @@ func (inj *Injector) relay(name string) *tor.Relay {
 func (inj *Injector) fire(ev Event) {
 	switch ev.Kind {
 	case KindCrash:
-		r := inj.relay(ev.Target)
+		r := inj.relays[ev.Target]
 		if r == nil || !r.Crash() {
-			inj.skipped.Add(1)
+			inj.stats.Skipped++
 			return
 		}
-		inj.crashes.Add(1)
+		inj.stats.Crashes++
 		if ev.Duration > 0 {
 			inj.clock.Sleep(ev.Duration)
 			if r.Restart() == nil {
-				inj.restarts.Add(1)
+				inj.stats.Restarts++
 			} else {
-				inj.skipped.Add(1)
+				inj.stats.Skipped++
 			}
 		}
 	case KindFlap:
 		h := inj.net.Host(ev.Target)
 		if h == nil || h.LinkDown() {
-			inj.skipped.Add(1)
+			inj.stats.Skipped++
 			return
 		}
-		inj.mu.Lock()
 		inj.flapped[ev.Target] = h
-		inj.mu.Unlock()
 		h.SetLinkDown(true)
 		inj.net.AbortHostConns(ev.Target)
-		inj.flapsDown.Add(1)
+		inj.stats.FlapsDown++
 		if ev.Duration > 0 {
 			inj.clock.Sleep(ev.Duration)
 			h.SetLinkDown(false)
-			inj.flapsUp.Add(1)
+			inj.stats.FlapsUp++
 		}
 	case KindChurn:
 		desc, ok := inj.dir.Lookup(ev.Target)
 		if !ok || !inj.dir.Withdraw(ev.Target) {
-			inj.skipped.Add(1)
+			inj.stats.Skipped++
 			return
 		}
-		inj.withdrawn.Add(1)
+		inj.stats.Withdrawn++
 		if ev.Duration > 0 {
 			inj.clock.Sleep(ev.Duration)
 			if inj.dir.Publish(desc) == nil {
-				inj.rejoined.Add(1)
+				inj.stats.Rejoined++
 			} else {
-				inj.skipped.Add(1)
+				inj.stats.Skipped++
 			}
 		}
 	default:
-		inj.skipped.Add(1)
+		inj.stats.Skipped++
 	}
 }
 
 // Stats snapshots the injector's transition counters.
-func (inj *Injector) Stats() Stats {
-	return Stats{
-		Crashes:   inj.crashes.Load(),
-		Restarts:  inj.restarts.Load(),
-		FlapsDown: inj.flapsDown.Load(),
-		FlapsUp:   inj.flapsUp.Load(),
-		Withdrawn: inj.withdrawn.Load(),
-		Rejoined:  inj.rejoined.Load(),
-		Skipped:   inj.skipped.Load(),
-	}
-}
+func (inj *Injector) Stats() Stats { return inj.stats }
 
 // DownHosts lists, sorted, the hosts that are failed *right now*:
 // registered relays still crashed plus flapped hosts whose link is
 // still down. The fuzzer's "no flow survives its host's final crash"
 // invariant audits open conns against this set at campaign end.
 func (inj *Injector) DownHosts() []string {
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
 	set := make(map[string]bool)
 	for _, r := range inj.relays {
 		if r.Crashed() {

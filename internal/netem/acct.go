@@ -3,8 +3,6 @@ package netem
 import (
 	"fmt"
 	"strings"
-	"sync"
-	"sync/atomic"
 )
 
 // This file is the link-layer accounting substrate the simulation-torture
@@ -17,29 +15,16 @@ import (
 // counters and the pipe state cross-check each other: any code path
 // that loses or double-counts a segment breaks the equation.
 
-// Acct aggregates one network's link-layer counters. All fields are
-// updated from simulation goroutines; Snapshot is consistent when taken
-// while the simulation is quiescent (every other simulation goroutine
-// parked), which is how the invariant checkers use it.
+// Acct aggregates one network's link-layer counters. They are plain
+// integers: simulation goroutines update them and Snapshot reads them
+// on the same world's run token (the driver between campaigns, the
+// metrics sampler from its own simulation goroutine), never from
+// outside the world.
 type Acct struct {
-	dials            atomic.Int64
-	dialsRefused     atomic.Int64
-	connsOpened      atomic.Int64
-	connsClosed      atomic.Int64
-	segmentsSent     atomic.Int64
-	segmentsFiltered atomic.Int64
-	bytesSent        atomic.Int64
-	bytesDelivered   atomic.Int64
-	bytesDropped     atomic.Int64
+	// n holds the counters in the shape Snapshot returns them; its
+	// BytesBuffered stays zero (Snapshot sums it from the pipes).
+	n AcctSnapshot
 
-	// Relay-cell scheduler counters (maintained by internal/tor): every
-	// cell accepted into a per-circuit output queue is later either
-	// flushed to its link or dropped at circuit teardown.
-	cellsQueued  atomic.Int64
-	cellsFlushed atomic.Int64
-	cellsDropped atomic.Int64
-
-	mu    sync.Mutex
 	pipes []*pipe
 	conns []*Conn
 }
@@ -70,7 +55,9 @@ type AcctSnapshot struct {
 	// that independence is what makes ConservationErr a real check.
 	BytesBuffered int64
 	// CellsQueued counts relay cells accepted into per-circuit output
-	// queues (the tor relay scheduler's intake).
+	// queues (the tor relay scheduler's intake, maintained by
+	// internal/tor): every such cell is later either flushed to its link
+	// or dropped at circuit teardown.
 	CellsQueued int64
 	// CellsFlushed counts queued cells written to their links.
 	CellsFlushed int64
@@ -84,46 +71,46 @@ func (a *Acct) addDial(refused bool) {
 	if a == nil {
 		return
 	}
-	a.dials.Add(1)
+	a.n.Dials++
 	if refused {
-		a.dialsRefused.Add(1)
+		a.n.DialsRefused++
 	}
 }
 
 func (a *Acct) addConnsOpened(n int64) {
 	if a != nil {
-		a.connsOpened.Add(n)
+		a.n.ConnsOpened += n
 	}
 }
 
 func (a *Acct) addConnClosed() {
 	if a != nil {
-		a.connsClosed.Add(1)
+		a.n.ConnsClosed++
 	}
 }
 
 func (a *Acct) addSegmentFiltered() {
 	if a != nil {
-		a.segmentsFiltered.Add(1)
+		a.n.SegmentsFiltered++
 	}
 }
 
 func (a *Acct) addSent(n int) {
 	if a != nil {
-		a.segmentsSent.Add(1)
-		a.bytesSent.Add(int64(n))
+		a.n.SegmentsSent++
+		a.n.BytesSent += int64(n)
 	}
 }
 
 func (a *Acct) addDelivered(n int) {
 	if a != nil {
-		a.bytesDelivered.Add(int64(n))
+		a.n.BytesDelivered += int64(n)
 	}
 }
 
 func (a *Acct) addDropped(n int) {
 	if a != nil && n > 0 {
-		a.bytesDropped.Add(int64(n))
+		a.n.BytesDropped += int64(n)
 	}
 }
 
@@ -132,21 +119,21 @@ func (a *Acct) addDropped(n int) {
 // in internal/tor while the conservation audit lives here.
 func (a *Acct) AddCellsQueued(n int64) {
 	if a != nil {
-		a.cellsQueued.Add(n)
+		a.n.CellsQueued += n
 	}
 }
 
 // AddCellsFlushed counts queued relay cells written to their links.
 func (a *Acct) AddCellsFlushed(n int64) {
 	if a != nil {
-		a.cellsFlushed.Add(n)
+		a.n.CellsFlushed += n
 	}
 }
 
 // AddCellsDropped counts queued relay cells discarded at teardown.
 func (a *Acct) AddCellsDropped(n int64) {
 	if a != nil && n > 0 {
-		a.cellsDropped.Add(n)
+		a.n.CellsDropped += n
 	}
 }
 
@@ -158,7 +145,6 @@ func (a *Acct) registerConn(c *Conn) {
 	if a == nil {
 		return
 	}
-	a.mu.Lock()
 	if len(a.conns) >= 64 && len(a.conns)%64 == 0 {
 		live := a.conns[:0]
 		for _, cn := range a.conns {
@@ -172,18 +158,14 @@ func (a *Acct) registerConn(c *Conn) {
 		a.conns = live
 	}
 	a.conns = append(a.conns, c)
-	a.mu.Unlock()
 }
 
 // OpenConnAddrs lists the "local→remote" endpoints of every conn not
 // yet closed, in creation order — the leak checkers' diagnostic for
 // naming exactly which flows outlived a campaign.
 func (a *Acct) OpenConnAddrs() []string {
-	a.mu.Lock()
-	conns := a.conns
-	a.mu.Unlock()
 	var out []string
-	for _, c := range conns {
+	for _, c := range a.conns {
 		if !c.Closed() {
 			out = append(out, c.local.host+"→"+c.remote.host)
 		}
@@ -196,9 +178,7 @@ func (a *Acct) OpenConnAddrs() []string {
 // cut. Conns are visited in creation order, so the teardown sequence is
 // deterministic on the virtual clock. Returns the number aborted.
 func (a *Acct) AbortHostConns(host string) int {
-	a.mu.Lock()
 	conns := append([]*Conn(nil), a.conns...)
-	a.mu.Unlock()
 	prefix := host + ":"
 	n := 0
 	for _, c := range conns {
@@ -221,11 +201,10 @@ func (a *Acct) registerPipe(p *pipe) {
 	if a == nil {
 		return
 	}
-	a.mu.Lock()
 	if len(a.pipes) >= 64 && len(a.pipes)%64 == 0 {
 		live := a.pipes[:0]
 		for _, lp := range a.pipes {
-			if !lp.readerClosed() {
+			if !lp.rclosed {
 				live = append(live, lp)
 			}
 		}
@@ -235,34 +214,15 @@ func (a *Acct) registerPipe(p *pipe) {
 		a.pipes = live
 	}
 	a.pipes = append(a.pipes, p)
-	a.mu.Unlock()
 }
 
 // Snapshot copies the counters and sums the live pipes' buffered bytes.
 // Call it from the driver goroutine at a quiescent point (no other
 // simulation goroutine running) for a consistent view.
 func (a *Acct) Snapshot() AcctSnapshot {
-	s := AcctSnapshot{
-		Dials:            a.dials.Load(),
-		DialsRefused:     a.dialsRefused.Load(),
-		ConnsOpened:      a.connsOpened.Load(),
-		ConnsClosed:      a.connsClosed.Load(),
-		SegmentsSent:     a.segmentsSent.Load(),
-		SegmentsFiltered: a.segmentsFiltered.Load(),
-		BytesSent:        a.bytesSent.Load(),
-		BytesDelivered:   a.bytesDelivered.Load(),
-		BytesDropped:     a.bytesDropped.Load(),
-		CellsQueued:      a.cellsQueued.Load(),
-		CellsFlushed:     a.cellsFlushed.Load(),
-		CellsDropped:     a.cellsDropped.Load(),
-	}
-	a.mu.Lock()
-	pipes := a.pipes
-	a.mu.Unlock()
-	for _, p := range pipes {
-		p.mu.Lock()
+	s := a.n
+	for _, p := range a.pipes {
 		s.BytesBuffered += int64(p.buffered)
-		p.mu.Unlock()
 	}
 	return s
 }

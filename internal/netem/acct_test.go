@@ -3,6 +3,7 @@ package netem
 import (
 	"io"
 	"testing"
+	"time"
 )
 
 // TestAcctByteConservation drives a transfer (including an aborted one,
@@ -240,39 +241,39 @@ func TestAcctSnapshotSub(t *testing.T) {
 	}
 }
 
-// TestAcctSubConcurrentMonotone hammers an Acct from many goroutines
-// while a sampler takes successive snapshots and subtracts them: with
-// every counter monotone, no pair of ordered snapshots may ever produce
-// a clamped (regressed) field — the guarantee the per-interval metric
-// timelines rely on.
+// TestAcctSubConcurrentMonotone hammers an Acct from several simulation
+// goroutines while a sampler goroutine of the same world takes
+// successive snapshots and subtracts them: with every counter monotone,
+// no pair of ordered snapshots may ever produce a clamped (regressed)
+// field — the guarantee the per-interval metric timelines rely on. The
+// counters are plain integers, so writers and sampler share the world's
+// run token like the obs sampler does; a reader outside the world would
+// be a data race.
 func TestAcctSubConcurrentMonotone(t *testing.T) {
 	var a Acct
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	// Before the writers start: the interval sum below reconstructs the
-	// last snapshot only from a zero first one.
-	prev := a.Snapshot()
+	c := NewClock()
+	stop := false
+	writers := NewWaitGroup(c)
 	for g := 0; g < 4; g++ {
-		go func() {
-			defer func() { done <- struct{}{} }()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
+		writers.Add(1)
+		c.Go(func() {
+			defer writers.Done()
+			for !stop {
 				a.addDial(false)
 				a.addSent(64)
 				a.addDelivered(64)
 				a.AddCellsQueued(2)
 				a.AddCellsFlushed(1)
 				a.AddCellsDropped(1)
+				c.Sleep(time.Duration(g+1) * time.Microsecond)
 			}
-		}()
+		})
 	}
 
+	prev := a.Snapshot()
 	var total AcctSnapshot
 	for i := 0; i < 200; i++ {
+		c.Sleep(3 * time.Microsecond)
 		cur := a.Snapshot()
 		d, reg := cur.Sub(prev)
 		if reg != 0 {
@@ -281,12 +282,13 @@ func TestAcctSubConcurrentMonotone(t *testing.T) {
 		total = total.Add(d)
 		prev = cur
 	}
-	close(stop)
-	for g := 0; g < 4; g++ {
-		<-done
-	}
+	stop = true
+	writers.Wait()
+	cur := a.Snapshot()
+	d, _ := cur.Sub(prev)
+	total = total.Add(d)
 	// The interval sum reconstructs the last cumulative snapshot.
-	if total.BytesSent != prev.BytesSent || total.CellsQueued != prev.CellsQueued || total.Dials != prev.Dials {
-		t.Fatalf("interval sum %+v does not reconstruct final snapshot %+v", total, prev)
+	if cur.Dials < 200 || total.BytesSent != cur.BytesSent || total.CellsQueued != cur.CellsQueued || total.Dials != cur.Dials {
+		t.Fatalf("interval sum %+v does not reconstruct final snapshot %+v", total, cur)
 	}
 }

@@ -1,9 +1,6 @@
 package netem
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // Bucket is a token-bucket rate limiter on the virtual clock. Buckets are
 // shared: every conn leaving a host reserves transmission time on the
@@ -12,7 +9,6 @@ import (
 // central observation that a loaded first hop (volunteer guard) dominates
 // download time while an idle PT bridge does not.
 type Bucket struct {
-	mu sync.Mutex
 	// rate is the effective data rate in bytes per virtual second.
 	rate float64
 	// free is the virtual time at which the link becomes idle.
@@ -37,42 +33,20 @@ const maxQueueDelay = 150 * time.Millisecond
 // utilization models traffic from other network users (e.g. regular Tor
 // clients on a volunteer guard) that our flows must share the link with.
 func NewBucket(capacity float64, utilization float64) *Bucket {
-	if utilization < 0 {
-		utilization = 0
-	}
-	if utilization > 0.97 {
-		utilization = 0.97
-	}
-	eff := capacity * (1 - utilization)
-	if eff < 1 {
-		eff = 1
-	}
-	qd := time.Duration(float64(queueBase) * utilization / (1 - utilization))
-	if qd > maxQueueDelay {
-		qd = maxQueueDelay
-	}
-	return &Bucket{rate: eff, queueDelay: qd}
+	b := new(Bucket)
+	b.Reload(capacity, utilization)
+	return b
 }
 
 // QueueDelay reports the per-segment queueing latency of the link.
-func (b *Bucket) QueueDelay() time.Duration {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.queueDelay
-}
+func (b *Bucket) QueueDelay() time.Duration { return b.queueDelay }
 
 // Rate reports the effective rate in bytes per virtual second.
-func (b *Bucket) Rate() float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.rate
-}
+func (b *Bucket) Rate() float64 { return b.rate }
 
 // SetRate changes the effective rate. Used by load scenarios (e.g. the
 // post-September snowflake surge).
 func (b *Bucket) SetRate(rate float64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	if rate < 1 {
 		rate = 1
 	}
@@ -80,33 +54,19 @@ func (b *Bucket) SetRate(rate float64) {
 }
 
 // Reload reconfigures capacity and utilization together, recomputing
-// both the effective rate and the queueing latency.
+// both the effective rate and the queueing latency: utilization is
+// clamped to [0, 0.97], the rate it leaves is at least 1 B/s and the
+// latency of the load is capped at maxQueueDelay.
 func (b *Bucket) Reload(capacity, utilization float64) {
-	if utilization < 0 {
-		utilization = 0
-	}
-	if utilization > 0.97 {
-		utilization = 0.97
-	}
-	eff := capacity * (1 - utilization)
-	if eff < 1 {
-		eff = 1
-	}
+	utilization = min(max(utilization, 0), 0.97)
+	b.rate = max(capacity*(1-utilization), 1)
 	qd := time.Duration(float64(queueBase) * utilization / (1 - utilization))
-	if qd > maxQueueDelay {
-		qd = maxQueueDelay
-	}
-	b.mu.Lock()
-	b.rate = eff
-	b.queueDelay = qd
-	b.mu.Unlock()
+	b.queueDelay = min(qd, maxQueueDelay)
 }
 
 // Reserve books n bytes of transmission starting no earlier than now and
 // returns the virtual time at which the last byte has been serialized.
 func (b *Bucket) Reserve(now time.Duration, n int) time.Duration {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	start := now
 	if b.free > start {
 		start = b.free

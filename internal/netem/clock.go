@@ -21,6 +21,12 @@
 // thread and a panic on one comes out of the driver's wait. That takes a
 // go 1.23 toolchain; go.mod says why its go line says less.
 //
+// Exactly one goroutine of a world runs at a time and a park is the only
+// point at which another can, so nothing in this package (or in anything
+// built on it) takes a lock; Clock.Now is the only value another
+// goroutine may read. See DESIGN.md ("Blocked/runnable accounting",
+// "Cross-world isolation").
+//
 // Pure data-plane consumers need not be goroutines at all: Clock.EventAt
 // runs a callback inline on the driver's dispatch loop at a virtual
 // instant, Conn.SetReadSink delivers each arrived segment to an inline
@@ -32,7 +38,8 @@
 // rules simulation code must follow (spawn via Clock.Go, block only in
 // scheduler-aware primitives). These rules are machine-checked:
 // tools/simlint runs in CI as a go vet tool and rejects wall-clock
-// reads, raw go statements, unseeded randomness and parking calls
-// reachable from event callbacks — see DESIGN.md ("Static enforcement
+// reads, raw go statements, unseeded randomness, parking calls
+// reachable from event callbacks and sync locks in world packages — see
+// DESIGN.md ("Static enforcement
 // of the determinism contract").
 package netem

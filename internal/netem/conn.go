@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -39,20 +38,17 @@ type Conn struct {
 	tx, rx        *pipe
 	out           shape
 
-	rngMu sync.Mutex
-	rng   *rand.Rand
+	rng *rand.Rand
 
-	wmu *Mutex // serializes writers; scheduler-aware (writers park)
+	wmu Mutex // serializes writers, who park on backpressure
 
-	dlMu sync.Mutex
-	rdl  time.Time
-	wdl  time.Time
+	rdl time.Time
+	wdl time.Time
 
-	closeOnce sync.Once
-	closed    atomic.Bool
-	// acctOnce counts the flow's closure exactly once across Close and
-	// Abort (which deliberately bypasses closeOnce).
-	acctOnce sync.Once
+	// closed is set by Close and Abort alike and counts the flow's
+	// closure once; closeCalled makes a second Close a no-op without
+	// stopping a later Abort.
+	closed, closeCalled bool
 }
 
 // newConnPair wires two conns back to back. aOut shapes a→b traffic and
@@ -66,9 +62,9 @@ func newConnPair(n *Network, aAddr, bAddr Addr, aOut, bOut shape, seed int64) (*
 	ab := newPipe(clock, 0, acct)
 	ba := newPipe(clock, 0, acct)
 	a := &Conn{net: n, local: aAddr, remote: bAddr, tx: ab, rx: ba, out: aOut,
-		rng: rand.New(rand.NewSource(seed)), wmu: NewMutex(clock)}
+		rng: rand.New(rand.NewSource(seed)), wmu: Mutex{cond: Cond{clock: clock}}}
 	b := &Conn{net: n, local: bAddr, remote: aAddr, tx: ba, rx: ab, out: bOut,
-		rng: rand.New(rand.NewSource(seed + 1)), wmu: NewMutex(clock)}
+		rng: rand.New(rand.NewSource(seed + 1)), wmu: Mutex{cond: Cond{clock: clock}}}
 	acct.registerConn(a)
 	acct.registerConn(b)
 	return a, b
@@ -76,11 +72,8 @@ func newConnPair(n *Network, aAddr, bAddr Addr, aOut, bOut shape, seed int64) (*
 
 // Read implements net.Conn.
 func (c *Conn) Read(p []byte) (int, error) {
-	c.dlMu.Lock()
-	dl := c.rdl
-	c.dlMu.Unlock()
 	for {
-		n, err := c.rx.pop(p, dl)
+		n, err := c.rx.pop(p, c.rdl)
 		if n > 0 || err != nil {
 			return n, err
 		}
@@ -97,10 +90,7 @@ func (c *Conn) Read(p []byte) (int, error) {
 // length (the PT record framing) use it to take bulk payloads off the
 // per-segment wake-up path.
 func (c *Conn) ReadFull(p []byte) (int, error) {
-	c.dlMu.Lock()
-	dl := c.rdl
-	c.dlMu.Unlock()
-	return c.rx.popFull(p, dl)
+	return c.rx.popFull(p, c.rdl)
 }
 
 // SetReadSink replaces the conn's receive direction with inline
@@ -125,10 +115,7 @@ func (c *Conn) SetReadSink(fn ReadSink) { c.rx.setSink(fn) }
 func (c *Conn) Write(p []byte) (int, error) {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	c.dlMu.Lock()
 	dl := c.wdl
-	c.dlMu.Unlock()
-
 	written := 0
 	for len(p) > 0 {
 		n := len(p)
@@ -158,9 +145,7 @@ func (c *Conn) WriteOwned(data []byte, base *[]byte, pool *sync.Pool) error {
 	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	c.dlMu.Lock()
 	dl := c.wdl
-	c.dlMu.Unlock()
 	_, err := c.writeSegment(data, base, pool, dl, true)
 	return err
 }
@@ -189,7 +174,7 @@ func (c *Conn) TryWriteOwned(data []byte, base *[]byte, pool *sync.Pool) (ok boo
 // must be held.
 func (c *Conn) writeSegment(data []byte, base *[]byte, pool *sync.Pool, dl time.Time, wait bool) (ok bool, err error) {
 	n := len(data)
-	if !wait && !c.closed.Load() && c.tx.freeSpace() < n {
+	if !wait && !c.closed && c.tx.freeSpace() < n {
 		return false, nil
 	}
 	var censored time.Duration
@@ -229,7 +214,7 @@ func (c *Conn) writeSegment(data []byte, base *[]byte, pool *sync.Pool, dl time.
 // stall head-of-line (the tor relay cell scheduler's KIST-style
 // budgeting) probe it instead of issuing blind blocking writes.
 func (c *Conn) WriteBudget() int {
-	if c.closed.Load() {
+	if c.closed {
 		return 0
 	}
 	return c.tx.freeSpace()
@@ -241,7 +226,7 @@ func (c *Conn) policy() Policy {
 	if c.net == nil {
 		return nil
 	}
-	return c.net.policy.get()
+	return c.net.policy
 }
 
 // acct returns the network's accounting, or nil for conns built outside
@@ -256,10 +241,8 @@ func (c *Conn) acct() *Acct {
 // extraDelay draws the per-segment jitter and loss penalty.
 func (c *Conn) extraDelay() time.Duration {
 	if c.out.jitter <= 0 && c.out.loss <= 0 {
-		return 0 // wired-to-wired links: no draws, no lock
+		return 0 // wired-to-wired links: no draws
 	}
-	c.rngMu.Lock()
-	defer c.rngMu.Unlock()
 	var d time.Duration
 	if c.out.jitter > 0 {
 		d += time.Duration(c.rng.Int63n(int64(c.out.jitter)))
@@ -272,13 +255,22 @@ func (c *Conn) extraDelay() time.Duration {
 
 // Close implements net.Conn.
 func (c *Conn) Close() error {
-	c.closeOnce.Do(func() {
-		c.closed.Store(true)
+	if !c.closeCalled {
+		c.closeCalled = true
+		c.markClosed()
 		c.tx.closeWrite()
 		c.rx.closeRead()
-		c.acctOnce.Do(func() { c.acct().addConnClosed() })
-	})
+	}
 	return nil
+}
+
+// markClosed counts the flow's closure exactly once across Close and
+// Abort.
+func (c *Conn) markClosed() {
+	if !c.closed {
+		c.closed = true
+		c.acct().addConnClosed()
+	}
 }
 
 // CloseWrite half-closes the sending direction, like TCP shutdown(WR).
@@ -291,16 +283,15 @@ func (c *Conn) CloseWrite() error {
 // pending data is dropped and both directions error out. Failure-injection
 // models (snowflake proxy churn, meek session budgets) use this.
 func (c *Conn) Abort() {
-	c.closed.Store(true)
+	c.markClosed()
 	c.tx.closeWrite()
 	c.tx.closeRead()
 	c.rx.closeRead()
-	c.acctOnce.Do(func() { c.acct().addConnClosed() })
 }
 
 // Closed reports whether Close or Abort has been called; policies use
 // it to prune their flow registries.
-func (c *Conn) Closed() bool { return c.closed.Load() }
+func (c *Conn) Closed() bool { return c.closed }
 
 // LocalAddr implements net.Conn.
 func (c *Conn) LocalAddr() net.Addr { return c.local }
@@ -334,9 +325,7 @@ func (c *Conn) SetDeadline(t time.Time) error {
 	if err := CheckDeadline(t); err != nil {
 		return err
 	}
-	c.dlMu.Lock()
 	c.rdl, c.wdl = t, t
-	c.dlMu.Unlock()
 	return nil
 }
 
@@ -345,9 +334,7 @@ func (c *Conn) SetReadDeadline(t time.Time) error {
 	if err := CheckDeadline(t); err != nil {
 		return err
 	}
-	c.dlMu.Lock()
 	c.rdl = t
-	c.dlMu.Unlock()
 	return nil
 }
 
@@ -356,8 +343,6 @@ func (c *Conn) SetWriteDeadline(t time.Time) error {
 	if err := CheckDeadline(t); err != nil {
 		return err
 	}
-	c.dlMu.Lock()
 	c.wdl = t
-	c.dlMu.Unlock()
 	return nil
 }

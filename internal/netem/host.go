@@ -5,7 +5,6 @@ import (
 	"net"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"ptperf/internal/geo"
@@ -37,7 +36,6 @@ type Host struct {
 	egress  *Bucket
 	ingress *Bucket
 
-	mu        sync.Mutex
 	listeners map[int]*Listener
 	nextPort  int
 	down      bool
@@ -64,33 +62,22 @@ func (h *Host) Network() *Network { return h.net }
 // like the no-such-host path, no accounting counters move. Conns already
 // established are unaffected; a fault injector that wants them dead
 // aborts them explicitly (Network.AbortHostConns).
-func (h *Host) SetLinkDown(down bool) {
-	h.mu.Lock()
-	h.down = down
-	h.mu.Unlock()
-}
+func (h *Host) SetLinkDown(down bool) { h.down = down }
 
 // LinkDown reports whether the host's access link is currently down.
-func (h *Host) LinkDown() bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.down
-}
+func (h *Host) LinkDown() bool { return h.down }
 
 // Listener accepts virtual connections on one host port.
 type Listener struct {
 	host *Host
 	port int
 
-	mu     sync.Mutex
 	queue  *Chan[*Conn]
 	closed bool
 }
 
 // Listen opens a listener on the given port (0 picks an ephemeral port).
 func (h *Host) Listen(port int) (*Listener, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	if port == 0 {
 		h.nextPort++
 		port = 40000 + h.nextPort
@@ -114,15 +101,11 @@ func (l *Listener) Accept() (net.Conn, error) {
 
 // Close stops the listener.
 func (l *Listener) Close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if l.closed {
 		return nil
 	}
 	l.closed = true
-	l.host.mu.Lock()
 	delete(l.host.listeners, l.port)
-	l.host.mu.Unlock()
 	l.queue.Close()
 	return nil
 }
@@ -134,8 +117,6 @@ func (l *Listener) Addr() net.Addr {
 
 // deliver hands an inbound conn to the accept queue.
 func (l *Listener) deliver(c *Conn) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if l.closed {
 		return ErrClosed
 	}
@@ -156,7 +137,7 @@ func (h *Host) Dial(address string) (net.Conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("netem: bad port in %q", address)
 	}
-	peer := h.net.host(hostName)
+	peer := h.net.hosts[hostName]
 	if peer == nil {
 		return nil, fmt.Errorf("netem: no such host %q", hostName)
 	}
@@ -168,9 +149,7 @@ func (h *Host) Dial(address string) (net.Conn, error) {
 	if peer.LinkDown() {
 		return nil, fmt.Errorf("netem: host %q unreachable (link down)", hostName)
 	}
-	peer.mu.Lock()
 	l := peer.listeners[port]
-	peer.mu.Unlock()
 	if l == nil {
 		return nil, fmt.Errorf("netem: connection refused: %s", address)
 	}
@@ -179,7 +158,7 @@ func (h *Host) Dial(address string) (net.Conn, error) {
 	remoteAddr := Addr{host: address}
 	out, in := h.net.shapes(h, peer)
 	rtt := out.delay + in.delay
-	if pol := h.net.policy.get(); pol != nil {
+	if pol := h.net.policy; pol != nil {
 		if err := pol.FilterDial(h.name, address); err != nil {
 			// A censored dial still costs a round trip: the SYN travels
 			// to the interception point and the injected refusal (or
@@ -209,7 +188,7 @@ func (h *Host) Dial(address string) (net.Conn, error) {
 		}
 	})
 	h.net.clock.Sleep(rtt)
-	if pol := h.net.policy.get(); pol != nil {
+	if pol := h.net.policy; pol != nil {
 		pol.ConnOpened(cc)
 	}
 	return cc, nil
@@ -244,8 +223,6 @@ func (h *Host) DialTimeout(address string, vtimeout time.Duration) (net.Conn, er
 }
 
 func (h *Host) ephemeral() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	h.nextPort++
 	return 40000 + h.nextPort
 }

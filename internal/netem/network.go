@@ -2,8 +2,6 @@ package netem
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"ptperf/internal/geo"
@@ -18,12 +16,14 @@ type Network struct {
 	clock *Clock
 	seed  int64
 
-	mu    sync.Mutex
 	hosts map[string]*Host
 
-	connSeq atomic.Int64
-	policy  policyHolder
-	acct    Acct
+	connSeq int64
+	// policy is the installed middlebox policy, nil for none:
+	// installation happens during world construction, lookups on every
+	// dial and segment.
+	policy Policy
+	acct   Acct
 }
 
 // Option configures a Network.
@@ -90,8 +90,6 @@ func (n *Network) AddHost(cfg HostConfig) (*Host, error) {
 		ingress:   NewBucket(down, cfg.Utilization),
 		listeners: make(map[int]*Listener),
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if _, dup := n.hosts[cfg.Name]; dup {
 		return nil, fmt.Errorf("netem: duplicate host %q", cfg.Name)
 	}
@@ -110,7 +108,7 @@ func (n *Network) MustAddHost(cfg HostConfig) *Host {
 }
 
 // Host looks up a host by name, or nil.
-func (n *Network) Host(name string) *Host { return n.host(name) }
+func (n *Network) Host(name string) *Host { return n.hosts[name] }
 
 // AbortHostConns aborts every open conn touching the named host; fault
 // injection uses it as the blast radius of a crash or link cut.
@@ -118,14 +116,9 @@ func (n *Network) AbortHostConns(host string) int {
 	return n.acct.AbortHostConns(host)
 }
 
-func (n *Network) host(name string) *Host {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.hosts[name]
-}
-
 func (n *Network) nextSeed() int64 {
-	return n.seed*1e9 + n.connSeq.Add(2)
+	n.connSeq += 2
+	return n.seed*1e9 + n.connSeq
 }
 
 // shapes computes the per-direction shaping for a conn between two hosts:

@@ -111,8 +111,7 @@ type pipe struct {
 	clock *Clock
 	acct  *Acct // network accounting, nil for pipes outside a network
 
-	mu   sync.Mutex
-	cond *Cond
+	cond Cond
 	// segs is a head-indexed ring slice (like Clock.ready): pop advances
 	// segHead and the backing array is reused once drained, instead of
 	// re-slicing capacity away on every segment.
@@ -123,7 +122,7 @@ type pipe struct {
 	wclosed  bool // writer has closed; reader drains then sees EOF
 	rclosed  bool // reader has closed; writes fail
 	// rdWant, while a popFull caller is parked, is the byte count it
-	// still needs; enqueueLocked skips the arrival wake until the queue
+	// still needs; enqueue skips the arrival wake until the queue
 	// holds that much, so a threshold reader parks once per request
 	// instead of once per arriving segment.
 	rdWant int
@@ -141,8 +140,7 @@ func newPipe(clock *Clock, maxBuf int, acct *Acct) *pipe {
 	if maxBuf <= 0 {
 		maxBuf = 256 << 10
 	}
-	p := &pipe{clock: clock, acct: acct, maxBuf: maxBuf}
-	p.cond = NewCond(clock, &p.mu)
+	p := &pipe{clock: clock, acct: acct, cond: Cond{clock: clock}, maxBuf: maxBuf}
 	acct.registerPipe(p)
 	return p
 }
@@ -164,8 +162,6 @@ func vtExpired(c *Clock, vt time.Duration) bool {
 // base transfers to the pipe on any outcome (errors recycle it).
 func (p *pipe) push(data []byte, base *[]byte, pool *sync.Pool, arrival time.Duration, deadline time.Time) error {
 	vt := deadlineVT(deadline)
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	for p.buffered+len(data) > p.maxBuf && !p.rclosed && !p.wclosed {
 		if vtExpired(p.clock, vt) {
 			putSegBuf(pool, base)
@@ -181,7 +177,7 @@ func (p *pipe) push(data []byte, base *[]byte, pool *sync.Pool, arrival time.Dur
 		putSegBuf(pool, base)
 		return ErrReset
 	}
-	p.enqueueLocked(data, base, pool, arrival)
+	p.enqueue(data, base, pool, arrival)
 	return nil
 }
 
@@ -190,8 +186,6 @@ func (p *pipe) push(data []byte, base *[]byte, pool *sync.Pool, arrival time.Dur
 // has no room. Closed pipes report their error with ok true — the
 // segment is consumed (recycled) either way.
 func (p *pipe) tryPush(data []byte, base *[]byte, pool *sync.Pool, arrival time.Duration) (ok bool, err error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.wclosed {
 		putSegBuf(pool, base)
 		return true, ErrClosed
@@ -203,20 +197,20 @@ func (p *pipe) tryPush(data []byte, base *[]byte, pool *sync.Pool, arrival time.
 	if p.buffered+len(data) > p.maxBuf {
 		return false, nil
 	}
-	p.enqueueLocked(data, base, pool, arrival)
+	p.enqueue(data, base, pool, arrival)
 	return true, nil
 }
 
-// enqueueLocked appends a segment and schedules its consumption at the
+// enqueue appends a segment and schedules its consumption at the
 // arrival instant: an inline delivery event in sink mode, otherwise a
 // parked-reader wake-up (waking the reader at push time would only make
 // it re-park until the data has propagated).
-func (p *pipe) enqueueLocked(data []byte, base *[]byte, pool *sync.Pool, arrival time.Duration) {
+func (p *pipe) enqueue(data []byte, base *[]byte, pool *sync.Pool, arrival time.Duration) {
 	p.segs = append(p.segs, seg{data: data, base: base, pool: pool, at: arrival})
 	p.buffered += len(data)
 	p.acct.addSent(len(data))
 	if p.sink != nil {
-		p.armSinkLocked()
+		p.armSink()
 		return
 	}
 	if p.rdWant == 0 || p.buffered >= p.rdWant {
@@ -228,17 +222,15 @@ func (p *pipe) enqueueLocked(data []byte, base *[]byte, pool *sync.Pool, arrival
 // already-queued data (or a pending close) is delivered through it.
 // Reads and sink mode are mutually exclusive from this point on.
 func (p *pipe) setSink(fn ReadSink) {
-	p.mu.Lock()
 	p.sink = fn
 	p.sinkFn = p.sinkEvent
-	p.armSinkLocked()
-	p.mu.Unlock()
+	p.armSink()
 }
 
-// armSinkLocked schedules the next delivery event unless one is already
+// armSink schedules the next delivery event unless one is already
 // armed: at the head segment's arrival instant, or immediately when the
 // pipe has closed and only the terminal callback remains.
-func (p *pipe) armSinkLocked() {
+func (p *pipe) armSink() {
 	if p.sink == nil || p.sinkArmed || p.sinkDone {
 		return
 	}
@@ -260,10 +252,8 @@ func (p *pipe) armSinkLocked() {
 // freeSpace, push parking — behaves exactly as it does for an eager
 // parked reader.
 func (p *pipe) sinkEvent() {
-	p.mu.Lock()
 	p.sinkArmed = false
 	if p.sink == nil || p.sinkDone {
-		p.mu.Unlock()
 		return
 	}
 	now := p.clock.Now()
@@ -297,19 +287,17 @@ func (p *pipe) sinkEvent() {
 	if term != nil {
 		p.sinkDone = true
 	} else {
-		p.armSinkLocked()
+		p.armSink()
 	}
-	sink := p.sink
-	p.mu.Unlock()
 	if total > 0 {
 		// Receive-window space was freed; unblock parked writers.
 		p.cond.Broadcast()
 	}
 	for _, s := range batch {
-		sink(s.data, s.base, s.pool, nil)
+		p.sink(s.data, s.base, s.pool, nil)
 	}
 	if term != nil {
-		sink(nil, nil, nil, term)
+		p.sink(nil, nil, nil, term)
 	}
 }
 
@@ -326,8 +314,6 @@ func (p *pipe) pop(buf []byte, deadline time.Time) (int, error) {
 		return 0, nil
 	}
 	vt := deadlineVT(deadline)
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.sink != nil {
 		panic("netem: Read on a conn with an inline read sink")
 	}
@@ -403,11 +389,6 @@ func (p *pipe) popFull(buf []byte, deadline time.Time) (int, error) {
 		return 0, nil
 	}
 	vt := deadlineVT(deadline)
-	p.mu.Lock()
-	defer func() {
-		p.rdWant = 0
-		p.mu.Unlock()
-	}()
 	if p.sink != nil {
 		panic("netem: Read on a conn with an inline read sink")
 	}
@@ -494,8 +475,6 @@ func (p *pipe) popFull(buf []byte, deadline time.Time) (int, error) {
 // without parking on the receive-window bound; 0 once either side has
 // closed. The conn layer exposes it as the write-budget probe.
 func (p *pipe) freeSpace() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.rclosed || p.wclosed {
 		return 0
 	}
@@ -505,27 +484,16 @@ func (p *pipe) freeSpace() int {
 	return 0
 }
 
-// readerClosed reports whether the reader side has closed (the pipe's
-// buffered count is zero forever); the accounting registry prunes on it.
-func (p *pipe) readerClosed() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.rclosed
-}
-
 // closeWrite marks the writer side closed; the reader drains then gets EOF.
 func (p *pipe) closeWrite() {
-	p.mu.Lock()
 	p.wclosed = true
-	p.armSinkLocked()
-	p.mu.Unlock()
+	p.armSink()
 	p.cond.Broadcast()
 }
 
 // closeRead marks the reader side closed; pending data is dropped and
 // subsequent writes fail with ErrReset.
 func (p *pipe) closeRead() {
-	p.mu.Lock()
 	p.rclosed = true
 	for i := p.segHead; i < len(p.segs); i++ {
 		putSegBuf(p.segs[i].pool, p.segs[i].base)
@@ -534,7 +502,6 @@ func (p *pipe) closeRead() {
 	p.segHead = 0
 	p.acct.addDropped(p.buffered)
 	p.buffered = 0
-	p.armSinkLocked()
-	p.mu.Unlock()
+	p.armSink()
 	p.cond.Broadcast()
 }

@@ -1,9 +1,6 @@
 package netem
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // This file is the path-interception hook the censor subsystem plugs
 // into (internal/censor). A Policy is a programmable middlebox sitting
@@ -69,30 +66,10 @@ type Policy interface {
 	FilterSegment(f Flow, n int) Verdict
 }
 
-// policyHolder stores the network's installed policy behind a mutex;
-// installation happens during world construction, lookups on every
-// dial and segment.
-type policyHolder struct {
-	mu  sync.Mutex
-	pol Policy
-}
-
-func (ph *policyHolder) get() Policy {
-	ph.mu.Lock()
-	defer ph.mu.Unlock()
-	return ph.pol
-}
-
-func (ph *policyHolder) set(p Policy) {
-	ph.mu.Lock()
-	ph.pol = p
-	ph.mu.Unlock()
-}
-
 // SetPolicy installs (or, with nil, removes) the network's middlebox
 // policy. At most one policy is active; internal/censor composes its
 // rule set behind a single Policy.
-func (n *Network) SetPolicy(p Policy) { n.policy.set(p) }
+func (n *Network) SetPolicy(p Policy) { n.policy = p }
 
 // Policy returns the installed middlebox policy, or nil.
-func (n *Network) Policy() Policy { return n.policy.get() }
+func (n *Network) Policy() Policy { return n.policy }

@@ -59,8 +59,7 @@ type waiter struct {
 	// removes the waiter from it eagerly.
 	cond *Cond
 	// timedOut reports, after wake-up, that the timer (not a
-	// broadcast) fired. Written under the scheduler lock before the
-	// wake-up, read only after it.
+	// broadcast) fired.
 	timedOut bool
 	// fn, when non-nil, marks this timer entry as an inline event: when
 	// it reaches the head of the timer heap the dispatcher runs fn on
@@ -146,10 +145,15 @@ const freeCoros = 2
 // the conn/pipe operations built on them). Whenever the driver parks it
 // dispatches: it runs due events on its own stack and resumes
 // coroutines until its own wait is over.
+//
+// There is no lock: every field but now belongs to whoever holds the run
+// token, a park is the only point at which the token changes hands, and
+// the coroutine switch orders memory (DESIGN.md "Blocked/runnable
+// accounting").
 type Clock struct {
-	mu sync.Mutex
-	// now mirrors the current virtual time; it is written only under mu
-	// but read lock-free by Now (measurement code calls it constantly).
+	// now is the current virtual time. It alone is atomic: a campaign's
+	// progress monitor reads it from its own goroutine (DESIGN.md
+	// "Cross-world isolation").
 	now atomic.Int64
 	seq uint64
 	// active counts registered goroutines currently holding execution
@@ -188,16 +192,9 @@ func (c *Clock) Now() time.Duration {
 // the driver). The invariant suite samples it at quiescent points to
 // detect goroutine leaks: a campaign that spawns per-transfer goroutines
 // must see them exit once its conns are closed and drained.
-func (c *Clock) Registered() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.registered
-}
+func (c *Clock) Registered() int { return c.registered }
 
-// nowLocked reads the virtual time with the scheduler lock held.
-func (c *Clock) nowLocked() time.Duration { return time.Duration(c.now.Load()) }
-
-// newWaiter fetches a pooled waiter; the scheduler lock must be held.
+// newWaiter fetches a pooled waiter.
 func (c *Clock) newWaiter() *waiter {
 	c.seq++
 	w := waiterPool.Get().(*waiter)
@@ -207,26 +204,15 @@ func (c *Clock) newWaiter() *waiter {
 
 // park releases the caller's run token and returns once the dispatcher
 // hands it back, then recycles the waiter and reports whether its timer
-// fired. The scheduler lock must be held; park unlocks it. l, when
-// non-nil, is the lock the caller holds around the wait (Cond.L): it is
-// released for the wait and held again when park returns or panics — a
-// panic out of dispatch unwinds through callers that unlock l in a defer.
-func (c *Clock) park(w *waiter, l sync.Locker) (timedOut bool) {
+// fired. It is the only yield point of a world: whatever a goroutine
+// does between two parks is atomic to every other one.
+func (c *Clock) park(w *waiter) (timedOut bool) {
 	c.active--
 	if c.active < 0 {
-		c.mu.Unlock()
 		panic("netem: scheduler wait from an unregistered goroutine — spawn simulation goroutines with Clock.Go")
-	}
-	if l != nil {
-		// Before dispatching: inline events (Clock.EventAt) may need
-		// the very lock this waiter guards, e.g. a flush callback
-		// pushing into the pipe a reader is parked on.
-		l.Unlock()
-		defer l.Lock()
 	}
 	if co := c.cur; co != nil {
 		w.co = co
-		c.mu.Unlock()
 		co.yield(struct{}{})
 	} else {
 		c.dispatch(w)
@@ -244,11 +230,10 @@ func (c *Clock) readyLen() int { return len(c.ready) - c.readyHead }
 // time), then the earliest timer (advancing the clock) — resuming its
 // coroutine until that parks or finishes, and returns when own, the
 // driver's waiter, comes up. Inline events (EventAt) at the head of the
-// timer heap run here, on the driver's stack, with the scheduler lock
-// dropped around the callback, so a burst of data-plane events costs
-// zero switches. Called with the scheduler lock held and active == 0;
-// returns or panics with it released: a driver that recovers (sim.Submit
-// does) leaves a clock that still answers Registered.
+// timer heap run here, on the driver's stack, so a burst of data-plane
+// events costs zero switches. Called with active == 0. A driver that
+// recovers from a panic out of here (sim.Submit does) is left with a
+// clock that still answers Registered.
 func (c *Clock) dispatch(own *waiter) {
 	for {
 		var w *waiter
@@ -263,20 +248,17 @@ func (c *Clock) dispatch(own *waiter) {
 			}
 		case c.timers.Len() > 0:
 			w = heap.Pop(&c.timers).(*waiter)
-			if w.at > c.nowLocked() {
+			if w.at > c.Now() {
 				c.now.Store(int64(w.at))
 			}
 			if w.fn != nil {
 				fn := w.fn
 				w.release()
-				// Run the event with the scheduler unlocked so it can
-				// use Try* primitives, ready goroutines, or arm further
-				// events. active is still 0: event callbacks are not
-				// simulation goroutines and must never park (a park
-				// panics as an unregistered-goroutine wait).
-				c.mu.Unlock()
+				// The event may use Try* primitives, ready goroutines or
+				// arm further events. active is still 0: event callbacks
+				// are not simulation goroutines and must never park (a
+				// park panics as an unregistered-goroutine wait).
 				fn()
-				c.mu.Lock()
 				continue
 			}
 			w.woken = true
@@ -286,32 +268,27 @@ func (c *Clock) dispatch(own *waiter) {
 				w.cond = nil
 			}
 		default:
-			msg := fmt.Sprintf(
+			panic(fmt.Sprintf(
 				"netem: deadlock — all %d simulation goroutines are blocked with no pending timers at virtual t=%v",
-				c.registered, c.nowLocked())
-			c.mu.Unlock()
-			panic(msg)
+				c.registered, c.Now()))
 		}
 		c.active++
 		co := w.co
 		if co == nil {
-			c.mu.Unlock()
 			if w != own {
 				panic("netem: two plain goroutines are parked on one clock — all but the driver must be spawned with Clock.Go")
 			}
 			return
 		}
 		c.cur = co
-		c.mu.Unlock()
 		co.resume()
-		c.mu.Lock()
 		c.cur = nil
 	}
 }
 
-// readyLocked appends a waiter to the run queue, removing any pending
-// timer entry. The scheduler lock must be held.
-func (c *Clock) readyLocked(w *waiter) {
+// makeReady appends a waiter to the run queue, removing any pending
+// timer entry.
+func (c *Clock) makeReady(w *waiter) {
 	if w.woken {
 		return
 	}
@@ -326,7 +303,6 @@ func (c *Clock) readyLocked(w *waiter) {
 // run immediately: it is queued and starts when the current goroutine
 // next parks, which keeps execution order deterministic.
 func (c *Clock) Go(fn func()) {
-	c.mu.Lock()
 	w := c.newWaiter()
 	c.registered++
 	if n := len(c.free); n > 0 {
@@ -335,8 +311,7 @@ func (c *Clock) Go(fn func()) {
 		w.co = c.newCoro()
 	}
 	w.co.fn, w.co.start = fn, w
-	c.readyLocked(w)
-	c.mu.Unlock()
+	c.makeReady(w)
 }
 
 // newCoro mints a coroutine that runs the function Go handed it, then
@@ -350,15 +325,12 @@ func (c *Clock) newCoro() *coro {
 			co.start = nil
 			co.fn()
 			co.fn = nil
-			c.mu.Lock()
 			c.registered--
 			c.active--
 			if len(c.free) == freeCoros {
-				c.mu.Unlock()
 				return
 			}
 			c.free = append(c.free, co)
-			c.mu.Unlock()
 			yield(struct{}{})
 		}
 	})
@@ -368,42 +340,36 @@ func (c *Clock) newCoro() *coro {
 // Sleep pauses the calling goroutine for a virtual duration. No real
 // time passes: the clock jumps when every other goroutine is parked.
 func (c *Clock) Sleep(v time.Duration) {
-	if v <= 0 {
-		return
+	if v > 0 {
+		c.SleepUntil(c.Now() + v)
 	}
-	c.mu.Lock()
-	c.sleepUntilLocked(c.nowLocked() + v)
 }
 
 // SleepUntil pauses until the virtual clock reaches vt.
 func (c *Clock) SleepUntil(vt time.Duration) {
-	c.mu.Lock()
-	if vt <= c.nowLocked() {
-		c.mu.Unlock()
-		return
-	}
-	c.sleepUntilLocked(vt)
-}
-
-// sleepUntilLocked suspends the caller until virtual time vt; the
-// scheduler lock must be held and is released.
-func (c *Clock) sleepUntilLocked(vt time.Duration) {
-	// Fast path: if nothing else can run before vt — no ready
-	// goroutines, no earlier (or equal, which would win the seq
-	// tie-break) timer or event — advance the clock in place and keep
-	// running. Lockstep protocol chains hit this constantly; it saves
-	// the full park/dispatch/goroutine-switch round trip.
-	if c.active == 1 && c.readyLen() == 0 &&
-		(c.timers.Len() == 0 || c.timers[0].at > vt) {
-		c.now.Store(int64(vt))
-		c.mu.Unlock()
+	if vt <= c.Now() || c.advanceInPlace(vt) {
 		return
 	}
 	w := c.newWaiter()
 	w.at = vt
 	w.timed = true
 	heap.Push(&c.timers, w)
-	c.park(w, nil)
+	c.park(w)
+}
+
+// advanceInPlace is the fast path of every timed wait: if nothing else
+// can run before vt — no ready goroutines, no earlier (or equal, which
+// would win the seq tie-break) timer or event — it moves the clock to vt
+// and the caller keeps running. Lockstep protocol chains hit this
+// constantly; it saves the full park/dispatch/goroutine-switch round
+// trip.
+func (c *Clock) advanceInPlace(vt time.Duration) bool {
+	if c.active != 1 || c.readyLen() != 0 ||
+		(c.timers.Len() != 0 && c.timers[0].at <= vt) {
+		return false
+	}
+	c.now.Store(int64(vt))
+	return true
 }
 
 // EventAt schedules fn to run when virtual time reaches vt (or at the
@@ -415,21 +381,19 @@ func (c *Clock) sleepUntilLocked(vt time.Duration) {
 // share one heap ordered by (at, seq), so two events at the same
 // instant fire in registration order.
 //
-// Contract: fn runs with no scheduler state held and must never park.
+// Contract: fn must never park.
 // Use the non-parking primitives (TrySend, Mutex.TryLock,
 // Conn.TryWriteOwned, Clock.Go, EventAt) inside callbacks; any parking
 // wait panics as an unregistered-goroutine wait.
 func (c *Clock) EventAt(vt time.Duration, fn func()) {
-	c.mu.Lock()
 	w := c.newWaiter()
-	if now := c.nowLocked(); vt < now {
+	if now := c.Now(); vt < now {
 		vt = now
 	}
 	w.at = vt
 	w.timed = true
 	w.fn = fn
 	heap.Push(&c.timers, w)
-	c.mu.Unlock()
 }
 
 // VirtualDeadline converts a virtual timeout (from now) into the

@@ -12,20 +12,22 @@ import (
 // TestExecutionOrderPinned interleaves every way the scheduler can pick
 // what runs next — goroutines queued by Go, Sleeps due at one instant,
 // EventAt callbacks (one arming a further event and spawning), a Cond
-// broadcast and a WaitVT that times out — and pins the order in which
-// they ran. The expected sequence was recorded from the channel
-// hand-over scheduler this one replaced: ready-queue FIFO, (at, seq)
-// timer order and the in-place clock advance may not move.
+// broadcast, a WaitVT that times out, a WakeAt, a Chan whose sender
+// parks on the full queue and two WaitGroups — and pins the order in
+// which they ran. The expected sequence was recorded from the
+// lock-and-atomics scheduler this one replaced (and the first half of it
+// from the channel hand-over one before that): ready-queue FIFO,
+// (at, seq) timer order and the in-place clock advance may not move.
 func TestExecutionOrderPinned(t *testing.T) {
 	const ms = time.Millisecond
 	c := NewClock()
 	var got []string
 	tag := func(s string) { got = append(got, fmt.Sprintf("%s@%v", s, c.Now())) }
 
-	var mu sync.Mutex
 	flag := false
-	cond := NewCond(c, &mu)
-	never := NewCond(c, &mu)
+	cond := NewCond(c)
+	never := NewCond(c)
+	nudge := NewCond(c)
 	wg := NewWaitGroup(c)
 	spawn := func(fn func()) {
 		wg.Add(1)
@@ -43,12 +45,10 @@ func TestExecutionOrderPinned(t *testing.T) {
 		tag("a2")
 	})
 	spawn(func() {
-		mu.Lock()
 		for !flag {
 			tag("w-wait")
 			cond.Wait()
 		}
-		mu.Unlock()
 		tag("w-woke")
 	})
 	c.EventAt(ms, func() {
@@ -66,23 +66,59 @@ func TestExecutionOrderPinned(t *testing.T) {
 		tag("b0")
 		c.Sleep(ms)
 		tag("b1")
-		mu.Lock()
 		flag = true
-		mu.Unlock()
 		cond.Broadcast()
 		tag("b2")
 		c.Sleep(ms)
 		tag("b3")
 	})
 	spawn(func() {
-		mu.Lock()
 		timedOut := never.WaitVT(3 * ms / 2)
-		mu.Unlock()
 		tag(fmt.Sprintf("t-timeout=%v", timedOut))
 		c.Sleep(10 * ms) // alone by now: advances in place
 		tag("t-late")
 	})
 	c.EventAt(2*ms, func() { tag("e2") })
+
+	// A capacity-1 Chan between a sender that parks on the full queue
+	// and a slower receiver, and a second WaitGroup joining the two.
+	ch := NewChan[int](c, 1)
+	pair := NewWaitGroup(c)
+	pair.Add(2)
+	spawn(func() {
+		defer pair.Done()
+		for i := 0; i < 3; i++ {
+			ch.Send(i)
+			tag(fmt.Sprintf("tx%d", i))
+		}
+		ch.Close()
+	})
+	spawn(func() {
+		defer pair.Done()
+		for {
+			c.Sleep(ms / 4)
+			v, ok := ch.Recv()
+			if !ok {
+				break
+			}
+			tag(fmt.Sprintf("rx%d", v))
+		}
+		tag("rx-eof")
+	})
+	spawn(func() {
+		pair.Wait()
+		tag("pair-done")
+	})
+	// WakeAt turns an untimed wait into a timer at the given instant.
+	spawn(func() {
+		timedOut := nudge.WaitVT(noDeadline)
+		tag(fmt.Sprintf("n-timeout=%v", timedOut))
+	})
+	spawn(func() {
+		c.Sleep(ms / 2)
+		nudge.WakeAt(c.Now() + ms/4)
+		tag("n-armed")
+	})
 
 	tag("d0")
 	c.Sleep(ms)
@@ -90,11 +126,69 @@ func TestExecutionOrderPinned(t *testing.T) {
 	wg.Wait()
 	tag("d-done")
 
-	want := "d0@0s a0@0s w-wait@0s b0@0s e1@1ms s0@1ms d1@1ms a1@1ms b1@1ms b2@1ms " +
-		"w-woke@1ms e1-again@1ms t-timeout=true@1.5ms s1@1.5ms " +
+	want := "d0@0s a0@0s w-wait@0s b0@0s tx0@0s rx0@250µs tx1@250µs n-armed@500µs rx1@500µs " +
+		"tx2@500µs n-timeout=true@750µs rx2@750µs e1@1ms s0@1ms d1@1ms a1@1ms b1@1ms b2@1ms " +
+		"w-woke@1ms rx-eof@1ms pair-done@1ms e1-again@1ms t-timeout=true@1.5ms s1@1.5ms " +
 		"e2@2ms a2@2ms b3@2ms t-late@11.5ms d-done@11.5ms"
 	if s := strings.Join(got, " "); s != want {
 		t.Fatalf("execution order moved:\n got %s\nwant %s", s, want)
+	}
+}
+
+// TestMutexAcquisitionOrderPinned pins who gets a contended Mutex and
+// when: Unlock readies every waiter in wait order, the first to run
+// takes the lock, and a goroutine that is still running may barge in
+// before any of them. A direct hand-off to the first waiter would be a
+// different schedule (a@1ms). The expected sequence was recorded from
+// the sync.Mutex-and-Cond implementation this one replaced.
+func TestMutexAcquisitionOrderPinned(t *testing.T) {
+	const ms = time.Millisecond
+	c := NewClock()
+	m := NewMutex(c)
+	never := NewCond(c)
+	wg := NewWaitGroup(c)
+	var got []string
+	take := func(who string) { got = append(got, fmt.Sprintf("%s@%v", who, c.Now())) }
+	spawn := func(fn func()) {
+		wg.Add(1)
+		c.Go(func() {
+			defer wg.Done()
+			fn()
+		})
+	}
+
+	m.Lock()
+	take("h")
+	for _, who := range []string{"a", "b", "c"} {
+		spawn(func() {
+			m.Lock()
+			take(who)
+			c.Sleep(ms)
+			m.Unlock()
+		})
+	}
+	// d joins the queue late, from a wait that times out while a holds
+	// the lock.
+	spawn(func() {
+		timedOut := never.WaitVT(5 * ms / 2)
+		take(fmt.Sprintf("d-timeout=%v", timedOut))
+		m.Lock()
+		take("d")
+		m.Unlock()
+	})
+	c.Sleep(ms) // a, b, c queue up in this order
+	// The holder barges: every waiter is readied, finds the lock taken
+	// again when it runs, and queues again in the same order.
+	m.Unlock()
+	m.Lock()
+	take("h-again")
+	c.Sleep(ms)
+	m.Unlock()
+	wg.Wait()
+
+	want := "h@0s h-again@1ms a@2ms d-timeout=true@2.5ms b@3ms c@4ms d@5ms"
+	if s := strings.Join(got, " "); s != want {
+		t.Fatalf("acquisition order moved:\n got %s\nwant %s", s, want)
 	}
 }
 
@@ -126,6 +220,50 @@ func TestFinishedGoroutinesAreNotKept(t *testing.T) {
 	}
 }
 
+// TestChanBackingArrayBounded: 10 000 values through a capacity-4 Chan
+// reuse one backing array of a few slots — no reallocation per refill,
+// which is what re-slicing the head away cost — both when the receiver
+// drains the queue every time and when a slower receiver never finds it
+// empty (the dead prefix is compacted away, not grown past).
+func TestChanBackingArrayBounded(t *testing.T) {
+	for _, recvGap := range []time.Duration{0, 2 * time.Microsecond} {
+		c := NewClock()
+		ch := NewChan[int](c, 4)
+		c.Go(func() {
+			for i := 0; i < 10000; i++ {
+				ch.Send(i)
+				c.Sleep(time.Microsecond)
+			}
+			ch.Close()
+		})
+		// The address of a backing array's last slot survives any
+		// re-slicing of its head and changes with every reallocation.
+		var last *int
+		maxCap, arrays := 0, 0
+		for want := 0; ; want++ {
+			v, ok := ch.Recv()
+			if !ok && want == 10000 {
+				break
+			}
+			if !ok || v != want {
+				t.Fatalf("gap %v: received %d, %v as value %d of 10000", recvGap, v, ok, want)
+			}
+			if n := cap(ch.buf); n > 0 {
+				maxCap = max(maxCap, n)
+				if end := &ch.buf[:n][n-1]; end != last {
+					last = end
+					arrays++
+				}
+			}
+			c.Sleep(recvGap)
+		}
+		if maxCap > 16 || arrays > 8 {
+			t.Errorf("gap %v: %d backing arrays of up to %d slots for a capacity-4 queue, want one small array reused",
+				recvGap, arrays, maxCap)
+		}
+	}
+}
+
 // wantPanic runs fn and returns the value it panicked with.
 func wantPanic(t *testing.T, fn func()) (p any) {
 	t.Helper()
@@ -153,23 +291,14 @@ func TestParkInEventPanics(t *testing.T) {
 	}
 }
 
-// TestDeadlockPanicReleasesLock: the deadlock panic reaches the driver,
-// which may recover it (sim.Submit does); the clock must still answer
-// Registered afterwards.
-func TestDeadlockPanicReleasesLock(t *testing.T) {
+// TestDeadlockPanicLeavesClockUsable: the deadlock panic reaches the
+// driver, which may recover it (sim.Submit does); the clock must still
+// answer Registered afterwards.
+func TestDeadlockPanicLeavesClockUsable(t *testing.T) {
 	c := NewClock()
-	var mu sync.Mutex
-	cond := NewCond(c, &mu)
-	c.Go(func() {
-		mu.Lock()
-		cond.Wait()
-		mu.Unlock()
-	})
-	p := wantPanic(t, func() {
-		mu.Lock()
-		defer mu.Unlock()
-		cond.Wait()
-	})
+	cond := NewCond(c)
+	c.Go(cond.Wait)
+	p := wantPanic(t, cond.Wait)
 	if !strings.Contains(fmt.Sprint(p), "deadlock") {
 		t.Fatalf("panic %q is not the deadlock report", p)
 	}

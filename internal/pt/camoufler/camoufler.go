@@ -27,7 +27,6 @@ import (
 	"math/rand"
 	"net"
 	"sort"
-	"sync"
 	"time"
 
 	"ptperf/internal/netem"
@@ -133,14 +132,12 @@ type IMServer struct {
 	ln  *netem.Listener
 	net *netem.Network
 
-	mu       sync.Mutex
 	accounts map[string]*account
 	rng      *rand.Rand
 }
 
 type account struct {
 	conn net.Conn
-	wmu  sync.Mutex
 	// sendFree enforces the per-account API rate limit (virtual time
 	// at which the account may send its next message).
 	sendFree time.Duration
@@ -149,7 +146,6 @@ type account struct {
 	deliver *netem.Chan[delivery]
 	// contacts are accounts this one exchanged messages with; they get
 	// an unavailable-presence notification when it disconnects.
-	// Guarded by the server mutex.
 	contacts map[string]bool
 }
 
@@ -208,19 +204,13 @@ func (s *IMServer) serveConn(c net.Conn) {
 				return
 			}
 			clock.SleepUntil(d.at)
-			acct.wmu.Lock()
-			err := writeMessage(acct.conn, d.from, d.seq, d.payload)
-			acct.wmu.Unlock()
-			if err != nil {
+			if err := writeMessage(acct.conn, d.from, d.seq, d.payload); err != nil {
 				return
 			}
 		}
 	})
-	s.mu.Lock()
 	s.accounts[name] = acct
-	s.mu.Unlock()
 	defer func() {
-		s.mu.Lock()
 		if s.accounts[name] == acct {
 			delete(s.accounts, name)
 		}
@@ -232,16 +222,11 @@ func (s *IMServer) serveConn(c net.Conn) {
 			contacts = append(contacts, peer)
 		}
 		sort.Strings(contacts) // map order must not reach the scheduler
-		peers := make([]*account, 0, len(contacts))
+		gone := delivery{from: name, seq: presenceGoneSeq, at: clock.Now() + s.cfg.DeliveryDelay}
 		for _, peer := range contacts {
 			if dst := s.accounts[peer]; dst != nil {
-				peers = append(peers, dst)
+				dst.deliver.TrySend(gone)
 			}
-		}
-		now := clock.Now()
-		s.mu.Unlock()
-		for _, dst := range peers {
-			dst.deliver.TrySend(delivery{from: name, seq: presenceGoneSeq, at: now + s.cfg.DeliveryDelay})
 		}
 		// Stop the delivery goroutine; late producers' TrySends fall
 		// into the buffer or are dropped.
@@ -256,7 +241,6 @@ func (s *IMServer) serveConn(c net.Conn) {
 			return
 		}
 		// API rate limit: the sender's next slot.
-		s.mu.Lock()
 		now := clock.Now()
 		if acct.sendFree < now {
 			acct.sendFree = now
@@ -269,7 +253,6 @@ func (s *IMServer) serveConn(c net.Conn) {
 			acct.contacts[to] = true
 			dst.contacts[name] = true
 		}
-		s.mu.Unlock()
 
 		if wait > 0 {
 			clock.Sleep(wait)
@@ -293,7 +276,6 @@ type imConn struct {
 	self    string
 	peer    string
 	conn    net.Conn // to the IM server
-	wmu     sync.Mutex
 	sendSeq uint64
 	onClose func()
 }
@@ -306,8 +288,6 @@ func newIMConn(clock *netem.Clock, conn net.Conn, self, peer string, capBytes in
 
 // login announces the account to the provider.
 func (ic *imConn) login() error {
-	ic.wmu.Lock()
-	defer ic.wmu.Unlock()
 	return writeMessage(ic.conn, ic.self, 0, nil)
 }
 
@@ -337,8 +317,6 @@ func (ic *imConn) recvLoop() {
 
 // Write implements net.Conn: chunk into messages.
 func (ic *imConn) Write(p []byte) (int, error) {
-	ic.wmu.Lock()
-	defer ic.wmu.Unlock()
 	written := 0
 	for len(p) > 0 {
 		n := min(len(p), ic.cap)
@@ -372,7 +350,6 @@ type Proxy struct {
 	acct   string
 	handle pt.StreamHandler
 
-	mu     sync.Mutex
 	closed bool
 	conns  []net.Conn
 }
@@ -408,17 +385,13 @@ func (p *Proxy) serveSession(n uint64) error {
 		ic.Close()
 		return err
 	}
-	p.mu.Lock()
 	p.conns = append(p.conns, ic)
-	p.mu.Unlock()
 	p.host.Network().Go(func() { pt.ServeStream(ic, p.handle) })
 	return nil
 }
 
 // Close shuts down proxy-side sessions.
 func (p *Proxy) Close() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.closed = true
 	for _, c := range p.conns {
 		c.Close()
@@ -436,7 +409,6 @@ type Dialer struct {
 	acct   string
 	proxy  *Proxy
 
-	mu      sync.Mutex
 	session uint64
 	active  bool
 }
@@ -457,21 +429,14 @@ func NewDialer(host *netem.Host, imServerAddr, accountBase string, cfg Config, p
 
 // Dial implements pt.Dialer.
 func (d *Dialer) Dial(target string) (net.Conn, error) {
-	d.mu.Lock()
 	if d.active {
-		d.mu.Unlock()
 		return nil, ErrBusy
 	}
 	d.active = true
 	d.session++
 	n := d.session
-	d.mu.Unlock()
 
-	release := func() {
-		d.mu.Lock()
-		d.active = false
-		d.mu.Unlock()
-	}
+	release := func() { d.active = false }
 
 	// The proxy side brings its account online for this session.
 	if err := d.proxy.serveSession(n); err != nil {

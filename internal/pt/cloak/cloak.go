@@ -18,7 +18,6 @@ import (
 	"io"
 	"math/rand"
 	"net"
-	"sync"
 
 	"ptperf/internal/netem"
 	"ptperf/internal/pt"
@@ -80,15 +79,16 @@ const serverHelloLen = 3 + 32 + 90
 // while still keeping the inbound record stream aligned.
 type shSkipper struct {
 	net.Conn
-	once sync.Once
-	err  error
+	skipped bool
+	err     error
 }
 
 func (s *shSkipper) Read(p []byte) (int, error) {
-	s.once.Do(func() {
+	if !s.skipped {
+		s.skipped = true
 		buf := make([]byte, serverHelloLen)
 		_, s.err = io.ReadFull(s.Conn, buf)
-	})
+	}
 	if s.err != nil {
 		return 0, s.err
 	}
@@ -155,29 +155,22 @@ func StartServer(host *netem.Host, port int, cfg Config, handle pt.StreamHandler
 	if len(cfg.UID) == 0 {
 		return nil, errors.New("cloak: server needs a client UID table")
 	}
-	var mu sync.Mutex
 	seed := cfg.Seed
 	return pt.ListenAndServe(host, port, func(conn net.Conn) (net.Conn, error) {
-		mu.Lock()
 		seed++
-		s := seed
-		mu.Unlock()
-		return serverWrap(conn, cfg, s)
+		return serverWrap(conn, cfg, seed)
 	}, handle)
 }
 
 // NewDialer returns the cloak client for a server at addr.
 func NewDialer(host *netem.Host, addr string, cfg Config) pt.Dialer {
-	var mu sync.Mutex
 	seed := cfg.Seed + 49979687
 	return pt.DialerFunc(func(target string) (net.Conn, error) {
 		if len(cfg.UID) == 0 {
 			return nil, errors.New("cloak: dialer needs a UID")
 		}
-		mu.Lock()
 		seed++
 		s := seed
-		mu.Unlock()
 		conn, err := pt.DialWrapped(host, addr, func(raw net.Conn) (net.Conn, error) {
 			return clientWrap(raw, cfg, s)
 		}, target)

@@ -19,7 +19,6 @@ import (
 	"io"
 	"math/rand"
 	"net"
-	"sync"
 
 	"ptperf/internal/netem"
 	"ptperf/internal/pt"
@@ -54,7 +53,6 @@ type Infra struct {
 	regLn     *netem.Listener
 	phantomLn *netem.Listener
 
-	mu         sync.Mutex
 	registered map[[nonceLen]byte]bool
 }
 
@@ -117,9 +115,7 @@ func (inf *Infra) serveRegistration(c net.Conn) {
 	if !hmac.Equal(inf.mac(nonce[:]), msg[nonceLen:]) {
 		return // drop silently, like a real registrar
 	}
-	inf.mu.Lock()
 	inf.registered[nonce] = true
-	inf.mu.Unlock()
 	c.Write([]byte{0x01}) // ack
 }
 
@@ -133,10 +129,8 @@ func (inf *Infra) serveFlow(c net.Conn) {
 	}
 	var nonce [nonceLen]byte
 	copy(nonce[:], hello)
-	inf.mu.Lock()
 	ok := inf.registered[nonce]
 	delete(inf.registered, nonce)
-	inf.mu.Unlock()
 	if !ok {
 		// Unregistered flows to phantom IPs look like scans;
 		// the station lets them time out.
@@ -171,22 +165,18 @@ func StartBridge(host *netem.Host, port int, cfg Config, handle pt.StreamHandler
 	if len(cfg.Secret) == 0 {
 		return nil, errors.New("conjure: bridge needs a secret")
 	}
-	var mu sync.Mutex
 	seed := cfg.Seed
 	return pt.ListenAndServe(host, port, func(conn net.Conn) (net.Conn, error) {
 		nonce := make([]byte, nonceLen)
 		if _, err := io.ReadFull(conn, nonce); err != nil {
 			return nil, err
 		}
-		mu.Lock()
 		seed++
-		s := seed
-		mu.Unlock()
 		return pt.NewRecordConn(conn, pt.RecordConfig{
 			Key:      sessionKey(cfg.Secret, nonce),
 			IsClient: false,
 			Header:   []byte{0x17, 0x03, 0x03},
-			Seed:     s,
+			Seed:     seed,
 		})
 	}, handle)
 }
@@ -198,7 +188,6 @@ type Dialer struct {
 	phantomAddr   string
 	cfg           Config
 
-	mu   sync.Mutex
 	seed int64
 }
 
@@ -219,10 +208,8 @@ func (d *Dialer) Dial(target string) (net.Conn, error) {
 	if len(d.cfg.Secret) == 0 {
 		return nil, errors.New("conjure: dialer needs a secret")
 	}
-	d.mu.Lock()
 	d.seed++
 	s := d.seed
-	d.mu.Unlock()
 	rng := rand.New(rand.NewSource(s))
 	nonce := make([]byte, nonceLen)
 	for i := range nonce {

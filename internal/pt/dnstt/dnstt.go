@@ -22,7 +22,6 @@ import (
 	"math"
 	"math/rand"
 	"net"
-	"sync"
 	"time"
 
 	"ptperf/internal/netem"
@@ -138,7 +137,6 @@ type Resolver struct {
 // sessionMeter tracks a tunnel session's downstream volume against its
 // drawn byte budget.
 type sessionMeter struct {
-	mu     sync.Mutex
 	bytes  int64
 	budget int64
 }
@@ -206,10 +204,7 @@ func (r *Resolver) serveConn(c net.Conn) {
 		// Recursive resolution work per query.
 		clock.Sleep(resolverDelay)
 
-		m.mu.Lock()
-		over := m.bytes > m.budget
-		m.mu.Unlock()
-		if over {
+		if m.bytes > m.budget {
 			// The resolver cuts the heavy session off: every pipeline
 			// of the session dies, the tunnel collapses, and the
 			// client has to build a fresh circuit (new session).
@@ -228,9 +223,7 @@ func (r *Resolver) serveConn(c net.Conn) {
 		if err != nil {
 			return
 		}
-		m.mu.Lock()
 		m.bytes += int64(len(resp))
-		m.mu.Unlock()
 		if _, err := c.Write(appendLen(resp)); err != nil {
 			return
 		}
@@ -280,7 +273,6 @@ func (s *Server) Close() error { return s.ln.Close() }
 // handler writes leaves one response at a time.
 type serverSession struct {
 	*pt.Stream
-	mu   sync.Mutex
 	rseq uint32
 }
 
@@ -321,8 +313,6 @@ func (ss *serverSession) acceptUpstream(qseq uint32, data []byte) {
 // takeDownstream pops at most capBytes from the downstream queue and
 // numbers the chunk.
 func (ss *serverSession) takeDownstream(capBytes int) ([]byte, uint32) {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
 	chunk := ss.Take(capBytes)
 	if chunk == nil {
 		return nil, emptyRseq
@@ -337,7 +327,6 @@ type Dialer struct {
 	host         *netem.Host
 	resolverAddr string
 
-	mu   sync.Mutex
 	next int64
 }
 
@@ -348,11 +337,9 @@ func NewDialer(host *netem.Host, resolverAddr string, cfg Config) *Dialer {
 
 // Dial implements pt.Dialer.
 func (d *Dialer) Dial(target string) (net.Conn, error) {
-	d.mu.Lock()
 	d.next++
 	sid := make([]byte, sessionLen)
 	binary.BigEndian.PutUint64(sid, uint64(d.next)*2654435761)
-	d.mu.Unlock()
 
 	// Open the poll pipelines up front; each is one "DoH connection".
 	conns := make([]net.Conn, 0, d.cfg.Inflight)
@@ -390,7 +377,6 @@ type tunnelConn struct {
 	clock    *netem.Clock
 	sid      []byte
 
-	mu   sync.Mutex
 	qseq uint32
 }
 
@@ -432,8 +418,6 @@ func (t *tunnelConn) pollLoop(c net.Conn) {
 // takeUpstream pops up to QueryCap pending upstream bytes and numbers
 // them; a data-less poll consumes no sequence number.
 func (t *tunnelConn) takeUpstream() ([]byte, uint32) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	data := t.Take(t.queryCap)
 	if data == nil {
 		return nil, emptyQseq

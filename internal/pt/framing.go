@@ -10,7 +10,6 @@ import (
 	"io"
 	"math/rand"
 	"net"
-	"sync"
 
 	"ptperf/internal/netem"
 )
@@ -36,12 +35,10 @@ type RecordConn struct {
 	maxPad int
 	rng    *rand.Rand
 
-	rmu     sync.Mutex
 	pending []byte
 	// rbuf is the reused record read buffer; pending aliases it, and it
 	// is only overwritten once pending has drained.
 	rbuf []byte
-	wmu  sync.Mutex
 }
 
 // fullReader is the threshold-read fast path netem conns provide: fill
@@ -120,8 +117,6 @@ func NewRecordConn(conn net.Conn, cfg RecordConfig) (*RecordConn, error) {
 // Write frames p into records: header || len(2) || padLen(2) || body ||
 // padding, with the body (and pad) optionally encrypted.
 func (rc *RecordConn) Write(p []byte) (int, error) {
-	rc.wmu.Lock()
-	defer rc.wmu.Unlock()
 	written := 0
 	for len(p) > 0 {
 		n := len(p)
@@ -155,8 +150,6 @@ func (rc *RecordConn) Write(p []byte) (int, error) {
 
 // Read unframes the next record, buffering any remainder.
 func (rc *RecordConn) Read(p []byte) (int, error) {
-	rc.rmu.Lock()
-	defer rc.rmu.Unlock()
 	for len(rc.pending) == 0 {
 		headLen := len(rc.header) + 4
 		if cap(rc.rbuf) < headLen {

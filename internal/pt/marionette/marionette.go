@@ -21,7 +21,6 @@ import (
 	"io"
 	"math/rand"
 	"net"
-	"sync"
 	"time"
 
 	"ptperf/internal/netem"
@@ -342,14 +341,10 @@ func StartServer(host *netem.Host, port int, model *Model, seed int64, handle pt
 		return nil, err
 	}
 	clock := host.Network().Clock()
-	var mu sync.Mutex
 	s := seed
 	return pt.ListenAndServe(host, port, func(conn net.Conn) (net.Conn, error) {
-		mu.Lock()
 		s++
-		mine := s
-		mu.Unlock()
-		return newConn(model, conn, clock, mine), nil
+		return newConn(model, conn, clock, s), nil
 	}, handle)
 }
 
@@ -359,13 +354,10 @@ func NewDialer(host *netem.Host, addr string, model *Model, seed int64) (pt.Dial
 		return nil, err
 	}
 	clock := host.Network().Clock()
-	var mu sync.Mutex
 	s := seed + 179426549
 	return pt.DialerFunc(func(target string) (net.Conn, error) {
-		mu.Lock()
 		s++
 		mine := s
-		mu.Unlock()
 		raw, err := host.Dial(addr)
 		if err != nil {
 			return nil, fmt.Errorf("marionette: %w", err)

@@ -23,7 +23,6 @@ import (
 	"math"
 	"math/rand"
 	"net"
-	"sync"
 	"time"
 
 	"ptperf/internal/netem"
@@ -195,18 +194,16 @@ type Bridge struct {
 	cfg  Config
 	host *netem.Host
 	ln   *netem.Listener
-	// rng draws session budgets; the session table serializes it.
+	// rng draws session budgets.
 	rng      *rand.Rand
 	sessions *pt.Sessions[uint64, *bridgeSession]
 
-	mu sync.Mutex
 	// rateFree is the virtual time the shared rate limiter frees up.
 	rateFree time.Duration
 }
 
 // bridgeSession is one tunnel at the bridge: the handler-facing stream
-// and the byte budget the polls are charged against (guarded by the
-// bridge mutex).
+// and the byte budget the polls are charged against.
 type bridgeSession struct {
 	*pt.Stream
 	budget int64
@@ -251,9 +248,7 @@ func (b *Bridge) Close() error { return b.ln.Close() }
 // it: the handler's stream gets EOF and the client's next poll is told
 // the session is gone.
 func (b *Bridge) cut(s *bridgeSession) {
-	b.mu.Lock()
 	s.gone = true
-	b.mu.Unlock()
 	s.Fail()
 }
 
@@ -272,8 +267,6 @@ func (b *Bridge) drawBudget() int64 {
 // reserveRate charges n bytes against the bridge-wide rate limit and
 // returns how long the caller must wait.
 func (b *Bridge) reserveRate(now time.Duration, n int) time.Duration {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	if b.rateFree < now {
 		b.rateFree = now
 	}
@@ -285,8 +278,6 @@ func (b *Bridge) reserveRate(now time.Duration, n int) time.Duration {
 // charge books n tunnelled bytes against the session's budget and
 // reports whether that exhausted it.
 func (b *Bridge) charge(s *bridgeSession, n int) (over bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	s.served += int64(n)
 	return s.served > s.budget
 }
@@ -301,10 +292,7 @@ func (b *Bridge) serveFrontConn(c net.Conn) {
 			return
 		}
 		s := b.sessions.Touch(sid)
-		b.mu.Lock()
-		gone := s.gone
-		b.mu.Unlock()
-		if gone {
+		if s.gone {
 			if err := writeReply(c, statusGone, nil); err != nil {
 				return
 			}
@@ -335,7 +323,6 @@ type Dialer struct {
 	host      *netem.Host
 	frontAddr string
 
-	mu   sync.Mutex
 	next uint64
 }
 
@@ -346,10 +333,8 @@ func NewDialer(host *netem.Host, frontAddr string, cfg Config) *Dialer {
 
 // Dial implements pt.Dialer.
 func (d *Dialer) Dial(target string) (net.Conn, error) {
-	d.mu.Lock()
 	d.next++
 	sid := d.next
-	d.mu.Unlock()
 
 	conn, err := d.host.Dial(d.frontAddr)
 	if err != nil {

@@ -18,7 +18,6 @@ import (
 	"io"
 	"math/rand"
 	"net"
-	"sync"
 
 	"ptperf/internal/netem"
 	"ptperf/internal/pt"
@@ -145,28 +144,19 @@ func StartServer(host *netem.Host, port int, cfg Config, handle pt.StreamHandler
 	if len(cfg.Secret) == 0 {
 		return nil, errors.New("obfs4: server needs a shared secret")
 	}
-	var mu sync.Mutex
 	seed := cfg.Seed
-	next := func() int64 {
-		mu.Lock()
-		defer mu.Unlock()
-		seed++
-		return seed
-	}
 	return pt.ListenAndServe(host, port, func(conn net.Conn) (net.Conn, error) {
-		return serverWrap(conn, cfg, next())
+		seed++
+		return serverWrap(conn, cfg, seed)
 	}, handle)
 }
 
 // NewDialer returns the obfs4 client for a bridge at addr.
 func NewDialer(host *netem.Host, addr string, cfg Config) pt.Dialer {
-	var mu sync.Mutex
 	seed := cfg.Seed + 7919
 	return pt.DialerFunc(func(target string) (net.Conn, error) {
-		mu.Lock()
 		seed++
 		s := seed
-		mu.Unlock()
 		if len(cfg.Secret) == 0 {
 			return nil, errors.New("obfs4: dialer needs a shared secret")
 		}

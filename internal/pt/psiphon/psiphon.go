@@ -17,7 +17,6 @@ import (
 	"io"
 	"math/rand"
 	"net"
-	"sync"
 
 	"ptperf/internal/netem"
 	"ptperf/internal/pt"
@@ -51,8 +50,6 @@ type packetConn struct {
 	sendKey, recvKey []byte
 	sendSeq, recvSeq uint64
 
-	rmu     sync.Mutex
-	wmu     sync.Mutex
 	pending []byte
 }
 
@@ -69,8 +66,6 @@ const maxPacket = 32 << 10
 
 // Write implements net.Conn.
 func (c *packetConn) Write(p []byte) (int, error) {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
 	written := 0
 	for len(p) > 0 {
 		n := len(p)
@@ -93,8 +88,6 @@ func (c *packetConn) Write(p []byte) (int, error) {
 
 // Read implements net.Conn.
 func (c *packetConn) Read(p []byte) (int, error) {
-	c.rmu.Lock()
-	defer c.rmu.Unlock()
 	for len(c.pending) == 0 {
 		var head [4]byte
 		if _, err := io.ReadFull(c.Conn, head[:]); err != nil {
@@ -219,29 +212,22 @@ func StartServer(host *netem.Host, port int, cfg Config, handle pt.StreamHandler
 	if len(cfg.HostKey) == 0 {
 		return nil, errors.New("psiphon: server needs a host key")
 	}
-	var mu sync.Mutex
 	seed := cfg.Seed
 	return pt.ListenAndServe(host, port, func(conn net.Conn) (net.Conn, error) {
-		mu.Lock()
 		seed++
-		s := seed
-		mu.Unlock()
-		return serverWrap(conn, cfg, s)
+		return serverWrap(conn, cfg, seed)
 	}, handle)
 }
 
 // NewDialer returns the psiphon client for a server at addr.
 func NewDialer(host *netem.Host, addr string, cfg Config) pt.Dialer {
-	var mu sync.Mutex
 	seed := cfg.Seed + 32452843
 	return pt.DialerFunc(func(target string) (net.Conn, error) {
 		if len(cfg.HostKey) == 0 {
 			return nil, errors.New("psiphon: dialer needs a host key")
 		}
-		mu.Lock()
 		seed++
 		s := seed
-		mu.Unlock()
 		conn, err := pt.DialWrapped(host, addr, func(raw net.Conn) (net.Conn, error) {
 			return clientWrap(raw, cfg, s)
 		}, target)

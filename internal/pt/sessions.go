@@ -1,7 +1,6 @@
 package pt
 
 import (
-	"sync"
 	"time"
 
 	"ptperf/internal/netem"
@@ -33,7 +32,6 @@ type Sessions[K comparable, V any] struct {
 	open   func(K) V
 	expire func(V)
 
-	mu    sync.Mutex
 	byKey map[K]*session[K, V]
 	// due holds the sessions in the order their next checks fire. Every
 	// check is StaleAfter after the previous one, so appending keeps it
@@ -51,7 +49,7 @@ type session[K comparable, V any] struct {
 }
 
 // NewSessions returns an empty table. open builds a session's value on
-// first sight, with the table locked. expire, if not nil, runs inside a
+// first sight. expire, if not nil, runs inside a
 // clock event when a session goes stale and must never park.
 func NewSessions[K comparable, V any](clock *netem.Clock, open func(K) V, expire func(V)) *Sessions[K, V] {
 	return &Sessions[K, V]{clock: clock, open: open, expire: expire, byKey: make(map[K]*session[K, V])}
@@ -60,8 +58,6 @@ func NewSessions[K comparable, V any](clock *netem.Clock, open func(K) V, expire
 // Touch returns the session's value, creating it if the key is new, and
 // stamps the session as seen now.
 func (t *Sessions[K, V]) Touch(key K) V {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	now := t.clock.Now()
 	e := t.byKey[key]
 	if e == nil {
@@ -78,8 +74,6 @@ func (t *Sessions[K, V]) Touch(key K) V {
 
 // Remove forgets a session at once, without expiring it.
 func (t *Sessions[K, V]) Remove(key K) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if e := t.byKey[key]; e != nil {
 		e.removed = true
 		delete(t.byKey, key)
@@ -88,8 +82,6 @@ func (t *Sessions[K, V]) Remove(key K) {
 
 // Len reports how many sessions the table holds, tombstones included.
 func (t *Sessions[K, V]) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return len(t.byKey)
 }
 
@@ -98,7 +90,6 @@ func (t *Sessions[K, V]) Len() int {
 func (t *Sessions[K, V]) sweep() {
 	now := t.clock.Now()
 	var stale []V
-	t.mu.Lock()
 	for len(t.due) > 0 && t.due[0].checkAt <= now {
 		e := t.due[0]
 		t.due = t.due[1:]
@@ -119,9 +110,7 @@ func (t *Sessions[K, V]) sweep() {
 	if len(t.due) > 0 {
 		t.clock.EventAt(t.due[0].checkAt, t.sweep)
 	}
-	t.mu.Unlock()
-	// Expire outside the table lock: the callback takes the
-	// transport's own locks, which are held around Touch and Remove.
+	// Expire after the sweep: the callback may Touch or Remove.
 	if t.expire != nil {
 		for _, v := range stale {
 			t.expire(v)

@@ -18,7 +18,6 @@ import (
 	"io"
 	"math/rand"
 	"net"
-	"sync"
 
 	"ptperf/internal/netem"
 	"ptperf/internal/pt"
@@ -49,8 +48,6 @@ type aeadConn struct {
 	sendNonce  uint64
 	recvNonce  uint64
 
-	rmu     sync.Mutex
-	wmu     sync.Mutex
 	pending []byte
 }
 
@@ -76,8 +73,6 @@ func nonceBytes(n uint64) []byte {
 
 // Write seals [len|tag][payload|tag] chunks.
 func (c *aeadConn) Write(p []byte) (int, error) {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
 	written := 0
 	for len(p) > 0 {
 		n := len(p)
@@ -102,8 +97,6 @@ func (c *aeadConn) Write(p []byte) (int, error) {
 
 // Read opens the next chunk.
 func (c *aeadConn) Read(p []byte) (int, error) {
-	c.rmu.Lock()
-	defer c.rmu.Unlock()
 	for len(c.pending) == 0 {
 		sealedLen := make([]byte, 2+tagLen)
 		if _, err := io.ReadFull(c.Conn, sealedLen); err != nil {
@@ -189,16 +182,13 @@ func StartServer(host *netem.Host, port int, cfg Config, handle pt.StreamHandler
 
 // NewDialer returns the shadowsocks client for a server at addr.
 func NewDialer(host *netem.Host, addr string, cfg Config) pt.Dialer {
-	var mu sync.Mutex
 	seed := cfg.Seed + 104729
 	return pt.DialerFunc(func(target string) (net.Conn, error) {
 		if len(cfg.PSK) == 0 {
 			return nil, errors.New("shadowsocks: dialer needs a PSK")
 		}
-		mu.Lock()
 		seed++
 		s := seed
-		mu.Unlock()
 		conn, err := pt.DialWrapped(host, addr, func(raw net.Conn) (net.Conn, error) {
 			return clientWrap(raw, cfg, s)
 		}, target)

@@ -22,7 +22,6 @@ import (
 	"io"
 	"math/rand"
 	"net"
-	"sync"
 	"time"
 
 	"ptperf/internal/geo"
@@ -84,7 +83,6 @@ type Deployment struct {
 	brokerLn   *netem.Listener
 	bridgeAddr string
 
-	mu      sync.Mutex
 	rng     *rand.Rand
 	proxies []*proxy
 	nextID  int
@@ -97,7 +95,6 @@ type proxy struct {
 	host  *netem.Host
 	ln    *netem.Listener
 	addr  string
-	mu    sync.Mutex
 	conns []interface{ Abort() }
 	dead  bool
 }
@@ -133,10 +130,8 @@ func (d *Deployment) BrokerAddr() string { return d.brokerLn.Addr().String() }
 
 // Close stops the deployment.
 func (d *Deployment) Close() error {
-	d.mu.Lock()
 	d.closed = true
 	proxies := append([]*proxy(nil), d.proxies...)
-	d.mu.Unlock()
 	for _, p := range proxies {
 		p.kill()
 	}
@@ -146,11 +141,9 @@ func (d *Deployment) Close() error {
 // SetLoad adjusts the pool to a new load scenario at runtime: higher
 // utilization and shorter lifetimes for every current and future proxy.
 func (d *Deployment) SetLoad(utilization float64, lifetime time.Duration) {
-	d.mu.Lock()
 	d.cfg.ProxyUtilization = utilization
 	d.cfg.ProxyLifetime = lifetime
 	proxies := append([]*proxy(nil), d.proxies...)
-	d.mu.Unlock()
 	for _, p := range proxies {
 		p.host.Egress().Reload(d.cfg.ProxyUplink, utilization)
 		p.host.Ingress().Reload(d.cfg.ProxyUplink, utilization)
@@ -159,9 +152,7 @@ func (d *Deployment) SetLoad(utilization float64, lifetime time.Duration) {
 
 // spawnProxy brings one volunteer online and schedules its death.
 func (d *Deployment) spawnProxy() error {
-	d.mu.Lock()
 	if d.closed {
-		d.mu.Unlock()
 		return errors.New("snowflake: deployment closed")
 	}
 	d.nextID++
@@ -174,7 +165,6 @@ func (d *Deployment) spawnProxy() error {
 			lifetime = 2 * time.Second
 		}
 	}
-	d.mu.Unlock()
 
 	host, err := d.net.AddHost(netem.HostConfig{
 		Name:        fmt.Sprintf("snowflake-proxy-%d", id),
@@ -191,9 +181,7 @@ func (d *Deployment) spawnProxy() error {
 		return err
 	}
 	p := &proxy{dep: d, host: host, ln: ln, addr: ln.Addr().String()}
-	d.mu.Lock()
 	d.proxies = append(d.proxies, p)
-	d.mu.Unlock()
 	pt.Serve(d.net.Clock(), ln, p.serveFlow)
 	if lifetime > 0 {
 		d.net.Go(func() {
@@ -230,8 +218,6 @@ func (p *proxy) serveFlow(c net.Conn) {
 }
 
 func (p *proxy) track(conns ...net.Conn) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	for _, c := range conns {
 		if a, ok := c.(interface{ Abort() }); ok {
 			p.conns = append(p.conns, a)
@@ -241,25 +227,20 @@ func (p *proxy) track(conns ...net.Conn) {
 
 // kill takes the volunteer offline, aborting all flows mid-transfer.
 func (p *proxy) kill() {
-	p.mu.Lock()
 	if p.dead {
-		p.mu.Unlock()
 		return
 	}
 	p.dead = true
 	conns := p.conns
 	p.conns = nil
-	p.mu.Unlock()
 
 	d := p.dep
-	d.mu.Lock()
 	for i, q := range d.proxies {
 		if q == p {
 			d.proxies = append(d.proxies[:i], d.proxies[i+1:]...)
 			break
 		}
 	}
-	d.mu.Unlock()
 
 	p.ln.Close()
 	for _, c := range conns {
@@ -276,12 +257,10 @@ func (d *Deployment) serveRendezvous(c net.Conn) {
 	}
 	// Matching takes time; under load the queue is longer.
 	d.net.Clock().Sleep(d.cfg.MatchDelay)
-	d.mu.Lock()
 	var addr string
 	if len(d.proxies) > 0 {
 		addr = d.proxies[d.rng.Intn(len(d.proxies))].addr
 	}
-	d.mu.Unlock()
 	writeString(c, addr)
 }
 

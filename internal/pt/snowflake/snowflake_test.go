@@ -97,15 +97,11 @@ func TestPoolSurvivesChurn(t *testing.T) {
 	sawProxies := 0
 	for i := 0; i < 20; i++ {
 		clock.Sleep(time.Second)
-		dep.mu.Lock()
 		if len(dep.proxies) > 0 {
 			sawProxies++
 		}
-		dep.mu.Unlock()
 	}
-	dep.mu.Lock()
 	spawned := dep.nextID
-	dep.mu.Unlock()
 	if spawned <= 3 {
 		t.Fatalf("no replacements spawned (nextID=%d)", spawned)
 	}
@@ -121,9 +117,7 @@ func TestSetLoadAdjustsProxies(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer dep.Close()
-	dep.mu.Lock()
 	p := dep.proxies[0]
-	dep.mu.Unlock()
 	before := p.host.Egress().Rate()
 	dep.SetLoad(0.9, 10*time.Second)
 	after := p.host.Egress().Rate()

@@ -22,7 +22,6 @@ import (
 	"math/rand"
 	"net"
 	"strconv"
-	"sync"
 
 	"ptperf/internal/netem"
 	"ptperf/internal/pt"
@@ -151,15 +150,13 @@ type chopConn struct {
 	conns []net.Conn
 	wbufs []*bufio.Writer
 
-	wmu     sync.Mutex
 	sendSeq uint64
 	rrIndex int
 	rng     *rand.Rand
 	closed  bool
 	wdone   bool
 
-	readersMu sync.Mutex
-	readers   int
+	readers int
 }
 
 func newChopConn(clock *netem.Clock, cfg Config, sid uint64, conns []net.Conn, seed int64) *chopConn {
@@ -184,11 +181,7 @@ func newChopConn(clock *netem.Clock, cfg Config, sid uint64, conns []net.Conn, s
 // reader is gone.
 func (c *chopConn) readLoop(conn net.Conn) {
 	defer func() {
-		c.readersMu.Lock()
-		c.readers--
-		last := c.readers == 0
-		c.readersMu.Unlock()
-		if last {
+		if c.readers--; c.readers == 0 {
 			c.Fail()
 		}
 	}()
@@ -217,8 +210,6 @@ func (c *chopConn) readLoop(conn net.Conn) {
 // CloseWrite flushes a FIN block announcing the total block count, so
 // the peer can drain every fan-out conn before reporting EOF.
 func (c *chopConn) CloseWrite() error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
 	if c.closed || c.wdone {
 		return nil
 	}
@@ -243,8 +234,6 @@ func (c *chopConn) CloseWrite() error {
 
 // Write chops p into blocks and spreads them over the conns.
 func (c *chopConn) Write(p []byte) (int, error) {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
 	if c.closed || c.wdone {
 		return 0, errors.New("stegotorus: closed")
 	}
@@ -277,9 +266,7 @@ func (c *chopConn) Write(p []byte) (int, error) {
 
 // Close implements net.Conn.
 func (c *chopConn) Close() error {
-	c.wmu.Lock()
 	c.closed = true
-	c.wmu.Unlock()
 	c.Fail()
 	for _, conn := range c.conns {
 		conn.Close()
@@ -297,11 +284,10 @@ type Server struct {
 	// fan-out whose last conn never comes goes stale and is closed.
 	pending *pt.Sessions[uint64, *fanOut]
 
-	mu       sync.Mutex
 	nextSeed int64
 }
 
-// fanOut is a session's conns so far, guarded by the server mutex.
+// fanOut is a session's conns so far.
 type fanOut struct {
 	conns []net.Conn
 	want  int
@@ -336,11 +322,9 @@ func (s *Server) Close() error { return s.ln.Close() }
 
 // abandon closes the conns of a fan-out that never completed.
 func (s *Server) abandon(f *fanOut) {
-	s.mu.Lock()
 	conns := f.conns
 	f.conns = nil
 	f.abandoned = true
-	s.mu.Unlock()
 	for _, c := range conns {
 		c.Close()
 	}
@@ -361,9 +345,7 @@ func (s *Server) serveConn(c net.Conn) {
 		return
 	}
 	f := s.pending.Touch(sid)
-	s.mu.Lock()
 	if f.abandoned {
-		s.mu.Unlock()
 		c.Close()
 		return
 	}
@@ -378,7 +360,6 @@ func (s *Server) serveConn(c net.Conn) {
 		s.nextSeed++
 	}
 	seed := s.nextSeed
-	s.mu.Unlock()
 	if !ready {
 		return
 	}
@@ -393,7 +374,6 @@ type Dialer struct {
 	host *netem.Host
 	addr string
 
-	mu   sync.Mutex
 	next uint64
 }
 
@@ -405,11 +385,9 @@ func NewDialer(host *netem.Host, addr string, cfg Config) *Dialer {
 // Dial implements pt.Dialer: open the fan-out, announce the session on
 // every conn, then chop.
 func (d *Dialer) Dial(target string) (net.Conn, error) {
-	d.mu.Lock()
 	d.next++
 	sid := d.next
 	seed := int64(d.next) + d.cfg.Seed
-	d.mu.Unlock()
 
 	conns := make([]net.Conn, 0, d.cfg.Conns)
 	for i := 0; i < d.cfg.Conns; i++ {

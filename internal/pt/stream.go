@@ -3,7 +3,6 @@ package pt
 import (
 	"io"
 	"net"
-	"sync"
 	"time"
 
 	"ptperf/internal/netem"
@@ -35,7 +34,6 @@ type Stream struct {
 	local, remote Addr
 	outCap        int
 
-	mu   sync.Mutex
 	cond *netem.Cond
 	in   []byte // delivered, not yet read
 	// next is the sequence number DeliverSeq appends next; held keeps
@@ -58,14 +56,12 @@ type Stream struct {
 // taken.
 func NewStream(clock *netem.Clock, transport, local, remote string, outCap int) *Stream {
 	s := &Stream{clock: clock, local: Addr{transport, local}, remote: Addr{transport, remote}, outCap: outCap}
-	s.cond = netem.NewCond(clock, &s.mu)
+	s.cond = netem.NewCond(clock)
 	return s
 }
 
 // Read implements net.Conn. Delivered bytes drain before io.EOF.
 func (s *Stream) Read(p []byte) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	for len(s.in) == 0 {
 		if s.closed || (s.fin > 0 && s.next >= s.fin-1) {
 			return 0, io.EOF
@@ -84,8 +80,6 @@ func (s *Stream) Read(p []byte) (int, error) {
 // bounded queue is the tunnel's backpressure.
 func (s *Stream) Write(p []byte) (int, error) {
 	written := 0
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	for len(p) > 0 {
 		for len(s.out) >= s.outCap && !s.closed {
 			s.cond.Wait()
@@ -122,10 +116,8 @@ func (s *Stream) SetReadDeadline(t time.Time) error {
 	if err := netem.CheckDeadline(t); err != nil {
 		return err
 	}
-	s.mu.Lock()
 	s.rdl = t
 	s.cond.Broadcast()
-	s.mu.Unlock()
 	return nil
 }
 
@@ -136,25 +128,19 @@ func (s *Stream) SetWriteDeadline(t time.Time) error { return netem.CheckDeadlin
 // EndWrite half-closes the sending direction: queued bytes still go
 // out, and WriteEnded tells the mechanism when to send its FIN.
 func (s *Stream) EndWrite() {
-	s.mu.Lock()
 	s.wdone = true
 	s.cond.Broadcast()
-	s.mu.Unlock()
 }
 
 // WriteEnded reports whether EndWrite was called and every queued byte
 // has been taken.
 func (s *Stream) WriteEnded() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.wdone && len(s.out) == 0
 }
 
 // Deliver appends received bytes to the read side. Bytes arriving after
 // the stream closed are dropped: nobody will read them.
 func (s *Stream) Deliver(p []byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.closed {
 		return
 	}
@@ -167,8 +153,6 @@ func (s *Stream) Deliver(p []byte) {
 // been, a duplicate is ignored, and a unit that never arrives stalls
 // the stream for good.
 func (s *Stream) DeliverSeq(seq uint64, p []byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.closed || seq < s.next {
 		return
 	}
@@ -197,8 +181,6 @@ func (s *Stream) DeliverSeq(seq uint64, p []byte) {
 // It keeps working after Close, so a queue filled before the close
 // still drains to the peer.
 func (s *Stream) Take(n int) []byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	n = min(n, len(s.out))
 	if n == 0 {
 		return nil
@@ -213,24 +195,18 @@ func (s *Stream) Take(n int) []byte {
 // (0 for a mechanism that delivers in order): Read reports io.EOF once
 // they have all arrived and drained.
 func (s *Stream) PeerFin(total uint64) {
-	s.mu.Lock()
 	s.fin = total + 1
 	s.cond.Broadcast()
-	s.mu.Unlock()
 }
 
 // Fail tears the stream down from the mechanism side; it never parks,
 // so staleness events may call it.
 func (s *Stream) Fail() {
-	s.mu.Lock()
 	s.closed = true
 	s.cond.Broadcast()
-	s.mu.Unlock()
 }
 
 // Closed reports whether Close or Fail has been called.
 func (s *Stream) Closed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.closed
 }

@@ -16,7 +16,6 @@ import (
 	"io"
 	"math/rand"
 	"net"
-	"sync"
 
 	"ptperf/internal/netem"
 	"ptperf/internal/pt"
@@ -149,29 +148,22 @@ func StartServer(host *netem.Host, port int, cfg Config, handle pt.StreamHandler
 	if len(cfg.SessionKey) == 0 {
 		return nil, errors.New("webtunnel: server needs a session key")
 	}
-	var mu sync.Mutex
 	seed := cfg.Seed
 	return pt.ListenAndServe(host, port, func(conn net.Conn) (net.Conn, error) {
-		mu.Lock()
 		seed++
-		s := seed
-		mu.Unlock()
-		return serverWrap(conn, cfg, s)
+		return serverWrap(conn, cfg, seed)
 	}, handle)
 }
 
 // NewDialer returns the webtunnel client for a bridge at addr.
 func NewDialer(host *netem.Host, addr string, cfg Config) pt.Dialer {
-	var mu sync.Mutex
 	seed := cfg.Seed + 15485863
 	return pt.DialerFunc(func(target string) (net.Conn, error) {
 		if len(cfg.SessionKey) == 0 {
 			return nil, errors.New("webtunnel: dialer needs a session key")
 		}
-		mu.Lock()
 		seed++
 		s := seed
-		mu.Unlock()
 		conn, err := pt.DialWrapped(host, addr, func(raw net.Conn) (net.Conn, error) {
 			return clientWrap(raw, cfg, s)
 		}, target)

@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -17,8 +18,9 @@ import (
 // virtual-time observation into a string. Any cross-world interference
 // — a shared RNG draw, a leaked scheduler wake-up, a reused buffer read
 // before overwrite — shifts an arrival time somewhere and changes the
-// signature.
-func worldSignature(root int64, stream int64) (string, error) {
+// signature. built, if not nil, is handed the world before anything runs
+// in it.
+func worldSignature(root int64, stream int64, built func(*testbed.World)) (string, error) {
 	w, err := testbed.New(testbed.Options{
 		Seed:      sim.DeriveSeed(root, stream),
 		ByteScale: 0.06,
@@ -27,6 +29,9 @@ func worldSignature(root int64, stream int64) (string, error) {
 	})
 	if err != nil {
 		return "", err
+	}
+	if built != nil {
+		built(w)
 	}
 	var b strings.Builder
 	for _, method := range []string{"tor", "obfs4"} {
@@ -58,7 +63,7 @@ func TestConcurrentWorldsMatchSequential(t *testing.T) {
 	const worlds = 6
 	sequential := make([]string, worlds)
 	for i := range sequential {
-		sig, err := worldSignature(1, int64(i))
+		sig, err := worldSignature(1, int64(i), nil)
 		if err != nil {
 			t.Fatalf("sequential world %d: %v", i, err)
 		}
@@ -77,7 +82,7 @@ func TestConcurrentWorldsMatchSequential(t *testing.T) {
 	for i := range futures {
 		i := i
 		futures[i] = sim.Submit(e, func() (string, error) {
-			return worldSignature(1, int64(i))
+			return worldSignature(1, int64(i), nil)
 		})
 	}
 	for i, f := range futures {
@@ -89,6 +94,73 @@ func TestConcurrentWorldsMatchSequential(t *testing.T) {
 			t.Errorf("world %d diverged under concurrency:\n--- sequential ---\n%s--- concurrent ---\n%s",
 				i, sequential[i], sig)
 		}
+	}
+}
+
+// TestMonitorHorizonReadsRunningClocks covers the one reader of world
+// state that lives outside the world (DESIGN.md "Cross-world
+// isolation"): the progress monitor formats its status line, horizons
+// included, on its caller's goroutine while the worlds run. Everything
+// in a world is unlocked and non-atomic except Clock.now, so under -race
+// this is the test that a horizon reads nothing else; the signatures
+// prove the polling did not disturb a world.
+func TestMonitorHorizonReadsRunningClocks(t *testing.T) {
+	const worlds = 4
+	sequential := make([]string, worlds)
+	for i := range sequential {
+		sig, err := worldSignature(2, int64(i), nil)
+		if err != nil {
+			t.Fatalf("sequential world %d: %v", i, err)
+		}
+		sequential[i] = sig
+	}
+
+	m := sim.NewMonitor(nil)
+	stop := make(chan struct{})
+	horizons := make(chan int)
+	go func() {
+		seen := 0
+		for {
+			select {
+			case <-stop:
+				horizons <- seen
+				return
+			default:
+			}
+			if strings.Contains(m.Line(), "@") {
+				seen++
+			}
+			runtime.Gosched()
+		}
+	}()
+
+	e := sim.NewExecutor(worlds)
+	futures := make([]*sim.Future[string], worlds)
+	for i := range futures {
+		key := fmt.Sprintf("world-%d", i)
+		m.Register(key)
+		futures[i] = sim.Submit(e, func() (string, error) {
+			m.Start(key)
+			sig, err := worldSignature(2, int64(i), func(w *testbed.World) {
+				m.Horizon(key, w.Net.Clock().Now)
+			})
+			m.Finish(key, err)
+			return sig, err
+		})
+	}
+	for i, f := range futures {
+		sig, err := f.Wait()
+		if err != nil {
+			t.Fatalf("polled world %d: %v", i, err)
+		}
+		if sig != sequential[i] {
+			t.Errorf("world %d diverged while its clock was polled:\n--- sequential ---\n%s--- polled ---\n%s",
+				i, sequential[i], sig)
+		}
+	}
+	close(stop)
+	if seen := <-horizons; seen == 0 {
+		t.Error("the monitor never formatted a running world's horizon")
 	}
 }
 

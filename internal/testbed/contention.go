@@ -2,7 +2,6 @@ package testbed
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"ptperf/internal/fetch"
@@ -67,7 +66,7 @@ type ContentionRig struct {
 	world       *World
 	level       ContentionLevel
 	competitors []*tor.Client
-	stopped     atomic.Bool
+	stopped     bool
 	wg          *netem.WaitGroup
 }
 
@@ -152,9 +151,9 @@ func (r *ContentionRig) Start() {
 			defer r.wg.Done()
 			clock.Sleep(time.Duration(i+1) * r.level.Stagger)
 			c := &fetch.Client{Net: r.world.Net, Dial: cl.Dial, Timeout: 600 * time.Second}
-			for !r.stopped.Load() {
+			for !r.stopped {
 				c.DownloadFile(r.world.Origin.Addr(), size)
-				if r.stopped.Load() {
+				if r.stopped {
 					return
 				}
 				clock.Sleep(r.level.Think)
@@ -167,7 +166,7 @@ func (r *ContentionRig) Start() {
 // flight errors out) and waits for every loop to exit, so the world
 // quiesces before its task returns.
 func (r *ContentionRig) Stop() {
-	r.stopped.Store(true)
+	r.stopped = true
 	for _, cl := range r.competitors {
 		cl.Close()
 	}

@@ -23,7 +23,6 @@ type circuit struct {
 	// scheduler-aware because the write can park on conn backpressure.
 	sendMu *netem.Mutex
 
-	mu         sync.Mutex
 	hops       []*hopCrypto
 	streams    map[uint16]*Stream
 	nextStream uint16
@@ -37,7 +36,6 @@ type circuit struct {
 	// (serialized by the event dispatcher) touches it.
 	rdStage []byte
 
-	fcMu       sync.Mutex
 	fcCond     *netem.Cond
 	circPkgWin int // forward-data budget toward the exit
 	circDlvWin int // backward-data accounting for SENDME generation
@@ -54,23 +52,19 @@ func newCircuit(client *Client, conn net.Conn, path Path) *circuit {
 		circPkgWin: circWindowInit,
 		circDlvWin: circWindowInit,
 	}
-	circ.fcCond = netem.NewCond(client.clock, &circ.fcMu)
+	circ.fcCond = netem.NewCond(client.clock)
 	return circ
 }
 
 func (circ *circuit) isClosed() bool {
-	circ.mu.Lock()
-	defer circ.mu.Unlock()
 	return circ.closed
 }
 
 // build performs CREATE + 2×EXTEND.
 func (circ *circuit) build() error {
 	c := circ.client
-	c.rngMu.Lock()
 	circ.id = c.rng.Uint32() | 1
 	hs, err := newHandshake(c.rng)
-	c.rngMu.Unlock()
 	if err != nil {
 		return err
 	}
@@ -96,9 +90,7 @@ func (circ *circuit) build() error {
 	if err != nil {
 		return err
 	}
-	circ.mu.Lock()
 	circ.hops = append(circ.hops, hop)
-	circ.mu.Unlock()
 
 	if oc, ok := circ.conn.(*netem.Conn); ok {
 		// Vanilla-tor first hop: demultiplex backward cells inline at
@@ -124,15 +116,11 @@ func (circ *circuit) build() error {
 // extend adds one hop via RELAY_EXTEND addressed to the current last hop.
 func (circ *circuit) extend(next *Descriptor) error {
 	c := circ.client
-	c.rngMu.Lock()
 	hs, err := newHandshake(c.rng)
-	c.rngMu.Unlock()
 	if err != nil {
 		return err
 	}
-	circ.mu.Lock()
 	last := len(circ.hops) - 1
-	circ.mu.Unlock()
 
 	rc := RelayCell{Cmd: RelayExtend, Data: encodeExtend(next.Addr, hs.public())}
 	if err := circ.sendRelay(last, rc); err != nil {
@@ -153,9 +141,7 @@ func (circ *circuit) extend(next *Descriptor) error {
 	if err != nil {
 		return err
 	}
-	circ.mu.Lock()
 	circ.hops = append(circ.hops, hop)
-	circ.mu.Unlock()
 	return nil
 }
 
@@ -168,14 +154,11 @@ func (circ *circuit) sendRelay(h int, rc RelayCell) error {
 		putCellBuf(base)
 		return err
 	}
-	circ.mu.Lock()
 	if circ.closed {
-		circ.mu.Unlock()
 		putCellBuf(base)
 		return ErrCircuitClosed
 	}
 	hops := circ.hops[:h+1]
-	circ.mu.Unlock()
 
 	circ.sendMu.Lock()
 	defer circ.sendMu.Unlock()
@@ -283,13 +266,7 @@ func (circ *circuit) clientCell(buf []byte) {
 // peel removes onion layers until a hop recognizes the cell. The
 // returned RelayCell's Data is a view into p.
 func (circ *circuit) peel(p []byte) (int, RelayCell, bool) {
-	// Snapshot the slice header; hops is append-only under mu, and a
-	// concurrent append builds a fresh array rather than mutating this
-	// one.
-	circ.mu.Lock()
-	hops := circ.hops
-	circ.mu.Unlock()
-	for i, hop := range hops {
+	for i, hop := range circ.hops {
 		hop.decryptBackward(p)
 		if rc, ok := parseRelayView(p); ok && hop.checkBackward(p) {
 			return i, rc, true
@@ -318,22 +295,17 @@ func (circ *circuit) deliver(hop int, rc RelayCell) {
 			circ.forgetStream(rc.StreamID)
 		} else {
 			// END for a pending stream refuses the BEGIN.
-			circ.mu.Lock()
-			pending := circ.streams[rc.StreamID]
-			circ.mu.Unlock()
-			if pending != nil {
+			if pending := circ.streams[rc.StreamID]; pending != nil {
 				pending.notifyConnected(ErrStreamRefused)
 			}
 		}
 	case RelaySendme:
-		circ.fcMu.Lock()
 		if rc.StreamID == 0 {
 			circ.circPkgWin += circWindowInc
 		} else if s := circ.stream(rc.StreamID); s != nil {
 			s.pkgWin += streamWindowInc
 		}
 		circ.fcCond.Broadcast()
-		circ.fcMu.Unlock()
 	}
 }
 
@@ -344,7 +316,6 @@ func (circ *circuit) deliverData(rc RelayCell) {
 		s.push(rc.Data)
 	}
 	exit := circ.lastHop()
-	circ.fcMu.Lock()
 	circ.circDlvWin--
 	sendCirc := false
 	if circ.circDlvWin <= circWindowInit-circWindowInc {
@@ -359,7 +330,6 @@ func (circ *circuit) deliverData(rc RelayCell) {
 			sendStream = true
 		}
 	}
-	circ.fcMu.Unlock()
 	if sendCirc {
 		circ.sendRelayAsync(exit, RelayCell{Cmd: RelaySendme})
 	}
@@ -377,8 +347,6 @@ func (circ *circuit) sendRelayAsync(h int, rc RelayCell) {
 }
 
 func (circ *circuit) lastHop() int {
-	circ.mu.Lock()
-	defer circ.mu.Unlock()
 	return len(circ.hops) - 1
 }
 
@@ -386,22 +354,16 @@ func (circ *circuit) stream(id uint16) *Stream {
 	if id == 0 {
 		return nil
 	}
-	circ.mu.Lock()
-	defer circ.mu.Unlock()
 	return circ.streams[id]
 }
 
 func (circ *circuit) forgetStream(id uint16) {
-	circ.mu.Lock()
 	delete(circ.streams, id)
-	circ.mu.Unlock()
 }
 
 // openStream performs BEGIN/CONNECTED.
 func (circ *circuit) openStream(target string) (*Stream, error) {
-	circ.mu.Lock()
 	if circ.closed {
-		circ.mu.Unlock()
 		return nil, ErrCircuitClosed
 	}
 	circ.nextStream++
@@ -409,7 +371,6 @@ func (circ *circuit) openStream(target string) (*Stream, error) {
 	s := newStream(circ, id, target)
 	circ.streams[id] = s
 	exit := len(circ.hops) - 1
-	circ.mu.Unlock()
 
 	if err := circ.sendRelay(exit, RelayCell{Cmd: RelayBegin, StreamID: id, Data: []byte(target)}); err != nil {
 		circ.forgetStream(id)
@@ -428,8 +389,6 @@ func (circ *circuit) openStream(target string) (*Stream, error) {
 }
 
 func (circ *circuit) closeReason() error {
-	circ.mu.Lock()
-	defer circ.mu.Unlock()
 	if circ.closeErr != nil {
 		return circ.closeErr
 	}
@@ -438,9 +397,7 @@ func (circ *circuit) closeReason() error {
 
 // close tears the circuit down locally and releases all waiters.
 func (circ *circuit) close(err error) {
-	circ.mu.Lock()
 	if circ.closed {
-		circ.mu.Unlock()
 		return
 	}
 	circ.closed = true
@@ -453,15 +410,12 @@ func (circ *circuit) close(err error) {
 	// into the scheduler's wake-up sequence.
 	sort.Slice(streams, func(i, j int) bool { return streams[i].id < streams[j].id })
 	circ.streams = map[uint16]*Stream{}
-	circ.mu.Unlock()
 
 	for _, s := range streams {
 		s.remoteClose()
 		s.notifyConnected(ErrCircuitClosed)
 	}
-	circ.fcMu.Lock()
 	circ.fcCond.Broadcast()
-	circ.fcMu.Unlock()
 	circ.control.Close()
 	circ.conn.Close()
 }
@@ -469,8 +423,6 @@ func (circ *circuit) close(err error) {
 // waitPackage blocks until the circuit and stream package windows are
 // positive; false means the circuit or stream died.
 func (circ *circuit) waitPackage(s *Stream) bool {
-	circ.fcMu.Lock()
-	defer circ.fcMu.Unlock()
 	for {
 		if circ.isClosed() || s.isClosedLocal() {
 			return false
@@ -484,10 +436,8 @@ func (circ *circuit) waitPackage(s *Stream) bool {
 
 // consumePackage spends one forward cell of window budget.
 func (circ *circuit) consumePackage(s *Stream) {
-	circ.fcMu.Lock()
 	circ.circPkgWin--
 	s.pkgWin--
-	circ.fcMu.Unlock()
 }
 
 // Stream is an anonymized byte stream over a circuit. It implements
@@ -499,7 +449,6 @@ type Stream struct {
 
 	connected *netem.Chan[error]
 
-	mu   sync.Mutex
 	cond *netem.Cond
 	// buf[bufHead:] is the unread inbound data. The head index (rather
 	// than re-slicing buf itself) keeps the slice anchored at its
@@ -517,7 +466,6 @@ type Stream struct {
 	// arriving cell. Zero means any data wakes the reader (plain Read).
 	rdWant int
 
-	// guarded by circ.fcMu
 	pkgWin int
 	dlvWin int
 }
@@ -531,7 +479,7 @@ func newStream(circ *circuit, id uint16, target string) *Stream {
 		pkgWin:    streamWindowInit,
 		dlvWin:    streamWindowInit,
 	}
-	s.cond = netem.NewCond(circ.client.clock, &s.mu)
+	s.cond = netem.NewCond(circ.client.clock)
 	return s
 }
 
@@ -541,8 +489,6 @@ func (s *Stream) notifyConnected(err error) {
 
 // push appends inbound data (called from the circuit read loop).
 func (s *Stream) push(data []byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.localClosed {
 		return
 	}
@@ -553,7 +499,7 @@ func (s *Stream) push(data []byte) {
 }
 
 // consume moves up to len(p) buffered bytes into p, recycling the
-// buffer's capacity once fully drained. Callers hold s.mu.
+// buffer's capacity once fully drained.
 func (s *Stream) consume(p []byte) int {
 	n := copy(p, s.buf[s.bufHead:])
 	s.bufHead += n
@@ -573,22 +519,16 @@ func (s *Stream) consume(p []byte) int {
 
 // remoteClose marks end-of-stream from the exit.
 func (s *Stream) remoteClose() {
-	s.mu.Lock()
 	s.remoteClosed = true
 	s.cond.Broadcast()
-	s.mu.Unlock()
 }
 
 func (s *Stream) isClosedLocal() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.localClosed
 }
 
 // Read implements net.Conn.
 func (s *Stream) Read(p []byte) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	for {
 		if s.localClosed {
 			return 0, ErrCircuitClosed
@@ -616,11 +556,7 @@ func (s *Stream) Read(p []byte) (int, error) {
 // body copy) use it; header parsing and latency-sensitive reads keep
 // the eager Read.
 func (s *Stream) ReadFull(p []byte) (int, error) {
-	s.mu.Lock()
-	defer func() {
-		s.rdWant = 0
-		s.mu.Unlock()
-	}()
+	defer func() { s.rdWant = 0 }()
 	for {
 		if s.localClosed {
 			return 0, ErrCircuitClosed
@@ -664,18 +600,12 @@ func (s *Stream) Write(p []byte) (int, error) {
 
 // Close implements net.Conn, sending RELAY_END.
 func (s *Stream) Close() error {
-	s.mu.Lock()
 	if s.localClosed {
-		s.mu.Unlock()
 		return nil
 	}
 	s.localClosed = true
 	s.cond.Broadcast()
-	s.mu.Unlock()
-
-	s.circ.fcMu.Lock()
 	s.circ.fcCond.Broadcast()
-	s.circ.fcMu.Unlock()
 
 	exit := s.circ.lastHop()
 	s.circ.sendRelay(exit, RelayCell{Cmd: RelayEnd, StreamID: s.id})
@@ -695,10 +625,8 @@ func (s *Stream) SetDeadline(t time.Time) error { return s.SetReadDeadline(t) }
 
 // SetReadDeadline implements net.Conn.
 func (s *Stream) SetReadDeadline(t time.Time) error {
-	s.mu.Lock()
 	s.rdl = t
 	s.cond.Broadcast()
-	s.mu.Unlock()
 	return nil
 }
 

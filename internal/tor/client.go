@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"ptperf/internal/netem"
@@ -106,27 +104,6 @@ func (s RecoveryStats) Total() int64 {
 	return s.Rebuilds + s.BuildTimeouts + s.StreamFailures + s.ReAttaches + s.Abandoned + s.GuardProbations
 }
 
-// recoveryCounters is the atomic backing store for RecoveryStats.
-type recoveryCounters struct {
-	rebuilds        atomic.Int64
-	buildTimeouts   atomic.Int64
-	streamFailures  atomic.Int64
-	reAttaches      atomic.Int64
-	abandoned       atomic.Int64
-	guardProbations atomic.Int64
-}
-
-func (c *recoveryCounters) snapshot() RecoveryStats {
-	return RecoveryStats{
-		Rebuilds:        c.rebuilds.Load(),
-		BuildTimeouts:   c.buildTimeouts.Load(),
-		StreamFailures:  c.streamFailures.Load(),
-		ReAttaches:      c.reAttaches.Load(),
-		Abandoned:       c.abandoned.Load(),
-		GuardProbations: c.guardProbations.Load(),
-	}
-}
-
 // DefaultGuardProbation is how long a failed guard sits out of path
 // selection before it is eligible again (doubling per consecutive
 // strike, capped at 64×).
@@ -174,18 +151,15 @@ type Client struct {
 	cfg   ClientConfig
 	clock *netem.Clock
 
-	rngMu sync.Mutex
-	rng   *rand.Rand
+	rng *rand.Rand
 
 	// retryRng feeds backoff jitter only. It is separate from rng so
 	// enabling backoff cannot perturb path selection, and vice versa —
 	// fault-free seeds stay byte-identical under the default policy.
-	retryMu  sync.Mutex
 	retryRng *rand.Rand
 
-	rec recoveryCounters
+	rec RecoveryStats
 
-	mu        sync.Mutex
 	guard     *Descriptor
 	probation map[string]*guardProbation
 	circ      *circuit
@@ -218,19 +192,12 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 }
 
 // Recovery returns the client's cumulative recovery counters.
-func (c *Client) Recovery() RecoveryStats { return c.rec.snapshot() }
+func (c *Client) Recovery() RecoveryStats { return c.rec }
 
 // Guard returns the client's persistent guard, selecting one if needed.
 func (c *Client) Guard() *Descriptor {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.guardLocked()
-}
-
-func (c *Client) guardLocked() *Descriptor {
 	if c.guard == nil {
 		now := c.clock.Now()
-		c.rngMu.Lock()
 		cands := c.cfg.Directory.WithFlag(FlagGuard)
 		var skip []*Descriptor
 		for _, g := range cands {
@@ -244,7 +211,6 @@ func (c *Client) guardLocked() *Descriptor {
 			// a client whose guard context expired.
 			c.guard = pickWeighted(c.rng, cands)
 		}
-		c.rngMu.Unlock()
 	}
 	return c.guard
 }
@@ -267,7 +233,6 @@ func (c *Client) guardFailed(g *Descriptor) {
 		return
 	}
 	now := c.clock.Now()
-	c.mu.Lock()
 	if c.guard != nil && c.guard.Name == g.Name {
 		c.guard = nil
 	}
@@ -284,8 +249,7 @@ func (c *Client) guardFailed(g *Descriptor) {
 		base = DefaultGuardProbation // sentence length is moot: permanent
 	}
 	p.until = now + base<<(p.strikes-1)
-	c.mu.Unlock()
-	c.rec.guardProbations.Add(1)
+	c.rec.GuardProbations++
 }
 
 // Preheat builds a circuit if none is alive, so that measurement code can
@@ -299,10 +263,8 @@ func (c *Client) Preheat() error {
 // one (the paper accesses each website over a fresh circuit in §5.2, and
 // MaxCircuitDirtiness-style reuse otherwise).
 func (c *Client) NewCircuit() {
-	c.mu.Lock()
 	circ := c.circ
 	c.circ = nil
-	c.mu.Unlock()
 	if circ != nil {
 		circ.close(nil)
 	}
@@ -316,8 +278,6 @@ func (c *Client) Close() error {
 
 // Path returns the current circuit's path, or zero Path if none.
 func (c *Client) Path() Path {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.circ == nil {
 		return Path{}
 	}
@@ -326,21 +286,15 @@ func (c *Client) Path() Path {
 
 // circuitFor returns a live circuit, building one if necessary.
 func (c *Client) circuitFor() (*circuit, error) {
-	c.mu.Lock()
 	if c.circ != nil {
 		if !c.circ.isClosed() {
-			circ := c.circ
-			c.mu.Unlock()
-			return circ, nil
+			return c.circ, nil
 		}
 		// The cached circuit died under us (relay crash, link flap,
 		// scheduler drop) rather than being discarded via NewCircuit:
 		// its replacement is a rebuild, not a first build.
 		c.circ = nil
-		c.mu.Unlock()
-		c.rec.rebuilds.Add(1)
-	} else {
-		c.mu.Unlock()
+		c.rec.Rebuilds++
 	}
 
 	// Like the real client, retry a failed build on a fresh circuit: a
@@ -353,7 +307,7 @@ func (c *Client) circuitFor() (*circuit, error) {
 	attempts := 1 + c.cfg.Retry.buildRetries()
 	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
-			c.rec.rebuilds.Add(1)
+			c.rec.Rebuilds++
 			if d := c.backoff(attempt - 1); d > 0 {
 				c.clock.Sleep(d)
 			}
@@ -363,22 +317,19 @@ func (c *Client) circuitFor() (*circuit, error) {
 			break
 		}
 		if errors.Is(err, ErrBuildTimeout) {
-			c.rec.buildTimeouts.Add(1)
+			c.rec.BuildTimeouts++
 		}
 	}
 	if err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
-	// Another goroutine may have raced us; prefer the existing one.
+	// Another goroutine may have built one while this build was parked;
+	// prefer the existing one.
 	if c.circ != nil && !c.circ.isClosed() {
-		existing := c.circ
-		c.mu.Unlock()
 		circ.close(nil)
-		return existing, nil
+		return c.circ, nil
 	}
 	c.circ = circ
-	c.mu.Unlock()
 	return circ, nil
 }
 
@@ -389,9 +340,7 @@ func (c *Client) buildCircuit() (*circuit, error) {
 	var path Path
 	var err error
 	if c.cfg.Directory != nil {
-		c.rngMu.Lock()
 		path, err = c.cfg.Directory.SelectPath(c.rng, guard, c.cfg.Middle, c.cfg.Exit)
-		c.rngMu.Unlock()
 		if err != nil {
 			return nil, err
 		}
@@ -428,9 +377,7 @@ func (c *Client) backoff(n int) time.Duration {
 	if n > 6 {
 		n = 6
 	}
-	c.retryMu.Lock()
 	jitter := time.Duration(c.retryRng.Int63n(int64(base)))
-	c.retryMu.Unlock()
 	return base<<n + jitter
 }
 
@@ -446,7 +393,7 @@ func (c *Client) Dial(target string) (net.Conn, error) {
 			if attempt > 0 {
 				// A re-attach that cannot even get a circuit abandons the
 				// stream.
-				c.rec.abandoned.Add(1)
+				c.rec.Abandoned++
 			}
 			return nil, err
 		}
@@ -454,15 +401,15 @@ func (c *Client) Dial(target string) (net.Conn, error) {
 		if err == nil {
 			return s, nil
 		}
-		c.rec.streamFailures.Add(1)
+		c.rec.StreamFailures++
 		if !errors.Is(err, ErrCircuitClosed) {
 			return nil, err
 		}
 		if attempt >= retries {
-			c.rec.abandoned.Add(1)
+			c.rec.Abandoned++
 			return nil, err
 		}
-		c.rec.reAttaches.Add(1)
+		c.rec.ReAttaches++
 		c.NewCircuit()
 	}
 }

@@ -3,7 +3,6 @@ package tor
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"ptperf/internal/geo"
 )
@@ -41,7 +40,6 @@ type Descriptor struct {
 
 // Directory is the in-process consensus: the set of running relays.
 type Directory struct {
-	mu     sync.RWMutex
 	relays []*Descriptor
 	byName map[string]*Descriptor
 }
@@ -53,8 +51,6 @@ func NewDirectory() *Directory {
 
 // Publish registers a relay descriptor.
 func (d *Directory) Publish(desc *Descriptor) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if _, dup := d.byName[desc.Name]; dup {
 		return fmt.Errorf("tor: duplicate relay %q", desc.Name)
 	}
@@ -71,8 +67,6 @@ func (d *Directory) Publish(desc *Descriptor) error {
 // re-appends it, so a withdraw/rejoin cycle is deterministic but moves
 // the relay to the end of the consensus order.
 func (d *Directory) Withdraw(name string) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if _, ok := d.byName[name]; !ok {
 		return false
 	}
@@ -88,23 +82,17 @@ func (d *Directory) Withdraw(name string) bool {
 
 // Lookup finds a relay by nickname.
 func (d *Directory) Lookup(name string) (*Descriptor, bool) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
 	desc, ok := d.byName[name]
 	return desc, ok
 }
 
 // Relays returns a snapshot of all descriptors.
 func (d *Directory) Relays() []*Descriptor {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
 	return append([]*Descriptor(nil), d.relays...)
 }
 
 // WithFlag returns relays having all the given flags.
 func (d *Directory) WithFlag(f Flag) []*Descriptor {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
 	var out []*Descriptor
 	for _, r := range d.relays {
 		if r.Flags.Has(f) {

@@ -68,9 +68,7 @@ func TestGuardProbationExpires(t *testing.T) {
 	}
 	// During the sentence every re-selection must avoid the failed guard.
 	reselect := func() string {
-		c.mu.Lock()
 		c.guard = nil
-		c.mu.Unlock()
 		return c.Guard().Name
 	}
 	for i := 0; i < 20; i++ {
@@ -100,9 +98,7 @@ func TestGuardProbationPermanent(t *testing.T) {
 	c.guardFailed(g1)
 	w.net.Clock().Sleep(30 * time.Minute) // far beyond any finite sentence
 	for i := 0; i < 50; i++ {
-		c.mu.Lock()
 		c.guard = nil
-		c.mu.Unlock()
 		if c.Guard().Name == g1.Name {
 			t.Fatal("permanently failed guard reselected")
 		}
@@ -122,9 +118,7 @@ func TestInvoluntaryCircuitDeathCountsRebuild(t *testing.T) {
 	if got := c.Recovery().Rebuilds; got != 0 {
 		t.Fatalf("first build counted as rebuild (%d)", got)
 	}
-	c.mu.Lock()
 	circ := c.circ
-	c.mu.Unlock()
 	circ.close(nil) // the circuit dies from below; the client still caches it
 	if err := c.Preheat(); err != nil {
 		t.Fatal(err)

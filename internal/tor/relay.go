@@ -45,10 +45,8 @@ type Relay struct {
 	desc  *Descriptor
 	clock *netem.Clock
 
-	rngMu sync.Mutex
-	rng   *rand.Rand
+	rng *rand.Rand
 
-	mu      sync.Mutex
 	ln      *netem.Listener
 	sched   *cellScheduler
 	retired []*cellScheduler // schedulers of crashed incarnations (stats survive restarts)
@@ -112,25 +110,13 @@ func (r *Relay) Host() *netem.Host { return r.cfg.Host }
 // a world, so the metrics layer uses them as series labels.
 func (r *Relay) Name() string { return r.cfg.Name }
 
-// scheduler returns the current incarnation's cell scheduler. Links
-// bind it once at creation, so a restart's fresh scheduler never sees
-// calls from links that belong to a crashed incarnation.
-func (r *Relay) scheduler() *cellScheduler {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.sched
-}
-
 // Close stops accepting connections and shuts the cell scheduler down
 // (queued cells of live circuits are dropped; subsequent relay traffic
 // through this relay fails).
 func (r *Relay) Close() error {
-	r.mu.Lock()
 	r.closed = true
-	ln, sched := r.ln, r.sched
-	r.mu.Unlock()
-	err := ln.Close()
-	sched.stop()
+	err := r.ln.Close()
+	r.sched.stop()
 	return err
 }
 
@@ -141,52 +127,39 @@ func (r *Relay) Close() error {
 // down exactly as they would for a real peer crash. Returns false if
 // the relay was already crashed or closed.
 func (r *Relay) Crash() bool {
-	r.mu.Lock()
 	if r.crashed || r.closed {
-		r.mu.Unlock()
 		return false
 	}
 	r.crashed = true
-	ln, sched := r.ln, r.sched
-	r.mu.Unlock()
 	if !r.cfg.Unpublished && r.cfg.Directory != nil {
 		r.cfg.Directory.Withdraw(r.cfg.Name)
 	}
-	ln.Close()
-	sched.stop()
+	r.ln.Close()
+	r.sched.stop()
 	r.cfg.Host.Network().AbortHostConns(r.cfg.Host.Name())
 	return true
 }
 
 // Crashed reports whether the relay is currently crashed.
-func (r *Relay) Crashed() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.crashed
-}
+func (r *Relay) Crashed() bool { return r.crashed }
 
 // Restart brings a crashed relay back: a fresh listener on the same
 // port, a fresh cell scheduler (the crashed one is retired but keeps
 // its cumulative stats), and the same descriptor republished — pinned
 // descriptor pointers held by clients stay valid across the cycle.
 func (r *Relay) Restart() error {
-	r.mu.Lock()
 	if !r.crashed || r.closed {
-		r.mu.Unlock()
 		return fmt.Errorf("tor: relay %q is not crashed", r.cfg.Name)
 	}
-	r.mu.Unlock()
 	ln, err := r.cfg.Host.Listen(r.cfg.Port)
 	if err != nil {
 		return err
 	}
 	sched := newCellScheduler(r.clock, r.cfg.Host.Network().Acct(), r.cfg.Sched, r.cfg.Bandwidth)
-	r.mu.Lock()
 	r.retired = append(r.retired, r.sched)
 	r.ln = ln
 	r.sched = sched
 	r.crashed = false
-	r.mu.Unlock()
 	r.clock.Go(func() { r.acceptLoop(ln) })
 	if !r.cfg.Unpublished && r.cfg.Directory != nil {
 		if err := r.cfg.Directory.Publish(r.desc); err != nil {
@@ -214,14 +187,11 @@ func (r *Relay) acceptLoop(ln *netem.Listener) {
 // a co-located relay (integration set 1 of the paper, where the PT server
 // is the guard).
 func (r *Relay) ServeConn(conn net.Conn) {
-	l := &link{relay: r, sched: r.scheduler(), conn: conn, wmu: netem.NewMutex(r.clock), circs: make(map[uint32]*relayCirc)}
+	// The link binds the current incarnation's scheduler once, so a
+	// restart's fresh scheduler never sees calls from links that belong
+	// to a crashed incarnation.
+	l := &link{relay: r, sched: r.sched, conn: conn, wmu: netem.NewMutex(r.clock), circs: make(map[uint32]*relayCirc)}
 	l.serve()
-}
-
-func (r *Relay) newHandshake() (*handshake, error) {
-	r.rngMu.Lock()
-	defer r.rngMu.Unlock()
-	return newHandshake(r.rng)
 }
 
 // uniqueID draws candidate circuit IDs from next (forced non-zero via
@@ -245,14 +215,7 @@ func uniqueID(next func() uint32, used func(uint32) bool) uint32 {
 // RelayTruncated), so a clash degrades to a failed extension, never a
 // cross-wired circuit.
 func (r *Relay) randID(l *link) uint32 {
-	return uniqueID(
-		func() uint32 {
-			r.rngMu.Lock()
-			defer r.rngMu.Unlock()
-			return r.rng.Uint32()
-		},
-		func(id uint32) bool { return l != nil && l.circuit(id) != nil },
-	)
+	return uniqueID(r.rng.Uint32, func(id uint32) bool { return l != nil && l.circs[id] != nil })
 }
 
 // link is one upstream connection carrying circuits.
@@ -269,12 +232,11 @@ type link struct {
 	wmu *netem.Mutex
 
 	// flusher is the slow-path scheduler writer queue, created lazily
-	// (under the scheduler's mu) for links whose conn lacks the
+	// for links whose conn lacks the
 	// non-parking zero-copy write path — PT stream tunnels fed through
 	// ServeConn. See link.flushCell.
 	flusher *netem.Chan[queuedCell]
 
-	mu    sync.Mutex
 	circs map[uint32]*relayCirc
 }
 
@@ -287,8 +249,7 @@ func (l *link) writeCell(c *Cell) error {
 	return err
 }
 
-// flushCell writes one scheduled cell without parking; the scheduler's
-// mu is held. Fast links (netem conns) take the zero-copy owned write
+// flushCell writes one scheduled cell without parking. Fast links (netem conns) take the zero-copy owned write
 // inline — cell framing stays atomic because every cell is a single
 // segment serialized on the conn's own writer lock. Other conns get a
 // lazily-spawned flusher goroutine that is allowed to park on real
@@ -344,18 +305,6 @@ func (l *link) writeBudget(def int) int {
 	return def
 }
 
-func (l *link) circuit(id uint32) *relayCirc {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.circs[id]
-}
-
-func (l *link) removeCircuit(id uint32) {
-	l.mu.Lock()
-	delete(l.circs, id)
-	l.mu.Unlock()
-}
-
 // serve is the upstream read loop. It reads into a pooled wire buffer
 // that is reused across cells except when a relay cell is forwarded
 // downstream zero-copy, in which case ownership moves with the cell and
@@ -380,7 +329,7 @@ func (l *link) serve() {
 				return
 			}
 		case CmdRelay:
-			circ := l.circuit(wireCircID(buf))
+			circ := l.circs[wireCircID(buf)]
 			if circ == nil {
 				continue
 			}
@@ -392,7 +341,7 @@ func (l *link) serve() {
 				circ.destroy(true, false)
 			}
 		case CmdDestroy:
-			if circ := l.circuit(wireCircID(buf)); circ != nil {
+			if circ := l.circs[wireCircID(buf)]; circ != nil {
 				circ.destroy(false, true)
 			}
 		}
@@ -400,7 +349,6 @@ func (l *link) serve() {
 }
 
 func (l *link) teardown() {
-	l.mu.Lock()
 	circs := make([]*relayCirc, 0, len(l.circs))
 	for _, c := range l.circs {
 		circs = append(circs, c)
@@ -409,7 +357,6 @@ func (l *link) teardown() {
 	// into the scheduler's wake-up sequence).
 	sort.Slice(circs, func(i, j int) bool { return circs[i].id < circs[j].id })
 	l.circs = map[uint32]*relayCirc{}
-	l.mu.Unlock()
 	for _, c := range circs {
 		c.destroy(false, true)
 	}
@@ -418,12 +365,8 @@ func (l *link) teardown() {
 	// was just retired, so closing here lets the goroutine drain and
 	// exit instead of living until scheduler stop. Close is idempotent —
 	// stop() may close it again via s.flushers.
-	s := l.sched
-	s.mu.Lock()
-	f := l.flusher
-	s.mu.Unlock()
-	if f != nil {
-		f.Close()
+	if l.flusher != nil {
+		l.flusher.Close()
 	}
 }
 
@@ -432,10 +375,10 @@ func (l *link) handleCreate(cell *Cell) error {
 	// (the map write below clobbers the old one while its goroutines
 	// keep running). Refuse it with a DESTROY and leave the existing
 	// circuit untouched.
-	if l.circuit(cell.CircID) != nil {
+	if l.circs[cell.CircID] != nil {
 		return l.writeCell(&Cell{CircID: cell.CircID, Cmd: CmdDestroy})
 	}
-	hs, err := l.relay.newHandshake()
+	hs, err := newHandshake(l.relay.rng)
 	if err != nil {
 		return err
 	}
@@ -450,15 +393,12 @@ func (l *link) handleCreate(cell *Cell) error {
 		crypto:     hc,
 		q:          l.sched.newQueue(l, cell.CircID),
 		nextWMu:    netem.NewMutex(clock),
-		bwdMu:      netem.NewMutex(clock),
 		streams:    make(map[uint16]*exitStream),
 		circPkgWin: circWindowInit,
 		circDlvWin: circWindowInit,
 	}
-	circ.fcCond = netem.NewCond(clock, &circ.fcMu)
-	l.mu.Lock()
+	circ.fcCond = netem.NewCond(clock)
 	l.circs[cell.CircID] = circ
-	l.mu.Unlock()
 
 	reply := &Cell{CircID: cell.CircID, Cmd: CmdCreated}
 	writeHandshake(&reply.Payload, hs.public())
@@ -474,13 +414,9 @@ type relayCirc struct {
 	// every backward (toward-client) relay cell goes through it.
 	q *circQueue
 
-	mu      sync.Mutex
 	next    net.Conn // downstream link, nil while last hop
 	nextID  uint32
 	nextWMu *netem.Mutex
-	// bwdMu makes "apply backward crypto, then write upstream" atomic so
-	// the client observes cells in CTR-stream order.
-	bwdMu   *netem.Mutex
 	streams map[uint16]*exitStream
 	closed  bool
 	// bwdStage reassembles downstream bytes into cells in backwardSink
@@ -489,7 +425,6 @@ type relayCirc struct {
 	bwdStage []byte
 
 	// Backward (towards client) flow control.
-	fcMu       sync.Mutex
 	fcCond     *netem.Cond
 	circPkgWin int
 	// Forward delivery accounting for SENDME generation.
@@ -510,9 +445,7 @@ func (c *relayCirc) handleRelayWire(buf []byte, base *[]byte) (consumed bool, er
 		return false, c.handleRecognized(rc)
 	}
 	// Not for us: forward downstream.
-	c.mu.Lock()
 	next, nextID := c.next, c.nextID
-	c.mu.Unlock()
 	if next == nil {
 		return false, fmt.Errorf("tor: unrecognized relay cell at last hop")
 	}
@@ -574,10 +507,8 @@ func (c *relayCirc) handleExtend(rc RelayCell) error {
 		return c.sendBackwardControl(RelayTruncated, nil)
 	}
 
-	c.mu.Lock()
 	c.next = conn
 	c.nextID = nextID
-	c.mu.Unlock()
 	if oc, ok := conn.(*netem.Conn); ok {
 		// Inline backward path: downstream cells are encrypted and
 		// queued at their arrival instants on the clock's event
@@ -593,11 +524,8 @@ func (c *relayCirc) handleExtend(rc RelayCell) error {
 // backwardSink is the inline form of pumpBackward, installed as the
 // downstream conn's read sink once the circuit is spliced. It runs on
 // the clock's event dispatcher and must never park: relay cells go
-// through bwdMu — acquired with TryLock, since bwdMu is structurally
-// uncontended here (its critical sections never park, and events only
-// run while every sim goroutine is parked) and a parking Lock has no
-// place in an event callback — straight into the scheduler queue, and
-// teardown — which does park — is handed to a fresh goroutine.
+// straight into the scheduler queue, and teardown — which does park — is
+// handed to a fresh goroutine.
 func (c *relayCirc) backwardSink(data []byte, base *[]byte, pool *sync.Pool, err error) {
 	if err != nil {
 		c.link.relay.clock.Go(func() { c.destroy(true, false) })
@@ -628,14 +556,6 @@ func (c *relayCirc) backwardSink(data []byte, base *[]byte, pool *sync.Pool, err
 func (c *relayCirc) backwardCell(buf []byte, base *[]byte, pool *sync.Pool) {
 	switch Command(buf[4]) {
 	case CmdRelay:
-		// Event context: parking is forbidden, so acquire bwdMu without
-		// it. Contention is structurally impossible — every bwdMu
-		// critical section is park-free, and events dispatch only while
-		// all sim goroutines are parked — so a failed TryLock means that
-		// invariant broke, not that we should wait.
-		if !c.bwdMu.TryLock() {
-			panic("tor: bwdMu contended in event context; backward event path must stay park-free")
-		}
 		c.crypto.encryptBackward(wirePayload(buf))
 		setWireHeader(buf, c.id, CmdRelay)
 		var err error
@@ -651,7 +571,6 @@ func (c *relayCirc) backwardCell(buf []byte, base *[]byte, pool *sync.Pool) {
 			}
 			err = c.link.sched.enqueueWire(c.q, nb, nbase)
 		}
-		c.bwdMu.Unlock()
 		if err != nil {
 			c.link.relay.clock.Go(func() { c.destroy(false, true) })
 		}
@@ -668,8 +587,8 @@ func (c *relayCirc) backwardCell(buf []byte, base *[]byte, pool *sync.Pool) {
 }
 
 // pumpBackward relays downstream→upstream cells, adding our onion
-// layer. Cells are encrypted under bwdMu (fixing the CTR-stream order)
-// and handed to the scheduler queue, which preserves per-circuit FIFO.
+// layer. Encrypting and enqueueing never park, so the CTR-stream order
+// is the order of the scheduler queue, which preserves per-circuit FIFO.
 func (c *relayCirc) pumpBackward(conn net.Conn) {
 	buf, base := getCellBuf()
 	for {
@@ -680,12 +599,9 @@ func (c *relayCirc) pumpBackward(conn net.Conn) {
 		}
 		switch Command(buf[4]) {
 		case CmdRelay:
-			c.bwdMu.Lock()
 			c.crypto.encryptBackward(wirePayload(buf))
 			setWireHeader(buf, c.id, CmdRelay)
-			err := c.link.sched.enqueueWire(c.q, buf, base)
-			c.bwdMu.Unlock()
-			if err != nil {
+			if err := c.link.sched.enqueueWire(c.q, buf, base); err != nil {
 				c.destroy(false, true)
 				return
 			}
@@ -711,12 +627,10 @@ func (c *relayCirc) sendBackward(rc RelayCell) error {
 		putCellBuf(base)
 		return err
 	}
-	// Seal, encrypt and enqueue atomically so digest counters and the
-	// CTR stream stay in the order the client will observe; the
-	// scheduler flushes each circuit's queue in enqueue order, so wire
-	// order matches crypto order.
-	c.bwdMu.Lock()
-	defer c.bwdMu.Unlock()
+	// Seal, encrypt and enqueue without a park in between, so digest
+	// counters and the CTR stream stay in the order the client will
+	// observe; the scheduler flushes each circuit's queue in enqueue
+	// order, so wire order matches crypto order.
 	c.crypto.sealBackward(p)
 	c.crypto.encryptBackward(p)
 	setWireHeader(buf, c.id, CmdRelay)
@@ -737,14 +651,11 @@ func (c *relayCirc) handleBegin(rc RelayCell) error {
 		pkgWin: streamWindowInit,
 		dlvWin: streamWindowInit,
 	}
-	c.mu.Lock()
 	if c.closed {
-		c.mu.Unlock()
 		conn.Close()
 		return nil
 	}
 	c.streams[rc.StreamID] = s
-	c.mu.Unlock()
 	if err := c.sendBackward(RelayCell{Cmd: RelayConnected, StreamID: rc.StreamID}); err != nil {
 		return err
 	}
@@ -755,9 +666,7 @@ func (c *relayCirc) handleBegin(rc RelayCell) error {
 // handleData delivers forward stream data to the exit connection and
 // generates deliver-window SENDMEs.
 func (c *relayCirc) handleData(rc RelayCell) error {
-	c.mu.Lock()
 	s := c.streams[rc.StreamID]
-	c.mu.Unlock()
 	if s == nil {
 		return nil
 	}
@@ -766,7 +675,6 @@ func (c *relayCirc) handleData(rc RelayCell) error {
 		return nil
 	}
 	// Circuit-level deliver window.
-	c.fcMu.Lock()
 	c.circDlvWin--
 	sendCirc := false
 	if c.circDlvWin <= circWindowInit-circWindowInc {
@@ -779,7 +687,6 @@ func (c *relayCirc) handleData(rc RelayCell) error {
 		s.dlvWin += streamWindowInc
 		sendStream = true
 	}
-	c.fcMu.Unlock()
 	if sendCirc {
 		if err := c.sendBackward(RelayCell{Cmd: RelaySendme}); err != nil {
 			return err
@@ -795,33 +702,25 @@ func (c *relayCirc) handleData(rc RelayCell) error {
 
 // handleSendme replenishes backward package windows.
 func (c *relayCirc) handleSendme(streamID uint16) {
-	c.fcMu.Lock()
 	if streamID == 0 {
 		c.circPkgWin += circWindowInc
 	} else {
-		c.mu.Lock()
 		if s := c.streams[streamID]; s != nil {
 			s.pkgWin += streamWindowInc
 		}
-		c.mu.Unlock()
 	}
 	c.fcCond.Broadcast()
-	c.fcMu.Unlock()
 }
 
 func (c *relayCirc) closeStream(id uint16, notifyClient bool) {
-	c.mu.Lock()
 	s := c.streams[id]
 	delete(c.streams, id)
-	c.mu.Unlock()
 	if s == nil {
 		return
 	}
 	s.conn.Close()
-	c.fcMu.Lock()
 	s.closed = true
 	c.fcCond.Broadcast()
-	c.fcMu.Unlock()
 	if notifyClient {
 		c.sendBackward(RelayCell{Cmd: RelayEnd, StreamID: id})
 	}
@@ -830,9 +729,7 @@ func (c *relayCirc) closeStream(id uint16, notifyClient bool) {
 // destroy tears the circuit down; notifyUp sends DESTROY upstream,
 // notifyDown sends DESTROY downstream.
 func (c *relayCirc) destroy(notifyUp, notifyDown bool) {
-	c.mu.Lock()
 	if c.closed {
-		c.mu.Unlock()
 		return
 	}
 	c.closed = true
@@ -844,11 +741,7 @@ func (c *relayCirc) destroy(notifyUp, notifyDown bool) {
 	}
 	sort.Slice(streams, func(i, j int) bool { return streams[i].id < streams[j].id })
 	c.streams = map[uint16]*exitStream{}
-	c.mu.Unlock()
-
-	c.fcMu.Lock()
 	c.fcCond.Broadcast()
-	c.fcMu.Unlock()
 
 	// Drop the circuit's queued cells (counted as dropped) before any
 	// DESTROY goes out: a torn-down circuit's backlog must not outlive
@@ -869,7 +762,7 @@ func (c *relayCirc) destroy(notifyUp, notifyDown bool) {
 	if notifyUp {
 		c.link.writeCell(&Cell{CircID: c.id, Cmd: CmdDestroy})
 	}
-	c.link.removeCircuit(c.id)
+	delete(c.link.circs, c.id)
 }
 
 // exitStream pumps bytes from the destination back into the circuit.
@@ -878,7 +771,6 @@ type exitStream struct {
 	id   uint16
 	conn net.Conn
 
-	// guarded by circ.fcMu
 	pkgWin int
 	dlvWin int
 	closed bool
@@ -894,10 +786,8 @@ func (s *exitStream) pump() {
 		}
 		n, err := s.conn.Read(buf)
 		if n > 0 {
-			s.circ.fcMu.Lock()
 			s.circ.circPkgWin--
 			s.pkgWin--
-			s.circ.fcMu.Unlock()
 			if serr := s.circ.sendBackward(RelayCell{Cmd: RelayData, StreamID: s.id, Data: buf[:n]}); serr != nil {
 				return
 			}
@@ -915,16 +805,8 @@ func (s *exitStream) pump() {
 // waitWindow blocks until both package windows are positive; it returns
 // false when the stream or circuit has closed.
 func (s *exitStream) waitWindow() bool {
-	s.circ.fcMu.Lock()
-	defer s.circ.fcMu.Unlock()
 	for {
-		if s.closed {
-			return false
-		}
-		s.circ.mu.Lock()
-		closed := s.circ.closed
-		s.circ.mu.Unlock()
-		if closed {
+		if s.closed || s.circ.closed {
 			return false
 		}
 		if s.circ.circPkgWin > 0 && s.pkgWin > 0 {

@@ -135,7 +135,6 @@ type queuedCell struct {
 }
 
 // circQueue is one circuit's output queue plus its scheduling state.
-// All fields are guarded by the owning cellScheduler's mu.
 type circQueue struct {
 	link *link
 	id   uint32
@@ -180,7 +179,6 @@ type cellScheduler struct {
 	acct  *netem.Acct
 	cfg   SchedConfig
 
-	mu sync.Mutex
 	// active holds queues that may still receive cells, in creation
 	// order (deterministic pick iteration); done retains closed queues
 	// for the stats accessors.
@@ -213,14 +211,11 @@ func newCellScheduler(clock *netem.Clock, acct *netem.Acct, cfg SchedConfig, ban
 // newQueue registers a fresh circuit queue.
 func (s *cellScheduler) newQueue(l *link, id uint32) *circQueue {
 	q := &circQueue{link: l, id: id}
-	s.mu.Lock()
 	if s.closed {
 		q.closed = true
-		s.mu.Unlock()
 		return q
 	}
 	s.active = append(s.active, q)
-	s.mu.Unlock()
 	return q
 }
 
@@ -229,9 +224,7 @@ func (s *cellScheduler) newQueue(l *link, id uint32) *circQueue {
 // backpressure is the flow-control windows' job — and fails only once
 // the circuit (or the relay) has been torn down.
 func (s *cellScheduler) enqueueWire(q *circQueue, buf []byte, base *[]byte) error {
-	s.mu.Lock()
 	if s.closed || q.closed {
-		s.mu.Unlock()
 		putCellBuf(base)
 		return ErrCircuitClosed
 	}
@@ -240,17 +233,16 @@ func (s *cellScheduler) enqueueWire(q *circQueue, buf []byte, base *[]byte) erro
 	q.queued++
 	s.pending++
 	s.acct.AddCellsQueued(1)
-	s.armLocked()
-	s.mu.Unlock()
+	s.arm()
 	return nil
 }
 
-// armLocked schedules the next flush event unless one is already armed:
+// arm schedules the next flush event unless one is already armed:
 // immediately when the pass cadence allows, at the pace boundary
 // otherwise. A cell arriving after a quiet stretch is still flushed at
 // once (its pass runs immediately; only the next one is paced) — the
 // same cadence contract the retired scheduler goroutine kept.
-func (s *cellScheduler) armLocked() {
+func (s *cellScheduler) arm() {
 	if s.armed || s.closed || s.pending == 0 {
 		return
 	}
@@ -266,27 +258,24 @@ func (s *cellScheduler) armLocked() {
 // when the armed timer fires. It must never park: writes go through
 // link.flushCell.
 func (s *cellScheduler) flushEvent() {
-	s.mu.Lock()
 	s.armed = false
 	if s.closed || s.pending == 0 {
 		// The pending cells were dropped by a teardown between arm and
 		// fire; nothing to do.
-		s.mu.Unlock()
 		return
 	}
 	now := s.clock.Now()
-	s.flushPassLocked()
+	s.flushPass()
 	s.nextPass = now + s.cfg.Interval
 	// Cells the pass could not flush (budget exhausted, unwritable
 	// links) re-arm for the next interval.
-	s.armLocked()
-	s.mu.Unlock()
+	s.arm()
 }
 
-// retireQueueLocked marks q closed, drops its pending cells (counted,
-// buffers recycled) and moves it to the stats archive. The scheduler
-// lock must be held; the caller removes q from (or resets) s.active.
-func (s *cellScheduler) retireQueueLocked(q *circQueue) {
+// retireQueue marks q closed, drops its pending cells (counted,
+// buffers recycled) and moves it to the stats archive; the caller
+// removes q from (or resets) s.active.
+func (s *cellScheduler) retireQueue(q *circQueue) {
 	q.closed = true
 	for i := q.head; i < len(q.cells); i++ {
 		putCellBuf(q.cells[i].base)
@@ -302,9 +291,7 @@ func (s *cellScheduler) retireQueueLocked(q *circQueue) {
 
 // closeQueue retires one circuit's queue at teardown.
 func (s *cellScheduler) closeQueue(q *circQueue) {
-	s.mu.Lock()
 	if q.closed {
-		s.mu.Unlock()
 		return
 	}
 	for i, a := range s.active {
@@ -313,45 +300,39 @@ func (s *cellScheduler) closeQueue(q *circQueue) {
 			break
 		}
 	}
-	s.retireQueueLocked(q)
-	s.mu.Unlock()
+	s.retireQueue(q)
 }
 
 // stop shuts the scheduler down, retiring every queue and closing the
 // slow-link flushers (each drains its handed-off cells, then exits —
 // the leak invariants sample goroutine counts at quiescent points).
 func (s *cellScheduler) stop() {
-	s.mu.Lock()
 	if s.closed {
-		s.mu.Unlock()
 		return
 	}
 	s.closed = true
 	for _, q := range s.active {
-		s.retireQueueLocked(q)
+		s.retireQueue(q)
 	}
 	s.active = nil
-	fls := s.flushers
-	s.flushers = nil
-	s.mu.Unlock()
-	for _, f := range fls {
+	for _, f := range s.flushers {
 		f.Close()
 	}
+	s.flushers = nil
 }
 
-// flushPassLocked flushes up to CellsPerPass cells, re-picking the
-// best circuit before every cell. Called and returns with s.mu held.
-// No write in the pass parks: fast links take the inline zero-copy
+// flushPass flushes up to CellsPerPass cells, re-picking the best
+// circuit before every cell. No write in the pass parks: fast links take the inline zero-copy
 // path, slow links a flusher handoff, and a link whose window is full
 // is excluded for the rest of the pass (it re-arms for the next one).
-func (s *cellScheduler) flushPassLocked() {
+func (s *cellScheduler) flushPass() {
 	s.passes++
 	// linkBudget caches each link's writable budget for this pass; it
 	// is only ever indexed by a picked queue's link, never iterated, so
 	// map order cannot leak into scheduling.
 	linkBudget := make(map[*link]int)
 	for budget := s.cfg.CellsPerPass; budget > 0; {
-		q := s.pickLocked(linkBudget)
+		q := s.pick(linkBudget)
 		if q == nil {
 			return
 		}
@@ -359,8 +340,8 @@ func (s *cellScheduler) flushPassLocked() {
 		cell := q.cells[q.head]
 		if !l.flushCell(s, cell) {
 			// The link cannot take this write right now (writer lock
-			// contended or receive window full between the budget probe
-			// and the write): spend its pass budget so other links'
+			// held by a parked writer, or less window than the budget
+			// probe cached): spend its pass budget so other links'
 			// circuits still flush, and retry next interval.
 			linkBudget[l] = 0
 			continue
@@ -387,9 +368,9 @@ func (s *cellScheduler) flushPassLocked() {
 	}
 }
 
-// pickLocked returns the best flushable queue under the pass's link
+// pick returns the best flushable queue under the pass's link
 // budgets, or nil when none is writable.
-func (s *cellScheduler) pickLocked(linkBudget map[*link]int) *circQueue {
+func (s *cellScheduler) pick(linkBudget map[*link]int) *circQueue {
 	var best *circQueue
 	now := s.clock.Now()
 	for _, q := range s.active {
@@ -464,8 +445,6 @@ type CircuitSched struct {
 // incarnations keep their counters, so stats are cumulative across
 // crash/restart cycles.
 func (r *Relay) schedulers() []*cellScheduler {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	out := make([]*cellScheduler, 0, len(r.retired)+1)
 	out = append(out, r.retired...)
 	return append(out, r.sched)
@@ -476,7 +455,6 @@ func (r *Relay) schedulers() []*cellScheduler {
 func (r *Relay) SchedStats() SchedStats {
 	var st SchedStats
 	for _, s := range r.schedulers() {
-		s.mu.Lock()
 		st.Passes += s.passes
 		st.Pending += int64(s.pending)
 		for _, qs := range [][]*circQueue{s.active, s.done} {
@@ -487,7 +465,6 @@ func (r *Relay) SchedStats() SchedStats {
 				st.DelaySum += q.delaySum
 			}
 		}
-		s.mu.Unlock()
 	}
 	return st
 }
@@ -500,7 +477,6 @@ func (r *Relay) SchedStats() SchedStats {
 func (r *Relay) CircuitScheds() []CircuitSched {
 	var out []CircuitSched
 	for _, s := range r.schedulers() {
-		s.mu.Lock()
 		for _, qs := range [][]*circQueue{s.done, s.active} {
 			for _, q := range qs {
 				out = append(out, CircuitSched{
@@ -514,7 +490,6 @@ func (r *Relay) CircuitScheds() []CircuitSched {
 				})
 			}
 		}
-		s.mu.Unlock()
 	}
 	return out
 }

@@ -22,7 +22,7 @@ func TestEWMADecayHalflife(t *testing.T) {
 	if math.Abs(q.ewma-1) > 1e-9 {
 		t.Fatalf("two more half-lives: got %v, want 1", q.ewma)
 	}
-	// Decay must be idempotent at a fixed instant (pickLocked ages both
+	// Decay must be idempotent at a fixed instant (pick ages both
 	// comparands repeatedly within one pass).
 	before := q.ewma
 	q.decayTo(90*time.Second, 30*time.Second)

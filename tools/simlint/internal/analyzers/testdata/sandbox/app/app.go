@@ -7,9 +7,17 @@ package app
 
 import (
 	"io"
+	"sync"
 
 	"sandbox/netem"
 )
+
+// joined is filled by several worlds' drivers: app is not a world
+// package, so nolocks leaves its real lock alone.
+type joined struct {
+	mu      sync.Mutex
+	results []int
+}
 
 type proc struct {
 	clock *netem.Clock

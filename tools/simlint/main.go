@@ -1,6 +1,6 @@
 // Command simlint is the static guardian of the simulator's
 // determinism and inline-event contracts (DESIGN.md "Static enforcement
-// of the determinism contract"). It bundles five analyzers:
+// of the determinism contract"). It bundles six analyzers:
 //
 //	wallclock      no time.Now/Sleep/After/Since/... anywhere in the module
 //	seededrand     no top-level math/rand draws; only seeded *rand.Rand
@@ -8,6 +8,8 @@
 //	               a parking primitive (the PR-9 inline-event contract)
 //	rawgo          simulation packages spawn goroutines via Clock.Go only
 //	maprange       report/render/digest code never iterates maps unsorted
+//	nolocks        world packages hold no sync.Mutex/RWMutex/Cond/Locker:
+//	               one run token per world means they guard nothing
 //
 // The only escape hatch is //simlint:allow <analyzer> -- <reason>, with
 // the reason mandatory; noparkinevent cannot be suppressed inside

@@ -3,9 +3,16 @@
 // method name.
 package netem
 
-import "time"
+import (
+	"sync"
+	"time"
+)
 
-type Clock struct{}
+// Clock carries the seeded nolocks violation: a sync lock inside a
+// world package.
+type Clock struct {
+	mu sync.Mutex
+}
 
 func (c *Clock) EventAt(vt time.Duration, fn func()) {}
 func (c *Clock) Go(fn func())                        {}
