@@ -220,13 +220,6 @@ func fetchOn(conn net.Conn, br *bufio.Reader, path string) (int64, error) {
 	return got, err
 }
 
-// fullReader is the threshold-read interface tor streams provide: fill
-// p completely, parking until enough bytes have accumulated rather than
-// waking for every arriving cell.
-type fullReader interface {
-	ReadFull(p []byte) (int, error)
-}
-
 // bodyChunk sizes the threshold reads of copyBody.
 const bodyChunk = 64 << 10
 
@@ -239,7 +232,7 @@ const bodyChunk = 64 << 10
 // returns a short count with nil error, like io.Copy; callers detect
 // the short body from the count.
 func copyBody(dst io.Writer, br *bufio.Reader, conn net.Conn, n int64) (int64, error) {
-	fr, ok := conn.(fullReader)
+	fr, ok := conn.(netem.FullReader)
 	if !ok {
 		return io.Copy(dst, io.LimitReader(br, n))
 	}

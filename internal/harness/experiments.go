@@ -41,7 +41,6 @@ func sampleRows(samples map[string][]float64, methods []string) []boxRow {
 }
 
 func times(d *accessData) []float64   { return d.Times }
-func ttfbs(d *accessData) []float64   { return d.TTFBs }
 func speedIx(d *accessData) []float64 { return d.SpeedIndexes }
 
 // runTable1 prints the campaign inventory in the shape of Table 1.

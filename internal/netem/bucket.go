@@ -82,6 +82,3 @@ func (b *Bucket) Reserve(now time.Duration, n int) time.Duration {
 	b.free = start + tx
 	return b.free
 }
-
-// Unlimited returns a bucket that never delays.
-func Unlimited() *Bucket { return &Bucket{rate: 1e15} }

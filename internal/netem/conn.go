@@ -71,16 +71,14 @@ func newConnPair(n *Network, aAddr, bAddr Addr, aOut, bOut shape, seed int64) (*
 }
 
 // Read implements net.Conn.
-func (c *Conn) Read(p []byte) (int, error) {
-	for {
-		n, err := c.rx.pop(p, c.rdl)
-		if n > 0 || err != nil {
-			return n, err
-		}
-		if len(p) == 0 {
-			return 0, nil
-		}
-	}
+func (c *Conn) Read(p []byte) (int, error) { return c.rx.read(p, 1, c.rdl) }
+
+// FullReader is the threshold read netem conns and tor streams
+// provide: fill p completely, parking once until the byte completing
+// the request arrives instead of waking for every segment or cell on
+// the way. The PT record layer and the fetch body copy look for it.
+type FullReader interface {
+	ReadFull(p []byte) (int, error)
 }
 
 // ReadFull reads exactly len(p) bytes, parking once until the byte
@@ -90,7 +88,7 @@ func (c *Conn) Read(p []byte) (int, error) {
 // length (the PT record framing) use it to take bulk payloads off the
 // per-segment wake-up path.
 func (c *Conn) ReadFull(p []byte) (int, error) {
-	return c.rx.popFull(p, c.rdl)
+	return c.rx.read(p, len(p), c.rdl)
 }
 
 // SetReadSink replaces the conn's receive direction with inline

@@ -112,7 +112,7 @@ type pipe struct {
 	acct  *Acct // network accounting, nil for pipes outside a network
 
 	cond Cond
-	// segs is a head-indexed ring slice (like Clock.ready): pop advances
+	// segs is a head-indexed ring slice (like Clock.ready): read advances
 	// segHead and the backing array is reused once drained, instead of
 	// re-slicing capacity away on every segment.
 	segs     []seg
@@ -121,7 +121,7 @@ type pipe struct {
 	maxBuf   int  // receive-window bound for backpressure
 	wclosed  bool // writer has closed; reader drains then sees EOF
 	rclosed  bool // reader has closed; writes fail
-	// rdWant, while a popFull caller is parked, is the byte count it
+	// rdWant, while a reader is parked, is the byte count it
 	// still needs; enqueue skips the arrival wake until the queue
 	// holds that much, so a threshold reader parks once per request
 	// instead of once per arriving segment.
@@ -248,7 +248,7 @@ func (p *pipe) armSink() {
 
 // sinkEvent delivers every arrived segment (and, once drained on a
 // closed pipe, the terminal error) to the sink. Window accounting is
-// identical to pop at the same instants, so writer backpressure —
+// identical to read at the same instants, so writer backpressure —
 // freeSpace, push parking — behaves exactly as it does for an eager
 // parked reader.
 func (p *pipe) sinkEvent() {
@@ -301,90 +301,25 @@ func (p *pipe) sinkEvent() {
 	}
 }
 
-// pop reads up to len(buf) bytes that have "arrived" on the virtual
-// clock, parking through propagation delay as needed. Unlike the retired
-// wall-clock implementation it never returns (0, nil): it loops back to
-// waiting until data, EOF, close or a deadline resolves the read. The
-// one legitimate zero-byte read is a zero-length buf, which returns
-// (0, nil) immediately per the io.Reader contract — it used to fall
-// through the copy loop, leave the segment queued and return (0, nil)
-// as if data had been consumed.
-func (p *pipe) pop(buf []byte, deadline time.Time) (int, error) {
-	if len(buf) == 0 {
-		return 0, nil
-	}
-	vt := deadlineVT(deadline)
-	if p.sink != nil {
-		panic("netem: Read on a conn with an inline read sink")
-	}
-	for {
-		if p.rclosed {
-			return 0, ErrClosed
-		}
-		if p.segHead < len(p.segs) {
-			now := p.clock.Now()
-			if s := &p.segs[p.segHead]; s.at <= now {
-				// Drain every segment that has already arrived, not just
-				// the first: bulk readers hand in large buffers, and one
-				// batched pop replaces a park/re-pop cycle per segment.
-				total := 0
-				for p.segHead < len(p.segs) && total < len(buf) {
-					s := &p.segs[p.segHead]
-					if s.at > now {
-						break
-					}
-					n := copy(buf[total:], s.data)
-					total += n
-					if n == len(s.data) {
-						putSegBuf(s.pool, s.base)
-						p.segs[p.segHead] = seg{}
-						p.segHead++
-					} else {
-						s.data = s.data[n:]
-					}
-				}
-				if p.segHead == len(p.segs) {
-					p.segs = p.segs[:0]
-					p.segHead = 0
-				}
-				p.buffered -= total
-				p.acct.addDelivered(total)
-				p.cond.Broadcast()
-				return total, nil
-			}
-			if vtExpired(p.clock, vt) {
-				return 0, ErrTimeout
-			}
-			// Park until the segment's arrival or the deadline,
-			// whichever is earlier; a broadcast (new segment, close)
-			// re-evaluates.
-			wake := p.segs[p.segHead].at
-			if vt != noDeadline && vt < wake {
-				wake = vt
-			}
-			p.cond.WaitVT(wake)
-			continue
-		}
-		if p.wclosed {
-			return 0, io.EOF
-		}
-		if vtExpired(p.clock, vt) {
-			return 0, ErrTimeout
-		}
-		p.cond.WaitVT(vt)
-	}
-}
-
-// popFull reads exactly len(buf) arrived bytes, unless the stream ends
-// or the deadline expires first — then it returns what had arrived with
-// io.EOF/ErrClosed/ErrTimeout. While parked it suppresses per-segment
-// arrival wake-ups: the reader wakes at the arrival instant of the byte
-// completing the request (or at close/deadline), which is exactly when
-// an eager read loop would have consumed that byte. Window space is
-// freed in request-sized steps rather than per segment, so a writer
-// parked on the receive-window bound can unpark up to one request later
-// than under an eager reader.
-func (p *pipe) popFull(buf []byte, deadline time.Time) (int, error) {
+// read is the one parked-read path. It copies arrived bytes into buf,
+// in order, until at least min of them are there, parking through
+// propagation delay as needed; when the stream ends or the deadline
+// expires first it returns what had arrived with io.EOF, ErrClosed or
+// ErrTimeout (end of stream is reported ahead of an expired deadline).
+// Conn.Read asks for one byte, Conn.ReadFull for len(buf). It never
+// returns (0, nil) except for a zero-length buf, which returns at once
+// per the io.Reader contract.
+//
+// Every segment that has already arrived is drained, not just the
+// first: bulk readers hand in large buffers, and one batched read
+// replaces a park/re-read cycle per segment. While parked the reader
+// suppresses per-segment arrival wake-ups: it wakes at the arrival
+// instant of the byte completing the request (or at close/deadline),
+// which is exactly when an eager read loop would have consumed that
+// byte. Window space is freed in request-sized steps rather than per
+// segment, so a writer parked on the receive-window bound can unpark
+// up to one request later than under an eager reader.
+func (p *pipe) read(buf []byte, min int, deadline time.Time) (int, error) {
 	if len(buf) == 0 {
 		return 0, nil
 	}
@@ -424,8 +359,11 @@ func (p *pipe) popFull(buf []byte, deadline time.Time) (int, error) {
 			p.acct.addDelivered(drained)
 			p.cond.Broadcast()
 		}
-		if total == len(buf) {
+		if total >= min {
 			return total, nil
+		}
+		if p.wclosed && p.segHead == len(p.segs) {
+			return total, io.EOF
 		}
 		if vtExpired(p.clock, vt) {
 			return total, ErrTimeout
@@ -440,7 +378,7 @@ func (p *pipe) popFull(buf []byte, deadline time.Time) (int, error) {
 		// the completing segment alone could pick an instant already in
 		// the past while the head segment is still in flight.
 		wake := vt
-		need := len(buf) - total
+		need := min - total
 		queued := 0
 		var arr time.Duration
 		for i := p.segHead; i < len(p.segs); i++ {
@@ -452,14 +390,7 @@ func (p *pipe) popFull(buf []byte, deadline time.Time) (int, error) {
 				break
 			}
 		}
-		if queued >= need {
-			if vt == noDeadline || arr < vt {
-				wake = arr
-			}
-		} else if p.wclosed {
-			if p.segHead == len(p.segs) {
-				return total, io.EOF
-			}
+		if queued >= need || p.wclosed {
 			if vt == noDeadline || arr < vt {
 				wake = arr
 			}

@@ -20,19 +20,40 @@ func TestPopZeroLengthBuf(t *testing.T) {
 	if err := p.push(data, base, pool, 0, time.Time{}); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := p.pop(nil, time.Time{}); n != 0 || err != nil {
-		t.Fatalf("pop(nil) = (%d, %v), want (0, nil)", n, err)
+	if n, err := p.read(nil, 1, time.Time{}); n != 0 || err != nil {
+		t.Fatalf("read(nil, 1) = (%d, %v), want (0, nil)", n, err)
 	}
-	if n, err := p.pop([]byte{}, time.Time{}); n != 0 || err != nil {
-		t.Fatalf("pop(empty) = (%d, %v), want (0, nil)", n, err)
+	if n, err := p.read([]byte{}, 1, time.Time{}); n != 0 || err != nil {
+		t.Fatalf("read(empty, 1) = (%d, %v), want (0, nil)", n, err)
 	}
-	if n, err := p.popFull(nil, time.Time{}); n != 0 || err != nil {
-		t.Fatalf("popFull(nil) = (%d, %v), want (0, nil)", n, err)
+	if n, err := p.read(nil, 0, time.Time{}); n != 0 || err != nil {
+		t.Fatalf("read(nil, 0) = (%d, %v), want (0, nil)", n, err)
 	}
 	buf := make([]byte, 8)
-	n, err := p.pop(buf, time.Time{})
+	n, err := p.read(buf, 1, time.Time{})
 	if err != nil || string(buf[:n]) != "abc" {
-		t.Fatalf("pop after zero-length reads = (%q, %v), want (\"abc\", nil)", buf[:n], err)
+		t.Fatalf("read after zero-length reads = (%q, %v), want (\"abc\", nil)", buf[:n], err)
+	}
+}
+
+// TestReadEOFBeforeTimeout pins the one order both thresholds share: a
+// drained, writer-closed pipe reports io.EOF even when the deadline has
+// also passed, at one byte (Conn.Read) and at len(buf) (Conn.ReadFull).
+func TestReadEOFBeforeTimeout(t *testing.T) {
+	clock := NewClock()
+	p := newPipe(clock, 0, nil)
+	data, base, pool := getSegBuf([]byte("abc"))
+	if err := p.push(data, base, pool, 0, time.Time{}); err != nil {
+		t.Fatal(err)
+	}
+	p.closeWrite()
+	expired := clock.VirtualDeadline(0)
+	buf := make([]byte, 8)
+	if n, err := p.read(buf, len(buf), expired); n != 3 || err != io.EOF {
+		t.Fatalf("threshold read = (%d, %v), want (3, EOF)", n, err)
+	}
+	if n, err := p.read(buf, 1, expired); n != 0 || err != io.EOF {
+		t.Fatalf("one-byte read = (%d, %v), want (0, EOF)", n, err)
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"crypto/hmac"
 	"crypto/sha256"
 	"errors"
-	"fmt"
 	"io"
 	"math/rand"
 	"net"
@@ -49,17 +48,13 @@ func buildClientHello(cfg Config, rng *rand.Rand) ([]byte, []byte) {
 	hello := make([]byte, clientHelloLen)
 	hello[0], hello[1], hello[2] = 0x16, 0x03, 0x01
 	random := hello[3:35]
-	for i := range random {
-		random[i] = byte(rng.Intn(256))
-	}
+	pt.RandFill(rng, random)
 	mac := hmac.New(sha256.New, cfg.UID)
 	mac.Write(random)
 	copy(hello[35:67], mac.Sum(nil))
 	hello[67] = byte(len(cfg.RedirAddr))
 	copy(hello[68:], cfg.RedirAddr)
-	for i := 68 + len(cfg.RedirAddr); i < clientHelloLen; i++ {
-		hello[i] = byte(rng.Intn(256))
-	}
+	pt.RandFill(rng, hello[68+len(cfg.RedirAddr):])
 	return hello, append([]byte(nil), random...)
 }
 
@@ -74,41 +69,24 @@ func sessionKey(uid, random []byte) []byte {
 // serverHelloLen is the fixed size of the mimicked ServerHello flight.
 const serverHelloLen = 3 + 32 + 90
 
-// shSkipper defers consuming the ServerHello to the first read, so the
-// client can start sending immediately after its ClientHello (zero RTT)
-// while still keeping the inbound record stream aligned.
-type shSkipper struct {
-	net.Conn
-	skipped bool
-	err     error
-}
-
-func (s *shSkipper) Read(p []byte) (int, error) {
-	if !s.skipped {
-		s.skipped = true
-		buf := make([]byte, serverHelloLen)
-		_, s.err = io.ReadFull(s.Conn, buf)
-	}
-	if s.err != nil {
-		return 0, s.err
-	}
-	return s.Conn.Read(p)
-}
-
 // clientWrap sends the ClientHello and immediately layers the record
-// conn on top — zero RTT.
+// conn on top — zero RTT. The ServerHello is consumed by the first
+// read, so the client can start sending at once while the inbound
+// record stream stays aligned.
 func clientWrap(conn net.Conn, cfg Config, seed int64) (net.Conn, error) {
 	rng := rand.New(rand.NewSource(seed))
 	hello, random := buildClientHello(cfg, rng)
 	if _, err := conn.Write(hello); err != nil {
 		return nil, err
 	}
-	return pt.NewRecordConn(&shSkipper{Conn: conn}, pt.RecordConfig{
+	rc := pt.NewCodecConn(conn, pt.NewRecordCodec(pt.RecordConfig{
 		Key:      sessionKey(cfg.UID, random),
 		IsClient: true,
 		Header:   tlsAppHeader,
 		Seed:     seed + 1,
-	})
+	}))
+	rc.SkipFirst(serverHelloLen)
+	return rc, nil
 }
 
 // serverWrap validates the ClientHello, replies with a ServerHello
@@ -132,51 +110,32 @@ func serverWrap(conn net.Conn, cfg Config, seed int64) (net.Conn, error) {
 	rng := rand.New(rand.NewSource(seed))
 	sh := make([]byte, serverHelloLen)
 	sh[0], sh[1], sh[2] = 0x16, 0x03, 0x03
-	for i := 3; i < len(sh); i++ {
-		sh[i] = byte(rng.Intn(256))
-	}
+	pt.RandFill(rng, sh[3:])
 	if _, err := conn.Write(sh); err != nil {
 		return nil, err
 	}
-	rc, err := pt.NewRecordConn(conn, pt.RecordConfig{
+	return pt.NewRecordConn(conn, pt.RecordConfig{
 		Key:      sessionKey(cfg.UID, append([]byte(nil), random...)),
 		IsClient: false,
 		Header:   tlsAppHeader,
 		Seed:     seed + 1,
 	})
-	if err != nil {
-		return nil, err
+}
+
+func transport(cfg Config) pt.WrapTransport {
+	return pt.WrapTransport{
+		Name: "cloak", Keyed: len(cfg.UID) > 0, Seed: cfg.Seed, DialerOffset: 49979687,
+		Client: func(conn net.Conn, seed int64) (net.Conn, error) { return clientWrap(conn, cfg, seed) },
+		Server: func(conn net.Conn, seed int64) (net.Conn, error) { return serverWrap(conn, cfg, seed) },
 	}
-	return rc, nil
 }
 
 // StartServer runs a cloak server on host:port.
 func StartServer(host *netem.Host, port int, cfg Config, handle pt.StreamHandler) (pt.Server, error) {
-	if len(cfg.UID) == 0 {
-		return nil, errors.New("cloak: server needs a client UID table")
-	}
-	seed := cfg.Seed
-	return pt.ListenAndServe(host, port, func(conn net.Conn) (net.Conn, error) {
-		seed++
-		return serverWrap(conn, cfg, seed)
-	}, handle)
+	return transport(cfg).StartServer(host, port, handle)
 }
 
 // NewDialer returns the cloak client for a server at addr.
 func NewDialer(host *netem.Host, addr string, cfg Config) pt.Dialer {
-	seed := cfg.Seed + 49979687
-	return pt.DialerFunc(func(target string) (net.Conn, error) {
-		if len(cfg.UID) == 0 {
-			return nil, errors.New("cloak: dialer needs a UID")
-		}
-		seed++
-		s := seed
-		conn, err := pt.DialWrapped(host, addr, func(raw net.Conn) (net.Conn, error) {
-			return clientWrap(raw, cfg, s)
-		}, target)
-		if err != nil {
-			return nil, fmt.Errorf("cloak: %w", err)
-		}
-		return conn, nil
-	})
+	return transport(cfg).NewDialer(host, addr)
 }

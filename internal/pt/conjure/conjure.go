@@ -162,23 +162,21 @@ func sessionKey(secret, nonce []byte) []byte {
 // StartBridge runs the conjure bridge (the PT server proper, co-located
 // with the guard) on host:port.
 func StartBridge(host *netem.Host, port int, cfg Config, handle pt.StreamHandler) (pt.Server, error) {
-	if len(cfg.Secret) == 0 {
-		return nil, errors.New("conjure: bridge needs a secret")
-	}
-	seed := cfg.Seed
-	return pt.ListenAndServe(host, port, func(conn net.Conn) (net.Conn, error) {
-		nonce := make([]byte, nonceLen)
-		if _, err := io.ReadFull(conn, nonce); err != nil {
-			return nil, err
-		}
-		seed++
-		return pt.NewRecordConn(conn, pt.RecordConfig{
-			Key:      sessionKey(cfg.Secret, nonce),
-			IsClient: false,
-			Header:   []byte{0x17, 0x03, 0x03},
-			Seed:     seed,
-		})
-	}, handle)
+	return pt.WrapTransport{
+		Name: "conjure", Keyed: len(cfg.Secret) > 0, Seed: cfg.Seed,
+		Server: func(conn net.Conn, seed int64) (net.Conn, error) {
+			nonce := make([]byte, nonceLen)
+			if _, err := io.ReadFull(conn, nonce); err != nil {
+				return nil, err
+			}
+			return pt.NewRecordConn(conn, pt.RecordConfig{
+				Key:      sessionKey(cfg.Secret, nonce),
+				IsClient: false,
+				Header:   []byte{0x17, 0x03, 0x03},
+				Seed:     seed,
+			})
+		},
+	}.StartServer(host, port, handle)
 }
 
 // Dialer is the conjure client.
@@ -212,9 +210,7 @@ func (d *Dialer) Dial(target string) (net.Conn, error) {
 	s := d.seed
 	rng := rand.New(rand.NewSource(s))
 	nonce := make([]byte, nonceLen)
-	for i := range nonce {
-		nonce[i] = byte(rng.Intn(256))
-	}
+	pt.RandFill(rng, nonce)
 	mac := hmac.New(sha256.New, d.cfg.Secret)
 	mac.Write(nonce)
 
@@ -235,28 +231,21 @@ func (d *Dialer) Dial(target string) (net.Conn, error) {
 	}
 	reg.Close()
 
-	// Phantom dial through the station.
-	raw, err := d.host.Dial(d.phantomAddr)
+	// Phantom dial through the station: the nonce names the
+	// registration, then the session's records follow.
+	conn, err := pt.DialWrapped(d.host, d.phantomAddr, func(raw net.Conn) (net.Conn, error) {
+		if _, err := raw.Write(nonce); err != nil {
+			return nil, err
+		}
+		return pt.NewRecordConn(raw, pt.RecordConfig{
+			Key:      sessionKey(d.cfg.Secret, nonce),
+			IsClient: true,
+			Header:   []byte{0x17, 0x03, 0x03},
+			Seed:     s + 1,
+		})
+	}, target)
 	if err != nil {
-		return nil, fmt.Errorf("conjure: phantom unreachable: %w", err)
-	}
-	if _, err := raw.Write(nonce); err != nil {
-		raw.Close()
-		return nil, err
-	}
-	conn, err := pt.NewRecordConn(raw, pt.RecordConfig{
-		Key:      sessionKey(d.cfg.Secret, nonce),
-		IsClient: true,
-		Header:   []byte{0x17, 0x03, 0x03},
-		Seed:     s + 1,
-	})
-	if err != nil {
-		raw.Close()
-		return nil, err
-	}
-	if err := pt.WriteTarget(conn, target); err != nil {
-		conn.Close()
-		return nil, err
+		return nil, fmt.Errorf("conjure: phantom flow: %w", err)
 	}
 	return conn, nil
 }

@@ -17,41 +17,60 @@ import (
 // MaxRecord is the largest payload carried in one framed record.
 const MaxRecord = 16 << 10
 
-// ErrRecordTooLarge reports an oversized inbound record.
+// ErrRecordTooLarge reports an inbound record whose header declares
+// more bytes than its codec ever seals.
 var ErrRecordTooLarge = errors.New("pt: record exceeds maximum size")
 
-// RecordConn wraps a net.Conn with a length-prefixed record layer,
-// optional stream encryption and optional random padding — the common
-// skeleton of obfs4, webtunnel, cloak and psiphon style transports.
+// RecordCodec is what a record-framed transport keeps of its own: the
+// wire shape of one record. RecordConn owns everything around it.
+type RecordCodec interface {
+	// Sizes returns the most payload bytes one record carries, the
+	// fixed length of a record header and the most bytes that can
+	// follow a header.
+	Sizes() (maxPayload, headerLen, maxBody int)
+	// Seal returns the wire record carrying payload.
+	Seal(payload []byte) []byte
+	// BodyLen decodes a record header into the number of bytes that
+	// follow it; RecordConn refuses more than maxBody of them.
+	BodyLen(header []byte) (int, error)
+	// Open decodes a whole record into its payload, which may alias
+	// body.
+	Open(header, body []byte) ([]byte, error)
+}
+
+// RecordConn is the one record-framed conn: it chops writes into
+// records, reads whole records through the netem threshold path into a
+// reused buffer, keeps the unread remainder, refuses a record longer
+// than its codec's maximum and forwards half-close. What a record
+// looks like on the wire is the codec's business.
 type RecordConn struct {
 	net.Conn
-	// enc/dec are optional stream ciphers applied to record bodies.
-	enc, dec cipher.Stream
-	// header prepends extra fixed bytes before each record's length
-	// (e.g. a TLS record type+version for mimicry).
-	header []byte
-	// maxPad adds 0..maxPad random padding bytes per record, declared
-	// in the frame so the receiver can strip them (length obfuscation).
-	maxPad int
-	rng    *rand.Rand
+	codec RecordCodec
+	// skip bytes of the inner conn precede the first record; the first
+	// Read discards them (see SkipFirst).
+	skip int
 
 	pending []byte
-	// rbuf is the reused record read buffer; pending aliases it, and it
-	// is only overwritten once pending has drained.
+	// rbuf is the reused record read buffer, sized for the codec's
+	// largest record; pending aliases it, and it is only overwritten
+	// once pending has drained.
 	rbuf []byte
 }
 
-// fullReader is the threshold-read fast path netem conns provide: fill
-// p completely, parking once at the completing byte's arrival instead
-// of waking for every segment of a multi-segment record.
-type fullReader interface {
-	ReadFull(p []byte) (int, error)
+// NewCodecConn layers codec's records over conn.
+func NewCodecConn(conn net.Conn, codec RecordCodec) *RecordConn {
+	return &RecordConn{Conn: conn, codec: codec}
 }
+
+// SkipFirst makes the first Read discard n bytes of the inner conn
+// before the first record: a handshake flight of the peer's that the
+// caller did not wait for (cloak's zero-RTT ServerHello).
+func (rc *RecordConn) SkipFirst(n int) { rc.skip = n }
 
 // readFull fills p from rc's inner conn, using the threshold path when
 // available.
 func (rc *RecordConn) readFull(p []byte) error {
-	if fr, ok := rc.Conn.(fullReader); ok {
+	if fr, ok := rc.Conn.(netem.FullReader); ok {
 		n, err := fr.ReadFull(p)
 		if err != nil && n < len(p) {
 			if n > 0 && err == io.EOF {
@@ -65,81 +84,13 @@ func (rc *RecordConn) readFull(p []byte) error {
 	return err
 }
 
-// RecordConfig configures a RecordConn.
-type RecordConfig struct {
-	// Key enables AES-CTR record encryption when non-empty; both ends
-	// derive directional keys from it.
-	Key []byte
-	// IsClient distinguishes the two key directions.
-	IsClient bool
-	// Header prepends these bytes to every record (mimicry cosmetics).
-	Header []byte
-	// MaxPadding adds up to this many random bytes per record.
-	MaxPadding int
-	// Seed drives padding draws.
-	Seed int64
-}
-
-// NewRecordConn wraps conn.
-func NewRecordConn(conn net.Conn, cfg RecordConfig) (*RecordConn, error) {
-	rc := &RecordConn{
-		Conn:   conn,
-		header: append([]byte(nil), cfg.Header...),
-		maxPad: cfg.MaxPadding,
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
-	}
-	if len(cfg.Key) > 0 {
-		mk := func(label string) (cipher.Stream, error) {
-			sum := sha256.Sum256(append([]byte(label), cfg.Key...))
-			block, err := aes.NewCipher(sum[:16])
-			if err != nil {
-				return nil, err
-			}
-			return cipher.NewCTR(block, sum[16:32]), nil
-		}
-		c2s, err := mk("client->server")
-		if err != nil {
-			return nil, err
-		}
-		s2c, err := mk("server->client")
-		if err != nil {
-			return nil, err
-		}
-		if cfg.IsClient {
-			rc.enc, rc.dec = c2s, s2c
-		} else {
-			rc.enc, rc.dec = s2c, c2s
-		}
-	}
-	return rc, nil
-}
-
-// Write frames p into records: header || len(2) || padLen(2) || body ||
-// padding, with the body (and pad) optionally encrypted.
+// Write chops p into records of at most the codec's maximum payload.
 func (rc *RecordConn) Write(p []byte) (int, error) {
+	maxPayload, _, _ := rc.codec.Sizes()
 	written := 0
 	for len(p) > 0 {
-		n := len(p)
-		if n > MaxRecord {
-			n = MaxRecord
-		}
-		pad := 0
-		if rc.maxPad > 0 {
-			pad = rc.rng.Intn(rc.maxPad + 1)
-		}
-		frame := make([]byte, len(rc.header)+4+n+pad)
-		copy(frame, rc.header)
-		binary.BigEndian.PutUint16(frame[len(rc.header):], uint16(n))
-		binary.BigEndian.PutUint16(frame[len(rc.header)+2:], uint16(pad))
-		body := frame[len(rc.header)+4:]
-		copy(body, p[:n])
-		for i := n; i < n+pad; i++ {
-			body[i] = byte(rc.rng.Intn(256))
-		}
-		if rc.enc != nil {
-			rc.enc.XORKeyStream(body, body)
-		}
-		if _, err := rc.Conn.Write(frame); err != nil {
+		n := min(len(p), maxPayload)
+		if _, err := rc.Conn.Write(rc.codec.Seal(p[:n])); err != nil {
 			return written, err
 		}
 		written += n
@@ -148,37 +99,156 @@ func (rc *RecordConn) Write(p []byte) (int, error) {
 	return written, nil
 }
 
-// Read unframes the next record, buffering any remainder.
+// Read opens the next record, buffering any remainder.
 func (rc *RecordConn) Read(p []byte) (int, error) {
+	_, headLen, maxBody := rc.codec.Sizes()
 	for len(rc.pending) == 0 {
-		headLen := len(rc.header) + 4
-		if cap(rc.rbuf) < headLen {
-			rc.rbuf = make([]byte, MaxRecord+headLen)
+		if rc.skip > 0 {
+			if err := rc.readFull(make([]byte, rc.skip)); err != nil {
+				return 0, err
+			}
+			rc.skip = 0
+		}
+		if rc.rbuf == nil {
+			rc.rbuf = make([]byte, headLen+maxBody)
 		}
 		head := rc.rbuf[:headLen]
 		if err := rc.readFull(head); err != nil {
 			return 0, err
 		}
-		n := int(binary.BigEndian.Uint16(head[len(rc.header):]))
-		pad := int(binary.BigEndian.Uint16(head[len(rc.header)+2:]))
-		if n > MaxRecord {
+		n, err := rc.codec.BodyLen(head)
+		if err != nil {
+			return 0, err
+		}
+		if n < 0 || n > maxBody {
 			return 0, ErrRecordTooLarge
 		}
-		if cap(rc.rbuf) < n+pad {
-			rc.rbuf = make([]byte, n+pad)
-		}
-		body := rc.rbuf[:n+pad]
+		body := rc.rbuf[headLen : headLen+n]
 		if err := rc.readFull(body); err != nil {
 			return 0, err
 		}
-		if rc.dec != nil {
-			rc.dec.XORKeyStream(body, body)
+		if rc.pending, err = rc.codec.Open(head, body); err != nil {
+			return 0, err
 		}
-		rc.pending = body[:n]
 	}
 	n := copy(p, rc.pending)
 	rc.pending = rc.pending[n:]
 	return n, nil
+}
+
+// CloseWrite forwards half-close to the inner conn.
+func (rc *RecordConn) CloseWrite() error {
+	if hc, ok := rc.Conn.(HalfCloser); ok {
+		return hc.CloseWrite()
+	}
+	return rc.Conn.Close()
+}
+
+// HalfCloser is implemented by conns supporting TCP-style half close.
+type HalfCloser interface {
+	CloseWrite() error
+}
+
+// RandFill fills b with bytes drawn from rng, one Intn(256) draw each.
+func RandFill(rng *rand.Rand, b []byte) {
+	for i := range b {
+		b[i] = byte(rng.Intn(256))
+	}
+}
+
+// RecordConfig configures the framing NewRecordConn installs.
+type RecordConfig struct {
+	// Key enables AES-CTR record encryption when non-empty; both ends
+	// derive directional keys from it.
+	Key []byte
+	// IsClient distinguishes the two key directions.
+	IsClient bool
+	// Header prepends these bytes to every record (mimicry cosmetics).
+	Header []byte
+	// MaxPadding adds up to this many random bytes per record, and is
+	// the most an inbound record may declare.
+	MaxPadding int
+	// Seed drives padding draws.
+	Seed int64
+}
+
+// ctrCodec frames header || len(2) || padLen(2) || body || padding,
+// with body and padding under an optional AES-CTR stream and the
+// padding length declared so the receiver can strip it: the common
+// record shape of obfs4, webtunnel, cloak and conjure.
+type ctrCodec struct {
+	enc, dec cipher.Stream
+	header   []byte
+	maxPad   int
+	rng      *rand.Rand
+}
+
+// NewRecordConn wraps conn in the CTR-and-padding framing. The error
+// is always nil; the benchmark probes fix the signature.
+func NewRecordConn(conn net.Conn, cfg RecordConfig) (*RecordConn, error) {
+	return NewCodecConn(conn, NewRecordCodec(cfg)), nil
+}
+
+// NewRecordCodec returns the CTR-and-padding codec cfg describes.
+func NewRecordCodec(cfg RecordConfig) RecordCodec {
+	c := &ctrCodec{
+		header: append([]byte(nil), cfg.Header...),
+		maxPad: cfg.MaxPadding,
+		rng:    rand.New(rand.NewSource(cfg.Seed)),
+	}
+	if len(cfg.Key) > 0 {
+		mk := func(label string) cipher.Stream {
+			sum := sha256.Sum256(append([]byte(label), cfg.Key...))
+			block, err := aes.NewCipher(sum[:16])
+			if err != nil {
+				panic(err) // unreachable: the key is 16 bytes
+			}
+			return cipher.NewCTR(block, sum[16:32])
+		}
+		c.enc, c.dec = mk("client->server"), mk("server->client")
+		if !cfg.IsClient {
+			c.enc, c.dec = c.dec, c.enc
+		}
+	}
+	return c
+}
+
+func (c *ctrCodec) Sizes() (maxPayload, headerLen, maxBody int) {
+	return MaxRecord, len(c.header) + 4, MaxRecord + c.maxPad
+}
+
+func (c *ctrCodec) Seal(payload []byte) []byte {
+	n, pad := len(payload), 0
+	if c.maxPad > 0 {
+		pad = c.rng.Intn(c.maxPad + 1)
+	}
+	frame := make([]byte, len(c.header)+4+n+pad)
+	copy(frame, c.header)
+	binary.BigEndian.PutUint16(frame[len(c.header):], uint16(n))
+	binary.BigEndian.PutUint16(frame[len(c.header)+2:], uint16(pad))
+	body := frame[len(c.header)+4:]
+	copy(body, payload)
+	RandFill(c.rng, body[n:])
+	if c.enc != nil {
+		c.enc.XORKeyStream(body, body)
+	}
+	return frame
+}
+
+func (c *ctrCodec) BodyLen(header []byte) (int, error) {
+	n := int(binary.BigEndian.Uint16(header[len(c.header):]))
+	pad := int(binary.BigEndian.Uint16(header[len(c.header)+2:]))
+	if n > MaxRecord || pad > c.maxPad {
+		return 0, ErrRecordTooLarge // each of the two has its own bound
+	}
+	return n + pad, nil
+}
+
+func (c *ctrCodec) Open(header, body []byte) ([]byte, error) {
+	if c.dec != nil {
+		c.dec.XORKeyStream(body, body)
+	}
+	return body[:binary.BigEndian.Uint16(header[len(c.header):])], nil
 }
 
 // WriteTarget sends the stream prologue naming the server-side target.
@@ -207,8 +277,9 @@ func ReadTarget(r io.Reader) (string, error) {
 }
 
 // Splice copies both directions between a and b and closes both when
-// both directions finish. It is the standard PT-server forwarding loop;
-// the pump goroutines are simulation goroutines on clock.
+// both directions finish. It is the one forwarding loop: PT servers, the
+// conjure station and the tor client's SOCKS front end all call it; the
+// pump goroutines are simulation goroutines on clock.
 func Splice(clock *netem.Clock, a, b net.Conn) {
 	wg := netem.NewWaitGroup(clock)
 	cp := func(dst, src net.Conn) {
@@ -225,8 +296,8 @@ func Splice(clock *netem.Clock, a, b net.Conn) {
 				break
 			}
 		}
-		if cw, ok := dst.(interface{ CloseWrite() error }); ok {
-			cw.CloseWrite()
+		if hc, ok := dst.(HalfCloser); ok {
+			hc.CloseWrite()
 		} else {
 			dst.Close()
 		}
@@ -237,17 +308,4 @@ func Splice(clock *netem.Clock, a, b net.Conn) {
 	wg.Wait()
 	a.Close()
 	b.Close()
-}
-
-// HalfCloser is implemented by conns supporting TCP-style half close.
-type HalfCloser interface {
-	CloseWrite() error
-}
-
-// CloseWrite forwards half-close through a RecordConn.
-func (rc *RecordConn) CloseWrite() error {
-	if hc, ok := rc.Conn.(HalfCloser); ok {
-		return hc.CloseWrite()
-	}
-	return rc.Conn.Close()
 }

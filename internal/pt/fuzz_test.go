@@ -2,10 +2,13 @@ package pt_test
 
 import (
 	"bytes"
+	"io"
 	"net"
 	"testing"
 
 	"ptperf/internal/pt"
+	"ptperf/internal/pt/psiphon"
+	"ptperf/internal/pt/shadowsocks"
 )
 
 // FuzzReadTarget: ReadTarget either rejects the bytes or returns exactly
@@ -41,9 +44,93 @@ type bufConn struct {
 func (c *bufConn) Read(p []byte) (int, error)  { return c.buf.Read(p) }
 func (c *bufConn) Write(p []byte) (int, error) { return c.buf.Write(p) }
 
-// FuzzRecordConnRead feeds arbitrary wire bytes to every RecordConn
-// shape (plain or keyed, with or without a mimicry header): Read must
-// fail cleanly or return bounded data, never panic or over-allocate.
+// recordCodecs builds the sealing and the opening end of each record
+// codec a transport installs under pt.RecordConn.
+var recordCodecs = []struct {
+	name string
+	pair func() (seal, open pt.RecordCodec)
+}{
+	{"ctr", func() (pt.RecordCodec, pt.RecordCodec) {
+		cfg := pt.RecordConfig{Key: []byte("k"), Header: []byte{0x17, 0x03, 0x03}, MaxPadding: 8, Seed: 1}
+		open := pt.NewRecordCodec(cfg)
+		cfg.IsClient = true
+		return pt.NewRecordCodec(cfg), open
+	}},
+	{"psiphon", func() (pt.RecordCodec, pt.RecordCodec) {
+		return psiphon.NewCodec([]byte("secret"), true), psiphon.NewCodec([]byte("secret"), false)
+	}},
+	{"shadowsocks", func() (pt.RecordCodec, pt.RecordCodec) {
+		psk, salt := []byte("psk"), []byte("0123456789abcdef")
+		return shadowsocks.NewCodec(psk, salt, true), shadowsocks.NewCodec(psk, salt, false)
+	}},
+}
+
+// TestRecordSizeLimits: every codec declares its largest record, and the
+// shared read path holds all three to it. A full-size record opens; one
+// byte more is refused with ErrRecordTooLarge before its body is read.
+func TestRecordSizeLimits(t *testing.T) {
+	for _, tc := range recordCodecs {
+		t.Run(tc.name, func(t *testing.T) {
+			seal, open := tc.pair()
+			maxPayload, headerLen, maxBody := seal.Sizes()
+			wire := &bufConn{}
+			full := seal.Seal(make([]byte, maxPayload))
+			if len(full) > headerLen+maxBody {
+				t.Fatalf("a full record is %d bytes, more than the declared %d+%d", len(full), headerLen, maxBody)
+			}
+			wire.buf.Write(full)
+			over := seal.Seal(make([]byte, maxPayload+1))
+			wire.buf.Write(over)
+			rc := pt.NewCodecConn(wire, open)
+			got, err := io.ReadAll(rc)
+			if len(got) != maxPayload || err != pt.ErrRecordTooLarge {
+				t.Fatalf("read %d bytes, %v; want %d bytes, then %v", len(got), err, maxPayload, pt.ErrRecordTooLarge)
+			}
+			if left := wire.buf.Len(); left != len(over)-headerLen {
+				t.Errorf("%d wire bytes left of the oversized record, want its whole %d-byte body", left, len(over)-headerLen)
+			}
+		})
+	}
+	// The CTR framing also bounds the padding a record may declare.
+	wire := &bufConn{}
+	wire.buf.Write([]byte{0, 1, 0, 9})
+	wire.buf.Write(make([]byte, 10))
+	rc, err := pt.NewRecordConn(wire, pt.RecordConfig{MaxPadding: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rc.Read(make([]byte, 16)); err != pt.ErrRecordTooLarge {
+		t.Errorf("9 bytes of padding under MaxPadding 8: %v, want %v", err, pt.ErrRecordTooLarge)
+	}
+}
+
+// drain reads rc to its first error: Read must fail cleanly or return
+// bounded data, never panic, over-allocate or decode more payload than
+// there were wire bytes.
+func drain(t *testing.T, rc *pt.RecordConn, wireLen int) {
+	buf := make([]byte, 4096)
+	total := 0
+	for {
+		n, err := rc.Read(buf)
+		if n < 0 || n > len(buf) {
+			t.Fatalf("Read returned n=%d for a %d-byte buffer", n, len(buf))
+		}
+		total += n
+		if err != nil {
+			break
+		}
+		if n == 0 {
+			t.Fatal("Read returned 0, nil")
+		}
+	}
+	if total > wireLen {
+		t.Fatalf("%d wire bytes decoded to %d payload bytes", wireLen, total)
+	}
+}
+
+// FuzzRecordConnRead feeds arbitrary wire bytes to RecordConn under the
+// CTR framing in every shape: plain or keyed, with or without a mimicry
+// header.
 func FuzzRecordConnRead(f *testing.F) {
 	for _, keyed := range []bool{false, true} {
 		for _, header := range []string{"", "\x17\x03\x03"} {
@@ -64,7 +151,7 @@ func FuzzRecordConnRead(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff}, false, uint8(0)) // oversized record
 	f.Add([]byte{0, 4, 0, 0, 'x'}, true, uint8(0))         // truncated body
 	f.Fuzz(func(t *testing.T, data []byte, keyed bool, headerLen uint8) {
-		cfg := pt.RecordConfig{Header: make([]byte, headerLen%8)}
+		cfg := pt.RecordConfig{Header: make([]byte, headerLen%8), MaxPadding: 8}
 		if keyed {
 			cfg.Key = []byte("fuzz-key")
 		}
@@ -74,23 +161,32 @@ func FuzzRecordConnRead(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		buf := make([]byte, 4096)
-		total := 0
-		for {
-			n, err := rc.Read(buf)
-			if n < 0 || n > len(buf) {
-				t.Fatalf("Read returned n=%d for a %d-byte buffer", n, len(buf))
-			}
-			total += n
-			if err != nil {
-				break
-			}
-			if n == 0 {
-				t.Fatal("Read returned 0, nil")
-			}
-		}
-		if total > len(data) {
-			t.Fatalf("%d wire bytes decoded to %d payload bytes", len(data), total)
-		}
+		drain(t, rc, len(data))
 	})
 }
+
+// fuzzCodecRead feeds arbitrary wire bytes to RecordConn under one of
+// the keyed codecs, seeded with a valid record, one whose MAC or tag has
+// a flipped last byte and one with a truncated body.
+func fuzzCodecRead(f *testing.F, pair func() (seal, open pt.RecordCodec)) {
+	seal, _ := pair()
+	valid := seal.Seal([]byte("one record"))
+	flipped := append([]byte(nil), valid...)
+	flipped[len(flipped)-1] ^= 1
+	f.Add(valid)
+	f.Add(flipped)
+	f.Add(valid[:len(valid)-5])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		wire := &bufConn{}
+		wire.buf.Write(data)
+		_, open := pair()
+		drain(t, pt.NewCodecConn(wire, open), len(data))
+	})
+}
+
+// FuzzPsiphonRecordRead: psiphon's [4B len][payload][16B MAC] decoder.
+func FuzzPsiphonRecordRead(f *testing.F) { fuzzCodecRead(f, recordCodecs[1].pair) }
+
+// FuzzShadowsocksRecordRead: shadowsocks's [len+tag][payload+tag]
+// decoder.
+func FuzzShadowsocksRecordRead(f *testing.F) { fuzzCodecRead(f, recordCodecs[2].pair) }

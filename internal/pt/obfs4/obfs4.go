@@ -14,7 +14,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
 	"math/rand"
 	"net"
@@ -47,9 +46,7 @@ type Config struct {
 // handshakeMsg is nonce ‖ MAC(secret, nonce‖role) ‖ padLen ‖ padding.
 func writeHandshake(w io.Writer, secret []byte, role byte, rng *rand.Rand) ([]byte, error) {
 	nonce := make([]byte, nonceLen)
-	for i := range nonce {
-		nonce[i] = byte(rng.Intn(256))
-	}
+	pt.RandFill(rng, nonce)
 	mac := hmac.New(sha256.New, secret)
 	mac.Write(nonce)
 	mac.Write([]byte{role})
@@ -60,9 +57,7 @@ func writeHandshake(w io.Writer, secret []byte, role byte, rng *rand.Rand) ([]by
 	copy(msg, nonce)
 	copy(msg[nonceLen:], tag)
 	binary.BigEndian.PutUint16(msg[nonceLen+macLen:], uint16(pad))
-	for i := 0; i < pad; i++ {
-		msg[nonceLen+macLen+2+i] = byte(rng.Intn(256))
-	}
+	pt.RandFill(rng, msg[nonceLen+macLen+2:])
 	if _, err := w.Write(msg); err != nil {
 		return nil, err
 	}
@@ -138,34 +133,21 @@ func serverWrap(conn net.Conn, cfg Config, seed int64) (net.Conn, error) {
 	})
 }
 
+func transport(cfg Config) pt.WrapTransport {
+	return pt.WrapTransport{
+		Name: "obfs4", Keyed: len(cfg.Secret) > 0, Seed: cfg.Seed, DialerOffset: 7919,
+		Client: func(conn net.Conn, seed int64) (net.Conn, error) { return clientWrap(conn, cfg, seed) },
+		Server: func(conn net.Conn, seed int64) (net.Conn, error) { return serverWrap(conn, cfg, seed) },
+	}
+}
+
 // StartServer runs an obfs4 server on host:port, delivering unwrapped
 // streams to handle.
 func StartServer(host *netem.Host, port int, cfg Config, handle pt.StreamHandler) (pt.Server, error) {
-	if len(cfg.Secret) == 0 {
-		return nil, errors.New("obfs4: server needs a shared secret")
-	}
-	seed := cfg.Seed
-	return pt.ListenAndServe(host, port, func(conn net.Conn) (net.Conn, error) {
-		seed++
-		return serverWrap(conn, cfg, seed)
-	}, handle)
+	return transport(cfg).StartServer(host, port, handle)
 }
 
 // NewDialer returns the obfs4 client for a bridge at addr.
 func NewDialer(host *netem.Host, addr string, cfg Config) pt.Dialer {
-	seed := cfg.Seed + 7919
-	return pt.DialerFunc(func(target string) (net.Conn, error) {
-		seed++
-		s := seed
-		if len(cfg.Secret) == 0 {
-			return nil, errors.New("obfs4: dialer needs a shared secret")
-		}
-		conn, err := pt.DialWrapped(host, addr, func(raw net.Conn) (net.Conn, error) {
-			return clientWrap(raw, cfg, s)
-		}, target)
-		if err != nil {
-			return nil, fmt.Errorf("obfs4: %w", err)
-		}
-		return conn, nil
-	})
+	return transport(cfg).NewDialer(host, addr)
 }

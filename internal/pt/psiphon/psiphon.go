@@ -13,7 +13,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
 	"math/rand"
 	"net"
@@ -44,13 +43,21 @@ type Config struct {
 	Seed int64
 }
 
-// packetConn frames payloads as [4B len][payload][16B MAC].
-type packetConn struct {
-	net.Conn
+// maxPacket is the most payload one binary packet carries.
+const maxPacket = 32 << 10
+
+// packetCodec is psiphon's record shape under pt.RecordConn:
+// [4B len][payload][16B MAC], the MAC keyed per direction and bound to
+// the packet's sequence number.
+type packetCodec struct {
 	sendKey, recvKey []byte
 	sendSeq, recvSeq uint64
+}
 
-	pending []byte
+// NewCodec returns one end's packet codec for a session secret.
+func NewCodec(secret []byte, isClient bool) pt.RecordCodec {
+	send, recv := directionKeys(secret, isClient)
+	return &packetCodec{sendKey: send, recvKey: recv}
 }
 
 func packetMAC(key []byte, seq uint64, payload []byte) []byte {
@@ -62,63 +69,31 @@ func packetMAC(key []byte, seq uint64, payload []byte) []byte {
 	return mac.Sum(nil)[:macLen]
 }
 
-const maxPacket = 32 << 10
-
-// Write implements net.Conn.
-func (c *packetConn) Write(p []byte) (int, error) {
-	written := 0
-	for len(p) > 0 {
-		n := len(p)
-		if n > maxPacket {
-			n = maxPacket
-		}
-		pkt := make([]byte, 4+n+macLen)
-		binary.BigEndian.PutUint32(pkt, uint32(n))
-		copy(pkt[4:], p[:n])
-		copy(pkt[4+n:], packetMAC(c.sendKey, c.sendSeq, p[:n]))
-		c.sendSeq++
-		if _, err := c.Conn.Write(pkt); err != nil {
-			return written, err
-		}
-		written += n
-		p = p[n:]
-	}
-	return written, nil
+func (c *packetCodec) Sizes() (maxPayload, headerLen, maxBody int) {
+	return maxPacket, 4, maxPacket + macLen
 }
 
-// Read implements net.Conn.
-func (c *packetConn) Read(p []byte) (int, error) {
-	for len(c.pending) == 0 {
-		var head [4]byte
-		if _, err := io.ReadFull(c.Conn, head[:]); err != nil {
-			return 0, err
-		}
-		n := int(binary.BigEndian.Uint32(head[:]))
-		if n > maxPacket {
-			return 0, errors.New("psiphon: oversized packet")
-		}
-		body := make([]byte, n+macLen)
-		if _, err := io.ReadFull(c.Conn, body); err != nil {
-			return 0, err
-		}
-		want := packetMAC(c.recvKey, c.recvSeq, body[:n])
-		if !hmac.Equal(want, body[n:]) {
-			return 0, ErrMAC
-		}
-		c.recvSeq++
-		c.pending = body[:n]
-	}
-	n := copy(p, c.pending)
-	c.pending = c.pending[n:]
-	return n, nil
+func (c *packetCodec) Seal(payload []byte) []byte {
+	n := len(payload)
+	pkt := make([]byte, 4+n+macLen)
+	binary.BigEndian.PutUint32(pkt, uint32(n))
+	copy(pkt[4:], payload)
+	copy(pkt[4+n:], packetMAC(c.sendKey, c.sendSeq, payload))
+	c.sendSeq++
+	return pkt
 }
 
-// CloseWrite forwards half close.
-func (c *packetConn) CloseWrite() error {
-	if hc, ok := c.Conn.(pt.HalfCloser); ok {
-		return hc.CloseWrite()
+func (c *packetCodec) BodyLen(header []byte) (int, error) {
+	return int(binary.BigEndian.Uint32(header)) + macLen, nil
+}
+
+func (c *packetCodec) Open(_, body []byte) ([]byte, error) {
+	n := len(body) - macLen
+	if !hmac.Equal(packetMAC(c.recvKey, c.recvSeq, body[:n]), body[n:]) {
+		return nil, ErrMAC
 	}
-	return c.Conn.Close()
+	c.recvSeq++
+	return body[:n], nil
 }
 
 func directionKeys(secret []byte, isClient bool) (send, recv []byte) {
@@ -151,9 +126,7 @@ func clientWrap(conn net.Conn, cfg Config, seed int64) (net.Conn, error) {
 	}
 	// RTT 2: kexinit + host key verification.
 	kex := make([]byte, 64)
-	for i := range kex {
-		kex[i] = byte(rng.Intn(256))
-	}
+	pt.RandFill(rng, kex)
 	if _, err := conn.Write(kex); err != nil {
 		return nil, err
 	}
@@ -170,8 +143,7 @@ func clientWrap(conn net.Conn, cfg Config, seed int64) (net.Conn, error) {
 		return nil, ErrHostKey
 	}
 	secret := sha256.Sum256(append(append(append([]byte{}, cfg.HostKey...), kex...), serverKex...))
-	send, recv := directionKeys(secret[:], true)
-	return &packetConn{Conn: conn, sendKey: send, recvKey: recv}, nil
+	return pt.NewCodecConn(conn, NewCodec(secret[:], true)), nil
 }
 
 // serverWrap mirrors the client handshake.
@@ -192,9 +164,7 @@ func serverWrap(conn net.Conn, cfg Config, seed int64) (net.Conn, error) {
 		return nil, err
 	}
 	serverKex := make([]byte, 64)
-	for i := range serverKex {
-		serverKex[i] = byte(rng.Intn(256))
-	}
+	pt.RandFill(rng, serverKex)
 	mac := hmac.New(sha256.New, cfg.HostKey)
 	mac.Write(kex)
 	mac.Write(serverKex)
@@ -203,37 +173,23 @@ func serverWrap(conn net.Conn, cfg Config, seed int64) (net.Conn, error) {
 		return nil, err
 	}
 	secret := sha256.Sum256(append(append(append([]byte{}, cfg.HostKey...), kex...), serverKex...))
-	send, recv := directionKeys(secret[:], false)
-	return &packetConn{Conn: conn, sendKey: send, recvKey: recv}, nil
+	return pt.NewCodecConn(conn, NewCodec(secret[:], false)), nil
+}
+
+func transport(cfg Config) pt.WrapTransport {
+	return pt.WrapTransport{
+		Name: "psiphon", Keyed: len(cfg.HostKey) > 0, Seed: cfg.Seed, DialerOffset: 32452843,
+		Client: func(conn net.Conn, seed int64) (net.Conn, error) { return clientWrap(conn, cfg, seed) },
+		Server: func(conn net.Conn, seed int64) (net.Conn, error) { return serverWrap(conn, cfg, seed) },
+	}
 }
 
 // StartServer runs a psiphon server on host:port.
 func StartServer(host *netem.Host, port int, cfg Config, handle pt.StreamHandler) (pt.Server, error) {
-	if len(cfg.HostKey) == 0 {
-		return nil, errors.New("psiphon: server needs a host key")
-	}
-	seed := cfg.Seed
-	return pt.ListenAndServe(host, port, func(conn net.Conn) (net.Conn, error) {
-		seed++
-		return serverWrap(conn, cfg, seed)
-	}, handle)
+	return transport(cfg).StartServer(host, port, handle)
 }
 
 // NewDialer returns the psiphon client for a server at addr.
 func NewDialer(host *netem.Host, addr string, cfg Config) pt.Dialer {
-	seed := cfg.Seed + 32452843
-	return pt.DialerFunc(func(target string) (net.Conn, error) {
-		if len(cfg.HostKey) == 0 {
-			return nil, errors.New("psiphon: dialer needs a host key")
-		}
-		seed++
-		s := seed
-		conn, err := pt.DialWrapped(host, addr, func(raw net.Conn) (net.Conn, error) {
-			return clientWrap(raw, cfg, s)
-		}, target)
-		if err != nil {
-			return nil, fmt.Errorf("psiphon: %w", err)
-		}
-		return conn, nil
-	})
+	return transport(cfg).NewDialer(host, addr)
 }

@@ -1,11 +1,12 @@
 // Package pt defines the pluggable-transport framework of the PTPerf
 // reproduction: transport metadata (category, integration set,
 // capabilities), the Dialer/Server contract every transport implements,
-// shared wire helpers (record framing, stream ciphers, target
-// prologues, splicing), and the plumbing every tunnelling transport
-// stands on: Stream (the virtual byte-stream endpoint), Sessions (the
+// and the plumbing of both transport shapes. Tunnelling transports
+// stand on Stream (the virtual byte-stream endpoint), Sessions (the
 // keyed session table with staleness expiry) and Serve (the accept
-// loop).
+// loop); wrapping transports on RecordConn (the record layer over a
+// per-transport codec), WrapTransport (the server and dialer
+// constructor) and Splice (the forwarding loop).
 //
 // The twelve transports of the paper live in subpackages; each implements
 // the same obfuscation idea and — crucially for performance fidelity —

@@ -7,24 +7,15 @@ import (
 	"ptperf/internal/netem"
 )
 
-// ServerWrapper upgrades an accepted raw connection into the transport's
-// obfuscated stream (server side of the handshake).
-type ServerWrapper func(conn net.Conn) (net.Conn, error)
-
-// ClientWrapper upgrades a dialed raw connection (client side).
-type ClientWrapper func(conn net.Conn) (net.Conn, error)
+// Wrapper upgrades a raw connection, accepted or dialed, into the
+// transport's obfuscated stream: one side of the handshake.
+type Wrapper func(conn net.Conn) (net.Conn, error)
 
 // listenServer is the standard single-listener PT server.
-type listenServer struct {
-	ln   *netem.Listener
-	addr string
-}
+type listenServer struct{ *netem.Listener }
 
 // Addr implements Server.
-func (s *listenServer) Addr() string { return s.addr }
-
-// Close implements Server.
-func (s *listenServer) Close() error { return s.ln.Close() }
+func (s listenServer) Addr() string { return s.Listener.Addr().String() }
 
 // Serve runs the accept loop every PT listener shares: each accepted
 // conn is served on a simulation goroutine of its own until ln closes.
@@ -53,7 +44,7 @@ func ServeStream(conn net.Conn, handle StreamHandler) {
 
 // ListenAndServe runs the common PT server skeleton: accept, wrap,
 // read the target prologue, hand off to the stream handler.
-func ListenAndServe(host *netem.Host, port int, wrap ServerWrapper, handle StreamHandler) (Server, error) {
+func ListenAndServe(host *netem.Host, port int, wrap Wrapper, handle StreamHandler) (Server, error) {
 	ln, err := host.Listen(port)
 	if err != nil {
 		return nil, err
@@ -70,23 +61,20 @@ func ListenAndServe(host *netem.Host, port int, wrap ServerWrapper, handle Strea
 		}
 		ServeStream(conn, handle)
 	})
-	return &listenServer{ln: ln, addr: fmt.Sprintf("%s:%d", host.Name(), port)}, nil
+	return listenServer{ln}, nil
 }
 
 // DialWrapped runs the common PT client skeleton: dial, wrap, send the
 // target prologue.
-func DialWrapped(host *netem.Host, addr string, wrap ClientWrapper, target string) (net.Conn, error) {
+func DialWrapped(host *netem.Host, addr string, wrap Wrapper, target string) (net.Conn, error) {
 	raw, err := host.Dial(addr)
 	if err != nil {
 		return nil, err
 	}
-	conn := raw
-	if wrap != nil {
-		conn, err = wrap(raw)
-		if err != nil {
-			raw.Close()
-			return nil, err
-		}
+	conn, err := wrap(raw)
+	if err != nil {
+		raw.Close()
+		return nil, err
 	}
 	if err := WriteTarget(conn, target); err != nil {
 		conn.Close()
@@ -95,19 +83,63 @@ func DialWrapped(host *netem.Host, addr string, wrap ClientWrapper, target strin
 	return conn, nil
 }
 
+// WrapTransport is the one constructor of a wrapping transport's server
+// and dialer: it owns the key-present check, the per-conn handshake
+// seeds, the listen and dial skeletons and the error prefix, and the
+// transport supplies the two sides of its handshake.
+type WrapTransport struct {
+	// Name prefixes errors.
+	Name string
+	// Keyed reports that the config carries the transport's shared
+	// secret; without it neither side starts.
+	Keyed bool
+	// Seed is the config's seed. The server hands Seed+1, Seed+2, … to
+	// the conns it accepts; the dialer counts on from
+	// Seed+DialerOffset, so the two ends of one config never share a
+	// stream.
+	Seed, DialerOffset int64
+	// Client and Server run one side of the handshake over a raw conn
+	// with that conn's seed and return the obfuscated stream.
+	Client, Server func(conn net.Conn, seed int64) (net.Conn, error)
+}
+
+// StartServer runs the transport's server on host:port, delivering
+// unwrapped streams to handle.
+func (w WrapTransport) StartServer(host *netem.Host, port int, handle StreamHandler) (Server, error) {
+	if !w.Keyed {
+		return nil, fmt.Errorf("%s: server needs its shared secret", w.Name)
+	}
+	seed := w.Seed
+	return ListenAndServe(host, port, func(conn net.Conn) (net.Conn, error) {
+		seed++
+		return w.Server(conn, seed)
+	}, handle)
+}
+
+// NewDialer returns the transport's client for a server at addr.
+func (w WrapTransport) NewDialer(host *netem.Host, addr string) Dialer {
+	seed := w.Seed + w.DialerOffset
+	return DialerFunc(func(target string) (net.Conn, error) {
+		if !w.Keyed {
+			return nil, fmt.Errorf("%s: dialer needs its shared secret", w.Name)
+		}
+		seed++
+		s := seed
+		conn, err := DialWrapped(host, addr, func(raw net.Conn) (net.Conn, error) {
+			return w.Client(raw, s)
+		}, target)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", w.Name, err)
+		}
+		return conn, nil
+	})
+}
+
 // ForwardTo returns a StreamHandler that dials the stream's target from
 // fromHost and splices — the integration-set-2 server behaviour (the
 // target names the guard the client's Tor selected).
 func ForwardTo(fromHost *netem.Host) StreamHandler {
-	clock := fromHost.Network().Clock()
-	return func(target string, conn net.Conn) {
-		down, err := fromHost.Dial(target)
-		if err != nil {
-			conn.Close()
-			return
-		}
-		Splice(clock, conn, down)
-	}
+	return HandleWithDialer(fromHost.Network().Clock(), fromHost.Dial)
 }
 
 // HandleWithDialer returns a StreamHandler that opens the target through

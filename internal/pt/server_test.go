@@ -1,0 +1,49 @@
+package pt_test
+
+import (
+	"net"
+	"reflect"
+	"strings"
+	"testing"
+
+	"ptperf/internal/pt"
+)
+
+// TestWrapTransport pins what the shared constructor owns: the server
+// seeds its conns Seed+1, Seed+2, …, the dialer counts on from
+// Seed+DialerOffset, a dial failure carries the transport's name, and
+// neither side starts without the key.
+func TestWrapTransport(t *testing.T) {
+	w := newWorld(t)
+	var client, server []int64
+	wt := pt.WrapTransport{
+		Name: "demo", Keyed: true, Seed: 10, DialerOffset: 100,
+		Client: func(c net.Conn, seed int64) (net.Conn, error) { client = append(client, seed); return c, nil },
+		Server: func(c net.Conn, seed int64) (net.Conn, error) { server = append(server, seed); return c, nil },
+	}
+	srv, err := wt.StartServer(w.server, 443, echoHandler(t, "guard-0:9001"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := wt.NewDialer(w.client, srv.Addr())
+	exerciseEcho(t, w, d, 100)
+	exerciseEcho(t, w, d, 100)
+	if want := []int64{111, 112}; !reflect.DeepEqual(client, want) {
+		t.Errorf("client seeds %v, want %v", client, want)
+	}
+	if want := []int64{11, 12}; !reflect.DeepEqual(server, want) {
+		t.Errorf("server seeds %v, want %v", server, want)
+	}
+	srv.Close()
+	if _, err := d.Dial("guard-0:9001"); err == nil || !strings.HasPrefix(err.Error(), "demo: ") {
+		t.Errorf("dial to a closed server: %v, want an error prefixed with the transport's name", err)
+	}
+
+	wt.Keyed = false
+	if _, err := wt.StartServer(w.server, 444, nil); err == nil {
+		t.Error("server started without its key")
+	}
+	if _, err := wt.NewDialer(w.client, srv.Addr()).Dial("guard-0:9001"); err == nil {
+		t.Error("dialer dialed without its key")
+	}
+}

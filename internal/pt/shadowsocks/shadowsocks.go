@@ -14,7 +14,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
 	"math/rand"
 	"net"
@@ -41,28 +40,69 @@ type Config struct {
 	Seed int64
 }
 
-// aeadConn implements the shadowsocks AEAD chunk stream over a net.Conn.
-type aeadConn struct {
-	net.Conn
-	send, recv cipher.AEAD
-	sendNonce  uint64
-	recvNonce  uint64
+// aeadCodec is the shadowsocks AEAD chunk under pt.RecordConn:
+// [len+tag][payload+tag], each part sealed under the next nonce of its
+// direction.
+type aeadCodec struct {
+	send, recv           cipher.AEAD
+	sendNonce, recvNonce uint64
+}
 
-	pending []byte
+// NewCodec returns one end's chunk codec for a session's salt.
+func NewCodec(psk, salt []byte, isClient bool) pt.RecordCodec {
+	c := &aeadCodec{send: subkey(psk, salt, "c2s"), recv: subkey(psk, salt, "s2c")}
+	if !isClient {
+		c.send, c.recv = c.recv, c.send
+	}
+	return c
+}
+
+func (c *aeadCodec) Sizes() (maxPayload, headerLen, maxBody int) {
+	return maxChunk, 2 + tagLen, maxChunk + tagLen
+}
+
+func (c *aeadCodec) Seal(payload []byte) []byte {
+	var lenPlain [2]byte
+	binary.BigEndian.PutUint16(lenPlain[:], uint16(len(payload)))
+	out := make([]byte, 0, 2+tagLen+len(payload)+tagLen)
+	out = c.send.Seal(out, nonceBytes(c.sendNonce), lenPlain[:], nil)
+	out = c.send.Seal(out, nonceBytes(c.sendNonce+1), payload, nil)
+	c.sendNonce += 2
+	return out
+}
+
+func (c *aeadCodec) BodyLen(header []byte) (int, error) {
+	lenPlain, err := c.recv.Open(nil, nonceBytes(c.recvNonce), header, nil)
+	if err != nil {
+		return 0, ErrCipher
+	}
+	return int(binary.BigEndian.Uint16(lenPlain)) + tagLen, nil
+}
+
+func (c *aeadCodec) Open(_, body []byte) ([]byte, error) {
+	plain, err := c.recv.Open(body[:0], nonceBytes(c.recvNonce+1), body, nil)
+	if err != nil {
+		return nil, ErrCipher
+	}
+	c.recvNonce += 2
+	return plain, nil
 }
 
 // subkey derives the session key for one direction from PSK and salt.
-func subkey(psk, salt []byte, label string) (cipher.AEAD, error) {
+func subkey(psk, salt []byte, label string) cipher.AEAD {
 	h := sha256.New()
 	h.Write(psk)
 	h.Write(salt)
 	h.Write([]byte(label))
-	key := h.Sum(nil)[:16]
-	block, err := aes.NewCipher(key)
+	block, err := aes.NewCipher(h.Sum(nil)[:16])
 	if err != nil {
-		return nil, err
+		panic(err) // unreachable: the key is 16 bytes
 	}
-	return cipher.NewGCM(block)
+	aead, err := cipher.NewGCM(block)
+	if err != nil {
+		panic(err) // unreachable: AES has GCM's block size
+	}
+	return aead
 }
 
 func nonceBytes(n uint64) []byte {
@@ -71,86 +111,15 @@ func nonceBytes(n uint64) []byte {
 	return b[:]
 }
 
-// Write seals [len|tag][payload|tag] chunks.
-func (c *aeadConn) Write(p []byte) (int, error) {
-	written := 0
-	for len(p) > 0 {
-		n := len(p)
-		if n > maxChunk {
-			n = maxChunk
-		}
-		var lenPlain [2]byte
-		binary.BigEndian.PutUint16(lenPlain[:], uint16(n))
-		out := make([]byte, 0, 2+tagLen+n+tagLen)
-		out = c.send.Seal(out, nonceBytes(c.sendNonce), lenPlain[:], nil)
-		c.sendNonce++
-		out = c.send.Seal(out, nonceBytes(c.sendNonce), p[:n], nil)
-		c.sendNonce++
-		if _, err := c.Conn.Write(out); err != nil {
-			return written, err
-		}
-		written += n
-		p = p[n:]
-	}
-	return written, nil
-}
-
-// Read opens the next chunk.
-func (c *aeadConn) Read(p []byte) (int, error) {
-	for len(c.pending) == 0 {
-		sealedLen := make([]byte, 2+tagLen)
-		if _, err := io.ReadFull(c.Conn, sealedLen); err != nil {
-			return 0, err
-		}
-		lenPlain, err := c.recv.Open(nil, nonceBytes(c.recvNonce), sealedLen, nil)
-		if err != nil {
-			return 0, ErrCipher
-		}
-		c.recvNonce++
-		n := int(binary.BigEndian.Uint16(lenPlain))
-		sealed := make([]byte, n+tagLen)
-		if _, err := io.ReadFull(c.Conn, sealed); err != nil {
-			return 0, err
-		}
-		plain, err := c.recv.Open(nil, nonceBytes(c.recvNonce), sealed, nil)
-		if err != nil {
-			return 0, ErrCipher
-		}
-		c.recvNonce++
-		c.pending = plain
-	}
-	n := copy(p, c.pending)
-	c.pending = c.pending[n:]
-	return n, nil
-}
-
-// CloseWrite forwards half close.
-func (c *aeadConn) CloseWrite() error {
-	if hc, ok := c.Conn.(pt.HalfCloser); ok {
-		return hc.CloseWrite()
-	}
-	return c.Conn.Close()
-}
-
 // clientWrap sends the salt and builds the AEAD pair (zero RTT).
 func clientWrap(conn net.Conn, cfg Config, seed int64) (net.Conn, error) {
 	rng := rand.New(rand.NewSource(seed))
 	salt := make([]byte, saltLen)
-	for i := range salt {
-		salt[i] = byte(rng.Intn(256))
-	}
+	pt.RandFill(rng, salt)
 	if _, err := conn.Write(salt); err != nil {
 		return nil, err
 	}
-	send, err := subkey(cfg.PSK, salt, "c2s")
-	if err != nil {
-		return nil, err
-	}
-	recv, err := subkey(cfg.PSK, salt, "s2c")
-	if err != nil {
-		return nil, err
-	}
-	return &aeadConn{Conn: conn, send: send, recv: recv}, nil
+	return pt.NewCodecConn(conn, NewCodec(cfg.PSK, salt, true)), nil
 }
 
 // serverWrap reads the salt and mirrors the AEAD pair.
@@ -159,42 +128,23 @@ func serverWrap(conn net.Conn, cfg Config) (net.Conn, error) {
 	if _, err := io.ReadFull(conn, salt); err != nil {
 		return nil, err
 	}
-	send, err := subkey(cfg.PSK, salt, "s2c")
-	if err != nil {
-		return nil, err
+	return pt.NewCodecConn(conn, NewCodec(cfg.PSK, salt, false)), nil
+}
+
+func transport(cfg Config) pt.WrapTransport {
+	return pt.WrapTransport{
+		Name: "shadowsocks", Keyed: len(cfg.PSK) > 0, Seed: cfg.Seed, DialerOffset: 104729,
+		Client: func(conn net.Conn, seed int64) (net.Conn, error) { return clientWrap(conn, cfg, seed) },
+		Server: func(conn net.Conn, _ int64) (net.Conn, error) { return serverWrap(conn, cfg) },
 	}
-	recv, err := subkey(cfg.PSK, salt, "c2s")
-	if err != nil {
-		return nil, err
-	}
-	return &aeadConn{Conn: conn, send: send, recv: recv}, nil
 }
 
 // StartServer runs a shadowsocks server on host:port.
 func StartServer(host *netem.Host, port int, cfg Config, handle pt.StreamHandler) (pt.Server, error) {
-	if len(cfg.PSK) == 0 {
-		return nil, errors.New("shadowsocks: server needs a PSK")
-	}
-	return pt.ListenAndServe(host, port, func(conn net.Conn) (net.Conn, error) {
-		return serverWrap(conn, cfg)
-	}, handle)
+	return transport(cfg).StartServer(host, port, handle)
 }
 
 // NewDialer returns the shadowsocks client for a server at addr.
 func NewDialer(host *netem.Host, addr string, cfg Config) pt.Dialer {
-	seed := cfg.Seed + 104729
-	return pt.DialerFunc(func(target string) (net.Conn, error) {
-		if len(cfg.PSK) == 0 {
-			return nil, errors.New("shadowsocks: dialer needs a PSK")
-		}
-		seed++
-		s := seed
-		conn, err := pt.DialWrapped(host, addr, func(raw net.Conn) (net.Conn, error) {
-			return clientWrap(raw, cfg, s)
-		}, target)
-		if err != nil {
-			return nil, fmt.Errorf("shadowsocks: %w", err)
-		}
-		return conn, nil
-	})
+	return transport(cfg).NewDialer(host, addr)
 }

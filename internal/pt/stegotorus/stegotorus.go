@@ -153,8 +153,10 @@ type chopConn struct {
 	sendSeq uint64
 	rrIndex int
 	rng     *rand.Rand
-	closed  bool
-	wdone   bool
+	// closed is "Close was called here". The stream's own Closed is
+	// also true once every reader has gone (the peer half-closed all
+	// its conns), and writes must still go out then.
+	closed bool
 
 	readers int
 }
@@ -210,10 +212,10 @@ func (c *chopConn) readLoop(conn net.Conn) {
 // CloseWrite flushes a FIN block announcing the total block count, so
 // the peer can drain every fan-out conn before reporting EOF.
 func (c *chopConn) CloseWrite() error {
-	if c.closed || c.wdone {
+	if c.closed || c.WriteEnded() {
 		return nil
 	}
-	c.wdone = true
+	c.EndWrite()
 	fin := make([]byte, blockHeader)
 	binary.BigEndian.PutUint64(fin[0:8], c.sid)
 	binary.BigEndian.PutUint64(fin[8:16], c.sendSeq)
@@ -234,7 +236,7 @@ func (c *chopConn) CloseWrite() error {
 
 // Write chops p into blocks and spreads them over the conns.
 func (c *chopConn) Write(p []byte) (int, error) {
-	if c.closed || c.wdone {
+	if c.closed || c.WriteEnded() {
 		return 0, errors.New("stegotorus: closed")
 	}
 	written := 0

@@ -24,11 +24,10 @@ func (a Addr) String() string { return a.End }
 // Take, PeerFin and Fail. A transport whose writes go straight to the
 // wire as messages or blocks shadows Write and uses the read half only.
 //
-// There is deliberately no CloseWrite: pt.Splice and the tor exit
-// half-close any conn that has one and Close the rest, and a polling or
-// messaging tunnel has no FIN frame to carry a half-close. A transport
-// that does have one (marionette) exports CloseWrite itself on top of
-// EndWrite.
+// There is deliberately no CloseWrite: pt.Splice half-closes any conn
+// that has one and Closes the rest, and a polling or messaging tunnel
+// has no FIN frame to carry a half-close. A transport that does have
+// one (marionette) exports CloseWrite itself on top of EndWrite.
 type Stream struct {
 	clock         *netem.Clock
 	local, remote Addr

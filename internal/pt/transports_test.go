@@ -219,6 +219,44 @@ func TestCloakEndToEnd(t *testing.T) {
 	}
 }
 
+// TestCloakClientHalfClose: the cloak client's CloseWrite must reach
+// the netem conn as a half-close, not a Close. The server reads EOF
+// after the request, and the client still reads what the server sends
+// afterwards.
+func TestCloakClientHalfClose(t *testing.T) {
+	w := newWorld(t)
+	cfg := cloak.Config{UID: []byte("cloak-uid"), RedirAddr: "bing.com", Seed: 1}
+	srv, err := cloak.StartServer(w.server, 443, cfg, func(_ string, conn net.Conn) {
+		defer conn.Close()
+		req, err := io.ReadAll(conn)
+		if err != nil {
+			t.Errorf("server read: %v", err)
+			return
+		}
+		conn.Write(append([]byte("after EOF: "), req...))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cfg.Seed = 2
+	conn, err := cloak.NewDialer(w.client, srv.Addr(), cfg).Dial("origin:80")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("request")); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.(pt.HalfCloser).CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(conn)
+	if err != nil || string(got) != "after EOF: request" {
+		t.Fatalf("read after CloseWrite = %q, %v", got, err)
+	}
+}
+
 func TestConjureEndToEnd(t *testing.T) {
 	w := newWorld(t)
 	secret := []byte("conjure-secret")

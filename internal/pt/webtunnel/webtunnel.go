@@ -12,7 +12,6 @@ package webtunnel
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"io"
 	"math/rand"
 	"net"
@@ -45,9 +44,7 @@ func clientWrap(conn net.Conn, cfg Config, seed int64) (net.Conn, error) {
 	hello := make([]byte, 0, 280)
 	hello = append(hello, 0x16, 0x03, 0x01) // handshake record
 	random := make([]byte, 32)
-	for i := range random {
-		random[i] = byte(rng.Intn(256))
-	}
+	pt.RandFill(rng, random)
 	hello = append(hello, random...)
 	hello = append(hello, byte(len(cfg.SNI)))
 	hello = append(hello, cfg.SNI...)
@@ -106,14 +103,10 @@ func serverWrap(conn net.Conn, cfg Config, seed int64) (net.Conn, error) {
 	certLen := 1100 + rng.Intn(300)
 	sh := make([]byte, 3+32+2+certLen)
 	sh[0], sh[1], sh[2] = 0x16, 0x03, 0x03
-	for i := 3; i < 3+32; i++ {
-		sh[i] = byte(rng.Intn(256))
-	}
+	pt.RandFill(rng, sh[3:3+32])
 	sh[3+32] = byte(certLen >> 8)
 	sh[3+33] = byte(certLen)
-	for i := 3 + 34; i < len(sh); i++ {
-		sh[i] = byte(rng.Intn(256))
-	}
+	pt.RandFill(rng, sh[3+34:])
 	if _, err := conn.Write(sh); err != nil {
 		return nil, err
 	}
@@ -143,33 +136,20 @@ func serverWrap(conn net.Conn, cfg Config, seed int64) (net.Conn, error) {
 	})
 }
 
+func transport(cfg Config) pt.WrapTransport {
+	return pt.WrapTransport{
+		Name: "webtunnel", Keyed: len(cfg.SessionKey) > 0, Seed: cfg.Seed, DialerOffset: 15485863,
+		Client: func(conn net.Conn, seed int64) (net.Conn, error) { return clientWrap(conn, cfg, seed) },
+		Server: func(conn net.Conn, seed int64) (net.Conn, error) { return serverWrap(conn, cfg, seed) },
+	}
+}
+
 // StartServer runs a webtunnel server on host:port.
 func StartServer(host *netem.Host, port int, cfg Config, handle pt.StreamHandler) (pt.Server, error) {
-	if len(cfg.SessionKey) == 0 {
-		return nil, errors.New("webtunnel: server needs a session key")
-	}
-	seed := cfg.Seed
-	return pt.ListenAndServe(host, port, func(conn net.Conn) (net.Conn, error) {
-		seed++
-		return serverWrap(conn, cfg, seed)
-	}, handle)
+	return transport(cfg).StartServer(host, port, handle)
 }
 
 // NewDialer returns the webtunnel client for a bridge at addr.
 func NewDialer(host *netem.Host, addr string, cfg Config) pt.Dialer {
-	seed := cfg.Seed + 15485863
-	return pt.DialerFunc(func(target string) (net.Conn, error) {
-		if len(cfg.SessionKey) == 0 {
-			return nil, errors.New("webtunnel: dialer needs a session key")
-		}
-		seed++
-		s := seed
-		conn, err := pt.DialWrapped(host, addr, func(raw net.Conn) (net.Conn, error) {
-			return clientWrap(raw, cfg, s)
-		}, target)
-		if err != nil {
-			return nil, fmt.Errorf("webtunnel: %w", err)
-		}
-		return conn, nil
-	})
+	return transport(cfg).NewDialer(host, addr)
 }

@@ -193,19 +193,8 @@ func (circ *circuit) readLoop() {
 			circ.close(err)
 			return
 		}
-		switch Command(buf[4]) {
-		case CmdRelay:
-			if wireCircID(buf) != circ.id {
-				continue
-			}
-			hop, rc, ok := circ.peel(wirePayload(buf))
-			if !ok {
-				circ.close(fmt.Errorf("tor: unrecognized backward cell"))
-				return
-			}
-			circ.deliver(hop, rc)
-		case CmdDestroy:
-			circ.close(ErrCircuitClosed)
+		circ.clientCell(buf)
+		if circ.closed {
 			return
 		}
 	}
@@ -460,10 +449,10 @@ type Stream struct {
 	remoteClosed bool
 	localClosed  bool
 	rdl          time.Time
-	// rdWant, while a ReadFull caller is parked, is the total byte
-	// count it needs; push skips the wake-up until the buffer reaches
-	// it, so a bulk reader parks once per chunk instead of once per
-	// arriving cell. Zero means any data wakes the reader (plain Read).
+	// rdWant, while a reader is parked, is the total byte count it
+	// needs; push skips the wake-up until the buffer reaches it, so a
+	// bulk reader parks once per chunk instead of once per arriving
+	// cell. Read asks for one byte, so any data wakes it.
 	rdWant int
 
 	pkgWin int
@@ -528,23 +517,7 @@ func (s *Stream) isClosedLocal() bool {
 }
 
 // Read implements net.Conn.
-func (s *Stream) Read(p []byte) (int, error) {
-	for {
-		if s.localClosed {
-			return 0, ErrCircuitClosed
-		}
-		if len(s.buf) > s.bufHead {
-			return s.consume(p), nil
-		}
-		if s.remoteClosed {
-			return 0, io.EOF
-		}
-		if s.circ.client.clock.Expired(s.rdl) {
-			return 0, netem.ErrTimeout
-		}
-		s.cond.WaitDeadline(s.rdl)
-	}
-}
+func (s *Stream) Read(p []byte) (int, error) { return s.read(p, 1) }
 
 // ReadFull fills p completely before returning; n < len(p) only with a
 // non-nil error (io.EOF on early end-of-stream, after draining what
@@ -555,13 +528,17 @@ func (s *Stream) Read(p []byte) (int, error) {
 // per-cell wake-ups in between disappear. Bulk downloads (the fetch
 // body copy) use it; header parsing and latency-sensitive reads keep
 // the eager Read.
-func (s *Stream) ReadFull(p []byte) (int, error) {
-	defer func() { s.rdWant = 0 }()
+func (s *Stream) ReadFull(p []byte) (int, error) { return s.read(p, len(p)) }
+
+// read is the one parked-read loop: it returns once min bytes are
+// buffered, or with what there is when the stream ends or the deadline
+// passes first.
+func (s *Stream) read(p []byte, min int) (int, error) {
 	for {
 		if s.localClosed {
 			return 0, ErrCircuitClosed
 		}
-		if len(s.buf)-s.bufHead >= len(p) {
+		if len(s.buf)-s.bufHead >= min {
 			return s.consume(p), nil
 		}
 		if s.remoteClosed {
@@ -570,8 +547,9 @@ func (s *Stream) ReadFull(p []byte) (int, error) {
 		if s.circ.client.clock.Expired(s.rdl) {
 			return s.consume(p), netem.ErrTimeout
 		}
-		s.rdWant = len(p)
+		s.rdWant = min
 		s.cond.WaitDeadline(s.rdl)
+		s.rdWant = 0
 	}
 }
 

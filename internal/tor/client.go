@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"ptperf/internal/netem"
+	"ptperf/internal/pt"
 	"ptperf/internal/socks"
 )
 
@@ -429,40 +430,8 @@ func (c *Client) ServeSOCKS(port int) (net.Addr, func() error, error) {
 				conn.Close()
 				return
 			}
-			proxyPair(c.clock, conn, up)
+			pt.Splice(c.clock, conn, up)
 		})
 	})
 	return ln.Addr(), ln.Close, nil
-}
-
-// proxyPair splices two conns together and closes both when both
-// directions finish.
-func proxyPair(clock *netem.Clock, a, b net.Conn) {
-	wg := netem.NewWaitGroup(clock)
-	cp := func(dst, src net.Conn) {
-		defer wg.Done()
-		buf := make([]byte, 32<<10)
-		for {
-			n, err := src.Read(buf)
-			if n > 0 {
-				if _, werr := dst.Write(buf[:n]); werr != nil {
-					break
-				}
-			}
-			if err != nil {
-				break
-			}
-		}
-		if cw, ok := dst.(interface{ CloseWrite() error }); ok {
-			cw.CloseWrite()
-		} else {
-			dst.Close()
-		}
-	}
-	wg.Add(2)
-	clock.Go(func() { cp(a, b) })
-	clock.Go(func() { cp(b, a) })
-	wg.Wait()
-	a.Close()
-	b.Close()
 }

@@ -242,9 +242,7 @@ type handshake struct {
 // deterministic stream seeded by the caller.
 func newHandshake(rng *rand.Rand) (*handshake, error) {
 	seed := make([]byte, 32)
-	for i := range seed {
-		seed[i] = byte(rng.Intn(256))
-	}
+	randFill(rng, seed)
 	priv, err := ecdh.X25519().NewPrivateKey(clampX25519(seed))
 	if err != nil {
 		return nil, fmt.Errorf("tor: handshake keygen: %w", err)
@@ -291,7 +289,7 @@ func writeHandshake(p *[PayloadSize]byte, pub []byte) {
 	copy(p[:HandshakeLen], pub)
 }
 
-// randFill fills b from the rng; used for cover padding.
+// randFill fills b from the rng, one draw per byte.
 func randFill(rng *rand.Rand, b []byte) {
 	for i := range b {
 		b[i] = byte(rng.Intn(256))

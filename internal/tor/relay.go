@@ -414,7 +414,7 @@ type relayCirc struct {
 	// every backward (toward-client) relay cell goes through it.
 	q *circQueue
 
-	next    net.Conn // downstream link, nil while last hop
+	next    *netem.Conn // downstream link, nil while last hop
 	nextID  uint32
 	nextWMu *netem.Mutex
 	streams map[uint16]*exitStream
@@ -452,11 +452,7 @@ func (c *relayCirc) handleRelayWire(buf []byte, base *[]byte) (consumed bool, er
 	setWireHeader(buf, nextID, CmdRelay)
 	c.nextWMu.Lock()
 	defer c.nextWMu.Unlock()
-	if oc, ok := next.(*netem.Conn); ok {
-		return true, oc.WriteOwned(buf, base, &cellBufPool)
-	}
-	_, werr := next.Write(buf)
-	return false, werr
+	return true, next.WriteOwned(buf, base, &cellBufPool)
 }
 
 func (c *relayCirc) handleRecognized(rc RelayCell) error {
@@ -507,25 +503,23 @@ func (c *relayCirc) handleExtend(rc RelayCell) error {
 		return c.sendBackwardControl(RelayTruncated, nil)
 	}
 
-	c.next = conn
+	// Relays dial each other over the bare network, so the downstream
+	// link is always a netem conn: its cells are encrypted and queued
+	// at their arrival instants on the clock's event dispatcher, with
+	// no relay goroutine in the loop.
+	c.next = conn.(*netem.Conn)
 	c.nextID = nextID
-	if oc, ok := conn.(*netem.Conn); ok {
-		// Inline backward path: downstream cells are encrypted and
-		// queued at their arrival instants on the clock's event
-		// dispatcher, with no relay goroutine in the loop.
-		oc.SetReadSink(c.backwardSink)
-	} else {
-		c.link.relay.clock.Go(func() { c.pumpBackward(conn) })
-	}
+	c.next.SetReadSink(c.backwardSink)
 
 	return c.sendBackwardControl(RelayExtended, readHandshake(&created.Payload))
 }
 
-// backwardSink is the inline form of pumpBackward, installed as the
-// downstream conn's read sink once the circuit is spliced. It runs on
-// the clock's event dispatcher and must never park: relay cells go
-// straight into the scheduler queue, and teardown — which does park — is
-// handed to a fresh goroutine.
+// backwardSink relays downstream→upstream cells, adding our onion
+// layer; it is installed as the downstream conn's read sink once the
+// circuit is spliced. It runs on the clock's event dispatcher and must
+// never park: relay cells go straight into the scheduler queue, whose
+// per-circuit FIFO keeps the CTR-stream order, and teardown — which does
+// park — is handed to a fresh goroutine.
 func (c *relayCirc) backwardSink(data []byte, base *[]byte, pool *sync.Pool, err error) {
 	if err != nil {
 		c.link.relay.clock.Go(func() { c.destroy(true, false) })
@@ -582,35 +576,6 @@ func (c *relayCirc) backwardCell(buf []byte, base *[]byte, pool *sync.Pool) {
 	default:
 		if base != nil && pool != nil {
 			pool.Put(base)
-		}
-	}
-}
-
-// pumpBackward relays downstream→upstream cells, adding our onion
-// layer. Encrypting and enqueueing never park, so the CTR-stream order
-// is the order of the scheduler queue, which preserves per-circuit FIFO.
-func (c *relayCirc) pumpBackward(conn net.Conn) {
-	buf, base := getCellBuf()
-	for {
-		if err := readWire(conn, buf); err != nil {
-			putCellBuf(base)
-			c.destroy(true, false)
-			return
-		}
-		switch Command(buf[4]) {
-		case CmdRelay:
-			c.crypto.encryptBackward(wirePayload(buf))
-			setWireHeader(buf, c.id, CmdRelay)
-			if err := c.link.sched.enqueueWire(c.q, buf, base); err != nil {
-				c.destroy(false, true)
-				return
-			}
-			// The queue owns the old buffer now.
-			buf, base = getCellBuf()
-		case CmdDestroy:
-			putCellBuf(base)
-			c.destroy(true, false)
-			return
 		}
 	}
 }

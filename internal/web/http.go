@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"net"
 	"strconv"
 	"strings"
 )
@@ -150,13 +149,4 @@ func writeBody(w io.Writer, prefix []byte, n int) error {
 		n -= len(chunk)
 	}
 	return nil
-}
-
-// proxyHalfClose is a helper for conn types supporting CloseWrite.
-func proxyHalfClose(c net.Conn) {
-	if cw, ok := c.(interface{ CloseWrite() error }); ok {
-		cw.CloseWrite()
-		return
-	}
-	c.Close()
 }

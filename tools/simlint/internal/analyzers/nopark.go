@@ -35,7 +35,7 @@ import (
 //     WaitDeadline, Mutex.Lock, WaitGroup.Wait, Chan.Send/Recv/
 //     RecvTimeout;
 //   - netem conn/pipe operations that park on backpressure or arrival:
-//     Conn.Read/ReadFull/Write/WriteOwned, pipe.pop/popFull/push;
+//     Conn.Read/ReadFull/Write/WriteOwned, pipe.read/push;
 //   - interface escape hatches that reach the same parking code
 //     dynamically: (net.Conn).Read/Write, (io.Reader).Read,
 //     (io.Writer).Write, and io.ReadFull/ReadAtLeast/Copy/CopyN/
@@ -79,8 +79,7 @@ var parkingMethods = map[primKey]string{
 	{"netem", "Conn", "ReadFull"}:      "parks until the record completes",
 	{"netem", "Conn", "Write"}:         "parks on receive-window backpressure (use TryWriteOwned)",
 	{"netem", "Conn", "WriteOwned"}:    "parks on receive-window backpressure (use TryWriteOwned)",
-	{"netem", "pipe", "pop"}:           "parks until arrival",
-	{"netem", "pipe", "popFull"}:       "parks until the record completes",
+	{"netem", "pipe", "read"}:          "parks until the requested bytes arrive",
 	{"netem", "pipe", "push"}:          "parks on receive-window backpressure (use tryPush)",
 	{"net", "Conn", "Read"}:            "dynamic dispatch into a parking Read",
 	{"net", "Conn", "Write"}:           "dynamic dispatch into a parking Write",
