@@ -1,7 +1,6 @@
 package fetch
 
 import (
-	"bufio"
 	"errors"
 	"sort"
 	"time"
@@ -105,7 +104,8 @@ func (c *Client) Browse(origin, path string, maxConns int) PageResult {
 				}
 				defer conn.Close()
 				conn.SetDeadline(deadline)
-				br := bufio.NewReaderSize(conn, 32<<10)
+				br := leaseReader(conn)
+				defer releaseReader(br)
 				for r := range queue {
 					n, err := fetchOn(conn, br, r.Path)
 					at := c.Net.Since(start)

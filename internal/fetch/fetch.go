@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"sync"
 	"time"
 
 	"ptperf/internal/netem"
@@ -123,12 +124,13 @@ func (c *Client) get(origin, path string, keepBody bool, start time.Duration, de
 	}
 
 	// TTFB: time of the first byte of the response.
-	br := bufio.NewReaderSize(&firstByteReader{
+	br := leaseReader(&firstByteReader{
 		r: conn,
 		onFirst: func() {
 			res.TTFB = c.Net.Since(start)
 		},
-	}, 32<<10)
+	})
+	defer releaseReader(br)
 	resp, err := web.ReadResponse(br)
 	if err != nil {
 		res.Err = err
@@ -138,22 +140,18 @@ func (c *Client) get(origin, path string, keepBody bool, start time.Duration, de
 	res.Status = resp.Status
 	res.BytesWanted = resp.ContentLength
 
-	var sink io.Writer = countWriter{&res.BytesGot}
-	var bodyBuf *[]byte
+	var keep *[]byte
 	if keepBody {
-		buf := make([]byte, 0, int(min64(resp.ContentLength, 1<<20)))
-		bodyBuf = &buf
-		sink = io.MultiWriter(sink, sliceWriter{bodyBuf})
+		// No declared length, no body: nothing to make room for.
+		res.Body = make([]byte, 0, min(max(resp.ContentLength, 0), 1<<20))
+		keep = &res.Body
 	}
-	_, err = copyBody(sink, br, conn, resp.ContentLength)
+	res.BytesGot, err = copyBody(keep, br, conn, resp.ContentLength)
 	if err == nil && res.BytesGot < resp.ContentLength {
 		err = io.ErrUnexpectedEOF
 	}
 	res.Err = err
 	res.Total = c.Net.Since(start)
-	if bodyBuf != nil {
-		res.Body = *bodyBuf
-	}
 	return res
 }
 
@@ -212,8 +210,7 @@ func fetchOn(conn net.Conn, br *bufio.Reader, path string) (int64, error) {
 	if resp.Status != 200 {
 		return 0, fmt.Errorf("fetch: status %d for %s", resp.Status, path)
 	}
-	var got int64
-	_, err = copyBody(countWriter{&got}, br, conn, resp.ContentLength)
+	got, err := copyBody(nil, br, conn, resp.ContentLength)
 	if err == nil && got < resp.ContentLength {
 		err = io.ErrUnexpectedEOF
 	}
@@ -223,49 +220,75 @@ func fetchOn(conn net.Conn, br *bufio.Reader, path string) (int64, error) {
 // bodyChunk sizes the threshold reads of copyBody.
 const bodyChunk = 64 << 10
 
-// copyBody drains a response body of n bytes: whatever ReadResponse
-// left buffered in br first, then the remainder from conn. When conn
-// supports threshold reads, the bulk is pulled in large chunks so the
-// reader parks once per chunk instead of once per arriving cell; the
-// last byte is still consumed at its arrival instant, so TTLB and
-// timeout behavior match the eager copy exactly. Early end-of-stream
-// returns a short count with nil error, like io.Copy; callers detect
-// the short body from the count.
-func copyBody(dst io.Writer, br *bufio.Reader, conn net.Conn, n int64) (int64, error) {
-	fr, ok := conn.(netem.FullReader)
-	if !ok {
-		return io.Copy(dst, io.LimitReader(br, n))
+// readerSize is the buffer of a response reader: curl's and a browser
+// worker's alike.
+const readerSize = 32 << 10
+
+// A transfer leases its buffers: the bufio.Reader for the length of one
+// Get or one browser worker conn, the threshold-read chunk for the
+// length of one copyBody (DESIGN.md "Buffer ownership").
+var (
+	readerPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, readerSize) }}
+	chunkPool  = sync.Pool{New: func() any { return new([bodyChunk]byte) }}
+)
+
+func leaseReader(r io.Reader) *bufio.Reader {
+	br := readerPool.Get().(*bufio.Reader)
+	br.Reset(r)
+	return br
+}
+
+func releaseReader(br *bufio.Reader) {
+	br.Reset(nil)
+	readerPool.Put(br)
+}
+
+// copyBody drains a response body of n bytes, appending it to *keep
+// when keep is non-nil, and returns the count received: whatever
+// ReadResponse left buffered in br first, then the remainder from conn.
+// When conn supports threshold reads, the bulk is pulled in large chunks
+// so the reader parks once per chunk instead of once per arriving cell;
+// the last byte is still consumed at its arrival instant, so TTLB and
+// timeout behavior match an eager copy exactly. Otherwise each read
+// fills br's own buffer. Early end-of-stream returns a short count with
+// nil error; callers detect the short body from the count. A negative n
+// (no declared length) reads nothing.
+func copyBody(keep *[]byte, br *bufio.Reader, conn net.Conn, n int64) (int64, error) {
+	fr, threshold := conn.(netem.FullReader)
+	var chunk *[bodyChunk]byte
+	if threshold {
+		chunk = chunkPool.Get().(*[bodyChunk]byte)
+		defer chunkPool.Put(chunk)
 	}
-	var written int64
-	if b := int64(br.Buffered()); b > 0 {
-		m, err := io.Copy(dst, io.LimitReader(br, min64(b, n)))
-		written += m
-		if err != nil || written >= n {
-			return written, err
+	var got int64
+	for got < n {
+		var p []byte
+		var err error
+		switch {
+		case br.Buffered() > 0:
+			p, _ = br.Peek(int(min(int64(br.Buffered()), n-got)))
+			br.Discard(len(p))
+		case threshold:
+			var m int
+			m, err = fr.ReadFull(chunk[:min(n-got, bodyChunk)])
+			p = chunk[:m]
+		default:
+			// One read of the conn into br's buffer, handed out by the
+			// next turn of the loop.
+			_, err = br.Peek(1)
 		}
-	}
-	buf := make([]byte, bodyChunk)
-	for written < n {
-		chunk := n - written
-		if chunk > bodyChunk {
-			chunk = bodyChunk
-		}
-		m, err := fr.ReadFull(buf[:chunk])
-		if m > 0 {
-			wm, werr := dst.Write(buf[:m])
-			written += int64(wm)
-			if werr != nil {
-				return written, werr
-			}
+		got += int64(len(p))
+		if keep != nil {
+			*keep = append(*keep, p...)
 		}
 		if err != nil {
 			if err == io.EOF {
 				err = nil
 			}
-			return written, err
+			return got, err
 		}
 	}
-	return written, nil
+	return got, nil
 }
 
 // firstByteReader invokes onFirst once, at the first successful read.
@@ -284,28 +307,4 @@ func (f *firstByteReader) Read(p []byte) (int, error) {
 		}
 	}
 	return n, err
-}
-
-type countWriter struct{ n *int64 }
-
-func (c countWriter) Write(p []byte) (int, error) {
-	*c.n += int64(len(p))
-	return len(p), nil
-}
-
-type sliceWriter struct{ buf *[]byte }
-
-func (s sliceWriter) Write(p []byte) (int, error) {
-	*s.buf = append(*s.buf, p...)
-	return len(p), nil
-}
-
-func min64(a, b int64) int64 {
-	if a < 0 {
-		return b
-	}
-	if a < b {
-		return a
-	}
-	return b
 }

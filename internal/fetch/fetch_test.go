@@ -3,6 +3,7 @@ package fetch
 import (
 	"io"
 	"net"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -327,5 +328,56 @@ func TestFractionOfCompleteIsOne(t *testing.T) {
 	zero := Result{Status: 200, BytesWanted: 0, BytesGot: 0}
 	if !zero.Complete() {
 		t.Fatal("empty body with 200 is a complete fetch")
+	}
+}
+
+// cannedConn answers any request with one fixed response.
+type cannedConn struct {
+	net.Conn
+	resp *strings.Reader
+}
+
+func (c *cannedConn) Read(p []byte) (int, error)       { return c.resp.Read(p) }
+func (c *cannedConn) Write(p []byte) (int, error)      { return len(p), nil }
+func (c *cannedConn) Close() error                     { return nil }
+func (c *cannedConn) SetDeadline(time.Time) error      { return nil }
+func (c *cannedConn) SetReadDeadline(time.Time) error  { return nil }
+func (c *cannedConn) SetWriteDeadline(time.Time) error { return nil }
+
+// TestGetContentLength: a declared length must be a non-negative number,
+// and a response that declares none has an unknown length — not a
+// complete body, and nothing to make room for.
+func TestGetContentLength(t *testing.T) {
+	for _, tc := range []struct {
+		name, response string
+		wantErr        bool
+		wanted         int64
+		complete       bool
+		body           string
+	}{
+		{"declared", "HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello", false, 5, true, "hello"},
+		{"zero", "HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n", false, 0, true, ""},
+		{"absent", "HTTP/1.1 200 OK\r\nServer: x\r\n\r\nhello", false, -1, false, ""},
+		{"negative", "HTTP/1.1 200 OK\r\nContent-Length: -7\r\n\r\nhello", true, -1, false, ""},
+		{"not a number", "HTTP/1.1 200 OK\r\nContent-Length: five\r\n\r\nhello", true, -1, false, ""},
+		{"overflowing", "HTTP/1.1 200 OK\r\nContent-Length: 99999999999999999999\r\n\r\nhello", true, -1, false, ""},
+		{"short body", "HTTP/1.1 200 OK\r\nContent-Length: 9\r\n\r\nhello", true, 9, false, "hello"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := &Client{Net: netem.New(), Dial: func(string) (net.Conn, error) {
+				return &cannedConn{resp: strings.NewReader(tc.response)}, nil
+			}}
+			res := c.Get("origin:80", "/x", true)
+			if (res.Err != nil) != tc.wantErr {
+				t.Fatalf("Err = %v, want an error: %v", res.Err, tc.wantErr)
+			}
+			if res.BytesWanted != tc.wanted || res.Complete() != tc.complete || string(res.Body) != tc.body {
+				t.Fatalf("BytesWanted %d Complete %v Body %q, want %d %v %q",
+					res.BytesWanted, res.Complete(), res.Body, tc.wanted, tc.complete, tc.body)
+			}
+			if tc.wanted < 0 && cap(res.Body) != 0 {
+				t.Fatalf("a response of unknown length got a %d-byte body buffer", cap(res.Body))
+			}
+		})
 	}
 }

@@ -38,7 +38,10 @@ type Conn struct {
 	tx, rx        *pipe
 	out           shape
 
-	rng *rand.Rand
+	// rng draws jitter and loss from seed; it exists once extraDelay
+	// first draws, which a wired-to-wired conn never does.
+	seed int64
+	rng  *rand.Rand
 
 	wmu Mutex // serializes writers, who park on backpressure
 
@@ -62,9 +65,9 @@ func newConnPair(n *Network, aAddr, bAddr Addr, aOut, bOut shape, seed int64) (*
 	ab := newPipe(clock, 0, acct)
 	ba := newPipe(clock, 0, acct)
 	a := &Conn{net: n, local: aAddr, remote: bAddr, tx: ab, rx: ba, out: aOut,
-		rng: rand.New(rand.NewSource(seed)), wmu: Mutex{cond: Cond{clock: clock}}}
+		seed: seed, wmu: Mutex{cond: Cond{clock: clock}}}
 	b := &Conn{net: n, local: bAddr, remote: aAddr, tx: ba, rx: ab, out: bOut,
-		rng: rand.New(rand.NewSource(seed + 1)), wmu: Mutex{cond: Cond{clock: clock}}}
+		seed: seed + 1, wmu: Mutex{cond: Cond{clock: clock}}}
 	acct.registerConn(a)
 	acct.registerConn(b)
 	return a, b
@@ -240,6 +243,9 @@ func (c *Conn) acct() *Acct {
 func (c *Conn) extraDelay() time.Duration {
 	if c.out.jitter <= 0 && c.out.loss <= 0 {
 		return 0 // wired-to-wired links: no draws
+	}
+	if c.rng == nil {
+		c.rng = rand.New(rand.NewSource(c.seed))
 	}
 	var d time.Duration
 	if c.out.jitter > 0 {

@@ -331,3 +331,42 @@ func TestListenDuplicatePort(t *testing.T) {
 		t.Fatal("duplicate listen should fail")
 	}
 }
+
+// TestConnRNGBuiltOnFirstDraw: a conn keeps its seed and builds its
+// generator when a segment first draws jitter or loss. Dial draws
+// nothing, and neither does a write between hosts whose link has
+// neither.
+func TestConnRNGBuiltOnFirstDraw(t *testing.T) {
+	n := New(WithSeed(3))
+	a := n.MustAddHost(HostConfig{Name: "a", Location: geo.London})
+	b := n.MustAddHost(HostConfig{Name: "b", Location: geo.Frankfurt})
+	l, err := b.Listen(80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := a.Dial("b:80")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := l.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc, sc := c.(*Conn), s.(*Conn)
+	if cc.rng != nil || sc.rng != nil {
+		t.Fatal("Dial built a conn's generator before any segment drew from it")
+	}
+	cc.out.jitter, cc.out.loss = 0, 0
+	if _, err := cc.Write([]byte("no draw")); err != nil {
+		t.Fatal(err)
+	}
+	if cc.rng != nil {
+		t.Fatal("a write over a link without jitter or loss built the generator")
+	}
+	if _, err := sc.Write([]byte("draws jitter")); err != nil {
+		t.Fatal(err)
+	}
+	if sc.rng == nil {
+		t.Fatal("a write over a jittered link drew without a generator")
+	}
+}

@@ -112,8 +112,8 @@ type pipe struct {
 	acct  *Acct // network accounting, nil for pipes outside a network
 
 	cond Cond
-	// segs is a head-indexed ring slice (like Clock.ready): read advances
-	// segHead and the backing array is reused once drained, instead of
+	// segs is a head-indexed queue (like Clock.ready): read advances
+	// segHead and enqueue reuses the backing array (Compact), instead of
 	// re-slicing capacity away on every segment.
 	segs     []seg
 	segHead  int
@@ -206,6 +206,7 @@ func (p *pipe) tryPush(data []byte, base *[]byte, pool *sync.Pool, arrival time.
 // parked-reader wake-up (waking the reader at push time would only make
 // it re-park until the data has propagated).
 func (p *pipe) enqueue(data []byte, base *[]byte, pool *sync.Pool, arrival time.Duration) {
+	p.segs, p.segHead = Compact(p.segs, p.segHead, 1)
 	p.segs = append(p.segs, seg{data: data, base: base, pool: pool, at: arrival})
 	p.buffered += len(data)
 	p.acct.addSent(len(data))

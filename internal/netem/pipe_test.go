@@ -367,3 +367,31 @@ func TestReadAfterSinkPanics(t *testing.T) {
 	}()
 	c.Read(make([]byte, 1))
 }
+
+// TestPipeKeepsItsArray feeds a pipe that is drained one segment behind,
+// so it is never empty: the queue must reuse its array instead of
+// growing by every segment that ever passed.
+func TestPipeKeepsItsArray(t *testing.T) {
+	clock := NewClock()
+	p := newPipe(clock, 0, nil)
+	push := func() {
+		data, base, pool := getSegBuf([]byte{'x'})
+		if err := p.push(data, base, pool, 0, time.Time{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	push()
+	one := make([]byte, 1)
+	for i := 0; i < 100_000; i++ {
+		push()
+		if n, err := p.read(one, 1, time.Time{}); n != 1 || err != nil {
+			t.Fatalf("read %d = (%d, %v)", i, n, err)
+		}
+	}
+	if got := len(p.segs) - p.segHead; got != 1 {
+		t.Fatalf("%d segments queued, want 1", got)
+	}
+	if c := cap(p.segs); c > 16 {
+		t.Fatalf("segment queue grew to cap %d while holding at most 2", c)
+	}
+}

@@ -3,7 +3,6 @@
 package netem
 
 import (
-	"container/heap"
 	"fmt"
 	"iter"
 	"sync"
@@ -84,34 +83,87 @@ func (w *waiter) release() {
 	waiterPool.Put(w)
 }
 
-// timerHeap orders waiters by (at, seq).
+// timerHeap is a 4-ary min-heap of waiters ordered by (at, seq), each
+// knowing its index. (at, seq) is a total order, so the pop order is the
+// same whatever the shape of the heap.
 type timerHeap []*waiter
 
-func (h timerHeap) Len() int { return len(h) }
-func (h timerHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before reports whether a fires ahead of b.
+func before(a, b *waiter) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
-func (h timerHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].heapIndex = i
-	h[j].heapIndex = j
-}
-func (h *timerHeap) Push(x any) {
-	w := x.(*waiter)
-	w.heapIndex = len(*h)
+
+func (h *timerHeap) push(w *waiter) {
 	*h = append(*h, w)
+	h.up(len(*h)-1, w)
 }
-func (h *timerHeap) Pop() any {
+
+// pop removes and returns the earliest waiter.
+func (h *timerHeap) pop() *waiter { return h.remove(0) }
+
+// remove takes the waiter at index i out of the heap.
+func (h *timerHeap) remove(i int) *waiter {
 	old := *h
-	n := len(old)
-	w := old[n-1]
-	old[n-1] = nil
+	w, last := old[i], old[len(old)-1]
+	old[len(old)-1] = nil
+	*h = old[:len(old)-1]
 	w.heapIndex = -1
-	*h = old[:n-1]
+	if last != w {
+		h.fix(i, last)
+	}
 	return w
+}
+
+// fix restores the order around index i, whose slot takes w: the waiter
+// already there with a changed at, or the one filling a removal's hole.
+func (h timerHeap) fix(i int, w *waiter) {
+	if i > 0 && before(w, h[(i-1)/4]) {
+		h.up(i, w)
+	} else {
+		h.down(i, w)
+	}
+}
+
+// up sifts w from the hole at i toward the root.
+func (h timerHeap) up(i int, w *waiter) {
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !before(w, h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		h[i].heapIndex = i
+		i = parent
+	}
+	h[i] = w
+	w.heapIndex = i
+}
+
+// down sifts w from the hole at i toward the leaves.
+func (h timerHeap) down(i int, w *waiter) {
+	for {
+		first := 4*i + 1
+		if first >= len(h) {
+			break
+		}
+		least := first
+		for c := first + 1; c < min(first+4, len(h)); c++ {
+			if before(h[c], h[least]) {
+				least = c
+			}
+		}
+		if !before(h[least], w) {
+			break
+		}
+		h[i] = h[least]
+		h[i].heapIndex = i
+		i = least
+	}
+	h[i] = w
+	w.heapIndex = i
 }
 
 // coro is the execution context of one simulation goroutine, a
@@ -246,8 +298,8 @@ func (c *Clock) dispatch(own *waiter) {
 				c.ready = c.ready[:0]
 				c.readyHead = 0
 			}
-		case c.timers.Len() > 0:
-			w = heap.Pop(&c.timers).(*waiter)
+		case len(c.timers) > 0:
+			w = c.timers.pop()
 			if w.at > c.Now() {
 				c.now.Store(int64(w.at))
 			}
@@ -294,7 +346,7 @@ func (c *Clock) makeReady(w *waiter) {
 	}
 	w.woken = true
 	if w.heapIndex >= 0 {
-		heap.Remove(&c.timers, w.heapIndex)
+		c.timers.remove(w.heapIndex)
 	}
 	c.ready = append(c.ready, w)
 }
@@ -353,7 +405,7 @@ func (c *Clock) SleepUntil(vt time.Duration) {
 	w := c.newWaiter()
 	w.at = vt
 	w.timed = true
-	heap.Push(&c.timers, w)
+	c.timers.push(w)
 	c.park(w)
 }
 
@@ -365,7 +417,7 @@ func (c *Clock) SleepUntil(vt time.Duration) {
 // trip.
 func (c *Clock) advanceInPlace(vt time.Duration) bool {
 	if c.active != 1 || c.readyLen() != 0 ||
-		(c.timers.Len() != 0 && c.timers[0].at <= vt) {
+		(len(c.timers) != 0 && c.timers[0].at <= vt) {
 		return false
 	}
 	c.now.Store(int64(vt))
@@ -393,7 +445,7 @@ func (c *Clock) EventAt(vt time.Duration, fn func()) {
 	w.at = vt
 	w.timed = true
 	w.fn = fn
-	heap.Push(&c.timers, w)
+	c.timers.push(w)
 }
 
 // VirtualDeadline converts a virtual timeout (from now) into the

@@ -1,7 +1,9 @@
 package netem
 
 import (
+	"container/heap"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"strings"
 	"sync"
@@ -409,4 +411,116 @@ func BenchmarkClockEvent(b *testing.B) {
 	b.ResetTimer()
 	c.EventAt(c.Now()+time.Microsecond, fire)
 	c.Sleep(time.Duration(b.N+1) * time.Microsecond)
+}
+
+// refTimer and refHeap are container/heap over the same (at, seq) order:
+// the reference timerHeap's hand-written sifts are checked against.
+type refTimer struct {
+	at    time.Duration
+	seq   uint64
+	index int
+}
+
+type refHeap []*refTimer
+
+func (h refHeap) Len() int { return len(h) }
+func (h refHeap) Less(i, j int) bool {
+	if h[i].at != h[j].at {
+		return h[i].at < h[j].at
+	}
+	return h[i].seq < h[j].seq
+}
+func (h refHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].index, h[j].index = i, j
+}
+func (h *refHeap) Push(x any) {
+	r := x.(*refTimer)
+	r.index = len(*h)
+	*h = append(*h, r)
+}
+func (h *refHeap) Pop() any {
+	old := *h
+	r := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return r
+}
+
+// TestTimerHeapMatchesContainerHeap drives timerHeap and container/heap
+// through the same 10 K random pushes, pops, removals at an index and
+// WakeAt-style fixes (an entry's instant moves): every pop must
+// agree, and every waiter must know its index throughout.
+func TestTimerHeapMatchesContainerHeap(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var h timerHeap
+	var ref refHeap
+	type pair struct {
+		w *waiter
+		r *refTimer
+	}
+	var live []pair
+	drop := func(i int) pair {
+		p := live[i]
+		live[i] = live[len(live)-1]
+		live = live[:len(live)-1]
+		return p
+	}
+	find := func(w *waiter) int {
+		for i, p := range live {
+			if p.w == w {
+				return i
+			}
+		}
+		t.Fatalf("popped a waiter that is not live: %+v", w)
+		return -1
+	}
+	var seq uint64
+	for op := 0; op < 10_000; op++ {
+		switch k := rng.Intn(10); {
+		case k < 4 || len(live) == 0: // push; few distinct instants, so seq breaks ties
+			seq++
+			at := time.Duration(rng.Intn(50))
+			w := &waiter{at: at, seq: seq, heapIndex: -1}
+			r := &refTimer{at: at, seq: seq}
+			h.push(w)
+			heap.Push(&ref, r)
+			live = append(live, pair{w, r})
+		case k < 7: // pop
+			w := h.pop()
+			r := heap.Pop(&ref).(*refTimer)
+			if w.at != r.at || w.seq != r.seq {
+				t.Fatalf("op %d: popped (%v, %d), container/heap popped (%v, %d)", op, w.at, w.seq, r.at, r.seq)
+			}
+			if w.heapIndex != -1 {
+				t.Fatalf("op %d: popped waiter keeps heapIndex %d", op, w.heapIndex)
+			}
+			drop(find(w))
+		case k < 9: // remove at an index
+			p := drop(rng.Intn(len(live)))
+			if got := h.remove(p.w.heapIndex); got != p.w {
+				t.Fatalf("op %d: remove returned another waiter", op)
+			}
+			heap.Remove(&ref, p.r.index)
+		default: // fix: the instant moves (WakeAt only moves it earlier)
+			p := live[rng.Intn(len(live))]
+			at := time.Duration(rng.Intn(50))
+			p.w.at, p.r.at = at, at
+			h.fix(p.w.heapIndex, p.w)
+			heap.Fix(&ref, p.r.index)
+		}
+		if len(h) != len(ref) {
+			t.Fatalf("op %d: %d timers, container/heap holds %d", op, len(h), len(ref))
+		}
+		for i, w := range h {
+			if w.heapIndex != i {
+				t.Fatalf("op %d: waiter at %d believes it is at %d", op, i, w.heapIndex)
+			}
+		}
+	}
+	for len(ref) > 0 {
+		w, r := h.pop(), heap.Pop(&ref).(*refTimer)
+		if w.at != r.at || w.seq != r.seq {
+			t.Fatalf("drain: popped (%v, %d), container/heap popped (%v, %d)", w.at, w.seq, r.at, r.seq)
+		}
+	}
 }

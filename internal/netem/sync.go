@@ -1,9 +1,6 @@
 package netem
 
-import (
-	"container/heap"
-	"time"
-)
+import "time"
 
 // Scheduler-aware synchronization primitives. Simulation goroutines must
 // never block in plain channel operations or sync.Cond waits: the
@@ -61,7 +58,7 @@ func (cd *Cond) WaitVT(vt time.Duration) bool {
 	if vt != noDeadline {
 		w.at = vt
 		w.timed = true
-		heap.Push(&c.timers, w)
+		c.timers.push(w)
 	}
 	w.cond = cd
 	cd.waiters = append(cd.waiters, w)
@@ -94,10 +91,10 @@ func (cd *Cond) WakeAt(vt time.Duration) {
 		}
 		w.at = vt
 		if w.timed {
-			heap.Fix(&c.timers, w.heapIndex)
+			c.timers.fix(w.heapIndex, w)
 		} else {
 			w.timed = true
-			heap.Push(&c.timers, w)
+			c.timers.push(w)
 		}
 	}
 }
@@ -208,18 +205,25 @@ func NewChan[T any](clock *Clock, capacity int) *Chan[T] {
 // full reports whether a bounded queue is at capacity.
 func (ch *Chan[T]) full() bool { return ch.cap > 0 && ch.Len() >= ch.cap }
 
-// push appends v and wakes parked receivers. A queue that is never
-// quite drained would otherwise grow by its dead prefix for ever, so a
-// full backing array that is at least half dead is compacted first.
+// push appends v and wakes parked receivers.
 func (ch *Chan[T]) push(v T) {
-	if n := len(ch.buf); n == cap(ch.buf) && ch.bufHead > 0 && ch.bufHead*2 >= n {
-		live := copy(ch.buf, ch.buf[ch.bufHead:])
-		clear(ch.buf[live:])
-		ch.buf = ch.buf[:live]
-		ch.bufHead = 0
-	}
+	ch.buf, ch.bufHead = Compact(ch.buf, ch.bufHead, 1)
 	ch.buf = append(ch.buf, v)
 	ch.cond.Broadcast()
+}
+
+// Compact readies the head-indexed queue q[head:] for an append of
+// extra elements. A queue that is never quite drained would otherwise
+// grow by its dead prefix for ever, so when the append would outgrow
+// the backing array and at least half of it is dead, the live elements
+// move to the front first. It returns the queue and its new head.
+func Compact[T any](q []T, head, extra int) ([]T, int) {
+	if n := len(q); n+extra > cap(q) && head > 0 && head*2 >= n {
+		live := copy(q, q[head:])
+		clear(q[live:])
+		return q[:live], 0
+	}
+	return q, head
 }
 
 // Send enqueues v, parking while the queue is full. It returns false if

@@ -74,7 +74,8 @@ const serverHelloLen = 3 + 32 + 90
 // read, so the client can start sending at once while the inbound
 // record stream stays aligned.
 func clientWrap(conn net.Conn, cfg Config, seed int64) (net.Conn, error) {
-	rng := rand.New(rand.NewSource(seed))
+	rng := pt.LeaseRand(seed)
+	defer pt.ReleaseRand(rng)
 	hello, random := buildClientHello(cfg, rng)
 	if _, err := conn.Write(hello); err != nil {
 		return nil, err
@@ -107,7 +108,8 @@ func serverWrap(conn net.Conn, cfg Config, seed int64) (net.Conn, error) {
 	}
 	// ServerHello flight; the client does not wait for it before
 	// sending data, preserving the zero-RTT property.
-	rng := rand.New(rand.NewSource(seed))
+	rng := pt.LeaseRand(seed)
+	defer pt.ReleaseRand(rng)
 	sh := make([]byte, serverHelloLen)
 	sh[0], sh[1], sh[2] = 0x16, 0x03, 0x03
 	pt.RandFill(rng, sh[3:])

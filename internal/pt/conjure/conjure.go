@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
 
 	"ptperf/internal/netem"
@@ -208,7 +207,8 @@ func (d *Dialer) Dial(target string) (net.Conn, error) {
 	}
 	d.seed++
 	s := d.seed
-	rng := rand.New(rand.NewSource(s))
+	rng := pt.LeaseRand(s)
+	defer pt.ReleaseRand(rng)
 	nonce := make([]byte, nonceLen)
 	pt.RandFill(rng, nonce)
 	mac := hmac.New(sha256.New, d.cfg.Secret)

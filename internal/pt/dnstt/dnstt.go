@@ -22,6 +22,7 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"slices"
 	"time"
 
 	"ptperf/internal/netem"
@@ -101,22 +102,31 @@ const (
 	emptyQseq = 0xffffffff
 )
 
-func writeFrame(w io.Writer, head []byte, data []byte) error {
-	buf := make([]byte, 2+len(head)+len(data))
-	binary.BigEndian.PutUint16(buf, uint16(len(head)+len(data)))
-	copy(buf[2:], head)
-	copy(buf[2+len(head):], data)
-	_, err := w.Write(buf)
+// sessionID is the session field of a query, the key of both session
+// tables.
+type sessionID [sessionLen]byte
+
+// A poll pipeline moves thousands of frames, so both directions work in
+// buffers their loop keeps: a frame is valid until the next read into
+// the same buffer.
+
+// writeFrame sends head and data as one frame in one Write, building it
+// in *buf's array.
+func writeFrame(w io.Writer, buf *[]byte, head, data []byte) error {
+	b := binary.BigEndian.AppendUint16((*buf)[:0], uint16(len(head)+len(data)))
+	*buf = append(append(b, head...), data...)
+	_, err := w.Write(*buf)
 	return err
 }
 
-func readFrame(r io.Reader) ([]byte, error) {
-	var lenBuf [2]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+// readFrame reads one frame into buf's array, grown if it is too small.
+func readFrame(r io.Reader, buf []byte) ([]byte, error) {
+	buf = slices.Grow(buf[:0], 2)[:2]
+	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, err
 	}
-	n := int(binary.BigEndian.Uint16(lenBuf[:]))
-	buf := make([]byte, n)
+	n := int(binary.BigEndian.Uint16(buf))
+	buf = slices.Grow(buf[:0], n)[:n]
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, err
 	}
@@ -131,7 +141,7 @@ type Resolver struct {
 	ln         *netem.Listener
 	// rng draws session budgets; the session table serializes it.
 	rng      *rand.Rand
-	sessions *pt.Sessions[string, *sessionMeter]
+	sessions *pt.Sessions[sessionID, *sessionMeter]
 }
 
 // sessionMeter tracks a tunnel session's downstream volume against its
@@ -168,7 +178,7 @@ func (r *Resolver) Addr() string { return r.ln.Addr().String() }
 func (r *Resolver) Close() error { return r.ln.Close() }
 
 // newMeter draws the byte budget of a session seen for the first time.
-func (r *Resolver) newMeter(string) *sessionMeter {
+func (r *Resolver) newMeter(sessionID) *sessionMeter {
 	m := &sessionMeter{budget: 1 << 62}
 	if r.cfg.BudgetMedian > 0 {
 		b := int64(float64(r.cfg.BudgetMedian) * math.Exp(r.rng.NormFloat64()))
@@ -192,15 +202,16 @@ func (r *Resolver) serveConn(c net.Conn) {
 			up.Close()
 		}
 	}()
+	var q, resp, wbuf []byte
 	for {
-		q, err := readFrame(c)
-		if err != nil {
+		var err error
+		if q, err = readFrame(c, q); err != nil {
 			return
 		}
 		if len(q) < sessionLen+4 {
 			return
 		}
-		m := r.sessions.Touch(string(q[:sessionLen]))
+		m := r.sessions.Touch(sessionID(q[:sessionLen]))
 		// Recursive resolution work per query.
 		clock.Sleep(resolverDelay)
 
@@ -216,32 +227,24 @@ func (r *Resolver) serveConn(c net.Conn) {
 				return
 			}
 		}
-		if err := writeFrame(up, nil, q); err != nil {
+		if err := writeFrame(up, &wbuf, nil, q); err != nil {
 			return
 		}
-		resp, err := readFrame(up)
-		if err != nil {
+		if resp, err = readFrame(up, resp); err != nil {
 			return
 		}
 		m.bytes += int64(len(resp))
-		if _, err := c.Write(appendLen(resp)); err != nil {
+		if err := writeFrame(c, &wbuf, nil, resp); err != nil {
 			return
 		}
 	}
-}
-
-func appendLen(frame []byte) []byte {
-	out := make([]byte, 2+len(frame))
-	binary.BigEndian.PutUint16(out, uint16(len(frame)))
-	copy(out[2:], frame)
-	return out
 }
 
 // Server is the authoritative dnstt endpoint, co-located with the guard.
 type Server struct {
 	cfg      Config
 	ln       *netem.Listener
-	sessions *pt.Sessions[string, *serverSession]
+	sessions *pt.Sessions[sessionID, *serverSession]
 }
 
 // StartServer runs the dnstt server on host:port.
@@ -253,7 +256,7 @@ func StartServer(host *netem.Host, port int, cfg Config, handle pt.StreamHandler
 	clock := host.Network().Clock()
 	s := &Server{cfg: cfg.withDefaults(), ln: ln}
 	// The handler sees an ordinary stream; dnstt framing hides behind it.
-	s.sessions = pt.NewSessions(clock, func(string) *serverSession {
+	s.sessions = pt.NewSessions(clock, func(sessionID) *serverSession {
 		ss := &serverSession{Stream: pt.NewStream(clock, "dns", "dnstt-server", "dnstt-client", serverQueue)}
 		clock.Go(func() { pt.ServeStream(ss, handle) })
 		return ss
@@ -280,23 +283,25 @@ type serverSession struct {
 // resolver.
 func (s *Server) serveResolverConn(c net.Conn) {
 	defer c.Close()
+	var q, chunk, wbuf []byte
+	var head [4]byte
 	for {
-		q, err := readFrame(c)
-		if err != nil {
+		var err error
+		if q, err = readFrame(c, q); err != nil {
 			return
 		}
 		if len(q) < sessionLen+4 {
 			return
 		}
 		qseq := binary.BigEndian.Uint32(q[sessionLen : sessionLen+4])
-		ss := s.sessions.Touch(string(q[:sessionLen]))
+		ss := s.sessions.Touch(sessionID(q[:sessionLen]))
 		ss.acceptUpstream(qseq, q[sessionLen+4:])
 
 		// Answer with up to RespCap downstream bytes.
-		chunk, rseq := ss.takeDownstream(s.cfg.RespCap)
-		head := make([]byte, 4)
-		binary.BigEndian.PutUint32(head, rseq)
-		if err := writeFrame(c, head, chunk); err != nil {
+		var rseq uint32
+		chunk, rseq = ss.takeDownstream(chunk, s.cfg.RespCap)
+		binary.BigEndian.PutUint32(head[:], rseq)
+		if err := writeFrame(c, &wbuf, head[:], chunk); err != nil {
 			return
 		}
 	}
@@ -310,12 +315,12 @@ func (ss *serverSession) acceptUpstream(qseq uint32, data []byte) {
 	}
 }
 
-// takeDownstream pops at most capBytes from the downstream queue and
-// numbers the chunk.
-func (ss *serverSession) takeDownstream(capBytes int) ([]byte, uint32) {
-	chunk := ss.Take(capBytes)
-	if chunk == nil {
-		return nil, emptyRseq
+// takeDownstream pops at most capBytes from the downstream queue into
+// buf's array and numbers the chunk.
+func (ss *serverSession) takeDownstream(buf []byte, capBytes int) ([]byte, uint32) {
+	chunk := ss.Take(buf, capBytes)
+	if len(chunk) == 0 {
+		return chunk, emptyRseq
 	}
 	ss.rseq++
 	return chunk, ss.rseq - 1
@@ -386,16 +391,18 @@ func (t *tunnelConn) pollLoop(c net.Conn) {
 	defer c.Close()
 	defer t.Fail()
 	idlePoll := 50 * time.Millisecond
+	var data, resp, wbuf []byte
+	var head [sessionLen + 4]byte
+	copy(head[:], t.sid)
 	for !t.Closed() {
-		data, qseq := t.takeUpstream()
-		head := make([]byte, sessionLen+4)
-		copy(head, t.sid)
+		var qseq uint32
+		data, qseq = t.takeUpstream(data)
 		binary.BigEndian.PutUint32(head[sessionLen:], qseq)
-		if err := writeFrame(c, head, data); err != nil {
+		if err := writeFrame(c, &wbuf, head[:], data); err != nil {
 			return
 		}
-		resp, err := readFrame(c)
-		if err != nil || len(resp) < 4 {
+		var err error
+		if resp, err = readFrame(c, resp); err != nil || len(resp) < 4 {
 			return
 		}
 		rseq := binary.BigEndian.Uint32(resp[:4])
@@ -403,7 +410,7 @@ func (t *tunnelConn) pollLoop(c net.Conn) {
 		if gotData {
 			t.DeliverSeq(uint64(rseq), resp[4:])
 		}
-		if data == nil && !gotData {
+		if len(data) == 0 && !gotData {
 			// Idle: back off, like dnstt's poll pacing.
 			t.clock.Sleep(idlePoll)
 			if idlePoll < time.Second {
@@ -415,12 +422,12 @@ func (t *tunnelConn) pollLoop(c net.Conn) {
 	}
 }
 
-// takeUpstream pops up to QueryCap pending upstream bytes and numbers
-// them; a data-less poll consumes no sequence number.
-func (t *tunnelConn) takeUpstream() ([]byte, uint32) {
-	data := t.Take(t.queryCap)
-	if data == nil {
-		return nil, emptyQseq
+// takeUpstream pops up to QueryCap pending upstream bytes into buf's
+// array and numbers them; a data-less poll consumes no sequence number.
+func (t *tunnelConn) takeUpstream(buf []byte) ([]byte, uint32) {
+	data := t.Take(buf, t.queryCap)
+	if len(data) == 0 {
+		return data, emptyQseq
 	}
 	t.qseq++
 	return data, t.qseq - 1

@@ -11,16 +11,18 @@ import (
 )
 
 func TestFrameRoundTrip(t *testing.T) {
+	// One pair of buffers for every frame, like a poll loop's.
+	var wbuf, got []byte
 	f := func(head, data []byte) bool {
 		if len(head)+len(data) > 60000 {
 			return true
 		}
 		var buf bytes.Buffer
-		if err := writeFrame(&buf, head, data); err != nil {
+		if err := writeFrame(&buf, &wbuf, head, data); err != nil {
 			return false
 		}
-		got, err := readFrame(&buf)
-		if err != nil {
+		var err error
+		if got, err = readFrame(&buf, got); err != nil {
 			return false
 		}
 		want := append(append([]byte{}, head...), data...)
@@ -67,11 +69,11 @@ func TestTakeDownstreamRespectsCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, want := range []int{512, 512, 476} {
-		if chunk, rseq := ss.takeDownstream(512); len(chunk) != want || rseq != uint32(i) {
+		if chunk, rseq := ss.takeDownstream(nil, 512); len(chunk) != want || rseq != uint32(i) {
 			t.Fatalf("chunk %d: len=%d rseq=%d", i, len(chunk), rseq)
 		}
 	}
-	if chunk, rseq := ss.takeDownstream(512); chunk != nil || rseq != emptyRseq {
+	if chunk, rseq := ss.takeDownstream(nil, 512); len(chunk) != 0 || rseq != emptyRseq {
 		t.Fatal("empty queue must answer the empty sentinel")
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"sync"
 
 	"ptperf/internal/netem"
 )
@@ -156,6 +157,22 @@ func RandFill(rng *rand.Rand, b []byte) {
 	}
 }
 
+// randPool recycles the generators handshakes draw from.
+var randPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
+// LeaseRand returns a generator that draws what
+// rand.New(rand.NewSource(seed)) would, without allocating its source:
+// a handshake leases one for its few draws and hands it to ReleaseRand
+// when it returns.
+func LeaseRand(seed int64) *rand.Rand {
+	rng := randPool.Get().(*rand.Rand)
+	rng.Seed(seed)
+	return rng
+}
+
+// ReleaseRand ends a LeaseRand.
+func ReleaseRand(rng *rand.Rand) { randPool.Put(rng) }
+
 // RecordConfig configures the framing NewRecordConn installs.
 type RecordConfig struct {
 	// Key enables AES-CTR record encryption when non-empty; both ends
@@ -180,7 +197,10 @@ type ctrCodec struct {
 	enc, dec cipher.Stream
 	header   []byte
 	maxPad   int
-	rng      *rand.Rand
+	// rng draws padding from seed; it exists once Seal first pads, which
+	// a codec without padding never does.
+	seed int64
+	rng  *rand.Rand
 }
 
 // NewRecordConn wraps conn in the CTR-and-padding framing. The error
@@ -194,7 +214,7 @@ func NewRecordCodec(cfg RecordConfig) RecordCodec {
 	c := &ctrCodec{
 		header: append([]byte(nil), cfg.Header...),
 		maxPad: cfg.MaxPadding,
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
+		seed:   cfg.Seed,
 	}
 	if len(cfg.Key) > 0 {
 		mk := func(label string) cipher.Stream {
@@ -220,6 +240,9 @@ func (c *ctrCodec) Sizes() (maxPayload, headerLen, maxBody int) {
 func (c *ctrCodec) Seal(payload []byte) []byte {
 	n, pad := len(payload), 0
 	if c.maxPad > 0 {
+		if c.rng == nil {
+			c.rng = rand.New(rand.NewSource(c.seed))
+		}
 		pad = c.rng.Intn(c.maxPad + 1)
 	}
 	frame := make([]byte, len(c.header)+4+n+pad)
@@ -228,7 +251,7 @@ func (c *ctrCodec) Seal(payload []byte) []byte {
 	binary.BigEndian.PutUint16(frame[len(c.header)+2:], uint16(pad))
 	body := frame[len(c.header)+4:]
 	copy(body, payload)
-	RandFill(c.rng, body[n:])
+	RandFill(c.rng, body[n:]) // pad bytes: none without an rng
 	if c.enc != nil {
 		c.enc.XORKeyStream(body, body)
 	}
@@ -276,6 +299,9 @@ func ReadTarget(r io.Reader) (string, error) {
 	return string(buf), nil
 }
 
+// spliceBufPool leases each pump of a Splice its copy buffer.
+var spliceBufPool = sync.Pool{New: func() any { b := make([]byte, 32<<10); return &b }}
+
 // Splice copies both directions between a and b and closes both when
 // both directions finish. It is the one forwarding loop: PT servers, the
 // conjure station and the tor client's SOCKS front end all call it; the
@@ -284,7 +310,9 @@ func Splice(clock *netem.Clock, a, b net.Conn) {
 	wg := netem.NewWaitGroup(clock)
 	cp := func(dst, src net.Conn) {
 		defer wg.Done()
-		buf := make([]byte, 32<<10)
+		bp := spliceBufPool.Get().(*[]byte)
+		defer spliceBufPool.Put(bp)
+		buf := *bp
 		for {
 			n, err := src.Read(buf)
 			if n > 0 {

@@ -21,6 +21,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"slices"
 	"time"
 
 	"ptperf/internal/netem"
@@ -191,13 +192,13 @@ func FTPForScale(byteScale float64) *Model {
 const finLen = 0xffff
 
 // Frame on the wire: [2B cover len][cover][2B payload len][payload].
-func writeFrame(w io.Writer, cover string, payload []byte) error {
-	buf := make([]byte, 2+len(cover)+2+len(payload))
-	binary.BigEndian.PutUint16(buf, uint16(len(cover)))
-	copy(buf[2:], cover)
-	binary.BigEndian.PutUint16(buf[2+len(cover):], uint16(len(payload)))
-	copy(buf[4+len(cover):], payload)
-	_, err := w.Write(buf)
+// writeFrame sends one in one Write, building it in *buf's array: the
+// automaton walk emits thousands per conn.
+func writeFrame(w io.Writer, buf *[]byte, cover string, payload []byte) error {
+	b := binary.BigEndian.AppendUint16((*buf)[:0], uint16(len(cover)))
+	b = binary.BigEndian.AppendUint16(append(b, cover...), uint16(len(payload)))
+	*buf = append(b, payload...)
+	_, err := w.Write(*buf)
 	return err
 }
 
@@ -212,27 +213,37 @@ func writeFin(w io.Writer) error {
 	return err
 }
 
-func readFrame(r io.Reader) (cover string, payload []byte, fin bool, err error) {
-	var head [2]byte
-	if _, err = io.ReadFull(r, head[:]); err != nil {
-		return "", nil, false, err
+// frameReader reads frames off r into one buffer it keeps: a frame's
+// cover and payload are valid until the next call.
+type frameReader struct {
+	r   io.Reader
+	buf []byte // [cover][2B payload len][payload]
+}
+
+func (fr *frameReader) next() (cover, payload []byte, fin bool, err error) {
+	b := slices.Grow(fr.buf[:0], 2)[:2]
+	if _, err = io.ReadFull(fr.r, b); err != nil {
+		return nil, nil, false, err
 	}
-	coverBuf := make([]byte, binary.BigEndian.Uint16(head[:]))
-	if _, err = io.ReadFull(r, coverBuf); err != nil {
-		return "", nil, false, err
+	nc := int(binary.BigEndian.Uint16(b))
+	b = slices.Grow(b[:0], nc+2)[:nc+2]
+	fr.buf = b
+	if _, err = io.ReadFull(fr.r, b[:nc]); err != nil {
+		return nil, nil, false, err
 	}
-	if _, err = io.ReadFull(r, head[:]); err != nil {
-		return "", nil, false, err
+	if _, err = io.ReadFull(fr.r, b[nc:]); err != nil {
+		return nil, nil, false, err
 	}
-	n := binary.BigEndian.Uint16(head[:])
-	if n == finLen {
-		return string(coverBuf), nil, true, nil
+	np := int(binary.BigEndian.Uint16(b[nc:]))
+	if np == finLen {
+		return b[:nc], nil, true, nil
 	}
-	payload = make([]byte, n)
-	if _, err = io.ReadFull(r, payload); err != nil {
-		return "", nil, false, err
+	b = slices.Grow(b, np)[:nc+2+np]
+	fr.buf = b
+	if _, err = io.ReadFull(fr.r, b[nc+2:]); err != nil {
+		return nil, nil, false, err
 	}
-	return string(coverBuf), payload, false, nil
+	return b[:nc], b[nc+2:], false, nil
 }
 
 // maxQueue bounds the bytes waiting for data transitions.
@@ -266,8 +277,9 @@ func newConn(model *Model, conn net.Conn, clock *netem.Clock, seed int64) *mario
 
 // recvLoop extracts payloads from peer messages.
 func (mc *marionetteConn) recvLoop() {
+	frames := frameReader{r: mc.conn}
 	for {
-		_, payload, fin, err := readFrame(mc.conn)
+		_, payload, fin, err := frames.next()
 		if err != nil {
 			mc.Fail()
 			return
@@ -287,6 +299,7 @@ func (mc *marionetteConn) recvLoop() {
 // embedding and lockstep setup.
 func (mc *marionetteConn) walk() {
 	state := mc.model.Start
+	var payload, wbuf []byte // reused by every transition
 	for !mc.Closed() {
 		ts := mc.model.States[state]
 		t := pick(mc.rng, ts)
@@ -296,13 +309,13 @@ func (mc *marionetteConn) walk() {
 		}
 		mc.clock.Sleep(delay)
 
-		var payload []byte
+		payload = payload[:0]
 		sendFin := false
 		if t.Act.Capacity > 0 {
-			payload = mc.Take(t.Act.Capacity)
+			payload = mc.Take(payload, t.Act.Capacity)
 			sendFin = mc.WriteEnded()
 		}
-		if err := writeFrame(mc.conn, t.Act.Cover, payload); err != nil {
+		if err := writeFrame(mc.conn, &wbuf, t.Act.Cover, payload); err != nil {
 			mc.Fail()
 			return
 		}

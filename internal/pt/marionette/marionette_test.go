@@ -9,19 +9,22 @@ import (
 )
 
 func TestFrameRoundTrip(t *testing.T) {
+	// One write buffer and one reader for every frame, like a conn's.
+	var wire bytes.Buffer
+	var wbuf []byte
+	frames := frameReader{r: &wire}
 	f := func(cover string, payload []byte) bool {
 		if len(cover) > 60000 || len(payload) > 60000 {
 			return true
 		}
-		var buf bytes.Buffer
-		if err := writeFrame(&buf, cover, payload); err != nil {
+		if err := writeFrame(&wire, &wbuf, cover, payload); err != nil {
 			return false
 		}
-		gotCover, gotPayload, fin, err := readFrame(&buf)
+		gotCover, gotPayload, fin, err := frames.next()
 		if err != nil || fin {
 			return false
 		}
-		return gotCover == cover && bytes.Equal(gotPayload, payload)
+		return string(gotCover) == cover && bytes.Equal(gotPayload, payload)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -33,14 +36,14 @@ func TestFinFrame(t *testing.T) {
 	if err := writeFin(&buf); err != nil {
 		t.Fatal(err)
 	}
-	cover, payload, fin, err := readFrame(&buf)
+	cover, payload, fin, err := (&frameReader{r: &buf}).next()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !fin || payload != nil {
 		t.Fatalf("fin=%v payload=%v", fin, payload)
 	}
-	if cover != "QUIT\r\n" {
+	if string(cover) != "QUIT\r\n" {
 		t.Fatalf("fin cover = %q", cover)
 	}
 }

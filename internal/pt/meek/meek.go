@@ -286,6 +286,7 @@ func (b *Bridge) charge(s *bridgeSession, n int) (over bool) {
 func (b *Bridge) serveFrontConn(c net.Conn) {
 	defer c.Close()
 	clock := b.host.Network().Clock()
+	var down []byte // reused by every poll's Take
 	for {
 		sid, body, err := readPoll(c)
 		if err != nil {
@@ -301,7 +302,7 @@ func (b *Bridge) serveFrontConn(c net.Conn) {
 		if len(body) > 0 {
 			s.Deliver(body)
 		}
-		down := s.Take(chunk)
+		down = s.Take(down, chunk)
 		if b.charge(s, len(body)+len(down)) {
 			b.cut(s)
 		}
@@ -368,8 +369,9 @@ func (t *pollConn) pollLoop() {
 	defer t.conn.Close()
 	defer t.Fail()
 	interval := minPoll
+	var body []byte // reused by every poll's Take
 	for !t.Closed() {
-		body := t.Take(chunk)
+		body = t.Take(body, chunk)
 		if err := writePoll(t.conn, t.sid, body); err != nil {
 			return
 		}

@@ -97,7 +97,8 @@ func sessionKey(secret, clientNonce, serverNonce []byte) []byte {
 
 // clientWrap performs the client handshake and returns the framed conn.
 func clientWrap(conn net.Conn, cfg Config, seed int64) (net.Conn, error) {
-	rng := rand.New(rand.NewSource(seed))
+	rng := pt.LeaseRand(seed)
+	defer pt.ReleaseRand(rng)
 	nc, err := writeHandshake(conn, cfg.Secret, 'c', rng)
 	if err != nil {
 		return nil, err
@@ -120,7 +121,8 @@ func serverWrap(conn net.Conn, cfg Config, seed int64) (net.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := pt.LeaseRand(seed)
+	defer pt.ReleaseRand(rng)
 	ns, err := writeHandshake(conn, cfg.Secret, 's', rng)
 	if err != nil {
 		return nil, err

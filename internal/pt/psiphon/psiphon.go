@@ -14,7 +14,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
-	"math/rand"
 	"net"
 
 	"ptperf/internal/netem"
@@ -112,7 +111,8 @@ func directionKeys(secret []byte, isClient bool) (send, recv []byte) {
 
 // clientWrap runs banner exchange + kex (2 RTTs).
 func clientWrap(conn net.Conn, cfg Config, seed int64) (net.Conn, error) {
-	rng := rand.New(rand.NewSource(seed))
+	rng := pt.LeaseRand(seed)
+	defer pt.ReleaseRand(rng)
 	// RTT 1: version banners.
 	if _, err := conn.Write(banner); err != nil {
 		return nil, err
@@ -148,7 +148,8 @@ func clientWrap(conn net.Conn, cfg Config, seed int64) (net.Conn, error) {
 
 // serverWrap mirrors the client handshake.
 func serverWrap(conn net.Conn, cfg Config, seed int64) (net.Conn, error) {
-	rng := rand.New(rand.NewSource(seed))
+	rng := pt.LeaseRand(seed)
+	defer pt.ReleaseRand(rng)
 	peer := make([]byte, len(banner))
 	if _, err := io.ReadFull(conn, peer); err != nil {
 		return nil, err

@@ -15,7 +15,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
-	"math/rand"
 	"net"
 
 	"ptperf/internal/netem"
@@ -113,7 +112,8 @@ func nonceBytes(n uint64) []byte {
 
 // clientWrap sends the salt and builds the AEAD pair (zero RTT).
 func clientWrap(conn net.Conn, cfg Config, seed int64) (net.Conn, error) {
-	rng := rand.New(rand.NewSource(seed))
+	rng := pt.LeaseRand(seed)
+	defer pt.ReleaseRand(rng)
 	salt := make([]byte, saltLen)
 	pt.RandFill(rng, salt)
 	if _, err := conn.Write(salt); err != nil {

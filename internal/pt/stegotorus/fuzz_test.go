@@ -11,8 +11,7 @@ import (
 // an error, not an allocation.
 func FuzzDecodeCover(f *testing.F) {
 	var seed bytes.Buffer
-	w := bufio.NewWriter(&seed)
-	encodeCover(w, []byte("\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x04data"))
+	encodeCover(&seed, []byte("\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x04data"))
 	f.Add(seed.Bytes())
 	f.Add([]byte("POST /images/upload HTTP/1.1\r\nContent-Length: -1\r\n\r\n"))
 	f.Add([]byte("POST /images/upload HTTP/1.1\r\nContent-Length: 99999999999\r\n\r\n"))
@@ -24,8 +23,7 @@ func FuzzDecodeCover(f *testing.F) {
 			return
 		}
 		var again bytes.Buffer
-		w := bufio.NewWriter(&again)
-		if err := encodeCover(w, block); err != nil {
+		if err := encodeCover(&again, block); err != nil {
 			t.Fatal(err)
 		}
 		back, err := decodeCover(bufio.NewReader(&again))

@@ -21,7 +21,9 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"slices"
 	"strconv"
+	"sync"
 
 	"ptperf/internal/netem"
 	"ptperf/internal/pt"
@@ -76,36 +78,50 @@ const maxCover = 1 << 20
 // every block (possibly arriving out of order on other conns) is in.
 const finLen = 0xffffffff
 
-// encodeCover wraps an encoded block in an HTTP request-shaped cover.
-func encodeCover(w *bufio.Writer, block []byte) error {
-	payload := base64.StdEncoding.EncodeToString(block)
-	if _, err := fmt.Fprintf(w, "POST /images/upload HTTP/1.1\r\nHost: pics.example\r\nContent-Type: image/jpeg\r\nContent-Length: %d\r\n\r\n%s", len(payload), payload); err != nil {
-		return err
-	}
-	return w.Flush()
+// A cover in either direction is built, or has its payload read, in a
+// scratch buffer leased for the one call; a fan-out conn's reader is
+// leased for as long as its readLoop runs (DESIGN.md "Buffer
+// ownership").
+var (
+	coverPool  = sync.Pool{New: func() any { b := make([]byte, 0, 8<<10); return &b }}
+	readerPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 8<<10) }}
+)
+
+// encodeCover wraps an encoded block in an HTTP request-shaped cover
+// and sends it in one Write.
+func encodeCover(w io.Writer, block []byte) error {
+	bp := coverPool.Get().(*[]byte)
+	defer coverPool.Put(bp)
+	b := fmt.Appendf((*bp)[:0], "POST /images/upload HTTP/1.1\r\nHost: pics.example\r\nContent-Type: image/jpeg\r\nContent-Length: %d\r\n\r\n",
+		base64.StdEncoding.EncodedLen(len(block)))
+	*bp = base64.StdEncoding.AppendEncode(b, block)
+	_, err := w.Write(*bp)
+	return err
 }
 
-// decodeCover strips the HTTP cover and recovers the block.
+// decodeCover strips the HTTP cover and recovers the block. Header
+// lines are read in place, out of r's buffer: one that does not fit it
+// is no cover of ours (bufio.ErrBufferFull).
 func decodeCover(r *bufio.Reader) ([]byte, error) {
-	line, err := r.ReadString('\n')
+	line, err := r.ReadSlice('\n')
 	if err != nil {
 		return nil, err
 	}
-	if !bytes.HasPrefix([]byte(line), []byte("POST /images/upload")) {
+	if !bytes.HasPrefix(line, []byte("POST /images/upload")) {
 		return nil, errors.New("stegotorus: unexpected cover request")
 	}
 	var contentLen int
 	for {
-		h, err := r.ReadString('\n')
+		h, err := r.ReadSlice('\n')
 		if err != nil {
 			return nil, err
 		}
-		h = string(bytes.TrimSpace([]byte(h)))
-		if h == "" {
+		h = bytes.TrimSpace(h)
+		if len(h) == 0 {
 			break
 		}
 		if rest, ok := cutPrefixFold(h, "content-length:"); ok {
-			contentLen, err = strconv.Atoi(string(bytes.TrimSpace([]byte(rest))))
+			contentLen, err = strconv.Atoi(string(bytes.TrimSpace(rest)))
 			if err != nil {
 				return nil, err
 			}
@@ -114,16 +130,20 @@ func decodeCover(r *bufio.Reader) ([]byte, error) {
 	if contentLen < 0 || contentLen > maxCover {
 		return nil, errors.New("stegotorus: bad cover length")
 	}
-	payload := make([]byte, contentLen)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	bp := coverPool.Get().(*[]byte)
+	defer coverPool.Put(bp)
+	*bp = slices.Grow((*bp)[:0], contentLen)[:contentLen]
+	if _, err := io.ReadFull(r, *bp); err != nil {
 		return nil, err
 	}
-	return base64.StdEncoding.DecodeString(string(payload))
+	block := make([]byte, base64.StdEncoding.DecodedLen(contentLen))
+	n, err := base64.StdEncoding.Decode(block, *bp)
+	return block[:n], err
 }
 
-func cutPrefixFold(s, prefix string) (string, bool) {
+func cutPrefixFold(s []byte, prefix string) ([]byte, bool) {
 	if len(s) < len(prefix) {
-		return "", false
+		return nil, false
 	}
 	for i := 0; i < len(prefix); i++ {
 		a, b := s[i], prefix[i]
@@ -134,7 +154,7 @@ func cutPrefixFold(s, prefix string) (string, bool) {
 			b += 'a' - 'A'
 		}
 		if a != b {
-			return "", false
+			return nil, false
 		}
 	}
 	return s[len(prefix):], true
@@ -148,7 +168,10 @@ type chopConn struct {
 	cfg   Config
 	sid   uint64
 	conns []net.Conn
-	wbufs []*bufio.Writer
+	// werrs holds each conn's first write error. A conn that failed a
+	// write is never written again: a write to a dead conn still passes
+	// the censor's segment filter, which counts it.
+	werrs []error
 
 	sendSeq uint64
 	rrIndex int
@@ -167,11 +190,11 @@ func newChopConn(clock *netem.Clock, cfg Config, sid uint64, conns []net.Conn, s
 		cfg:     cfg,
 		sid:     sid,
 		conns:   conns,
+		werrs:   make([]error, len(conns)),
 		rng:     rand.New(rand.NewSource(seed)),
 		readers: len(conns),
 	}
 	for _, conn := range conns {
-		c.wbufs = append(c.wbufs, bufio.NewWriterSize(conn, 8<<10))
 		clock.Go(func() { c.readLoop(conn) })
 	}
 	return c
@@ -187,7 +210,12 @@ func (c *chopConn) readLoop(conn net.Conn) {
 			c.Fail()
 		}
 	}()
-	br := bufio.NewReaderSize(conn, 8<<10)
+	br := readerPool.Get().(*bufio.Reader)
+	br.Reset(conn)
+	defer func() {
+		br.Reset(nil)
+		readerPool.Put(br)
+	}()
 	for {
 		block, err := decodeCover(br)
 		if err != nil {
@@ -209,6 +237,14 @@ func (c *chopConn) readLoop(conn net.Conn) {
 	}
 }
 
+// send covers block and writes it to fan-out conn i.
+func (c *chopConn) send(i int, block []byte) error {
+	if c.werrs[i] == nil {
+		c.werrs[i] = encodeCover(c.conns[i], block)
+	}
+	return c.werrs[i]
+}
+
 // CloseWrite flushes a FIN block announcing the total block count, so
 // the peer can drain every fan-out conn before reporting EOF.
 func (c *chopConn) CloseWrite() error {
@@ -224,7 +260,7 @@ func (c *chopConn) CloseWrite() error {
 	// sets the accounting, and per-conn half-close lets readers drain.
 	var firstErr error
 	for i := range c.conns {
-		if err := encodeCover(c.wbufs[i], fin); err != nil && firstErr == nil {
+		if err := c.send(i, fin); err != nil && firstErr == nil {
 			firstErr = err
 		}
 		if hc, ok := c.conns[i].(pt.HalfCloser); ok {
@@ -257,7 +293,7 @@ func (c *chopConn) Write(p []byte) (int, error) {
 
 		idx := c.rrIndex % len(c.conns)
 		c.rrIndex++
-		if err := encodeCover(c.wbufs[idx], block); err != nil {
+		if err := c.send(idx, block); err != nil {
 			return written, err
 		}
 		written += size

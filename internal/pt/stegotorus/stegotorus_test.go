@@ -11,8 +11,7 @@ import (
 func TestCoverCodecRoundTrip(t *testing.T) {
 	f := func(block []byte) bool {
 		var buf bytes.Buffer
-		w := bufio.NewWriter(&buf)
-		if err := encodeCover(w, block); err != nil {
+		if err := encodeCover(&buf, block); err != nil {
 			return false
 		}
 		got, err := decodeCover(bufio.NewReader(&buf))
@@ -28,8 +27,7 @@ func TestCoverCodecRoundTrip(t *testing.T) {
 
 func TestCoverLooksLikeHTTP(t *testing.T) {
 	var buf bytes.Buffer
-	w := bufio.NewWriter(&buf)
-	if err := encodeCover(w, []byte("secret tor cell")); err != nil {
+	if err := encodeCover(&buf, []byte("secret tor cell")); err != nil {
 		t.Fatal(err)
 	}
 	text := buf.String()
@@ -62,10 +60,10 @@ func TestConfigDefaults(t *testing.T) {
 }
 
 func TestCutPrefixFold(t *testing.T) {
-	if rest, ok := cutPrefixFold("Content-Length: 42", "content-length:"); !ok || strings.TrimSpace(rest) != "42" {
+	if rest, ok := cutPrefixFold([]byte("Content-Length: 42"), "content-length:"); !ok || strings.TrimSpace(string(rest)) != "42" {
 		t.Fatalf("fold failed: %q %v", rest, ok)
 	}
-	if _, ok := cutPrefixFold("Host: x", "content-length:"); ok {
+	if _, ok := cutPrefixFold([]byte("Host: x"), "content-length:"); ok {
 		t.Fatal("wrong header matched")
 	}
 }

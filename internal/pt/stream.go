@@ -34,13 +34,20 @@ type Stream struct {
 	outCap        int
 
 	cond *netem.Cond
-	in   []byte // delivered, not yet read
+	// in[inHead:] is delivered and not yet read, out[outHead:] written
+	// and not yet taken. Both are head-indexed queues that keep their
+	// arrays (netem.Compact) however many bytes pass through.
+	in     []byte
+	inHead int
 	// next is the sequence number DeliverSeq appends next; held keeps
-	// the deliveries that arrived ahead of it.
-	next uint64
-	held map[uint64][]byte
-	out  []byte // written, not yet taken
-	rdl  time.Time
+	// the deliveries that arrived ahead of it, spare the arrays of the
+	// ones appended since, for the next early arrival.
+	next    uint64
+	held    map[uint64][]byte
+	spare   [][]byte
+	out     []byte
+	outHead int
+	rdl     time.Time
 	// closed is the hard teardown (Close or Fail): reads drain what was
 	// delivered and then report io.EOF, writes fail.
 	closed bool
@@ -61,7 +68,7 @@ func NewStream(clock *netem.Clock, transport, local, remote string, outCap int) 
 
 // Read implements net.Conn. Delivered bytes drain before io.EOF.
 func (s *Stream) Read(p []byte) (int, error) {
-	for len(s.in) == 0 {
+	for s.inHead == len(s.in) {
 		if s.closed || (s.fin > 0 && s.next >= s.fin-1) {
 			return 0, io.EOF
 		}
@@ -70,23 +77,35 @@ func (s *Stream) Read(p []byte) (int, error) {
 		}
 		s.cond.WaitDeadline(s.rdl)
 	}
-	n := copy(p, s.in)
-	s.in = s.in[n:]
+	n := copy(p, s.in[s.inHead:])
+	if s.inHead += n; s.inHead == len(s.in) {
+		s.in, s.inHead = s.in[:0], 0
+	}
 	return n, nil
 }
+
+// deliver appends p to the read side.
+func (s *Stream) deliver(p []byte) {
+	s.in, s.inHead = netem.Compact(s.in, s.inHead, len(p))
+	s.in = append(s.in, p...)
+}
+
+// queued counts the bytes written and not yet taken.
+func (s *Stream) queued() int { return len(s.out) - s.outHead }
 
 // Write implements net.Conn: bytes queue for the mechanism, and the
 // bounded queue is the tunnel's backpressure.
 func (s *Stream) Write(p []byte) (int, error) {
 	written := 0
 	for len(p) > 0 {
-		for len(s.out) >= s.outCap && !s.closed {
+		for s.queued() >= s.outCap && !s.closed {
 			s.cond.Wait()
 		}
 		if s.closed || s.wdone {
 			return written, netem.ErrClosed
 		}
-		n := min(len(p), s.outCap-len(s.out))
+		n := min(len(p), s.outCap-s.queued())
+		s.out, s.outHead = netem.Compact(s.out, s.outHead, n)
 		s.out = append(s.out, p[:n]...)
 		written += n
 		p = p[n:]
@@ -134,7 +153,7 @@ func (s *Stream) EndWrite() {
 // WriteEnded reports whether EndWrite was called and every queued byte
 // has been taken.
 func (s *Stream) WriteEnded() bool {
-	return s.wdone && len(s.out) == 0
+	return s.wdone && s.queued() == 0
 }
 
 // Deliver appends received bytes to the read side. Bytes arriving after
@@ -143,7 +162,7 @@ func (s *Stream) Deliver(p []byte) {
 	if s.closed {
 		return
 	}
-	s.in = append(s.in, p...)
+	s.deliver(p)
 	s.cond.Broadcast()
 }
 
@@ -159,10 +178,14 @@ func (s *Stream) DeliverSeq(seq uint64, p []byte) {
 		if s.held == nil {
 			s.held = make(map[uint64][]byte)
 		}
-		s.held[seq] = append([]byte(nil), p...)
+		var buf []byte
+		if n := len(s.spare); n > 0 {
+			buf, s.spare = s.spare[n-1], s.spare[:n-1]
+		}
+		s.held[seq] = append(buf[:0], p...)
 		return
 	}
-	s.in = append(s.in, p...)
+	s.deliver(p)
 	s.next++
 	for {
 		early, ok := s.held[s.next]
@@ -170,24 +193,28 @@ func (s *Stream) DeliverSeq(seq uint64, p []byte) {
 			break
 		}
 		delete(s.held, s.next)
-		s.in = append(s.in, early...)
+		s.deliver(early)
+		s.spare = append(s.spare, early)
 		s.next++
 	}
 	s.cond.Broadcast()
 }
 
-// Take removes and returns at most n written bytes, nil when none wait.
-// It keeps working after Close, so a queue filled before the close
-// still drains to the peer.
-func (s *Stream) Take(n int) []byte {
-	n = min(n, len(s.out))
+// Take removes at most n written bytes and returns them in buf's array
+// (grown if it is too small; a poll loop hands back what the last call
+// returned), empty when none wait. It keeps working after Close, so a
+// queue filled before the close still drains to the peer.
+func (s *Stream) Take(buf []byte, n int) []byte {
+	n = min(n, s.queued())
 	if n == 0 {
-		return nil
+		return buf[:0]
 	}
-	chunk := append([]byte(nil), s.out[:n]...)
-	s.out = s.out[n:]
+	buf = append(buf[:0], s.out[s.outHead:s.outHead+n]...)
+	if s.outHead += n; s.outHead == len(s.out) {
+		s.out, s.outHead = s.out[:0], 0
+	}
 	s.cond.Broadcast()
-	return chunk
+	return buf
 }
 
 // PeerFin records the peer's end of stream after total sequenced units

@@ -98,7 +98,7 @@ func TestStreamConformance(t *testing.T) {
 				if len(got) < 12 && done.Len() != 0 {
 					t.Fatalf("Write returned with %d of 20 bytes taken and room for 8", len(got))
 				}
-				chunk := s.Take(100)
+				chunk := s.Take(nil, 100)
 				if len(chunk) == 0 || len(chunk) > 8 {
 					t.Fatalf("Take returned %d bytes, cap is 8", len(chunk))
 				}
@@ -107,8 +107,8 @@ func TestStreamConformance(t *testing.T) {
 			if n, _ := done.Recv(); n != 20 || string(got) != "0123456789abcdefghij" {
 				t.Fatalf("wrote %d, took %q", n, got)
 			}
-			if s.Take(100) != nil {
-				t.Fatal("empty queue must Take nil")
+			if len(s.Take(nil, 100)) != 0 {
+				t.Fatal("empty queue must Take nothing")
 			}
 		}},
 		{"Fail releases a blocked Write; the queue still drains", 4, func(t *testing.T, clock *netem.Clock, s *pt.Stream) {
@@ -125,7 +125,7 @@ func TestStreamConformance(t *testing.T) {
 			if err, _ := done.Recv(); !errors.Is(err, netem.ErrClosed) {
 				t.Fatalf("blocked write: %v, want netem.ErrClosed", err)
 			}
-			if got := s.Take(100); string(got) != "1234" {
+			if got := s.Take(nil, 100); string(got) != "1234" {
 				t.Fatalf("Take after Close: %q", got)
 			}
 		}},
@@ -138,7 +138,7 @@ func TestStreamConformance(t *testing.T) {
 			if _, err := s.Write([]byte("more")); err == nil {
 				t.Fatal("Write after EndWrite must fail")
 			}
-			if got := s.Take(100); string(got) != "bye" || !s.WriteEnded() {
+			if got := s.Take(nil, 100); string(got) != "bye" || !s.WriteEnded() {
 				t.Fatalf("took %q, WriteEnded=%v", got, s.WriteEnded())
 			}
 			// The read side is still open until the peer's FIN, and
@@ -196,5 +196,38 @@ func TestStreamConformance(t *testing.T) {
 			clock := netem.NewClock()
 			tc.run(t, clock, pt.NewStream(clock, "test", "here", "there", tc.outCap))
 		})
+	}
+}
+
+// TestStreamKeepsItsArrays moves 1 MiB through each half of a stream in
+// 1 KiB units with the consumer one unit behind, so neither queue is
+// ever empty: both must reuse their arrays, and Take the buffer it is
+// handed, instead of allocating per unit.
+func TestStreamKeepsItsArrays(t *testing.T) {
+	clock := netem.NewClock()
+	s := pt.NewStream(clock, "test", "a", "b", 64<<10)
+	unit := make([]byte, 1<<10)
+	for i := range unit {
+		unit[i] = byte(i)
+	}
+	buf := make([]byte, len(unit))
+	var moved int
+	allocs := testing.AllocsPerRun(1, func() {
+		s.Write(unit)
+		s.Deliver(unit)
+		for i := 0; i < 1024; i++ {
+			s.Write(unit)
+			buf = s.Take(buf, len(unit))
+			moved += len(buf)
+			s.Deliver(unit)
+			n, _ := s.Read(buf[:len(unit)])
+			moved += n
+		}
+	})
+	if moved != 2*2<<20 { // AllocsPerRun runs the function twice
+		t.Fatalf("moved %d bytes, want %d", moved, 2*2<<20)
+	}
+	if allocs > 16 {
+		t.Fatalf("1 MiB through each half of a stream took %.0f allocations, want a handful", allocs)
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"math/rand"
 	"net"
 
 	"ptperf/internal/netem"
@@ -40,7 +39,8 @@ var ErrHandshake = errors.New("webtunnel: handshake failed")
 // clientWrap performs ClientHello/ServerHello+Finished (2 RTT) and the
 // HTTP upgrade (1 RTT folded into the Finished flight).
 func clientWrap(conn net.Conn, cfg Config, seed int64) (net.Conn, error) {
-	rng := rand.New(rand.NewSource(seed))
+	rng := pt.LeaseRand(seed)
+	defer pt.ReleaseRand(rng)
 	hello := make([]byte, 0, 280)
 	hello = append(hello, 0x16, 0x03, 0x01) // handshake record
 	random := make([]byte, 32)
@@ -86,7 +86,8 @@ var upgradeResponse = []byte("HTTP/1.1 101 Switching Protocols\r\n\r\n")
 
 // serverWrap mirrors the handshake.
 func serverWrap(conn net.Conn, cfg Config, seed int64) (net.Conn, error) {
-	rng := rand.New(rand.NewSource(seed))
+	rng := pt.LeaseRand(seed)
+	defer pt.ReleaseRand(rng)
 	head := make([]byte, 3+32+1)
 	if _, err := io.ReadFull(conn, head); err != nil {
 		return nil, err

@@ -14,12 +14,15 @@ import (
 )
 
 // worldSignature builds one full testbed world on its own seed stream,
-// drives a small measurement through two transports, and renders every
-// virtual-time observation into a string. Any cross-world interference
-// — a shared RNG draw, a leaked scheduler wake-up, a reused buffer read
-// before overwrite — shifts an arrival time somewhere and changes the
-// signature. built, if not nil, is handed the world before anything runs
-// in it.
+// drives a small measurement through three transports — between them
+// they lease from every pool on the access path: the fetch, origin and
+// stegotorus readers and writers, the body chunk, the cover scratch, the
+// stream and splice buffers, the handshake generators — and renders
+// every virtual-time observation into a string. Any cross-world
+// interference — a shared RNG draw, a leaked scheduler wake-up, a pooled
+// buffer read after it went back or before it was overwritten — shifts
+// an arrival time or a byte count somewhere and changes the signature.
+// built, if not nil, is handed the world before anything runs in it.
 func worldSignature(root int64, stream int64, built func(*testbed.World)) (string, error) {
 	w, err := testbed.New(testbed.Options{
 		Seed:      sim.DeriveSeed(root, stream),
@@ -34,7 +37,7 @@ func worldSignature(root int64, stream int64, built func(*testbed.World)) (strin
 		built(w)
 	}
 	var b strings.Builder
-	for _, method := range []string{"tor", "obfs4"} {
+	for _, method := range []string{"tor", "obfs4", "stegotorus"} {
 		d, err := w.Deployment(method)
 		if err != nil {
 			return "", err
@@ -48,6 +51,10 @@ func worldSignature(root int64, stream int64, built func(*testbed.World)) (strin
 			fmt.Fprintf(&b, "%s %s total=%v ttfb=%v bytes=%d\n",
 				method, site.Path, res.Total, res.TTFB, res.BytesGot)
 		}
+		site := w.Tranco.Sites[0]
+		pr := c.Browse(w.Origin.Addr(), site.Path, 0)
+		fmt.Fprintf(&b, "%s browse %s plt=%v si=%v bytes=%d loaded=%d/%d\n",
+			method, site.Path, pr.PageLoadTime, pr.SpeedIndex, pr.Bytes, pr.ResourcesLoaded, pr.ResourcesTotal)
 		d.FreshCircuit()
 	}
 	return b.String(), nil

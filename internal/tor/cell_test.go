@@ -192,3 +192,38 @@ func TestCommandStrings(t *testing.T) {
 		t.Fatal("unknown commands need strings")
 	}
 }
+
+// BenchmarkCellCrypto times what one hop costs one relay cell, apart
+// from framing: the stream cipher over a PayloadSize payload, and the
+// digest, sealed by the sender and checked by the hop. ROADMAP item B.4
+// sizes the cipher from these.
+func BenchmarkCellCrypto(b *testing.B) {
+	newHop := func(b *testing.B) *hopCrypto {
+		h, err := deriveHop(bytes.Repeat([]byte{7}, 32))
+		if err != nil {
+			b.Fatal(err)
+		}
+		return h
+	}
+	b.Run("encryptForward", func(b *testing.B) {
+		h := newHop(b)
+		var p [PayloadSize]byte
+		b.SetBytes(PayloadSize)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			h.encryptForward(p[:])
+		}
+	})
+	b.Run("sealAndCheckForward", func(b *testing.B) {
+		sender, hop := newHop(b), newHop(b)
+		var p [PayloadSize]byte
+		b.SetBytes(PayloadSize)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sender.sealForward(p[:])
+			if !hop.checkForward(p[:]) {
+				b.Fatal("digest mismatch")
+			}
+		}
+	})
+}

@@ -443,9 +443,11 @@ type Stream struct {
 	// than re-slicing buf itself) keeps the slice anchored at its
 	// allocation, so once the reader fully drains it the capacity is
 	// reused — without it, push re-grows the buffer for every chunk of
-	// a bulk download.
+	// a bulk download. The array is leased from streamBufPool at the
+	// first push and goes back at Close.
 	buf          []byte
 	bufHead      int
+	lease        *[]byte
 	remoteClosed bool
 	localClosed  bool
 	rdl          time.Time
@@ -457,6 +459,20 @@ type Stream struct {
 
 	pkgWin int
 	dlvWin int
+}
+
+// streamBufSize is what a stream's inbound buffer holds without
+// growing: one threshold read of the fetch body copy (64 KiB) and the
+// cells that land while its reader wakes.
+const streamBufSize = 64<<10 + 2*CellSize
+
+// streamBufPool leases Stream.buf arrays, so a stream does not double
+// its way from one cell to a chunk and leave the copies to the GC.
+var streamBufPool = sync.Pool{
+	New: func() any {
+		b := make([]byte, 0, streamBufSize)
+		return &b
+	},
 }
 
 func newStream(circ *circuit, id uint16, target string) *Stream {
@@ -480,6 +496,10 @@ func (s *Stream) notifyConnected(err error) {
 func (s *Stream) push(data []byte) {
 	if s.localClosed {
 		return
+	}
+	if s.lease == nil {
+		s.lease = streamBufPool.Get().(*[]byte)
+		s.buf = (*s.lease)[:0]
 	}
 	s.buf = append(s.buf, data...)
 	if len(s.buf)-s.bufHead >= s.rdWant {
@@ -582,6 +602,11 @@ func (s *Stream) Close() error {
 		return nil
 	}
 	s.localClosed = true
+	if s.lease != nil {
+		// Nothing reads buf once localClosed is set.
+		streamBufPool.Put(s.lease)
+		s.lease, s.buf, s.bufHead = nil, nil, 0
+	}
 	s.cond.Broadcast()
 	s.circ.fcCond.Broadcast()
 

@@ -2,6 +2,7 @@ package tor
 
 import (
 	"math"
+	"math/bits"
 	"sync"
 	"time"
 
@@ -87,10 +88,6 @@ const (
 	defaultSchedInterval = 10 * time.Millisecond
 	defaultSchedHalflife = 30 * time.Second
 	minCellsPerPass      = 4
-	// schedDelaySampleCap bounds the per-circuit queueing-delay sample
-	// buffer (fairness tests take medians over it; bulk circuits would
-	// otherwise accumulate one sample per cell forever).
-	schedDelaySampleCap = 1 << 12
 )
 
 func (c SchedConfig) withDefaults(bandwidth float64) SchedConfig {
@@ -139,8 +136,8 @@ type circQueue struct {
 	link *link
 	id   uint32
 
-	// cells is a head-indexed ring slice: flushes advance head and the
-	// backing array is reused once drained, instead of re-slicing
+	// cells is a head-indexed queue: flushes advance head and enqueue
+	// reuses the backing array (netem.Compact), instead of re-slicing
 	// capacity away cell by cell.
 	cells  []queuedCell
 	head   int
@@ -155,7 +152,38 @@ type circQueue struct {
 	flushed  int64
 	dropped  int64
 	delaySum time.Duration
-	delays   []time.Duration
+	delays   DelayHist
+}
+
+// DelayHist is the distribution of a circuit's per-cell queueing
+// delays, counted in power-of-two buckets of nanoseconds: bucket b
+// holds the delays d with bits.Len64(d) == b, that is 0 for b = 0 and
+// [2^(b-1), 2^b) above. Every flushed cell is counted, in place.
+type DelayHist [64]int64
+
+func (h *DelayHist) add(d time.Duration) { h[bits.Len64(uint64(d))]++ }
+
+// Median estimates the median delay: the bucket holding the middle
+// sample, interpolated linearly by that sample's rank inside it. It is
+// 0 for an empty histogram.
+func (h *DelayHist) Median() time.Duration {
+	var total int64
+	for _, n := range h {
+		total += n
+	}
+	rank := total / 2
+	for b, n := range h {
+		if n == 0 || rank >= n {
+			rank -= n
+			continue
+		}
+		if b == 0 {
+			return 0
+		}
+		lo := float64(uint64(1) << (b - 1))
+		return time.Duration(lo + lo*(float64(rank)+0.5)/float64(n))
+	}
+	return 0
 }
 
 // decayTo ages the EWMA to virtual time now.
@@ -229,6 +257,7 @@ func (s *cellScheduler) enqueueWire(q *circQueue, buf []byte, base *[]byte) erro
 		return ErrCircuitClosed
 	}
 	s.enqSeq++
+	q.cells, q.head = netem.Compact(q.cells, q.head, 1)
 	q.cells = append(q.cells, queuedCell{buf: buf, base: base, at: s.clock.Now(), seq: s.enqSeq})
 	q.queued++
 	s.pending++
@@ -359,9 +388,7 @@ func (s *cellScheduler) flushPass() {
 		delay := now - cell.at
 		q.flushed++
 		q.delaySum += delay
-		if len(q.delays) < schedDelaySampleCap {
-			q.delays = append(q.delays, delay)
-		}
+		q.delays.add(delay)
 		linkBudget[l] -= len(cell.buf)
 		s.acct.AddCellsFlushed(1)
 		budget--
@@ -436,9 +463,8 @@ type CircuitSched struct {
 	Pending int64
 	// DelaySum accumulates flushed cells' queueing delays.
 	DelaySum time.Duration
-	// Delays holds the first schedDelaySampleCap per-cell queueing
-	// delays, for medians.
-	Delays []time.Duration
+	// Delays is the distribution of flushed cells' queueing delays.
+	Delays DelayHist
 }
 
 // schedulers lists every scheduler incarnation, oldest first — crashed
@@ -486,7 +512,7 @@ func (r *Relay) CircuitScheds() []CircuitSched {
 					Dropped:  q.dropped,
 					Pending:  int64(len(q.cells) - q.head),
 					DelaySum: q.delaySum,
-					Delays:   append([]time.Duration(nil), q.delays...),
+					Delays:   q.delays,
 				})
 			}
 		}

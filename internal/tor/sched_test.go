@@ -4,12 +4,12 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"net"
 	"testing"
 	"time"
 
 	"ptperf/internal/geo"
 	"ptperf/internal/netem"
-	"ptperf/internal/stats"
 )
 
 func TestEWMADecayHalflife(t *testing.T) {
@@ -226,13 +226,7 @@ func contendedDelays(t *testing.T, policy SchedPolicy) (bursty, bulk CircuitSche
 	return bursty, bulk, n.Acct().Snapshot()
 }
 
-func delayMedian(cs CircuitSched) float64 {
-	xs := make([]float64, len(cs.Delays))
-	for i, d := range cs.Delays {
-		xs[i] = d.Seconds()
-	}
-	return stats.Median(xs)
-}
+func delayMedian(cs CircuitSched) float64 { return cs.Delays.Median().Seconds() }
 
 // TestSchedulerFairnessEWMA pins the tentpole property: under guard
 // contention the EWMA scheduler keeps the bursty circuit's queueing
@@ -308,5 +302,39 @@ func TestSchedulerTransparentWhenUncontended(t *testing.T) {
 		if st.Flushed > 0 && st.MeanDelay() > 20*time.Millisecond {
 			t.Errorf("%s: uncontended mean queueing delay %v too high", r.Descriptor().Name, st.MeanDelay())
 		}
+	}
+}
+
+// discardConn is a link conn without the inline write path: the
+// scheduler hands its cells to a flusher goroutine, which writes here.
+type discardConn struct{ net.Conn }
+
+func (discardConn) Write(p []byte) (int, error) { return len(p), nil }
+
+// TestCircQueueKeepsItsArray feeds a circuit queue that a one-cell-a-pass
+// scheduler drains one cell behind, as a loaded guard's is: never empty,
+// so only compaction keeps it from growing by every cell that ever
+// passed.
+func TestCircQueueKeepsItsArray(t *testing.T) {
+	clock := netem.NewClock()
+	s := newCellScheduler(clock, nil, SchedConfig{CellsPerPass: 1}, 1<<20)
+	defer s.stop()
+	q := s.newQueue(&link{conn: discardConn{}, wmu: netem.NewMutex(clock)}, 1)
+	enqueue := func() {
+		buf, base := getCellBuf()
+		if err := s.enqueueWire(q, buf, base); err != nil {
+			t.Fatal(err)
+		}
+	}
+	enqueue()
+	for i := 0; i < 100_000; i++ {
+		enqueue()
+		clock.Sleep(s.cfg.Interval) // one pass: one cell out
+	}
+	if q.flushed < 100_000 || len(q.cells)-q.head > 2 {
+		t.Fatalf("flushed %d cells, %d still queued: the queue was not drained one behind", q.flushed, len(q.cells)-q.head)
+	}
+	if c := cap(q.cells); c > 16 {
+		t.Fatalf("cell queue grew to cap %d while holding at most 3", c)
 	}
 }

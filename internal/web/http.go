@@ -2,10 +2,12 @@ package web
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
+	"unicode"
 )
 
 // The origin speaks a deliberately small HTTP/1.1 subset: GET with
@@ -23,31 +25,60 @@ type Request struct {
 	Close bool
 }
 
+// readLine returns the next line of r with its terminator, valid until
+// the next read of r. Only a line longer than r's buffer is copied.
+func readLine(r *bufio.Reader) ([]byte, error) {
+	line, err := r.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		head := append([]byte(nil), line...)
+		line, err = r.ReadBytes('\n')
+		line = append(head, line...)
+	}
+	return line, err
+}
+
+// nextField splits the first whitespace-separated field off b.
+func nextField(b []byte) (field, rest []byte) {
+	b = bytes.TrimLeftFunc(b, unicode.IsSpace)
+	if i := bytes.IndexFunc(b, unicode.IsSpace); i >= 0 {
+		return b[:i], b[i:]
+	}
+	return b, nil
+}
+
+// headerValue reports the trimmed value of header line h if its name is
+// key, compared without case.
+func headerValue(h []byte, key string) ([]byte, bool) {
+	k, v, ok := bytes.Cut(h, []byte(":"))
+	if !ok || !strings.EqualFold(string(bytes.TrimSpace(k)), key) {
+		return nil, false
+	}
+	return bytes.TrimSpace(v), true
+}
+
 // ReadRequest parses one request from r.
-func ReadRequest(r *bufio.Reader) (*Request, error) {
-	line, err := r.ReadString('\n')
+func ReadRequest(r *bufio.Reader) (Request, error) {
+	line, err := readLine(r)
 	if err != nil {
-		return nil, err
+		return Request{}, err
 	}
-	parts := strings.Fields(strings.TrimSpace(line))
-	if len(parts) != 3 || !strings.HasPrefix(parts[2], "HTTP/1.") {
-		return nil, fmt.Errorf("web: malformed request line %q", strings.TrimSpace(line))
+	method, rest := nextField(line)
+	path, rest := nextField(rest)
+	proto, rest := nextField(rest)
+	if extra, _ := nextField(rest); len(proto) == 0 || len(extra) != 0 || !bytes.HasPrefix(proto, []byte("HTTP/1.")) {
+		return Request{}, fmt.Errorf("web: malformed request line %q", bytes.TrimSpace(line))
 	}
-	req := &Request{Method: parts[0], Path: parts[1]}
+	req := Request{Method: string(method), Path: string(path)}
 	for {
-		h, err := r.ReadString('\n')
+		h, err := readLine(r)
 		if err != nil {
-			return nil, err
+			return Request{}, err
 		}
-		h = strings.TrimSpace(h)
-		if h == "" {
+		if len(bytes.TrimSpace(h)) == 0 {
 			return req, nil
 		}
-		if k, v, ok := strings.Cut(h, ":"); ok {
-			if strings.EqualFold(strings.TrimSpace(k), "Connection") &&
-				strings.EqualFold(strings.TrimSpace(v), "close") {
-				req.Close = true
-			}
+		if v, ok := headerValue(h, "Connection"); ok && strings.EqualFold(string(v), "close") {
+			req.Close = true
 		}
 	}
 }
@@ -66,42 +97,42 @@ func WriteRequest(w io.Writer, path string, close bool) error {
 type Response struct {
 	// Status is the HTTP status code.
 	Status int
-	// ContentLength is the declared body size.
+	// ContentLength is the declared body size, -1 when none was.
 	ContentLength int64
 }
 
 // ReadResponse parses status line and headers; the body remains on r.
-func ReadResponse(r *bufio.Reader) (*Response, error) {
-	line, err := r.ReadString('\n')
+// ContentLength is -1 when the header is absent; a negative or
+// non-numeric one is a malformed header.
+func ReadResponse(r *bufio.Reader) (Response, error) {
+	line, err := readLine(r)
 	if err != nil {
-		return nil, err
+		return Response{}, err
 	}
-	parts := strings.SplitN(strings.TrimSpace(line), " ", 3)
-	if len(parts) < 2 || !strings.HasPrefix(parts[0], "HTTP/1.") {
-		return nil, fmt.Errorf("web: malformed status line %q", strings.TrimSpace(line))
+	proto, rest, ok := bytes.Cut(bytes.TrimSpace(line), []byte(" "))
+	if !ok || !bytes.HasPrefix(proto, []byte("HTTP/1.")) {
+		return Response{}, fmt.Errorf("web: malformed status line %q", bytes.TrimSpace(line))
 	}
-	status, err := strconv.Atoi(parts[1])
+	code, _, _ := bytes.Cut(rest, []byte(" "))
+	status, err := strconv.Atoi(string(code))
 	if err != nil {
-		return nil, fmt.Errorf("web: bad status %q", parts[1])
+		return Response{}, fmt.Errorf("web: bad status %q", code)
 	}
-	resp := &Response{Status: status, ContentLength: -1}
+	resp := Response{Status: status, ContentLength: -1}
 	for {
-		h, err := r.ReadString('\n')
+		h, err := readLine(r)
 		if err != nil {
-			return nil, err
+			return Response{}, err
 		}
-		h = strings.TrimSpace(h)
-		if h == "" {
+		if len(bytes.TrimSpace(h)) == 0 {
 			return resp, nil
 		}
-		if k, v, ok := strings.Cut(h, ":"); ok {
-			if strings.EqualFold(strings.TrimSpace(k), "Content-Length") {
-				n, err := strconv.ParseInt(strings.TrimSpace(v), 10, 64)
-				if err != nil {
-					return nil, fmt.Errorf("web: bad content-length %q", v)
-				}
-				resp.ContentLength = n
+		if v, ok := headerValue(h, "Content-Length"); ok {
+			n, err := strconv.ParseInt(string(v), 10, 64)
+			if err != nil || n < 0 {
+				return Response{}, fmt.Errorf("web: bad content-length %q", v)
 			}
+			resp.ContentLength = n
 		}
 	}
 }

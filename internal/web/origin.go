@@ -2,10 +2,12 @@ package web
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"net"
 	"strconv"
 	"strings"
+	"sync"
 
 	"ptperf/internal/netem"
 )
@@ -55,10 +57,25 @@ func (o *Origin) acceptLoop() {
 	}
 }
 
+// A served conn leases its reader and writer for as long as it is open
+// (DESIGN.md "Buffer ownership").
+var (
+	readerPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 4<<10) }}
+	writerPool = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 32<<10) }}
+)
+
 func (o *Origin) serveConn(conn net.Conn) {
 	defer conn.Close()
-	r := bufio.NewReaderSize(conn, 4<<10)
-	w := bufio.NewWriterSize(conn, 32<<10)
+	r := readerPool.Get().(*bufio.Reader)
+	w := writerPool.Get().(*bufio.Writer)
+	r.Reset(conn)
+	w.Reset(conn)
+	defer func() {
+		r.Reset(nil)
+		w.Reset(nil)
+		readerPool.Put(r)
+		writerPool.Put(w)
+	}()
 	for {
 		req, err := ReadRequest(r)
 		if err != nil {
@@ -77,7 +94,7 @@ func (o *Origin) serveConn(conn net.Conn) {
 }
 
 // serveRequest routes one GET.
-func (o *Origin) serveRequest(w *bufio.Writer, req *Request) error {
+func (o *Origin) serveRequest(w *bufio.Writer, req Request) error {
 	if req.Method != "GET" {
 		return writeResponseHeader(w, 404, 0)
 	}
@@ -182,32 +199,33 @@ func (o *Origin) serveFile(w *bufio.Writer, path string) error {
 // BuildManifest renders the machine-readable resource list embedded at
 // the top of a default page.
 func BuildManifest(site *Site) []byte {
-	var b strings.Builder
-	fmt.Fprintf(&b, "ptperf-page resources=%d base-weight-ppm=%d\n",
+	b := fmt.Appendf(make([]byte, 0, 64+48*len(site.Resources)), "ptperf-page resources=%d base-weight-ppm=%d\n",
 		len(site.Resources), int(site.BaseVisualWeight*1e6))
 	for _, r := range site.Resources {
-		fmt.Fprintf(&b, "%s %d %d\n", r.Path, r.Bytes, int(r.VisualWeight*1e6))
+		b = fmt.Appendf(b, "%s %d %d\n", r.Path, r.Bytes, int(r.VisualWeight*1e6))
 	}
-	return []byte(b.String())
+	return b
 }
 
-// ParseManifest recovers the resource list from a page body prefix.
+// ParseManifest recovers the resource list from a page body prefix. It
+// reads the manifest's lines only, never the filler after them.
 func ParseManifest(body []byte) (base float64, res []Resource, ok bool) {
-	lines := strings.Split(string(body), "\n")
-	if len(lines) == 0 || !strings.HasPrefix(lines[0], "ptperf-page ") {
+	line, rest, more := bytes.Cut(body, []byte("\n"))
+	if !bytes.HasPrefix(line, []byte("ptperf-page ")) {
 		return 0, nil, false
 	}
 	var nres, basePPM int
-	if _, err := fmt.Sscanf(lines[0], "ptperf-page resources=%d base-weight-ppm=%d", &nres, &basePPM); err != nil {
+	if _, err := fmt.Sscanf(string(line), "ptperf-page resources=%d base-weight-ppm=%d", &nres, &basePPM); err != nil {
 		return 0, nil, false
 	}
-	if nres+1 > len(lines) {
-		return 0, nil, false
-	}
-	for i := 1; i <= nres; i++ {
+	for i := 0; i < nres; i++ {
+		if !more {
+			return 0, nil, false // fewer lines than resources declared
+		}
+		line, rest, more = bytes.Cut(rest, []byte("\n"))
 		var r Resource
 		var ppm int
-		if _, err := fmt.Sscanf(lines[i], "%s %d %d", &r.Path, &r.Bytes, &ppm); err != nil {
+		if _, err := fmt.Sscanf(string(line), "%s %d %d", &r.Path, &r.Bytes, &ppm); err != nil {
 			return 0, nil, false
 		}
 		r.VisualWeight = float64(ppm) / 1e6
