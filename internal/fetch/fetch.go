@@ -20,7 +20,7 @@ import (
 )
 
 // Dialer opens a connection to an origin ("host:port"). Measurements
-// plug a direct dialer, a SOCKS-through-Tor dialer, or a PT dialer here.
+// plug a direct dialer, a Tor client's Dial, or a PT dialer here.
 type Dialer func(target string) (net.Conn, error)
 
 // DefaultTimeout mirrors the paper's 120 s page-load timeout.

@@ -60,16 +60,6 @@ func (l Location) Short() string {
 	return shorts[l]
 }
 
-// ParseLocation resolves a name or abbreviation to a Location.
-func ParseLocation(s string) (Location, error) {
-	for i, n := range names {
-		if n == s || shorts[i] == s {
-			return Location(i), nil
-		}
-	}
-	return 0, fmt.Errorf("geo: unknown location %q", s)
-}
-
 // rttMS holds round-trip times in milliseconds between city pairs. The
 // values follow typical public inter-datacenter measurements: intra-region
 // links are 10–30 ms, transatlantic ~75–90 ms, Europe–Asia ~130–180 ms,

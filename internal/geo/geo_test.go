@@ -39,22 +39,6 @@ func TestIntercontinentalOrdering(t *testing.T) {
 	}
 }
 
-func TestParseLocation(t *testing.T) {
-	for _, l := range All {
-		got, err := ParseLocation(l.String())
-		if err != nil || got != l {
-			t.Fatalf("parse %q: %v %v", l.String(), got, err)
-		}
-		got, err = ParseLocation(l.Short())
-		if err != nil || got != l {
-			t.Fatalf("parse short %q: %v %v", l.Short(), got, err)
-		}
-	}
-	if _, err := ParseLocation("atlantis"); err == nil {
-		t.Fatal("unknown location must fail")
-	}
-}
-
 func TestStringsTotal(t *testing.T) {
 	f := func(raw int8) bool {
 		l := Location(raw)

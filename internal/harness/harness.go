@@ -342,7 +342,8 @@ func firstSites(w *testbed.World, n int) []string {
 // downloads do not contend on the shared relay fleet in a way the
 // paper's time-gapped measurements never did. The per-method goroutines
 // are simulation goroutines on w's scheduler, so they interleave
-// deterministically at virtual-time waits. Any failure fails the whole
+// deterministically, and only at virtual-time waits: out and errs need
+// no lock. Any failure fails the whole
 // call with every per-method error aggregated (errors.Join), in
 // deterministic order: the goroutines finish in virtual-time order.
 func forEachMethod[T any](w *testbed.World, methods []string, sequential bool, fn func(name string) (T, error)) (map[string]T, error) {
@@ -352,7 +353,6 @@ func forEachMethod[T any](w *testbed.World, methods []string, sequential bool, f
 	}
 	clock := w.Net.Clock()
 	out := make(map[string]T, len(methods))
-	var mu sync.Mutex
 	var errs []error
 	wg := netem.NewWaitGroup(clock)
 	sem := netem.NewChan[struct{}](clock, limit)
@@ -364,8 +364,6 @@ func forEachMethod[T any](w *testbed.World, methods []string, sequential bool, f
 			sem.Send(struct{}{})
 			defer sem.Recv()
 			v, err := fn(name)
-			mu.Lock()
-			defer mu.Unlock()
 			if err != nil {
 				errs = append(errs, fmt.Errorf("%s: %w", name, err))
 				return

@@ -44,15 +44,6 @@ func (b *Bucket) QueueDelay() time.Duration { return b.queueDelay }
 // Rate reports the effective rate in bytes per virtual second.
 func (b *Bucket) Rate() float64 { return b.rate }
 
-// SetRate changes the effective rate. Used by load scenarios (e.g. the
-// post-September snowflake surge).
-func (b *Bucket) SetRate(rate float64) {
-	if rate < 1 {
-		rate = 1
-	}
-	b.rate = rate
-}
-
 // Reload reconfigures capacity and utilization together, recomputing
 // both the effective rate and the queueing latency: utilization is
 // clamped to [0, 0.97], the rate it leaves is at least 1 B/s and the

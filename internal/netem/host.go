@@ -5,7 +5,6 @@ import (
 	"net"
 	"strconv"
 	"strings"
-	"time"
 
 	"ptperf/internal/geo"
 )
@@ -192,34 +191,6 @@ func (h *Host) Dial(address string) (net.Conn, error) {
 		pol.ConnOpened(cc)
 	}
 	return cc, nil
-}
-
-// DialTimeout is Dial bounded by a virtual timeout.
-func (h *Host) DialTimeout(address string, vtimeout time.Duration) (net.Conn, error) {
-	type res struct {
-		c   net.Conn
-		err error
-	}
-	clock := h.net.clock
-	ch := NewChan[res](clock, 1)
-	clock.Go(func() {
-		c, err := h.Dial(address)
-		ch.Send(res{c, err})
-	})
-	r, ok, timedOut := ch.RecvTimeout(vtimeout)
-	if timedOut {
-		// Reap the late connection when the dial eventually resolves.
-		clock.Go(func() {
-			if late, ok := ch.Recv(); ok && late.c != nil {
-				late.c.Close()
-			}
-		})
-		return nil, ErrTimeout
-	}
-	if !ok {
-		return nil, ErrClosed
-	}
-	return r.c, r.err
 }
 
 func (h *Host) ephemeral() int {

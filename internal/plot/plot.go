@@ -167,38 +167,6 @@ func ECDF(w io.Writer, title string, series []Series, width, height int) {
 	fmt.Fprintln(w)
 }
 
-// sparkRunes are the eight block levels of an ASCII sparkline.
-var sparkRunes = []rune("▁▂▃▄▅▆▇█")
-
-// Spark renders values as a unicode block sparkline, one rune per
-// value, scaled to the series' own min..max (a flat series renders as
-// its lowest block). Empty input renders empty.
-func Spark(values []float64) string {
-	if len(values) == 0 {
-		return ""
-	}
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, v := range values {
-		lo = math.Min(lo, v)
-		hi = math.Max(hi, v)
-	}
-	var b strings.Builder
-	for _, v := range values {
-		i := 0
-		if hi > lo {
-			i = int((v - lo) / (hi - lo) * float64(len(sparkRunes)-1))
-			if i < 0 {
-				i = 0
-			}
-			if i >= len(sparkRunes) {
-				i = len(sparkRunes) - 1
-			}
-		}
-		b.WriteRune(sparkRunes[i])
-	}
-	return b.String()
-}
-
 // SparkSVG renders values as a self-contained inline SVG polyline
 // sparkline of the given pixel size — the HTML report's timeline glyph.
 // Coordinates use one decimal, so the output is deterministic

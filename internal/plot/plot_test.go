@@ -115,19 +115,6 @@ func TestProject(t *testing.T) {
 	}
 }
 
-func TestSpark(t *testing.T) {
-	if got := Spark(nil); got != "" {
-		t.Fatalf("empty input rendered %q", got)
-	}
-	if got := Spark([]float64{1, 1, 1}); got != "▁▁▁" {
-		t.Fatalf("flat series = %q, want lowest blocks", got)
-	}
-	got := Spark([]float64{0, 1, 2, 3})
-	if got != "▁▃▅█" {
-		t.Fatalf("ramp = %q", got)
-	}
-}
-
 func TestSparkSVG(t *testing.T) {
 	empty := SparkSVG(nil, 100, 20)
 	if !strings.HasPrefix(empty, "<svg") || strings.Contains(empty, "polyline") {

@@ -303,9 +303,9 @@ func ReadTarget(r io.Reader) (string, error) {
 var spliceBufPool = sync.Pool{New: func() any { b := make([]byte, 32<<10); return &b }}
 
 // Splice copies both directions between a and b and closes both when
-// both directions finish. It is the one forwarding loop: PT servers, the
-// conjure station and the tor client's SOCKS front end all call it; the
-// pump goroutines are simulation goroutines on clock.
+// both directions finish. It is the one forwarding loop: PT servers and
+// the conjure station call it; the pump goroutines are simulation
+// goroutines on clock.
 func Splice(clock *netem.Clock, a, b net.Conn) {
 	wg := netem.NewWaitGroup(clock)
 	cp := func(dst, src net.Conn) {

@@ -10,7 +10,7 @@ import (
 // This file is the relay-churn scenario family: deterministic fault
 // plans that crash, flap and churn the volunteer fleet while the
 // measured methods keep downloading. A plan must exist before its world
-// is built (it rides Options.FaultSpec), so ChurnPlan is a pure
+// is built (it rides Options.FaultSpec), so ChurnPlanFor is a pure
 // function of the level and the fleet size — no World handle, no RNG:
 // the schedule is byte-identical across runs and across -jobs values
 // by construction.
@@ -51,8 +51,8 @@ func ChurnLevelNames() []string {
 // on healthy infrastructure; failures then land mid-measurement.
 const churnStart = 30 * time.Second
 
-// ChurnPlan compiles a level into a concrete fault schedule for a
-// volunteer fleet of the given size (Options.Guards/Middles/Exits
+// ChurnPlanFor compiles a level into a concrete fault schedule for the
+// volunteer fleet the given Options will build (Guards/Middles/Exits
 // after defaulting). Failures rotate round-robin over four moves —
 // crash a middle, crash an exit, flap a guard's link, churn a guard's
 // descriptor — each hitting the next relay of its class, so no relay
@@ -61,15 +61,9 @@ const churnStart = 30 * time.Second
 // only, which run on dedicated same-named hosts; PT bridge hosts are
 // never touched, so the plan perturbs the Tor path, not the transport
 // tunnel itself.
-// ChurnPlanFor is ChurnPlan sized for the volunteer fleet the given
-// Options will build (after defaulting), so callers need not repeat
-// the default fleet dimensions.
 func ChurnPlanFor(lv ChurnLevel, o Options, horizon time.Duration) faults.Plan {
-	d := o.withDefaults()
-	return ChurnPlan(lv, d.Guards, d.Middles, d.Exits, horizon)
-}
-
-func ChurnPlan(lv ChurnLevel, guards, middles, exits int, horizon time.Duration) faults.Plan {
+	o = o.WithDefaults()
+	guards, middles, exits := o.Guards, o.Middles, o.Exits
 	p := faults.Plan{Name: lv.Name}
 	if lv.Period <= 0 || guards <= 0 || middles <= 0 || exits <= 0 {
 		return p

@@ -63,7 +63,6 @@ func ContentionLevelNames() []string {
 // only variable across levels is relay-side contention.
 type ContentionRig struct {
 	*FixedCircuitRig
-	world       *World
 	level       ContentionLevel
 	competitors []*tor.Client
 	stopped     bool
@@ -81,30 +80,12 @@ const contentionGuardShare = 0.5
 // hop whose scheduler budget is provisioned below its links, plus the
 // competitor fleet.
 func (w *World) NewContentionRig(lv ContentionLevel) (*ContentionRig, error) {
-	host, err := w.newServerHost("contended-hop", w.Opts.InfraLocation, 0.1)
-	if err != nil {
-		return nil, err
-	}
-	relay, err := tor.StartRelay(tor.RelayConfig{
-		Name:      host.Name() + "-guard",
-		Host:      host,
-		Directory: w.Dir,
-		Flags:     tor.FlagGuard | tor.FlagFast,
-		Bandwidth: host.Egress().Rate() * contentionGuardShare,
-		Seed:      w.Opts.Seed + 998,
-		Sched:     tor.SchedConfig{Policy: w.Opts.SchedPolicy},
-	})
-	if err != nil {
-		return nil, err
-	}
-	w.registerRelay(relay)
-	fixed, err := w.newSharedHopRig(host, relay)
+	fixed, err := w.newSharedHopRig("contended-hop", contentionGuardShare, 998)
 	if err != nil {
 		return nil, err
 	}
 	r := &ContentionRig{
 		FixedCircuitRig: fixed,
-		world:           w,
 		level:           lv,
 		wg:              netem.NewWaitGroup(w.Net.Clock()),
 	}
@@ -119,15 +100,9 @@ func (w *World) NewContentionRig(lv ContentionLevel) (*ContentionRig, error) {
 		if err != nil {
 			return nil, err
 		}
-		cl, err := tor.NewClient(tor.ClientConfig{
-			Host:      host,
-			Directory: w.Dir,
-			// Pinned guard, Tor-selected middle/exit: the competitors
-			// converge on the measurement guard and fan out behind it.
-			Guard:        g,
-			Seed:         w.Opts.Seed*131 + int64(i),
-			BuildTimeout: 120 * time.Second,
-		})
+		// Pinned guard, Tor-selected middle/exit: the competitors
+		// converge on the measurement guard and fan out behind it.
+		cl, err := w.newTorClient(host, pin{guard: g}, nil, w.Opts.Seed*131+int64(i))
 		if err != nil {
 			return nil, err
 		}
@@ -135,9 +110,6 @@ func (w *World) NewContentionRig(lv ContentionLevel) (*ContentionRig, error) {
 	}
 	return r, nil
 }
-
-// Level returns the rig's load level.
-func (r *ContentionRig) Level() ContentionLevel { return r.level }
 
 // Start launches the competitor loops as simulation goroutines:
 // staggered starts, then bulk download / think / repeat until Stop.

@@ -3,7 +3,6 @@ package testbed
 import (
 	"fmt"
 	"net"
-	"time"
 
 	"ptperf/internal/censor"
 	"ptperf/internal/geo"
@@ -32,17 +31,12 @@ type Deployment struct {
 	// Info is the transport metadata (zero Info for vanilla Tor).
 	Info pt.Info
 
-	world *World
-	// torClient is the client-side Tor (vanilla, sets 1 and 2).
-	torClient *tor.Client
-	// serverTor is the PT-server-side Tor client (set 3).
-	serverTor *tor.Client
-	// dialer is the PT client (nil for vanilla Tor).
+	// tor is the one Tor client beside the transport: on the measurement
+	// host for vanilla Tor and sets 1–2, on the PT server host for set 3.
+	tor *tor.Client
+	// dialer is the PT client that application streams (set 3) or the
+	// Tor client's first hop (set 2) go through.
 	dialer pt.Dialer
-	// bridgeGuard is the set-1 effective first hop descriptor.
-	bridgeGuard *tor.Descriptor
-	// snowflakeDep allows load-scenario control.
-	snowflakeDep *snowflake.Deployment
 }
 
 // Dial opens an application stream to target through the deployment.
@@ -50,378 +44,211 @@ func (d *Deployment) Dial(target string) (net.Conn, error) {
 	if d.Info.Set == pt.Set3 {
 		return d.dialer.Dial(target)
 	}
-	return d.torClient.Dial(target)
+	return d.tor.Dial(target)
 }
 
 // FreshCircuit discards circuit state so the next Dial measures a cold
 // path (§5.2 accesses each website over a new circuit).
-func (d *Deployment) FreshCircuit() {
-	if d.torClient != nil {
-		d.torClient.NewCircuit()
-	}
-	if d.serverTor != nil {
-		d.serverTor.NewCircuit()
-	}
-}
+func (d *Deployment) FreshCircuit() { d.tor.NewCircuit() }
 
 // Preheat builds circuits ahead of measurement.
-func (d *Deployment) Preheat() error {
-	if d.torClient != nil {
-		return d.torClient.Preheat()
-	}
-	if d.serverTor != nil {
-		return d.serverTor.Preheat()
-	}
-	return nil
-}
+func (d *Deployment) Preheat() error { return d.tor.Preheat() }
 
-// Path exposes the current client circuit (vanilla, sets 1–2).
-func (d *Deployment) Path() tor.Path {
-	if d.torClient != nil {
-		return d.torClient.Path()
-	}
-	if d.serverTor != nil {
-		return d.serverTor.Path()
-	}
-	return tor.Path{}
+// Path exposes the current circuit of the deployment's Tor client.
+func (d *Deployment) Path() tor.Path { return d.tor.Path() }
+
+// snowflakeDialer is snowflake's dialer with its volunteer pool riding
+// along, which is how the recipe hands the pool to Deployment.Snowflake.
+type snowflakeDialer struct {
+	pt.Dialer
+	pool *snowflake.Deployment
 }
 
 // Snowflake returns the snowflake pool controller, if this deployment
 // is snowflake.
-func (d *Deployment) Snowflake() *snowflake.Deployment { return d.snowflakeDep }
-
-// Recovery sums the recovery counters of every Tor client the
-// deployment runs (client-side for vanilla and sets 1–2, PT-server-side
-// for set 3) — the per-method recovery cost the churn experiment reports.
-func (d *Deployment) Recovery() tor.RecoveryStats {
-	var st tor.RecoveryStats
-	if d.torClient != nil {
-		st = st.Add(d.torClient.Recovery())
-	}
-	if d.serverTor != nil {
-		st = st.Add(d.serverTor.Recovery())
-	}
-	return st
+func (d *Deployment) Snowflake() *snowflake.Deployment {
+	sd, _ := d.dialer.(snowflakeDialer)
+	return sd.pool
 }
 
-// Deployment returns (building on first use) the deployment for "tor"
-// or a transport name.
-func (w *World) Deployment(name string) (*Deployment, error) {
-	if d, ok := w.deps[name]; ok {
-		return d, nil
-	}
-	d, err := w.build(name)
-	if err != nil {
-		return nil, err
-	}
-	w.deps[name] = d
-	return d, nil
+// Recovery returns the recovery counters of the deployment's Tor client
+// — the per-method recovery cost the churn experiment reports.
+func (d *Deployment) Recovery() tor.RecoveryStats { return d.tor.Recovery() }
+
+// site is where and how one transport is started. It holds everything
+// that differs between a campaign deployment, the overhead rig and the
+// shared-hop rig and reaches a report byte, so startTransport never asks
+// which of them it serves (DESIGN.md "World assembly" has the table).
+type site struct {
+	// host and port are where the PT server (or bridge, or proxy)
+	// listens.
+	host *netem.Host
+	port int
+	// handle receives the server's unwrapped streams; the integration
+	// set's wiring sets it.
+	handle pt.StreamHandler
+	// seed and dialSeed seed the server and the client dialer. Only
+	// obfs4 and marionette read dialSeed; the rest share one Config.
+	seed, dialSeed int64
+	// auxName, auxLoc and auxUtil name and place the machine between
+	// client and server, for the transports that have one: meek's CDN
+	// front, conjure's registrar and station, dnstt's DoH resolver,
+	// camoufler's IM provider, snowflake's broker.
+	auxName string
+	auxLoc  geo.Location
+	auxUtil float64
+	// sni is webtunnel's cover host name, account camoufler's IM
+	// account base.
+	sni, account string
+	// floorQuanta floors dnstt's response cap and camoufler's message
+	// cap (see quantum); without it they scale like any byte quantity.
+	floorQuanta bool
 }
 
-// MustDeployment panics on error; topology setup errors are bugs.
-func (w *World) MustDeployment(name string) *Deployment {
-	d, err := w.Deployment(name)
-	if err != nil {
-		panic(err)
+// quantum byte-scales a protocol's per-message payload quantum (DNS
+// response cap, IM message cap) like any other byte quantity and returns
+// it with a stretch factor of 1 — unless the site floors quanta, so that
+// a miniature campaign does not multiply the protocol's message count far
+// beyond the real system's. Then the stretch is what the floor
+// introduced, and the caller must divide the protocol's message rate by
+// it so the modeled throughput, and thus every measured duration, is
+// preserved.
+func (w *World) quantum(s site, real, floor int) (int, float64) {
+	exact := float64(real) * w.Opts.ByteScale
+	if q := w.Bytes(real); !s.floorQuanta || q >= floor || float64(floor) <= exact {
+		return q, 1
 	}
-	return d
+	return floor, float64(floor) / exact
 }
 
-func (w *World) build(name string) (*Deployment, error) {
-	if name == "tor" {
-		c, err := w.NewTorClient(nil, nil, nil, nil, 500)
-		if err != nil {
-			return nil, err
-		}
-		return &Deployment{Name: "tor", world: w, torClient: c}, nil
+// startTransport launches the named transport's server side at s, with
+// whatever machine sits between client and server, and returns the
+// client dialer on the measurement host. It is the one place a transport
+// is started: deployments and rigs differ only in the site they pass.
+func (w *World) startTransport(name string, s site) (pt.Dialer, error) {
+	addr := fmt.Sprintf("%s:%d", s.host.Name(), s.port)
+	aux := func(role string) *netem.Host {
+		return w.newServerHost(s.auxName+role, s.auxLoc, s.auxUtil)
 	}
-	info, ok := pt.InfoFor(name)
-	if !ok {
-		return nil, fmt.Errorf("testbed: unknown transport %q", name)
-	}
-	d := &Deployment{Name: name, Info: info, world: w}
+	var d pt.Dialer
 	var err error
 	switch name {
 	case "obfs4":
-		err = w.buildSet1(d, func(host *HostPort, handle pt.StreamHandler) (pt.Dialer, error) {
-			secret := []byte("obfs4-bridge-" + name)
-			if _, err := obfs4.StartServer(host.Host, host.Port, obfs4.Config{Secret: secret, Seed: w.Opts.Seed + 11}, handle); err != nil {
-				return nil, err
-			}
-			return obfs4.NewDialer(w.Client, host.Addr(), obfs4.Config{Secret: secret, Seed: w.Opts.Seed + 12}), nil
-		})
+		secret := []byte("obfs4-bridge-secret")
+		_, err = obfs4.StartServer(s.host, s.port, obfs4.Config{Secret: secret, Seed: s.seed}, s.handle)
+		d = obfs4.NewDialer(w.Client, addr, obfs4.Config{Secret: secret, Seed: s.dialSeed})
 	case "webtunnel":
-		err = w.buildSet1(d, func(host *HostPort, handle pt.StreamHandler) (pt.Dialer, error) {
-			key := []byte("webtunnel-session-key")
-			cfg := webtunnel.Config{SessionKey: key, SNI: "static.example", Seed: w.Opts.Seed + 13}
-			if _, err := webtunnel.StartServer(host.Host, host.Port, cfg, handle); err != nil {
-				return nil, err
-			}
-			return webtunnel.NewDialer(w.Client, host.Addr(), cfg), nil
-		})
+		cfg := webtunnel.Config{SessionKey: []byte("webtunnel-session-key"), SNI: s.sni, Seed: s.seed}
+		_, err = webtunnel.StartServer(s.host, s.port, cfg, s.handle)
+		d = webtunnel.NewDialer(w.Client, addr, cfg)
 	case "meek":
-		err = w.buildSet1(d, func(host *HostPort, handle pt.StreamHandler) (pt.Dialer, error) {
-			cfg := meek.Config{Seed: w.Opts.Seed + 14}
-			cfg.SessionBudgetMedian = int64(w.Bytes(int(meek.DefaultSessionBudgetMedian)))
-			cfg.BridgeRate = meek.DefaultBridgeRate * w.Opts.ByteScale
-			bridge, err := meek.StartBridge(host.Host, host.Port, cfg, handle)
-			if err != nil {
-				return nil, err
-			}
-			// The CDN front: a large, busy edge in the infra city.
-			frontHost, err := w.newServerHost("cdn-front", w.Opts.InfraLocation, 0.2)
-			if err != nil {
-				return nil, err
-			}
-			front, err := meek.StartFront(frontHost, 443, cfg, bridge.Addr())
-			if err != nil {
-				return nil, err
-			}
-			return meek.NewDialer(w.Client, front.Addr(), cfg), nil
-		})
+		cfg := meek.Config{Seed: s.seed}
+		cfg.SessionBudgetMedian = int64(w.Bytes(int(meek.DefaultSessionBudgetMedian)))
+		cfg.BridgeRate = meek.DefaultBridgeRate * w.Opts.ByteScale
+		bridge, err := meek.StartBridge(s.host, s.port, cfg, s.handle)
+		if err != nil {
+			return nil, err
+		}
+		// The CDN front: a large, busy edge.
+		front, err := meek.StartFront(aux(""), 443, cfg, bridge.Addr())
+		if err != nil {
+			return nil, err
+		}
+		d = meek.NewDialer(w.Client, front.Addr(), cfg)
 	case "conjure":
-		err = w.buildSet1(d, func(host *HostPort, handle pt.StreamHandler) (pt.Dialer, error) {
-			secret := []byte("conjure-station-secret")
-			cfg := conjure.Config{Secret: secret, Seed: w.Opts.Seed + 15}
-			bridge, err := conjure.StartBridge(host.Host, host.Port, cfg, handle)
-			if err != nil {
-				return nil, err
-			}
-			regHost, err := w.newServerHost("conjure-registrar", w.Opts.InfraLocation, 0.1)
-			if err != nil {
-				return nil, err
-			}
-			stationHost, err := w.newServerHost("conjure-station", w.Opts.InfraLocation, 0.1)
-			if err != nil {
-				return nil, err
-			}
-			inf, err := conjure.StartInfra(regHost, stationHost, 53001, 443, cfg, bridge.Addr())
-			if err != nil {
-				return nil, err
-			}
-			return conjure.NewDialer(w.Client, inf.RegistrarAddr(), inf.PhantomAddr(), cfg), nil
-		})
+		cfg := conjure.Config{Secret: []byte("conjure-station-secret"), Seed: s.seed}
+		bridge, err := conjure.StartBridge(s.host, s.port, cfg, s.handle)
+		if err != nil {
+			return nil, err
+		}
+		inf, err := conjure.StartInfra(aux("-registrar"), aux("-station"), 53001, 443, cfg, bridge.Addr())
+		if err != nil {
+			return nil, err
+		}
+		d = conjure.NewDialer(w.Client, inf.RegistrarAddr(), inf.PhantomAddr(), cfg)
 	case "dnstt":
-		err = w.buildSet1(d, func(host *HostPort, handle pt.StreamHandler) (pt.Dialer, error) {
-			cfg := dnstt.Config{Seed: w.Opts.Seed + 16}
-			// The response cap is floored so the poll count stays
-			// realistic; the in-flight window shrinks by the same
-			// factor, keeping the tunnel's inflight×cap/RTT throughput.
-			respCap, stretch := w.ScaleQuantum(dnstt.DefaultRespCap, 128)
-			cfg.RespCap = respCap
-			cfg.Inflight = int(float64(dnstt.DefaultInflight)/stretch + 0.5)
-			if cfg.Inflight < 1 {
-				cfg.Inflight = 1
-			}
-			cfg.QueryCap = w.Bytes(dnstt.DefaultQueryCap)
-			cfg.BudgetMedian = int64(w.Bytes(dnstt.DefaultBudgetMedian))
-			srv, err := dnstt.StartServer(host.Host, host.Port, cfg, handle)
-			if err != nil {
-				return nil, err
-			}
-			// The public DoH resolver (e.g. OpenDNS) sits near the
-			// client's region, moderately busy.
-			resHost, err := w.newServerHost("doh-resolver", geo.London, 0.3)
-			if err != nil {
-				return nil, err
-			}
-			res, err := dnstt.StartResolver(resHost, 443, cfg, srv.Addr())
-			if err != nil {
-				return nil, err
-			}
-			return dnstt.NewDialer(w.Client, res.Addr(), cfg), nil
-		})
+		cfg := dnstt.Config{Seed: s.seed}
+		// Where the response cap is floored the in-flight window
+		// shrinks by the same factor, keeping the tunnel's
+		// inflight×cap/RTT throughput.
+		respCap, stretch := w.quantum(s, dnstt.DefaultRespCap, 128)
+		cfg.RespCap = respCap
+		cfg.Inflight = max(1, int(float64(dnstt.DefaultInflight)/stretch+0.5))
+		cfg.QueryCap = w.Bytes(dnstt.DefaultQueryCap)
+		cfg.BudgetMedian = int64(w.Bytes(dnstt.DefaultBudgetMedian))
+		srv, err := dnstt.StartServer(s.host, s.port, cfg, s.handle)
+		if err != nil {
+			return nil, err
+		}
+		// The public DoH resolver (e.g. OpenDNS).
+		res, err := dnstt.StartResolver(aux(""), 443, cfg, srv.Addr())
+		if err != nil {
+			return nil, err
+		}
+		d = dnstt.NewDialer(w.Client, res.Addr(), cfg)
 	case "shadowsocks":
-		err = w.buildSet2(d, func(host *HostPort) (pt.Dialer, error) {
-			psk := []byte("shadowsocks-psk")
-			cfg := shadowsocks.Config{PSK: psk, Seed: w.Opts.Seed + 17}
-			if _, err := shadowsocks.StartServer(host.Host, host.Port, cfg, pt.ForwardTo(host.Host)); err != nil {
-				return nil, err
-			}
-			return shadowsocks.NewDialer(w.Client, host.Addr(), cfg), nil
-		})
+		cfg := shadowsocks.Config{PSK: []byte("shadowsocks-psk"), Seed: s.seed}
+		_, err = shadowsocks.StartServer(s.host, s.port, cfg, s.handle)
+		d = shadowsocks.NewDialer(w.Client, addr, cfg)
 	case "psiphon":
-		err = w.buildSet2(d, func(host *HostPort) (pt.Dialer, error) {
-			hk := []byte("psiphon-host-key")
-			cfg := psiphon.Config{HostKey: hk, Seed: w.Opts.Seed + 18}
-			if _, err := psiphon.StartServer(host.Host, host.Port, cfg, pt.ForwardTo(host.Host)); err != nil {
-				return nil, err
-			}
-			return psiphon.NewDialer(w.Client, host.Addr(), cfg), nil
-		})
+		cfg := psiphon.Config{HostKey: []byte("psiphon-host-key"), Seed: s.seed}
+		_, err = psiphon.StartServer(s.host, s.port, cfg, s.handle)
+		d = psiphon.NewDialer(w.Client, addr, cfg)
 	case "stegotorus":
-		err = w.buildSet2(d, func(host *HostPort) (pt.Dialer, error) {
-			cfg := stegotorus.Config{Seed: w.Opts.Seed + 19}
-			if _, err := stegotorus.StartServer(host.Host, host.Port, cfg, pt.ForwardTo(host.Host)); err != nil {
-				return nil, err
-			}
-			return stegotorus.NewDialer(w.Client, host.Addr(), cfg), nil
-		})
+		cfg := stegotorus.Config{Seed: s.seed}
+		_, err = stegotorus.StartServer(s.host, s.port, cfg, s.handle)
+		d = stegotorus.NewDialer(w.Client, addr, cfg)
 	case "camoufler":
-		err = w.buildSet2(d, func(host *HostPort) (pt.Dialer, error) {
-			cfg := camoufler.Config{Seed: w.Opts.Seed + 20}
-			// Floored like dnstt's response cap: larger messages at a
-			// proportionally lower API rate keep the modeled
-			// throughput while bounding the message count.
-			msgCap, stretch := w.ScaleQuantum(camoufler.DefaultMessageCap, 1024)
-			cfg.MessageCap = msgCap
-			cfg.RatePerSec = camoufler.DefaultRatePerSec / stretch
-			imHost, err := w.newServerHost("im-provider", geo.Frankfurt, 0.25)
-			if err != nil {
-				return nil, err
-			}
-			im, err := camoufler.StartIMServer(imHost, 5222, cfg)
-			if err != nil {
-				return nil, err
-			}
-			proxy, err := camoufler.StartProxy(host.Host, im.Addr(), "camoufler", cfg, pt.ForwardTo(host.Host))
-			if err != nil {
-				return nil, err
-			}
-			return camoufler.NewDialer(w.Client, im.Addr(), "camoufler", cfg, proxy), nil
-		})
+		cfg := camoufler.Config{Seed: s.seed}
+		// Floored like dnstt's response cap: larger messages at a
+		// proportionally lower API rate keep the modeled throughput
+		// while bounding the message count.
+		msgCap, stretch := w.quantum(s, camoufler.DefaultMessageCap, 1024)
+		cfg.MessageCap = msgCap
+		cfg.RatePerSec = camoufler.DefaultRatePerSec / stretch
+		im, err := camoufler.StartIMServer(aux(""), 5222, cfg)
+		if err != nil {
+			return nil, err
+		}
+		proxy, err := camoufler.StartProxy(s.host, im.Addr(), s.account, cfg, s.handle)
+		if err != nil {
+			return nil, err
+		}
+		d = camoufler.NewDialer(w.Client, im.Addr(), s.account, cfg, proxy)
 	case "snowflake":
-		err = w.buildSet2(d, func(host *HostPort) (pt.Dialer, error) {
-			bridge, err := snowflake.StartBridge(host.Host, host.Port, pt.ForwardTo(host.Host))
-			if err != nil {
-				return nil, err
-			}
-			brokerHost, err := w.newServerHost("snowflake-broker", w.Opts.InfraLocation, 0.2)
-			if err != nil {
-				return nil, err
-			}
-			cfg := snowflake.Config{Seed: w.Opts.Seed + 21}
-			cfg.ProxyUplink = snowflake.DefaultProxyUplink * w.Opts.ByteScale
-			dep, err := snowflake.Deploy(brokerHost, 443, cfg)
-			if err != nil {
-				return nil, err
-			}
-			d.snowflakeDep = dep
-			if w.Censor != nil {
-				// Scenarios with an endpoint-weather timeline (the
-				// snowflake-surge collapse) drive the volunteer pool on
-				// the virtual clock.
-				w.Censor.BindLoad(func(p censor.LoadPhase) {
-					dep.SetLoad(p.Util, p.Lifetime)
-				})
-			}
-			return snowflake.NewDialer(w.Client, dep.BrokerAddr(), bridge.Addr()), nil
-		})
+		bridge, err := snowflake.StartBridge(s.host, s.port, s.handle)
+		if err != nil {
+			return nil, err
+		}
+		cfg := snowflake.Config{Seed: s.seed}
+		cfg.ProxyUplink = snowflake.DefaultProxyUplink * w.Opts.ByteScale
+		pool, err := snowflake.Deploy(aux(""), 443, cfg)
+		if err != nil {
+			return nil, err
+		}
+		if w.Censor != nil {
+			// Scenarios with an endpoint-weather timeline (the
+			// snowflake-surge collapse) drive the volunteer pool on
+			// the virtual clock.
+			w.Censor.BindLoad(func(p censor.LoadPhase) {
+				pool.SetLoad(p.Util, p.Lifetime)
+			})
+		}
+		d = snowflakeDialer{snowflake.NewDialer(w.Client, pool.BrokerAddr(), bridge.Addr()), pool}
 	case "cloak":
-		err = w.buildSet3(d, func(host *HostPort, handle pt.StreamHandler) (pt.Dialer, error) {
-			uid := []byte("cloak-uid")
-			cfg := cloak.Config{UID: uid, RedirAddr: "bing.com", Seed: w.Opts.Seed + 22}
-			if _, err := cloak.StartServer(host.Host, host.Port, cfg, handle); err != nil {
-				return nil, err
-			}
-			return cloak.NewDialer(w.Client, host.Addr(), cfg), nil
-		})
+		cfg := cloak.Config{UID: []byte("cloak-uid"), RedirAddr: "bing.com", Seed: s.seed}
+		_, err = cloak.StartServer(s.host, s.port, cfg, s.handle)
+		d = cloak.NewDialer(w.Client, addr, cfg)
 	case "marionette":
-		err = w.buildSet3(d, func(host *HostPort, handle pt.StreamHandler) (pt.Dialer, error) {
-			model := marionette.FTPForScale(w.Opts.ByteScale)
-			if _, err := marionette.StartServer(host.Host, host.Port, model, w.Opts.Seed+23, handle); err != nil {
-				return nil, err
-			}
-			return marionette.NewDialer(w.Client, host.Addr(), model, w.Opts.Seed+24)
-		})
+		model := marionette.FTPForScale(w.Opts.ByteScale)
+		if _, err = marionette.StartServer(s.host, s.port, model, s.seed, s.handle); err == nil {
+			d, err = marionette.NewDialer(w.Client, addr, model, s.dialSeed)
+		}
 	default:
-		return nil, fmt.Errorf("testbed: transport %q has no deployment recipe", name)
+		err = fmt.Errorf("testbed: unknown transport %q", name)
 	}
 	if err != nil {
 		return nil, err
 	}
 	return d, nil
-}
-
-// HostPort names a PT server endpoint during deployment.
-type HostPort struct {
-	// Host is the machine the PT server listens on.
-	Host *netem.Host
-	// Port is the listening port.
-	Port int
-}
-
-// Addr renders "host:port".
-func (hp *HostPort) Addr() string { return fmt.Sprintf("%s:%d", hp.Host.Name(), hp.Port) }
-
-// ptServerPort is the conventional PT server port.
-const ptServerPort = 443
-
-// buildSet1 wires a set-1 transport: the PT server host also runs an
-// unpublished guard relay; unwrapped PT streams feed the relay's OR
-// protocol directly, and the client's Tor pins that bridge as guard.
-func (w *World) buildSet1(d *Deployment, start func(*HostPort, pt.StreamHandler) (pt.Dialer, error)) error {
-	bridgeHost, err := w.newServerHost(d.Name+"-bridge", w.Opts.InfraLocation, w.Opts.BridgeUtilization)
-	if err != nil {
-		return err
-	}
-	relay, err := tor.StartRelay(tor.RelayConfig{
-		Name:        d.Name + "-bridge-guard",
-		Host:        bridgeHost,
-		Flags:       tor.FlagGuard | tor.FlagFast,
-		Bandwidth:   bridgeHost.Egress().Rate(),
-		Seed:        w.Opts.Seed + 700,
-		Unpublished: true,
-		Port:        9011,
-		Sched:       tor.SchedConfig{Policy: w.Opts.SchedPolicy},
-	})
-	if err != nil {
-		return err
-	}
-	w.registerRelay(relay)
-	handle := func(_ string, conn net.Conn) { relay.ServeConn(conn) }
-	dialer, err := start(&HostPort{Host: bridgeHost, Port: ptServerPort}, handle)
-	if err != nil {
-		return err
-	}
-	d.dialer = dialer
-	d.bridgeGuard = relay.Descriptor()
-	d.torClient, err = w.NewTorClient(relay.Descriptor(), nil, nil, func(*tor.Descriptor) (net.Conn, error) {
-		return dialer.Dial("")
-	}, 600+int64(len(d.Name)))
-	return err
-}
-
-// buildSet2 wires a set-2 transport: the PT server splices to whichever
-// guard the client's Tor names in the stream prologue.
-func (w *World) buildSet2(d *Deployment, start func(*HostPort) (pt.Dialer, error)) error {
-	srvHost, err := w.newServerHost(d.Name+"-server", w.Opts.InfraLocation, w.Opts.BridgeUtilization)
-	if err != nil {
-		return err
-	}
-	dialer, err := start(&HostPort{Host: srvHost, Port: ptServerPort})
-	if err != nil {
-		return err
-	}
-	d.dialer = dialer
-	d.torClient, err = w.NewTorClient(nil, nil, nil, func(g *tor.Descriptor) (net.Conn, error) {
-		return dialer.Dial(g.Addr)
-	}, 610+int64(len(d.Name)))
-	return err
-}
-
-// buildSet3 wires a set-3 transport: the PT server host runs a full Tor
-// client; application streams arrive with their final destination.
-func (w *World) buildSet3(d *Deployment, start func(*HostPort, pt.StreamHandler) (pt.Dialer, error)) error {
-	srvHost, err := w.newServerHost(d.Name+"-server", w.Opts.InfraLocation, w.Opts.BridgeUtilization)
-	if err != nil {
-		return err
-	}
-	serverTor, err := tor.NewClient(tor.ClientConfig{
-		Host:         srvHost,
-		Directory:    w.Dir,
-		Seed:         w.Opts.Seed*77 + int64(len(d.Name)),
-		BuildTimeout: 120 * time.Second,
-		Retry:        w.Opts.Retry,
-	})
-	if err != nil {
-		return err
-	}
-	d.serverTor = serverTor
-	dialer, err := start(&HostPort{Host: srvHost, Port: ptServerPort}, pt.HandleWithDialer(w.Net.Clock(), serverTor.Dial))
-	if err != nil {
-		return err
-	}
-	d.dialer = dialer
-	return nil
 }

@@ -3,19 +3,10 @@ package testbed
 import (
 	"fmt"
 	"net"
-	"time"
+	"slices"
 
 	"ptperf/internal/netem"
 	"ptperf/internal/pt"
-	"ptperf/internal/pt/camoufler"
-	"ptperf/internal/pt/cloak"
-	"ptperf/internal/pt/dnstt"
-	"ptperf/internal/pt/marionette"
-	"ptperf/internal/pt/obfs4"
-	"ptperf/internal/pt/psiphon"
-	"ptperf/internal/pt/shadowsocks"
-	"ptperf/internal/pt/stegotorus"
-	"ptperf/internal/pt/webtunnel"
 	"ptperf/internal/tor"
 )
 
@@ -28,40 +19,53 @@ type FixedCircuitRig struct {
 	// Relay is the shared first hop.
 	Relay *tor.Relay
 
-	obfs4Dialer     pt.Dialer
-	webtunnelDialer pt.Dialer
-	seq             int64
+	// firstHop is what each PT method's clients dial the shared relay
+	// through; vanilla Tor has no entry and dials it directly.
+	firstHop map[string]tor.FirstHopDialer
+	seq      int64
 }
 
 // NewFixedCircuitRig builds the shared-first-hop deployment.
 func (w *World) NewFixedCircuitRig() (*FixedCircuitRig, error) {
-	host, relay, err := w.GuardRelayHost("shared-hop", 0.1)
+	return w.newSharedHopRig("shared-hop", 1, 999)
+}
+
+// guardRelay starts an extra infra host carrying a published guard
+// relay — the shared first hop of the paper's fixed-circuit experiments
+// (§4.2.1, §5.2), on which private PT bridges can then be started. The
+// relay advertises, and budgets its cell scheduler at, share of the
+// host's link rate.
+func (w *World) guardRelay(name string, share float64, seed int64) (*tor.Relay, error) {
+	host := w.newServerHost(name, w.Opts.InfraLocation, 0.1)
+	return w.startRelay(tor.RelayConfig{
+		Name:      host.Name() + "-guard",
+		Host:      host,
+		Flags:     tor.FlagGuard | tor.FlagFast,
+		Bandwidth: host.Egress().Rate() * share,
+		Seed:      w.Opts.Seed + seed,
+	})
+}
+
+// newSharedHopRig starts a guard relay host and bridges obfs4 and
+// webtunnel onto it (the fixed-circuit rig and the contention rig differ
+// only in how that relay is provisioned).
+func (w *World) newSharedHopRig(name string, share float64, seed int64) (*FixedCircuitRig, error) {
+	relay, err := w.guardRelay(name, share, seed)
 	if err != nil {
 		return nil, err
 	}
-	return w.newSharedHopRig(host, relay)
-}
-
-// newSharedHopRig wires the obfs4/webtunnel bridges of a shared first
-// hop onto an already-started guard relay (the fixed-circuit rig and
-// the contention rig differ only in how that relay is provisioned).
-func (w *World) newSharedHopRig(host *netem.Host, relay *tor.Relay) (*FixedCircuitRig, error) {
-	feed := func(_ string, conn net.Conn) { relay.ServeConn(conn) }
-
-	secret := []byte("rig-obfs4-secret")
-	if _, err := obfs4.StartServer(host, 4430, obfs4.Config{Secret: secret, Seed: w.Opts.Seed + 41}, feed); err != nil {
-		return nil, err
+	rig := &FixedCircuitRig{world: w, Relay: relay, firstHop: make(map[string]tor.FirstHopDialer)}
+	for i, method := range rig.Methods()[1:] {
+		s := site{
+			host: relay.Host(), port: 4430 + i,
+			seed: w.Opts.Seed + 41 + int64(i), dialSeed: w.Opts.Seed + 43,
+			sni: "cdn.example",
+		}
+		if rig.firstHop[method], err = w.bridge(relay, method, s); err != nil {
+			return nil, err
+		}
 	}
-	wtCfg := webtunnel.Config{SessionKey: []byte("rig-webtunnel-key"), SNI: "cdn.example", Seed: w.Opts.Seed + 42}
-	if _, err := webtunnel.StartServer(host, 4431, wtCfg, feed); err != nil {
-		return nil, err
-	}
-	return &FixedCircuitRig{
-		world:           w,
-		Relay:           relay,
-		obfs4Dialer:     obfs4.NewDialer(w.Client, fmt.Sprintf("%s:%d", host.Name(), 4430), obfs4.Config{Secret: secret, Seed: w.Opts.Seed + 43}),
-		webtunnelDialer: webtunnel.NewDialer(w.Client, fmt.Sprintf("%s:%d", host.Name(), 4431), wtCfg),
-	}, nil
+	return rig, nil
 }
 
 // Methods names the rig's three access methods in report order.
@@ -71,22 +75,16 @@ func (rig *FixedCircuitRig) Methods() []string { return []string{"tor", "obfs4",
 // for the three methods. Passing nil middle/exit leaves Tor's default
 // selection in place (the Figure 4 variant).
 func (rig *FixedCircuitRig) Clients(middle, exit *tor.Descriptor) (map[string]*tor.Client, error) {
-	g := rig.Relay.Descriptor()
+	w := rig.world
+	p := pin{rig.Relay.Descriptor(), middle, exit}
 	rig.seq += 10
 	out := make(map[string]*tor.Client, 3)
-	var err error
-	if out["tor"], err = rig.world.NewTorClient(g, middle, exit, nil, 800+rig.seq); err != nil {
-		return nil, err
-	}
-	if out["obfs4"], err = rig.world.NewTorClient(g, middle, exit, func(*tor.Descriptor) (net.Conn, error) {
-		return rig.obfs4Dialer.Dial("")
-	}, 801+rig.seq); err != nil {
-		return nil, err
-	}
-	if out["webtunnel"], err = rig.world.NewTorClient(g, middle, exit, func(*tor.Descriptor) (net.Conn, error) {
-		return rig.webtunnelDialer.Dial("")
-	}, 802+rig.seq); err != nil {
-		return nil, err
+	for i, method := range rig.Methods() {
+		c, err := w.newTorClient(w.Client, p, rig.firstHop[method], w.clientSeed(800+int64(i)+rig.seq))
+		if err != nil {
+			return nil, err
+		}
+		out[method] = c
 	}
 	return out, nil
 }
@@ -114,11 +112,16 @@ func (rig *FixedCircuitRig) PickPair(i int) (*tor.Descriptor, *tor.Descriptor) {
 type OverheadRig struct {
 	// Name is the transport under test.
 	Name string
-	// TorDial accesses targets over the pinned circuit via vanilla Tor.
-	TorDial func(target string) (net.Conn, error)
-	// PTDial accesses the same pinned circuit via the transport.
-	PTDial func(target string) (net.Conn, error)
+
+	vanilla *tor.Client
+	pt      *Deployment
 }
+
+// TorDial accesses targets over the pinned circuit via vanilla Tor.
+func (rig *OverheadRig) TorDial(target string) (net.Conn, error) { return rig.vanilla.Dial(target) }
+
+// PTDial accesses the same pinned circuit via the transport.
+func (rig *OverheadRig) PTDial(target string) (net.Conn, error) { return rig.pt.Dial(target) }
 
 // OverheadPTs lists the transports Figure 9 covers (meek, conjure and
 // snowflake are excluded for the paper's own deployment-control
@@ -129,187 +132,67 @@ var OverheadPTs = []string{
 	"cloak", "marionette",
 }
 
-// NewOverheadRig builds the rig for one transport.
-func (w *World) NewOverheadRig(name string, seq int64) (*OverheadRig, error) {
-	info, ok := pt.InfoFor(name)
-	if !ok {
-		return nil, fmt.Errorf("testbed: unknown transport %q", name)
-	}
-	middle, mok := w.Dir.Lookup("middle-0")
-	exit, eok := w.Dir.Lookup("exit-0")
-	if !mok || !eok {
-		return nil, fmt.Errorf("testbed: consensus lacks middle-0/exit-0")
-	}
+// overheadPorts gives each overhead server its port, 4440 up in this
+// order (camoufler's proxy listens on none).
+var overheadPorts = []string{"obfs4", "webtunnel", "dnstt", "shadowsocks", "psiphon", "stegotorus", "cloak", "marionette"}
 
-	rig := &OverheadRig{Name: name}
-	switch info.Set {
-	case pt.Set1:
-		// Shared host: guard relay + PT server.
-		host, relay, err := w.GuardRelayHost("ovh-"+name, 0.1)
-		if err != nil {
-			return nil, err
-		}
-		feed := func(_ string, conn net.Conn) { relay.ServeConn(conn) }
-		dialer, err := w.startPTServer(name, host, feed, seq)
-		if err != nil {
-			return nil, err
-		}
-		g := relay.Descriptor()
-		vt, err := w.NewTorClient(g, middle, exit, nil, 900+seq)
-		if err != nil {
-			return nil, err
-		}
-		ptc, err := w.NewTorClient(g, middle, exit, func(*tor.Descriptor) (net.Conn, error) {
-			return dialer.Dial("")
-		}, 901+seq)
-		if err != nil {
-			return nil, err
-		}
-		rig.TorDial, rig.PTDial = vt.Dial, ptc.Dial
-
-	case pt.Set2:
-		// PT client and server in the client's own location, pinned
-		// volunteer circuit.
-		g, gok := w.Dir.Lookup("guard-0")
-		if !gok {
-			return nil, fmt.Errorf("testbed: consensus lacks guard-0")
-		}
-		srvHost, err := w.newServerHost("ovh-"+name, w.Opts.ClientLocation, 0.05)
-		if err != nil {
-			return nil, err
-		}
-		dialer, err := w.startPTServer(name, srvHost, pt.ForwardTo(srvHost), seq)
-		if err != nil {
-			return nil, err
-		}
-		vt, err := w.NewTorClient(g, middle, exit, nil, 902+seq)
-		if err != nil {
-			return nil, err
-		}
-		ptc, err := w.NewTorClient(g, middle, exit, func(gd *tor.Descriptor) (net.Conn, error) {
-			return dialer.Dial(gd.Addr)
-		}, 903+seq)
-		if err != nil {
-			return nil, err
-		}
-		rig.TorDial, rig.PTDial = vt.Dial, ptc.Dial
-
-	case pt.Set3:
-		g, gok := w.Dir.Lookup("guard-0")
-		if !gok {
-			return nil, fmt.Errorf("testbed: consensus lacks guard-0")
-		}
-		srvHost, err := w.newServerHost("ovh-"+name, w.Opts.ClientLocation, 0.05)
-		if err != nil {
-			return nil, err
-		}
-		serverTor, err := tor.NewClient(tor.ClientConfig{
-			Host: srvHost, Directory: w.Dir,
-			Guard: g, Middle: middle, Exit: exit,
-			Seed: w.Opts.Seed*91 + seq, BuildTimeout: 120 * time.Second,
-		})
-		if err != nil {
-			return nil, err
-		}
-		dialer, err := w.startPTServer(name, srvHost, pt.HandleWithDialer(w.Net.Clock(), serverTor.Dial), seq)
-		if err != nil {
-			return nil, err
-		}
-		vt, err := w.NewTorClient(g, middle, exit, nil, 904+seq)
-		if err != nil {
-			return nil, err
-		}
-		rig.TorDial = vt.Dial
-		rig.PTDial = dialer.Dial
+// overheadSite is the site of an overhead rig: the resolver or IM
+// provider co-located with the client per §5.2's
+// minimal-external-delay setup, quanta scaled without a floor.
+func (w *World) overheadSite(name string, host *netem.Host, seq int64) site {
+	seed := w.Opts.Seed + seq*100
+	return site{
+		host: host, port: 4440 + slices.Index(overheadPorts, name),
+		seed: seed, dialSeed: seed + 1,
+		auxName: map[string]string{"dnstt": "ovh-resolver", "camoufler": "ovh-im"}[name],
+		auxLoc:  w.Opts.ClientLocation, auxUtil: 0.1,
+		sni: "cdn.example", account: fmt.Sprintf("ovh-acct-%d", seq),
 	}
-	return rig, nil
 }
 
-// startPTServer launches the named transport's server on host with the
-// given handler and returns the matching client dialer. Auxiliary
-// infrastructure (resolver, IM provider) is co-located per §5.2's
-// minimal-external-delay setup.
-func (w *World) startPTServer(name string, host *netem.Host, handle pt.StreamHandler, seq int64) (pt.Dialer, error) {
-	addr := func(port int) string { return fmt.Sprintf("%s:%d", host.Name(), port) }
-	seed := w.Opts.Seed + seq*100
-	switch name {
-	case "obfs4":
-		secret := []byte("ovh-obfs4")
-		if _, err := obfs4.StartServer(host, 4440, obfs4.Config{Secret: secret, Seed: seed}, handle); err != nil {
-			return nil, err
-		}
-		return obfs4.NewDialer(w.Client, addr(4440), obfs4.Config{Secret: secret, Seed: seed + 1}), nil
-	case "webtunnel":
-		cfg := webtunnel.Config{SessionKey: []byte("ovh-wt"), SNI: "cdn.example", Seed: seed}
-		if _, err := webtunnel.StartServer(host, 4441, cfg, handle); err != nil {
-			return nil, err
-		}
-		return webtunnel.NewDialer(w.Client, addr(4441), cfg), nil
-	case "dnstt":
-		cfg := dnstt.Config{Seed: seed}
-		cfg.RespCap = w.Bytes(dnstt.DefaultRespCap)
-		cfg.QueryCap = w.Bytes(dnstt.DefaultQueryCap)
-		cfg.BudgetMedian = int64(w.Bytes(dnstt.DefaultBudgetMedian))
-		srv, err := dnstt.StartServer(host, 4442, cfg, handle)
-		if err != nil {
-			return nil, err
-		}
-		resHost, err := w.newServerHost("ovh-resolver", w.Opts.ClientLocation, 0.1)
-		if err != nil {
-			return nil, err
-		}
-		res, err := dnstt.StartResolver(resHost, 443, cfg, srv.Addr())
-		if err != nil {
-			return nil, err
-		}
-		return dnstt.NewDialer(w.Client, res.Addr(), cfg), nil
-	case "shadowsocks":
-		cfg := shadowsocks.Config{PSK: []byte("ovh-ss"), Seed: seed}
-		if _, err := shadowsocks.StartServer(host, 4443, cfg, handle); err != nil {
-			return nil, err
-		}
-		return shadowsocks.NewDialer(w.Client, addr(4443), cfg), nil
-	case "psiphon":
-		cfg := psiphon.Config{HostKey: []byte("ovh-psi"), Seed: seed}
-		if _, err := psiphon.StartServer(host, 4444, cfg, handle); err != nil {
-			return nil, err
-		}
-		return psiphon.NewDialer(w.Client, addr(4444), cfg), nil
-	case "stegotorus":
-		cfg := stegotorus.Config{Seed: seed}
-		if _, err := stegotorus.StartServer(host, 4445, cfg, handle); err != nil {
-			return nil, err
-		}
-		return stegotorus.NewDialer(w.Client, addr(4445), cfg), nil
-	case "camoufler":
-		cfg := camoufler.Config{Seed: seed}
-		cfg.MessageCap = w.Bytes(camoufler.DefaultMessageCap)
-		imHost, err := w.newServerHost("ovh-im", w.Opts.ClientLocation, 0.1)
-		if err != nil {
-			return nil, err
-		}
-		im, err := camoufler.StartIMServer(imHost, 5222, cfg)
-		if err != nil {
-			return nil, err
-		}
-		proxy, err := camoufler.StartProxy(host, im.Addr(), fmt.Sprintf("ovh-acct-%d", seq), cfg, handle)
-		if err != nil {
-			return nil, err
-		}
-		return camoufler.NewDialer(w.Client, im.Addr(), fmt.Sprintf("ovh-acct-%d", seq), cfg, proxy), nil
-	case "cloak":
-		cfg := cloak.Config{UID: []byte("ovh-cloak"), RedirAddr: "bing.com", Seed: seed}
-		if _, err := cloak.StartServer(host, 4446, cfg, handle); err != nil {
-			return nil, err
-		}
-		return cloak.NewDialer(w.Client, addr(4446), cfg), nil
-	case "marionette":
-		model := marionette.FTPForScale(w.Opts.ByteScale)
-		if _, err := marionette.StartServer(host, 4447, model, seed, handle); err != nil {
-			return nil, err
-		}
-		return marionette.NewDialer(w.Client, addr(4447), model, seed+1)
-	default:
-		return nil, fmt.Errorf("testbed: no overhead recipe for %q", name)
+// NewOverheadRig builds the rig for one transport.
+func (w *World) NewOverheadRig(name string, seq int64) (*OverheadRig, error) {
+	info, err := transportInfo(name)
+	if err != nil {
+		return nil, err
 	}
+	lookup := func(nick string) *tor.Descriptor {
+		d, ok := w.Dir.Lookup(nick)
+		if !ok && err == nil {
+			err = fmt.Errorf("testbed: consensus lacks %s", nick)
+		}
+		return d
+	}
+	p := pin{lookup("guard-0"), lookup("middle-0"), lookup("exit-0")}
+	if err != nil {
+		return nil, err
+	}
+	// The vanilla client and the transport's own Tor client get
+	// neighbouring seeds, a pair per integration set.
+	vanillaSeed := w.clientSeed(900 + 2*int64(info.Set-pt.Set1) + seq)
+	seed := vanillaSeed + 1
+	var host *netem.Host
+	var relay *tor.Relay
+	if info.Set == pt.Set1 {
+		// Inseparable: guard relay and PT server share one host.
+		if relay, err = w.guardRelay("ovh-"+name, 1, 999); err != nil {
+			return nil, err
+		}
+		host, p.guard = relay.Host(), relay.Descriptor()
+	} else {
+		// Separable: PT client and server in the client's own location,
+		// pinned volunteer circuit.
+		host = w.newServerHost("ovh-"+name, w.Opts.ClientLocation, 0.05)
+		if info.Set == pt.Set3 {
+			seed = w.Opts.Seed*91 + seq
+		}
+	}
+	rig := &OverheadRig{Name: name}
+	if rig.pt, err = w.wire(info, w.overheadSite(name, host, seq), relay, p, seed); err != nil {
+		return nil, err
+	}
+	if rig.vanilla, err = w.newTorClient(w.Client, p, nil, vanillaSeed); err != nil {
+		return nil, err
+	}
+	return rig, nil
 }

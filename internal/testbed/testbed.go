@@ -76,20 +76,18 @@ type Options struct {
 	// the infrastructure immortal, identical to pre-fault worlds.
 	FaultSpec *faults.Plan
 	// Retry is the circuit/stream retry policy applied to every Tor
-	// client the world builds (measurement clients and PT-server-side
-	// Tor alike). The zero value reproduces the historical behavior
-	// byte-for-byte; churn worlds raise the budgets and add backoff.
+	// client the world builds (measurement clients, PT-server-side Tor
+	// and the rigs' pinned clients and competitors alike). The zero
+	// value reproduces the historical behavior byte-for-byte; churn
+	// worlds raise the budgets and add backoff.
 	Retry tor.RetryPolicy
 }
 
-// WithDefaults returns the options with every zero field filled in —
-// the fully determined input New actually builds from. The cache layer
-// (internal/obs) digests defaulted options so two spellings of the
-// same world share one cache entry.
-func (o Options) WithDefaults() Options { return o.withDefaults() }
-
-// withDefaults fills the zero Options with the standard campaign world.
-func (o Options) withDefaults() Options {
+// WithDefaults returns the options with every zero field filled in with
+// the standard campaign world — the fully determined input New actually
+// builds from. The cache layer (internal/obs) digests defaulted options
+// so two spellings of the same world share one cache entry.
+func (o Options) WithDefaults() Options {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
@@ -163,7 +161,7 @@ type World struct {
 
 // New builds a world.
 func New(opts Options) (*World, error) {
-	o := opts.withDefaults()
+	o := opts.WithDefaults()
 	n := netem.New(netem.WithSeed(o.Seed))
 	w := &World{
 		Opts: o,
@@ -172,17 +170,19 @@ func New(opts Options) (*World, error) {
 		rng:  rand.New(rand.NewSource(o.Seed * 31)),
 		deps: make(map[string]*Deployment),
 	}
-	if o.ScenarioSpec != nil {
-		// Censor rates are paper-scale figures; they shrink with the
-		// world's byte quantities so a throttle that binds at full
-		// fidelity still binds in a miniature campaign.
-		w.Censor = censor.Attach(n, *o.ScenarioSpec, o.Seed, o.ByteScale)
-	} else if o.Scenario != "" {
-		sc, err := censor.Lookup(o.Scenario)
+	sc := o.ScenarioSpec
+	if sc == nil && o.Scenario != "" {
+		named, err := censor.Lookup(o.Scenario)
 		if err != nil {
 			return nil, err
 		}
-		w.Censor = censor.Attach(n, sc, o.Seed, o.ByteScale)
+		sc = &named
+	}
+	if sc != nil {
+		// Censor rates are paper-scale figures; they shrink with the
+		// world's byte quantities so a throttle that binds at full
+		// fidelity still binds in a miniature campaign.
+		w.Censor = censor.Attach(n, *sc, o.Seed, o.ByteScale)
 	}
 	if o.FaultSpec != nil {
 		// Events resolve targets at fire time, so attaching before the
@@ -217,20 +217,14 @@ func New(opts Options) (*World, error) {
 		if err != nil {
 			return err
 		}
-		r, err := tor.StartRelay(tor.RelayConfig{
-			Name:      fmt.Sprintf("%s-%d", kind, i),
+		_, err = w.startRelay(tor.RelayConfig{
+			Name:      host.Name(),
 			Host:      host,
-			Directory: w.Dir,
 			Flags:     flags,
 			Bandwidth: bw,
 			Seed:      o.Seed + int64(i) + int64(len(kind))*1000,
-			Sched:     tor.SchedConfig{Policy: o.SchedPolicy},
 		})
-		if err != nil {
-			return err
-		}
-		w.registerRelay(r)
-		return nil
+		return err
 	}
 	for i := 0; i < o.Guards; i++ {
 		if err := mkRelay("guard", i, tor.FlagGuard|tor.FlagFast); err != nil {
@@ -267,13 +261,21 @@ func New(opts Options) (*World, error) {
 	return w, nil
 }
 
-// registerRelay tracks a started relay and, when a fault injector is
-// attached, makes it crashable by name.
-func (w *World) registerRelay(r *tor.Relay) {
+// startRelay is the one place a relay is started: it gives the relay
+// the world's consensus and scheduler policy, tracks it and, when a
+// fault injector is attached, makes it crashable by name.
+func (w *World) startRelay(cfg tor.RelayConfig) (*tor.Relay, error) {
+	cfg.Directory = w.Dir
+	cfg.Sched = tor.SchedConfig{Policy: w.Opts.SchedPolicy}
+	r, err := tor.StartRelay(cfg)
+	if err != nil {
+		return nil, err
+	}
 	w.relays = append(w.relays, r)
 	if w.Faults != nil {
 		w.Faults.RegisterRelay(r)
 	}
+	return r, nil
 }
 
 // Relays lists every relay started in this world so far, in creation
@@ -290,15 +292,11 @@ func (w *World) Relays() []*tor.Relay {
 // never building one. The metrics layer samples per-method recovery
 // counters through it without perturbing which worlds build what.
 func (w *World) BuiltDeployments() []*Deployment {
-	names := make([]string, 0, len(w.deps))
-	for name := range w.deps {
-		names = append(names, name)
+	out := make([]*Deployment, 0, len(w.deps))
+	for _, d := range w.deps {
+		out = append(out, d)
 	}
-	sort.Strings(names)
-	out := make([]*Deployment, 0, len(names))
-	for _, name := range names {
-		out = append(out, w.deps[name])
-	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
@@ -319,26 +317,6 @@ func (w *World) uniform(lo, hi float64) float64 {
 	return lo + w.rng.Float64()*(hi-lo)
 }
 
-// ScaleQuantum byte-scales a protocol's per-message payload quantum
-// (DNS response cap, IM message cap, ...) like any other byte quantity,
-// but floors it so miniature campaigns do not multiply the protocol's
-// message count far beyond the real system's. It returns the quantum
-// plus the stretch factor the floor introduced; the caller must divide
-// the protocol's message rate (or multiply its pacing delay) by that
-// factor so the modeled throughput — and thus every measured duration —
-// is preserved.
-func (w *World) ScaleQuantum(real, floor int) (int, float64) {
-	exact := float64(real) * w.Opts.ByteScale
-	q := int(exact)
-	if q < 1 {
-		q = 1
-	}
-	if q >= floor || float64(floor) <= exact {
-		return q, 1
-	}
-	return floor, float64(floor) / exact
-}
-
 // Bytes scales a full-fidelity byte quantity by the world's ByteScale.
 func (w *World) Bytes(n int) int {
 	v := int(float64(n) * w.Opts.ByteScale)
@@ -348,21 +326,13 @@ func (w *World) Bytes(n int) int {
 	return v
 }
 
-// FileSizes returns Figure 5's file sizes after byte scaling.
-func (w *World) FileSizes() []int {
-	out := make([]int, len(web.FileSizesMB))
-	for i, mb := range web.FileSizesMB {
-		out[i] = w.Bytes(mb << 20)
-	}
-	return out
-}
-
-// newServerHost allocates an infra host at the infra location with
-// bridge-grade (low) utilization.
-func (w *World) newServerHost(name string, loc geo.Location, util float64) (*netem.Host, error) {
+// newServerHost allocates an infrastructure host (PT server, bridge,
+// resolver, ...). The counter makes its name unique in the world, which
+// is the only way adding a host can fail.
+func (w *World) newServerHost(name string, loc geo.Location, util float64) *netem.Host {
 	w.nextSrv++
 	bw := 12 << 20 * w.Opts.ByteScale
-	return w.Net.AddHost(netem.HostConfig{
+	return w.Net.MustAddHost(netem.HostConfig{
 		Name:        fmt.Sprintf("%s-%d", name, w.nextSrv),
 		Location:    loc,
 		UplinkBps:   bw,
@@ -371,45 +341,25 @@ func (w *World) newServerHost(name string, loc geo.Location, util float64) (*net
 	})
 }
 
-// NewTorClient builds a Tor client on the measurement host with an
-// optional pinned path; the fixed-circuit experiments use it directly.
-func (w *World) NewTorClient(guard, middle, exit *tor.Descriptor, dial tor.FirstHopDialer, seed int64) (*tor.Client, error) {
+// clientSeed derives the seed of a measurement-host Tor client.
+func (w *World) clientSeed(n int64) int64 { return w.Opts.Seed*1000 + n }
+
+// newTorClient is the one place a Tor client is built — on the
+// measurement host or a PT server's, behind a transport's first-hop
+// dialer or bare — so the build timeout and Options.Retry reach all of
+// them.
+func (w *World) newTorClient(host *netem.Host, p pin, dial tor.FirstHopDialer, seed int64) (*tor.Client, error) {
 	return tor.NewClient(tor.ClientConfig{
-		Host:         w.Client,
+		Host:         host,
 		Directory:    w.Dir,
-		Guard:        guard,
-		Middle:       middle,
-		Exit:         exit,
+		Guard:        p.guard,
+		Middle:       p.middle,
+		Exit:         p.exit,
 		DialFirstHop: dial,
-		Seed:         w.Opts.Seed*1000 + seed,
+		Seed:         seed,
 		BuildTimeout: 120 * time.Second,
 		Retry:        w.Opts.Retry,
 	})
-}
-
-// GuardRelayHost starts an extra host carrying both a published guard
-// relay and (optionally) private PT bridges — the shared first hop of
-// the paper's fixed-circuit experiments (§4.2.1, §5.2). It returns the
-// host and the relay.
-func (w *World) GuardRelayHost(name string, util float64) (*netem.Host, *tor.Relay, error) {
-	host, err := w.newServerHost(name, w.Opts.InfraLocation, util)
-	if err != nil {
-		return nil, nil, err
-	}
-	r, err := tor.StartRelay(tor.RelayConfig{
-		Name:      host.Name() + "-guard",
-		Host:      host,
-		Directory: w.Dir,
-		Flags:     tor.FlagGuard | tor.FlagFast,
-		Bandwidth: host.Egress().Rate(),
-		Seed:      w.Opts.Seed + 999,
-		Sched:     tor.SchedConfig{Policy: w.Opts.SchedPolicy},
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	w.registerRelay(r)
-	return host, r, nil
 }
 
 // Dialer adapts a deployment to the fetch.Dialer signature.

@@ -6,6 +6,7 @@ import (
 
 	"ptperf/internal/fetch"
 	"ptperf/internal/pt"
+	"ptperf/internal/web"
 )
 
 func smallWorld(t *testing.T, seed int64) *World {
@@ -22,13 +23,22 @@ func smallWorld(t *testing.T, seed int64) *World {
 	return w
 }
 
+func mustDeploy(t *testing.T, w *World, name string) *Deployment {
+	t.Helper()
+	d, err := w.Deployment(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 func fetchClient(w *World, d *Deployment, timeout time.Duration) *fetch.Client {
 	return &fetch.Client{Net: w.Net, Dial: d.Dial, Timeout: timeout}
 }
 
 func TestVanillaTorFetch(t *testing.T) {
 	w := smallWorld(t, 3)
-	d := w.MustDeployment("tor")
+	d := mustDeploy(t, w, "tor")
 	c := fetchClient(w, d, 120*time.Second)
 	res := c.Get(w.Origin.Addr(), w.Tranco.Sites[0].Path, false)
 	if !res.Complete() {
@@ -64,7 +74,7 @@ func TestEveryTransportFetches(t *testing.T) {
 
 func TestSet1UsesBridgeAsGuard(t *testing.T) {
 	w := smallWorld(t, 5)
-	d := w.MustDeployment("obfs4")
+	d := mustDeploy(t, w, "obfs4")
 	if err := d.Preheat(); err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +86,7 @@ func TestSet1UsesBridgeAsGuard(t *testing.T) {
 
 func TestSet2UsesConsensusGuard(t *testing.T) {
 	w := smallWorld(t, 6)
-	d := w.MustDeployment("shadowsocks")
+	d := mustDeploy(t, w, "shadowsocks")
 	if err := d.Preheat(); err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +101,7 @@ func TestSet2UsesConsensusGuard(t *testing.T) {
 
 func TestFreshCircuitChangesPath(t *testing.T) {
 	w := smallWorld(t, 7)
-	d := w.MustDeployment("tor")
+	d := mustDeploy(t, w, "tor")
 	seen := map[string]bool{}
 	for i := 0; i < 6; i++ {
 		d.FreshCircuit()
@@ -108,7 +118,7 @@ func TestFreshCircuitChangesPath(t *testing.T) {
 
 func TestBrowserThroughPT(t *testing.T) {
 	w := smallWorld(t, 8)
-	d := w.MustDeployment("webtunnel")
+	d := mustDeploy(t, w, "webtunnel")
 	c := fetchClient(w, d, 240*time.Second)
 	pr := c.Browse(w.Origin.Addr(), w.Tranco.Sites[2].Path, 6)
 	if !pr.OK {
@@ -119,19 +129,26 @@ func TestBrowserThroughPT(t *testing.T) {
 	}
 }
 
+// TestFileSizesScale scales Figure 5's sizes the way the campaign does
+// (World.Bytes of each size in MB).
 func TestFileSizesScale(t *testing.T) {
 	w := smallWorld(t, 9)
-	sizes := w.FileSizes()
-	if len(sizes) != 5 {
-		t.Fatalf("want 5 sizes, got %d", len(sizes))
+	if len(web.FileSizesMB) != 5 {
+		t.Fatalf("want 5 sizes, got %d", len(web.FileSizesMB))
 	}
-	if sizes[0] != w.Bytes(5<<20) || sizes[4] != w.Bytes(100<<20) {
-		t.Fatalf("sizes = %v", sizes)
-	}
-	for i := 1; i < len(sizes); i++ {
-		if sizes[i] <= sizes[i-1] {
+	prev := 0
+	for _, mb := range web.FileSizesMB {
+		size := w.Bytes(mb << 20)
+		if want := int(float64(mb<<20) * w.Opts.ByteScale); size != want {
+			t.Fatalf("%d MB scales to %d, want %d", mb, size, want)
+		}
+		if size <= prev {
 			t.Fatal("sizes must increase")
 		}
+		prev = size
+	}
+	if got := w.Bytes(1); got != 1 {
+		t.Fatalf("a scaled quantity is at least one byte, got %d", got)
 	}
 }
 
@@ -144,8 +161,8 @@ func TestUnknownTransport(t *testing.T) {
 
 func TestDeploymentCached(t *testing.T) {
 	w := smallWorld(t, 11)
-	a := w.MustDeployment("tor")
-	b := w.MustDeployment("tor")
+	a := mustDeploy(t, w, "tor")
+	b := mustDeploy(t, w, "tor")
 	if a != b {
 		t.Fatal("deployments must be cached per world")
 	}

@@ -2,7 +2,7 @@
 // onion-routing overlay with fixed-size cells, X25519 circuit handshakes,
 // layered AES-CTR encryption with per-hop digests, guard/middle/exit
 // relays, bandwidth-weighted path selection, window-based flow control
-// and a SOCKS5-fronted client.
+// and a client that dials streams over its circuits.
 //
 // The substrate intentionally mirrors the architecture of the real Tor
 // protocol (tor-spec.txt) at the level that matters for performance
@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 )
 
 // Cell geometry, following tor-spec: fixed 512-byte cells.
@@ -234,13 +235,6 @@ func marshalRelayInto(p []byte, rc *RelayCell) error {
 	return nil
 }
 
-// marshalRelay is marshalRelayInto with a fresh payload array.
-func marshalRelay(rc *RelayCell) ([PayloadSize]byte, error) {
-	var p [PayloadSize]byte
-	err := marshalRelayInto(p[:], rc)
-	return p, err
-}
-
 // parseRelayView parses a decrypted relay payload; ok reports whether
 // the recognized field is zero and the length is sane (digest checking
 // is the crypto layer's job). Data is a view into p — valid only while
@@ -262,11 +256,25 @@ func parseRelayView(p []byte) (RelayCell, bool) {
 	return rc, true
 }
 
-// parseRelay is parseRelayView with Data copied out of the payload.
-func parseRelay(p *[PayloadSize]byte) (RelayCell, bool) {
-	rc, ok := parseRelayView(p[:])
-	if ok {
-		rc.Data = append([]byte(nil), rc.Data...)
+// restage is the slow half of a cell sink, for a segment that is not
+// exactly one cell arriving on an empty stage: a partial or coalesced
+// frame. It appends data to *stage, releases data's lease, and hands
+// every whole cell now staged to cell. Like the sink itself, cell gets
+// the buffer together with its ownership: a staged cell is a view with
+// no lease (nil base and pool), which the callback may overwrite but
+// must copy to keep. The aligned case stays with the caller, a direct
+// call that passes the segment's own lease on.
+func restage(stage *[]byte, data []byte, base *[]byte, pool *sync.Pool, cell func(buf []byte, base *[]byte, pool *sync.Pool)) {
+	*stage = append(*stage, data...)
+	if base != nil && pool != nil {
+		pool.Put(base)
 	}
-	return rc, ok
+	for len(*stage) >= CellSize {
+		buf := (*stage)[:CellSize]
+		*stage = (*stage)[CellSize:]
+		cell(buf, nil, nil)
+	}
+	if len(*stage) == 0 {
+		*stage = nil
+	}
 }

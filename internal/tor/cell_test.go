@@ -3,6 +3,7 @@ package tor
 import (
 	"bytes"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -38,6 +39,13 @@ func TestCellDecodeWrongSize(t *testing.T) {
 	}
 }
 
+// marshalRelay is marshalRelayInto with a fresh payload array.
+func marshalRelay(rc *RelayCell) ([PayloadSize]byte, error) {
+	var p [PayloadSize]byte
+	err := marshalRelayInto(p[:], rc)
+	return p, err
+}
+
 func TestRelayMarshalParseRoundTrip(t *testing.T) {
 	f := func(cmd byte, streamID uint16, data []byte) bool {
 		if len(data) > MaxRelayData {
@@ -48,7 +56,7 @@ func TestRelayMarshalParseRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, ok := parseRelay(&p)
+		got, ok := parseRelayView(p[:])
 		if !ok {
 			return false
 		}
@@ -70,7 +78,7 @@ func TestRelayParseRejectsRecognized(t *testing.T) {
 	rc := RelayCell{Cmd: RelayData, Data: []byte("x")}
 	p, _ := marshalRelay(&rc)
 	p[1] = 1 // non-zero "recognized"
-	if _, ok := parseRelay(&p); ok {
+	if _, ok := parseRelayView(p[:]); ok {
 		t.Fatal("non-zero recognized must not parse")
 	}
 }
@@ -99,7 +107,7 @@ func TestHandshakeDerivesSharedKeys(t *testing.T) {
 	ka.sealForward(p[:])
 	ka.encryptForward(p[:])
 	kb.decryptForward(p[:])
-	got, ok := parseRelay(&p)
+	got, ok := parseRelayView(p[:])
 	if !ok || !kb.checkForward(p[:]) {
 		t.Fatal("relay should recognize the sealed cell")
 	}
@@ -155,12 +163,12 @@ func TestOnionLayering(t *testing.T) {
 	}
 	for i := 0; i < 2; i++ {
 		relays[i].decryptForward(p[:])
-		if got, ok := parseRelay(&p); ok && relays[i].checkForward(p[:]) {
+		if got, ok := parseRelayView(p[:]); ok && relays[i].checkForward(p[:]) {
 			t.Fatalf("hop %d should not recognize cell %+v", i, got)
 		}
 	}
 	relays[2].decryptForward(p[:])
-	got, ok := parseRelay(&p)
+	got, ok := parseRelayView(p[:])
 	if !ok || !relays[2].checkForward(p[:]) {
 		t.Fatal("exit must recognize the cell")
 	}
@@ -226,4 +234,29 @@ func BenchmarkCellCrypto(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestRestageReassemblesCells cuts a run of cells at boundaries that
+// are not cell boundaries and checks restage hands every whole cell on,
+// in order, as a view without a lease.
+func TestRestageReassemblesCells(t *testing.T) {
+	const cells = 5
+	wire := make([]byte, cells*CellSize)
+	for i := range wire {
+		wire[i] = byte(i / CellSize)
+	}
+	var stage, got []byte
+	for _, cut := range []int{1, CellSize - 1, 2*CellSize + 7, CellSize, CellSize - 7} {
+		_, lease := getCellBuf()
+		restage(&stage, wire[:cut], lease, &cellBufPool, func(buf []byte, base *[]byte, pool *sync.Pool) {
+			if len(buf) != CellSize || base != nil || pool != nil {
+				t.Fatalf("staged cell: len %d, lease %v %v", len(buf), base, pool)
+			}
+			got = append(got, buf[0])
+		})
+		wire = wire[cut:]
+	}
+	if !bytes.Equal(got, []byte{0, 1, 2, 3, 4}) || stage != nil || len(wire) != 0 {
+		t.Fatalf("cells %v, %d bytes left staged, %d unsent", got, len(stage), len(wire))
+	}
 }

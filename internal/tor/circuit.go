@@ -193,7 +193,7 @@ func (circ *circuit) readLoop() {
 			circ.close(err)
 			return
 		}
-		circ.clientCell(buf)
+		circ.clientCell(buf, nil, nil)
 		if circ.closed {
 			return
 		}
@@ -212,43 +212,31 @@ func (circ *circuit) cellSink(data []byte, base *[]byte, pool *sync.Pool, err er
 		return
 	}
 	if len(circ.rdStage) == 0 && len(data) == CellSize {
-		circ.clientCell(data)
-		if base != nil && pool != nil {
-			pool.Put(base)
-		}
+		circ.clientCell(data, base, pool)
 		return
 	}
-	// Partial or coalesced frames: stage bytes and re-slice into cells.
-	circ.rdStage = append(circ.rdStage, data...)
-	if base != nil && pool != nil {
-		pool.Put(base)
-	}
-	for len(circ.rdStage) >= CellSize {
-		circ.clientCell(circ.rdStage[:CellSize])
-		circ.rdStage = circ.rdStage[CellSize:]
-	}
-	if len(circ.rdStage) == 0 {
-		circ.rdStage = nil
-	}
+	restage(&circ.rdStage, data, base, pool, circ.clientCell)
 }
 
-// clientCell handles one backward wire cell in place; the caller keeps
-// buffer ownership (deliver's handlers consume or copy Data
-// synchronously, as in readLoop).
-func (circ *circuit) clientCell(buf []byte) {
+// clientCell handles one backward wire cell in place and then releases
+// the buffer's lease, if it came with one (deliver's handlers consume or
+// copy Data synchronously, so nothing outlives the call).
+func (circ *circuit) clientCell(buf []byte, base *[]byte, pool *sync.Pool) {
 	switch Command(buf[4]) {
 	case CmdRelay:
 		if wireCircID(buf) != circ.id {
-			return
+			break
 		}
-		hop, rc, ok := circ.peel(wirePayload(buf))
-		if !ok {
+		if hop, rc, ok := circ.peel(wirePayload(buf)); ok {
+			circ.deliver(hop, rc)
+		} else {
 			circ.close(fmt.Errorf("tor: unrecognized backward cell"))
-			return
 		}
-		circ.deliver(hop, rc)
 	case CmdDestroy:
 		circ.close(ErrCircuitClosed)
+	}
+	if base != nil && pool != nil {
+		pool.Put(base)
 	}
 }
 

@@ -8,8 +8,6 @@ import (
 	"time"
 
 	"ptperf/internal/netem"
-	"ptperf/internal/pt"
-	"ptperf/internal/socks"
 )
 
 // Errors surfaced by the client.
@@ -194,6 +192,9 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 
 // Recovery returns the client's cumulative recovery counters.
 func (c *Client) Recovery() RecoveryStats { return c.rec }
+
+// Retry returns the retry policy the client was built with.
+func (c *Client) Retry() RetryPolicy { return c.cfg.Retry }
 
 // Guard returns the client's persistent guard, selecting one if needed.
 func (c *Client) Guard() *Descriptor {
@@ -413,25 +414,4 @@ func (c *Client) Dial(target string) (net.Conn, error) {
 		c.rec.ReAttaches++
 		c.NewCircuit()
 	}
-}
-
-// ServeSOCKS runs a SOCKS5 front end on the given port of the client's
-// host, attaching each CONNECT to the circuit. It returns the listener
-// address once listening; the accept loop runs until the listener closes.
-func (c *Client) ServeSOCKS(port int) (net.Addr, func() error, error) {
-	ln, err := c.cfg.Host.Listen(port)
-	if err != nil {
-		return nil, nil, err
-	}
-	c.clock.Go(func() {
-		socks.Serve(c.clock, ln, func(target string, conn net.Conn) {
-			up, err := c.Dial(target)
-			if err != nil {
-				conn.Close()
-				return
-			}
-			pt.Splice(c.clock, conn, up)
-		})
-	})
-	return ln.Addr(), ln.Close, nil
 }

@@ -529,20 +529,7 @@ func (c *relayCirc) backwardSink(data []byte, base *[]byte, pool *sync.Pool, err
 		c.backwardCell(data, base, pool)
 		return
 	}
-	// Partial or coalesced frames: stage bytes and re-slice into cells.
-	c.bwdStage = append(c.bwdStage, data...)
-	if base != nil && pool != nil {
-		pool.Put(base)
-	}
-	for len(c.bwdStage) >= CellSize {
-		buf, cb := getCellBuf()
-		copy(buf, c.bwdStage[:CellSize])
-		c.bwdStage = c.bwdStage[CellSize:]
-		c.backwardCell(buf, cb, &cellBufPool)
-	}
-	if len(c.bwdStage) == 0 {
-		c.bwdStage = nil
-	}
+	restage(&c.bwdStage, data, base, pool, c.backwardCell)
 }
 
 // backwardCell processes one downstream wire cell, taking ownership of

@@ -11,7 +11,6 @@ import (
 
 	"ptperf/internal/geo"
 	"ptperf/internal/netem"
-	"ptperf/internal/socks"
 )
 
 // testWorld builds a small Tor network plus an echo server.
@@ -263,34 +262,6 @@ func TestNewCircuitChangesRelays(t *testing.T) {
 	}
 	if len(seen) < 2 {
 		t.Fatal("circuit rotation never changed middle/exit")
-	}
-}
-
-func TestSOCKSFrontend(t *testing.T) {
-	w := buildWorld(t, 1, 1, 1)
-	c := newTestClient(t, w, nil)
-	addr, stop, err := c.ServeSOCKS(9050)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stop()
-
-	conn, err := w.client.Dial(addr.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := socks.ClientHandshake(conn, w.target); err != nil {
-		t.Fatal(err)
-	}
-	msg := []byte("through socks and tor")
-	conn.Write(msg)
-	got := make([]byte, len(msg))
-	if _, err := io.ReadFull(conn, got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, msg) {
-		t.Fatal("socks roundtrip corrupted")
 	}
 }
 

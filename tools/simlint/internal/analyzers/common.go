@@ -35,7 +35,6 @@ var simSegments = map[string]bool{
 	"harness": true,
 	"fetch":   true,
 	"web":     true,
-	"socks":   true,
 	"simtest": true,
 }
 
