@@ -22,6 +22,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer world.Close()
 
 	sizesMB := []int{5, 10, 20}
 	methods := []string{"obfs4", "camoufler"}

@@ -21,6 +21,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer world.Close()
 
 	// Deploy obfs4 per integration set 1 and a vanilla-Tor comparator.
 	for _, method := range []string{"tor", "obfs4"} {

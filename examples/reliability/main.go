@@ -22,6 +22,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer world.Close()
 	dep, err := world.Deployment("snowflake")
 	if err != nil {
 		log.Fatal(err)

@@ -68,6 +68,8 @@ func main() {
 			fmt.Printf("  censor: blocked-dials=%d flows-cut=%d throttled-segments=%d\n\n",
 				st.BlockedDials, st.FlowsCut, st.ThrottledSegments)
 		}
+		// One world per scenario: end each before building the next.
+		world.Close()
 	}
 	fmt.Println("The throttle slows every access; the block kills obfs4's pinned")
 	fmt.Println("bridge while vanilla Tor fails over to an unblocked guard.")

@@ -29,6 +29,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer world.Close()
 
 	segmentBytes := bitrateKBps * 1024 * segmentSeconds
 

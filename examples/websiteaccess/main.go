@@ -23,6 +23,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer world.Close()
 
 	methods := []string{"tor", "obfs4", "webtunnel", "cloak", "dnstt", "camoufler", "marionette"}
 	fmt.Printf("%-11s %8s %8s %8s\n", "method", "median", "mean", "max")

@@ -73,9 +73,11 @@ func submit[In, Out any](r *Runner, c cell[In, Out]) *sim.Future[Out] {
 }
 
 // compute answers the cell from the cache, else builds its world,
-// measures and stores the result. The recorder is attached between
-// world build and measure, so timelines cover exactly the measured
-// campaign.
+// measures, closes the world and stores the result. The recorder is
+// attached between world build and measure, so timelines cover exactly
+// the measured campaign. The world is closed on every way out, a
+// measure that fails or panics included, and after everything a report
+// reads from it has been decided.
 func compute[In, Out any](r *Runner, c cell[In, Out]) (Out, error) {
 	var digest string
 	if r.cache != nil {
@@ -92,6 +94,7 @@ func compute[In, Out any](r *Runner, c cell[In, Out]) (Out, error) {
 	if err != nil {
 		return zero, err
 	}
+	defer w.Close()
 	r.monitor.Horizon(c.key, w.Net.Clock().Now)
 	var rec *obs.Recorder
 	if r.cfg.MetricsInterval > 0 {

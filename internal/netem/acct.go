@@ -175,17 +175,29 @@ func (a *Acct) OpenConnAddrs() []string {
 
 // AbortHostConns aborts every open conn with an endpoint on the named
 // host — the connection-level blast radius of a machine crash or link
-// cut. Conns are visited in creation order, so the teardown sequence is
-// deterministic on the virtual clock. Returns the number aborted.
+// cut. Returns the number aborted.
 func (a *Acct) AbortHostConns(host string) int {
-	conns := append([]*Conn(nil), a.conns...)
 	prefix := host + ":"
+	return a.abortOpen(func(c *Conn) bool {
+		return strings.HasPrefix(c.local.host, prefix) || strings.HasPrefix(c.remote.host, prefix)
+	})
+}
+
+// AbortOpenConns aborts every conn the registry still lists as open:
+// what World.Close does about the conns no unwinding frame owned
+// (pooled, idle, held by an inline sink).
+func (a *Acct) AbortOpenConns() {
+	a.abortOpen(func(*Conn) bool { return true })
+}
+
+// abortOpen aborts the open conns that match and returns their number.
+// Conns are visited in creation order, so the teardown sequence is
+// deterministic on the virtual clock, and over a copy of the registry,
+// which an abort's own cascade may prune.
+func (a *Acct) abortOpen(match func(*Conn) bool) int {
 	n := 0
-	for _, c := range conns {
-		if c.Closed() {
-			continue
-		}
-		if strings.HasPrefix(c.local.host, prefix) || strings.HasPrefix(c.remote.host, prefix) {
+	for _, c := range append([]*Conn(nil), a.conns...) {
+		if !c.Closed() && match(c) {
 			c.Abort()
 			n++
 		}

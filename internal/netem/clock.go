@@ -21,6 +21,12 @@
 // thread and a panic on one comes out of the driver's wait. That takes a
 // go 1.23 toolchain; go.mod says why its go line says less.
 //
+// A world has an end: Clock.Shutdown, on the driver, stops every
+// simulation goroutine where it is parked and lets it unwind through its
+// deferred calls (testbed.World.Close calls it). A network that is only
+// dropped keeps its goroutines until the process exits. See DESIGN.md
+// ("World lifetime").
+//
 // Exactly one goroutine of a world runs at a time and a park is the only
 // point at which another can, so nothing in this package (or in anything
 // built on it) takes a lock; Clock.Now is the only value another

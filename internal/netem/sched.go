@@ -3,7 +3,6 @@
 package netem
 
 import (
-	"fmt"
 	"iter"
 	"sync"
 	"sync/atomic"
@@ -167,24 +166,27 @@ func (h timerHeap) down(i int, w *waiter) {
 }
 
 // coro is the execution context of one simulation goroutine, a
-// coroutine of the driver. It outlives the function it was minted for: a
-// coroutine costs about nine heap objects, and worlds spawn a goroutine
-// per SENDME.
+// coroutine of the driver. It outlives the function it was minted for
+// (a coroutine costs about nine heap objects, and worlds spawn a
+// goroutine per SENDME) and lives until its clock shuts down.
 type coro struct {
 	// resume switches from the driver into the coroutine and returns
 	// when it parks or finishes, or panics with what it panicked with;
-	// yield, set on the first resume, switches back.
+	// yield, set on the first resume, switches back, and returns false
+	// once stop has ended the coroutine. stop is Clock.Shutdown's: it
+	// resumes a parked coroutine with that false, lets one that never
+	// started go without running anything, and returns when the
+	// goroutine has exited.
 	resume func() (struct{}, bool)
 	yield  func(struct{}) bool
-	// fn is what Go wants run next, start the ready-queue entry for it.
+	stop   func()
+	// fn is what Go wants run next, start the ready-queue entry for it,
+	// born the virtual instant of that Go (the listing of a deadlock or
+	// leak report prints it).
 	fn    func()
 	start *waiter
+	born  time.Duration
 }
-
-// freeCoros bounds the finished coroutines a clock keeps for its next
-// Go. Each is a goroutine an abandoned world never gives back, so the
-// list is small and fixed; two absorb the spawn-per-SENDME pattern.
-const freeCoros = 2
 
 // Clock is the discrete-event scheduler shared by one Network. The name
 // is historical: it still answers Now, but it also owns the registry of
@@ -196,7 +198,9 @@ const freeCoros = 2
 // are parked in scheduler waits (Sleep, Cond, Chan, Mutex, WaitGroup or
 // the conn/pipe operations built on them). Whenever the driver parks it
 // dispatches: it runs due events on its own stack and resumes
-// coroutines until its own wait is over.
+// coroutines until its own wait is over. The driver also ends the world:
+// Shutdown (shutdown.go) stops every coroutine, and until it has run
+// each of them is a goroutine the runtime cannot collect.
 //
 // There is no lock: every field but now belongs to whoever holds the run
 // token, a park is the only point at which the token changes hands, and
@@ -216,8 +220,17 @@ type Clock struct {
 	registered int
 	// cur is the coroutine holding the run token, nil for the driver.
 	cur *coro
-	// free holds up to freeCoros finished coroutines for reuse.
+	// coros is the registry Shutdown walks: every coroutine this clock
+	// minted, in mint order. A parked one may be reachable from nothing
+	// else (an untimed Cond wait is in no clock structure).
+	coros []*coro
+	// free holds the finished coroutines, idle until the next Go.
 	free []*coro
+	// closed is set once Shutdown has begun; listing, during a
+	// collecting shutdown, is where each unwinding frame describes
+	// itself (shutdown.go).
+	closed  bool
+	listing *[]Parked
 	// ready is the FIFO run queue of woken-but-not-yet-running
 	// goroutines. It is a head-indexed ring slice: dispatch advances
 	// readyHead instead of re-slicing, so a long campaign reuses one
@@ -243,7 +256,8 @@ func (c *Clock) Now() time.Duration {
 // Registered reports the number of live simulation goroutines (including
 // the driver). The invariant suite samples it at quiescent points to
 // detect goroutine leaks: a campaign that spawns per-transfer goroutines
-// must see them exit once its conns are closed and drained.
+// must see them exit once its conns are closed and drained. After
+// Shutdown it reads 1.
 func (c *Clock) Registered() int { return c.registered }
 
 // newWaiter fetches a pooled waiter.
@@ -261,11 +275,13 @@ func (c *Clock) newWaiter() *waiter {
 func (c *Clock) park(w *waiter) (timedOut bool) {
 	c.active--
 	if c.active < 0 {
-		panic("netem: scheduler wait from an unregistered goroutine — spawn simulation goroutines with Clock.Go")
+		c.refuse(w)
 	}
 	if co := c.cur; co != nil {
 		w.co = co
-		co.yield(struct{}{})
+		if !co.yield(struct{}{}) {
+			c.unwind(w)
+		}
 	} else {
 		c.dispatch(w)
 	}
@@ -283,9 +299,11 @@ func (c *Clock) readyLen() int { return len(c.ready) - c.readyHead }
 // coroutine until that parks or finishes, and returns when own, the
 // driver's waiter, comes up. Inline events (EventAt) at the head of the
 // timer heap run here, on the driver's stack, so a burst of data-plane
-// events costs zero switches. Called with active == 0. A driver that
-// recovers from a panic out of here (sim.Submit does) is left with a
-// clock that still answers Registered.
+// events costs zero switches. Called with active == 0. A panic out of
+// here (a simulation goroutine's, an event callback's, the deadlock
+// report) leaves the clock consistent for the driver's deferred
+// World.Close: cur is nil again and Registered has stopped counting a
+// goroutine that died.
 func (c *Clock) dispatch(own *waiter) {
 	for {
 		var w *waiter
@@ -320,9 +338,7 @@ func (c *Clock) dispatch(own *waiter) {
 				w.cond = nil
 			}
 		default:
-			panic(fmt.Sprintf(
-				"netem: deadlock — all %d simulation goroutines are blocked with no pending timers at virtual t=%v",
-				c.registered, c.Now()))
+			c.deadlock(own)
 		}
 		c.active++
 		co := w.co
@@ -354,7 +370,12 @@ func (c *Clock) makeReady(w *waiter) {
 // Go spawns fn as a registered simulation goroutine. The child does not
 // run immediately: it is queued and starts when the current goroutine
 // next parks, which keeps execution order deterministic.
+//
+// On a clock that has shut down fn is dropped: it would never run.
 func (c *Clock) Go(fn func()) {
+	if c.closed {
+		return
+	}
 	w := c.newWaiter()
 	c.registered++
 	if n := len(c.free); n > 0 {
@@ -362,16 +383,28 @@ func (c *Clock) Go(fn func()) {
 	} else {
 		w.co = c.newCoro()
 	}
-	w.co.fn, w.co.start = fn, w
+	w.co.fn, w.co.start, w.co.born = fn, w, c.Now()
 	c.makeReady(w)
 }
 
 // newCoro mints a coroutine that runs the function Go handed it, then
-// waits on the free list for the next one, or returns if that is full.
+// idles on the free list until the next one, for as long as the clock
+// lives: Shutdown stops it wherever it is.
 func (c *Clock) newCoro() *coro {
 	co := new(coro)
-	co.resume, _ = iter.Pull(func(yield func(struct{}) bool) {
+	co.resume, co.stop = iter.Pull(func(yield func(struct{}) bool) {
 		co.yield = yield
+		defer func() {
+			//simlint:allow norecover -- the one place a world's end is caught: a frame Shutdown unwinds panics with worldEnded, which stops here so the goroutine exits; anything else is re-raised and reaches the driver.
+			p := recover()
+			if _, ended := p.(worldEnded); ended || p == nil {
+				return
+			}
+			// The driver runs next, out of its resume or stop.
+			c.cur = nil
+			c.registered--
+			panic(p)
+		}()
 		for {
 			co.start.release()
 			co.start = nil
@@ -379,13 +412,13 @@ func (c *Clock) newCoro() *coro {
 			co.fn = nil
 			c.registered--
 			c.active--
-			if len(c.free) == freeCoros {
+			c.free = append(c.free, co)
+			if !yield(struct{}{}) {
 				return
 			}
-			c.free = append(c.free, co)
-			yield(struct{}{})
 		}
 	})
+	c.coros = append(c.coros, co)
 	return co
 }
 
@@ -436,8 +469,12 @@ func (c *Clock) advanceInPlace(vt time.Duration) bool {
 // Contract: fn must never park.
 // Use the non-parking primitives (TrySend, Mutex.TryLock,
 // Conn.TryWriteOwned, Clock.Go, EventAt) inside callbacks; any parking
-// wait panics as an unregistered-goroutine wait.
+// wait panics as an unregistered-goroutine wait. On a clock that has
+// shut down fn is dropped.
 func (c *Clock) EventAt(vt time.Duration, fn func()) {
+	if c.closed {
+		return
+	}
 	w := c.newWaiter()
 	if now := c.Now(); vt < now {
 		vt = now

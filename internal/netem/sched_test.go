@@ -195,11 +195,11 @@ func TestMutexAcquisitionOrderPinned(t *testing.T) {
 }
 
 // TestFinishedGoroutinesAreNotKept: a finished simulation goroutine's
-// coroutine is reused by the next Go, and no more than freeCoros idle
-// ones are kept per clock.
+// coroutine is reused by the next Go; however many idle on the free list
+// while the clock lives, Shutdown gives every one of them back.
 func TestFinishedGoroutinesAreNotKept(t *testing.T) {
-	c := NewClock()
 	before := runtime.NumGoroutine()
+	c := NewClock()
 	ran := 0
 	for i := 0; i < 10000; i++ {
 		c.Go(func() {
@@ -217,8 +217,12 @@ func TestFinishedGoroutinesAreNotKept(t *testing.T) {
 	if r := c.Registered(); r != 1 {
 		t.Fatalf("Registered() = %d after every goroutine returned, want 1 (the driver)", r)
 	}
-	if grew := runtime.NumGoroutine() - before; grew > freeCoros {
-		t.Fatalf("%d OS goroutines left behind, want at most the free list's %d", grew, freeCoros)
+	if idle := runtime.NumGoroutine() - before; idle > len(c.free) || len(c.free) > 3 {
+		t.Fatalf("%d OS goroutines for a free list of %d, want one each and no more than the 3 that were ever live at once", idle, len(c.free))
+	}
+	c.Shutdown()
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d OS goroutines after Shutdown, %d before the clock", after, before)
 	}
 }
 
@@ -294,9 +298,11 @@ func TestParkInEventPanics(t *testing.T) {
 }
 
 // TestDeadlockPanicLeavesClockUsable: the deadlock panic reaches the
-// driver, which may recover it (sim.Submit does); the clock must still
-// answer Registered afterwards.
+// driver, which may recover it (sim.Submit does). Listing who was parked
+// has shut the world down, so the clock answers Registered with the
+// driver alone and keeps no goroutine.
 func TestDeadlockPanicLeavesClockUsable(t *testing.T) {
+	before := runtime.NumGoroutine()
 	c := NewClock()
 	cond := NewCond(c)
 	c.Go(cond.Wait)
@@ -304,8 +310,11 @@ func TestDeadlockPanicLeavesClockUsable(t *testing.T) {
 	if !strings.Contains(fmt.Sprint(p), "deadlock") {
 		t.Fatalf("panic %q is not the deadlock report", p)
 	}
-	if r := c.Registered(); r != 2 {
-		t.Fatalf("Registered() = %d, want 2", r)
+	if r := c.Registered(); r != 1 {
+		t.Fatalf("Registered() = %d, want 1", r)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d OS goroutines after the deadlock report, %d before the clock", after, before)
 	}
 }
 

@@ -136,8 +136,9 @@ func AttachWorld(w *testbed.World, interval time.Duration) *Recorder {
 }
 
 // loop is the sampler: a simulation goroutine waking every interval of
-// virtual time. After Close it exits on its next wake; a world that is
-// simply abandoned leaves it parked on a timer, which is harmless.
+// virtual time. After Close it exits on its next wake, or where it
+// sleeps when the world is closed first, as every goroutine of a world
+// does (netem.Clock.Shutdown).
 func (r *Recorder) loop() {
 	for {
 		r.src.Clock.Sleep(r.interval)

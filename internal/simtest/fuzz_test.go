@@ -103,3 +103,49 @@ func TestCorpusSeeds(t *testing.T) {
 		})
 	}
 }
+
+// TestTeardownInvariants: a world that ran clean is empty after Close,
+// closed-world-empty says so when it is not, and a no-leaks failure
+// names the goroutines spawned since the first sample with what each
+// was parked on.
+func TestTeardownInvariants(t *testing.T) {
+	o, err := Run(Generate(11, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := checkClosedWorldEmpty(o); err != nil {
+		t.Fatalf("closed-world-empty on a clean world: %v", err)
+	}
+	if err := checkNoLeaks(o); err != nil {
+		t.Fatalf("no-leaks on a clean world: %v", err)
+	}
+	if len(o.Parked) < 10 {
+		t.Fatalf("Close found %d goroutines parked; a world's standing infrastructure is more than that", len(o.Parked))
+	}
+
+	leaky := *o
+	leaky.Closed.Registered = 2
+	if err := checkClosedWorldEmpty(&leaky); err == nil {
+		t.Error("closed-world-empty accepts a second registered goroutine")
+	}
+	leaky = *o
+	leaky.Closed.OpenConns = 1
+	if err := checkClosedWorldEmpty(&leaky); err == nil {
+		t.Error("closed-world-empty accepts an open conn")
+	}
+
+	// Pretend the first sample was taken at t=0, before the world was
+	// built, and found nothing: every goroutine the world ended with
+	// then counts as grown.
+	leaky = *o
+	leaky.Registered[0], leaky.FirstSample = 1, 0
+	err = checkNoLeaks(&leaky)
+	if err == nil {
+		t.Fatal("no-leaks accepts a world that grew by all its goroutines")
+	}
+	for _, want := range []string{"goroutine leak", "spawned at t=", "cond wait", "ptperf/internal/"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("leak report lacks %q:\n%v", want, err)
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"ptperf/internal/censor"
+	"ptperf/internal/netem"
 	"ptperf/internal/stats"
 )
 
@@ -20,7 +21,9 @@ import (
 // leakTolerance absorbs benign cross-sample wobble in the steady-state
 // leak checks: timer-driven endpoint churn (the snowflake volunteer
 // pool replaces proxies on exponential lifetimes) can catch the two
-// quiescent samples at slightly different pool states.
+// quiescent samples at slightly different pool states. That wobble
+// belongs to a live world and has nothing to do with teardown: the
+// check after Close (closed-world-empty) is exact.
 const (
 	leakGoroutineTolerance = 4
 	leakConnTolerance      = 8
@@ -46,6 +49,7 @@ var invariants = []invariant{
 	{"fault-survivors", checkFaultSurvivors},
 	{"no-leaks", checkNoLeaks},
 	{"timeline-conservation", checkTimelineConservation},
+	{"closed-world-empty", checkClosedWorldEmpty},
 }
 
 // checkScenarioBounds re-validates the world's generated scenario
@@ -243,11 +247,20 @@ func checkFaultSurvivors(o *Outcome) error {
 // checkNoLeaks compares the two quiescent samples: the steady-state
 // second pass must not have grown the world's goroutine or open-conn
 // population beyond churn tolerance — growth there means some per-access
-// resource survives its access.
+// resource survives its access. Close cannot stand in for this check: it
+// would stop the leaked goroutine with all the others. What it adds is
+// the suspects' names: the goroutines it found parked that were spawned
+// no earlier than the first sample.
 func checkNoLeaks(o *Outcome) error {
 	if d := o.Registered[1] - o.Registered[0]; d > leakGoroutineTolerance {
-		return fmt.Errorf("goroutine leak: %d registered after steady-state pass vs %d after campaign (+%d > %d)",
-			o.Registered[1], o.Registered[0], d, leakGoroutineTolerance)
+		var grown []netem.Parked
+		for _, p := range o.Parked {
+			if p.Born >= o.FirstSample {
+				grown = append(grown, p)
+			}
+		}
+		return fmt.Errorf("goroutine leak: %d registered after steady-state pass vs %d after campaign (+%d > %d); spawned at or after the first sample (t=%v) and still parked at the end:\n%s",
+			o.Registered[1], o.Registered[0], d, leakGoroutineTolerance, o.FirstSample, netem.FormatParked(grown))
 	}
 	if d := o.OpenConns[1] - o.OpenConns[0]; d > leakConnTolerance {
 		return fmt.Errorf("conn leak: %d open endpoints after steady-state pass vs %d after campaign (+%d > %d)",
@@ -277,6 +290,20 @@ func checkTimelineConservation(o *Outcome) error {
 	// struct therefore covers it too.
 	if got != want {
 		return fmt.Errorf("timeline totals diverge from final snapshot:\n  totals   %+v\n  snapshot %+v", got, want)
+	}
+	return nil
+}
+
+// checkClosedWorldEmpty audits teardown: once Close has run, the world's
+// clock counts the driver and nobody else, and no conn endpoint is open.
+// There is no tolerance: whatever the world was doing, its end is the
+// same.
+func checkClosedWorldEmpty(o *Outcome) error {
+	if o.Closed.Registered != 1 {
+		return fmt.Errorf("%d goroutines registered after Close, want 1 (the driver)", o.Closed.Registered)
+	}
+	if o.Closed.OpenConns != 0 {
+		return fmt.Errorf("%d conn endpoints open after Close", o.Closed.OpenConns)
 	}
 	return nil
 }

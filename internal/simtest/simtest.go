@@ -238,8 +238,19 @@ type Outcome struct {
 	// Registered and OpenConns sample live goroutines / conn endpoints
 	// after the main campaign drain [0] and after the steady-state
 	// second pass drain [1]: growth between them is a per-campaign leak.
-	Registered [2]int
-	OpenConns  [2]int64
+	// FirstSample is the virtual instant of sample [0].
+	Registered  [2]int
+	OpenConns   [2]int64
+	FirstSample time.Duration
+	// Parked lists the goroutines Close found parked and on what; those
+	// spawned after FirstSample are what a leak report names. Closed is
+	// the same pair of counts once more, after Close: the driver alone
+	// and no open conn (the closed-world-empty comparand).
+	Parked []netem.Parked
+	Closed struct {
+		Registered int
+		OpenConns  int64
+	}
 	// ClockErr records a virtual-clock monotonicity violation observed
 	// while measuring.
 	ClockErr error
@@ -247,8 +258,10 @@ type Outcome struct {
 
 // Run builds the spec's world and executes its measurement campaign on
 // the calling goroutine (which becomes the world's scheduler driver,
-// per the sim task contract). The returned error covers world
-// construction only; invariant verdicts live in the Outcome.
+// per the sim task contract), then closes the world: teardown comes
+// after the report is rendered, so it cannot reach the determinism
+// comparand. The returned error covers world construction only;
+// invariant verdicts live in the Outcome.
 func Run(spec Spec) (*Outcome, error) {
 	sc := spec.Scenario
 	var fp *faults.Plan
@@ -271,6 +284,7 @@ func Run(spec Spec) (*Outcome, error) {
 	if err != nil {
 		return nil, fmt.Errorf("simtest: build %s: %w", spec.ID(), err)
 	}
+	defer w.Close() // a campaign that panics ends its world too
 	out := &Outcome{Spec: spec}
 	clock := w.Net.Clock()
 
@@ -286,6 +300,7 @@ func Run(spec Spec) (*Outcome, error) {
 	clock.Sleep(drainTime)
 	out.Registered[0] = clock.Registered()
 	out.OpenConns[0] = w.Net.Acct().Snapshot().OpenConns()
+	out.FirstSample = clock.Now()
 
 	// Steady-state second pass: one access per method. A campaign that
 	// leaks goroutines or flows per access grows between the two
@@ -322,6 +337,11 @@ func Run(spec Spec) (*Outcome, error) {
 	}
 	out.Elapsed = clock.Now()
 	out.Report = render(out)
+
+	out.Parked = clock.ShutdownListing()
+	w.Close()
+	out.Closed.Registered = clock.Registered()
+	out.Closed.OpenConns = w.Net.Acct().Snapshot().OpenConns()
 	return out, nil
 }
 

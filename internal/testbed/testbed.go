@@ -159,8 +159,9 @@ type World struct {
 	nextSrv int
 }
 
-// New builds a world.
-func New(opts Options) (*World, error) {
+// New builds a world. The caller owns it and ends it with Close; a
+// world that fails to build has been closed already.
+func New(opts Options) (_ *World, err error) {
 	o := opts.WithDefaults()
 	n := netem.New(netem.WithSeed(o.Seed))
 	w := &World{
@@ -170,6 +171,11 @@ func New(opts Options) (*World, error) {
 		rng:  rand.New(rand.NewSource(o.Seed * 31)),
 		deps: make(map[string]*Deployment),
 	}
+	defer func() {
+		if err != nil {
+			w.Close()
+		}
+	}()
 	sc := o.ScenarioSpec
 	if sc == nil && o.Scenario != "" {
 		named, err := censor.Lookup(o.Scenario)
@@ -190,7 +196,6 @@ func New(opts Options) (*World, error) {
 		w.Faults = faults.Attach(n, w.Dir, *o.FaultSpec)
 	}
 
-	var err error
 	w.Client, err = n.AddHost(netem.HostConfig{
 		Name:     "client",
 		Location: o.ClientLocation,
@@ -259,6 +264,17 @@ func New(opts Options) (*World, error) {
 		return nil, err
 	}
 	return w, nil
+}
+
+// Close ends the world: the scheduler stops every simulation goroutine
+// where it is parked (netem.Clock.Shutdown; each unwinds through its
+// deferred calls, closing what it owns), then the conns nothing owned
+// are aborted. Afterwards the world's measurements and counters can
+// still be read, but nothing in it can run again. Only the goroutine
+// that drives the world may call it; a second call does nothing.
+func (w *World) Close() {
+	w.Net.Clock().Shutdown()
+	w.Net.Acct().AbortOpenConns()
 }
 
 // startRelay is the one place a relay is started: it gives the relay

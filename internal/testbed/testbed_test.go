@@ -1,6 +1,7 @@
 package testbed
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -20,6 +21,7 @@ func smallWorld(t *testing.T, seed int64) *World {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(w.Close)
 	return w
 }
 
@@ -165,5 +167,48 @@ func TestDeploymentCached(t *testing.T) {
 	b := mustDeploy(t, w, "tor")
 	if a != b {
 		t.Fatal("deployments must be cached per world")
+	}
+}
+
+// TestCloseLeavesNothing builds everything a world can hold — every
+// deployment, an overhead rig, a contention rig whose competitors are
+// cut off mid-download — and closes it: the clock counts the driver
+// alone, no conn is open, and the process has the goroutines it had
+// before the world.
+func TestCloseLeavesNothing(t *testing.T) {
+	before := runtime.NumGoroutine()
+	w := smallWorld(t, 21)
+	for _, name := range append([]string{"tor"}, pt.Names()...) {
+		fetchPage(t, w, mustDeploy(t, w, name).Dial)
+	}
+	overhead, err := w.NewOverheadRig(OverheadPTs[0], 13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fetchPage(t, w, overhead.TorDial)
+	fetchPage(t, w, overhead.PTDial)
+	contended, err := w.NewContentionRig(ContentionLevels[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	contended.Start()
+	clock := w.Net.Clock()
+	clock.Sleep(contended.level.RampTime())
+	if r, open := clock.Registered(), w.Net.Acct().Snapshot().OpenConns(); r < 50 || open < 50 {
+		t.Fatalf("the live world holds %d goroutines and %d open conns: too few to prove anything", r, open)
+	}
+
+	w.Close()
+	w.Close()
+	if r := clock.Registered(); r != 1 {
+		t.Errorf("Registered() = %d after Close, want 1 (the driver)", r)
+	}
+	if open := w.Net.Acct().Snapshot().OpenConns(); open != 0 {
+		t.Errorf("%d conn endpoints open after Close: %v", open, w.Net.Acct().OpenConnAddrs())
+	}
+	// (Fewer than before is the previous test's goroutine taking its
+	// time to exit.)
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("%d OS goroutines after Close, %d before the world", after, before)
 	}
 }

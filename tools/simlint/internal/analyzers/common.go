@@ -1,4 +1,4 @@
-// Package analyzers holds the six simlint analyzers that turn
+// Package analyzers holds the seven simlint analyzers that turn
 // DESIGN.md's "Determinism contract" and "Inline event execution"
 // sections into machine-checked rules. See each analyzer's Doc and
 // DESIGN.md "Static enforcement of the determinism contract".
@@ -14,7 +14,7 @@ import (
 
 // All returns the full simlint analyzer suite in stable order.
 func All() []*lint.Analyzer {
-	return []*lint.Analyzer{Wallclock, SeededRand, NoParkInEvent, RawGo, MapRange, NoLocks}
+	return []*lint.Analyzer{Wallclock, SeededRand, NoParkInEvent, RawGo, MapRange, NoLocks, NoRecover}
 }
 
 // simSegments classifies simulation packages: code in a package whose

@@ -1,6 +1,6 @@
 // Command simlint is the static guardian of the simulator's
 // determinism and inline-event contracts (DESIGN.md "Static enforcement
-// of the determinism contract"). It bundles six analyzers:
+// of the determinism contract"). It bundles seven analyzers:
 //
 //	wallclock      no time.Now/Sleep/After/Since/... anywhere in the module
 //	seededrand     no top-level math/rand draws; only seeded *rand.Rand
@@ -10,6 +10,8 @@
 //	maprange       report/render/digest code never iterates maps unsorted
 //	nolocks        world packages hold no sync.Mutex/RWMutex/Cond/Locker:
 //	               one run token per world means they guard nothing
+//	norecover      world packages never recover(): it would swallow the
+//	               sentinel Clock.Shutdown unwinds parked frames with
 //
 // The only escape hatch is //simlint:allow <analyzer> -- <reason>, with
 // the reason mandatory; noparkinevent cannot be suppressed inside

@@ -46,7 +46,7 @@ func runIn(t *testing.T, dir string, name string, args ...string) (string, int) 
 // violationClasses are the analyzer tags each seeded violation must
 // produce.
 var violationClasses = []string{
-	"[wallclock]", "[seededrand]", "[rawgo]", "[maprange]", "[noparkinevent]", "[nolocks]",
+	"[wallclock]", "[seededrand]", "[rawgo]", "[maprange]", "[noparkinevent]", "[nolocks]", "[norecover]",
 }
 
 // TestSeededViolationsVetTool proves the real `go vet -vettool` path
