@@ -52,17 +52,17 @@ func SetStatsFault(f func(*Stats)) { statsFault = f }
 // Censor applies one scenario to one network. It implements
 // netem.Policy; construct it with Attach.
 type Censor struct {
-	net       *netem.Network
-	clock     *netem.Clock
-	sc        Scenario
-	rateScale float64
+	net   *netem.Network
+	clock *netem.Clock
+	sc    Scenario
 	// shapers[i] is the shared throttle bottleneck of sc.Events[i]
 	// (nil for non-throttle rules).
 	shapers []*netem.Bucket
 
-	rng   *rand.Rand
-	conns []*netem.Conn
-	stats Stats
+	rng     *rand.Rand
+	conns   []*netem.Conn
+	stats   Stats
+	scratch []int // the crossed rules of a flow that brought no memo
 }
 
 // Attach compiles a scenario against a network and installs it as the
@@ -75,25 +75,22 @@ func Attach(n *netem.Network, sc Scenario, seed int64, rateScale float64) *Censo
 		rateScale = 1
 	}
 	c := &Censor{
-		net:       n,
-		clock:     n.Clock(),
-		sc:        sc,
-		rateScale: rateScale,
-		rng:       rand.New(rand.NewSource(seed*7919 + 31)),
+		net:   n,
+		clock: n.Clock(),
+		sc:    sc,
+		rng:   rand.New(rand.NewSource(seed*7919 + 31)),
 	}
 	c.shapers = make([]*netem.Bucket, len(sc.Events))
-	for i, ev := range sc.Events {
+	n.SetPolicy(c)
+	for i := range sc.Events {
+		ev := &sc.Events[i]
 		if ev.Rule.RateBps > 0 {
 			c.shapers[i] = netem.NewBucket(ev.Rule.RateBps*rateScale, 0)
 		}
-	}
-	n.SetPolicy(c)
-	// Arm the cutovers: a Block rule activating mid-run tears existing
-	// matched flows down at its window start, like a censor flushing
-	// state into an access link.
-	for _, ev := range sc.Events {
+		// Arm the cutovers: a Block rule activating mid-run tears existing
+		// matched flows down at its window start, like a censor flushing
+		// state into an access link.
 		if ev.Rule.Block && ev.At > 0 {
-			ev := ev
 			n.Go(func() {
 				c.clock.SleepUntil(ev.At)
 				c.cut(ev.Rule.Match)
@@ -129,7 +126,6 @@ func (c *Censor) BindLoad(fn func(LoadPhase)) {
 			cur = i
 			continue
 		}
-		ph := ph
 		c.net.Go(func() {
 			c.clock.SleepUntil(ph.At)
 			fn(ph)
@@ -161,7 +157,8 @@ func (c *Censor) cut(m Match) {
 // matched connections.
 func (c *Censor) FilterDial(src, dst string) error {
 	now := c.clock.Now()
-	for _, ev := range c.sc.Events {
+	for i := range c.sc.Events {
+		ev := &c.sc.Events[i]
 		if ev.Rule.Block && ev.active(now) && ev.Rule.Match.Hit(src, dst) {
 			c.stats.BlockedDials++
 			return ErrBlocked
@@ -177,7 +174,8 @@ func (c *Censor) FilterDial(src, dst string) error {
 // registry prunes itself once closed conns dominate.
 func (c *Censor) ConnOpened(conn *netem.Conn) {
 	now := c.clock.Now()
-	for _, ev := range c.sc.Events {
+	for i := range c.sc.Events {
+		ev := &c.sc.Events[i]
 		if ev.Rule.Block && ev.active(now) &&
 			ev.Rule.Match.Hit(conn.LocalAddr().String(), conn.RemoteAddr().String()) {
 			conn.Abort()
@@ -200,17 +198,45 @@ func (c *Censor) ConnOpened(conn *netem.Conn) {
 	c.conns = append(c.conns, conn)
 }
 
-// FilterSegment implements netem.Policy: it applies every active
-// matching rule to the segment — reset first, then throttling, fixed
-// delay, jitter and loss penalties accumulated into one verdict.
+// crossed returns the events whose match the flow crosses, in event
+// order. Match.Hit reads only the flow's endpoints and the scenario, both
+// fixed, so a conn's flow is matched once and the answer kept in its memo.
+func (c *Censor) crossed(f netem.Flow) []int {
+	m := f.Memo
+	if m == nil {
+		c.scratch = c.match(c.scratch[:0], f.Src, f.Dst)
+		return c.scratch
+	}
+	if m.Owner != c {
+		m.Owner, m.Rules = c, c.match(nil, f.Src, f.Dst)
+	}
+	return m.Rules
+}
+
+// match appends the indices of the events a src→dst flow crosses.
+func (c *Censor) match(to []int, src, dst string) []int {
+	for i := range c.sc.Events {
+		if c.sc.Events[i].Rule.Match.Hit(src, dst) {
+			to = append(to, i)
+		}
+	}
+	return to
+}
+
+// FilterSegment implements netem.Policy: it applies every active rule
+// the flow crosses to the segment — reset first, then throttling, fixed
+// delay, jitter and loss penalties accumulated into one verdict. Rules
+// are visited in event order and draw from c.rng only while active: the
+// draws of testing every rule against every segment.
 func (c *Censor) FilterSegment(f netem.Flow, n int) netem.Verdict {
 	now := c.clock.Now()
 	var v netem.Verdict
-	for i, ev := range c.sc.Events {
-		r := &c.sc.Events[i].Rule
-		if !ev.active(now) || !r.Match.Hit(f.Src, f.Dst) {
+	for _, i := range c.crossed(f) {
+		ev := &c.sc.Events[i]
+		if !ev.active(now) {
 			continue
 		}
+		r := &ev.Rule
 		if r.Block {
 			// Backstop for any matched flow still alive inside a block
 			// window: the censor RSTs its traffic on sight.
@@ -229,15 +255,13 @@ func (c *Censor) FilterSegment(f netem.Flow, n int) netem.Verdict {
 		if r.Jitter > 0 {
 			v.Extra += time.Duration(c.rng.Int63n(int64(r.Jitter)))
 		}
-		if r.Loss > 0 {
-			if c.rng.Float64() < r.Loss {
-				pen := r.LossPenalty
-				if pen <= 0 {
-					pen = 250 * time.Millisecond
-				}
-				v.Extra += pen
-				c.stats.LossEvents++
+		if r.Loss > 0 && c.rng.Float64() < r.Loss {
+			pen := r.LossPenalty
+			if pen <= 0 {
+				pen = 250 * time.Millisecond
 			}
+			v.Extra += pen
+			c.stats.LossEvents++
 		}
 	}
 	if v.Extra > 0 || v.Shaper != nil {

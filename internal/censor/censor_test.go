@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math/rand"
+	"sort"
 	"testing"
 	"time"
 
@@ -259,10 +261,37 @@ func TestMatchSemantics(t *testing.T) {
 		{Match{Hosts: []string{"*-bridge-*"}}, "client:1", "obfs4-bridge-3:443", true},
 		{Match{Hosts: []string{"*-bridge-*"}}, "client:1", "cdn-front-2:443", false},
 		{Match{Hosts: []string{"guard-0"}}, "client:1", "guard-01:9001", false},
+		{Match{Via: "cli*", Hosts: []string{"*-bridge-*"}}, "client:1", "-bridge-:443", true},
+		{Match{Via: "client", Hosts: []string{"a*b*c"}}, "client", "a1b2c", true},
+		{Match{Via: "client", Hosts: []string{"a*b*c"}}, "client", "acb", false},
+		{Match{Via: "client", Hosts: []string{"a*b**c"}}, "client", "abc", true},
+		{Match{Via: "client", Hosts: []string{"ab*ab"}}, "client", "ab", false},
+		{Match{Via: "client", Hosts: []string{"ab*ab"}}, "client", "abab", true},
 	}
 	for i, tc := range cases {
 		if got := tc.m.Hit(tc.src, tc.dst); got != tc.want {
 			t.Errorf("case %d: Hit(%q,%q) = %v, want %v", i, tc.src, tc.dst, got, tc.want)
+		}
+	}
+}
+
+func TestSplitHostPort(t *testing.T) {
+	for _, tc := range []struct {
+		ep   string
+		host string
+		port int
+	}{
+		{"guard-0:9001", "guard-0", 9001},
+		{"client", "client", -1},
+		{"guard-0", "guard-0", -1},
+		{"host:", "host", 0},
+		{"host:8a", "host:8a", -1},
+		{"a:b:80", "a:b", 80},
+		{"443", "443", -1},
+		{"", "", -1},
+	} {
+		if host, port := splitHostPort(tc.ep); host != tc.host || port != tc.port {
+			t.Errorf("splitHostPort(%q) = %q, %d, want %q, %d", tc.ep, host, port, tc.host, tc.port)
 		}
 	}
 }
@@ -313,5 +342,189 @@ func TestRegistryBuiltins(t *testing.T) {
 	sf, _ := Lookup("snowflake-surge")
 	if len(sf.Phases) != len(SurgePhases) {
 		t.Errorf("snowflake-surge has %d phases, want %d", len(sf.Phases), len(SurgePhases))
+	}
+}
+
+// refCensor is the censor as it was before a flow's rules were matched
+// once: every rule of the scenario is tested against every segment,
+// Match.Hit included. It is the reference FilterSegment is held to.
+type refCensor struct {
+	sc    Scenario
+	rng   *rand.Rand
+	stats Stats
+}
+
+// filterSegment returns the verdict and, in place of the shaper, the
+// index of the event whose throttle the segment goes through (-1: none).
+func (c *refCensor) filterSegment(now time.Duration, src, dst string) (v netem.Verdict, shaper int) {
+	shaper = -1
+	for i := range c.sc.Events {
+		ev := &c.sc.Events[i]
+		r := &ev.Rule
+		if !ev.active(now) || !r.Match.Hit(src, dst) {
+			continue
+		}
+		if r.Block {
+			c.stats.Resets++
+			return netem.Verdict{Action: netem.Reset}, -1
+		}
+		if r.ResetProb > 0 && c.rng.Float64() < r.ResetProb {
+			c.stats.Resets++
+			return netem.Verdict{Action: netem.Reset}, -1
+		}
+		if r.RateBps > 0 && shaper < 0 {
+			shaper = i
+			c.stats.ThrottledSegments++
+		}
+		v.Extra += r.ExtraDelay
+		if r.Jitter > 0 {
+			v.Extra += time.Duration(c.rng.Int63n(int64(r.Jitter)))
+		}
+		if r.Loss > 0 && c.rng.Float64() < r.Loss {
+			pen := r.LossPenalty
+			if pen <= 0 {
+				pen = 250 * time.Millisecond
+			}
+			v.Extra += pen
+			c.stats.LossEvents++
+		}
+	}
+	if v.Extra > 0 || shaper >= 0 {
+		v.Action = netem.Impair
+	}
+	return v, shaper
+}
+
+// TestFilterSegmentMatchesPerSegmentReference drives the censor and the
+// reference through the same segments — every built-in scenario and two
+// compositions, flows in both directions with and without ports, at
+// instants on both sides of every window edge — and wants the same
+// verdicts, hence the same draws from equally seeded streams, and the
+// same counters. Flows come once with a conn's memo and once without.
+func TestFilterSegmentMatchesPerSegmentReference(t *testing.T) {
+	flows := [][2]string{
+		{"client:40001", "obfs4-bridge-0:443"},
+		{"obfs4-bridge-0:443", "client:40001"},
+		{"client:40002", "guard-0:9001"},
+		{"client:40003", "guard-2:9001"},
+		{"client:40004", "meek-server-0:443"},
+		{"exit-1:50000", "origin:80"},
+		{"origin:80", "exit-1:50000"},
+		{"middle-0:9001", "exit-0:9001"},
+		{"client", "snowflake-proxy-3"},
+		{"origin", "client"},
+	}
+	var scenarios, builtins []Scenario
+	for _, name := range Names() {
+		sc, err := Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		builtins = append(builtins, sc)
+	}
+	scenarios = append(scenarios, builtins...)
+	mixed := Compose("mixed", "every built-in and a random draw", builtins...)
+	mixed = Compose(mixed.Name, mixed.Description, mixed, RandomScenario(3, PaperBounds()), RandomScenario(4, PaperBounds()))
+	wide := Scenario{Name: "wide"}
+	for len(wide.Events) <= 64 {
+		wide = Compose(wide.Name, "more events than a machine word has bits", wide, mixed)
+	}
+	scenarios = append(scenarios, mixed, wide)
+
+	for _, sc := range scenarios {
+		for _, withMemo := range []bool{true, false} {
+			const seed = 11
+			n := netem.New(netem.WithSeed(seed))
+			c := Attach(n, sc, seed, 1)
+			ref := &refCensor{sc: sc, rng: rand.New(rand.NewSource(seed*7919 + 31))}
+			memos := make([]netem.FlowMemo, len(flows))
+
+			edges := []time.Duration{0}
+			for _, ev := range sc.Events {
+				for _, at := range []time.Duration{ev.At, ev.At + ev.Duration} {
+					edges = append(edges, at-1, at, at+1)
+				}
+			}
+			sort.Slice(edges, func(i, j int) bool { return edges[i] < edges[j] })
+			for _, at := range edges {
+				if at < n.Now() {
+					continue
+				}
+				n.Clock().SleepUntil(at)
+				for round := 0; round < 3; round++ {
+					for i, fl := range flows {
+						f := netem.Flow{Src: fl[0], Dst: fl[1]}
+						if withMemo {
+							f.Memo = &memos[i]
+						}
+						got := c.FilterSegment(f, 1400)
+						want, shaper := ref.filterSegment(at, fl[0], fl[1])
+						if shaper >= 0 {
+							want.Shaper = c.shapers[shaper]
+						}
+						if got != want {
+							t.Fatalf("%s memo=%v t=%v %s→%s: verdict %+v, reference %+v",
+								sc.Name, withMemo, at, fl[0], fl[1], got, want)
+						}
+					}
+				}
+			}
+			if got := c.Stats(); got != ref.stats {
+				t.Errorf("%s memo=%v: stats %+v, reference %+v", sc.Name, withMemo, got, ref.stats)
+			}
+			if s := ref.stats; sc.Name == "wide" && (s.Resets == 0 || s.LossEvents == 0 || s.ThrottledSegments == 0) {
+				t.Errorf("the composition exercised too little: %+v", s)
+			}
+		}
+	}
+}
+
+// TestFilterSegmentSteadyStateAllocatesNothing: once a flow is matched,
+// a segment costs the censor no allocation, whether the answer lives in
+// the conn's memo or, for a flow without one, in the censor's scratch.
+func TestFilterSegmentSteadyStateAllocatesNothing(t *testing.T) {
+	c, flows := surgeCase(t)
+	for _, f := range flows {
+		allocs := testing.AllocsPerRun(100, func() {
+			if v := c.FilterSegment(f, 1400); v.Shaper == nil {
+				t.Fatal("throttle-surge did not throttle the client's segment")
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("FilterSegment (memo %v): %v allocs per segment, want 0", f.Memo != nil, allocs)
+		}
+	}
+}
+
+// surgeCase is the censor.filter_ns probe's case: throttle-surge inside
+// its window, and the client's flow to its guard without a memo (matched
+// per call) and with a conn's (matched at its first segment).
+func surgeCase(t testing.TB) (*Censor, []netem.Flow) {
+	t.Helper()
+	sc, err := Lookup("throttle-surge")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := netem.New(netem.WithSeed(1))
+	c := Attach(n, sc, 1, 0.06)
+	n.Clock().Sleep(6 * time.Second) // the throttle starts at t=5s
+	return c, []netem.Flow{
+		{Src: "client:40001", Dst: "guard-0:9001"},
+		{Src: "client:40001", Dst: "guard-0:9001", Memo: new(netem.FlowMemo)},
+	}
+}
+
+// BenchmarkFilterSegment times the censor's share of one segment.
+func BenchmarkFilterSegment(b *testing.B) {
+	c, flows := surgeCase(b)
+	for i, name := range []string{"nomemo", "memo"} {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for j := 0; j < b.N; j++ {
+				if v := c.FilterSegment(flows[i], 1400); v.Shaper == nil {
+					b.Fatal("not throttled")
+				}
+			}
+		})
 	}
 }

@@ -30,20 +30,21 @@ func globMatch(pattern, s string) bool {
 	if pattern == "" || pattern == "*" {
 		return true
 	}
-	parts := strings.Split(pattern, "*")
-	if len(parts) == 1 {
+	star := strings.IndexByte(pattern, '*')
+	if star < 0 {
 		return pattern == s
 	}
-	first, last := parts[0], parts[len(parts)-1]
+	lastStar := strings.LastIndexByte(pattern, '*')
+	first, last := pattern[:star], pattern[lastStar+1:]
 	if len(s) < len(first)+len(last) ||
 		!strings.HasPrefix(s, first) || !strings.HasSuffix(s, last) {
 		return false
 	}
 	s = s[len(first) : len(s)-len(last)]
-	for _, part := range parts[1 : len(parts)-1] {
-		if part == "" {
-			continue
-		}
+	// The parts between the first and the last star must follow in order.
+	var part string
+	for mid := pattern[star : lastStar+1]; mid != ""; {
+		part, mid, _ = strings.Cut(mid, "*")
 		j := strings.Index(s, part)
 		if j < 0 {
 			return false
@@ -54,19 +55,20 @@ func globMatch(pattern, s string) bool {
 }
 
 // splitHostPort splits "host:port" leniently; port is -1 when absent.
+// It reads the port's digits back from the end, not the whole endpoint.
 func splitHostPort(ep string) (string, int) {
-	i := strings.LastIndexByte(ep, ':')
-	if i < 0 {
-		return ep, -1
-	}
-	port := 0
-	for _, c := range ep[i+1:] {
-		if c < '0' || c > '9' {
+	port, unit := 0, 1
+	for i := len(ep) - 1; i >= 0; i-- {
+		switch c := ep[i]; {
+		case c == ':':
+			return ep[:i], port
+		case c < '0' || c > '9':
 			return ep, -1
 		}
-		port = port*10 + int(c-'0')
+		port += int(ep[i]-'0') * unit
+		unit *= 10
 	}
-	return ep[:i], port
+	return ep, -1
 }
 
 // farMatch checks the far endpoint against Hosts and Port.
@@ -88,17 +90,15 @@ func (m Match) farMatch(host string, port int) bool {
 // Hit reports whether a flow from src to dst (both "host:port", or bare
 // host names) crosses this match.
 func (m Match) Hit(src, dst string) bool {
-	sh, _ := splitHostPort(src)
+	sh, sp := splitHostPort(src)
 	dh, dp := splitHostPort(dst)
 	if m.Via == "" || m.Via == "*" {
-		_, sp := splitHostPort(src)
 		return m.farMatch(dh, dp) || m.farMatch(sh, sp)
 	}
 	if globMatch(m.Via, sh) {
 		return m.farMatch(dh, dp)
 	}
 	if globMatch(m.Via, dh) {
-		_, sp := splitHostPort(src)
 		return m.farMatch(sh, sp)
 	}
 	return false
@@ -145,7 +145,7 @@ type Event struct {
 }
 
 // active reports whether the event's window covers virtual time now.
-func (e Event) active(now time.Duration) bool {
+func (e *Event) active(now time.Duration) bool {
 	return now >= e.At && (e.Duration <= 0 || now < e.At+e.Duration)
 }
 

@@ -37,6 +37,7 @@ type Conn struct {
 	local, remote Addr
 	tx, rx        *pipe
 	out           shape
+	memo          FlowMemo // the policy's constant of this direction
 
 	// rng draws jitter and loss from seed; it exists once extraDelay
 	// first draws, which a wired-to-wired conn never does.
@@ -182,7 +183,7 @@ func (c *Conn) writeSegment(data []byte, base *[]byte, pool *sync.Pool, dl time.
 	var shaper *Bucket
 	if pol := c.policy(); pol != nil {
 		c.acct().addSegmentFiltered()
-		v := pol.FilterSegment(Flow{Src: c.local.host, Dst: c.remote.host}, n)
+		v := pol.FilterSegment(Flow{Src: c.local.host, Dst: c.remote.host, Memo: &c.memo}, n)
 		if v.Action == Reset {
 			putSegBuf(pool, base)
 			c.Abort()

@@ -17,6 +17,20 @@ type Flow struct {
 	Src string
 	// Dst is the receiving endpoint.
 	Dst string
+	// Memo is the sending conn's slot for what the policy derives from
+	// Src and Dst alone, both fixed at dial time; nil for a flow no conn
+	// stands behind (a probe, a test).
+	Memo *FlowMemo
+}
+
+// FlowMemo is one conn direction's per-flow constant of a Policy. The
+// conn only stores it; the policy that fills it says what it means.
+type FlowMemo struct {
+	// Owner is the policy that filled Rules, nil before the flow's
+	// first segment; a policy installed later fills it afresh.
+	Owner Policy
+	// Rules are the owner's rules the flow crosses, in rule order.
+	Rules []int
 }
 
 // Action is a policy's verdict on one in-flight segment.

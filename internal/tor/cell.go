@@ -1,15 +1,22 @@
 // Package tor implements the Tor substrate of the PTPerf simulation: an
-// onion-routing overlay with fixed-size cells, X25519 circuit handshakes,
-// layered AES-CTR encryption with per-hop digests, guard/middle/exit
-// relays, bandwidth-weighted path selection, window-based flow control
-// and a client that dials streams over its circuits.
+// onion-routing overlay with fixed-size cells, circuit handshakes of
+// ntor's size and round trips, layered AES-CTR encryption with per-hop
+// digests, guard/middle/exit relays, bandwidth-weighted path selection,
+// window-based flow control and a client that dials streams over its
+// circuits.
 //
 // The substrate intentionally mirrors the architecture of the real Tor
 // protocol (tor-spec.txt) at the level that matters for performance
 // measurement: per-hop round trips during circuit construction, per-cell
 // framing overhead, layered crypto and windowed delivery. Identity
 // authentication (certificates, consensus signatures) is out of scope and
-// documented as such in DESIGN.md.
+// documented as such in DESIGN.md. So is secrecy: a handshake half is 32
+// seeded random bytes sent in the clear and the hop keys are expanded
+// from both halves, so whoever reads the exchange has the keys. That is
+// sound here because nothing in a world attacks them and no report reads
+// them: cell sizes, hop counts and round trips set virtual time; key
+// bytes only have to differ per hop, direction and circuit, so that a
+// corrupted, misrouted or replayed cell is rejected.
 package tor
 
 import (

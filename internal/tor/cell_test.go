@@ -2,6 +2,7 @@ package tor
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -83,24 +84,24 @@ func TestRelayParseRejectsRecognized(t *testing.T) {
 	}
 }
 
+// handshakePair runs one exchange on rng: the initiator's and the
+// responder's view of the hop keys.
+func handshakePair(t *testing.T, rng *rand.Rand) (initiator, responder *hopCrypto) {
+	t.Helper()
+	a, b := newHandshake(rng), newHandshake(rng)
+	ka, err := a.complete(b[:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	kb, err := b.complete(a[:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ka, kb
+}
+
 func TestHandshakeDerivesSharedKeys(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	a, err := newHandshake(rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := newHandshake(rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ka, err := a.complete(b.public())
-	if err != nil {
-		t.Fatal(err)
-	}
-	kb, err := b.complete(a.public())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ka, kb := handshakePair(t, rand.New(rand.NewSource(1)))
 	// Client encrypts forward; relay decrypts forward: same keystream.
 	rc := RelayCell{Cmd: RelayData, StreamID: 7, Data: []byte("onion payload")}
 	p, _ := marshalRelay(&rc)
@@ -116,12 +117,81 @@ func TestHandshakeDerivesSharedKeys(t *testing.T) {
 	}
 }
 
+// TestHandshakeDrawsPinned holds the one property of the handshake a
+// report depends on: newHandshake takes exactly HandshakeLen Intn(256)
+// draws from its caller's stream, which also picks circuit IDs and
+// paths. A draw more or fewer shifts every later choice of the world.
+func TestHandshakeDrawsPinned(t *testing.T) {
+	for _, seed := range []int64{1, 7, 1 << 40} {
+		rng, ref := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		hs := newHandshake(rng)
+		var want [HandshakeLen]byte
+		for i := range want {
+			want[i] = byte(ref.Intn(256))
+		}
+		if !bytes.Equal(hs[:], want[:]) {
+			t.Errorf("seed %d: half %x, want the first %d draws %x", seed, hs[:], HandshakeLen, want)
+		}
+		if got, want := rng.Int63(), ref.Int63(); got != want {
+			t.Errorf("seed %d: stream after newHandshake is at %d, want %d", seed, got, want)
+		}
+	}
+}
+
+// TestHandshakeKeysDistinct: every exchange gives its hop its own keys,
+// and one hop's two directions differ.
+func TestHandshakeKeysDistinct(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	stream := func(encrypt func([]byte)) [32]byte {
+		var p [32]byte
+		encrypt(p[:])
+		return p
+	}
+	k1, _ := handshakePair(t, rng)
+	k2, _ := handshakePair(t, rng)
+	f1, f2 := stream(k1.encryptForward), stream(k2.encryptForward)
+	if f1 == f2 {
+		t.Fatal("two exchanges gave the same forward keystream")
+	}
+	if f1 == stream(k1.encryptBackward) {
+		t.Fatal("forward and backward keystreams of one hop are equal")
+	}
+	if k1.fwdK0 == k2.fwdK0 || k1.fwdK0 == k1.bwdK0 {
+		t.Fatal("digest keys repeat across exchanges or directions")
+	}
+}
+
+func TestHandshakeRejectsWrongLength(t *testing.T) {
+	hs := newHandshake(rand.New(rand.NewSource(6)))
+	for _, n := range []int{0, HandshakeLen - 1, HandshakeLen + 1} {
+		if _, err := hs.complete(make([]byte, n)); err == nil {
+			t.Errorf("a %d-byte peer half was accepted", n)
+		}
+	}
+}
+
+// TestDeriveHopPinned holds the expansion's key bytes to what the
+// SHA-256 counter construction gave before it lost its allocations.
+func TestDeriveHopPinned(t *testing.T) {
+	h := deriveHop(bytes.Repeat([]byte{7}, 32))
+	var f, b [16]byte
+	h.encryptForward(f[:])
+	h.encryptBackward(b[:])
+	got := fmt.Sprintf("%x %x %x %x %x %x", f, b, h.fwdK0, h.fwdK1, h.bwdK0, h.bwdK1)
+	const want = "de7d6ac225eccc4ac7c206ac62b07390 7f93166d707bd6c33b39eada44830e62 " +
+		"9760bfbf6a73eab8 4cdb97e72f6ff81 453775672522103a c995af12752e528a"
+	if got != want {
+		t.Fatalf("key material\n got %s\nwant %s", got, want)
+	}
+	// A secret longer than the stack buffer derives by the same rule.
+	long := bytes.Repeat([]byte{7}, 3*HandshakeLen)
+	if deriveHop(long).fwdK0 == h.fwdK0 {
+		t.Fatal("a longer secret derived the same keys")
+	}
+}
+
 func TestDigestCountersDetectReplay(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	a, _ := newHandshake(rng)
-	b, _ := newHandshake(rng)
-	ka, _ := a.complete(b.public())
-	kb, _ := b.complete(a.public())
+	ka, kb := handshakePair(t, rand.New(rand.NewSource(2)))
 
 	rc := RelayCell{Cmd: RelayData, StreamID: 1, Data: []byte("cell-1")}
 	p1, _ := marshalRelay(&rc)
@@ -142,16 +212,7 @@ func TestOnionLayering(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	var client, relays []*hopCrypto
 	for i := 0; i < 3; i++ {
-		c, _ := newHandshake(rng)
-		r, _ := newHandshake(rng)
-		kc, err := c.complete(r.public())
-		if err != nil {
-			t.Fatal(err)
-		}
-		kr, err := r.complete(c.public())
-		if err != nil {
-			t.Fatal(err)
-		}
+		kc, kr := handshakePair(t, rng)
 		client = append(client, kc)
 		relays = append(relays, kr)
 	}
@@ -206,15 +267,9 @@ func TestCommandStrings(t *testing.T) {
 // digest, sealed by the sender and checked by the hop. ROADMAP item B.4
 // sizes the cipher from these.
 func BenchmarkCellCrypto(b *testing.B) {
-	newHop := func(b *testing.B) *hopCrypto {
-		h, err := deriveHop(bytes.Repeat([]byte{7}, 32))
-		if err != nil {
-			b.Fatal(err)
-		}
-		return h
-	}
+	newHop := func() *hopCrypto { return deriveHop(bytes.Repeat([]byte{7}, 32)) }
 	b.Run("encryptForward", func(b *testing.B) {
-		h := newHop(b)
+		h := newHop()
 		var p [PayloadSize]byte
 		b.SetBytes(PayloadSize)
 		b.ResetTimer()
@@ -223,7 +278,7 @@ func BenchmarkCellCrypto(b *testing.B) {
 		}
 	})
 	b.Run("sealAndCheckForward", func(b *testing.B) {
-		sender, hop := newHop(b), newHop(b)
+		sender, hop := newHop(), newHop()
 		var p [PayloadSize]byte
 		b.SetBytes(PayloadSize)
 		b.ResetTimer()
@@ -234,6 +289,27 @@ func BenchmarkCellCrypto(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkCircuitBuild times one three-hop build on a bare netem world
+// of one guard, one middle and one exit: CREATE/CREATED, two
+// EXTEND/EXTENDED, three key derivations on each side, and the teardown
+// of the circuit before. The links cost virtual time only, so ns/op is
+// what the simulator itself spends per circuit.
+func BenchmarkCircuitBuild(b *testing.B) {
+	w := buildWorld(b, 1, 1, 1)
+	c := newTestClient(b, w, nil)
+	if err := c.Preheat(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.NewCircuit()
+		if err := c.Preheat(); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // TestRestageReassemblesCells cuts a run of cells at boundaries that

@@ -64,13 +64,10 @@ func (circ *circuit) isClosed() bool {
 func (circ *circuit) build() error {
 	c := circ.client
 	circ.id = c.rng.Uint32() | 1
-	hs, err := newHandshake(c.rng)
-	if err != nil {
-		return err
-	}
+	hs := newHandshake(c.rng)
 
 	create := &Cell{CircID: circ.id, Cmd: CmdCreate}
-	writeHandshake(&create.Payload, hs.public())
+	copy(create.Payload[:], hs[:])
 	if err := WriteCell(circ.conn, create); err != nil {
 		return err
 	}
@@ -86,7 +83,7 @@ func (circ *circuit) build() error {
 	if created.Cmd != CmdCreated || created.CircID != circ.id {
 		return fmt.Errorf("tor: unexpected %v during create", created.Cmd)
 	}
-	hop, err := hs.complete(readHandshake(&created.Payload))
+	hop, err := hs.complete(created.Payload[:HandshakeLen])
 	if err != nil {
 		return err
 	}
@@ -116,13 +113,10 @@ func (circ *circuit) build() error {
 // extend adds one hop via RELAY_EXTEND addressed to the current last hop.
 func (circ *circuit) extend(next *Descriptor) error {
 	c := circ.client
-	hs, err := newHandshake(c.rng)
-	if err != nil {
-		return err
-	}
+	hs := newHandshake(c.rng)
 	last := len(circ.hops) - 1
 
-	rc := RelayCell{Cmd: RelayExtend, Data: encodeExtend(next.Addr, hs.public())}
+	rc := RelayCell{Cmd: RelayExtend, Data: encodeExtend(next.Addr, hs[:])}
 	if err := circ.sendRelay(last, rc); err != nil {
 		return err
 	}

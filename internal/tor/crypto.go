@@ -1,18 +1,17 @@
 package tor
 
 import (
+	"bytes"
 	"crypto/aes"
 	"crypto/cipher"
-	"crypto/ecdh"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"math/rand"
 )
 
-// HandshakeLen is the size of each half of the circuit handshake: an
-// X25519 public key.
+// HandshakeLen is the size of each half of the circuit handshake, that
+// of the X25519 public key ntor sends.
 const HandshakeLen = 32
 
 // hopCrypto holds one hop's share of the onion encryption: AES-CTR
@@ -42,33 +41,27 @@ type hopCrypto struct {
 	dig [digestMsgLen]byte
 }
 
-// deriveHop expands a shared secret into a hop's key material using an
-// HKDF-style SHA-256 counter expansion.
-func deriveHop(secret []byte) (*hopCrypto, error) {
-	expand := func(n int) []byte {
-		out := make([]byte, 0, n)
-		var ctr byte
-		for len(out) < n {
-			h := sha256.New()
-			h.Write(secret)
-			h.Write([]byte{ctr})
-			out = append(out, h.Sum(nil)...)
-			ctr++
-		}
-		return out[:n]
+// deriveHop expands a secret into a hop's key material with an
+// HKDF-style SHA-256 counter expansion: block i is SHA-256(secret || i).
+func deriveHop(secret []byte) *hopCrypto {
+	// On the stack for a handshake's secret; a longer one spills.
+	var buf [2*HandshakeLen + 1]byte
+	msg := append(buf[:0], secret...)
+	msg = append(msg, 0)
+	var km [16 + 16 + 16 + 16 + 32 + 32]byte
+	for i := 0; i < len(km)/sha256.Size; i++ {
+		msg[len(secret)] = byte(i)
+		sum := sha256.Sum256(msg)
+		copy(km[i*sha256.Size:], sum[:])
 	}
-	km := expand(16 + 16 + 16 + 16 + 32 + 32)
 	kf, ivf := km[0:16], km[16:32]
 	kb, ivb := km[32:48], km[48:64]
 	df, db := km[64:96], km[96:128]
 
-	bf, err := aes.NewCipher(kf)
-	if err != nil {
-		return nil, err
-	}
-	bb, err := aes.NewCipher(kb)
-	if err != nil {
-		return nil, err
+	bf, errF := aes.NewCipher(kf)
+	bb, errB := aes.NewCipher(kb)
+	if errF != nil || errB != nil {
+		panic("tor: AES refused a 16-byte key")
 	}
 	return &hopCrypto{
 		fwd:   cipher.NewCTR(bf, ivf),
@@ -77,7 +70,7 @@ func deriveHop(secret []byte) (*hopCrypto, error) {
 		fwdK1: binary.LittleEndian.Uint64(df[8:16]),
 		bwdK0: binary.LittleEndian.Uint64(db[0:8]),
 		bwdK1: binary.LittleEndian.Uint64(db[8:16]),
-	}, nil
+	}
 }
 
 // digestMsgLen is the length of the digested message: the 8-byte cell
@@ -231,67 +224,36 @@ func (h *hopCrypto) encryptBackward(p []byte) { h.bwd.XORKeyStream(p, p) }
 // decryptBackward is identical for CTR mode; named for readability.
 func (h *hopCrypto) decryptBackward(p []byte) { h.bwd.XORKeyStream(p, p) }
 
-// handshake is the X25519 exchange used by CREATE/CREATED and
-// EXTEND/EXTENDED. The simulation authenticates neither side (see package
-// comment); the exchange costs the same round trips as ntor.
-type handshake struct {
-	priv *ecdh.PrivateKey
-}
+// handshake is one side's half of the exchange carried by CREATE/CREATED
+// and EXTEND/EXTENDED, sent as it is. It is no key agreement (whoever
+// reads both halves derives the hop keys; the package comment says why
+// that is sound here), but it costs ntor's wire bytes and round trips
+// and gives every hop of every circuit its own keys.
+type handshake [HandshakeLen]byte
 
-// newHandshake generates the initiator or responder keypair from a
-// deterministic stream seeded by the caller.
-func newHandshake(rng *rand.Rand) (*handshake, error) {
-	seed := make([]byte, 32)
-	randFill(rng, seed)
-	priv, err := ecdh.X25519().NewPrivateKey(clampX25519(seed))
-	if err != nil {
-		return nil, fmt.Errorf("tor: handshake keygen: %w", err)
+// newHandshake draws a half, one Intn(256) per byte: Client.rng and
+// Relay.rng also pick circuit IDs and paths, so the draw count is part
+// of every report.
+func newHandshake(rng *rand.Rand) handshake {
+	var hs handshake
+	for i := range hs {
+		hs[i] = byte(rng.Intn(256))
 	}
-	return &handshake{priv: priv}, nil
+	return hs
 }
 
-// clampX25519 applies the RFC 7748 scalar clamping so arbitrary seeds are
-// valid private keys.
-func clampX25519(seed []byte) []byte {
-	s := append([]byte(nil), seed...)
-	s[0] &= 248
-	s[31] &= 127
-	s[31] |= 64
-	return s
-}
-
-// public returns the 32-byte public key for the wire.
-func (hs *handshake) public() []byte { return hs.priv.PublicKey().Bytes() }
-
-// complete derives the hop keys from the peer's public key.
-func (hs *handshake) complete(peerPub []byte) (*hopCrypto, error) {
-	if len(peerPub) != HandshakeLen {
+// complete derives the hop keys from both halves, smaller first, so the
+// two sides expand the same bytes whoever initiated.
+func (hs *handshake) complete(peer []byte) (*hopCrypto, error) {
+	if len(peer) != HandshakeLen {
 		return nil, errors.New("tor: bad handshake length")
 	}
-	pub, err := ecdh.X25519().NewPublicKey(peerPub)
-	if err != nil {
-		return nil, fmt.Errorf("tor: bad peer key: %w", err)
+	lo, hi := hs[:], peer
+	if bytes.Compare(lo, hi) > 0 {
+		lo, hi = hi, lo
 	}
-	secret, err := hs.priv.ECDH(pub)
-	if err != nil {
-		return nil, fmt.Errorf("tor: ecdh: %w", err)
-	}
-	return deriveHop(secret)
-}
-
-// readHandshake extracts the handshake public key from a cell payload.
-func readHandshake(p *[PayloadSize]byte) []byte {
-	return append([]byte(nil), p[:HandshakeLen]...)
-}
-
-// writeHandshake places a handshake public key into a cell payload.
-func writeHandshake(p *[PayloadSize]byte, pub []byte) {
-	copy(p[:HandshakeLen], pub)
-}
-
-// randFill fills b from the rng, one draw per byte.
-func randFill(rng *rand.Rand, b []byte) {
-	for i := range b {
-		b[i] = byte(rng.Intn(256))
-	}
+	var secret [2 * HandshakeLen]byte
+	copy(secret[:HandshakeLen], lo)
+	copy(secret[HandshakeLen:], hi)
+	return deriveHop(secret[:]), nil
 }

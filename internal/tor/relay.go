@@ -378,11 +378,8 @@ func (l *link) handleCreate(cell *Cell) error {
 	if l.circs[cell.CircID] != nil {
 		return l.writeCell(&Cell{CircID: cell.CircID, Cmd: CmdDestroy})
 	}
-	hs, err := newHandshake(l.relay.rng)
-	if err != nil {
-		return err
-	}
-	hc, err := hs.complete(readHandshake(&cell.Payload))
+	hs := newHandshake(l.relay.rng)
+	hc, err := hs.complete(cell.Payload[:HandshakeLen])
 	if err != nil {
 		return err
 	}
@@ -401,7 +398,7 @@ func (l *link) handleCreate(cell *Cell) error {
 	l.circs[cell.CircID] = circ
 
 	reply := &Cell{CircID: cell.CircID, Cmd: CmdCreated}
-	writeHandshake(&reply.Payload, hs.public())
+	copy(reply.Payload[:], hs[:])
 	return l.writeCell(reply)
 }
 
@@ -492,7 +489,7 @@ func (c *relayCirc) handleExtend(rc RelayCell) error {
 	}
 	nextID := c.link.relay.randID(c.link)
 	create := &Cell{CircID: nextID, Cmd: CmdCreate}
-	writeHandshake(&create.Payload, clientPub)
+	copy(create.Payload[:], clientPub)
 	if err := WriteCell(conn, create); err != nil {
 		conn.Close()
 		return c.sendBackwardControl(RelayTruncated, nil)
@@ -511,7 +508,7 @@ func (c *relayCirc) handleExtend(rc RelayCell) error {
 	c.nextID = nextID
 	c.next.SetReadSink(c.backwardSink)
 
-	return c.sendBackwardControl(RelayExtended, readHandshake(&created.Payload))
+	return c.sendBackwardControl(RelayExtended, created.Payload[:HandshakeLen])
 }
 
 // backwardSink relays downstream→upstream cells, adding our onion

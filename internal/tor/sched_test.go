@@ -63,12 +63,9 @@ func TestDuplicateCreateRejected(t *testing.T) {
 	defer conn.Close()
 
 	send := func(id uint32, seed int64) {
-		hs, err := newHandshake(rand.New(rand.NewSource(seed)))
-		if err != nil {
-			t.Fatal(err)
-		}
+		hs := newHandshake(rand.New(rand.NewSource(seed)))
 		create := &Cell{CircID: id, Cmd: CmdCreate}
-		writeHandshake(&create.Payload, hs.public())
+		copy(create.Payload[:], hs[:])
 		if err := WriteCell(conn, create); err != nil {
 			t.Fatal(err)
 		}

@@ -22,7 +22,7 @@ type testWorld struct {
 	relays []*Relay
 }
 
-func buildWorld(t *testing.T, nGuard, nMiddle, nExit int) *testWorld {
+func buildWorld(t testing.TB, nGuard, nMiddle, nExit int) *testWorld {
 	t.Helper()
 	n := netem.New(netem.WithSeed(11))
 	dir := NewDirectory()
@@ -79,7 +79,7 @@ func buildWorld(t *testing.T, nGuard, nMiddle, nExit int) *testWorld {
 	return w
 }
 
-func newTestClient(t *testing.T, w *testWorld, mut func(*ClientConfig)) *Client {
+func newTestClient(t testing.TB, w *testWorld, mut func(*ClientConfig)) *Client {
 	t.Helper()
 	cfg := ClientConfig{Host: w.client, Directory: w.dir, Seed: 42}
 	if mut != nil {
