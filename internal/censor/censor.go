@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"ptperf/internal/netem"
+	"ptperf/internal/sim"
 )
 
 // ErrBlocked is returned to dialers refused by an active Block rule.
@@ -78,7 +79,7 @@ func Attach(n *netem.Network, sc Scenario, seed int64, rateScale float64) *Censo
 		net:   n,
 		clock: n.Clock(),
 		sc:    sc,
-		rng:   rand.New(rand.NewSource(seed*7919 + 31)),
+		rng:   sim.NewRand(seed*7919 + 31),
 	}
 	c.shapers = make([]*netem.Bucket, len(sc.Events))
 	n.SetPolicy(c)

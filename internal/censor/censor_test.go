@@ -11,6 +11,7 @@ import (
 
 	"ptperf/internal/geo"
 	"ptperf/internal/netem"
+	"ptperf/internal/sim"
 )
 
 // testNet builds a two-host network with scenario sc attached.
@@ -436,7 +437,7 @@ func TestFilterSegmentMatchesPerSegmentReference(t *testing.T) {
 			const seed = 11
 			n := netem.New(netem.WithSeed(seed))
 			c := Attach(n, sc, seed, 1)
-			ref := &refCensor{sc: sc, rng: rand.New(rand.NewSource(seed*7919 + 31))}
+			ref := &refCensor{sc: sc, rng: sim.NewRand(seed*7919 + 31)}
 			memos := make([]netem.FlowMemo, len(flows))
 
 			edges := []time.Duration{0}

@@ -144,6 +144,7 @@ var randomHostPatterns = [][]string{
 // scenario; the result always passes b.Validate (composition is capped
 // at MaxEvents).
 func RandomScenario(seed int64, b Bounds) Scenario {
+	//simlint:allow seededrand -- a spec generator, run once per world: the persisted simtest-v1 repro lines mean math/rand's draws
 	rng := rand.New(rand.NewSource(seed))
 	sc := Scenario{
 		Name:        fmt.Sprintf("random-%x", uint64(seed)),

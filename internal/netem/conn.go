@@ -6,6 +6,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"ptperf/internal/sim"
 )
 
 // segmentSize is the shaping granularity. Large enough that a segment's
@@ -39,10 +41,7 @@ type Conn struct {
 	out           shape
 	memo          FlowMemo // the policy's constant of this direction
 
-	// rng draws jitter and loss from seed; it exists once extraDelay
-	// first draws, which a wired-to-wired conn never does.
-	seed int64
-	rng  *rand.Rand
+	rng *rand.Rand // jitter and loss draws
 
 	wmu Mutex // serializes writers, who park on backpressure
 
@@ -66,9 +65,9 @@ func newConnPair(n *Network, aAddr, bAddr Addr, aOut, bOut shape, seed int64) (*
 	ab := newPipe(clock, 0, acct)
 	ba := newPipe(clock, 0, acct)
 	a := &Conn{net: n, local: aAddr, remote: bAddr, tx: ab, rx: ba, out: aOut,
-		seed: seed, wmu: Mutex{cond: Cond{clock: clock}}}
+		rng: sim.NewRand(seed), wmu: Mutex{cond: Cond{clock: clock}}}
 	b := &Conn{net: n, local: bAddr, remote: aAddr, tx: ba, rx: ab, out: bOut,
-		seed: seed + 1, wmu: Mutex{cond: Cond{clock: clock}}}
+		rng: sim.NewRand(seed + 1), wmu: Mutex{cond: Cond{clock: clock}}}
 	acct.registerConn(a)
 	acct.registerConn(b)
 	return a, b
@@ -242,12 +241,6 @@ func (c *Conn) acct() *Acct {
 
 // extraDelay draws the per-segment jitter and loss penalty.
 func (c *Conn) extraDelay() time.Duration {
-	if c.out.jitter <= 0 && c.out.loss <= 0 {
-		return 0 // wired-to-wired links: no draws
-	}
-	if c.rng == nil {
-		c.rng = rand.New(rand.NewSource(c.seed))
-	}
 	var d time.Duration
 	if c.out.jitter > 0 {
 		d += time.Duration(c.rng.Int63n(int64(c.out.jitter)))

@@ -3,6 +3,7 @@ package netem
 import (
 	"bytes"
 	"io"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -332,11 +333,10 @@ func TestListenDuplicatePort(t *testing.T) {
 	}
 }
 
-// TestConnRNGBuiltOnFirstDraw: a conn keeps its seed and builds its
-// generator when a segment first draws jitter or loss. Dial draws
-// nothing, and neither does a write between hosts whose link has
-// neither.
-func TestConnRNGBuiltOnFirstDraw(t *testing.T) {
+// TestConnFirstWriteAllocatesNoSource: a conn's generator is eight bytes
+// of state made with the conn, so its first write over a jittered link
+// draws without building anything, let alone a 4.9 KB math/rand source.
+func TestConnFirstWriteAllocatesNoSource(t *testing.T) {
 	n := New(WithSeed(3))
 	a := n.MustAddHost(HostConfig{Name: "a", Location: geo.London})
 	b := n.MustAddHost(HostConfig{Name: "b", Location: geo.Frankfurt})
@@ -344,29 +344,28 @@ func TestConnRNGBuiltOnFirstDraw(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := a.Dial("b:80")
-	if err != nil {
+	dial := func() *Conn {
+		c, err := a.Dial("b:80")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := l.Accept(); err != nil {
+			t.Fatal(err)
+		}
+		return c.(*Conn)
+	}
+	warm, cc := dial(), dial()
+	if cc.out.jitter <= 0 {
+		t.Fatal("the default wired link has no jitter: the write would draw nothing")
+	}
+	warm.Write([]byte("fills the segment pools"))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := cc.Write([]byte("draws jitter")); err != nil {
 		t.Fatal(err)
 	}
-	s, err := l.Accept()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cc, sc := c.(*Conn), s.(*Conn)
-	if cc.rng != nil || sc.rng != nil {
-		t.Fatal("Dial built a conn's generator before any segment drew from it")
-	}
-	cc.out.jitter, cc.out.loss = 0, 0
-	if _, err := cc.Write([]byte("no draw")); err != nil {
-		t.Fatal(err)
-	}
-	if cc.rng != nil {
-		t.Fatal("a write over a link without jitter or loss built the generator")
-	}
-	if _, err := sc.Write([]byte("draws jitter")); err != nil {
-		t.Fatal(err)
-	}
-	if sc.rng == nil {
-		t.Fatal("a write over a jittered link drew without a generator")
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 4096 {
+		t.Fatalf("first write allocated %d B; a generator is 8 B of state, not a 4.9 KB source", got)
 	}
 }

@@ -26,11 +26,13 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"slices"
 	"sort"
 	"time"
 
 	"ptperf/internal/netem"
 	"ptperf/internal/pt"
+	"ptperf/internal/sim"
 )
 
 // Defaults tuned to public IM API limits: messages deliver with high
@@ -174,7 +176,7 @@ func StartIMServer(host *netem.Host, port int, cfg Config) (*IMServer, error) {
 		ln:       ln,
 		net:      host.Network(),
 		accounts: make(map[string]*account),
-		rng:      rand.New(rand.NewSource(cfg.Seed + 2)),
+		rng:      sim.NewRand(cfg.Seed + 2),
 	}
 	pt.Serve(host.Network().Clock(), ln, s.serveConn)
 	return s, nil
@@ -349,9 +351,7 @@ type Proxy struct {
 	imAddr string
 	acct   string
 	handle pt.StreamHandler
-
-	closed bool
-	conns  []net.Conn
+	conns  []net.Conn // live sessions
 }
 
 // StartProxy launches the proxy side. Each client session uses a fresh
@@ -386,13 +386,15 @@ func (p *Proxy) serveSession(n uint64) error {
 		return err
 	}
 	p.conns = append(p.conns, ic)
-	p.host.Network().Go(func() { pt.ServeStream(ic, p.handle) })
+	p.host.Network().Go(func() {
+		pt.ServeStream(ic, p.handle) // returns once the handler has closed ic
+		p.conns = slices.DeleteFunc(p.conns, func(c net.Conn) bool { return c == ic })
+	})
 	return nil
 }
 
 // Close shuts down proxy-side sessions.
 func (p *Proxy) Close() error {
-	p.closed = true
 	for _, c := range p.conns {
 		c.Close()
 	}

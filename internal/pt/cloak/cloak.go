@@ -20,6 +20,7 @@ import (
 
 	"ptperf/internal/netem"
 	"ptperf/internal/pt"
+	"ptperf/internal/sim"
 )
 
 // clientHelloLen mirrors a typical browser ClientHello.
@@ -74,9 +75,7 @@ const serverHelloLen = 3 + 32 + 90
 // read, so the client can start sending at once while the inbound
 // record stream stays aligned.
 func clientWrap(conn net.Conn, cfg Config, seed int64) (net.Conn, error) {
-	rng := pt.LeaseRand(seed)
-	defer pt.ReleaseRand(rng)
-	hello, random := buildClientHello(cfg, rng)
+	hello, random := buildClientHello(cfg, sim.NewRand(seed))
 	if _, err := conn.Write(hello); err != nil {
 		return nil, err
 	}
@@ -108,11 +107,9 @@ func serverWrap(conn net.Conn, cfg Config, seed int64) (net.Conn, error) {
 	}
 	// ServerHello flight; the client does not wait for it before
 	// sending data, preserving the zero-RTT property.
-	rng := pt.LeaseRand(seed)
-	defer pt.ReleaseRand(rng)
 	sh := make([]byte, serverHelloLen)
 	sh[0], sh[1], sh[2] = 0x16, 0x03, 0x03
-	pt.RandFill(rng, sh[3:])
+	pt.RandFill(sim.NewRand(seed), sh[3:])
 	if _, err := conn.Write(sh); err != nil {
 		return nil, err
 	}

@@ -21,6 +21,7 @@ import (
 
 	"ptperf/internal/netem"
 	"ptperf/internal/pt"
+	"ptperf/internal/sim"
 )
 
 const nonceLen = 32
@@ -207,10 +208,8 @@ func (d *Dialer) Dial(target string) (net.Conn, error) {
 	}
 	d.seed++
 	s := d.seed
-	rng := pt.LeaseRand(s)
-	defer pt.ReleaseRand(rng)
 	nonce := make([]byte, nonceLen)
-	pt.RandFill(rng, nonce)
+	pt.RandFill(sim.NewRand(s), nonce)
 	mac := hmac.New(sha256.New, d.cfg.Secret)
 	mac.Write(nonce)
 

@@ -27,6 +27,7 @@ import (
 
 	"ptperf/internal/netem"
 	"ptperf/internal/pt"
+	"ptperf/internal/sim"
 )
 
 // Defaults mirroring the real system.
@@ -164,7 +165,7 @@ func StartResolver(host *netem.Host, port int, cfg Config, serverAddr string) (*
 		host:       host,
 		serverAddr: serverAddr,
 		ln:         ln,
-		rng:        rand.New(rand.NewSource(cfg.Seed + 29)),
+		rng:        sim.NewRand(cfg.Seed + 29),
 	}
 	r.sessions = pt.NewSessions(clock, r.newMeter, nil)
 	pt.Serve(clock, ln, r.serveConn)

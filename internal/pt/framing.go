@@ -13,6 +13,7 @@ import (
 	"sync"
 
 	"ptperf/internal/netem"
+	"ptperf/internal/sim"
 )
 
 // MaxRecord is the largest payload carried in one framed record.
@@ -150,28 +151,14 @@ type HalfCloser interface {
 	CloseWrite() error
 }
 
-// RandFill fills b with bytes drawn from rng, one Intn(256) draw each.
+// RandFill fills b with bytes drawn from rng, eight per Uint64 draw.
 func RandFill(rng *rand.Rand, b []byte) {
-	for i := range b {
-		b[i] = byte(rng.Intn(256))
+	var word [8]byte
+	for len(b) > 0 {
+		binary.LittleEndian.PutUint64(word[:], rng.Uint64())
+		b = b[copy(b, word[:]):]
 	}
 }
-
-// randPool recycles the generators handshakes draw from.
-var randPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
-
-// LeaseRand returns a generator that draws what
-// rand.New(rand.NewSource(seed)) would, without allocating its source:
-// a handshake leases one for its few draws and hands it to ReleaseRand
-// when it returns.
-func LeaseRand(seed int64) *rand.Rand {
-	rng := randPool.Get().(*rand.Rand)
-	rng.Seed(seed)
-	return rng
-}
-
-// ReleaseRand ends a LeaseRand.
-func ReleaseRand(rng *rand.Rand) { randPool.Put(rng) }
 
 // RecordConfig configures the framing NewRecordConn installs.
 type RecordConfig struct {
@@ -197,10 +184,7 @@ type ctrCodec struct {
 	enc, dec cipher.Stream
 	header   []byte
 	maxPad   int
-	// rng draws padding from seed; it exists once Seal first pads, which
-	// a codec without padding never does.
-	seed int64
-	rng  *rand.Rand
+	rng      *rand.Rand // padding lengths and bytes
 }
 
 // NewRecordConn wraps conn in the CTR-and-padding framing. The error
@@ -214,7 +198,7 @@ func NewRecordCodec(cfg RecordConfig) RecordCodec {
 	c := &ctrCodec{
 		header: append([]byte(nil), cfg.Header...),
 		maxPad: cfg.MaxPadding,
-		seed:   cfg.Seed,
+		rng:    sim.NewRand(cfg.Seed),
 	}
 	if len(cfg.Key) > 0 {
 		mk := func(label string) cipher.Stream {
@@ -240,9 +224,6 @@ func (c *ctrCodec) Sizes() (maxPayload, headerLen, maxBody int) {
 func (c *ctrCodec) Seal(payload []byte) []byte {
 	n, pad := len(payload), 0
 	if c.maxPad > 0 {
-		if c.rng == nil {
-			c.rng = rand.New(rand.NewSource(c.seed))
-		}
 		pad = c.rng.Intn(c.maxPad + 1)
 	}
 	frame := make([]byte, len(c.header)+4+n+pad)
@@ -251,7 +232,7 @@ func (c *ctrCodec) Seal(payload []byte) []byte {
 	binary.BigEndian.PutUint16(frame[len(c.header)+2:], uint16(pad))
 	body := frame[len(c.header)+4:]
 	copy(body, payload)
-	RandFill(c.rng, body[n:]) // pad bytes: none without an rng
+	RandFill(c.rng, body[n:])
 	if c.enc != nil {
 		c.enc.XORKeyStream(body, body)
 	}

@@ -26,6 +26,7 @@ import (
 
 	"ptperf/internal/netem"
 	"ptperf/internal/pt"
+	"ptperf/internal/sim"
 )
 
 // Action is what a transition emits.
@@ -267,7 +268,7 @@ func newConn(model *Model, conn net.Conn, clock *netem.Clock, seed int64) *mario
 		model:   model,
 		conn:    conn,
 		clock:   clock,
-		rng:     rand.New(rand.NewSource(seed)),
+		rng:     sim.NewRand(seed),
 		replyCh: netem.NewChan[struct{}](clock, 16),
 	}
 	clock.Go(mc.recvLoop)

@@ -27,6 +27,7 @@ import (
 
 	"ptperf/internal/netem"
 	"ptperf/internal/pt"
+	"ptperf/internal/sim"
 )
 
 // The polling model.
@@ -224,7 +225,7 @@ func StartBridge(host *netem.Host, port int, cfg Config, handle pt.StreamHandler
 		cfg:  cfg.withDefaults(),
 		host: host,
 		ln:   ln,
-		rng:  rand.New(rand.NewSource(cfg.Seed + 3)),
+		rng:  sim.NewRand(cfg.Seed + 3),
 	}
 	b.sessions = pt.NewSessions(clock, func(uint64) *bridgeSession {
 		s := &bridgeSession{

@@ -20,6 +20,7 @@ import (
 
 	"ptperf/internal/netem"
 	"ptperf/internal/pt"
+	"ptperf/internal/sim"
 )
 
 const (
@@ -97,9 +98,7 @@ func sessionKey(secret, clientNonce, serverNonce []byte) []byte {
 
 // clientWrap performs the client handshake and returns the framed conn.
 func clientWrap(conn net.Conn, cfg Config, seed int64) (net.Conn, error) {
-	rng := pt.LeaseRand(seed)
-	defer pt.ReleaseRand(rng)
-	nc, err := writeHandshake(conn, cfg.Secret, 'c', rng)
+	nc, err := writeHandshake(conn, cfg.Secret, 'c', sim.NewRand(seed))
 	if err != nil {
 		return nil, err
 	}
@@ -121,9 +120,7 @@ func serverWrap(conn net.Conn, cfg Config, seed int64) (net.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	rng := pt.LeaseRand(seed)
-	defer pt.ReleaseRand(rng)
-	ns, err := writeHandshake(conn, cfg.Secret, 's', rng)
+	ns, err := writeHandshake(conn, cfg.Secret, 's', sim.NewRand(seed))
 	if err != nil {
 		return nil, err
 	}

@@ -18,6 +18,7 @@ import (
 
 	"ptperf/internal/netem"
 	"ptperf/internal/pt"
+	"ptperf/internal/sim"
 )
 
 const macLen = 16
@@ -111,8 +112,6 @@ func directionKeys(secret []byte, isClient bool) (send, recv []byte) {
 
 // clientWrap runs banner exchange + kex (2 RTTs).
 func clientWrap(conn net.Conn, cfg Config, seed int64) (net.Conn, error) {
-	rng := pt.LeaseRand(seed)
-	defer pt.ReleaseRand(rng)
 	// RTT 1: version banners.
 	if _, err := conn.Write(banner); err != nil {
 		return nil, err
@@ -126,7 +125,7 @@ func clientWrap(conn net.Conn, cfg Config, seed int64) (net.Conn, error) {
 	}
 	// RTT 2: kexinit + host key verification.
 	kex := make([]byte, 64)
-	pt.RandFill(rng, kex)
+	pt.RandFill(sim.NewRand(seed), kex)
 	if _, err := conn.Write(kex); err != nil {
 		return nil, err
 	}
@@ -148,8 +147,6 @@ func clientWrap(conn net.Conn, cfg Config, seed int64) (net.Conn, error) {
 
 // serverWrap mirrors the client handshake.
 func serverWrap(conn net.Conn, cfg Config, seed int64) (net.Conn, error) {
-	rng := pt.LeaseRand(seed)
-	defer pt.ReleaseRand(rng)
 	peer := make([]byte, len(banner))
 	if _, err := io.ReadFull(conn, peer); err != nil {
 		return nil, err
@@ -165,7 +162,7 @@ func serverWrap(conn net.Conn, cfg Config, seed int64) (net.Conn, error) {
 		return nil, err
 	}
 	serverKex := make([]byte, 64)
-	pt.RandFill(rng, serverKex)
+	pt.RandFill(sim.NewRand(seed), serverKex)
 	mac := hmac.New(sha256.New, cfg.HostKey)
 	mac.Write(kex)
 	mac.Write(serverKex)

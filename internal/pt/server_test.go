@@ -1,12 +1,15 @@
 package pt_test
 
 import (
+	"bytes"
+	"encoding/binary"
 	"net"
 	"reflect"
 	"strings"
 	"testing"
 
 	"ptperf/internal/pt"
+	"ptperf/internal/sim"
 )
 
 // TestWrapTransport pins what the shared constructor owns: the server
@@ -45,5 +48,27 @@ func TestWrapTransport(t *testing.T) {
 	}
 	if _, err := wt.NewDialer(w.client, srv.Addr()).Dial("guard-0:9001"); err == nil {
 		t.Error("dialer dialed without its key")
+	}
+}
+
+// TestRandFillDrawsPerWord: a fill takes one Uint64 draw per eight
+// bytes, the last word cut to fit, and leaves the stream exactly there:
+// handshakes interleave fills with other draws, so the count is part of
+// every padded flight's size.
+func TestRandFillDrawsPerWord(t *testing.T) {
+	for _, n := range []int{0, 1, 7, 8, 9, 32, 250} {
+		rng, ref := sim.NewRand(5), sim.NewRand(5)
+		got := make([]byte, n)
+		pt.RandFill(rng, got)
+		var want []byte
+		for len(want) < n {
+			want = binary.LittleEndian.AppendUint64(want, ref.Uint64())
+		}
+		if !bytes.Equal(got, want[:n]) {
+			t.Errorf("n=%d: filled %x, want %x", n, got, want[:n])
+		}
+		if rng.Uint64() != ref.Uint64() {
+			t.Errorf("n=%d: stream is not %d draws on", n, (n+7)/8)
+		}
 	}
 }

@@ -19,6 +19,7 @@ import (
 
 	"ptperf/internal/netem"
 	"ptperf/internal/pt"
+	"ptperf/internal/sim"
 )
 
 const (
@@ -112,10 +113,8 @@ func nonceBytes(n uint64) []byte {
 
 // clientWrap sends the salt and builds the AEAD pair (zero RTT).
 func clientWrap(conn net.Conn, cfg Config, seed int64) (net.Conn, error) {
-	rng := pt.LeaseRand(seed)
-	defer pt.ReleaseRand(rng)
 	salt := make([]byte, saltLen)
-	pt.RandFill(rng, salt)
+	pt.RandFill(sim.NewRand(seed), salt)
 	if _, err := conn.Write(salt); err != nil {
 		return nil, err
 	}

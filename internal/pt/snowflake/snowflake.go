@@ -27,6 +27,7 @@ import (
 	"ptperf/internal/geo"
 	"ptperf/internal/netem"
 	"ptperf/internal/pt"
+	"ptperf/internal/sim"
 )
 
 // Defaults for the pool model.
@@ -112,7 +113,7 @@ func Deploy(brokerHost *netem.Host, brokerPort int, cfg Config) (*Deployment, er
 		cfg:      cfg,
 		net:      brokerHost.Network(),
 		brokerLn: ln,
-		rng:      rand.New(rand.NewSource(cfg.Seed + 5)),
+		rng:      sim.NewRand(cfg.Seed + 5),
 	}
 	for i := 0; i < cfg.Proxies; i++ {
 		if err := d.spawnProxy(); err != nil {

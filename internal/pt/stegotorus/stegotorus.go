@@ -27,6 +27,7 @@ import (
 
 	"ptperf/internal/netem"
 	"ptperf/internal/pt"
+	"ptperf/internal/sim"
 )
 
 // chopConn provides TCP-style half close via CloseWrite, which pt.Splice
@@ -191,7 +192,7 @@ func newChopConn(clock *netem.Clock, cfg Config, sid uint64, conns []net.Conn, s
 		sid:     sid,
 		conns:   conns,
 		werrs:   make([]error, len(conns)),
-		rng:     rand.New(rand.NewSource(seed)),
+		rng:     sim.NewRand(seed),
 		readers: len(conns),
 	}
 	for _, conn := range conns {

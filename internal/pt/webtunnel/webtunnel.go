@@ -17,6 +17,7 @@ import (
 
 	"ptperf/internal/netem"
 	"ptperf/internal/pt"
+	"ptperf/internal/sim"
 )
 
 // tlsRecordHeader mimics TLS application-data record headers.
@@ -39,12 +40,10 @@ var ErrHandshake = errors.New("webtunnel: handshake failed")
 // clientWrap performs ClientHello/ServerHello+Finished (2 RTT) and the
 // HTTP upgrade (1 RTT folded into the Finished flight).
 func clientWrap(conn net.Conn, cfg Config, seed int64) (net.Conn, error) {
-	rng := pt.LeaseRand(seed)
-	defer pt.ReleaseRand(rng)
 	hello := make([]byte, 0, 280)
 	hello = append(hello, 0x16, 0x03, 0x01) // handshake record
 	random := make([]byte, 32)
-	pt.RandFill(rng, random)
+	pt.RandFill(sim.NewRand(seed), random)
 	hello = append(hello, random...)
 	hello = append(hello, byte(len(cfg.SNI)))
 	hello = append(hello, cfg.SNI...)
@@ -86,8 +85,7 @@ var upgradeResponse = []byte("HTTP/1.1 101 Switching Protocols\r\n\r\n")
 
 // serverWrap mirrors the handshake.
 func serverWrap(conn net.Conn, cfg Config, seed int64) (net.Conn, error) {
-	rng := pt.LeaseRand(seed)
-	defer pt.ReleaseRand(rng)
+	rng := sim.NewRand(seed)
 	head := make([]byte, 3+32+1)
 	if _, err := io.ReadFull(conn, head); err != nil {
 		return nil, err

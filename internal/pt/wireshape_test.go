@@ -25,7 +25,9 @@ type wireShape struct{ Bytes, Segments int64 }
 // segment counts set virtual time, so a framing change that drifts by
 // one byte fails here in milliseconds instead of in a report digest.
 // The constants were recorded at the commit before the six transports
-// moved onto one record conn; per-record overhead is 4+header+padding
+// moved onto one record conn, and obfs4's and webtunnel's padded byte
+// totals again when every draw moved to sim.NewRand (segment counts
+// and every unpadded row stayed); per-record overhead is 4+header+padding
 // (obfs4, webtunnel, cloak, conjure), 20 (psiphon) and 34
 // (shadowsocks) bytes. conjure counts twice what it frames: the station
 // forwards every byte to the bridge, the nonce and prologue only once
@@ -45,7 +47,7 @@ func TestWireShapePinned(t *testing.T) {
 				return nil, err
 			}
 			return obfs4.NewDialer(w.client, srv.Addr(), obfs4.Config{Secret: key, Seed: 2}), nil
-		}, wireShape{907, 3}, wireShape{100202, 13}, wireShape{100254, 13}},
+		}, wireShape{1254, 3}, wireShape{100325, 13}, wireShape{100177, 13}},
 		{"webtunnel", func(w *world, h pt.StreamHandler) (pt.Dialer, error) {
 			cfg := webtunnel.Config{SessionKey: key, SNI: "cdn.example", Seed: 1}
 			srv, err := webtunnel.StartServer(w.server, 443, cfg, h)
@@ -54,7 +56,7 @@ func TestWireShapePinned(t *testing.T) {
 			}
 			cfg.Seed = 2
 			return webtunnel.NewDialer(w.client, srv.Addr(), cfg), nil
-		}, wireShape{1570, 5}, wireShape{100049, 13}, wireShape{100049, 13}},
+		}, wireShape{1404, 5}, wireShape{100049, 13}, wireShape{100049, 13}},
 		{"cloak", func(w *world, h pt.StreamHandler) (pt.Dialer, error) {
 			cfg := cloak.Config{UID: key, RedirAddr: "bing.com", Seed: 1}
 			srv, err := cloak.StartServer(w.server, 443, cfg, h)

@@ -1,12 +1,11 @@
 package sim
 
+import "math/rand"
+
 // Seed streams. Every world task derives its world seed from the
-// campaign seed plus a stream path via DeriveSeed. The old additive
-// derivation (Seed + extraSeed) collided trivially: campaign seed 1 at
-// stream 1000 produced the same world as campaign seed 1001 at stream
-// 0, so neighbouring campaign seeds silently shared worlds across
-// experiments. splitmix64's finalizer decorrelates every (seed, path)
-// pair instead.
+// campaign seed plus a stream path via DeriveSeed, and every draw
+// inside a world comes from a NewRand over a seed offset from it
+// (DESIGN.md "Seed streams", "Random streams").
 
 // splitmix64Gamma is the Weyl-sequence increment of splitmix64.
 const splitmix64Gamma = 0x9e3779b97f4a7c15
@@ -34,4 +33,26 @@ func DeriveSeed(root int64, path ...int64) int64 {
 		x = splitmix64Gamma
 	}
 	return int64(x)
+}
+
+// splitmix64 is the one random stream of a simulated world: a Weyl
+// sequence through mix64, eight bytes of state, no seeding loop. A
+// connection that draws a handful of jitter values pays for those
+// draws and nothing else.
+type splitmix64 struct{ state uint64 }
+
+func (s *splitmix64) Uint64() uint64 {
+	s.state += splitmix64Gamma
+	return mix64(s.state)
+}
+
+func (s *splitmix64) Int63() int64 { return int64(s.Uint64() >> 1) }
+
+func (s *splitmix64) Seed(seed int64) { s.state = mix64(uint64(seed)) }
+
+// NewRand returns the generator every in-world draw comes from. The
+// seed goes through mix64 once, so the additive neighbours in use
+// (cfg.Seed+3, seed+1) start at unrelated points of the Weyl sequence.
+func NewRand(seed int64) *rand.Rand {
+	return rand.New(&splitmix64{state: mix64(uint64(seed))})
 }

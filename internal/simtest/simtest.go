@@ -135,6 +135,7 @@ func (s *Spec) normalize() {
 // (root, index) pairs always generate the identical spec; neighbouring
 // indices draw from independent splitmix64 streams.
 func Generate(root, index int64) Spec {
+	//simlint:allow seededrand -- decides which world to build, once per world: the persisted simtest-v1 repro lines mean math/rand's draws
 	rng := rand.New(rand.NewSource(sim.DeriveSeed(root, streamWorld, index, 0)))
 	s := Spec{Root: root, Index: index}
 
@@ -170,6 +171,7 @@ func Generate(root, index int64) Spec {
 	// (old corpus lines still rebuild their exact worlds). Roughly half
 	// the worlds stay fault-free — the substrate must hold with and
 	// without infrastructure failure.
+	//simlint:allow seededrand -- as rng above: corpus lines rebuild their worlds from these draws
 	frng := rand.New(rand.NewSource(sim.DeriveSeed(root, streamWorld, index, 3)))
 	if frng.Intn(2) == 0 {
 		n := 1 + frng.Intn(4)

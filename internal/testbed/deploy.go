@@ -100,22 +100,19 @@ type site struct {
 	// sni is webtunnel's cover host name, account camoufler's IM
 	// account base.
 	sni, account string
-	// floorQuanta floors dnstt's response cap and camoufler's message
-	// cap (see quantum); without it they scale like any byte quantity.
-	floorQuanta bool
 }
 
 // quantum byte-scales a protocol's per-message payload quantum (DNS
 // response cap, IM message cap) like any other byte quantity and returns
-// it with a stretch factor of 1 — unless the site floors quanta, so that
-// a miniature campaign does not multiply the protocol's message count far
+// it with a stretch factor of 1 — unless that falls under floor: a
+// miniature campaign must not multiply the protocol's message count far
 // beyond the real system's. Then the stretch is what the floor
 // introduced, and the caller must divide the protocol's message rate by
 // it so the modeled throughput, and thus every measured duration, is
 // preserved.
-func (w *World) quantum(s site, real, floor int) (int, float64) {
+func (w *World) quantum(real, floor int) (int, float64) {
 	exact := float64(real) * w.Opts.ByteScale
-	if q := w.Bytes(real); !s.floorQuanta || q >= floor || float64(floor) <= exact {
+	if q := w.Bytes(real); q >= floor || float64(floor) <= exact {
 		return q, 1
 	}
 	return floor, float64(floor) / exact
@@ -171,7 +168,7 @@ func (w *World) startTransport(name string, s site) (pt.Dialer, error) {
 		// Where the response cap is floored the in-flight window
 		// shrinks by the same factor, keeping the tunnel's
 		// inflight×cap/RTT throughput.
-		respCap, stretch := w.quantum(s, dnstt.DefaultRespCap, 128)
+		respCap, stretch := w.quantum(dnstt.DefaultRespCap, 128)
 		cfg.RespCap = respCap
 		cfg.Inflight = max(1, int(float64(dnstt.DefaultInflight)/stretch+0.5))
 		cfg.QueryCap = w.Bytes(dnstt.DefaultQueryCap)
@@ -203,7 +200,7 @@ func (w *World) startTransport(name string, s site) (pt.Dialer, error) {
 		// Floored like dnstt's response cap: larger messages at a
 		// proportionally lower API rate keep the modeled throughput
 		// while bounding the message count.
-		msgCap, stretch := w.quantum(s, camoufler.DefaultMessageCap, 1024)
+		msgCap, stretch := w.quantum(camoufler.DefaultMessageCap, 1024)
 		cfg.MessageCap = msgCap
 		cfg.RatePerSec = camoufler.DefaultRatePerSec / stretch
 		im, err := camoufler.StartIMServer(aux(""), 5222, cfg)

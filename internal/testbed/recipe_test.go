@@ -2,12 +2,15 @@ package testbed
 
 import (
 	"fmt"
+	"math"
 	"net"
 	"testing"
 	"time"
 
 	"ptperf/internal/fetch"
 	"ptperf/internal/pt"
+	"ptperf/internal/pt/camoufler"
+	"ptperf/internal/pt/dnstt"
 	"ptperf/internal/tor"
 )
 
@@ -152,5 +155,27 @@ func TestStartTransportRejectsUnknownName(t *testing.T) {
 	const want = `testbed: unknown transport "nope"`
 	if err == nil || depErr == nil || err.Error() != want || depErr.Error() != want {
 		t.Fatalf("startTransport: %v, Deployment: %v, want both %q", err, depErr, want)
+	}
+}
+
+// TestQuantumFloorsEverySite: a per-message quantum is floored wherever
+// a transport is started, the overhead rig included, and the stretch is
+// what keeps cap × rate, the modeled throughput, where plain scaling
+// would have put it.
+func TestQuantumFloorsEverySite(t *testing.T) {
+	w := smallWorld(t, 16) // ByteScale 0.1
+	for _, tc := range []struct {
+		real, floor, want int
+		stretch           float64
+	}{
+		{dnstt.DefaultRespCap, 128, 128, 2.5},          // 51 B scaled: floored
+		{camoufler.DefaultMessageCap, 1024, 1024, 2.5}, // 409 B scaled: floored
+		{dnstt.DefaultRespCap, 32, 51, 1},              // above its floor: plain Bytes
+		{camoufler.DefaultMessageCap * 40, 1024, 16384, 1},
+	} {
+		got, stretch := w.quantum(tc.real, tc.floor)
+		if got != tc.want || math.Abs(stretch-tc.stretch) > 1e-9 {
+			t.Errorf("quantum(%d, %d) = %d, %.3f; want %d, %.3f", tc.real, tc.floor, got, stretch, tc.want, tc.stretch)
+		}
 	}
 }

@@ -138,7 +138,7 @@ var overheadPorts = []string{"obfs4", "webtunnel", "dnstt", "shadowsocks", "psip
 
 // overheadSite is the site of an overhead rig: the resolver or IM
 // provider co-located with the client per §5.2's
-// minimal-external-delay setup, quanta scaled without a floor.
+// minimal-external-delay setup.
 func (w *World) overheadSite(name string, host *netem.Host, seq int64) site {
 	seed := w.Opts.Seed + seq*100
 	return site{

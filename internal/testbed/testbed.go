@@ -24,6 +24,7 @@ import (
 	"ptperf/internal/faults"
 	"ptperf/internal/geo"
 	"ptperf/internal/netem"
+	"ptperf/internal/sim"
 	"ptperf/internal/tor"
 	"ptperf/internal/web"
 )
@@ -168,7 +169,7 @@ func New(opts Options) (_ *World, err error) {
 		Opts: o,
 		Net:  n,
 		Dir:  tor.NewDirectory(),
-		rng:  rand.New(rand.NewSource(o.Seed * 31)),
+		rng:  sim.NewRand(o.Seed * 31),
 		deps: make(map[string]*Deployment),
 	}
 	defer func() {

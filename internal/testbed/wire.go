@@ -78,7 +78,7 @@ const ptServerPort = 443
 
 // deploymentSite is the site of a campaign deployment: the server on
 // its own infra host, the machine in between where the real system has
-// it, quanta floored.
+// it.
 func (w *World) deploymentSite(name string, host *netem.Host) site {
 	s := site{
 		host: host, port: ptServerPort,
@@ -86,7 +86,6 @@ func (w *World) deploymentSite(name string, host *netem.Host) site {
 		dialSeed: w.Opts.Seed + deploySeeds[name][1],
 		auxLoc:   w.Opts.InfraLocation,
 		sni:      "static.example", account: "camoufler",
-		floorQuanta: true,
 	}
 	switch name {
 	case "meek":

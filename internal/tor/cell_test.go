@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"ptperf/internal/sim"
 )
 
 func TestCellEncodeDecodeRoundTrip(t *testing.T) {
@@ -123,7 +125,7 @@ func TestHandshakeDerivesSharedKeys(t *testing.T) {
 // paths. A draw more or fewer shifts every later choice of the world.
 func TestHandshakeDrawsPinned(t *testing.T) {
 	for _, seed := range []int64{1, 7, 1 << 40} {
-		rng, ref := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		rng, ref := sim.NewRand(seed), sim.NewRand(seed)
 		hs := newHandshake(rng)
 		var want [HandshakeLen]byte
 		for i := range want {

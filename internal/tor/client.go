@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"ptperf/internal/netem"
+	"ptperf/internal/sim"
 )
 
 // Errors surfaced by the client.
@@ -182,8 +183,8 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	c := &Client{
 		cfg:       cfg,
 		clock:     cfg.Host.Network().Clock(),
-		rng:       rand.New(rand.NewSource(cfg.Seed*6364136223846793005 + 1442695040888963407)),
-		retryRng:  rand.New(rand.NewSource(cfg.Seed*2862933555777941757 + 3037000493)),
+		rng:       sim.NewRand(cfg.Seed*6364136223846793005 + 1442695040888963407),
+		retryRng:  sim.NewRand(cfg.Seed*2862933555777941757 + 3037000493),
 		probation: make(map[string]*guardProbation),
 		guard:     cfg.Guard,
 	}

@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"ptperf/internal/netem"
+	"ptperf/internal/sim"
 )
 
 // DefaultORPort is the port relays listen on unless configured otherwise.
@@ -76,7 +77,7 @@ func StartRelay(cfg RelayConfig) (*Relay, error) {
 		cfg:   cfg,
 		ln:    ln,
 		clock: cfg.Host.Network().Clock(),
-		rng:   rand.New(rand.NewSource(cfg.Seed*2654435761 + 17)),
+		rng:   sim.NewRand(cfg.Seed*2654435761 + 17),
 		desc: &Descriptor{
 			Name:      cfg.Name,
 			Addr:      fmt.Sprintf("%s:%d", cfg.Host.Name(), cfg.Port),

@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+
+	"ptperf/internal/sim"
 )
 
 // List names the two website populations of the paper.
@@ -92,7 +94,7 @@ func GenerateCatalog(list List, n int, seed int64, byteScale float64) *Catalog {
 	if byteScale <= 0 {
 		byteScale = 1
 	}
-	rng := rand.New(rand.NewSource(seed ^ int64(len(list))<<32 + 0x9e3779b9))
+	rng := sim.NewRand(seed ^ int64(len(list))<<32 + 0x9e3779b9)
 	cat := &Catalog{List: list, Sites: make([]Site, n)}
 	for i := 0; i < n; i++ {
 		pageBytes := int(lognormal(rng, 38<<10, 0.9, 2<<10, 1<<20) * byteScale)

@@ -3,7 +3,12 @@
 // an error and suppresses nothing.
 package tor
 
-import "sandbox/netem"
+import (
+	"math/rand"
+
+	"sandbox/netem"
+	"sandbox/sim"
+)
 
 type sched struct {
 	clock *netem.Clock
@@ -17,4 +22,15 @@ func (s *sched) arm() {
 func (s *sched) flush() {
 	//simlint:allow noparkinevent -- not honored here // want `noparkinevent may not be suppressed in package sandbox/tor.*\[directive\]`
 	s.mu.Lock() // want `\(netem\.Mutex\)\.Lock parks while contended`
+}
+
+// streams: a simulation package draws from sim.NewRand and builds no
+// source of its own.
+func streams(seed int64, src rand.Source) []*rand.Rand {
+	return []*rand.Rand{
+		sim.NewRand(seed),
+		rand.New(rand.NewSource(seed)), // want `rand\.New in simulation package sandbox/tor` `rand\.NewSource in simulation package sandbox/tor builds a second random stream type; use sim\.NewRand\(seed\).*\[seededrand\]`
+		rand.New(src),                  // want `rand\.New in simulation package sandbox/tor builds a second random stream type`
+		rand.New(rand.NewSource(seed)), //simlint:allow seededrand -- a spec generator whose persisted repro lines mean math/rand's draws
+	}
 }

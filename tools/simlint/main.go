@@ -3,7 +3,8 @@
 // of the determinism contract"). It bundles seven analyzers:
 //
 //	wallclock      no time.Now/Sleep/After/Since/... anywhere in the module
-//	seededrand     no top-level math/rand draws; only seeded *rand.Rand
+//	seededrand     no top-level math/rand draws, and no rand.NewSource/rand.New
+//	               in simulation packages: streams come from sim.NewRand(seed)
 //	noparkinevent  Clock.EventAt arms / Conn.SetReadSink sinks never reach
 //	               a parking primitive (the PR-9 inline-event contract)
 //	rawgo          simulation packages spawn goroutines via Clock.Go only
