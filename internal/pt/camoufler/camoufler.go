@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"slices"
@@ -70,6 +71,8 @@ func (c Config) withDefaults() Config {
 	if c.MessageCap <= 0 {
 		c.MessageCap = DefaultMessageCap
 	}
+	// What a frame's 16-bit length leaves beside the longest account name.
+	c.MessageCap = min(c.MessageCap, math.MaxUint16-1-255-8)
 	if c.RatePerSec <= 0 {
 		c.RatePerSec = DefaultRatePerSec
 	}
@@ -88,43 +91,42 @@ func (c Config) withDefaults() Config {
 // Message frame on IM-server connections:
 //
 //	[2B total len][1B to-len][to][8B seq][payload]
-func writeMessage(w io.Writer, to string, seq uint64, payload []byte) error {
+//
+// built in, or read into, *buf's array, which the calling loop keeps: a
+// payload read is valid until the next read into the same buffer.
+func writeMessage(w io.Writer, buf *[]byte, to string, seq uint64, payload []byte) error {
 	if len(to) > 255 {
 		return errors.New("camoufler: account name too long")
 	}
-	buf := make([]byte, 2+1+len(to)+8+len(payload))
-	binary.BigEndian.PutUint16(buf, uint16(1+len(to)+8+len(payload)))
-	buf[2] = byte(len(to))
-	copy(buf[3:], to)
-	binary.BigEndian.PutUint64(buf[3+len(to):], seq)
-	copy(buf[3+len(to)+8:], payload)
-	_, err := w.Write(buf)
+	n := 1 + len(to) + 8 + len(payload)
+	if n > math.MaxUint16 {
+		return errors.New("camoufler: message too long for its length field")
+	}
+	b := append(binary.BigEndian.AppendUint16((*buf)[:0], uint16(n)), byte(len(to)))
+	*buf = append(binary.BigEndian.AppendUint64(append(b, to...), seq), payload...)
+	_, err := w.Write(*buf)
 	return err
 }
 
-func readMessage(r io.Reader) (to string, seq uint64, payload []byte, err error) {
-	var lenBuf [2]byte
-	if _, err = io.ReadFull(r, lenBuf[:]); err != nil {
+func readMessage(r io.Reader, buf *[]byte) (to []byte, seq uint64, payload []byte, err error) {
+	b := slices.Grow((*buf)[:0], 2)[:2]
+	if _, err = io.ReadFull(r, b); err != nil {
 		return
 	}
-	n := int(binary.BigEndian.Uint16(lenBuf[:]))
-	buf := make([]byte, n)
-	if _, err = io.ReadFull(r, buf); err != nil {
+	n := int(binary.BigEndian.Uint16(b))
+	b = slices.Grow(b[:0], n)[:n]
+	*buf = b
+	if _, err = io.ReadFull(r, b); err != nil {
 		return
 	}
 	if n < 9 {
-		err = errors.New("camoufler: short message")
-		return
+		return nil, 0, nil, errors.New("camoufler: short message")
 	}
-	toLen := int(buf[0])
+	toLen := int(b[0])
 	if 1+toLen+8 > n {
-		err = errors.New("camoufler: malformed message")
-		return
+		return nil, 0, nil, errors.New("camoufler: malformed message")
 	}
-	to = string(buf[1 : 1+toLen])
-	seq = binary.BigEndian.Uint64(buf[1+toLen : 1+toLen+8])
-	payload = buf[1+toLen+8:]
-	return
+	return b[1 : 1+toLen], binary.BigEndian.Uint64(b[1+toLen:]), b[1+toLen+8:], nil
 }
 
 // IMServer is the instant-messaging provider: accounts connect, send
@@ -149,15 +151,27 @@ type account struct {
 	// contacts are accounts this one exchanged messages with; they get
 	// an unavailable-presence notification when it disconnects.
 	contacts map[string]bool
+	// spare holds the arrays of the payloads this account sent that
+	// were delivered or dropped, for the next ones it queues.
+	spare [][]byte
 }
 
-// delivery is one queued message with its delivery due time.
+// delivery is one queued message with its delivery due time. payload is
+// the one copy the provider makes of a message, in an array of src.spare.
 type delivery struct {
 	from    string
+	src     *account
 	seq     uint64
 	payload []byte
 	at      time.Duration
 	stop    bool
+}
+
+// done hands a delivery's payload array back to the account that sent it.
+func (d delivery) done() {
+	if d.payload != nil {
+		d.src.spare = append(d.src.spare, d.payload)
+	}
 }
 
 // presenceGoneSeq marks an unavailable-presence notification from the
@@ -191,22 +205,27 @@ func (s *IMServer) Close() error { return s.ln.Close() }
 // serveConn handles one logged-in account: the first message names the
 // account ("login"), subsequent frames are relayed.
 func (s *IMServer) serveConn(c net.Conn) {
-	name, _, _, err := readMessage(c)
+	var rbuf []byte
+	login, _, _, err := readMessage(c, &rbuf)
 	if err != nil {
 		c.Close()
 		return
 	}
+	name := string(login)
 	clock := s.net.Clock()
 	acct := &account{conn: c, deliver: netem.NewChan[delivery](clock, 512), contacts: make(map[string]bool)}
 	clock.Go(func() {
 		// Pipelined FIFO delivery: each message waits out its due time.
+		var wbuf []byte
 		for {
 			d, ok := acct.deliver.Recv()
 			if !ok || d.stop {
 				return
 			}
 			clock.SleepUntil(d.at)
-			if err := writeMessage(acct.conn, d.from, d.seq, d.payload); err != nil {
+			err := writeMessage(acct.conn, &wbuf, d.from, d.seq, d.payload)
+			d.done()
+			if err != nil {
 				return
 			}
 		}
@@ -237,10 +256,14 @@ func (s *IMServer) serveConn(c net.Conn) {
 	}()
 
 	perMsg := time.Duration(float64(time.Second) / s.cfg.RatePerSec)
+	var to string
 	for {
-		to, seq, payload, err := readMessage(c)
+		addr, seq, payload, err := readMessage(c, &rbuf)
 		if err != nil {
 			return
+		}
+		if to != string(addr) { // a run of messages to one peer names it once
+			to = string(addr)
 		}
 		// API rate limit: the sender's next slot.
 		now := clock.Now()
@@ -262,10 +285,16 @@ func (s *IMServer) serveConn(c net.Conn) {
 		if dropped || dst == nil {
 			continue
 		}
-		d := delivery{from: name, seq: seq, at: clock.Now() + s.cfg.DeliveryDelay}
-		d.payload = append([]byte(nil), payload...)
+		d := delivery{from: name, src: acct, seq: seq, at: clock.Now() + s.cfg.DeliveryDelay}
+		var spare []byte
+		if n := len(acct.spare); n > 0 {
+			spare, acct.spare = acct.spare[n-1], acct.spare[:n-1]
+		}
+		d.payload = append(spare[:0], payload...)
 		// Queue overflow behaves like a dropped message.
-		dst.deliver.TrySend(d)
+		if !dst.deliver.TrySend(d) {
+			d.done()
+		}
 	}
 }
 
@@ -279,6 +308,7 @@ type imConn struct {
 	peer    string
 	conn    net.Conn // to the IM server
 	sendSeq uint64
+	wbuf    []byte // the message being written
 	onClose func()
 }
 
@@ -290,20 +320,21 @@ func newIMConn(clock *netem.Clock, conn net.Conn, self, peer string, capBytes in
 
 // login announces the account to the provider.
 func (ic *imConn) login() error {
-	return writeMessage(ic.conn, ic.self, 0, nil)
+	return writeMessage(ic.conn, &ic.wbuf, ic.self, 0, nil)
 }
 
 func (ic *imConn) recvLoop() {
 	// The tunnel is over when the provider hangs up or the peer account
 	// logs off.
 	defer ic.Fail()
+	var rbuf []byte
 	for {
-		from, seq, payload, err := readMessage(ic.conn)
+		from, seq, payload, err := readMessage(ic.conn, &rbuf)
 		if err != nil {
 			return
 		}
 		if seq == presenceGoneSeq {
-			if from == ic.peer {
+			if string(from) == ic.peer {
 				return
 			}
 			continue
@@ -323,7 +354,7 @@ func (ic *imConn) Write(p []byte) (int, error) {
 	for len(p) > 0 {
 		n := min(len(p), ic.cap)
 		ic.sendSeq++
-		if err := writeMessage(ic.conn, ic.peer, ic.sendSeq, p[:n]); err != nil {
+		if err := writeMessage(ic.conn, &ic.wbuf, ic.peer, ic.sendSeq, p[:n]); err != nil {
 			return written, err
 		}
 		written += n

@@ -19,14 +19,14 @@ func TestMessageFrameRoundTrip(t *testing.T) {
 			return true
 		}
 		var buf bytes.Buffer
-		if err := writeMessage(&buf, to, seq, payload); err != nil {
+		if err := writeMessage(&buf, new([]byte), to, seq, payload); err != nil {
 			return false
 		}
-		gotTo, gotSeq, gotPayload, err := readMessage(&buf)
+		gotTo, gotSeq, gotPayload, err := readMessage(&buf, new([]byte))
 		if err != nil {
 			return false
 		}
-		return gotTo == to && gotSeq == seq && bytes.Equal(gotPayload, payload)
+		return string(gotTo) == to && gotSeq == seq && bytes.Equal(gotPayload, payload)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -36,7 +36,7 @@ func TestMessageFrameRoundTrip(t *testing.T) {
 func TestMessageFrameRejectsOverlongAccount(t *testing.T) {
 	var buf bytes.Buffer
 	long := string(make([]byte, 300))
-	if err := writeMessage(&buf, long, 1, nil); err == nil {
+	if err := writeMessage(&buf, new([]byte), long, 1, nil); err == nil {
 		t.Fatal("overlong account name must fail")
 	}
 }
@@ -56,9 +56,9 @@ func TestIMConnReordersBySeq(t *testing.T) {
 	// Feed messages out of order through a scripted conn.
 	script := &scriptConn{}
 	var msgs bytes.Buffer
-	writeMessage(&msgs, "me", 2, []byte("BB"))
-	writeMessage(&msgs, "me", 1, []byte("AA"))
-	writeMessage(&msgs, "me", 3, []byte("CC"))
+	writeMessage(&msgs, new([]byte), "me", 2, []byte("BB"))
+	writeMessage(&msgs, new([]byte), "me", 1, []byte("AA"))
+	writeMessage(&msgs, new([]byte), "me", 3, []byte("CC"))
 	script.in = msgs.Bytes()
 
 	ic := newIMConn(netem.NewClock(), script, "me", "peer", 1024)
@@ -79,9 +79,9 @@ func TestIMConnReordersBySeq(t *testing.T) {
 func TestIMConnLostMessageStalls(t *testing.T) {
 	script := &scriptConn{}
 	var msgs bytes.Buffer
-	writeMessage(&msgs, "me", 1, []byte("AA"))
+	writeMessage(&msgs, new([]byte), "me", 1, []byte("AA"))
 	// seq 2 lost.
-	writeMessage(&msgs, "me", 3, []byte("CC"))
+	writeMessage(&msgs, new([]byte), "me", 3, []byte("CC"))
 	script.in = msgs.Bytes()
 
 	ic := newIMConn(netem.NewClock(), script, "me", "peer", 1024)

@@ -10,6 +10,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 
 	"ptperf/internal/netem"
@@ -30,8 +31,9 @@ type RecordCodec interface {
 	// fixed length of a record header and the most bytes that can
 	// follow a header.
 	Sizes() (maxPayload, headerLen, maxBody int)
-	// Seal returns the wire record carrying payload.
-	Seal(payload []byte) []byte
+	// Seal appends the wire record carrying payload to dst, which may
+	// hold anything past its length, and returns the extended slice.
+	Seal(dst, payload []byte) []byte
 	// BodyLen decodes a record header into the number of bytes that
 	// follow it; RecordConn refuses more than maxBody of them.
 	BodyLen(header []byte) (int, error)
@@ -41,10 +43,10 @@ type RecordCodec interface {
 }
 
 // RecordConn is the one record-framed conn: it chops writes into
-// records, reads whole records through the netem threshold path into a
-// reused buffer, keeps the unread remainder, refuses a record longer
-// than its codec's maximum and forwards half-close. What a record
-// looks like on the wire is the codec's business.
+// records sealed in a buffer it keeps, reads whole records through the
+// netem threshold path into another, keeps the unread remainder, refuses
+// a record longer than its codec's maximum and forwards half-close.
+// What a record looks like on the wire is the codec's business.
 type RecordConn struct {
 	net.Conn
 	codec RecordCodec
@@ -52,10 +54,16 @@ type RecordConn struct {
 	// Read discards them (see SkipFirst).
 	skip int
 
+	// wbuf holds the record being written. The inner Write copies it
+	// before returning, so it is free again for the next record; two
+	// writers parked in the inner Write would share it, hence writing.
+	wbuf    []byte
+	writing bool
+
 	pending []byte
-	// rbuf is the reused record read buffer, sized for the codec's
-	// largest record; pending aliases it, and it is only overwritten
-	// once pending has drained.
+	// rbuf is the reused record read buffer, grown to the largest
+	// record read so far; pending aliases it, and it is only
+	// overwritten once pending has drained.
 	rbuf []byte
 }
 
@@ -87,12 +95,19 @@ func (rc *RecordConn) readFull(p []byte) error {
 }
 
 // Write chops p into records of at most the codec's maximum payload.
+// A conn has one writer at a time.
 func (rc *RecordConn) Write(p []byte) (int, error) {
+	if rc.writing {
+		panic("pt: RecordConn.Write re-entered")
+	}
+	rc.writing = true
+	defer func() { rc.writing = false }()
 	maxPayload, _, _ := rc.codec.Sizes()
 	written := 0
 	for len(p) > 0 {
 		n := min(len(p), maxPayload)
-		if _, err := rc.Conn.Write(rc.codec.Seal(p[:n])); err != nil {
+		rc.wbuf = rc.codec.Seal(rc.wbuf[:0], p[:n])
+		if _, err := rc.Conn.Write(rc.wbuf); err != nil {
 			return written, err
 		}
 		written += n
@@ -106,14 +121,13 @@ func (rc *RecordConn) Read(p []byte) (int, error) {
 	_, headLen, maxBody := rc.codec.Sizes()
 	for len(rc.pending) == 0 {
 		if rc.skip > 0 {
-			if err := rc.readFull(make([]byte, rc.skip)); err != nil {
+			rc.rbuf = slices.Grow(rc.rbuf[:0], rc.skip)
+			if err := rc.readFull(rc.rbuf[:rc.skip]); err != nil {
 				return 0, err
 			}
 			rc.skip = 0
 		}
-		if rc.rbuf == nil {
-			rc.rbuf = make([]byte, headLen+maxBody)
-		}
+		rc.rbuf = slices.Grow(rc.rbuf[:0], headLen)
 		head := rc.rbuf[:headLen]
 		if err := rc.readFull(head); err != nil {
 			return 0, err
@@ -125,7 +139,8 @@ func (rc *RecordConn) Read(p []byte) (int, error) {
 		if n < 0 || n > maxBody {
 			return 0, ErrRecordTooLarge
 		}
-		body := rc.rbuf[headLen : headLen+n]
+		rc.rbuf = slices.Grow(head, n) // keeps the header
+		head, body := rc.rbuf[:headLen], rc.rbuf[headLen:headLen+n]
 		if err := rc.readFull(body); err != nil {
 			return 0, err
 		}
@@ -221,22 +236,22 @@ func (c *ctrCodec) Sizes() (maxPayload, headerLen, maxBody int) {
 	return MaxRecord, len(c.header) + 4, MaxRecord + c.maxPad
 }
 
-func (c *ctrCodec) Seal(payload []byte) []byte {
+func (c *ctrCodec) Seal(dst, payload []byte) []byte {
 	n, pad := len(payload), 0
 	if c.maxPad > 0 {
 		pad = c.rng.Intn(c.maxPad + 1)
 	}
-	frame := make([]byte, len(c.header)+4+n+pad)
-	copy(frame, c.header)
-	binary.BigEndian.PutUint16(frame[len(c.header):], uint16(n))
-	binary.BigEndian.PutUint16(frame[len(c.header)+2:], uint16(pad))
-	body := frame[len(c.header)+4:]
-	copy(body, payload)
+	dst = append(dst, c.header...)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(n))
+	dst = binary.BigEndian.AppendUint16(dst, uint16(pad))
+	dst = append(dst, payload...)
+	dst = slices.Grow(dst, pad)[:len(dst)+pad]
+	body := dst[len(dst)-n-pad:]
 	RandFill(c.rng, body[n:])
 	if c.enc != nil {
 		c.enc.XORKeyStream(body, body)
 	}
-	return frame
+	return dst
 }
 
 func (c *ctrCodec) BodyLen(header []byte) (int, error) {

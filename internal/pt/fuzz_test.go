@@ -74,12 +74,12 @@ func TestRecordSizeLimits(t *testing.T) {
 			seal, open := tc.pair()
 			maxPayload, headerLen, maxBody := seal.Sizes()
 			wire := &bufConn{}
-			full := seal.Seal(make([]byte, maxPayload))
+			full := seal.Seal(nil, make([]byte, maxPayload))
 			if len(full) > headerLen+maxBody {
 				t.Fatalf("a full record is %d bytes, more than the declared %d+%d", len(full), headerLen, maxBody)
 			}
 			wire.buf.Write(full)
-			over := seal.Seal(make([]byte, maxPayload+1))
+			over := seal.Seal(nil, make([]byte, maxPayload+1))
 			wire.buf.Write(over)
 			rc := pt.NewCodecConn(wire, open)
 			got, err := io.ReadAll(rc)
@@ -170,7 +170,7 @@ func FuzzRecordConnRead(f *testing.F) {
 // a flipped last byte and one with a truncated body.
 func fuzzCodecRead(f *testing.F, pair func() (seal, open pt.RecordCodec)) {
 	seal, _ := pair()
-	valid := seal.Seal([]byte("one record"))
+	valid := seal.Seal(nil, []byte("one record"))
 	flipped := append([]byte(nil), valid...)
 	flipped[len(flipped)-1] ^= 1
 	f.Add(valid)

@@ -23,6 +23,7 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"slices"
 	"time"
 
 	"ptperf/internal/netem"
@@ -85,55 +86,57 @@ const (
 	statusGone = 1
 )
 
-func writePoll(w io.Writer, sid uint64, body []byte) error {
-	buf := make([]byte, 12+len(body))
-	binary.BigEndian.PutUint64(buf, sid)
-	binary.BigEndian.PutUint32(buf[8:], uint32(len(body)))
-	copy(buf[12:], body)
-	_, err := w.Write(buf)
+// A tunnel moves thousands of polls, so every loop frames and reads in
+// buffers it keeps: a body read is valid until the next read into the
+// same buffer. No writer sends more than chunk; readers hold them to it.
+
+func writePoll(w io.Writer, buf *[]byte, sid uint64, body []byte) error {
+	b := binary.BigEndian.AppendUint64((*buf)[:0], sid)
+	b = binary.BigEndian.AppendUint32(b, uint32(len(body)))
+	*buf = append(b, body...)
+	_, err := w.Write(*buf)
 	return err
 }
 
-func readPoll(r io.Reader) (uint64, []byte, error) {
-	var head [12]byte
-	if _, err := io.ReadFull(r, head[:]); err != nil {
+// readPoll reads one poll into *buf's array, grown if it is too small.
+func readPoll(r io.Reader, buf *[]byte) (uint64, []byte, error) {
+	head := slices.Grow((*buf)[:0], 12)[:12]
+	if _, err := io.ReadFull(r, head); err != nil {
 		return 0, nil, err
 	}
-	sid := binary.BigEndian.Uint64(head[:8])
-	n := binary.BigEndian.Uint32(head[8:])
-	if n > 1<<24 {
-		return 0, nil, errors.New("meek: oversized poll")
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return 0, nil, err
-	}
-	return sid, body, nil
+	sid := binary.BigEndian.Uint64(head)
+	body, err := readBody(r, buf, binary.BigEndian.Uint32(head[8:]))
+	return sid, body, err
 }
 
-func writeReply(w io.Writer, status byte, body []byte) error {
-	buf := make([]byte, 5+len(body))
-	buf[0] = status
-	binary.BigEndian.PutUint32(buf[1:], uint32(len(body)))
-	copy(buf[5:], body)
-	_, err := w.Write(buf)
+func writeReply(w io.Writer, buf *[]byte, status byte, body []byte) error {
+	b := binary.BigEndian.AppendUint32(append((*buf)[:0], status), uint32(len(body)))
+	*buf = append(b, body...)
+	_, err := w.Write(*buf)
 	return err
 }
 
-func readReply(r io.Reader) (byte, []byte, error) {
-	var head [5]byte
-	if _, err := io.ReadFull(r, head[:]); err != nil {
+// readReply reads one reply into *buf's array, grown if it is too small.
+func readReply(r io.Reader, buf *[]byte) (byte, []byte, error) {
+	head := slices.Grow((*buf)[:0], 5)[:5]
+	if _, err := io.ReadFull(r, head); err != nil {
 		return 0, nil, err
 	}
-	n := binary.BigEndian.Uint32(head[1:])
-	if n > 1<<24 {
-		return 0, nil, errors.New("meek: oversized reply")
+	status := head[0]
+	body, err := readBody(r, buf, binary.BigEndian.Uint32(head[1:]))
+	return status, body, err
+}
+
+// readBody reads the n bytes a header announced over that header.
+func readBody(r io.Reader, buf *[]byte, n uint32) ([]byte, error) {
+	if n > chunk {
+		return nil, errors.New("meek: oversized frame")
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return 0, nil, err
+	*buf = slices.Grow((*buf)[:0], int(n))[:n]
+	if _, err := io.ReadFull(r, *buf); err != nil {
+		return nil, err
 	}
-	return head[0], body, nil
+	return *buf, nil
 }
 
 // Front is the CDN edge: it terminates client TLS and forwards each
@@ -171,20 +174,21 @@ func (f *Front) serveConn(c net.Conn) {
 		return
 	}
 	defer up.Close()
+	var rbuf, wbuf []byte // a poll and its reply share both
 	for {
-		sid, body, err := readPoll(c)
+		sid, body, err := readPoll(c, &rbuf)
 		if err != nil {
 			return
 		}
 		clock.Sleep(frontDelay)
-		if err := writePoll(up, sid, body); err != nil {
+		if err := writePoll(up, &wbuf, sid, body); err != nil {
 			return
 		}
-		status, reply, err := readReply(up)
+		status, reply, err := readReply(up, &rbuf)
 		if err != nil {
 			return
 		}
-		if err := writeReply(c, status, reply); err != nil {
+		if err := writeReply(c, &wbuf, status, reply); err != nil {
 			return
 		}
 	}
@@ -287,15 +291,15 @@ func (b *Bridge) charge(s *bridgeSession, n int) (over bool) {
 func (b *Bridge) serveFrontConn(c net.Conn) {
 	defer c.Close()
 	clock := b.host.Network().Clock()
-	var down []byte // reused by every poll's Take
+	var rbuf, down, wbuf []byte // reused by every poll
 	for {
-		sid, body, err := readPoll(c)
+		sid, body, err := readPoll(c, &rbuf)
 		if err != nil {
 			return
 		}
 		s := b.sessions.Touch(sid)
 		if s.gone {
-			if err := writeReply(c, statusGone, nil); err != nil {
+			if err := writeReply(c, &wbuf, statusGone, nil); err != nil {
 				return
 			}
 			continue
@@ -314,7 +318,7 @@ func (b *Bridge) serveFrontConn(c net.Conn) {
 		}
 		// The chunk that crossed the budget still ships; the session is
 		// gone from the next poll on.
-		if err := writeReply(c, statusOK, down); err != nil {
+		if err := writeReply(c, &wbuf, statusOK, down); err != nil {
 			return
 		}
 	}
@@ -370,13 +374,13 @@ func (t *pollConn) pollLoop() {
 	defer t.conn.Close()
 	defer t.Fail()
 	interval := minPoll
-	var body []byte // reused by every poll's Take
+	var body, rbuf, wbuf []byte // reused by every poll
 	for !t.Closed() {
 		body = t.Take(body, chunk)
-		if err := writePoll(t.conn, t.sid, body); err != nil {
+		if err := writePoll(t.conn, &wbuf, t.sid, body); err != nil {
 			return
 		}
-		status, reply, err := readReply(t.conn)
+		status, reply, err := readReply(t.conn, &rbuf)
 		if err != nil || status == statusGone {
 			return
 		}

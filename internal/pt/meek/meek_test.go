@@ -10,10 +10,10 @@ import (
 func TestPollFrameRoundTrip(t *testing.T) {
 	f := func(sid uint64, body []byte) bool {
 		var buf bytes.Buffer
-		if err := writePoll(&buf, sid, body); err != nil {
+		if err := writePoll(&buf, new([]byte), sid, body); err != nil {
 			return false
 		}
-		gotSid, gotBody, err := readPoll(&buf)
+		gotSid, gotBody, err := readPoll(&buf, new([]byte))
 		if err != nil {
 			return false
 		}
@@ -27,10 +27,10 @@ func TestPollFrameRoundTrip(t *testing.T) {
 func TestReplyFrameRoundTrip(t *testing.T) {
 	f := func(status byte, body []byte) bool {
 		var buf bytes.Buffer
-		if err := writeReply(&buf, status, body); err != nil {
+		if err := writeReply(&buf, new([]byte), status, body); err != nil {
 			return false
 		}
-		gotStatus, gotBody, err := readReply(&buf)
+		gotStatus, gotBody, err := readReply(&buf, new([]byte))
 		if err != nil {
 			return false
 		}
@@ -45,7 +45,7 @@ func TestReadPollRejectsOversized(t *testing.T) {
 	var buf bytes.Buffer
 	buf.Write([]byte{0, 0, 0, 0, 0, 0, 0, 1}) // sid
 	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF}) // absurd length
-	if _, _, err := readPoll(&buf); err == nil {
+	if _, _, err := readPoll(&buf, new([]byte)); err == nil {
 		t.Fatal("oversized poll must be rejected")
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"hash"
 	"io"
 	"net"
 
@@ -49,38 +50,41 @@ const maxPacket = 32 << 10
 // packetCodec is psiphon's record shape under pt.RecordConn:
 // [4B len][payload][16B MAC], the MAC keyed per direction and bound to
 // the packet's sequence number.
-type packetCodec struct {
-	sendKey, recvKey []byte
-	sendSeq, recvSeq uint64
+type packetCodec struct{ send, recv packetMAC }
+
+// packetMAC is one direction's keyed hash, the sequence number of its
+// next packet and the scratch a MAC is computed in.
+type packetMAC struct {
+	h   hash.Hash
+	seq uint64
+	sum [sha256.Size]byte
 }
 
 // NewCodec returns one end's packet codec for a session secret.
 func NewCodec(secret []byte, isClient bool) pt.RecordCodec {
 	send, recv := directionKeys(secret, isClient)
-	return &packetCodec{sendKey: send, recvKey: recv}
+	return &packetCodec{send: packetMAC{h: hmac.New(sha256.New, send)}, recv: packetMAC{h: hmac.New(sha256.New, recv)}}
 }
 
-func packetMAC(key []byte, seq uint64, payload []byte) []byte {
-	mac := hmac.New(sha256.New, key)
-	var s [8]byte
-	binary.BigEndian.PutUint64(s[:], seq)
-	mac.Write(s[:])
-	mac.Write(payload)
-	return mac.Sum(nil)[:macLen]
+// next returns the MAC of the direction's next packet, valid until the
+// following call; the caller advances seq once the packet stands.
+func (m *packetMAC) next(payload []byte) []byte {
+	m.h.Reset()
+	binary.BigEndian.PutUint64(m.sum[:8], m.seq)
+	m.h.Write(m.sum[:8])
+	m.h.Write(payload)
+	return m.h.Sum(m.sum[:0])[:macLen]
 }
 
 func (c *packetCodec) Sizes() (maxPayload, headerLen, maxBody int) {
 	return maxPacket, 4, maxPacket + macLen
 }
 
-func (c *packetCodec) Seal(payload []byte) []byte {
-	n := len(payload)
-	pkt := make([]byte, 4+n+macLen)
-	binary.BigEndian.PutUint32(pkt, uint32(n))
-	copy(pkt[4:], payload)
-	copy(pkt[4+n:], packetMAC(c.sendKey, c.sendSeq, payload))
-	c.sendSeq++
-	return pkt
+func (c *packetCodec) Seal(dst, payload []byte) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = append(append(dst, payload...), c.send.next(payload)...)
+	c.send.seq++
+	return dst
 }
 
 func (c *packetCodec) BodyLen(header []byte) (int, error) {
@@ -89,10 +93,10 @@ func (c *packetCodec) BodyLen(header []byte) (int, error) {
 
 func (c *packetCodec) Open(_, body []byte) ([]byte, error) {
 	n := len(body) - macLen
-	if !hmac.Equal(packetMAC(c.recvKey, c.recvSeq, body[:n]), body[n:]) {
+	if !hmac.Equal(c.recv.next(body[:n]), body[n:]) {
 		return nil, ErrMAC
 	}
-	c.recvSeq++
+	c.recv.seq++
 	return body[:n], nil
 }
 

@@ -2,21 +2,29 @@ package psiphon
 
 import (
 	"bytes"
+	"crypto/hmac"
+	"crypto/sha256"
 	"testing"
 	"testing/quick"
 )
 
+// macOf is the MAC of packet seq under key, from a fresh keyed hash.
+func macOf(key []byte, seq uint64, payload []byte) []byte {
+	m := packetMAC{h: hmac.New(sha256.New, key), seq: seq}
+	return m.next(payload)
+}
+
 func TestPacketMACDeterministic(t *testing.T) {
 	key := []byte("k")
-	a := packetMAC(key, 1, []byte("payload"))
-	b := packetMAC(key, 1, []byte("payload"))
+	a := macOf(key, 1, []byte("payload"))
+	b := macOf(key, 1, []byte("payload"))
 	if !bytes.Equal(a, b) {
 		t.Fatal("MAC must be deterministic")
 	}
-	if bytes.Equal(a, packetMAC(key, 2, []byte("payload"))) {
+	if bytes.Equal(a, macOf(key, 2, []byte("payload"))) {
 		t.Fatal("MAC must bind the sequence number")
 	}
-	if bytes.Equal(a, packetMAC([]byte("other"), 1, []byte("payload"))) {
+	if bytes.Equal(a, macOf([]byte("other"), 1, []byte("payload"))) {
 		t.Fatal("MAC must bind the key")
 	}
 	if len(a) != macLen {

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"slices"
 
 	"ptperf/internal/netem"
 	"ptperf/internal/pt"
@@ -46,6 +47,9 @@ type Config struct {
 type aeadCodec struct {
 	send, recv           cipher.AEAD
 	sendNonce, recvNonce uint64
+	// Scratch of the AEAD calls, so that no record puts it on the heap.
+	nonce  [12]byte
+	lenBuf [2]byte
 }
 
 // NewCodec returns one end's chunk codec for a session's salt.
@@ -61,18 +65,17 @@ func (c *aeadCodec) Sizes() (maxPayload, headerLen, maxBody int) {
 	return maxChunk, 2 + tagLen, maxChunk + tagLen
 }
 
-func (c *aeadCodec) Seal(payload []byte) []byte {
-	var lenPlain [2]byte
-	binary.BigEndian.PutUint16(lenPlain[:], uint16(len(payload)))
-	out := make([]byte, 0, 2+tagLen+len(payload)+tagLen)
-	out = c.send.Seal(out, nonceBytes(c.sendNonce), lenPlain[:], nil)
-	out = c.send.Seal(out, nonceBytes(c.sendNonce+1), payload, nil)
+func (c *aeadCodec) Seal(dst, payload []byte) []byte {
+	binary.BigEndian.PutUint16(c.lenBuf[:], uint16(len(payload)))
+	dst = slices.Grow(dst, 2+tagLen+len(payload)+tagLen)
+	dst = c.send.Seal(dst, c.nonceBytes(c.sendNonce), c.lenBuf[:], nil)
+	dst = c.send.Seal(dst, c.nonceBytes(c.sendNonce+1), payload, nil)
 	c.sendNonce += 2
-	return out
+	return dst
 }
 
 func (c *aeadCodec) BodyLen(header []byte) (int, error) {
-	lenPlain, err := c.recv.Open(nil, nonceBytes(c.recvNonce), header, nil)
+	lenPlain, err := c.recv.Open(c.lenBuf[:0], c.nonceBytes(c.recvNonce), header, nil)
 	if err != nil {
 		return 0, ErrCipher
 	}
@@ -80,7 +83,7 @@ func (c *aeadCodec) BodyLen(header []byte) (int, error) {
 }
 
 func (c *aeadCodec) Open(_, body []byte) ([]byte, error) {
-	plain, err := c.recv.Open(body[:0], nonceBytes(c.recvNonce+1), body, nil)
+	plain, err := c.recv.Open(body[:0], c.nonceBytes(c.recvNonce+1), body, nil)
 	if err != nil {
 		return nil, ErrCipher
 	}
@@ -105,10 +108,11 @@ func subkey(psk, salt []byte, label string) cipher.AEAD {
 	return aead
 }
 
-func nonceBytes(n uint64) []byte {
-	var b [12]byte
-	binary.LittleEndian.PutUint64(b[:8], n)
-	return b[:]
+// nonceBytes is valid until the next call: no AEAD call parks, so one
+// nonce serves both directions.
+func (c *aeadCodec) nonceBytes(n uint64) []byte {
+	binary.LittleEndian.PutUint64(c.nonce[:8], n)
+	return c.nonce[:]
 }
 
 // clientWrap sends the salt and builds the AEAD pair (zero RTT).

@@ -8,7 +8,8 @@ import (
 
 // FuzzDecodeCover: a cover either fails to decode or yields a block
 // that encodes and decodes to itself, and a hostile Content-Length is
-// an error, not an allocation.
+// an error, not an allocation; a decode into a buffer that held another
+// block returns what a decode into a fresh one does.
 func FuzzDecodeCover(f *testing.F) {
 	var seed bytes.Buffer
 	encodeCover(&seed, []byte("\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x04data"))
@@ -18,7 +19,11 @@ func FuzzDecodeCover(f *testing.F) {
 	f.Add([]byte("POST /images/upload HTTP/1.1\r\ncontent-length: 4\r\n\r\n!!!!"))
 	f.Add([]byte("GET / HTTP/1.1\r\n\r\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		block, err := decodeCover(bufio.NewReader(bytes.NewReader(data)))
+		block, err := decodeCover(bufio.NewReader(bytes.NewReader(data)), nil)
+		reused, rerr := decodeCover(bufio.NewReader(bytes.NewReader(data)), bytes.Repeat([]byte{0xa5}, 300))
+		if (err == nil) != (rerr == nil) || !bytes.Equal(block, reused) {
+			t.Fatalf("fresh decode (%q, %v), decode into a used buffer (%q, %v)", block, err, reused, rerr)
+		}
 		if err != nil {
 			return
 		}
@@ -26,7 +31,7 @@ func FuzzDecodeCover(f *testing.F) {
 		if err := encodeCover(&again, block); err != nil {
 			t.Fatal(err)
 		}
-		back, err := decodeCover(bufio.NewReader(&again))
+		back, err := decodeCover(bufio.NewReader(&again), nil)
 		if err != nil || !bytes.Equal(back, block) {
 			t.Fatalf("block %q did not survive a round trip: %q %v", block, back, err)
 		}

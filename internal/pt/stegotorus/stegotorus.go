@@ -93,17 +93,18 @@ var (
 func encodeCover(w io.Writer, block []byte) error {
 	bp := coverPool.Get().(*[]byte)
 	defer coverPool.Put(bp)
-	b := fmt.Appendf((*bp)[:0], "POST /images/upload HTTP/1.1\r\nHost: pics.example\r\nContent-Type: image/jpeg\r\nContent-Length: %d\r\n\r\n",
-		base64.StdEncoding.EncodedLen(len(block)))
+	b := append((*bp)[:0], "POST /images/upload HTTP/1.1\r\nHost: pics.example\r\nContent-Type: image/jpeg\r\nContent-Length: "...)
+	b = append(strconv.AppendInt(b, int64(base64.StdEncoding.EncodedLen(len(block))), 10), "\r\n\r\n"...)
 	*bp = base64.StdEncoding.AppendEncode(b, block)
 	_, err := w.Write(*bp)
 	return err
 }
 
-// decodeCover strips the HTTP cover and recovers the block. Header
-// lines are read in place, out of r's buffer: one that does not fit it
-// is no cover of ours (bufio.ErrBufferFull).
-func decodeCover(r *bufio.Reader) ([]byte, error) {
+// decodeCover strips the HTTP cover and recovers the block in buf's
+// array, grown if it is too small: a readLoop hands back what the last
+// call returned. Header lines are read in place, out of r's buffer: one
+// that does not fit it is no cover of ours (bufio.ErrBufferFull).
+func decodeCover(r *bufio.Reader, buf []byte) ([]byte, error) {
 	line, err := r.ReadSlice('\n')
 	if err != nil {
 		return nil, err
@@ -137,8 +138,8 @@ func decodeCover(r *bufio.Reader) ([]byte, error) {
 	if _, err := io.ReadFull(r, *bp); err != nil {
 		return nil, err
 	}
-	block := make([]byte, base64.StdEncoding.DecodedLen(contentLen))
-	n, err := base64.StdEncoding.Decode(block, *bp)
+	block := slices.Grow(buf[:0], base64.StdEncoding.DecodedLen(contentLen))
+	n, err := base64.StdEncoding.Decode(block[:cap(block)], *bp)
 	return block[:n], err
 }
 
@@ -177,6 +178,10 @@ type chopConn struct {
 	sendSeq uint64
 	rrIndex int
 	rng     *rand.Rand
+	// wblock holds the block being chopped, which send has covered
+	// before it parks; writing refuses a second, interleaving writer.
+	wblock  []byte
+	writing bool
 	// closed is "Close was called here". The stream's own Closed is
 	// also true once every reader has gone (the peer half-closed all
 	// its conns), and writes must still go out then.
@@ -217,9 +222,10 @@ func (c *chopConn) readLoop(conn net.Conn) {
 		br.Reset(nil)
 		readerPool.Put(br)
 	}()
+	var block []byte // reused by every cover
 	for {
-		block, err := decodeCover(br)
-		if err != nil {
+		var err error
+		if block, err = decodeCover(br, block); err != nil {
 			return
 		}
 		if len(block) < blockHeader {
@@ -271,30 +277,33 @@ func (c *chopConn) CloseWrite() error {
 	return firstErr
 }
 
-// Write chops p into blocks and spreads them over the conns.
+// Write chops p into blocks and spreads them over the conns. A conn has
+// one writer at a time.
 func (c *chopConn) Write(p []byte) (int, error) {
 	if c.closed || c.WriteEnded() {
 		return 0, errors.New("stegotorus: closed")
 	}
+	if c.writing {
+		panic("stegotorus: chopConn.Write re-entered")
+	}
+	c.writing = true
+	defer func() { c.writing = false }()
 	written := 0
 	for len(p) > 0 {
 		size := c.cfg.MinBlock
 		if c.cfg.MaxBlock > c.cfg.MinBlock {
 			size += c.rng.Intn(c.cfg.MaxBlock - c.cfg.MinBlock)
 		}
-		if size > len(p) {
-			size = len(p)
-		}
-		block := make([]byte, blockHeader+size)
-		binary.BigEndian.PutUint64(block[0:8], c.sid)
-		binary.BigEndian.PutUint64(block[8:16], c.sendSeq)
-		binary.BigEndian.PutUint32(block[16:20], uint32(size))
-		copy(block[blockHeader:], p[:size])
+		size = min(size, len(p))
+		block := binary.BigEndian.AppendUint64(c.wblock[:0], c.sid)
+		block = binary.BigEndian.AppendUint64(block, c.sendSeq)
+		block = binary.BigEndian.AppendUint32(block, uint32(size))
+		c.wblock = append(block, p[:size]...)
 		c.sendSeq++
 
 		idx := c.rrIndex % len(c.conns)
 		c.rrIndex++
-		if err := c.send(idx, block); err != nil {
+		if err := c.send(idx, c.wblock); err != nil {
 			return written, err
 		}
 		written += size

@@ -14,7 +14,7 @@ func TestCoverCodecRoundTrip(t *testing.T) {
 		if err := encodeCover(&buf, block); err != nil {
 			return false
 		}
-		got, err := decodeCover(bufio.NewReader(&buf))
+		got, err := decodeCover(bufio.NewReader(&buf), nil)
 		if err != nil {
 			return false
 		}
@@ -43,7 +43,7 @@ func TestCoverLooksLikeHTTP(t *testing.T) {
 }
 
 func TestDecodeCoverRejectsGarbage(t *testing.T) {
-	if _, err := decodeCover(bufio.NewReader(strings.NewReader("GET / HTTP/1.1\r\n\r\n"))); err == nil {
+	if _, err := decodeCover(bufio.NewReader(strings.NewReader("GET / HTTP/1.1\r\n\r\n")), nil); err == nil {
 		t.Fatal("non-cover request must be rejected")
 	}
 }

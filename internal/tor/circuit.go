@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -421,15 +422,14 @@ type Stream struct {
 	connected *netem.Chan[error]
 
 	cond *netem.Cond
-	// buf[bufHead:] is the unread inbound data. The head index (rather
-	// than re-slicing buf itself) keeps the slice anchored at its
-	// allocation, so once the reader fully drains it the capacity is
-	// reused — without it, push re-grows the buffer for every chunk of
-	// a bulk download. The array is leased from streamBufPool at the
-	// first push and goes back at Close.
-	buf          []byte
-	bufHead      int
-	lease        *[]byte
+	// The unread inbound data is chunks[0][head:] and every later
+	// chunk, buffered bytes in all. Each chunk is a streamBufPool lease
+	// that push fills before it takes the next and consume returns once
+	// drained, so a reader slower than the circuit costs a lease per
+	// 65 KiB of backlog and no copy. Close returns what is left.
+	chunks       []*[]byte
+	head         int
+	buffered     int
 	remoteClosed bool
 	localClosed  bool
 	rdl          time.Time
@@ -443,13 +443,12 @@ type Stream struct {
 	dlvWin int
 }
 
-// streamBufSize is what a stream's inbound buffer holds without
-// growing: one threshold read of the fetch body copy (64 KiB) and the
-// cells that land while its reader wakes.
+// streamBufSize is what one chunk of a stream's inbound queue holds:
+// one threshold read of the fetch body copy (64 KiB) and the cells that
+// land while its reader wakes.
 const streamBufSize = 64<<10 + 2*CellSize
 
-// streamBufPool leases Stream.buf arrays, so a stream does not double
-// its way from one cell to a chunk and leave the copies to the GC.
+// streamBufPool leases the chunks of Stream.chunks.
 var streamBufPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 0, streamBufSize)
@@ -479,33 +478,43 @@ func (s *Stream) push(data []byte) {
 	if s.localClosed {
 		return
 	}
-	if s.lease == nil {
-		s.lease = streamBufPool.Get().(*[]byte)
-		s.buf = (*s.lease)[:0]
+	s.buffered += len(data)
+	for len(data) > 0 {
+		if n := len(s.chunks); n == 0 || len(*s.chunks[n-1]) == streamBufSize {
+			s.chunks = append(s.chunks, streamBufPool.Get().(*[]byte))
+		}
+		last := s.chunks[len(s.chunks)-1]
+		n := min(len(data), streamBufSize-len(*last))
+		*last = append(*last, data[:n]...)
+		data = data[n:]
 	}
-	s.buf = append(s.buf, data...)
-	if len(s.buf)-s.bufHead >= s.rdWant {
+	if s.buffered >= s.rdWant {
 		s.cond.Broadcast()
 	}
 }
 
-// consume moves up to len(p) buffered bytes into p, recycling the
-// buffer's capacity once fully drained.
+// consume moves up to len(p) buffered bytes into p, returning each
+// chunk's lease as it drains.
 func (s *Stream) consume(p []byte) int {
-	n := copy(p, s.buf[s.bufHead:])
-	s.bufHead += n
-	if s.bufHead == len(s.buf) {
-		s.buf = s.buf[:0]
-		s.bufHead = 0
-	} else if s.bufHead >= 32<<10 {
-		// A big threshold read usually leaves a sub-cell remainder;
-		// move it to the front so the buffer never grows past one
-		// chunk plus a few cells.
-		m := copy(s.buf, s.buf[s.bufHead:])
-		s.buf = s.buf[:m]
-		s.bufHead = 0
+	total := 0
+	for len(p) > 0 && s.buffered > 0 {
+		first := s.chunks[0]
+		n := copy(p, (*first)[s.head:])
+		p = p[n:]
+		total += n
+		s.buffered -= n
+		if s.head += n; s.head == len(*first) {
+			s.dropChunk()
+		}
 	}
-	return n
+	return total
+}
+
+// dropChunk returns the first chunk's lease; the list keeps its array.
+func (s *Stream) dropChunk() {
+	*s.chunks[0] = (*s.chunks[0])[:0]
+	streamBufPool.Put(s.chunks[0])
+	s.chunks, s.head = slices.Delete(s.chunks, 0, 1), 0
 }
 
 // remoteClose marks end-of-stream from the exit.
@@ -540,7 +549,7 @@ func (s *Stream) read(p []byte, min int) (int, error) {
 		if s.localClosed {
 			return 0, ErrCircuitClosed
 		}
-		if len(s.buf)-s.bufHead >= min {
+		if s.buffered >= min {
 			return s.consume(p), nil
 		}
 		if s.remoteClosed {
@@ -584,11 +593,11 @@ func (s *Stream) Close() error {
 		return nil
 	}
 	s.localClosed = true
-	if s.lease != nil {
-		// Nothing reads buf once localClosed is set.
-		streamBufPool.Put(s.lease)
-		s.lease, s.buf, s.bufHead = nil, nil, 0
+	// Nothing reads the queue once localClosed is set.
+	for len(s.chunks) > 0 {
+		s.dropChunk()
 	}
+	s.buffered = 0
 	s.cond.Broadcast()
 	s.circ.fcCond.Broadcast()
 
