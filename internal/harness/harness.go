@@ -236,8 +236,8 @@ func Experiments() []Experiment {
 // Run executes one experiment by ID ("all" runs every paper artifact;
 // the scenario experiments and the sweep run by explicit ID).
 func (r *Runner) Run(id string) error {
+	exps := Experiments()
 	if id == "all" {
-		exps := Experiments()
 		// Submit every experiment's world tasks before rendering any:
 		// the executor keeps all cores busy while the reports are
 		// still written strictly in paper order.
@@ -250,28 +250,15 @@ func (r *Runner) Run(id string) error {
 			if e.Optional {
 				continue
 			}
-			if err := r.Run(e.ID); err != nil {
+			if err := r.run(e); err != nil {
 				return fmt.Errorf("%s: %w", e.ID, err)
 			}
 		}
 		return nil
 	}
-	exps := Experiments()
 	for _, e := range exps {
 		if e.ID == id {
-			// Tee the experiment's report into a section buffer so the
-			// HTML artifact can embed it. Rendering is single-threaded
-			// (tasks never write r.out), so swapping the writer is safe.
-			var buf bytes.Buffer
-			orig := r.out
-			r.out = io.MultiWriter(orig, &buf)
-			fmt.Fprintf(r.out, "\n=== %s — %s (%s) ===\n", e.ID, e.Title, e.Artifact)
-			err := e.run(r)
-			r.out = orig
-			r.omu.Lock()
-			r.sections = append(r.sections, obs.Section{ID: e.ID, Title: e.Title, Body: buf.String()})
-			r.omu.Unlock()
-			return err
+			return r.run(e)
 		}
 	}
 	ids := make([]string, 0, len(exps))
@@ -279,6 +266,22 @@ func (r *Runner) Run(id string) error {
 		ids = append(ids, e.ID)
 	}
 	return fmt.Errorf("harness: unknown experiment %q (have all, %s)", id, strings.Join(ids, ", "))
+}
+
+// run renders one experiment, teeing its report into a section buffer so
+// the HTML artifact can embed it. Rendering is single-threaded (tasks
+// never write r.out), so swapping the writer is safe.
+func (r *Runner) run(e Experiment) error {
+	var buf bytes.Buffer
+	orig := r.out
+	r.out = io.MultiWriter(orig, &buf)
+	fmt.Fprintf(r.out, "\n=== %s — %s (%s) ===\n", e.ID, e.Title, e.Artifact)
+	err := e.run(r)
+	r.out = orig
+	r.omu.Lock()
+	r.sections = append(r.sections, obs.Section{ID: e.ID, Title: e.Title, Body: buf.String()})
+	r.omu.Unlock()
+	return err
 }
 
 // Seed streams. Every cell derives its Options.Seed from

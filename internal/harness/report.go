@@ -31,18 +31,22 @@ func (t *table) write(w io.Writer) {
 			}
 		}
 	}
+	// Each line is built in buf, which every line of the table reuses,
+	// and goes out in one Write.
+	var buf []byte
 	line := func(cells []string) {
-		var b strings.Builder
+		buf = buf[:0]
 		for i, c := range cells {
 			if i > 0 {
-				b.WriteString("  ")
+				buf = append(buf, "  "...)
 			}
-			b.WriteString(c)
+			buf = append(buf, c...)
 			if i < len(widths) && i != len(cells)-1 {
-				b.WriteString(strings.Repeat(" ", widths[i]-len(c)))
+				buf = appendRepeat(buf, ' ', widths[i]-len(c))
 			}
 		}
-		fmt.Fprintln(w, b.String())
+		buf = append(buf, '\n')
+		w.Write(buf)
 	}
 	line(t.header)
 	sep := make([]string, len(t.header))
@@ -53,6 +57,14 @@ func (t *table) write(w io.Writer) {
 	for _, row := range t.rows {
 		line(row)
 	}
+}
+
+// appendRepeat appends n copies of c to buf.
+func appendRepeat(buf []byte, c byte, n int) []byte {
+	for ; n > 0; n-- {
+		buf = append(buf, c)
+	}
+	return buf
 }
 
 // boxRow is one labelled row of a box-plot table.

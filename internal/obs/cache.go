@@ -138,7 +138,8 @@ func (c *Cache) Load(digest string) (*Entry, bool) { return c.LoadInto(digest, n
 // LoadInto is Load that also decodes the entry's Value into out (when
 // non-nil). A value that does not decode — schema drift without a
 // version bump — is a miss like any other corrupt entry: the caller
-// recomputes and overwrites it, and the run's stats say so.
+// recomputes and overwrites it, and the run's stats say so. So is an
+// entry with no Value at all. After a miss, out is unspecified.
 func (c *Cache) LoadInto(digest string, out any) (*Entry, bool) {
 	e, ok := c.read(digest, out)
 	c.mu.Lock()

@@ -2,12 +2,12 @@ package obs
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"html"
 	"io"
 	"sort"
-	"strings"
 	"time"
 
 	"ptperf/internal/plot"
@@ -42,24 +42,26 @@ type HistoryEntry struct {
 }
 
 // ParseBenchHistory reads a JSONL perf-history stream; unparseable
-// lines are skipped (the file is append-only across CI runs and must
-// tolerate a torn tail).
+// lines, and lines of 1 MiB or more, are skipped (the file is
+// append-only across CI runs and must tolerate a torn tail).
 func ParseBenchHistory(r io.Reader) []HistoryEntry {
 	var out []HistoryEntry
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
+	br := bufio.NewReaderSize(r, 1<<20)
+	for {
+		line, err := br.ReadSlice('\n')
+		for err == bufio.ErrBufferFull {
+			// Too long to hold: drop it through its newline.
+			line = nil
+			_, err = br.ReadSlice('\n')
 		}
 		var e HistoryEntry
-		if err := json.Unmarshal([]byte(line), &e); err != nil || len(e.NS) == 0 {
-			continue
+		if line = bytes.TrimSpace(line); json.Unmarshal(line, &e) == nil && len(e.NS) > 0 {
+			out = append(out, e)
 		}
-		out = append(out, e)
+		if err != nil {
+			return out
+		}
 	}
-	return out
 }
 
 // HTMLReport is everything the report artifact renders.

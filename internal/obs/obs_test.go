@@ -153,6 +153,18 @@ not json
 	}
 }
 
+// TestParseBenchHistorySkipsLongLine: a line too long to buffer is one
+// bad line like any other, not the end of the history.
+func TestParseBenchHistorySkipsLongLine(t *testing.T) {
+	in := `{"label":"a","ns":{"BenchmarkX":100}}` + "\n" +
+		strings.Repeat("x", 2<<20) + "\n" +
+		`{"label":"b","ns":{"BenchmarkX":90}}` + "\n"
+	got := ParseBenchHistory(strings.NewReader(in))
+	if len(got) != 2 || got[0].Label != "a" || got[1].Label != "b" {
+		t.Fatalf("parsed %d entries %+v, want a and b", len(got), got)
+	}
+}
+
 // TestWriteHTMLDeterministic renders the same report twice and requires
 // identical bytes (no wall-clock state), and spot-checks the structure.
 func TestWriteHTMLDeterministic(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"math"
 	"sort"
+	"sync"
 )
 
 // Mean returns the arithmetic mean (0 for empty input).
@@ -50,8 +51,18 @@ func Quantile(xs []float64, q float64) float64 {
 	if len(xs) == 0 {
 		return math.NaN()
 	}
+	return quantileSorted(sortedCopy(xs), q)
+}
+
+// sortedCopy returns an ascending copy of xs; xs itself is not reordered.
+func sortedCopy(xs []float64) []float64 {
 	s := append([]float64(nil), xs...)
 	sort.Float64s(s)
+	return s
+}
+
+// quantileSorted is Quantile over an already sorted, non-empty sample.
+func quantileSorted(s []float64, q float64) float64 {
 	if q <= 0 {
 		return s[0]
 	}
@@ -81,18 +92,20 @@ type Box struct {
 	Mean, SD float64
 }
 
-// Summarize computes a Box for the sample.
+// Summarize computes a Box for the sample. It sorts one copy of xs and
+// reads every quantile from it; the moments sum xs in its own order.
 func Summarize(xs []float64) Box {
 	if len(xs) == 0 {
 		return Box{}
 	}
+	s := sortedCopy(xs)
 	return Box{
 		N:      len(xs),
-		Min:    Quantile(xs, 0),
-		Q1:     Quantile(xs, 0.25),
-		Median: Quantile(xs, 0.5),
-		Q3:     Quantile(xs, 0.75),
-		Max:    Quantile(xs, 1),
+		Min:    quantileSorted(s, 0),
+		Q1:     quantileSorted(s, 0.25),
+		Median: quantileSorted(s, 0.5),
+		Q3:     quantileSorted(s, 0.75),
+		Max:    quantileSorted(s, 1),
 		Mean:   Mean(xs),
 		SD:     StdDev(xs),
 	}
@@ -104,11 +117,7 @@ type ECDF struct {
 }
 
 // NewECDF builds an ECDF over the sample.
-func NewECDF(xs []float64) *ECDF {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return &ECDF{sorted: s}
-}
+func NewECDF(xs []float64) *ECDF { return &ECDF{sorted: sortedCopy(xs)} }
 
 // At returns P(X ≤ x).
 func (e *ECDF) At(x float64) float64 {
@@ -201,7 +210,7 @@ func PairedT(x, y []float64) (TTestResult, error) {
 	se := sd / math.Sqrt(float64(n))
 	res.T = mean / se
 	res.P = 2 * (1 - TCDF(math.Abs(res.T), float64(df)))
-	tcrit := TQuantile(0.975, float64(df))
+	tcrit := tCrit975(df)
 	res.CILower = mean - tcrit*se
 	res.CIUpper = mean + tcrit*se
 	return res, nil
@@ -212,6 +221,22 @@ func sign(x float64) int {
 		return -1
 	}
 	return 1
+}
+
+// tcrit975 memoizes TQuantile(0.975, df) by df (int → float64). A
+// campaign's t-tests share a handful of sample sizes, and each bisection
+// costs 55 TCDF evaluations. The value is a pure function of df, so which
+// goroutine or world fills an entry first cannot change a bit of it.
+var tcrit975 sync.Map
+
+// tCrit975 returns the two-sided 95 % critical value of Student's t with
+// df degrees of freedom.
+func tCrit975(df int) float64 {
+	if v, ok := tcrit975.Load(df); ok {
+		return v.(float64)
+	}
+	v, _ := tcrit975.LoadOrStore(df, TQuantile(0.975, float64(df)))
+	return v.(float64)
 }
 
 // TCDF returns P(T ≤ t) for Student's t with ν degrees of freedom.

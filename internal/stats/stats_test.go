@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -317,5 +318,113 @@ func TestSummarizeSingleton(t *testing.T) {
 	b := Summarize([]float64{7})
 	if b.Min != 7 || b.Max != 7 || b.Median != 7 || b.Mean != 7 || b.N != 1 || b.SD != 0 {
 		t.Fatalf("singleton summary: %+v", b)
+	}
+}
+
+// TestTCritMemoMatchesBisection holds the critical-value memo to the
+// bisection it caches, bit for bit: filled in order, then refilled from
+// 8 goroutines at once (which the race detector watches under -race).
+// PairedT's interval is pinned to the same value.
+func TestTCritMemoMatchesBisection(t *testing.T) {
+	dfs := []int{999, 10000}
+	for df := 1; df <= 256; df++ {
+		dfs = append(dfs, df)
+	}
+	want := make([]uint64, len(dfs))
+	for i, df := range dfs {
+		want[i] = math.Float64bits(TQuantile(0.975, float64(df)))
+	}
+	reset := func() {
+		tcrit975.Range(func(k, _ any) bool {
+			tcrit975.Delete(k)
+			return true
+		})
+	}
+	reset()
+	for i, df := range dfs {
+		if got := math.Float64bits(tCrit975(df)); got != want[i] {
+			t.Fatalf("df %d: memo %x, bisection %x", df, got, want[i])
+		}
+	}
+	reset()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range dfs {
+				i := (k + 31*g) % len(dfs)
+				if got := math.Float64bits(tCrit975(dfs[i])); got != want[i] {
+					t.Errorf("goroutine %d, df %d: memo %x, bisection %x", g, dfs[i], got, want[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	x := []float64{3.1, 2.2, 5.9, 4.4, 1.3, 2.8}
+	y := []float64{2.0, 2.5, 4.1, 4.0, 1.9, 1.1}
+	res, err := PairedT(x, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := make([]float64, len(x))
+	for i := range x {
+		d[i] = x[i] - y[i]
+	}
+	se := StdDev(d) / math.Sqrt(float64(len(d)))
+	tcrit := TQuantile(0.975, float64(len(d)-1))
+	if res.CILower != Mean(d)-tcrit*se || res.CIUpper != Mean(d)+tcrit*se {
+		t.Fatalf("CI [%v, %v] is not mean ± TQuantile(0.975, df)·se", res.CILower, res.CIUpper)
+	}
+}
+
+// TestSummarizeMatchesQuantile requires every field of a Box to be
+// bit-equal to the one-statistic functions, on samples with ties, -0
+// and negatives, and the input to be left as it was.
+func TestSummarizeMatchesQuantile(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	pool := []float64{0, math.Copysign(0, -1), -1, 1, -2.5, 2.5, 7}
+	for n := 1; n <= 64; n++ {
+		for trial := 0; trial < 4; trial++ {
+			xs := make([]float64, n)
+			for i := range xs {
+				if rng.Intn(2) == 0 {
+					xs[i] = pool[rng.Intn(len(pool))]
+				} else {
+					xs[i] = rng.NormFloat64() * 50
+				}
+			}
+			before := make([]uint64, n)
+			for i, x := range xs {
+				before[i] = math.Float64bits(x)
+			}
+			b := Summarize(xs)
+			for i, x := range xs {
+				if math.Float64bits(x) != before[i] {
+					t.Fatalf("n=%d: Summarize reordered its input at %d", n, i)
+				}
+			}
+			fields := []struct {
+				name      string
+				got, want float64
+			}{
+				{"Min", b.Min, Quantile(xs, 0)},
+				{"Q1", b.Q1, Quantile(xs, 0.25)},
+				{"Median", b.Median, Quantile(xs, 0.5)},
+				{"Q3", b.Q3, Quantile(xs, 0.75)},
+				{"Max", b.Max, Quantile(xs, 1)},
+				{"Mean", b.Mean, Mean(xs)},
+				{"SD", b.SD, StdDev(xs)},
+			}
+			for _, f := range fields {
+				if math.Float64bits(f.got) != math.Float64bits(f.want) {
+					t.Fatalf("n=%d %s: Summarize %v, want %v (sample %v)", n, f.name, f.got, f.want, xs)
+				}
+			}
+			if b.N != n {
+				t.Fatalf("n=%d: N = %d", n, b.N)
+			}
+		}
 	}
 }
