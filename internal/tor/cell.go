@@ -1,6 +1,6 @@
 // Package tor implements the Tor substrate of the PTPerf simulation: an
 // onion-routing overlay with fixed-size cells, circuit handshakes of
-// ntor's size and round trips, layered AES-CTR encryption with per-hop
+// ntor's size and round trips, per-hop recognition tags and counted
 // digests, guard/middle/exit relays, bandwidth-weighted path selection,
 // window-based flow control and a client that dials streams over its
 // circuits.
@@ -8,14 +8,14 @@
 // The substrate intentionally mirrors the architecture of the real Tor
 // protocol (tor-spec.txt) at the level that matters for performance
 // measurement: per-hop round trips during circuit construction, per-cell
-// framing overhead, layered crypto and windowed delivery. Identity
+// framing overhead, per-hop recognition and windowed delivery. Identity
 // authentication (certificates, consensus signatures) is out of scope and
 // documented as such in DESIGN.md. So is secrecy: a handshake half is 32
-// seeded random bytes sent in the clear and the hop keys are expanded
-// from both halves, so whoever reads the exchange has the keys. That is
+// seeded random bytes sent in the clear, the hop keys are expanded from
+// both halves, and relay payloads cross every hop unencrypted. That is
 // sound here because nothing in a world attacks them and no report reads
-// them: cell sizes, hop counts and round trips set virtual time; key
-// bytes only have to differ per hop, direction and circuit, so that a
+// them: cell sizes, hop counts and round trips set virtual time; tags and
+// keys only have to differ per hop, direction and circuit, so that a
 // corrupted, misrouted or replayed cell is rejected.
 package tor
 
@@ -54,7 +54,7 @@ const (
 	CmdCreate Command = 1
 	// CmdCreated carries the relay half of a circuit handshake.
 	CmdCreated Command = 2
-	// CmdRelay carries an onion-encrypted relay payload.
+	// CmdRelay carries a relay payload addressed to one hop.
 	CmdRelay Command = 3
 	// CmdDestroy tears down a circuit.
 	CmdDestroy Command = 4
@@ -77,7 +77,7 @@ func (c Command) String() string {
 	}
 }
 
-// RelayCommand is the command of a relay cell after onion decryption.
+// RelayCommand is the command inside a relay payload.
 type RelayCommand byte
 
 // Relay commands.
@@ -208,7 +208,7 @@ func readWire(r io.Reader, buf []byte) error {
 	return err
 }
 
-// RelayCell is the decrypted interior of a CmdRelay cell.
+// RelayCell is the interior of a CmdRelay cell.
 type RelayCell struct {
 	// Cmd is the relay command.
 	Cmd RelayCommand
@@ -221,11 +221,11 @@ type RelayCell struct {
 // ErrRelayTooLong reports an oversized relay payload.
 var ErrRelayTooLong = errors.New("tor: relay data exceeds cell capacity")
 
-// marshalRelayInto builds the plaintext relay payload in p (a
-// PayloadSize-byte slice) with a zero digest; the crypto layer fills
-// the digest before encrypting. p is zeroed first: it is typically a
-// recycled pooled buffer carrying stale bytes, and the padding (which
-// both digest computations cover) must be deterministic.
+// marshalRelayInto builds the relay payload in p (a PayloadSize-byte
+// slice) with a zero tag and digest; the crypto layer's seal fills both.
+// p is zeroed first: it is typically a recycled pooled buffer carrying
+// stale bytes, and the padding (which both digest computations cover)
+// must be deterministic.
 func marshalRelayInto(p []byte, rc *RelayCell) error {
 	if len(rc.Data) > MaxRelayData {
 		return ErrRelayTooLong
@@ -234,23 +234,20 @@ func marshalRelayInto(p []byte, rc *RelayCell) error {
 		p[i] = 0
 	}
 	p[0] = byte(rc.Cmd)
-	// p[1:3] is "recognized", zero in plaintext.
+	// p[1:3] is "recognized", the addressed hop's tag.
 	binary.BigEndian.PutUint16(p[3:5], rc.StreamID)
-	// p[5:9] is the digest, filled by the crypto layer.
+	// p[5:9] is the digest.
 	binary.BigEndian.PutUint16(p[9:11], uint16(len(rc.Data)))
 	copy(p[relayHeaderSize:], rc.Data)
 	return nil
 }
 
-// parseRelayView parses a decrypted relay payload; ok reports whether
-// the recognized field is zero and the length is sane (digest checking
-// is the crypto layer's job). Data is a view into p — valid only while
-// p's buffer is; callers that retain it past the cell's lifetime (the
-// client's circuit-build control queue) copy it first.
+// parseRelayView parses a relay payload; ok reports whether the length
+// is sane (the tag and digest are the crypto layer's to check). Data is
+// a view into p — valid only while p's buffer is; callers that retain it
+// past the cell's lifetime (the client's circuit-build control queue)
+// copy it first.
 func parseRelayView(p []byte) (RelayCell, bool) {
-	if p[1] != 0 || p[2] != 0 {
-		return RelayCell{}, false
-	}
 	n := binary.BigEndian.Uint16(p[9:11])
 	if int(n) > MaxRelayData {
 		return RelayCell{}, false

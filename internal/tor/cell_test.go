@@ -77,15 +77,6 @@ func TestRelayTooLong(t *testing.T) {
 	}
 }
 
-func TestRelayParseRejectsRecognized(t *testing.T) {
-	rc := RelayCell{Cmd: RelayData, Data: []byte("x")}
-	p, _ := marshalRelay(&rc)
-	p[1] = 1 // non-zero "recognized"
-	if _, ok := parseRelayView(p[:]); ok {
-		t.Fatal("non-zero recognized must not parse")
-	}
-}
-
 // handshakePair runs one exchange on rng: the initiator's and the
 // responder's view of the hop keys.
 func handshakePair(t *testing.T, rng *rand.Rand) (initiator, responder *hopCrypto) {
@@ -104,12 +95,10 @@ func handshakePair(t *testing.T, rng *rand.Rand) (initiator, responder *hopCrypt
 
 func TestHandshakeDerivesSharedKeys(t *testing.T) {
 	ka, kb := handshakePair(t, rand.New(rand.NewSource(1)))
-	// Client encrypts forward; relay decrypts forward: same keystream.
+	// The client seals forward; the relay recognizes it: same tag and key.
 	rc := RelayCell{Cmd: RelayData, StreamID: 7, Data: []byte("onion payload")}
 	p, _ := marshalRelay(&rc)
 	ka.sealForward(p[:])
-	ka.encryptForward(p[:])
-	kb.decryptForward(p[:])
 	got, ok := parseRelayView(p[:])
 	if !ok || !kb.checkForward(p[:]) {
 		t.Fatal("relay should recognize the sealed cell")
@@ -140,26 +129,17 @@ func TestHandshakeDrawsPinned(t *testing.T) {
 	}
 }
 
-// TestHandshakeKeysDistinct: every exchange gives its hop its own keys,
-// and one hop's two directions differ.
+// TestHandshakeKeysDistinct: every exchange gives its hop its own tags
+// and keys, and one hop's two directions differ.
 func TestHandshakeKeysDistinct(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	stream := func(encrypt func([]byte)) [32]byte {
-		var p [32]byte
-		encrypt(p[:])
-		return p
-	}
 	k1, _ := handshakePair(t, rng)
 	k2, _ := handshakePair(t, rng)
-	f1, f2 := stream(k1.encryptForward), stream(k2.encryptForward)
-	if f1 == f2 {
-		t.Fatal("two exchanges gave the same forward keystream")
+	if k1.fwd.key == k2.fwd.key || k1.bwd.key == k2.bwd.key || k1.fwd.tag == k2.fwd.tag {
+		t.Fatalf("two exchanges repeat a tag or key: %+v %+v", k1, k2)
 	}
-	if f1 == stream(k1.encryptBackward) {
-		t.Fatal("forward and backward keystreams of one hop are equal")
-	}
-	if k1.fwdK0 == k2.fwdK0 || k1.fwdK0 == k1.bwdK0 {
-		t.Fatal("digest keys repeat across exchanges or directions")
+	if k1.fwd.key == k1.bwd.key || k1.fwd.tag == k1.bwd.tag {
+		t.Fatalf("one hop's directions share a tag or key: %+v", k1)
 	}
 }
 
@@ -172,33 +152,44 @@ func TestHandshakeRejectsWrongLength(t *testing.T) {
 	}
 }
 
-// TestDeriveHopPinned holds the expansion's key bytes to what the
-// SHA-256 counter construction gave before it lost its allocations.
+// TestDeriveHopPinned holds the expansion's tags and keys, so that a
+// change to it is a decision rather than drift, and checks that every
+// word of the secret reaches them.
 func TestDeriveHopPinned(t *testing.T) {
-	h := deriveHop(bytes.Repeat([]byte{7}, 32))
-	var f, b [16]byte
-	h.encryptForward(f[:])
-	h.encryptBackward(b[:])
-	got := fmt.Sprintf("%x %x %x %x %x %x", f, b, h.fwdK0, h.fwdK1, h.bwdK0, h.bwdK1)
-	const want = "de7d6ac225eccc4ac7c206ac62b07390 7f93166d707bd6c33b39eada44830e62 " +
-		"9760bfbf6a73eab8 4cdb97e72f6ff81 453775672522103a c995af12752e528a"
-	if got != want {
-		t.Fatalf("key material\n got %s\nwant %s", got, want)
+	var secret [2 * HandshakeLen]byte
+	for i := range secret {
+		secret[i] = 7
 	}
-	// A secret longer than the stack buffer derives by the same rule.
-	long := bytes.Repeat([]byte{7}, 3*HandshakeLen)
-	if deriveHop(long).fwdK0 == h.fwdK0 {
-		t.Fatal("a longer secret derived the same keys")
+	h := deriveHop(&secret)
+	got := fmt.Sprintf("%04x %08x %04x %08x", h.fwd.tag, h.fwd.key, h.bwd.tag, h.bwd.key)
+	const want = "69e3 6427b6f3 2276 00723357"
+	if got != want {
+		t.Fatalf("tags and keys\n got %s\nwant %s", got, want)
+	}
+	for i := 0; i < len(secret); i += 8 {
+		secret[i] ^= 1
+		if g := deriveHop(&secret); g.fwd == h.fwd || g.bwd == h.bwd {
+			t.Errorf("secret word %d does not reach the tags and keys", i/8)
+		}
+		secret[i] ^= 1
 	}
 }
 
+// sealed marshals a DATA cell and seals it with seal.
+func sealed(seal func([]byte), data string) [PayloadSize]byte {
+	p, _ := marshalRelay(&RelayCell{Cmd: RelayData, StreamID: 1, Data: []byte(data)})
+	seal(p[:])
+	return p
+}
+
+// TestDigestCountersDetectReplay: a replayed cell, or one that arrives
+// before the cell sealed ahead of it, is refused, and a refusal does not
+// move the counter.
 func TestDigestCountersDetectReplay(t *testing.T) {
 	ka, kb := handshakePair(t, rand.New(rand.NewSource(2)))
 
-	rc := RelayCell{Cmd: RelayData, StreamID: 1, Data: []byte("cell-1")}
-	p1, _ := marshalRelay(&rc)
-	ka.sealForward(p1[:])
-	replay := p1 // plaintext copy before encryption
+	p1 := sealed(ka.sealForward, "cell-1")
+	replay := p1
 	if !kb.checkForward(p1[:]) {
 		t.Fatal("first cell should verify")
 	}
@@ -206,37 +197,94 @@ func TestDigestCountersDetectReplay(t *testing.T) {
 	if kb.checkForward(replay[:]) {
 		t.Fatal("replayed cell must not verify")
 	}
+	p2, p3 := sealed(ka.sealForward, "cell-2"), sealed(ka.sealForward, "cell-3")
+	if kb.checkForward(p3[:]) {
+		t.Fatal("a cell that overtook the one before it must not verify")
+	}
+	if !kb.checkForward(p2[:]) || !kb.checkForward(p3[:]) {
+		t.Fatal("the pair in order should verify after the refusal")
+	}
 }
 
-func TestOnionLayering(t *testing.T) {
-	// Three hops: client encrypts exit→middle→guard; each hop peels one
-	// layer; only the exit recognizes the cell.
+// TestCellHandledOnlyAtItsHop: a cell the client seals for hop i of a
+// three-hop circuit is recognized at i and nowhere else, and a cell hop
+// i seals back is recognized by the client as i's alone. With the tags
+// of all three hops forced equal, the digest still tells them apart.
+func TestCellHandledOnlyAtItsHop(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	var client, relays []*hopCrypto
-	for i := 0; i < 3; i++ {
-		kc, kr := handshakePair(t, rng)
-		client = append(client, kc)
-		relays = append(relays, kr)
-	}
-	rc := RelayCell{Cmd: RelayBegin, StreamID: 3, Data: []byte("web:80")}
-	p, _ := marshalRelay(&rc)
-	client[2].sealForward(p[:])
-	for i := 2; i >= 0; i-- {
-		client[i].encryptForward(p[:])
-	}
-	for i := 0; i < 2; i++ {
-		relays[i].decryptForward(p[:])
-		if got, ok := parseRelayView(p[:]); ok && relays[i].checkForward(p[:]) {
-			t.Fatalf("hop %d should not recognize cell %+v", i, got)
+	for _, sameTags := range []bool{false, true} {
+		for target := 0; target < 3; target++ {
+			var client, relays [3]*hopCrypto
+			for i := range client {
+				client[i], relays[i] = handshakePair(t, rng)
+				if sameTags {
+					client[i].fwd.tag, relays[i].fwd.tag = 0x5a5a, 0x5a5a
+					client[i].bwd.tag, relays[i].bwd.tag = 0xa5a5, 0xa5a5
+				}
+			}
+			p := sealed(client[target].sealForward, "web:80")
+			for i, hop := range relays {
+				if got := hop.checkForward(p[:]); got != (i == target) {
+					t.Errorf("same tags %v: a forward cell for hop %d recognized at hop %d: %v", sameTags, target, i, got)
+				}
+			}
+			p = sealed(relays[target].sealBackward, "web:80")
+			for i, hop := range client {
+				if got := hop.checkBackward(p[:]); got != (i == target) {
+					t.Errorf("same tags %v: a backward cell from hop %d recognized as hop %d's: %v", sameTags, target, i, got)
+				}
+			}
 		}
 	}
-	relays[2].decryptForward(p[:])
-	got, ok := parseRelayView(p[:])
-	if !ok || !relays[2].checkForward(p[:]) {
-		t.Fatal("exit must recognize the cell")
+}
+
+// TestCorruptCellRefused: every single-bit flip of a sealed payload, in
+// the header, the digest, the data or the padding, is refused.
+func TestCorruptCellRefused(t *testing.T) {
+	ka, kb := handshakePair(t, rand.New(rand.NewSource(4)))
+	p := sealed(ka.sealForward, "payload")
+	for bit := 0; bit < PayloadSize*8; bit++ {
+		q := p
+		q[bit/8] ^= 1 << (bit % 8)
+		if kb.checkForward(q[:]) {
+			t.Fatalf("a flip of bit %d was recognized", bit)
+		}
 	}
-	if string(got.Data) != "web:80" || got.Cmd != RelayBegin {
-		t.Fatalf("got %+v", got)
+	if !kb.checkForward(p[:]) {
+		t.Fatal("the intact cell should verify after the corrupt ones")
+	}
+}
+
+// TestMisdeliveredCellRefused: a cell sealed for a hop of circuit A is
+// refused by a hop of circuit B in either direction, even when the two
+// hops share a tag and a counter.
+func TestMisdeliveredCellRefused(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	clientA, relayA := handshakePair(t, rng)
+	clientB, relayB := handshakePair(t, rng)
+	relayB.fwd.tag, clientB.bwd.tag = clientA.fwd.tag, relayA.bwd.tag
+	if p := sealed(clientA.sealForward, "for A"); relayB.checkForward(p[:]) {
+		t.Fatal("a forward cell of circuit A was recognized on circuit B")
+	}
+	if p := sealed(relayA.sealBackward, "for A"); clientB.checkBackward(p[:]) {
+		t.Fatal("a backward cell of circuit A was recognized on circuit B")
+	}
+}
+
+// TestSealCheckAllocFree: sealing and recognizing a cell allocates
+// nothing. The counter's bytes live in the hop state because an array on
+// the stack escapes through crc32.Update, one allocation per digest.
+func TestSealCheckAllocFree(t *testing.T) {
+	ka, kb := handshakePair(t, rand.New(rand.NewSource(9)))
+	var p [PayloadSize]byte
+	allocs := testing.AllocsPerRun(100, func() {
+		ka.sealForward(p[:])
+		if !kb.checkForward(p[:]) {
+			t.Fatal("digest mismatch")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("seal and check allocate %v times per cell", allocs)
 	}
 }
 
@@ -265,22 +313,11 @@ func TestCommandStrings(t *testing.T) {
 }
 
 // BenchmarkCellCrypto times what one hop costs one relay cell, apart
-// from framing: the stream cipher over a PayloadSize payload, and the
-// digest, sealed by the sender and checked by the hop. ROADMAP item B.4
-// sizes the cipher from these.
+// from framing: the digest, sealed by the sender and checked by the hop.
 func BenchmarkCellCrypto(b *testing.B) {
-	newHop := func() *hopCrypto { return deriveHop(bytes.Repeat([]byte{7}, 32)) }
-	b.Run("encryptForward", func(b *testing.B) {
-		h := newHop()
-		var p [PayloadSize]byte
-		b.SetBytes(PayloadSize)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			h.encryptForward(p[:])
-		}
-	})
 	b.Run("sealAndCheckForward", func(b *testing.B) {
-		sender, hop := newHop(), newHop()
+		var secret [2 * HandshakeLen]byte
+		sender, hop := deriveHop(&secret), deriveHop(&secret)
 		var p [PayloadSize]byte
 		b.SetBytes(PayloadSize)
 		b.ResetTimer()

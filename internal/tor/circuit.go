@@ -19,9 +19,9 @@ type circuit struct {
 	path   Path
 	id     uint32
 
-	// sendMu makes "seal, onion-encrypt, write" atomic so hop digest
-	// counters and CTR streams observe cells in wire order. It is
-	// scheduler-aware because the write can park on conn backpressure.
+	// sendMu makes "seal, write" atomic so hop digest counters observe
+	// cells in wire order. It is scheduler-aware because the write can
+	// park on conn backpressure.
 	sendMu *netem.Mutex
 
 	hops       []*hopCrypto
@@ -140,8 +140,7 @@ func (circ *circuit) extend(next *Descriptor) error {
 	return nil
 }
 
-// sendRelay seals a relay cell for hop index h and onion-encrypts it
-// outward before writing.
+// sendRelay seals a relay cell for hop index h and writes it.
 func (circ *circuit) sendRelay(h int, rc RelayCell) error {
 	buf, base := getCellBuf()
 	p := wirePayload(buf)
@@ -153,14 +152,10 @@ func (circ *circuit) sendRelay(h int, rc RelayCell) error {
 		putCellBuf(base)
 		return ErrCircuitClosed
 	}
-	hops := circ.hops[:h+1]
 
 	circ.sendMu.Lock()
 	defer circ.sendMu.Unlock()
-	hops[h].sealForward(p)
-	for i := h; i >= 0; i-- {
-		hops[i].encryptForward(p)
-	}
+	circ.hops[h].sealForward(p)
 	setWireHeader(buf, circ.id, CmdRelay)
 	var err error
 	if oc, ok := circ.conn.(*netem.Conn); ok {
@@ -235,13 +230,14 @@ func (circ *circuit) clientCell(buf []byte, base *[]byte, pool *sync.Pool) {
 	}
 }
 
-// peel removes onion layers until a hop recognizes the cell. The
+// peel finds the hop that recognizes the cell, nearest first. The
 // returned RelayCell's Data is a view into p.
 func (circ *circuit) peel(p []byte) (int, RelayCell, bool) {
-	for i, hop := range circ.hops {
-		hop.decryptBackward(p)
-		if rc, ok := parseRelayView(p); ok && hop.checkBackward(p) {
-			return i, rc, true
+	if rc, ok := parseRelayView(p); ok {
+		for i, hop := range circ.hops {
+			if hop.checkBackward(p) {
+				return i, rc, true
+			}
 		}
 	}
 	return 0, RelayCell{}, false

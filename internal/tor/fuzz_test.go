@@ -35,9 +35,10 @@ func FuzzCellDecode(f *testing.F) {
 	})
 }
 
-// FuzzParseRelayView: a decrypted payload of any content parses to a
-// view inside the payload or is refused, and what parses marshals back
-// to the same header and data (digest and padding are not the parser's).
+// FuzzParseRelayView: a payload of any content parses to a view inside
+// the payload exactly when its declared length fits, and what parses
+// marshals back to the same header and data (tag, digest and padding
+// are not the parser's).
 func FuzzParseRelayView(f *testing.F) {
 	seed := func(rc RelayCell) []byte {
 		p, err := marshalRelay(&rc)
@@ -52,9 +53,9 @@ func FuzzParseRelayView(f *testing.F) {
 	tooLong := seed(RelayCell{Cmd: RelayData})
 	binary.BigEndian.PutUint16(tooLong[9:11], MaxRelayData+1)
 	f.Add(tooLong)
-	unrecognized := seed(RelayCell{Cmd: RelayData, Data: []byte("x")})
-	unrecognized[2] = 1
-	f.Add(unrecognized)
+	tagged := seed(RelayCell{Cmd: RelayData, Data: []byte("x")})
+	tagged[1], tagged[2] = 0xa5, 1
+	f.Add(tagged)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The callers hand parseRelayView a cell's payload, always
 		// PayloadSize bytes: short input is padded, long input cut.
@@ -62,8 +63,8 @@ func FuzzParseRelayView(f *testing.F) {
 		copy(p[:], data)
 		rc, ok := parseRelayView(p[:])
 		declared := int(binary.BigEndian.Uint16(p[9:11]))
-		if want := p[1] == 0 && p[2] == 0 && declared <= MaxRelayData; ok != want {
-			t.Fatalf("parsed = %v with recognized %x and length %d", ok, p[1:3], declared)
+		if ok != (declared <= MaxRelayData) {
+			t.Fatalf("parsed = %v with a declared length of %d", ok, declared)
 		}
 		if !ok {
 			return
@@ -79,7 +80,9 @@ func FuzzParseRelayView(f *testing.F) {
 		if !ok || back.Cmd != rc.Cmd || back.StreamID != rc.StreamID || !bytes.Equal(back.Data, rc.Data) {
 			t.Fatalf("round trip gave %+v, want %+v", back, rc)
 		}
-		copy(p[5:9], []byte{0, 0, 0, 0}) // the digest is the crypto layer's field
+		// The tag and the digest are the crypto layer's fields.
+		p[1], p[2] = 0, 0
+		copy(p[5:9], []byte{0, 0, 0, 0})
 		if !bytes.Equal(again[:relayHeaderSize+declared], p[:relayHeaderSize+declared]) {
 			t.Fatal("marshalled header and data differ from the input's")
 		}

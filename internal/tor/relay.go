@@ -438,7 +438,6 @@ type relayCirc struct {
 // control replies — copy it synchronously).
 func (c *relayCirc) handleRelayWire(buf []byte, base *[]byte) (consumed bool, err error) {
 	p := wirePayload(buf)
-	c.crypto.decryptForward(p)
 	if rc, ok := parseRelayView(p); ok && c.crypto.checkForward(p) {
 		return false, c.handleRecognized(rc)
 	}
@@ -502,9 +501,9 @@ func (c *relayCirc) handleExtend(rc RelayCell) error {
 	}
 
 	// Relays dial each other over the bare network, so the downstream
-	// link is always a netem conn: its cells are encrypted and queued
-	// at their arrival instants on the clock's event dispatcher, with
-	// no relay goroutine in the loop.
+	// link is always a netem conn: its cells are queued at their arrival
+	// instants on the clock's event dispatcher, with no relay goroutine
+	// in the loop.
 	c.next = conn.(*netem.Conn)
 	c.nextID = nextID
 	c.next.SetReadSink(c.backwardSink)
@@ -512,11 +511,11 @@ func (c *relayCirc) handleExtend(rc RelayCell) error {
 	return c.sendBackwardControl(RelayExtended, created.Payload[:HandshakeLen])
 }
 
-// backwardSink relays downstream→upstream cells, adding our onion
-// layer; it is installed as the downstream conn's read sink once the
+// backwardSink relays downstream→upstream cells with only their header
+// rewritten; it is installed as the downstream conn's read sink once the
 // circuit is spliced. It runs on the clock's event dispatcher and must
 // never park: relay cells go straight into the scheduler queue, whose
-// per-circuit FIFO keeps the CTR-stream order, and teardown — which does
+// per-circuit FIFO keeps the counter order, and teardown — which does
 // park — is handed to a fresh goroutine.
 func (c *relayCirc) backwardSink(data []byte, base *[]byte, pool *sync.Pool, err error) {
 	if err != nil {
@@ -535,7 +534,6 @@ func (c *relayCirc) backwardSink(data []byte, base *[]byte, pool *sync.Pool, err
 func (c *relayCirc) backwardCell(buf []byte, base *[]byte, pool *sync.Pool) {
 	switch Command(buf[4]) {
 	case CmdRelay:
-		c.crypto.encryptBackward(wirePayload(buf))
 		setWireHeader(buf, c.id, CmdRelay)
 		var err error
 		if pool == &cellBufPool {
@@ -577,12 +575,11 @@ func (c *relayCirc) sendBackward(rc RelayCell) error {
 		putCellBuf(base)
 		return err
 	}
-	// Seal, encrypt and enqueue without a park in between, so digest
-	// counters and the CTR stream stay in the order the client will
-	// observe; the scheduler flushes each circuit's queue in enqueue
-	// order, so wire order matches crypto order.
+	// Seal and enqueue without a park in between, so digest counters
+	// stay in the order the client will observe; the scheduler flushes
+	// each circuit's queue in enqueue order, so wire order matches
+	// counter order.
 	c.crypto.sealBackward(p)
-	c.crypto.encryptBackward(p)
 	setWireHeader(buf, c.id, CmdRelay)
 	return c.link.sched.enqueueWire(c.q, buf, base)
 }
