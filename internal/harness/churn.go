@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"ptperf/internal/faults"
@@ -170,12 +171,12 @@ func (r *Runner) runChurn() error {
 			cm := cell.Methods[m]
 			rec := cm.Recovery
 			t.add(cell.Level.Name, m,
-				fmt.Sprintf("%d", cm.Attempts), fmt.Sprintf("%d", cm.Completed),
-				fmt.Sprintf("%.0f%%", 100*float64(cm.Completed)/float64(cm.Attempts)),
-				fmt.Sprintf("%d", cm.Resumes),
-				fmt.Sprintf("%d", rec.Rebuilds), fmt.Sprintf("%d", rec.BuildTimeouts),
-				fmt.Sprintf("%d", rec.StreamFailures), fmt.Sprintf("%d", rec.ReAttaches),
-				fmt.Sprintf("%d", rec.Abandoned), fmt.Sprintf("%d", rec.GuardProbations))
+				strconv.Itoa(cm.Attempts), strconv.Itoa(cm.Completed),
+				fixed(100*float64(cm.Completed)/float64(cm.Attempts), 0)+"%",
+				strconv.Itoa(cm.Resumes),
+				strconv.FormatInt(rec.Rebuilds, 10), strconv.FormatInt(rec.BuildTimeouts, 10),
+				strconv.FormatInt(rec.StreamFailures, 10), strconv.FormatInt(rec.ReAttaches, 10),
+				strconv.FormatInt(rec.Abandoned, 10), strconv.FormatInt(rec.GuardProbations, 10))
 		}
 	}
 	fmt.Fprintln(r.out, "Recovery cost per method (client-side circuit rebuilds and stream re-attaches)")

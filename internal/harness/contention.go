@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"ptperf/internal/fetch"
@@ -136,10 +137,10 @@ func (r *Runner) runContention() error {
 	t := newTable("level", "policy", "competitors", "cells-queued", "flushed", "dropped", "mean-queue-delay", "passes")
 	addSched := func(cell *contentionCell) {
 		st := cell.Sched
-		t.add(cell.Level.Name, cell.Policy, fmt.Sprintf("%d", cell.Level.Competitors),
-			fmt.Sprintf("%d", st.Queued), fmt.Sprintf("%d", st.Flushed), fmt.Sprintf("%d", st.Dropped),
-			fmt.Sprintf("%.1fms", float64(st.MeanDelay())/float64(time.Millisecond)),
-			fmt.Sprintf("%d", st.Passes))
+		t.add(cell.Level.Name, cell.Policy, strconv.Itoa(cell.Level.Competitors),
+			strconv.FormatInt(st.Queued, 10), strconv.FormatInt(st.Flushed, 10), strconv.FormatInt(st.Dropped, 10),
+			fixed(float64(st.MeanDelay())/float64(time.Millisecond), 1)+"ms",
+			strconv.FormatInt(st.Passes, 10))
 	}
 	for _, cell := range cells {
 		addSched(cell)
@@ -153,16 +154,16 @@ func (r *Runner) runContention() error {
 		g.pairsVsFirst(timesOf))
 
 	top := cells[len(cells)-1]
-	fmt.Fprintf(r.out, "EWMA vs FIFO at %q: mean guard queueing delay %.1fms vs %.1fms",
+	fmt.Fprintf(r.out, "EWMA vs FIFO at %q: mean guard queueing delay %sms vs %sms",
 		top.Level.Name,
-		float64(top.Sched.MeanDelay())/float64(time.Millisecond),
-		float64(fifo.Sched.MeanDelay())/float64(time.Millisecond))
+		fixed(float64(top.Sched.MeanDelay())/float64(time.Millisecond), 1),
+		fixed(float64(fifo.Sched.MeanDelay())/float64(time.Millisecond), 1))
 	for _, m := range methods {
 		res, err := stats.PairedT(fifo.Times[m], top.Times[m])
 		if err != nil {
 			continue
 		}
-		fmt.Fprintf(r.out, "; %s fifo−ewma mean-diff %.2fs", m, res.MeanDiff)
+		fmt.Fprintf(r.out, "; %s fifo−ewma mean-diff %ss", m, fixed(res.MeanDiff, 2))
 	}
 	fmt.Fprintln(r.out)
 	fmt.Fprintln(r.out, "Expected: the measured (bursty) circuits pay queueing delay under FIFO that EWMA priority removes.")

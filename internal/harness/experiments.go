@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"strconv"
 
 	"ptperf/internal/censor"
 	"ptperf/internal/fetch"
@@ -225,8 +226,8 @@ func (r *Runner) runFig2b() error {
 		for _, name := range []string{"obfs4", "webtunnel", "conjure"} {
 			if d, ok := data[name]; ok {
 				if res, err := stats.PairedT(tor.Times, d.Times); err == nil {
-					fmt.Fprintf(r.out, "paired t (tor−%s): t=%.2f P=%s CI=[%.2f, %.2f] mean-diff=%.2f\n",
-						name, res.T, pvalue(res.P), res.CILower, res.CIUpper, res.MeanDiff)
+					fmt.Fprintf(r.out, "paired t (tor−%s): t=%s P=%s CI=[%s, %s] mean-diff=%s\n",
+						name, fixed(res.T, 2), pvalue(res.P), fixed(res.CILower, 2), fixed(res.CIUpper, 2), fixed(res.MeanDiff, 2))
 				}
 			}
 		}
@@ -309,7 +310,7 @@ func (r *Runner) runFig3() error {
 	for _, m := range []string{"obfs4", "webtunnel"} {
 		res, err := stats.PairedT(samples[m], samples["tor"])
 		if err == nil {
-			fmt.Fprintf(r.out, "paired t (%s−tor): t=%.2f P=%s CI=[%.2f, %.2f]\n", m, res.T, pvalue(res.P), res.CILower, res.CIUpper)
+			fmt.Fprintf(r.out, "paired t (%s−tor): t=%s P=%s CI=[%s, %s]\n", m, fixed(res.T, 2), pvalue(res.P), fixed(res.CILower, 2), fixed(res.CIUpper, 2))
 		}
 	}
 	diffs := map[string][]float64{
@@ -353,7 +354,7 @@ func (r *Runner) runFig5() error {
 		for _, mb := range r.cfg.FileSizesMB {
 			mean, n := fd.meanTime(mb)
 			if n >= 1 {
-				row = append(row, fmt.Sprintf("%.1f", mean))
+				row = append(row, fixed(mean, 1))
 				if n >= 2 || r.cfg.FileAttempts < 2 {
 					usable = true
 				}
@@ -439,8 +440,8 @@ func (r *Runner) runFig8() error {
 		if total == 0 {
 			continue
 		}
-		t.add(name, fmt.Sprintf("%d", c), fmt.Sprintf("%d", p), fmt.Sprintf("%d", f),
-			fmt.Sprintf("%.0f%%", 100*float64(c)/float64(total)))
+		t.add(name, strconv.Itoa(c), strconv.Itoa(p), strconv.Itoa(f),
+			fixed(100*float64(c)/float64(total), 0)+"%")
 	}
 	fmt.Fprintln(r.out, "File-download reliability per method")
 	t.write(r.out)
@@ -583,7 +584,7 @@ func (r *Runner) runFig10() error {
 	base := 20000.0
 	for _, lv := range surgePhases {
 		users := int(base * (1 + 6*lv.Util))
-		t.add(lv.Label, fmt.Sprintf("%d", users), fmt.Sprintf("%.2f", lv.Util), lv.Lifetime.String())
+		t.add(lv.Label, strconv.Itoa(users), fixed(lv.Util, 2), lv.Lifetime.String())
 	}
 	t.write(r.out)
 	fmt.Fprintln(r.out)
@@ -598,8 +599,8 @@ func (r *Runner) runFig10() error {
 	}
 	r.writeBoxes("Snowflake website access time before/after the surge (s)", rows)
 	if res, err := stats.PairedT(surge.Pre, surge.Post); err == nil {
-		fmt.Fprintf(r.out, "paired t (pre−post): t=%.2f P=%s CI=[%.2f, %.2f] mean-diff=%.2f\n\n",
-			res.T, pvalue(res.P), res.CILower, res.CIUpper, res.MeanDiff)
+		fmt.Fprintf(r.out, "paired t (pre−post): t=%s P=%s CI=[%s, %s] mean-diff=%s\n\n",
+			fixed(res.T, 2), pvalue(res.P), fixed(res.CILower, 2), fixed(res.CIUpper, 2), fixed(res.MeanDiff, 2))
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 
 	"ptperf/internal/plot"
@@ -78,14 +79,14 @@ func (row boxRow) cells() []string {
 	b := row.Box
 	return []string{
 		row.Name,
-		fmt.Sprintf("%d", b.N),
-		fmt.Sprintf("%.2f", b.Min),
-		fmt.Sprintf("%.2f", b.Q1),
-		fmt.Sprintf("%.2f", b.Median),
-		fmt.Sprintf("%.2f", b.Q3),
-		fmt.Sprintf("%.2f", b.Max),
-		fmt.Sprintf("%.2f", b.Mean),
-		fmt.Sprintf("%.2f", b.SD),
+		strconv.Itoa(b.N),
+		fixed(b.Min, 2),
+		fixed(b.Q1, 2),
+		fixed(b.Median, 2),
+		fixed(b.Q3, 2),
+		fixed(b.Max, 2),
+		fixed(b.Mean, 2),
+		fixed(b.SD, 2),
 	}
 }
 
@@ -119,7 +120,8 @@ func (r *Runner) writeECDF(title string, series map[string][]float64, order []st
 	head := []string{"method"}
 	qs := []float64{0.1, 0.25, 0.5, 0.75, 0.8, 0.9, 0.95, 1.0}
 	for _, q := range qs {
-		head = append(head, fmt.Sprintf("p%02.0f", q*100))
+		// Every q is at least 0.10: two digits or more, no zero padding.
+		head = append(head, "p"+fixed(q*100, 0))
 	}
 	t := newTable(head...)
 	for _, name := range order {
@@ -130,7 +132,7 @@ func (r *Runner) writeECDF(title string, series map[string][]float64, order []st
 		e := stats.NewECDF(xs)
 		row := []string{name}
 		for _, q := range qs {
-			row = append(row, fmt.Sprintf("%.2f", e.InverseAt(q)))
+			row = append(row, fixed(e.InverseAt(q), 2))
 		}
 		t.add(row...)
 	}
@@ -155,11 +157,11 @@ func writePairedT(w io.Writer, title string, pairs []pairResult) {
 	for _, p := range pairs {
 		t.add(
 			p.Name,
-			fmt.Sprintf("%.3f", p.Res.CILower),
-			fmt.Sprintf("%.3f", p.Res.CIUpper),
-			fmt.Sprintf("%.2f", p.Res.T),
+			fixed(p.Res.CILower, 3),
+			fixed(p.Res.CIUpper, 3),
+			fixed(p.Res.T, 2),
 			pvalue(p.Res.P),
-			fmt.Sprintf("%.3f", p.Res.MeanDiff),
+			fixed(p.Res.MeanDiff, 3),
 		)
 	}
 	t.write(w)
@@ -177,7 +179,13 @@ func pvalue(p float64) string {
 	if p < 0.001 {
 		return "<.001"
 	}
-	return fmt.Sprintf("%.3f", p)
+	return fixed(p, 3)
+}
+
+// fixed formats x with prec digits after the point, as %.Nf would.
+func fixed(x float64, prec int) string {
+	var b [32]byte
+	return string(plot.AppendFixed(b[:0], x, prec))
 }
 
 // allPairs runs paired t-tests over every method pair of the dataset.

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"ptperf/internal/censor"
 	"ptperf/internal/fetch"
@@ -137,8 +138,8 @@ func (r *Runner) writeScenarioReport(name string, sc *scenarioCell) {
 		if total == 0 {
 			continue
 		}
-		t.add(m, fmt.Sprintf("%d", d.OK), fmt.Sprintf("%d", d.Failed),
-			fmt.Sprintf("%.0f%%", 100*float64(d.OK)/float64(total)))
+		t.add(m, strconv.Itoa(d.OK), strconv.Itoa(d.Failed),
+			fixed(100*float64(d.OK)/float64(total), 0)+"%")
 	}
 	fmt.Fprintf(r.out, "Access reliability under %q\n", name)
 	t.write(r.out)

@@ -175,8 +175,8 @@ td.num { text-align: right; font-variant-numeric: tabular-nums; }
 				esc(tl.Interval.String()), esc(tl.Horizon().String()), len(tl.Samples), esc(tl.Digest()))
 			fmt.Fprintf(bw, "<table class=\"metrics\">\n<tr><th>series</th><th>timeline</th><th>total</th></tr>\n")
 			for _, s := range timelineSeries(tl, 120) {
-				fmt.Fprintf(bw, "<tr><td>%s</td><td>%s</td><td class=\"num\">%.0f</td></tr>\n",
-					esc(s.Label), plot.SparkSVG(s.Values, 360, 32), s.Total)
+				fmt.Fprintf(bw, "<tr><td>%s</td><td>%s</td><td class=\"num\">%s</td></tr>\n",
+					esc(s.Label), plot.SparkSVG(s.Values, 360, 32), plot.AppendFixed(nil, s.Total, 0))
 			}
 			fmt.Fprintf(bw, "</table>\n")
 		}
@@ -212,8 +212,8 @@ td.num { text-align: right; font-variant-numeric: tabular-nums; }
 			if len(vals) == 0 {
 				continue
 			}
-			fmt.Fprintf(bw, "<tr><td>%s</td><td>%s</td><td class=\"num\">%.0f</td><td class=\"num\">%.0f</td></tr>\n",
-				esc(name), plot.SparkSVG(vals, 360, 32), vals[0], vals[len(vals)-1])
+			fmt.Fprintf(bw, "<tr><td>%s</td><td>%s</td><td class=\"num\">%s</td><td class=\"num\">%s</td></tr>\n",
+				esc(name), plot.SparkSVG(vals, 360, 32), plot.AppendFixed(nil, vals[0], 0), plot.AppendFixed(nil, vals[len(vals)-1], 0))
 		}
 		fmt.Fprintf(bw, "</table>\n")
 		last := rep.History[len(rep.History)-1]

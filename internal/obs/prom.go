@@ -8,6 +8,7 @@ import (
 
 	"ptperf/internal/censor"
 	"ptperf/internal/netem"
+	"ptperf/internal/plot"
 )
 
 // This file renders timelines as Prometheus text exposition (version
@@ -188,7 +189,7 @@ func WritePrometheus(w io.Writer, cells []CellTimeline) {
 				if p, ok := relayPoint(s, name); ok {
 					cum += p.Delay
 				}
-				v := fmt.Sprintf("%.6f", cum.Seconds())
+				v := string(plot.AppendFixed(nil, cum.Seconds(), 6))
 				final := i == len(c.Timeline.Samples)-1
 				if lastWritten == "" || v != lastWritten || final {
 					fmt.Fprintf(w, "ptperf_relay_queue_delay_seconds_total{cell=%q,relay=%q} %s %d\n", c.Cell, name, v, ms(s.T))

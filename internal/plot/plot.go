@@ -10,6 +10,7 @@ import (
 	"io"
 	"math"
 	"strings"
+	"unicode/utf8"
 
 	"ptperf/internal/stats"
 )
@@ -62,12 +63,18 @@ func Boxes(w io.Writer, title string, rows []Box, width int, logScale bool) {
 	}
 
 	fmt.Fprintln(w, title)
+	line := make([]byte, width)
+	var buf []byte // each output line, reused
 	for _, r := range rows {
+		// The label is left-justified to labelW as fmt's %-*s would:
+		// padded by runes, not bytes.
+		buf = append(buf[:0], r.Label...)
+		buf = appendSpaces(buf, labelW-utf8.RuneCountInString(r.Label))
 		if r.Stats.N == 0 {
-			fmt.Fprintf(w, "%-*s  (no data)\n", labelW, r.Label)
+			buf = append(buf, "  (no data)\n"...)
+			w.Write(buf)
 			continue
 		}
-		line := make([]byte, width)
 		for i := range line {
 			line[i] = ' '
 		}
@@ -79,14 +86,23 @@ func Boxes(w io.Writer, title string, rows []Box, width int, logScale bool) {
 		line[x(r.Stats.Q1)] = '['
 		line[x(r.Stats.Q3)] = ']'
 		line[x(r.Stats.Median)] = '#'
-		fmt.Fprintf(w, "%-*s  %s  %.2f/%.2f/%.2f\n", labelW, r.Label, line, r.Stats.Q1, r.Stats.Median, r.Stats.Q3)
+		buf = append(buf, "  "...)
+		buf = append(buf, line...)
+		buf = append(buf, "  "...)
+		buf = AppendFixed(buf, r.Stats.Q1, 2)
+		buf = append(buf, '/')
+		buf = AppendFixed(buf, r.Stats.Median, 2)
+		buf = append(buf, '/')
+		buf = AppendFixed(buf, r.Stats.Q3, 2)
+		w.Write(append(buf, '\n'))
 	}
-	axis := fmt.Sprintf("%-*s  %-*.2f%*.2f", labelW, "", width/2, lo, width-width/2, hi)
+	buf = appendSpaces(buf[:0], labelW+2)
+	buf = appendPadded(buf, lo, 2, -(width / 2))
+	buf = appendPadded(buf, hi, 2, width-width/2)
 	if logScale {
-		axis += "  (log scale)"
+		buf = append(buf, "  (log scale)"...)
 	}
-	fmt.Fprintln(w, axis)
-	fmt.Fprintln(w)
+	w.Write(append(buf, "\n\n"...))
 }
 
 func span(line []byte, a, b int, ch byte) {
@@ -155,12 +171,19 @@ func ECDF(w io.Writer, title string, series []Series, width, height int) {
 		}
 	}
 	fmt.Fprintln(w, title)
+	var buf []byte // each output line, reused
 	for y, row := range grid {
 		p := 1 - float64(y)/float64(height-1)
-		fmt.Fprintf(w, "%4.2f |%s\n", p, string(row))
+		buf = appendPadded(buf[:0], p, 2, 4)
+		buf = append(buf, " |"...)
+		buf = append(buf, row...)
+		w.Write(append(buf, '\n'))
 	}
 	fmt.Fprintf(w, "     +%s\n", strings.Repeat("-", width))
-	fmt.Fprintf(w, "      %-*.2f%*.2f\n", width/2, lo, width-width/2, hi)
+	buf = appendSpaces(buf[:0], 6)
+	buf = appendPadded(buf, lo, 2, -(width / 2))
+	buf = appendPadded(buf, hi, 2, width-width/2)
+	w.Write(append(buf, '\n'))
 	for si, s := range series {
 		fmt.Fprintf(w, "      %c = %s\n", 'a'+si%26, s.Label)
 	}
@@ -200,11 +223,14 @@ func SparkSVG(values []float64, width, height int) string {
 			return pad + float64(i)/float64(len(values)-1)*(float64(width)-2*pad)
 		}
 		b.WriteString(`<polyline fill="none" stroke="#36c" stroke-width="1.5" points="`)
+		var num [32]byte
 		for i, v := range values {
 			if i > 0 {
 				b.WriteByte(' ')
 			}
-			fmt.Fprintf(&b, "%.1f,%.1f", x(i), y(v))
+			b.Write(AppendFixed(num[:0], x(i), 1))
+			b.WriteByte(',')
+			b.Write(AppendFixed(num[:0], y(v), 1))
 		}
 		b.WriteString(`"/>`)
 	}

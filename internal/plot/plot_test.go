@@ -2,6 +2,7 @@ package plot
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -39,6 +40,37 @@ func TestBoxesRendering(t *testing.T) {
 	slow := strings.Index(lines[2], "#")
 	if slow <= fast {
 		t.Fatalf("marionette median (%d) should plot right of tor (%d)\n%s", slow, fast, out)
+	}
+}
+
+// TestBoxesLinesMatchFmt holds a box row's label, numbers and axis to
+// the fmt verbs Boxes once printed them with: labels padded by runes
+// (%-*s), quartiles as %.2f, the axis as %-*.2f%*.2f.
+func TestBoxesLinesMatchFmt(t *testing.T) {
+	rows := []Box{
+		{Label: "tor", Stats: stats.Summarize([]float64{1, 2.675, 3, 9.995})},
+		{Label: "pré-été", Stats: stats.Summarize([]float64{-0.005, 4, 5})},
+		{Label: "nothing-measured-here"},
+	}
+	var buf bytes.Buffer
+	Boxes(&buf, "t", rows, 21, false)
+	lines := strings.Split(buf.String(), "\n")
+	labelW := len("pré-été")
+	for i, r := range rows {
+		got := lines[1+i]
+		if !strings.HasPrefix(got, fmt.Sprintf("%-*s  ", labelW, r.Label)) {
+			t.Fatalf("row %d = %q: label not padded like %%-*s", i, got)
+		}
+		want := "(no data)"
+		if r.Stats.N > 0 {
+			want = fmt.Sprintf("%.2f/%.2f/%.2f", r.Stats.Q1, r.Stats.Median, r.Stats.Q3)
+		}
+		if !strings.HasSuffix(got, "  "+want) {
+			t.Fatalf("row %d = %q, want it to end in %q", i, got, want)
+		}
+	}
+	if want := fmt.Sprintf("%-*s  %-*.2f%*.2f", labelW, "", 10, -0.005, 11, 9.995); lines[4] != want {
+		t.Fatalf("axis = %q, want %q", lines[4], want)
 	}
 }
 

@@ -238,6 +238,13 @@ type link struct {
 	// ServeConn. See link.flushCell.
 	flusher *netem.Chan[queuedCell]
 
+	// passBudget is the bytes this link may still take in the flush
+	// pass stamped by (passSched, pass); a pass under another stamp
+	// probes writeBudget afresh. See cellScheduler.pick.
+	passSched  *cellScheduler
+	pass       int64
+	passBudget int
+
 	circs map[uint32]*relayCirc
 }
 

@@ -355,13 +355,11 @@ func (s *cellScheduler) stop() {
 // path, slow links a flusher handoff, and a link whose window is full
 // is excluded for the rest of the pass (it re-arms for the next one).
 func (s *cellScheduler) flushPass() {
+	// s.passes numbers this pass; with s it stamps each link's cached
+	// budget (link.passBudget), so a new pass probes every link again.
 	s.passes++
-	// linkBudget caches each link's writable budget for this pass; it
-	// is only ever indexed by a picked queue's link, never iterated, so
-	// map order cannot leak into scheduling.
-	linkBudget := make(map[*link]int)
 	for budget := s.cfg.CellsPerPass; budget > 0; {
-		q := s.pick(linkBudget)
+		q := s.pick()
 		if q == nil {
 			return
 		}
@@ -372,7 +370,7 @@ func (s *cellScheduler) flushPass() {
 			// held by a parked writer, or less window than the budget
 			// probe cached): spend its pass budget so other links'
 			// circuits still flush, and retry next interval.
-			linkBudget[l] = 0
+			l.passBudget = 0
 			continue
 		}
 		q.cells[q.head] = queuedCell{}
@@ -389,27 +387,28 @@ func (s *cellScheduler) flushPass() {
 		q.flushed++
 		q.delaySum += delay
 		q.delays.add(delay)
-		linkBudget[l] -= len(cell.buf)
+		l.passBudget -= len(cell.buf)
 		s.acct.AddCellsFlushed(1)
 		budget--
 	}
 }
 
 // pick returns the best flushable queue under the pass's link
-// budgets, or nil when none is writable.
-func (s *cellScheduler) pick(linkBudget map[*link]int) *circQueue {
+// budgets, or nil when none is writable. A link's budget is probed once
+// per pass, the first time one of its queues is looked at.
+func (s *cellScheduler) pick() *circQueue {
 	var best *circQueue
 	now := s.clock.Now()
 	for _, q := range s.active {
 		if q.head == len(q.cells) {
 			continue
 		}
-		lb, ok := linkBudget[q.link]
-		if !ok {
-			lb = q.link.writeBudget(s.cfg.CellsPerPass * CellSize)
-			linkBudget[q.link] = lb
+		l := q.link
+		if l.passSched != s || l.pass != s.passes {
+			l.passSched, l.pass = s, s.passes
+			l.passBudget = l.writeBudget(s.cfg.CellsPerPass * CellSize)
 		}
-		if lb < CellSize {
+		if l.passBudget < CellSize {
 			continue
 		}
 		if best == nil {

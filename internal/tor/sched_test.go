@@ -335,3 +335,64 @@ func TestCircQueueKeepsItsArray(t *testing.T) {
 		t.Fatalf("cell queue grew to cap %d while holding at most 3", c)
 	}
 }
+
+// TestRefusedLinkSkippedForRestOfPass: a link that refuses a write
+// mid-pass gets no second try in that pass, while another link's
+// circuit takes the pass's budget; the next pass probes it afresh. The
+// refusal is a cell too large for one segment, which TryWriteOwned
+// turns down as it would a write lock held by a parked writer.
+func TestRefusedLinkSkippedForRestOfPass(t *testing.T) {
+	n := netem.New(netem.WithSeed(1))
+	clock := n.Clock()
+	far := n.MustAddHost(netem.HostConfig{Name: "far", Location: geo.Frankfurt})
+	ln, err := far.Listen(9001)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	n.Go(func() {
+		if c, err := ln.Accept(); err == nil {
+			defer c.Close()
+			io.Copy(io.Discard, c)
+		}
+	})
+	near := n.MustAddHost(netem.HostConfig{Name: "near", Location: geo.Frankfurt})
+	conn, err := near.Dial("far:9001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	s := newCellScheduler(clock, nil, SchedConfig{CellsPerPass: 4}, 1<<20)
+	defer s.stop()
+	refusing := &link{conn: conn, wmu: netem.NewMutex(clock)}
+	other := &link{conn: discardConn{}, wmu: netem.NewMutex(clock)}
+	qr, qo := s.newQueue(refusing, 1), s.newQueue(other, 3)
+	oversize := make([]byte, 32<<10)
+	// Enqueued first, so both policies pick it first.
+	if err := s.enqueueWire(qr, oversize, &oversize); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
+		buf, base := getCellBuf()
+		if err := s.enqueueWire(qo, buf, base); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	clock.Sleep(s.cfg.Interval / 2) // the first pass, at once
+	if s.passes != 1 || qo.flushed != 4 || qr.flushed != 0 {
+		t.Fatalf("after pass 1: passes=%d, other link flushed %d (want 4), refusing link %d (want 0)", s.passes, qo.flushed, qr.flushed)
+	}
+	if refusing.pass != 1 || refusing.passBudget != 0 {
+		t.Fatalf("refusing link stamped pass %d with budget %d, want pass 1 with 0", refusing.pass, refusing.passBudget)
+	}
+
+	// Make the head cell writable: the next pass must try the link again.
+	buf, base := getCellBuf()
+	qr.cells[qr.head].buf, qr.cells[qr.head].base = buf, base
+	clock.Sleep(s.cfg.Interval)
+	if s.passes != 2 || qr.flushed != 1 || qo.flushed != 6 {
+		t.Fatalf("after pass 2: passes=%d, refusing link flushed %d (want 1), other %d (want 6)", s.passes, qr.flushed, qo.flushed)
+	}
+}
