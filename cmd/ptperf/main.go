@@ -73,11 +73,13 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
 	"ptperf/internal/censor"
 	"ptperf/internal/harness"
+	"ptperf/internal/pt"
 	"ptperf/internal/web"
 )
 
@@ -167,8 +169,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cfg.FileSizesMB = web.FileSizesMB
 	}
 	if *pts != "" {
+		methods := append([]string{"tor"}, pt.Names()...)
 		for _, p := range strings.Split(*pts, ",") {
-			cfg.Transports = append(cfg.Transports, strings.TrimSpace(p))
+			p = strings.TrimSpace(p)
+			if !slices.Contains(methods, p) {
+				fmt.Fprintf(stderr, "ptperf: unknown transport %q (have %s)\n", p, strings.Join(methods, ", "))
+				return 1
+			}
+			cfg.Transports = append(cfg.Transports, p)
 		}
 	}
 

@@ -46,6 +46,28 @@ func TestUnknownScenarioListsRegistry(t *testing.T) {
 	}
 }
 
+// TestUnknownTransportListsMethods does the same for -transports, and
+// before any world is built: -progress would print a cell line.
+func TestUnknownTransportListsMethods(t *testing.T) {
+	var out, errb bytes.Buffer
+	code := run([]string{"-exp", "fig2a", "-transports", "tor,foo", "-progress"}, &out, &errb)
+	if code != 1 {
+		t.Fatalf("exit code = %d, want 1", code)
+	}
+	msg := errb.String()
+	if !strings.Contains(msg, `unknown transport "foo"`) {
+		t.Errorf("error does not name the bad transport: %q", msg)
+	}
+	for _, name := range []string{"tor", "obfs4", "snowflake", "marionette"} {
+		if !strings.Contains(msg, name) {
+			t.Errorf("error does not list method %q: %q", name, msg)
+		}
+	}
+	if out.Len() != 0 || strings.Contains(msg, "[cells]") {
+		t.Errorf("a campaign started before the transports were checked: stdout %q, stderr %q", out.String(), msg)
+	}
+}
+
 // TestListShowsExperimentsAndScenarios pins the -list shape both other
 // tests' registry errors point users at.
 func TestListShowsExperimentsAndScenarios(t *testing.T) {

@@ -101,9 +101,6 @@ func Attach(n *netem.Network, sc Scenario, seed int64, rateScale float64) *Censo
 	return c
 }
 
-// Scenario returns the attached scenario.
-func (c *Censor) Scenario() Scenario { return c.sc }
-
 // Stats returns a snapshot of the interference counters.
 func (c *Censor) Stats() Stats {
 	s := c.stats

@@ -18,6 +18,7 @@ import (
 func testNet(t *testing.T, sc Scenario) (*netem.Network, *Censor, *netem.Host, *netem.Host) {
 	t.Helper()
 	n := netem.New(netem.WithSeed(7))
+	t.Cleanup(n.Clock().Shutdown)
 	a := n.MustAddHost(netem.HostConfig{Name: "a", Location: geo.London})
 	b := n.MustAddHost(netem.HostConfig{Name: "b", Location: geo.Frankfurt})
 	c := Attach(n, sc, 7, 1)
@@ -321,6 +322,7 @@ func TestSameSeedSameInterference(t *testing.T) {
 			t.Fatal(err)
 		}
 		n := netem.New(netem.WithSeed(9))
+		t.Cleanup(n.Clock().Shutdown)
 		a := n.MustAddHost(netem.HostConfig{Name: "client", Location: geo.Toronto})
 		b := n.MustAddHost(netem.HostConfig{Name: "b", Location: geo.NewYork})
 		Attach(n, sc, 9, 1)
@@ -436,6 +438,7 @@ func TestFilterSegmentMatchesPerSegmentReference(t *testing.T) {
 		for _, withMemo := range []bool{true, false} {
 			const seed = 11
 			n := netem.New(netem.WithSeed(seed))
+			t.Cleanup(n.Clock().Shutdown)
 			c := Attach(n, sc, seed, 1)
 			ref := &refCensor{sc: sc, rng: sim.NewRand(seed*7919 + 31)}
 			memos := make([]netem.FlowMemo, len(flows))
@@ -507,6 +510,7 @@ func surgeCase(t testing.TB) (*Censor, []netem.Flow) {
 		t.Fatal(err)
 	}
 	n := netem.New(netem.WithSeed(1))
+	t.Cleanup(n.Clock().Shutdown)
 	c := Attach(n, sc, 1, 0.06)
 	n.Clock().Sleep(6 * time.Second) // the throttle starts at t=5s
 	return c, []netem.Flow{

@@ -156,6 +156,7 @@ func TestRandomScenarioWindowsOnVirtualClock(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := netem.New(netem.WithSeed(5))
+	t.Cleanup(n.Clock().Shutdown)
 	client := n.MustAddHost(netem.HostConfig{Name: "client"})
 	server := n.MustAddHost(netem.HostConfig{Name: "server"})
 	l, err := server.Listen(80)

@@ -99,18 +99,12 @@ type Stats struct {
 	Skipped int64
 }
 
-// Total is the number of state transitions the injector performed.
-func (s Stats) Total() int64 {
-	return s.Crashes + s.Restarts + s.FlapsDown + s.FlapsUp + s.Withdrawn + s.Rejoined
-}
-
 // Injector executes one plan against a world. Create it with Attach;
 // register crashable relays with RegisterRelay as they start.
 type Injector struct {
 	net   *netem.Network
 	dir   *tor.Directory
 	clock *netem.Clock
-	plan  Plan
 
 	relays  map[string]*tor.Relay
 	flapped map[string]*netem.Host
@@ -127,7 +121,6 @@ func Attach(n *netem.Network, dir *tor.Directory, plan Plan) *Injector {
 		net:     n,
 		dir:     dir,
 		clock:   n.Clock(),
-		plan:    plan,
 		relays:  make(map[string]*tor.Relay),
 		flapped: make(map[string]*netem.Host),
 	}
@@ -140,9 +133,6 @@ func Attach(n *netem.Network, dir *tor.Directory, plan Plan) *Injector {
 	}
 	return inj
 }
-
-// Plan returns the attached plan.
-func (inj *Injector) Plan() Plan { return inj.plan }
 
 // RegisterRelay makes a relay crashable by name. Safe to call after
 // Attach — targets resolve at fire time.

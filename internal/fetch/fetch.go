@@ -70,9 +70,6 @@ func (r Result) Complete() bool {
 // Failed reports whether nothing at all was downloaded.
 func (r Result) Failed() bool { return r.BytesGot == 0 && !r.Complete() }
 
-// Partial reports whether some but not all content arrived.
-func (r Result) Partial() bool { return !r.Complete() && !r.Failed() }
-
 // Fraction is the downloaded share of the declared size in [0,1].
 func (r Result) Fraction() float64 {
 	if r.BytesWanted <= 0 {

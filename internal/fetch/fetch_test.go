@@ -18,6 +18,7 @@ func testSetup(t *testing.T) (*netem.Network, *Client, *web.Origin, *web.Catalog
 	// Scale 0.01 keeps goroutine-wakeup noise (~tens of µs real) well
 	// below the modeled RTTs, so latency-sensitive assertions hold.
 	n := netem.New(netem.WithSeed(4))
+	t.Cleanup(n.Clock().Shutdown)
 	server := n.MustAddHost(netem.HostConfig{Name: "origin", Location: geo.Frankfurt})
 	clientHost := n.MustAddHost(netem.HostConfig{Name: "client", Location: geo.London})
 	cat := web.GenerateCatalog(web.Tranco, 4, 1, 0.1)
@@ -25,7 +26,6 @@ func testSetup(t *testing.T) (*netem.Network, *Client, *web.Origin, *web.Catalog
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { o.Close() })
 	c := &Client{Net: n, Dial: func(target string) (net.Conn, error) { return clientHost.Dial(target) }}
 	return n, c, o, cat
 }
@@ -84,6 +84,7 @@ func TestDownloadFile(t *testing.T) {
 
 func TestTimeoutYieldsPartial(t *testing.T) {
 	n := netem.New(netem.WithSeed(4))
+	t.Cleanup(n.Clock().Shutdown)
 	// A slow origin link so the download cannot finish in time.
 	server := n.MustAddHost(netem.HostConfig{Name: "origin", Location: geo.Frankfurt, UplinkBps: 50 << 10})
 	clientHost := n.MustAddHost(netem.HostConfig{Name: "client", Location: geo.London})
@@ -91,7 +92,6 @@ func TestTimeoutYieldsPartial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer o.Close()
 	c := &Client{
 		Net:     n,
 		Dial:    func(target string) (net.Conn, error) { return clientHost.Dial(target) },
@@ -101,7 +101,7 @@ func TestTimeoutYieldsPartial(t *testing.T) {
 	if res.Complete() {
 		t.Fatalf("download should have timed out: %+v", res)
 	}
-	if !res.Partial() {
+	if res.Failed() {
 		t.Fatalf("expected partial download, got %+v (got=%d)", res, res.BytesGot)
 	}
 	if f := res.Fraction(); f <= 0 || f >= 1 {
@@ -134,13 +134,13 @@ func (c *cutConn) Read(p []byte) (int, error) {
 // counted, first-leg TTFB preserved.
 func TestDownloadFileResumed(t *testing.T) {
 	n := netem.New(netem.WithSeed(4))
+	t.Cleanup(n.Clock().Shutdown)
 	server := n.MustAddHost(netem.HostConfig{Name: "origin", Location: geo.Frankfurt})
 	clientHost := n.MustAddHost(netem.HostConfig{Name: "client", Location: geo.London})
 	o, err := web.StartOrigin(server, 80)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer o.Close()
 
 	legs := 0
 	c := &Client{Net: n, Dial: func(target string) (net.Conn, error) {
@@ -172,13 +172,13 @@ func TestDownloadFileResumed(t *testing.T) {
 // maxResumes and reports a partial, failed transfer — never a hang.
 func TestDownloadFileResumedGivesUp(t *testing.T) {
 	n := netem.New(netem.WithSeed(4))
+	t.Cleanup(n.Clock().Shutdown)
 	server := n.MustAddHost(netem.HostConfig{Name: "origin", Location: geo.Frankfurt})
 	clientHost := n.MustAddHost(netem.HostConfig{Name: "client", Location: geo.London})
 	o, err := web.StartOrigin(server, 80)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer o.Close()
 
 	c := &Client{Net: n, Dial: func(target string) (net.Conn, error) {
 		conn, err := clientHost.Dial(target)
@@ -303,7 +303,7 @@ func TestResultClassificationInvariants(t *testing.T) {
 		if r.Complete() {
 			states++
 		}
-		if r.Partial() {
+		if !r.Complete() && !r.Failed() { // partial
 			states++
 		}
 		if r.Failed() {
@@ -364,7 +364,9 @@ func TestGetContentLength(t *testing.T) {
 		{"short body", "HTTP/1.1 200 OK\r\nContent-Length: 9\r\n\r\nhello", true, 9, false, "hello"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c := &Client{Net: netem.New(), Dial: func(string) (net.Conn, error) {
+			n := netem.New()
+			t.Cleanup(n.Clock().Shutdown)
+			c := &Client{Net: n, Dial: func(string) (net.Conn, error) {
 				return &cannedConn{resp: strings.NewReader(tc.response)}, nil
 			}}
 			res := c.Get("origin:80", "/x", true)

@@ -106,7 +106,7 @@ func measureContention(w *testbed.World, in contentionIn) (*contentionCell, erro
 				out.TTFBs[method] = append(out.TTFBs[method], ttfb)
 			}
 		}
-		cl.Close()
+		cl.NewCircuit()
 	}
 	// Stop before snapshotting: with the competitor circuits torn
 	// down the guard's queues are drained, so the reported counters

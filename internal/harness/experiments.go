@@ -273,7 +273,7 @@ func measureFixedCircuit(w *testbed.World, in fixedCircuitIn) (*fixedCircuitData
 				return nil, fmt.Errorf("%s preheat: %w", method, err)
 			}
 			out[method] = append(out[method], getAll(w, cl.Dial, sites)...)
-			cl.Close()
+			cl.NewCircuit()
 		}
 	}
 	return &fixedCircuitData{Methods: rig.Methods(), Samples: out}, nil

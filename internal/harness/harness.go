@@ -147,9 +147,6 @@ func New(cfg Config, out io.Writer) *Runner {
 	return r
 }
 
-// Config returns the effective (defaulted) configuration.
-func (r *Runner) Config() Config { return r.cfg }
-
 // Experiment describes one runnable artifact reproduction.
 type Experiment struct {
 	// ID is the CLI name (e.g. "fig2a").

@@ -83,6 +83,7 @@ func TestScenariosShapeOutcomes(t *testing.T) {
 		if err != nil {
 			return nil, censor.Stats{}, err
 		}
+		defer w.Close()
 		sc, err := c.measure(w, c.in)
 		if err != nil {
 			return nil, censor.Stats{}, err

@@ -41,7 +41,7 @@ func TestPaperShapeHolds(t *testing.T) {
 		if !ok || len(d.Times) == 0 {
 			t.Fatalf("no curl data for %s", name)
 		}
-		return stats.Median(d.Times)
+		return stats.Quantile(d.Times, 0.5)
 	}
 
 	// §4.2: marionette is the slowest transport — strictly slower than

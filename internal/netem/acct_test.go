@@ -11,6 +11,7 @@ import (
 // simulation-torture suite audits every fuzzed world with.
 func TestAcctByteConservation(t *testing.T) {
 	n := New(WithSeed(3))
+	t.Cleanup(n.Clock().Shutdown)
 	a := n.MustAddHost(HostConfig{Name: "a"})
 	b := n.MustAddHost(HostConfig{Name: "b"})
 	l, err := b.Listen(80)
@@ -90,6 +91,7 @@ func TestAcctByteConservation(t *testing.T) {
 // is installed.
 func TestAcctSegmentsFiltered(t *testing.T) {
 	n := New(WithSeed(4))
+	t.Cleanup(n.Clock().Shutdown)
 	a := n.MustAddHost(HostConfig{Name: "a"})
 	b := n.MustAddHost(HostConfig{Name: "b"})
 	l, _ := b.Listen(80)
@@ -121,6 +123,7 @@ func TestAcctSegmentsFiltered(t *testing.T) {
 // reopen it, and a closed conn reports zero.
 func TestWriteBudget(t *testing.T) {
 	n := New(WithSeed(5))
+	t.Cleanup(n.Clock().Shutdown)
 	a := n.MustAddHost(HostConfig{Name: "a"})
 	b := n.MustAddHost(HostConfig{Name: "b"})
 	l, _ := b.Listen(80)

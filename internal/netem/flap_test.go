@@ -14,6 +14,7 @@ import (
 // established keep working until someone aborts them explicitly.
 func TestLinkDownBlocksNewDialsOnly(t *testing.T) {
 	n := New(WithSeed(3))
+	t.Cleanup(n.Clock().Shutdown)
 	a := n.MustAddHost(HostConfig{Name: "a", Location: geo.Frankfurt})
 	b := n.MustAddHost(HostConfig{Name: "b", Location: geo.London})
 	ln, err := b.Listen(80)

@@ -39,6 +39,7 @@ func TestReloadRecomputesBoth(t *testing.T) {
 func TestLoadedHopSlowsSmallTransfers(t *testing.T) {
 	run := func(util float64) time.Duration {
 		n := New(WithSeed(17))
+		t.Cleanup(n.Clock().Shutdown)
 		src := n.MustAddHost(HostConfig{Name: "src", Location: geo.London})
 		relay := n.MustAddHost(HostConfig{Name: "relay", Location: geo.Frankfurt, Utilization: util, UplinkBps: 8 << 20, DownlinkBps: 8 << 20})
 		dst := n.MustAddHost(HostConfig{Name: "dst", Location: geo.NewYork})
@@ -91,6 +92,7 @@ func TestWirelessMediumAddsJitterAndLoss(t *testing.T) {
 	// than over Ethernet.
 	measure := func(medium geo.Medium) (mean, max time.Duration) {
 		n := New(WithSeed(23))
+		t.Cleanup(n.Clock().Shutdown)
 		a := n.MustAddHost(HostConfig{Name: "a", Location: geo.Toronto, Medium: medium})
 		b := n.MustAddHost(HostConfig{Name: "b", Location: geo.NewYork})
 		l, _ := b.Listen(80)

@@ -15,6 +15,7 @@ import (
 func testNetwork(t *testing.T) (*Network, *Host, *Host) {
 	t.Helper()
 	n := New(WithSeed(7))
+	t.Cleanup(n.Clock().Shutdown)
 	a := n.MustAddHost(HostConfig{Name: "a", Location: geo.London})
 	b := n.MustAddHost(HostConfig{Name: "b", Location: geo.Frankfurt})
 	return n, a, b
@@ -117,6 +118,7 @@ func TestBandwidthContention(t *testing.T) {
 	// Two flows sharing one egress bucket should each see roughly half
 	// the capacity (the guard-load mechanism).
 	n := New(WithSeed(3))
+	t.Cleanup(n.Clock().Shutdown)
 	src := n.MustAddHost(HostConfig{Name: "src", Location: geo.London, UplinkBps: 2 << 20})
 	dst := n.MustAddHost(HostConfig{Name: "dst", Location: geo.London})
 	l, _ := dst.Listen(80)
@@ -338,6 +340,7 @@ func TestListenDuplicatePort(t *testing.T) {
 // draws without building anything, let alone a 4.9 KB math/rand source.
 func TestConnFirstWriteAllocatesNoSource(t *testing.T) {
 	n := New(WithSeed(3))
+	t.Cleanup(n.Clock().Shutdown)
 	a := n.MustAddHost(HostConfig{Name: "a", Location: geo.London})
 	b := n.MustAddHost(HostConfig{Name: "b", Location: geo.Frankfurt})
 	l, err := b.Listen(80)

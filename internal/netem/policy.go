@@ -84,6 +84,3 @@ type Policy interface {
 // policy. At most one policy is active; internal/censor composes its
 // rule set behind a single Policy.
 func (n *Network) SetPolicy(p Policy) { n.policy = p }
-
-// Policy returns the installed middlebox policy, or nil.
-func (n *Network) Policy() Policy { return n.policy }

@@ -116,9 +116,6 @@ func OpenCache(dir string) (*Cache, error) {
 	return &Cache{dir: dir}, nil
 }
 
-// Dir returns the cache directory.
-func (c *Cache) Dir() string { return c.dir }
-
 // Stats returns the traffic counters so far.
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()

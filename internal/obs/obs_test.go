@@ -26,6 +26,7 @@ func runWorld(t *testing.T, seed int64) (*Timeline, netem.AcctSnapshot) {
 	if err != nil {
 		t.Fatalf("build world: %v", err)
 	}
+	t.Cleanup(w.Close)
 	rec := AttachWorld(w, time.Second)
 	for _, method := range []string{"tor", "obfs4"} {
 		d, err := w.Deployment(method)

@@ -199,9 +199,6 @@ func StartIMServer(host *netem.Host, port int, cfg Config) (*IMServer, error) {
 // Addr returns the provider's contact address.
 func (s *IMServer) Addr() string { return s.ln.Addr().String() }
 
-// Close stops the provider.
-func (s *IMServer) Close() error { return s.ln.Close() }
-
 // serveConn handles one logged-in account: the first message names the
 // account ("login"), subsequent frames are relayed.
 func (s *IMServer) serveConn(c net.Conn) {
@@ -382,7 +379,6 @@ type Proxy struct {
 	imAddr string
 	acct   string
 	handle pt.StreamHandler
-	conns  []net.Conn // live sessions
 }
 
 // StartProxy launches the proxy side. Each client session uses a fresh
@@ -416,19 +412,7 @@ func (p *Proxy) serveSession(n uint64) error {
 		ic.Close()
 		return err
 	}
-	p.conns = append(p.conns, ic)
-	p.host.Network().Go(func() {
-		pt.ServeStream(ic, p.handle) // returns once the handler has closed ic
-		p.conns = slices.DeleteFunc(p.conns, func(c net.Conn) bool { return c == ic })
-	})
-	return nil
-}
-
-// Close shuts down proxy-side sessions.
-func (p *Proxy) Close() error {
-	for _, c := range p.conns {
-		c.Close()
-	}
+	p.host.Network().Go(func() { pt.ServeStream(ic, p.handle) })
 	return nil
 }
 

@@ -3,13 +3,11 @@ package camoufler
 import (
 	"bytes"
 	"errors"
-	"io"
 	"net"
 	"testing"
 	"testing/quick"
 	"time"
 
-	"ptperf/internal/geo"
 	"ptperf/internal/netem"
 )
 
@@ -129,41 +127,3 @@ func (scriptAddr) Network() string { return "script" }
 func (scriptAddr) String() string  { return "script" }
 
 var errScriptDone = errors.New("script exhausted")
-
-// TestProxyDropsFinishedSessions: a session leaves Proxy.conns when its
-// handler returns, so a long-lived proxy holds only its live sessions.
-func TestProxyDropsFinishedSessions(t *testing.T) {
-	n := netem.New(netem.WithSeed(3))
-	defer n.Clock().Shutdown()
-	client := n.MustAddHost(netem.HostConfig{Name: "client", Location: geo.London})
-	server := n.MustAddHost(netem.HostConfig{Name: "proxy", Location: geo.Frankfurt})
-	imHost := n.MustAddHost(netem.HostConfig{Name: "im", Location: geo.Frankfurt})
-	cfg := Config{Seed: 5, LossProb: -1}
-	im, err := StartIMServer(imHost, 5222, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer im.Close()
-	done := netem.NewChan[struct{}](n.Clock(), 4)
-	proxy, _ := StartProxy(server, im.Addr(), "acct", cfg, func(_ string, conn net.Conn) {
-		io.Copy(io.Discard, conn)
-		conn.Close()
-		done.Send(struct{}{})
-	})
-	d := NewDialer(client, im.Addr(), "acct", cfg, proxy)
-	for i := 0; i < 3; i++ {
-		c, err := d.Dial("g:1")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(proxy.conns) != 1 {
-			t.Fatalf("session %d: %d live proxy conns, want 1", i, len(proxy.conns))
-		}
-		c.Close()
-		done.Recv()
-		n.Clock().Sleep(time.Second)
-		if len(proxy.conns) != 0 {
-			t.Fatalf("session %d ended: %d proxy conns kept", i, len(proxy.conns))
-		}
-	}
-}

@@ -15,6 +15,7 @@ import (
 func bufferedPair(t *testing.T) (*netem.Network, net.Conn, net.Conn) {
 	t.Helper()
 	n := netem.New(netem.WithSeed(9))
+	t.Cleanup(n.Clock().Shutdown)
 	a := n.MustAddHost(netem.HostConfig{Name: "a", Location: geo.London})
 	b := n.MustAddHost(netem.HostConfig{Name: "b", Location: geo.London})
 	ln, err := b.Listen(1)

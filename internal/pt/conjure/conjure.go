@@ -91,12 +91,6 @@ func (inf *Infra) RegistrarAddr() string { return inf.regLn.Addr().String() }
 // PhantomAddr returns the phantom address clients dial.
 func (inf *Infra) PhantomAddr() string { return inf.phantomLn.Addr().String() }
 
-// Close stops the infrastructure.
-func (inf *Infra) Close() error {
-	inf.regLn.Close()
-	return inf.phantomLn.Close()
-}
-
 func (inf *Infra) mac(nonce []byte) []byte {
 	m := hmac.New(sha256.New, inf.cfg.Secret)
 	m.Write(nonce)

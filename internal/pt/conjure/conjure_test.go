@@ -14,6 +14,7 @@ import (
 func testNet(t *testing.T) (*netem.Host, *netem.Host, *netem.Host, *netem.Host) {
 	t.Helper()
 	n := netem.New(netem.WithSeed(33))
+	t.Cleanup(n.Clock().Shutdown)
 	return n.MustAddHost(netem.HostConfig{Name: "client", Location: geo.Toronto}),
 		n.MustAddHost(netem.HostConfig{Name: "registrar", Location: geo.Frankfurt}),
 		n.MustAddHost(netem.HostConfig{Name: "station", Location: geo.Frankfurt}),
@@ -30,12 +31,10 @@ func TestRegistrationIsSingleUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer bridge.Close()
 	inf, err := StartInfra(reg, station, 53000, 443, Config{Secret: secret}, bridge.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer inf.Close()
 
 	d := NewDialer(client, inf.RegistrarAddr(), inf.PhantomAddr(), Config{Secret: secret, Seed: 5})
 	c1, err := d.Dial("t:1")
@@ -62,12 +61,10 @@ func TestRegistrationIsSingleUse(t *testing.T) {
 func TestBadRegistrationMACDropped(t *testing.T) {
 	client, reg, station, bridgeHost := testNet(t)
 	bridge, _ := StartBridge(bridgeHost, 4443, Config{Secret: []byte("s")}, func(string, net.Conn) {})
-	defer bridge.Close()
 	inf, err := StartInfra(reg, station, 53000, 443, Config{Secret: []byte("s")}, bridge.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer inf.Close()
 
 	// A registrar client with the wrong secret never gets an ack.
 	d := NewDialer(client, inf.RegistrarAddr(), inf.PhantomAddr(), Config{Secret: []byte("wrong"), Seed: 6})

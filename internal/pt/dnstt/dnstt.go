@@ -175,9 +175,6 @@ func StartResolver(host *netem.Host, port int, cfg Config, serverAddr string) (*
 // Addr returns the resolver's contact address.
 func (r *Resolver) Addr() string { return r.ln.Addr().String() }
 
-// Close stops the resolver.
-func (r *Resolver) Close() error { return r.ln.Close() }
-
 // newMeter draws the byte budget of a session seen for the first time.
 func (r *Resolver) newMeter(sessionID) *sessionMeter {
 	m := &sessionMeter{budget: 1 << 62}
@@ -268,9 +265,6 @@ func StartServer(host *netem.Host, port int, cfg Config, handle pt.StreamHandler
 
 // Addr returns the server's contact address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-// Close stops the server.
-func (s *Server) Close() error { return s.ln.Close() }
 
 // serverSession is one client's tunnel at the server: upstream query
 // payloads reassemble into the stream the handler reads, and what the

@@ -111,14 +111,12 @@ func pick(rng *rand.Rand, ts []Transition) *Transition {
 // DefaultCapacity is the tunnel bytes one data transition can carry.
 const DefaultCapacity = 256
 
-// FTP returns the bundled FTP-mimicking model: a five-exchange session
-// establishment followed by a paced data loop embedding at most
-// DefaultCapacity bytes per "transfer chunk" message.
-func FTP() *Model { return FTPWithCapacity(DefaultCapacity) }
-
-// FTPWithCapacity is FTP with a custom per-transition payload capacity;
-// byte-scaled simulations shrink it together with page sizes so the
-// automaton's pacing keeps its relative cost.
+// FTPWithCapacity returns the bundled FTP-mimicking model: a
+// five-exchange session establishment followed by a paced data loop
+// embedding at most capacity bytes (DefaultCapacity if not positive) per
+// "transfer chunk" message. Byte-scaled simulations shrink the capacity
+// together with page sizes so the automaton's pacing keeps its relative
+// cost.
 func FTPWithCapacity(capacity int) *Model {
 	if capacity <= 0 {
 		capacity = DefaultCapacity

@@ -66,7 +66,7 @@ func TestModelValidation(t *testing.T) {
 			t.Errorf("%s: expected validation failure", name)
 		}
 	}
-	if err := FTP().Validate(); err != nil {
+	if err := FTPWithCapacity(DefaultCapacity).Validate(); err != nil {
 		t.Fatalf("FTP model invalid: %v", err)
 	}
 }
@@ -109,7 +109,7 @@ func TestModelStationaryThroughputBound(t *testing.T) {
 	// The FTP model's data loop can carry at most capacity bytes per
 	// min-delay transition: verify the advertised pacing is what makes
 	// marionette slow.
-	m := FTP()
+	m := FTPWithCapacity(DefaultCapacity)
 	var bestRate float64
 	for _, tr := range m.States[m.Data] {
 		if tr.Act.Capacity == 0 {

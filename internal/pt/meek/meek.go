@@ -161,9 +161,6 @@ func StartFront(host *netem.Host, port int, _ Config, bridgeAddr string) (*Front
 // Addr returns the front's contact address (what the censor sees).
 func (f *Front) Addr() string { return f.ln.Addr().String() }
 
-// Close stops the front.
-func (f *Front) Close() error { return f.ln.Close() }
-
 // serveConn relays one client's polling connection; the front keeps a
 // matching upstream connection to the bridge.
 func (f *Front) serveConn(c net.Conn) {
@@ -245,9 +242,6 @@ func StartBridge(host *netem.Host, port int, cfg Config, handle pt.StreamHandler
 
 // Addr returns the bridge's contact address.
 func (b *Bridge) Addr() string { return b.ln.Addr().String() }
-
-// Close stops the bridge.
-func (b *Bridge) Close() error { return b.ln.Close() }
 
 // cut ends a session from the bridge's side, like meek-server expiring
 // it: the handler's stream gets EOF and the client's next poll is told

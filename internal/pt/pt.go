@@ -111,8 +111,6 @@ type StreamHandler func(target string, conn net.Conn)
 type Server interface {
 	// Addr returns the server's contact address "host:port".
 	Addr() string
-	// Close stops the server.
-	Close() error
 }
 
 // Infos lists the twelve evaluated transports with the paper's metadata.

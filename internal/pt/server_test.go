@@ -37,9 +37,8 @@ func TestWrapTransport(t *testing.T) {
 	if want := []int64{11, 12}; !reflect.DeepEqual(server, want) {
 		t.Errorf("server seeds %v, want %v", server, want)
 	}
-	srv.Close()
-	if _, err := d.Dial("guard-0:9001"); err == nil || !strings.HasPrefix(err.Error(), "demo: ") {
-		t.Errorf("dial to a closed server: %v, want an error prefixed with the transport's name", err)
+	if _, err := wt.NewDialer(w.client, "pt-server:445").Dial("guard-0:9001"); err == nil || !strings.HasPrefix(err.Error(), "demo: ") {
+		t.Errorf("dial to a port where nothing listens: %v, want an error prefixed with the transport's name", err)
 	}
 
 	wt.Keyed = false

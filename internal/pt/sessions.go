@@ -80,11 +80,6 @@ func (t *Sessions[K, V]) Remove(key K) {
 	}
 }
 
-// Len reports how many sessions the table holds, tombstones included.
-func (t *Sessions[K, V]) Len() int {
-	return len(t.byKey)
-}
-
 // sweep is the staleness event: it runs every check that is due and
 // re-arms itself for the next one.
 func (t *Sessions[K, V]) sweep() {

@@ -87,7 +87,6 @@ type Deployment struct {
 	rng     *rand.Rand
 	proxies []*proxy
 	nextID  int
-	closed  bool
 }
 
 // proxy is one volunteer.
@@ -117,7 +116,7 @@ func Deploy(brokerHost *netem.Host, brokerPort int, cfg Config) (*Deployment, er
 	}
 	for i := 0; i < cfg.Proxies; i++ {
 		if err := d.spawnProxy(); err != nil {
-			d.Close()
+			ln.Close()
 			return nil, err
 		}
 	}
@@ -128,16 +127,6 @@ func Deploy(brokerHost *netem.Host, brokerPort int, cfg Config) (*Deployment, er
 // BrokerAddr is the rendezvous address clients contact (domain-fronted
 // in reality).
 func (d *Deployment) BrokerAddr() string { return d.brokerLn.Addr().String() }
-
-// Close stops the deployment.
-func (d *Deployment) Close() error {
-	d.closed = true
-	proxies := append([]*proxy(nil), d.proxies...)
-	for _, p := range proxies {
-		p.kill()
-	}
-	return d.brokerLn.Close()
-}
 
 // SetLoad adjusts the pool to a new load scenario at runtime: higher
 // utilization and shorter lifetimes for every current and future proxy.
@@ -153,9 +142,6 @@ func (d *Deployment) SetLoad(utilization float64, lifetime time.Duration) {
 
 // spawnProxy brings one volunteer online and schedules its death.
 func (d *Deployment) spawnProxy() error {
-	if d.closed {
-		return errors.New("snowflake: deployment closed")
-	}
 	d.nextID++
 	id := d.nextID
 	cfg := d.cfg

@@ -43,6 +43,7 @@ func TestConfigDefaults(t *testing.T) {
 func testNet(t *testing.T) (*netem.Network, *netem.Host, *netem.Host) {
 	t.Helper()
 	n := netem.New(netem.WithSeed(31))
+	t.Cleanup(n.Clock().Shutdown)
 	client := n.MustAddHost(netem.HostConfig{Name: "client", Location: geo.Toronto})
 	infra := n.MustAddHost(netem.HostConfig{Name: "infra", Location: geo.Frankfurt})
 	return n, client, infra
@@ -54,7 +55,6 @@ func TestBrokerAssignsLiveProxy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer dep.Close()
 
 	bridgeHost := infra.Network().MustAddHost(netem.HostConfig{Name: "bridge", Location: geo.Frankfurt})
 	bridge, err := StartBridge(bridgeHost, 7001, func(target string, conn net.Conn) {
@@ -64,7 +64,6 @@ func TestBrokerAssignsLiveProxy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer bridge.Close()
 
 	d := NewDialer(client, dep.BrokerAddr(), bridge.Addr())
 	conn, err := d.Dial("guard-x:9001")
@@ -89,7 +88,6 @@ func TestPoolSurvivesChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer dep.Close()
 	// After several lifetimes replacements must have spawned, and the
 	// pool must repeatedly be non-empty (transient empty windows are
 	// legitimate when deaths cluster).
@@ -116,7 +114,6 @@ func TestSetLoadAdjustsProxies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer dep.Close()
 	p := dep.proxies[0]
 	before := p.host.Egress().Rate()
 	dep.SetLoad(0.9, 10*time.Second)

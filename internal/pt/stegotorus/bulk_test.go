@@ -2,9 +2,11 @@ package stegotorus
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"net"
 	"testing"
+	"time"
 
 	"ptperf/internal/geo"
 	"ptperf/internal/netem"
@@ -18,6 +20,7 @@ func TestBulkOverManyConns(t *testing.T) {
 		conns := conns
 		t.Run(string(rune('0'+conns)), func(t *testing.T) {
 			n := netem.New(netem.WithSeed(int64(conns)))
+			t.Cleanup(n.Clock().Shutdown)
 			client := n.MustAddHost(netem.HostConfig{Name: "client", Location: geo.Toronto})
 			server := n.MustAddHost(netem.HostConfig{Name: "server", Location: geo.Frankfurt})
 			sink := n.MustAddHost(netem.HostConfig{Name: "sink", Location: geo.NewYork})
@@ -47,7 +50,6 @@ func TestBulkOverManyConns(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer srv.Close()
 			d := NewDialer(client, srv.Addr(), cfg)
 			conn, err := d.Dial("sink:80")
 			if err != nil {
@@ -66,5 +68,47 @@ func TestBulkOverManyConns(t *testing.T) {
 			}
 			var _ net.Conn = conn
 		})
+	}
+}
+
+// TestIncompleteFanOutIsClosed: a session whose last fan-out conn never
+// arrives goes stale and the conns it has are closed; a conn that comes
+// for it afterwards is turned away, not taken for a fresh session.
+func TestIncompleteFanOutIsClosed(t *testing.T) {
+	n := netem.New(netem.WithSeed(5))
+	t.Cleanup(n.Clock().Shutdown)
+	client := n.MustAddHost(netem.HostConfig{Name: "client", Location: geo.Toronto})
+	server := n.MustAddHost(netem.HostConfig{Name: "server", Location: geo.Frankfurt})
+	srv, err := StartServer(server, 8080, Config{Seed: 1}, func(string, net.Conn) {
+		t.Error("a fan-out of one conn out of two reached the handler")
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// dial opens fan-out conn index of a two-conn session and returns
+	// the virtual time until the server closes it.
+	dial := func(index byte) time.Duration {
+		c, err := client.Dial(srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		var pre [10]byte
+		binary.BigEndian.PutUint64(pre[:8], 42)
+		pre[8], pre[9] = index, 2
+		if _, err := c.Write(pre[:]); err != nil {
+			t.Fatal(err)
+		}
+		start := n.Clock().Now()
+		if _, err := c.Read(make([]byte, 1)); err == nil {
+			t.Fatal("the server wrote to a conn of an incomplete fan-out")
+		}
+		return n.Clock().Now() - start
+	}
+	if waited := dial(0); waited < pt.StaleAfter || waited >= 2*pt.StaleAfter {
+		t.Fatalf("the lone conn was closed after %v, want within [%v, %v)", waited, pt.StaleAfter, 2*pt.StaleAfter)
+	}
+	if waited := dial(1); waited >= time.Second {
+		t.Fatalf("the straggler was held %v, want it turned away at once", waited)
 	}
 }

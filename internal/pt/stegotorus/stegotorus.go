@@ -365,9 +365,6 @@ func StartServer(host *netem.Host, port int, cfg Config, handle pt.StreamHandler
 // Addr returns the server's contact address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// Close stops the server.
-func (s *Server) Close() error { return s.ln.Close() }
-
 // abandon closes the conns of a fan-out that never completed.
 func (s *Server) abandon(f *fanOut) {
 	conns := f.conns

@@ -194,6 +194,7 @@ func TestStreamConformance(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			clock := netem.NewClock()
+			t.Cleanup(clock.Shutdown)
 			tc.run(t, clock, pt.NewStream(clock, "test", "here", "there", tc.outCap))
 		})
 	}

@@ -37,6 +37,7 @@ type world struct {
 func newWorld(t *testing.T) *world {
 	t.Helper()
 	n := netem.New(netem.WithSeed(21))
+	t.Cleanup(n.Clock().Shutdown)
 	return &world{
 		net:    n,
 		client: n.MustAddHost(netem.HostConfig{Name: "client", Location: geo.London}),
@@ -90,7 +91,6 @@ func TestObfs4EndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
 	d := obfs4.NewDialer(w.client, srv.Addr(), obfs4.Config{Secret: secret, Seed: 2})
 	exerciseEcho(t, w, d, 60_000)
 }
@@ -103,7 +103,6 @@ func TestObfs4RejectsWrongSecret(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
 	d := obfs4.NewDialer(w.client, srv.Addr(), obfs4.Config{Secret: []byte("wrong"), Seed: 2})
 	conn, err := d.Dial("guard-0:9001")
 	if err == nil {
@@ -125,7 +124,6 @@ func TestShadowsocksEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
 	d := shadowsocks.NewDialer(w.client, srv.Addr(), shadowsocks.Config{PSK: psk, Seed: 2})
 	exerciseEcho(t, w, d, 100_000)
 }
@@ -134,9 +132,7 @@ func TestShadowsocksZeroRTTFasterThanObfs4(t *testing.T) {
 	w := newWorld(t)
 	psk := []byte("k")
 	ssrv, _ := shadowsocks.StartServer(w.server, 8388, shadowsocks.Config{PSK: psk}, echoHandler(t, "g:1"))
-	defer ssrv.Close()
 	osrv, _ := obfs4.StartServer(w.server, 443, obfs4.Config{Secret: psk}, echoHandler(t, "g:1"))
-	defer osrv.Close()
 
 	measure := func(d pt.Dialer) time.Duration {
 		start := w.net.Now()
@@ -164,7 +160,6 @@ func TestWebtunnelEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
 	d := webtunnel.NewDialer(w.client, srv.Addr(), webtunnel.Config{SessionKey: key, SNI: "cdn.example", Seed: 2})
 	exerciseEcho(t, w, d, 50_000)
 }
@@ -176,7 +171,6 @@ func TestPsiphonEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
 	d := psiphon.NewDialer(w.client, srv.Addr(), psiphon.Config{HostKey: hostKey, Seed: 2})
 	exerciseEcho(t, w, d, 50_000)
 }
@@ -187,7 +181,6 @@ func TestPsiphonRejectsWrongHostKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
 	d := psiphon.NewDialer(w.client, srv.Addr(), psiphon.Config{HostKey: []byte("evil"), Seed: 2})
 	if _, err := d.Dial("x"); err == nil {
 		t.Fatal("MITM host key must be rejected")
@@ -201,7 +194,6 @@ func TestCloakEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
 	d := cloak.NewDialer(w.client, srv.Addr(), cloak.Config{UID: uid, RedirAddr: "bing.com", Seed: 2})
 	conn, err := d.Dial("origin:80")
 	if err != nil {
@@ -238,7 +230,6 @@ func TestCloakClientHalfClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
 	cfg.Seed = 2
 	conn, err := cloak.NewDialer(w.client, srv.Addr(), cfg).Dial("origin:80")
 	if err != nil {
@@ -264,12 +255,10 @@ func TestConjureEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer bridge.Close()
 	inf, err := conjure.StartInfra(w.extra, w.extra2, 53000, 443, conjure.Config{Secret: secret, Seed: 2}, bridge.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer inf.Close()
 	d := conjure.NewDialer(w.client, inf.RegistrarAddr(), inf.PhantomAddr(), conjure.Config{Secret: secret, Seed: 3})
 	exerciseEcho(t, w, d, 40_000)
 }
@@ -280,12 +269,10 @@ func TestConjureUnregisteredFlowDropped(t *testing.T) {
 	bridge, _ := conjure.StartBridge(w.server, 4443, conjure.Config{Secret: secret}, func(string, net.Conn) {
 		t.Error("unregistered flow reached bridge")
 	})
-	defer bridge.Close()
 	inf, err := conjure.StartInfra(w.extra, w.extra2, 53000, 443, conjure.Config{Secret: secret}, bridge.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer inf.Close()
 	// Dial the phantom directly without registering.
 	conn, err := w.client.Dial(inf.PhantomAddr())
 	if err != nil {
@@ -305,12 +292,10 @@ func TestDnsttEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
 	res, err := dnstt.StartResolver(w.extra, 443, dnstt.Config{Seed: 2}, srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer res.Close()
 	d := dnstt.NewDialer(w.client, res.Addr(), dnstt.Config{Seed: 3})
 	exerciseEcho(t, w, d, 20_000)
 }
@@ -323,9 +308,7 @@ func TestDnsttRespCapLimitsThroughput(t *testing.T) {
 		io.Copy(io.Discard, conn)
 	}
 	srv, _ := dnstt.StartServer(w.server, 5300, dnstt.Config{Seed: 1}, sink)
-	defer srv.Close()
 	res, _ := dnstt.StartResolver(w.extra, 443, dnstt.Config{Seed: 2}, srv.Addr())
-	defer res.Close()
 
 	d := dnstt.NewDialer(w.client, res.Addr(), dnstt.Config{Seed: 3})
 	conn, err := d.Dial("g:1")
@@ -357,9 +340,7 @@ func TestDnsttResolverBudgetThrottles(t *testing.T) {
 	}
 	cfg := dnstt.Config{Seed: 1, BudgetMedian: 4 << 10}
 	srv, _ := dnstt.StartServer(w.server, 5300, cfg, sink)
-	defer srv.Close()
 	res, _ := dnstt.StartResolver(w.extra, 443, cfg, srv.Addr())
-	defer res.Close()
 
 	d := dnstt.NewDialer(w.client, res.Addr(), cfg)
 	conn, err := d.Dial("g:1")
@@ -388,12 +369,10 @@ func TestMeekEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer bridge.Close()
 	front, err := meek.StartFront(w.extra, 443, meek.Config{Seed: 2}, bridge.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer front.Close()
 	d := meek.NewDialer(w.client, front.Addr(), meek.Config{Seed: 3})
 	exerciseEcho(t, w, d, 30_000)
 }
@@ -407,9 +386,7 @@ func TestMeekSessionBudgetCutsBulk(t *testing.T) {
 	}
 	// A tiny budget guarantees the cut.
 	bridge, _ := meek.StartBridge(w.server, 7002, meek.Config{Seed: 9, SessionBudgetMedian: 64 << 10}, sink)
-	defer bridge.Close()
 	front, _ := meek.StartFront(w.extra, 443, meek.Config{Seed: 2}, bridge.Addr())
-	defer front.Close()
 
 	d := meek.NewDialer(w.client, front.Addr(), meek.Config{Seed: 3})
 	conn, err := d.Dial("g:1")
@@ -440,12 +417,10 @@ func TestSnowflakeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer bridge.Close()
 	dep, err := snowflake.Deploy(w.extra, 443, snowflake.Config{Seed: 4, ProxyLifetime: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer dep.Close()
 	d := snowflake.NewDialer(w.client, dep.BrokerAddr(), bridge.Addr())
 	exerciseEcho(t, w, d, 40_000)
 }
@@ -458,7 +433,6 @@ func TestSnowflakeProxyChurnBreaksTransfer(t *testing.T) {
 		conn.Write(blob)
 	}
 	bridge, _ := snowflake.StartBridge(w.server, 7001, sink)
-	defer bridge.Close()
 	// Very short proxy lifetimes: transfers should break mid-flight.
 	dep, err := snowflake.Deploy(w.extra, 443, snowflake.Config{
 		Seed:          4,
@@ -469,7 +443,6 @@ func TestSnowflakeProxyChurnBreaksTransfer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer dep.Close()
 
 	d := snowflake.NewDialer(w.client, dep.BrokerAddr(), bridge.Addr())
 	conn, err := d.Dial("g:1")
@@ -497,12 +470,10 @@ func TestCamouflerEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer im.Close()
 	proxy, err := camoufler.StartProxy(w.server, im.Addr(), "acct", camoufler.Config{Seed: 6, LossProb: -1}, echoHandler(t, "guard-0:9001"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer proxy.Close()
 	d := camoufler.NewDialer(w.client, im.Addr(), "acct", camoufler.Config{Seed: 7, LossProb: -1}, proxy)
 	exerciseEcho(t, w, d, 20_000)
 }
@@ -510,13 +481,11 @@ func TestCamouflerEndToEnd(t *testing.T) {
 func TestCamouflerSingleStreamOnly(t *testing.T) {
 	w := newWorld(t)
 	im, _ := camoufler.StartIMServer(w.extra, 5222, camoufler.Config{Seed: 5, LossProb: -1})
-	defer im.Close()
 	hold := netem.NewChan[struct{}](w.net.Clock(), 1)
 	proxy, _ := camoufler.StartProxy(w.server, im.Addr(), "acct", camoufler.Config{Seed: 6, LossProb: -1}, func(target string, conn net.Conn) {
 		hold.Recv()
 		conn.Close()
 	})
-	defer proxy.Close()
 	d := camoufler.NewDialer(w.client, im.Addr(), "acct", camoufler.Config{Seed: 7, LossProb: -1}, proxy)
 	c1, err := d.Dial("g:1")
 	if err != nil {
@@ -542,13 +511,11 @@ func TestCamouflerRateLimitPacesBulk(t *testing.T) {
 
 	run := func(cfg camoufler.Config, port int) time.Duration {
 		im, _ := camoufler.StartIMServer(w.extra, port, cfg)
-		defer im.Close()
 		blob := make([]byte, 256<<10)
 		proxy, _ := camoufler.StartProxy(w.server, im.Addr(), fmt.Sprintf("a%d", port), cfg, func(target string, conn net.Conn) {
 			defer conn.Close()
 			conn.Write(blob)
 		})
-		defer proxy.Close()
 		d := camoufler.NewDialer(w.client, im.Addr(), fmt.Sprintf("a%d", port), cfg, proxy)
 		conn, err := d.Dial("g:1")
 		if err != nil {
@@ -574,19 +541,17 @@ func TestStegotorusEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
 	d := stegotorus.NewDialer(w.client, srv.Addr(), stegotorus.Config{Seed: 9})
 	exerciseEcho(t, w, d, 80_000)
 }
 
 func TestMarionetteEndToEnd(t *testing.T) {
 	w := newWorld(t)
-	srv, err := marionette.StartServer(w.server, 2121, marionette.FTP(), 10, echoHandler(t, "guard-0:9001"))
+	srv, err := marionette.StartServer(w.server, 2121, marionette.FTPWithCapacity(marionette.DefaultCapacity), 10, echoHandler(t, "guard-0:9001"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
-	d, err := marionette.NewDialer(w.client, srv.Addr(), marionette.FTP(), 11)
+	d, err := marionette.NewDialer(w.client, srv.Addr(), marionette.FTPWithCapacity(marionette.DefaultCapacity), 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -600,7 +565,7 @@ func TestMarionetteModelValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Fatal("undefined states must fail validation")
 	}
-	if err := marionette.FTP().Validate(); err != nil {
+	if err := marionette.FTPWithCapacity(marionette.DefaultCapacity).Validate(); err != nil {
 		t.Fatalf("bundled model invalid: %v", err)
 	}
 }
@@ -609,9 +574,7 @@ func TestMarionetteSlowerThanObfs4(t *testing.T) {
 	w := newWorld(t)
 	secret := []byte("k")
 	osrv, _ := obfs4.StartServer(w.server, 443, obfs4.Config{Secret: secret}, echoHandler(t, "g:1"))
-	defer osrv.Close()
-	msrv, _ := marionette.StartServer(w.server, 2121, marionette.FTP(), 12, echoHandler(t, "g:1"))
-	defer msrv.Close()
+	msrv, _ := marionette.StartServer(w.server, 2121, marionette.FTPWithCapacity(marionette.DefaultCapacity), 12, echoHandler(t, "g:1"))
 
 	const payload = 16 << 10
 	measure := func(d pt.Dialer) time.Duration {
@@ -629,7 +592,7 @@ func TestMarionetteSlowerThanObfs4(t *testing.T) {
 		return w.net.Since(start)
 	}
 	od := obfs4.NewDialer(w.client, osrv.Addr(), obfs4.Config{Secret: secret})
-	md, _ := marionette.NewDialer(w.client, msrv.Addr(), marionette.FTP(), 13)
+	md, _ := marionette.NewDialer(w.client, msrv.Addr(), marionette.FTPWithCapacity(marionette.DefaultCapacity), 13)
 	ot := measure(od)
 	mt := measure(md)
 	if mt < 4*ot {

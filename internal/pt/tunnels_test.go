@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"testing"
+	"time"
 
 	"ptperf/internal/netem"
 	"ptperf/internal/pt"
@@ -144,11 +145,11 @@ var tunnels = []struct {
 		return cloak.NewDialer(w.client, srv.Addr(), cfg), nil
 	}},
 	{"marionette", func(w *world, h pt.StreamHandler) (pt.Dialer, error) {
-		srv, err := marionette.StartServer(w.server, 2121, marionette.FTP(), 10, h)
+		srv, err := marionette.StartServer(w.server, 2121, marionette.FTPWithCapacity(marionette.DefaultCapacity), 10, h)
 		if err != nil {
 			return nil, err
 		}
-		return marionette.NewDialer(w.client, srv.Addr(), marionette.FTP(), 11)
+		return marionette.NewDialer(w.client, srv.Addr(), marionette.FTPWithCapacity(marionette.DefaultCapacity), 11)
 	}},
 }
 
@@ -320,4 +321,75 @@ func TestRecordConnWriteRefusesReentry(t *testing.T) {
 		}
 	}()
 	rc.Write([]byte("first"))
+}
+
+// TestVanishedClientIsReaped drives the shared staleness path through
+// both polling transports: the client's host drops off the network
+// without closing anything, and the server must cut the session — EOF
+// into the handler — after one quiet window, not sooner and not never.
+func TestVanishedClientIsReaped(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		start func(w *world, handle pt.StreamHandler) (pt.Dialer, error)
+	}{
+		{"meek", func(w *world, handle pt.StreamHandler) (pt.Dialer, error) {
+			cfg := meek.Config{Seed: 1, SessionBudgetMedian: -1}
+			bridge, err := meek.StartBridge(w.server, 443, cfg, handle)
+			if err != nil {
+				return nil, err
+			}
+			front, err := meek.StartFront(w.extra, 443, cfg, bridge.Addr())
+			if err != nil {
+				return nil, err
+			}
+			return meek.NewDialer(w.client, front.Addr(), cfg), nil
+		}},
+		{"dnstt", func(w *world, handle pt.StreamHandler) (pt.Dialer, error) {
+			cfg := dnstt.Config{Seed: 1, BudgetMedian: -1}
+			srv, err := dnstt.StartServer(w.server, 53, cfg, handle)
+			if err != nil {
+				return nil, err
+			}
+			res, err := dnstt.StartResolver(w.extra, 443, cfg, srv.Addr())
+			if err != nil {
+				return nil, err
+			}
+			return dnstt.NewDialer(w.client, res.Addr(), cfg), nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := newWorld(t)
+			clock := w.net.Clock()
+			ended := netem.NewChan[time.Duration](clock, 1)
+			d, err := tc.start(w, func(_ string, conn net.Conn) {
+				io.Copy(io.Discard, conn)
+				ended.Send(clock.Now())
+				conn.Close()
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			conn, err := d.Dial("guard-0:9001")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := conn.Write([]byte("hello")); err != nil {
+				t.Fatal(err)
+			}
+			clock.Sleep(5 * time.Second)
+			if ended.Len() != 0 {
+				t.Fatal("handler saw EOF while the client was polling")
+			}
+			vanished := clock.Now()
+			w.net.AbortHostConns("client")
+
+			at, _, timedOut := ended.RecvTimeout(4 * pt.StaleAfter)
+			if timedOut {
+				t.Fatal("the vanished client's session was never cut")
+			}
+			if quiet := at - vanished; quiet < pt.StaleAfter || quiet >= 2*pt.StaleAfter {
+				t.Fatalf("session cut %v after the client vanished, want within [%v, %v)", quiet, pt.StaleAfter, 2*pt.StaleAfter)
+			}
+		})
+	}
 }

@@ -122,16 +122,6 @@ func (m *Monitor) transition(key string, apply func(*cellState)) {
 	}
 }
 
-// Line returns the current status line (for tests and pull-style UIs).
-func (m *Monitor) Line() string {
-	if m == nil {
-		return ""
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.lineLocked()
-}
-
 // maxShownRunning bounds how many running cells a status line names.
 const maxShownRunning = 4
 

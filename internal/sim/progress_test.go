@@ -8,6 +8,16 @@ import (
 	"time"
 )
 
+// Line returns the current status line under the monitor's lock.
+func (m *Monitor) Line() string {
+	if m == nil {
+		return ""
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.lineLocked()
+}
+
 // TestMonitorNilSafe requires every method to be a no-op on a nil
 // monitor — callers wire progress only when requested.
 func TestMonitorNilSafe(t *testing.T) {

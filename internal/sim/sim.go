@@ -53,9 +53,6 @@ func NewExecutor(jobs int) *Executor {
 	return &Executor{sem: make(chan struct{}, jobs)}
 }
 
-// Jobs reports the executor's concurrency bound.
-func (e *Executor) Jobs() int { return cap(e.sem) }
-
 // Future is the join handle of one submitted world task. Wait may be
 // called any number of times from any goroutine.
 type Future[T any] struct {
@@ -70,12 +67,6 @@ type Future[T any] struct {
 func (f *Future[T]) Wait() (T, error) {
 	<-f.done
 	return f.val, f.err
-}
-
-// Err waits for the task and returns only its error.
-func (f *Future[T]) Err() error {
-	<-f.done
-	return f.err
 }
 
 // Submit schedules fn as a world task and returns its future

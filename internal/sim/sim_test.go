@@ -25,8 +25,8 @@ func TestSubmitReturnsResults(t *testing.T) {
 func TestJobsBoundIsRespected(t *testing.T) {
 	const jobs = 3
 	e := NewExecutor(jobs)
-	if e.Jobs() != jobs {
-		t.Fatalf("Jobs() = %d, want %d", e.Jobs(), jobs)
+	if cap(e.sem) != jobs {
+		t.Fatalf("bound = %d, want %d", cap(e.sem), jobs)
 	}
 	var running, peak atomic.Int32
 	var fs []*Future[struct{}]
@@ -56,8 +56,8 @@ func TestJobsBoundIsRespected(t *testing.T) {
 }
 
 func TestDefaultJobsIsPositive(t *testing.T) {
-	if e := NewExecutor(0); e.Jobs() < 1 {
-		t.Fatalf("default executor has %d jobs", e.Jobs())
+	if e := NewExecutor(0); cap(e.sem) < 1 {
+		t.Fatalf("default executor has %d jobs", cap(e.sem))
 	}
 }
 
@@ -65,8 +65,8 @@ func TestErrorsPropagate(t *testing.T) {
 	e := NewExecutor(1)
 	boom := errors.New("boom")
 	f := Submit(e, func() (int, error) { return 0, boom })
-	if err := f.Err(); !errors.Is(err, boom) {
-		t.Fatalf("Err() = %v, want %v", err, boom)
+	if _, err := f.Wait(); !errors.Is(err, boom) {
+		t.Fatalf("Wait() error = %v, want %v", err, boom)
 	}
 }
 

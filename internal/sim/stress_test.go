@@ -33,6 +33,7 @@ func worldSignature(root int64, stream int64, built func(*testbed.World)) (strin
 	if err != nil {
 		return "", err
 	}
+	defer w.Close()
 	if built != nil {
 		built(w)
 	}
@@ -185,8 +186,8 @@ func TestSimulationGoroutinePanicBecomesError(t *testing.T) {
 		clock.Sleep(time.Second)
 		return 1, nil
 	})
-	if err := f.Err(); err == nil || !strings.Contains(err.Error(), "child kaput") {
-		t.Fatalf("Err() = %v, want the child's panic value", err)
+	if _, err := f.Wait(); err == nil || !strings.Contains(err.Error(), "child kaput") {
+		t.Fatalf("Wait() error = %v, want the child's panic value", err)
 	}
 	// The executor slot must have been released.
 	if v, err := sim.Submit(e, func() (int, error) { return 7, nil }).Wait(); err != nil || v != 7 {

@@ -73,6 +73,9 @@ func TestInjectedFaultCaughtAndShrunk(t *testing.T) {
 	if trials < 2 {
 		t.Errorf("shrink ran only %d trials", trials)
 	}
+	if report := FailureReport(spec, err, min, minErr, trials); !strings.Contains(report, "repro: "+min.Repro()) {
+		t.Errorf("failure report does not carry the shrunken world's repro line:\n%s", report)
+	}
 	// The minimal world's repro line must reproduce the failure.
 	replay, err := ParseRepro(min.Repro())
 	if err != nil {

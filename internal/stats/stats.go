@@ -42,9 +42,6 @@ func Variance(xs []float64) float64 {
 // StdDev returns the sample standard deviation.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// Median returns the sample median (the 0.5 quantile).
-func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
-
 // Quantile returns the q-th quantile (q in [0,1]) with linear
 // interpolation between order statistics.
 func Quantile(xs []float64, q float64) float64 {
@@ -146,16 +143,6 @@ func (e *ECDF) InverseAt(p float64) float64 {
 	return e.sorted[idx]
 }
 
-// Points renders the ECDF as (x, P(X≤x)) steps, for report plotting.
-func (e *ECDF) Points() ([]float64, []float64) {
-	xs := append([]float64(nil), e.sorted...)
-	ps := make([]float64, len(xs))
-	for i := range xs {
-		ps[i] = float64(i+1) / float64(len(xs))
-	}
-	return xs, ps
-}
-
 // TTestResult reports a paired t-test the way the paper's tables do.
 type TTestResult struct {
 	// N is the number of pairs.
@@ -172,9 +159,6 @@ type TTestResult struct {
 	// DF is the degrees of freedom.
 	DF int
 }
-
-// Significant reports whether P < 0.05, the paper's threshold.
-func (r TTestResult) Significant() bool { return r.P < 0.05 }
 
 // ErrTooFewPairs is returned when fewer than two pairs are supplied.
 var ErrTooFewPairs = errors.New("stats: paired t-test needs at least 2 pairs")

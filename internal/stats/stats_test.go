@@ -93,9 +93,8 @@ func TestECDFInverse(t *testing.T) {
 	if got := e.InverseAt(1); got != 4 {
 		t.Fatalf("inverse(1) = %v", got)
 	}
-	xs, ps := e.Points()
-	if len(xs) != 4 || ps[3] != 1 {
-		t.Fatal("points broken")
+	if len(e.sorted) != 4 || e.At(e.sorted[3]) != 1 {
+		t.Fatal("the largest sample is not at P = 1")
 	}
 }
 
@@ -161,6 +160,25 @@ func TestPairedTIdenticalSamples(t *testing.T) {
 	}
 }
 
+// TestPairedTConstantShift: differences that are all the same nonzero
+// value have no spread, so t is infinite with the shift's sign and the
+// interval is the shift itself.
+func TestPairedTConstantShift(t *testing.T) {
+	x, y := []float64{1, 2, 3, 4}, []float64{3, 4, 5, 6}
+	for _, tc := range []struct {
+		a, b []float64
+		sign int
+	}{{x, y, -1}, {y, x, 1}} {
+		res, err := PairedT(tc.a, tc.b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !math.IsInf(res.T, tc.sign) || res.P != 0 || res.CILower != res.MeanDiff || res.CIUpper != res.MeanDiff {
+			t.Fatalf("res = %+v, want t = %dInf, p = 0 and the interval at the mean difference", res, tc.sign)
+		}
+	}
+}
+
 func TestPairedTDetectsShift(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	n := 100
@@ -175,7 +193,7 @@ func TestPairedTDetectsShift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Significant() {
+	if res.P >= 0.05 {
 		t.Fatalf("shift not detected: %+v", res)
 	}
 	if res.MeanDiff < 0.8 || res.MeanDiff > 1.2 {
@@ -205,7 +223,7 @@ func TestPairedTNoEffect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Significant() {
+		if res.P < 0.05 {
 			rejections++
 		}
 	}

@@ -140,7 +140,7 @@ func (r *ContentionRig) Start() {
 func (r *ContentionRig) Stop() {
 	r.stopped = true
 	for _, cl := range r.competitors {
-		cl.Close()
+		cl.NewCircuit()
 	}
 	r.wg.Wait()
 }

@@ -54,9 +54,6 @@ func (d *Deployment) FreshCircuit() { d.tor.NewCircuit() }
 // Preheat builds circuits ahead of measurement.
 func (d *Deployment) Preheat() error { return d.tor.Preheat() }
 
-// Path exposes the current circuit of the deployment's Tor client.
-func (d *Deployment) Path() tor.Path { return d.tor.Path() }
-
 // snowflakeDialer is snowflake's dialer with its volunteer pool riding
 // along, which is how the recipe hands the pool to Deployment.Snowflake.
 type snowflakeDialer struct {

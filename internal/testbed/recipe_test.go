@@ -112,6 +112,7 @@ func TestEveryTorClientCarriesRetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(w.Close)
 	clients := map[string]*tor.Client{}
 	for _, name := range []string{"cloak", "shadowsocks", "obfs4"} {
 		rig, err := w.NewOverheadRig(name, 1)

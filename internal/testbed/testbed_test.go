@@ -80,7 +80,7 @@ func TestSet1UsesBridgeAsGuard(t *testing.T) {
 	if err := d.Preheat(); err != nil {
 		t.Fatal(err)
 	}
-	p := d.Path()
+	p := d.tor.Path()
 	if p.Guard == nil || p.Guard.Name != "obfs4-bridge-guard" {
 		t.Fatalf("set-1 first hop should be the bridge guard, got %+v", p.Guard)
 	}
@@ -92,7 +92,7 @@ func TestSet2UsesConsensusGuard(t *testing.T) {
 	if err := d.Preheat(); err != nil {
 		t.Fatal(err)
 	}
-	p := d.Path()
+	p := d.tor.Path()
 	if p.Guard == nil {
 		t.Fatal("no path")
 	}
@@ -110,7 +110,7 @@ func TestFreshCircuitChangesPath(t *testing.T) {
 		if err := d.Preheat(); err != nil {
 			t.Fatal(err)
 		}
-		p := d.Path()
+		p := d.tor.Path()
 		seen[p.Middle.Name+"/"+p.Exit.Name] = true
 	}
 	if len(seen) < 2 {

@@ -87,23 +87,6 @@ type RecoveryStats struct {
 	GuardProbations int64
 }
 
-// Add returns the element-wise sum of two stat sets.
-func (s RecoveryStats) Add(o RecoveryStats) RecoveryStats {
-	return RecoveryStats{
-		Rebuilds:        s.Rebuilds + o.Rebuilds,
-		BuildTimeouts:   s.BuildTimeouts + o.BuildTimeouts,
-		StreamFailures:  s.StreamFailures + o.StreamFailures,
-		ReAttaches:      s.ReAttaches + o.ReAttaches,
-		Abandoned:       s.Abandoned + o.Abandoned,
-		GuardProbations: s.GuardProbations + o.GuardProbations,
-	}
-}
-
-// Total sums the counters that indicate any recovery activity.
-func (s RecoveryStats) Total() int64 {
-	return s.Rebuilds + s.BuildTimeouts + s.StreamFailures + s.ReAttaches + s.Abandoned + s.GuardProbations
-}
-
 // DefaultGuardProbation is how long a failed guard sits out of path
 // selection before it is eligible again (doubling per consecutive
 // strike, capped at 64×).
@@ -271,12 +254,6 @@ func (c *Client) NewCircuit() {
 	if circ != nil {
 		circ.close(nil)
 	}
-}
-
-// Close tears down the client's circuit.
-func (c *Client) Close() error {
-	c.NewCircuit()
-	return nil
 }
 
 // Path returns the current circuit's path, or zero Path if none.

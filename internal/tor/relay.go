@@ -51,7 +51,6 @@ type Relay struct {
 	ln      *netem.Listener
 	sched   *cellScheduler
 	retired []*cellScheduler // schedulers of crashed incarnations (stats survive restarts)
-	closed  bool
 	crashed bool
 }
 
@@ -111,24 +110,14 @@ func (r *Relay) Host() *netem.Host { return r.cfg.Host }
 // a world, so the metrics layer uses them as series labels.
 func (r *Relay) Name() string { return r.cfg.Name }
 
-// Close stops accepting connections and shuts the cell scheduler down
-// (queued cells of live circuits are dropped; subsequent relay traffic
-// through this relay fails).
-func (r *Relay) Close() error {
-	r.closed = true
-	err := r.ln.Close()
-	r.sched.stop()
-	return err
-}
-
 // Crash models the relay process dying: the descriptor is withdrawn
 // from the consensus, the listener closes, the scheduler drops every
 // queued cell (Acct-counted), and every conn touching the relay's host
 // is aborted — live links observe read errors and tear their circuits
 // down exactly as they would for a real peer crash. Returns false if
-// the relay was already crashed or closed.
+// the relay was already crashed.
 func (r *Relay) Crash() bool {
-	if r.crashed || r.closed {
+	if r.crashed {
 		return false
 	}
 	r.crashed = true
@@ -149,7 +138,7 @@ func (r *Relay) Crashed() bool { return r.crashed }
 // its cumulative stats), and the same descriptor republished — pinned
 // descriptor pointers held by clients stay valid across the cycle.
 func (r *Relay) Restart() error {
-	if !r.crashed || r.closed {
+	if !r.crashed {
 		return fmt.Errorf("tor: relay %q is not crashed", r.cfg.Name)
 	}
 	ln, err := r.cfg.Host.Listen(r.cfg.Port)

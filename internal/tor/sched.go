@@ -163,29 +163,6 @@ type DelayHist [64]int64
 
 func (h *DelayHist) add(d time.Duration) { h[bits.Len64(uint64(d))]++ }
 
-// Median estimates the median delay: the bucket holding the middle
-// sample, interpolated linearly by that sample's rank inside it. It is
-// 0 for an empty histogram.
-func (h *DelayHist) Median() time.Duration {
-	var total int64
-	for _, n := range h {
-		total += n
-	}
-	rank := total / 2
-	for b, n := range h {
-		if n == 0 || rank >= n {
-			rank -= n
-			continue
-		}
-		if b == 0 {
-			return 0
-		}
-		lo := float64(uint64(1) << (b - 1))
-		return time.Duration(lo + lo*(float64(rank)+0.5)/float64(n))
-	}
-	return 0
-}
-
 // decayTo ages the EWMA to virtual time now.
 func (q *circQueue) decayTo(now, halflife time.Duration) {
 	if now <= q.ewmaAt {
@@ -452,20 +429,6 @@ func (st SchedStats) MeanDelay() time.Duration {
 	return st.DelaySum / time.Duration(st.Flushed)
 }
 
-// CircuitSched is one circuit's scheduler record.
-type CircuitSched struct {
-	// CircID is the circuit's ID on its upstream link.
-	CircID uint32
-	// Queued / Flushed / Dropped are the circuit's cell counts.
-	Queued, Flushed, Dropped int64
-	// Pending counts cells still in the queue.
-	Pending int64
-	// DelaySum accumulates flushed cells' queueing delays.
-	DelaySum time.Duration
-	// Delays is the distribution of flushed cells' queueing delays.
-	Delays DelayHist
-}
-
 // schedulers lists every scheduler incarnation, oldest first — crashed
 // incarnations keep their counters, so stats are cumulative across
 // crash/restart cycles.
@@ -492,29 +455,4 @@ func (r *Relay) SchedStats() SchedStats {
 		}
 	}
 	return st
-}
-
-// CircuitScheds returns per-circuit scheduler records: retired
-// circuits first (in teardown order), then live ones (in creation
-// order). The order is deterministic but does not identify circuits —
-// consumers match records by their counters (the contention fairness
-// tests split bursty from bulk by Flushed).
-func (r *Relay) CircuitScheds() []CircuitSched {
-	var out []CircuitSched
-	for _, s := range r.schedulers() {
-		for _, qs := range [][]*circQueue{s.done, s.active} {
-			for _, q := range qs {
-				out = append(out, CircuitSched{
-					CircID:   q.id,
-					Queued:   q.queued,
-					Flushed:  q.flushed,
-					Dropped:  q.dropped,
-					Pending:  int64(len(q.cells) - q.head),
-					DelaySum: q.delaySum,
-					Delays:   q.delays,
-				})
-			}
-		}
-	}
-	return out
 }

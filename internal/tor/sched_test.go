@@ -51,6 +51,7 @@ func TestUniqueIDRetriesOnCollision(t *testing.T) {
 // original circuit wired.
 func TestDuplicateCreateRejected(t *testing.T) {
 	n := netem.New(netem.WithSeed(3))
+	t.Cleanup(n.Clock().Shutdown)
 	relayHost := n.MustAddHost(netem.HostConfig{Name: "relay-0", Location: geo.Frankfurt})
 	if _, err := StartRelay(RelayConfig{Name: "relay-0", Host: relayHost, Unpublished: true, Seed: 4}); err != nil {
 		t.Fatal(err)
@@ -92,6 +93,7 @@ func TestDuplicateCreateRejected(t *testing.T) {
 func contendedDelays(t *testing.T, policy SchedPolicy) (bursty, bulk CircuitSched, acct netem.AcctSnapshot) {
 	t.Helper()
 	n := netem.New(netem.WithSeed(7))
+	t.Cleanup(n.Clock().Shutdown)
 	clock := n.Clock()
 	mk := func(name string, bps float64) *netem.Host {
 		return n.MustAddHost(netem.HostConfig{Name: name, Location: geo.Frankfurt, UplinkBps: bps, DownlinkBps: bps})
@@ -206,8 +208,8 @@ func contendedDelays(t *testing.T, policy SchedPolicy) (bursty, bulk CircuitSche
 	if err, _ := done.Recv(); err != nil {
 		t.Fatal(err)
 	}
-	bulkC.Close()
-	burstyC.Close()
+	bulkC.NewCircuit()
+	burstyC.NewCircuit()
 	bulkLn.Close()
 	pingLn.Close()
 	clock.Sleep(10 * time.Second) // drain: teardowns observe their closes
@@ -224,6 +226,68 @@ func contendedDelays(t *testing.T, policy SchedPolicy) (bursty, bulk CircuitSche
 }
 
 func delayMedian(cs CircuitSched) float64 { return cs.Delays.Median().Seconds() }
+
+// CircuitSched is one circuit's scheduler record.
+type CircuitSched struct {
+	// CircID is the circuit's ID on its upstream link.
+	CircID uint32
+	// Queued / Flushed / Dropped are the circuit's cell counts.
+	Queued, Flushed, Dropped int64
+	// Pending counts cells still in the queue.
+	Pending int64
+	// DelaySum accumulates flushed cells' queueing delays.
+	DelaySum time.Duration
+	// Delays is the distribution of flushed cells' queueing delays.
+	Delays DelayHist
+}
+
+// Median estimates the median delay: the bucket holding the middle
+// sample, interpolated linearly by that sample's rank inside it. It is
+// 0 for an empty histogram.
+func (h *DelayHist) Median() time.Duration {
+	var total int64
+	for _, n := range h {
+		total += n
+	}
+	rank := total / 2
+	for b, n := range h {
+		if n == 0 || rank >= n {
+			rank -= n
+			continue
+		}
+		if b == 0 {
+			return 0
+		}
+		lo := float64(uint64(1) << (b - 1))
+		return time.Duration(lo + lo*(float64(rank)+0.5)/float64(n))
+	}
+	return 0
+}
+
+// CircuitScheds returns per-circuit scheduler records: retired
+// circuits first (in teardown order), then live ones (in creation
+// order). The order is deterministic but does not identify circuits —
+// consumers match records by their counters (the contention fairness
+// tests split bursty from bulk by Flushed).
+func (r *Relay) CircuitScheds() []CircuitSched {
+	var out []CircuitSched
+	for _, s := range r.schedulers() {
+		for _, qs := range [][]*circQueue{s.done, s.active} {
+			for _, q := range qs {
+				out = append(out, CircuitSched{
+					CircID:   q.id,
+					Queued:   q.queued,
+					Flushed:  q.flushed,
+					Dropped:  q.dropped,
+					Pending:  int64(len(q.cells) - q.head),
+					DelaySum: q.delaySum,
+					Delays:   q.delays,
+				})
+			}
+		}
+	}
+	return out
+}
 
 // TestSchedulerFairnessEWMA pins the tentpole property: under guard
 // contention the EWMA scheduler keeps the bursty circuit's queueing
@@ -288,7 +352,7 @@ func TestSchedulerTransparentWhenUncontended(t *testing.T) {
 		t.Fatal(err)
 	}
 	conn.Close()
-	c.Close()
+	c.NewCircuit()
 	w.net.Clock().Sleep(5 * time.Second)
 
 	for _, r := range w.relays {
@@ -314,6 +378,7 @@ func (discardConn) Write(p []byte) (int, error) { return len(p), nil }
 // passed.
 func TestCircQueueKeepsItsArray(t *testing.T) {
 	clock := netem.NewClock()
+	t.Cleanup(clock.Shutdown)
 	s := newCellScheduler(clock, nil, SchedConfig{CellsPerPass: 1}, 1<<20)
 	defer s.stop()
 	q := s.newQueue(&link{conn: discardConn{}, wmu: netem.NewMutex(clock)}, 1)
@@ -343,6 +408,7 @@ func TestCircQueueKeepsItsArray(t *testing.T) {
 // turns down as it would a write lock held by a parked writer.
 func TestRefusedLinkSkippedForRestOfPass(t *testing.T) {
 	n := netem.New(netem.WithSeed(1))
+	t.Cleanup(n.Clock().Shutdown)
 	clock := n.Clock()
 	far := n.MustAddHost(netem.HostConfig{Name: "far", Location: geo.Frankfurt})
 	ln, err := far.Listen(9001)

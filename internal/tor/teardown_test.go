@@ -88,6 +88,7 @@ func TestBuildTimeoutOnDeadGuard(t *testing.T) {
 // scheduler still holds queued backward cells when the crash fires.
 func TestMidTransferRelayCrashTearsDown(t *testing.T) {
 	n := netem.New(netem.WithSeed(11))
+	t.Cleanup(n.Clock().Shutdown)
 	dir := NewDirectory()
 	mkRelay := func(name string, flags Flag, uplink float64) *Relay {
 		host := n.MustAddHost(netem.HostConfig{
@@ -150,7 +151,7 @@ func TestMidTransferRelayCrashTearsDown(t *testing.T) {
 		t.Fatal("transfer survived a mid-path relay crash")
 	}
 	conn.Close()
-	c.Close()
+	c.NewCircuit()
 	n.Clock().Sleep(time.Second) // let the teardown cascade settle
 
 	snap := n.Acct().Snapshot()

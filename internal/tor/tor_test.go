@@ -25,6 +25,7 @@ type testWorld struct {
 func buildWorld(t testing.TB, nGuard, nMiddle, nExit int) *testWorld {
 	t.Helper()
 	n := netem.New(netem.WithSeed(11))
+	t.Cleanup(n.Clock().Shutdown)
 	dir := NewDirectory()
 	w := &testWorld{net: n, dir: dir}
 
@@ -75,7 +76,6 @@ func buildWorld(t testing.TB, nGuard, nMiddle, nExit int) *testWorld {
 			})
 		}
 	})
-	t.Cleanup(func() { ln.Close() })
 	return w
 }
 
@@ -89,7 +89,6 @@ func newTestClient(t testing.TB, w *testWorld, mut func(*ClientConfig)) *Client 
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { c.Close() })
 	return c
 }
 

@@ -54,15 +54,6 @@ type Site struct {
 	Resources []Resource
 }
 
-// TotalBytes is the full page weight (default page plus resources).
-func (s *Site) TotalBytes() int {
-	n := s.PageBytes
-	for _, r := range s.Resources {
-		n += r.Bytes
-	}
-	return n
-}
-
 // Catalog is a generated website population.
 type Catalog struct {
 	// List identifies the population.

@@ -43,9 +43,6 @@ func StartOrigin(host *netem.Host, port int, catalogs ...*Catalog) (*Origin, err
 // Addr returns the origin's "host:port".
 func (o *Origin) Addr() string { return o.addr }
 
-// Close stops the origin.
-func (o *Origin) Close() error { return o.ln.Close() }
-
 func (o *Origin) acceptLoop() {
 	for {
 		c, err := o.ln.Accept()

@@ -12,6 +12,15 @@ import (
 	"ptperf/internal/netem"
 )
 
+// TotalBytes is the full page weight (default page plus resources).
+func (s *Site) TotalBytes() int {
+	n := s.PageBytes
+	for _, r := range s.Resources {
+		n += r.Bytes
+	}
+	return n
+}
+
 func TestCatalogDeterministic(t *testing.T) {
 	a := GenerateCatalog(Tranco, 50, 7, 1)
 	b := GenerateCatalog(Tranco, 50, 7, 1)
@@ -135,6 +144,7 @@ func TestHTTPMalformed(t *testing.T) {
 func newOrigin(t *testing.T) (*netem.Network, *netem.Host, *Origin) {
 	t.Helper()
 	n := netem.New(netem.WithSeed(2))
+	t.Cleanup(n.Clock().Shutdown)
 	server := n.MustAddHost(netem.HostConfig{Name: "origin", Location: geo.NewYork})
 	client := n.MustAddHost(netem.HostConfig{Name: "client", Location: geo.Toronto})
 	cat := GenerateCatalog(Tranco, 5, 1, 0.25)
@@ -142,7 +152,6 @@ func newOrigin(t *testing.T) (*netem.Network, *netem.Host, *Origin) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { o.Close() })
 	return n, client, o
 }
 
