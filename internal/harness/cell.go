@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -21,8 +20,11 @@ import (
 // policy — are read from the world, whose options are digested too.
 //
 // Cells are built by methods on Config and submitted with submit or
-// waitAll. An Out must survive a JSON round trip unchanged (all cell
-// results do): that is what makes a cache hit render byte-identically.
+// waitAll. An Out is a plain value tree that obs.EncodeValue encodes
+// (bools, ints, float64s, strings, slices, maps, pointers and exported
+// struct fields): a cache hit decodes exactly the value computed, which
+// is what makes it render byte-identically. Unexported fields are not
+// stored, so a render must not read one.
 type cell[In, Out any] struct {
 	key     string
 	opts    testbed.Options
@@ -110,7 +112,7 @@ func compute[In, Out any](r *Runner, c cell[In, Out]) (Out, error) {
 		r.setTimeline(c.key, tl)
 	}
 	if r.cache != nil {
-		raw, err := json.Marshal(v)
+		raw, err := obs.EncodeValue(v)
 		if err != nil {
 			return zero, fmt.Errorf("cache encode: %w", err)
 		}

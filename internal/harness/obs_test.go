@@ -2,7 +2,6 @@ package harness
 
 import (
 	"bytes"
-	"encoding/json"
 	"io"
 	"strings"
 	"testing"
@@ -165,7 +164,7 @@ func TestUndecodableEntryCountsAsMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := cfg.withDefaults().fig4Cell()
-	garbage := &obs.Entry{Key: c.key, Digest: c.digest(cfg.MetricsInterval), Value: json.RawMessage(`"garbage"`)}
+	garbage := &obs.Entry{Key: c.key, Digest: c.digest(cfg.MetricsInterval), Value: []byte(`"garbage"`)}
 	if err := cache.Store(garbage); err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ package netem
 
 import (
 	"iter"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -34,9 +33,10 @@ var Epoch = time.Date(2100, 1, 1, 0, 0, 0, 0, time.UTC)
 const noDeadline = time.Duration(-1)
 
 // waiter is one parked simulation goroutine (or one not-yet-started
-// goroutine queued by Go). Waiters are pooled: every structure holding
-// a waiter (ready queue, timer heap, cond wait lists) drops its
-// reference before the wake-up, so the woken goroutine can recycle it.
+// goroutine queued by Go). Waiters are recycled on their clock's free
+// list: every structure holding a waiter (ready queue, timer heap, cond
+// wait lists) drops its reference before the wake-up, so the woken
+// goroutine can recycle it.
 type waiter struct {
 	// co is the coroutine to resume; nil for the driver, whose dispatch
 	// loop simply returns when its own waiter comes up.
@@ -63,23 +63,6 @@ type waiter struct {
 	// it reaches the head of the timer heap the dispatcher runs fn on
 	// its own stack instead of waking a goroutine. See Clock.EventAt.
 	fn func()
-}
-
-// waiterPool recycles waiters; a campaign parks millions of times.
-var waiterPool = sync.Pool{
-	New: func() any { return &waiter{heapIndex: -1} },
-}
-
-// release returns a woken waiter to the pool.
-func (w *waiter) release() {
-	w.co = nil
-	w.timed = false
-	w.woken = false
-	w.timedOut = false
-	w.cond = nil
-	w.fn = nil
-	w.heapIndex = -1
-	waiterPool.Put(w)
 }
 
 // timerHeap is a 4-ary min-heap of waiters ordered by (at, seq), each
@@ -240,6 +223,9 @@ type Clock struct {
 	ready     []*waiter
 	readyHead int
 	timers    timerHeap
+	// spare holds released waiters for newWaiter; a campaign parks
+	// millions of times, and only the run token's holder touches it.
+	spare []*waiter
 }
 
 // NewClock returns a fresh scheduler with the calling goroutine
@@ -260,12 +246,23 @@ func (c *Clock) Now() time.Duration {
 // Shutdown it reads 1.
 func (c *Clock) Registered() int { return c.registered }
 
-// newWaiter fetches a pooled waiter.
+// newWaiter fetches a waiter from the free list, or makes one.
 func (c *Clock) newWaiter() *waiter {
 	c.seq++
-	w := waiterPool.Get().(*waiter)
-	w.seq = c.seq
+	var w *waiter
+	if n := len(c.spare); n > 0 {
+		w, c.spare = c.spare[n-1], c.spare[:n-1]
+	} else {
+		w = new(waiter)
+	}
+	*w = waiter{seq: c.seq, heapIndex: -1}
 	return w
+}
+
+// release puts a woken waiter on the free list.
+func (c *Clock) release(w *waiter) {
+	w.co, w.cond, w.fn = nil, nil, nil
+	c.spare = append(c.spare, w)
 }
 
 // park releases the caller's run token and returns once the dispatcher
@@ -286,7 +283,7 @@ func (c *Clock) park(w *waiter) (timedOut bool) {
 		c.dispatch(w)
 	}
 	timedOut = w.timedOut
-	w.release()
+	c.release(w)
 	return timedOut
 }
 
@@ -323,7 +320,7 @@ func (c *Clock) dispatch(own *waiter) {
 			}
 			if w.fn != nil {
 				fn := w.fn
-				w.release()
+				c.release(w)
 				// The event may use Try* primitives, ready goroutines or
 				// arm further events. active is still 0: event callbacks
 				// are not simulation goroutines and must never park (a
@@ -406,7 +403,7 @@ func (c *Clock) newCoro() *coro {
 			panic(p)
 		}()
 		for {
-			co.start.release()
+			c.release(co.start)
 			co.start = nil
 			co.fn()
 			co.fn = nil

@@ -72,7 +72,7 @@ func (c *Clock) stopRest() {
 			return
 		}
 		c.cur, c.listing = nil, nil
-		c.coros, c.free, c.ready, c.readyHead, c.timers = nil, nil, nil, 0, nil
+		c.coros, c.free, c.ready, c.readyHead, c.timers, c.spare = nil, nil, nil, 0, nil, nil
 		c.registered = 1
 	}()
 	for n := len(c.coros); n > 0; n = len(c.coros) {

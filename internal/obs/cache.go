@@ -2,9 +2,11 @@ package obs
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"runtime/debug"
@@ -23,18 +25,22 @@ import (
 // result, because worlds are deterministic functions of exactly those
 // inputs — the determinism tests are what make this cache sound.
 //
-// Entries are JSON files named <digest>.json under the cache directory,
-// written atomically (temp file + rename) so a killed run never leaves
-// a torn entry. The value is the cell's result re-encoded as JSON; the
-// determinism contract plus Go's canonical float formatting guarantee a
-// decoded value renders byte-identically to a computed one.
+// Entries are binary files named <digest>.entry under the cache
+// directory, written atomically (temp file + rename) so a killed run
+// never leaves a torn entry. An entry is CacheVersion, the Entry in the
+// value codec (codec.go), then a CRC-32C of all that. The Entry's
+// encoding starts with the fingerprint of its own type, Timeline
+// included, and its Value with that of the cell's Out, so a file of
+// another layout or a value of another shape is a miss. Floats travel
+// as their IEEE bits, so a decoded value is the computed one and renders
+// byte-identically; only the digest's preimage is JSON.
 
 // CacheVersion invalidates every cache entry when the measurement
 // semantics or the digest layout change. It is combined with the
 // module's VCS revision when the binary carries one; bump it when making
 // changes that alter results without a revision change being visible
 // (e.g. `go test` in a dirty tree).
-const CacheVersion = "ptperf-cache-v2"
+const CacheVersion = "ptperf-cache-v3"
 
 // codeVersion is the cache's code-version component, fixed for the life
 // of the process: every digest of every run reads it.
@@ -75,16 +81,17 @@ func CellDigest(key string, opts testbed.Options, in any) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// Entry is one cached cell: the result value (as JSON) plus the metric
-// timeline recorded while computing it (nil when metrics were off).
+// Entry is one cached cell: the result value (EncodeValue's bytes) plus
+// the metric timeline recorded while computing it (nil when metrics were
+// off).
 type Entry struct {
 	// Key is the cell key, stored for humans inspecting the cache.
 	Key string
 	// Digest is the entry's content address (redundant with the file
 	// name; Load cross-checks it).
 	Digest string
-	// Value is the cell result, JSON-encoded.
-	Value json.RawMessage
+	// Value is the cell result as EncodeValue encodes it.
+	Value []byte
 	// Timeline is the cell's metric timeline, if one was recorded.
 	Timeline *Timeline
 }
@@ -124,19 +131,23 @@ func (c *Cache) Stats() CacheStats {
 }
 
 func (c *Cache) path(digest string) string {
-	return filepath.Join(c.dir, digest+".json")
+	return filepath.Join(c.dir, digest+".entry")
 }
 
-// Load fetches the entry at digest. A missing, unreadable or
+// castagnoli is the CRC-32C table of the entry trailer.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// Load fetches the entry at digest. A missing, unreadable, damaged or
 // digest-mismatched entry is a miss (corrupt entries are treated as
 // absent, never fatal).
 func (c *Cache) Load(digest string) (*Entry, bool) { return c.LoadInto(digest, nil) }
 
 // LoadInto is Load that also decodes the entry's Value into out (when
-// non-nil). A value that does not decode — schema drift without a
-// version bump — is a miss like any other corrupt entry: the caller
-// recomputes and overwrites it, and the run's stats say so. So is an
-// entry with no Value at all. After a miss, out is unspecified.
+// non-nil). A value that does not decode — a different Out shape, or
+// schema drift without a version bump — is a miss like any other corrupt
+// entry: the caller recomputes and overwrites it, and the run's stats
+// say so. So is an entry with no Value at all. After a miss, out is
+// unspecified.
 func (c *Cache) LoadInto(digest string, out any) (*Entry, bool) {
 	e, ok := c.read(digest, out)
 	c.mu.Lock()
@@ -151,14 +162,18 @@ func (c *Cache) LoadInto(digest string, out any) (*Entry, bool) {
 
 func (c *Cache) read(digest string, out any) (*Entry, bool) {
 	data, err := os.ReadFile(c.path(digest))
-	if err != nil {
+	if err != nil || len(data) < len(CacheVersion)+4 || string(data[:len(CacheVersion)]) != CacheVersion {
+		return nil, false
+	}
+	body, sum := data[:len(data)-4], data[len(data)-4:]
+	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(sum) {
 		return nil, false
 	}
 	var e Entry
-	if err := json.Unmarshal(data, &e); err != nil || e.Digest != digest {
+	if DecodeValue(body[len(CacheVersion):], &e) != nil || e.Digest != digest {
 		return nil, false
 	}
-	if out != nil && json.Unmarshal(e.Value, out) != nil {
+	if out != nil && DecodeValue(e.Value, out) != nil {
 		return nil, false
 	}
 	return &e, true
@@ -167,10 +182,12 @@ func (c *Cache) read(digest string, out any) (*Entry, bool) {
 // Store writes the entry at its digest, atomically (temp file in the
 // cache directory, then rename).
 func (c *Cache) Store(e *Entry) error {
-	data, err := json.Marshal(e)
+	enc, err := EncodeValue(*e)
 	if err != nil {
 		return fmt.Errorf("obs: cache store %s: %w", e.Key, err)
 	}
+	data := append([]byte(CacheVersion), enc...)
+	data = binary.LittleEndian.AppendUint32(data, crc32.Checksum(data, castagnoli))
 	tmp, err := os.CreateTemp(c.dir, "tmp-*")
 	if err != nil {
 		return fmt.Errorf("obs: cache store %s: %w", e.Key, err)

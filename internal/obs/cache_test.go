@@ -1,9 +1,9 @@
 package obs
 
 import (
-	"encoding/json"
+	"bytes"
 	"os"
-	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -56,7 +56,7 @@ func TestCacheRoundTrip(t *testing.T) {
 		t.Fatal("empty cache reported a hit")
 	}
 	tl := &Timeline{Interval: time.Second, Samples: []Sample{{T: time.Second}}}
-	val := json.RawMessage(`{"x":1.5}`)
+	val := mustEncode(t, map[string]float64{"x": 1.5})
 	if err := c.Store(&Entry{Key: "cell", Digest: digest, Value: val, Timeline: tl}); err != nil {
 		t.Fatalf("store: %v", err)
 	}
@@ -64,10 +64,10 @@ func TestCacheRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatal("stored entry missed")
 	}
-	if string(e.Value) != string(val) || e.Key != "cell" {
+	if !bytes.Equal(e.Value, val) || e.Key != "cell" {
 		t.Fatalf("entry round-trip mangled: %+v", e)
 	}
-	if e.Timeline == nil || len(e.Timeline.Samples) != 1 || e.Timeline.Samples[0].T != time.Second {
+	if !reflect.DeepEqual(e.Timeline, tl) {
 		t.Fatalf("timeline round-trip mangled: %+v", e.Timeline)
 	}
 	if st := c.Stats(); st != (CacheStats{Hits: 1, Misses: 1, Stores: 1}) {
@@ -84,7 +84,7 @@ func TestCacheCorruptEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	digest := CellDigest("cell", testOpts(), "spec")
-	if err := os.WriteFile(filepath.Join(dir, digest+".json"), []byte("{torn"), 0o644); err != nil {
+	if err := os.WriteFile(c.path(digest), []byte("{torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := c.Load(digest); ok {
@@ -92,8 +92,10 @@ func TestCacheCorruptEntry(t *testing.T) {
 	}
 	// An entry whose recorded digest disagrees with its address is
 	// likewise a miss (a mis-filed or tampered entry must recompute).
-	b, _ := json.Marshal(&Entry{Key: "cell", Digest: "bogus", Value: json.RawMessage(`1`)})
-	if err := os.WriteFile(filepath.Join(dir, digest+".json"), b, 0o644); err != nil {
+	if err := c.Store(&Entry{Key: "cell", Digest: "bogus", Value: mustEncode(t, 1)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(c.path("bogus"), c.path(digest)); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := c.Load(digest); ok {
@@ -101,18 +103,98 @@ func TestCacheCorruptEntry(t *testing.T) {
 	}
 	// A well-filed entry whose value does not decode into what the
 	// caller expects is a miss too, and is counted as one.
-	if err := c.Store(&Entry{Key: "cell", Digest: digest, Value: json.RawMessage(`"text"`)}); err != nil {
+	if err := c.Store(&Entry{Key: "cell", Digest: digest, Value: mustEncode(t, "text")}); err != nil {
 		t.Fatal(err)
 	}
 	var n int
 	if _, ok := c.LoadInto(digest, &n); ok {
 		t.Fatal("undecodable value loaded as a hit")
 	}
-	if st := c.Stats(); st != (CacheStats{Misses: 3, Stores: 1}) {
-		t.Fatalf("stats = %+v, want 0 hits / 3 misses / 1 store", st)
+	if st := c.Stats(); st != (CacheStats{Misses: 3, Stores: 2}) {
+		t.Fatalf("stats = %+v, want 0 hits / 3 misses / 2 stores", st)
 	}
 	var s string
 	if _, ok := c.LoadInto(digest, &s); !ok || s != "text" {
 		t.Fatalf("decodable value: ok=%v s=%q", ok, s)
+	}
+}
+
+// TestCacheDamageIsAMiss: an entry with any one byte flipped, cut short
+// at any length, or stored under another Out shape is a miss for
+// LoadInto, never an error or a hit with a wrong value.
+func TestCacheDamageIsAMiss(t *testing.T) {
+	c, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest := CellDigest("cell", testOpts(), "spec")
+	want := sampleOut()
+	tl := &Timeline{Interval: time.Second, Samples: []Sample{{T: time.Second, Relays: []RelayPoint{{Relay: "guard", Queued: 3}}}}}
+	if err := c.Store(&Entry{Key: "cell", Digest: digest, Value: mustEncode(t, want), Timeline: tl}); err != nil {
+		t.Fatal(err)
+	}
+	good, err := os.ReadFile(c.path(digest))
+	if err != nil {
+		t.Fatal(err)
+	}
+	load := func(data []byte) bool {
+		t.Helper()
+		if err := os.WriteFile(c.path(digest), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var got fuzzOut
+		_, ok := c.LoadInto(digest, &got)
+		if ok && !reflect.DeepEqual(got, want) {
+			t.Fatalf("hit with %+v, stored %+v", got, want)
+		}
+		return ok
+	}
+	if !load(good) {
+		t.Fatal("intact entry missed")
+	}
+	for i := range good {
+		flipped := bytes.Clone(good)
+		flipped[i] ^= 0x10
+		if load(flipped) {
+			t.Fatalf("entry with byte %d of %d flipped loaded as a hit", i, len(good))
+		}
+	}
+	for n := range len(good) {
+		if load(good[:n]) {
+			t.Fatalf("entry cut to %d of %d bytes loaded as a hit", n, len(good))
+		}
+	}
+	// A field renamed, a field widened, and a slice of the stored type:
+	// each is another shape.
+	type renamed struct {
+		Label string
+		OK    bool
+		Small int8
+		Size  uint32
+		Times []float64
+		Count map[string]int
+		Blob  []byte
+		Next  *fuzzOut
+	}
+	type widened struct {
+		Name  string
+		OK    bool
+		Small int64
+		Size  uint32
+		Times []float64
+		Count map[string]int
+		Blob  []byte
+		Next  *fuzzOut
+	}
+	for _, other := range []any{&renamed{}, &widened{}, &[]fuzzOut{}} {
+		if !load(good) {
+			t.Fatal("intact entry missed")
+		}
+		if _, ok := c.LoadInto(digest, other); ok {
+			t.Fatalf("entry of %T loaded into %T", want, other)
+		}
+	}
+	if st := c.Stats(); st.Hits != 4 || st.Misses != 2*len(good)+3 {
+		t.Fatalf("stats = %+v, want 4 hits / %d misses", st, 2*len(good)+3)
 	}
 }

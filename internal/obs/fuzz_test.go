@@ -2,20 +2,48 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 )
 
 // fuzzOut is a cell result shaped like the harness's: strings, float
-// samples, a map and a nested pointer.
+// samples, a map and a nested pointer, plus every other kind the codec
+// encodes and a field it must leave alone.
 type fuzzOut struct {
-	Name  string
-	Times []float64
-	Count map[string]int
-	Next  *fuzzOut
+	Name   string
+	OK     bool
+	Small  int8
+	Size   uint32
+	Times  []float64
+	Count  map[string]int
+	Blob   []byte
+	Next   *fuzzOut
+	hidden int
+}
+
+func sampleOut() fuzzOut {
+	return fuzzOut{
+		Name:  "obfs4",
+		OK:    true,
+		Small: -3,
+		Size:  1 << 20,
+		Times: []float64{1.5, 0.25, 120},
+		Count: map[string]int{"ok": 3, "failed": -1},
+		Blob:  []byte{},
+		Next:  &fuzzOut{Name: "tor", Count: map[string]int{}},
+	}
+}
+
+func mustEncode(tb testing.TB, v any) []byte {
+	tb.Helper()
+	b, err := EncodeValue(v)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
 }
 
 // FuzzLoadInto: whatever bytes sit in an entry file, LoadInto never
@@ -28,27 +56,26 @@ func FuzzLoadInto(f *testing.F) {
 		f.Fatal(err)
 	}
 	digest := CellDigest("cell", testOpts(), "spec")
-	val, err := json.Marshal(fuzzOut{
-		Name:  "obfs4",
-		Times: []float64{1.5, 0.25, 120},
-		Count: map[string]int{"ok": 3},
-		Next:  &fuzzOut{Name: "tor"},
-	})
-	if err != nil {
-		f.Fatal(err)
+	entry := func(e Entry) []byte {
+		if err := c.Store(&e); err != nil {
+			f.Fatal(err)
+		}
+		data, err := os.ReadFile(c.path(e.Digest))
+		if err != nil {
+			f.Fatal(err)
+		}
+		return data
 	}
-	stored, err := json.Marshal(&Entry{Key: "cell", Digest: digest, Value: val,
+	stored := entry(Entry{Key: "cell", Digest: digest, Value: mustEncode(f, sampleOut()),
 		Timeline: &Timeline{Interval: time.Second, Samples: []Sample{{T: time.Second}}}})
-	if err != nil {
-		f.Fatal(err)
-	}
-	head := `{"Key":"cell","Digest":"` + digest + `"`
+	flipped := bytes.Clone(stored)
+	flipped[len(flipped)/2] ^= 1
 	f.Add(stored)
-	f.Add([]byte(head + `}`))                                        // no Value key
-	f.Add([]byte(head + `,"Value":null}`))                           // Value null
-	f.Add(bytes.Replace(stored, []byte(digest), []byte("bogus"), 1)) // digest mismatch
-	f.Add(stored[:len(stored)/2])                                    // truncated
-	f.Add([]byte(head + `,"Value":"text"}`))                         // Value of the wrong type
+	f.Add(entry(Entry{Key: "cell", Digest: digest}))                                   // no Value
+	f.Add(entry(Entry{Key: "cell", Digest: digest, Value: mustEncode(f, []int{1})}))   // Value of another shape
+	f.Add(entry(Entry{Key: "cell", Digest: "bogus", Value: mustEncode(f, fuzzOut{})})) // digest mismatch
+	f.Add(stored[:len(stored)/2])                                                      // truncated
+	f.Add(flipped)                                                                     // damaged
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if err := os.WriteFile(c.path(digest), data, 0o644); err != nil {
 			t.Fatal(err)
@@ -56,7 +83,7 @@ func FuzzLoadInto(f *testing.F) {
 		var got, want fuzzOut
 		e, ok := c.LoadInto(digest, &got)
 		re, rok := c.Load(digest)
-		rok = rok && json.Unmarshal(re.Value, &want) == nil
+		rok = rok && DecodeValue(re.Value, &want) == nil
 		if ok != rok {
 			t.Fatalf("LoadInto hit=%v, Load and decode hit=%v", ok, rok)
 		}
@@ -68,6 +95,36 @@ func FuzzLoadInto(f *testing.F) {
 		}
 		if !reflect.DeepEqual(e.Timeline, re.Timeline) {
 			t.Fatalf("Timeline %+v, Load %+v", e.Timeline, re.Timeline)
+		}
+	})
+}
+
+// FuzzDecodeValue: arbitrary bytes never panic the decoder nor make it
+// allocate beyond a fixed multiple of their length, and whatever decodes
+// re-encodes to exactly the same bytes (one encoding per value).
+func FuzzDecodeValue(f *testing.F) {
+	good := mustEncode(f, sampleOut())
+	f.Add(good)
+	f.Add(mustEncode(f, fuzzOut{}))
+	f.Add(good[:len(good)-1])
+	f.Add(append(bytes.Clone(good), 0))
+	f.Add(append(bytes.Clone(good[:8]), 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f)) // a huge Times count
+	var out fuzzOut
+	DecodeValue(good, &out) // fill the shape memo outside the measurement
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var got fuzzOut
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := DecodeValue(data, &got)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 256*uint64(len(data))+4096 {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), grew)
+		}
+		if err != nil {
+			return
+		}
+		if again := mustEncode(t, got); !bytes.Equal(again, data) {
+			t.Fatalf("decoded %+v re-encodes to\n%x\nnot\n%x", got, again, data)
 		}
 	})
 }

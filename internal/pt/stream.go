@@ -33,7 +33,10 @@ type Stream struct {
 	local, remote Addr
 	outCap        int
 
-	cond *netem.Cond
+	// readers parks Read until bytes, EOF or the deadline; writers
+	// parks Write until the queue has room. Each waker readies only the
+	// side it can unblock, so neither side wakes to park again.
+	readers, writers *netem.Cond
 	// in[inHead:] is delivered and not yet read, out[outHead:] written
 	// and not yet taken. Both are head-indexed queues that keep their
 	// arrays (netem.Compact) however many bytes pass through.
@@ -62,7 +65,7 @@ type Stream struct {
 // taken.
 func NewStream(clock *netem.Clock, transport, local, remote string, outCap int) *Stream {
 	s := &Stream{clock: clock, local: Addr{transport, local}, remote: Addr{transport, remote}, outCap: outCap}
-	s.cond = netem.NewCond(clock)
+	s.readers, s.writers = netem.NewCond(clock), netem.NewCond(clock)
 	return s
 }
 
@@ -75,7 +78,7 @@ func (s *Stream) Read(p []byte) (int, error) {
 		if s.clock.Expired(s.rdl) {
 			return 0, netem.ErrTimeout
 		}
-		s.cond.WaitDeadline(s.rdl)
+		s.readers.WaitDeadline(s.rdl)
 	}
 	n := copy(p, s.in[s.inHead:])
 	if s.inHead += n; s.inHead == len(s.in) {
@@ -99,7 +102,7 @@ func (s *Stream) Write(p []byte) (int, error) {
 	written := 0
 	for len(p) > 0 {
 		for s.queued() >= s.outCap && !s.closed {
-			s.cond.Wait()
+			s.writers.Wait()
 		}
 		if s.closed || s.wdone {
 			return written, netem.ErrClosed
@@ -135,7 +138,7 @@ func (s *Stream) SetReadDeadline(t time.Time) error {
 		return err
 	}
 	s.rdl = t
-	s.cond.Broadcast()
+	s.readers.Broadcast()
 	return nil
 }
 
@@ -147,7 +150,7 @@ func (s *Stream) SetWriteDeadline(t time.Time) error { return netem.CheckDeadlin
 // out, and WriteEnded tells the mechanism when to send its FIN.
 func (s *Stream) EndWrite() {
 	s.wdone = true
-	s.cond.Broadcast()
+	s.writers.Broadcast()
 }
 
 // WriteEnded reports whether EndWrite was called and every queued byte
@@ -163,7 +166,7 @@ func (s *Stream) Deliver(p []byte) {
 		return
 	}
 	s.deliver(p)
-	s.cond.Broadcast()
+	s.readers.Broadcast()
 }
 
 // DeliverSeq is Deliver for mechanisms whose units arrive out of order:
@@ -197,7 +200,7 @@ func (s *Stream) DeliverSeq(seq uint64, p []byte) {
 		s.spare = append(s.spare, early)
 		s.next++
 	}
-	s.cond.Broadcast()
+	s.readers.Broadcast()
 }
 
 // Take removes at most n written bytes and returns them in buf's array
@@ -213,7 +216,7 @@ func (s *Stream) Take(buf []byte, n int) []byte {
 	if s.outHead += n; s.outHead == len(s.out) {
 		s.out, s.outHead = s.out[:0], 0
 	}
-	s.cond.Broadcast()
+	s.writers.Broadcast()
 	return buf
 }
 
@@ -222,14 +225,15 @@ func (s *Stream) Take(buf []byte, n int) []byte {
 // they have all arrived and drained.
 func (s *Stream) PeerFin(total uint64) {
 	s.fin = total + 1
-	s.cond.Broadcast()
+	s.readers.Broadcast()
 }
 
 // Fail tears the stream down from the mechanism side; it never parks,
 // so staleness events may call it.
 func (s *Stream) Fail() {
 	s.closed = true
-	s.cond.Broadcast()
+	s.readers.Broadcast()
+	s.writers.Broadcast()
 }
 
 // Closed reports whether Close or Fail has been called.

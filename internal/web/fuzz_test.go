@@ -179,6 +179,9 @@ func FuzzParseManifest(f *testing.F) {
 	f.Add([]byte("ptperf-page resources=-1 base-weight-ppm=10\nfiller"))           // a negative count
 	f.Add([]byte("ptperf-page resources=9223372036854775807 base-weight-ppm=1\n")) // the reference indexes past its lines
 	f.Add([]byte("\n"))
+	// fmt's corners: Unicode spaces, signs, trailing text, a CR, and
+	// invalid UTF-8 in a path.
+	f.Add([]byte("ptperf-page \u00a0resources=+3 base-weight-ppm= -7x\n\xff/a\u2003 +1\t2 junk\n\xe2\x82/b 3 4\r\n /c\u3000-0 0009\n"))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		base, res, ok := ParseManifest(body)
 		var wbase float64

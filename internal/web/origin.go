@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"unicode/utf8"
 
 	"ptperf/internal/netem"
 )
@@ -196,23 +197,40 @@ func (o *Origin) serveFile(w *bufio.Writer, path string) error {
 // BuildManifest renders the machine-readable resource list embedded at
 // the top of a default page.
 func BuildManifest(site *Site) []byte {
-	b := fmt.Appendf(make([]byte, 0, 64+48*len(site.Resources)), "ptperf-page resources=%d base-weight-ppm=%d\n",
-		len(site.Resources), int(site.BaseVisualWeight*1e6))
+	b := append(make([]byte, 0, 64+48*len(site.Resources)), "ptperf-page resources="...)
+	b = strconv.AppendInt(b, int64(len(site.Resources)), 10)
+	b = append(b, " base-weight-ppm="...)
+	b = append(strconv.AppendInt(b, int64(int(site.BaseVisualWeight*1e6)), 10), '\n')
 	for _, r := range site.Resources {
-		b = fmt.Appendf(b, "%s %d %d\n", r.Path, r.Bytes, int(r.VisualWeight*1e6))
+		b = append(append(b, r.Path...), ' ')
+		b = append(strconv.AppendInt(b, int64(r.Bytes), 10), ' ')
+		b = append(strconv.AppendInt(b, int64(int(r.VisualWeight*1e6)), 10), '\n')
 	}
 	return b
 }
 
 // ParseManifest recovers the resource list from a page body prefix. It
 // reads the manifest's lines only, never the filler after them.
+//
+// Each line is read as fmt.Sscanf reads it with the formats
+// "ptperf-page resources=%d base-weight-ppm=%d" and "%s %d %d", which
+// FuzzParseManifest holds it to: a space in the format matches one or
+// more of fmt's spaces, a %d skips spaces and takes a sign and decimal
+// digits, a %s the next run of non-spaces, and what follows a line's
+// last number is ignored.
 func ParseManifest(body []byte) (base float64, res []Resource, ok bool) {
 	line, rest, more := bytes.Cut(body, []byte("\n"))
-	if !bytes.HasPrefix(line, []byte("ptperf-page ")) {
+	line, ok = bytes.CutPrefix(line, []byte("ptperf-page "))
+	if !ok {
 		return 0, nil, false
 	}
-	var nres, basePPM int
-	if _, err := fmt.Sscanf(string(line), "ptperf-page resources=%d base-weight-ppm=%d", &nres, &basePPM); err != nil {
+	line, _ = skipSpaces(line)
+	nres, line, ok := scanInt(line, "resources=")
+	if !ok {
+		return 0, nil, false
+	}
+	basePPM, _, ok := scanInt(line, " base-weight-ppm=")
+	if !ok {
 		return 0, nil, false
 	}
 	for i := 0; i < nres; i++ {
@@ -222,11 +240,94 @@ func ParseManifest(body []byte) (base float64, res []Resource, ok bool) {
 		line, rest, more = bytes.Cut(rest, []byte("\n"))
 		var r Resource
 		var ppm int
-		if _, err := fmt.Sscanf(string(line), "%s %d %d", &r.Path, &r.Bytes, &ppm); err != nil {
+		r.Path, line, ok = scanWord(line)
+		if ok {
+			r.Bytes, line, ok = scanInt(line, " ")
+		}
+		if ok {
+			ppm, _, ok = scanInt(line, " ")
+		}
+		if !ok {
 			return 0, nil, false
 		}
 		r.VisualWeight = float64(ppm) / 1e6
 		res = append(res, r)
 	}
 	return float64(basePPM) / 1e6, res, true
+}
+
+// isScanSpace reports whether fmt's scanner takes r for a space.
+func isScanSpace(r rune) bool {
+	switch {
+	case r >= '\t' && r <= '\r', r == ' ', r == 0x85, r == 0xa0, r == 0x1680,
+		r >= 0x2000 && r <= 0x200a, r == 0x2028, r == 0x2029, r == 0x202f, r == 0x205f, r == 0x3000:
+		return true
+	}
+	return false
+}
+
+// skipSpaces drops the spaces at the head of b and reports whether
+// there were any.
+func skipSpaces(b []byte) ([]byte, bool) {
+	n := 0
+	for n < len(b) {
+		r, w := utf8.DecodeRune(b[n:])
+		if !isScanSpace(r) {
+			break
+		}
+		n += w
+	}
+	return b[n:], n > 0
+}
+
+// scanInt reads lit, then a %d, at the head of b; a leading space in lit
+// stands for one or more spaces.
+func scanInt(b []byte, lit string) (int, []byte, bool) {
+	if l, ok := strings.CutPrefix(lit, " "); ok {
+		var spaced bool
+		if b, spaced = skipSpaces(b); !spaced {
+			return 0, nil, false
+		}
+		lit = l
+	}
+	b, ok := bytes.CutPrefix(b, []byte(lit))
+	if !ok {
+		return 0, nil, false
+	}
+	b, _ = skipSpaces(b)
+	n := 0
+	if n < len(b) && (b[n] == '+' || b[n] == '-') {
+		n++
+	}
+	digits := n
+	for n < len(b) && '0' <= b[n] && b[n] <= '9' {
+		n++
+	}
+	if n == digits {
+		return 0, nil, false
+	}
+	x, err := strconv.ParseInt(string(b[:n]), 10, 64)
+	return int(x), b[n:], err == nil
+}
+
+// scanWord reads a %s at the head of b: spaces, then at least one
+// non-space. fmt reads each byte of invalid UTF-8 as U+FFFD, so the word
+// does too.
+func scanWord(b []byte) (string, []byte, bool) {
+	b, _ = skipSpaces(b)
+	n := 0
+	for n < len(b) {
+		r, w := utf8.DecodeRune(b[n:])
+		if isScanSpace(r) {
+			break
+		}
+		n += w
+	}
+	if n == 0 {
+		return "", nil, false
+	}
+	if !utf8.Valid(b[:n]) {
+		return string([]rune(string(b[:n]))), b[n:], true
+	}
+	return string(b[:n]), b[n:], true
 }
