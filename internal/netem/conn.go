@@ -116,15 +116,16 @@ func (c *Conn) SetReadSink(fn ReadSink) { c.rx.setSink(fn) }
 func (c *Conn) Write(p []byte) (int, error) {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	dl := c.wdl
-	written := 0
+	return c.writeAll(p, c.wdl, true)
+}
+
+// writeAll chunks p into segments and writes them in turn, stopping at
+// the first error. The writer lock must be held.
+func (c *Conn) writeAll(p []byte, dl time.Time, wait bool) (written int, err error) {
 	for len(p) > 0 {
-		n := len(p)
-		if n > segmentSize {
-			n = segmentSize
-		}
+		n := min(len(p), segmentSize)
 		data, base, pool := getSegBuf(p[:n])
-		if _, err := c.writeSegment(data, base, pool, dl, true); err != nil {
+		if _, err := c.writeSegment(data, base, pool, dl, wait); err != nil {
 			return written, err
 		}
 		written += n
@@ -164,20 +165,36 @@ func (c *Conn) TryWriteOwned(data []byte, base *[]byte, pool *sync.Pool) (ok boo
 		return false, nil
 	}
 	defer c.wmu.Unlock()
+	if !c.closed && c.tx.freeSpace() < len(data) {
+		return false, nil
+	}
 	return c.writeSegment(data, base, pool, time.Time{}, false)
+}
+
+// TryWrite is Write without parking, for inline event callbacks: it
+// writes all of p or nothing. ok is false, and nothing is written, when
+// the writer lock is held or p does not fit the receive window: the
+// refusal comes before any bucket time is booked or any jitter or loss
+// drawn. Otherwise err is what Write would have returned.
+func (c *Conn) TryWrite(p []byte) (ok bool, err error) {
+	if !c.wmu.TryLock() {
+		return false, nil
+	}
+	defer c.wmu.Unlock()
+	if c.tx.wouldPark(len(p)) {
+		return false, nil
+	}
+	_, err = c.writeAll(p, time.Time{}, false)
+	return true, err
 }
 
 // writeSegment shapes and delivers one owned segment: policy filtering,
 // egress/ingress/shaper reservations, then the pipe push. wait=false is
-// the non-parking form — it refuses (ok=false, ownership retained)
-// instead of blocking, checking window space before booking bucket
-// time so a refused segment leaves no shaping trace. The writer lock
-// must be held.
+// the non-parking form, whose callers have already refused a segment
+// that does not fit, so that a refusal leaves no shaping trace. The
+// writer lock must be held.
 func (c *Conn) writeSegment(data []byte, base *[]byte, pool *sync.Pool, dl time.Time, wait bool) (ok bool, err error) {
 	n := len(data)
-	if !wait && !c.closed && c.tx.freeSpace() < n {
-		return false, nil
-	}
 	var censored time.Duration
 	var shaper *Bucket
 	if pol := c.policy(); pol != nil {

@@ -2,6 +2,7 @@ package netem
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"runtime"
 	"testing"
@@ -370,5 +371,132 @@ func TestConnFirstWriteAllocatesNoSource(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if got := after.TotalAlloc - before.TotalAlloc; got >= 4096 {
 		t.Fatalf("first write allocated %d B; a generator is 8 B of state, not a 4.9 KB source", got)
+	}
+}
+
+// tryWriteWorld dials one conn from a wireless host, so each segment
+// draws jitter and loss, and accepts its peer, which reads nothing:
+// what a write leaves in the pipe stays there. Two calls build twins.
+func tryWriteWorld(t *testing.T) (*Network, *Conn, *Conn) {
+	n := New(WithSeed(11))
+	t.Cleanup(n.Clock().Shutdown)
+	a := n.MustAddHost(HostConfig{Name: "a", Location: geo.London, Medium: geo.Wireless})
+	b := n.MustAddHost(HostConfig{Name: "b", Location: geo.Frankfurt})
+	l, err := b.Listen(80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := a.Dial("b:80")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := l.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n, c.(*Conn), s.(*Conn)
+}
+
+// writeTrace is what writes have left on a conn: its buckets' cursors,
+// the arrival of its last segment, its next draw and the network's
+// counters.
+func writeTrace(n *Network, c *Conn) string {
+	var last time.Duration
+	if segs := c.tx.segs; len(segs) > 0 {
+		last = segs[len(segs)-1].at
+	}
+	return fmt.Sprintf("egress %v ingress %v arrival %v draw %d %+v",
+		c.out.egress.free, c.out.ingress.free, last, c.rng.Int63(), n.Acct().Snapshot())
+}
+
+// TestTryWriteAllOrNothing: a TryWrite that does not fit the receive
+// window writes none of its segments, one that fits writes them all, and
+// one that finds the writer lock held writes nothing.
+func TestTryWriteAllOrNothing(t *testing.T) {
+	n, c, s := tryWriteWorld(t)
+	const room = 40_000 // three segments
+	fill := c.tx.maxBuf - room
+	if _, err := c.Write(make([]byte, fill)); err != nil {
+		t.Fatal(err)
+	}
+	before := n.Acct().Snapshot()
+	if ok, err := c.TryWrite(make([]byte, room+1)); ok || err != nil {
+		t.Fatalf("a write one byte over the window: ok=%v err=%v, want a refusal", ok, err)
+	}
+	if got := n.Acct().Snapshot(); got != before || c.tx.buffered != fill {
+		t.Fatalf("a refused write moved the conn: %d buffered, counters %+v, were %+v", c.tx.buffered, got, before)
+	}
+	c.wmu.TryLock()
+	if ok, _ := c.TryWrite([]byte("x")); ok {
+		t.Fatal("a write went through while another writer held the conn")
+	}
+	c.wmu.Unlock()
+
+	msg := bytes.Repeat([]byte("try-write/"), room/10)
+	if ok, err := c.TryWrite(msg); !ok || err != nil {
+		t.Fatalf("a write that fits: ok=%v err=%v", ok, err)
+	}
+	got := make([]byte, fill+room)
+	if _, err := io.ReadFull(s, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got[fill:], msg) {
+		t.Fatal("the reader got other bytes than TryWrite wrote")
+	}
+}
+
+// TestTryWriteRefusalLeavesNoTrace: a conn that was refused books the
+// same bucket time, draws the same jitter and loss and counts the same
+// as its twin that never tried.
+func TestTryWriteRefusalLeavesNoTrace(t *testing.T) {
+	n1, tried, _ := tryWriteWorld(t)
+	n2, twin, _ := tryWriteWorld(t)
+	fill := make([]byte, tried.tx.maxBuf-100)
+	for _, c := range []*Conn{tried, twin} {
+		if _, err := c.Write(fill); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ok, _ := tried.TryWrite(make([]byte, segmentSize+1)); ok {
+		t.Fatal("a write over the window went through")
+	}
+	for _, c := range []*Conn{tried, twin} {
+		if ok, err := c.TryWrite(make([]byte, 100)); !ok || err != nil {
+			t.Fatalf("a write that fits: ok=%v err=%v", ok, err)
+		}
+	}
+	if a, b := writeTrace(n1, tried), writeTrace(n2, twin); a != b {
+		t.Fatalf("refused, then written: %s\nonly written:          %s", a, b)
+	}
+}
+
+// TestTryWriteReportsWhatWriteReports: on a conn closed here, and on one
+// whose peer has closed, TryWrite goes through and fails exactly as
+// Write does, leaving the same trace.
+func TestTryWriteReportsWhatWriteReports(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		kill func(c, s *Conn)
+		want error
+	}{
+		{"closed", func(c, _ *Conn) { c.Close() }, ErrClosed},
+		{"reset", func(_, s *Conn) { s.Close() }, ErrReset},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n1, wc, ws := tryWriteWorld(t)
+			n2, tw, ts := tryWriteWorld(t)
+			tc.kill(wc, ws)
+			tc.kill(tw, ts)
+			msg := make([]byte, 2*segmentSize)
+			if _, err := wc.Write(msg); err != tc.want {
+				t.Fatalf("Write: %v, want %v", err, tc.want)
+			}
+			if ok, err := tw.TryWrite(msg); !ok || err != tc.want {
+				t.Fatalf("TryWrite: ok=%v err=%v, want %v", ok, err, tc.want)
+			}
+			if a, b := writeTrace(n1, wc), writeTrace(n2, tw); a != b {
+				t.Fatalf("after Write:    %s\nafter TryWrite: %s", a, b)
+			}
+		})
 	}
 }

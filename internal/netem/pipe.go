@@ -162,7 +162,7 @@ func vtExpired(c *Clock, vt time.Duration) bool {
 // base transfers to the pipe on any outcome (errors recycle it).
 func (p *pipe) push(data []byte, base *[]byte, pool *sync.Pool, arrival time.Duration, deadline time.Time) error {
 	vt := deadlineVT(deadline)
-	for p.buffered+len(data) > p.maxBuf && !p.rclosed && !p.wclosed {
+	for p.wouldPark(len(data)) {
 		if vtExpired(p.clock, vt) {
 			putSegBuf(pool, base)
 			return ErrTimeout
@@ -179,6 +179,12 @@ func (p *pipe) push(data []byte, base *[]byte, pool *sync.Pool, arrival time.Dur
 	}
 	p.enqueue(data, base, pool, arrival)
 	return nil
+}
+
+// wouldPark reports whether a push of n more bytes would park on the
+// receive-window bound; a closed pipe fails a push instead.
+func (p *pipe) wouldPark(n int) bool {
+	return p.buffered+n > p.maxBuf && !p.rclosed && !p.wclosed
 }
 
 // tryPush is push without parking, for inline event callbacks: ok is

@@ -18,11 +18,10 @@ package dnstt
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"net"
-	"slices"
+	"sync"
 	"time"
 
 	"ptperf/internal/netem"
@@ -107,37 +106,95 @@ const (
 // tables.
 type sessionID [sessionLen]byte
 
-// A poll pipeline moves thousands of frames, so both directions work in
-// buffers their loop keeps: a frame is valid until the next read into
-// the same buffer.
-
-// writeFrame sends head and data as one frame in one Write, building it
-// in *buf's array.
-func writeFrame(w io.Writer, buf *[]byte, head, data []byte) error {
-	b := binary.BigEndian.AppendUint16((*buf)[:0], uint16(len(head)+len(data)))
-	*buf = append(append(b, head...), data...)
-	_, err := w.Write(*buf)
-	return err
+// check refuses caps whose frames would not fit their 16-bit length
+// prefix: it would wrap and understate the frame, and the peer's
+// reassembly would lose its place in the stream.
+func (c Config) check() error {
+	if c.QueryCap > math.MaxUint16-sessionLen-4 || c.RespCap > math.MaxUint16-4 {
+		return fmt.Errorf("dnstt: QueryCap %d or RespCap %d over what a 16-bit frame length leaves them (%d, %d)", c.QueryCap, c.RespCap, math.MaxUint16-sessionLen-4, math.MaxUint16-4)
+	}
+	return nil
 }
 
-// readFrame reads one frame into buf's array, grown if it is too small.
-func readFrame(r io.Reader, buf []byte) ([]byte, error) {
-	buf = slices.Grow(buf[:0], 2)[:2]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
+// appendFrame appends head and data to dst as one frame.
+func appendFrame(dst, head, data []byte) []byte {
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(head)+len(data)))
+	return append(append(dst, head...), data...)
+}
+
+// frameConn is one end of a pipeline conn, read and written in frames
+// that it builds and cuts in buffers it keeps. Every hop runs inline, in
+// its conns' read sinks and in clock events, so no goroutine parks per
+// query: the sink cuts frames as segments arrive, a frame straddling
+// segments or several sharing one, and hands the hop the frame it
+// awaits. frame takes it; stop ends the hop if the stream ends first.
+type frameConn struct {
+	c        *netem.Conn
+	buf      []byte // buf[head:] has arrived and is not yet cut
+	head     int
+	end      error  // what ended the stream, once it has arrived
+	wbuf     []byte // the frame last written
+	awaiting bool
+	frame    func([]byte)
+	stop     func()
+}
+
+// sink is the conn's read sink; it copies and recycles each segment.
+func (f *frameConn) sink(data []byte, base *[]byte, pool *sync.Pool, err error) {
+	if err != nil {
+		f.end = err
+	} else {
+		f.buf, f.head = netem.Compact(f.buf, f.head, len(data))
+		f.buf = append(f.buf, data...)
+		if base != nil && pool != nil {
+			pool.Put(base)
+		}
 	}
-	n := int(binary.BigEndian.Uint16(buf))
-	buf = slices.Grow(buf[:0], n)[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
+	if f.awaiting {
+		f.await()
 	}
-	return buf, nil
+}
+
+// await is the hop's read: the next frame, without its length prefix,
+// goes to the hop once it has fully arrived, valid until the sink's next
+// delivery.
+func (f *frameConn) await() {
+	if rest := f.buf[f.head:]; len(rest) >= 2 {
+		if n := 2 + int(binary.BigEndian.Uint16(rest)); len(rest) >= n {
+			if f.head += n; f.head == len(f.buf) {
+				f.buf, f.head = f.buf[:0], 0
+			}
+			f.awaiting = false
+			f.frame(rest[2:n])
+			return
+		}
+	}
+	if f.awaiting = f.end == nil; !f.awaiting {
+		f.stop()
+	}
+}
+
+// send writes head and data as one frame, without parking, and awaits
+// the next frame; a failed write stops the hop. A write is never refused:
+// each conn has one writer, each direction at most one frame in flight,
+// and every receiver is a read sink that drains at arrival. A refusal is
+// a broken invariant.
+func (f *frameConn) send(head, data []byte) {
+	f.wbuf = appendFrame(f.wbuf[:0], head, data)
+	if ok, err := f.c.TryWrite(f.wbuf); !ok {
+		panic(fmt.Sprintf("dnstt: a %d-byte frame to %v did not fit its conn: a second frame in flight, or a second writer", len(f.wbuf), f.c.RemoteAddr()))
+	} else if err != nil {
+		f.stop()
+	} else {
+		f.await()
+	}
 }
 
 // Resolver is the recursive DoH resolver hop.
 type Resolver struct {
 	cfg        Config
 	host       *netem.Host
+	clock      *netem.Clock
 	serverAddr string
 	ln         *netem.Listener
 	// rng draws session budgets; the session table serializes it.
@@ -155,20 +212,24 @@ type sessionMeter struct {
 // StartResolver runs a DoH resolver on host:port forwarding tunnel
 // queries to the authoritative dnstt server at serverAddr.
 func StartResolver(host *netem.Host, port int, cfg Config, serverAddr string) (*Resolver, error) {
+	cfg = cfg.withDefaults()
+	if err := cfg.check(); err != nil {
+		return nil, err
+	}
 	ln, err := host.Listen(port)
 	if err != nil {
 		return nil, err
 	}
-	clock := host.Network().Clock()
 	r := &Resolver{
-		cfg:        cfg.withDefaults(),
+		cfg:        cfg,
 		host:       host,
+		clock:      host.Network().Clock(),
 		serverAddr: serverAddr,
 		ln:         ln,
 		rng:        sim.NewRand(cfg.Seed + 29),
 	}
-	r.sessions = pt.NewSessions(clock, r.newMeter, nil)
-	pt.Serve(clock, ln, r.serveConn)
+	r.sessions = pt.NewSessions(r.clock, r.newMeter, nil)
+	pt.Serve(r.clock, ln, r.serve)
 	return r, nil
 }
 
@@ -188,54 +249,82 @@ func (r *Resolver) newMeter(sessionID) *sessionMeter {
 	return m
 }
 
-// serveConn handles one client poll pipeline: query in, response out.
-// Each pipeline holds its own upstream connection so the client's
-// in-flight polls proceed in parallel, as independent DNS queries would.
-func (r *Resolver) serveConn(c net.Conn) {
-	defer c.Close()
-	clock := r.host.Network().Clock()
-	var up net.Conn
-	defer func() {
-		if up != nil {
-			up.Close()
-		}
-	}()
-	var q, resp, wbuf []byte
-	for {
-		var err error
-		if q, err = readFrame(c, q); err != nil {
-			return
-		}
-		if len(q) < sessionLen+4 {
-			return
-		}
-		m := r.sessions.Touch(sessionID(q[:sessionLen]))
-		// Recursive resolution work per query.
-		clock.Sleep(resolverDelay)
+// relay is one client poll pipeline at the resolver, with its own
+// upstream conn, so the client's in-flight polls proceed in parallel, as
+// independent DNS queries would. A query is stamped on its session when
+// it arrives and sent upstream resolverDelay later; its response is
+// relayed back when it arrives, and only then is the next query taken.
+type relay struct {
+	r *Resolver
+	// in is the client's conn, out the upstream one, nil until dialed.
+	in, out    frameConn
+	q          []byte        // the query being resolved
+	m          *sessionMeter // the query's session
+	resolvedFn func()        // l.resolved, bound once
+}
 
-		if m.bytes > m.budget {
-			// The resolver cuts the heavy session off: every pipeline
-			// of the session dies, the tunnel collapses, and the
-			// client has to build a fresh circuit (new session).
-			return
-		}
-		if up == nil {
-			up, err = r.host.Dial(r.serverAddr)
-			if err != nil {
-				return
-			}
-		}
-		if err := writeFrame(up, &wbuf, nil, q); err != nil {
-			return
-		}
-		if resp, err = readFrame(up, resp); err != nil {
-			return
-		}
-		m.bytes += int64(len(resp))
-		if err := writeFrame(c, &wbuf, nil, resp); err != nil {
-			return
-		}
+// serve starts relaying one client poll pipeline.
+func (r *Resolver) serve(c net.Conn) {
+	l := &relay{r: r}
+	l.in = frameConn{c: c.(*netem.Conn), awaiting: true, frame: l.query, stop: l.stop}
+	l.out, l.resolvedFn = frameConn{frame: l.answer, stop: l.stop}, l.resolved
+	l.in.c.SetReadSink(l.in.sink)
+}
+
+// query stamps a query on its session and starts resolving it.
+func (l *relay) query(q []byte) {
+	if len(q) < sessionLen+4 {
+		l.stop()
+		return
 	}
+	l.q = append(l.q[:0], q...)
+	l.m = l.r.sessions.Touch(sessionID(q[:sessionLen]))
+	// Recursive resolution work per query.
+	l.r.clock.EventAt(l.r.clock.Now()+resolverDelay, l.resolvedFn)
+}
+
+// resolved sends the resolved query upstream, over a conn dialed the
+// first time.
+func (l *relay) resolved() {
+	switch {
+	case l.m.bytes > l.m.budget:
+		// The resolver cuts the heavy session off: every pipeline of the
+		// session dies, the tunnel collapses, and the client has to build
+		// a fresh circuit (new session).
+		l.stop()
+	case l.out.c == nil:
+		l.r.clock.Go(l.dial)
+	default:
+		l.out.send(nil, l.q)
+	}
+}
+
+// dial opens the pipeline's upstream conn, the one step of a relay that
+// parks, and forwards the first query.
+func (l *relay) dial() {
+	up, err := l.r.host.Dial(l.r.serverAddr)
+	if err != nil {
+		l.stop()
+		return
+	}
+	l.out.c = up.(*netem.Conn)
+	l.out.c.SetReadSink(l.out.sink)
+	l.out.send(nil, l.q)
+}
+
+// answer relays a query's response to the client and takes the next
+// query.
+func (l *relay) answer(resp []byte) {
+	l.m.bytes += int64(len(resp))
+	l.in.send(nil, resp)
+}
+
+// stop ends the pipeline: both conns close, upstream first.
+func (l *relay) stop() {
+	if l.out.c != nil {
+		l.out.c.Close()
+	}
+	l.in.c.Close()
 }
 
 // Server is the authoritative dnstt endpoint, co-located with the guard.
@@ -247,19 +336,23 @@ type Server struct {
 
 // StartServer runs the dnstt server on host:port.
 func StartServer(host *netem.Host, port int, cfg Config, handle pt.StreamHandler) (*Server, error) {
+	cfg = cfg.withDefaults()
+	if err := cfg.check(); err != nil {
+		return nil, err
+	}
 	ln, err := host.Listen(port)
 	if err != nil {
 		return nil, err
 	}
 	clock := host.Network().Clock()
-	s := &Server{cfg: cfg.withDefaults(), ln: ln}
+	s := &Server{cfg: cfg, ln: ln}
 	// The handler sees an ordinary stream; dnstt framing hides behind it.
 	s.sessions = pt.NewSessions(clock, func(sessionID) *serverSession {
 		ss := &serverSession{Stream: pt.NewStream(clock, "dns", "dnstt-server", "dnstt-client", serverQueue)}
 		clock.Go(func() { pt.ServeStream(ss, handle) })
 		return ss
 	}, (*serverSession).Fail)
-	pt.Serve(clock, ln, s.serveResolverConn)
+	pt.Serve(clock, ln, s.serve)
 	return s, nil
 }
 
@@ -274,32 +367,37 @@ type serverSession struct {
 	rseq uint32
 }
 
-// serveResolverConn processes the per-session query pipe from the
-// resolver.
-func (s *Server) serveResolverConn(c net.Conn) {
-	defer c.Close()
-	var q, chunk, wbuf []byte
-	var head [4]byte
-	for {
-		var err error
-		if q, err = readFrame(c, q); err != nil {
-			return
-		}
-		if len(q) < sessionLen+4 {
-			return
-		}
-		qseq := binary.BigEndian.Uint32(q[sessionLen : sessionLen+4])
-		ss := s.sessions.Touch(sessionID(q[:sessionLen]))
-		ss.acceptUpstream(qseq, q[sessionLen+4:])
+// answerer is one resolver pipeline at the server: each query is
+// answered the instant it arrives.
+type answerer struct {
+	s     *Server
+	in    frameConn
+	chunk []byte
+	head  [4]byte
+}
 
-		// Answer with up to RespCap downstream bytes.
-		var rseq uint32
-		chunk, rseq = ss.takeDownstream(chunk, s.cfg.RespCap)
-		binary.BigEndian.PutUint32(head[:], rseq)
-		if err := writeFrame(c, &wbuf, head[:], chunk); err != nil {
-			return
-		}
+// serve starts answering one resolver pipeline.
+func (s *Server) serve(c net.Conn) {
+	a := &answerer{s: s}
+	a.in = frameConn{c: c.(*netem.Conn), awaiting: true, frame: a.answer, stop: func() { a.in.c.Close() }}
+	a.in.c.SetReadSink(a.in.sink)
+}
+
+// answer feeds a query's payload into its session's stream, answers with
+// up to RespCap downstream bytes, and takes the next query.
+func (a *answerer) answer(q []byte) {
+	if len(q) < sessionLen+4 {
+		a.in.stop()
+		return
 	}
+	qseq := binary.BigEndian.Uint32(q[sessionLen : sessionLen+4])
+	ss := a.s.sessions.Touch(sessionID(q[:sessionLen]))
+	ss.acceptUpstream(qseq, q[sessionLen+4:])
+
+	var rseq uint32
+	a.chunk, rseq = ss.takeDownstream(a.chunk, a.s.cfg.RespCap)
+	binary.BigEndian.PutUint32(a.head[:], rseq)
+	a.in.send(a.head[:], a.chunk)
 }
 
 // acceptUpstream reorders query payloads into the upstream byte stream.
@@ -337,12 +435,14 @@ func NewDialer(host *netem.Host, resolverAddr string, cfg Config) *Dialer {
 
 // Dial implements pt.Dialer.
 func (d *Dialer) Dial(target string) (net.Conn, error) {
+	if err := d.cfg.check(); err != nil {
+		return nil, err
+	}
 	d.next++
-	sid := make([]byte, sessionLen)
-	binary.BigEndian.PutUint64(sid, uint64(d.next)*2654435761)
+	sid := uint64(d.next) * 2654435761
 
 	// Open the poll pipelines up front; each is one "DoH connection".
-	conns := make([]net.Conn, 0, d.cfg.Inflight)
+	conns := make([]*netem.Conn, 0, d.cfg.Inflight)
 	for i := 0; i < d.cfg.Inflight; i++ {
 		c, err := d.host.Dial(d.resolverAddr)
 		if err != nil {
@@ -351,18 +451,25 @@ func (d *Dialer) Dial(target string) (net.Conn, error) {
 			}
 			return nil, fmt.Errorf("dnstt: resolver unreachable: %w", err)
 		}
-		conns = append(conns, c)
+		conns = append(conns, c.(*netem.Conn))
 	}
 	clock := d.host.Network().Clock()
 	t := &tunnelConn{
 		Stream:   pt.NewStream(clock, "dns", "dnstt-client", "dnstt-tunnel", clientQueue),
 		queryCap: d.cfg.QueryCap,
 		clock:    clock,
-		sid:      sid,
 	}
-	for _, c := range conns {
-		clock.Go(func() { t.pollLoop(c) })
-	}
+	// The first queries go out once the caller parks, so they carry the
+	// target prologue written below.
+	clock.Go(func() {
+		for _, c := range conns {
+			p := &poller{t: t, idle: firstIdlePoll}
+			p.in, p.pollFn = frameConn{c: c, frame: p.response, stop: p.stop}, p.poll
+			binary.BigEndian.PutUint64(p.head[:sessionLen], sid)
+			c.SetReadSink(p.in.sink)
+			p.poll()
+		}
+	})
 	if err := pt.WriteTarget(t, target); err != nil {
 		t.Close()
 		return nil, err
@@ -375,46 +482,8 @@ type tunnelConn struct {
 	*pt.Stream
 	queryCap int
 	clock    *netem.Clock
-	sid      []byte
 
 	qseq uint32
-}
-
-// pollLoop drives one pipeline: send a query (data or empty poll), read
-// the response, deliver, pace.
-func (t *tunnelConn) pollLoop(c net.Conn) {
-	defer c.Close()
-	defer t.Fail()
-	idlePoll := 50 * time.Millisecond
-	var data, resp, wbuf []byte
-	var head [sessionLen + 4]byte
-	copy(head[:], t.sid)
-	for !t.Closed() {
-		var qseq uint32
-		data, qseq = t.takeUpstream(data)
-		binary.BigEndian.PutUint32(head[sessionLen:], qseq)
-		if err := writeFrame(c, &wbuf, head[:], data); err != nil {
-			return
-		}
-		var err error
-		if resp, err = readFrame(c, resp); err != nil || len(resp) < 4 {
-			return
-		}
-		rseq := binary.BigEndian.Uint32(resp[:4])
-		gotData := rseq != emptyRseq && len(resp) > 4
-		if gotData {
-			t.DeliverSeq(uint64(rseq), resp[4:])
-		}
-		if len(data) == 0 && !gotData {
-			// Idle: back off, like dnstt's poll pacing.
-			t.clock.Sleep(idlePoll)
-			if idlePoll < time.Second {
-				idlePoll += idlePoll / 2
-			}
-		} else {
-			idlePoll = 50 * time.Millisecond
-		}
-	}
 }
 
 // takeUpstream pops up to QueryCap pending upstream bytes into buf's
@@ -426,4 +495,61 @@ func (t *tunnelConn) takeUpstream(buf []byte) ([]byte, uint32) {
 	}
 	t.qseq++
 	return data, t.qseq - 1
+}
+
+// firstIdlePoll is the first idle back-off; each next one is half longer.
+const firstIdlePoll = 50 * time.Millisecond
+
+// poller is one poll pipeline of the client: a query (data or an empty
+// poll) goes out, its response is delivered when it arrives, and the
+// next query follows at once, or after an idle back-off.
+type poller struct {
+	t      *tunnelConn
+	in     frameConn
+	data   []byte
+	head   [sessionLen + 4]byte
+	idle   time.Duration // the next idle back-off
+	pollFn func()        // p.poll, bound once
+}
+
+// poll sends the next query and awaits its response, or stops the
+// pipeline once the tunnel has closed.
+func (p *poller) poll() {
+	if p.t.Closed() {
+		p.stop()
+		return
+	}
+	var qseq uint32
+	p.data, qseq = p.t.takeUpstream(p.data)
+	binary.BigEndian.PutUint32(p.head[sessionLen:], qseq)
+	p.in.send(p.head[:], p.data)
+}
+
+// response delivers a query's response and paces the next query.
+func (p *poller) response(resp []byte) {
+	if len(resp) < 4 {
+		p.stop()
+		return
+	}
+	rseq := binary.BigEndian.Uint32(resp[:4])
+	gotData := rseq != emptyRseq && len(resp) > 4
+	if gotData {
+		p.t.DeliverSeq(uint64(rseq), resp[4:])
+	}
+	if len(p.data) == 0 && !gotData {
+		// Idle: back off, like dnstt's poll pacing.
+		p.t.clock.EventAt(p.t.clock.Now()+p.idle, p.pollFn)
+		if p.idle < time.Second {
+			p.idle += p.idle / 2
+		}
+		return
+	}
+	p.idle = firstIdlePoll
+	p.poll()
+}
+
+// stop ends the pipeline, and with it the tunnel.
+func (p *poller) stop() {
+	p.t.Fail()
+	p.in.c.Close()
 }

@@ -2,17 +2,33 @@ package dnstt
 
 import (
 	"bytes"
+	"encoding/binary"
+	"io"
+	"slices"
 	"testing"
 )
 
+// readFrame reads one frame from r into buf's array, grown if it is too
+// small: the plain loop decoder, kept as the reference frameConn's
+// reassembly is held to.
+func readFrame(r io.Reader, buf []byte) ([]byte, error) {
+	buf = slices.Grow(buf[:0], 2)[:2]
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return nil, err
+	}
+	n := int(binary.BigEndian.Uint16(buf))
+	buf = slices.Grow(buf[:0], n)[:n]
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
 // FuzzReadFrame: readFrame either rejects the bytes or returns exactly
-// the frame writeFrame would have encoded, and a read into a buffer that
+// the frame appendFrame would have encoded, and a read into a buffer that
 // held another frame returns what a read into a fresh one does.
 func FuzzReadFrame(f *testing.F) {
-	var seed bytes.Buffer
-	var wbuf []byte
-	writeFrame(&seed, &wbuf, []byte("sessn-id\x00\x00\x00\x01"), []byte("payload"))
-	f.Add(seed.Bytes())
+	f.Add(appendFrame(nil, []byte("sessn-id\x00\x00\x00\x01"), []byte("payload")))
 	f.Add([]byte{0, 0})
 	f.Add([]byte{0xff, 0xff, 1, 2, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -25,10 +41,82 @@ func FuzzReadFrame(f *testing.F) {
 		if err != nil {
 			return
 		}
-		var again bytes.Buffer
-		writeFrame(&again, &wbuf, nil, frame)
-		if !bytes.HasPrefix(data, again.Bytes()) {
+		if again := appendFrame(nil, nil, frame); !bytes.HasPrefix(data, again) {
 			t.Fatalf("decoded %q does not re-encode to the input", frame)
+		}
+	})
+}
+
+// FuzzFrames: however a byte stream is split into segments (cuts gives
+// the segment lengths, less one, in turn), a frameConn's read sink hands
+// its hop the frames readFrame reads from the whole stream and stops the
+// hop where readFrame fails. What it leaves uncut is the rest of the
+// stream, and nothing is left only where readFrame ends cleanly, with
+// io.EOF at a frame boundary.
+func FuzzFrames(f *testing.F) {
+	var wire []byte
+	wire = appendFrame(wire, []byte("sessn-id\x00\x00\x00\x01"), []byte("payload"))
+	wire = appendFrame(wire, []byte{0xff, 0xff, 0xff, 0xff}, nil)
+	wire = appendFrame(wire, nil, bytes.Repeat([]byte{7}, 300))
+	f.Add(wire, []byte{4})               // every frame straddles segments
+	f.Add(wire, []byte{255, 255})        // several frames in one segment
+	f.Add(wire[:len(wire)-3], []byte{9}) // a truncated tail
+	f.Add([]byte{0, 5}, []byte{})        // a length prefix and nothing after it
+	f.Add([]byte{0}, []byte{0})          // half a length prefix
+	f.Fuzz(func(t *testing.T, stream, cuts []byte) {
+		var want [][]byte
+		whole := bytes.NewReader(stream)
+		var rerr error
+		for {
+			frame, err := readFrame(whole, nil)
+			if err != nil {
+				rerr = err
+				break
+			}
+			want = append(want, frame)
+		}
+
+		// A hop that takes every frame as it arrives, as the server does.
+		var got [][]byte
+		stopped := false
+		in := &frameConn{awaiting: true, stop: func() { stopped = true }}
+		in.frame = func(frame []byte) {
+			got = append(got, slices.Clone(frame))
+			in.await()
+		}
+		for rest, i := stream, 0; len(rest) > 0; i++ {
+			n := len(rest)
+			if len(cuts) > 0 {
+				n = min(n, 1+int(cuts[i%len(cuts)]))
+			}
+			// A read sink owns the segment it is handed.
+			in.sink(slices.Clone(rest[:n]), nil, nil, nil)
+			rest = rest[n:]
+		}
+		if stopped {
+			t.Fatal("the hop stopped before the stream ended")
+		}
+		in.sink(nil, nil, nil, io.EOF)
+		if !stopped {
+			t.Fatal("the stream ended and the hop went on awaiting a frame")
+		}
+
+		if len(got) != len(want) {
+			t.Fatalf("cut %d frames, readFrame read %d before %v", len(got), len(want), rerr)
+		}
+		cut := 0
+		for i := range want {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("frame %d: cut %q, readFrame read %q", i, got[i], want[i])
+			}
+			cut += 2 + len(want[i])
+		}
+		left := in.buf[in.head:]
+		if !bytes.Equal(left, stream[cut:]) {
+			t.Fatalf("left %q uncut, the stream's rest is %q", left, stream[cut:])
+		}
+		if len(left) == 0 && rerr != io.EOF {
+			t.Fatalf("nothing left uncut, but readFrame failed with %v", rerr)
 		}
 	})
 }

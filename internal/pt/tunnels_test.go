@@ -393,3 +393,46 @@ func TestVanishedClientIsReaped(t *testing.T) {
 		})
 	}
 }
+
+// TestGoroutinesPerDial pins how many simulation goroutines one open
+// tunnel keeps alive: the growth of Clock.Registered across a Dial and an
+// 8 KiB echo through it. The server's handler is one of them for every
+// method; the rest is each mechanism's own pumps, loops and pollers.
+func TestGoroutinesPerDial(t *testing.T) {
+	want := map[string]int{
+		"tor": 1, "obfs4": 1, "webtunnel": 1, "psiphon": 1, "shadowsocks": 1, "cloak": 1, "dnstt": 1,
+		"meek": 4, "conjure": 4, "snowflake": 4,
+		"marionette": 5,
+		"camoufler":  7,
+		"stegotorus": 9,
+	}
+	for _, tn := range tunnels {
+		t.Run(tn.name, func(t *testing.T) {
+			w := newWorld(t)
+			clock := w.net.Clock()
+			d, err := tn.start(w, func(_ string, conn net.Conn) {
+				defer conn.Close()
+				io.Copy(conn, conn)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := clock.Registered()
+			conn, err := d.Dial("guard-0:9001")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			msg := bytes.Repeat([]byte("goroutines/"), 8<<10/11+1)[:8<<10]
+			if _, err := conn.Write(msg); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := io.ReadFull(conn, make([]byte, len(msg))); err != nil {
+				t.Fatal(err)
+			}
+			if got := clock.Registered() - before; got != want[tn.name] {
+				t.Errorf("a dial and an echo left %+d goroutines, want %+d", got, want[tn.name])
+			}
+		})
+	}
+}

@@ -29,8 +29,9 @@ import (
 //
 // From each root the analyzer walks the intra-package static call graph
 // (direct calls to functions and methods declared in the same package,
-// plus immediately-analyzable function literals). Reaching any parking
-// primitive is an error:
+// immediately-analyzable function literals, and calls through func-typed
+// struct fields, to everything ever assigned to the field). Reaching any
+// parking primitive is an error:
 //   - netem scheduler waits: Clock.Sleep/SleepUntil, Cond.Wait/WaitVT/
 //     WaitDeadline, Mutex.Lock, WaitGroup.Wait, Chan.Send/Recv/
 //     RecvTimeout;
@@ -42,16 +43,18 @@ import (
 //     CopyBuffer.
 //
 // The legal surface inside a callback is the non-parking one:
-// Conn.TryWriteOwned, Chan.TrySend, Mutex.TryLock, Clock.Go (the
-// spawned function is a registered goroutine and may park — its body is
-// deliberately NOT traversed), and arming further EventAt events.
+// Conn.TryWriteOwned, Conn.TryWrite, Chan.TrySend, Mutex.TryLock,
+// Clock.Go (the spawned function is a registered goroutine and may park
+// — its body is deliberately NOT traversed), and arming further EventAt
+// events.
 //
 // Known limits (by design, per-package analysis without cross-package
 // facts): calls into other packages' non-primitive functions are not
-// traversed, and calls through arbitrary function values or interfaces
-// other than the registry above are invisible. The runtime panic in
-// Clock.park remains the backstop for those; this analyzer makes the
-// overwhelmingly common direct paths a compile-time error instead.
+// traversed, and calls through function values other than struct
+// fields, or through interfaces other than the registry above, are
+// invisible. The runtime panic in Clock.park remains the backstop for
+// those; this analyzer makes the overwhelmingly common direct paths a
+// compile-time error instead.
 var NoParkInEvent = &lint.Analyzer{
 	Name: "noparkinevent",
 	Doc: "functions reachable from Clock.EventAt arms and Conn.SetReadSink sinks " +
@@ -362,6 +365,13 @@ func (a *noParkAnalysis) walkContext(node ast.Node, rootDesc string, chain []str
 			if d := a.decls[fn]; d != nil {
 				a.walkContext(d, rootDesc, chain)
 			}
+			return true
+		}
+		// A call through a func-typed struct field reaches whatever was
+		// ever assigned to the field (dnstt's frame handlers, stored in
+		// the conn end whose sink calls them).
+		for _, d := range a.resolveCallback(call.Fun, 0) {
+			a.walkContext(d, rootDesc, chain)
 		}
 		return true
 	}

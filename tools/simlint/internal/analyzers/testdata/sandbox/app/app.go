@@ -20,11 +20,12 @@ type joined struct {
 }
 
 type proc struct {
-	clock *netem.Clock
-	conn  *netem.Conn
-	mu    netem.Mutex
-	ch    *netem.Chan[int]
-	fn    func()
+	clock  *netem.Clock
+	conn   *netem.Conn
+	mu     netem.Mutex
+	ch     *netem.Chan[int]
+	fn     func()
+	handle func()
 }
 
 // badLiteral arms a literal callback that parks directly.
@@ -63,6 +64,17 @@ func badField(p *proc) {
 
 func (p *proc) onEvent() {
 	io.Copy(io.Discard, p.conn) // want `io\.Copy loops over parking Read/Write`
+}
+
+// badFieldCall calls a handler stored in a func-typed field inside a
+// callback; the analyzer follows the call to what the field was given.
+func badFieldCall(p *proc) {
+	p.handle = p.onFrame
+	p.clock.EventAt(0, func() { p.handle() })
+}
+
+func (p *proc) onFrame() {
+	p.clock.Sleep(1) // want `\(netem\.Clock\)\.Sleep parks until a virtual instant.*via func literal → proc\.onFrame`
 }
 
 // good stays on the non-parking surface; the Clock.Go body is a
