@@ -1,18 +1,19 @@
-// Package cloak implements the mimicry transport that disguises traffic
-// as regular browser TLS. Its distinctive property — kept here — is
+// Package cloak models the mimicry transport that disguises traffic as
+// regular browser TLS. Its distinctive property — kept here — is
 // zero-round-trip authentication: the client's first flight is a
-// ClientHello-shaped message whose "client random" steganographically
-// authenticates the session, so application data flows immediately after
-// the TCP dial, without waiting for any server response. This is why the
+// ClientHello-shaped message whose "client random" carries a proof tied
+// to the client's UID, so application data flows immediately after the
+// TCP dial, without waiting for any server response. This is why the
 // paper finds cloak among the fastest transports despite being mimicry.
+// What is modelled is the wire size of every flight and record, the
+// round trips (none) and the refusal of a hello with a wrong UID; record
+// payloads are sent as they are, and nothing is secret.
 //
 // cloak is an integration-set-3 transport: the PT server runs the Tor
 // client, so the stream prologue carries the final destination.
 package cloak
 
 import (
-	"crypto/hmac"
-	"crypto/sha256"
 	"errors"
 	"io"
 	"math/rand"
@@ -45,26 +46,17 @@ var tlsAppHeader = []byte{0x17, 0x03, 0x03}
 
 // buildClientHello assembles the mimicked first flight. Layout:
 // type(1)‖ver(2)‖random(32)‖proof(32)‖sni-len(1)‖sni‖pad to 517.
-func buildClientHello(cfg Config, rng *rand.Rand) ([]byte, []byte) {
+func buildClientHello(cfg Config, rng *rand.Rand) []byte {
 	hello := make([]byte, clientHelloLen)
 	hello[0], hello[1], hello[2] = 0x16, 0x03, 0x01
 	random := hello[3:35]
 	pt.RandFill(rng, random)
-	mac := hmac.New(sha256.New, cfg.UID)
-	mac.Write(random)
-	copy(hello[35:67], mac.Sum(nil))
+	proof := pt.NewTag("cloak", cfg.UID)
+	proof.Put(hello[35:67], 0, random)
 	hello[67] = byte(len(cfg.RedirAddr))
 	copy(hello[68:], cfg.RedirAddr)
 	pt.RandFill(rng, hello[68+len(cfg.RedirAddr):])
-	return hello, append([]byte(nil), random...)
-}
-
-func sessionKey(uid, random []byte) []byte {
-	h := sha256.New()
-	h.Write(uid)
-	h.Write(random)
-	h.Write([]byte("cloak-session"))
-	return h.Sum(nil)
+	return hello
 }
 
 // serverHelloLen is the fixed size of the mimicked ServerHello flight.
@@ -75,15 +67,12 @@ const serverHelloLen = 3 + 32 + 90
 // read, so the client can start sending at once while the inbound
 // record stream stays aligned.
 func clientWrap(conn net.Conn, cfg Config, seed int64) (net.Conn, error) {
-	hello, random := buildClientHello(cfg, sim.NewRand(seed))
-	if _, err := conn.Write(hello); err != nil {
+	if _, err := conn.Write(buildClientHello(cfg, sim.NewRand(seed))); err != nil {
 		return nil, err
 	}
 	rc := pt.NewCodecConn(conn, pt.NewRecordCodec(pt.RecordConfig{
-		Key:      sessionKey(cfg.UID, random),
-		IsClient: true,
-		Header:   tlsAppHeader,
-		Seed:     seed + 1,
+		Header: tlsAppHeader,
+		Seed:   seed + 1,
 	}))
 	rc.SkipFirst(serverHelloLen)
 	return rc, nil
@@ -99,10 +88,8 @@ func serverWrap(conn net.Conn, cfg Config, seed int64) (net.Conn, error) {
 	if hello[0] != 0x16 {
 		return nil, ErrAuth
 	}
-	random := hello[3:35]
-	mac := hmac.New(sha256.New, cfg.UID)
-	mac.Write(random)
-	if !hmac.Equal(mac.Sum(nil), hello[35:67]) {
+	proof := pt.NewTag("cloak", cfg.UID)
+	if !proof.Check(hello[35:67], 0, hello[3:35]) {
 		return nil, ErrAuth
 	}
 	// ServerHello flight; the client does not wait for it before
@@ -114,10 +101,8 @@ func serverWrap(conn net.Conn, cfg Config, seed int64) (net.Conn, error) {
 		return nil, err
 	}
 	return pt.NewRecordConn(conn, pt.RecordConfig{
-		Key:      sessionKey(cfg.UID, append([]byte(nil), random...)),
-		IsClient: false,
-		Header:   tlsAppHeader,
-		Seed:     seed + 1,
+		Header: tlsAppHeader,
+		Seed:   seed + 1,
 	})
 }
 

@@ -1,7 +1,6 @@
 package cloak
 
 import (
-	"bytes"
 	"math/rand"
 	"net"
 	"testing"
@@ -40,18 +39,12 @@ func bufferedPair(t *testing.T) (*netem.Network, net.Conn, net.Conn) {
 func TestClientHelloShape(t *testing.T) {
 	cfg := Config{UID: []byte("uid"), RedirAddr: "bing.com"}
 	rng := rand.New(rand.NewSource(1))
-	hello, random := buildClientHello(cfg, rng)
+	hello := buildClientHello(cfg, rng)
 	if len(hello) != clientHelloLen {
 		t.Fatalf("ClientHello must be %d bytes (browser-shaped), got %d", clientHelloLen, len(hello))
 	}
 	if hello[0] != 0x16 || hello[1] != 0x03 {
 		t.Fatal("record header not TLS-handshake-shaped")
-	}
-	if len(random) != 32 {
-		t.Fatalf("client random must be 32 bytes, got %d", len(random))
-	}
-	if !bytes.Equal(hello[3:35], random) {
-		t.Fatal("random not embedded at the TLS offset")
 	}
 }
 
@@ -59,7 +52,7 @@ func TestClientHelloAuthenticates(t *testing.T) {
 	// The steganographic proof must validate for the right UID only.
 	uid := []byte("the-uid")
 	rng := rand.New(rand.NewSource(2))
-	hello, _ := buildClientHello(Config{UID: uid, RedirAddr: "x.com"}, rng)
+	hello := buildClientHello(Config{UID: uid, RedirAddr: "x.com"}, rng)
 
 	n1, a, b := bufferedPair(t)
 	defer a.Close()
@@ -106,12 +99,5 @@ func TestZeroRTT(t *testing.T) {
 	}
 	if got, _ := serverGot.Recv(); string(got) != "early-data" {
 		t.Fatalf("server got %q", got)
-	}
-}
-
-func TestSessionKeyBindsRandom(t *testing.T) {
-	uid := []byte("u")
-	if bytes.Equal(sessionKey(uid, []byte("r1")), sessionKey(uid, []byte("r2"))) {
-		t.Fatal("session key must vary with the client random")
 	}
 }

@@ -5,15 +5,16 @@
 // Tor bridge; a censor sees a TLS connection to an address that hosts
 // nothing.
 //
-// The simulation keeps the measurable structure: one registration round
-// trip, one phantom dial through the station (an extra forwarding point
-// inside the ISP), and an encrypted session bound to the registration.
+// What is modelled is the measurable structure and its refusals: one
+// registration round trip whose MAC a client without the station's
+// secret cannot make, one phantom dial through the station (an extra
+// forwarding point inside the ISP) that a flow without a registration
+// never gets past, and records of the real wire size. Record payloads
+// are sent as they are; nothing is secret.
 // conjure is an integration-set-1 transport (bridge = guard).
 package conjure
 
 import (
-	"crypto/hmac"
-	"crypto/sha256"
 	"errors"
 	"fmt"
 	"io"
@@ -46,7 +47,8 @@ type Config struct {
 
 // Infra is the ISP-side deployment: registrar plus station.
 type Infra struct {
-	cfg        Config
+	// tag is the station's key for registration MACs.
+	tag        pt.Tag
 	bridgeAddr string
 	stationHst *netem.Host
 
@@ -73,7 +75,7 @@ func StartInfra(registrarHost, stationHost *netem.Host, regPort, phantomPort int
 		return nil, err
 	}
 	inf := &Infra{
-		cfg:        cfg,
+		tag:        pt.NewTag("conjure", cfg.Secret),
 		bridgeAddr: bridgeAddr,
 		stationHst: stationHost,
 		regLn:      regLn,
@@ -91,12 +93,6 @@ func (inf *Infra) RegistrarAddr() string { return inf.regLn.Addr().String() }
 // PhantomAddr returns the phantom address clients dial.
 func (inf *Infra) PhantomAddr() string { return inf.phantomLn.Addr().String() }
 
-func (inf *Infra) mac(nonce []byte) []byte {
-	m := hmac.New(sha256.New, inf.cfg.Secret)
-	m.Write(nonce)
-	return m.Sum(nil)[:16]
-}
-
 // serveRegistration takes one registration: nonce ‖ MAC → ack.
 func (inf *Infra) serveRegistration(c net.Conn) {
 	defer c.Close()
@@ -106,7 +102,7 @@ func (inf *Infra) serveRegistration(c net.Conn) {
 	}
 	var nonce [nonceLen]byte
 	copy(nonce[:], msg[:nonceLen])
-	if !hmac.Equal(inf.mac(nonce[:]), msg[nonceLen:]) {
+	if !inf.tag.Check(msg[nonceLen:], 0, nonce[:]) {
 		return // drop silently, like a real registrar
 	}
 	inf.registered[nonce] = true
@@ -136,7 +132,7 @@ func (inf *Infra) serveFlow(c net.Conn) {
 		c.Close()
 		return
 	}
-	// Forward the nonce so the bridge can derive the session key.
+	// Forward the nonce: the bridge reads it before the records.
 	if _, err := down.Write(nonce[:]); err != nil {
 		c.Close()
 		down.Close()
@@ -145,29 +141,21 @@ func (inf *Infra) serveFlow(c net.Conn) {
 	pt.Splice(inf.stationHst.Network().Clock(), c, down)
 }
 
-func sessionKey(secret, nonce []byte) []byte {
-	h := sha256.New()
-	h.Write(secret)
-	h.Write(nonce)
-	h.Write([]byte("conjure-session"))
-	return h.Sum(nil)
-}
-
 // StartBridge runs the conjure bridge (the PT server proper, co-located
 // with the guard) on host:port.
 func StartBridge(host *netem.Host, port int, cfg Config, handle pt.StreamHandler) (pt.Server, error) {
 	return pt.WrapTransport{
 		Name: "conjure", Keyed: len(cfg.Secret) > 0, Seed: cfg.Seed,
 		Server: func(conn net.Conn, seed int64) (net.Conn, error) {
+			// The station forwards the registration's nonce ahead of
+			// the records.
 			nonce := make([]byte, nonceLen)
 			if _, err := io.ReadFull(conn, nonce); err != nil {
 				return nil, err
 			}
 			return pt.NewRecordConn(conn, pt.RecordConfig{
-				Key:      sessionKey(cfg.Secret, nonce),
-				IsClient: false,
-				Header:   []byte{0x17, 0x03, 0x03},
-				Seed:     seed,
+				Header: []byte{0x17, 0x03, 0x03},
+				Seed:   seed,
 			})
 		},
 	}.StartServer(host, port, handle)
@@ -195,24 +183,24 @@ func NewDialer(host *netem.Host, registrarAddr, phantomAddr string, cfg Config) 
 }
 
 // Dial implements pt.Dialer: register, dial the phantom, speak the
-// encrypted session.
+// session's records.
 func (d *Dialer) Dial(target string) (net.Conn, error) {
 	if len(d.cfg.Secret) == 0 {
 		return nil, errors.New("conjure: dialer needs a secret")
 	}
 	d.seed++
 	s := d.seed
-	nonce := make([]byte, nonceLen)
+	msg := make([]byte, nonceLen+16)
+	nonce := msg[:nonceLen]
 	pt.RandFill(sim.NewRand(s), nonce)
-	mac := hmac.New(sha256.New, d.cfg.Secret)
-	mac.Write(nonce)
+	tag := pt.NewTag("conjure", d.cfg.Secret)
+	tag.Put(msg[nonceLen:], 0, nonce)
 
 	// Registration round trip.
 	reg, err := d.host.Dial(d.registrarAddr)
 	if err != nil {
 		return nil, fmt.Errorf("conjure: registrar unreachable: %w", err)
 	}
-	msg := append(append([]byte{}, nonce...), mac.Sum(nil)[:16]...)
 	if _, err := reg.Write(msg); err != nil {
 		reg.Close()
 		return nil, err
@@ -231,10 +219,8 @@ func (d *Dialer) Dial(target string) (net.Conn, error) {
 			return nil, err
 		}
 		return pt.NewRecordConn(raw, pt.RecordConfig{
-			Key:      sessionKey(d.cfg.Secret, nonce),
-			IsClient: true,
-			Header:   []byte{0x17, 0x03, 0x03},
-			Seed:     s + 1,
+			Header: []byte{0x17, 0x03, 0x03},
+			Seed:   s + 1,
 		})
 	}, target)
 	if err != nil {

@@ -1,7 +1,6 @@
 package conjure
 
 import (
-	"bytes"
 	"io"
 	"net"
 	"testing"
@@ -70,15 +69,6 @@ func TestBadRegistrationMACDropped(t *testing.T) {
 	d := NewDialer(client, inf.RegistrarAddr(), inf.PhantomAddr(), Config{Secret: []byte("wrong"), Seed: 6})
 	if _, err := d.Dial("t:1"); err == nil {
 		t.Fatal("registration with wrong secret must fail")
-	}
-}
-
-func TestSessionKeyDistinctPerNonce(t *testing.T) {
-	s := []byte("secret")
-	a := sessionKey(s, bytes.Repeat([]byte{1}, nonceLen))
-	b := sessionKey(s, bytes.Repeat([]byte{2}, nonceLen))
-	if bytes.Equal(a, b) {
-		t.Fatal("session keys must differ per nonce")
 	}
 }
 

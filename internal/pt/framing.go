@@ -1,12 +1,10 @@
 package pt
 
 import (
-	"crypto/aes"
-	"crypto/cipher"
-	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math/rand"
 	"net"
@@ -175,12 +173,68 @@ func RandFill(rng *rand.Rand, b []byte) {
 	}
 }
 
+// castagnoli is the CRC-32C table; crc32.Update takes its hardware path
+// for this table.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// Tag is the one keyed check of the wrapping transports, on the recipe
+// of a relay cell's digest (DESIGN.md "What the simulated crypto is
+// for"): CRC-32C seeded with a key over counter ‖ data, its four bytes
+// repeated to the length of the field it fills. It hides nothing. The
+// CRC is affine in its seed over a fixed-length message, so each of
+// these alone is refused every time: data tagged under another key at
+// the same counter, a counter that differs only in its low 32 bits, and
+// a burst of up to 32 flipped bits.
+type Tag struct {
+	key uint32
+	// ctr holds the counter's bytes for crc32.Update. It lives here
+	// because an array on the stack escapes through that call: one
+	// allocation per tag.
+	ctr [8]byte
+}
+
+// NewTag keys a Tag from a secret given in parts: the key is the tag,
+// under key 0 at counter 0, of label ‖ parts.
+func NewTag(label string, secret ...[]byte) Tag {
+	var t Tag
+	k := t.sum(0, []byte(label))
+	for _, p := range secret {
+		k = crc32.Update(k, castagnoli, p)
+	}
+	t.key = k
+	return t
+}
+
+func (t *Tag) sum(ctr uint64, data []byte) uint32 {
+	binary.BigEndian.PutUint64(t.ctr[:], ctr)
+	return crc32.Update(crc32.Update(t.key, castagnoli, t.ctr[:]), castagnoli, data)
+}
+
+// Put fills field with the tag of ctr ‖ data.
+func (t *Tag) Put(field []byte, ctr uint64, data []byte) {
+	s := t.sum(ctr, data)
+	for i := range field {
+		field[i] = byte(s >> (24 - 8*(i%4)))
+	}
+}
+
+// Check reports whether field holds the tag of ctr ‖ data.
+func (t *Tag) Check(field []byte, ctr uint64, data []byte) bool {
+	s := t.sum(ctr, data)
+	for i, b := range field {
+		if b != byte(s>>(24-8*(i%4))) {
+			return false
+		}
+	}
+	return true
+}
+
 // RecordConfig configures the framing NewRecordConn installs.
 type RecordConfig struct {
-	// Key enables AES-CTR record encryption when non-empty; both ends
-	// derive directional keys from it.
-	Key []byte
-	// IsClient distinguishes the two key directions.
+	// Key and IsClient are read by nothing: the records carry no
+	// cipher. The benchmark's record probe still sets them; the
+	// benchmark change of ROADMAP item A removes them.
+	Key      []byte
 	IsClient bool
 	// Header prepends these bytes to every record (mimicry cosmetics).
 	Header []byte
@@ -191,45 +245,29 @@ type RecordConfig struct {
 	Seed int64
 }
 
-// ctrCodec frames header || len(2) || padLen(2) || body || padding,
-// with body and padding under an optional AES-CTR stream and the
-// padding length declared so the receiver can strip it: the common
-// record shape of obfs4, webtunnel, cloak and conjure.
+// ctrCodec frames header ‖ len(2) ‖ padLen(2) ‖ body ‖ padding, body and
+// padding sent as they are, with the padding length declared so the
+// receiver can strip it: the common record shape of obfs4, webtunnel,
+// cloak and conjure.
 type ctrCodec struct {
-	enc, dec cipher.Stream
-	header   []byte
-	maxPad   int
-	rng      *rand.Rand // padding lengths and bytes
+	header []byte
+	maxPad int
+	rng    *rand.Rand // padding lengths and bytes
 }
 
-// NewRecordConn wraps conn in the CTR-and-padding framing. The error
-// is always nil; the benchmark probes fix the signature.
+// NewRecordConn wraps conn in the padded framing. The error is always
+// nil; the benchmark probes fix the signature.
 func NewRecordConn(conn net.Conn, cfg RecordConfig) (*RecordConn, error) {
 	return NewCodecConn(conn, NewRecordCodec(cfg)), nil
 }
 
-// NewRecordCodec returns the CTR-and-padding codec cfg describes.
+// NewRecordCodec returns the padded codec cfg describes.
 func NewRecordCodec(cfg RecordConfig) RecordCodec {
-	c := &ctrCodec{
+	return &ctrCodec{
 		header: append([]byte(nil), cfg.Header...),
 		maxPad: cfg.MaxPadding,
 		rng:    sim.NewRand(cfg.Seed),
 	}
-	if len(cfg.Key) > 0 {
-		mk := func(label string) cipher.Stream {
-			sum := sha256.Sum256(append([]byte(label), cfg.Key...))
-			block, err := aes.NewCipher(sum[:16])
-			if err != nil {
-				panic(err) // unreachable: the key is 16 bytes
-			}
-			return cipher.NewCTR(block, sum[16:32])
-		}
-		c.enc, c.dec = mk("client->server"), mk("server->client")
-		if !cfg.IsClient {
-			c.enc, c.dec = c.dec, c.enc
-		}
-	}
-	return c
 }
 
 func (c *ctrCodec) Sizes() (maxPayload, headerLen, maxBody int) {
@@ -246,11 +284,7 @@ func (c *ctrCodec) Seal(dst, payload []byte) []byte {
 	dst = binary.BigEndian.AppendUint16(dst, uint16(pad))
 	dst = append(dst, payload...)
 	dst = slices.Grow(dst, pad)[:len(dst)+pad]
-	body := dst[len(dst)-n-pad:]
-	RandFill(c.rng, body[n:])
-	if c.enc != nil {
-		c.enc.XORKeyStream(body, body)
-	}
+	RandFill(c.rng, dst[len(dst)-pad:])
 	return dst
 }
 
@@ -264,9 +298,6 @@ func (c *ctrCodec) BodyLen(header []byte) (int, error) {
 }
 
 func (c *ctrCodec) Open(header, body []byte) ([]byte, error) {
-	if c.dec != nil {
-		c.dec.XORKeyStream(body, body)
-	}
 	return body[:binary.BigEndian.Uint16(header[len(c.header):])], nil
 }
 

@@ -51,10 +51,8 @@ var recordCodecs = []struct {
 	pair func() (seal, open pt.RecordCodec)
 }{
 	{"ctr", func() (pt.RecordCodec, pt.RecordCodec) {
-		cfg := pt.RecordConfig{Key: []byte("k"), Header: []byte{0x17, 0x03, 0x03}, MaxPadding: 8, Seed: 1}
-		open := pt.NewRecordCodec(cfg)
-		cfg.IsClient = true
-		return pt.NewRecordCodec(cfg), open
+		cfg := pt.RecordConfig{Header: []byte{0x17, 0x03, 0x03}, MaxPadding: 8, Seed: 1}
+		return pt.NewRecordCodec(cfg), pt.NewRecordCodec(cfg)
 	}},
 	{"psiphon", func() (pt.RecordCodec, pt.RecordCodec) {
 		return psiphon.NewCodec([]byte("secret"), true), psiphon.NewCodec([]byte("secret"), false)
@@ -91,7 +89,7 @@ func TestRecordSizeLimits(t *testing.T) {
 			}
 		})
 	}
-	// The CTR framing also bounds the padding a record may declare.
+	// The padded framing also bounds the padding a record may declare.
 	wire := &bufConn{}
 	wire.buf.Write([]byte{0, 1, 0, 9})
 	wire.buf.Write(make([]byte, 10))
@@ -129,15 +127,21 @@ func drain(t *testing.T, rc *pt.RecordConn, wireLen int) {
 }
 
 // FuzzRecordConnRead feeds arbitrary wire bytes to RecordConn under the
-// CTR framing in every shape: plain or keyed, with or without a mimicry
+// padded framing in every shape: with or without padding (obfs4 pads,
+// webtunnel, cloak and conjure do not), with or without a mimicry
 // header.
 func FuzzRecordConnRead(f *testing.F) {
-	for _, keyed := range []bool{false, true} {
+	config := func(padded bool, headerLen uint8) pt.RecordConfig {
+		cfg := pt.RecordConfig{Header: make([]byte, headerLen%8)}
+		if padded {
+			cfg.MaxPadding = 8
+		}
+		return cfg
+	}
+	for _, padded := range []bool{false, true} {
 		for _, header := range []string{"", "\x17\x03\x03"} {
-			cfg := pt.RecordConfig{Header: []byte(header), MaxPadding: 8, Seed: 1, IsClient: true}
-			if keyed {
-				cfg.Key = []byte("fuzz-key")
-			}
+			cfg := config(padded, uint8(len(header)))
+			cfg.Header, cfg.Seed = []byte(header), 1
 			wire := &bufConn{}
 			rc, err := pt.NewRecordConn(wire, cfg)
 			if err != nil {
@@ -145,19 +149,15 @@ func FuzzRecordConnRead(f *testing.F) {
 			}
 			rc.Write([]byte("one record"))
 			rc.Write(bytes.Repeat([]byte{7}, 300))
-			f.Add(wire.buf.Bytes(), keyed, uint8(len(header)))
+			f.Add(wire.buf.Bytes(), padded, uint8(len(header)))
 		}
 	}
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff}, false, uint8(0)) // oversized record
 	f.Add([]byte{0, 4, 0, 0, 'x'}, true, uint8(0))         // truncated body
-	f.Fuzz(func(t *testing.T, data []byte, keyed bool, headerLen uint8) {
-		cfg := pt.RecordConfig{Header: make([]byte, headerLen%8), MaxPadding: 8}
-		if keyed {
-			cfg.Key = []byte("fuzz-key")
-		}
+	f.Fuzz(func(t *testing.T, data []byte, padded bool, headerLen uint8) {
 		wire := &bufConn{}
 		wire.buf.Write(data)
-		rc, err := pt.NewRecordConn(wire, cfg)
+		rc, err := pt.NewRecordConn(wire, config(padded, headerLen))
 		if err != nil {
 			t.Fatal(err)
 		}

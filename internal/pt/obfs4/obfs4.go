@@ -1,17 +1,17 @@
-// Package obfs4 implements the fully-encrypted transport of the paper:
-// a scramblesuit descendant whose traffic is indistinguishable from a
-// uniformly random byte stream. The simulation keeps obfs4's costs: a
-// one-round-trip authenticated handshake with random padding (clients
-// hold an out-of-band shared secret, defeating active probing) and a
-// length-obfuscated encrypted record stream.
+// Package obfs4 models the fully-encrypted transport of the paper, a
+// scramblesuit descendant whose traffic is indistinguishable from a
+// uniformly random byte stream. What is modelled is what sets its
+// speed and what it refuses: a one-round-trip handshake with random
+// padding, tagged with an out-of-band shared secret so that a prober
+// without it gets no answer, then records of the real wire size with
+// random length padding. The bytes are sent as they are; nothing is
+// secret (DESIGN.md "What the simulated crypto is for").
 //
 // obfs4 is an integration-set-1 transport: its server feeds the
 // co-located guard relay directly.
 package obfs4
 
 import (
-	"crypto/hmac"
-	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -44,71 +44,50 @@ type Config struct {
 	Seed int64
 }
 
-// handshakeMsg is nonce ‖ MAC(secret, nonce‖role) ‖ padLen ‖ padding.
-func writeHandshake(w io.Writer, secret []byte, role byte, rng *rand.Rand) ([]byte, error) {
+// writeHandshake sends nonce ‖ MAC ‖ padLen ‖ padding, the MAC the
+// secret's tag of the nonce with the role as its counter.
+func writeHandshake(w io.Writer, secret []byte, role byte, rng *rand.Rand) error {
 	nonce := make([]byte, nonceLen)
 	pt.RandFill(rng, nonce)
-	mac := hmac.New(sha256.New, secret)
-	mac.Write(nonce)
-	mac.Write([]byte{role})
-	tag := mac.Sum(nil)[:macLen]
-
 	pad := rng.Intn(maxHandshakePad + 1)
 	msg := make([]byte, nonceLen+macLen+2+pad)
 	copy(msg, nonce)
-	copy(msg[nonceLen:], tag)
+	tag := pt.NewTag("obfs4", secret)
+	tag.Put(msg[nonceLen:nonceLen+macLen], uint64(role), nonce)
 	binary.BigEndian.PutUint16(msg[nonceLen+macLen:], uint16(pad))
 	pt.RandFill(rng, msg[nonceLen+macLen+2:])
-	if _, err := w.Write(msg); err != nil {
-		return nil, err
-	}
-	return nonce, nil
+	_, err := w.Write(msg)
+	return err
 }
 
-func readHandshake(r io.Reader, secret []byte, role byte) ([]byte, error) {
+// readHandshake reads the peer's handshake and refuses it unless its MAC
+// is the secret's tag for role.
+func readHandshake(r io.Reader, secret []byte, role byte) error {
 	head := make([]byte, nonceLen+macLen+2)
 	if _, err := io.ReadFull(r, head); err != nil {
-		return nil, err
+		return err
 	}
-	nonce := head[:nonceLen]
-	mac := hmac.New(sha256.New, secret)
-	mac.Write(nonce)
-	mac.Write([]byte{role})
-	want := mac.Sum(nil)[:macLen]
-	if !hmac.Equal(want, head[nonceLen:nonceLen+macLen]) {
-		return nil, ErrAuth
+	tag := pt.NewTag("obfs4", secret)
+	if !tag.Check(head[nonceLen:nonceLen+macLen], uint64(role), head[:nonceLen]) {
+		return ErrAuth
 	}
 	pad := int(binary.BigEndian.Uint16(head[nonceLen+macLen:]))
 	if pad > maxHandshakePad {
-		return nil, errors.New("obfs4: implausible padding")
+		return errors.New("obfs4: implausible padding")
 	}
-	if _, err := io.CopyN(io.Discard, r, int64(pad)); err != nil {
-		return nil, err
-	}
-	return append([]byte(nil), nonce...), nil
-}
-
-func sessionKey(secret, clientNonce, serverNonce []byte) []byte {
-	h := sha256.New()
-	h.Write(secret)
-	h.Write(clientNonce)
-	h.Write(serverNonce)
-	return h.Sum(nil)
+	_, err := io.CopyN(io.Discard, r, int64(pad))
+	return err
 }
 
 // clientWrap performs the client handshake and returns the framed conn.
 func clientWrap(conn net.Conn, cfg Config, seed int64) (net.Conn, error) {
-	nc, err := writeHandshake(conn, cfg.Secret, 'c', sim.NewRand(seed))
-	if err != nil {
+	if err := writeHandshake(conn, cfg.Secret, 'c', sim.NewRand(seed)); err != nil {
 		return nil, err
 	}
-	ns, err := readHandshake(conn, cfg.Secret, 's')
-	if err != nil {
+	if err := readHandshake(conn, cfg.Secret, 's'); err != nil {
 		return nil, err
 	}
 	return pt.NewRecordConn(conn, pt.RecordConfig{
-		Key:        sessionKey(cfg.Secret, nc, ns),
-		IsClient:   true,
 		MaxPadding: maxRecordPad,
 		Seed:       seed + 1,
 	})
@@ -116,17 +95,13 @@ func clientWrap(conn net.Conn, cfg Config, seed int64) (net.Conn, error) {
 
 // serverWrap performs the server handshake.
 func serverWrap(conn net.Conn, cfg Config, seed int64) (net.Conn, error) {
-	nc, err := readHandshake(conn, cfg.Secret, 'c')
-	if err != nil {
+	if err := readHandshake(conn, cfg.Secret, 'c'); err != nil {
 		return nil, err
 	}
-	ns, err := writeHandshake(conn, cfg.Secret, 's', sim.NewRand(seed))
-	if err != nil {
+	if err := writeHandshake(conn, cfg.Secret, 's', sim.NewRand(seed)); err != nil {
 		return nil, err
 	}
 	return pt.NewRecordConn(conn, pt.RecordConfig{
-		Key:        sessionKey(cfg.Secret, nc, ns),
-		IsClient:   false,
 		MaxPadding: maxRecordPad,
 		Seed:       seed + 1,
 	})

@@ -1,19 +1,19 @@
-// Package psiphon implements the proxy-layer transport built on an SSH
-// tunnel: the client authenticates the server with a pre-shared host
-// key, runs an SSH-style version and key exchange (two round trips), and
-// then carries traffic in binary packets with per-packet MACs — the
-// default psiphon configuration the paper evaluates.
+// Package psiphon models the proxy-layer transport built on an SSH
+// tunnel, in the default configuration the paper evaluates: an SSH-style
+// version and key exchange (two round trips) in which the server proves
+// it holds the pre-shared host key, then binary packets with per-packet
+// MACs. What is modelled is the wire size of every flight and packet,
+// the round trips, and the refusals: a server with another host key, and
+// a packet corrupted, out of order or tagged under another session's
+// key. Payloads are sent as they are; nothing is secret.
 //
 // psiphon is an integration-set-2 transport.
 package psiphon
 
 import (
 	"bytes"
-	"crypto/hmac"
-	"crypto/sha256"
 	"encoding/binary"
 	"errors"
-	"hash"
 	"io"
 	"net"
 
@@ -22,7 +22,11 @@ import (
 	"ptperf/internal/sim"
 )
 
-const macLen = 16
+const (
+	macLen = 16
+	// proofLen is the host-key proof's length, that of an HMAC-SHA256.
+	proofLen = 32
+)
 
 // Errors reported by the handshake and packet layer.
 var (
@@ -48,32 +52,20 @@ type Config struct {
 const maxPacket = 32 << 10
 
 // packetCodec is psiphon's record shape under pt.RecordConn:
-// [4B len][payload][16B MAC], the MAC keyed per direction and bound to
-// the packet's sequence number.
-type packetCodec struct{ send, recv packetMAC }
-
-// packetMAC is one direction's keyed hash, the sequence number of its
-// next packet and the scratch a MAC is computed in.
-type packetMAC struct {
-	h   hash.Hash
-	seq uint64
-	sum [sha256.Size]byte
+// [4B len][payload][16B MAC], the MAC each direction's tag of the
+// payload with the packet's sequence number as its counter.
+type packetCodec struct {
+	send, recv       pt.Tag
+	sendSeq, recvSeq uint64
 }
 
 // NewCodec returns one end's packet codec for a session secret.
 func NewCodec(secret []byte, isClient bool) pt.RecordCodec {
-	send, recv := directionKeys(secret, isClient)
-	return &packetCodec{send: packetMAC{h: hmac.New(sha256.New, send)}, recv: packetMAC{h: hmac.New(sha256.New, recv)}}
-}
-
-// next returns the MAC of the direction's next packet, valid until the
-// following call; the caller advances seq once the packet stands.
-func (m *packetMAC) next(payload []byte) []byte {
-	m.h.Reset()
-	binary.BigEndian.PutUint64(m.sum[:8], m.seq)
-	m.h.Write(m.sum[:8])
-	m.h.Write(payload)
-	return m.h.Sum(m.sum[:0])[:macLen]
+	c := &packetCodec{send: pt.NewTag("c2s", secret), recv: pt.NewTag("s2c", secret)}
+	if !isClient {
+		c.send, c.recv = c.recv, c.send
+	}
+	return c
 }
 
 func (c *packetCodec) Sizes() (maxPayload, headerLen, maxBody int) {
@@ -82,8 +74,9 @@ func (c *packetCodec) Sizes() (maxPayload, headerLen, maxBody int) {
 
 func (c *packetCodec) Seal(dst, payload []byte) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = append(append(dst, payload...), c.send.next(payload)...)
-	c.send.seq++
+	dst = append(append(dst, payload...), make([]byte, macLen)...)
+	c.send.Put(dst[len(dst)-macLen:], c.sendSeq, payload)
+	c.sendSeq++
 	return dst
 }
 
@@ -93,25 +86,11 @@ func (c *packetCodec) BodyLen(header []byte) (int, error) {
 
 func (c *packetCodec) Open(_, body []byte) ([]byte, error) {
 	n := len(body) - macLen
-	if !hmac.Equal(c.recv.next(body[:n]), body[n:]) {
+	if !c.recv.Check(body[n:], c.recvSeq, body[:n]) {
 		return nil, ErrMAC
 	}
-	c.recv.seq++
+	c.recvSeq++
 	return body[:n], nil
-}
-
-func directionKeys(secret []byte, isClient bool) (send, recv []byte) {
-	mk := func(label string) []byte {
-		h := sha256.New()
-		h.Write(secret)
-		h.Write([]byte(label))
-		return h.Sum(nil)
-	}
-	c2s, s2c := mk("c2s"), mk("s2c")
-	if isClient {
-		return c2s, s2c
-	}
-	return s2c, c2s
 }
 
 // clientWrap runs banner exchange + kex (2 RTTs).
@@ -133,20 +112,17 @@ func clientWrap(conn net.Conn, cfg Config, seed int64) (net.Conn, error) {
 	if _, err := conn.Write(kex); err != nil {
 		return nil, err
 	}
-	reply := make([]byte, 64+sha256.Size)
+	reply := make([]byte, 64+proofLen)
 	if _, err := io.ReadFull(conn, reply); err != nil {
 		return nil, err
 	}
 	serverKex := reply[:64]
-	proof := reply[64:]
-	mac := hmac.New(sha256.New, cfg.HostKey)
-	mac.Write(kex)
-	mac.Write(serverKex)
-	if !hmac.Equal(mac.Sum(nil), proof) {
+	proof := pt.NewTag("psiphon", cfg.HostKey, kex)
+	if !proof.Check(reply[64:], 0, serverKex) {
 		return nil, ErrHostKey
 	}
-	secret := sha256.Sum256(append(append(append([]byte{}, cfg.HostKey...), kex...), serverKex...))
-	return pt.NewCodecConn(conn, NewCodec(secret[:], true)), nil
+	secret := append(append(append([]byte{}, cfg.HostKey...), kex...), serverKex...)
+	return pt.NewCodecConn(conn, NewCodec(secret, true)), nil
 }
 
 // serverWrap mirrors the client handshake.
@@ -165,17 +141,16 @@ func serverWrap(conn net.Conn, cfg Config, seed int64) (net.Conn, error) {
 	if _, err := io.ReadFull(conn, kex); err != nil {
 		return nil, err
 	}
-	serverKex := make([]byte, 64)
+	reply := make([]byte, 64+proofLen)
+	serverKex := reply[:64]
 	pt.RandFill(sim.NewRand(seed), serverKex)
-	mac := hmac.New(sha256.New, cfg.HostKey)
-	mac.Write(kex)
-	mac.Write(serverKex)
-	reply := append(append([]byte{}, serverKex...), mac.Sum(nil)...)
+	proof := pt.NewTag("psiphon", cfg.HostKey, kex)
+	proof.Put(reply[64:], 0, serverKex)
 	if _, err := conn.Write(reply); err != nil {
 		return nil, err
 	}
-	secret := sha256.Sum256(append(append(append([]byte{}, cfg.HostKey...), kex...), serverKex...))
-	return pt.NewCodecConn(conn, NewCodec(secret[:], false)), nil
+	secret := append(append(append([]byte{}, cfg.HostKey...), kex...), serverKex...)
+	return pt.NewCodecConn(conn, NewCodec(secret, false)), nil
 }
 
 func transport(cfg Config) pt.WrapTransport {

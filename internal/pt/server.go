@@ -90,8 +90,9 @@ func DialWrapped(host *netem.Host, addr string, wrap Wrapper, target string) (ne
 type WrapTransport struct {
 	// Name prefixes errors.
 	Name string
-	// Keyed reports that the config carries the transport's shared
-	// secret; without it neither side starts.
+	// Keyed reports that the config carries what the handshake
+	// checks: the transport's shared secret, for those that have one.
+	// Without it neither side starts.
 	Keyed bool
 	// Seed is the config's seed. The server hands Seed+1, Seed+2, … to
 	// the conns it accepts; the dialer counts on from

@@ -9,20 +9,15 @@ import (
 	"ptperf/internal/sim"
 )
 
-// sealAlloc is aeadCodec.Seal as it was while every chunk had a frame,
-// two nonces and a length of its own: the reference the append form is
-// held to.
-func (c *aeadCodec) sealAlloc(payload []byte) []byte {
-	nonce := func(n uint64) []byte {
-		var b [12]byte
-		binary.LittleEndian.PutUint64(b[:8], n)
-		return b[:]
-	}
-	var lenPlain [2]byte
-	binary.BigEndian.PutUint16(lenPlain[:], uint16(len(payload)))
-	out := make([]byte, 0, 2+tagLen+len(payload)+tagLen)
-	out = c.send.Seal(out, nonce(c.sendNonce), lenPlain[:], nil)
-	out = c.send.Seal(out, nonce(c.sendNonce+1), payload, nil)
+// sealAlloc is chunkCodec.Seal as it was while every chunk had a frame
+// of its own: the reference the append form is held to.
+func (c *chunkCodec) sealAlloc(payload []byte) []byte {
+	n := len(payload)
+	out := make([]byte, 2+tagLen+n+tagLen)
+	binary.BigEndian.PutUint16(out, uint16(n))
+	c.send.Put(out[2:2+tagLen], c.sendNonce, out[:2])
+	copy(out[2+tagLen:], payload)
+	c.send.Put(out[2+tagLen+n:], c.sendNonce+1, payload)
 	c.sendNonce += 2
 	return out
 }
@@ -32,7 +27,7 @@ func (c *aeadCodec) sealAlloc(payload []byte) []byte {
 // made, the nonce counters end equal, and the other end opens them.
 func TestSealMatchesAllocatingSeal(t *testing.T) {
 	psk, salt := []byte("psk"), []byte("0123456789abcdef")
-	got, want := NewCodec(psk, salt, true).(*aeadCodec), NewCodec(psk, salt, true).(*aeadCodec)
+	got, want := NewCodec(psk, salt, true).(*chunkCodec), NewCodec(psk, salt, true).(*chunkCodec)
 	open := NewCodec(psk, salt, false)
 	sizes := sim.NewRand(9)
 	dst := bytes.Repeat([]byte{0xAA}, 2*maxChunk)

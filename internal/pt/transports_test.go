@@ -155,12 +155,11 @@ func TestShadowsocksZeroRTTFasterThanObfs4(t *testing.T) {
 
 func TestWebtunnelEndToEnd(t *testing.T) {
 	w := newWorld(t)
-	key := []byte("webtunnel-session")
-	srv, err := webtunnel.StartServer(w.server, 443, webtunnel.Config{SessionKey: key, SNI: "cdn.example", Seed: 1}, echoHandler(t, "guard-0:9001"))
+	srv, err := webtunnel.StartServer(w.server, 443, webtunnel.Config{SNI: "cdn.example", Seed: 1}, echoHandler(t, "guard-0:9001"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := webtunnel.NewDialer(w.client, srv.Addr(), webtunnel.Config{SessionKey: key, SNI: "cdn.example", Seed: 2})
+	d := webtunnel.NewDialer(w.client, srv.Addr(), webtunnel.Config{SNI: "cdn.example", Seed: 2})
 	exerciseEcho(t, w, d, 50_000)
 }
 
@@ -625,11 +624,11 @@ func TestInfosComplete(t *testing.T) {
 
 func TestRecordConnRoundTrip(t *testing.T) {
 	a, b := net.Pipe()
-	ra, err := pt.NewRecordConn(a, pt.RecordConfig{Key: []byte("k"), IsClient: true, MaxPadding: 32, Seed: 1})
+	ra, err := pt.NewRecordConn(a, pt.RecordConfig{MaxPadding: 32, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := pt.NewRecordConn(b, pt.RecordConfig{Key: []byte("k"), IsClient: false, MaxPadding: 32, Seed: 2})
+	rb, err := pt.NewRecordConn(b, pt.RecordConfig{MaxPadding: 32, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -642,15 +641,67 @@ func TestRecordConnRoundTrip(t *testing.T) {
 	if !bytes.Equal(got, msg) {
 		t.Fatal("record layer corrupted data")
 	}
-	// Wrong key must garble and fail structurally sooner or later.
-	c, d := net.Pipe()
-	rc, _ := pt.NewRecordConn(c, pt.RecordConfig{Key: []byte("k1"), IsClient: true})
-	rd, _ := pt.NewRecordConn(d, pt.RecordConfig{Key: []byte("k2"), IsClient: false})
-	go rc.Write(bytes.Repeat([]byte{0xAA}, 4096))
-	buf := make([]byte, 4096)
-	n, _ := io.ReadFull(rd, buf)
-	if n > 0 && bytes.Equal(buf[:n], bytes.Repeat([]byte{0xAA}, n)) {
-		t.Fatal("mismatched keys must not decrypt to plaintext")
+}
+
+// TestRecordTagsRefuse holds psiphon's and shadowsocks's tags to what a
+// relay cell's digest refuses (tor's TestCorruptCellRefused,
+// TestDigestCountersDetectReplay and TestMisdeliveredCellRefused): a
+// record with any one bit flipped, a record out of order or replayed,
+// and a record sealed under another key are each refused where the
+// server reads them, and no byte of their payload is handed out.
+func TestRecordTagsRefuse(t *testing.T) {
+	codecs := []struct {
+		name string
+		end  func(secret string, isClient bool) pt.RecordCodec
+	}{
+		{"psiphon", func(secret string, isClient bool) pt.RecordCodec {
+			return psiphon.NewCodec([]byte(secret), isClient)
+		}},
+		{"shadowsocks", func(secret string, isClient bool) pt.RecordCodec {
+			return shadowsocks.NewCodec([]byte(secret), []byte("0123456789abcdef"), isClient)
+		}},
+	}
+	for _, c := range codecs {
+		t.Run(c.name, func(t *testing.T) {
+			// records seals "first" and "second" under secret.
+			records := func(secret string) (first, second []byte) {
+				seal := c.end(secret, true)
+				return seal.Seal(nil, []byte("first")), seal.Seal(nil, []byte("second"))
+			}
+			read := func(wire ...[]byte) (string, error) {
+				conn := &bufConn{}
+				for _, r := range wire {
+					conn.buf.Write(r)
+				}
+				got, err := io.ReadAll(pt.NewCodecConn(conn, c.end("k", false)))
+				return string(got), err
+			}
+			first, second := records("k")
+			if got, err := read(first, second); got != "firstsecond" || err != nil {
+				t.Fatalf("in order: read %q, %v", got, err)
+			}
+			other, _ := records("other")
+			for _, tc := range []struct {
+				name string
+				wire [][]byte
+				want string
+			}{
+				{"out of order", [][]byte{second, first}, ""},
+				{"replayed", [][]byte{first, first}, "first"},
+				{"another key", [][]byte{other}, ""},
+			} {
+				if got, err := read(tc.wire...); got != tc.want || err == nil {
+					t.Errorf("%s: read %q, %v; want %q, then an error", tc.name, got, err, tc.want)
+				}
+			}
+			for bit := range 8 * len(first) {
+				corrupted := bytes.Clone(first)
+				corrupted[bit/8] ^= 1 << (bit % 8)
+				if got, err := read(corrupted); got != "" || err == nil {
+					t.Fatalf("bit %d flipped: read %q, %v", bit, got, err)
+				}
+			}
+		})
 	}
 }
 

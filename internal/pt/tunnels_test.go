@@ -73,7 +73,7 @@ var tunnels = []struct {
 		return conjure.NewDialer(w.client, inf.RegistrarAddr(), inf.PhantomAddr(), conjure.Config{Secret: tunnelKey, Seed: 3}), nil
 	}},
 	{"webtunnel", func(w *world, h pt.StreamHandler) (pt.Dialer, error) {
-		cfg := webtunnel.Config{SessionKey: tunnelKey, SNI: "cdn.example", Seed: 1}
+		cfg := webtunnel.Config{SNI: "cdn.example", Seed: 1}
 		srv, err := webtunnel.StartServer(w.server, 443, cfg, h)
 		if err != nil {
 			return nil, err

@@ -25,9 +25,6 @@ var tlsRecordHeader = []byte{0x17, 0x03, 0x03}
 
 // Config carries the transport parameters.
 type Config struct {
-	// SessionKey is the pre-agreed secret from the bridge line; it
-	// stands in for the TLS-derived keys.
-	SessionKey []byte
 	// SNI is the innocuous domain presented in the ClientHello.
 	SNI string
 	// Seed drives handshake randomness.
@@ -74,10 +71,8 @@ func clientWrap(conn net.Conn, cfg Config, seed int64) (net.Conn, error) {
 		return nil, ErrHandshake
 	}
 	return pt.NewRecordConn(conn, pt.RecordConfig{
-		Key:      cfg.SessionKey,
-		IsClient: true,
-		Header:   tlsRecordHeader,
-		Seed:     seed + 1,
+		Header: tlsRecordHeader,
+		Seed:   seed + 1,
 	})
 }
 
@@ -128,16 +123,15 @@ func serverWrap(conn net.Conn, cfg Config, seed int64) (net.Conn, error) {
 		return nil, err
 	}
 	return pt.NewRecordConn(conn, pt.RecordConfig{
-		Key:      cfg.SessionKey,
-		IsClient: false,
-		Header:   tlsRecordHeader,
-		Seed:     seed + 1,
+		Header: tlsRecordHeader,
+		Seed:   seed + 1,
 	})
 }
 
 func transport(cfg Config) pt.WrapTransport {
 	return pt.WrapTransport{
-		Name: "webtunnel", Keyed: len(cfg.SessionKey) > 0, Seed: cfg.Seed, DialerOffset: 15485863,
+		// webtunnel's handshake checks no secret.
+		Name: "webtunnel", Keyed: true, Seed: cfg.Seed, DialerOffset: 15485863,
 		Client: func(conn net.Conn, seed int64) (net.Conn, error) { return clientWrap(conn, cfg, seed) },
 		Server: func(conn net.Conn, seed int64) (net.Conn, error) { return serverWrap(conn, cfg, seed) },
 	}

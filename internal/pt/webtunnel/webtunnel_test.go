@@ -35,7 +35,7 @@ func bufferedPair(t *testing.T) (*netem.Network, net.Conn, net.Conn) {
 }
 
 func TestHandshakeAndRecords(t *testing.T) {
-	cfg := Config{SessionKey: []byte("k"), SNI: "static.example", Seed: 1}
+	cfg := Config{SNI: "static.example", Seed: 1}
 	n, a, b := bufferedPair(t)
 	type res struct {
 		conn net.Conn
@@ -64,7 +64,7 @@ func TestHandshakeAndRecords(t *testing.T) {
 }
 
 func TestServerRejectsNonTunnelRequest(t *testing.T) {
-	cfg := Config{SessionKey: []byte("k"), SNI: "x", Seed: 4}
+	cfg := Config{SNI: "x", Seed: 4}
 	n, a, b := bufferedPair(t)
 	errc := netem.NewChan[error](n.Clock(), 1)
 	n.Go(func() {

@@ -49,7 +49,7 @@ func TestWireShapePinned(t *testing.T) {
 			return obfs4.NewDialer(w.client, srv.Addr(), obfs4.Config{Secret: key, Seed: 2}), nil
 		}, wireShape{1254, 3}, wireShape{100325, 13}, wireShape{100177, 13}},
 		{"webtunnel", func(w *world, h pt.StreamHandler) (pt.Dialer, error) {
-			cfg := webtunnel.Config{SessionKey: key, SNI: "cdn.example", Seed: 1}
+			cfg := webtunnel.Config{SNI: "cdn.example", Seed: 1}
 			srv, err := webtunnel.StartServer(w.server, 443, cfg, h)
 			if err != nil {
 				return nil, err

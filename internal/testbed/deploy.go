@@ -132,7 +132,7 @@ func (w *World) startTransport(name string, s site) (pt.Dialer, error) {
 		_, err = obfs4.StartServer(s.host, s.port, obfs4.Config{Secret: secret, Seed: s.seed}, s.handle)
 		d = obfs4.NewDialer(w.Client, addr, obfs4.Config{Secret: secret, Seed: s.dialSeed})
 	case "webtunnel":
-		cfg := webtunnel.Config{SessionKey: []byte("webtunnel-session-key"), SNI: s.sni, Seed: s.seed}
+		cfg := webtunnel.Config{SNI: s.sni, Seed: s.seed}
 		_, err = webtunnel.StartServer(s.host, s.port, cfg, s.handle)
 		d = webtunnel.NewDialer(w.Client, addr, cfg)
 	case "meek":

@@ -174,7 +174,7 @@ func (o *Origin) serveResource(w *bufio.Writer, path string) error {
 func (o *Origin) serveFile(w *bufio.Writer, path string) error {
 	spec, query, _ := strings.Cut(strings.TrimPrefix(path, "/file/"), "?")
 	n, err := strconv.Atoi(spec)
-	if err != nil || n < 0 || n > 1<<31 {
+	if err != nil || n < 0 || int64(n) > 1<<31 {
 		return writeResponseHeader(w, 404, 0)
 	}
 	from := 0
