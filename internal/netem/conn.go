@@ -100,7 +100,16 @@ func (c *Conn) ReadFull(p []byte) (int, error) {
 // Read. Delivery and window timing are identical to an always-eager
 // reader; only the goroutine switch per segment disappears. Once a sink
 // is set, calling Read panics. See ReadSink for the callback contract.
-func (c *Conn) SetReadSink(fn ReadSink) { c.rx.setSink(fn) }
+func (c *Conn) SetReadSink(fn ReadSink) { c.rx.setSink(fn, false) }
+
+// SetLoopSink is SetReadSink for a sink that takes the place of a read
+// loop, and learns what the loop would have learned when the loop would
+// have: the end of the stream, a close, and segments that arrived before
+// the sink was set reach it from the clock's run queue, where the
+// Broadcast or Go that woke the loop would have run it, rather than from
+// an event at the current instant. Segment arrivals are events either
+// way.
+func (c *Conn) SetLoopSink(fn ReadSink) { c.rx.setSink(fn, true) }
 
 // Write implements net.Conn. Data is chunked into segments; each segment
 // reserves transmission time on the sender-egress and receiver-ingress

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"runtime/debug"
 	"testing"
 	"testing/quick"
 	"time"
@@ -339,7 +340,13 @@ func TestListenDuplicatePort(t *testing.T) {
 // TestConnFirstWriteAllocatesNoSource: a conn's generator is eight bytes
 // of state made with the conn, so its first write over a jittered link
 // draws without building anything, let alone a 4.9 KB math/rand source.
+// The heap count is process-wide, so the write is measured on one P with
+// the collector off, and the least of five fresh conns' first writes is
+// what is held to the bound: whatever else allocates meanwhile would have
+// to do so during all five.
 func TestConnFirstWriteAllocatesNoSource(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	n := New(WithSeed(3))
 	t.Cleanup(n.Clock().Shutdown)
 	a := n.MustAddHost(HostConfig{Name: "a", Location: geo.London})
@@ -358,19 +365,27 @@ func TestConnFirstWriteAllocatesNoSource(t *testing.T) {
 		}
 		return c.(*Conn)
 	}
-	warm, cc := dial(), dial()
-	if cc.out.jitter <= 0 {
+	warm := dial()
+	fresh := make([]*Conn, 5)
+	for i := range fresh {
+		fresh[i] = dial()
+	}
+	if fresh[0].out.jitter <= 0 {
 		t.Fatal("the default wired link has no jitter: the write would draw nothing")
 	}
 	warm.Write([]byte("fills the segment pools"))
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	if _, err := cc.Write([]byte("draws jitter")); err != nil {
-		t.Fatal(err)
+	least := ^uint64(0)
+	for _, cc := range fresh {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := cc.Write([]byte("draws jitter")); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
 	}
-	runtime.ReadMemStats(&after)
-	if got := after.TotalAlloc - before.TotalAlloc; got >= 4096 {
-		t.Fatalf("first write allocated %d B; a generator is 8 B of state, not a 4.9 KB source", got)
+	if least >= 4096 {
+		t.Fatalf("a first write allocated at least %d B; a generator is 8 B of state, not a 4.9 KB source", least)
 	}
 }
 

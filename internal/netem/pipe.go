@@ -132,8 +132,10 @@ type pipe struct {
 	// sinkDone marks the terminal callback as delivered.
 	sink      ReadSink
 	sinkFn    func() // cached p.sinkEvent bound method (one closure, not one per arm)
+	deliverFn func() // cached p.deliver, for wakeSink
 	sinkArmed bool
 	sinkDone  bool
+	loop      bool // the sink stands in for a read loop (Conn.SetLoopSink)
 }
 
 func newPipe(clock *Clock, maxBuf int, acct *Acct) *pipe {
@@ -228,9 +230,32 @@ func (p *pipe) enqueue(data []byte, base *[]byte, pool *sync.Pool, arrival time.
 // setSink registers an inline consumer for this pipe's segments; any
 // already-queued data (or a pending close) is delivered through it.
 // Reads and sink mode are mutually exclusive from this point on.
-func (p *pipe) setSink(fn ReadSink) {
-	p.sink = fn
-	p.sinkFn = p.sinkEvent
+func (p *pipe) setSink(fn ReadSink, loop bool) {
+	p.sink, p.loop = fn, loop
+	p.sinkFn, p.deliverFn = p.sinkEvent, p.deliver
+	p.wakeSink()
+}
+
+// wakeSink is armSink for a change that a parked reader learns of at
+// once, from the Broadcast that wakes it: the pipe closed, or the sink
+// replaced a reader that had not yet run. For a loop sink, what the
+// reader would then have read, segments already arrived or the end of
+// the stream, goes to the sink from the clock's run queue, where the
+// woken reader would have run; anything still in flight waits for its
+// arrival event.
+func (p *pipe) wakeSink() {
+	if !p.loop {
+		p.armSink()
+		return
+	}
+	if p.sink == nil || p.sinkDone {
+		return
+	}
+	pending := p.segHead < len(p.segs)
+	if p.rclosed || (!pending && p.wclosed) || (pending && p.segs[p.segHead].at <= p.clock.Now()) {
+		p.clock.readyEvent(p.deliverFn)
+		return
+	}
 	p.armSink()
 }
 
@@ -260,6 +285,13 @@ func (p *pipe) armSink() {
 // parked reader.
 func (p *pipe) sinkEvent() {
 	p.sinkArmed = false
+	p.deliver()
+}
+
+// deliver hands the sink what sinkEvent does; from wakeSink it runs with
+// an arrival event possibly still armed, which then finds less or
+// nothing to deliver.
+func (p *pipe) deliver() {
 	if p.sink == nil || p.sinkDone {
 		return
 	}
@@ -425,7 +457,7 @@ func (p *pipe) freeSpace() int {
 // closeWrite marks the writer side closed; the reader drains then gets EOF.
 func (p *pipe) closeWrite() {
 	p.wclosed = true
-	p.armSink()
+	p.wakeSink()
 	p.cond.Broadcast()
 }
 
@@ -440,6 +472,6 @@ func (p *pipe) closeRead() {
 	p.segHead = 0
 	p.acct.addDropped(p.buffered)
 	p.buffered = 0
-	p.armSink()
+	p.wakeSink()
 	p.cond.Broadcast()
 }

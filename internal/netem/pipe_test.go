@@ -2,7 +2,9 @@ package netem
 
 import (
 	"bytes"
+	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -334,6 +336,72 @@ func TestReadSinkDeliversAll(t *testing.T) {
 	}
 	if len(terms) != 1 || terms[0] != io.EOF {
 		t.Fatalf("terminal callbacks = %v, want exactly one io.EOF", terms)
+	}
+}
+
+// TestLoopSinkLearnsWhatALoopWould: a conn is closed while a segment is
+// in flight to it, in the same instant as an event already due. A read
+// loop parked on the conn learns of the close at once, woken ahead of
+// the event; a loop sink learns of it at the same instant and in the same
+// place; a plain read sink only at the in-flight segment's arrival.
+func TestLoopSinkLearnsWhatALoopWould(t *testing.T) {
+	run := func(reader string) []string {
+		n, a, b := testNetwork(t)
+		l, err := b.Listen(80)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var log []string
+		note := func(what string) { log = append(log, fmt.Sprintf("%s@%v", what, n.clock.Now())) }
+		c, err := a.Dial("b:80")
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := l.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := s.(*Conn)
+		sink := func(data []byte, base *[]byte, pool *sync.Pool, err error) {
+			if err != nil {
+				note("closed")
+			}
+			putSegBuf(pool, base)
+		}
+		switch reader {
+		case "loop":
+			n.Go(func() {
+				for buf := make([]byte, 8); ; {
+					if _, err := sc.Read(buf); err != nil {
+						note("closed")
+						return
+					}
+				}
+			})
+		case "loop sink":
+			sc.SetLoopSink(sink)
+		case "read sink":
+			sc.SetReadSink(sink)
+		}
+		n.clock.Sleep(time.Millisecond)
+		if _, err := c.Write([]byte("in flight")); err != nil {
+			t.Fatal(err)
+		}
+		now := n.clock.Now()
+		n.clock.EventAt(now, func() { note("event") })
+		sc.Close()
+		n.clock.Sleep(time.Second)
+		if len(log) != 2 {
+			t.Fatalf("%s: log %q, want the close and the event", reader, log)
+		}
+		return log
+	}
+	loop, loopSink, readSink := run("loop"), run("loop sink"), run("read sink")
+	if !slices.Equal(loopSink, loop) {
+		t.Errorf("a loop sink logged %q, the read loop %q", loopSink, loop)
+	}
+	if loop[0][:6] != "closed" || readSink[0][:5] != "event" || readSink[1] == loop[0] {
+		t.Errorf("the read loop logged %q and the read sink %q: the sink no longer hears of a close at the in-flight segment's arrival", loop, readSink)
 	}
 }
 

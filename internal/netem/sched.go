@@ -313,6 +313,12 @@ func (c *Clock) dispatch(own *waiter) {
 				c.ready = c.ready[:0]
 				c.readyHead = 0
 			}
+			if w.fn != nil {
+				fn := w.fn
+				c.release(w)
+				fn() // a readyEvent: see EventAt for the contract
+				continue
+			}
 		case len(c.timers) > 0:
 			w = c.timers.pop()
 			if w.at > c.Now() {
@@ -480,6 +486,20 @@ func (c *Clock) EventAt(vt time.Duration, fn func()) {
 	w.timed = true
 	w.fn = fn
 	c.timers.push(w)
+}
+
+// readyEvent runs fn inline from the run queue, where a goroutine woken
+// now would run: after those already woken, before any timer or event
+// fires. It is what a sink does in place of the reader a Broadcast would
+// have woken (pipe.wakeSink). Like an EventAt callback, fn must never
+// park; on a clock that has shut down it is dropped.
+func (c *Clock) readyEvent(fn func()) {
+	if c.closed {
+		return
+	}
+	w := c.newWaiter()
+	w.fn, w.woken = fn, true
+	c.ready = append(c.ready, w)
 }
 
 // VirtualDeadline converts a virtual timeout (from now) into the

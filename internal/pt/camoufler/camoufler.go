@@ -119,11 +119,17 @@ func readMessage(r io.Reader, buf *[]byte) (to []byte, seq uint64, payload []byt
 	if _, err = io.ReadFull(r, b); err != nil {
 		return
 	}
-	if n < 9 {
+	return parseMessage(b)
+}
+
+// parseMessage splits a message's body, what follows its length, into
+// addressee, sequence number and payload.
+func parseMessage(b []byte) (to []byte, seq uint64, payload []byte, err error) {
+	if len(b) < 9 {
 		return nil, 0, nil, errors.New("camoufler: short message")
 	}
 	toLen := int(b[0])
-	if 1+toLen+8 > n {
+	if 1+toLen+8 > len(b) {
 		return nil, 0, nil, errors.New("camoufler: malformed message")
 	}
 	return b[1 : 1+toLen], binary.BigEndian.Uint64(b[1+toLen:]), b[1+toLen+8:], nil
@@ -303,15 +309,18 @@ type imConn struct {
 	cap     int
 	self    string
 	peer    string
-	conn    net.Conn // to the IM server
+	conn    *netem.Conn // to the IM server
+	in      *pt.FrameConn
 	sendSeq uint64
 	wbuf    []byte // the message being written
 	onClose func()
 }
 
-func newIMConn(clock *netem.Clock, conn net.Conn, self, peer string, capBytes int) *imConn {
+func newIMConn(clock *netem.Clock, conn *netem.Conn, self, peer string, capBytes int) *imConn {
 	ic := &imConn{Stream: pt.NewStream(clock, "im", self, peer, 0), cap: capBytes, self: self, peer: peer, conn: conn}
-	clock.Go(ic.recvLoop)
+	ic.in = pt.NewFrameConn(pt.Prefix16, ic.message, ic.Fail)
+	ic.in.Attach(conn)
+	ic.in.Await()
 	return ic
 }
 
@@ -320,29 +329,22 @@ func (ic *imConn) login() error {
 	return writeMessage(ic.conn, &ic.wbuf, ic.self, 0, nil)
 }
 
-func (ic *imConn) recvLoop() {
-	// The tunnel is over when the provider hangs up or the peer account
-	// logs off.
-	defer ic.Fail()
-	var rbuf []byte
-	for {
-		from, seq, payload, err := readMessage(ic.conn, &rbuf)
-		if err != nil {
-			return
-		}
-		if seq == presenceGoneSeq {
-			if string(from) == ic.peer {
-				return
-			}
-			continue
-		}
+// message takes one message from the provider. The tunnel is over when
+// the provider hangs up, a message does not parse, or the peer account
+// logs off.
+func (ic *imConn) message(b []byte) {
+	from, seq, payload, err := parseMessage(b)
+	switch {
+	case err != nil || seq == presenceGoneSeq && string(from) == ic.peer:
+		ic.in.Stop()
+		return
+	case seq >= 1 && seq != presenceGoneSeq:
 		// Data messages carry seq ≥ 1 (seq 0 is the login frame). They
 		// can arrive out of order, and a lost one leaves a permanent
 		// gap: the stream stalls, there is no retransmit.
-		if seq >= 1 {
-			ic.DeliverSeq(seq-1, payload)
-		}
+		ic.DeliverSeq(seq-1, payload)
 	}
+	ic.in.Await()
 }
 
 // Write implements net.Conn: chunk into messages.
@@ -361,7 +363,7 @@ func (ic *imConn) Write(p []byte) (int, error) {
 }
 
 // Close implements net.Conn. onClose runs only when this call is what
-// ended the tunnel, not when the receive loop already had.
+// ended the tunnel, not when the provider or the peer already had.
 func (ic *imConn) Close() error {
 	wasClosed := ic.Closed()
 	ic.Fail()
@@ -407,7 +409,7 @@ func (p *Proxy) serveSession(n uint64) error {
 	}
 	self := fmt.Sprintf("%s-p%d", p.acct, n)
 	peer := fmt.Sprintf("%s-c%d", p.acct, n)
-	ic := newIMConn(p.host.Network().Clock(), conn, self, peer, p.cfg.MessageCap)
+	ic := newIMConn(p.host.Network().Clock(), conn.(*netem.Conn), self, peer, p.cfg.MessageCap)
 	if err := ic.login(); err != nil {
 		ic.Close()
 		return err
@@ -467,7 +469,7 @@ func (d *Dialer) Dial(target string) (net.Conn, error) {
 	}
 	self := fmt.Sprintf("%s-c%d", d.acct, n)
 	peer := fmt.Sprintf("%s-p%d", d.acct, n)
-	ic := newIMConn(d.host.Network().Clock(), conn, self, peer, d.cfg.MessageCap)
+	ic := newIMConn(d.host.Network().Clock(), conn.(*netem.Conn), self, peer, d.cfg.MessageCap)
 	ic.onClose = release
 	if err := ic.login(); err != nil {
 		ic.Close()

@@ -2,11 +2,9 @@ package camoufler
 
 import (
 	"bytes"
-	"errors"
-	"net"
+	"io"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"ptperf/internal/netem"
 )
@@ -50,16 +48,39 @@ func TestConfigDefaults(t *testing.T) {
 	}
 }
 
+// scripted returns the imConn of account "me" whose provider sends wire
+// and then hangs up.
+func scripted(t *testing.T, wire []byte) *imConn {
+	n := netem.New()
+	t.Cleanup(n.Clock().Shutdown)
+	h := n.MustAddHost(netem.HostConfig{Name: "im"})
+	ln, err := h.Listen(5222)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Go(func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		c.Write(wire)
+		c.Close()
+	})
+	c, err := h.Dial("im:5222")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return newIMConn(n.Clock(), c.(*netem.Conn), "me", "peer", 1024)
+}
+
 func TestIMConnReordersBySeq(t *testing.T) {
-	// Feed messages out of order through a scripted conn.
-	script := &scriptConn{}
+	// The provider sends the messages out of order.
 	var msgs bytes.Buffer
 	writeMessage(&msgs, new([]byte), "me", 2, []byte("BB"))
 	writeMessage(&msgs, new([]byte), "me", 1, []byte("AA"))
 	writeMessage(&msgs, new([]byte), "me", 3, []byte("CC"))
-	script.in = msgs.Bytes()
 
-	ic := newIMConn(netem.NewClock(), script, "me", "peer", 1024)
+	ic := scripted(t, msgs.Bytes())
 	got := make([]byte, 6)
 	total := 0
 	for total < 6 {
@@ -75,55 +96,48 @@ func TestIMConnReordersBySeq(t *testing.T) {
 }
 
 func TestIMConnLostMessageStalls(t *testing.T) {
-	script := &scriptConn{}
 	var msgs bytes.Buffer
 	writeMessage(&msgs, new([]byte), "me", 1, []byte("AA"))
 	// seq 2 lost.
 	writeMessage(&msgs, new([]byte), "me", 3, []byte("CC"))
-	script.in = msgs.Bytes()
 
-	ic := newIMConn(netem.NewClock(), script, "me", "peer", 1024)
+	ic := scripted(t, msgs.Bytes())
 	buf := make([]byte, 8)
 	n, err := ic.Read(buf)
 	if err != nil || string(buf[:n]) != "AA" {
 		t.Fatalf("first read: %q %v", buf[:n], err)
 	}
 	// The stream must deliver nothing further: the gap never fills and
-	// the conn eventually EOFs when the script runs dry.
+	// the conn EOFs when the provider hangs up.
 	n, err = ic.Read(buf)
 	if n != 0 || err == nil {
 		t.Fatalf("gap should stall the stream, got %q err=%v", buf[:n], err)
 	}
 }
 
-// scriptConn replays canned bytes then EOFs; writes are discarded.
-type scriptConn struct {
-	in  []byte
-	pos int
-}
-
-func (s *scriptConn) Read(p []byte) (int, error) {
-	if s.pos >= len(s.in) {
-		return 0, errScriptDone
+// TestIMConnEndsWhenPeerLogsOff: the provider's unavailable-presence
+// notice for the peer account ends the tunnel, one for another account
+// does not, and a message that does not parse ends it too.
+func TestIMConnEndsWhenPeerLogsOff(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		tail func(w *bytes.Buffer)
+		ends bool
+	}{
+		{"other account", func(w *bytes.Buffer) { writeMessage(w, new([]byte), "stranger", presenceGoneSeq, nil) }, false},
+		{"peer", func(w *bytes.Buffer) { writeMessage(w, new([]byte), "peer", presenceGoneSeq, nil) }, true},
+		{"short message", func(w *bytes.Buffer) { w.Write([]byte{0, 3, 1, 'a', 0}) }, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var msgs bytes.Buffer
+			writeMessage(&msgs, new([]byte), "me", 1, []byte("AA"))
+			tc.tail(&msgs)
+			writeMessage(&msgs, new([]byte), "me", 2, []byte("BB"))
+			ic := scripted(t, msgs.Bytes())
+			got, err := io.ReadAll(ic)
+			if want := map[bool]string{false: "AABB", true: "AA"}[tc.ends]; string(got) != want || err != nil {
+				t.Fatalf("read %q, %v; want %q", got, err, want)
+			}
+		})
 	}
-	n := copy(p, s.in[s.pos:])
-	s.pos += n
-	return n, nil
 }
-
-func (s *scriptConn) Write(p []byte) (int, error) { return len(p), nil }
-func (s *scriptConn) Close() error                { return nil }
-func (s *scriptConn) LocalAddr() net.Addr         { return scriptAddr{} }
-func (s *scriptConn) RemoteAddr() net.Addr        { return scriptAddr{} }
-func (s *scriptConn) SetDeadline(time.Time) error { return nil }
-func (s *scriptConn) SetReadDeadline(t time.Time) error {
-	return nil
-}
-func (s *scriptConn) SetWriteDeadline(time.Time) error { return nil }
-
-type scriptAddr struct{}
-
-func (scriptAddr) Network() string { return "script" }
-func (scriptAddr) String() string  { return "script" }
-
-var errScriptDone = errors.New("script exhausted")

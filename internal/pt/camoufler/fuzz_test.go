@@ -3,12 +3,14 @@ package camoufler
 import (
 	"bytes"
 	"testing"
+
+	"ptperf/internal/pt"
 )
 
 // FuzzReadMessage: readMessage either rejects the bytes or returns
 // exactly the message writeMessage would have encoded, and a read into a
 // buffer that held another message returns what a read into a fresh one
-// does.
+// does; an imConn's pt.Prefix16 cut and parseMessage agree with it.
 func FuzzReadMessage(f *testing.F) {
 	var seed bytes.Buffer
 	var wbuf []byte
@@ -24,6 +26,15 @@ func FuzzReadMessage(f *testing.F) {
 		rto, rseq, reused, rerr := readMessage(bytes.NewReader(data), &used)
 		if (err == nil) != (rerr == nil) || !bytes.Equal(to, rto) || seq != rseq || !bytes.Equal(payload, reused) {
 			t.Fatalf("fresh read (%q, %d, %q, %v), read into a used buffer (%q, %d, %q, %v)", to, seq, payload, err, rto, rseq, reused, rerr)
+		}
+		// What an imConn cuts and parses is what readMessage reads.
+		if body, end, _ := pt.Prefix16(data); end > 0 {
+			cto, cseq, cpayload, cerr := parseMessage(data[body:end])
+			if (err == nil) != (cerr == nil) || !bytes.Equal(to, cto) || seq != cseq || !bytes.Equal(payload, cpayload) {
+				t.Fatalf("readMessage (%q, %d, %q, %v), cut and parsed (%q, %d, %q, %v)", to, seq, payload, err, cto, cseq, cpayload, cerr)
+			}
+		} else if err == nil {
+			t.Fatalf("readMessage read (%q, %d, %q) where Prefix16 cuts no frame", to, seq, payload)
 		}
 		if err != nil {
 			return

@@ -21,7 +21,6 @@ import (
 	"math"
 	"math/rand"
 	"net"
-	"sync"
 	"time"
 
 	"ptperf/internal/netem"
@@ -90,7 +89,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Frame layout (shared by the resolver hop and the authoritative hop):
+// Frame layout (shared by the resolver hop and the authoritative hop),
+// each a pt.Prefix16 frame read and written by a pt.FrameConn, so every
+// hop runs inline, in its conns' read sinks and in clock events, and no
+// goroutine parks per query:
 //
 //	query:    [2B total len][8B session][4B qseq][data]
 //	response: [2B total len][4B rseq][data]        (rseq 0xffffffff = empty poll answer)
@@ -114,80 +116,6 @@ func (c Config) check() error {
 		return fmt.Errorf("dnstt: QueryCap %d or RespCap %d over what a 16-bit frame length leaves them (%d, %d)", c.QueryCap, c.RespCap, math.MaxUint16-sessionLen-4, math.MaxUint16-4)
 	}
 	return nil
-}
-
-// appendFrame appends head and data to dst as one frame.
-func appendFrame(dst, head, data []byte) []byte {
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(head)+len(data)))
-	return append(append(dst, head...), data...)
-}
-
-// frameConn is one end of a pipeline conn, read and written in frames
-// that it builds and cuts in buffers it keeps. Every hop runs inline, in
-// its conns' read sinks and in clock events, so no goroutine parks per
-// query: the sink cuts frames as segments arrive, a frame straddling
-// segments or several sharing one, and hands the hop the frame it
-// awaits. frame takes it; stop ends the hop if the stream ends first.
-type frameConn struct {
-	c        *netem.Conn
-	buf      []byte // buf[head:] has arrived and is not yet cut
-	head     int
-	end      error  // what ended the stream, once it has arrived
-	wbuf     []byte // the frame last written
-	awaiting bool
-	frame    func([]byte)
-	stop     func()
-}
-
-// sink is the conn's read sink; it copies and recycles each segment.
-func (f *frameConn) sink(data []byte, base *[]byte, pool *sync.Pool, err error) {
-	if err != nil {
-		f.end = err
-	} else {
-		f.buf, f.head = netem.Compact(f.buf, f.head, len(data))
-		f.buf = append(f.buf, data...)
-		if base != nil && pool != nil {
-			pool.Put(base)
-		}
-	}
-	if f.awaiting {
-		f.await()
-	}
-}
-
-// await is the hop's read: the next frame, without its length prefix,
-// goes to the hop once it has fully arrived, valid until the sink's next
-// delivery.
-func (f *frameConn) await() {
-	if rest := f.buf[f.head:]; len(rest) >= 2 {
-		if n := 2 + int(binary.BigEndian.Uint16(rest)); len(rest) >= n {
-			if f.head += n; f.head == len(f.buf) {
-				f.buf, f.head = f.buf[:0], 0
-			}
-			f.awaiting = false
-			f.frame(rest[2:n])
-			return
-		}
-	}
-	if f.awaiting = f.end == nil; !f.awaiting {
-		f.stop()
-	}
-}
-
-// send writes head and data as one frame, without parking, and awaits
-// the next frame; a failed write stops the hop. A write is never refused:
-// each conn has one writer, each direction at most one frame in flight,
-// and every receiver is a read sink that drains at arrival. A refusal is
-// a broken invariant.
-func (f *frameConn) send(head, data []byte) {
-	f.wbuf = appendFrame(f.wbuf[:0], head, data)
-	if ok, err := f.c.TryWrite(f.wbuf); !ok {
-		panic(fmt.Sprintf("dnstt: a %d-byte frame to %v did not fit its conn: a second frame in flight, or a second writer", len(f.wbuf), f.c.RemoteAddr()))
-	} else if err != nil {
-		f.stop()
-	} else {
-		f.await()
-	}
 }
 
 // Resolver is the recursive DoH resolver hop.
@@ -256,8 +184,9 @@ func (r *Resolver) newMeter(sessionID) *sessionMeter {
 // relayed back when it arrives, and only then is the next query taken.
 type relay struct {
 	r *Resolver
-	// in is the client's conn, out the upstream one, nil until dialed.
-	in, out    frameConn
+	// in is the client's conn end, out the upstream one, attached once
+	// it is dialed.
+	in, out    *pt.FrameConn
 	q          []byte        // the query being resolved
 	m          *sessionMeter // the query's session
 	resolvedFn func()        // l.resolved, bound once
@@ -266,9 +195,10 @@ type relay struct {
 // serve starts relaying one client poll pipeline.
 func (r *Resolver) serve(c net.Conn) {
 	l := &relay{r: r}
-	l.in = frameConn{c: c.(*netem.Conn), awaiting: true, frame: l.query, stop: l.stop}
-	l.out, l.resolvedFn = frameConn{frame: l.answer, stop: l.stop}, l.resolved
-	l.in.c.SetReadSink(l.in.sink)
+	l.in = pt.NewFrameConn(pt.Prefix16, l.query, l.stop)
+	l.out, l.resolvedFn = pt.NewFrameConn(pt.Prefix16, l.answer, l.stop), l.resolved
+	l.in.Attach(c.(*netem.Conn))
+	l.in.Await()
 }
 
 // query stamps a query on its session and starts resolving it.
@@ -292,10 +222,10 @@ func (l *relay) resolved() {
 		// session dies, the tunnel collapses, and the client has to build
 		// a fresh circuit (new session).
 		l.stop()
-	case l.out.c == nil:
+	case l.out.Conn() == nil:
 		l.r.clock.Go(l.dial)
 	default:
-		l.out.send(nil, l.q)
+		l.out.Send(nil, l.q)
 	}
 }
 
@@ -307,24 +237,23 @@ func (l *relay) dial() {
 		l.stop()
 		return
 	}
-	l.out.c = up.(*netem.Conn)
-	l.out.c.SetReadSink(l.out.sink)
-	l.out.send(nil, l.q)
+	l.out.Attach(up.(*netem.Conn))
+	l.out.Send(nil, l.q)
 }
 
 // answer relays a query's response to the client and takes the next
 // query.
 func (l *relay) answer(resp []byte) {
 	l.m.bytes += int64(len(resp))
-	l.in.send(nil, resp)
+	l.in.Send(nil, resp)
 }
 
 // stop ends the pipeline: both conns close, upstream first.
 func (l *relay) stop() {
-	if l.out.c != nil {
-		l.out.c.Close()
+	if up := l.out.Conn(); up != nil {
+		up.Close()
 	}
-	l.in.c.Close()
+	l.in.Conn().Close()
 }
 
 // Server is the authoritative dnstt endpoint, co-located with the guard.
@@ -371,7 +300,7 @@ type serverSession struct {
 // answered the instant it arrives.
 type answerer struct {
 	s     *Server
-	in    frameConn
+	in    *pt.FrameConn
 	chunk []byte
 	head  [4]byte
 }
@@ -379,15 +308,19 @@ type answerer struct {
 // serve starts answering one resolver pipeline.
 func (s *Server) serve(c net.Conn) {
 	a := &answerer{s: s}
-	a.in = frameConn{c: c.(*netem.Conn), awaiting: true, frame: a.answer, stop: func() { a.in.c.Close() }}
-	a.in.c.SetReadSink(a.in.sink)
+	a.in = pt.NewFrameConn(pt.Prefix16, a.answer, a.stop)
+	a.in.Attach(c.(*netem.Conn))
+	a.in.Await()
 }
+
+// stop ends the pipeline.
+func (a *answerer) stop() { a.in.Conn().Close() }
 
 // answer feeds a query's payload into its session's stream, answers with
 // up to RespCap downstream bytes, and takes the next query.
 func (a *answerer) answer(q []byte) {
 	if len(q) < sessionLen+4 {
-		a.in.stop()
+		a.stop()
 		return
 	}
 	qseq := binary.BigEndian.Uint32(q[sessionLen : sessionLen+4])
@@ -397,7 +330,7 @@ func (a *answerer) answer(q []byte) {
 	var rseq uint32
 	a.chunk, rseq = ss.takeDownstream(a.chunk, a.s.cfg.RespCap)
 	binary.BigEndian.PutUint32(a.head[:], rseq)
-	a.in.send(a.head[:], a.chunk)
+	a.in.Send(a.head[:], a.chunk)
 }
 
 // acceptUpstream reorders query payloads into the upstream byte stream.
@@ -464,9 +397,9 @@ func (d *Dialer) Dial(target string) (net.Conn, error) {
 	clock.Go(func() {
 		for _, c := range conns {
 			p := &poller{t: t, idle: firstIdlePoll}
-			p.in, p.pollFn = frameConn{c: c, frame: p.response, stop: p.stop}, p.poll
+			p.in, p.pollFn = pt.NewFrameConn(pt.Prefix16, p.response, p.stop), p.poll
 			binary.BigEndian.PutUint64(p.head[:sessionLen], sid)
-			c.SetReadSink(p.in.sink)
+			p.in.Attach(c)
 			p.poll()
 		}
 	})
@@ -505,7 +438,7 @@ const firstIdlePoll = 50 * time.Millisecond
 // next query follows at once, or after an idle back-off.
 type poller struct {
 	t      *tunnelConn
-	in     frameConn
+	in     *pt.FrameConn
 	data   []byte
 	head   [sessionLen + 4]byte
 	idle   time.Duration // the next idle back-off
@@ -522,7 +455,7 @@ func (p *poller) poll() {
 	var qseq uint32
 	p.data, qseq = p.t.takeUpstream(p.data)
 	binary.BigEndian.PutUint32(p.head[sessionLen:], qseq)
-	p.in.send(p.head[:], p.data)
+	p.in.Send(p.head[:], p.data)
 }
 
 // response delivers a query's response and paces the next query.
@@ -551,5 +484,5 @@ func (p *poller) response(resp []byte) {
 // stop ends the pipeline, and with it the tunnel.
 func (p *poller) stop() {
 	p.t.Fail()
-	p.in.c.Close()
+	p.in.Conn().Close()
 }

@@ -19,7 +19,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		if len(head)+len(data) > 60000 {
 			return true
 		}
-		wbuf = appendFrame(wbuf[:0], head, data)
+		wbuf = pt.AppendPrefix16(wbuf[:0], head, data)
 		var err error
 		if got, err = readFrame(bytes.NewReader(wbuf), got); err != nil {
 			return false

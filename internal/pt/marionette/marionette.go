@@ -21,7 +21,6 @@ import (
 	"io"
 	"math/rand"
 	"net"
-	"slices"
 	"time"
 
 	"ptperf/internal/netem"
@@ -212,37 +211,31 @@ func writeFin(w io.Writer) error {
 	return err
 }
 
-// frameReader reads frames off r into one buffer it keeps: a frame's
-// cover and payload are valid until the next call.
-type frameReader struct {
-	r   io.Reader
-	buf []byte // [cover][2B payload len][payload]
+// cutFrame finds the frame at the head of b (a pt.FrameCut); a FIN
+// frame ends at its payload-length sentinel.
+func cutFrame(b []byte) (body, end int, err error) {
+	if len(b) < 2 {
+		return 0, 0, nil
+	}
+	if end = 4 + int(binary.BigEndian.Uint16(b)); len(b) < end {
+		return 0, 0, nil
+	}
+	if np := int(binary.BigEndian.Uint16(b[end-2:])); np != finLen {
+		end += np
+	}
+	if len(b) < end {
+		return 0, 0, nil
+	}
+	return 0, end, nil
 }
 
-func (fr *frameReader) next() (cover, payload []byte, fin bool, err error) {
-	b := slices.Grow(fr.buf[:0], 2)[:2]
-	if _, err = io.ReadFull(fr.r, b); err != nil {
-		return nil, nil, false, err
-	}
+// parseFrame splits a frame cutFrame cut into its cover and payload.
+func parseFrame(b []byte) (cover, payload []byte, fin bool) {
 	nc := int(binary.BigEndian.Uint16(b))
-	b = slices.Grow(b[:0], nc+2)[:nc+2]
-	fr.buf = b
-	if _, err = io.ReadFull(fr.r, b[:nc]); err != nil {
-		return nil, nil, false, err
+	if binary.BigEndian.Uint16(b[2+nc:]) == finLen {
+		return b[2 : 2+nc], nil, true
 	}
-	if _, err = io.ReadFull(fr.r, b[nc:]); err != nil {
-		return nil, nil, false, err
-	}
-	np := int(binary.BigEndian.Uint16(b[nc:]))
-	if np == finLen {
-		return b[:nc], nil, true, nil
-	}
-	b = slices.Grow(b, np)[:nc+2+np]
-	fr.buf = b
-	if _, err = io.ReadFull(fr.r, b[nc+2:]); err != nil {
-		return nil, nil, false, err
-	}
-	return b[:nc], b[nc+2:], false, nil
+	return b[2 : 2+nc], b[4+nc:], false
 }
 
 // maxQueue bounds the bytes waiting for data transitions.
@@ -250,17 +243,18 @@ const maxQueue = 64 << 10
 
 // marionetteConn walks the automaton to move bytes: written bytes wait
 // in the stream for a data transition, and bytes recovered from the
-// peer's messages are delivered into it.
+// peer's messages are delivered into it as they arrive.
 type marionetteConn struct {
 	*pt.Stream
 	model   *Model
-	conn    net.Conn
+	conn    *netem.Conn
+	in      *pt.FrameConn
 	clock   *netem.Clock
 	rng     *rand.Rand
 	replyCh *netem.Chan[struct{}]
 }
 
-func newConn(model *Model, conn net.Conn, clock *netem.Clock, seed int64) *marionetteConn {
+func newConn(model *Model, conn *netem.Conn, clock *netem.Clock, seed int64) *marionetteConn {
 	mc := &marionetteConn{
 		Stream:  pt.NewStream(clock, "marionette", "marionette", "marionette-peer", maxQueue),
 		model:   model,
@@ -269,29 +263,24 @@ func newConn(model *Model, conn net.Conn, clock *netem.Clock, seed int64) *mario
 		rng:     sim.NewRand(seed),
 		replyCh: netem.NewChan[struct{}](clock, 16),
 	}
-	clock.Go(mc.recvLoop)
+	mc.in = pt.NewFrameConn(cutFrame, mc.frame, mc.Fail)
+	mc.in.Attach(conn)
+	mc.in.Await()
 	clock.Go(mc.walk)
 	return mc
 }
 
-// recvLoop extracts payloads from peer messages.
-func (mc *marionetteConn) recvLoop() {
-	frames := frameReader{r: mc.conn}
-	for {
-		_, payload, fin, err := frames.next()
-		if err != nil {
-			mc.Fail()
-			return
-		}
-		mc.replyCh.TrySend(struct{}{})
-		if fin {
-			mc.PeerFin(0)
-			continue
-		}
-		if len(payload) > 0 {
-			mc.Deliver(payload)
-		}
+// frame takes one of the peer's messages: any message answers a lockstep
+// wait, the FIN cover ends the peer's direction, and a payload goes into
+// the stream.
+func (mc *marionetteConn) frame(b []byte) {
+	mc.replyCh.TrySend(struct{}{})
+	if _, payload, fin := parseFrame(b); fin {
+		mc.PeerFin(0)
+	} else if len(payload) > 0 {
+		mc.Deliver(payload)
 	}
+	mc.in.Await()
 }
 
 // walk drives the automaton: pacing delays, cover emission, payload
@@ -320,7 +309,7 @@ func (mc *marionetteConn) walk() {
 		}
 		if sendFin {
 			// All queued bytes are out: emit the FIN cover and stop
-			// walking; the receive loop stays alive.
+			// walking; the peer's messages are still taken.
 			writeFin(mc.conn)
 			return
 		}
@@ -356,7 +345,7 @@ func StartServer(host *netem.Host, port int, model *Model, seed int64, handle pt
 	s := seed
 	return pt.ListenAndServe(host, port, func(conn net.Conn) (net.Conn, error) {
 		s++
-		return newConn(model, conn, clock, s), nil
+		return newConn(model, conn.(*netem.Conn), clock, s), nil
 	}, handle)
 }
 
@@ -374,7 +363,7 @@ func NewDialer(host *netem.Host, addr string, model *Model, seed int64) (pt.Dial
 		if err != nil {
 			return nil, fmt.Errorf("marionette: %w", err)
 		}
-		mc := newConn(model, raw, clock, mine)
+		mc := newConn(model, raw.(*netem.Conn), clock, mine)
 		if err := pt.WriteTarget(mc, target); err != nil {
 			mc.Close()
 			return nil, err

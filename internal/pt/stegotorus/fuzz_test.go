@@ -3,13 +3,58 @@ package stegotorus
 import (
 	"bufio"
 	"bytes"
+	"errors"
+	"io"
+	"strconv"
 	"testing"
 )
+
+// decodeCover strips the HTTP cover off r and recovers the block in
+// buf's array, grown if it is too small: the loop decoder a fan-out
+// conn's reader ran, kept as the reference cutCover and decodeBlock are
+// held to. Header lines are read in place, out of r's buffer: one that
+// does not fit it is no cover of ours (bufio.ErrBufferFull).
+func decodeCover(r *bufio.Reader, buf []byte) ([]byte, error) {
+	line, err := r.ReadSlice('\n')
+	if err != nil {
+		return nil, err
+	}
+	if !bytes.HasPrefix(line, []byte("POST /images/upload")) {
+		return nil, errors.New("stegotorus: unexpected cover request")
+	}
+	var contentLen int
+	for {
+		h, err := r.ReadSlice('\n')
+		if err != nil {
+			return nil, err
+		}
+		h = bytes.TrimSpace(h)
+		if len(h) == 0 {
+			break
+		}
+		if rest, ok := cutPrefixFold(h, "content-length:"); ok {
+			contentLen, err = strconv.Atoi(string(bytes.TrimSpace(rest)))
+			if err != nil {
+				return nil, err
+			}
+		}
+	}
+	if contentLen < 0 || contentLen > maxCover {
+		return nil, errors.New("stegotorus: bad cover length")
+	}
+	body := make([]byte, contentLen)
+	if _, err := io.ReadFull(r, body); err != nil {
+		return nil, err
+	}
+	return decodeBlock(buf, body)
+}
 
 // FuzzDecodeCover: a cover either fails to decode or yields a block
 // that encodes and decodes to itself, and a hostile Content-Length is
 // an error, not an allocation; a decode into a buffer that held another
-// block returns what a decode into a fresh one does.
+// block returns what a decode into a fresh one does; and cutCover with
+// decodeBlock, what a fan-out conn runs, fails or yields the block
+// exactly where decodeCover over a maxLine reader does.
 func FuzzDecodeCover(f *testing.F) {
 	var seed bytes.Buffer
 	encodeCover(&seed, []byte("\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x04data"))
@@ -24,6 +69,20 @@ func FuzzDecodeCover(f *testing.F) {
 		if (err == nil) != (rerr == nil) || !bytes.Equal(block, reused) {
 			t.Fatalf("fresh decode (%q, %v), decode into a used buffer (%q, %v)", block, err, reused, rerr)
 		}
+
+		ref, referr := decodeCover(bufio.NewReaderSize(bytes.NewReader(data), maxLine), nil)
+		body, end, cerr := cutCover(data)
+		var cut []byte
+		if cerr == nil && end == 0 {
+			cerr = io.ErrUnexpectedEOF
+		}
+		if cerr == nil {
+			cut, cerr = decodeBlock(nil, data[body:end])
+		}
+		if (referr == nil) != (cerr == nil) || !bytes.Equal(ref, cut) {
+			t.Fatalf("decodeCover (%q, %v), cutCover and decodeBlock (%q, %v)", ref, referr, cut, cerr)
+		}
+
 		if err != nil {
 			return
 		}

@@ -12,7 +12,6 @@
 package stegotorus
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/base64"
 	"encoding/binary"
@@ -79,14 +78,13 @@ const maxCover = 1 << 20
 // every block (possibly arriving out of order on other conns) is in.
 const finLen = 0xffffffff
 
-// A cover in either direction is built, or has its payload read, in a
-// scratch buffer leased for the one call; a fan-out conn's reader is
-// leased for as long as its readLoop runs (DESIGN.md "Buffer
-// ownership").
-var (
-	coverPool  = sync.Pool{New: func() any { b := make([]byte, 0, 8<<10); return &b }}
-	readerPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 8<<10) }}
-)
+// maxLine bounds a cover's request and header lines, line end included:
+// a longer one is no cover of ours.
+const maxLine = 8 << 10
+
+// A cover is built in a scratch buffer leased for the one call
+// (DESIGN.md "Buffer ownership").
+var coverPool = sync.Pool{New: func() any { b := make([]byte, 0, 8<<10); return &b }}
 
 // encodeCover wraps an encoded block in an HTTP request-shaped cover
 // and sends it in one Write.
@@ -100,46 +98,53 @@ func encodeCover(w io.Writer, block []byte) error {
 	return err
 }
 
-// decodeCover strips the HTTP cover and recovers the block in buf's
-// array, grown if it is too small: a readLoop hands back what the last
-// call returned. Header lines are read in place, out of r's buffer: one
-// that does not fit it is no cover of ours (bufio.ErrBufferFull).
-func decodeCover(r *bufio.Reader, buf []byte) ([]byte, error) {
-	line, err := r.ReadSlice('\n')
-	if err != nil {
-		return nil, err
-	}
-	if !bytes.HasPrefix(line, []byte("POST /images/upload")) {
-		return nil, errors.New("stegotorus: unexpected cover request")
-	}
-	var contentLen int
-	for {
-		h, err := r.ReadSlice('\n')
-		if err != nil {
-			return nil, err
+// cutCover finds the cover at the head of b (a pt.FrameCut): its body is
+// the encoded block after the header. The request line must be a cover's
+// and every line must end within maxLine bytes; the last Content-Length
+// header gives the body's length.
+func cutCover(b []byte) (body, end int, err error) {
+	contentLen := 0
+	for pos, first := 0, true; ; first = false {
+		n := bytes.IndexByte(b[pos:min(len(b), pos+maxLine)], '\n')
+		if n < 0 {
+			if len(b)-pos >= maxLine {
+				return 0, 0, errors.New("stegotorus: cover line too long")
+			}
+			return 0, 0, nil
 		}
-		h = bytes.TrimSpace(h)
+		line := b[pos : pos+n+1]
+		pos += n + 1
+		if first {
+			if !bytes.HasPrefix(line, []byte("POST /images/upload")) {
+				return 0, 0, errors.New("stegotorus: unexpected cover request")
+			}
+			continue
+		}
+		h := bytes.TrimSpace(line)
 		if len(h) == 0 {
+			body = pos
 			break
 		}
 		if rest, ok := cutPrefixFold(h, "content-length:"); ok {
-			contentLen, err = strconv.Atoi(string(bytes.TrimSpace(rest)))
-			if err != nil {
-				return nil, err
+			if contentLen, err = strconv.Atoi(string(bytes.TrimSpace(rest))); err != nil {
+				return 0, 0, err
 			}
 		}
 	}
 	if contentLen < 0 || contentLen > maxCover {
-		return nil, errors.New("stegotorus: bad cover length")
+		return 0, 0, errors.New("stegotorus: bad cover length")
 	}
-	bp := coverPool.Get().(*[]byte)
-	defer coverPool.Put(bp)
-	*bp = slices.Grow((*bp)[:0], contentLen)[:contentLen]
-	if _, err := io.ReadFull(r, *bp); err != nil {
-		return nil, err
+	if len(b) < body+contentLen {
+		return 0, 0, nil
 	}
-	block := slices.Grow(buf[:0], base64.StdEncoding.DecodedLen(contentLen))
-	n, err := base64.StdEncoding.Decode(block[:cap(block)], *bp)
+	return body, body + contentLen, nil
+}
+
+// decodeBlock decodes a cover's body into buf's array, grown if it is
+// too small.
+func decodeBlock(buf, body []byte) ([]byte, error) {
+	block := slices.Grow(buf[:0], base64.StdEncoding.DecodedLen(len(body)))
+	n, err := base64.StdEncoding.Decode(block[:cap(block)], body)
 	return block[:n], err
 }
 
@@ -201,46 +206,51 @@ func newChopConn(clock *netem.Clock, cfg Config, sid uint64, conns []net.Conn, s
 		readers: len(conns),
 	}
 	for _, conn := range conns {
-		clock.Go(func() { c.readLoop(conn) })
+		r := &fanIn{c: c}
+		r.in = pt.NewFrameConn(cutCover, r.cover, r.stop)
+		r.in.Attach(conn.(*netem.Conn))
+		r.in.Await()
 	}
 	return c
 }
 
-// readLoop decodes covers from one fan-out conn. A clean EOF on one conn
-// does not kill the session — blocks may still be in flight on the
-// others; the session ends when the FIN accounting completes or every
-// reader is gone.
-func (c *chopConn) readLoop(conn net.Conn) {
-	defer func() {
-		if c.readers--; c.readers == 0 {
-			c.Fail()
-		}
-	}()
-	br := readerPool.Get().(*bufio.Reader)
-	br.Reset(conn)
-	defer func() {
-		br.Reset(nil)
-		readerPool.Put(br)
-	}()
-	var block []byte // reused by every cover
-	for {
-		var err error
-		if block, err = decodeCover(br, block); err != nil {
-			return
-		}
-		if len(block) < blockHeader {
-			return
-		}
-		seq := binary.BigEndian.Uint64(block[8:16])
-		n := binary.BigEndian.Uint32(block[16:20])
-		if n == finLen {
-			c.PeerFin(seq)
-			continue
-		}
-		if int(n)+blockHeader > len(block) {
-			return
-		}
-		c.DeliverSeq(seq, block[blockHeader:blockHeader+int(n)])
+// fanIn reads the covers of one fan-out conn. One conn ending does not
+// end the session, as blocks may still be in flight on the others: the
+// session ends when the FIN accounting completes or every fan-out conn
+// has stopped.
+type fanIn struct {
+	c     *chopConn
+	in    *pt.FrameConn
+	block []byte // the last block decoded, reused by every cover
+}
+
+// cover takes one cover's body: a data block goes into the stream by its
+// sequence number, a FIN block announces the count of them, and a cover
+// that holds no block stops the conn.
+func (r *fanIn) cover(body []byte) {
+	var err error
+	if r.block, err = decodeBlock(r.block, body); err != nil || len(r.block) < blockHeader {
+		r.in.Stop()
+		return
+	}
+	block := r.block
+	seq := binary.BigEndian.Uint64(block[8:16])
+	switch n := binary.BigEndian.Uint32(block[16:20]); {
+	case n == finLen:
+		r.c.PeerFin(seq)
+	case int64(n)+blockHeader > int64(len(block)):
+		r.in.Stop()
+		return
+	default:
+		r.c.DeliverSeq(seq, block[blockHeader:blockHeader+int(n)])
+	}
+	r.in.Await()
+}
+
+// stop is the conn's end of reading; the last one fails the session.
+func (r *fanIn) stop() {
+	if r.c.readers--; r.c.readers == 0 {
+		r.c.Fail()
 	}
 }
 

@@ -48,7 +48,7 @@ func TestFuzzJobsEquivalence(t *testing.T) {
 // the censor-accounting invariant and shrink to a world of at most two
 // transports and two scenario rules.
 func TestInjectedFaultCaughtAndShrunk(t *testing.T) {
-	censor.SetStatsFault(func(s *censor.Stats) { s.ThrottledSegments += 1 << 40 })
+	censor.SetStatsFault(func(s *censor.Stats) { s.ThrottledSegments += 1 << 30 })
 	defer censor.SetStatsFault(nil)
 
 	spec := Generate(11, 0)

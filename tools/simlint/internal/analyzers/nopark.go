@@ -18,14 +18,19 @@ import (
 // finds those paths at compile time.
 //
 // Roots (the event-callback entry points):
-//   - the callback argument of (netem.Clock).EventAt — including
-//     callbacks stored in struct fields first (p.sinkFn, s.flushFn):
-//     every function ever assigned to such a field in the package is
-//     treated as a root;
-//   - the sink argument of (netem.Conn).SetReadSink and the package-
-//     internal (netem.pipe).setSink — which covers the tor cell sinks
-//     (cellSink, clientCell, backwardSink) and the relay scheduler's
-//     flush pass, both armed through these APIs.
+//   - the callback argument of (netem.Clock).EventAt and of the
+//     package-internal (netem.Clock).readyEvent — including callbacks
+//     stored in struct fields first (p.sinkFn, s.flushFn): every
+//     function ever assigned to such a field in the package is treated
+//     as a root;
+//   - the sink argument of (netem.Conn).SetReadSink and SetLoopSink and
+//     the package-internal (netem.pipe).setSink — which covers the tor
+//     cell sinks (cellSink, clientCell, backwardSink) and the relay
+//     scheduler's flush pass, both armed through these APIs;
+//   - the three handler arguments (cut, frame, stop) of
+//     pt.NewFrameConn, which that endpoint's read sink calls: the
+//     tunnelling transports' frame handlers live in their own packages,
+//     where the sink's calls through its fields cannot be followed.
 //
 // From each root the analyzer walks the intra-package static call graph
 // (direct calls to functions and methods declared in the same package,
@@ -57,8 +62,8 @@ import (
 // compile-time error instead.
 var NoParkInEvent = &lint.Analyzer{
 	Name: "noparkinevent",
-	Doc: "functions reachable from Clock.EventAt arms and Conn.SetReadSink sinks " +
-		"must never reach a parking primitive; only the non-parking surface is allowed",
+	Doc: "functions reachable from Clock.EventAt arms, Conn.SetReadSink sinks and pt.NewFrameConn " +
+		"handlers must never reach a parking primitive; only the non-parking surface is allowed",
 	Run: runNoParkInEvent,
 }
 
@@ -136,7 +141,11 @@ func contextSwitchArg(f *types.Func) int {
 		return 0
 	case isMethodOf(f, "netem", "Clock", "EventAt"):
 		return 1
+	case isMethodOf(f, "netem", "Clock", "readyEvent"):
+		return 0
 	case isMethodOf(f, "netem", "Conn", "SetReadSink"):
+		return 0
+	case isMethodOf(f, "netem", "Conn", "SetLoopSink"):
 		return 0
 	case isMethodOf(f, "netem", "pipe", "setSink"):
 		return 0
@@ -238,25 +247,33 @@ func (a *noParkAnalysis) collectRoots() []root {
 				return true
 			}
 			fn := calleeFunc(info, call)
-			idx := -1
+			var idxs []int
 			var kind string
 			switch {
 			case isMethodOf(fn, "netem", "Clock", "EventAt"):
-				idx, kind = 1, "Clock.EventAt arm"
+				idxs, kind = []int{1}, "Clock.EventAt arm"
+			case isMethodOf(fn, "netem", "Clock", "readyEvent"):
+				idxs, kind = []int{0}, "Clock.readyEvent arm"
 			case isMethodOf(fn, "netem", "Conn", "SetReadSink"):
-				idx, kind = 0, "Conn.SetReadSink sink"
+				idxs, kind = []int{0}, "Conn.SetReadSink sink"
+			case isMethodOf(fn, "netem", "Conn", "SetLoopSink"):
+				idxs, kind = []int{0}, "Conn.SetLoopSink sink"
 			case isMethodOf(fn, "netem", "pipe", "setSink"):
-				idx, kind = 0, "pipe.setSink sink"
+				idxs, kind = []int{0}, "pipe.setSink sink"
+			case isMethodOf(fn, "pt", "", "NewFrameConn"):
+				idxs, kind = []int{0, 1, 2}, "pt.NewFrameConn handler"
 			default:
-				return true
-			}
-			if idx >= len(call.Args) {
 				return true
 			}
 			at := a.pass.Fset.Position(call.Pos())
 			desc := kind + " at " + shortPos(at)
-			for _, node := range a.resolveCallback(call.Args[idx], 0) {
-				roots = append(roots, root{node: node, desc: desc})
+			for _, idx := range idxs {
+				if idx >= len(call.Args) {
+					continue
+				}
+				for _, node := range a.resolveCallback(call.Args[idx], 0) {
+					roots = append(roots, root{node: node, desc: desc})
+				}
 			}
 			return true
 		})
@@ -368,8 +385,8 @@ func (a *noParkAnalysis) walkContext(node ast.Node, rootDesc string, chain []str
 			return true
 		}
 		// A call through a func-typed struct field reaches whatever was
-		// ever assigned to the field (dnstt's frame handlers, stored in
-		// the conn end whose sink calls them).
+		// ever assigned to the field in this package (a callback stored
+		// beside the sink or event that calls it).
 		for _, d := range a.resolveCallback(call.Fun, 0) {
 			a.walkContext(d, rootDesc, chain)
 		}

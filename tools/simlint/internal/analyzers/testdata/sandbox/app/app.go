@@ -10,6 +10,7 @@ import (
 	"sync"
 
 	"sandbox/netem"
+	"sandbox/pt"
 )
 
 // joined is filled by several worlds' drivers: app is not a world
@@ -76,6 +77,21 @@ func badFieldCall(p *proc) {
 func (p *proc) onFrame() {
 	p.clock.Sleep(1) // want `\(netem\.Clock\)\.Sleep parks until a virtual instant.*via func literal → proc\.onFrame`
 }
+
+// badFrameHandler hands pt's frame endpoint a handler that parks: the
+// endpoint's read sink calls it, from another package.
+func badFrameHandler(p *proc) {
+	var in *pt.FrameConn
+	in = pt.NewFrameConn(cutAll, func(body []byte) {
+		p.conn.Read(body) // want `\(netem\.Conn\)\.Read parks until arrival.*pt\.NewFrameConn handler`
+		in.Await()
+	}, p.onStop)
+}
+
+// cutAll and onStop are handlers that stay on the non-parking surface.
+func cutAll(b []byte) (int, int, error) { return 0, len(b), nil }
+
+func (p *proc) onStop() { p.ch.TrySend(0) }
 
 // good stays on the non-parking surface; the Clock.Go body is a
 // registered goroutine and may park.
