@@ -69,8 +69,9 @@ type Censor struct {
 // Attach compiles a scenario against a network and installs it as the
 // network's policy. rateScale multiplies rule rates (the testbed passes
 // its ByteScale so throttles shrink with every other byte quantity);
-// values <= 0 mean 1. Event windows are armed on the network's virtual
-// clock; call Attach before the campaign starts measuring.
+// values <= 0 mean 1. A Block rule's cutover is a clock event at its
+// window's start (Clock.EventAt), armed here; call Attach before the
+// campaign starts measuring.
 func Attach(n *netem.Network, sc Scenario, seed int64, rateScale float64) *Censor {
 	if rateScale <= 0 {
 		rateScale = 1
@@ -92,10 +93,7 @@ func Attach(n *netem.Network, sc Scenario, seed int64, rateScale float64) *Censo
 		// matched flows down at its window start, like a censor flushing
 		// state into an access link.
 		if ev.Rule.Block && ev.At > 0 {
-			n.Go(func() {
-				c.clock.SleepUntil(ev.At)
-				c.cut(ev.Rule.Match)
-			})
+			c.clock.EventAt(ev.At, func() { c.cut(ev.Rule.Match) })
 		}
 	}
 	return c
@@ -112,7 +110,8 @@ func (c *Censor) Stats() Stats {
 
 // BindLoad connects the endpoint-weather timeline to a pool controller
 // (the snowflake deployment's SetLoad). The phase active now is applied
-// immediately; future phases are armed on the virtual clock.
+// immediately; each future phase is a clock event at its instant, so fn
+// must never park.
 func (c *Censor) BindLoad(fn func(LoadPhase)) {
 	if fn == nil || len(c.sc.Phases) == 0 {
 		return
@@ -124,10 +123,7 @@ func (c *Censor) BindLoad(fn func(LoadPhase)) {
 			cur = i
 			continue
 		}
-		c.net.Go(func() {
-			c.clock.SleepUntil(ph.At)
-			fn(ph)
-		})
+		c.clock.EventAt(ph.At, func() { fn(ph) })
 	}
 	if cur >= 0 {
 		fn(c.sc.Phases[cur])

@@ -315,6 +315,66 @@ func TestBindLoadPlaysPhases(t *testing.T) {
 	}
 }
 
+// TestCutoversAndPhasesAreClockEvents: Attach and BindLoad arm every
+// Block cutover and every future load phase as a clock event, so no
+// goroutine is registered for them, and each fires at its own instant: a
+// flow the window matches is cut at the window's start and not a
+// nanosecond before, and a phase is applied at its At.
+func TestCutoversAndPhasesAreClockEvents(t *testing.T) {
+	n := netem.New(netem.WithSeed(7))
+	t.Cleanup(n.Clock().Shutdown)
+	clock := n.Clock()
+	a := n.MustAddHost(netem.HostConfig{Name: "a", Location: geo.London})
+	b := n.MustAddHost(netem.HostConfig{Name: "b", Location: geo.Frankfurt})
+	block := Rule{Name: "block", Match: Match{Via: "a", Hosts: []string{"b"}}, Block: true}
+	sc := Scenario{
+		Name: "e1",
+		Events: []Event{
+			{At: 2 * time.Second, Duration: time.Second, Rule: block},
+			{At: 4 * time.Second, Rule: block},
+		},
+		Phases: []LoadPhase{
+			{At: 0, Label: "calm"},
+			{At: 1500 * time.Millisecond, Label: "surge"},
+			{At: 3500 * time.Millisecond, Label: "ebb"},
+		},
+	}
+	before := clock.Registered()
+	c := Attach(n, sc, 7, 1)
+	applied := map[string]time.Duration{}
+	c.BindLoad(func(p LoadPhase) { applied[p.Label] = clock.Now() })
+	if got := clock.Registered(); got != before {
+		t.Fatalf("Attach and BindLoad registered %+d goroutines, want none", got-before)
+	}
+	if _, err := b.Listen(80); err != nil {
+		t.Fatal(err)
+	}
+	for i, at := range []time.Duration{2 * time.Second, 4 * time.Second} {
+		conn, err := a.Dial("b:80")
+		if err != nil {
+			t.Fatalf("dial before cutover %d: %v", i, err)
+		}
+		clock.SleepUntil(at - 1)
+		if conn.(*netem.Conn).Closed() || c.Stats().FlowsCut != i {
+			t.Fatalf("cutover %d: the flow was cut before %v", i, at)
+		}
+		clock.SleepUntil(at)
+		if !conn.(*netem.Conn).Closed() || c.Stats().FlowsCut != i+1 {
+			t.Fatalf("cutover %d: the flow is not cut at %v (stats %+v)", i, at, c.Stats())
+		}
+		clock.SleepUntil(at + 1100*time.Millisecond)
+	}
+	want := map[string]time.Duration{"calm": 0, "surge": 1500 * time.Millisecond, "ebb": 3500 * time.Millisecond}
+	if len(applied) != len(want) {
+		t.Fatalf("phases applied %v, want %v", applied, want)
+	}
+	for label, at := range want {
+		if got, ok := applied[label]; !ok || got != at {
+			t.Errorf("phase %s applied at %v, want %v", label, got, at)
+		}
+	}
+}
+
 func TestSameSeedSameInterference(t *testing.T) {
 	run := func() time.Duration {
 		sc, err := Lookup("lossy-path")

@@ -179,7 +179,7 @@ func RandomScenario(seed int64, b Bounds) Scenario {
 		}
 		switch rng.Intn(5) {
 		case 0:
-			r.RateBps = b.RateBps[0] + rng.Float64()*(b.RateBps[1]-b.RateBps[0])
+			r.RateBps = b.RateBps[0] + float64(rng.Float64()*(b.RateBps[1]-b.RateBps[0]))
 			r.ExtraDelay = dur(b.MaxExtraDelay)
 		case 1:
 			r.Loss = rng.Float64() * b.MaxLoss

@@ -5,16 +5,17 @@
 // manipulating traffic it can see; this one models the network simply
 // breaking, which on the live Tor network is the common case.
 //
-// Determinism: a Plan is compiled onto the virtual clock at Attach time,
-// one parked goroutine per event (netem.Clock.SleepUntil), exactly like
-// the censor's scenario cutovers. Event targets are resolved by name at
-// *fire* time, not attach time, so rigs built lazily after Attach (the
-// testbed's per-deployment bridges) are still hit, and an event naming a
-// target that never appears counts as Skipped instead of failing the
-// world. Every state change an event makes — conn aborts, scheduler
-// drops, directory edits — happens through the same scheduler-aware
-// primitives the rest of the simulation uses, so same-seed runs remain
-// byte-identical and -jobs 1 ≡ -jobs N equivalence survives.
+// Determinism: Attach compiles a Plan onto the virtual clock as one
+// clock event per fault (netem.Clock.EventAt), which arms a second for
+// its recovery half, as the censor arms its Block cutovers and load
+// phases; no goroutine waits for either. Targets resolve by name at
+// *fire* time, so rigs built lazily after Attach (the testbed's
+// per-deployment bridges) are still hit, and an event naming a target
+// that never appears counts as Skipped instead of failing the world.
+// Every state change an event makes — conn aborts, scheduler drops,
+// directory edits — goes through the scheduler-aware primitives the rest
+// of the simulation uses, so same-seed runs remain byte-identical and
+// -jobs 1 ≡ -jobs N equivalence survives.
 package faults
 
 import (
@@ -113,8 +114,8 @@ type Injector struct {
 }
 
 // Attach compiles the plan onto the network's virtual clock and returns
-// the injector. Each event is armed as one parked goroutine; nothing
-// fires before its instant, and a world that ends earlier simply never
+// the injector. Each event is armed as one clock event; nothing fires
+// before its instant, and a world that ends earlier simply never
 // observes it.
 func Attach(n *netem.Network, dir *tor.Directory, plan Plan) *Injector {
 	inj := &Injector{
@@ -125,11 +126,7 @@ func Attach(n *netem.Network, dir *tor.Directory, plan Plan) *Injector {
 		flapped: make(map[string]*netem.Host),
 	}
 	for _, ev := range plan.Events {
-		ev := ev
-		n.Go(func() {
-			inj.clock.SleepUntil(ev.At)
-			inj.fire(ev)
-		})
+		inj.clock.EventAt(ev.At, func() { inj.fire(ev) })
 	}
 	return inj
 }
@@ -140,9 +137,10 @@ func (inj *Injector) RegisterRelay(r *tor.Relay) {
 	inj.relays[r.Descriptor().Name] = r
 }
 
-// fire executes one event at its instant (and its recovery half after
-// Duration, on the same goroutine).
+// fire executes one event at its instant, in a clock event, and arms its
+// recovery half Duration later if it has one.
 func (inj *Injector) fire(ev Event) {
+	var heal func()
 	switch ev.Kind {
 	case KindCrash:
 		r := inj.relays[ev.Target]
@@ -151,8 +149,7 @@ func (inj *Injector) fire(ev Event) {
 			return
 		}
 		inj.stats.Crashes++
-		if ev.Duration > 0 {
-			inj.clock.Sleep(ev.Duration)
+		heal = func() {
 			if r.Restart() == nil {
 				inj.stats.Restarts++
 			} else {
@@ -169,8 +166,7 @@ func (inj *Injector) fire(ev Event) {
 		h.SetLinkDown(true)
 		inj.net.AbortHostConns(ev.Target)
 		inj.stats.FlapsDown++
-		if ev.Duration > 0 {
-			inj.clock.Sleep(ev.Duration)
+		heal = func() {
 			h.SetLinkDown(false)
 			inj.stats.FlapsUp++
 		}
@@ -181,8 +177,7 @@ func (inj *Injector) fire(ev Event) {
 			return
 		}
 		inj.stats.Withdrawn++
-		if ev.Duration > 0 {
-			inj.clock.Sleep(ev.Duration)
+		heal = func() {
 			if inj.dir.Publish(desc) == nil {
 				inj.stats.Rejoined++
 			} else {
@@ -191,6 +186,10 @@ func (inj *Injector) fire(ev Event) {
 		}
 	default:
 		inj.stats.Skipped++
+		return
+	}
+	if ev.Duration > 0 {
+		inj.clock.EventAt(inj.clock.Now()+ev.Duration, heal)
 	}
 }
 

@@ -78,6 +78,50 @@ func TestCrashRestartCycle(t *testing.T) {
 	}
 }
 
+// TestAttachArmsClockEvents: Attach registers no goroutine, and each
+// fault's two halves are clock events that fire at their instants, not a
+// nanosecond before: the crash at At, the restart Duration later, and so
+// for the flap and the churn.
+func TestAttachArmsClockEvents(t *testing.T) {
+	n, dir, _, relays := testWorld(t)
+	clock := n.Clock()
+	before := clock.Registered()
+	inj := Attach(n, dir, Plan{Events: []Event{
+		{Kind: KindCrash, Target: "guard-0", At: 1 * time.Second, Duration: 2 * time.Second},
+		{Kind: KindFlap, Target: "exit-0", At: 1500 * time.Millisecond, Duration: time.Second},
+		{Kind: KindChurn, Target: "exit-0", At: 4 * time.Second, Duration: time.Second},
+	}})
+	if got := clock.Registered(); got != before {
+		t.Fatalf("Attach registered %+d goroutines, want none", got-before)
+	}
+	inj.RegisterRelay(relays["guard-0"])
+	steps := []struct {
+		at   time.Duration
+		name string
+		n    func(Stats) int64
+	}{
+		{1 * time.Second, "crash", func(s Stats) int64 { return s.Crashes }},
+		{1500 * time.Millisecond, "flap down", func(s Stats) int64 { return s.FlapsDown }},
+		{2500 * time.Millisecond, "flap up", func(s Stats) int64 { return s.FlapsUp }},
+		{3 * time.Second, "restart", func(s Stats) int64 { return s.Restarts }},
+		{4 * time.Second, "withdraw", func(s Stats) int64 { return s.Withdrawn }},
+		{5 * time.Second, "rejoin", func(s Stats) int64 { return s.Rejoined }},
+	}
+	for _, st := range steps {
+		clock.SleepUntil(st.at - 1)
+		if got := st.n(inj.Stats()); got != 0 {
+			t.Fatalf("%s: %d before %v", st.name, got, st.at)
+		}
+		clock.SleepUntil(st.at)
+		if got := st.n(inj.Stats()); got != 1 {
+			t.Fatalf("%s: %d at %v, want 1", st.name, got, st.at)
+		}
+	}
+	if s := inj.Stats(); s.Skipped != 0 {
+		t.Fatalf("stats = %+v, want nothing skipped", s)
+	}
+}
+
 func TestPermanentCrashStaysDown(t *testing.T) {
 	n, dir, client, relays := testWorld(t)
 	inj := Attach(n, dir, Plan{Events: []Event{

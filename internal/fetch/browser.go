@@ -176,7 +176,7 @@ func SpeedIndex(events []LoadEvent) time.Duration {
 	var completeness float64
 	var prev time.Duration
 	for _, e := range evs {
-		si += (1 - completeness) * float64(e.At-prev)
+		si += float64((1 - completeness) * float64(e.At-prev))
 		completeness += e.Weight / total
 		prev = e.At
 	}

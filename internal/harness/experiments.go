@@ -583,7 +583,7 @@ func (r *Runner) runFig10() error {
 	t := newTable("period", "users", "proxy-utilization", "mean-proxy-lifetime")
 	base := 20000.0
 	for _, lv := range surgePhases {
-		users := int(base * (1 + 6*lv.Util))
+		users := int(base * (1 + float64(6*lv.Util)))
 		t.add(lv.Label, strconv.Itoa(users), fixed(lv.Util, 2), lv.Lifetime.String())
 	}
 	t.write(r.out)

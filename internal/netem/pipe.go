@@ -253,7 +253,7 @@ func (p *pipe) wakeSink() {
 	}
 	pending := p.segHead < len(p.segs)
 	if p.rclosed || (!pending && p.wclosed) || (pending && p.segs[p.segHead].at <= p.clock.Now()) {
-		p.clock.readyEvent(p.deliverFn)
+		p.clock.ReadyEvent(p.deliverFn)
 		return
 	}
 	p.armSink()

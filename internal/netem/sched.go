@@ -316,7 +316,7 @@ func (c *Clock) dispatch(own *waiter) {
 			if w.fn != nil {
 				fn := w.fn
 				c.release(w)
-				fn() // a readyEvent: see EventAt for the contract
+				fn() // a ReadyEvent: see EventAt for the contract
 				continue
 			}
 		case len(c.timers) > 0:
@@ -488,12 +488,13 @@ func (c *Clock) EventAt(vt time.Duration, fn func()) {
 	c.timers.push(w)
 }
 
-// readyEvent runs fn inline from the run queue, where a goroutine woken
-// now would run: after those already woken, before any timer or event
-// fires. It is what a sink does in place of the reader a Broadcast would
-// have woken (pipe.wakeSink). Like an EventAt callback, fn must never
-// park; on a clock that has shut down it is dropped.
-func (c *Clock) readyEvent(fn func()) {
+// ReadyEvent runs fn inline from the run queue, where a goroutine woken
+// or spawned by Go now would run: after those already woken, before any
+// timer or event fires, in place of a reader a Broadcast would wake
+// (pipe.wakeSink) or of a goroutine that would run once without parking.
+// Like an EventAt callback, fn must never park; on a clock that has shut
+// down it is dropped.
+func (c *Clock) ReadyEvent(fn func()) {
 	if c.closed {
 		return
 	}

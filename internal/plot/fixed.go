@@ -34,8 +34,8 @@ func AppendFixed(dst []byte, x float64, prec int) []byte {
 		return strconv.AppendFloat(dst, x, 'f', prec, 64)
 	}
 	a, p := math.Abs(x), fixedPow10[prec]
-	y := a * p
-	if !(y < 1<<50) { // NaN and ±Inf fail this too
+	y := float64(a * p) // rounded, or arm64 fuses it into y - fl and e counts twice
+	if !(y < 1<<50) {   // NaN and ±Inf fail this too
 		return strconv.AppendFloat(dst, x, 'f', prec, 64)
 	}
 	e := math.FMA(a, p, -y)

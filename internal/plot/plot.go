@@ -214,13 +214,13 @@ func SparkSVG(values []float64, width, height int) string {
 			if hi <= lo {
 				return float64(height) / 2
 			}
-			return pad + (1-(v-lo)/(hi-lo))*(float64(height)-2*pad)
+			return pad + float64((1-(v-lo)/(hi-lo))*(float64(height)-2*pad))
 		}
 		x := func(i int) float64 {
 			if len(values) == 1 {
 				return float64(width) / 2
 			}
-			return pad + float64(i)/float64(len(values)-1)*(float64(width)-2*pad)
+			return pad + float64(float64(i)/float64(len(values)-1)*(float64(width)-2*pad))
 		}
 		b.WriteString(`<polyline fill="none" stroke="#36c" stroke-width="1.5" points="`)
 		var num [32]byte

@@ -187,7 +187,7 @@ type relay struct {
 	// in is the client's conn end, out the upstream one, attached once
 	// it is dialed.
 	in, out    *pt.FrameConn
-	q          []byte        // the query being resolved
+	frame      []byte        // the query being resolved, then its response
 	m          *sessionMeter // the query's session
 	resolvedFn func()        // l.resolved, bound once
 }
@@ -207,7 +207,7 @@ func (l *relay) query(q []byte) {
 		l.stop()
 		return
 	}
-	l.q = append(l.q[:0], q...)
+	l.frame = pt.AppendPrefix16(l.frame[:0], nil, q)
 	l.m = l.r.sessions.Touch(sessionID(q[:sessionLen]))
 	// Recursive resolution work per query.
 	l.r.clock.EventAt(l.r.clock.Now()+resolverDelay, l.resolvedFn)
@@ -225,7 +225,7 @@ func (l *relay) resolved() {
 	case l.out.Conn() == nil:
 		l.r.clock.Go(l.dial)
 	default:
-		l.out.Send(nil, l.q)
+		l.out.Send(l.frame)
 	}
 }
 
@@ -238,14 +238,15 @@ func (l *relay) dial() {
 		return
 	}
 	l.out.Attach(up.(*netem.Conn))
-	l.out.Send(nil, l.q)
+	l.out.Send(l.frame)
 }
 
 // answer relays a query's response to the client and takes the next
 // query.
 func (l *relay) answer(resp []byte) {
 	l.m.bytes += int64(len(resp))
-	l.in.Send(nil, resp)
+	l.frame = pt.AppendPrefix16(l.frame[:0], nil, resp)
+	l.in.Send(l.frame)
 }
 
 // stop ends the pipeline: both conns close, upstream first.
@@ -303,6 +304,7 @@ type answerer struct {
 	in    *pt.FrameConn
 	chunk []byte
 	head  [4]byte
+	frame []byte
 }
 
 // serve starts answering one resolver pipeline.
@@ -330,7 +332,8 @@ func (a *answerer) answer(q []byte) {
 	var rseq uint32
 	a.chunk, rseq = ss.takeDownstream(a.chunk, a.s.cfg.RespCap)
 	binary.BigEndian.PutUint32(a.head[:], rseq)
-	a.in.Send(a.head[:], a.chunk)
+	a.frame = pt.AppendPrefix16(a.frame[:0], a.head[:], a.chunk)
+	a.in.Send(a.frame)
 }
 
 // acceptUpstream reorders query payloads into the upstream byte stream.
@@ -394,7 +397,7 @@ func (d *Dialer) Dial(target string) (net.Conn, error) {
 	}
 	// The first queries go out once the caller parks, so they carry the
 	// target prologue written below.
-	clock.Go(func() {
+	clock.ReadyEvent(func() {
 		for _, c := range conns {
 			p := &poller{t: t, idle: firstIdlePoll}
 			p.in, p.pollFn = pt.NewFrameConn(pt.Prefix16, p.response, p.stop), p.poll
@@ -441,6 +444,7 @@ type poller struct {
 	in     *pt.FrameConn
 	data   []byte
 	head   [sessionLen + 4]byte
+	frame  []byte
 	idle   time.Duration // the next idle back-off
 	pollFn func()        // p.poll, bound once
 }
@@ -455,7 +459,8 @@ func (p *poller) poll() {
 	var qseq uint32
 	p.data, qseq = p.t.takeUpstream(p.data)
 	binary.BigEndian.PutUint32(p.head[sessionLen:], qseq)
-	p.in.Send(p.head[:], p.data)
+	p.frame = pt.AppendPrefix16(p.frame[:0], p.head[:], p.data)
+	p.in.Send(p.frame)
 }
 
 // response delivers a query's response and paces the next query.

@@ -34,8 +34,7 @@ type FrameConn struct {
 	stop     func()
 	buf      []byte // buf[head:] has arrived and is not yet cut
 	head     int
-	end      error  // what ended the stream, once it has arrived
-	wbuf     []byte // the frame last sent
+	end      error // what ended the stream, once it has arrived
 	awaiting bool
 	handing  bool // a frame is with the handler
 	stopped  bool
@@ -114,16 +113,15 @@ func (f *FrameConn) Stop() {
 	}
 }
 
-// Send writes head and data as one Prefix16 frame, without parking, and
-// awaits the next frame; a failed write stops the endpoint. It is for
-// hops that alternate, and its write is never refused: each conn has one
-// writer, each direction at most one frame in flight, and the receiver
-// is a FrameConn, which drains at arrival. A refusal is a broken
-// invariant and panics.
-func (f *FrameConn) Send(head, data []byte) {
-	f.wbuf = AppendPrefix16(f.wbuf[:0], head, data)
-	if ok, err := f.conn.TryWrite(f.wbuf); !ok {
-		panic(fmt.Sprintf("pt: a %d-byte frame to %v did not fit its conn: a second frame in flight, or a second writer", len(f.wbuf), f.conn.RemoteAddr()))
+// Send writes one frame, as its transport built it, without parking,
+// and awaits the next frame; a failed write stops the endpoint. It is
+// for hops that alternate, and its write is never refused: each conn has
+// one writer, each direction at most one frame in flight, and the
+// receiver is a FrameConn, which drains at arrival. A refusal is a
+// broken invariant and panics.
+func (f *FrameConn) Send(frame []byte) {
+	if ok, err := f.conn.TryWrite(frame); !ok {
+		panic(fmt.Sprintf("pt: a %d-byte frame to %v did not fit its conn: a second frame in flight, or a second writer", len(frame), f.conn.RemoteAddr()))
 	} else if err != nil {
 		f.Stop()
 	} else {

@@ -19,11 +19,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"net"
-	"slices"
 	"time"
 
 	"ptperf/internal/netem"
@@ -80,63 +78,35 @@ func (c Config) withDefaults() Config {
 // Poll frame between client and front, and front and bridge:
 //
 //	request:  [8B session][4B len][body]
-//	response: [1B status][4B len][body]      status 0 = OK, 1 = session gone
-const (
-	statusOK   = 0
-	statusGone = 1
-)
+//	response: [1B status][4B len][body]
+//
+// Every hop reads them with a pt.FrameConn and frames them in a buffer it
+// keeps, so no goroutine parks per poll. No writer sends a body over
+// chunk; cutFrame refuses one.
+const statusOK, statusGone = 0, 1
 
-// A tunnel moves thousands of polls, so every loop frames and reads in
-// buffers it keeps: a body read is valid until the next read into the
-// same buffer. No writer sends more than chunk; readers hold them to it.
-
-func writePoll(w io.Writer, buf *[]byte, sid uint64, body []byte) error {
-	b := binary.BigEndian.AppendUint64((*buf)[:0], sid)
-	b = binary.BigEndian.AppendUint32(b, uint32(len(body)))
-	*buf = append(b, body...)
-	_, err := w.Write(*buf)
-	return err
+// appendFrame appends a frame of body under pre, the session or the
+// status.
+func appendFrame(dst, pre, body []byte) []byte {
+	dst = binary.BigEndian.AppendUint32(append(dst, pre...), uint32(len(body)))
+	return append(dst, body...)
 }
 
-// readPoll reads one poll into *buf's array, grown if it is too small.
-func readPoll(r io.Reader, buf *[]byte) (uint64, []byte, error) {
-	head := slices.Grow((*buf)[:0], 12)[:12]
-	if _, err := io.ReadFull(r, head); err != nil {
-		return 0, nil, err
-	}
-	sid := binary.BigEndian.Uint64(head)
-	body, err := readBody(r, buf, binary.BigEndian.Uint32(head[8:]))
-	return sid, body, err
-}
+// cutPoll and cutReply are the pt.FrameCuts; a handler gets the whole frame.
+func cutPoll(b []byte) (body, end int, err error)  { return cutFrame(b, 12) }
+func cutReply(b []byte) (body, end int, err error) { return cutFrame(b, 5) }
 
-func writeReply(w io.Writer, buf *[]byte, status byte, body []byte) error {
-	b := binary.BigEndian.AppendUint32(append((*buf)[:0], status), uint32(len(body)))
-	*buf = append(b, body...)
-	_, err := w.Write(*buf)
-	return err
-}
-
-// readReply reads one reply into *buf's array, grown if it is too small.
-func readReply(r io.Reader, buf *[]byte) (byte, []byte, error) {
-	head := slices.Grow((*buf)[:0], 5)[:5]
-	if _, err := io.ReadFull(r, head); err != nil {
-		return 0, nil, err
+// cutFrame cuts a frame whose head of n bytes ends with the body's length.
+func cutFrame(b []byte, n int) (body, end int, err error) {
+	if len(b) < n {
+		return 0, 0, nil
 	}
-	status := head[0]
-	body, err := readBody(r, buf, binary.BigEndian.Uint32(head[1:]))
-	return status, body, err
-}
-
-// readBody reads the n bytes a header announced over that header.
-func readBody(r io.Reader, buf *[]byte, n uint32) ([]byte, error) {
-	if n > chunk {
-		return nil, errors.New("meek: oversized frame")
+	if size := binary.BigEndian.Uint32(b[n-4:]); size > chunk {
+		return 0, 0, errors.New("meek: oversized frame")
+	} else if end = n + int(size); len(b) < end {
+		return 0, 0, nil
 	}
-	*buf = slices.Grow((*buf)[:0], int(n))[:n]
-	if _, err := io.ReadFull(r, *buf); err != nil {
-		return nil, err
-	}
-	return *buf, nil
+	return 0, end, nil
 }
 
 // Front is the CDN edge: it terminates client TLS and forwards each
@@ -161,45 +131,53 @@ func StartFront(host *netem.Host, port int, _ Config, bridgeAddr string) (*Front
 // Addr returns the front's contact address (what the censor sees).
 func (f *Front) Addr() string { return f.ln.Addr().String() }
 
-// serveConn relays one client's polling connection; the front keeps a
-// matching upstream connection to the bridge.
+// relay is one client's polling connection at the front and its
+// upstream connection to the bridge. A poll goes upstream frontDelay
+// after it arrives, its reply back as it arrives, both verbatim, and the
+// next poll is taken once the reply is out.
+type relay struct {
+	in, out   *pt.FrameConn
+	poll      []byte // the poll being forwarded
+	forwardFn func()
+}
+
+// serveConn dials the bridge, the one step of a front that parks, then
+// relays. A poll that arrives meanwhile waits in the endpoint.
 func (f *Front) serveConn(c net.Conn) {
-	defer c.Close()
 	clock := f.host.Network().Clock()
+	l := &relay{}
+	l.in = pt.NewFrameConn(cutPoll, func(poll []byte) {
+		l.poll = append(l.poll[:0], poll...)
+		clock.EventAt(clock.Now()+frontDelay, l.forwardFn)
+	}, l.stop)
+	l.out = pt.NewFrameConn(cutReply, l.in.Send, l.stop)
+	l.forwardFn = func() { l.out.Send(l.poll) }
+	l.in.Attach(c.(*netem.Conn))
 	up, err := f.host.Dial(f.bridgeAddr)
 	if err != nil {
+		l.in.Stop()
 		return
 	}
-	defer up.Close()
-	var rbuf, wbuf []byte // a poll and its reply share both
-	for {
-		sid, body, err := readPoll(c, &rbuf)
-		if err != nil {
-			return
-		}
-		clock.Sleep(frontDelay)
-		if err := writePoll(up, &wbuf, sid, body); err != nil {
-			return
-		}
-		status, reply, err := readReply(up, &rbuf)
-		if err != nil {
-			return
-		}
-		if err := writeReply(c, &wbuf, status, reply); err != nil {
-			return
-		}
+	l.out.Attach(up.(*netem.Conn))
+	l.in.Await()
+}
+
+// stop closes both conns, upstream first.
+func (l *relay) stop() {
+	if up := l.out.Conn(); up != nil {
+		up.Close()
 	}
+	l.in.Conn().Close()
 }
 
 // Bridge is the meek server co-located with the guard.
 type Bridge struct {
-	cfg  Config
-	host *netem.Host
-	ln   *netem.Listener
+	cfg   Config
+	clock *netem.Clock
+	ln    *netem.Listener
 	// rng draws session budgets.
 	rng      *rand.Rand
 	sessions *pt.Sessions[uint64, *bridgeSession]
-
 	// rateFree is the virtual time the shared rate limiter frees up.
 	rateFree time.Duration
 }
@@ -223,10 +201,10 @@ func StartBridge(host *netem.Host, port int, cfg Config, handle pt.StreamHandler
 	}
 	clock := host.Network().Clock()
 	b := &Bridge{
-		cfg:  cfg.withDefaults(),
-		host: host,
-		ln:   ln,
-		rng:  sim.NewRand(cfg.Seed + 3),
+		cfg:   cfg.withDefaults(),
+		clock: clock,
+		ln:    ln,
+		rng:   sim.NewRand(cfg.Seed + 3),
 	}
 	b.sessions = pt.NewSessions(clock, func(uint64) *bridgeSession {
 		s := &bridgeSession{
@@ -274,56 +252,59 @@ func (b *Bridge) reserveRate(now time.Duration, n int) time.Duration {
 	return wait
 }
 
-// charge books n tunnelled bytes against the session's budget and
-// reports whether that exhausted it.
-func (b *Bridge) charge(s *bridgeSession, n int) (over bool) {
-	s.served += int64(n)
-	return s.served > s.budget
+// answerer is one front connection at the bridge: a poll is answered
+// once the rate limit lets its reply go, and the next poll taken then.
+type answerer struct {
+	b       *Bridge
+	in      *pt.FrameConn
+	down    []byte // the reply's tunnelled bytes
+	reply   []byte
+	replyFn func() // sends reply
 }
 
-// serveFrontConn processes polls arriving from the front.
+// serveFrontConn starts answering the polls arriving from the front.
 func (b *Bridge) serveFrontConn(c net.Conn) {
-	defer c.Close()
-	clock := b.host.Network().Clock()
-	var rbuf, down, wbuf []byte // reused by every poll
-	for {
-		sid, body, err := readPoll(c, &rbuf)
-		if err != nil {
-			return
-		}
-		s := b.sessions.Touch(sid)
-		if s.gone {
-			if err := writeReply(c, &wbuf, statusGone, nil); err != nil {
-				return
-			}
-			continue
-		}
-		if len(body) > 0 {
-			s.Deliver(body)
-		}
-		down = s.Take(down, chunk)
-		if b.charge(s, len(body)+len(down)) {
-			b.cut(s)
-		}
+	a := &answerer{b: b}
+	a.in = pt.NewFrameConn(cutPoll, a.poll, func() { c.Close() })
+	a.replyFn = func() { a.in.Send(a.reply) }
+	a.in.Attach(c.(*netem.Conn))
+	a.in.Await()
+}
 
-		// Maintainer's rate limit applies to tunnelled bytes.
-		if wait := b.reserveRate(clock.Now(), len(down)); wait > 0 {
-			clock.Sleep(wait)
-		}
-		// The chunk that crossed the budget still ships; the session is
-		// gone from the next poll on.
-		if err := writeReply(c, &wbuf, statusOK, down); err != nil {
-			return
-		}
+// poll feeds a poll's body into its session and frames the reply, which
+// carries what the session's stream has queued.
+func (a *answerer) poll(poll []byte) {
+	b := a.b
+	s := b.sessions.Touch(binary.BigEndian.Uint64(poll))
+	if s.gone {
+		a.reply = appendFrame(a.reply[:0], []byte{statusGone}, nil)
+		a.replyFn()
+		return
 	}
+	body := poll[12:]
+	if len(body) > 0 {
+		s.Deliver(body)
+	}
+	a.down = s.Take(a.down, chunk)
+	// The chunk that crosses the budget still ships; the session is gone
+	// from the next poll on.
+	if s.served += int64(len(body) + len(a.down)); s.served > s.budget {
+		b.cut(s)
+	}
+	a.reply = appendFrame(a.reply[:0], []byte{statusOK}, a.down)
+	// Maintainer's rate limit applies to tunnelled bytes.
+	if wait := b.reserveRate(b.clock.Now(), len(a.down)); wait > 0 {
+		b.clock.EventAt(b.clock.Now()+wait, a.replyFn)
+		return
+	}
+	a.replyFn()
 }
 
 // Dialer is the meek client.
 type Dialer struct {
 	host      *netem.Host
 	frontAddr string
-
-	next uint64
+	next      uint64
 }
 
 // NewDialer returns a meek client that polls through the front.
@@ -334,20 +315,22 @@ func NewDialer(host *netem.Host, frontAddr string, cfg Config) *Dialer {
 // Dial implements pt.Dialer.
 func (d *Dialer) Dial(target string) (net.Conn, error) {
 	d.next++
-	sid := d.next
-
+	clock := d.host.Network().Clock()
+	t := &pollConn{
+		Stream:   pt.NewStream(clock, "meek", "meek-client", "meek-tunnel", maxQueue),
+		clock:    clock,
+		interval: minPoll,
+	}
+	binary.BigEndian.PutUint64(t.sid[:], d.next) // before Dial parks and another Dial runs
 	conn, err := d.host.Dial(d.frontAddr)
 	if err != nil {
 		return nil, fmt.Errorf("meek: front unreachable: %w", err)
 	}
-	clock := d.host.Network().Clock()
-	t := &pollConn{
-		Stream: pt.NewStream(clock, "meek", "meek-client", "meek-tunnel", maxQueue),
-		clock:  clock,
-		sid:    sid,
-		conn:   conn,
-	}
-	clock.Go(t.pollLoop)
+	t.in, t.pollFn = pt.NewFrameConn(cutReply, t.reply, t.stop), t.send
+	t.in.Attach(conn.(*netem.Conn))
+	// The first poll goes out once the caller parks, so it carries the
+	// target prologue written below.
+	clock.ReadyEvent(t.pollFn)
 	if err := pt.WriteTarget(t, target); err != nil {
 		t.Close()
 		return nil, err
@@ -355,37 +338,53 @@ func (d *Dialer) Dial(target string) (net.Conn, error) {
 	return t, nil
 }
 
-// pollConn is the client-side tunnel endpoint.
+// pollConn is the client-side tunnel endpoint and its polling cycle: a
+// poll, with data or empty, goes out, its reply is delivered when it
+// arrives, and the next poll follows at once, or after an idle back-off.
 type pollConn struct {
 	*pt.Stream
-	clock *netem.Clock
-	sid   uint64
-	conn  net.Conn
+	clock    *netem.Clock
+	sid      [8]byte
+	in       *pt.FrameConn
+	body     []byte // the poll's tunnelled bytes
+	poll     []byte
+	interval time.Duration // the next idle back-off
+	pollFn   func()        // t.send, bound once
 }
 
-// pollLoop runs the HTTP polling cycle.
-func (t *pollConn) pollLoop() {
-	defer t.conn.Close()
-	defer t.Fail()
-	interval := minPoll
-	var body, rbuf, wbuf []byte // reused by every poll
-	for !t.Closed() {
-		body = t.Take(body, chunk)
-		if err := writePoll(t.conn, &wbuf, t.sid, body); err != nil {
-			return
-		}
-		status, reply, err := readReply(t.conn, &rbuf)
-		if err != nil || status == statusGone {
-			return
-		}
-		if len(reply) > 0 {
-			t.Deliver(reply)
-		}
-		if len(body) == 0 && len(reply) == 0 {
-			t.clock.Sleep(interval)
-			interval = min(interval*3/2, maxPoll)
-		} else {
-			interval = minPoll
-		}
+// send sends the next poll and awaits its reply, or ends the cycle once
+// the tunnel has closed.
+func (t *pollConn) send() {
+	if t.Closed() {
+		t.in.Stop()
+		return
 	}
+	t.body = t.Take(t.body, chunk)
+	t.poll = appendFrame(t.poll[:0], t.sid[:], t.body)
+	t.in.Send(t.poll)
+}
+
+// reply delivers a poll's reply and paces the next poll.
+func (t *pollConn) reply(reply []byte) {
+	if reply[0] == statusGone {
+		t.in.Stop()
+		return
+	}
+	body := reply[5:]
+	if len(body) > 0 {
+		t.Deliver(body)
+	}
+	if len(t.body) == 0 && len(body) == 0 {
+		t.clock.EventAt(t.clock.Now()+t.interval, t.pollFn)
+		t.interval = min(t.interval*3/2, maxPoll)
+		return
+	}
+	t.interval = minPoll
+	t.send()
+}
+
+// stop ends the cycle, and with it the tunnel.
+func (t *pollConn) stop() {
+	t.Fail()
+	t.in.Conn().Close()
 }

@@ -2,6 +2,7 @@ package meek
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -9,15 +10,12 @@ import (
 
 func TestPollFrameRoundTrip(t *testing.T) {
 	f := func(sid uint64, body []byte) bool {
-		var buf bytes.Buffer
-		if err := writePoll(&buf, new([]byte), sid, body); err != nil {
+		frame := appendFrame(nil, binary.BigEndian.AppendUint64(nil, sid), body)
+		if _, end, err := cutPoll(frame); err != nil || end != len(frame) {
 			return false
 		}
-		gotSid, gotBody, err := readPoll(&buf, new([]byte))
-		if err != nil {
-			return false
-		}
-		return gotSid == sid && bytes.Equal(gotBody, body)
+		gotSid, gotBody, err := readPoll(bytes.NewReader(frame), new([]byte))
+		return err == nil && gotSid == sid && bytes.Equal(gotBody, body)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -26,15 +24,12 @@ func TestPollFrameRoundTrip(t *testing.T) {
 
 func TestReplyFrameRoundTrip(t *testing.T) {
 	f := func(status byte, body []byte) bool {
-		var buf bytes.Buffer
-		if err := writeReply(&buf, new([]byte), status, body); err != nil {
+		frame := appendFrame(nil, []byte{status}, body)
+		if _, end, err := cutReply(frame); err != nil || end != len(frame) {
 			return false
 		}
-		gotStatus, gotBody, err := readReply(&buf, new([]byte))
-		if err != nil {
-			return false
-		}
-		return gotStatus == status && bytes.Equal(gotBody, body)
+		gotStatus, gotBody, err := readReply(bytes.NewReader(frame), new([]byte))
+		return err == nil && gotStatus == status && bytes.Equal(gotBody, body)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -42,11 +37,12 @@ func TestReplyFrameRoundTrip(t *testing.T) {
 }
 
 func TestReadPollRejectsOversized(t *testing.T) {
-	var buf bytes.Buffer
-	buf.Write([]byte{0, 0, 0, 0, 0, 0, 0, 1}) // sid
-	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF}) // absurd length
-	if _, _, err := readPoll(&buf, new([]byte)); err == nil {
+	frame := []byte{0, 0, 0, 0, 0, 0, 0, 1, 0xFF, 0xFF, 0xFF, 0xFF} // sid, absurd length
+	if _, _, err := readPoll(bytes.NewReader(frame), new([]byte)); err == nil {
 		t.Fatal("oversized poll must be rejected")
+	}
+	if _, _, err := cutPoll(frame); err == nil {
+		t.Fatal("oversized poll must not be cut")
 	}
 }
 

@@ -41,25 +41,24 @@ func TestSealMatchesAllocatingSeal(t *testing.T) {
 		pt.RandFill(sizes, b)
 		sid, status := sizes.Uint64(), byte(sizes.Intn(2))
 
-		var got, want bytes.Buffer
-		writePoll(&got, &wbuf, sid, b)
+		var want bytes.Buffer
+		wbuf = appendFrame(wbuf[:0], binary.BigEndian.AppendUint64(nil, sid), b)
 		writePollAlloc(&want, sid, b)
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		if !bytes.Equal(wbuf, want.Bytes()) {
 			t.Fatalf("poll %d of %d bytes: the frames differ", i, len(b))
 		}
-		rsid, rbody, err := readPoll(&got, &rbuf)
+		rsid, rbody, err := readPoll(bytes.NewReader(wbuf), &rbuf)
 		if err != nil || rsid != sid || !bytes.Equal(rbody, b) {
 			t.Fatalf("poll %d does not read back: %v", i, err)
 		}
 
-		got.Reset()
 		want.Reset()
-		writeReply(&got, &wbuf, status, b)
+		wbuf = appendFrame(wbuf[:0], []byte{status}, b)
 		writeReplyAlloc(&want, status, b)
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		if !bytes.Equal(wbuf, want.Bytes()) {
 			t.Fatalf("reply %d of %d bytes: the frames differ", i, len(b))
 		}
-		rstatus, rbody, err := readReply(&got, &rbuf)
+		rstatus, rbody, err := readReply(bytes.NewReader(wbuf), &rbuf)
 		if err != nil || rstatus != status || !bytes.Equal(rbody, b) {
 			t.Fatalf("reply %d does not read back: %v", i, err)
 		}

@@ -128,8 +128,10 @@ func Deploy(brokerHost *netem.Host, brokerPort int, cfg Config) (*Deployment, er
 // in reality).
 func (d *Deployment) BrokerAddr() string { return d.brokerLn.Addr().String() }
 
-// SetLoad adjusts the pool to a new load scenario at runtime: higher
-// utilization and shorter lifetimes for every current and future proxy.
+// SetLoad adjusts the pool to a new load scenario at runtime. The
+// utilization applies to every current and future proxy at once; a
+// proxy's lifetime is drawn when it spawns, so the new lifetime reaches
+// only proxies spawned after the call.
 func (d *Deployment) SetLoad(utilization float64, lifetime time.Duration) {
 	d.cfg.ProxyUtilization = utilization
 	d.cfg.ProxyLifetime = lifetime
@@ -171,12 +173,10 @@ func (d *Deployment) spawnProxy() error {
 	d.proxies = append(d.proxies, p)
 	pt.Serve(d.net.Clock(), ln, p.serveFlow)
 	if lifetime > 0 {
-		d.net.Go(func() {
-			d.net.Clock().Sleep(lifetime)
+		d.net.Clock().EventAt(d.net.Now()+lifetime, func() {
 			p.kill()
 			// A replacement volunteer appears after a gap.
-			d.net.Clock().Sleep(time.Duration(2+id%3) * time.Second)
-			d.spawnProxy()
+			d.net.Clock().EventAt(d.net.Now()+time.Duration(2+id%3)*time.Second, func() { d.spawnProxy() })
 		})
 	}
 	return nil
@@ -190,7 +190,7 @@ func proxyLocation(id int) geo.Location {
 // serveFlow splices one accepted flow to the bridge address it
 // announces.
 func (p *proxy) serveFlow(c net.Conn) {
-	bridgeAddr, err := readHello(c)
+	bridgeAddr, err := readString(c) // the client's hello
 	if err != nil {
 		c.Close()
 		return
@@ -235,27 +235,32 @@ func (p *proxy) kill() {
 	}
 }
 
-// serveRendezvous answers one rendezvous request with a proxy address.
+// serveRendezvous answers one rendezvous request, a byte, with a proxy
+// address MatchDelay after it arrives, and closes the conn.
 func (d *Deployment) serveRendezvous(c net.Conn) {
-	defer c.Close()
-	var req [1]byte
-	if _, err := io.ReadFull(c, req[:]); err != nil {
-		return
-	}
-	// Matching takes time; under load the queue is longer.
-	d.net.Clock().Sleep(d.cfg.MatchDelay)
-	var addr string
-	if len(d.proxies) > 0 {
-		addr = d.proxies[d.rng.Intn(len(d.proxies))].addr
-	}
-	writeString(c, addr)
+	var in *pt.FrameConn
+	in = pt.NewFrameConn(cutRequest, func([]byte) {
+		// Matching takes time; under load the queue is longer.
+		d.net.Clock().EventAt(d.net.Now()+d.cfg.MatchDelay, func() {
+			var addr string
+			if len(d.proxies) > 0 {
+				addr = d.proxies[d.rng.Intn(len(d.proxies))].addr
+			}
+			in.Send(pt.AppendPrefix16(nil, nil, []byte(addr)))
+			in.Stop()
+		})
+	}, func() { c.Close() })
+	in.Attach(c.(*netem.Conn))
+	in.Await()
 }
 
+// cutRequest cuts a rendezvous request (a pt.FrameCut).
+func cutRequest(b []byte) (body, end int, err error) { return 0, min(len(b), 1), nil }
+
+// writeString writes s as a pt.Prefix16 frame: a client's hello, which
+// names the bridge to its proxy (the broker answers in the same frame).
 func writeString(w io.Writer, s string) error {
-	buf := make([]byte, 2+len(s))
-	binary.BigEndian.PutUint16(buf, uint16(len(s)))
-	copy(buf[2:], s)
-	_, err := w.Write(buf)
+	_, err := w.Write(pt.AppendPrefix16(nil, nil, []byte(s)))
 	return err
 }
 
@@ -270,10 +275,6 @@ func readString(r io.Reader) (string, error) {
 	}
 	return string(buf), nil
 }
-
-// hello carries the bridge address from client to proxy.
-func writeHello(w io.Writer, bridgeAddr string) error { return writeString(w, bridgeAddr) }
-func readHello(r io.Reader) (string, error)           { return readString(r) }
 
 // Dialer is the snowflake client.
 type Dialer struct {
@@ -311,7 +312,7 @@ func (d *Dialer) Dial(target string) (net.Conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("snowflake: volunteer gone: %w", err)
 	}
-	if err := writeHello(conn, d.bridgeAddr); err != nil {
+	if err := writeString(conn, d.bridgeAddr); err != nil { // the hello
 		conn.Close()
 		return nil, err
 	}

@@ -157,7 +157,7 @@ func Generate(root, index int64) Spec {
 	// Random topology knobs.
 	s.Sites = 1 + rng.Intn(2)
 	s.Repeats = 1 + rng.Intn(2)
-	s.ByteScale = 0.04 + rng.Float64()*0.04
+	s.ByteScale = 0.04 + float64(rng.Float64()*0.04)
 	s.Location = geo.Clients[rng.Intn(len(geo.Clients))]
 	if rng.Intn(4) == 0 {
 		s.Medium = geo.Wireless

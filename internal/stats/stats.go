@@ -34,7 +34,7 @@ func Variance(xs []float64) float64 {
 	var s float64
 	for _, x := range xs {
 		d := x - m
-		s += d * d
+		s += float64(d * d)
 	}
 	return s / float64(n-1)
 }
@@ -66,14 +66,14 @@ func quantileSorted(s []float64, q float64) float64 {
 	if q >= 1 {
 		return s[len(s)-1]
 	}
-	pos := q * float64(len(s)-1)
+	pos := float64(q * float64(len(s)-1))
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
 		return s[lo]
 	}
 	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
+	return float64(s[lo]*(1-frac)) + float64(s[hi]*frac)
 }
 
 // Box is a five-number summary plus mean and SD, the contents of one box
@@ -195,8 +195,8 @@ func PairedT(x, y []float64) (TTestResult, error) {
 	res.T = mean / se
 	res.P = 2 * (1 - TCDF(math.Abs(res.T), float64(df)))
 	tcrit := tCrit975(df)
-	res.CILower = mean - tcrit*se
-	res.CIUpper = mean + tcrit*se
+	res.CILower = mean - float64(tcrit*se)
+	res.CIUpper = mean + float64(tcrit*se)
 	return res, nil
 }
 
@@ -231,10 +231,10 @@ func TCDF(t, nu float64) float64 {
 	if math.IsInf(t, -1) {
 		return 0
 	}
-	x := nu / (nu + t*t)
+	x := nu / (nu + float64(t*t))
 	ib := RegIncBeta(nu/2, 0.5, x)
 	if t >= 0 {
-		return 1 - 0.5*ib
+		return 1 - float64(0.5*ib)
 	}
 	return 0.5 * ib
 }
@@ -276,7 +276,7 @@ func RegIncBeta(a, b, x float64) float64 {
 	lbeta, _ := math.Lgamma(a + b)
 	la, _ := math.Lgamma(a)
 	lb, _ := math.Lgamma(b)
-	front := math.Exp(lbeta - la - lb + a*math.Log(x) + b*math.Log(1-x))
+	front := math.Exp(lbeta - la - lb + float64(a*math.Log(x)) + float64(b*math.Log(1-x)))
 	if x < (a+1)/(a+b+2) {
 		return front * betaCF(a, b, x) / a
 	}
@@ -301,7 +301,7 @@ func betaCF(a, b, x float64) float64 {
 	for m := 1; m <= maxIter; m++ {
 		m2 := float64(2 * m)
 		aa := float64(m) * (b - float64(m)) * x / ((qam + m2) * (a + m2))
-		d = 1 + aa*d
+		d = 1 + float64(aa*d)
 		if math.Abs(d) < fpmin {
 			d = fpmin
 		}
@@ -312,7 +312,7 @@ func betaCF(a, b, x float64) float64 {
 		d = 1 / d
 		h *= d * c
 		aa = -(a + float64(m)) * (qab + float64(m)) * x / ((a + m2) * (qap + m2))
-		d = 1 + aa*d
+		d = 1 + float64(aa*d)
 		if math.Abs(d) < fpmin {
 			d = fpmin
 		}
@@ -321,7 +321,7 @@ func betaCF(a, b, x float64) float64 {
 			c = fpmin
 		}
 		d = 1 / d
-		del := d * c
+		del := float64(d * c)
 		h *= del
 		if math.Abs(del-1) < eps {
 			break

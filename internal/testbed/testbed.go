@@ -331,7 +331,7 @@ func (w *World) uniform(lo, hi float64) float64 {
 	if hi <= lo {
 		return lo
 	}
-	return lo + w.rng.Float64()*(hi-lo)
+	return lo + float64(w.rng.Float64()*(hi-lo))
 }
 
 // Bytes scales a full-fidelity byte quantity by the world's ByteScale.

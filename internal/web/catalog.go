@@ -99,10 +99,10 @@ func GenerateCatalog(list List, n int, seed int64, byteScale float64) *Catalog {
 		weights := make([]float64, nres+1)
 		var wsum float64
 		for k := range weights {
-			weights[k] = 0.2 + rng.Float64()
+			weights[k] = 0.2 + float64(rng.Float64())
 			wsum += weights[k]
 		}
-		site.BaseVisualWeight = weights[0] / wsum * 1.5 // the document skeleton matters more
+		site.BaseVisualWeight = float64(weights[0] / wsum * 1.5) // the document skeleton matters more
 		rest := 1 - site.BaseVisualWeight
 		var restSum float64
 		for k := 1; k < len(weights); k++ {

@@ -18,8 +18,8 @@ import (
 // finds those paths at compile time.
 //
 // Roots (the event-callback entry points):
-//   - the callback argument of (netem.Clock).EventAt and of the
-//     package-internal (netem.Clock).readyEvent — including callbacks
+//   - the callback argument of (netem.Clock).EventAt and of
+//     (netem.Clock).ReadyEvent — including callbacks
 //     stored in struct fields first (p.sinkFn, s.flushFn): every
 //     function ever assigned to such a field in the package is treated
 //     as a root;
@@ -141,7 +141,7 @@ func contextSwitchArg(f *types.Func) int {
 		return 0
 	case isMethodOf(f, "netem", "Clock", "EventAt"):
 		return 1
-	case isMethodOf(f, "netem", "Clock", "readyEvent"):
+	case isMethodOf(f, "netem", "Clock", "ReadyEvent"):
 		return 0
 	case isMethodOf(f, "netem", "Conn", "SetReadSink"):
 		return 0
@@ -252,8 +252,8 @@ func (a *noParkAnalysis) collectRoots() []root {
 			switch {
 			case isMethodOf(fn, "netem", "Clock", "EventAt"):
 				idxs, kind = []int{1}, "Clock.EventAt arm"
-			case isMethodOf(fn, "netem", "Clock", "readyEvent"):
-				idxs, kind = []int{0}, "Clock.readyEvent arm"
+			case isMethodOf(fn, "netem", "Clock", "ReadyEvent"):
+				idxs, kind = []int{0}, "Clock.ReadyEvent arm"
 			case isMethodOf(fn, "netem", "Conn", "SetReadSink"):
 				idxs, kind = []int{0}, "Conn.SetReadSink sink"
 			case isMethodOf(fn, "netem", "Conn", "SetLoopSink"):
