@@ -92,19 +92,26 @@ func (c Config) withDefaults() Config {
 //
 //	[2B total len][1B to-len][to][8B seq][payload]
 //
-// built in, or read into, *buf's array, which the calling loop keeps: a
-// payload read is valid until the next read into the same buffer.
-func writeMessage(w io.Writer, buf *[]byte, to string, seq uint64, payload []byte) error {
+// appended to a buffer, or read into *buf's array, that the calling loop
+// keeps: a payload read is valid until the next read into the same
+// buffer.
+func appendMessage(dst []byte, to string, seq uint64, payload []byte) ([]byte, error) {
 	if len(to) > 255 {
-		return errors.New("camoufler: account name too long")
+		return dst, errors.New("camoufler: account name too long")
 	}
 	n := 1 + len(to) + 8 + len(payload)
 	if n > math.MaxUint16 {
-		return errors.New("camoufler: message too long for its length field")
+		return dst, errors.New("camoufler: message too long for its length field")
 	}
-	b := append(binary.BigEndian.AppendUint16((*buf)[:0], uint16(n)), byte(len(to)))
-	*buf = append(binary.BigEndian.AppendUint64(append(b, to...), seq), payload...)
-	_, err := w.Write(*buf)
+	dst = append(binary.BigEndian.AppendUint16(dst, uint16(n)), byte(len(to)))
+	return append(binary.BigEndian.AppendUint64(append(dst, to...), seq), payload...), nil
+}
+
+// writeMessage writes one message, built in *buf's array.
+func writeMessage(w io.Writer, buf *[]byte, to string, seq uint64, payload []byte) (err error) {
+	if *buf, err = appendMessage((*buf)[:0], to, seq, payload); err == nil {
+		_, err = w.Write(*buf)
+	}
 	return err
 }
 
@@ -138,22 +145,28 @@ func parseMessage(b []byte) (to []byte, seq uint64, payload []byte, err error) {
 // IMServer is the instant-messaging provider: accounts connect, send
 // rate-limited messages, and receive messages addressed to them.
 type IMServer struct {
-	cfg Config
-	ln  *netem.Listener
-	net *netem.Network
+	cfg   Config
+	ln    *netem.Listener
+	clock *netem.Clock
+	slot  time.Duration // one message's share of an account's rate limit
 
 	accounts map[string]*account
 	rng      *rand.Rand
 }
 
 type account struct {
-	conn net.Conn
+	s    *IMServer
+	conn *netem.Conn
 	// sendFree enforces the per-account API rate limit (virtual time
 	// at which the account may send its next message).
 	sendFree time.Duration
-	// deliver is the inbound queue: messages wait out the provider's
-	// delivery latency here, pipelined but FIFO.
-	deliver *netem.Chan[delivery]
+	// inbox[inHead:] is the inbound queue: messages wait out the
+	// provider's delivery latency here, pipelined but FIFO, and leave
+	// from a chain of clock events (deliver) while it is not empty.
+	inbox     []delivery
+	inHead    int
+	deliverFn func() // a.deliver, bound once
+	wbuf      []byte
 	// contacts are accounts this one exchanged messages with; they get
 	// an unavailable-presence notification when it disconnects.
 	contacts map[string]bool
@@ -180,6 +193,55 @@ func (d delivery) done() {
 	}
 }
 
+// queue adds d to the account's inbox, whose first message arms the
+// delivery chain; a full inbox drops it.
+func (a *account) queue(d delivery) {
+	n := len(a.inbox) - a.inHead
+	if n >= 512 {
+		d.done()
+		return
+	}
+	a.inbox, a.inHead = netem.Compact(a.inbox, a.inHead, 1)
+	if a.inbox = append(a.inbox, d); n == 0 {
+		a.s.clock.EventAt(d.at, a.deliverFn)
+	}
+}
+
+// deliver is the delivery chain: it writes the inbox's head and each
+// next one already due, and arms the first that is not. It stops at the
+// stop sentinel, and a failed write leaves one in its place. A refused
+// write is offered again one rate slot later (DESIGN.md "Inline event
+// execution").
+func (a *account) deliver() {
+	clock := a.s.clock
+	for a.inHead < len(a.inbox) {
+		d := a.inbox[a.inHead]
+		if d.stop {
+			return
+		}
+		if d.at > clock.Now() {
+			clock.EventAt(d.at, a.deliverFn)
+			return
+		}
+		ok := true
+		b, err := appendMessage(a.wbuf[:0], d.from, d.seq, d.payload)
+		if a.wbuf = b; err == nil {
+			ok, err = a.conn.TryWrite(b)
+		}
+		if !ok {
+			clock.EventAt(clock.Now()+a.s.slot, a.deliverFn)
+			return
+		}
+		d.done()
+		if err != nil {
+			a.inbox[a.inHead] = delivery{stop: true}
+			return
+		}
+		a.inbox[a.inHead] = delivery{}
+		a.inHead++
+	}
+}
+
 // presenceGoneSeq marks an unavailable-presence notification from the
 // provider. Data messages use seq ≥ 1 and the login frame seq 0, so the
 // value can never collide with a tunnel sequence number.
@@ -194,10 +256,11 @@ func StartIMServer(host *netem.Host, port int, cfg Config) (*IMServer, error) {
 	s := &IMServer{
 		cfg:      cfg.withDefaults(),
 		ln:       ln,
-		net:      host.Network(),
+		clock:    host.Network().Clock(),
 		accounts: make(map[string]*account),
 		rng:      sim.NewRand(cfg.Seed + 2),
 	}
+	s.slot = time.Duration(float64(time.Second) / s.cfg.RatePerSec)
 	pt.Serve(host.Network().Clock(), ln, s.serveConn)
 	return s, nil
 }
@@ -215,24 +278,9 @@ func (s *IMServer) serveConn(c net.Conn) {
 		return
 	}
 	name := string(login)
-	clock := s.net.Clock()
-	acct := &account{conn: c, deliver: netem.NewChan[delivery](clock, 512), contacts: make(map[string]bool)}
-	clock.Go(func() {
-		// Pipelined FIFO delivery: each message waits out its due time.
-		var wbuf []byte
-		for {
-			d, ok := acct.deliver.Recv()
-			if !ok || d.stop {
-				return
-			}
-			clock.SleepUntil(d.at)
-			err := writeMessage(acct.conn, &wbuf, d.from, d.seq, d.payload)
-			d.done()
-			if err != nil {
-				return
-			}
-		}
-	})
+	clock := s.clock
+	acct := &account{s: s, conn: c.(*netem.Conn), contacts: make(map[string]bool)}
+	acct.deliverFn = acct.deliver
 	s.accounts[name] = acct
 	defer func() {
 		if s.accounts[name] == acct {
@@ -249,16 +297,15 @@ func (s *IMServer) serveConn(c net.Conn) {
 		gone := delivery{from: name, seq: presenceGoneSeq, at: clock.Now() + s.cfg.DeliveryDelay}
 		for _, peer := range contacts {
 			if dst := s.accounts[peer]; dst != nil {
-				dst.deliver.TrySend(gone)
+				dst.queue(gone)
 			}
 		}
-		// Stop the delivery goroutine; late producers' TrySends fall
-		// into the buffer or are dropped.
-		acct.deliver.TrySend(delivery{stop: true})
+		// Stop the delivery chain; late producers' messages fall into the
+		// inbox or are dropped.
+		acct.queue(delivery{stop: true})
 		c.Close()
 	}()
 
-	perMsg := time.Duration(float64(time.Second) / s.cfg.RatePerSec)
 	var to string
 	for {
 		addr, seq, payload, err := readMessage(c, &rbuf)
@@ -274,7 +321,7 @@ func (s *IMServer) serveConn(c net.Conn) {
 			acct.sendFree = now
 		}
 		wait := acct.sendFree - now
-		acct.sendFree += perMsg
+		acct.sendFree += s.slot
 		dropped := s.cfg.LossProb > 0 && s.rng.Float64() < s.cfg.LossProb
 		dst := s.accounts[to]
 		if dst != nil {
@@ -294,10 +341,8 @@ func (s *IMServer) serveConn(c net.Conn) {
 			spare, acct.spare = acct.spare[n-1], acct.spare[:n-1]
 		}
 		d.payload = append(spare[:0], payload...)
-		// Queue overflow behaves like a dropped message.
-		if !dst.deliver.TrySend(d) {
-			d.done()
-		}
+		// Inbox overflow behaves like a dropped message.
+		dst.queue(d)
 	}
 }
 

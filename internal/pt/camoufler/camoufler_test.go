@@ -3,8 +3,10 @@ package camoufler
 import (
 	"bytes"
 	"io"
+	"net"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"ptperf/internal/netem"
 )
@@ -139,5 +141,51 @@ func TestIMConnEndsWhenPeerLogsOff(t *testing.T) {
 				t.Fatalf("read %q, %v; want %q", got, err, want)
 			}
 		})
+	}
+}
+
+// TestRefusedDeliveryWaitsForTheWindow: the provider's delivery chain
+// keeps a message the account's full receive window refuses and offers
+// it again, and once the account reads, every message arrives once and
+// in order.
+func TestRefusedDeliveryWaitsForTheWindow(t *testing.T) {
+	n := netem.New()
+	t.Cleanup(n.Clock().Shutdown)
+	clock := n.Clock()
+	h := n.MustAddHost(netem.HostConfig{Name: "im"})
+	s, err := StartIMServer(h, 5222, Config{RatePerSec: 1000, DeliveryDelay: 10 * time.Millisecond, LossProb: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	login := func(name string) net.Conn {
+		c, err := h.Dial(s.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := writeMessage(c, new([]byte), name, 0, nil); err != nil {
+			t.Fatal(err)
+		}
+		clock.Sleep(100 * time.Millisecond)
+		return c
+	}
+	to, from := login("to"), login("from")
+	const msgs, size = 40, 30000
+	payload := func(seq int) []byte { return bytes.Repeat([]byte{byte(seq)}, size) }
+	n.Go(func() {
+		var wbuf []byte
+		for seq := 1; seq <= msgs; seq++ {
+			writeMessage(from, &wbuf, "to", uint64(seq), payload(seq))
+		}
+	})
+	clock.Sleep(time.Second)
+	if left := s.accounts["to"].conn.WriteBudget(); left >= size {
+		t.Fatalf("%d bytes of the account's window left after 1 s: it never filled", left)
+	}
+	var rbuf []byte
+	for seq := 1; seq <= msgs; seq++ {
+		sender, got, body, err := readMessage(to, &rbuf)
+		if err != nil || string(sender) != "from" || got != uint64(seq) || !bytes.Equal(body, payload(seq)) {
+			t.Fatalf("message %d: from %q, seq %d, %d bytes, %v", seq, sender, got, len(body), err)
+		}
 	}
 }

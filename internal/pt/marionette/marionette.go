@@ -18,7 +18,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
+	"math"
 	"math/rand"
 	"net"
 	"time"
@@ -81,6 +81,11 @@ func (m *Model) Validate() error {
 			}
 			if _, ok := m.States[t.To]; !ok && t.To != m.Data {
 				return fmt.Errorf("marionette: state %q targets undefined %q", state, t.To)
+			}
+			// A frame's two lengths are 16 bits, and a payload of finLen
+			// bytes would read as the FIN.
+			if len(t.Act.Cover) > math.MaxUint16 || t.Act.Capacity >= finLen {
+				return fmt.Errorf("marionette: state %q has a cover or capacity its frame cannot carry", state)
 			}
 			sum += t.Weight
 		}
@@ -190,25 +195,15 @@ func FTPForScale(byteScale float64) *Model {
 const finLen = 0xffff
 
 // Frame on the wire: [2B cover len][cover][2B payload len][payload].
-// writeFrame sends one in one Write, building it in *buf's array: the
-// automaton walk emits thousands per conn.
-func writeFrame(w io.Writer, buf *[]byte, cover string, payload []byte) error {
-	b := binary.BigEndian.AppendUint16((*buf)[:0], uint16(len(cover)))
-	b = binary.BigEndian.AppendUint16(append(b, cover...), uint16(len(payload)))
-	*buf = append(b, payload...)
-	_, err := w.Write(*buf)
-	return err
-}
-
-// writeFin emits the end-of-stream frame.
-func writeFin(w io.Writer) error {
-	cover := "QUIT\r\n"
-	buf := make([]byte, 2+len(cover)+2)
-	binary.BigEndian.PutUint16(buf, uint16(len(cover)))
-	copy(buf[2:], cover)
-	binary.BigEndian.PutUint16(buf[2+len(cover):], finLen)
-	_, err := w.Write(buf)
-	return err
+// appendFrame appends one to dst; the FIN frame carries finLen as its
+// payload length, and no payload.
+func appendFrame(dst []byte, cover string, payload []byte, fin bool) []byte {
+	n := uint16(len(payload))
+	if fin {
+		n = finLen
+	}
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(cover)))
+	return append(binary.BigEndian.AppendUint16(append(dst, cover...), n), payload...)
 }
 
 // cutFrame finds the frame at the head of b (a pt.FrameCut); a FIN
@@ -241,40 +236,60 @@ func parseFrame(b []byte) (cover, payload []byte, fin bool) {
 // maxQueue bounds the bytes waiting for data transitions.
 const maxQueue = 64 << 10
 
+// replyTimeout bounds a lockstep wait; maxReplies bounds the peer's
+// messages counted ahead of the waits that take them.
+const replyTimeout, maxReplies = 30 * time.Second, 16
+
 // marionetteConn walks the automaton to move bytes: written bytes wait
 // in the stream for a data transition, and bytes recovered from the
-// peer's messages are delivered into it as they arrive.
+// peer's messages are delivered into it as they arrive. The walk is a
+// chain of clock events: step, fire and send, and await after a
+// lockstep transition.
 type marionetteConn struct {
 	*pt.Stream
-	model   *Model
-	conn    *netem.Conn
-	in      *pt.FrameConn
-	clock   *netem.Clock
-	rng     *rand.Rand
-	replyCh *netem.Chan[struct{}]
+	model  *Model
+	conn   *netem.Conn
+	in     *pt.FrameConn
+	clock  *netem.Clock
+	rng    *rand.Rand
+	fireFn func() // mc.fire, bound once
+
+	state         string        // where the next transition starts
+	t             *Transition   // the transition under way
+	delay         time.Duration // its pacing delay
+	payload, wbuf []byte        // its stream bytes; its frame, then the FIN
+	fin           bool          // wbuf holds the FIN
+	// replies counts the peer's messages no wait has taken; waiting is
+	// the token of the wait in progress (0: none), one of waits so far.
+	replies, waiting, waits int
 }
 
 func newConn(model *Model, conn *netem.Conn, clock *netem.Clock, seed int64) *marionetteConn {
 	mc := &marionetteConn{
-		Stream:  pt.NewStream(clock, "marionette", "marionette", "marionette-peer", maxQueue),
-		model:   model,
-		conn:    conn,
-		clock:   clock,
-		rng:     sim.NewRand(seed),
-		replyCh: netem.NewChan[struct{}](clock, 16),
+		Stream: pt.NewStream(clock, "marionette", "marionette", "marionette-peer", maxQueue),
+		model:  model,
+		conn:   conn,
+		clock:  clock,
+		rng:    sim.NewRand(seed),
+		state:  model.Start,
 	}
+	mc.fireFn = mc.fire
 	mc.in = pt.NewFrameConn(cutFrame, mc.frame, mc.Fail)
 	mc.in.Attach(conn)
 	mc.in.Await()
-	clock.Go(mc.walk)
+	clock.ReadyEvent(mc.step)
 	return mc
 }
 
 // frame takes one of the peer's messages: any message answers a lockstep
-// wait, the FIN cover ends the peer's direction, and a payload goes into
-// the stream.
+// wait, which goes on from the run queue, the FIN cover ends the peer's
+// direction, and a payload goes into the stream.
 func (mc *marionetteConn) frame(b []byte) {
-	mc.replyCh.TrySend(struct{}{})
+	mc.replies = min(mc.replies+1, maxReplies)
+	if mc.waiting != 0 {
+		mc.waiting = 0
+		mc.clock.ReadyEvent(mc.await)
+	}
 	if _, payload, fin := parseFrame(b); fin {
 		mc.PeerFin(0)
 	} else if len(payload) > 0 {
@@ -283,44 +298,70 @@ func (mc *marionetteConn) frame(b []byte) {
 	mc.in.Await()
 }
 
-// walk drives the automaton: pacing delays, cover emission, payload
-// embedding and lockstep setup.
-func (mc *marionetteConn) walk() {
-	state := mc.model.Start
-	var payload, wbuf []byte // reused by every transition
-	for !mc.Closed() {
-		ts := mc.model.States[state]
-		t := pick(mc.rng, ts)
-		delay := t.MinDelay
-		if t.MaxDelay > t.MinDelay {
-			delay += time.Duration(mc.rng.Int63n(int64(t.MaxDelay - t.MinDelay)))
-		}
-		mc.clock.Sleep(delay)
-
-		payload = payload[:0]
-		sendFin := false
-		if t.Act.Capacity > 0 {
-			payload = mc.Take(payload, t.Act.Capacity)
-			sendFin = mc.WriteEnded()
-		}
-		if err := writeFrame(mc.conn, &wbuf, t.Act.Cover, payload); err != nil {
-			mc.Fail()
-			return
-		}
-		if sendFin {
-			// All queued bytes are out: emit the FIN cover and stop
-			// walking; the peer's messages are still taken.
-			writeFin(mc.conn)
-			return
-		}
-		if t.AwaitReply {
-			if _, ok, timedOut := mc.replyCh.RecvTimeout(30 * time.Second); timedOut || !ok {
-				mc.Fail()
-				return
-			}
-		}
-		state = t.To
+// step draws the next transition, unless the conn has closed, and fires
+// it once its pacing delay is out.
+func (mc *marionetteConn) step() {
+	if mc.Closed() {
+		return
 	}
+	t := pick(mc.rng, mc.model.States[mc.state])
+	mc.t, mc.state, mc.delay = t, t.To, t.MinDelay
+	if t.MaxDelay > t.MinDelay {
+		mc.delay += time.Duration(mc.rng.Int63n(int64(t.MaxDelay - t.MinDelay)))
+	}
+	if mc.delay > 0 {
+		mc.clock.EventAt(mc.clock.Now()+mc.delay, mc.fireFn)
+	} else {
+		mc.fire()
+	}
+}
+
+// fire frames the transition's cover with what it carries of the stream.
+func (mc *marionetteConn) fire() {
+	mc.payload = mc.Take(mc.payload, mc.t.Act.Capacity)
+	mc.wbuf = appendFrame(mc.wbuf[:0], mc.t.Act.Cover, mc.payload, false)
+	mc.send()
+}
+
+// send writes the frame and goes on with the walk. A refused frame keeps
+// its bytes and is offered again one pacing delay later, at least 1 ms so
+// that a zero delay cannot spin (DESIGN.md "Inline event execution").
+func (mc *marionetteConn) send() {
+	switch ok, err := mc.conn.TryWrite(mc.wbuf); {
+	case !ok:
+		mc.clock.EventAt(mc.clock.Now()+max(mc.delay, time.Millisecond), mc.send)
+	case mc.fin: // the walk is over
+	case err != nil:
+		mc.Fail()
+	case mc.t.Act.Capacity > 0 && mc.WriteEnded():
+		// All queued bytes are out: the FIN cover ends the walk.
+		mc.wbuf, mc.fin = appendFrame(mc.wbuf[:0], "QUIT\r\n", nil, true), true
+		mc.send()
+	case mc.t.AwaitReply:
+		mc.await()
+	default:
+		mc.step()
+	}
+}
+
+// await takes the peer's next message and steps on, at once if it came
+// early and otherwise when frame takes it; a wait of replyTimeout fails
+// the conn.
+func (mc *marionetteConn) await() {
+	if mc.replies > 0 {
+		mc.replies--
+		mc.step()
+		return
+	}
+	mc.waits++
+	token := mc.waits
+	mc.waiting = token
+	mc.clock.EventAt(mc.clock.Now()+replyTimeout, func() {
+		if mc.waiting == token {
+			mc.waiting = 0
+			mc.Fail()
+		}
+	})
 }
 
 // CloseWrite half-closes the sending direction: queued bytes still walk

@@ -3,6 +3,7 @@ package marionette
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -17,9 +18,8 @@ func TestFrameRoundTrip(t *testing.T) {
 		if len(cover) > 60000 || len(payload) > 60000 {
 			return true
 		}
-		if err := writeFrame(&wire, &wbuf, cover, payload); err != nil {
-			return false
-		}
+		wbuf = appendFrame(wbuf[:0], cover, payload, false)
+		wire.Write(wbuf)
 		gotCover, gotPayload, fin, err := frames.next()
 		if err != nil || fin {
 			return false
@@ -32,11 +32,8 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func TestFinFrame(t *testing.T) {
-	var buf bytes.Buffer
-	if err := writeFin(&buf); err != nil {
-		t.Fatal(err)
-	}
-	cover, payload, fin, err := (&frameReader{r: &buf}).next()
+	buf := bytes.NewBuffer(appendFrame(nil, "QUIT\r\n", nil, true))
+	cover, payload, fin, err := (&frameReader{r: buf}).next()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,6 +57,14 @@ func TestModelValidation(t *testing.T) {
 		"dangling target": {Start: "s", Data: "s", States: map[string][]Transition{
 			"s": {{To: "nowhere", Weight: 1}},
 		}},
+		// A full frame's payload length would read as the FIN.
+		"capacity 0xffff": {Start: "s", Data: "s", States: map[string][]Transition{
+			"s": {{To: "s", Weight: 1, Act: Action{Capacity: 0xffff}}},
+		}},
+		// The cover's length would wrap and mis-cut every later frame.
+		"cover over 0xffff": {Start: "s", Data: "s", States: map[string][]Transition{
+			"s": {{To: "s", Weight: 1, Act: Action{Cover: strings.Repeat("x", 0x10000)}}},
+		}},
 	}
 	for name, m := range cases {
 		if err := m.Validate(); err == nil {
@@ -68,6 +73,12 @@ func TestModelValidation(t *testing.T) {
 	}
 	if err := FTPWithCapacity(DefaultCapacity).Validate(); err != nil {
 		t.Fatalf("FTP model invalid: %v", err)
+	}
+	widest := &Model{Start: "s", Data: "s", States: map[string][]Transition{
+		"s": {{To: "s", Weight: 1, Act: Action{Cover: strings.Repeat("x", 0xffff), Capacity: 0xfffe}}},
+	}}
+	if err := widest.Validate(); err != nil {
+		t.Fatalf("the widest frame's model invalid: %v", err)
 	}
 }
 

@@ -399,15 +399,15 @@ func TestVanishedClientIsReaped(t *testing.T) {
 // 8 KiB echo through it. The server's handler is one of them for every
 // method; the rest is each mechanism's own pumps, loops and pollers. A
 // receiver or a hop on a pt.FrameConn is none (meek's front, bridge and
-// poll cycle, dnstt's three hops): marionette keeps its two automaton
-// walks, camoufler the provider's read and delivery loops of both
-// accounts.
+// poll cycle, dnstt's three hops), and neither is a paced sender on clock
+// events (marionette's automaton walks, camoufler's delivery chains):
+// camoufler keeps the provider's read loops of both accounts.
 func TestGoroutinesPerDial(t *testing.T) {
 	want := map[string]int{
 		"tor": 1, "obfs4": 1, "webtunnel": 1, "psiphon": 1, "shadowsocks": 1, "cloak": 1, "dnstt": 1, "stegotorus": 1, "meek": 1,
-		"marionette": 3,
+		"marionette": 1,
+		"camoufler":  3,
 		"conjure":    4, "snowflake": 4,
-		"camoufler": 5,
 	}
 	for _, tn := range tunnels {
 		t.Run(tn.name, func(t *testing.T) {

@@ -27,6 +27,7 @@ type proc struct {
 	ch     *netem.Chan[int]
 	fn     func()
 	handle func()
+	pace   func()
 }
 
 // badLiteral arms a literal callback that parks directly.
@@ -65,6 +66,18 @@ func badField(p *proc) {
 
 func (p *proc) onEvent() {
 	io.Copy(io.Discard, p.conn) // want `io\.Copy loops over parking Read/Write`
+}
+
+// badChain is a paced sender: a ReadyEvent starts it, and each step
+// re-arms the method value it keeps in a field for the next.
+func badChain(p *proc) {
+	p.pace = p.step2
+	p.clock.ReadyEvent(p.pace)
+}
+
+func (p *proc) step2() {
+	p.conn.Write(nil) // want `\(netem\.Conn\)\.Write parks on receive-window backpressure.*Clock\.ReadyEvent arm.*via proc\.step2`
+	p.clock.EventAt(1, p.pace)
 }
 
 // badFieldCall calls a handler stored in a func-typed field inside a

@@ -13,6 +13,7 @@ func (c *Clock) Sleep(d time.Duration)               {}
 func (c *Clock) SleepUntil(vt time.Duration)         {}
 func (c *Clock) Go(fn func())                        {}
 func (c *Clock) EventAt(vt time.Duration, fn func()) {}
+func (c *Clock) ReadyEvent(fn func())                {}
 
 type Mutex struct{}
 
