@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"time"
 
 	"ptperf/internal/obs"
 	"ptperf/internal/sim"
@@ -32,18 +31,13 @@ type cell[In, Out any] struct {
 	measure func(*testbed.World, In) (Out, error)
 }
 
-// digest is the cell's content address. Every digest covers the code
-// version, the key and the defaulted world options (obs.CellDigest) and
-// the sampling interval: the sampler's timer interleaves with the
-// campaign, so a sampled world is a different world (ROADMAP D.1). The
-// per-kind part is In. Jobs, Plot and Progress are in no In: the first
-// cannot change results (the determinism contract), the others only
-// touch rendering.
-func (c cell[In, Out]) digest(metrics time.Duration) string {
-	return obs.CellDigest(c.key, c.opts, struct {
-		MetricsInterval time.Duration
-		In              In
-	}{metrics, c.in})
+// digest is the cell's content address: the code version, the key and
+// the defaulted world options (obs.CellDigest), and In. Jobs, Plot,
+// Progress and MetricsInterval are in no In: the first cannot change
+// results (the determinism contract), the others only touch what is
+// rendered or observed, and observing a world moves none of its bytes.
+func (c cell[In, Out]) digest() string {
+	return obs.CellDigest(c.key, c.opts, c.in)
 }
 
 // submit starts (once) the keyed cell on the shard executor and returns
@@ -83,11 +77,13 @@ func submit[In, Out any](r *Runner, c cell[In, Out]) *sim.Future[Out] {
 func compute[In, Out any](r *Runner, c cell[In, Out]) (Out, error) {
 	var digest string
 	if r.cache != nil {
-		digest = c.digest(r.cfg.MetricsInterval)
+		digest = c.digest()
 		var v Out
-		if e, ok := r.cache.LoadInto(digest, &v); ok {
+		if e, ok := r.cache.LoadInto(digest, &v, r.cfg.MetricsInterval); ok {
 			r.monitor.Cached(c.key)
-			r.setTimeline(c.key, e.Timeline)
+			if r.cfg.MetricsInterval > 0 {
+				r.setTimeline(c.key, e.Timeline)
+			}
 			return v, nil
 		}
 	}
@@ -100,7 +96,7 @@ func compute[In, Out any](r *Runner, c cell[In, Out]) (Out, error) {
 	r.monitor.Horizon(c.key, w.Net.Clock().Now)
 	var rec *obs.Recorder
 	if r.cfg.MetricsInterval > 0 {
-		rec = obs.AttachWorld(w, r.cfg.MetricsInterval)
+		rec = obs.Attach(w, r.cfg.MetricsInterval)
 	}
 	v, err := c.measure(w, c.in)
 	if err != nil {

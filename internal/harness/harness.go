@@ -69,10 +69,10 @@ type Config struct {
 	Plot bool
 	// MetricsInterval enables per-cell metric timelines (internal/obs),
 	// sampled every MetricsInterval of virtual time on each world's own
-	// clock. Zero disables sampling entirely — the sampler's timer
-	// interleaves with the campaign, so plain runs stay byte-identical
-	// to pre-observability ones. The interval is part of every cache
-	// digest.
+	// clock; zero disables sampling. A sample moves no byte, so reports
+	// are the same either way and the interval is in no cache digest: a
+	// cached cell answers a sampled run only if it holds a timeline of
+	// this interval.
 	MetricsInterval time.Duration
 	// Progress, when non-nil, receives a streaming per-cell status line
 	// (cells queued/running/done, virtual-time horizon per running

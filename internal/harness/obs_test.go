@@ -147,6 +147,76 @@ func TestCacheSoundness(t *testing.T) {
 	}
 }
 
+// TestObservationDoesNotPerturb is the zero-perturbation contract:
+// every registered experiment renders the same report bytes whether or
+// not a recorder samples each of its worlds.
+func TestObservationDoesNotPerturb(t *testing.T) {
+	run := func(interval time.Duration) string {
+		cfg := sweepConfig(3)
+		cfg.Sites, cfg.ByteScale, cfg.MetricsInterval = 2, 0.01, interval
+		var buf bytes.Buffer
+		r := New(cfg, &buf)
+		for _, e := range Experiments() {
+			if err := r.Run(e.ID); err != nil {
+				t.Fatalf("%s: %v", e.ID, err)
+			}
+		}
+		if sampled := len(r.Timelines()) > 0; sampled != (interval > 0) {
+			t.Fatalf("interval %v recorded %d timelines", interval, len(r.Timelines()))
+		}
+		return buf.String()
+	}
+	if plain, sampled := run(0), run(time.Second); plain != sampled {
+		t.Fatalf("sampling moved report bytes:\n--- plain ---\n%s\n--- sampled ---\n%s", plain, sampled)
+	}
+}
+
+// TestMetricsCacheAnswersPlainRun: a cache a metrics run filled answers
+// a plain run whole, with the same report and no timeline.
+func TestMetricsCacheAnswersPlainRun(t *testing.T) {
+	dir := t.TempDir()
+	cfg := obsConfig(11)
+	rep, _, _ := cacheRun(t, cfg, dir)
+	cfg.MetricsInterval = 0
+	plain, prom, st := cacheRun(t, cfg, dir)
+	if st != (obs.CacheStats{Hits: 4}) {
+		t.Fatalf("plain run over a metrics cache: stats %+v, want 4 hits / 0 misses / 0 stores", st)
+	}
+	if plain != rep {
+		t.Fatalf("plain run over a metrics cache rendered another report:\n--- metrics ---\n%s\n--- plain ---\n%s", rep, plain)
+	}
+	if prom != "" {
+		t.Fatalf("plain run restored timelines:\n%s", prom)
+	}
+}
+
+// TestPlainCacheMissesForMetrics: a cache a plain run filled has no
+// timeline, so a metrics run recomputes every cell, stores it again and
+// records what an uncached run records; an entry with a timeline of
+// another interval misses too.
+func TestPlainCacheMissesForMetrics(t *testing.T) {
+	dir := t.TempDir()
+	cfg := obsConfig(11)
+	plain := cfg
+	plain.MetricsInterval = 0
+	rep, _, _ := cacheRun(t, plain, dir)
+	wantRep, wantProm, _ := runWithMetrics(t, cfg, "fig4", "fig7")
+	gotRep, gotProm, st := cacheRun(t, cfg, dir)
+	if st != (obs.CacheStats{Misses: 4, Stores: 4}) {
+		t.Fatalf("metrics run over a plain cache: stats %+v, want 0 hits / 4 misses / 4 stores", st)
+	}
+	if gotRep != rep || gotProm != wantProm {
+		t.Fatalf("metrics run over a plain cache differs from an uncached one:\n--- uncached ---\n%s%s\n--- cached ---\n%s%s", wantRep, wantProm, gotRep, gotProm)
+	}
+	if _, _, st := cacheRun(t, cfg, dir); st != (obs.CacheStats{Hits: 4}) {
+		t.Fatalf("rerun with the timelines stored: stats %+v, want 4 hits", st)
+	}
+	cfg.MetricsInterval = 2 * time.Second
+	if _, _, st := cacheRun(t, cfg, dir); st != (obs.CacheStats{Misses: 4, Stores: 4}) {
+		t.Fatalf("another interval: stats %+v, want 4 misses / 4 stores", st)
+	}
+}
+
 // TestUndecodableEntryCountsAsMiss files garbage under a cell's own
 // digest (schema drift without a version bump): the cell is recomputed
 // and the entry overwritten, so the run must say misses=1, not hits=1 —
@@ -164,7 +234,7 @@ func TestUndecodableEntryCountsAsMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := cfg.withDefaults().fig4Cell()
-	garbage := &obs.Entry{Key: c.key, Digest: c.digest(cfg.MetricsInterval), Value: []byte(`"garbage"`)}
+	garbage := &obs.Entry{Key: c.key, Digest: c.digest(), Value: []byte(`"garbage"`)}
 	if err := cache.Store(garbage); err != nil {
 		t.Fatal(err)
 	}

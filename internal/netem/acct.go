@@ -18,8 +18,8 @@ import (
 // Acct aggregates one network's link-layer counters. They are plain
 // integers: simulation goroutines update them and Snapshot reads them
 // on the same world's run token (the driver between campaigns, the
-// metrics sampler from its own simulation goroutine), never from
-// outside the world.
+// metrics sampler's clock events on the driver), never from outside the
+// world.
 type Acct struct {
 	// n holds the counters in the shape Snapshot returns them; its
 	// BytesBuffered stays zero (Snapshot sums it from the pipes).

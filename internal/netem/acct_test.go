@@ -245,12 +245,12 @@ func TestAcctSnapshotSub(t *testing.T) {
 }
 
 // TestAcctSubConcurrentMonotone hammers an Acct from several simulation
-// goroutines while a sampler goroutine of the same world takes
-// successive snapshots and subtracts them: with every counter monotone,
-// no pair of ordered snapshots may ever produce a clamped (regressed)
-// field — the guarantee the per-interval metric timelines rely on. The
-// counters are plain integers, so writers and sampler share the world's
-// run token like the obs sampler does; a reader outside the world would
+// goroutines while the world's driver takes successive snapshots and
+// subtracts them: with every counter monotone, no pair of ordered
+// snapshots may ever produce a clamped (regressed) field — the
+// guarantee the per-interval metric timelines rely on. The counters are
+// plain integers, so writers and reader share the world's run token, as
+// the obs sampler's clock events do; a reader outside the world would
 // be a data race.
 func TestAcctSubConcurrentMonotone(t *testing.T) {
 	var a Acct

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"runtime/debug"
 	"sync"
+	"time"
 
 	"ptperf/internal/testbed"
 )
@@ -21,9 +22,12 @@ import (
 // specs included — they are plain value trees, so encoding/json renders
 // them canonically), and the cell's declared inputs: the plain struct
 // holding every harness knob its measurement can read (method list,
-// repeats, sampling interval, ...). Equal digest ⇒ byte-identical
-// result, because worlds are deterministic functions of exactly those
-// inputs — the determinism tests are what make this cache sound.
+// repeats, ...). Equal digest ⇒ byte-identical result, because worlds
+// are deterministic functions of exactly those inputs — the determinism
+// tests are what make this cache sound. Observing a world moves none of
+// its bytes, so the sampling interval is not an input: a run with
+// metrics and one without share entries, and only a lookup that wants a
+// timeline asks more of one (LoadInto).
 //
 // Entries are binary files named <digest>.entry under the cache
 // directory, written atomically (temp file + rename) so a killed run
@@ -40,7 +44,7 @@ import (
 // module's VCS revision when the binary carries one; bump it when making
 // changes that alter results without a revision change being visible
 // (e.g. `go test` in a dirty tree).
-const CacheVersion = "ptperf-cache-v3"
+const CacheVersion = "ptperf-cache-v4"
 
 // codeVersion is the cache's code-version component, fixed for the life
 // of the process: every digest of every run reads it.
@@ -140,16 +144,20 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // Load fetches the entry at digest. A missing, unreadable, damaged or
 // digest-mismatched entry is a miss (corrupt entries are treated as
 // absent, never fatal).
-func (c *Cache) Load(digest string) (*Entry, bool) { return c.LoadInto(digest, nil) }
+func (c *Cache) Load(digest string) (*Entry, bool) { return c.LoadInto(digest, nil, 0) }
 
 // LoadInto is Load that also decodes the entry's Value into out (when
 // non-nil). A value that does not decode — a different Out shape, or
 // schema drift without a version bump — is a miss like any other corrupt
 // entry: the caller recomputes and overwrites it, and the run's stats
-// say so. So is an entry with no Value at all. After a miss, out is
-// unspecified.
-func (c *Cache) LoadInto(digest string, out any) (*Entry, bool) {
+// say so. So is an entry with no Value at all, and, when interval > 0
+// asks for a timeline, one without a timeline sampled every interval.
+// After a miss, out is unspecified.
+func (c *Cache) LoadInto(digest string, out any, interval time.Duration) (*Entry, bool) {
 	e, ok := c.read(digest, out)
+	if ok && interval > 0 && (e.Timeline == nil || e.Timeline.Interval != interval) {
+		e, ok = nil, false
+	}
 	c.mu.Lock()
 	if ok {
 		c.stats.Hits++

@@ -107,14 +107,14 @@ func TestCacheCorruptEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	var n int
-	if _, ok := c.LoadInto(digest, &n); ok {
+	if _, ok := c.LoadInto(digest, &n, 0); ok {
 		t.Fatal("undecodable value loaded as a hit")
 	}
 	if st := c.Stats(); st != (CacheStats{Misses: 3, Stores: 2}) {
 		t.Fatalf("stats = %+v, want 0 hits / 3 misses / 2 stores", st)
 	}
 	var s string
-	if _, ok := c.LoadInto(digest, &s); !ok || s != "text" {
+	if _, ok := c.LoadInto(digest, &s, 0); !ok || s != "text" {
 		t.Fatalf("decodable value: ok=%v s=%q", ok, s)
 	}
 }
@@ -143,7 +143,7 @@ func TestCacheDamageIsAMiss(t *testing.T) {
 			t.Fatal(err)
 		}
 		var got fuzzOut
-		_, ok := c.LoadInto(digest, &got)
+		_, ok := c.LoadInto(digest, &got, 0)
 		if ok && !reflect.DeepEqual(got, want) {
 			t.Fatalf("hit with %+v, stored %+v", got, want)
 		}
@@ -190,7 +190,7 @@ func TestCacheDamageIsAMiss(t *testing.T) {
 		if !load(good) {
 			t.Fatal("intact entry missed")
 		}
-		if _, ok := c.LoadInto(digest, other); ok {
+		if _, ok := c.LoadInto(digest, other, 0); ok {
 			t.Fatalf("entry of %T loaded into %T", want, other)
 		}
 	}

@@ -48,8 +48,9 @@ func mustEncode(tb testing.TB, v any) []byte {
 
 // FuzzLoadInto: whatever bytes sit in an entry file, LoadInto never
 // panics, hits exactly when Load hits with a Value that decodes (so an
-// entry with no Value is a miss), and on a hit decodes the same Out and
-// Timeline as decoding Load's raw Value.
+// entry with no Value is a miss) and, when the lookup wants a timeline
+// (interval > 0), with a Timeline of that Interval, and on a hit decodes
+// the same Out and Timeline as decoding Load's raw Value.
 func FuzzLoadInto(f *testing.F) {
 	c, err := OpenCache(f.TempDir())
 	if err != nil {
@@ -68,24 +69,31 @@ func FuzzLoadInto(f *testing.F) {
 	}
 	stored := entry(Entry{Key: "cell", Digest: digest, Value: mustEncode(f, sampleOut()),
 		Timeline: &Timeline{Interval: time.Second, Samples: []Sample{{T: time.Second}}}})
+	plain := entry(Entry{Key: "cell", Digest: digest, Value: mustEncode(f, sampleOut())})
 	flipped := bytes.Clone(stored)
 	flipped[len(flipped)/2] ^= 1
-	f.Add(stored)
-	f.Add(entry(Entry{Key: "cell", Digest: digest}))                                   // no Value
-	f.Add(entry(Entry{Key: "cell", Digest: digest, Value: mustEncode(f, []int{1})}))   // Value of another shape
-	f.Add(entry(Entry{Key: "cell", Digest: "bogus", Value: mustEncode(f, fuzzOut{})})) // digest mismatch
-	f.Add(stored[:len(stored)/2])                                                      // truncated
-	f.Add(flipped)                                                                     // damaged
-	f.Fuzz(func(t *testing.T, data []byte) {
+	second := int64(time.Second)
+	f.Add(stored, int64(0))
+	f.Add(entry(Entry{Key: "cell", Digest: digest}), int64(0))                                   // no Value
+	f.Add(entry(Entry{Key: "cell", Digest: digest, Value: mustEncode(f, []int{1})}), int64(0))   // Value of another shape
+	f.Add(entry(Entry{Key: "cell", Digest: "bogus", Value: mustEncode(f, fuzzOut{})}), int64(0)) // digest mismatch
+	f.Add(stored[:len(stored)/2], int64(0))                                                      // truncated
+	f.Add(flipped, int64(0))                                                                     // damaged
+	f.Add(stored, second)                                                                        // the timeline wanted
+	f.Add(stored, 2*second)                                                                      // a timeline of another interval
+	f.Add(plain, second)                                                                         // no timeline
+	f.Add(plain, int64(0))                                                                       // none wanted
+	f.Fuzz(func(t *testing.T, data []byte, interval int64) {
 		if err := os.WriteFile(c.path(digest), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		var got, want fuzzOut
-		e, ok := c.LoadInto(digest, &got)
+		e, ok := c.LoadInto(digest, &got, time.Duration(interval))
 		re, rok := c.Load(digest)
-		rok = rok && DecodeValue(re.Value, &want) == nil
+		rok = rok && DecodeValue(re.Value, &want) == nil &&
+			(interval <= 0 || re.Timeline != nil && int64(re.Timeline.Interval) == interval)
 		if ok != rok {
-			t.Fatalf("LoadInto hit=%v, Load and decode hit=%v", ok, rok)
+			t.Fatalf("LoadInto(interval %d) hit=%v, Load and decode hit=%v", interval, ok, rok)
 		}
 		if !ok {
 			return

@@ -8,14 +8,13 @@
 // changed.
 //
 // A Recorder attaches to one world and samples on the world's own
-// virtual clock: the sampler is a simulation goroutine waking every
-// Interval of virtual time, so samples land at exact virtual instants,
-// interleave deterministically with the campaign, and are byte-identical
-// across runs and across -jobs values. Attaching a recorder does add a
-// timer to the world's event stream — same-instant tie-breaks can
-// shift — so the harness only attaches recorders when metrics are
-// requested and folds the sampling interval into every cache digest:
-// a cached cell is only reused for the identical instrumentation.
+// virtual clock: the sampler is a chain of clock events, one every
+// Interval of virtual time, run inline on the world's driver, so
+// samples land at exact virtual instants and are byte-identical across
+// runs and across -jobs values. A sample only reads counters: it moves
+// no byte and wakes or registers no goroutine, so a sampled world runs
+// as the plain one does, and the sampling interval is in no cache
+// digest (a lookup that wants a timeline misses an entry without one).
 //
 // Each sample stores interval deltas (via netem.AcctSnapshot.Sub), not
 // cumulative values: deltas sum exactly back to the final snapshot,
@@ -26,6 +25,7 @@
 package obs
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -40,43 +40,14 @@ import (
 // paper's timeline figures use.
 const DefaultInterval = time.Second
 
-// Sources names the counter surfaces a Recorder samples. Clock and Acct
-// are required; the rest are optional and sampled when non-nil. The
-// closures are invoked from the sampler's simulation goroutine (the
-// world is otherwise parked at that instant), so they may touch world
-// state freely but must be deterministic.
-type Sources struct {
-	// Clock is the world's virtual clock; the sampler runs on it.
-	Clock *netem.Clock
-	// Acct is the world's link-layer accounting.
-	Acct *netem.Acct
-	// Censor reports the adversary's verdict counters.
-	Censor func() censor.Stats
-	// Relays lists the world's relays; re-queried every sample so
-	// relays started mid-campaign (shared-hop guards, PT bridges)
-	// appear from their first live interval.
-	Relays func() []*tor.Relay
-	// Recovery reports per-method client recovery counters; re-queried
-	// every sample so lazily built deployments appear once built.
-	Recovery func() []MethodRecovery
-}
-
-// MethodRecovery is one access method's cumulative recovery counters at
-// a sample instant.
-type MethodRecovery struct {
-	Method string
-	Stats  tor.RecoveryStats
-}
-
 // Recorder samples one world's counters into a Timeline. Create with
-// Attach (or AttachWorld), stop with Close.
+// Attach, stop with Close.
 type Recorder struct {
-	src      Sources
+	w        *testbed.World
 	interval time.Duration
 
 	mu     sync.Mutex
 	closed bool
-	lastT  time.Duration
 	prev   prevState
 	tl     *Timeline
 }
@@ -90,72 +61,57 @@ type prevState struct {
 	recovery map[string]tor.RecoveryStats
 }
 
-// Attach starts sampling src every interval of virtual time and returns
-// the recorder. Call from the world's driver goroutine (it spawns the
-// sampler via Clock.Go). interval <= 0 uses DefaultInterval.
-func Attach(src Sources, interval time.Duration) *Recorder {
+// Attach starts sampling w every interval of virtual time and returns
+// the recorder: link accounting, the censor (when attached), every
+// relay ever started and each built deployment's recovery counters, all
+// re-read at every sample, so relays started and deployments built
+// mid-campaign appear from their first live interval. Call from the
+// world's driver goroutine. interval <= 0 uses DefaultInterval.
+func Attach(w *testbed.World, interval time.Duration) *Recorder {
 	if interval <= 0 {
 		interval = DefaultInterval
 	}
 	r := &Recorder{
-		src:      src,
+		w:        w,
 		interval: interval,
-		lastT:    -1,
 		prev: prevState{
 			relays:   make(map[string]tor.SchedStats),
 			recovery: make(map[string]tor.RecoveryStats),
 		},
 		tl: &Timeline{Interval: interval},
 	}
-	src.Clock.Go(r.loop)
+	// The first sample is armed from the run queue, where a goroutine
+	// Go spawned here would start and take its timer's sequence number:
+	// an EventAt armed here would take a lower one than the events the
+	// driver arms before it first parks, and run ahead of them when they
+	// fall on the same instant.
+	w.Net.Clock().ReadyEvent(r.arm)
 	return r
 }
 
-// AttachWorld wires a Recorder to a testbed world's standard surfaces:
-// link accounting, the censor (when attached), every relay ever started
-// (re-queried per sample), and each built deployment's recovery
-// counters.
-func AttachWorld(w *testbed.World, interval time.Duration) *Recorder {
-	src := Sources{
-		Clock:  w.Net.Clock(),
-		Acct:   w.Net.Acct(),
-		Relays: w.Relays,
-		Recovery: func() []MethodRecovery {
-			deps := w.BuiltDeployments()
-			out := make([]MethodRecovery, 0, len(deps))
-			for _, d := range deps {
-				out = append(out, MethodRecovery{Method: d.Name, Stats: d.Recovery()})
-			}
-			return out
-		},
-	}
-	if w.Censor != nil {
-		src.Censor = w.Censor.Stats
-	}
-	return Attach(src, interval)
+// arm schedules the next periodic sample one interval from now.
+func (r *Recorder) arm() {
+	clock := r.w.Net.Clock()
+	clock.EventAt(clock.Now()+r.interval, r.tick)
 }
 
-// loop is the sampler: a simulation goroutine waking every interval of
-// virtual time. After Close it exits on its next wake, or where it
-// sleeps when the world is closed first, as every goroutine of a world
-// does (netem.Clock.Shutdown).
-func (r *Recorder) loop() {
-	for {
-		r.src.Clock.Sleep(r.interval)
-		r.mu.Lock()
-		if r.closed {
-			r.mu.Unlock()
-			return
-		}
-		r.sampleLocked()
-		r.mu.Unlock()
+// tick takes one periodic sample and arms the next, until Close. It
+// runs inline on the world's driver, where the rest of the world is
+// parked; a tick left armed after Close fires and does nothing, or is
+// dropped when the world closes first.
+func (r *Recorder) tick() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.closed {
+		return
 	}
+	r.sampleLocked()
+	r.arm()
 }
 
-// Close takes a final sample at the current virtual instant (unless one
-// was already taken there), stops the sampler, and returns the finished
-// timeline. Call from the world's driver at a quiescent point; after
-// Close the timeline is immutable.
+// Close takes a final sample at the current virtual instant, stops the
+// sampler, and returns the finished timeline. Call from the world's
+// driver at a quiescent point; after Close the timeline is immutable.
 func (r *Recorder) Close() *Timeline {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -167,81 +123,85 @@ func (r *Recorder) Close() *Timeline {
 	return r.tl
 }
 
-// sampleLocked appends one sample of interval deltas at the current
-// virtual instant. Samples in which no counter moved are elided, but
-// the baselines still advance, so elision never loses a delta.
+// sampleLocked adds the deltas since the previous sample to the sample
+// at the current virtual instant: a new one, or the last one when Close
+// lands on the instant a periodic sample was just taken, so no two
+// samples share a T. A new sample in which no counter moved is elided,
+// but the baselines still advance, so elision never loses a delta.
 func (r *Recorder) sampleLocked() {
-	now := r.src.Clock.Now()
-	if now == r.lastT {
-		return
+	s := Sample{T: r.w.Net.Clock().Now()}
+	n := len(r.tl.Samples)
+	// A folded sample is kept whatever moved since.
+	interesting := n > 0 && r.tl.Samples[n-1].T == s.T
+	if interesting {
+		s, r.tl.Samples = r.tl.Samples[n-1], r.tl.Samples[:n-1]
 	}
-	r.lastT = now
+	regs := &r.tl.Regressions
 
-	s := Sample{T: now}
-	acct := r.src.Acct.Snapshot()
-	var reg int
-	s.Acct, reg = acct.Sub(r.prev.acct)
-	r.tl.Regressions += reg
+	acct := r.w.Net.Acct().Snapshot()
+	d, reg := acct.Sub(r.prev.acct)
+	*regs += reg
 	// A zero delta with an unchanged gauge is an uneventful interval.
-	interesting := s.Acct != (netem.AcctSnapshot{BytesBuffered: r.prev.acct.BytesBuffered})
+	if d != (netem.AcctSnapshot{BytesBuffered: r.prev.acct.BytesBuffered}) {
+		interesting = true
+	}
+	s.Acct = s.Acct.Add(d)
 	r.prev.acct = acct
 
-	if r.src.Censor != nil {
-		cur := r.src.Censor()
-		s.Censor = censor.Stats{
-			BlockedDials:      clampInt(cur.BlockedDials-r.prev.censor.BlockedDials, &r.tl.Regressions),
-			FlowsCut:          clampInt(cur.FlowsCut-r.prev.censor.FlowsCut, &r.tl.Regressions),
-			Resets:            clampInt(cur.Resets-r.prev.censor.Resets, &r.tl.Regressions),
-			LossEvents:        clampInt(cur.LossEvents-r.prev.censor.LossEvents, &r.tl.Regressions),
-			ThrottledSegments: clampInt(cur.ThrottledSegments-r.prev.censor.ThrottledSegments, &r.tl.Regressions),
-		}
-		if s.Censor != (censor.Stats{}) {
+	if r.w.Censor != nil {
+		cur, old, before := r.w.Censor.Stats(), r.prev.censor, s.Censor
+		s.Censor.BlockedDials += clamp(cur.BlockedDials-old.BlockedDials, regs)
+		s.Censor.FlowsCut += clamp(cur.FlowsCut-old.FlowsCut, regs)
+		s.Censor.Resets += clamp(cur.Resets-old.Resets, regs)
+		s.Censor.LossEvents += clamp(cur.LossEvents-old.LossEvents, regs)
+		s.Censor.ThrottledSegments += clamp(cur.ThrottledSegments-old.ThrottledSegments, regs)
+		if s.Censor != before {
 			interesting = true
 		}
 		r.prev.censor = cur
 	}
 
-	if r.src.Relays != nil {
-		for _, relay := range r.src.Relays() {
-			name := relay.Name()
-			cur := relay.SchedStats()
-			old := r.prev.relays[name]
-			p := RelayPoint{
-				Relay:   name,
-				Pending: cur.Pending,
-				Queued:  clamp64(cur.Queued-old.Queued, &r.tl.Regressions),
-				Flushed: clamp64(cur.Flushed-old.Flushed, &r.tl.Regressions),
-				Dropped: clamp64(cur.Dropped-old.Dropped, &r.tl.Regressions),
-				Delay:   time.Duration(clamp64(int64(cur.DelaySum-old.DelaySum), &r.tl.Regressions)),
-			}
-			r.prev.relays[name] = cur
-			// A relay with no queue movement and an empty queue
-			// contributes nothing to any series.
-			if p.Pending != 0 || p.Queued != 0 || p.Flushed != 0 || p.Dropped != 0 || p.Delay != 0 {
-				s.Relays = append(s.Relays, p)
-				interesting = true
-			}
+	for _, relay := range r.w.Relays() {
+		name := relay.Name()
+		cur, old := relay.SchedStats(), r.prev.relays[name]
+		r.prev.relays[name] = cur
+		i := slices.IndexFunc(s.Relays, func(p RelayPoint) bool { return p.Relay == name })
+		p := RelayPoint{Relay: name}
+		if i >= 0 {
+			p = s.Relays[i]
+		}
+		before := p
+		p.Pending = cur.Pending
+		p.Queued += clamp(cur.Queued-old.Queued, regs)
+		p.Flushed += clamp(cur.Flushed-old.Flushed, regs)
+		p.Dropped += clamp(cur.Dropped-old.Dropped, regs)
+		p.Delay += clamp(cur.DelaySum-old.DelaySum, regs)
+		// A point that did not change (in a new sample, a relay with no
+		// queue movement and an empty queue) adds nothing to any series.
+		if p != before {
+			s.Relays = put(s.Relays, i, p)
+			interesting = true
 		}
 	}
 
-	if r.src.Recovery != nil {
-		for _, mr := range r.src.Recovery() {
-			old := r.prev.recovery[mr.Method]
-			cur := mr.Stats
-			p := RecoveryPoint{
-				Method:          mr.Method,
-				Rebuilds:        clamp64(cur.Rebuilds-old.Rebuilds, &r.tl.Regressions),
-				BuildTimeouts:   clamp64(cur.BuildTimeouts-old.BuildTimeouts, &r.tl.Regressions),
-				StreamFailures:  clamp64(cur.StreamFailures-old.StreamFailures, &r.tl.Regressions),
-				ReAttaches:      clamp64(cur.ReAttaches-old.ReAttaches, &r.tl.Regressions),
-				Abandoned:       clamp64(cur.Abandoned-old.Abandoned, &r.tl.Regressions),
-				GuardProbations: clamp64(cur.GuardProbations-old.GuardProbations, &r.tl.Regressions),
-			}
-			r.prev.recovery[mr.Method] = cur
-			if p != (RecoveryPoint{Method: mr.Method}) {
-				s.Recovery = append(s.Recovery, p)
-				interesting = true
-			}
+	for _, dep := range r.w.BuiltDeployments() {
+		cur, old := dep.Recovery(), r.prev.recovery[dep.Name]
+		r.prev.recovery[dep.Name] = cur
+		i := slices.IndexFunc(s.Recovery, func(p RecoveryPoint) bool { return p.Method == dep.Name })
+		p := RecoveryPoint{Method: dep.Name}
+		if i >= 0 {
+			p = s.Recovery[i]
+		}
+		before := p
+		p.Rebuilds += clamp(cur.Rebuilds-old.Rebuilds, regs)
+		p.BuildTimeouts += clamp(cur.BuildTimeouts-old.BuildTimeouts, regs)
+		p.StreamFailures += clamp(cur.StreamFailures-old.StreamFailures, regs)
+		p.ReAttaches += clamp(cur.ReAttaches-old.ReAttaches, regs)
+		p.Abandoned += clamp(cur.Abandoned-old.Abandoned, regs)
+		p.GuardProbations += clamp(cur.GuardProbations-old.GuardProbations, regs)
+		if p != before {
+			s.Recovery = put(s.Recovery, i, p)
+			interesting = true
 		}
 	}
 
@@ -250,18 +210,17 @@ func (r *Recorder) sampleLocked() {
 	}
 }
 
-// clampInt clamps a negative int delta to zero, counting the regression.
-func clampInt(d int, regressions *int) int {
-	if d < 0 {
-		*regressions++
-		return 0
+// put sets ps[i] to p, or appends p when i < 0.
+func put[P any](ps []P, i int, p P) []P {
+	if i < 0 {
+		return append(ps, p)
 	}
-	return d
+	ps[i] = p
+	return ps
 }
 
-// clamp64 clamps a negative int64 delta to zero, counting the
-// regression.
-func clamp64(d int64, regressions *int) int64 {
+// clamp clamps a negative delta to zero, counting the regression.
+func clamp[T ~int | ~int64](d T, regressions *int) T {
 	if d < 0 {
 		*regressions++
 		return 0

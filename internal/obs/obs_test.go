@@ -12,10 +12,8 @@ import (
 	"ptperf/internal/testbed"
 )
 
-// runWorld builds a small world, runs a short curl campaign over it
-// with a recorder attached, and returns the finished timeline plus the
-// accounting snapshot taken at the same quiescent instant.
-func runWorld(t *testing.T, seed int64) (*Timeline, netem.AcctSnapshot) {
+// smallWorld builds a two-site world that the test's cleanup closes.
+func smallWorld(t *testing.T, seed int64) *testbed.World {
 	t.Helper()
 	w, err := testbed.New(testbed.Options{
 		Seed:      seed,
@@ -27,7 +25,16 @@ func runWorld(t *testing.T, seed int64) (*Timeline, netem.AcctSnapshot) {
 		t.Fatalf("build world: %v", err)
 	}
 	t.Cleanup(w.Close)
-	rec := AttachWorld(w, time.Second)
+	return w
+}
+
+// runWorld builds a small world, runs a short curl campaign over it
+// with a recorder attached, and returns the finished timeline plus the
+// accounting snapshot taken at the same quiescent instant.
+func runWorld(t *testing.T, seed int64) (*Timeline, netem.AcctSnapshot) {
+	t.Helper()
+	w := smallWorld(t, seed)
+	rec := Attach(w, time.Second)
 	for _, method := range []string{"tor", "obfs4"} {
 		d, err := w.Deployment(method)
 		if err != nil {
@@ -67,12 +74,17 @@ func TestRecorderConservation(t *testing.T) {
 	if h := tl.Horizon(); h <= 0 {
 		t.Fatalf("non-positive horizon %v", h)
 	}
+	for _, s := range tl.Samples[:len(tl.Samples)-1] {
+		if s.T%tl.Interval != 0 {
+			t.Fatalf("periodic sample at %v, off the %v grid", s.T, tl.Interval)
+		}
+	}
 }
 
 // TestRecorderDeterminism requires byte-identical Prometheus renderings
-// from two runs of the same seed — the sampler is a simulation
-// goroutine on the virtual clock, so its samples are part of the
-// deterministic event order.
+// from two runs of the same seed — the sampler is a chain of events on
+// the virtual clock, so its samples are part of the deterministic event
+// order.
 func TestRecorderDeterminism(t *testing.T) {
 	render := func() string {
 		tl, _ := runWorld(t, 11)
@@ -84,6 +96,58 @@ func TestRecorderDeterminism(t *testing.T) {
 	if a != b {
 		t.Fatalf("same seed rendered different Prometheus dumps:\n--- first ---\n%s\n--- second ---\n%s", a, b)
 	}
+}
+
+// TestCloseAtATickInstantKeepsTheRest closes the recorder at the
+// instant a periodic sample was just taken, after a conn closed at that
+// instant too: the close still reaches the timeline, folded into the
+// sample at that instant, and no two samples share one.
+func TestCloseAtATickInstantKeepsTheRest(t *testing.T) {
+	w := smallWorld(t, 1)
+	clock := w.Net.Clock()
+	rec := Attach(w, time.Second)
+	conn, err := w.Client.Dial(w.Origin.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if clock.Now() >= time.Second {
+		t.Fatalf("dial took until %v, past the first sample", clock.Now())
+	}
+	clock.SleepUntil(time.Second) // armed after the tick, so it runs second
+	if tl := rec.tl; tl.Horizon() != time.Second {
+		t.Fatalf("no periodic sample at 1s before the close (horizon %v)", tl.Horizon())
+	}
+	conn.Close()
+	tl := rec.Close()
+	snap := w.Net.Acct().Snapshot()
+	if snap.ConnsClosed == 0 {
+		t.Fatal("closing the conn counted no closed conn")
+	}
+	if got := tl.AcctTotals(); got != snap {
+		t.Fatalf("timeline totals diverge from the snapshot at Close:\n  totals   %+v\n  snapshot %+v", got, snap)
+	}
+	for i := 1; i < len(tl.Samples); i++ {
+		if tl.Samples[i].T <= tl.Samples[i-1].T {
+			t.Fatalf("sample %d at %v follows one at %v", i, tl.Samples[i].T, tl.Samples[i-1].T)
+		}
+	}
+}
+
+// TestAttachRegistersNoGoroutine: the sampler is a chain of clock
+// events, so a world counts the same goroutines observed or not.
+func TestAttachRegistersNoGoroutine(t *testing.T) {
+	w := smallWorld(t, 1)
+	clock := w.Net.Clock()
+	before := clock.Registered()
+	rec := Attach(w, time.Second)
+	if got := clock.Registered(); got != before {
+		t.Fatalf("Attach took the world from %d goroutines to %d", before, got)
+	}
+	clock.Sleep(3 * time.Second)
+	if got := clock.Registered(); got != before {
+		t.Fatalf("%d goroutines with a recorder sampling, %d before", got, before)
+	}
+	rec.Close()
 }
 
 // TestPrometheusShape pins the exposition-format essentials: HELP/TYPE

@@ -290,12 +290,11 @@ func Run(spec Spec) (*Outcome, error) {
 	out := &Outcome{Spec: spec}
 	clock := w.Net.Clock()
 
-	// The metric recorder samples every fuzzed world: its sampler is one
-	// more simulation goroutine, so simtest continuously proves that
-	// observability itself preserves determinism (the recorder runs in
-	// both runs of the determinism invariant and in both leak samples,
-	// so it cancels out of those comparisons).
-	rec := obs.AttachWorld(w, obs.DefaultInterval)
+	// The metric recorder samples every fuzzed world, so every world
+	// checks the timeline-conservation invariant. Its samples are clock
+	// events that register no goroutine, so the leak samples below count
+	// the campaign's goroutines alone.
+	rec := obs.Attach(w, obs.DefaultInterval)
 
 	out.Methods = measure(w, spec, spec.Repeats, &out.ClockErr)
 	park(w, spec)
