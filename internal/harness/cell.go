@@ -99,6 +99,7 @@ func compute[In, Out any](r *Runner, c cell[In, Out]) (Out, error) {
 		rec = obs.Attach(w, r.cfg.MetricsInterval)
 	}
 	v, err := c.measure(w, c.in)
+	r.addSimStats(w.Net.Clock().Stats())
 	if err != nil {
 		return zero, err
 	}

@@ -124,11 +124,13 @@ type Runner struct {
 	mu    sync.Mutex
 	cells map[string]any // cell key → its *sim.Future[Out] (see submit)
 
-	// omu guards the observability sinks: per-cell timelines and the
-	// captured experiment sections the HTML report embeds.
+	// omu guards the observability sinks: per-cell timelines, the
+	// captured experiment sections the HTML report embeds and the
+	// scheduler counters of the worlds measured.
 	omu       sync.Mutex
 	timelines map[string]*obs.Timeline
 	sections  []obs.Section
+	simStats  netem.Stats
 }
 
 // New creates a Runner writing its reports to out.

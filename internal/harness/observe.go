@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strings"
 
+	"ptperf/internal/netem"
 	"ptperf/internal/obs"
 )
 
@@ -46,6 +47,24 @@ func (r *Runner) setTimeline(key string, tl *obs.Timeline) {
 	r.omu.Lock()
 	r.timelines[key] = tl
 	r.omu.Unlock()
+}
+
+// addSimStats adds one measured world's scheduler counters.
+func (r *Runner) addSimStats(st netem.Stats) {
+	r.omu.Lock()
+	r.simStats.Parks += st.Parks
+	r.simStats.Events += st.Events
+	r.simStats.ReadyEvents += st.ReadyEvents
+	r.omu.Unlock()
+}
+
+// SimStats returns the scheduler counters (netem.Clock.Stats) of every
+// world this Runner has built and measured, summed; a cell answered
+// from the cache adds nothing.
+func (r *Runner) SimStats() netem.Stats {
+	r.omu.Lock()
+	defer r.omu.Unlock()
+	return r.simStats
 }
 
 // Timelines returns the recorded (or cache-restored) metric timelines

@@ -39,7 +39,9 @@
 // callback at exactly its arrival time, and Conn.ReadFull parks a
 // record-structured reader once per request instead of once per segment.
 // Event callbacks must never park — they use the non-parking primitives
-// (TryWriteOwned, Chan.TrySend, Clock.Go, further EventAt arms).
+// (TryWriteOwned, Chan.TrySend, Clock.Go, further EventAt arms) or the
+// event forms (Cond.WaitEvent, Conn.ReadEvent, Conn.WriteEvent), whose
+// continuation runs where a parked goroutine would have resumed.
 // See DESIGN.md ("Inline event execution") for the architecture and the
 // rules simulation code must follow (spawn via Clock.Go, block only in
 // scheduler-aware primitives). These rules are machine-checked:

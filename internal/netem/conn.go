@@ -44,6 +44,13 @@ type Conn struct {
 	rng *rand.Rand // jitter and loss draws
 
 	wmu Mutex // serializes writers, who park on backpressure
+	// A write keeps the segment it shaped for a full window in held
+	// until the window takes it, under the deadline it began with
+	// (wlockDL). An event write (WriteEvent, WriteOwnedEvent) holds wmu
+	// across its waits, marked by wlocked.
+	wlocked, holding bool
+	held             seg
+	wlockDL          time.Time
 
 	rdl time.Time
 	wdl time.Time
@@ -94,6 +101,22 @@ func (c *Conn) ReadFull(p []byte) (int, error) {
 	return c.rx.read(p, len(p), c.rdl)
 }
 
+// ReadEvent is Read for an event callback, which must not park: it
+// returns done with what Read would have returned, or, where Read would
+// park, queues again in the parked reader's place (Cond.WaitEvent) and
+// returns done false, having read nothing; again calls ReadEvent once
+// more, as the woken Read loops.
+func (c *Conn) ReadEvent(p []byte, again func()) (n int, err error, done bool) {
+	return c.rx.readEvent(p, 1, c.rdl, again)
+}
+
+// ReadFullEvent is ReadFull for an event callback, as ReadEvent is
+// Read's: where ReadFull would park it returns done false with the n
+// bytes that have arrived so far, and again reads on into p[n:].
+func (c *Conn) ReadFullEvent(p []byte, again func()) (n int, err error, done bool) {
+	return c.rx.readEvent(p, len(p), c.rdl, again)
+}
+
 // SetReadSink replaces the conn's receive direction with inline
 // delivery: each segment is handed to fn at its arrival instant on the
 // clock's event dispatcher, instead of waking a goroutine parked in
@@ -118,29 +141,13 @@ func (c *Conn) SetLoopSink(fn ReadSink) { c.rx.setSink(fn, true) }
 // serialization time — the bucket's free cursor carries the pacing into
 // every subsequent segment's arrival, like a kernel send buffer
 // absorbing small writes — so sender-side backpressure comes from the
-// receive-window bound in push. Delivery timing is identical to a
+// receive-window bound in the pipe. Delivery timing is identical to a
 // paced writer; only the (unobserved) instant at which Write returns
 // moves earlier, and each elided park halves the event count on the
 // simulation's hottest path.
 func (c *Conn) Write(p []byte) (int, error) {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	return c.writeAll(p, c.wdl, true)
-}
-
-// writeAll chunks p into segments and writes them in turn, stopping at
-// the first error. The writer lock must be held.
-func (c *Conn) writeAll(p []byte, dl time.Time, wait bool) (written int, err error) {
-	for len(p) > 0 {
-		n := min(len(p), segmentSize)
-		data, base, pool := getSegBuf(p[:n])
-		if _, err := c.writeSegment(data, base, pool, dl, wait); err != nil {
-			return written, err
-		}
-		written += n
-		p = p[n:]
-	}
-	return written, nil
+	n, err, _ := c.WriteEvent(p, nil)
+	return n, err
 }
 
 // WriteOwned is a zero-copy single-segment Write: ownership of data's
@@ -154,11 +161,119 @@ func (c *Conn) WriteOwned(data []byte, base *[]byte, pool *sync.Pool) error {
 		_, err := c.Write(data)
 		return err
 	}
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	dl := c.wdl
-	_, err := c.writeSegment(data, base, pool, dl, true)
+	err, _ := c.WriteOwnedEvent(data, base, pool, nil)
 	return err
+}
+
+// WriteEvent is Write for an event callback, which must not park: a
+// partial write that resumes where Write would have. It returns done
+// with what Write would have returned, or, where Write would park — on
+// the writer lock, or with a shaped segment the receive window cannot
+// take yet — it queues again where the parked writer would have been
+// readied (Cond.WaitEvent) and returns done false and n, the bytes taken
+// so far, the held segment's among them. again calls WriteEvent once
+// more with p[n:] (perhaps empty), which lands the held segment first.
+// The segment is shaped when Write would have shaped it, before the
+// wait, so its bucket time, draws and filter verdict are Write's. With a
+// nil again it is Write, which parks instead.
+func (c *Conn) WriteEvent(p []byte, again func()) (n int, err error, done bool) {
+	if !c.lockWrite(again) {
+		return 0, nil, false
+	}
+	if ok, err := c.landHeld(again); !ok {
+		return 0, nil, false
+	} else if err != nil {
+		return 0, err, c.unlockWrite()
+	}
+	for len(p) > 0 {
+		k := min(len(p), segmentSize)
+		data, base, pool := getSegBuf(p[:k])
+		if err := c.hold(data, base, pool); err != nil {
+			return n, err, c.unlockWrite()
+		}
+		n += k
+		p = p[k:]
+		if ok, err := c.landHeld(again); !ok {
+			return n, nil, false
+		} else if err != nil {
+			return n - k, err, c.unlockWrite()
+		}
+	}
+	return n, nil, c.unlockWrite()
+}
+
+// WriteOwnedEvent is WriteOwned for an event callback, as WriteEvent is
+// Write's: done false means again must call it once more with the same
+// arguments, and ownership passes to the conn with the first call that
+// finds the writer lock free. data must fit one segment. With a nil
+// again it is WriteOwned.
+func (c *Conn) WriteOwnedEvent(data []byte, base *[]byte, pool *sync.Pool, again func()) (err error, done bool) {
+	if len(data) > segmentSize {
+		panic("netem: WriteOwnedEvent of more than one segment")
+	}
+	if !c.lockWrite(again) {
+		return nil, false
+	}
+	if !c.holding {
+		if err := c.hold(data, base, pool); err != nil {
+			return err, c.unlockWrite()
+		}
+	}
+	ok, err := c.landHeld(again)
+	if !ok {
+		return nil, false
+	}
+	return err, c.unlockWrite()
+}
+
+// lockWrite takes the writer lock for a write, unless an event write
+// holds it already, and reads the write deadline as Write does once it
+// has the lock. A plain write (nil again) parks in Lock and holds the
+// lock without marking it, so an event write that comes meanwhile
+// queues for it.
+func (c *Conn) lockWrite(again func()) bool {
+	switch {
+	case again == nil:
+		c.wmu.Lock()
+	case c.wlocked:
+		return true
+	case !c.wmu.LockEvent(again):
+		return false
+	default:
+		c.wlocked = true
+	}
+	c.wlockDL = c.wdl
+	return true
+}
+
+// unlockWrite ends a write, releasing the writer lock; it reports done.
+func (c *Conn) unlockWrite() bool {
+	c.wlocked = false
+	c.wmu.Unlock()
+	return true
+}
+
+// hold shapes an owned segment for a write and keeps it until the
+// window takes it.
+func (c *Conn) hold(data []byte, base *[]byte, pool *sync.Pool) error {
+	arrival, err := c.shape(data, base, pool)
+	if err == nil {
+		c.held, c.holding = seg{data: data, base: base, pool: pool, at: arrival}, true
+	}
+	return err
+}
+
+// landHeld pushes the held segment, if any: ok false means it waits for
+// the window, with again queued; a nil again parks until it lands.
+func (c *Conn) landHeld(again func()) (ok bool, err error) {
+	if !c.holding {
+		return true, nil
+	}
+	done, err := c.tx.push(&c.held, deadlineVT(c.wlockDL), again)
+	if done {
+		c.held, c.holding = seg{}, false
+	}
+	return done, err
 }
 
 // TryWriteOwned is WriteOwned without parking, for inline event
@@ -177,7 +292,7 @@ func (c *Conn) TryWriteOwned(data []byte, base *[]byte, pool *sync.Pool) (ok boo
 	if !c.closed && c.tx.freeSpace() < len(data) {
 		return false, nil
 	}
-	return c.writeSegment(data, base, pool, time.Time{}, false)
+	return c.writeSegment(data, base, pool)
 }
 
 // TryWrite is Write without parking, for inline event callbacks: it
@@ -193,16 +308,35 @@ func (c *Conn) TryWrite(p []byte) (ok bool, err error) {
 	if c.tx.wouldPark(len(p)) {
 		return false, nil
 	}
-	_, err = c.writeAll(p, time.Time{}, false)
-	return true, err
+	for len(p) > 0 {
+		n := min(len(p), segmentSize)
+		data, base, pool := getSegBuf(p[:n])
+		if _, err := c.writeSegment(data, base, pool); err != nil {
+			return true, err
+		}
+		p = p[n:]
+	}
+	return true, nil
 }
 
-// writeSegment shapes and delivers one owned segment: policy filtering,
-// egress/ingress/shaper reservations, then the pipe push. wait=false is
-// the non-parking form, whose callers have already refused a segment
-// that does not fit, so that a refusal leaves no shaping trace. The
-// writer lock must be held.
-func (c *Conn) writeSegment(data []byte, base *[]byte, pool *sync.Pool, dl time.Time, wait bool) (ok bool, err error) {
+// writeSegment shapes and delivers one owned segment without parking:
+// policy filtering, egress/ingress/shaper reservations, then the pipe
+// push. Its callers have already refused a segment that does not fit,
+// so that a refusal leaves no shaping trace. The writer lock must be
+// held.
+func (c *Conn) writeSegment(data []byte, base *[]byte, pool *sync.Pool) (ok bool, err error) {
+	arrival, err := c.shape(data, base, pool)
+	if err != nil {
+		return true, err
+	}
+	return c.tx.tryPush(data, base, pool, arrival)
+}
+
+// shape runs one segment through the policy filter and the egress,
+// ingress and shaper reservations, and returns its arrival instant; a
+// Reset verdict recycles the segment, aborts the conn and returns
+// ErrReset.
+func (c *Conn) shape(data []byte, base *[]byte, pool *sync.Pool) (time.Duration, error) {
 	n := len(data)
 	var censored time.Duration
 	var shaper *Bucket
@@ -212,25 +346,20 @@ func (c *Conn) writeSegment(data []byte, base *[]byte, pool *sync.Pool, dl time.
 		if v.Action == Reset {
 			putSegBuf(pool, base)
 			c.Abort()
-			return true, ErrReset
+			return 0, ErrReset
 		}
 		censored = v.Extra
 		shaper = v.Shaper
 	}
-	clock := c.tx.clock
-	now := clock.Now()
+	now := c.tx.clock.Now()
 	done := c.out.egress.Reserve(now, n)
 	done = c.out.ingress.Reserve(done, n)
 	if shaper != nil {
 		done = shaper.Reserve(done, n)
 		censored += shaper.QueueDelay()
 	}
-	arrival := done + c.out.delay + c.extraDelay() + censored +
-		c.out.egress.QueueDelay() + c.out.ingress.QueueDelay()
-	if wait {
-		return true, c.tx.push(data, base, pool, arrival, dl)
-	}
-	return c.tx.tryPush(data, base, pool, arrival)
+	return done + c.out.delay + c.extraDelay() + censored +
+		c.out.egress.QueueDelay() + c.out.ingress.QueueDelay(), nil
 }
 
 // WriteBudget reports how many payload bytes a Write can currently

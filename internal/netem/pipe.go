@@ -136,6 +136,10 @@ type pipe struct {
 	sinkArmed bool
 	sinkDone  bool
 	loop      bool // the sink stands in for a read loop (Conn.SetLoopSink)
+
+	// rdFn is what an event read (readEvent) runs when its wait ends,
+	// through rdWoke, the cached readWoke.
+	rdFn, rdWoke func()
 }
 
 func newPipe(clock *Clock, maxBuf int, acct *Acct) *pipe {
@@ -160,27 +164,33 @@ func vtExpired(c *Clock, vt time.Duration) bool {
 }
 
 // push enqueues a shaped segment, parking while the receive window is
-// full. It returns an error if either side has closed. Ownership of
-// base transfers to the pipe on any outcome (errors recycle it).
-func (p *pipe) push(data []byte, base *[]byte, pool *sync.Pool, arrival time.Duration, deadline time.Time) error {
-	vt := deadlineVT(deadline)
-	for p.wouldPark(len(data)) {
+// full until vt; for a non-nil fn it is push's event form, which queues
+// fn in the writer's place instead (Cond.WaitEvent) and returns done
+// false, keeping s for fn's retry. It returns an error if either side
+// has closed. Ownership of s's base transfers to the pipe once done
+// (errors recycle it).
+func (p *pipe) push(s *seg, vt time.Duration, fn func()) (done bool, err error) {
+	for p.wouldPark(len(s.data)) {
 		if vtExpired(p.clock, vt) {
-			putSegBuf(pool, base)
-			return ErrTimeout
+			putSegBuf(s.pool, s.base)
+			return true, ErrTimeout
 		}
-		p.cond.WaitVT(vt)
+		if fn == nil {
+			p.cond.WaitVT(vt)
+		} else if !p.cond.waitEvent(vt, fn) {
+			return false, nil
+		}
 	}
 	if p.wclosed {
-		putSegBuf(pool, base)
-		return ErrClosed
+		putSegBuf(s.pool, s.base)
+		return true, ErrClosed
 	}
 	if p.rclosed {
-		putSegBuf(pool, base)
-		return ErrReset
+		putSegBuf(s.pool, s.base)
+		return true, ErrReset
 	}
-	p.enqueue(data, base, pool, arrival)
-	return nil
+	p.enqueue(s.data, s.base, s.pool, s.at)
+	return true, nil
 }
 
 // wouldPark reports whether a push of n more bytes would park on the
@@ -359,86 +369,120 @@ func (p *pipe) deliver() {
 // segment, so a writer parked on the receive-window bound can unpark
 // up to one request later than under an eager reader.
 func (p *pipe) read(buf []byte, min int, deadline time.Time) (int, error) {
+	n, err, _ := p.readEvent(buf, min, deadline, nil)
+	return n, err
+}
+
+// readEvent is read, and for a non-nil fn its event form: where read
+// would park it queues fn in the reader's place (Cond.WaitEvent) and
+// returns done false with the bytes copied so far, and fn reads on with
+// the rest of buf. With min 1 a wait comes only before the first byte.
+func (p *pipe) readEvent(buf []byte, min int, deadline time.Time, fn func()) (total int, err error, done bool) {
 	if len(buf) == 0 {
-		return 0, nil
+		return 0, nil, true
 	}
 	vt := deadlineVT(deadline)
 	if p.sink != nil {
 		panic("netem: Read on a conn with an inline read sink")
 	}
-	total := 0
 	for {
-		if p.rclosed {
-			return total, ErrClosed
+		n, err, wake, done := p.readPass(buf[total:], min-total, vt)
+		total += n
+		if done {
+			return total, err, true
 		}
-		now := p.clock.Now()
-		drained := 0
-		for p.segHead < len(p.segs) && total < len(buf) {
-			s := &p.segs[p.segHead]
-			if s.at > now {
-				break
-			}
-			n := copy(buf[total:], s.data)
-			total += n
-			drained += n
-			if n == len(s.data) {
-				putSegBuf(s.pool, s.base)
-				p.segs[p.segHead] = seg{}
-				p.segHead++
-			} else {
-				s.data = s.data[n:]
-			}
-		}
-		if p.segHead == len(p.segs) {
-			p.segs = p.segs[:0]
-			p.segHead = 0
-		}
-		if drained > 0 {
-			p.buffered -= drained
-			p.acct.addDelivered(drained)
-			p.cond.Broadcast()
-		}
-		if total >= min {
-			return total, nil
-		}
-		if p.wclosed && p.segHead == len(p.segs) {
-			return total, io.EOF
-		}
-		if vtExpired(p.clock, vt) {
-			return total, ErrTimeout
-		}
-		// Pick the park horizon: the instant the request's in-order
-		// prefix has fully arrived if the queue already holds enough
-		// bytes, the whole queue's arrival if the writer has closed
-		// (drain, then EOF), else the deadline — with pushes waking us
-		// early only once the queue can complete the request. Delivery
-		// is in order but jitter can reorder raw arrivals, so the
-		// horizon is the *maximum* arrival over the prefix — waiting on
-		// the completing segment alone could pick an instant already in
-		// the past while the head segment is still in flight.
-		wake := vt
-		need := min - total
-		queued := 0
-		var arr time.Duration
-		for i := p.segHead; i < len(p.segs); i++ {
-			queued += len(p.segs[i].data)
-			if a := p.segs[i].at; a > arr {
-				arr = a
-			}
-			if queued >= need {
-				break
-			}
-		}
-		if queued >= need || p.wclosed {
-			if vt == noDeadline || arr < vt {
-				wake = arr
-			}
+		if fn == nil {
+			p.cond.WaitVT(wake)
 		} else {
-			p.rdWant = need
+			if p.rdWoke == nil {
+				p.rdWoke = p.readWoke
+			}
+			if p.rdFn = fn; !p.cond.waitEvent(wake, p.rdWoke) {
+				return total, nil, false
+			}
 		}
-		p.cond.WaitVT(wake)
 		p.rdWant = 0
 	}
+}
+
+// readWoke ends an event read's wait as a parked read's ends.
+func (p *pipe) readWoke() {
+	p.rdWant = 0
+	p.rdFn()
+}
+
+// readPass is one turn of read's loop over buf, of which min bytes are
+// still wanted: it drains what has arrived and reports done with the
+// error to return, or the instant to wait until, with rdWant set when
+// only a push can end the wait early.
+func (p *pipe) readPass(buf []byte, min int, vt time.Duration) (total int, err error, wake time.Duration, done bool) {
+	if p.rclosed {
+		return 0, ErrClosed, 0, true
+	}
+	now := p.clock.Now()
+	for p.segHead < len(p.segs) && total < len(buf) {
+		s := &p.segs[p.segHead]
+		if s.at > now {
+			break
+		}
+		n := copy(buf[total:], s.data)
+		total += n
+		if n == len(s.data) {
+			putSegBuf(s.pool, s.base)
+			p.segs[p.segHead] = seg{}
+			p.segHead++
+		} else {
+			s.data = s.data[n:]
+		}
+	}
+	if p.segHead == len(p.segs) {
+		p.segs = p.segs[:0]
+		p.segHead = 0
+	}
+	if total > 0 {
+		p.buffered -= total
+		p.acct.addDelivered(total)
+		p.cond.Broadcast()
+	}
+	if total >= min {
+		return total, nil, 0, true
+	}
+	if p.wclosed && p.segHead == len(p.segs) {
+		return total, io.EOF, 0, true
+	}
+	if vtExpired(p.clock, vt) {
+		return total, ErrTimeout, 0, true
+	}
+	// Pick the park horizon: the instant the request's in-order
+	// prefix has fully arrived if the queue already holds enough
+	// bytes, the whole queue's arrival if the writer has closed
+	// (drain, then EOF), else the deadline — with pushes waking us
+	// early only once the queue can complete the request. Delivery
+	// is in order but jitter can reorder raw arrivals, so the
+	// horizon is the *maximum* arrival over the prefix — waiting on
+	// the completing segment alone could pick an instant already in
+	// the past while the head segment is still in flight.
+	wake = vt
+	need := min - total
+	queued := 0
+	var arr time.Duration
+	for i := p.segHead; i < len(p.segs); i++ {
+		queued += len(p.segs[i].data)
+		if a := p.segs[i].at; a > arr {
+			arr = a
+		}
+		if queued >= need {
+			break
+		}
+	}
+	if queued >= need || p.wclosed {
+		if vt == noDeadline || arr < vt {
+			wake = arr
+		}
+	} else {
+		p.rdWant = need
+	}
+	return total, nil, wake, false
 }
 
 // freeSpace reports how many more payload bytes push would accept

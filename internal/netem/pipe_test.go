@@ -19,7 +19,7 @@ func TestPopZeroLengthBuf(t *testing.T) {
 	clock := NewClock()
 	p := newPipe(clock, 0, nil)
 	data, base, pool := getSegBuf([]byte("abc"))
-	if err := p.push(data, base, pool, 0, time.Time{}); err != nil {
+	if _, err := p.push(&seg{data: data, base: base, pool: pool}, noDeadline, nil); err != nil {
 		t.Fatal(err)
 	}
 	if n, err := p.read(nil, 1, time.Time{}); n != 0 || err != nil {
@@ -45,7 +45,7 @@ func TestReadEOFBeforeTimeout(t *testing.T) {
 	clock := NewClock()
 	p := newPipe(clock, 0, nil)
 	data, base, pool := getSegBuf([]byte("abc"))
-	if err := p.push(data, base, pool, 0, time.Time{}); err != nil {
+	if _, err := p.push(&seg{data: data, base: base, pool: pool}, noDeadline, nil); err != nil {
 		t.Fatal(err)
 	}
 	p.closeWrite()
@@ -444,7 +444,7 @@ func TestPipeKeepsItsArray(t *testing.T) {
 	p := newPipe(clock, 0, nil)
 	push := func() {
 		data, base, pool := getSegBuf([]byte{'x'})
-		if err := p.push(data, base, pool, 0, time.Time{}); err != nil {
+		if _, err := p.push(&seg{data: data, base: base, pool: pool}, noDeadline, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -226,7 +226,27 @@ type Clock struct {
 	// spare holds released waiters for newWaiter; a campaign parks
 	// millions of times, and only the run token's holder touches it.
 	spare []*waiter
+	stats Stats
 }
+
+// Stats counts what a clock has run: the goroutine parks it handed the
+// run token over at, and the inline callbacks it ran instead.
+type Stats struct {
+	// Parks counts scheduler waits that released the run token: a
+	// simulation goroutine's or the driver's.
+	Parks uint64
+	// Events counts inline callbacks run from the timer heap: EventAt
+	// arms, and event waits (Cond.WaitEvent) ended by their deadline or
+	// a segment's arrival.
+	Events uint64
+	// ReadyEvents counts inline callbacks run from the run queue:
+	// ReadyEvent arms, and event waits a Broadcast readied.
+	ReadyEvents uint64
+}
+
+// Stats returns the clock's counters so far. Counting costs one
+// increment per park or event, and it schedules nothing.
+func (c *Clock) Stats() Stats { return c.stats }
 
 // NewClock returns a fresh scheduler with the calling goroutine
 // registered as its driver.
@@ -270,6 +290,7 @@ func (c *Clock) release(w *waiter) {
 // fired. It is the only yield point of a world: whatever a goroutine
 // does between two parks is atomic to every other one.
 func (c *Clock) park(w *waiter) (timedOut bool) {
+	c.stats.Parks++
 	c.active--
 	if c.active < 0 {
 		c.refuse(w)
@@ -316,7 +337,8 @@ func (c *Clock) dispatch(own *waiter) {
 			if w.fn != nil {
 				fn := w.fn
 				c.release(w)
-				fn() // a ReadyEvent: see EventAt for the contract
+				c.stats.ReadyEvents++
+				fn() // a ReadyEvent or a readied event wait: see EventAt for the contract
 				continue
 			}
 		case len(c.timers) > 0:
@@ -326,7 +348,11 @@ func (c *Clock) dispatch(own *waiter) {
 			}
 			if w.fn != nil {
 				fn := w.fn
+				if w.cond != nil {
+					w.cond.remove(w) // an event wait whose deadline came first
+				}
 				c.release(w)
+				c.stats.Events++
 				// The event may use Try* primitives, ready goroutines or
 				// arm further events. active is still 0: event callbacks
 				// are not simulation goroutines and must never park (a
@@ -358,7 +384,10 @@ func (c *Clock) dispatch(own *waiter) {
 }
 
 // makeReady appends a waiter to the run queue, removing any pending
-// timer entry.
+// timer entry. A closed clock runs nobody: there it only marks the
+// waiter woken, so a Broadcast after Shutdown (World.Close aborts
+// conns) drops an event wait left on a wait list (Cond.WaitEvent)
+// instead of queuing its continuation.
 func (c *Clock) makeReady(w *waiter) {
 	if w.woken {
 		return
@@ -367,7 +396,9 @@ func (c *Clock) makeReady(w *waiter) {
 	if w.heapIndex >= 0 {
 		c.timers.remove(w.heapIndex)
 	}
-	c.ready = append(c.ready, w)
+	if !c.closed {
+		c.ready = append(c.ready, w)
+	}
 }
 
 // Go spawns fn as a registered simulation goroutine. The child does not
@@ -452,8 +483,16 @@ func (c *Clock) SleepUntil(vt time.Duration) {
 // constantly; it saves the full park/dispatch/goroutine-switch round
 // trip.
 func (c *Clock) advanceInPlace(vt time.Duration) bool {
-	if c.active != 1 || c.readyLen() != 0 ||
-		(len(c.timers) != 0 && c.timers[0].at <= vt) {
+	return c.active == 1 && c.advanceIdle(vt)
+}
+
+// advanceIdle is advanceInPlace for whoever holds the run token, a
+// goroutine or an event callback (Cond.WaitEvent): an event runs on the
+// dispatching driver with active at 0, and it too is the only thing
+// that can run before vt when the run queue is empty and no timer is
+// due by then.
+func (c *Clock) advanceIdle(vt time.Duration) bool {
+	if c.readyLen() != 0 || (len(c.timers) != 0 && c.timers[0].at <= vt) {
 		return false
 	}
 	c.now.Store(int64(vt))

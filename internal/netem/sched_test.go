@@ -533,3 +533,107 @@ func TestTimerHeapMatchesContainerHeap(t *testing.T) {
 		}
 	}
 }
+
+// TestWaitEventRunsWhereTheParkedGoroutineWould runs one waiter twice,
+// as a goroutine parked in Cond waits and as a callback chained through
+// Cond.WaitEvent, among the same goroutine and events: a Broadcast ends
+// its first wait, ahead of a callback queued after it, its deadline the
+// second, between an event armed before the wait and one armed after,
+// and every step of either form happens at the same instant and in the
+// same order. Only the goroutine parks.
+func TestWaitEventRunsWhereTheParkedGoroutineWould(t *testing.T) {
+	run := func(event bool) ([]string, Stats) {
+		clock := NewClock()
+		defer clock.Shutdown()
+		cd := NewCond(clock)
+		var log []string
+		note := func(s string) { log = append(log, fmt.Sprintf("%s@%v", s, clock.Now())) }
+		clock.EventAt(30*time.Millisecond, func() { note("early-arm") })
+		if event {
+			step := 0
+			var fn func()
+			fn = func() {
+				switch step {
+				case 0:
+					step = 1
+					if !cd.WaitEvent(time.Time{}, fn) {
+						return
+					}
+					fallthrough
+				case 1:
+					note("woken")
+					step = 2
+					if !cd.WaitEvent(Epoch.Add(30*time.Millisecond), fn) {
+						return
+					}
+					fallthrough
+				case 2:
+					note("timed out")
+				}
+			}
+			clock.ReadyEvent(fn)
+		} else {
+			clock.Go(func() {
+				cd.Wait()
+				note("woken")
+				cd.WaitDeadline(Epoch.Add(30 * time.Millisecond))
+				note("timed out")
+			})
+		}
+		clock.Go(func() {
+			clock.Sleep(10 * time.Millisecond)
+			note("broadcast")
+			cd.Broadcast()
+			note("after broadcast")
+			clock.ReadyEvent(func() { note("queued after broadcast") })
+			clock.Sleep(10 * time.Millisecond)
+			clock.EventAt(30*time.Millisecond, func() { note("late-arm") })
+		})
+		clock.Sleep(time.Second)
+		return log, clock.Stats()
+	}
+	parked, ps := run(false)
+	evented, es := run(true)
+	if fmt.Sprint(parked) != fmt.Sprint(evented) {
+		t.Fatalf("parked waiter:\n%v\nevent waiter:\n%v", parked, evented)
+	}
+	if want := "[broadcast@10ms after broadcast@10ms woken@10ms queued after broadcast@10ms early-arm@30ms timed out@30ms late-arm@30ms]"; fmt.Sprint(parked) != want {
+		t.Fatalf("order %v, want %s", parked, want)
+	}
+	if es.Parks >= ps.Parks || es.Events+es.ReadyEvents <= ps.Events+ps.ReadyEvents {
+		t.Fatalf("stats: parked %+v, event %+v; the event form should trade parks for events", ps, es)
+	}
+}
+
+// TestEventWaitLeftAtShutdownIsDropped ends a world with an event wait
+// on a wait list, untimed and timed, as a pump idles on its source:
+// a Broadcast and a WakeAt after Shutdown, which World.Close's aborts
+// make, must queue no continuation and arm no timer, and a wait begun on
+// the closed clock is dropped too.
+func TestEventWaitLeftAtShutdownIsDropped(t *testing.T) {
+	clock := NewClock()
+	untimed, timed := NewCond(clock), NewCond(clock)
+	ran := 0
+	fn := func() { ran++ }
+	clock.ReadyEvent(func() {
+		if untimed.WaitEvent(time.Time{}, fn) || timed.WaitEvent(Epoch.Add(time.Second), fn) {
+			t.Error("a wait with nothing to end it returned at once")
+		}
+	})
+	clock.Sleep(time.Millisecond)
+	clock.Shutdown()
+	for _, cd := range []*Cond{untimed, timed} {
+		cd.WakeAt(clock.Now())
+		if len(clock.timers) != 0 {
+			t.Fatalf("WakeAt after Shutdown armed %d timers", len(clock.timers))
+		}
+		cd.Broadcast()
+		if cd.WaitEvent(Epoch.Add(2*time.Second), fn) {
+			t.Error("WaitEvent on a closed clock returned true")
+		}
+		cd.Broadcast()
+	}
+	if n := clock.readyLen(); n != 0 || len(clock.timers) != 0 || ran != 0 {
+		t.Fatalf("after Shutdown: %d ready, %d timers, %d continuations run; want none", n, len(clock.timers), ran)
+	}
+}

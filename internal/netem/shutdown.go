@@ -72,6 +72,13 @@ func (c *Clock) stopRest() {
 			return
 		}
 		c.cur, c.listing = nil, nil
+		// An event wait (Cond.WaitEvent) is dropped as EventAt arms are.
+		// A timed one leaves the heap with it, marked woken; an untimed
+		// one stays on its wait list, where a later Broadcast marks it
+		// woken and queues nothing (makeReady) and WakeAt leaves it.
+		for _, w := range c.timers {
+			w.woken, w.heapIndex = true, -1
+		}
 		c.coros, c.free, c.ready, c.readyHead, c.timers, c.spare = nil, nil, nil, 0, nil, nil
 		c.registered = 1
 	}()

@@ -65,6 +65,43 @@ func (cd *Cond) WaitVT(vt time.Duration) bool {
 	return c.park(w)
 }
 
+// WaitEvent is WaitDeadline for an event callback, which must not
+// park. Where WaitDeadline would park, fn takes the goroutine's place —
+// on the wait list, and in the timer heap under the deadline — and
+// WaitEvent returns false: fn then runs inline where the goroutine would
+// have resumed, from the run queue after a Broadcast, or at the deadline
+// or a WakeAt instant. Where WaitDeadline would return at once (the
+// deadline has passed, or nothing else can run before it), WaitEvent
+// returns true and queues nothing. A waiting fn is a waiter like any
+// other, with the sequence number its park would have had, so whatever
+// it does happens when and in the order the woken goroutine's code
+// would have. On a closed clock fn is dropped, as EventAt drops an
+// arm: WaitEvent returns false and fn never runs.
+func (cd *Cond) WaitEvent(t time.Time, fn func()) bool {
+	return cd.waitEvent(deadlineVT(t), fn)
+}
+
+// waitEvent is WaitEvent on a virtual instant (noDeadline for none).
+func (cd *Cond) waitEvent(vt time.Duration, fn func()) bool {
+	c := cd.clock
+	if c.closed {
+		return false // dropped, as EventAt drops an arm
+	}
+	if vt != noDeadline && (vt <= c.Now() || c.advanceIdle(vt)) {
+		return true
+	}
+	w := c.newWaiter()
+	w.fn = fn
+	if vt != noDeadline {
+		w.at = vt
+		w.timed = true
+		c.timers.push(w)
+	}
+	w.cond = cd
+	cd.waiters = append(cd.waiters, w)
+	return false
+}
+
 // remove drops a waiter from the wait list (timer fired before any
 // broadcast); lists are short.
 func (cd *Cond) remove(w *waiter) {
@@ -85,6 +122,9 @@ func (cd *Cond) remove(w *waiter) {
 // of waking at push time just to park again until arrival.
 func (cd *Cond) WakeAt(vt time.Duration) {
 	c := cd.clock
+	if c.closed {
+		return // the heap is gone; nobody waits on a closed clock
+	}
 	for _, w := range cd.waiters {
 		if w.woken || (w.timed && w.at <= vt) {
 			continue
@@ -142,6 +182,19 @@ func (m *Mutex) Lock() {
 // hold.
 func (m *Mutex) TryLock() bool {
 	if m.locked {
+		return false
+	}
+	m.locked = true
+	return true
+}
+
+// LockEvent is Lock for an event callback: it takes the mutex and
+// returns true, or, while it is held, queues fn where Lock would park
+// (Cond.WaitEvent) and returns false; fn calls LockEvent again, as the
+// woken Lock loops.
+func (m *Mutex) LockEvent(fn func()) bool {
+	if m.locked {
+		m.cond.waitEvent(noDeadline, fn)
 		return false
 	}
 	m.locked = true

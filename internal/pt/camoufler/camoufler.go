@@ -358,7 +358,12 @@ type imConn struct {
 	in      *pt.FrameConn
 	sendSeq uint64
 	wbuf    []byte // the message being written
-	onClose func()
+	// A write keeps a message the IM conn has not taken whole (an event
+	// write across its waits) in wbuf: sent bytes of it so far, payload
+	// bytes of p in it.
+	sending       bool
+	sent, payload int
+	onClose       func()
 }
 
 func newIMConn(clock *netem.Clock, conn *netem.Conn, self, peer string, capBytes int) *imConn {
@@ -394,17 +399,37 @@ func (ic *imConn) message(b []byte) {
 
 // Write implements net.Conn: chunk into messages.
 func (ic *imConn) Write(p []byte) (int, error) {
-	written := 0
-	for len(p) > 0 {
-		n := min(len(p), ic.cap)
-		ic.sendSeq++
-		if err := writeMessage(ic.conn, &ic.wbuf, ic.peer, ic.sendSeq, p[:n]); err != nil {
-			return written, err
+	n, err, _ := ic.WriteEvent(p, nil)
+	return n, err
+}
+
+// WriteEvent is Write for an event callback, with the contract of
+// netem.Conn.WriteEvent, or Write itself for a nil again: a message is
+// framed where Write frames it, and one the IM conn has not taken whole
+// waits in wbuf, its payload counted in n.
+func (ic *imConn) WriteEvent(p []byte, again func()) (n int, err error, done bool) {
+	for {
+		if ic.sending {
+			k, err, done := pt.WriteEvent(ic.conn, ic.wbuf[ic.sent:], again)
+			if ic.sent += k; !done {
+				return n, nil, false
+			}
+			if ic.sending = false; err != nil {
+				return max(n-ic.payload, 0), err, true
+			}
 		}
-		written += n
-		p = p[n:]
+		if len(p) == 0 {
+			return n, nil, true
+		}
+		k := min(len(p), ic.cap)
+		ic.sendSeq++
+		if ic.wbuf, err = appendMessage(ic.wbuf[:0], ic.peer, ic.sendSeq, p[:k]); err != nil {
+			return n, err, true
+		}
+		ic.sending, ic.sent, ic.payload = true, 0, k
+		n += k
+		p = p[k:]
 	}
-	return written, nil
 }
 
 // Close implements net.Conn. onClose runs only when this call is what

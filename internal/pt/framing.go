@@ -63,7 +63,27 @@ type RecordConn struct {
 	// record read so far; pending aliases it, and it is only
 	// overwritten once pending has drained.
 	rbuf []byte
+	// A read keeps its place across an event read's waits:
+	// rbuf[:want] is the unit being read — the skipped flight, a header,
+	// or a header and its body — and got bytes of it are in.
+	unit      recordUnit
+	want, got int
+
+	// A write keeps the record it has sealed, payload bytes of p, until
+	// the inner conn takes all of it: sent bytes of wbuf so far.
+	sealed        bool
+	sent, payload int
 }
+
+// recordUnit is the unit RecordConn.open is reading.
+type recordUnit uint8
+
+const (
+	unitNone recordUnit = iota
+	unitSkip
+	unitHead
+	unitBody
+)
 
 // NewCodecConn layers codec's records over conn.
 func NewCodecConn(conn net.Conn, codec RecordCodec) *RecordConn {
@@ -75,80 +95,155 @@ func NewCodecConn(conn net.Conn, codec RecordCodec) *RecordConn {
 // caller did not wait for (cloak's zero-RTT ServerHello).
 func (rc *RecordConn) SkipFirst(n int) { rc.skip = n }
 
-// readFull fills p from rc's inner conn, using the threshold path when
-// available.
-func (rc *RecordConn) readFull(p []byte) error {
-	if fr, ok := rc.Conn.(netem.FullReader); ok {
-		n, err := fr.ReadFull(p)
-		if err != nil && n < len(p) {
-			if n > 0 && err == io.EOF {
-				return io.ErrUnexpectedEOF
-			}
-			return err
-		}
-		return nil
+// fullEventReader is the event form of netem.FullReader.
+type fullEventReader interface {
+	ReadFullEvent(p []byte, again func()) (n int, err error, done bool)
+}
+
+// fill reads the rest of the unit into rbuf[got:want]: through the
+// inner conn's threshold path when it has one, and, for an event read
+// (again non-nil), through its event form, where done false means
+// again will fill on.
+func (rc *RecordConn) fill(again func()) (err error, done bool) {
+	p := rc.rbuf[rc.got:rc.want]
+	var n int
+	done = true
+	if again != nil {
+		n, err, done = rc.Conn.(fullEventReader).ReadFullEvent(p, again)
+	} else if fr, ok := rc.Conn.(netem.FullReader); ok {
+		n, err = fr.ReadFull(p)
+	} else {
+		n, err = io.ReadFull(rc.Conn, p)
 	}
-	_, err := io.ReadFull(rc.Conn, p)
-	return err
+	if rc.got += n; !done {
+		return nil, false
+	}
+	if err != nil && rc.got < rc.want {
+		start := 0
+		if rc.unit == unitBody {
+			_, start, _ = rc.codec.Sizes()
+		}
+		if rc.got > start && err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		rc.unit = unitNone
+		return err, true
+	}
+	return nil, true
 }
 
 // Write chops p into records of at most the codec's maximum payload.
 // A conn has one writer at a time.
 func (rc *RecordConn) Write(p []byte) (int, error) {
-	if rc.writing {
-		panic("pt: RecordConn.Write re-entered")
+	n, err, _ := rc.WriteEvent(p, nil)
+	return n, err
+}
+
+// WriteEvent is Write for an event callback (netem.Conn.WriteEvent has
+// the contract; a nil again makes it Write): each record is sealed where
+// Write seals it and handed to the inner conn's WriteEvent, and a record
+// the inner conn has not taken whole waits in wbuf, its payload counted
+// in n, for again's call with p[n:].
+func (rc *RecordConn) WriteEvent(p []byte, again func()) (n int, err error, done bool) {
+	if rc.writing && (again == nil || !rc.sealed) {
+		panic("pt: RecordConn.Write re-entered") // only an event write resumes
 	}
 	rc.writing = true
-	defer func() { rc.writing = false }()
 	maxPayload, _, _ := rc.codec.Sizes()
-	written := 0
-	for len(p) > 0 {
-		n := min(len(p), maxPayload)
-		rc.wbuf = rc.codec.Seal(rc.wbuf[:0], p[:n])
-		if _, err := rc.Conn.Write(rc.wbuf); err != nil {
-			return written, err
+	for {
+		if rc.sealed {
+			k, err, done := WriteEvent(rc.Conn, rc.wbuf[rc.sent:], again)
+			if rc.sent += k; !done {
+				return n, nil, false
+			}
+			rc.sealed = false
+			if err != nil {
+				rc.writing = false
+				return max(n-rc.payload, 0), err, true
+			}
 		}
-		written += n
-		p = p[n:]
+		if len(p) == 0 {
+			rc.writing = false
+			return n, nil, true
+		}
+		k := min(len(p), maxPayload)
+		rc.wbuf = rc.codec.Seal(rc.wbuf[:0], p[:k])
+		rc.sealed, rc.sent, rc.payload = true, 0, k
+		n += k
+		p = p[k:]
 	}
-	return written, nil
+}
+
+// WriteEvent writes p to c with c's WriteEvent, or with its Write for a
+// nil again, which parks: how a conn's event form writes to the conn it
+// wraps.
+func WriteEvent(c net.Conn, p []byte, again func()) (n int, err error, done bool) {
+	if again == nil {
+		n, err := c.Write(p)
+		return n, err, true
+	}
+	return c.(eventWriter).WriteEvent(p, again)
 }
 
 // Read opens the next record, buffering any remainder.
 func (rc *RecordConn) Read(p []byte) (int, error) {
+	n, err, _ := rc.ReadEvent(p, nil)
+	return n, err
+}
+
+// ReadEvent is Read for an event callback (netem.Conn.ReadEvent has the
+// contract), or Read itself for a nil again: the inner conn's threshold
+// reads become its ReadFullEvent, and the record's place is kept across
+// their waits.
+func (rc *RecordConn) ReadEvent(p []byte, again func()) (n int, err error, done bool) {
+	if err, done = rc.open(again); err != nil || !done {
+		return 0, err, done
+	}
+	n = copy(p, rc.pending)
+	rc.pending = rc.pending[n:]
+	return n, nil, true
+}
+
+// open reads records until one opens to a payload, unless one is
+// pending; done false means again goes on.
+func (rc *RecordConn) open(again func()) (err error, done bool) {
 	_, headLen, maxBody := rc.codec.Sizes()
 	for len(rc.pending) == 0 {
-		if rc.skip > 0 {
-			rc.rbuf = slices.Grow(rc.rbuf[:0], rc.skip)
-			if err := rc.readFull(rc.rbuf[:rc.skip]); err != nil {
-				return 0, err
+		if rc.unit == unitNone {
+			rc.unit, rc.want, rc.got = unitHead, headLen, 0
+			if rc.skip > 0 {
+				rc.unit, rc.want = unitSkip, rc.skip
 			}
-			rc.skip = 0
+			rc.rbuf = slices.Grow(rc.rbuf[:0], rc.want)
 		}
-		rc.rbuf = slices.Grow(rc.rbuf[:0], headLen)
-		head := rc.rbuf[:headLen]
-		if err := rc.readFull(head); err != nil {
-			return 0, err
+		if err, done := rc.fill(again); !done {
+			return nil, false
+		} else if err != nil {
+			return err, true
 		}
-		n, err := rc.codec.BodyLen(head)
-		if err != nil {
-			return 0, err
-		}
-		if n < 0 || n > maxBody {
-			return 0, ErrRecordTooLarge
-		}
-		rc.rbuf = slices.Grow(head, n) // keeps the header
-		head, body := rc.rbuf[:headLen], rc.rbuf[headLen:headLen+n]
-		if err := rc.readFull(body); err != nil {
-			return 0, err
-		}
-		if rc.pending, err = rc.codec.Open(head, body); err != nil {
-			return 0, err
+		switch rc.unit {
+		case unitSkip:
+			rc.skip, rc.unit = 0, unitNone
+		case unitHead:
+			n, err := rc.codec.BodyLen(rc.rbuf[:headLen])
+			if err == nil && (n < 0 || n > maxBody) {
+				err = ErrRecordTooLarge
+			}
+			if err != nil {
+				rc.unit = unitNone
+				return err, true
+			}
+			rc.rbuf = slices.Grow(rc.rbuf[:headLen], n) // keeps the header
+			rc.unit, rc.want = unitBody, headLen+n
+		case unitBody:
+			rc.unit = unitNone
+			var err error
+			if rc.pending, err = rc.codec.Open(rc.rbuf[:headLen], rc.rbuf[headLen:rc.want]); err != nil {
+				return err, true
+			}
 		}
 	}
-	n := copy(p, rc.pending)
-	rc.pending = rc.pending[n:]
-	return n, nil
+	return nil, true
 }
 
 // CloseWrite forwards half-close to the inner conn.
@@ -326,41 +421,166 @@ func ReadTarget(r io.Reader) (string, error) {
 	return string(buf), nil
 }
 
-// spliceBufPool leases each pump of a Splice its copy buffer.
-var spliceBufPool = sync.Pool{New: func() any { b := make([]byte, 32<<10); return &b }}
+// Event forms of a conn's operations, for a caller that is a clock event
+// and must not park. Each has the contract of netem.Conn's: done with
+// what the plain call would have returned, or done false where it would
+// have parked, with again queued in the parked goroutine's place, to
+// call the same form once more (a write with p[n:]).
+type (
+	eventReader interface {
+		ReadEvent(p []byte, again func()) (n int, err error, done bool)
+	}
+	eventWriter interface {
+		WriteEvent(p []byte, again func()) (n int, err error, done bool)
+	}
 
-// Splice copies both directions between a and b and closes both when
-// both directions finish. It is the one forwarding loop: PT servers and
-// the conjure station call it; the pump goroutines are simulation
-// goroutines on clock.
+	// An eventCloser's Close, or an eventHalfCloser's CloseWrite, can
+	// park: it writes a closing frame.
+	eventCloser interface {
+		CloseEvent(again func()) (done bool)
+	}
+	eventHalfCloser interface {
+		CloseWriteEvent(again func()) (done bool)
+	}
+)
+
+// spliceBuf is what one read of a pump asks for.
+const spliceBuf = 32 << 10
+
+// pumpBufPool leases a pump the buffer its reads copy into while data
+// flows: a pump that waits for its source, or has ended, holds none.
+var pumpBufPool = sync.Pool{New: func() any { b := make([]byte, spliceBuf); return &b }}
+
+// Splice forwards both directions between a and b, half-closes each
+// destination when its source ends, and closes both when both have
+// ended. It is the one forwarding path: PT servers, the conjure station
+// and the snowflake proxies call it. It returns at once, and nothing of
+// it parks: each direction is a pump, a chain of clock events that
+// issues exactly the calls a copy loop on a goroutine of its own made —
+// a Read of up to 32 KiB, a Write of what it returned, and so on —
+// where and when that loop made them. Where the loop parked, the pump
+// leaves its continuation in the parked goroutine's place (the event
+// forms above; netem.Cond.WaitEvent), so every Write, every freed
+// receive window and every close happens at the virtual instant and in
+// the run-queue position it did, and a destination that is full leaves
+// its source unread. Both conns must have the event forms: netem.Conn,
+// RecordConn, Stream, the tunnels' conns and tor.Stream do.
 func Splice(clock *netem.Clock, a, b net.Conn) {
-	wg := netem.NewWaitGroup(clock)
-	cp := func(dst, src net.Conn) {
-		defer wg.Done()
-		bp := spliceBufPool.Get().(*[]byte)
-		defer spliceBufPool.Put(bp)
-		buf := *bp
-		for {
-			n, err := src.Read(buf)
-			if n > 0 {
-				if _, werr := dst.Write(buf[:n]); werr != nil {
-					break
-				}
+	s := &splice{clock: clock, ends: [2]net.Conn{a, b}, live: 2}
+	s.closeFn = s.closeBoth
+	// The loop's two goroutines started from the run queue, a's pump
+	// first.
+	for i, dst := range s.ends {
+		p := &s.pumps[i]
+		p.s, p.src, p.dst, p.w = s, s.ends[1-i].(eventReader), dst, dst.(eventWriter)
+		p.next = p.run
+		clock.ReadyEvent(p.next)
+	}
+}
+
+// splice is one Splice's state: its two pumps, and the close of both
+// ends once both have finished.
+type splice struct {
+	clock   *netem.Clock
+	ends    [2]net.Conn
+	pumps   [2]pump
+	live    int // pumps not yet finished
+	closed  int // ends closed so far
+	closeFn func()
+}
+
+// pump copies src into dst as the loop did.
+type pump struct {
+	s   *splice
+	src eventReader
+	dst net.Conn
+	w   eventWriter
+	// out[off:] was read into buf, a pumpBufPool lease, and not yet
+	// written; rerr ended the source.
+	out              []byte
+	buf              *[]byte
+	off              int
+	rerr             error
+	writing, closing bool
+	next             func() // run, bound once
+}
+
+// run goes on from where the pump last waited: reading, writing what it
+// read, or half-closing dst once the source has ended or dst has failed.
+func (p *pump) run() {
+	for {
+		switch {
+		case p.closing:
+			p.release()
+			if !halfClose(p.dst, p.next) {
+				return
 			}
-			if err != nil {
-				break
+			// The loop's deferred WaitGroup.Done readied Splice's caller.
+			if p.s.live--; p.s.live == 0 {
+				p.s.clock.ReadyEvent(p.s.closeFn)
 			}
-		}
-		if hc, ok := dst.(HalfCloser); ok {
-			hc.CloseWrite()
-		} else {
-			dst.Close()
+			return
+		case p.writing:
+			k, err, done := p.w.WriteEvent(p.out[p.off:], p.next)
+			if p.off += k; !done {
+				return
+			}
+			p.writing = false
+			p.closing = err != nil || p.rerr != nil
+		default:
+			if p.buf == nil {
+				p.buf = pumpBufPool.Get().(*[]byte)
+			}
+			n, err, done := p.src.ReadEvent(*p.buf, p.next)
+			p.out, p.off, p.rerr = (*p.buf)[:n], 0, err
+			p.writing = done && n > 0
+			if !p.writing {
+				p.release()
+			}
+			if !done {
+				return
+			}
+			p.closing = !p.writing && err != nil
 		}
 	}
-	wg.Add(2)
-	clock.Go(func() { cp(a, b) })
-	clock.Go(func() { cp(b, a) })
-	wg.Wait()
-	a.Close()
-	b.Close()
+}
+
+// release returns the pump's buffer lease, if it holds one.
+func (p *pump) release() {
+	if p.buf != nil {
+		pumpBufPool.Put(p.buf)
+		p.buf = nil
+	}
+}
+
+// halfClose ends dst's sending direction as the loop did: CloseWrite
+// where dst has it, Close otherwise.
+func halfClose(dst net.Conn, again func()) bool {
+	if hc, ok := dst.(eventHalfCloser); ok {
+		return hc.CloseWriteEvent(again)
+	}
+	if hc, ok := dst.(HalfCloser); ok {
+		hc.CloseWrite()
+		return true
+	}
+	return closeEnd(dst, again)
+}
+
+// closeEnd closes c, through its event form where its Close can park.
+func closeEnd(c net.Conn, again func()) bool {
+	if ec, ok := c.(eventCloser); ok {
+		return ec.CloseEvent(again)
+	}
+	c.Close()
+	return true
+}
+
+// closeBoth closes a, then b, as Splice's caller did once both pumps
+// had finished.
+func (s *splice) closeBoth() {
+	for ; s.closed < len(s.ends); s.closed++ {
+		if !closeEnd(s.ends[s.closed], s.closeFn) {
+			return
+		}
+	}
 }

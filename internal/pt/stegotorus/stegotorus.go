@@ -82,20 +82,15 @@ const finLen = 0xffffffff
 // a longer one is no cover of ours.
 const maxLine = 8 << 10
 
-// A cover is built in a scratch buffer leased for the one call
-// (DESIGN.md "Buffer ownership").
+// A cover is built in a scratch buffer leased until its conn has taken
+// it (DESIGN.md "Buffer ownership").
 var coverPool = sync.Pool{New: func() any { b := make([]byte, 0, 8<<10); return &b }}
 
-// encodeCover wraps an encoded block in an HTTP request-shaped cover
-// and sends it in one Write.
-func encodeCover(w io.Writer, block []byte) error {
-	bp := coverPool.Get().(*[]byte)
-	defer coverPool.Put(bp)
-	b := append((*bp)[:0], "POST /images/upload HTTP/1.1\r\nHost: pics.example\r\nContent-Type: image/jpeg\r\nContent-Length: "...)
+// appendCover appends block's cover to b.
+func appendCover(b, block []byte) []byte {
+	b = append(b, "POST /images/upload HTTP/1.1\r\nHost: pics.example\r\nContent-Type: image/jpeg\r\nContent-Length: "...)
 	b = append(strconv.AppendInt(b, int64(base64.StdEncoding.EncodedLen(len(block))), 10), "\r\n\r\n"...)
-	*bp = base64.StdEncoding.AppendEncode(b, block)
-	_, err := w.Write(*bp)
-	return err
+	return base64.StdEncoding.AppendEncode(b, block)
 }
 
 // cutCover finds the cover at the head of b (a pt.FrameCut): its body is
@@ -187,6 +182,15 @@ type chopConn struct {
 	// before it parks; writing refuses a second, interleaving writer.
 	wblock  []byte
 	writing bool
+	// A write keeps the cover its conn has not taken whole (an event
+	// write across its waits): a coverPool lease, sent bytes of it to
+	// conns[to]; fins counts the conns CloseWriteEvent has ended.
+	cover     *[]byte
+	to, sent  int
+	block     int // the payload bytes of the cover under way
+	fins      int
+	finishing bool
+	finErr    error // CloseWrite's: the first conn's write error
 	// closed is "Close was called here". The stream's own Closed is
 	// also true once every reader has gone (the peer half-closed all
 	// its conns), and writes must still go out then.
@@ -254,72 +258,125 @@ func (r *fanIn) stop() {
 	}
 }
 
-// send covers block and writes it to fan-out conn i.
-func (c *chopConn) send(i int, block []byte) error {
-	if c.werrs[i] == nil {
-		c.werrs[i] = encodeCover(c.conns[i], block)
+// startCover leases the cover of block, bound for conn i.
+func (c *chopConn) startCover(i int, block []byte) {
+	c.cover = coverPool.Get().(*[]byte)
+	*c.cover = appendCover((*c.cover)[:0], block)
+	c.to, c.sent = i, 0
+}
+
+// flushCover writes the cover under way to its conn and returns the
+// lease once the conn has taken it all; done false means again goes on.
+// A conn that failed a write is never written again.
+func (c *chopConn) flushCover(again func()) (err error, done bool) {
+	k, err, done := pt.WriteEvent(c.conns[c.to], (*c.cover)[c.sent:], again)
+	if c.sent += k; !done {
+		return nil, false
 	}
-	return c.werrs[i]
+	coverPool.Put(c.cover)
+	c.cover, c.werrs[c.to] = nil, err
+	return err, true
 }
 
 // CloseWrite flushes a FIN block announcing the total block count, so
 // the peer can drain every fan-out conn before reporting EOF.
 func (c *chopConn) CloseWrite() error {
-	if c.closed || c.WriteEnded() {
-		return nil
+	c.CloseWriteEvent(nil)
+	return c.finErr
+}
+
+// CloseWriteEvent is CloseWrite for an event callback, or CloseWrite
+// itself for a nil again: the FIN's covers go out with flushCover, and
+// done false means again goes on.
+func (c *chopConn) CloseWriteEvent(again func()) bool {
+	if !c.finishing {
+		if c.closed || c.WriteEnded() {
+			c.finErr = nil
+			return true
+		}
+		c.EndWrite()
+		c.wblock = binary.BigEndian.AppendUint64(c.wblock[:0], c.sid)
+		c.wblock = binary.BigEndian.AppendUint64(c.wblock, c.sendSeq)
+		c.wblock = binary.BigEndian.AppendUint32(c.wblock, finLen)
+		c.finishing, c.fins, c.finErr = true, 0, nil
 	}
-	c.EndWrite()
-	fin := make([]byte, blockHeader)
-	binary.BigEndian.PutUint64(fin[0:8], c.sid)
-	binary.BigEndian.PutUint64(fin[8:16], c.sendSeq)
-	binary.BigEndian.PutUint32(fin[16:20], finLen)
 	// Every conn carries the FIN: whichever the receiver reads first
 	// sets the accounting, and per-conn half-close lets readers drain.
-	var firstErr error
-	for i := range c.conns {
-		if err := c.send(i, fin); err != nil && firstErr == nil {
-			firstErr = err
+	for ; c.fins < len(c.conns); c.fins++ {
+		if c.cover == nil && c.werrs[c.fins] == nil {
+			c.startCover(c.fins, c.wblock)
 		}
-		if hc, ok := c.conns[i].(pt.HalfCloser); ok {
+		if c.cover != nil {
+			if _, done := c.flushCover(again); !done {
+				return false
+			}
+		}
+		if c.finErr == nil {
+			c.finErr = c.werrs[c.fins]
+		}
+		if hc, ok := c.conns[c.fins].(pt.HalfCloser); ok {
 			hc.CloseWrite()
 		}
 	}
-	return firstErr
+	c.finishing = false
+	return true
 }
 
 // Write chops p into blocks and spreads them over the conns. A conn has
 // one writer at a time.
 func (c *chopConn) Write(p []byte) (int, error) {
-	if c.closed || c.WriteEnded() {
-		return 0, errors.New("stegotorus: closed")
-	}
-	if c.writing {
-		panic("stegotorus: chopConn.Write re-entered")
+	n, err, _ := c.WriteEvent(p, nil)
+	return n, err
+}
+
+// WriteEvent is Write for an event callback, with the contract of
+// netem.Conn.WriteEvent, or Write itself for a nil again: each block is
+// drawn and covered where Write does it, and a cover its conn has not
+// taken whole stays under way, its block counted in n.
+func (c *chopConn) WriteEvent(p []byte, again func()) (n int, err error, done bool) {
+	if c.cover == nil || again == nil {
+		if c.closed || c.WriteEnded() {
+			return 0, errors.New("stegotorus: closed"), true
+		}
+		if c.writing {
+			panic("stegotorus: chopConn.Write re-entered")
+		}
 	}
 	c.writing = true
-	defer func() { c.writing = false }()
-	written := 0
-	for len(p) > 0 {
+	for {
+		if c.cover != nil {
+			if err, done := c.flushCover(again); !done {
+				return n, nil, false
+			} else if err != nil {
+				c.writing = false
+				return max(n-c.block, 0), err, true
+			}
+		}
+		if len(p) == 0 {
+			c.writing = false
+			return n, nil, true
+		}
 		size := c.cfg.MinBlock
 		if c.cfg.MaxBlock > c.cfg.MinBlock {
 			size += c.rng.Intn(c.cfg.MaxBlock - c.cfg.MinBlock)
 		}
-		size = min(size, len(p))
+		c.block = min(size, len(p))
 		block := binary.BigEndian.AppendUint64(c.wblock[:0], c.sid)
 		block = binary.BigEndian.AppendUint64(block, c.sendSeq)
-		block = binary.BigEndian.AppendUint32(block, uint32(size))
-		c.wblock = append(block, p[:size]...)
+		block = binary.BigEndian.AppendUint32(block, uint32(c.block))
+		c.wblock = append(block, p[:c.block]...)
 		c.sendSeq++
 
 		idx := c.rrIndex % len(c.conns)
 		c.rrIndex++
-		if err := c.send(idx, c.wblock); err != nil {
-			return written, err
+		if err := c.werrs[idx]; err != nil {
+			c.writing = false
+			return n, err, true
 		}
-		written += size
-		p = p[size:]
+		c.startCover(idx, c.wblock)
+		n += c.block
+		p = p[c.block:]
 	}
-	return written, nil
 }
 
 // Close implements net.Conn.

@@ -3,6 +3,7 @@ package stegotorus
 import (
 	"bufio"
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -66,4 +67,10 @@ func TestCutPrefixFold(t *testing.T) {
 	if _, ok := cutPrefixFold([]byte("Host: x"), "content-length:"); ok {
 		t.Fatal("wrong header matched")
 	}
+}
+
+// encodeCover sends block's cover in one Write, as a chopConn does.
+func encodeCover(w io.Writer, block []byte) error {
+	_, err := w.Write(appendCover(nil, block))
+	return err
 }

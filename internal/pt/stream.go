@@ -24,10 +24,13 @@ func (a Addr) String() string { return a.End }
 // Take, PeerFin and Fail. A transport whose writes go straight to the
 // wire as messages or blocks shadows Write and uses the read half only.
 //
-// There is deliberately no CloseWrite: pt.Splice half-closes any conn
+// Read and Write have event forms (ReadEvent, WriteEvent) for a caller
+// that must not park, pt.Splice's pumps: where the plain call parks, the
+// form queues its continuation in the parked goroutine's place. There is
+// deliberately no CloseWrite: a splice pump half-closes a destination
 // that has one and Closes the rest, and a polling or messaging tunnel
-// has no FIN frame to carry a half-close. A transport that does have
-// one (marionette) exports CloseWrite itself on top of EndWrite.
+// has no FIN frame to carry a half-close. A transport that does have one
+// (marionette) exports CloseWrite itself on top of EndWrite.
 type Stream struct {
 	clock         *netem.Clock
 	local, remote Addr
@@ -51,6 +54,11 @@ type Stream struct {
 	out     []byte
 	outHead int
 	rdl     time.Time
+	// rdBuf, while a ReadFull is parked, is the rest of its request:
+	// deliveries fill it directly (rdGot bytes so far) and wake the
+	// reader only once it is full.
+	rdBuf []byte
+	rdGot int
 	// closed is the hard teardown (Close or Fail): reads drain what was
 	// delivered and then report io.EOF, writes fail.
 	closed bool
@@ -71,26 +79,76 @@ func NewStream(clock *netem.Clock, transport, local, remote string, outCap int) 
 
 // Read implements net.Conn. Delivered bytes drain before io.EOF.
 func (s *Stream) Read(p []byte) (int, error) {
-	for s.inHead == len(s.in) {
-		if s.closed || (s.fin > 0 && s.next >= s.fin-1) {
-			return 0, io.EOF
-		}
-		if s.clock.Expired(s.rdl) {
-			return 0, netem.ErrTimeout
-		}
-		s.readers.WaitDeadline(s.rdl)
-	}
-	n := copy(p, s.in[s.inHead:])
-	if s.inHead += n; s.inHead == len(s.in) {
-		s.in, s.inHead = s.in[:0], 0
-	}
-	return n, nil
+	n, err, _ := s.read(p, 1, nil)
+	return n, err
 }
 
-// deliver appends p to the read side.
+// ReadFull fills p, parking until len(p) bytes have been delivered
+// rather than waking for each delivery on the way; n < len(p) only with
+// an error, io.EOF once the stream has ended or closed, or the deadline.
+// It is netem.FullReader's threshold read: a bulk reader (the fetch body
+// copy) parks once per request.
+func (s *Stream) ReadFull(p []byte) (int, error) {
+	n, err, _ := s.read(p, len(p), nil)
+	return n, err
+}
+
+// ReadEvent is Read for an event callback (netem.Conn.ReadEvent has the
+// contract).
+func (s *Stream) ReadEvent(p []byte, again func()) (n int, err error, done bool) {
+	return s.read(p, 1, again)
+}
+
+// read is the one read path: it returns once want bytes are in p, or
+// with what there is when the stream ends or the deadline passes. A
+// ReadFull takes what is queued and parks with the rest of its request
+// as rdBuf, which deliveries fill in place of the queue. With again
+// non-nil it is an event read, which queues again where it would park.
+func (s *Stream) read(p []byte, want int, again func()) (int, error, bool) {
+	n, want := 0, min(want, len(p))
+	for {
+		k := copy(p[n:], s.in[s.inHead:])
+		if s.inHead += k; s.inHead == len(s.in) {
+			s.in, s.inHead = s.in[:0], 0
+		}
+		switch n += k; {
+		case n >= want:
+			return n, nil, true
+		case s.ended():
+			return n, io.EOF, true
+		case s.clock.Expired(s.rdl):
+			return n, netem.ErrTimeout, true
+		}
+		if again == nil {
+			if want > 1 {
+				s.rdBuf = p[n:want]
+			}
+			s.readers.WaitDeadline(s.rdl)
+			n += s.rdGot
+			s.rdBuf, s.rdGot = nil, 0
+		} else if !s.readers.WaitEvent(s.rdl, again) {
+			return 0, nil, false
+		}
+	}
+}
+
+// ended reports that reads are over once the queue drains: the stream
+// has closed, or every unit before the peer's FIN has been delivered.
+func (s *Stream) ended() bool {
+	return s.closed || (s.fin > 0 && s.next >= s.fin-1)
+}
+
+// deliver appends p to the read side: into a parked ReadFull's rdBuf
+// while it has room, then to the queue.
 func (s *Stream) deliver(p []byte) {
-	s.in, s.inHead = netem.Compact(s.in, s.inHead, len(p))
-	s.in = append(s.in, p...)
+	if len(s.rdBuf) > 0 && s.inHead == len(s.in) {
+		k := copy(s.rdBuf, p)
+		s.rdBuf, s.rdGot, p = s.rdBuf[k:], s.rdGot+k, p[k:]
+	}
+	if len(p) > 0 {
+		s.in, s.inHead = netem.Compact(s.in, s.inHead, len(p))
+		s.in = append(s.in, p...)
+	}
 }
 
 // queued counts the bytes written and not yet taken.
@@ -99,13 +157,29 @@ func (s *Stream) queued() int { return len(s.out) - s.outHead }
 // Write implements net.Conn: bytes queue for the mechanism, and the
 // bounded queue is the tunnel's backpressure.
 func (s *Stream) Write(p []byte) (int, error) {
+	n, err, _ := s.write(p, nil)
+	return n, err
+}
+
+// WriteEvent is Write for an event callback (netem.Conn.WriteEvent has
+// the contract).
+func (s *Stream) WriteEvent(p []byte, again func()) (n int, err error, done bool) {
+	return s.write(p, again)
+}
+
+// write is Write, and WriteEvent for a non-nil again.
+func (s *Stream) write(p []byte, again func()) (int, error, bool) {
 	written := 0
 	for len(p) > 0 {
 		for s.queued() >= s.outCap && !s.closed {
-			s.writers.Wait()
+			if again == nil {
+				s.writers.Wait()
+			} else if !s.writers.WaitEvent(time.Time{}, again) {
+				return written, nil, false
+			}
 		}
 		if s.closed || s.wdone {
-			return written, netem.ErrClosed
+			return written, netem.ErrClosed, true
 		}
 		n := min(len(p), s.outCap-s.queued())
 		s.out, s.outHead = netem.Compact(s.out, s.outHead, n)
@@ -113,7 +187,7 @@ func (s *Stream) Write(p []byte) (int, error) {
 		written += n
 		p = p[n:]
 	}
-	return written, nil
+	return written, nil, true
 }
 
 // Close implements net.Conn.
@@ -166,7 +240,18 @@ func (s *Stream) Deliver(p []byte) {
 		return
 	}
 	s.deliver(p)
-	s.readers.Broadcast()
+	s.wakeReader()
+}
+
+// wakeReader readies a parked reader: any Read, and a ReadFull once
+// its request is full or the stream has ended (a FIN can overtake the
+// last units, as on stegotorus's fan-out conns). Filling the request in
+// place keeps the queue from growing to hold it, which a byte-count
+// threshold over the queue would not.
+func (s *Stream) wakeReader() {
+	if len(s.rdBuf) == 0 || s.ended() {
+		s.readers.Broadcast()
+	}
 }
 
 // DeliverSeq is Deliver for mechanisms whose units arrive out of order:
@@ -200,7 +285,7 @@ func (s *Stream) DeliverSeq(seq uint64, p []byte) {
 		s.spare = append(s.spare, early)
 		s.next++
 	}
-	s.readers.Broadcast()
+	s.wakeReader()
 }
 
 // Take removes at most n written bytes and returns them in buf's array

@@ -182,6 +182,82 @@ func TestStreamConformance(t *testing.T) {
 				t.Fatalf("all units in: %v, want io.EOF", err)
 			}
 		}},
+		{"ReadFull wakes once, at the delivery that completes it", 16, func(t *testing.T, clock *netem.Clock, s *pt.Stream) {
+			clock.Go(func() {
+				for i := 1; i <= 4; i++ {
+					clock.Sleep(10 * time.Millisecond)
+					s.Deliver([]byte("abcd"))
+				}
+			})
+			parks := clock.Stats().Parks
+			buf := make([]byte, 14)
+			n, err := s.ReadFull(buf)
+			if n != 14 || err != nil || clock.Now() != 40*time.Millisecond || string(buf) != "abcdabcdabcdab" {
+				t.Fatalf("ReadFull = %d %v %q at %v, want all 14 bytes at 40ms", n, err, buf[:n], clock.Now())
+			}
+			if parks = clock.Stats().Parks - parks; parks != 1 {
+				t.Fatalf("ReadFull over 4 deliveries took %d parks, want 1", parks)
+			}
+			if got, err := readNow(clock, s); got != "cd" || err != nil {
+				t.Fatalf("after ReadFull: %q %v, want the rest of the last delivery", got, err)
+			}
+		}},
+		{"ReadFull returns what arrived at its deadline", 16, func(t *testing.T, clock *netem.Clock, s *pt.Stream) {
+			clock.Go(func() {
+				clock.Sleep(10 * time.Millisecond)
+				s.Deliver([]byte("abc"))
+			})
+			s.SetReadDeadline(clock.VirtualDeadline(50 * time.Millisecond))
+			buf := make([]byte, 8)
+			n, err := s.ReadFull(buf)
+			if n != 3 || err != netem.ErrTimeout || clock.Now() != 50*time.Millisecond || string(buf[:n]) != "abc" {
+				t.Fatalf("ReadFull = %d %v %q at %v, want 3 bytes and netem.ErrTimeout at 50ms", n, err, buf[:n], clock.Now())
+			}
+		}},
+		{"ReadFull returns what arrived with EOF after PeerFin", 16, func(t *testing.T, clock *netem.Clock, s *pt.Stream) {
+			clock.Go(func() {
+				clock.Sleep(10 * time.Millisecond)
+				s.Deliver([]byte("abc"))
+				clock.Sleep(10 * time.Millisecond)
+				s.PeerFin(0)
+			})
+			buf := make([]byte, 8)
+			n, err := s.ReadFull(buf)
+			if n != 3 || err != io.EOF || clock.Now() != 20*time.Millisecond {
+				t.Fatalf("ReadFull = %d %v at %v, want 3 bytes and io.EOF at 20ms", n, err, clock.Now())
+			}
+		}},
+		{"ReadFull returns EOF at the delivery that ends the stream after PeerFin", 16, func(t *testing.T, clock *netem.Clock, s *pt.Stream) {
+			// The FIN can overtake the last units (stegotorus's fan-out
+			// conns): the delivery that completes the stream ends the
+			// read, though the request is not full.
+			clock.Go(func() {
+				clock.Sleep(10 * time.Millisecond)
+				s.PeerFin(2)
+				clock.Sleep(10 * time.Millisecond)
+				s.DeliverSeq(0, []byte("abc"))
+				clock.Sleep(10 * time.Millisecond)
+				s.DeliverSeq(1, []byte("de"))
+			})
+			buf := make([]byte, 8)
+			n, err := s.ReadFull(buf)
+			if n != 5 || err != io.EOF || clock.Now() != 30*time.Millisecond || string(buf[:n]) != "abcde" {
+				t.Fatalf("ReadFull = %d %v %q at %v, want 5 bytes and io.EOF at 30ms", n, err, buf[:n], clock.Now())
+			}
+		}},
+		{"ReadFull returns what arrived with EOF after Fail", 16, func(t *testing.T, clock *netem.Clock, s *pt.Stream) {
+			clock.Go(func() {
+				clock.Sleep(10 * time.Millisecond)
+				s.Deliver([]byte("abc"))
+				clock.Sleep(10 * time.Millisecond)
+				s.Fail()
+			})
+			buf := make([]byte, 8)
+			n, err := s.ReadFull(buf)
+			if n != 3 || err != io.EOF || clock.Now() != 20*time.Millisecond {
+				t.Fatalf("ReadFull = %d %v at %v, want 3 bytes and io.EOF at 20ms", n, err, clock.Now())
+			}
+		}},
 		{"one Addr type", 16, func(t *testing.T, clock *netem.Clock, s *pt.Stream) {
 			if a := s.LocalAddr(); a.Network() != "test" || a.String() != "here" {
 				t.Fatalf("local addr %s/%s", a.Network(), a)

@@ -407,7 +407,7 @@ func TestGoroutinesPerDial(t *testing.T) {
 		"tor": 1, "obfs4": 1, "webtunnel": 1, "psiphon": 1, "shadowsocks": 1, "cloak": 1, "dnstt": 1, "stegotorus": 1, "meek": 1,
 		"marionette": 1,
 		"camoufler":  3,
-		"conjure":    4, "snowflake": 4,
+		"conjure":    1, "snowflake": 1,
 	}
 	for _, tn := range tunnels {
 		t.Run(tn.name, func(t *testing.T) {

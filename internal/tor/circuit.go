@@ -142,9 +142,30 @@ func (circ *circuit) extend(next *Descriptor) error {
 
 // sendRelay seals a relay cell for hop index h and writes it.
 func (circ *circuit) sendRelay(h int, rc RelayCell) error {
+	var o relayOut
+	if err := o.pack(circ, h, rc); err != nil {
+		return err
+	}
+	err, _ := o.flush(circ, nil)
+	return err
+}
+
+// A relayOut is a relay cell on its way out: a cellBufPool lease
+// carrying data bytes of its writer's, sealed for hop hop once sendMu is
+// held (locked). sendRelay keeps one on its stack; a Stream keeps one
+// for its writes and one for its END cell, where an event form leaves
+// it across its waits.
+type relayOut struct {
+	buf       []byte
+	base      *[]byte
+	hop, data int
+	locked    bool
+}
+
+// pack is sendRelay's part before sendMu: rc goes into a cell lease.
+func (o *relayOut) pack(circ *circuit, h int, rc RelayCell) error {
 	buf, base := getCellBuf()
-	p := wirePayload(buf)
-	if err := marshalRelayInto(p, &rc); err != nil {
+	if err := marshalRelayInto(wirePayload(buf), &rc); err != nil {
 		putCellBuf(base)
 		return err
 	}
@@ -152,24 +173,48 @@ func (circ *circuit) sendRelay(h int, rc RelayCell) error {
 		putCellBuf(base)
 		return ErrCircuitClosed
 	}
+	o.buf, o.base, o.hop = buf, base, h
+	return nil
+}
 
-	circ.sendMu.Lock()
-	defer circ.sendMu.Unlock()
-	circ.hops[h].sealForward(p)
-	setWireHeader(buf, circ.id, CmdRelay)
-	var err error
-	if oc, ok := circ.conn.(*netem.Conn); ok {
-		// Zero-copy: the conn takes buffer ownership and recycles it.
-		err = oc.WriteOwned(buf, base, &cellBufPool)
-	} else {
-		_, err = circ.conn.Write(buf)
-		putCellBuf(base)
+// flush is the rest of sendRelay: it takes sendMu, seals the cell and
+// writes it, parking where it must for a nil again, and otherwise
+// through the event forms, where done false means again goes on.
+func (o *relayOut) flush(circ *circuit, again func()) (err error, done bool) {
+	if !o.locked {
+		if again == nil {
+			circ.sendMu.Lock()
+		} else if !circ.sendMu.LockEvent(again) {
+			return nil, false
+		}
+		o.locked = true
+		circ.hops[o.hop].sealForward(wirePayload(o.buf))
+		setWireHeader(o.buf, circ.id, CmdRelay)
 	}
+	switch oc, ok := circ.conn.(*netem.Conn); {
+	case ok:
+		// Zero-copy: the conn takes buffer ownership and recycles it.
+		if err, done = oc.WriteOwnedEvent(o.buf, o.base, &cellBufPool, again); !done {
+			return nil, false
+		}
+	case again == nil:
+		_, err = circ.conn.Write(o.buf)
+		putCellBuf(o.base)
+	default: // a PT conn: its event form copies, as its Write does
+		var k int
+		if k, err, done = circ.conn.(eventWriter).WriteEvent(o.buf, again); !done {
+			o.buf = o.buf[k:]
+			return nil, false
+		}
+		putCellBuf(o.base)
+	}
+	*o = relayOut{}
 	if err != nil {
 		circ.close(err)
-		return ErrCircuitClosed
+		err = ErrCircuitClosed
 	}
-	return nil
+	circ.sendMu.Unlock()
+	return err, true
 }
 
 // readLoop demultiplexes backward cells. One persistent wire buffer is
@@ -388,20 +433,6 @@ func (circ *circuit) close(err error) {
 	circ.conn.Close()
 }
 
-// waitPackage blocks until the circuit and stream package windows are
-// positive; false means the circuit or stream died.
-func (circ *circuit) waitPackage(s *Stream) bool {
-	for {
-		if circ.isClosed() || s.isClosedLocal() {
-			return false
-		}
-		if circ.circPkgWin > 0 && s.pkgWin > 0 {
-			return true
-		}
-		circ.fcCond.Wait()
-	}
-}
-
 // consumePackage spends one forward cell of window budget.
 func (circ *circuit) consumePackage(s *Stream) {
 	circ.circPkgWin--
@@ -437,6 +468,12 @@ type Stream struct {
 
 	pkgWin int
 	dlvWin int
+
+	// An event read keeps its again, run by wokeFn (the cached
+	// readWoke). out is the DATA cell a write has under way, end the
+	// END cell of a close.
+	rdAgain, wokeFn func()
+	out, end        relayOut
 }
 
 // streamBufSize is what one chunk of a stream's inbound queue holds:
@@ -524,7 +561,10 @@ func (s *Stream) isClosedLocal() bool {
 }
 
 // Read implements net.Conn.
-func (s *Stream) Read(p []byte) (int, error) { return s.read(p, 1) }
+func (s *Stream) Read(p []byte) (int, error) {
+	n, err, _ := s.read(p, 1, nil)
+	return n, err
+}
 
 // ReadFull fills p completely before returning; n < len(p) only with a
 // non-nil error (io.EOF on early end-of-stream, after draining what
@@ -535,27 +575,52 @@ func (s *Stream) Read(p []byte) (int, error) { return s.read(p, 1) }
 // per-cell wake-ups in between disappear. Bulk downloads (the fetch
 // body copy) use it; header parsing and latency-sensitive reads keep
 // the eager Read.
-func (s *Stream) ReadFull(p []byte) (int, error) { return s.read(p, len(p)) }
+func (s *Stream) ReadFull(p []byte) (int, error) {
+	n, err, _ := s.read(p, len(p), nil)
+	return n, err
+}
 
-// read is the one parked-read loop: it returns once min bytes are
-// buffered, or with what there is when the stream ends or the deadline
-// passes first.
-func (s *Stream) read(p []byte, min int) (int, error) {
+// ReadEvent is Read for an event callback, which must not park: it
+// returns done with what Read would have returned, or, where Read would
+// park, queues again in the parked reader's place (netem.Cond.WaitEvent)
+// and returns done false; again calls ReadEvent once more.
+func (s *Stream) ReadEvent(p []byte, again func()) (n int, err error, done bool) {
+	return s.read(p, 1, again)
+}
+
+// readWoke ends an event read's wait as a parked read's ends.
+func (s *Stream) readWoke() {
+	s.rdWant = 0
+	s.rdAgain()
+}
+
+// read is the one read loop: it returns once min bytes are buffered, or
+// with what there is when the stream ends or the deadline passes first.
+// With again non-nil it is an event read, which queues again where it
+// would park.
+func (s *Stream) read(p []byte, min int, again func()) (int, error, bool) {
 	for {
-		if s.localClosed {
-			return 0, ErrCircuitClosed
-		}
-		if s.buffered >= min {
-			return s.consume(p), nil
-		}
-		if s.remoteClosed {
-			return s.consume(p), io.EOF
-		}
-		if s.circ.client.clock.Expired(s.rdl) {
-			return s.consume(p), netem.ErrTimeout
+		switch {
+		case s.localClosed:
+			return 0, ErrCircuitClosed, true
+		case s.buffered >= min:
+			return s.consume(p), nil, true
+		case s.remoteClosed:
+			return s.consume(p), io.EOF, true
+		case s.circ.client.clock.Expired(s.rdl):
+			return s.consume(p), netem.ErrTimeout, true
 		}
 		s.rdWant = min
-		s.cond.WaitDeadline(s.rdl)
+		if again == nil {
+			s.cond.WaitDeadline(s.rdl)
+		} else {
+			if s.wokeFn == nil {
+				s.wokeFn = s.readWoke
+			}
+			if s.rdAgain = again; !s.cond.WaitEvent(s.rdl, s.wokeFn) {
+				return 0, nil, false
+			}
+		}
 		s.rdWant = 0
 	}
 }
@@ -563,31 +628,88 @@ func (s *Stream) read(p []byte, min int) (int, error) {
 // Write implements net.Conn, packaging MaxRelayData-sized DATA cells
 // under flow control.
 func (s *Stream) Write(p []byte) (int, error) {
-	exit := s.circ.lastHop()
-	written := 0
-	for len(p) > 0 {
-		n := len(p)
-		if n > MaxRelayData {
-			n = MaxRelayData
-		}
-		if !s.circ.waitPackage(s) {
-			return written, ErrCircuitClosed
-		}
-		s.circ.consumePackage(s)
-		if err := s.circ.sendRelay(exit, RelayCell{Cmd: RelayData, StreamID: s.id, Data: p[:n]}); err != nil {
-			return written, err
-		}
-		written += n
-		p = p[n:]
+	n, err, _ := s.WriteEvent(p, nil)
+	return n, err
+}
+
+// WriteEvent is Write for an event callback, with the contract of
+// netem.Conn.WriteEvent, or Write itself for a nil again: each DATA cell
+// is packaged where Write packages it, and a cell still waiting for
+// sendMu or the link counts in n.
+func (s *Stream) WriteEvent(p []byte, again func()) (n int, err error, done bool) {
+	if again == nil && s.out.buf != nil {
+		panic("tor: Stream.Write re-entered")
 	}
-	return written, nil
+	circ := s.circ
+	exit := circ.lastHop()
+	for {
+		if s.out.buf != nil {
+			k := s.out.data
+			if err, done := s.out.flush(circ, again); !done {
+				return n, nil, false
+			} else if err != nil {
+				return max(n-k, 0), err, true
+			}
+		}
+		if len(p) == 0 {
+			return n, nil, true
+		}
+		// Wait for the circuit and stream package windows.
+		for !circ.isClosed() && !s.isClosedLocal() && (circ.circPkgWin <= 0 || s.pkgWin <= 0) {
+			if again == nil {
+				circ.fcCond.Wait()
+			} else if !circ.fcCond.WaitEvent(time.Time{}, again) {
+				return n, nil, false
+			}
+		}
+		if circ.isClosed() || s.isClosedLocal() {
+			return n, ErrCircuitClosed, true
+		}
+		k := min(len(p), MaxRelayData)
+		circ.consumePackage(s)
+		if err := s.out.pack(circ, exit, RelayCell{Cmd: RelayData, StreamID: s.id, Data: p[:k]}); err != nil {
+			return n, err, true
+		}
+		s.out.data = k
+		n += k
+		p = p[k:]
+	}
+}
+
+// eventWriter is a PT conn's event form of Write (pt.Splice's contract).
+type eventWriter interface {
+	WriteEvent(p []byte, again func()) (n int, err error, done bool)
 }
 
 // Close implements net.Conn, sending RELAY_END.
 func (s *Stream) Close() error {
-	if s.localClosed {
-		return nil
+	s.CloseEvent(nil)
+	return nil
+}
+
+// CloseEvent is Close for an event callback, or Close itself for a nil
+// again: the END cell goes out with relayOut.flush, and done false means
+// again goes on.
+func (s *Stream) CloseEvent(again func()) bool {
+	if s.end.buf == nil {
+		if s.localClosed {
+			return true
+		}
+		s.closeLocal()
+		if s.end.pack(s.circ, s.circ.lastHop(), RelayCell{Cmd: RelayEnd, StreamID: s.id}) != nil {
+			s.circ.forgetStream(s.id)
+			return true
+		}
 	}
+	if _, done := s.end.flush(s.circ, again); !done {
+		return false
+	}
+	s.circ.forgetStream(s.id)
+	return true
+}
+
+// closeLocal is Close's part before the END cell.
+func (s *Stream) closeLocal() {
 	s.localClosed = true
 	// Nothing reads the queue once localClosed is set.
 	for len(s.chunks) > 0 {
@@ -596,11 +718,6 @@ func (s *Stream) Close() error {
 	s.buffered = 0
 	s.cond.Broadcast()
 	s.circ.fcCond.Broadcast()
-
-	exit := s.circ.lastHop()
-	s.circ.sendRelay(exit, RelayCell{Cmd: RelayEnd, StreamID: s.id})
-	s.circ.forgetStream(s.id)
-	return nil
 }
 
 // LocalAddr implements net.Conn.

@@ -30,7 +30,13 @@ import (
 //   - the three handler arguments (cut, frame, stop) of
 //     pt.NewFrameConn, which that endpoint's read sink calls: the
 //     tunnelling transports' frame handlers live in their own packages,
-//     where the sink's calls through its fields cannot be followed.
+//     where the sink's calls through its fields cannot be followed;
+//   - the continuation of every event form, a method whose name ends in
+//     Event and whose last parameter is a func(): netem's
+//     Cond.WaitEvent, Mutex.LockEvent and Conn.ReadEvent, WriteEvent and
+//     the rest, and the conns' ReadEvent, WriteEvent, CloseEvent and
+//     CloseWriteEvent that pt.Splice's pumps hand themselves to. It runs where a parked goroutine would have
+//     resumed, on the dispatching driver.
 //
 // From each root the analyzer walks the intra-package static call graph
 // (direct calls to functions and methods declared in the same package,
@@ -62,8 +68,8 @@ import (
 // compile-time error instead.
 var NoParkInEvent = &lint.Analyzer{
 	Name: "noparkinevent",
-	Doc: "functions reachable from Clock.EventAt arms, Conn.SetReadSink sinks and pt.NewFrameConn " +
-		"handlers must never reach a parking primitive; only the non-parking surface is allowed",
+	Doc: "functions reachable from Clock.EventAt arms, Conn.SetReadSink sinks, pt.NewFrameConn " +
+		"handlers and event-form continuations must never reach a parking primitive; only the non-parking surface is allowed",
 	Run: runNoParkInEvent,
 }
 
@@ -150,7 +156,26 @@ func contextSwitchArg(f *types.Func) int {
 	case isMethodOf(f, "netem", "pipe", "setSink"):
 		return 0
 	}
-	return -1
+	return eventFormArg(f)
+}
+
+// eventFormArg returns the index of an event form's continuation, -1 if
+// f is no event form: a method named ...Event whose last parameter is a
+// func() (ReadyEvent, the one such method that is not a wait, is
+// matched earlier).
+func eventFormArg(f *types.Func) int {
+	if f == nil || !strings.HasSuffix(f.Name(), "Event") {
+		return -1
+	}
+	sig, ok := f.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil || sig.Params().Len() == 0 {
+		return -1
+	}
+	last := sig.Params().At(sig.Params().Len() - 1).Type()
+	if fs, ok := last.Underlying().(*types.Signature); !ok || fs.Params().Len() != 0 || fs.Results().Len() != 0 {
+		return -1
+	}
+	return sig.Params().Len() - 1
 }
 
 // root is one event-callback entry point.
@@ -263,7 +288,11 @@ func (a *noParkAnalysis) collectRoots() []root {
 			case isMethodOf(fn, "pt", "", "NewFrameConn"):
 				idxs, kind = []int{0, 1, 2}, "pt.NewFrameConn handler"
 			default:
-				return true
+				i := eventFormArg(fn)
+				if i < 0 {
+					return true
+				}
+				idxs, kind = []int{i}, recvTypeName(fn)+"."+fn.Name()+" continuation"
 			}
 			at := a.pass.Fset.Position(call.Pos())
 			desc := kind + " at " + shortPos(at)

@@ -101,6 +101,34 @@ func badFrameHandler(p *proc) {
 	}, p.onStop)
 }
 
+// splicer is a splice pump: each event form it calls takes its
+// continuation, which runs where a parked goroutine would have resumed.
+type splicer struct {
+	in, out *netem.Conn
+	buf     []byte
+	next    func()
+}
+
+// badSpliceSink forwards what its event read returns with the parking
+// Write instead of WriteEvent.
+func badSpliceSink(s *splicer) {
+	s.next = s.pump
+	s.in.ReadEvent(s.buf, s.next)
+}
+
+func (s *splicer) pump() {
+	if n, _, done := s.in.ReadEvent(s.buf, s.next); done {
+		s.out.Write(s.buf[:n]) // want `\(netem\.Conn\)\.Write parks on receive-window backpressure.*Conn\.ReadEvent continuation.*splicer\.pump`
+	}
+}
+
+// goodSpliceSink forwards with the event forms only.
+func (s *splicer) goodPump() {
+	if n, _, done := s.in.ReadEvent(s.buf, s.goodPump); done {
+		s.out.WriteEvent(s.buf[:n], s.goodPump)
+	}
+}
+
 // cutAll and onStop are handlers that stay on the non-parking surface.
 func cutAll(b []byte) (int, int, error) { return 0, len(b), nil }
 

@@ -55,3 +55,9 @@ func (c *Conn) Write(p []byte) (int, error)                        { return 0, n
 func (c *Conn) WriteOwned(p []byte, base *[]byte) (int, error)     { return 0, nil }
 func (c *Conn) TryWriteOwned(p []byte, base *[]byte) (bool, error) { return true, nil }
 func (c *Conn) SetReadSink(sink func(data []byte, err error))      {}
+func (c *Conn) ReadEvent(p []byte, again func()) (int, error, bool) {
+	return 0, nil, true
+}
+func (c *Conn) WriteEvent(p []byte, again func()) (int, error, bool) {
+	return 0, nil, true
+}
