@@ -52,6 +52,7 @@ func (r *Runner) setTimeline(key string, tl *obs.Timeline) {
 // addSimStats adds one measured world's scheduler counters.
 func (r *Runner) addSimStats(st netem.Stats) {
 	r.omu.Lock()
+	r.simStats.Spawns += st.Spawns
 	r.simStats.Parks += st.Parks
 	r.simStats.Events += st.Events
 	r.simStats.ReadyEvents += st.ReadyEvents

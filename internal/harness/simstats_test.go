@@ -5,10 +5,12 @@ import (
 	"testing"
 )
 
-// TestBulkCampaignParks bounds the goroutine parks of the bulk
-// benchmark's campaign (fig5 at sizes 5, 10 and 20 MB, byte scale 0.06,
-// 4 sites, seed 1): 108 982 while pt.Splice's pumps were goroutines and
-// the tunnel streams had no threshold read.
+// TestBulkCampaignParks bounds the goroutine parks and spawns of the
+// bulk benchmark's campaign (fig5 at sizes 5, 10 and 20 MB, byte scale
+// 0.06, 4 sites, seed 1): 108 982 parks while pt.Splice's pumps were
+// goroutines and the tunnel streams had no threshold read, and 53 541
+// parks and 2 198 spawns while tor's client read loop, SENDME
+// sends, PT-link flusher and exit pump were goroutines.
 func TestBulkCampaignParks(t *testing.T) {
 	r := New(Config{
 		Seed:         1,
@@ -23,8 +25,11 @@ func TestBulkCampaignParks(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := r.SimStats()
-	t.Logf("parks %d, events %d, ready events %d", st.Parks, st.Events, st.ReadyEvents)
-	if st.Parks > 60000 {
-		t.Errorf("the bulk campaign parked %d times, want at most 60000", st.Parks)
+	t.Logf("spawns %d, parks %d, events %d, ready events %d", st.Spawns, st.Parks, st.Events, st.ReadyEvents)
+	if st.Parks > 20000 {
+		t.Errorf("the bulk campaign parked %d times, want at most 20000", st.Parks)
+	}
+	if st.Spawns > 1000 {
+		t.Errorf("the bulk campaign spawned %d goroutines, want at most 1000", st.Spawns)
 	}
 }

@@ -229,9 +229,12 @@ type Clock struct {
 	stats Stats
 }
 
-// Stats counts what a clock has run: the goroutine parks it handed the
-// run token over at, and the inline callbacks it ran instead.
+// Stats counts what a clock has run: the goroutines it spawned, the
+// parks it handed the run token over at, and the inline callbacks it ran
+// instead.
 type Stats struct {
+	// Spawns counts Clock.Go calls that queued a goroutine.
+	Spawns uint64
 	// Parks counts scheduler waits that released the run token: a
 	// simulation goroutine's or the driver's.
 	Parks uint64
@@ -412,6 +415,7 @@ func (c *Clock) Go(fn func()) {
 	}
 	w := c.newWaiter()
 	c.registered++
+	c.stats.Spawns++
 	if n := len(c.free); n > 0 {
 		w.co, c.free = c.free[n-1], c.free[:n-1]
 	} else {

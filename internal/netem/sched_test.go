@@ -603,6 +603,75 @@ func TestWaitEventRunsWhereTheParkedGoroutineWould(t *testing.T) {
 	if es.Parks >= ps.Parks || es.Events+es.ReadyEvents <= ps.Events+ps.ReadyEvents {
 		t.Fatalf("stats: parked %+v, event %+v; the event form should trade parks for events", ps, es)
 	}
+	if ps.Spawns != 2 || es.Spawns != 1 {
+		t.Fatalf("spawns: parked %d, event %d; want 2 and 1, one per Go", ps.Spawns, es.Spawns)
+	}
+}
+
+// TestRecvEventRunsWhereTheParkedReceiverWould drains a queue twice,
+// with a goroutine looping on Recv and with a callback chained through
+// Chan.RecvEvent, against the same sender: a value sent to an idle
+// receiver, two sent back to back, and values left queued at Close,
+// which still drain before the receiver learns of the close. Every
+// receive of either form happens at the same instant and in the same
+// order, ahead of a callback queued after the send that woke it.
+func TestRecvEventRunsWhereTheParkedReceiverWould(t *testing.T) {
+	run := func(event bool) []string {
+		clock := NewClock()
+		defer clock.Shutdown()
+		ch := NewChan[int](clock, 0)
+		var log []string
+		note := func(s string) { log = append(log, fmt.Sprintf("%s@%v", s, clock.Now())) }
+		got := func(v int, ok bool) { note(fmt.Sprintf("recv %d %v", v, ok)) }
+		if event {
+			var fn func()
+			fn = func() {
+				for {
+					v, ok, done := ch.RecvEvent(fn)
+					if !done {
+						return
+					}
+					got(v, ok)
+					if !ok {
+						return
+					}
+				}
+			}
+			clock.ReadyEvent(fn)
+		} else {
+			clock.Go(func() {
+				for {
+					v, ok := ch.Recv()
+					got(v, ok)
+					if !ok {
+						return
+					}
+				}
+			})
+		}
+		clock.Go(func() {
+			clock.Sleep(10 * time.Millisecond)
+			ch.TrySend(1)
+			clock.ReadyEvent(func() { note("queued after send") })
+			clock.Sleep(10 * time.Millisecond)
+			ch.TrySend(2)
+			ch.TrySend(3)
+			clock.Sleep(10 * time.Millisecond)
+			ch.TrySend(4)
+			ch.TrySend(5)
+			ch.Close()
+			note("closed")
+		})
+		clock.Sleep(time.Second)
+		return log
+	}
+	parked, evented := run(false), run(true)
+	if fmt.Sprint(parked) != fmt.Sprint(evented) {
+		t.Fatalf("parked receiver:\n%v\nevent receiver:\n%v", parked, evented)
+	}
+	if want := "[recv 1 true@10ms queued after send@10ms recv 2 true@20ms recv 3 true@20ms closed@30ms recv 4 true@30ms recv 5 true@30ms recv 0 false@30ms]"; fmt.Sprint(parked) != want {
+		t.Fatalf("order %v, want %s", parked, want)
+	}
 }
 
 // TestEventWaitLeftAtShutdownIsDropped ends a world with an event wait

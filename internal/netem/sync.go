@@ -304,22 +304,40 @@ func (ch *Chan[T]) TrySend(v T) bool {
 // Recv dequeues the next value, parking while empty. ok is false when
 // the queue is closed and drained.
 func (ch *Chan[T]) Recv() (v T, ok bool) {
-	v, ok, _ = ch.recv(noDeadline)
+	v, ok, _ = ch.RecvEvent(nil)
 	return v, ok
+}
+
+// RecvEvent is Recv for an event callback, which must not park: it
+// returns done with what Recv would have returned, or, where Recv would
+// park, queues again in the parked receiver's place (Cond.WaitEvent) and
+// returns done false; again calls RecvEvent once more. With a nil again
+// it is Recv.
+func (ch *Chan[T]) RecvEvent(again func()) (v T, ok, done bool) {
+	v, ok, _, done = ch.recv(noDeadline, again)
+	return v, ok, done
 }
 
 // RecvTimeout is Recv bounded by a virtual duration from now.
 func (ch *Chan[T]) RecvTimeout(d time.Duration) (v T, ok bool, timedOut bool) {
-	return ch.recv(ch.cond.clock.Now() + d)
+	v, ok, timedOut, _ = ch.recv(ch.cond.clock.Now()+d, nil)
+	return v, ok, timedOut
 }
 
-func (ch *Chan[T]) recv(vt time.Duration) (v T, ok bool, timedOut bool) {
+// recv is the one receive path: a nil again parks, any other queues
+// where the park would be.
+func (ch *Chan[T]) recv(vt time.Duration, again func()) (v T, ok, timedOut, done bool) {
 	for ch.Len() == 0 {
 		if ch.closed {
-			return v, false, false
+			return v, false, false, true
 		}
-		if ch.cond.WaitVT(vt) {
-			return v, false, true
+		if again == nil {
+			timedOut = ch.cond.WaitVT(vt)
+		} else if timedOut = ch.cond.waitEvent(vt, again); !timedOut {
+			return v, false, false, false
+		}
+		if timedOut {
+			return v, false, true, true
 		}
 	}
 	var zero T
@@ -331,7 +349,7 @@ func (ch *Chan[T]) recv(vt time.Duration) (v T, ok bool, timedOut bool) {
 		ch.bufHead = 0
 	}
 	ch.cond.Broadcast()
-	return v, true, false
+	return v, true, false, true
 }
 
 // Len reports the queued element count.

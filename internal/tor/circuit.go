@@ -36,6 +36,11 @@ type circuit struct {
 	// segment boundary does not fall on a cell boundary. Only the sink
 	// (serialized by the event dispatcher) touches it.
 	rdStage []byte
+	// A PT first hop's cell pump fills rdCell, rdGot bytes so far;
+	// pumpFn is pump, bound once.
+	rdCell []byte
+	rdGot  int
+	pumpFn func()
 
 	fcCond     *netem.Cond
 	circPkgWin int // forward-data budget toward the exit
@@ -92,12 +97,14 @@ func (circ *circuit) build() error {
 
 	if oc, ok := circ.conn.(*netem.Conn); ok {
 		// Vanilla-tor first hop: demultiplex backward cells inline at
-		// their arrival instants instead of in a reader goroutine. PT
-		// transports wrap the conn in a stream transform, so they keep
-		// the goroutine read loop.
+		// their arrival instants. PT transports wrap the conn in a
+		// stream transform, whose bytes the cell pump reads; it starts
+		// where a read loop's goroutine would have.
 		oc.SetReadSink(circ.cellSink)
 	} else {
-		c.clock.Go(circ.readLoop)
+		circ.rdCell = make([]byte, CellSize)
+		circ.pumpFn = circ.pump
+		c.clock.ReadyEvent(circ.pumpFn)
 	}
 
 	for _, next := range []*Descriptor{circ.path.Middle, circ.path.Exit} {
@@ -146,7 +153,7 @@ func (circ *circuit) sendRelay(h int, rc RelayCell) error {
 	if err := o.pack(circ, h, rc); err != nil {
 		return err
 	}
-	err, _ := o.flush(circ, nil)
+	err, _ := o.sendEvent(circ, nil)
 	return err
 }
 
@@ -177,10 +184,10 @@ func (o *relayOut) pack(circ *circuit, h int, rc RelayCell) error {
 	return nil
 }
 
-// flush is the rest of sendRelay: it takes sendMu, seals the cell and
-// writes it, parking where it must for a nil again, and otherwise
+// sendEvent is the rest of sendRelay: it takes sendMu, seals the cell
+// and writes it, parking where it must for a nil again, and otherwise
 // through the event forms, where done false means again goes on.
-func (o *relayOut) flush(circ *circuit, again func()) (err error, done bool) {
+func (o *relayOut) sendEvent(circ *circuit, again func()) (err error, done bool) {
 	if !o.locked {
 		if again == nil {
 			circ.sendMu.Lock()
@@ -217,26 +224,41 @@ func (o *relayOut) flush(circ *circuit, again func()) (err error, done bool) {
 	return err, true
 }
 
-// readLoop demultiplexes backward cells. One persistent wire buffer is
-// reused for every cell: deliver's handlers either consume rc.Data
-// synchronously (Stream.push copies) or copy it before retaining it
-// (the build control queue).
-func (circ *circuit) readLoop() {
-	buf := make([]byte, CellSize)
+// pump demultiplexes the backward cells of a PT first hop. It is a
+// chain of clock events that makes a read loop's calls where and when
+// the loop made them: it fills rdCell with the conn's ReadEvent as
+// io.ReadFull fills a buffer with Read, and where the loop's Read would
+// park it leaves itself in the parked reader's place. Each whole cell
+// is handled inline, as cellSink handles one, in the one buffer:
+// deliver's handlers either consume rc.Data synchronously (Stream.push
+// copies) or copy it before retaining it (the build control queue).
+func (circ *circuit) pump() {
+	r := circ.conn.(eventReader)
 	for {
-		if err := readWire(circ.conn, buf); err != nil {
+		n, err, done := r.ReadEvent(circ.rdCell[circ.rdGot:], circ.pumpFn)
+		if circ.rdGot += n; !done {
+			return
+		}
+		if circ.rdGot < CellSize {
+			if err == nil {
+				continue
+			}
+			if circ.rdGot > 0 && err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
 			circ.close(err)
 			return
 		}
-		circ.clientCell(buf, nil, nil)
+		circ.rdGot = 0
+		circ.clientCell(circ.rdCell, nil, nil)
 		if circ.closed {
 			return
 		}
 	}
 }
 
-// cellSink is the inline form of readLoop, installed as the conn's read
-// sink when the first hop is a bare netem.Conn. It runs on the clock's
+// cellSink is the inline demultiplexer of a bare netem.Conn first hop,
+// installed as its read sink. It, and the cell pump, run on the clock's
 // event dispatcher and must never park: every handler on this path is
 // park-free (Stream.push appends, the control and connected queues use
 // TrySend, close only broadcasts), and SENDME origination — which can
@@ -304,13 +326,11 @@ func (circ *circuit) deliver(hop int, rc RelayCell) {
 		circ.deliverData(rc)
 	case RelayEnd:
 		if s := circ.stream(rc.StreamID); s != nil {
+			// END for a pending stream refuses the BEGIN; an open
+			// stream has taken its CONNECTED and reads this no more.
+			s.notifyConnected(ErrStreamRefused)
 			s.remoteClose()
 			circ.forgetStream(rc.StreamID)
-		} else {
-			// END for a pending stream refuses the BEGIN.
-			if pending := circ.streams[rc.StreamID]; pending != nil {
-				pending.notifyConnected(ErrStreamRefused)
-			}
 		}
 	case RelaySendme:
 		if rc.StreamID == 0 {
@@ -351,12 +371,54 @@ func (circ *circuit) deliverData(rc RelayCell) {
 	}
 }
 
-// sendRelayAsync originates rc from a dedicated goroutine. Handlers
-// that may run inline on the event dispatcher use it because sendRelay
-// can park (sendMu, conn backpressure); it is used in both read modes
-// so cell ordering does not depend on which mode is active.
+// sendRelayAsync originates rc from the run queue, where a goroutine
+// spawned now would start: deliver runs inline, on a read sink or the
+// cell pump, and sendRelay can park (sendMu, conn backpressure). Both
+// read modes use it, so cell order does not depend on which is active.
 func (circ *circuit) sendRelayAsync(h int, rc RelayCell) {
-	circ.client.clock.Go(func() { circ.sendRelay(h, rc) })
+	c := circ.client
+	var m *asyncSend
+	if n := len(c.idleSends); n > 0 {
+		m, c.idleSends = c.idleSends[n-1], c.idleSends[:n-1]
+	} else {
+		m = &asyncSend{}
+		m.startFn, m.sendFn = m.start, m.send
+	}
+	m.circ, m.hop, m.rc = circ, h, rc
+	c.clock.ReadyEvent(m.startFn)
+}
+
+// An asyncSend is one sendRelayAsync cell on its way: packed when it
+// starts, as a goroutine's sendRelay packed it, then sent with
+// relayOut.sendEvent, which waits where that sendRelay parked. A
+// finished one waits on its client's idle list for the next, as a
+// finished coroutine waits for the next Clock.Go.
+type asyncSend struct {
+	circ            *circuit
+	hop             int
+	rc              RelayCell
+	out             relayOut
+	startFn, sendFn func() // start and send, bound once
+}
+
+func (m *asyncSend) start() {
+	if m.out.pack(m.circ, m.hop, m.rc) != nil {
+		m.done()
+		return
+	}
+	m.send()
+}
+
+func (m *asyncSend) send() {
+	if _, done := m.out.sendEvent(m.circ, m.sendFn); done {
+		m.done()
+	}
+}
+
+func (m *asyncSend) done() {
+	c := m.circ.client
+	m.circ, m.rc = nil, RelayCell{}
+	c.idleSends = append(c.idleSends, m)
 }
 
 func (circ *circuit) lastHop() int {
@@ -506,7 +568,7 @@ func (s *Stream) notifyConnected(err error) {
 	s.connected.TrySend(err)
 }
 
-// push appends inbound data (called from the circuit read loop).
+// push appends inbound data (called as each DATA cell is delivered).
 func (s *Stream) push(data []byte) {
 	if s.localClosed {
 		return
@@ -645,7 +707,7 @@ func (s *Stream) WriteEvent(p []byte, again func()) (n int, err error, done bool
 	for {
 		if s.out.buf != nil {
 			k := s.out.data
-			if err, done := s.out.flush(circ, again); !done {
+			if err, done := s.out.sendEvent(circ, again); !done {
 				return n, nil, false
 			} else if err != nil {
 				return max(n-k, 0), err, true
@@ -676,10 +738,16 @@ func (s *Stream) WriteEvent(p []byte, again func()) (n int, err error, done bool
 	}
 }
 
-// eventWriter is a PT conn's event form of Write (pt.Splice's contract).
-type eventWriter interface {
-	WriteEvent(p []byte, again func()) (n int, err error, done bool)
-}
+// eventReader and eventWriter are a PT conn's event forms of Read and
+// Write (pt.Splice's contract; every PT conn has both).
+type (
+	eventReader interface {
+		ReadEvent(p []byte, again func()) (n int, err error, done bool)
+	}
+	eventWriter interface {
+		WriteEvent(p []byte, again func()) (n int, err error, done bool)
+	}
+)
 
 // Close implements net.Conn, sending RELAY_END.
 func (s *Stream) Close() error {
@@ -688,8 +756,8 @@ func (s *Stream) Close() error {
 }
 
 // CloseEvent is Close for an event callback, or Close itself for a nil
-// again: the END cell goes out with relayOut.flush, and done false means
-// again goes on.
+// again: the END cell goes out with relayOut.sendEvent, and done false
+// means again goes on.
 func (s *Stream) CloseEvent(again func()) bool {
 	if s.end.buf == nil {
 		if s.localClosed {
@@ -701,7 +769,7 @@ func (s *Stream) CloseEvent(again func()) bool {
 			return true
 		}
 	}
-	if _, done := s.end.flush(s.circ, again); !done {
+	if _, done := s.end.sendEvent(s.circ, again); !done {
 		return false
 	}
 	s.circ.forgetStream(s.id)

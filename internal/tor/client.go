@@ -146,6 +146,7 @@ type Client struct {
 	guard     *Descriptor
 	probation map[string]*guardProbation
 	circ      *circuit
+	idleSends []*asyncSend // finished sendRelayAsync cells, for reuse
 }
 
 // NewClient creates a client. It does not build a circuit until the

@@ -6,6 +6,7 @@ import (
 	"net"
 	"sort"
 	"sync"
+	"time"
 
 	"ptperf/internal/netem"
 	"ptperf/internal/sim"
@@ -246,41 +247,76 @@ func (l *link) writeCell(c *Cell) error {
 	return err
 }
 
-// flushCell writes one scheduled cell without parking. Fast links (netem conns) take the zero-copy owned write
-// inline — cell framing stays atomic because every cell is a single
-// segment serialized on the conn's own writer lock. Other conns get a
-// lazily-spawned flusher goroutine that is allowed to park on real
-// backpressure, fed through an unbounded scheduler-aware queue (bounded
-// in practice by the circuits' flow-control windows). false means the
-// link cannot accept the cell this pass (retry next interval); true
-// means the cell was consumed — written, handed off, or dropped
-// against a dead link, whose serve loop is already tearing its
-// circuits down (the retired blocking scheduler ignored those write
-// errors the same way).
+// flushCell writes one scheduled cell without parking. Fast links
+// (netem conns) take the zero-copy owned write inline — cell framing
+// stays atomic because every cell is a single segment serialized on the
+// conn's own writer lock. Other conns hand the cell to their flusher
+// through an unbounded scheduler-aware queue (bounded in practice by
+// the circuits' flow-control windows); the flusher, started with the
+// queue, waits on real backpressure. false means the link cannot
+// accept the cell this pass (retry next interval); true means the cell
+// was consumed — written, handed off, or dropped against a dead link,
+// whose serve loop is already tearing its circuits down (the retired
+// blocking scheduler ignored those write errors the same way).
 func (l *link) flushCell(s *cellScheduler, cell queuedCell) bool {
 	if fc, isFast := l.conn.(*netem.Conn); isFast {
 		ok, _ := fc.TryWriteOwned(cell.buf, cell.base, &cellBufPool)
 		return ok
 	}
 	if l.flusher == nil {
-		f := netem.NewChan[queuedCell](s.clock, 0)
-		l.flusher = f
-		s.flushers = append(s.flushers, f)
-		s.clock.Go(func() {
-			for {
-				c, ok := f.Recv()
-				if !ok {
-					return
-				}
-				l.writeWire(c.buf)
-				putCellBuf(c.base)
-			}
-		})
+		l.flusher = netem.NewChan[queuedCell](s.clock, 0)
+		s.flushers = append(s.flushers, l.flusher)
+		f := &flusher{l: l, w: l.conn.(eventWriter)}
+		f.next = f.run
+		s.clock.ReadyEvent(f.next)
 	}
 	if !l.flusher.TrySend(cell) {
 		putCellBuf(cell.base)
 	}
 	return true
+}
+
+// A flusher writes the cells handed to a link's flusher queue, in
+// order, each whole under the link write lock. It is a chain of clock
+// events that makes the calls a writer loop on a goroutine made, where
+// and when it made them: where the loop parked — on the empty queue,
+// the lock or the conn's backpressure — it leaves its continuation
+// (Chan.RecvEvent, Mutex.LockEvent, the conn's WriteEvent). Once the
+// queue is closed it writes what is left in it, and ends.
+type flusher struct {
+	l *link
+	w eventWriter
+	// cell is the cell under way, cell.buf what is left of it to write;
+	// locked marks the link write lock held for it.
+	cell   queuedCell
+	locked bool
+	next   func() // run, bound once
+}
+
+func (f *flusher) run() {
+	for {
+		if f.cell.base == nil {
+			c, ok, done := f.l.flusher.RecvEvent(f.next)
+			if !done || !ok {
+				return
+			}
+			f.cell = c
+		}
+		if !f.locked {
+			if !f.l.wmu.LockEvent(f.next) {
+				return
+			}
+			f.locked = true
+		}
+		k, _, done := f.w.WriteEvent(f.cell.buf, f.next)
+		if f.cell.buf = f.cell.buf[k:]; !done {
+			return
+		}
+		f.locked = false
+		f.l.wmu.Unlock()
+		putCellBuf(f.cell.base)
+		f.cell = queuedCell{}
+	}
 }
 
 // writeWire writes wire-ready bytes under the link write lock.
@@ -359,8 +395,8 @@ func (l *link) teardown() {
 	}
 	l.conn.Close()
 	// Retire the slow-path flusher with the link: every queue feeding it
-	// was just retired, so closing here lets the goroutine drain and
-	// exit instead of living until scheduler stop. Close is idempotent —
+	// was just retired, so closing here lets the flusher drain and end
+	// instead of waiting until scheduler stop. Close is idempotent —
 	// stop() may close it again via s.flushers.
 	if l.flusher != nil {
 		l.flusher.Close()
@@ -590,7 +626,7 @@ func (c *relayCirc) handleBegin(rc RelayCell) error {
 	s := &exitStream{
 		circ:   c,
 		id:     rc.StreamID,
-		conn:   conn,
+		conn:   conn.(*netem.Conn),
 		pkgWin: streamWindowInit,
 		dlvWin: streamWindowInit,
 	}
@@ -602,7 +638,10 @@ func (c *relayCirc) handleBegin(rc RelayCell) error {
 	if err := c.sendBackward(RelayCell{Cmd: RelayConnected, StreamID: rc.StreamID}); err != nil {
 		return err
 	}
-	c.link.relay.clock.Go(s.pump)
+	// The pump starts where a read loop's goroutine would have.
+	s.buf = make([]byte, MaxRelayData)
+	s.next = s.pump
+	c.link.relay.clock.ReadyEvent(s.next)
 	return nil
 }
 
@@ -712,26 +751,47 @@ func (c *relayCirc) destroy(notifyUp, notifyDown bool) {
 type exitStream struct {
 	circ *relayCirc
 	id   uint16
-	conn net.Conn
+	conn *netem.Conn
 
 	pkgWin int
 	dlvWin int
 	closed bool
+
+	// buf is what the pump reads the destination into; reading marks a
+	// read under way, next is pump, bound once.
+	buf     []byte
+	reading bool
+	next    func()
 }
 
-// pump reads from the destination and packages RELAY_DATA cells,
-// blocking on circuit and stream package windows.
+// pump reads from the destination and packages RELAY_DATA cells while
+// the circuit and stream package windows are open. It is a chain of
+// clock events that makes the calls a read loop on a goroutine made,
+// where and when it made them: where the loop waited for a window or
+// parked in Read, it leaves its continuation (Cond.WaitEvent,
+// Conn.ReadEvent). It ends when the stream or the circuit closes.
 func (s *exitStream) pump() {
-	buf := make([]byte, MaxRelayData)
+	c := s.circ
 	for {
-		if !s.waitWindow() {
+		for !s.reading {
+			if s.closed || c.closed {
+				return
+			}
+			if c.circPkgWin > 0 && s.pkgWin > 0 {
+				s.reading = true
+			} else if !c.fcCond.WaitEvent(time.Time{}, s.next) {
+				return
+			}
+		}
+		n, err, done := s.conn.ReadEvent(s.buf, s.next)
+		if !done {
 			return
 		}
-		n, err := s.conn.Read(buf)
+		s.reading = false
 		if n > 0 {
-			s.circ.circPkgWin--
+			c.circPkgWin--
 			s.pkgWin--
-			if serr := s.circ.sendBackward(RelayCell{Cmd: RelayData, StreamID: s.id, Data: buf[:n]}); serr != nil {
+			if c.sendBackward(RelayCell{Cmd: RelayData, StreamID: s.id, Data: s.buf[:n]}) != nil {
 				return
 			}
 		}
@@ -739,23 +799,9 @@ func (s *exitStream) pump() {
 			// closeStream (not a bare map delete) so the exit-side conn
 			// to the target is closed too — leaving it open leaked one
 			// flow per completed stream.
-			s.circ.closeStream(s.id, true)
+			c.closeStream(s.id, true)
 			return
 		}
-	}
-}
-
-// waitWindow blocks until both package windows are positive; it returns
-// false when the stream or circuit has closed.
-func (s *exitStream) waitWindow() bool {
-	for {
-		if s.closed || s.circ.closed {
-			return false
-		}
-		if s.circ.circPkgWin > 0 && s.pkgWin > 0 {
-			return true
-		}
-		s.circ.fcCond.Wait()
 	}
 }
 

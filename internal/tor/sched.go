@@ -37,8 +37,8 @@ import (
 // cells with the non-parking zero-copy Conn.TryWriteOwned. A link that
 // cannot take the write this pass is skipped — KIST semantics — and
 // retried next Interval. Links without the fast path (PT stream
-// tunnels fed through ServeConn) get a lazily-spawned per-link flusher
-// goroutine that is allowed to park on backpressure; handoff to it is
+// tunnels fed through ServeConn) get a lazily-started per-link flusher,
+// a chain of clock events that waits out backpressure; handoff to it is
 // an unbounded scheduler-aware queue, bounded in practice by the
 // circuits' flow-control windows. Everything runs on the virtual
 // clock, events and timers share one deterministically-ordered heap,
@@ -310,8 +310,8 @@ func (s *cellScheduler) closeQueue(q *circQueue) {
 }
 
 // stop shuts the scheduler down, retiring every queue and closing the
-// slow-link flushers (each drains its handed-off cells, then exits —
-// the leak invariants sample goroutine counts at quiescent points).
+// slow-link flushers' queues (each flusher writes its handed-off cells,
+// then ends).
 func (s *cellScheduler) stop() {
 	if s.closed {
 		return

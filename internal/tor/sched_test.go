@@ -367,10 +367,13 @@ func TestSchedulerTransparentWhenUncontended(t *testing.T) {
 }
 
 // discardConn is a link conn without the inline write path: the
-// scheduler hands its cells to a flusher goroutine, which writes here.
+// scheduler hands its cells to a flusher, which writes here with the
+// event form every PT conn has.
 type discardConn struct{ net.Conn }
 
 func (discardConn) Write(p []byte) (int, error) { return len(p), nil }
+
+func (discardConn) WriteEvent(p []byte, _ func()) (int, error, bool) { return len(p), nil, true }
 
 // TestCircQueueKeepsItsArray feeds a circuit queue that a one-cell-a-pass
 // scheduler drains one cell behind, as a loaded guard's is: never empty,

@@ -2,6 +2,7 @@ package tor
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -193,11 +194,19 @@ func TestFixedCircuit(t *testing.T) {
 	}
 }
 
+// TestStreamRefused dials a target the exit cannot reach: its END for
+// the pending stream refuses the BEGIN at once, rather than leaving
+// openStream to wait out the build timeout.
 func TestStreamRefused(t *testing.T) {
 	w := buildWorld(t, 1, 1, 1)
 	c := newTestClient(t, w, nil)
-	if _, err := c.Dial("nonexistent:80"); err == nil {
-		t.Fatal("dialing a dead target should fail")
+	clock := w.net.Clock()
+	start := clock.Now()
+	if _, err := c.Dial("nonexistent:80"); !errors.Is(err, ErrStreamRefused) {
+		t.Fatalf("dialing a dead target returned %v, want %v", err, ErrStreamRefused)
+	}
+	if d := clock.Now() - start; d >= c.cfg.BuildTimeout {
+		t.Fatalf("the refusal took %v, the build timeout is %v", d, c.cfg.BuildTimeout)
 	}
 }
 

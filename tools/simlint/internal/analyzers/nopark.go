@@ -33,10 +33,11 @@ import (
 //     where the sink's calls through its fields cannot be followed;
 //   - the continuation of every event form, a method whose name ends in
 //     Event and whose last parameter is a func(): netem's
-//     Cond.WaitEvent, Mutex.LockEvent and Conn.ReadEvent, WriteEvent and
-//     the rest, and the conns' ReadEvent, WriteEvent, CloseEvent and
-//     CloseWriteEvent that pt.Splice's pumps hand themselves to. It runs where a parked goroutine would have
-//     resumed, on the dispatching driver.
+//     Cond.WaitEvent, Mutex.LockEvent, Chan.RecvEvent and
+//     Conn.ReadEvent, WriteEvent and the rest, and the conns' ReadEvent,
+//     WriteEvent, CloseEvent and CloseWriteEvent that pt.Splice's and
+//     tor's pumps hand themselves to. It runs where a parked goroutine
+//     would have resumed, on the dispatching driver.
 //
 // From each root the analyzer walks the intra-package static call graph
 // (direct calls to functions and methods declared in the same package,

@@ -129,6 +129,58 @@ func (s *splicer) goodPump() {
 	}
 }
 
+// cellPump is a tor client's cell pump: it handles each cell it reads
+// inline, and answers some with a SENDME, a send that can park.
+type cellPump struct {
+	clock     *netem.Clock
+	conn      *netem.Conn
+	mu        netem.Mutex
+	cell      []byte
+	cells     *netem.Chan[[]byte]
+	next      func()
+	flushNext func()
+}
+
+// badCellPump sends its SENDME from the pump's continuation with a
+// parking sendRelay-style write: the bug a sendRelayAsync avoids.
+func badCellPump(p *cellPump) {
+	p.next = p.pump
+	p.clock.ReadyEvent(p.next)
+}
+
+func (p *cellPump) pump() {
+	if _, _, done := p.conn.ReadEvent(p.cell, p.next); done {
+		p.sendRelay()
+	}
+}
+
+func (p *cellPump) sendRelay() {
+	p.mu.Lock()          // want `\(netem\.Mutex\)\.Lock parks while contended.*Clock\.ReadyEvent arm.*via cellPump\.pump → cellPump\.sendRelay`
+	p.conn.Write(p.cell) // want `\(netem\.Conn\)\.Write parks on receive-window backpressure.*via cellPump\.pump → cellPump\.sendRelay`
+	p.mu.Unlock()
+}
+
+// goodPump hands the SENDME to a ReadyEvent, whose callback writes with
+// the event form.
+func (p *cellPump) goodPump() {
+	if _, _, done := p.conn.ReadEvent(p.cell, p.goodPump); done {
+		p.clock.ReadyEvent(p.sendAsync)
+	}
+}
+
+func (p *cellPump) sendAsync() {
+	p.conn.WriteEvent(p.cell, p.sendAsync)
+}
+
+// flush is a PT-link flusher that writes what its event receive returns
+// with the parking Write: Chan.RecvEvent's continuation is a root too.
+func (p *cellPump) flush() {
+	p.flushNext = p.flush
+	if c, ok, done := p.cells.RecvEvent(p.flushNext); done && ok {
+		p.conn.Write(c) // want `\(netem\.Conn\)\.Write parks on receive-window backpressure.*Chan\.RecvEvent continuation.*cellPump\.flush`
+	}
+}
+
 // cutAll and onStop are handlers that stay on the non-parking surface.
 func cutAll(b []byte) (int, int, error) { return 0, len(b), nil }
 

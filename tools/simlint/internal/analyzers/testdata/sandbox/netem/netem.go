@@ -46,6 +46,10 @@ func (ch *Chan[T]) RecvTimeout(d time.Duration) (T, bool, bool) {
 	var zero T
 	return zero, false, false
 }
+func (ch *Chan[T]) RecvEvent(again func()) (T, bool, bool) {
+	var zero T
+	return zero, false, true
+}
 
 type Conn struct{}
 
