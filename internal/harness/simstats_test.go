@@ -10,7 +10,8 @@ import (
 // 0.06, 4 sites, seed 1): 108 982 parks while pt.Splice's pumps were
 // goroutines and the tunnel streams had no threshold read, and 53 541
 // parks and 2 198 spawns while tor's client read loop, SENDME
-// sends, PT-link flusher and exit pump were goroutines.
+// sends, PT-link flusher and exit pump were goroutines, and 17 221
+// parks and 734 spawns while every server's accept loop was one.
 func TestBulkCampaignParks(t *testing.T) {
 	r := New(Config{
 		Seed:         1,
@@ -29,7 +30,7 @@ func TestBulkCampaignParks(t *testing.T) {
 	if st.Parks > 20000 {
 		t.Errorf("the bulk campaign parked %d times, want at most 20000", st.Parks)
 	}
-	if st.Spawns > 1000 {
-		t.Errorf("the bulk campaign spawned %d goroutines, want at most 1000", st.Spawns)
+	if st.Spawns > 400 {
+		t.Errorf("the bulk campaign spawned %d goroutines, want at most 400", st.Spawns)
 	}
 }

@@ -65,12 +65,7 @@ type AcctSnapshot struct {
 	CellsDropped int64
 }
 
-// nil-safe counter helpers: conns built outside a network carry no Acct.
-
 func (a *Acct) addDial(refused bool) {
-	if a == nil {
-		return
-	}
 	a.n.Dials++
 	if refused {
 		a.n.DialsRefused++
@@ -78,38 +73,28 @@ func (a *Acct) addDial(refused bool) {
 }
 
 func (a *Acct) addConnsOpened(n int64) {
-	if a != nil {
-		a.n.ConnsOpened += n
-	}
+	a.n.ConnsOpened += n
 }
 
 func (a *Acct) addConnClosed() {
-	if a != nil {
-		a.n.ConnsClosed++
-	}
+	a.n.ConnsClosed++
 }
 
 func (a *Acct) addSegmentFiltered() {
-	if a != nil {
-		a.n.SegmentsFiltered++
-	}
+	a.n.SegmentsFiltered++
 }
 
 func (a *Acct) addSent(n int) {
-	if a != nil {
-		a.n.SegmentsSent++
-		a.n.BytesSent += int64(n)
-	}
+	a.n.SegmentsSent++
+	a.n.BytesSent += int64(n)
 }
 
 func (a *Acct) addDelivered(n int) {
-	if a != nil {
-		a.n.BytesDelivered += int64(n)
-	}
+	a.n.BytesDelivered += int64(n)
 }
 
 func (a *Acct) addDropped(n int) {
-	if a != nil && n > 0 {
+	if n > 0 {
 		a.n.BytesDropped += int64(n)
 	}
 }
@@ -118,21 +103,17 @@ func (a *Acct) addDropped(n int) {
 // Exported (with its Flushed/Dropped siblings) because the queues live
 // in internal/tor while the conservation audit lives here.
 func (a *Acct) AddCellsQueued(n int64) {
-	if a != nil {
-		a.n.CellsQueued += n
-	}
+	a.n.CellsQueued += n
 }
 
 // AddCellsFlushed counts queued relay cells written to their links.
 func (a *Acct) AddCellsFlushed(n int64) {
-	if a != nil {
-		a.n.CellsFlushed += n
-	}
+	a.n.CellsFlushed += n
 }
 
 // AddCellsDropped counts queued relay cells discarded at teardown.
 func (a *Acct) AddCellsDropped(n int64) {
-	if a != nil && n > 0 {
+	if n > 0 {
 		a.n.CellsDropped += n
 	}
 }
@@ -142,9 +123,6 @@ func (a *Acct) AddCellsDropped(n int64) {
 // censor's flow registry), so a long campaign holds O(live), not
 // O(ever-created), conns.
 func (a *Acct) registerConn(c *Conn) {
-	if a == nil {
-		return
-	}
 	if len(a.conns) >= 64 && len(a.conns)%64 == 0 {
 		live := a.conns[:0]
 		for _, cn := range a.conns {
@@ -210,9 +188,6 @@ func (a *Acct) abortOpen(match func(*Conn) bool) int {
 // conn registry: their buffered count is zero and can never grow again,
 // so dropping them changes no snapshot.
 func (a *Acct) registerPipe(p *pipe) {
-	if a == nil {
-		return
-	}
 	if len(a.pipes) >= 64 && len(a.pipes)%64 == 0 {
 		live := a.pipes[:0]
 		for _, lp := range a.pipes {

@@ -91,6 +91,22 @@ type FullReader interface {
 	ReadFull(p []byte) (int, error)
 }
 
+// EventReader and EventWriter are the event forms of a conn's Read and
+// Write, for a caller that is a clock event and must not park. Each has
+// the contract of Conn.ReadEvent and Conn.WriteEvent: done with what the
+// plain call would have returned, or done false where it would have
+// parked, with again queued in the parked goroutine's place, to call the
+// same form once more (a write with p[n:]). With a nil again each is
+// the plain call. Every netem conn, PT conn and tor stream has both.
+type (
+	EventReader interface {
+		ReadEvent(p []byte, again func()) (n int, err error, done bool)
+	}
+	EventWriter interface {
+		WriteEvent(p []byte, again func()) (n int, err error, done bool)
+	}
+)
+
 // ReadFull reads exactly len(p) bytes, parking once until the byte
 // completing the request arrives rather than waking per segment;
 // n < len(p) only with a non-nil error (io.EOF on early end-of-stream,
@@ -278,21 +294,15 @@ func (c *Conn) landHeld(again func()) (ok bool, err error) {
 
 // TryWriteOwned is WriteOwned without parking, for inline event
 // callbacks (Clock.EventAt): ok is false — and ownership stays with the
-// caller — when the write would have parked (writer lock contended or
-// receive window full). ok true means the segment was consumed, with
-// err reporting a closed/reset conn exactly like Write.
+// caller — when the write would have parked (writer lock held or receive
+// window full) or data is more than one segment. ok true means the
+// segment was consumed, with err reporting a closed/reset conn exactly
+// like Write.
 func (c *Conn) TryWriteOwned(data []byte, base *[]byte, pool *sync.Pool) (ok bool, err error) {
-	if len(data) > segmentSize {
+	if len(data) > segmentSize || c.wmu.locked || c.tx.wouldPark(len(data)) {
 		return false, nil
 	}
-	if !c.wmu.TryLock() {
-		return false, nil
-	}
-	defer c.wmu.Unlock()
-	if !c.closed && c.tx.freeSpace() < len(data) {
-		return false, nil
-	}
-	return c.writeSegment(data, base, pool)
+	return true, c.WriteOwned(data, base, pool)
 }
 
 // TryWrite is Write without parking, for inline event callbacks: it
@@ -301,35 +311,11 @@ func (c *Conn) TryWriteOwned(data []byte, base *[]byte, pool *sync.Pool) (ok boo
 // refusal comes before any bucket time is booked or any jitter or loss
 // drawn. Otherwise err is what Write would have returned.
 func (c *Conn) TryWrite(p []byte) (ok bool, err error) {
-	if !c.wmu.TryLock() {
+	if c.wmu.locked || c.tx.wouldPark(len(p)) {
 		return false, nil
 	}
-	defer c.wmu.Unlock()
-	if c.tx.wouldPark(len(p)) {
-		return false, nil
-	}
-	for len(p) > 0 {
-		n := min(len(p), segmentSize)
-		data, base, pool := getSegBuf(p[:n])
-		if _, err := c.writeSegment(data, base, pool); err != nil {
-			return true, err
-		}
-		p = p[n:]
-	}
-	return true, nil
-}
-
-// writeSegment shapes and delivers one owned segment without parking:
-// policy filtering, egress/ingress/shaper reservations, then the pipe
-// push. Its callers have already refused a segment that does not fit,
-// so that a refusal leaves no shaping trace. The writer lock must be
-// held.
-func (c *Conn) writeSegment(data []byte, base *[]byte, pool *sync.Pool) (ok bool, err error) {
-	arrival, err := c.shape(data, base, pool)
-	if err != nil {
-		return true, err
-	}
-	return c.tx.tryPush(data, base, pool, arrival)
+	_, err = c.Write(p)
+	return true, err
 }
 
 // shape runs one segment through the policy filter and the egress,
@@ -340,8 +326,8 @@ func (c *Conn) shape(data []byte, base *[]byte, pool *sync.Pool) (time.Duration,
 	n := len(data)
 	var censored time.Duration
 	var shaper *Bucket
-	if pol := c.policy(); pol != nil {
-		c.acct().addSegmentFiltered()
+	if pol := c.net.policy; pol != nil {
+		c.net.acct.addSegmentFiltered()
 		v := pol.FilterSegment(Flow{Src: c.local.host, Dst: c.remote.host, Memo: &c.memo}, n)
 		if v.Action == Reset {
 			putSegBuf(pool, base)
@@ -376,24 +362,6 @@ func (c *Conn) WriteBudget() int {
 	return c.tx.freeSpace()
 }
 
-// policy returns the network's middlebox policy, or nil for conns built
-// outside a network.
-func (c *Conn) policy() Policy {
-	if c.net == nil {
-		return nil
-	}
-	return c.net.policy
-}
-
-// acct returns the network's accounting, or nil for conns built outside
-// a network.
-func (c *Conn) acct() *Acct {
-	if c.net == nil {
-		return nil
-	}
-	return &c.net.acct
-}
-
 // extraDelay draws the per-segment jitter and loss penalty.
 func (c *Conn) extraDelay() time.Duration {
 	var d time.Duration
@@ -422,7 +390,7 @@ func (c *Conn) Close() error {
 func (c *Conn) markClosed() {
 	if !c.closed {
 		c.closed = true
-		c.acct().addConnClosed()
+		c.net.acct.addConnClosed()
 	}
 }
 

@@ -98,6 +98,29 @@ func (l *Listener) Accept() (net.Conn, error) {
 	return c, nil
 }
 
+// Serve runs the accept loop every server shares: each accepted conn is
+// handed to fn on a simulation goroutine of its own (Clock.Go) until l
+// closes. The loop is a chain of clock events, not a goroutine: it
+// starts from the run queue where a goroutine Go spawned now would
+// (Clock.ReadyEvent), and waits for the next conn in the place of a
+// goroutine parked in Accept (Chan.RecvEvent), so each handler is
+// spawned at the instant and run-queue position a goroutine accept loop
+// would have spawned it, and an idle listener holds no goroutine.
+func (l *Listener) Serve(fn func(net.Conn)) {
+	clock := l.host.net.clock
+	var next func()
+	next = func() {
+		for {
+			c, ok, done := l.queue.RecvEvent(next)
+			if !done || !ok {
+				return
+			}
+			clock.Go(func() { fn(c) })
+		}
+	}
+	clock.ReadyEvent(next)
+}
+
 // Close stops the listener.
 func (l *Listener) Close() error {
 	if l.closed {

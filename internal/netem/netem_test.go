@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"net"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -337,6 +338,92 @@ func TestListenDuplicatePort(t *testing.T) {
 	}
 }
 
+// TestServeSpawnsWhereAnAcceptLoopWould serves a listener with
+// Listener.Serve and its twin with a goroutine looping on Accept,
+// against the same dials: one alone, two whose SYNs land at one instant,
+// and one after Close. Every handler starts at the same instant and in
+// the same order, ahead of a callback an event at its SYN's instant
+// queues after the SYN; the idle Serve listener holds no goroutine, and
+// Close ends its chain.
+func TestServeSpawnsWhereAnAcceptLoopWould(t *testing.T) {
+	run := func(event bool) []string {
+		n, a, b := testNetwork(t)
+		clock := n.Clock()
+		ln, err := b.Listen(80)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var log []string
+		note := func(s string) { log = append(log, fmt.Sprintf("%s@%v", s, clock.Now())) }
+		handle := func(c net.Conn) {
+			note("serve " + c.RemoteAddr().String())
+			c.Close()
+		}
+		if event {
+			ln.Serve(handle)
+		} else {
+			clock.Go(func() {
+				for {
+					c, err := ln.Accept()
+					if err != nil {
+						return
+					}
+					clock.Go(func() { handle(c) })
+				}
+			})
+		}
+		if got, want := clock.Registered(), map[bool]int{false: 2, true: 1}[event]; got != want {
+			t.Fatalf("event=%v: %d goroutines registered with the listener idle, want %d", event, got, want)
+		}
+		out, _ := n.shapes(a, b)
+		dial := func(name string) {
+			clock.Go(func() {
+				c, err := a.Dial("b:80")
+				if err != nil {
+					note(name + " refused")
+					return
+				}
+				note(name + " dialed")
+				c.Close()
+			})
+		}
+		// mark runs once the dials before it have armed their SYNs.
+		mark := func(name string) {
+			clock.Go(func() {
+				clock.EventAt(clock.Now()+out.delay, func() {
+					clock.ReadyEvent(func() { note(name) })
+				})
+			})
+		}
+		dial("d1")
+		mark("queued after d1's SYN")
+		clock.Sleep(time.Second)
+		dial("d2")
+		dial("d3")
+		mark("queued after d3's SYN")
+		clock.Sleep(time.Second)
+		if event && len(ln.queue.cond.waiters) != 1 {
+			t.Fatalf("the idle Serve chain has %d waits queued, want 1", len(ln.queue.cond.waiters))
+		}
+		ln.Close()
+		clock.Sleep(time.Second)
+		dial("d4")
+		clock.Sleep(time.Second)
+		if len(ln.queue.cond.waiters) != 0 || clock.Registered() != 1 {
+			t.Fatalf("event=%v: after Close, %d waits queued and %d goroutines registered, want 0 and 1",
+				event, len(ln.queue.cond.waiters), clock.Registered())
+		}
+		return log
+	}
+	looped, served := run(false), run(true)
+	if fmt.Sprint(looped) != fmt.Sprint(served) {
+		t.Fatalf("accept loop:\n%v\nServe:\n%v", looped, served)
+	}
+	if want := "[serve a:40001@7ms queued after d1's SYN@7ms d1 dialed@14ms serve a:40002@1.007s serve a:40003@1.007s queued after d3's SYN@1.007s d2 dialed@1.014s d3 dialed@1.014s d4 refused@3s]"; fmt.Sprint(looped) != want {
+		t.Fatalf("order %v, want %s", looped, want)
+	}
+}
+
 // TestConnFirstWriteAllocatesNoSource: a conn's generator is eight bytes
 // of state made with the conn, so its first write over a jittered link
 // draws without building anything, let alone a 4.9 KB math/rand source.
@@ -441,7 +528,7 @@ func TestTryWriteAllOrNothing(t *testing.T) {
 	if got := n.Acct().Snapshot(); got != before || c.tx.buffered != fill {
 		t.Fatalf("a refused write moved the conn: %d buffered, counters %+v, were %+v", c.tx.buffered, got, before)
 	}
-	c.wmu.TryLock()
+	c.wmu.Lock()
 	if ok, _ := c.TryWrite([]byte("x")); ok {
 		t.Fatal("a write went through while another writer held the conn")
 	}

@@ -109,7 +109,7 @@ type ReadSink func(data []byte, base *[]byte, pool *sync.Pool, err error)
 // deadlines it is waiting for.
 type pipe struct {
 	clock *Clock
-	acct  *Acct // network accounting, nil for pipes outside a network
+	acct  *Acct // network accounting
 
 	cond Cond
 	// segs is a head-indexed queue (like Clock.ready): read advances
@@ -197,26 +197,6 @@ func (p *pipe) push(s *seg, vt time.Duration, fn func()) (done bool, err error) 
 // receive-window bound; a closed pipe fails a push instead.
 func (p *pipe) wouldPark(n int) bool {
 	return p.buffered+n > p.maxBuf && !p.rclosed && !p.wclosed
-}
-
-// tryPush is push without parking, for inline event callbacks: ok is
-// false (and ownership stays with the caller) when the receive window
-// has no room. Closed pipes report their error with ok true — the
-// segment is consumed (recycled) either way.
-func (p *pipe) tryPush(data []byte, base *[]byte, pool *sync.Pool, arrival time.Duration) (ok bool, err error) {
-	if p.wclosed {
-		putSegBuf(pool, base)
-		return true, ErrClosed
-	}
-	if p.rclosed {
-		putSegBuf(pool, base)
-		return true, ErrReset
-	}
-	if p.buffered+len(data) > p.maxBuf {
-		return false, nil
-	}
-	p.enqueue(data, base, pool, arrival)
-	return true, nil
 }
 
 // enqueue appends a segment and schedules its consumption at the

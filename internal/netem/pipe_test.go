@@ -17,7 +17,7 @@ import (
 // the window accounting for it.
 func TestPopZeroLengthBuf(t *testing.T) {
 	clock := NewClock()
-	p := newPipe(clock, 0, nil)
+	p := newPipe(clock, 0, new(Acct))
 	data, base, pool := getSegBuf([]byte("abc"))
 	if _, err := p.push(&seg{data: data, base: base, pool: pool}, noDeadline, nil); err != nil {
 		t.Fatal(err)
@@ -43,7 +43,7 @@ func TestPopZeroLengthBuf(t *testing.T) {
 // also passed, at one byte (Conn.Read) and at len(buf) (Conn.ReadFull).
 func TestReadEOFBeforeTimeout(t *testing.T) {
 	clock := NewClock()
-	p := newPipe(clock, 0, nil)
+	p := newPipe(clock, 0, new(Acct))
 	data, base, pool := getSegBuf([]byte("abc"))
 	if _, err := p.push(&seg{data: data, base: base, pool: pool}, noDeadline, nil); err != nil {
 		t.Fatal(err)
@@ -441,7 +441,7 @@ func TestReadAfterSinkPanics(t *testing.T) {
 // growing by every segment that ever passed.
 func TestPipeKeepsItsArray(t *testing.T) {
 	clock := NewClock()
-	p := newPipe(clock, 0, nil)
+	p := newPipe(clock, 0, new(Acct))
 	push := func() {
 		data, base, pool := getSegBuf([]byte{'x'})
 		if _, err := p.push(&seg{data: data, base: base, pool: pool}, noDeadline, nil); err != nil {

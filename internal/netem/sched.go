@@ -513,10 +513,11 @@ func (c *Clock) advanceIdle(vt time.Duration) bool {
 // instant fire in registration order.
 //
 // Contract: fn must never park.
-// Use the non-parking primitives (TrySend, Mutex.TryLock,
-// Conn.TryWriteOwned, Clock.Go, EventAt) inside callbacks; any parking
-// wait panics as an unregistered-goroutine wait. On a clock that has
-// shut down fn is dropped.
+// Use the non-parking primitives (TrySend, Conn.TryWriteOwned, Clock.Go,
+// EventAt) and the event forms, which leave a continuation where they
+// would park (Mutex.LockEvent, Chan.RecvEvent, Conn.WriteEvent), inside
+// callbacks; any parking wait panics as an unregistered-goroutine wait.
+// On a clock that has shut down fn is dropped.
 func (c *Clock) EventAt(vt time.Duration, fn func()) {
 	if c.closed {
 		return

@@ -176,18 +176,6 @@ func (m *Mutex) Lock() {
 	m.locked = true
 }
 
-// TryLock acquires the mutex without parking; false means contended.
-// It is the form event callbacks must use: a callback runs on the
-// dispatching driver and may not release a run token it doesn't
-// hold.
-func (m *Mutex) TryLock() bool {
-	if m.locked {
-		return false
-	}
-	m.locked = true
-	return true
-}
-
 // LockEvent is Lock for an event callback: it takes the mutex and
 // returns true, or, while it is held, queues fn where Lock would park
 // (Cond.WaitEvent) and returns false; fn calls LockEvent again, as the

@@ -261,7 +261,7 @@ func StartIMServer(host *netem.Host, port int, cfg Config) (*IMServer, error) {
 		rng:      sim.NewRand(cfg.Seed + 2),
 	}
 	s.slot = time.Duration(float64(time.Second) / s.cfg.RatePerSec)
-	pt.Serve(host.Network().Clock(), ln, s.serveConn)
+	ln.Serve(s.serveConn)
 	return s, nil
 }
 

@@ -82,8 +82,8 @@ func StartInfra(registrarHost, stationHost *netem.Host, regPort, phantomPort int
 		phantomLn:  phantomLn,
 		registered: make(map[[nonceLen]byte]bool),
 	}
-	pt.Serve(registrarHost.Network().Clock(), regLn, inf.serveRegistration)
-	pt.Serve(stationHost.Network().Clock(), phantomLn, inf.serveFlow)
+	regLn.Serve(inf.serveRegistration)
+	phantomLn.Serve(inf.serveFlow)
 	return inf, nil
 }
 

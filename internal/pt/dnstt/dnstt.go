@@ -157,7 +157,7 @@ func StartResolver(host *netem.Host, port int, cfg Config, serverAddr string) (*
 		rng:        sim.NewRand(cfg.Seed + 29),
 	}
 	r.sessions = pt.NewSessions(r.clock, r.newMeter, nil)
-	pt.Serve(r.clock, ln, r.serve)
+	ln.Serve(r.serve)
 	return r, nil
 }
 
@@ -282,7 +282,7 @@ func StartServer(host *netem.Host, port int, cfg Config, handle pt.StreamHandler
 		clock.Go(func() { pt.ServeStream(ss, handle) })
 		return ss
 	}, (*serverSession).Fail)
-	pt.Serve(clock, ln, s.serve)
+	ln.Serve(s.serve)
 	return s, nil
 }
 

@@ -182,7 +182,7 @@ func WriteEvent(c net.Conn, p []byte, again func()) (n int, err error, done bool
 		n, err := c.Write(p)
 		return n, err, true
 	}
-	return c.(eventWriter).WriteEvent(p, again)
+	return c.(netem.EventWriter).WriteEvent(p, again)
 }
 
 // Read opens the next record, buffering any remainder.
@@ -421,21 +421,10 @@ func ReadTarget(r io.Reader) (string, error) {
 	return string(buf), nil
 }
 
-// Event forms of a conn's operations, for a caller that is a clock event
-// and must not park. Each has the contract of netem.Conn's: done with
-// what the plain call would have returned, or done false where it would
-// have parked, with again queued in the parked goroutine's place, to
-// call the same form once more (a write with p[n:]).
+// Event forms of a conn's Close and CloseWrite, with the contract of
+// netem.EventWriter's: an eventCloser's Close, or an eventHalfCloser's
+// CloseWrite, can park, since it writes a closing frame.
 type (
-	eventReader interface {
-		ReadEvent(p []byte, again func()) (n int, err error, done bool)
-	}
-	eventWriter interface {
-		WriteEvent(p []byte, again func()) (n int, err error, done bool)
-	}
-
-	// An eventCloser's Close, or an eventHalfCloser's CloseWrite, can
-	// park: it writes a closing frame.
 	eventCloser interface {
 		CloseEvent(again func()) (done bool)
 	}
@@ -472,7 +461,7 @@ func Splice(clock *netem.Clock, a, b net.Conn) {
 	// first.
 	for i, dst := range s.ends {
 		p := &s.pumps[i]
-		p.s, p.src, p.dst, p.w = s, s.ends[1-i].(eventReader), dst, dst.(eventWriter)
+		p.s, p.src, p.dst, p.w = s, s.ends[1-i].(netem.EventReader), dst, dst.(netem.EventWriter)
 		p.next = p.run
 		clock.ReadyEvent(p.next)
 	}
@@ -492,9 +481,9 @@ type splice struct {
 // pump copies src into dst as the loop did.
 type pump struct {
 	s   *splice
-	src eventReader
+	src netem.EventReader
 	dst net.Conn
-	w   eventWriter
+	w   netem.EventWriter
 	// out[off:] was read into buf, a pumpBufPool lease, and not yet
 	// written; rerr ended the source.
 	out              []byte

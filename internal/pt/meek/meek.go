@@ -124,7 +124,7 @@ func StartFront(host *netem.Host, port int, _ Config, bridgeAddr string) (*Front
 		return nil, err
 	}
 	f := &Front{host: host, bridgeAddr: bridgeAddr, ln: ln}
-	pt.Serve(host.Network().Clock(), ln, f.serveConn)
+	ln.Serve(f.serveConn)
 	return f, nil
 }
 
@@ -214,7 +214,7 @@ func StartBridge(host *netem.Host, port int, cfg Config, handle pt.StreamHandler
 		clock.Go(func() { pt.ServeStream(s, handle) })
 		return s
 	}, b.cut)
-	pt.Serve(clock, ln, b.serveFrontConn)
+	ln.Serve(b.serveFrontConn)
 	return b, nil
 }
 

@@ -17,20 +17,6 @@ type listenServer struct{ *netem.Listener }
 // Addr implements Server.
 func (s listenServer) Addr() string { return s.Listener.Addr().String() }
 
-// Serve runs the accept loop every PT listener shares: each accepted
-// conn is served on a simulation goroutine of its own until ln closes.
-func Serve(clock *netem.Clock, ln *netem.Listener, serve func(net.Conn)) {
-	clock.Go(func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			clock.Go(func() { serve(conn) })
-		}
-	})
-}
-
 // ServeStream reads the target prologue off an unwrapped stream and
 // hands the stream to the handler, which owns it from then on.
 func ServeStream(conn net.Conn, handle StreamHandler) {
@@ -49,7 +35,7 @@ func ListenAndServe(host *netem.Host, port int, wrap Wrapper, handle StreamHandl
 	if err != nil {
 		return nil, err
 	}
-	Serve(host.Network().Clock(), ln, func(raw net.Conn) {
+	ln.Serve(func(raw net.Conn) {
 		conn := raw
 		if wrap != nil {
 			var err error

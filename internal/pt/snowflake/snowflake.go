@@ -120,7 +120,7 @@ func Deploy(brokerHost *netem.Host, brokerPort int, cfg Config) (*Deployment, er
 			return nil, err
 		}
 	}
-	pt.Serve(d.net.Clock(), ln, d.serveRendezvous)
+	ln.Serve(d.serveRendezvous)
 	return d, nil
 }
 
@@ -171,7 +171,7 @@ func (d *Deployment) spawnProxy() error {
 	}
 	p := &proxy{dep: d, host: host, ln: ln, addr: ln.Addr().String()}
 	d.proxies = append(d.proxies, p)
-	pt.Serve(d.net.Clock(), ln, p.serveFlow)
+	ln.Serve(p.serveFlow)
 	if lifetime > 0 {
 		d.net.Clock().EventAt(d.net.Now()+lifetime, func() {
 			p.kill()

@@ -425,7 +425,7 @@ func StartServer(host *netem.Host, port int, cfg Config, handle pt.StreamHandler
 		nextSeed: cfg.Seed + 11,
 	}
 	s.pending = pt.NewSessions(s.clock, func(uint64) *fanOut { return new(fanOut) }, s.abandon)
-	pt.Serve(s.clock, ln, s.serveConn)
+	ln.Serve(s.serveConn)
 	return s, nil
 }
 

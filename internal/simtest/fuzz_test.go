@@ -4,8 +4,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"ptperf/internal/censor"
+	"ptperf/internal/netem"
 )
 
 // TestFuzzSmoke is the bounded in-tree torture run: a handful of
@@ -122,8 +124,8 @@ func TestTeardownInvariants(t *testing.T) {
 	if err := checkNoLeaks(o); err != nil {
 		t.Fatalf("no-leaks on a clean world: %v", err)
 	}
-	if len(o.Parked) < 10 {
-		t.Fatalf("Close found %d goroutines parked; a world's standing infrastructure is more than that", len(o.Parked))
+	if len(o.Parked) != 0 {
+		t.Fatalf("Close found %d goroutines parked in a world that ran clean, want 0:\n%s", len(o.Parked), netem.FormatParked(o.Parked))
 	}
 
 	leaky := *o
@@ -137,14 +139,18 @@ func TestTeardownInvariants(t *testing.T) {
 		t.Error("closed-world-empty accepts an open conn")
 	}
 
-	// Pretend the first sample was taken at t=0, before the world was
-	// built, and found nothing: every goroutine the world ended with
-	// then counts as grown.
+	// Fabricate a leak: the world grew by one goroutine more than the
+	// tolerance after a first sample at t=0, and the suspect Close found
+	// is one parked on a clock of this test's own.
+	clock := netem.NewClock()
+	clock.Go(func() { netem.NewCond(clock).Wait() })
+	clock.Sleep(time.Millisecond)
 	leaky = *o
-	leaky.Registered[0], leaky.FirstSample = 1, 0
+	leaky.Registered, leaky.FirstSample = [2]int{1, 2 + leakGoroutineTolerance}, 0
+	leaky.Parked = clock.ShutdownListing()
 	err = checkNoLeaks(&leaky)
 	if err == nil {
-		t.Fatal("no-leaks accepts a world that grew by all its goroutines")
+		t.Fatal("no-leaks accepts a world that grew past its tolerance")
 	}
 	for _, want := range []string{"goroutine leak", "spawned at t=", "cond wait", "ptperf/internal/"} {
 		if !strings.Contains(err.Error(), want) {

@@ -305,8 +305,8 @@ func Run(spec Spec) (*Outcome, error) {
 
 	// Steady-state second pass: one access per method. A campaign that
 	// leaks goroutines or flows per access grows between the two
-	// samples; the world's standing infrastructure (relay accept loops,
-	// parked tunnels, proxy pools) is present in both and cancels out.
+	// samples; the world's standing infrastructure (parked tunnels,
+	// proxy pools) is present in both and cancels out.
 	measure(w, spec, 1, &out.ClockErr)
 	park(w, spec)
 	clock.Sleep(drainTime)

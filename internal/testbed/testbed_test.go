@@ -212,3 +212,18 @@ func TestCloseLeavesNothing(t *testing.T) {
 		t.Errorf("%d OS goroutines after Close, %d before the world", after, before)
 	}
 }
+
+// TestWorldAtRestRunsNoGoroutine: a world just built, its relays and
+// origin listening, registers its driver and no other goroutine, since
+// an accept loop is a chain of clock events (netem.Listener.Serve). The
+// options are the benchmark's probe world.
+func TestWorldAtRestRunsNoGoroutine(t *testing.T) {
+	w, err := New(Options{Seed: 1, ByteScale: 0.06, TrancoN: 4, CBLN: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(w.Close)
+	if got := w.Net.Clock().Registered(); got != 1 {
+		t.Fatalf("%d goroutines registered in a world at rest, want 1 (the driver)", got)
+	}
+}

@@ -198,18 +198,14 @@ func (o *relayOut) sendEvent(circ *circuit, again func()) (err error, done bool)
 		circ.hops[o.hop].sealForward(wirePayload(o.buf))
 		setWireHeader(o.buf, circ.id, CmdRelay)
 	}
-	switch oc, ok := circ.conn.(*netem.Conn); {
-	case ok:
+	if oc, ok := circ.conn.(*netem.Conn); ok {
 		// Zero-copy: the conn takes buffer ownership and recycles it.
 		if err, done = oc.WriteOwnedEvent(o.buf, o.base, &cellBufPool, again); !done {
 			return nil, false
 		}
-	case again == nil:
-		_, err = circ.conn.Write(o.buf)
-		putCellBuf(o.base)
-	default: // a PT conn: its event form copies, as its Write does
+	} else { // a PT conn: its event form copies, as its Write does
 		var k int
-		if k, err, done = circ.conn.(eventWriter).WriteEvent(o.buf, again); !done {
+		if k, err, done = circ.conn.(netem.EventWriter).WriteEvent(o.buf, again); !done {
 			o.buf = o.buf[k:]
 			return nil, false
 		}
@@ -233,7 +229,7 @@ func (o *relayOut) sendEvent(circ *circuit, again func()) (err error, done bool)
 // deliver's handlers either consume rc.Data synchronously (Stream.push
 // copies) or copy it before retaining it (the build control queue).
 func (circ *circuit) pump() {
-	r := circ.conn.(eventReader)
+	r := circ.conn.(netem.EventReader)
 	for {
 		n, err, done := r.ReadEvent(circ.rdCell[circ.rdGot:], circ.pumpFn)
 		if circ.rdGot += n; !done {
@@ -737,17 +733,6 @@ func (s *Stream) WriteEvent(p []byte, again func()) (n int, err error, done bool
 		p = p[k:]
 	}
 }
-
-// eventReader and eventWriter are a PT conn's event forms of Read and
-// Write (pt.Splice's contract; every PT conn has both).
-type (
-	eventReader interface {
-		ReadEvent(p []byte, again func()) (n int, err error, done bool)
-	}
-	eventWriter interface {
-		WriteEvent(p []byte, again func()) (n int, err error, done bool)
-	}
-)
 
 // Close implements net.Conn, sending RELAY_END.
 func (s *Stream) Close() error {

@@ -96,7 +96,7 @@ func StartRelay(cfg RelayConfig) (*Relay, error) {
 		}
 	}
 	r.sched = newCellScheduler(r.clock, cfg.Host.Network().Acct(), cfg.Sched, cfg.Bandwidth)
-	r.clock.Go(func() { r.acceptLoop(ln) })
+	ln.Serve(r.ServeConn)
 	return r, nil
 }
 
@@ -151,26 +151,13 @@ func (r *Relay) Restart() error {
 	r.ln = ln
 	r.sched = sched
 	r.crashed = false
-	r.clock.Go(func() { r.acceptLoop(ln) })
+	ln.Serve(r.ServeConn)
 	if !r.cfg.Unpublished && r.cfg.Directory != nil {
 		if err := r.cfg.Directory.Publish(r.desc); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// acceptLoop serves one listener incarnation; it is handed the listener
-// it owns so a crash/restart cycle can never cross-wire two loops.
-func (r *Relay) acceptLoop(ln *netem.Listener) {
-	for {
-		c, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		conn := c
-		r.clock.Go(func() { r.ServeConn(conn) })
-	}
 }
 
 // ServeConn runs the OR protocol on one inbound link. It is exported so
@@ -266,7 +253,7 @@ func (l *link) flushCell(s *cellScheduler, cell queuedCell) bool {
 	if l.flusher == nil {
 		l.flusher = netem.NewChan[queuedCell](s.clock, 0)
 		s.flushers = append(s.flushers, l.flusher)
-		f := &flusher{l: l, w: l.conn.(eventWriter)}
+		f := &flusher{l: l, w: l.conn.(netem.EventWriter)}
 		f.next = f.run
 		s.clock.ReadyEvent(f.next)
 	}
@@ -285,7 +272,7 @@ func (l *link) flushCell(s *cellScheduler, cell queuedCell) bool {
 // queue is closed it writes what is left in it, and ends.
 type flusher struct {
 	l *link
-	w eventWriter
+	w netem.EventWriter
 	// cell is the cell under way, cell.buf what is left of it to write;
 	// locked marks the link write lock held for it.
 	cell   queuedCell
@@ -416,18 +403,16 @@ func (l *link) handleCreate(cell *Cell) error {
 	if err != nil {
 		return err
 	}
-	clock := l.relay.clock
 	circ := &relayCirc{
 		link:       l,
 		id:         cell.CircID,
 		crypto:     hc,
 		q:          l.sched.newQueue(l, cell.CircID),
-		nextWMu:    netem.NewMutex(clock),
 		streams:    make(map[uint16]*exitStream),
+		fcCond:     netem.NewCond(l.relay.clock),
 		circPkgWin: circWindowInit,
 		circDlvWin: circWindowInit,
 	}
-	circ.fcCond = netem.NewCond(clock)
 	l.circs[cell.CircID] = circ
 
 	reply := &Cell{CircID: cell.CircID, Cmd: CmdCreated}
@@ -446,7 +431,6 @@ type relayCirc struct {
 
 	next    *netem.Conn // downstream link, nil while last hop
 	nextID  uint32
-	nextWMu *netem.Mutex
 	streams map[uint16]*exitStream
 	closed  bool
 	// bwdStage reassembles downstream bytes into cells in backwardSink
@@ -479,8 +463,6 @@ func (c *relayCirc) handleRelayWire(buf []byte, base *[]byte) (consumed bool, er
 		return false, fmt.Errorf("tor: unrecognized relay cell at last hop")
 	}
 	setWireHeader(buf, nextID, CmdRelay)
-	c.nextWMu.Lock()
-	defer c.nextWMu.Unlock()
 	return true, next.WriteOwned(buf, base, &cellBufPool)
 }
 
@@ -735,9 +717,7 @@ func (c *relayCirc) destroy(notifyUp, notifyDown bool) {
 	}
 	if next != nil {
 		if notifyDown {
-			c.nextWMu.Lock()
 			WriteCell(next, &Cell{CircID: nextID, Cmd: CmdDestroy})
-			c.nextWMu.Unlock()
 		}
 		next.Close()
 	}

@@ -382,7 +382,7 @@ func (discardConn) WriteEvent(p []byte, _ func()) (int, error, bool) { return le
 func TestCircQueueKeepsItsArray(t *testing.T) {
 	clock := netem.NewClock()
 	t.Cleanup(clock.Shutdown)
-	s := newCellScheduler(clock, nil, SchedConfig{CellsPerPass: 1}, 1<<20)
+	s := newCellScheduler(clock, new(netem.Acct), SchedConfig{CellsPerPass: 1}, 1<<20)
 	defer s.stop()
 	q := s.newQueue(&link{conn: discardConn{}, wmu: netem.NewMutex(clock)}, 1)
 	enqueue := func() {
@@ -432,7 +432,7 @@ func TestRefusedLinkSkippedForRestOfPass(t *testing.T) {
 	}
 	defer conn.Close()
 
-	s := newCellScheduler(clock, nil, SchedConfig{CellsPerPass: 4}, 1<<20)
+	s := newCellScheduler(clock, new(netem.Acct), SchedConfig{CellsPerPass: 4}, 1<<20)
 	defer s.stop()
 	refusing := &link{conn: conn, wmu: netem.NewMutex(clock)}
 	other := &link{conn: discardConn{}, wmu: netem.NewMutex(clock)}

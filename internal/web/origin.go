@@ -16,8 +16,6 @@ import (
 // Origin serves the catalogs and bulk files over the minimal HTTP/1.1
 // subset. One origin stands in for the paper's "uncensored Internet".
 type Origin struct {
-	ln       *netem.Listener
-	clock    *netem.Clock
 	catalogs map[List]*Catalog
 	addr     string
 }
@@ -29,31 +27,18 @@ func StartOrigin(host *netem.Host, port int, catalogs ...*Catalog) (*Origin, err
 		return nil, err
 	}
 	o := &Origin{
-		ln:       ln,
-		clock:    host.Network().Clock(),
 		catalogs: make(map[List]*Catalog),
 		addr:     fmt.Sprintf("%s:%d", host.Name(), port),
 	}
 	for _, c := range catalogs {
 		o.catalogs[c.List] = c
 	}
-	o.clock.Go(o.acceptLoop)
+	ln.Serve(o.serveConn)
 	return o, nil
 }
 
 // Addr returns the origin's "host:port".
 func (o *Origin) Addr() string { return o.addr }
-
-func (o *Origin) acceptLoop() {
-	for {
-		c, err := o.ln.Accept()
-		if err != nil {
-			return
-		}
-		conn := c
-		o.clock.Go(func() { o.serveConn(conn) })
-	}
-}
 
 // A served conn leases its reader and writer for as long as it is open
 // (DESIGN.md "Buffer ownership").

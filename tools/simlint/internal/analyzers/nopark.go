@@ -55,10 +55,11 @@ import (
 //     CopyBuffer.
 //
 // The legal surface inside a callback is the non-parking one:
-// Conn.TryWriteOwned, Conn.TryWrite, Chan.TrySend, Mutex.TryLock,
-// Clock.Go (the spawned function is a registered goroutine and may park
-// — its body is deliberately NOT traversed), and arming further EventAt
-// events.
+// Conn.TryWriteOwned, Conn.TryWrite, Chan.TrySend, the event forms
+// (Mutex.LockEvent, Chan.RecvEvent, Conn.WriteEvent and the rest, which
+// leave a continuation where they would park), Clock.Go (the spawned
+// function is a registered goroutine and may park — its body is
+// deliberately NOT traversed), and arming further EventAt events.
 //
 // Known limits (by design, per-package analysis without cross-package
 // facts): calls into other packages' non-primitive functions are not
@@ -85,7 +86,7 @@ var parkingMethods = map[primKey]string{
 	{"netem", "Cond", "Wait"}:          "parks until broadcast",
 	{"netem", "Cond", "WaitVT"}:        "parks until broadcast or deadline",
 	{"netem", "Cond", "WaitDeadline"}:  "parks until broadcast or deadline",
-	{"netem", "Mutex", "Lock"}:         "parks while contended (use TryLock)",
+	{"netem", "Mutex", "Lock"}:         "parks while contended (use LockEvent)",
 	{"netem", "WaitGroup", "Wait"}:     "parks until the counter drains",
 	{"netem", "Chan", "Send"}:          "parks while full (use TrySend)",
 	{"netem", "Chan", "Recv"}:          "parks while empty",
@@ -95,7 +96,7 @@ var parkingMethods = map[primKey]string{
 	{"netem", "Conn", "Write"}:         "parks on receive-window backpressure (use TryWriteOwned)",
 	{"netem", "Conn", "WriteOwned"}:    "parks on receive-window backpressure (use TryWriteOwned)",
 	{"netem", "pipe", "read"}:          "parks until the requested bytes arrive",
-	{"netem", "pipe", "push"}:          "parks on receive-window backpressure (use tryPush)",
+	{"netem", "pipe", "push"}:          "parks on receive-window backpressure (use its event form)",
 	{"net", "Conn", "Read"}:            "dynamic dispatch into a parking Read",
 	{"net", "Conn", "Write"}:           "dynamic dispatch into a parking Write",
 	{"io", "Reader", "Read"}:           "dynamic dispatch into a parking Read",
@@ -390,7 +391,7 @@ func (a *noParkAnalysis) walkContext(node ast.Node, rootDesc string, chain []str
 			if !a.reported[call.Pos()] {
 				a.reported[call.Pos()] = true
 				a.pass.Reportf(call.Pos(),
-					"%s %s inside an event callback (%s, via %s); event callbacks must never park — use the non-parking surface (TryWriteOwned, TrySend, TryLock, Clock.Go, EventAt)",
+					"%s %s inside an event callback (%s, via %s); event callbacks must never park — use the non-parking surface (TryWriteOwned, TrySend, the event forms, Clock.Go, EventAt)",
 					label, why, rootDesc, strings.Join(chain, " → "))
 			}
 			return true

@@ -190,7 +190,7 @@ func (p *proc) onStop() { p.ch.TrySend(0) }
 // registered goroutine and may park.
 func good(p *proc) {
 	p.clock.EventAt(0, func() {
-		if p.mu.TryLock() {
+		if p.mu.LockEvent(p.onStop) {
 			p.mu.Unlock()
 		}
 		p.ch.TrySend(1)

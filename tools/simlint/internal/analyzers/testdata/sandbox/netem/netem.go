@@ -17,9 +17,9 @@ func (c *Clock) ReadyEvent(fn func())                {}
 
 type Mutex struct{}
 
-func (m *Mutex) Lock()         {}
-func (m *Mutex) TryLock() bool { return true }
-func (m *Mutex) Unlock()       {}
+func (m *Mutex) Lock()                    {}
+func (m *Mutex) LockEvent(fn func()) bool { return true }
+func (m *Mutex) Unlock()                  {}
 
 type Cond struct{}
 

@@ -25,6 +25,6 @@ func (c *Clock) Go(fn func()) {
 
 type Mutex struct{}
 
-func (m *Mutex) Lock()         {}
-func (m *Mutex) TryLock() bool { return true }
-func (m *Mutex) Unlock()       {}
+func (m *Mutex) Lock()                    {}
+func (m *Mutex) LockEvent(fn func()) bool { return true }
+func (m *Mutex) Unlock()                  {}
