@@ -255,6 +255,7 @@ func TestAcctSnapshotSub(t *testing.T) {
 func TestAcctSubConcurrentMonotone(t *testing.T) {
 	var a Acct
 	c := NewClock()
+	defer c.Shutdown()
 	stop := false
 	writers := NewWaitGroup(c)
 	for g := 0; g < 4; g++ {

@@ -86,7 +86,8 @@ func (c *Conn) Read(p []byte) (int, error) { return c.rx.read(p, 1, c.rdl) }
 // FullReader is the threshold read netem conns and tor streams
 // provide: fill p completely, parking once until the byte completing
 // the request arrives instead of waking for every segment or cell on
-// the way. The PT record layer and the fetch body copy look for it.
+// the way. The fetch body copy looks for it, and the PT record layer
+// reads through its event form, ReadFullEvent.
 type FullReader interface {
 	ReadFull(p []byte) (int, error)
 }
@@ -110,9 +111,10 @@ type (
 // ReadFull reads exactly len(p) bytes, parking once until the byte
 // completing the request arrives rather than waking per segment;
 // n < len(p) only with a non-nil error (io.EOF on early end-of-stream,
-// after draining what arrived). Protocol layers that know their record
-// length (the PT record framing) use it to take bulk payloads off the
-// per-segment wake-up path.
+// after draining what arrived). A protocol layer that knows its record
+// length takes bulk payloads off the per-segment wake-up path with it,
+// or, as the PT record framing does, with ReadFullEvent, whose nil form
+// it is.
 func (c *Conn) ReadFull(p []byte) (int, error) {
 	return c.rx.read(p, len(p), c.rdl)
 }
@@ -244,19 +246,15 @@ func (c *Conn) WriteOwnedEvent(data []byte, base *[]byte, pool *sync.Pool, again
 
 // lockWrite takes the writer lock for a write, unless an event write
 // holds it already, and reads the write deadline as Write does once it
-// has the lock. A plain write (nil again) parks in Lock and holds the
-// lock without marking it, so an event write that comes meanwhile
-// queues for it.
+// has the lock. A plain write (nil again) is never an event write's
+// resumption: it waits in LockEvent and holds the lock without marking
+// it, so an event write that comes meanwhile queues for it.
 func (c *Conn) lockWrite(again func()) bool {
-	switch {
-	case again == nil:
-		c.wmu.Lock()
-	case c.wlocked:
-		return true
-	case !c.wmu.LockEvent(again):
-		return false
-	default:
-		c.wlocked = true
+	if !c.wlocked || again == nil {
+		if !c.wmu.LockEvent(again) {
+			return false
+		}
+		c.wlocked = again != nil
 	}
 	c.wlockDL = c.wdl
 	return true

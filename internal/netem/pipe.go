@@ -136,10 +136,6 @@ type pipe struct {
 	sinkArmed bool
 	sinkDone  bool
 	loop      bool // the sink stands in for a read loop (Conn.SetLoopSink)
-
-	// rdFn is what an event read (readEvent) runs when its wait ends,
-	// through rdWoke, the cached readWoke.
-	rdFn, rdWoke func()
 }
 
 func newPipe(clock *Clock, maxBuf int, acct *Acct) *pipe {
@@ -163,21 +159,18 @@ func vtExpired(c *Clock, vt time.Duration) bool {
 	return vt != noDeadline && c.Now() >= vt
 }
 
-// push enqueues a shaped segment, parking while the receive window is
-// full until vt; for a non-nil fn it is push's event form, which queues
-// fn in the writer's place instead (Cond.WaitEvent) and returns done
-// false, keeping s for fn's retry. It returns an error if either side
-// has closed. Ownership of s's base transfers to the pipe once done
-// (errors recycle it).
+// push enqueues a shaped segment, waiting while the receive window is
+// full until vt: a nil fn parks, any other is queued in the writer's
+// place (Cond.wait) and push returns done false, keeping s for fn's
+// retry. It returns an error if either side has closed. Ownership of
+// s's base transfers to the pipe once done (errors recycle it).
 func (p *pipe) push(s *seg, vt time.Duration, fn func()) (done bool, err error) {
 	for p.wouldPark(len(s.data)) {
 		if vtExpired(p.clock, vt) {
 			putSegBuf(s.pool, s.base)
 			return true, ErrTimeout
 		}
-		if fn == nil {
-			p.cond.WaitVT(vt)
-		} else if !p.cond.waitEvent(vt, fn) {
+		if _, queued := p.cond.wait(vt, fn); queued {
 			return false, nil
 		}
 	}
@@ -354,9 +347,9 @@ func (p *pipe) read(buf []byte, min int, deadline time.Time) (int, error) {
 }
 
 // readEvent is read, and for a non-nil fn its event form: where read
-// would park it queues fn in the reader's place (Cond.WaitEvent) and
-// returns done false with the bytes copied so far, and fn reads on with
-// the rest of buf. With min 1 a wait comes only before the first byte.
+// would park it queues fn in the reader's place (Cond.wait) and returns
+// done false with the bytes copied so far, and fn reads on with the
+// rest of buf. With min 1 a wait comes only before the first byte.
 func (p *pipe) readEvent(buf []byte, min int, deadline time.Time, fn func()) (total int, err error, done bool) {
 	if len(buf) == 0 {
 		return 0, nil, true
@@ -366,29 +359,16 @@ func (p *pipe) readEvent(buf []byte, min int, deadline time.Time, fn func()) (to
 		panic("netem: Read on a conn with an inline read sink")
 	}
 	for {
+		p.rdWant = 0 // a wait, if any, has ended
 		n, err, wake, done := p.readPass(buf[total:], min-total, vt)
 		total += n
 		if done {
 			return total, err, true
 		}
-		if fn == nil {
-			p.cond.WaitVT(wake)
-		} else {
-			if p.rdWoke == nil {
-				p.rdWoke = p.readWoke
-			}
-			if p.rdFn = fn; !p.cond.waitEvent(wake, p.rdWoke) {
-				return total, nil, false
-			}
+		if _, queued := p.cond.wait(wake, fn); queued {
+			return total, nil, false
 		}
-		p.rdWant = 0
 	}
-}
-
-// readWoke ends an event read's wait as a parked read's ends.
-func (p *pipe) readWoke() {
-	p.rdWant = 0
-	p.rdFn()
 }
 
 // readPass is one turn of read's loop over buf, of which min bytes are

@@ -14,7 +14,7 @@ import (
 // TestExecutionOrderPinned interleaves every way the scheduler can pick
 // what runs next — goroutines queued by Go, Sleeps due at one instant,
 // EventAt callbacks (one arming a further event and spawning), a Cond
-// broadcast, a WaitVT that times out, a WakeAt, a Chan whose sender
+// broadcast, a timed Cond wait that times out, a WakeAt, a Chan whose sender
 // parks on the full queue and two WaitGroups — and pins the order in
 // which they ran. The expected sequence was recorded from the
 // lock-and-atomics scheduler this one replaced (and the first half of it
@@ -23,6 +23,7 @@ import (
 func TestExecutionOrderPinned(t *testing.T) {
 	const ms = time.Millisecond
 	c := NewClock()
+	defer c.Shutdown()
 	var got []string
 	tag := func(s string) { got = append(got, fmt.Sprintf("%s@%v", s, c.Now())) }
 
@@ -75,7 +76,7 @@ func TestExecutionOrderPinned(t *testing.T) {
 		tag("b3")
 	})
 	spawn(func() {
-		timedOut := never.WaitVT(3 * ms / 2)
+		timedOut, _ := never.wait(3*ms/2, nil)
 		tag(fmt.Sprintf("t-timeout=%v", timedOut))
 		c.Sleep(10 * ms) // alone by now: advances in place
 		tag("t-late")
@@ -113,7 +114,7 @@ func TestExecutionOrderPinned(t *testing.T) {
 	})
 	// WakeAt turns an untimed wait into a timer at the given instant.
 	spawn(func() {
-		timedOut := nudge.WaitVT(noDeadline)
+		timedOut, _ := nudge.wait(noDeadline, nil)
 		tag(fmt.Sprintf("n-timeout=%v", timedOut))
 	})
 	spawn(func() {
@@ -146,6 +147,7 @@ func TestExecutionOrderPinned(t *testing.T) {
 func TestMutexAcquisitionOrderPinned(t *testing.T) {
 	const ms = time.Millisecond
 	c := NewClock()
+	defer c.Shutdown()
 	m := NewMutex(c)
 	never := NewCond(c)
 	wg := NewWaitGroup(c)
@@ -172,7 +174,7 @@ func TestMutexAcquisitionOrderPinned(t *testing.T) {
 	// d joins the queue late, from a wait that times out while a holds
 	// the lock.
 	spawn(func() {
-		timedOut := never.WaitVT(5 * ms / 2)
+		timedOut, _ := never.wait(5*ms/2, nil)
 		take(fmt.Sprintf("d-timeout=%v", timedOut))
 		m.Lock()
 		take("d")
@@ -234,6 +236,7 @@ func TestFinishedGoroutinesAreNotKept(t *testing.T) {
 func TestChanBackingArrayBounded(t *testing.T) {
 	for _, recvGap := range []time.Duration{0, 2 * time.Microsecond} {
 		c := NewClock()
+		defer c.Shutdown()
 		ch := NewChan[int](c, 4)
 		c.Go(func() {
 			for i := 0; i < 10000; i++ {
@@ -342,6 +345,7 @@ func TestTwoClocksInParallel(t *testing.T) {
 		go func() {
 			defer done.Done()
 			c := NewClock()
+			defer c.Shutdown()
 			wg := NewWaitGroup(c)
 			ch := NewChan[int](c, 1)
 			wg.Add(2)
@@ -556,14 +560,14 @@ func TestWaitEventRunsWhereTheParkedGoroutineWould(t *testing.T) {
 				switch step {
 				case 0:
 					step = 1
-					if !cd.WaitEvent(time.Time{}, fn) {
+					if _, queued := cd.WaitEvent(time.Time{}, fn); queued {
 						return
 					}
 					fallthrough
 				case 1:
 					note("woken")
 					step = 2
-					if !cd.WaitEvent(Epoch.Add(30*time.Millisecond), fn) {
+					if _, queued := cd.WaitEvent(Epoch.Add(30*time.Millisecond), fn); queued {
 						return
 					}
 					fallthrough
@@ -576,7 +580,7 @@ func TestWaitEventRunsWhereTheParkedGoroutineWould(t *testing.T) {
 			clock.Go(func() {
 				cd.Wait()
 				note("woken")
-				cd.WaitDeadline(Epoch.Add(30 * time.Millisecond))
+				cd.WaitEvent(Epoch.Add(30*time.Millisecond), nil)
 				note("timed out")
 			})
 		}
@@ -685,7 +689,9 @@ func TestEventWaitLeftAtShutdownIsDropped(t *testing.T) {
 	ran := 0
 	fn := func() { ran++ }
 	clock.ReadyEvent(func() {
-		if untimed.WaitEvent(time.Time{}, fn) || timed.WaitEvent(Epoch.Add(time.Second), fn) {
+		untimedOut, _ := untimed.WaitEvent(time.Time{}, fn)
+		timedOut, _ := timed.WaitEvent(Epoch.Add(time.Second), fn)
+		if untimedOut || timedOut {
 			t.Error("a wait with nothing to end it returned at once")
 		}
 	})
@@ -697,8 +703,8 @@ func TestEventWaitLeftAtShutdownIsDropped(t *testing.T) {
 			t.Fatalf("WakeAt after Shutdown armed %d timers", len(clock.timers))
 		}
 		cd.Broadcast()
-		if cd.WaitEvent(Epoch.Add(2*time.Second), fn) {
-			t.Error("WaitEvent on a closed clock returned true")
+		if timedOut, _ := cd.WaitEvent(Epoch.Add(2*time.Second), fn); timedOut {
+			t.Error("WaitEvent on a closed clock timed out")
 		}
 		cd.Broadcast()
 	}

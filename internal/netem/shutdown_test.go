@@ -209,7 +209,7 @@ func waitsOnItsCond(cd *Cond) { cd.Wait() }
 func holdsAndWaits(m *Mutex, cd *Cond) {
 	m.Lock()
 	defer m.Unlock()
-	cd.WaitVT(noDeadline)
+	cd.wait(noDeadline, nil)
 }
 
 // TestDeadlockNamesTheParked: the deadlock panic lists every parked
@@ -235,7 +235,7 @@ func TestDeadlockNamesTheParked(t *testing.T) {
 			t.Errorf("deadlock report lacks %q:\n%s", want, text)
 		}
 	}
-	if strings.Contains(text, "netem.(*Cond).WaitVT") || strings.Contains(text, "newCoro") {
+	if strings.Contains(text, "netem.(*Cond).wait") || strings.Contains(text, "newCoro") {
 		t.Errorf("deadlock report shows the scheduler's own frames:\n%s", text)
 	}
 	if m.locked {
@@ -260,7 +260,7 @@ func TestShutdownListing(t *testing.T) {
 	c := NewClock()
 	cd := NewCond(c)
 	c.Go(func() { c.Sleep(time.Hour) })
-	c.Go(func() { NewCond(c).WaitVT(time.Minute) })
+	c.Go(func() { NewCond(c).wait(time.Minute, nil) })
 	c.Go(cd.Wait)
 	c.Sleep(time.Second)
 	cd.Broadcast()

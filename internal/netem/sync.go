@@ -16,8 +16,9 @@ import "time"
 // cannot run until the waiter yields — and simlint's nolocks rule keeps
 // them out of world packages.
 
-// Cond is a wait list: Wait parks the goroutine in the scheduler,
-// optionally bounded by a virtual-time deadline, until Broadcast. A
+// Cond is a wait list: Wait parks the goroutine in the scheduler until
+// Broadcast, and WaitEvent bounds the wait by a virtual-time deadline
+// or leaves an event callback's continuation in its place. A
 // goroutine that checks its condition and then waits cannot miss a
 // wake-up, because nothing else runs between the check and the park.
 type Cond struct {
@@ -31,64 +32,45 @@ func NewCond(clock *Clock) *Cond {
 }
 
 // Wait parks until Broadcast.
-func (cd *Cond) Wait() { cd.WaitVT(noDeadline) }
+func (cd *Cond) Wait() { cd.wait(noDeadline, nil) }
 
-// WaitDeadline parks until Broadcast or until the encoded deadline
-// passes on the virtual clock. It returns true if the deadline fired. A
-// zero deadline means no deadline.
-func (cd *Cond) WaitDeadline(t time.Time) bool {
-	if vt, ok := DeadlineVT(t); ok {
-		return cd.WaitVT(vt)
-	}
-	return cd.WaitVT(noDeadline)
+// WaitEvent waits until Broadcast or until the encoded deadline passes
+// on the virtual clock (a zero deadline means none). A nil fn parks the
+// calling goroutine; any other fn takes its place (see wait), for an
+// event callback, which must not park. timedOut reports that the
+// deadline ended the wait; queued reports that fn was left to run
+// later, and that the caller must return.
+func (cd *Cond) WaitEvent(t time.Time, fn func()) (timedOut, queued bool) {
+	return cd.wait(deadlineVT(t), fn)
 }
 
-// WaitVT parks until Broadcast or virtual time vt (noDeadline for
-// none), returning true on timeout. An already-passed deadline returns
-// true immediately, and so does one that no other goroutine can beat
-// (Clock.advanceInPlace): the wait "times out" in place and the caller's
-// loop re-checks its condition. That is the hot pattern of a reader
-// waiting out a segment's propagation delay.
-func (cd *Cond) WaitVT(vt time.Duration) bool {
+// wait is the one wait: until Broadcast or virtual time vt (noDeadline
+// for none), parking for a nil fn and queuing fn otherwise, and the
+// only place in the package that chooses between the two.
+//
+// An already-passed deadline times out at once, and so does one that
+// nothing else can beat (Clock.advanceInPlace for a goroutine,
+// Clock.advanceIdle for an event): the wait "times out" in place and
+// the caller's loop re-checks its condition. That is the hot pattern of
+// a reader waiting out a segment's propagation delay.
+//
+// Where a goroutine would park, a non-nil fn takes its place — on the
+// wait list, and in the timer heap under the deadline — and wait
+// reports queued: fn then runs inline where the goroutine would have
+// resumed, from the run queue after a Broadcast, or at the deadline or
+// a WakeAt instant. A waiting fn is a waiter like any other, with the
+// sequence number its park would have had, so whatever it does happens
+// when and in the order the woken goroutine's code would have. On a
+// closed clock fn is dropped, as EventAt drops an arm: wait reports
+// queued and fn never runs. A parking wait on a closed clock reaches
+// Clock.refuse.
+func (cd *Cond) wait(vt time.Duration, fn func()) (timedOut, queued bool) {
 	c := cd.clock
-	if vt != noDeadline && (vt <= c.Now() || c.advanceInPlace(vt)) {
-		return true
+	if fn != nil && c.closed {
+		return false, true // dropped, as EventAt drops an arm
 	}
-	w := c.newWaiter()
-	if vt != noDeadline {
-		w.at = vt
-		w.timed = true
-		c.timers.push(w)
-	}
-	w.cond = cd
-	cd.waiters = append(cd.waiters, w)
-	return c.park(w)
-}
-
-// WaitEvent is WaitDeadline for an event callback, which must not
-// park. Where WaitDeadline would park, fn takes the goroutine's place —
-// on the wait list, and in the timer heap under the deadline — and
-// WaitEvent returns false: fn then runs inline where the goroutine would
-// have resumed, from the run queue after a Broadcast, or at the deadline
-// or a WakeAt instant. Where WaitDeadline would return at once (the
-// deadline has passed, or nothing else can run before it), WaitEvent
-// returns true and queues nothing. A waiting fn is a waiter like any
-// other, with the sequence number its park would have had, so whatever
-// it does happens when and in the order the woken goroutine's code
-// would have. On a closed clock fn is dropped, as EventAt drops an
-// arm: WaitEvent returns false and fn never runs.
-func (cd *Cond) WaitEvent(t time.Time, fn func()) bool {
-	return cd.waitEvent(deadlineVT(t), fn)
-}
-
-// waitEvent is WaitEvent on a virtual instant (noDeadline for none).
-func (cd *Cond) waitEvent(vt time.Duration, fn func()) bool {
-	c := cd.clock
-	if c.closed {
-		return false // dropped, as EventAt drops an arm
-	}
-	if vt != noDeadline && (vt <= c.Now() || c.advanceIdle(vt)) {
-		return true
+	if vt != noDeadline && (vt <= c.Now() || (fn != nil || c.active == 1) && c.advanceIdle(vt)) {
+		return true, false
 	}
 	w := c.newWaiter()
 	w.fn = fn
@@ -99,7 +81,10 @@ func (cd *Cond) waitEvent(vt time.Duration, fn func()) bool {
 	}
 	w.cond = cd
 	cd.waiters = append(cd.waiters, w)
-	return false
+	if fn != nil {
+		return false, true
+	}
+	return c.park(w), false
 }
 
 // remove drops a waiter from the wait list (timer fired before any
@@ -116,7 +101,7 @@ func (cd *Cond) remove(w *waiter) {
 // WakeAt ensures every current waiter wakes no later than virtual time
 // vt without readying it immediately: its wake-up becomes a timer at vt
 // (or stays earlier). Waiters woken this way observe a "timeout" from
-// WaitVT, so WakeAt is only for loop-recheck waits that re-evaluate
+// Cond.wait, so WakeAt is only for loop-recheck waits that re-evaluate
 // their condition on every wake — the pipe uses it so a reader parked on
 // an empty pipe wakes exactly at a pushed segment's arrival time instead
 // of waking at push time just to park again until arrival.
@@ -169,21 +154,17 @@ func NewMutex(clock *Clock) *Mutex {
 }
 
 // Lock acquires the mutex, parking in the scheduler while contended.
-func (m *Mutex) Lock() {
-	for m.locked {
-		m.cond.Wait()
-	}
-	m.locked = true
-}
+func (m *Mutex) Lock() { m.LockEvent(nil) }
 
 // LockEvent is Lock for an event callback: it takes the mutex and
 // returns true, or, while it is held, queues fn where Lock would park
 // (Cond.WaitEvent) and returns false; fn calls LockEvent again, as the
-// woken Lock loops.
+// woken Lock loops. A nil fn parks: it is Lock.
 func (m *Mutex) LockEvent(fn func()) bool {
-	if m.locked {
-		m.cond.waitEvent(noDeadline, fn)
-		return false
+	for m.locked {
+		if _, queued := m.cond.wait(noDeadline, fn); queued {
+			return false
+		}
 	}
 	m.locked = true
 	return true
@@ -313,15 +294,14 @@ func (ch *Chan[T]) RecvTimeout(d time.Duration) (v T, ok bool, timedOut bool) {
 }
 
 // recv is the one receive path: a nil again parks, any other queues
-// where the park would be.
+// where the park would be (Cond.wait).
 func (ch *Chan[T]) recv(vt time.Duration, again func()) (v T, ok, timedOut, done bool) {
 	for ch.Len() == 0 {
 		if ch.closed {
 			return v, false, false, true
 		}
-		if again == nil {
-			timedOut = ch.cond.WaitVT(vt)
-		} else if timedOut = ch.cond.waitEvent(vt, again); !timedOut {
+		timedOut, queued := ch.cond.wait(vt, again)
+		if queued {
 			return v, false, false, false
 		}
 		if timedOut {

@@ -410,7 +410,7 @@ func (ic *imConn) Write(p []byte) (int, error) {
 func (ic *imConn) WriteEvent(p []byte, again func()) (n int, err error, done bool) {
 	for {
 		if ic.sending {
-			k, err, done := pt.WriteEvent(ic.conn, ic.wbuf[ic.sent:], again)
+			k, err, done := ic.conn.WriteEvent(ic.wbuf[ic.sent:], again)
 			if ic.sent += k; !done {
 				return n, nil, false
 			}

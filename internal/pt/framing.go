@@ -95,26 +95,17 @@ func NewCodecConn(conn net.Conn, codec RecordCodec) *RecordConn {
 // caller did not wait for (cloak's zero-RTT ServerHello).
 func (rc *RecordConn) SkipFirst(n int) { rc.skip = n }
 
-// fullEventReader is the event form of netem.FullReader.
+// fullEventReader is the event form of netem.FullReader, which every
+// conn a RecordConn wraps has.
 type fullEventReader interface {
 	ReadFullEvent(p []byte, again func()) (n int, err error, done bool)
 }
 
-// fill reads the rest of the unit into rbuf[got:want]: through the
-// inner conn's threshold path when it has one, and, for an event read
-// (again non-nil), through its event form, where done false means
-// again will fill on.
+// fill reads the rest of the unit into rbuf[got:want] through the inner
+// conn's threshold path: its ReadFull for a nil again, and for an event
+// read its event form, where done false means again will fill on.
 func (rc *RecordConn) fill(again func()) (err error, done bool) {
-	p := rc.rbuf[rc.got:rc.want]
-	var n int
-	done = true
-	if again != nil {
-		n, err, done = rc.Conn.(fullEventReader).ReadFullEvent(p, again)
-	} else if fr, ok := rc.Conn.(netem.FullReader); ok {
-		n, err = fr.ReadFull(p)
-	} else {
-		n, err = io.ReadFull(rc.Conn, p)
-	}
+	n, err, done := rc.Conn.(fullEventReader).ReadFullEvent(rc.rbuf[rc.got:rc.want], again)
 	if rc.got += n; !done {
 		return nil, false
 	}
@@ -152,7 +143,7 @@ func (rc *RecordConn) WriteEvent(p []byte, again func()) (n int, err error, done
 	maxPayload, _, _ := rc.codec.Sizes()
 	for {
 		if rc.sealed {
-			k, err, done := WriteEvent(rc.Conn, rc.wbuf[rc.sent:], again)
+			k, err, done := rc.Conn.(netem.EventWriter).WriteEvent(rc.wbuf[rc.sent:], again)
 			if rc.sent += k; !done {
 				return n, nil, false
 			}
@@ -172,17 +163,6 @@ func (rc *RecordConn) WriteEvent(p []byte, again func()) (n int, err error, done
 		n += k
 		p = p[k:]
 	}
-}
-
-// WriteEvent writes p to c with c's WriteEvent, or with its Write for a
-// nil again, which parks: how a conn's event form writes to the conn it
-// wraps.
-func WriteEvent(c net.Conn, p []byte, again func()) (n int, err error, done bool) {
-	if again == nil {
-		n, err := c.Write(p)
-		return n, err, true
-	}
-	return c.(netem.EventWriter).WriteEvent(p, again)
 }
 
 // Read opens the next record, buffering any remainder.

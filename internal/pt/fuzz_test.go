@@ -35,7 +35,7 @@ func FuzzReadTarget(f *testing.F) {
 }
 
 // bufConn is a net.Conn over in-memory bytes: reads drain buf, writes
-// append to it.
+// append to it. Its event forms never wait.
 type bufConn struct {
 	net.Conn
 	buf bytes.Buffer
@@ -43,6 +43,31 @@ type bufConn struct {
 
 func (c *bufConn) Read(p []byte) (int, error)  { return c.buf.Read(p) }
 func (c *bufConn) Write(p []byte) (int, error) { return c.buf.Write(p) }
+
+func (c *bufConn) ReadFullEvent(p []byte, _ func()) (int, error, bool) {
+	n, err := io.ReadFull(c, p)
+	return n, err, true
+}
+
+func (c *bufConn) WriteEvent(p []byte, _ func()) (int, error, bool) {
+	n, err := c.Write(p)
+	return n, err, true
+}
+
+// pipeEnd is a net.Pipe end with the event forms a RecordConn reads and
+// writes its inner conn through; the pipe blocks the calling goroutine
+// where a netem conn would queue again, so neither ever waits.
+type pipeEnd struct{ net.Conn }
+
+func (p pipeEnd) ReadFullEvent(b []byte, _ func()) (int, error, bool) {
+	n, err := io.ReadFull(p.Conn, b)
+	return n, err, true
+}
+
+func (p pipeEnd) WriteEvent(b []byte, _ func()) (int, error, bool) {
+	n, err := p.Conn.Write(b)
+	return n, err, true
+}
 
 // recordCodecs builds the sealing and the opening end of each record
 // codec a transport installs under pt.RecordConn.

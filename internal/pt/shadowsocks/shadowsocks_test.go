@@ -8,9 +8,30 @@ import (
 	"testing/quick"
 )
 
+// pipeEnd is a net.Pipe end with the event forms a RecordConn reads and
+// writes its inner conn through; the pipe blocks the calling goroutine
+// where a netem conn would queue again, so neither ever waits.
+type pipeEnd struct{ net.Conn }
+
+func (p pipeEnd) ReadFullEvent(b []byte, _ func()) (int, error, bool) {
+	n, err := io.ReadFull(p.Conn, b)
+	return n, err, true
+}
+
+func (p pipeEnd) WriteEvent(b []byte, _ func()) (int, error, bool) {
+	n, err := p.Conn.Write(b)
+	return n, err, true
+}
+
+// pipe is net.Pipe with both ends wrapped.
+func pipe() (pipeEnd, pipeEnd) {
+	a, b := net.Pipe()
+	return pipeEnd{a}, pipeEnd{b}
+}
+
 func pipePair(t *testing.T, psk []byte) (net.Conn, net.Conn) {
 	t.Helper()
-	a, b := net.Pipe()
+	a, b := pipe()
 	done := make(chan net.Conn, 1)
 	go func() {
 		s, err := serverWrap(b, Config{PSK: psk})
@@ -74,8 +95,11 @@ func TestLargeChunkSplit(t *testing.T) {
 
 func TestTamperDetected(t *testing.T) {
 	// client → a1/a2 → middlebox (flips one ciphertext bit) → b1/b2 → server
-	a1, a2 := net.Pipe()
-	b1, b2 := net.Pipe()
+	a1, a2 := pipe()
+	b1, b2 := pipe()
+	for _, end := range []net.Conn{a1, a2, b1, b2} {
+		defer end.Close() // ends the middlebox and the client's write
+	}
 	go func() {
 		buf := make([]byte, 4096)
 		seen := 0
@@ -120,7 +144,7 @@ func TestTamperDetected(t *testing.T) {
 }
 
 func TestWrongPSKFails(t *testing.T) {
-	a, b := net.Pipe()
+	a, b := pipe()
 	done := make(chan error, 1)
 	go func() {
 		s, err := serverWrap(b, Config{PSK: []byte("server-key")})

@@ -23,6 +23,11 @@ type wire struct {
 
 func (w *wire) Write(p []byte) (int, error) { return w.buf.Write(p) }
 
+func (w *wire) WriteEvent(p []byte, _ func()) (int, error, bool) {
+	n, err := w.Write(p)
+	return n, err, true
+}
+
 // wired is a chopConn over n wires, with no read loops.
 func wired(n int, seed int64) (*chopConn, []*wire) {
 	wires, conns := make([]*wire, n), make([]net.Conn, n)
@@ -141,4 +146,7 @@ type reenter struct {
 	write func()
 }
 
-func (r reenter) Write(p []byte) (int, error) { r.write(); return len(p), nil }
+func (r reenter) WriteEvent(p []byte, _ func()) (int, error, bool) {
+	r.write()
+	return len(p), nil, true
+}

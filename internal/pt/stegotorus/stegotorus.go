@@ -269,7 +269,7 @@ func (c *chopConn) startCover(i int, block []byte) {
 // lease once the conn has taken it all; done false means again goes on.
 // A conn that failed a write is never written again.
 func (c *chopConn) flushCover(again func()) (err error, done bool) {
-	k, err, done := pt.WriteEvent(c.conns[c.to], (*c.cover)[c.sent:], again)
+	k, err, done := c.conns[c.to].(netem.EventWriter).WriteEvent((*c.cover)[c.sent:], again)
 	if c.sent += k; !done {
 		return nil, false
 	}

@@ -79,7 +79,7 @@ func NewStream(clock *netem.Clock, transport, local, remote string, outCap int) 
 
 // Read implements net.Conn. Delivered bytes drain before io.EOF.
 func (s *Stream) Read(p []byte) (int, error) {
-	n, err, _ := s.read(p, 1, nil)
+	n, err, _ := s.readEvent(p, 1, nil)
 	return n, err
 }
 
@@ -89,22 +89,23 @@ func (s *Stream) Read(p []byte) (int, error) {
 // It is netem.FullReader's threshold read: a bulk reader (the fetch body
 // copy) parks once per request.
 func (s *Stream) ReadFull(p []byte) (int, error) {
-	n, err, _ := s.read(p, len(p), nil)
+	n, err, _ := s.readEvent(p, len(p), nil)
 	return n, err
 }
 
 // ReadEvent is Read for an event callback (netem.Conn.ReadEvent has the
 // contract).
 func (s *Stream) ReadEvent(p []byte, again func()) (n int, err error, done bool) {
-	return s.read(p, 1, again)
+	return s.readEvent(p, 1, again)
 }
 
-// read is the one read path: it returns once want bytes are in p, or
-// with what there is when the stream ends or the deadline passes. A
+// readEvent is the one read path: it returns once want bytes are in p,
+// or with what there is when the stream ends or the deadline passes. A
 // ReadFull takes what is queued and parks with the rest of its request
 // as rdBuf, which deliveries fill in place of the queue. With again
-// non-nil it is an event read, which queues again where it would park.
-func (s *Stream) read(p []byte, want int, again func()) (int, error, bool) {
+// non-nil it is an event read (want 1), which queues again where it
+// would park.
+func (s *Stream) readEvent(p []byte, want int, again func()) (int, error, bool) {
 	n, want := 0, min(want, len(p))
 	for {
 		k := copy(p[n:], s.in[s.inHead:])
@@ -119,16 +120,14 @@ func (s *Stream) read(p []byte, want int, again func()) (int, error, bool) {
 		case s.clock.Expired(s.rdl):
 			return n, netem.ErrTimeout, true
 		}
-		if again == nil {
-			if want > 1 {
-				s.rdBuf = p[n:want]
-			}
-			s.readers.WaitDeadline(s.rdl)
-			n += s.rdGot
-			s.rdBuf, s.rdGot = nil, 0
-		} else if !s.readers.WaitEvent(s.rdl, again) {
+		if want > 1 {
+			s.rdBuf = p[n:want]
+		}
+		if _, queued := s.readers.WaitEvent(s.rdl, again); queued {
 			return 0, nil, false
 		}
+		n += s.rdGot
+		s.rdBuf, s.rdGot = nil, 0
 	}
 }
 
@@ -157,24 +156,16 @@ func (s *Stream) queued() int { return len(s.out) - s.outHead }
 // Write implements net.Conn: bytes queue for the mechanism, and the
 // bounded queue is the tunnel's backpressure.
 func (s *Stream) Write(p []byte) (int, error) {
-	n, err, _ := s.write(p, nil)
+	n, err, _ := s.WriteEvent(p, nil)
 	return n, err
 }
 
 // WriteEvent is Write for an event callback (netem.Conn.WriteEvent has
-// the contract).
-func (s *Stream) WriteEvent(p []byte, again func()) (n int, err error, done bool) {
-	return s.write(p, again)
-}
-
-// write is Write, and WriteEvent for a non-nil again.
-func (s *Stream) write(p []byte, again func()) (int, error, bool) {
-	written := 0
+// the contract), or Write itself for a nil again.
+func (s *Stream) WriteEvent(p []byte, again func()) (written int, err error, done bool) {
 	for len(p) > 0 {
 		for s.queued() >= s.outCap && !s.closed {
-			if again == nil {
-				s.writers.Wait()
-			} else if !s.writers.WaitEvent(time.Time{}, again) {
+			if _, queued := s.writers.WaitEvent(time.Time{}, again); queued {
 				return written, nil, false
 			}
 		}

@@ -624,11 +624,11 @@ func TestInfosComplete(t *testing.T) {
 
 func TestRecordConnRoundTrip(t *testing.T) {
 	a, b := net.Pipe()
-	ra, err := pt.NewRecordConn(a, pt.RecordConfig{MaxPadding: 32, Seed: 1})
+	ra, err := pt.NewRecordConn(pipeEnd{a}, pt.RecordConfig{MaxPadding: 32, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := pt.NewRecordConn(b, pt.RecordConfig{MaxPadding: 32, Seed: 2})
+	rb, err := pt.NewRecordConn(pipeEnd{b}, pt.RecordConfig{MaxPadding: 32, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

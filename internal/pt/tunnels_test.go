@@ -307,7 +307,10 @@ type reenter struct {
 	write func()
 }
 
-func (r reenter) Write(p []byte) (int, error) { r.write(); return len(p), nil }
+func (r reenter) WriteEvent(p []byte, _ func()) (int, error, bool) {
+	r.write()
+	return len(p), nil, true
+}
 
 // TestRecordConnWriteRefusesReentry: a second writer arriving while the
 // first is inside the inner conn's Write would seal into the frame being

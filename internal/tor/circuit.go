@@ -189,9 +189,7 @@ func (o *relayOut) pack(circ *circuit, h int, rc RelayCell) error {
 // through the event forms, where done false means again goes on.
 func (o *relayOut) sendEvent(circ *circuit, again func()) (err error, done bool) {
 	if !o.locked {
-		if again == nil {
-			circ.sendMu.Lock()
-		} else if !circ.sendMu.LockEvent(again) {
+		if !circ.sendMu.LockEvent(again) {
 			return nil, false
 		}
 		o.locked = true
@@ -527,11 +525,9 @@ type Stream struct {
 	pkgWin int
 	dlvWin int
 
-	// An event read keeps its again, run by wokeFn (the cached
-	// readWoke). out is the DATA cell a write has under way, end the
-	// END cell of a close.
-	rdAgain, wokeFn func()
-	out, end        relayOut
+	// out is the DATA cell a write has under way, end the END cell of
+	// a close.
+	out, end relayOut
 }
 
 // streamBufSize is what one chunk of a stream's inbound queue holds:
@@ -620,7 +616,7 @@ func (s *Stream) isClosedLocal() bool {
 
 // Read implements net.Conn.
 func (s *Stream) Read(p []byte) (int, error) {
-	n, err, _ := s.read(p, 1, nil)
+	n, err, _ := s.readEvent(p, 1, nil)
 	return n, err
 }
 
@@ -634,7 +630,7 @@ func (s *Stream) Read(p []byte) (int, error) {
 // body copy) use it; header parsing and latency-sensitive reads keep
 // the eager Read.
 func (s *Stream) ReadFull(p []byte) (int, error) {
-	n, err, _ := s.read(p, len(p), nil)
+	n, err, _ := s.readEvent(p, len(p), nil)
 	return n, err
 }
 
@@ -643,21 +639,16 @@ func (s *Stream) ReadFull(p []byte) (int, error) {
 // park, queues again in the parked reader's place (netem.Cond.WaitEvent)
 // and returns done false; again calls ReadEvent once more.
 func (s *Stream) ReadEvent(p []byte, again func()) (n int, err error, done bool) {
-	return s.read(p, 1, again)
+	return s.readEvent(p, 1, again)
 }
 
-// readWoke ends an event read's wait as a parked read's ends.
-func (s *Stream) readWoke() {
-	s.rdWant = 0
-	s.rdAgain()
-}
-
-// read is the one read loop: it returns once min bytes are buffered, or
-// with what there is when the stream ends or the deadline passes first.
-// With again non-nil it is an event read, which queues again where it
-// would park.
-func (s *Stream) read(p []byte, min int, again func()) (int, error, bool) {
+// readEvent is the one read loop: it returns once min bytes are
+// buffered, or with what there is when the stream ends or the deadline
+// passes first. With again non-nil it is an event read, which queues
+// again where it would park.
+func (s *Stream) readEvent(p []byte, min int, again func()) (int, error, bool) {
 	for {
+		s.rdWant = 0 // a wait, if any, has ended
 		switch {
 		case s.localClosed:
 			return 0, ErrCircuitClosed, true
@@ -669,17 +660,9 @@ func (s *Stream) read(p []byte, min int, again func()) (int, error, bool) {
 			return s.consume(p), netem.ErrTimeout, true
 		}
 		s.rdWant = min
-		if again == nil {
-			s.cond.WaitDeadline(s.rdl)
-		} else {
-			if s.wokeFn == nil {
-				s.wokeFn = s.readWoke
-			}
-			if s.rdAgain = again; !s.cond.WaitEvent(s.rdl, s.wokeFn) {
-				return 0, nil, false
-			}
+		if _, queued := s.cond.WaitEvent(s.rdl, again); queued {
+			return 0, nil, false
 		}
-		s.rdWant = 0
 	}
 }
 
@@ -714,9 +697,7 @@ func (s *Stream) WriteEvent(p []byte, again func()) (n int, err error, done bool
 		}
 		// Wait for the circuit and stream package windows.
 		for !circ.isClosed() && !s.isClosedLocal() && (circ.circPkgWin <= 0 || s.pkgWin <= 0) {
-			if again == nil {
-				circ.fcCond.Wait()
-			} else if !circ.fcCond.WaitEvent(time.Time{}, again) {
+			if _, queued := circ.fcCond.WaitEvent(time.Time{}, again); queued {
 				return n, nil, false
 			}
 		}
@@ -783,15 +764,20 @@ func (s *Stream) RemoteAddr() net.Addr { return streamAddr(s.target) }
 // flow control).
 func (s *Stream) SetDeadline(t time.Time) error { return s.SetReadDeadline(t) }
 
-// SetReadDeadline implements net.Conn.
+// SetReadDeadline implements net.Conn. A wall-clock instant is refused
+// (netem.CheckDeadline) and leaves the deadline as it was.
 func (s *Stream) SetReadDeadline(t time.Time) error {
+	if err := netem.CheckDeadline(t); err != nil {
+		return err
+	}
 	s.rdl = t
 	s.cond.Broadcast()
 	return nil
 }
 
-// SetWriteDeadline implements net.Conn as a no-op.
-func (s *Stream) SetWriteDeadline(time.Time) error { return nil }
+// SetWriteDeadline implements net.Conn: writes never time out, but a
+// wall-clock instant is refused as reads refuse it.
+func (s *Stream) SetWriteDeadline(t time.Time) error { return netem.CheckDeadline(t) }
 
 type streamAddr string
 

@@ -759,7 +759,7 @@ func (s *exitStream) pump() {
 			}
 			if c.circPkgWin > 0 && s.pkgWin > 0 {
 				s.reading = true
-			} else if !c.fcCond.WaitEvent(time.Time{}, s.next) {
+			} else if _, queued := c.fcCond.WaitEvent(time.Time{}, s.next); queued {
 				return
 			}
 		}

@@ -44,9 +44,12 @@ import (
 // immediately-analyzable function literals, and calls through func-typed
 // struct fields, to everything ever assigned to the field). Reaching any
 // parking primitive is an error:
-//   - netem scheduler waits: Clock.Sleep/SleepUntil, Cond.Wait/WaitVT/
-//     WaitDeadline, Mutex.Lock, WaitGroup.Wait, Chan.Send/Recv/
-//     RecvTimeout;
+//   - netem scheduler waits: Clock.Sleep/SleepUntil, Cond.Wait,
+//     Mutex.Lock, WaitGroup.Wait, Chan.Send/Recv/RecvTimeout;
+//   - any event form called with a literal nil continuation, which
+//     parks: the plain forms are their event forms so called
+//     (Mutex.Lock is LockEvent(nil), pt.Stream.Read is readEvent(p, 1,
+//     nil)), and the walker does not enter an event form's body;
 //   - netem conn/pipe operations that park on backpressure or arrival:
 //     Conn.Read/ReadFull/Write/WriteOwned, pipe.read/push;
 //   - interface escape hatches that reach the same parking code
@@ -84,8 +87,6 @@ var parkingMethods = map[primKey]string{
 	{"netem", "Clock", "Sleep"}:        "parks until a virtual instant",
 	{"netem", "Clock", "SleepUntil"}:   "parks until a virtual instant",
 	{"netem", "Cond", "Wait"}:          "parks until broadcast",
-	{"netem", "Cond", "WaitVT"}:        "parks until broadcast or deadline",
-	{"netem", "Cond", "WaitDeadline"}:  "parks until broadcast or deadline",
 	{"netem", "Mutex", "Lock"}:         "parks while contended (use LockEvent)",
 	{"netem", "WaitGroup", "Wait"}:     "parks until the counter drains",
 	{"netem", "Chan", "Send"}:          "parks while full (use TrySend)",
@@ -125,17 +126,19 @@ func parkingPrimitive(f *types.Func) (string, string, bool) {
 	if lastSegment(pkgPath) == "netem" {
 		pkgKey = "netem"
 	}
-	recv := recvTypeName(f)
-	if why, ok := parkingMethods[primKey{pkgKey, recv, f.Name()}]; ok {
-		label := f.Name()
-		if recv != "" {
-			label = "(" + lastSegment(pkgPath) + "." + recv + ")." + f.Name()
-		} else {
-			label = lastSegment(pkgPath) + "." + f.Name()
-		}
-		return label, why, true
+	if why, ok := parkingMethods[primKey{pkgKey, recvTypeName(f), f.Name()}]; ok {
+		return funcLabel(f), why, true
 	}
 	return "", "", false
+}
+
+// funcLabel names f in a diagnostic: (pkg.Recv).Name or pkg.Name.
+func funcLabel(f *types.Func) string {
+	pkg := lastSegment(f.Pkg().Path())
+	if recv := recvTypeName(f); recv != "" {
+		return "(" + pkg + "." + recv + ")." + f.Name()
+	}
+	return pkg + "." + f.Name()
 }
 
 // contextSwitchers are netem Clock/Conn/pipe methods whose function-
@@ -387,7 +390,11 @@ func (a *noParkAnalysis) walkContext(node ast.Node, rootDesc string, chain []str
 			return true
 		}
 		fn := calleeFunc(info, call)
-		if label, why, isPark := parkingPrimitive(fn); isPark {
+		label, why, isPark := parkingPrimitive(fn)
+		if i := eventFormArg(fn); !isPark && i >= 0 && i < len(call.Args) && isNilIdent(info, call.Args[i]) {
+			label, why, isPark = funcLabel(fn), "with a nil continuation parks", true
+		}
+		if isPark {
 			if !a.reported[call.Pos()] {
 				a.reported[call.Pos()] = true
 				a.pass.Reportf(call.Pos(),
@@ -424,6 +431,13 @@ func (a *noParkAnalysis) walkContext(node ast.Node, rootDesc string, chain []str
 		return true
 	}
 	ast.Inspect(body, walk)
+}
+
+// isNilIdent reports whether e is the predeclared nil.
+func isNilIdent(info *types.Info, e ast.Expr) bool {
+	id, ok := ast.Unparen(e).(*ast.Ident)
+	_, isNil := info.Uses[id].(*types.Nil)
+	return ok && isNil
 }
 
 func recvName(d *ast.FuncDecl) string {

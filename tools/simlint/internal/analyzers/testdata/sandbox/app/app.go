@@ -8,6 +8,7 @@ package app
 import (
 	"io"
 	"sync"
+	"time"
 
 	"sandbox/netem"
 	"sandbox/pt"
@@ -178,6 +179,44 @@ func (p *cellPump) flush() {
 	p.flushNext = p.flush
 	if c, ok, done := p.cells.RecvEvent(p.flushNext); done && ok {
 		p.conn.Write(c) // want `\(netem\.Conn\)\.Write parks on receive-window backpressure.*Chan\.RecvEvent continuation.*cellPump\.flush`
+	}
+}
+
+// stream is a pt.Stream-style conn whose plain Read is its event form
+// called with a nil continuation, which parks: the walker does not enter
+// an event form, so the literal nil is what it sees.
+type stream struct {
+	clock *netem.Clock
+	conn  *netem.Conn
+	cond  netem.Cond
+	next  func()
+}
+
+func (s *stream) Read(p []byte) (int, error) {
+	n, err, _ := s.readEvent(p, nil) // want `\(app\.stream\)\.readEvent with a nil continuation parks.*Clock\.EventAt arm.*via func literal → stream\.Read`
+	return n, err
+}
+
+func (s *stream) readEvent(p []byte, again func()) (int, error, bool) {
+	if _, queued := s.cond.WaitEvent(time.Time{}, again); queued {
+		return 0, nil, false
+	}
+	return len(p), nil, true
+}
+
+// badNilContinuation reads with the plain Read from an event, and
+// writes with an event form handed nil; goodContinuation hands each
+// event form itself.
+func badNilContinuation(s *stream) {
+	s.clock.EventAt(0, func() {
+		s.Read(nil)
+		s.conn.WriteEvent(nil, nil) // want `\(netem\.Conn\)\.WriteEvent with a nil continuation parks.*Clock\.EventAt arm`
+	})
+}
+
+func (s *stream) goodContinuation() {
+	if _, _, done := s.readEvent(nil, s.next); done {
+		s.conn.WriteEvent(nil, s.goodContinuation)
 	}
 }
 

@@ -23,10 +23,9 @@ func (m *Mutex) Unlock()                  {}
 
 type Cond struct{}
 
-func (cd *Cond) Wait()                         {}
-func (cd *Cond) WaitVT(vt time.Duration) bool  { return false }
-func (cd *Cond) WaitDeadline(t time.Time) bool { return false }
-func (cd *Cond) Broadcast()                    {}
+func (cd *Cond) Wait()                                         {}
+func (cd *Cond) WaitEvent(t time.Time, fn func()) (bool, bool) { return false, true }
+func (cd *Cond) Broadcast()                                    {}
 
 type WaitGroup struct{}
 
