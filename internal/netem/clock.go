@@ -38,10 +38,13 @@
 // instant, Conn.SetReadSink delivers each arrived segment to an inline
 // callback at exactly its arrival time, and Conn.ReadFull parks a
 // record-structured reader once per request instead of once per segment.
-// Event callbacks must never park — they use the non-parking primitives
-// (TryWriteOwned, Chan.TrySend, Clock.Go, further EventAt arms) or the
-// event forms (Cond.WaitEvent, Conn.ReadEvent, Conn.WriteEvent), whose
-// continuation runs where a parked goroutine would have resumed.
+// Event callbacks must never park — they use the event forms
+// (Cond.WaitEvent, Mutex.LockEvent, Chan.RecvEvent, Conn.ReadEvent,
+// Conn.WriteEvent), whose continuation runs where a parked goroutine
+// would have resumed, or a refusal that never waits (Conn.TryWrite,
+// Chan.TrySend) and further EventAt arms; Clock.Go takes work that must
+// park. Conn.TryWriteOwned, the one write that hands a buffer over, is
+// the relay flush pass's refusal write.
 // See DESIGN.md ("Inline event execution") for the architecture and the
 // rules simulation code must follow (spawn via Clock.Go, block only in
 // scheduler-aware primitives). These rules are machine-checked:

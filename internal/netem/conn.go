@@ -46,8 +46,8 @@ type Conn struct {
 	wmu Mutex // serializes writers, who park on backpressure
 	// A write keeps the segment it shaped for a full window in held
 	// until the window takes it, under the deadline it began with
-	// (wlockDL). An event write (WriteEvent, WriteOwnedEvent) holds wmu
-	// across its waits, marked by wlocked.
+	// (wlockDL). An event write (WriteEvent) holds wmu across its waits,
+	// marked by wlocked.
 	wlocked, holding bool
 	held             seg
 	wlockDL          time.Time
@@ -168,21 +168,6 @@ func (c *Conn) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// WriteOwned is a zero-copy single-segment Write: ownership of data's
-// backing array (base, recycled into pool when non-nil) transfers to
-// the conn, which hands it through the pipe to the reader untouched.
-// The payload must fit one segment. Like Write, it parks on
-// receive-window backpressure.
-func (c *Conn) WriteOwned(data []byte, base *[]byte, pool *sync.Pool) error {
-	if len(data) > segmentSize {
-		defer putSegBuf(pool, base)
-		_, err := c.Write(data)
-		return err
-	}
-	err, _ := c.WriteOwnedEvent(data, base, pool, nil)
-	return err
-}
-
 // WriteEvent is Write for an event callback, which must not park: a
 // partial write that resumes where Write would have. It returns done
 // with what Write would have returned, or, where Write would park — on
@@ -206,9 +191,11 @@ func (c *Conn) WriteEvent(p []byte, again func()) (n int, err error, done bool) 
 	for len(p) > 0 {
 		k := min(len(p), segmentSize)
 		data, base, pool := getSegBuf(p[:k])
-		if err := c.hold(data, base, pool); err != nil {
+		arrival, err := c.shape(data, base, pool)
+		if err != nil {
 			return n, err, c.unlockWrite()
 		}
+		c.held, c.holding = seg{data: data, base: base, pool: pool, at: arrival}, true
 		n += k
 		p = p[k:]
 		if ok, err := c.landHeld(again); !ok {
@@ -218,30 +205,6 @@ func (c *Conn) WriteEvent(p []byte, again func()) (n int, err error, done bool) 
 		}
 	}
 	return n, nil, c.unlockWrite()
-}
-
-// WriteOwnedEvent is WriteOwned for an event callback, as WriteEvent is
-// Write's: done false means again must call it once more with the same
-// arguments, and ownership passes to the conn with the first call that
-// finds the writer lock free. data must fit one segment. With a nil
-// again it is WriteOwned.
-func (c *Conn) WriteOwnedEvent(data []byte, base *[]byte, pool *sync.Pool, again func()) (err error, done bool) {
-	if len(data) > segmentSize {
-		panic("netem: WriteOwnedEvent of more than one segment")
-	}
-	if !c.lockWrite(again) {
-		return nil, false
-	}
-	if !c.holding {
-		if err := c.hold(data, base, pool); err != nil {
-			return err, c.unlockWrite()
-		}
-	}
-	ok, err := c.landHeld(again)
-	if !ok {
-		return nil, false
-	}
-	return err, c.unlockWrite()
 }
 
 // lockWrite takes the writer lock for a write, unless an event write
@@ -267,16 +230,6 @@ func (c *Conn) unlockWrite() bool {
 	return true
 }
 
-// hold shapes an owned segment for a write and keeps it until the
-// window takes it.
-func (c *Conn) hold(data []byte, base *[]byte, pool *sync.Pool) error {
-	arrival, err := c.shape(data, base, pool)
-	if err == nil {
-		c.held, c.holding = seg{data: data, base: base, pool: pool, at: arrival}, true
-	}
-	return err
-}
-
 // landHeld pushes the held segment, if any: ok false means it waits for
 // the window, with again queued; a nil again parks until it lands.
 func (c *Conn) landHeld(again func()) (ok bool, err error) {
@@ -290,17 +243,28 @@ func (c *Conn) landHeld(again func()) (ok bool, err error) {
 	return done, err
 }
 
-// TryWriteOwned is WriteOwned without parking, for inline event
-// callbacks (Clock.EventAt): ok is false — and ownership stays with the
-// caller — when the write would have parked (writer lock held or receive
-// window full) or data is more than one segment. ok true means the
-// segment was consumed, with err reporting a closed/reset conn exactly
-// like Write.
+// TryWriteOwned is a zero-copy single-segment write for an inline
+// event callback that leaves nothing waiting: ownership of data's
+// backing array (base, recycled into pool when non-nil) passes to the
+// conn, which hands it through the pipe to the reader untouched. ok is
+// false, and ownership stays with the caller, when data is more than
+// one segment or a write would have to wait (writer lock held or
+// receive window full); the refusal comes before any bucket time is
+// booked or any jitter or loss drawn. ok true means the segment was
+// consumed, with err reporting a closed/reset conn exactly like Write.
+// A write that cannot wait needs neither the writer lock nor the held
+// segment: the segment is shaped and pushed as Write would, in one go.
 func (c *Conn) TryWriteOwned(data []byte, base *[]byte, pool *sync.Pool) (ok bool, err error) {
 	if len(data) > segmentSize || c.wmu.locked || c.tx.wouldPark(len(data)) {
 		return false, nil
 	}
-	return true, c.WriteOwned(data, base, pool)
+	arrival, err := c.shape(data, base, pool)
+	if err != nil {
+		return true, err
+	}
+	s := seg{data: data, base: base, pool: pool, at: arrival}
+	_, err = c.tx.push(&s, noDeadline, nil)
+	return true, err
 }
 
 // TryWrite is Write without parking, for inline event callbacks: it

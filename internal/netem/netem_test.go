@@ -7,6 +7,7 @@ import (
 	"net"
 	"runtime"
 	"runtime/debug"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -598,6 +599,96 @@ func TestTryWriteReportsWhatWriteReports(t *testing.T) {
 			}
 			if a, b := writeTrace(n1, wc), writeTrace(n2, tw); a != b {
 				t.Fatalf("after Write:    %s\nafter TryWrite: %s", a, b)
+			}
+		})
+	}
+}
+
+// TestTryWriteOwnedHandsOverWhatWriteCopies: an owned write books, draws,
+// lands and counts a cell exactly as Write does, and the far end's read
+// sink receives the caller's own array and pool, where Write's copy comes
+// from netem's. A refused one — on a full window, behind a Write parked
+// holding the writer lock, or of more than one segment — keeps its buffer
+// with the caller and leaves no trace.
+func TestTryWriteOwnedHandsOverWhatWriteCopies(t *testing.T) {
+	var cellPool sync.Pool
+	type handed struct {
+		base *[]byte
+		pool *sync.Pool
+	}
+	sink := func(c *Conn, got *[]handed) {
+		c.SetReadSink(func(_ []byte, base *[]byte, pool *sync.Pool, err error) {
+			if err == nil {
+				*got = append(*got, handed{base, pool})
+			}
+		})
+	}
+
+	n1, owned, ownedPeer := tryWriteWorld(t)
+	n2, copied, copiedPeer := tryWriteWorld(t)
+	cell := bytes.Repeat([]byte{0xC3}, 512)
+	if _, err := copied.Write(cell); err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := owned.TryWriteOwned(cell, &cell, &cellPool); !ok || err != nil {
+		t.Fatalf("an owned cell on an idle conn: ok=%v err=%v", ok, err)
+	}
+	if a, b := writeTrace(n1, owned), writeTrace(n2, copied); a != b {
+		t.Fatalf("TryWriteOwned: %s\nWrite:         %s", a, b)
+	}
+	var ownedGot, copiedGot []handed
+	sink(ownedPeer, &ownedGot)
+	sink(copiedPeer, &copiedGot)
+	n1.Clock().Sleep(time.Second)
+	n2.Clock().Sleep(time.Second)
+	if len(ownedGot) != 1 || ownedGot[0] != (handed{&cell, &cellPool}) {
+		t.Fatalf("the sink got %v, want the caller's array and pool %v", ownedGot, handed{&cell, &cellPool})
+	}
+	if len(copiedGot) != 1 || copiedGot[0].base == &cell || copiedGot[0].pool != &smallBufPool {
+		t.Fatalf("the sink got %v from Write, want a copy from netem's small pool", copiedGot)
+	}
+
+	for _, tc := range []struct {
+		name  string
+		size  int
+		setup func(n *Network, c *Conn)
+	}{
+		{"full window", 512, func(_ *Network, c *Conn) {
+			if _, err := c.Write(make([]byte, c.tx.maxBuf-100)); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"writer lock held", 512, func(n *Network, c *Conn) {
+			if _, err := c.Write(make([]byte, c.tx.maxBuf-1000)); err != nil {
+				t.Fatal(err)
+			}
+			n.Go(func() { c.Write(make([]byte, segmentSize)) })
+			n.Clock().Sleep(time.Millisecond)
+			if !c.wmu.locked || c.tx.wouldPark(512) {
+				t.Fatalf("locked=%v with %d B of window: want a parked writer holding the lock, and room for a cell", c.wmu.locked, c.tx.freeSpace())
+			}
+		}},
+		{"more than one segment", segmentSize + 1, func(*Network, *Conn) {}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n1, tried, _ := tryWriteWorld(t)
+			n2, twin, _ := tryWriteWorld(t)
+			tc.setup(n1, tried)
+			tc.setup(n2, twin)
+			data := make([]byte, tc.size)
+			if ok, err := tried.TryWriteOwned(data, &data, &cellPool); ok || err != nil {
+				t.Fatalf("ok=%v err=%v, want a refusal", ok, err)
+			}
+			if tried.held.base == &data {
+				t.Fatal("the refused buffer is held by the conn")
+			}
+			for _, s := range tried.tx.segs[tried.tx.segHead:] {
+				if s.base == &data {
+					t.Fatal("the refused buffer is in the pipe")
+				}
+			}
+			if a, b := writeTrace(n1, tried), writeTrace(n2, twin); a != b {
+				t.Fatalf("refused: %s\nuntried: %s", a, b)
 			}
 		})
 	}

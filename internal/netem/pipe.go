@@ -98,9 +98,12 @@ func putSegBuf(pool *sync.Pool, base *[]byte) {
 // After the terminal call — data nil and err non-nil (io.EOF once
 // drained, ErrClosed on reset/close) — no further calls are made.
 //
-// Sink callbacks run as inline clock events and must never park; use
-// the non-parking primitives (TrySend, TryWriteOwned, Clock.Go,
-// EventAt) and hand parking work to a goroutine.
+// Sink callbacks run as inline clock events and must never park: they
+// use the event forms (Conn.WriteEvent, Chan.RecvEvent, Mutex.LockEvent
+// and the rest), whose continuation runs where a parked goroutine would
+// have resumed, the refusals that never wait (Conn.TryWrite,
+// Chan.TrySend) and EventAt; Clock.Go takes work that must park, such
+// as a teardown.
 type ReadSink func(data []byte, base *[]byte, pool *sync.Pool, err error)
 
 // pipe is one direction of a shaped duplex connection. All waits go

@@ -85,45 +85,6 @@ func TestGetSegBufOversized(t *testing.T) {
 	putSegBuf(bpool, bbase)
 }
 
-// TestWriteOwnedOversized checks the zero-copy write's oversized
-// fallback end to end: a WriteOwned larger than one segment is chunked
-// through the regular Write path and arrives intact.
-func TestWriteOwnedOversized(t *testing.T) {
-	n, a, b := testNetwork(t)
-	l, err := b.Listen(80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-
-	msg := bytes.Repeat([]byte("oversize-"), 8<<10) // 72K, several segments
-	n.Go(func() {
-		c, err := l.Accept()
-		if err != nil {
-			return
-		}
-		defer c.Close()
-		payload := append([]byte(nil), msg...)
-		if err := c.(*Conn).WriteOwned(payload, &payload, nil); err != nil {
-			t.Error(err)
-		}
-		c.(*Conn).CloseWrite()
-	})
-
-	c, err := a.Dial("b:80")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	got, err := io.ReadAll(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, msg) {
-		t.Fatalf("oversized WriteOwned mismatch: got %d bytes want %d", len(got), len(msg))
-	}
-}
-
 // TestReadFull exercises the threshold-read contract: exactly len(p)
 // bytes with a nil error, a short count only alongside io.EOF, and
 // ErrTimeout on an expired deadline.

@@ -512,11 +512,12 @@ func (c *Clock) advanceIdle(vt time.Duration) bool {
 // share one heap ordered by (at, seq), so two events at the same
 // instant fire in registration order.
 //
-// Contract: fn must never park.
-// Use the non-parking primitives (TrySend, Conn.TryWriteOwned, Clock.Go,
-// EventAt) and the event forms, which leave a continuation where they
-// would park (Mutex.LockEvent, Chan.RecvEvent, Conn.WriteEvent), inside
-// callbacks; any parking wait panics as an unregistered-goroutine wait.
+// Contract: fn must never park. Inside callbacks use the event forms,
+// which leave a continuation where they would park (Mutex.LockEvent,
+// Chan.RecvEvent, Conn.ReadEvent, Conn.WriteEvent), the refusals that
+// never wait (Chan.TrySend, Conn.TryWrite, Conn.TryWriteOwned), further
+// EventAt arms, and Clock.Go for work that must park; any parking wait
+// panics as an unregistered-goroutine wait.
 // On a clock that has shut down fn is dropped.
 func (c *Clock) EventAt(vt time.Duration, fn func()) {
 	if c.closed {

@@ -185,8 +185,9 @@ func (o *relayOut) pack(circ *circuit, h int, rc RelayCell) error {
 }
 
 // sendEvent is the rest of sendRelay: it takes sendMu, seals the cell
-// and writes it, parking where it must for a nil again, and otherwise
-// through the event forms, where done false means again goes on.
+// and writes it with the first hop's WriteEvent, which copies, parking
+// where it must for a nil again, and otherwise leaving again to go on
+// where done is false. The lease goes back once the write is done.
 func (o *relayOut) sendEvent(circ *circuit, again func()) (err error, done bool) {
 	if !o.locked {
 		if !circ.sendMu.LockEvent(again) {
@@ -196,19 +197,11 @@ func (o *relayOut) sendEvent(circ *circuit, again func()) (err error, done bool)
 		circ.hops[o.hop].sealForward(wirePayload(o.buf))
 		setWireHeader(o.buf, circ.id, CmdRelay)
 	}
-	if oc, ok := circ.conn.(*netem.Conn); ok {
-		// Zero-copy: the conn takes buffer ownership and recycles it.
-		if err, done = oc.WriteOwnedEvent(o.buf, o.base, &cellBufPool, again); !done {
-			return nil, false
-		}
-	} else { // a PT conn: its event form copies, as its Write does
-		var k int
-		if k, err, done = circ.conn.(netem.EventWriter).WriteEvent(o.buf, again); !done {
-			o.buf = o.buf[k:]
-			return nil, false
-		}
-		putCellBuf(o.base)
+	k, err, done := circ.conn.(netem.EventWriter).WriteEvent(o.buf, again)
+	if o.buf = o.buf[k:]; !done {
+		return nil, false
 	}
+	putCellBuf(o.base)
 	*o = relayOut{}
 	if err != nil {
 		circ.close(err)

@@ -95,7 +95,7 @@ func StartRelay(cfg RelayConfig) (*Relay, error) {
 			return nil, err
 		}
 	}
-	r.sched = newCellScheduler(r.clock, cfg.Host.Network().Acct(), cfg.Sched, cfg.Bandwidth)
+	r.sched = newCellScheduler(r.clock, cfg.Host.Network().Acct(), cfg.Sched.Policy, cfg.Bandwidth)
 	ln.Serve(r.ServeConn)
 	return r, nil
 }
@@ -146,7 +146,7 @@ func (r *Relay) Restart() error {
 	if err != nil {
 		return err
 	}
-	sched := newCellScheduler(r.clock, r.cfg.Host.Network().Acct(), r.cfg.Sched, r.cfg.Bandwidth)
+	sched := newCellScheduler(r.clock, r.cfg.Host.Network().Acct(), r.cfg.Sched.Policy, r.cfg.Bandwidth)
 	r.retired = append(r.retired, r.sched)
 	r.ln = ln
 	r.sched = sched
@@ -168,7 +168,8 @@ func (r *Relay) ServeConn(conn net.Conn) {
 	// The link binds the current incarnation's scheduler once, so a
 	// restart's fresh scheduler never sees calls from links that belong
 	// to a crashed incarnation.
-	l := &link{relay: r, sched: r.sched, conn: conn, wmu: netem.NewMutex(r.clock), circs: make(map[uint32]*relayCirc)}
+	fast, _ := conn.(*netem.Conn)
+	l := &link{relay: r, sched: r.sched, conn: conn, fast: fast, wmu: netem.NewMutex(r.clock), circs: make(map[uint32]*relayCirc)}
 	l.serve()
 }
 
@@ -204,6 +205,9 @@ type link struct {
 	// never receives cells from a pre-crash link.
 	sched *cellScheduler
 	conn  net.Conn
+	// fast is conn as a bare netem conn, nil for a PT conn: the flush
+	// pass writes to it inline and probes its write budget.
+	fast *netem.Conn
 
 	// wmu serializes upstream cell writes; scheduler-aware because a
 	// write can park on conn backpressure while other circuits contend.
@@ -235,19 +239,18 @@ func (l *link) writeCell(c *Cell) error {
 }
 
 // flushCell writes one scheduled cell without parking. Fast links
-// (netem conns) take the zero-copy owned write inline — cell framing
-// stays atomic because every cell is a single segment serialized on the
-// conn's own writer lock. Other conns hand the cell to their flusher
-// through an unbounded scheduler-aware queue (bounded in practice by
-// the circuits' flow-control windows); the flusher, started with the
-// queue, waits on real backpressure. false means the link cannot
+// (bare netem conns) take the zero-copy owned write inline — a cell is
+// one segment, refused while a parked writer holds the conn. PT conns
+// hand the cell to their flusher through an unbounded scheduler-aware
+// queue (bounded in practice by the circuits' flow-control windows);
+// the flusher, started with the queue, waits on real backpressure. false means the link cannot
 // accept the cell this pass (retry next interval); true means the cell
 // was consumed — written, handed off, or dropped against a dead link,
 // whose serve loop is already tearing its circuits down (the retired
 // blocking scheduler ignored those write errors the same way).
 func (l *link) flushCell(s *cellScheduler, cell queuedCell) bool {
-	if fc, isFast := l.conn.(*netem.Conn); isFast {
-		ok, _ := fc.TryWriteOwned(cell.buf, cell.base, &cellBufPool)
+	if l.fast != nil {
+		ok, _ := l.fast.TryWriteOwned(cell.buf, cell.base, &cellBufPool)
 		return ok
 	}
 	if l.flusher == nil {
@@ -314,25 +317,23 @@ func (l *link) writeWire(buf []byte) error {
 	return err
 }
 
-// writeBudget probes the link conn's writable budget in bytes. Conns
-// without a probe (PT stream tunnels fed via ServeConn) report def —
-// effectively unlimited within one pass — and fall back to blocking
-// writes when they do back up.
+// writeBudget probes a fast link's writable budget in bytes. A PT
+// link has no probe and reports def — effectively unlimited within one
+// pass — and its flusher waits when the conn does back up.
 func (l *link) writeBudget(def int) int {
-	if wb, ok := l.conn.(interface{ WriteBudget() int }); ok {
-		return wb.WriteBudget()
+	if l.fast != nil {
+		return l.fast.WriteBudget()
 	}
 	return def
 }
 
-// serve is the upstream read loop. It reads into a pooled wire buffer
-// that is reused across cells except when a relay cell is forwarded
-// downstream zero-copy, in which case ownership moves with the cell and
-// the loop fetches a fresh buffer.
+// serve is the upstream read loop. It reads every cell into one pooled
+// wire buffer, kept for the life of the link: a forwarded cell is copied
+// by the downstream conn's Write.
 func (l *link) serve() {
 	defer l.teardown()
 	buf, base := getCellBuf()
-	defer func() { putCellBuf(base) }()
+	defer putCellBuf(base)
 	for {
 		if err := readWire(l.conn, buf); err != nil {
 			return
@@ -353,11 +354,7 @@ func (l *link) serve() {
 			if circ == nil {
 				continue
 			}
-			consumed, err := circ.handleRelayWire(buf, base)
-			if consumed {
-				buf, base = getCellBuf()
-			}
-			if err != nil {
+			if err := circ.handleRelayWire(buf); err != nil {
 				circ.destroy(true, false)
 			}
 		case CmdDestroy:
@@ -445,25 +442,23 @@ type relayCirc struct {
 	circDlvWin int
 }
 
-// handleRelayWire processes one forward relay cell in its wire buffer.
-// consumed reports that buffer ownership moved downstream (the
-// zero-copy forward), in which case the caller must fetch a fresh
-// buffer. Recognized cells are handled in place: rc.Data is a view
-// into buf, safe because the serve goroutine does not reuse buf until
-// handleRecognized returns (handlers that retain data — s.conn.Write,
-// control replies — copy it synchronously).
-func (c *relayCirc) handleRelayWire(buf []byte, base *[]byte) (consumed bool, err error) {
+// handleRelayWire processes one forward relay cell in its wire buffer,
+// which the serve goroutine does not reuse until it returns. Recognized
+// cells are handled in place: rc.Data is a view into buf (handlers that
+// retain data — s.conn.Write, control replies — copy it synchronously).
+// Any other cell is forwarded downstream with Write, which copies it.
+func (c *relayCirc) handleRelayWire(buf []byte) error {
 	p := wirePayload(buf)
 	if rc, ok := parseRelayView(p); ok && c.crypto.checkForward(p) {
-		return false, c.handleRecognized(rc)
+		return c.handleRecognized(rc)
 	}
-	// Not for us: forward downstream.
 	next, nextID := c.next, c.nextID
 	if next == nil {
-		return false, fmt.Errorf("tor: unrecognized relay cell at last hop")
+		return fmt.Errorf("tor: unrecognized relay cell at last hop")
 	}
 	setWireHeader(buf, nextID, CmdRelay)
-	return true, next.WriteOwned(buf, base, &cellBufPool)
+	_, err := next.Write(buf)
+	return err
 }
 
 func (c *relayCirc) handleRecognized(rc RelayCell) error {

@@ -23,7 +23,7 @@ import (
 //     circuit with the lowest decayed count, so bursty, quiet circuits
 //     preempt bulk ones. SchedFIFO retains the oldest-cell-first
 //     baseline for comparison experiments.
-//   - Write budgeting: a pass flushes at most CellsPerPass cells
+//   - Write budgeting: a pass flushes at most perPass cells
 //     (derived from the relay's advertised bandwidth — KIST's global
 //     write limit) and consults the downstream link's writable budget
 //     (netem.Conn.WriteBudget — KIST's kernel-informed socket limit)
@@ -31,12 +31,12 @@ import (
 //     cannot head-of-line-block every other circuit of the relay.
 //
 // Flush passes are inline clock events (netem.Clock.EventAt), not a
-// goroutine: enqueue arms at most one timer per relay per Interval
+// goroutine: enqueue arms at most one timer per relay per schedInterval
 // (the armed flag batches arms across circuits), and the pass runs on
 // the world's driver, in its dispatch loop, when the timer fires, writing
 // cells with the non-parking zero-copy Conn.TryWriteOwned. A link that
 // cannot take the write this pass is skipped — KIST semantics — and
-// retried next Interval. Links without the fast path (PT stream
+// retried next interval. Links without the fast path (PT stream
 // tunnels fed through ServeConn) get a lazily-started per-link flusher,
 // a chain of clock events that waits out backpressure; handoff to it is
 // an unbounded scheduler-aware queue, bounded in practice by the
@@ -66,46 +66,23 @@ func (p SchedPolicy) String() string {
 	return "ewma"
 }
 
-// SchedConfig tunes a relay's cell scheduler; zero values select the
-// defaults noted per field.
+// SchedConfig tunes a relay's cell scheduler.
 type SchedConfig struct {
 	// Policy is the circuit pick rule (default SchedEWMA).
 	Policy SchedPolicy
-	// Interval is the scheduling pass cadence on the virtual clock
-	// (default 10ms, KIST's sched run interval).
-	Interval time.Duration
-	// Halflife is the EWMA decay half-life (default 30s, tor's
-	// CircuitPriorityHalflife consensus default).
-	Halflife time.Duration
-	// CellsPerPass caps how many cells one pass flushes across all
-	// circuits; 0 derives it from the relay's Bandwidth so the
-	// scheduler sustains the advertised rate:
-	// ceil(Bandwidth×Interval/CellSize), floored at 4.
-	CellsPerPass int
 }
 
 const (
-	defaultSchedInterval = 10 * time.Millisecond
-	defaultSchedHalflife = 30 * time.Second
-	minCellsPerPass      = 4
+	// schedInterval is the scheduling pass cadence on the virtual
+	// clock (KIST's sched run interval).
+	schedInterval = 10 * time.Millisecond
+	// schedHalflife is the EWMA decay half-life (tor's
+	// CircuitPriorityHalflife consensus default).
+	schedHalflife = 30 * time.Second
+	// minCellsPerPass floors the per-pass cell count a slow relay's
+	// bandwidth derives.
+	minCellsPerPass = 4
 )
-
-func (c SchedConfig) withDefaults(bandwidth float64) SchedConfig {
-	if c.Interval <= 0 {
-		c.Interval = defaultSchedInterval
-	}
-	if c.Halflife <= 0 {
-		c.Halflife = defaultSchedHalflife
-	}
-	if c.CellsPerPass <= 0 {
-		perPass := int(math.Ceil(bandwidth * c.Interval.Seconds() / CellSize))
-		if perPass < minCellsPerPass {
-			perPass = minCellsPerPass
-		}
-		c.CellsPerPass = perPass
-	}
-	return c
-}
 
 // cellBufPool recycles wire buffers: backward cells are the
 // simulation's hottest relay path, and a fresh 512-byte allocation per
@@ -180,9 +157,13 @@ func (q *circQueue) decayTo(now, halflife time.Duration) {
 // cellScheduler is one relay's scheduler: the registry of circuit
 // queues and the flush events draining them.
 type cellScheduler struct {
-	clock *netem.Clock
-	acct  *netem.Acct
-	cfg   SchedConfig
+	clock  *netem.Clock
+	acct   *netem.Acct
+	policy SchedPolicy
+	// perPass caps how many cells one pass flushes across all circuits,
+	// so the scheduler sustains the relay's advertised bandwidth:
+	// ceil(bandwidth×schedInterval/CellSize), floored at minCellsPerPass.
+	perPass int
 
 	// active holds queues that may still receive cells, in creation
 	// order (deterministic pick iteration); done retains closed queues
@@ -195,7 +176,7 @@ type cellScheduler struct {
 	closed  bool
 
 	// armed marks a pending flush event; enqueues while armed add no
-	// timer, so the relay arms at most one event per Interval however
+	// timer, so the relay arms at most one event per interval however
 	// many circuits feed it. nextPass is the earliest instant the next
 	// pass may run (pass pacing models the relayed-bandwidth rate).
 	armed    bool
@@ -207,8 +188,9 @@ type cellScheduler struct {
 	flushers []*netem.Chan[queuedCell]
 }
 
-func newCellScheduler(clock *netem.Clock, acct *netem.Acct, cfg SchedConfig, bandwidth float64) *cellScheduler {
-	s := &cellScheduler{clock: clock, acct: acct, cfg: cfg.withDefaults(bandwidth)}
+func newCellScheduler(clock *netem.Clock, acct *netem.Acct, policy SchedPolicy, bandwidth float64) *cellScheduler {
+	perPass := max(int(math.Ceil(bandwidth*schedInterval.Seconds()/CellSize)), minCellsPerPass)
+	s := &cellScheduler{clock: clock, acct: acct, policy: policy, perPass: perPass}
 	s.flushFn = s.flushEvent // one closure, not one per arm
 	return s
 }
@@ -272,7 +254,7 @@ func (s *cellScheduler) flushEvent() {
 	}
 	now := s.clock.Now()
 	s.flushPass()
-	s.nextPass = now + s.cfg.Interval
+	s.nextPass = now + schedInterval
 	// Cells the pass could not flush (budget exhausted, unwritable
 	// links) re-arm for the next interval.
 	s.arm()
@@ -327,7 +309,7 @@ func (s *cellScheduler) stop() {
 	s.flushers = nil
 }
 
-// flushPass flushes up to CellsPerPass cells, re-picking the best
+// flushPass flushes up to perPass cells, re-picking the best
 // circuit before every cell. No write in the pass parks: fast links take the inline zero-copy
 // path, slow links a flusher handoff, and a link whose window is full
 // is excluded for the rest of the pass (it re-arms for the next one).
@@ -335,7 +317,7 @@ func (s *cellScheduler) flushPass() {
 	// s.passes numbers this pass; with s it stamps each link's cached
 	// budget (link.passBudget), so a new pass probes every link again.
 	s.passes++
-	for budget := s.cfg.CellsPerPass; budget > 0; {
+	for budget := s.perPass; budget > 0; {
 		q := s.pick()
 		if q == nil {
 			return
@@ -358,7 +340,7 @@ func (s *cellScheduler) flushPass() {
 		}
 		s.pending--
 		now := s.clock.Now()
-		q.decayTo(now, s.cfg.Halflife)
+		q.decayTo(now, schedHalflife)
 		q.ewma++
 		delay := now - cell.at
 		q.flushed++
@@ -383,7 +365,7 @@ func (s *cellScheduler) pick() *circQueue {
 		l := q.link
 		if l.passSched != s || l.pass != s.passes {
 			l.passSched, l.pass = s, s.passes
-			l.passBudget = l.writeBudget(s.cfg.CellsPerPass * CellSize)
+			l.passBudget = l.writeBudget(s.perPass * CellSize)
 		}
 		if l.passBudget < CellSize {
 			continue
@@ -392,14 +374,14 @@ func (s *cellScheduler) pick() *circQueue {
 			best = q
 			continue
 		}
-		if s.cfg.Policy == SchedFIFO {
+		if s.policy == SchedFIFO {
 			if q.cells[q.head].seq < best.cells[best.head].seq {
 				best = q
 			}
 			continue
 		}
-		q.decayTo(now, s.cfg.Halflife)
-		best.decayTo(now, s.cfg.Halflife)
+		q.decayTo(now, schedHalflife)
+		best.decayTo(now, schedHalflife)
 		if q.ewma < best.ewma || (q.ewma == best.ewma && q.cells[q.head].seq < best.cells[best.head].seq) {
 			best = q
 		}

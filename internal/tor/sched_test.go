@@ -99,19 +99,20 @@ func contendedDelays(t *testing.T, policy SchedPolicy) (bursty, bulk CircuitSche
 		return n.MustAddHost(netem.HostConfig{Name: name, Location: geo.Frankfurt, UplinkBps: bps, DownlinkBps: bps})
 	}
 	dir := NewDirectory()
-	relay := func(name string, host *netem.Host, flags Flag, sched SchedConfig) *Relay {
-		r, err := StartRelay(RelayConfig{Name: name, Host: host, Directory: dir, Flags: flags, Seed: int64(len(name)), Sched: sched})
+	relay := func(name string, host *netem.Host, flags Flag, bandwidth float64, sched SchedConfig) *Relay {
+		r, err := StartRelay(RelayConfig{Name: name, Host: host, Directory: dir, Flags: flags, Bandwidth: bandwidth, Seed: int64(len(name)), Sched: sched})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return r
 	}
-	// The guard's scheduler is the bottleneck: 4 cells per 10ms pass
-	// (~205 KB/s) against fast links everywhere else, so the bulk
-	// circuit's window piles up in the guard's queue, not in pipes.
-	guard := relay("guard-0", mk("guard-0", 8<<20), FlagGuard|FlagFast, SchedConfig{Policy: policy, CellsPerPass: 4})
-	relay("middle-0", mk("middle-0", 50<<20), FlagFast, SchedConfig{})
-	relay("exit-0", mk("exit-0", 50<<20), FlagExit|FlagFast, SchedConfig{})
+	// The guard's scheduler is the bottleneck: it advertises 100 KB/s,
+	// whose passes flush the floor of 4 cells per 10ms (~205 KB/s),
+	// against fast links everywhere else, so the bulk circuit's window
+	// piles up in the guard's queue, not in pipes.
+	guard := relay("guard-0", mk("guard-0", 8<<20), FlagGuard|FlagFast, 100<<10, SchedConfig{Policy: policy})
+	relay("middle-0", mk("middle-0", 50<<20), FlagFast, 0, SchedConfig{})
+	relay("exit-0", mk("exit-0", 50<<20), FlagExit|FlagFast, 0, SchedConfig{})
 
 	web := mk("web", 50<<20)
 	bulkLn, err := web.Listen(80)
@@ -382,7 +383,8 @@ func (discardConn) WriteEvent(p []byte, _ func()) (int, error, bool) { return le
 func TestCircQueueKeepsItsArray(t *testing.T) {
 	clock := netem.NewClock()
 	t.Cleanup(clock.Shutdown)
-	s := newCellScheduler(clock, new(netem.Acct), SchedConfig{CellsPerPass: 1}, 1<<20)
+	s := newCellScheduler(clock, new(netem.Acct), SchedEWMA, 1<<20)
+	s.perPass = 1
 	defer s.stop()
 	q := s.newQueue(&link{conn: discardConn{}, wmu: netem.NewMutex(clock)}, 1)
 	enqueue := func() {
@@ -394,7 +396,7 @@ func TestCircQueueKeepsItsArray(t *testing.T) {
 	enqueue()
 	for i := 0; i < 100_000; i++ {
 		enqueue()
-		clock.Sleep(s.cfg.Interval) // one pass: one cell out
+		clock.Sleep(schedInterval) // one pass: one cell out
 	}
 	if q.flushed < 100_000 || len(q.cells)-q.head > 2 {
 		t.Fatalf("flushed %d cells, %d still queued: the queue was not drained one behind", q.flushed, len(q.cells)-q.head)
@@ -432,9 +434,9 @@ func TestRefusedLinkSkippedForRestOfPass(t *testing.T) {
 	}
 	defer conn.Close()
 
-	s := newCellScheduler(clock, new(netem.Acct), SchedConfig{CellsPerPass: 4}, 1<<20)
+	s := newCellScheduler(clock, new(netem.Acct), SchedEWMA, 100<<10) // 4 cells a pass
 	defer s.stop()
-	refusing := &link{conn: conn, wmu: netem.NewMutex(clock)}
+	refusing := &link{conn: conn, fast: conn.(*netem.Conn), wmu: netem.NewMutex(clock)}
 	other := &link{conn: discardConn{}, wmu: netem.NewMutex(clock)}
 	qr, qo := s.newQueue(refusing, 1), s.newQueue(other, 3)
 	oversize := make([]byte, 32<<10)
@@ -449,7 +451,7 @@ func TestRefusedLinkSkippedForRestOfPass(t *testing.T) {
 		}
 	}
 
-	clock.Sleep(s.cfg.Interval / 2) // the first pass, at once
+	clock.Sleep(schedInterval / 2) // the first pass, at once
 	if s.passes != 1 || qo.flushed != 4 || qr.flushed != 0 {
 		t.Fatalf("after pass 1: passes=%d, other link flushed %d (want 4), refusing link %d (want 0)", s.passes, qo.flushed, qr.flushed)
 	}
@@ -460,7 +462,7 @@ func TestRefusedLinkSkippedForRestOfPass(t *testing.T) {
 	// Make the head cell writable: the next pass must try the link again.
 	buf, base := getCellBuf()
 	qr.cells[qr.head].buf, qr.cells[qr.head].base = buf, base
-	clock.Sleep(s.cfg.Interval)
+	clock.Sleep(schedInterval)
 	if s.passes != 2 || qr.flushed != 1 || qo.flushed != 6 {
 		t.Fatalf("after pass 2: passes=%d, refusing link flushed %d (want 1), other %d (want 6)", s.passes, qr.flushed, qo.flushed)
 	}

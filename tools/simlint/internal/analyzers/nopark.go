@@ -51,16 +51,17 @@ import (
 //     (Mutex.Lock is LockEvent(nil), pt.Stream.Read is readEvent(p, 1,
 //     nil)), and the walker does not enter an event form's body;
 //   - netem conn/pipe operations that park on backpressure or arrival:
-//     Conn.Read/ReadFull/Write/WriteOwned, pipe.read/push;
+//     Conn.Read/ReadFull/Write, pipe.read/push;
 //   - interface escape hatches that reach the same parking code
 //     dynamically: (net.Conn).Read/Write, (io.Reader).Read,
 //     (io.Writer).Write, and io.ReadFull/ReadAtLeast/Copy/CopyN/
 //     CopyBuffer.
 //
-// The legal surface inside a callback is the non-parking one:
-// Conn.TryWriteOwned, Conn.TryWrite, Chan.TrySend, the event forms
-// (Mutex.LockEvent, Chan.RecvEvent, Conn.WriteEvent and the rest, which
-// leave a continuation where they would park), Clock.Go (the spawned
+// The legal surface inside a callback is the non-parking one: the event
+// forms (Mutex.LockEvent, Chan.RecvEvent, Conn.ReadEvent,
+// ReadFullEvent, WriteEvent and the rest, which leave a continuation
+// where they would park), Conn.TryWrite, Conn.TryWriteOwned (the relay
+// flush pass's refusal write), Chan.TrySend, Clock.Go (the spawned
 // function is a registered goroutine and may park — its body is
 // deliberately NOT traversed), and arming further EventAt events.
 //
@@ -90,12 +91,11 @@ var parkingMethods = map[primKey]string{
 	{"netem", "Mutex", "Lock"}:         "parks while contended (use LockEvent)",
 	{"netem", "WaitGroup", "Wait"}:     "parks until the counter drains",
 	{"netem", "Chan", "Send"}:          "parks while full (use TrySend)",
-	{"netem", "Chan", "Recv"}:          "parks while empty",
-	{"netem", "Chan", "RecvTimeout"}:   "parks while empty",
-	{"netem", "Conn", "Read"}:          "parks until arrival",
-	{"netem", "Conn", "ReadFull"}:      "parks until the record completes",
-	{"netem", "Conn", "Write"}:         "parks on receive-window backpressure (use TryWriteOwned)",
-	{"netem", "Conn", "WriteOwned"}:    "parks on receive-window backpressure (use TryWriteOwned)",
+	{"netem", "Chan", "Recv"}:          "parks while empty (use RecvEvent)",
+	{"netem", "Chan", "RecvTimeout"}:   "parks while empty (use RecvEvent)",
+	{"netem", "Conn", "Read"}:          "parks until arrival (use ReadEvent)",
+	{"netem", "Conn", "ReadFull"}:      "parks until the record completes (use ReadFullEvent)",
+	{"netem", "Conn", "Write"}:         "parks on receive-window backpressure (use WriteEvent)",
 	{"netem", "pipe", "read"}:          "parks until the requested bytes arrive",
 	{"netem", "pipe", "push"}:          "parks on receive-window backpressure (use its event form)",
 	{"net", "Conn", "Read"}:            "dynamic dispatch into a parking Read",
@@ -398,7 +398,7 @@ func (a *noParkAnalysis) walkContext(node ast.Node, rootDesc string, chain []str
 			if !a.reported[call.Pos()] {
 				a.reported[call.Pos()] = true
 				a.pass.Reportf(call.Pos(),
-					"%s %s inside an event callback (%s, via %s); event callbacks must never park — use the non-parking surface (TryWriteOwned, TrySend, the event forms, Clock.Go, EventAt)",
+					"%s %s inside an event callback (%s, via %s); event callbacks must never park — use the non-parking surface (the event forms, TryWrite, TrySend, Clock.Go, EventAt)",
 					label, why, rootDesc, strings.Join(chain, " → "))
 			}
 			return true

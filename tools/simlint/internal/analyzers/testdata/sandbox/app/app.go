@@ -54,7 +54,17 @@ func (p *proc) helper() {
 // badSink installs a read sink that writes with the parking Write.
 func badSink(p *proc) {
 	p.conn.SetReadSink(func(data []byte, err error) {
-		p.conn.Write(data) // want `\(netem\.Conn\)\.Write parks on receive-window backpressure.*Conn\.SetReadSink sink`
+		p.conn.Write(data) // want `\(netem\.Conn\)\.Write parks on receive-window backpressure \(use WriteEvent\).*Conn\.SetReadSink sink`
+	})
+}
+
+// badReceive waits for a message and a record with the parking forms;
+// each hint names the event form to use.
+func badReceive(p *proc) {
+	p.clock.EventAt(0, func() {
+		p.ch.Recv()          // want `\(netem\.Chan\)\.Recv parks while empty \(use RecvEvent\)`
+		p.ch.RecvTimeout(1)  // want `\(netem\.Chan\)\.RecvTimeout parks while empty \(use RecvEvent\)`
+		p.conn.ReadFull(nil) // want `\(netem\.Conn\)\.ReadFull parks until the record completes \(use ReadFullEvent\)`
 	})
 }
 
@@ -97,7 +107,7 @@ func (p *proc) onFrame() {
 func badFrameHandler(p *proc) {
 	var in *pt.FrameConn
 	in = pt.NewFrameConn(cutAll, func(body []byte) {
-		p.conn.Read(body) // want `\(netem\.Conn\)\.Read parks until arrival.*pt\.NewFrameConn handler`
+		p.conn.Read(body) // want `\(netem\.Conn\)\.Read parks until arrival \(use ReadEvent\).*pt\.NewFrameConn handler`
 		in.Await()
 	}, p.onStop)
 }

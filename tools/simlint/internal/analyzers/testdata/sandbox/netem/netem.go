@@ -55,7 +55,6 @@ type Conn struct{}
 func (c *Conn) Read(p []byte) (int, error)                         { return 0, nil }
 func (c *Conn) ReadFull(p []byte) (int, error)                     { return 0, nil }
 func (c *Conn) Write(p []byte) (int, error)                        { return 0, nil }
-func (c *Conn) WriteOwned(p []byte, base *[]byte) (int, error)     { return 0, nil }
 func (c *Conn) TryWriteOwned(p []byte, base *[]byte) (bool, error) { return true, nil }
 func (c *Conn) SetReadSink(sink func(data []byte, err error))      {}
 func (c *Conn) ReadEvent(p []byte, again func()) (int, error, bool) {
