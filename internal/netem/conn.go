@@ -390,10 +390,10 @@ func (c *Conn) RemoteAddr() net.Addr { return c.remote }
 // is rejected rather than silently stored as "already expired".
 const deadlineHorizon = 10 * 365 * 24 * time.Hour
 
-// CheckDeadline is the runtime backstop behind the simlint wallclock
-// rule: deadlines reaching a simulated conn must be Epoch-relative
-// (Clock.VirtualDeadline), never wall-clock instants.
-func CheckDeadline(t time.Time) error {
+// checkDeadline is the runtime backstop behind the simlint wallclock
+// rule: deadlines reaching a simulated conn or stream must be
+// Epoch-relative (Clock.VirtualDeadline), never wall-clock instants.
+func checkDeadline(t time.Time) error {
 	if t.IsZero() {
 		return nil
 	}
@@ -405,7 +405,7 @@ func CheckDeadline(t time.Time) error {
 
 // SetDeadline implements net.Conn.
 func (c *Conn) SetDeadline(t time.Time) error {
-	if err := CheckDeadline(t); err != nil {
+	if err := checkDeadline(t); err != nil {
 		return err
 	}
 	c.rdl, c.wdl = t, t
@@ -414,7 +414,7 @@ func (c *Conn) SetDeadline(t time.Time) error {
 
 // SetReadDeadline implements net.Conn.
 func (c *Conn) SetReadDeadline(t time.Time) error {
-	if err := CheckDeadline(t); err != nil {
+	if err := checkDeadline(t); err != nil {
 		return err
 	}
 	c.rdl = t
@@ -423,7 +423,7 @@ func (c *Conn) SetReadDeadline(t time.Time) error {
 
 // SetWriteDeadline implements net.Conn.
 func (c *Conn) SetWriteDeadline(t time.Time) error {
-	if err := CheckDeadline(t); err != nil {
+	if err := checkDeadline(t); err != nil {
 		return err
 	}
 	c.wdl = t

@@ -1,5 +1,5 @@
 //go:build !race
 
-package tor
+package netem
 
 const raceEnabled = false

@@ -150,12 +150,13 @@ func newPipe(clock *Clock, maxBuf int, acct *Acct) *pipe {
 	return p
 }
 
-// deadlineVT decodes a conn deadline, mapping "none" to noDeadline.
+// deadlineVT decodes a net.Conn deadline into a virtual instant,
+// mapping the zero time ("none") to noDeadline.
 func deadlineVT(t time.Time) time.Duration {
-	if vt, ok := DeadlineVT(t); ok {
-		return vt
+	if t.IsZero() {
+		return noDeadline
 	}
-	return noDeadline
+	return t.Sub(Epoch)
 }
 
 func vtExpired(c *Clock, vt time.Duration) bool {

@@ -1,6 +1,6 @@
 //go:build race
 
-package tor
+package netem
 
 // raceEnabled: under the race detector sync.Pool drops a quarter of
 // what is put into it, so allocation budgets do not hold.

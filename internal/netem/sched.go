@@ -239,7 +239,7 @@ type Stats struct {
 	// simulation goroutine's or the driver's.
 	Parks uint64
 	// Events counts inline callbacks run from the timer heap: EventAt
-	// arms, and event waits (Cond.WaitEvent) ended by their deadline or
+	// arms, and event waits (Cond.wait) ended by their deadline or
 	// a segment's arrival.
 	Events uint64
 	// ReadyEvents counts inline callbacks run from the run queue:
@@ -552,20 +552,4 @@ func (c *Clock) ReadyEvent(fn func()) {
 // time.Time encoding used by net.Conn deadlines.
 func (c *Clock) VirtualDeadline(v time.Duration) time.Time {
 	return Epoch.Add(c.Now() + v)
-}
-
-// DeadlineVT decodes a net.Conn deadline into a virtual instant.
-// ok is false for the zero time (no deadline).
-func DeadlineVT(t time.Time) (vt time.Duration, ok bool) {
-	if t.IsZero() {
-		return 0, false
-	}
-	return t.Sub(Epoch), true
-}
-
-// Expired reports whether an encoded deadline has passed on the virtual
-// clock.
-func (c *Clock) Expired(t time.Time) bool {
-	vt, ok := DeadlineVT(t)
-	return ok && c.Now() >= vt
 }

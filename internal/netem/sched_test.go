@@ -540,7 +540,8 @@ func TestTimerHeapMatchesContainerHeap(t *testing.T) {
 
 // TestWaitEventRunsWhereTheParkedGoroutineWould runs one waiter twice,
 // as a goroutine parked in Cond waits and as a callback chained through
-// Cond.WaitEvent, among the same goroutine and events: a Broadcast ends
+// Cond.WaitEvent and, for the timed wait, Cond.wait, among the same
+// goroutine and events: a Broadcast ends
 // its first wait, ahead of a callback queued after it, its deadline the
 // second, between an event armed before the wait and one armed after,
 // and every step of either form happens at the same instant and in the
@@ -560,14 +561,14 @@ func TestWaitEventRunsWhereTheParkedGoroutineWould(t *testing.T) {
 				switch step {
 				case 0:
 					step = 1
-					if _, queued := cd.WaitEvent(time.Time{}, fn); queued {
+					if cd.WaitEvent(fn) {
 						return
 					}
 					fallthrough
 				case 1:
 					note("woken")
 					step = 2
-					if _, queued := cd.WaitEvent(Epoch.Add(30*time.Millisecond), fn); queued {
+					if _, queued := cd.wait(30*time.Millisecond, fn); queued {
 						return
 					}
 					fallthrough
@@ -580,7 +581,7 @@ func TestWaitEventRunsWhereTheParkedGoroutineWould(t *testing.T) {
 			clock.Go(func() {
 				cd.Wait()
 				note("woken")
-				cd.WaitEvent(Epoch.Add(30*time.Millisecond), nil)
+				cd.wait(30*time.Millisecond, nil)
 				note("timed out")
 			})
 		}
@@ -689,8 +690,8 @@ func TestEventWaitLeftAtShutdownIsDropped(t *testing.T) {
 	ran := 0
 	fn := func() { ran++ }
 	clock.ReadyEvent(func() {
-		untimedOut, _ := untimed.WaitEvent(time.Time{}, fn)
-		timedOut, _ := timed.WaitEvent(Epoch.Add(time.Second), fn)
+		untimedOut, _ := untimed.wait(noDeadline, fn)
+		timedOut, _ := timed.wait(time.Second, fn)
 		if untimedOut || timedOut {
 			t.Error("a wait with nothing to end it returned at once")
 		}
@@ -703,8 +704,8 @@ func TestEventWaitLeftAtShutdownIsDropped(t *testing.T) {
 			t.Fatalf("WakeAt after Shutdown armed %d timers", len(clock.timers))
 		}
 		cd.Broadcast()
-		if timedOut, _ := cd.WaitEvent(Epoch.Add(2*time.Second), fn); timedOut {
-			t.Error("WaitEvent on a closed clock timed out")
+		if timedOut, _ := cd.wait(2*time.Second, fn); timedOut {
+			t.Error("a wait on a closed clock timed out")
 		}
 		cd.Broadcast()
 	}

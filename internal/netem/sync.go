@@ -17,10 +17,10 @@ import "time"
 // them out of world packages.
 
 // Cond is a wait list: Wait parks the goroutine in the scheduler until
-// Broadcast, and WaitEvent bounds the wait by a virtual-time deadline
-// or leaves an event callback's continuation in its place. A
-// goroutine that checks its condition and then waits cannot miss a
-// wake-up, because nothing else runs between the check and the park.
+// Broadcast, and WaitEvent leaves an event callback's continuation in
+// its place. A goroutine that checks its condition and then waits
+// cannot miss a wake-up, because nothing else runs between the check
+// and the park.
 type Cond struct {
 	clock   *Clock
 	waiters []*waiter
@@ -34,14 +34,13 @@ func NewCond(clock *Clock) *Cond {
 // Wait parks until Broadcast.
 func (cd *Cond) Wait() { cd.wait(noDeadline, nil) }
 
-// WaitEvent waits until Broadcast or until the encoded deadline passes
-// on the virtual clock (a zero deadline means none). A nil fn parks the
-// calling goroutine; any other fn takes its place (see wait), for an
-// event callback, which must not park. timedOut reports that the
-// deadline ended the wait; queued reports that fn was left to run
-// later, and that the caller must return.
-func (cd *Cond) WaitEvent(t time.Time, fn func()) (timedOut, queued bool) {
-	return cd.wait(deadlineVT(t), fn)
+// WaitEvent waits until Broadcast. A nil fn parks the calling
+// goroutine; any other fn takes its place (see wait), for an event
+// callback, which must not park. queued reports that fn was left to
+// run later, and that the caller must return.
+func (cd *Cond) WaitEvent(fn func()) (queued bool) {
+	_, queued = cd.wait(noDeadline, fn)
+	return queued
 }
 
 // wait is the one wait: until Broadcast or virtual time vt (noDeadline

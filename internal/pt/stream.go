@@ -1,9 +1,7 @@
 package pt
 
 import (
-	"io"
 	"net"
-	"time"
 
 	"ptperf/internal/netem"
 )
@@ -24,41 +22,35 @@ func (a Addr) String() string { return a.End }
 // Take, PeerFin and Fail. A transport whose writes go straight to the
 // wire as messages or blocks shadows Write and uses the read half only.
 //
-// Read and Write have event forms (ReadEvent, WriteEvent) for a caller
-// that must not park, pt.Splice's pumps: where the plain call parks, the
-// form queues its continuation in the parked goroutine's place. There is
-// deliberately no CloseWrite: a splice pump half-closes a destination
-// that has one and Closes the rest, and a polling or messaging tunnel
-// has no FIN frame to carry a half-close. A transport that does have one
-// (marionette) exports CloseWrite itself on top of EndWrite.
+// The read half, with the read deadline, is the embedded netem.Inbox,
+// which tor's streams share. Write has an event form (WriteEvent), as
+// Read has (ReadEvent), for a caller that must not park, pt.Splice's
+// pumps: where the plain call parks, the form queues its continuation
+// in the parked goroutine's place. There is deliberately no
+// CloseWrite: a splice pump half-closes a destination that has one and
+// Closes the rest, and a polling or messaging tunnel has no FIN frame
+// to carry a half-close. A transport that does have one (marionette)
+// exports CloseWrite itself on top of EndWrite.
 type Stream struct {
-	clock         *netem.Clock
+	netem.Inbox
 	local, remote Addr
 	outCap        int
 
-	// readers parks Read until bytes, EOF or the deadline; writers
-	// parks Write until the queue has room. Each waker readies only the
-	// side it can unblock, so neither side wakes to park again.
-	readers, writers *netem.Cond
-	// in[inHead:] is delivered and not yet read, out[outHead:] written
-	// and not yet taken. Both are head-indexed queues that keep their
-	// arrays (netem.Compact) however many bytes pass through.
-	in     []byte
-	inHead int
+	// writers parks Write until the queue has room; the inbox parks
+	// reads. Each waker readies only the side it can unblock, so neither
+	// side wakes to park again.
+	writers *netem.Cond
 	// next is the sequence number DeliverSeq appends next; held keeps
 	// the deliveries that arrived ahead of it, spare the arrays of the
 	// ones appended since, for the next early arrival.
-	next    uint64
-	held    map[uint64][]byte
-	spare   [][]byte
+	next  uint64
+	held  map[uint64][]byte
+	spare [][]byte
+	// out[outHead:] is written and not yet taken, a head-indexed queue
+	// that keeps its array (netem.Compact) however many bytes pass
+	// through.
 	out     []byte
 	outHead int
-	rdl     time.Time
-	// rdBuf, while a ReadFull is parked, is the rest of its request:
-	// deliveries fill it directly (rdGot bytes so far) and wake the
-	// reader only once it is full.
-	rdBuf []byte
-	rdGot int
 	// closed is the hard teardown (Close or Fail): reads drain what was
 	// delivered and then report io.EOF, writes fail.
 	closed bool
@@ -72,82 +64,8 @@ type Stream struct {
 // transport's tunnel; its Write blocks once outCap bytes wait to be
 // taken.
 func NewStream(clock *netem.Clock, transport, local, remote string, outCap int) *Stream {
-	s := &Stream{clock: clock, local: Addr{transport, local}, remote: Addr{transport, remote}, outCap: outCap}
-	s.readers, s.writers = netem.NewCond(clock), netem.NewCond(clock)
-	return s
-}
-
-// Read implements net.Conn. Delivered bytes drain before io.EOF.
-func (s *Stream) Read(p []byte) (int, error) {
-	n, err, _ := s.readEvent(p, 1, nil)
-	return n, err
-}
-
-// ReadFull fills p, parking until len(p) bytes have been delivered
-// rather than waking for each delivery on the way; n < len(p) only with
-// an error, io.EOF once the stream has ended or closed, or the deadline.
-// It is netem.FullReader's threshold read: a bulk reader (the fetch body
-// copy) parks once per request.
-func (s *Stream) ReadFull(p []byte) (int, error) {
-	n, err, _ := s.readEvent(p, len(p), nil)
-	return n, err
-}
-
-// ReadEvent is Read for an event callback (netem.Conn.ReadEvent has the
-// contract).
-func (s *Stream) ReadEvent(p []byte, again func()) (n int, err error, done bool) {
-	return s.readEvent(p, 1, again)
-}
-
-// readEvent is the one read path: it returns once want bytes are in p,
-// or with what there is when the stream ends or the deadline passes. A
-// ReadFull takes what is queued and parks with the rest of its request
-// as rdBuf, which deliveries fill in place of the queue. With again
-// non-nil it is an event read (want 1), which queues again where it
-// would park.
-func (s *Stream) readEvent(p []byte, want int, again func()) (int, error, bool) {
-	n, want := 0, min(want, len(p))
-	for {
-		k := copy(p[n:], s.in[s.inHead:])
-		if s.inHead += k; s.inHead == len(s.in) {
-			s.in, s.inHead = s.in[:0], 0
-		}
-		switch n += k; {
-		case n >= want:
-			return n, nil, true
-		case s.ended():
-			return n, io.EOF, true
-		case s.clock.Expired(s.rdl):
-			return n, netem.ErrTimeout, true
-		}
-		if want > 1 {
-			s.rdBuf = p[n:want]
-		}
-		if _, queued := s.readers.WaitEvent(s.rdl, again); queued {
-			return 0, nil, false
-		}
-		n += s.rdGot
-		s.rdBuf, s.rdGot = nil, 0
-	}
-}
-
-// ended reports that reads are over once the queue drains: the stream
-// has closed, or every unit before the peer's FIN has been delivered.
-func (s *Stream) ended() bool {
-	return s.closed || (s.fin > 0 && s.next >= s.fin-1)
-}
-
-// deliver appends p to the read side: into a parked ReadFull's rdBuf
-// while it has room, then to the queue.
-func (s *Stream) deliver(p []byte) {
-	if len(s.rdBuf) > 0 && s.inHead == len(s.in) {
-		k := copy(s.rdBuf, p)
-		s.rdBuf, s.rdGot, p = s.rdBuf[k:], s.rdGot+k, p[k:]
-	}
-	if len(p) > 0 {
-		s.in, s.inHead = netem.Compact(s.in, s.inHead, len(p))
-		s.in = append(s.in, p...)
-	}
+	return &Stream{Inbox: netem.NewInbox(clock), local: Addr{transport, local}, remote: Addr{transport, remote},
+		outCap: outCap, writers: netem.NewCond(clock)}
 }
 
 // queued counts the bytes written and not yet taken.
@@ -165,7 +83,7 @@ func (s *Stream) Write(p []byte) (int, error) {
 func (s *Stream) WriteEvent(p []byte, again func()) (written int, err error, done bool) {
 	for len(p) > 0 {
 		for s.queued() >= s.outCap && !s.closed {
-			if _, queued := s.writers.WaitEvent(time.Time{}, again); queued {
+			if s.writers.WaitEvent(again) {
 				return written, nil, false
 			}
 		}
@@ -193,24 +111,6 @@ func (s *Stream) LocalAddr() net.Addr { return s.local }
 // RemoteAddr implements net.Conn.
 func (s *Stream) RemoteAddr() net.Addr { return s.remote }
 
-// SetDeadline implements net.Conn; only reads observe deadlines.
-func (s *Stream) SetDeadline(t time.Time) error { return s.SetReadDeadline(t) }
-
-// SetReadDeadline implements net.Conn. A parked Read observes the new
-// deadline at once.
-func (s *Stream) SetReadDeadline(t time.Time) error {
-	if err := netem.CheckDeadline(t); err != nil {
-		return err
-	}
-	s.rdl = t
-	s.readers.Broadcast()
-	return nil
-}
-
-// SetWriteDeadline implements net.Conn; writes are paced by the
-// mechanism and never time out.
-func (s *Stream) SetWriteDeadline(t time.Time) error { return netem.CheckDeadline(t) }
-
 // EndWrite half-closes the sending direction: queued bytes still go
 // out, and WriteEnded tells the mechanism when to send its FIN.
 func (s *Stream) EndWrite() {
@@ -222,27 +122,6 @@ func (s *Stream) EndWrite() {
 // has been taken.
 func (s *Stream) WriteEnded() bool {
 	return s.wdone && s.queued() == 0
-}
-
-// Deliver appends received bytes to the read side. Bytes arriving after
-// the stream closed are dropped: nobody will read them.
-func (s *Stream) Deliver(p []byte) {
-	if s.closed {
-		return
-	}
-	s.deliver(p)
-	s.wakeReader()
-}
-
-// wakeReader readies a parked reader: any Read, and a ReadFull once
-// its request is full or the stream has ended (a FIN can overtake the
-// last units, as on stegotorus's fan-out conns). Filling the request in
-// place keeps the queue from growing to hold it, which a byte-count
-// threshold over the queue would not.
-func (s *Stream) wakeReader() {
-	if len(s.rdBuf) == 0 || s.ended() {
-		s.readers.Broadcast()
-	}
 }
 
 // DeliverSeq is Deliver for mechanisms whose units arrive out of order:
@@ -264,7 +143,7 @@ func (s *Stream) DeliverSeq(seq uint64, p []byte) {
 		s.held[seq] = append(buf[:0], p...)
 		return
 	}
-	s.deliver(p)
+	s.Deliver(p)
 	s.next++
 	for {
 		early, ok := s.held[s.next]
@@ -272,11 +151,20 @@ func (s *Stream) DeliverSeq(seq uint64, p []byte) {
 			break
 		}
 		delete(s.held, s.next)
-		s.deliver(early)
+		s.Deliver(early)
 		s.spare = append(s.spare, early)
 		s.next++
 	}
-	s.wakeReader()
+	if s.finished() {
+		s.End()
+	}
+}
+
+// finished reports that every unit before the peer's FIN has been
+// delivered (a FIN can overtake the last units, as on stegotorus's
+// fan-out conns).
+func (s *Stream) finished() bool {
+	return s.fin > 0 && s.next >= s.fin-1
 }
 
 // Take removes at most n written bytes and returns them in buf's array
@@ -298,17 +186,22 @@ func (s *Stream) Take(buf []byte, n int) []byte {
 
 // PeerFin records the peer's end of stream after total sequenced units
 // (0 for a mechanism that delivers in order): Read reports io.EOF once
-// they have all arrived and drained.
+// they have all arrived and drained. A FIN that overtook units still
+// wakes the reader, which finds them missing and parks again.
 func (s *Stream) PeerFin(total uint64) {
 	s.fin = total + 1
-	s.readers.Broadcast()
+	if s.finished() {
+		s.End()
+	} else {
+		s.Wake()
+	}
 }
 
 // Fail tears the stream down from the mechanism side; it never parks,
 // so staleness events may call it.
 func (s *Stream) Fail() {
 	s.closed = true
-	s.readers.Broadcast()
+	s.End()
 	s.writers.Broadcast()
 }
 

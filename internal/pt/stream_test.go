@@ -3,12 +3,21 @@ package pt_test
 import (
 	"errors"
 	"io"
+	"net"
 	"testing"
 	"time"
 
 	"ptperf/internal/netem"
 	"ptperf/internal/pt"
 )
+
+// A Stream's read half is its netem.Inbox: the embedding must keep it a
+// net.Conn with the threshold read the fetch body copy looks for.
+var _ interface {
+	net.Conn
+	netem.FullReader
+	netem.EventReader
+} = (*pt.Stream)(nil)
 
 // readNow reads what the stream holds without waiting: an already
 // expired deadline turns "nothing yet" into netem.ErrTimeout.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -217,7 +216,7 @@ func (o *relayOut) sendEvent(circ *circuit, again func()) (err error, done bool)
 // io.ReadFull fills a buffer with Read, and where the loop's Read would
 // park it leaves itself in the parked reader's place. Each whole cell
 // is handled inline, as cellSink handles one, in the one buffer:
-// deliver's handlers either consume rc.Data synchronously (Stream.push
+// deliver's handlers either consume rc.Data synchronously (Stream.Deliver
 // copies) or copy it before retaining it (the build control queue).
 func (circ *circuit) pump() {
 	r := circ.conn.(netem.EventReader)
@@ -247,7 +246,7 @@ func (circ *circuit) pump() {
 // cellSink is the inline demultiplexer of a bare netem.Conn first hop,
 // installed as its read sink. It, and the cell pump, run on the clock's
 // event dispatcher and must never park: every handler on this path is
-// park-free (Stream.push appends, the control and connected queues use
+// park-free (Stream.Deliver appends, the control and connected queues use
 // TrySend, close only broadcasts), and SENDME origination — which can
 // park on sendMu or conn backpressure — goes through sendRelayAsync.
 func (circ *circuit) cellSink(data []byte, base *[]byte, pool *sync.Pool, err error) {
@@ -316,7 +315,7 @@ func (circ *circuit) deliver(hop int, rc RelayCell) {
 			// END for a pending stream refuses the BEGIN; an open
 			// stream has taken its CONNECTED and reads this no more.
 			s.notifyConnected(ErrStreamRefused)
-			s.remoteClose()
+			s.End()
 			circ.forgetStream(rc.StreamID)
 		}
 	case RelaySendme:
@@ -333,7 +332,7 @@ func (circ *circuit) deliver(hop int, rc RelayCell) {
 func (circ *circuit) deliverData(rc RelayCell) {
 	s := circ.stream(rc.StreamID)
 	if s != nil {
-		s.push(rc.Data)
+		s.Deliver(rc.Data)
 	}
 	exit := circ.lastHop()
 	circ.circDlvWin--
@@ -474,7 +473,7 @@ func (circ *circuit) close(err error) {
 	circ.streams = map[uint16]*Stream{}
 
 	for _, s := range streams {
-		s.remoteClose()
+		s.End()
 		s.notifyConnected(ErrCircuitClosed)
 	}
 	circ.fcCond.Broadcast()
@@ -489,31 +488,17 @@ func (circ *circuit) consumePackage(s *Stream) {
 }
 
 // Stream is an anonymized byte stream over a circuit. It implements
-// net.Conn.
+// net.Conn; the read half, with the read deadline, is the embedded
+// netem.Inbox, which deliverData fills and the exit's END ends.
 type Stream struct {
+	netem.Inbox
 	circ   *circuit
 	id     uint16
 	target string
 
 	connected *netem.Chan[error]
 
-	cond *netem.Cond
-	// The unread inbound data is chunks[0][head:] and every later
-	// chunk, buffered bytes in all. Each chunk is a streamBufPool lease
-	// that push fills before it takes the next and consume returns once
-	// drained, so a reader slower than the circuit costs a lease per
-	// 65 KiB of backlog and no copy. Close returns what is left.
-	chunks       []*[]byte
-	head         int
-	buffered     int
-	remoteClosed bool
-	localClosed  bool
-	rdl          time.Time
-	// rdWant, while a reader is parked, is the total byte count it
-	// needs; push skips the wake-up until the buffer reaches it, so a
-	// bulk reader parks once per chunk instead of once per arriving
-	// cell. Read asks for one byte, so any data wakes it.
-	rdWant int
+	localClosed bool
 
 	pkgWin int
 	dlvWin int
@@ -523,21 +508,9 @@ type Stream struct {
 	out, end relayOut
 }
 
-// streamBufSize is what one chunk of a stream's inbound queue holds:
-// one threshold read of the fetch body copy (64 KiB) and the cells that
-// land while its reader wakes.
-const streamBufSize = 64<<10 + 2*CellSize
-
-// streamBufPool leases the chunks of Stream.chunks.
-var streamBufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, streamBufSize)
-		return &b
-	},
-}
-
 func newStream(circ *circuit, id uint16, target string) *Stream {
-	s := &Stream{
+	return &Stream{
+		Inbox:     netem.NewInbox(circ.client.clock),
 		circ:      circ,
 		id:        id,
 		target:    target,
@@ -545,118 +518,10 @@ func newStream(circ *circuit, id uint16, target string) *Stream {
 		pkgWin:    streamWindowInit,
 		dlvWin:    streamWindowInit,
 	}
-	s.cond = netem.NewCond(circ.client.clock)
-	return s
 }
 
 func (s *Stream) notifyConnected(err error) {
 	s.connected.TrySend(err)
-}
-
-// push appends inbound data (called as each DATA cell is delivered).
-func (s *Stream) push(data []byte) {
-	if s.localClosed {
-		return
-	}
-	s.buffered += len(data)
-	for len(data) > 0 {
-		if n := len(s.chunks); n == 0 || len(*s.chunks[n-1]) == streamBufSize {
-			s.chunks = append(s.chunks, streamBufPool.Get().(*[]byte))
-		}
-		last := s.chunks[len(s.chunks)-1]
-		n := min(len(data), streamBufSize-len(*last))
-		*last = append(*last, data[:n]...)
-		data = data[n:]
-	}
-	if s.buffered >= s.rdWant {
-		s.cond.Broadcast()
-	}
-}
-
-// consume moves up to len(p) buffered bytes into p, returning each
-// chunk's lease as it drains.
-func (s *Stream) consume(p []byte) int {
-	total := 0
-	for len(p) > 0 && s.buffered > 0 {
-		first := s.chunks[0]
-		n := copy(p, (*first)[s.head:])
-		p = p[n:]
-		total += n
-		s.buffered -= n
-		if s.head += n; s.head == len(*first) {
-			s.dropChunk()
-		}
-	}
-	return total
-}
-
-// dropChunk returns the first chunk's lease; the list keeps its array.
-func (s *Stream) dropChunk() {
-	*s.chunks[0] = (*s.chunks[0])[:0]
-	streamBufPool.Put(s.chunks[0])
-	s.chunks, s.head = slices.Delete(s.chunks, 0, 1), 0
-}
-
-// remoteClose marks end-of-stream from the exit.
-func (s *Stream) remoteClose() {
-	s.remoteClosed = true
-	s.cond.Broadcast()
-}
-
-func (s *Stream) isClosedLocal() bool {
-	return s.localClosed
-}
-
-// Read implements net.Conn.
-func (s *Stream) Read(p []byte) (int, error) {
-	n, err, _ := s.readEvent(p, 1, nil)
-	return n, err
-}
-
-// ReadFull fills p completely before returning; n < len(p) only with a
-// non-nil error (io.EOF on early end-of-stream, after draining what
-// arrived). Unlike Read, the caller parks until len(p) bytes have
-// accumulated — the wake-up happens at the arrival instant of the byte
-// that completes the request, exactly when an eager Read loop would
-// have consumed that byte, so end-to-end timing is unchanged while the
-// per-cell wake-ups in between disappear. Bulk downloads (the fetch
-// body copy) use it; header parsing and latency-sensitive reads keep
-// the eager Read.
-func (s *Stream) ReadFull(p []byte) (int, error) {
-	n, err, _ := s.readEvent(p, len(p), nil)
-	return n, err
-}
-
-// ReadEvent is Read for an event callback, which must not park: it
-// returns done with what Read would have returned, or, where Read would
-// park, queues again in the parked reader's place (netem.Cond.WaitEvent)
-// and returns done false; again calls ReadEvent once more.
-func (s *Stream) ReadEvent(p []byte, again func()) (n int, err error, done bool) {
-	return s.readEvent(p, 1, again)
-}
-
-// readEvent is the one read loop: it returns once min bytes are
-// buffered, or with what there is when the stream ends or the deadline
-// passes first. With again non-nil it is an event read, which queues
-// again where it would park.
-func (s *Stream) readEvent(p []byte, min int, again func()) (int, error, bool) {
-	for {
-		s.rdWant = 0 // a wait, if any, has ended
-		switch {
-		case s.localClosed:
-			return 0, ErrCircuitClosed, true
-		case s.buffered >= min:
-			return s.consume(p), nil, true
-		case s.remoteClosed:
-			return s.consume(p), io.EOF, true
-		case s.circ.client.clock.Expired(s.rdl):
-			return s.consume(p), netem.ErrTimeout, true
-		}
-		s.rdWant = min
-		if _, queued := s.cond.WaitEvent(s.rdl, again); queued {
-			return 0, nil, false
-		}
-	}
 }
 
 // Write implements net.Conn, packaging MaxRelayData-sized DATA cells
@@ -689,12 +554,12 @@ func (s *Stream) WriteEvent(p []byte, again func()) (n int, err error, done bool
 			return n, nil, true
 		}
 		// Wait for the circuit and stream package windows.
-		for !circ.isClosed() && !s.isClosedLocal() && (circ.circPkgWin <= 0 || s.pkgWin <= 0) {
-			if _, queued := circ.fcCond.WaitEvent(time.Time{}, again); queued {
+		for !circ.isClosed() && !s.localClosed && (circ.circPkgWin <= 0 || s.pkgWin <= 0) {
+			if circ.fcCond.WaitEvent(again) {
 				return n, nil, false
 			}
 		}
-		if circ.isClosed() || s.isClosedLocal() {
+		if circ.isClosed() || s.localClosed {
 			return n, ErrCircuitClosed, true
 		}
 		k := min(len(p), MaxRelayData)
@@ -722,7 +587,9 @@ func (s *Stream) CloseEvent(again func()) bool {
 		if s.localClosed {
 			return true
 		}
-		s.closeLocal()
+		s.localClosed = true
+		s.Drop(ErrCircuitClosed)
+		s.circ.fcCond.Broadcast()
 		if s.end.pack(s.circ, s.circ.lastHop(), RelayCell{Cmd: RelayEnd, StreamID: s.id}) != nil {
 			s.circ.forgetStream(s.id)
 			return true
@@ -735,42 +602,11 @@ func (s *Stream) CloseEvent(again func()) bool {
 	return true
 }
 
-// closeLocal is Close's part before the END cell.
-func (s *Stream) closeLocal() {
-	s.localClosed = true
-	// Nothing reads the queue once localClosed is set.
-	for len(s.chunks) > 0 {
-		s.dropChunk()
-	}
-	s.buffered = 0
-	s.cond.Broadcast()
-	s.circ.fcCond.Broadcast()
-}
-
 // LocalAddr implements net.Conn.
 func (s *Stream) LocalAddr() net.Addr { return streamAddr("tor-client") }
 
 // RemoteAddr implements net.Conn.
 func (s *Stream) RemoteAddr() net.Addr { return streamAddr(s.target) }
-
-// SetDeadline implements net.Conn (read side only; writes are paced by
-// flow control).
-func (s *Stream) SetDeadline(t time.Time) error { return s.SetReadDeadline(t) }
-
-// SetReadDeadline implements net.Conn. A wall-clock instant is refused
-// (netem.CheckDeadline) and leaves the deadline as it was.
-func (s *Stream) SetReadDeadline(t time.Time) error {
-	if err := netem.CheckDeadline(t); err != nil {
-		return err
-	}
-	s.rdl = t
-	s.cond.Broadcast()
-	return nil
-}
-
-// SetWriteDeadline implements net.Conn: writes never time out, but a
-// wall-clock instant is refused as reads refuse it.
-func (s *Stream) SetWriteDeadline(t time.Time) error { return netem.CheckDeadline(t) }
 
 type streamAddr string
 

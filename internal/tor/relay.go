@@ -6,7 +6,6 @@ import (
 	"net"
 	"sort"
 	"sync"
-	"time"
 
 	"ptperf/internal/netem"
 	"ptperf/internal/sim"
@@ -754,7 +753,7 @@ func (s *exitStream) pump() {
 			}
 			if c.circPkgWin > 0 && s.pkgWin > 0 {
 				s.reading = true
-			} else if _, queued := c.fcCond.WaitEvent(time.Time{}, s.next); queued {
+			} else if c.fcCond.WaitEvent(s.next) {
 				return
 			}
 		}

@@ -14,6 +14,14 @@ import (
 	"ptperf/internal/netem"
 )
 
+// A Stream's read half is its netem.Inbox: the embedding must keep it a
+// net.Conn with the threshold read the fetch body copy looks for.
+var _ interface {
+	net.Conn
+	netem.FullReader
+	netem.EventReader
+} = (*Stream)(nil)
+
 // testWorld builds a small Tor network plus an echo server.
 type testWorld struct {
 	net    *netem.Network

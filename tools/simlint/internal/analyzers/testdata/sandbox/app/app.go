@@ -8,7 +8,6 @@ package app
 import (
 	"io"
 	"sync"
-	"time"
 
 	"sandbox/netem"
 	"sandbox/pt"
@@ -208,7 +207,7 @@ func (s *stream) Read(p []byte) (int, error) {
 }
 
 func (s *stream) readEvent(p []byte, again func()) (int, error, bool) {
-	if _, queued := s.cond.WaitEvent(time.Time{}, again); queued {
+	if s.cond.WaitEvent(again) {
 		return 0, nil, false
 	}
 	return len(p), nil, true

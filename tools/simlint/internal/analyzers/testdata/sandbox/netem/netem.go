@@ -23,9 +23,9 @@ func (m *Mutex) Unlock()                  {}
 
 type Cond struct{}
 
-func (cd *Cond) Wait()                                         {}
-func (cd *Cond) WaitEvent(t time.Time, fn func()) (bool, bool) { return false, true }
-func (cd *Cond) Broadcast()                                    {}
+func (cd *Cond) Wait()                    {}
+func (cd *Cond) WaitEvent(fn func()) bool { return true }
+func (cd *Cond) Broadcast()               {}
 
 type WaitGroup struct{}
 

@@ -8,7 +8,7 @@ import (
 
 // Wallclock forbids reading or waiting on the wall clock anywhere in
 // the module. Virtual time is the only time simulation code may
-// observe (netem Clock.Now/Sleep, Cond.WaitEvent, VirtualDeadline); one
+// observe (netem Clock.Now/Sleep/EventAt, VirtualDeadline); one
 // stray time.Now() silently destroys byte-identical determinism, and a
 // wall-clock SetDeadline instant decodes as a deadline ~74 years before
 // netem.Epoch. The rule is module-wide rather than scoped to the
@@ -52,7 +52,7 @@ func runWallclock(pass *lint.Pass) error {
 			if recvTypeName(fn) != "" || !wallclockBanned[fn.Name()] {
 				return true
 			}
-			hint := "use the netem clock (Clock.Now/Sleep, Cond.WaitEvent, VirtualDeadline)"
+			hint := "use the netem clock (Clock.Now/Sleep/EventAt, VirtualDeadline)"
 			if !isSimPkg(pass.Pkg.Path()) {
 				hint = "outside simulation code, annotate //simlint:allow wallclock -- <reason>"
 			}
