@@ -5,6 +5,7 @@ import (
 	"net"
 	"strconv"
 	"strings"
+	"time"
 
 	"ptperf/internal/geo"
 )
@@ -151,29 +152,45 @@ func (l *Listener) deliver(c *Conn) error {
 // Dial opens a shaped connection from this host to "host:port". It costs
 // one round trip (the transport handshake) on the virtual clock.
 func (h *Host) Dial(address string) (net.Conn, error) {
+	c, err, _ := h.DialEvent(address, nil)
+	if err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// DialEvent is Dial for an event callback, which must not park, and Dial
+// itself for a nil fn. It returns done with what Dial would have
+// returned, or, where Dial would sleep out the handshake's round trip,
+// arms fn at the instant the sleeper would have woken (Clock.EventAt)
+// and returns done false; fn then gets the conn or the error. A
+// round trip that nothing else can beat passes in place for fn too, as
+// Sleep's does (Clock.advanceIdle), so the timer heap sees the waits
+// the parked dialer had, in its order.
+func (h *Host) DialEvent(address string, fn func(*Conn, error)) (c *Conn, err error, done bool) {
 	hostName, portStr, ok := strings.Cut(address, ":")
 	if !ok {
-		return nil, fmt.Errorf("netem: bad address %q", address)
+		return nil, fmt.Errorf("netem: bad address %q", address), true
 	}
 	port, err := strconv.Atoi(portStr)
 	if err != nil {
-		return nil, fmt.Errorf("netem: bad port in %q", address)
+		return nil, fmt.Errorf("netem: bad port in %q", address), true
 	}
 	peer := h.net.hosts[hostName]
 	if peer == nil {
-		return nil, fmt.Errorf("netem: no such host %q", hostName)
+		return nil, fmt.Errorf("netem: no such host %q", hostName), true
 	}
 	// Link-down failures resolve before any accounting, like the
 	// no-such-host path: the SYN never makes it onto a pipe.
 	if h.LinkDown() {
-		return nil, fmt.Errorf("netem: link down on %s", h.name)
+		return nil, fmt.Errorf("netem: link down on %s", h.name), true
 	}
 	if peer.LinkDown() {
-		return nil, fmt.Errorf("netem: host %q unreachable (link down)", hostName)
+		return nil, fmt.Errorf("netem: host %q unreachable (link down)", hostName), true
 	}
 	l := peer.listeners[port]
 	if l == nil {
-		return nil, fmt.Errorf("netem: connection refused: %s", address)
+		return nil, fmt.Errorf("netem: connection refused: %s", address), true
 	}
 
 	localAddr := Addr{host: fmt.Sprintf("%s:%d", h.name, h.ephemeral())}
@@ -186,8 +203,7 @@ func (h *Host) Dial(address string) (net.Conn, error) {
 			// to the interception point and the injected refusal (or
 			// the black-holed SYN's RST) travels back.
 			h.net.acct.addDial(true)
-			h.net.clock.Sleep(rtt)
-			return nil, err
+			return h.handshake(rtt, nil, err, fn)
 		}
 	}
 	h.net.acct.addDial(false)
@@ -209,11 +225,30 @@ func (h *Host) Dial(address string) (net.Conn, error) {
 			cc.Abort()
 		}
 	})
-	h.net.clock.Sleep(rtt)
-	if pol := h.net.policy; pol != nil {
+	return h.handshake(rtt, cc, nil, fn)
+}
+
+// handshake is the one wait of a dial, its round trip: a Sleep for a
+// nil fn, fn's arm otherwise. Once it is over, the dial opens cc, or
+// fails with err.
+func (h *Host) handshake(rtt time.Duration, cc *Conn, err error, fn func(*Conn, error)) (*Conn, error, bool) {
+	clk := h.net.clock
+	if fn == nil {
+		clk.Sleep(rtt)
+	} else if vt := clk.Now() + rtt; rtt > 0 && !clk.advanceIdle(vt) {
+		clk.EventAt(vt, func() { fn(h.open(cc, err)) })
+		return nil, nil, false
+	}
+	c, e := h.open(cc, err)
+	return c, e, true
+}
+
+// open ends a dial whose round trip is over.
+func (h *Host) open(cc *Conn, err error) (*Conn, error) {
+	if pol := h.net.policy; pol != nil && err == nil {
 		pol.ConnOpened(cc)
 	}
-	return cc, nil
+	return cc, err
 }
 
 func (h *Host) ephemeral() int {

@@ -529,7 +529,7 @@ func TestTryWriteAllOrNothing(t *testing.T) {
 	if got := n.Acct().Snapshot(); got != before || c.tx.buffered != fill {
 		t.Fatalf("a refused write moved the conn: %d buffered, counters %+v, were %+v", c.tx.buffered, got, before)
 	}
-	c.wmu.Lock()
+	c.wmu.LockEvent(nil)
 	if ok, _ := c.TryWrite([]byte("x")); ok {
 		t.Fatal("a write went through while another writer held the conn")
 	}

@@ -102,8 +102,8 @@ func putSegBuf(pool *sync.Pool, base *[]byte) {
 // use the event forms (Conn.WriteEvent, Chan.RecvEvent, Mutex.LockEvent
 // and the rest), whose continuation runs where a parked goroutine would
 // have resumed, the refusals that never wait (Conn.TryWrite,
-// Chan.TrySend) and EventAt; Clock.Go takes work that must park, such
-// as a teardown.
+// Chan.TrySend) and EventAt or ReadyEvent, which start work such as a
+// teardown where a goroutine spawned for it would have started.
 type ReadSink func(data []byte, base *[]byte, pool *sync.Pool, err error)
 
 // pipe is one direction of a shaped duplex connection. All waits go

@@ -161,11 +161,11 @@ func TestMutexAcquisitionOrderPinned(t *testing.T) {
 		})
 	}
 
-	m.Lock()
+	m.LockEvent(nil)
 	take("h")
 	for _, who := range []string{"a", "b", "c"} {
 		spawn(func() {
-			m.Lock()
+			m.LockEvent(nil)
 			take(who)
 			c.Sleep(ms)
 			m.Unlock()
@@ -176,7 +176,7 @@ func TestMutexAcquisitionOrderPinned(t *testing.T) {
 	spawn(func() {
 		timedOut, _ := never.wait(5*ms/2, nil)
 		take(fmt.Sprintf("d-timeout=%v", timedOut))
-		m.Lock()
+		m.LockEvent(nil)
 		take("d")
 		m.Unlock()
 	})
@@ -184,7 +184,7 @@ func TestMutexAcquisitionOrderPinned(t *testing.T) {
 	// The holder barges: every waiter is readied, finds the lock taken
 	// again when it runs, and queues again in the same order.
 	m.Unlock()
-	m.Lock()
+	m.LockEvent(nil)
 	take("h-again")
 	c.Sleep(ms)
 	m.Unlock()

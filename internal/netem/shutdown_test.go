@@ -36,7 +36,7 @@ func TestShutdownUnwindsNestedUnlocks(t *testing.T) {
 	var got []string
 	mus := []*Mutex{NewMutex(c), NewMutex(c), NewMutex(c)}
 	hold := func(i int) func() {
-		mus[i].Lock()
+		mus[i].LockEvent(nil)
 		return func() {
 			mus[i].Unlock()
 			got = append(got, fmt.Sprintf("unlock%d", i))
@@ -50,7 +50,7 @@ func TestShutdownUnwindsNestedUnlocks(t *testing.T) {
 		got = append(got, "returned into a dead world")
 	})
 	c.Go(func() {
-		mus[0].Lock()
+		mus[0].LockEvent(nil)
 		got = append(got, "took the lock of a dead world")
 	})
 	c.Sleep(time.Millisecond)
@@ -158,9 +158,9 @@ func TestClosedClock(t *testing.T) {
 	c.Go(func() { t.Error("a Go on a closed clock ran") })
 	c.EventAt(0, func() { t.Error("an event on a closed clock ran") })
 	for name, wait := range map[string]func(){
-		"Sleep":      func() { c.Sleep(time.Second) },
-		"Cond.Wait":  NewCond(c).Wait,
-		"Mutex.Lock": func() { m := NewMutex(c); m.Lock(); m.Lock() },
+		"Sleep":           func() { c.Sleep(time.Second) },
+		"Cond.Wait":       NewCond(c).Wait,
+		"Mutex.LockEvent": func() { m := NewMutex(c); m.LockEvent(nil); m.LockEvent(nil) },
 	} {
 		p := wantPanic(t, wait)
 		if s, ok := p.(string); !ok || !strings.Contains(s, "closed") {
@@ -207,7 +207,7 @@ func TestShutdownFromGoroutinePanics(t *testing.T) {
 func waitsOnItsCond(cd *Cond) { cd.Wait() }
 
 func holdsAndWaits(m *Mutex, cd *Cond) {
-	m.Lock()
+	m.LockEvent(nil)
 	defer m.Unlock()
 	cd.wait(noDeadline, nil)
 }

@@ -152,13 +152,10 @@ func NewMutex(clock *Clock) *Mutex {
 	return &Mutex{cond: Cond{clock: clock}}
 }
 
-// Lock acquires the mutex, parking in the scheduler while contended.
-func (m *Mutex) Lock() { m.LockEvent(nil) }
-
-// LockEvent is Lock for an event callback: it takes the mutex and
-// returns true, or, while it is held, queues fn where Lock would park
-// (Cond.WaitEvent) and returns false; fn calls LockEvent again, as the
-// woken Lock loops. A nil fn parks: it is Lock.
+// LockEvent takes the mutex and returns true, parking in the scheduler
+// while it is held for a nil fn; any other fn, for an event callback,
+// is queued where the lock would park (Cond.WaitEvent), and LockEvent
+// returns false: fn calls LockEvent again, as a woken lock loops.
 func (m *Mutex) LockEvent(fn func()) bool {
 	for m.locked {
 		if _, queued := m.cond.wait(noDeadline, fn); queued {

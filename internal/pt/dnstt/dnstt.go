@@ -223,21 +223,28 @@ func (l *relay) resolved() {
 		// a fresh circuit (new session).
 		l.stop()
 	case l.out.Conn() == nil:
-		l.r.clock.Go(l.dial)
+		l.r.clock.ReadyEvent(l.dial)
 	default:
 		l.out.Send(l.frame)
 	}
 }
 
-// dial opens the pipeline's upstream conn, the one step of a relay that
-// parks, and forwards the first query.
+// dial opens the pipeline's upstream conn. It runs from the run queue,
+// where a goroutine that dialed would have started, and the dial's round
+// trip is a clock event (Host.DialEvent).
 func (l *relay) dial() {
-	up, err := l.r.host.Dial(l.r.serverAddr)
+	if up, err, done := l.r.host.DialEvent(l.r.serverAddr, l.dialed); done {
+		l.dialed(up, err)
+	}
+}
+
+// dialed forwards the first query over the conn dial opened.
+func (l *relay) dialed(up *netem.Conn, err error) {
 	if err != nil {
 		l.stop()
 		return
 	}
-	l.out.Attach(up.(*netem.Conn))
+	l.out.Attach(up)
 	l.out.Send(l.frame)
 }
 

@@ -194,7 +194,11 @@ func TestCloseLeavesNothing(t *testing.T) {
 	contended.Start()
 	clock := w.Net.Clock()
 	clock.Sleep(contended.level.RampTime())
-	if r, open := clock.Registered(), w.Net.Acct().Snapshot().OpenConns(); r < 50 || open < 50 {
+	// Relays and PT servers wait as clock events, so what is parked
+	// here is the workload: the competitors' downloads and the origins
+	// reading their requests (58 goroutines while every relay link was a
+	// read loop).
+	if r, open := clock.Registered(), w.Net.Acct().Snapshot().OpenConns(); r < 5 || open < 50 {
 		t.Fatalf("the live world holds %d goroutines and %d open conns: too few to prove anything", r, open)
 	}
 

@@ -25,6 +25,8 @@ import (
 	"fmt"
 	"io"
 	"sync"
+
+	"ptperf/internal/netem"
 )
 
 // Cell geometry, following tor-spec: fixed 512-byte cells.
@@ -202,10 +204,90 @@ func setWireHeader(buf []byte, id uint32, cmd Command) {
 // wirePayload returns the PayloadSize payload view of a wire cell.
 func wirePayload(buf []byte) []byte { return buf[headerSize:CellSize] }
 
-// readWire fills one wire cell from r.
-func readWire(r io.Reader, buf []byte) error {
-	_, err := io.ReadFull(r, buf)
-	return err
+// A cellPump reads cells one at a time into one buffer (a cellBufPool
+// lease if base is set) with the conn's ReadEvent, making the Read calls
+// io.ReadFull made; where a Read would park it leaves next, its owner's
+// continuation, bound once. The client's PT first hop, every relay link
+// and an EXTEND's CREATED read each keep one.
+type cellPump struct {
+	r    netem.EventReader
+	cell []byte
+	base *[]byte
+	got  int
+	next func()
+}
+
+// read reads on into the cell. whole means the cell is complete and the
+// next read starts another; otherwise the read waits with next queued,
+// or, with err, the stream has ended (io.ErrUnexpectedEOF inside a cell,
+// as io.ReadFull reports it).
+func (p *cellPump) read() (whole bool, err error) {
+	for {
+		n, err, done := p.r.ReadEvent(p.cell[p.got:], p.next)
+		if p.got += n; !done {
+			return false, nil
+		}
+		if p.got == CellSize {
+			p.got = 0
+			return true, nil
+		}
+		if err != nil {
+			if p.got > 0 && err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return false, err
+		}
+	}
+}
+
+// A cellOut is one cell on its way out whole: a cellBufPool lease, or a
+// view of a cell its writer keeps (nil base). A client's relay cell is
+// sealed for its hop once the send lock is held, so hop digest counters
+// see cells in wire order.
+type cellOut struct {
+	buf    []byte
+	base   *[]byte
+	seal   *hopCrypto
+	locked bool
+}
+
+// lease encodes c into a fresh cellBufPool lease.
+func (o *cellOut) lease(c *Cell) {
+	buf, base := getCellBuf()
+	*o = cellOut{buf: c.Encode(buf[:0]), base: base}
+}
+
+// sendEvent is the one lock → write → unlock step of a whole cell: it
+// takes mu (if not nil), seals, and writes with w's WriteEvent, which
+// copies; where either would park it leaves again in the parked
+// writer's place and returns done false, for again to call it once
+// more (a nil again parks). Once written the lease goes back, fail (if
+// not nil) learns of a failed write while mu is held, and mu is freed.
+func (o *cellOut) sendEvent(mu *netem.Mutex, w netem.EventWriter, fail func(error), again func()) (err error, done bool) {
+	if !o.locked {
+		if mu != nil && !mu.LockEvent(again) {
+			return nil, false
+		}
+		o.locked = true
+		if o.seal != nil {
+			o.seal.sealForward(wirePayload(o.buf))
+		}
+	}
+	k, err, done := w.WriteEvent(o.buf, again)
+	if o.buf = o.buf[k:]; !done {
+		return nil, false
+	}
+	if o.base != nil {
+		putCellBuf(o.base)
+	}
+	*o = cellOut{}
+	if err != nil && fail != nil {
+		fail(err)
+	}
+	if mu != nil {
+		mu.Unlock()
+	}
+	return err, true
 }
 
 // RelayCell is the interior of a CmdRelay cell.

@@ -2,7 +2,6 @@ package tor
 
 import (
 	"fmt"
-	"io"
 	"net"
 	"sort"
 	"sync"
@@ -35,11 +34,8 @@ type circuit struct {
 	// segment boundary does not fall on a cell boundary. Only the sink
 	// (serialized by the event dispatcher) touches it.
 	rdStage []byte
-	// A PT first hop's cell pump fills rdCell, rdGot bytes so far;
-	// pumpFn is pump, bound once.
-	rdCell []byte
-	rdGot  int
-	pumpFn func()
+	// rd is a PT first hop's cell pump; its continuation is pump.
+	rd cellPump
 
 	fcCond     *netem.Cond
 	circPkgWin int // forward-data budget toward the exit
@@ -101,9 +97,9 @@ func (circ *circuit) build() error {
 		// where a read loop's goroutine would have.
 		oc.SetReadSink(circ.cellSink)
 	} else {
-		circ.rdCell = make([]byte, CellSize)
-		circ.pumpFn = circ.pump
-		c.clock.ReadyEvent(circ.pumpFn)
+		circ.rd = cellPump{r: circ.conn.(netem.EventReader), cell: make([]byte, CellSize)}
+		circ.rd.next = circ.pump
+		c.clock.ReadyEvent(circ.rd.next)
 	}
 
 	for _, next := range []*Descriptor{circ.path.Middle, circ.path.Exit} {
@@ -157,15 +153,13 @@ func (circ *circuit) sendRelay(h int, rc RelayCell) error {
 }
 
 // A relayOut is a relay cell on its way out: a cellBufPool lease
-// carrying data bytes of its writer's, sealed for hop hop once sendMu is
-// held (locked). sendRelay keeps one on its stack; a Stream keeps one
-// for its writes and one for its END cell, where an event form leaves
-// it across its waits.
+// carrying data bytes of its writer's, sealed for its hop once sendMu is
+// held. sendRelay keeps one on its stack; a Stream keeps one for its
+// writes and one for its END cell, where an event form leaves it across
+// its waits.
 type relayOut struct {
-	buf       []byte
-	base      *[]byte
-	hop, data int
-	locked    bool
+	cellOut
+	data int
 }
 
 // pack is sendRelay's part before sendMu: rc goes into a cell lease.
@@ -179,64 +173,37 @@ func (o *relayOut) pack(circ *circuit, h int, rc RelayCell) error {
 		putCellBuf(base)
 		return ErrCircuitClosed
 	}
-	o.buf, o.base, o.hop = buf, base, h
+	setWireHeader(buf, circ.id, CmdRelay)
+	o.cellOut = cellOut{buf: buf, base: base, seal: circ.hops[h]}
 	return nil
 }
 
-// sendEvent is the rest of sendRelay: it takes sendMu, seals the cell
-// and writes it with the first hop's WriteEvent, which copies, parking
-// where it must for a nil again, and otherwise leaving again to go on
-// where done is false. The lease goes back once the write is done.
+// sendEvent is the rest of sendRelay: the cell goes out under sendMu
+// (cellOut.sendEvent), and a failed write closes the circuit.
 func (o *relayOut) sendEvent(circ *circuit, again func()) (err error, done bool) {
-	if !o.locked {
-		if !circ.sendMu.LockEvent(again) {
-			return nil, false
-		}
-		o.locked = true
-		circ.hops[o.hop].sealForward(wirePayload(o.buf))
-		setWireHeader(o.buf, circ.id, CmdRelay)
-	}
-	k, err, done := circ.conn.(netem.EventWriter).WriteEvent(o.buf, again)
-	if o.buf = o.buf[k:]; !done {
-		return nil, false
-	}
-	putCellBuf(o.base)
-	*o = relayOut{}
+	err, done = o.cellOut.sendEvent(circ.sendMu, circ.conn.(netem.EventWriter), circ.close, again)
 	if err != nil {
-		circ.close(err)
 		err = ErrCircuitClosed
 	}
-	circ.sendMu.Unlock()
-	return err, true
+	return err, done
 }
 
 // pump demultiplexes the backward cells of a PT first hop. It is a
 // chain of clock events that makes a read loop's calls where and when
-// the loop made them: it fills rdCell with the conn's ReadEvent as
-// io.ReadFull fills a buffer with Read, and where the loop's Read would
-// park it leaves itself in the parked reader's place. Each whole cell
+// the loop made them: its cellPump reads each cell, and each whole cell
 // is handled inline, as cellSink handles one, in the one buffer:
 // deliver's handlers either consume rc.Data synchronously (Stream.Deliver
 // copies) or copy it before retaining it (the build control queue).
 func (circ *circuit) pump() {
-	r := circ.conn.(netem.EventReader)
 	for {
-		n, err, done := r.ReadEvent(circ.rdCell[circ.rdGot:], circ.pumpFn)
-		if circ.rdGot += n; !done {
+		whole, err := circ.rd.read()
+		if !whole {
+			if err != nil {
+				circ.close(err)
+			}
 			return
 		}
-		if circ.rdGot < CellSize {
-			if err == nil {
-				continue
-			}
-			if circ.rdGot > 0 && err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			circ.close(err)
-			return
-		}
-		circ.rdGot = 0
-		circ.clientCell(circ.rdCell, nil, nil)
+		circ.clientCell(circ.rd.cell, nil, nil)
 		if circ.closed {
 			return
 		}

@@ -31,7 +31,7 @@ const HandshakeLen = 32
 //
 // Concurrency: each direction of one instance is driven by exactly one
 // goroutine or inline event stream — forward by whoever originates/
-// checks forward cells (the client under sendMu, a relay's serve loop),
+// checks forward cells (the client under sendMu, a relay's link pump),
 // backward by the symmetric single reader/sealer — and a digest does
 // not park, which is what makes the shared ctrBuf safe.
 type hopCrypto struct {

@@ -268,30 +268,94 @@ var pumpScenarios = []struct {
 		})
 		r.request(4<<10, 20*time.Millisecond)
 	}},
+	// A 600 KiB request on each of two streams to a target that reads
+	// 1 KiB every 10 ms: the exit's DATA writes wait on the target's
+	// window, and the middle's forwards wait behind them (two streams'
+	// windows hold more than one link's).
+	{"upload", func(r *pumpRig) {
+		for i := range 2 {
+			side := fmt.Sprintf("target %d read", i)
+			r.serveTarget(func(c net.Conn) {
+				buf := make([]byte, 1<<10)
+				for {
+					k, err := io.ReadFull(c, buf)
+					r.record(side, k, err)
+					if err != nil {
+						return
+					}
+					r.clock.Sleep(10 * time.Millisecond)
+				}
+			})
+		}
+		for range 2 {
+			r.net.Go(func() {
+				s, err := r.client.Dial("target:80")
+				r.record("client dial", 0, err)
+				if err != nil {
+					return
+				}
+				k, err := s.Write(bytes.Repeat([]byte("u"), 600<<10))
+				r.record("client wrote", k, err)
+				s.Close()
+			})
+		}
+	}},
+	// The middle dies mid-download: the guard sees its downstream link
+	// end and tears the circuit down both ways, and the exit its
+	// upstream link.
+	{"middle-crash", func(r *pumpRig) {
+		r.serveTarget(func(c net.Conn) {
+			r.answer(c, 700<<10)
+			c.Close()
+		})
+		r.request(16<<10, 0)
+		r.after(300*time.Millisecond, func() { r.record("middle crash", 0, nil); r.relays[1].Crash() })
+	}},
+	// A stream to a port with no listener: the exit's dial fails and an
+	// END comes back; a stream after it still goes through.
+	{"begin-refused", func(r *pumpRig) {
+		_, err := r.client.Dial("target:81")
+		r.record("client dial refused", 0, err)
+		r.serveTarget(func(c net.Conn) {
+			r.answer(c, 4<<10)
+			c.Close()
+		})
+		r.request(16<<10, 0)
+	}},
 }
 
 // pumpTraceDigests pins, per first hop and scenario, a digest of every
 // read and write at both ends of the circuit with its instant and
 // result, the circuit's close error and each relay's scheduler counts.
 // They were taken while the client's read loop, its SENDME sends, the
-// guard's PT-link flusher and the exit's pump were goroutines, and must
-// not move.
+// guard's PT-link flusher and the exit's pump were goroutines (the
+// upload, middle-crash and begin-refused rows while every relay's link
+// loop, its dials and its destroys were), and must not move.
 var pumpTraceDigests = map[string]string{
-	"record/bulk":          "bcf481bb1492190f",
-	"record/destroy":       "7d9c417e28b0d4ef",
-	"record/eof-mid-cell":  "a552d468bc5509f5",
-	"record/guard-crash":   "966720b95468ac10",
-	"record/target-close":  "3a83ffeca5c51e53",
-	"stream/bulk":          "4c2dafa5597e9373",
-	"stream/destroy":       "65da1ef312abf278",
-	"stream/eof-mid-cell":  "7324505d718624c0",
-	"stream/guard-crash":   "7f8548946ad7692f",
-	"stream/target-close":  "4235c79b443847ba",
-	"flusher/bulk":         "0bc6ada9c271d186",
-	"flusher/destroy":      "b5c3fde4466bf740",
-	"flusher/eof-mid-cell": "e535ed80f66c4268",
-	"flusher/guard-crash":  "f10ee25b09bc7494",
-	"flusher/target-close": "02c39aeb4de7c88a",
+	"record/bulk":           "bcf481bb1492190f",
+	"record/destroy":        "7d9c417e28b0d4ef",
+	"record/eof-mid-cell":   "a552d468bc5509f5",
+	"record/guard-crash":    "966720b95468ac10",
+	"record/target-close":   "3a83ffeca5c51e53",
+	"record/upload":         "4109f1a583aee45b",
+	"record/middle-crash":   "a46f6b029a628c26",
+	"record/begin-refused":  "0aa95bb3e6877a06",
+	"stream/bulk":           "4c2dafa5597e9373",
+	"stream/destroy":        "65da1ef312abf278",
+	"stream/eof-mid-cell":   "7324505d718624c0",
+	"stream/guard-crash":    "7f8548946ad7692f",
+	"stream/target-close":   "4235c79b443847ba",
+	"stream/upload":         "6e343ecbd4c6dc2f",
+	"stream/middle-crash":   "068ab1523f2f0780",
+	"stream/begin-refused":  "5ed476ccfc217840",
+	"flusher/bulk":          "0bc6ada9c271d186",
+	"flusher/destroy":       "b5c3fde4466bf740",
+	"flusher/eof-mid-cell":  "e535ed80f66c4268",
+	"flusher/guard-crash":   "f10ee25b09bc7494",
+	"flusher/target-close":  "02c39aeb4de7c88a",
+	"flusher/upload":        "6fe0366f02c6e6de",
+	"flusher/middle-crash":  "6cc8e98e16e4d9db",
+	"flusher/begin-refused": "1346ed53a1622363",
 }
 
 func TestCellPumpWireTrace(t *testing.T) {
@@ -325,11 +389,13 @@ func TestCellPumpWireTrace(t *testing.T) {
 	}
 }
 
-// TestCircuitRegistersNoGoroutine holds the client to its clock events:
-// over a pt.RecordConn first hop, a circuit build, a Dial and a 1 MiB
-// download register no goroutine but the three relays' link loops and
-// the target's writer. The guard's flusher and the exit's pump are no
-// goroutines either.
+// TestCircuitRegistersNoGoroutine holds the client and the relays to
+// their clock events: over a pt.RecordConn first hop, a circuit build, a
+// Dial and a 1 MiB download register no goroutine (the target's writer
+// is spawned before the count starts). The relays' link pumps, the
+// guard's flusher and the exit's pump are no goroutines, and a link's
+// accept goroutine ends at its first wait (up to 3 more, the relays'
+// link loops, while those were goroutines).
 func TestCircuitRegistersNoGoroutine(t *testing.T) {
 	r := newPumpRig(t, 4, recordEnd(5), recordEnd(6))
 	clock := r.clock
@@ -356,8 +422,7 @@ func TestCircuitRegistersNoGoroutine(t *testing.T) {
 	if err != nil || k != size {
 		t.Fatalf("read %d bytes (%v), want %d", k, err, size)
 	}
-	const servers = 4 // guard, middle and exit link loops, the target's writer
-	if most-before > servers {
-		t.Errorf("a build, a Dial and a 1 MiB download registered up to %d goroutines, want at most %d (the servers')", most-before, servers)
+	if most > before {
+		t.Errorf("a build, a Dial and a 1 MiB download registered up to %d goroutines, want none", most-before)
 	}
 }

@@ -162,14 +162,17 @@ func (r *Relay) Restart() error {
 // ServeConn runs the OR protocol on one inbound link. It is exported so
 // pluggable-transport servers can hand obfuscated connections directly to
 // a co-located relay (integration set 1 of the paper, where the PT server
-// is the guard).
+// is the guard). The link's pump runs inline on the caller's goroutine
+// and goes on as clock events: ServeConn returns once it first waits.
 func (r *Relay) ServeConn(conn net.Conn) {
 	// The link binds the current incarnation's scheduler once, so a
 	// restart's fresh scheduler never sees calls from links that belong
 	// to a crashed incarnation.
 	fast, _ := conn.(*netem.Conn)
-	l := &link{relay: r, sched: r.sched, conn: conn, fast: fast, wmu: netem.NewMutex(r.clock), circs: make(map[uint32]*relayCirc)}
-	l.serve()
+	l := &link{relay: r, sched: r.sched, conn: conn.(linkConn), fast: fast, wmu: netem.NewMutex(r.clock), circs: make(map[uint32]*relayCirc)}
+	buf, base := getCellBuf()
+	l.rd = cellPump{r: l.conn, cell: buf, base: base, next: l.pump}
+	l.pump()
 }
 
 // uniqueID draws candidate circuit IDs from next (forced non-zero via
@@ -189,11 +192,19 @@ func uniqueID(next func() uint32, used func(uint32) bool) uint32 {
 // carries only that one circuit; if downstream conns are ever
 // multiplexed, the authoritative collision guard is the *receiving*
 // relay's duplicate-CREATE rejection (handleCreate answers a live ID
-// with DESTROY, and handleExtend maps any non-CREATED reply to
+// with DESTROY, and extended maps any non-CREATED reply to
 // RelayTruncated), so a clash degrades to a failed extension, never a
 // cross-wired circuit.
 func (r *Relay) randID(l *link) uint32 {
 	return uniqueID(r.rng.Uint32, func(id uint32) bool { return l != nil && l.circs[id] != nil })
+}
+
+// linkConn is what a link carries its cells over: a bare netem conn or
+// a PT server's stream.
+type linkConn interface {
+	netem.EventReader
+	netem.EventWriter
+	Close() error
 }
 
 // link is one upstream connection carrying circuits.
@@ -203,7 +214,7 @@ type link struct {
 	// its queues are retired with it, so a restarted relay's scheduler
 	// never receives cells from a pre-crash link.
 	sched *cellScheduler
-	conn  net.Conn
+	conn  linkConn
 	// fast is conn as a bare netem conn, nil for a PT conn: the flush
 	// pass writes to it inline and probes its write budget.
 	fast *netem.Conn
@@ -226,16 +237,42 @@ type link struct {
 	passBudget int
 
 	circs map[uint32]*relayCirc
+
+	// rd is the link's cell pump, its cell a lease kept for the life of
+	// the link; a cell stays there until its handler is done. at is
+	// where the pump is within it. A handler that waits goes on with the
+	// circuit and relay cell it handles (rc.Data a view of rd.cell), the
+	// exit stream of a DATA cell, the cell or view out under way to to
+	// (under mu, if set), EXTEND's and BEGIN's dial, EXTEND's CREATED
+	// read, or the circuits a teardown has still to destroy.
+	rd       cellPump
+	at       pumpStep
+	circ     *relayCirc
+	rc       RelayCell
+	stream   *exitStream
+	out      cellOut
+	mu       *netem.Mutex
+	to       netem.EventWriter
+	dialed   *netem.Conn
+	dialErr  error
+	created  cellPump
+	down     []*relayCirc
+	dialedFn func(*netem.Conn, error) // dialDone, bound once
 }
 
-// writeCell writes one control cell (CREATED, DESTROY) directly to the
-// link. Relay cells go through the scheduler queues instead.
-func (l *link) writeCell(c *Cell) error {
-	buf, base := getCellBuf()
-	err := l.writeWire(c.Encode(buf[:0]))
-	putCellBuf(base)
-	return err
-}
+// A pumpStep is where a link's pump is: reading a cell, or at a step of
+// its handler that can wait.
+type pumpStep uint8
+
+const (
+	reading     pumpStep = iota
+	writing              // out to to: CREATED, a forward, DATA, EXTEND's CREATE
+	dialing              // EXTEND's or BEGIN's round trip
+	awaiting             // EXTEND's CREATED
+	destroying           // circ's destroy, begun by the pump
+	tearingDown          // the link's circuits' destroys, once it has ended
+	ended
+)
 
 // flushCell writes one scheduled cell without parking. Fast links
 // (bare netem conns) take the zero-copy owned write inline — a cell is
@@ -245,7 +282,7 @@ func (l *link) writeCell(c *Cell) error {
 // the flusher, started with the queue, waits on real backpressure. false means the link cannot
 // accept the cell this pass (retry next interval); true means the cell
 // was consumed — written, handed off, or dropped against a dead link,
-// whose serve loop is already tearing its circuits down (the retired
+// whose pump is already tearing its circuits down (the retired
 // blocking scheduler ignored those write errors the same way).
 func (l *link) flushCell(s *cellScheduler, cell queuedCell) bool {
 	if l.fast != nil {
@@ -255,7 +292,7 @@ func (l *link) flushCell(s *cellScheduler, cell queuedCell) bool {
 	if l.flusher == nil {
 		l.flusher = netem.NewChan[queuedCell](s.clock, 0)
 		s.flushers = append(s.flushers, l.flusher)
-		f := &flusher{l: l, w: l.conn.(netem.EventWriter)}
+		f := &flusher{l: l}
 		f.next = f.run
 		s.clock.ReadyEvent(f.next)
 	}
@@ -270,50 +307,27 @@ func (l *link) flushCell(s *cellScheduler, cell queuedCell) bool {
 // events that makes the calls a writer loop on a goroutine made, where
 // and when it made them: where the loop parked — on the empty queue,
 // the lock or the conn's backpressure — it leaves its continuation
-// (Chan.RecvEvent, Mutex.LockEvent, the conn's WriteEvent). Once the
-// queue is closed it writes what is left in it, and ends.
+// (Chan.RecvEvent, then cellOut.sendEvent). Once the queue is closed it
+// writes what is left in it, and ends.
 type flusher struct {
-	l *link
-	w netem.EventWriter
-	// cell is the cell under way, cell.buf what is left of it to write;
-	// locked marks the link write lock held for it.
-	cell   queuedCell
-	locked bool
-	next   func() // run, bound once
+	l    *link
+	out  cellOut // the cell under way
+	next func()  // run, bound once
 }
 
 func (f *flusher) run() {
 	for {
-		if f.cell.base == nil {
+		if f.out.base == nil {
 			c, ok, done := f.l.flusher.RecvEvent(f.next)
 			if !done || !ok {
 				return
 			}
-			f.cell = c
+			f.out = cellOut{buf: c.buf, base: c.base}
 		}
-		if !f.locked {
-			if !f.l.wmu.LockEvent(f.next) {
-				return
-			}
-			f.locked = true
-		}
-		k, _, done := f.w.WriteEvent(f.cell.buf, f.next)
-		if f.cell.buf = f.cell.buf[k:]; !done {
+		if _, done := f.out.sendEvent(f.l.wmu, f.l.conn, nil, f.next); !done {
 			return
 		}
-		f.locked = false
-		f.l.wmu.Unlock()
-		putCellBuf(f.cell.base)
-		f.cell = queuedCell{}
 	}
-}
-
-// writeWire writes wire-ready bytes under the link write lock.
-func (l *link) writeWire(buf []byte) error {
-	l.wmu.Lock()
-	defer l.wmu.Unlock()
-	_, err := l.conn.Write(buf)
-	return err
 }
 
 // writeBudget probes a fast link's writable budget in bytes. A PT
@@ -326,94 +340,192 @@ func (l *link) writeBudget(def int) int {
 	return def
 }
 
-// serve is the upstream read loop. It reads every cell into one pooled
-// wire buffer, kept for the life of the link: a forwarded cell is copied
-// by the downstream conn's Write.
-func (l *link) serve() {
-	defer l.teardown()
-	buf, base := getCellBuf()
-	defer putCellBuf(base)
+// pump is the link's read loop as a chain of clock events. Its
+// cellPump makes the Read calls io.ReadFull made, and each cell is
+// handled inline in the one buffer (a forward's write copies it). Where
+// the loop's handler parked — the CREATED write under wmu, a forward,
+// an exit's DATA write, EXTEND's dial, CREATE write and CREATED read,
+// BEGIN's dial, a destroy's DESTROY writes — the handler leaves pump in
+// the parked goroutine's place, and no further cell is read until it is
+// done, as the loop did. Once the link ends its circuits are torn down.
+func (l *link) pump() {
 	for {
-		if err := readWire(l.conn, buf); err != nil {
+		switch l.at {
+		case reading:
+			if whole, err := l.rd.read(); whole {
+				l.handle()
+			} else if err != nil {
+				l.teardown()
+			} else {
+				return
+			}
+		case writing:
+			err, done := l.out.sendEvent(l.mu, l.to, nil, l.rd.next)
+			if !done {
+				return
+			}
+			l.at = reading
+			l.wrote(err)
+		case dialing:
+			if l.dialed == nil && l.dialErr == nil {
+				return
+			}
+			l.at = reading
+			if l.rc.Cmd == RelayExtend {
+				l.fail(l.circ.extendDialed(l))
+			} else {
+				l.fail(l.circ.beginDialed(l))
+			}
+		case awaiting:
+			whole, err := l.created.read()
+			if !whole && err == nil {
+				return
+			}
+			l.at = reading
+			l.fail(l.circ.extended(l, whole))
+			putCellBuf(l.created.base)
+		case destroying:
+			if !l.circ.finishDestroy() {
+				return
+			}
+			l.at = reading
+		case tearingDown:
+			for ; len(l.down) > 0; l.down = l.down[1:] {
+				if c := l.down[0]; l.circ != c {
+					if l.circ = c; !c.destroy(false, true, l.rd.next) {
+						return
+					}
+				} else if !c.finishDestroy() {
+					return
+				}
+			}
+			l.conn.Close()
+			// Every queue feeding the flusher was just retired: closing
+			// it lets it drain and end now rather than at scheduler
+			// stop, which may close it again.
+			if l.flusher != nil {
+				l.flusher.Close()
+			}
+			putCellBuf(l.rd.base)
+			l.at = ended
+		case ended:
 			return
 		}
-		switch Command(buf[4]) {
-		case CmdPadding:
-			// ignored
-		case CmdCreate:
-			var cell Cell
-			if err := cell.Decode(buf); err != nil {
-				return
-			}
-			if err := l.handleCreate(&cell); err != nil {
-				return
-			}
-		case CmdRelay:
-			circ := l.circs[wireCircID(buf)]
-			if circ == nil {
-				continue
-			}
-			if err := circ.handleRelayWire(buf); err != nil {
-				circ.destroy(true, false)
-			}
-		case CmdDestroy:
-			if circ := l.circs[wireCircID(buf)]; circ != nil {
-				circ.destroy(false, true)
-			}
+	}
+}
+
+// handle starts on the cell just read.
+func (l *link) handle() {
+	buf := l.rd.cell
+	l.circ, l.rc = nil, RelayCell{}
+	switch Command(buf[4]) {
+	case CmdCreate:
+		l.handleCreate()
+	case CmdRelay:
+		if l.circ = l.circs[wireCircID(buf)]; l.circ != nil {
+			l.fail(l.circ.handleRelayWire(buf))
+		}
+	case CmdDestroy:
+		if c := l.circs[wireCircID(buf)]; c != nil {
+			l.destroy(c, false, true)
 		}
 	}
 }
 
-func (l *link) teardown() {
-	circs := make([]*relayCirc, 0, len(l.circs))
-	for _, c := range l.circs {
-		circs = append(circs, c)
-	}
-	// Deterministic teardown order (map iteration order must not leak
-	// into the scheduler's wake-up sequence).
-	sort.Slice(circs, func(i, j int) bool { return circs[i].id < circs[j].id })
-	l.circs = map[uint32]*relayCirc{}
-	for _, c := range circs {
-		c.destroy(false, true)
-	}
-	l.conn.Close()
-	// Retire the slow-path flusher with the link: every queue feeding it
-	// was just retired, so closing here lets the flusher drain and end
-	// instead of waiting until scheduler stop. Close is idempotent —
-	// stop() may close it again via s.flushers.
-	if l.flusher != nil {
-		l.flusher.Close()
+// write starts the handler's write of out to to, under mu if not nil.
+func (l *link) write(mu *netem.Mutex, to netem.EventWriter) {
+	l.mu, l.to, l.at = mu, to, writing
+}
+
+// wrote goes on with the handler whose write is done.
+func (l *link) wrote(err error) {
+	switch c := l.circ; {
+	case c == nil: // CREATE's reply
+		if err != nil {
+			l.teardown()
+		}
+	case l.rc.Cmd == RelayData:
+		l.fail(c.delivered(l.stream, err))
+	case l.rc.Cmd == RelayExtend:
+		l.fail(c.createSent(l, err))
+	case err != nil: // a forward
+		l.destroy(c, true, false)
 	}
 }
 
-func (l *link) handleCreate(cell *Cell) error {
+// fail destroys l.circ for a handler that failed.
+func (l *link) fail(err error) {
+	if err != nil {
+		l.destroy(l.circ, true, false)
+	}
+}
+
+// destroy begins c's destroy for the pump, which waits for it.
+func (l *link) destroy(c *relayCirc, notifyUp, notifyDown bool) {
+	if l.circ = c; !c.destroy(notifyUp, notifyDown, l.rd.next) {
+		l.at = destroying
+	}
+}
+
+// teardown ends the link: its circuits are destroyed in ID order, which
+// keeps map iteration order out of the scheduler's wake-up sequence.
+func (l *link) teardown() {
+	for _, c := range l.circs {
+		l.down = append(l.down, c)
+	}
+	sort.Slice(l.down, func(i, j int) bool { return l.down[i].id < l.down[j].id })
+	l.circs = map[uint32]*relayCirc{}
+	l.circ, l.at = nil, tearingDown
+}
+
+// dial dials addr for the cell's handler; the pump goes on once the
+// round trip is over, at once or from dialDone.
+func (l *link) dial(addr string) {
+	if l.dialedFn == nil {
+		l.dialedFn = l.dialDone
+	}
+	l.dialed, l.dialErr, _ = l.relay.cfg.Host.DialEvent(addr, l.dialedFn)
+	l.at = dialing
+}
+
+func (l *link) dialDone(c *netem.Conn, err error) {
+	l.dialed, l.dialErr = c, err
+	l.pump()
+}
+
+func (l *link) handleCreate() {
+	id := wireCircID(l.rd.cell)
 	// A CREATE reusing a live circuit ID would cross-wire two circuits
-	// (the map write below clobbers the old one while its goroutines
-	// keep running). Refuse it with a DESTROY and leave the existing
-	// circuit untouched.
-	if l.circs[cell.CircID] != nil {
-		return l.writeCell(&Cell{CircID: cell.CircID, Cmd: CmdDestroy})
+	// (the map write below clobbers the old one while its handlers keep
+	// running). Refuse it with a DESTROY and leave the existing circuit
+	// untouched.
+	if l.circs[id] != nil {
+		l.out.lease(&Cell{CircID: id, Cmd: CmdDestroy})
+		l.write(l.wmu, l.conn)
+		return
 	}
 	hs := newHandshake(l.relay.rng)
-	hc, err := hs.complete(cell.Payload[:HandshakeLen])
+	hc, err := hs.complete(wirePayload(l.rd.cell)[:HandshakeLen])
 	if err != nil {
-		return err
+		l.teardown()
+		return
 	}
 	circ := &relayCirc{
 		link:       l,
-		id:         cell.CircID,
+		id:         id,
 		crypto:     hc,
-		q:          l.sched.newQueue(l, cell.CircID),
+		q:          l.sched.newQueue(l, id),
 		streams:    make(map[uint16]*exitStream),
 		fcCond:     netem.NewCond(l.relay.clock),
 		circPkgWin: circWindowInit,
 		circDlvWin: circWindowInit,
 	}
-	l.circs[cell.CircID] = circ
+	l.circs[id] = circ
 
-	reply := &Cell{CircID: cell.CircID, Cmd: CmdCreated}
+	reply := &Cell{CircID: id, Cmd: CmdCreated}
 	copy(reply.Payload[:], hs[:])
-	return l.writeCell(reply)
+	l.out.lease(reply)
+	l.write(l.wmu, l.conn)
 }
 
 // relayCirc is this relay's view of one circuit.
@@ -439,35 +551,45 @@ type relayCirc struct {
 	circPkgWin int
 	// Forward delivery accounting for SENDME generation.
 	circDlvWin int
+
+	// A destroy under way still has to write DESTROY downstream (then
+	// close next) and upstream, each cell in out, and goes on with again,
+	// its beginner's continuation.
+	destroyDown, destroyUp bool
+	out                    cellOut
+	again                  func()
 }
 
-// handleRelayWire processes one forward relay cell in its wire buffer,
-// which the serve goroutine does not reuse until it returns. Recognized
+// handleRelayWire begins on one forward relay cell in its wire buffer,
+// which the pump does not reuse until the handler is done. Recognized
 // cells are handled in place: rc.Data is a view into buf (handlers that
-// retain data — s.conn.Write, control replies — copy it synchronously).
-// Any other cell is forwarded downstream with Write, which copies it.
+// retain data — the DATA write, control replies — copy it). Any other
+// cell is forwarded downstream, by the pump's write, which copies it.
 func (c *relayCirc) handleRelayWire(buf []byte) error {
 	p := wirePayload(buf)
 	if rc, ok := parseRelayView(p); ok && c.crypto.checkForward(p) {
 		return c.handleRecognized(rc)
 	}
-	next, nextID := c.next, c.nextID
-	if next == nil {
+	if c.next == nil {
 		return fmt.Errorf("tor: unrecognized relay cell at last hop")
 	}
-	setWireHeader(buf, nextID, CmdRelay)
-	_, err := next.Write(buf)
-	return err
+	setWireHeader(buf, c.nextID, CmdRelay)
+	c.link.out = cellOut{buf: buf}
+	c.link.write(nil, c.next)
+	return nil
 }
 
 func (c *relayCirc) handleRecognized(rc RelayCell) error {
+	c.link.rc = rc
 	switch rc.Cmd {
 	case RelayExtend:
 		return c.handleExtend(rc)
 	case RelayBegin:
-		return c.handleBegin(rc)
+		c.link.dial(string(rc.Data))
+		return nil
 	case RelayData:
-		return c.handleData(rc)
+		c.handleData(rc)
+		return nil
 	case RelayEnd:
 		c.closeStream(rc.StreamID, false)
 		return nil
@@ -479,7 +601,8 @@ func (c *relayCirc) handleRecognized(rc RelayCell) error {
 	}
 }
 
-// handleExtend dials the requested next relay and splices the circuit.
+// handleExtend dials the requested next relay; extendDialed, then
+// extended, splice the circuit.
 func (c *relayCirc) handleExtend(rc RelayCell) error {
 	if len(rc.Data) < 1+HandshakeLen {
 		return fmt.Errorf("tor: short EXTEND")
@@ -488,46 +611,66 @@ func (c *relayCirc) handleExtend(rc RelayCell) error {
 	if len(rc.Data) < 1+nameLen+HandshakeLen {
 		return fmt.Errorf("tor: malformed EXTEND")
 	}
-	addr := string(rc.Data[1 : 1+nameLen])
-	clientPub := rc.Data[1+nameLen : 1+nameLen+HandshakeLen]
+	c.link.dial(string(rc.Data[1 : 1+nameLen]))
+	return nil
+}
 
-	conn, err := c.link.relay.cfg.Host.Dial(addr)
+// extendDialed sends the next hop the CREATE carrying the client's
+// handshake half, or TRUNCATED back when the dial failed.
+func (c *relayCirc) extendDialed(l *link) error {
+	if l.dialErr != nil {
+		return c.sendBackwardControl(RelayTruncated, nil)
+	}
+	// The downstream circuit ID is kept from here on; nothing reads it
+	// while next is nil.
+	data := l.rc.Data
+	c.nextID = l.relay.randID(l)
+	create := &Cell{CircID: c.nextID, Cmd: CmdCreate}
+	copy(create.Payload[:], data[1+int(data[0]):][:HandshakeLen])
+	l.out.lease(create)
+	l.write(nil, l.dialed)
+	return nil
+}
+
+// createSent reads the next hop's answer to the CREATE, or reports
+// TRUNCATED back when the write failed.
+func (c *relayCirc) createSent(l *link, err error) error {
 	if err != nil {
+		l.dialed.Close()
 		return c.sendBackwardControl(RelayTruncated, nil)
 	}
-	nextID := c.link.relay.randID(c.link)
-	create := &Cell{CircID: nextID, Cmd: CmdCreate}
-	copy(create.Payload[:], clientPub)
-	if err := WriteCell(conn, create); err != nil {
-		conn.Close()
-		return c.sendBackwardControl(RelayTruncated, nil)
-	}
-	var created Cell
-	if err := ReadCell(conn, &created); err != nil || created.Cmd != CmdCreated {
-		conn.Close()
-		return c.sendBackwardControl(RelayTruncated, nil)
-	}
+	buf, base := getCellBuf()
+	l.created = cellPump{r: l.dialed, cell: buf, base: base, next: l.rd.next}
+	l.at = awaiting
+	return nil
+}
 
+// extended splices the circuit to the next hop once its CREATED has
+// come (whole), and reports EXTENDED or TRUNCATED back.
+func (c *relayCirc) extended(l *link, whole bool) error {
+	if !whole || Command(l.created.cell[4]) != CmdCreated {
+		l.dialed.Close()
+		return c.sendBackwardControl(RelayTruncated, nil)
+	}
 	// Relays dial each other over the bare network, so the downstream
 	// link is always a netem conn: its cells are queued at their arrival
 	// instants on the clock's event dispatcher, with no relay goroutine
 	// in the loop.
-	c.next = conn.(*netem.Conn)
-	c.nextID = nextID
+	c.next = l.dialed
 	c.next.SetReadSink(c.backwardSink)
 
-	return c.sendBackwardControl(RelayExtended, created.Payload[:HandshakeLen])
+	return c.sendBackwardControl(RelayExtended, wirePayload(l.created.cell)[:HandshakeLen])
 }
 
 // backwardSink relays downstream→upstream cells with only their header
 // rewritten; it is installed as the downstream conn's read sink once the
 // circuit is spliced. It runs on the clock's event dispatcher and must
 // never park: relay cells go straight into the scheduler queue, whose
-// per-circuit FIFO keeps the counter order, and teardown — which does
-// park — is handed to a fresh goroutine.
+// per-circuit FIFO keeps the counter order, and teardown goes to the run
+// queue (destroyLater).
 func (c *relayCirc) backwardSink(data []byte, base *[]byte, pool *sync.Pool, err error) {
 	if err != nil {
-		c.link.relay.clock.Go(func() { c.destroy(true, false) })
+		c.destroyLater(true, false)
 		return
 	}
 	if len(c.bwdStage) == 0 && len(data) == CellSize {
@@ -557,13 +700,13 @@ func (c *relayCirc) backwardCell(buf []byte, base *[]byte, pool *sync.Pool) {
 			err = c.link.sched.enqueueWire(c.q, nb, nbase)
 		}
 		if err != nil {
-			c.link.relay.clock.Go(func() { c.destroy(false, true) })
+			c.destroyLater(false, true)
 		}
 	case CmdDestroy:
 		if base != nil && pool != nil {
 			pool.Put(base)
 		}
-		c.link.relay.clock.Go(func() { c.destroy(true, false) })
+		c.destroyLater(true, false)
 	default:
 		if base != nil && pool != nil {
 			pool.Put(base)
@@ -592,26 +735,26 @@ func (c *relayCirc) sendBackward(rc RelayCell) error {
 	return c.link.sched.enqueueWire(c.q, buf, base)
 }
 
-// handleBegin opens the exit connection for a new stream.
-func (c *relayCirc) handleBegin(rc RelayCell) error {
-	target := string(rc.Data)
-	conn, err := c.link.relay.cfg.Host.Dial(target)
-	if err != nil {
-		return c.sendBackward(RelayCell{Cmd: RelayEnd, StreamID: rc.StreamID})
+// beginDialed opens the exit stream on the conn BEGIN's dial gave, or
+// ends it when the dial failed.
+func (c *relayCirc) beginDialed(l *link) error {
+	id := l.rc.StreamID
+	if l.dialErr != nil {
+		return c.sendBackward(RelayCell{Cmd: RelayEnd, StreamID: id})
 	}
 	s := &exitStream{
 		circ:   c,
-		id:     rc.StreamID,
-		conn:   conn.(*netem.Conn),
+		id:     id,
+		conn:   l.dialed,
 		pkgWin: streamWindowInit,
 		dlvWin: streamWindowInit,
 	}
 	if c.closed {
-		conn.Close()
+		l.dialed.Close()
 		return nil
 	}
-	c.streams[rc.StreamID] = s
-	if err := c.sendBackward(RelayCell{Cmd: RelayConnected, StreamID: rc.StreamID}); err != nil {
+	c.streams[id] = s
+	if err := c.sendBackward(RelayCell{Cmd: RelayConnected, StreamID: id}); err != nil {
 		return err
 	}
 	// The pump starts where a read loop's goroutine would have.
@@ -621,15 +764,21 @@ func (c *relayCirc) handleBegin(rc RelayCell) error {
 	return nil
 }
 
-// handleData delivers forward stream data to the exit connection and
-// generates deliver-window SENDMEs.
-func (c *relayCirc) handleData(rc RelayCell) error {
-	s := c.streams[rc.StreamID]
-	if s == nil {
-		return nil
+// handleData delivers forward stream data to the exit connection, by
+// the pump's write; delivered goes on once it is done.
+func (c *relayCirc) handleData(rc RelayCell) {
+	if s := c.streams[rc.StreamID]; s != nil {
+		c.link.stream = s
+		c.link.out = cellOut{buf: rc.Data}
+		c.link.write(nil, s.conn)
 	}
-	if _, err := s.conn.Write(rc.Data); err != nil {
-		c.closeStream(rc.StreamID, true)
+}
+
+// delivered generates the deliver-window SENDMEs of a DATA cell written
+// to s, or closes s if the write failed.
+func (c *relayCirc) delivered(s *exitStream, err error) error {
+	if err != nil {
+		c.closeStream(s.id, true)
 		return nil
 	}
 	// Circuit-level deliver window.
@@ -684,15 +833,15 @@ func (c *relayCirc) closeStream(id uint16, notifyClient bool) {
 	}
 }
 
-// destroy tears the circuit down; notifyUp sends DESTROY upstream,
-// notifyDown sends DESTROY downstream.
-func (c *relayCirc) destroy(notifyUp, notifyDown bool) {
+// destroy tears the circuit down, unless it is closed already;
+// notifyUp sends DESTROY upstream, notifyDown sends DESTROY downstream.
+// It is an event form: where a DESTROY's write waits it leaves again,
+// and returns false; again's owner then goes on with finishDestroy.
+func (c *relayCirc) destroy(notifyUp, notifyDown bool, again func()) (done bool) {
 	if c.closed {
-		return
+		return true
 	}
 	c.closed = true
-	next := c.next
-	nextID := c.nextID
 	streams := make([]*exitStream, 0, len(c.streams))
 	for _, s := range c.streams {
 		streams = append(streams, s)
@@ -709,16 +858,50 @@ func (c *relayCirc) destroy(notifyUp, notifyDown bool) {
 	for _, s := range streams {
 		s.conn.Close()
 	}
-	if next != nil {
+	if c.next != nil {
 		if notifyDown {
-			WriteCell(next, &Cell{CircID: nextID, Cmd: CmdDestroy})
+			c.destroyDown = true
+			c.out.lease(&Cell{CircID: c.nextID, Cmd: CmdDestroy})
+		} else {
+			c.next.Close()
 		}
-		next.Close()
 	}
-	if notifyUp {
-		c.link.writeCell(&Cell{CircID: c.id, Cmd: CmdDestroy})
+	c.destroyUp, c.again = notifyUp, again
+	return c.finishDestroy()
+}
+
+// finishDestroy writes a destroy's DESTROY cells: false while one
+// waits, with c.again queued.
+func (c *relayCirc) finishDestroy() bool {
+	if c.destroyDown {
+		if _, done := c.out.sendEvent(nil, c.next, nil, c.again); !done {
+			return false
+		}
+		c.destroyDown = false
+		c.next.Close()
+	}
+	if c.destroyUp {
+		if c.out.base == nil {
+			c.out.lease(&Cell{CircID: c.id, Cmd: CmdDestroy})
+		}
+		if _, done := c.out.sendEvent(c.link.wmu, c.link.conn, nil, c.again); !done {
+			return false
+		}
+		c.destroyUp = false
 	}
 	delete(c.link.circs, c.id)
+	return true
+}
+
+// destroyLater runs destroy from the clock's run queue, where a
+// goroutine spawned now would start: a read sink cannot wait for the
+// DESTROY writes, and the destroy goes on as its own continuation.
+func (c *relayCirc) destroyLater(notifyUp, notifyDown bool) {
+	c.link.relay.clock.ReadyEvent(func() {
+		if !c.closed {
+			c.destroy(notifyUp, notifyDown, func() { c.finishDestroy() })
+		}
+	})
 }
 
 // exitStream pumps bytes from the destination back into the circuit.

@@ -4,7 +4,6 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"net"
 	"testing"
 	"time"
 
@@ -369,10 +368,8 @@ func TestSchedulerTransparentWhenUncontended(t *testing.T) {
 
 // discardConn is a link conn without the inline write path: the
 // scheduler hands its cells to a flusher, which writes here with the
-// event form every PT conn has.
-type discardConn struct{ net.Conn }
-
-func (discardConn) Write(p []byte) (int, error) { return len(p), nil }
+// event form every PT conn has. Nothing reads it.
+type discardConn struct{ linkConn }
 
 func (discardConn) WriteEvent(p []byte, _ func()) (int, error, bool) { return len(p), nil, true }
 
@@ -436,7 +433,8 @@ func TestRefusedLinkSkippedForRestOfPass(t *testing.T) {
 
 	s := newCellScheduler(clock, new(netem.Acct), SchedEWMA, 100<<10) // 4 cells a pass
 	defer s.stop()
-	refusing := &link{conn: conn, fast: conn.(*netem.Conn), wmu: netem.NewMutex(clock)}
+	fast := conn.(*netem.Conn)
+	refusing := &link{conn: fast, fast: fast, wmu: netem.NewMutex(clock)}
 	other := &link{conn: discardConn{}, wmu: netem.NewMutex(clock)}
 	qr, qo := s.newQueue(refusing, 1), s.newQueue(other, 3)
 	oversize := make([]byte, 32<<10)

@@ -32,12 +32,13 @@ import (
 //     tunnelling transports' frame handlers live in their own packages,
 //     where the sink's calls through its fields cannot be followed;
 //   - the continuation of every event form, a method whose name ends in
-//     Event and whose last parameter is a func(): netem's
-//     Cond.WaitEvent, Mutex.LockEvent, Chan.RecvEvent and
-//     Conn.ReadEvent, WriteEvent and the rest, and the conns' ReadEvent,
-//     WriteEvent, CloseEvent and CloseWriteEvent that pt.Splice's and
-//     tor's pumps hand themselves to. It runs where a parked goroutine
-//     would have resumed, on the dispatching driver.
+//     Event and whose last parameter is a func without results: netem's
+//     Cond.WaitEvent, Mutex.LockEvent, Chan.RecvEvent, Host.DialEvent
+//     and Conn.ReadEvent, WriteEvent and the rest, and the conns'
+//     ReadEvent, WriteEvent, CloseEvent and CloseWriteEvent that
+//     pt.Splice's and tor's pumps (the client's first-hop pump and every
+//     relay link's, with its dials) hand themselves to. It runs where a
+//     parked goroutine would have resumed, on the dispatching driver.
 //
 // From each root the analyzer walks the intra-package static call graph
 // (direct calls to functions and methods declared in the same package,
@@ -45,11 +46,14 @@ import (
 // struct fields, to everything ever assigned to the field). Reaching any
 // parking primitive is an error:
 //   - netem scheduler waits: Clock.Sleep/SleepUntil, Cond.Wait,
-//     Mutex.Lock, WaitGroup.Wait, Chan.Send/Recv/RecvTimeout;
+//     Mutex.Lock, WaitGroup.Wait, Chan.Send/Recv/RecvTimeout, and the
+//     waits of a conn's life: Host.Dial (its round trip) and
+//     Listener.Accept;
 //   - any event form called with a literal nil continuation, which
 //     parks: the plain forms are their event forms so called
-//     (Mutex.Lock is LockEvent(nil), pt.Stream.Read is readEvent(p, 1,
-//     nil)), and the walker does not enter an event form's body;
+//     (netem.Conn.Write is WriteEvent(p, nil), pt.Stream.Read is
+//     readEvent(p, 1, nil)), and the walker does not enter an event
+//     form's body;
 //   - netem conn/pipe operations that park on backpressure or arrival:
 //     Conn.Read/ReadFull/Write, pipe.read/push;
 //   - interface escape hatches that reach the same parking code
@@ -96,6 +100,8 @@ var parkingMethods = map[primKey]string{
 	{"netem", "Conn", "Read"}:          "parks until arrival (use ReadEvent)",
 	{"netem", "Conn", "ReadFull"}:      "parks until the record completes (use ReadFullEvent)",
 	{"netem", "Conn", "Write"}:         "parks on receive-window backpressure (use WriteEvent)",
+	{"netem", "Host", "Dial"}:          "parks for the handshake's round trip (use DialEvent)",
+	{"netem", "Listener", "Accept"}:    "parks until a conn arrives (use Listener.Serve)",
 	{"netem", "pipe", "read"}:          "parks until the requested bytes arrive",
 	{"netem", "pipe", "push"}:          "parks on receive-window backpressure (use its event form)",
 	{"net", "Conn", "Read"}:            "dynamic dispatch into a parking Read",
@@ -166,8 +172,9 @@ func contextSwitchArg(f *types.Func) int {
 
 // eventFormArg returns the index of an event form's continuation, -1 if
 // f is no event form: a method named ...Event whose last parameter is a
-// func() (ReadyEvent, the one such method that is not a wait, is
-// matched earlier).
+// func without results, func() or a result's taker like DialEvent's
+// (ReadyEvent, the one such method that is not a wait, is matched
+// earlier).
 func eventFormArg(f *types.Func) int {
 	if f == nil || !strings.HasSuffix(f.Name(), "Event") {
 		return -1
@@ -177,7 +184,7 @@ func eventFormArg(f *types.Func) int {
 		return -1
 	}
 	last := sig.Params().At(sig.Params().Len() - 1).Type()
-	if fs, ok := last.Underlying().(*types.Signature); !ok || fs.Params().Len() != 0 || fs.Results().Len() != 0 {
+	if fs, ok := last.Underlying().(*types.Signature); !ok || fs.Results().Len() != 0 {
 		return -1
 	}
 	return sig.Params().Len() - 1

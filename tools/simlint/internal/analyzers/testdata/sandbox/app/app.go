@@ -229,6 +229,44 @@ func (s *stream) goodContinuation() {
 	}
 }
 
+// relayLink is a relay's link pump: an EXTEND dials the next hop and a
+// BEGIN the target, and a server takes its next conn.
+type relayLink struct {
+	host *netem.Host
+	ln   *netem.Listener
+	next *netem.Conn
+	cell []byte
+	pump func()
+}
+
+// badDial dials with the parking forms from the pump's continuation.
+func badDial(l *relayLink) {
+	l.pump = l.read
+	l.next.ReadEvent(l.cell, l.pump)
+}
+
+func (l *relayLink) read() {
+	if _, _, done := l.next.ReadEvent(l.cell, l.pump); done {
+		l.next, _ = l.host.Dial("exit:9001") // want `\(netem\.Host\)\.Dial parks for the handshake's round trip \(use DialEvent\).*Conn\.ReadEvent continuation.*relayLink\.read`
+		l.ln.Accept()                        // want `\(netem\.Listener\)\.Accept parks until a conn arrives \(use Listener\.Serve\)`
+		l.host.DialEvent("exit:9001", nil)   // want `\(netem\.Host\)\.DialEvent with a nil continuation parks`
+	}
+}
+
+// goodDial dials with the event form; what it hands over goes on in
+// dialed, which is a root too and must not park either.
+func (l *relayLink) goodDial() {
+	if c, err, done := l.host.DialEvent("exit:9001", l.dialed); done {
+		l.dialed(c, err)
+	}
+}
+
+func (l *relayLink) dialed(c *netem.Conn, err error) {
+	if err == nil {
+		c.Write(l.cell) // want `\(netem\.Conn\)\.Write parks on receive-window backpressure.*Host\.DialEvent continuation.*relayLink\.dialed`
+	}
+}
+
 // cutAll and onStop are handlers that stay on the non-parking surface.
 func cutAll(b []byte) (int, int, error) { return 0, len(b), nil }
 

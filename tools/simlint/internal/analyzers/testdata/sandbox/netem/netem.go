@@ -63,3 +63,15 @@ func (c *Conn) ReadEvent(p []byte, again func()) (int, error, bool) {
 func (c *Conn) WriteEvent(p []byte, again func()) (int, error, bool) {
 	return 0, nil, true
 }
+
+type Host struct{}
+
+func (h *Host) Dial(addr string) (*Conn, error) { return nil, nil }
+func (h *Host) DialEvent(addr string, fn func(*Conn, error)) (*Conn, error, bool) {
+	return nil, nil, true
+}
+
+type Listener struct{}
+
+func (l *Listener) Accept() (*Conn, error) { return nil, nil }
+func (l *Listener) Serve(fn func(c *Conn)) {}
