@@ -12,6 +12,7 @@ import (
 	"ptperf/internal/pt/obfs4"
 	"ptperf/internal/pt/psiphon"
 	"ptperf/internal/pt/shadowsocks"
+	"ptperf/internal/pt/stegotorus"
 	"ptperf/internal/pt/webtunnel"
 )
 
@@ -32,7 +33,10 @@ type wireShape struct{ Bytes, Segments int64 }
 // (shadowsocks) bytes. conjure counts twice what it frames: the station
 // forwards every byte to the bridge, the nonce and prologue only once
 // the dial has returned. cloak's upload carries the 125-byte
-// ServerHello the client did not wait for.
+// ServerHello the client did not wait for. stegotorus, which chops
+// rather than wraps, is pinned too: its handshake is the four fan-out
+// preambles and the target's cover, and a block of n bytes costs a
+// cover's headers and a body of 4⌈n/3⌉ bytes.
 func TestWireShapePinned(t *testing.T) {
 	const payload = 100_000
 	key := []byte("wire-shape-key")
@@ -91,6 +95,13 @@ func TestWireShapePinned(t *testing.T) {
 			}
 			return psiphon.NewDialer(w.client, srv.Addr(), psiphon.Config{HostKey: key, Seed: 2}), nil
 		}, wireShape{239, 5}, wireShape{100080, 10}, wireShape{100080, 10}},
+		{"stegotorus", func(w *world, h pt.StreamHandler) (pt.Dialer, error) {
+			srv, err := stegotorus.StartServer(w.server, 8080, stegotorus.Config{Seed: 1}, h)
+			if err != nil {
+				return nil, err
+			}
+			return stegotorus.NewDialer(w.client, srv.Addr(), stegotorus.Config{Seed: 2}), nil
+		}, wireShape{182, 5}, wireShape{144193, 85}, wireShape{145843, 98}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
