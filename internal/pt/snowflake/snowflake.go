@@ -36,12 +36,13 @@ const (
 	DefaultProxies = 6
 	// DefaultProxyLifetime is the mean exponential proxy lifetime.
 	DefaultProxyLifetime = 90 * time.Second
-	// DefaultMatchDelay is the broker's matching time.
-	DefaultMatchDelay = 600 * time.Millisecond
 	// DefaultProxyUplink is a volunteer's home-connection uplink in
 	// bytes per virtual second.
 	DefaultProxyUplink = 3 << 20
 )
+
+// matchDelay is the broker's matching time.
+const matchDelay = 600 * time.Millisecond
 
 // Config parameterizes the deployment.
 type Config struct {
@@ -50,8 +51,6 @@ type Config struct {
 	// ProxyLifetime overrides DefaultProxyLifetime (mean; exponential).
 	// Negative disables churn.
 	ProxyLifetime time.Duration
-	// MatchDelay overrides DefaultMatchDelay.
-	MatchDelay time.Duration
 	// ProxyUplink overrides DefaultProxyUplink.
 	ProxyUplink float64
 	// ProxyUtilization is background load on volunteers ([0,1)); the
@@ -67,9 +66,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ProxyLifetime == 0 {
 		c.ProxyLifetime = DefaultProxyLifetime
-	}
-	if c.MatchDelay <= 0 {
-		c.MatchDelay = DefaultMatchDelay
 	}
 	if c.ProxyUplink <= 0 {
 		c.ProxyUplink = DefaultProxyUplink
@@ -236,12 +232,12 @@ func (p *proxy) kill() {
 }
 
 // serveRendezvous answers one rendezvous request, a byte, with a proxy
-// address MatchDelay after it arrives, and closes the conn.
+// address matchDelay after it arrives, and closes the conn.
 func (d *Deployment) serveRendezvous(c net.Conn) {
 	var in *pt.FrameConn
 	in = pt.NewFrameConn(cutRequest, func([]byte) {
 		// Matching takes time; under load the queue is longer.
-		d.net.Clock().EventAt(d.net.Now()+d.cfg.MatchDelay, func() {
+		d.net.Clock().EventAt(d.net.Now()+matchDelay, func() {
 			var addr string
 			if len(d.proxies) > 0 {
 				addr = d.proxies[d.rng.Intn(len(d.proxies))].addr

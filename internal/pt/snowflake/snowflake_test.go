@@ -32,7 +32,7 @@ func TestStringFrameRoundTrip(t *testing.T) {
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
 	if c.Proxies != DefaultProxies || c.ProxyLifetime != DefaultProxyLifetime ||
-		c.MatchDelay != DefaultMatchDelay || c.ProxyUplink != DefaultProxyUplink {
+		c.ProxyUplink != DefaultProxyUplink {
 		t.Fatalf("defaults: %+v", c)
 	}
 	if c2 := (Config{ProxyLifetime: -1}).withDefaults(); c2.ProxyLifetime != -1 {

@@ -81,11 +81,11 @@ func decodeAlloc(t *testing.T, r *bufio.Reader) []byte {
 	if _, err := io.ReadFull(r, cover); err != nil {
 		t.Fatal(err)
 	}
-	size := int(binary.BigEndian.Uint32(cover[16:20]))
+	size := binary.BigEndian.Uint32(cover[16:20])
 	if size == finLen {
 		size = 0
 	}
-	return append([]byte(nil), cover[:blockHeader+size]...)
+	return append([]byte(nil), cover[:blockHeader+int(size)]...)
 }
 
 // TestSealMatchesAllocatingSeal: 1 000 writes of drawn sizes chopped in

@@ -6,10 +6,8 @@
 //
 // Performance-relevant properties kept from the real system: the
 // fan-out over k connections, per-block HTTP-steg overhead (headers, and
-// a body the length of the block's base64 form), and the chopper's
-// variable block sizes. A cover keeps the shape of its encoding, not the
-// encoding: it carries the block as it is (DESIGN.md "What the simulated
-// crypto is for").
+// the block as it is, zero-filled to the length of its base64 form), and
+// the chopper's variable block sizes.
 //
 // stegotorus is an integration-set-2 transport.
 package stegotorus
@@ -91,9 +89,9 @@ func appendCover(b, block []byte) []byte {
 }
 
 // cutCover finds the cover at the head of b (a pt.FrameCut): its body is
-// the block and its filler after the header. The request line must be a cover's
-// and every line must end within maxLine bytes; the last Content-Length
-// header gives the body's length.
+// the block and its filler after the header. The request line must be a
+// cover's and every line must end within maxLine bytes; the last
+// Content-Length header gives the body's length.
 func cutCover(b []byte) (body, end int, err error) {
 	contentLen := 0
 	for pos, first := 0, true; ; first = false {

@@ -39,7 +39,7 @@ func TestRecipeStartsEveryTransport(t *testing.T) {
 	var rows []row
 	for _, name := range pt.Names() {
 		rows = append(rows, row{"deployment", name, func(host string) site {
-			return w.deploymentSite(name, w.newServerHost(host, w.Opts.InfraLocation, w.Opts.BridgeUtilization))
+			return w.deploymentSite(name, w.newServerHost(host, infraLocation, bridgeUtilization))
 		}})
 	}
 	for _, name := range OverheadPTs {

@@ -36,7 +36,7 @@ func (w *World) NewFixedCircuitRig() (*FixedCircuitRig, error) {
 // relay advertises, and budgets its cell scheduler at, share of the
 // host's link rate.
 func (w *World) guardRelay(name string, share float64, seed int64) (*tor.Relay, error) {
-	host := w.newServerHost(name, w.Opts.InfraLocation, 0.1)
+	host := w.newServerHost(name, infraLocation, 0.1)
 	return w.startRelay(tor.RelayConfig{
 		Name:      host.Name() + "-guard",
 		Host:      host,

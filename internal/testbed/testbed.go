@@ -29,6 +29,17 @@ import (
 	"ptperf/internal/web"
 )
 
+// The world's fixed infrastructure: PT servers and bridges sit in
+// infraLocation under bridgeUtilization background load, and a
+// volunteer relay's link runs at a rate drawn from [minRelayBandwidth,
+// maxRelayBandwidth] bytes per virtual second (before ByteScale).
+const (
+	infraLocation     = geo.Frankfurt
+	bridgeUtilization = 0.08
+	minRelayBandwidth = 6 << 20
+	maxRelayBandwidth = 14 << 20
+)
+
 // Options configures a World.
 type Options struct {
 	// Seed makes the world deterministic.
@@ -42,19 +53,12 @@ type Options struct {
 	ClientLocation geo.Location
 	// Medium is the client's access medium (§4.7).
 	Medium geo.Medium
-	// InfraLocation places PT servers and bridges (default Frankfurt).
-	InfraLocation geo.Location
 	// Guards, Middles, Exits size the volunteer relay fleet.
 	Guards, Middles, Exits int
 	// GuardUtilization is the [min,max] background load on volunteer
-	// relays. The gap between this and BridgeUtilization reproduces the
+	// relays. The gap between this and bridgeUtilization reproduces the
 	// paper's "PT bridges beat volunteer guards" finding (§4.2.1).
 	GuardUtilization [2]float64
-	// BridgeUtilization is the background load on PT bridges.
-	BridgeUtilization float64
-	// RelayBandwidth is the [min,max] volunteer link rate in bytes per
-	// virtual second (before ByteScale).
-	RelayBandwidth [2]float64
 	// TrancoN and CBLN size the website catalogs.
 	TrancoN, CBLN int
 	// Scenario names a censor scenario from the internal/censor
@@ -98,9 +102,6 @@ func (o Options) WithDefaults() Options {
 	if o.ClientLocation == 0 && o.Medium == 0 {
 		o.ClientLocation = geo.Toronto
 	}
-	if o.InfraLocation == 0 {
-		o.InfraLocation = geo.Frankfurt
-	}
 	if o.Guards <= 0 {
 		o.Guards = 4
 	}
@@ -112,12 +113,6 @@ func (o Options) WithDefaults() Options {
 	}
 	if o.GuardUtilization == [2]float64{} {
 		o.GuardUtilization = [2]float64{0.55, 0.8}
-	}
-	if o.BridgeUtilization == 0 {
-		o.BridgeUtilization = 0.08
-	}
-	if o.RelayBandwidth == [2]float64{} {
-		o.RelayBandwidth = [2]float64{6 << 20, 14 << 20}
 	}
 	if o.TrancoN <= 0 {
 		o.TrancoN = 100
@@ -211,7 +206,7 @@ func New(opts Options) (_ *World, err error) {
 
 	// Volunteer relay fleet.
 	mkRelay := func(kind string, i int, flags tor.Flag) error {
-		bw := w.uniform(o.RelayBandwidth[0], o.RelayBandwidth[1]) * o.ByteScale
+		bw := w.uniform(minRelayBandwidth, maxRelayBandwidth) * o.ByteScale
 		util := w.uniform(o.GuardUtilization[0], o.GuardUtilization[1])
 		host, err := n.AddHost(netem.HostConfig{
 			Name:        fmt.Sprintf("%s-%d", kind, i),

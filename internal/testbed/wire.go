@@ -84,7 +84,7 @@ func (w *World) deploymentSite(name string, host *netem.Host) site {
 		host: host, port: ptServerPort,
 		seed:     w.Opts.Seed + deploySeeds[name][0],
 		dialSeed: w.Opts.Seed + deploySeeds[name][1],
-		auxLoc:   w.Opts.InfraLocation,
+		auxLoc:   infraLocation,
 		sni:      "static.example", account: "camoufler",
 	}
 	switch name {
@@ -143,7 +143,7 @@ func (w *World) build(name string) (*Deployment, error) {
 	case pt.Set3:
 		seed = w.Opts.Seed*77 + n
 	}
-	host := w.newServerHost(name+role, w.Opts.InfraLocation, w.Opts.BridgeUtilization)
+	host := w.newServerHost(name+role, infraLocation, bridgeUtilization)
 	var relay *tor.Relay
 	if info.Set == pt.Set1 {
 		// The bridge's guard is private: reachable, never selected from
