@@ -49,7 +49,7 @@ func (c *Client) Browse(origin, path string, maxConns int) PageResult {
 		maxConns = DefaultBrowserConns
 	}
 	start := c.Net.Now()
-	deadline := c.Net.VirtualDeadline(c.timeout())
+	deadline := start + c.timeout()
 
 	page := c.Get(origin, path, true)
 	pr := PageResult{TTFB: page.TTFB, Bytes: page.BytesGot, Err: page.Err}
@@ -95,7 +95,7 @@ func (c *Client) Browse(origin, path string, maxConns int) PageResult {
 			wg.Add(1)
 			c.Net.Go(func() {
 				defer wg.Done()
-				conn, err := c.Dial(origin)
+				conn, err := c.dial(origin)
 				if err != nil {
 					for r := range queue {
 						results <- done{err: err, ev: LoadEvent{Weight: r.VisualWeight}}
@@ -103,7 +103,7 @@ func (c *Client) Browse(origin, path string, maxConns int) PageResult {
 					return
 				}
 				defer conn.Close()
-				conn.SetDeadline(deadline)
+				conn.SetReadTimeout(deadline - c.Net.Now())
 				br := leaseReader(conn)
 				defer releaseReader(br)
 				for r := range queue {

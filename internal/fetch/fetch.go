@@ -97,22 +97,34 @@ func (c *Client) timeout() time.Duration {
 // for manifest parsing.
 func (c *Client) Get(origin, path string, keepBody bool) Result {
 	start := c.Net.Now()
-	return c.get(origin, path, keepBody, start, c.Net.VirtualDeadline(c.timeout()))
+	return c.get(origin, path, keepBody, start, start+c.timeout())
 }
 
-// get is Get with the transfer's start mark and absolute deadline
-// supplied by the caller, so a resumed download's legs share one clock.
-func (c *Client) get(origin, path string, keepBody bool, start time.Duration, deadline time.Time) Result {
+// dial opens a conn to origin. Every conn a world dials is a
+// netem.Stream; Dialer returns a net.Conn because the benchmark builds a
+// Client from a function of that type.
+func (c *Client) dial(origin string) (netem.Stream, error) {
+	conn, err := c.Dial(origin)
+	if err != nil {
+		return nil, err
+	}
+	return conn.(netem.Stream), nil
+}
+
+// get is Get with the transfer's start mark and the virtual instant its
+// reads time out supplied by the caller, so a resumed download's legs
+// share one budget.
+func (c *Client) get(origin, path string, keepBody bool, start, deadline time.Duration) Result {
 	res := Result{BytesWanted: -1}
 
-	conn, err := c.Dial(origin)
+	conn, err := c.dial(origin)
 	if err != nil {
 		res.Err = err
 		res.Total = c.Net.Since(start)
 		return res
 	}
 	defer conn.Close()
-	conn.SetDeadline(deadline)
+	conn.SetReadTimeout(deadline - c.Net.Now())
 
 	if err := web.WriteRequest(conn, path, true); err != nil {
 		res.Err = err
@@ -167,7 +179,7 @@ func (c *Client) DownloadFile(origin string, sizeBytes int) Result {
 // legs, and counts the extra legs in Resumes.
 func (c *Client) DownloadFileResumed(origin string, sizeBytes, maxResumes int) Result {
 	start := c.Net.Now()
-	deadline := c.Net.VirtualDeadline(c.timeout())
+	deadline := start + c.timeout()
 	out := Result{BytesWanted: int64(sizeBytes)}
 	for {
 		path := web.FilePath(sizeBytes)
@@ -196,7 +208,7 @@ func (c *Client) DownloadFileResumed(origin string, sizeBytes, maxResumes int) R
 
 // fetchOn issues one keep-alive GET over an existing connection,
 // returning body bytes received. Used by the browser's worker conns.
-func fetchOn(conn net.Conn, br *bufio.Reader, path string) (int64, error) {
+func fetchOn(conn netem.Stream, br *bufio.Reader, path string) (int64, error) {
 	if err := web.WriteRequest(conn, path, false); err != nil {
 		return 0, err
 	}
@@ -250,7 +262,7 @@ func releaseReader(br *bufio.Reader) {
 // fills br's own buffer. Early end-of-stream returns a short count with
 // nil error; callers detect the short body from the count. A negative n
 // (no declared length) reads nothing.
-func copyBody(keep *[]byte, br *bufio.Reader, conn net.Conn, n int64) (int64, error) {
+func copyBody(keep *[]byte, br *bufio.Reader, conn netem.Stream, n int64) (int64, error) {
 	fr, threshold := conn.(netem.FullReader)
 	var chunk *[bodyChunk]byte
 	if threshold {

@@ -112,19 +112,19 @@ func TestTimeoutYieldsPartial(t *testing.T) {
 // cutConn fails reads after a byte budget — a stand-in for a circuit
 // dying mid-transfer.
 type cutConn struct {
-	net.Conn
+	netem.Stream
 	remaining int
 }
 
 func (c *cutConn) Read(p []byte) (int, error) {
 	if c.remaining <= 0 {
-		c.Conn.Close()
+		c.Stream.Close()
 		return 0, io.ErrUnexpectedEOF
 	}
 	if len(p) > c.remaining {
 		p = p[:c.remaining]
 	}
-	n, err := c.Conn.Read(p)
+	n, err := c.Stream.Read(p)
 	c.remaining -= n
 	return n, err
 }
@@ -151,7 +151,7 @@ func TestDownloadFileResumed(t *testing.T) {
 		legs++
 		if legs == 1 {
 			// First leg dies after ~20 KB (headers included).
-			return &cutConn{Conn: conn, remaining: 20_000}, nil
+			return &cutConn{Stream: conn, remaining: 20_000}, nil
 		}
 		return conn, nil
 	}}
@@ -185,7 +185,7 @@ func TestDownloadFileResumedGivesUp(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		return &cutConn{Conn: conn, remaining: 5_000}, nil
+		return &cutConn{Stream: conn, remaining: 5_000}, nil
 	}}
 	res := c.DownloadFileResumed(o.Addr(), 1_000_000, 3)
 	if res.Complete() {
@@ -333,16 +333,14 @@ func TestFractionOfCompleteIsOne(t *testing.T) {
 
 // cannedConn answers any request with one fixed response.
 type cannedConn struct {
-	net.Conn
+	netem.Stream
 	resp *strings.Reader
 }
 
-func (c *cannedConn) Read(p []byte) (int, error)       { return c.resp.Read(p) }
-func (c *cannedConn) Write(p []byte) (int, error)      { return len(p), nil }
-func (c *cannedConn) Close() error                     { return nil }
-func (c *cannedConn) SetDeadline(time.Time) error      { return nil }
-func (c *cannedConn) SetReadDeadline(time.Time) error  { return nil }
-func (c *cannedConn) SetWriteDeadline(time.Time) error { return nil }
+func (c *cannedConn) Read(p []byte) (int, error)         { return c.resp.Read(p) }
+func (c *cannedConn) Write(p []byte) (int, error)        { return len(p), nil }
+func (c *cannedConn) Close() error                       { return nil }
+func (c *cannedConn) SetReadTimeout(time.Duration) error { return nil }
 
 // TestGetContentLength: a declared length must be a non-negative number,
 // and a response that declares none has an unknown length — not a

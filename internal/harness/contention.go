@@ -95,7 +95,7 @@ func measureContention(w *testbed.World, in contentionIn) (*contentionCell, erro
 		if err := cl.Preheat(); err != nil {
 			return nil, fmt.Errorf("%s preheat: %w", method, err)
 		}
-		c := &fetch.Client{Net: w.Net, Dial: cl.Dial, Timeout: pageTimeout}
+		c := &fetch.Client{Net: w.Net, Dial: testbed.TorDialer(cl), Timeout: pageTimeout}
 		for _, site := range sites {
 			for rep := 0; rep < in.Repeats; rep++ {
 				total, ttfb := pageTimeout.Seconds(), pageTimeout.Seconds()

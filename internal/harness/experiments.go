@@ -272,7 +272,7 @@ func measureFixedCircuit(w *testbed.World, in fixedCircuitIn) (*fixedCircuitData
 			if err := cl.Preheat(); err != nil {
 				return nil, fmt.Errorf("%s preheat: %w", method, err)
 			}
-			out[method] = append(out[method], getAll(w, cl.Dial, sites)...)
+			out[method] = append(out[method], getAll(w, testbed.TorDialer(cl), sites)...)
 			cl.NewCircuit()
 		}
 	}

@@ -1,6 +1,6 @@
 // Package netem provides the virtual network substrate for the PTPerf
 // simulation: named hosts placed in geographic locations, listeners and
-// dialers producing net.Conn values whose delivery is shaped by
+// dialers producing Stream values whose delivery is shaped by
 // propagation latency, token-bucket bandwidth (shared per host, which is
 // what models relay load), jitter and loss.
 //

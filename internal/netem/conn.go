@@ -1,7 +1,8 @@
 package netem
 
 import (
-	"fmt"
+	"errors"
+	"math"
 	"math/rand"
 	"net"
 	"sync"
@@ -33,8 +34,9 @@ type shape struct {
 	lossPen time.Duration // penalty charged per loss event (≈RTO)
 }
 
-// Conn is a shaped virtual connection implementing net.Conn.
+// Conn is a shaped virtual connection implementing Stream.
 type Conn struct {
+	netDeadlines
 	net           *Network
 	local, remote Addr
 	tx, rx        *pipe
@@ -45,15 +47,12 @@ type Conn struct {
 
 	wmu Mutex // serializes writers, who park on backpressure
 	// A write keeps the segment it shaped for a full window in held
-	// until the window takes it, under the deadline it began with
-	// (wlockDL). An event write (WriteEvent) holds wmu across its waits,
-	// marked by wlocked.
+	// until the window takes it. An event write (WriteEvent) holds wmu
+	// across its waits, marked by wlocked.
 	wlocked, holding bool
 	held             seg
-	wlockDL          time.Time
 
-	rdl time.Time
-	wdl time.Time
+	rdl time.Duration // the instant reads time out, noDeadline for none
 
 	// closed is set by Close and Abort alike and counts the flow's
 	// closure once; closeCalled makes a second Close a no-op without
@@ -72,9 +71,9 @@ func newConnPair(n *Network, aAddr, bAddr Addr, aOut, bOut shape, seed int64) (*
 	ab := newPipe(clock, 0, acct)
 	ba := newPipe(clock, 0, acct)
 	a := &Conn{net: n, local: aAddr, remote: bAddr, tx: ab, rx: ba, out: aOut,
-		rng: sim.NewRand(seed), wmu: Mutex{cond: Cond{clock: clock}}}
+		rng: sim.NewRand(seed), wmu: Mutex{cond: Cond{clock: clock}}, rdl: noDeadline}
 	b := &Conn{net: n, local: bAddr, remote: aAddr, tx: ba, rx: ab, out: bOut,
-		rng: sim.NewRand(seed + 1), wmu: Mutex{cond: Cond{clock: clock}}}
+		rng: sim.NewRand(seed + 1), wmu: Mutex{cond: Cond{clock: clock}}, rdl: noDeadline}
 	acct.registerConn(a)
 	acct.registerConn(b)
 	return a, b
@@ -107,6 +106,57 @@ type (
 		WriteEvent(p []byte, again func()) (n int, err error, done bool)
 	}
 )
+
+// Stream is the one conn type of a world: what Host.Dial and
+// Listener.Accept return, what a transport wraps and hands out and what
+// tor builds a circuit over. Reads and writes come in plain and event
+// form, and the read timeout is a virtual duration.
+//
+// net.Conn is embedded only because the benchmark passes Host.Dial's
+// result where a net.Conn goes; its three deadline setters refuse
+// (netDeadlines). ReadFull is deliberately not here: a wrapper that
+// embeds a Stream (pt.RecordConn) must not gain a raw-byte ReadFull by
+// promotion, so FullReader stays a check of what a conn really has.
+type Stream interface {
+	net.Conn
+	EventReader
+	EventWriter
+	// SetReadTimeout makes reads time out once d of virtual time has
+	// passed from now: at once for d <= 0, never for NoTimeout. A read
+	// that times out first returns what has arrived, then ErrTimeout.
+	SetReadTimeout(d time.Duration) error
+}
+
+// NoTimeout, given to SetReadTimeout, clears the read timeout.
+const NoTimeout = time.Duration(math.MaxInt64)
+
+// readDeadline is the instant a read timeout of d set now ends:
+// noDeadline for NoTimeout (or any d past the end of virtual time), now
+// for d <= 0.
+func readDeadline(c *Clock, d time.Duration) time.Duration {
+	now := c.Now()
+	if d >= NoTimeout-now {
+		return noDeadline
+	}
+	return now + max(d, 0)
+}
+
+// errNetDeadline is what the net.Conn deadline setters return.
+var errNetDeadline = errors.New("netem: a deadline is a virtual duration; use SetReadTimeout")
+
+// netDeadlines gives Conn and Inbox, and the streams that embed an
+// Inbox, net.Conn's three deadline setters. A world has no wall clock
+// to set a deadline on, so each refuses and changes nothing.
+type netDeadlines struct{}
+
+// SetDeadline implements net.Conn by refusing.
+func (netDeadlines) SetDeadline(time.Time) error { return errNetDeadline }
+
+// SetReadDeadline implements net.Conn by refusing.
+func (netDeadlines) SetReadDeadline(time.Time) error { return errNetDeadline }
+
+// SetWriteDeadline implements net.Conn by refusing.
+func (netDeadlines) SetWriteDeadline(time.Time) error { return errNetDeadline }
 
 // ReadFull reads exactly len(p) bytes, parking once until the byte
 // completing the request arrives rather than waking per segment;
@@ -208,8 +258,7 @@ func (c *Conn) WriteEvent(p []byte, again func()) (n int, err error, done bool) 
 }
 
 // lockWrite takes the writer lock for a write, unless an event write
-// holds it already, and reads the write deadline as Write does once it
-// has the lock. A plain write (nil again) is never an event write's
+// holds it already. A plain write (nil again) is never an event write's
 // resumption: it waits in LockEvent and holds the lock without marking
 // it, so an event write that comes meanwhile queues for it.
 func (c *Conn) lockWrite(again func()) bool {
@@ -219,7 +268,6 @@ func (c *Conn) lockWrite(again func()) bool {
 		}
 		c.wlocked = again != nil
 	}
-	c.wlockDL = c.wdl
 	return true
 }
 
@@ -236,7 +284,7 @@ func (c *Conn) landHeld(again func()) (ok bool, err error) {
 	if !c.holding {
 		return true, nil
 	}
-	done, err := c.tx.push(&c.held, deadlineVT(c.wlockDL), again)
+	done, err := c.tx.push(&c.held, again)
 	if done {
 		c.held, c.holding = seg{}, false
 	}
@@ -263,7 +311,7 @@ func (c *Conn) TryWriteOwned(data []byte, base *[]byte, pool *sync.Pool) (ok boo
 		return true, err
 	}
 	s := seg{data: data, base: base, pool: pool, at: arrival}
-	_, err = c.tx.push(&s, noDeadline, nil)
+	_, err = c.tx.push(&s, nil)
 	return true, err
 }
 
@@ -382,50 +430,9 @@ func (c *Conn) LocalAddr() net.Addr { return c.local }
 // RemoteAddr implements net.Conn.
 func (c *Conn) RemoteAddr() net.Addr { return c.remote }
 
-// deadlineHorizon bounds how far from Epoch an encoded deadline may
-// sit and still be accepted as Epoch-relative. Virtual time starts at
-// zero and campaigns run for simulated hours, so any legitimate
-// deadline decodes to an offset of at most days; a wall-clock instant
-// (time.Now().Add(d)) decodes to roughly minus seventy-four years and
-// is rejected rather than silently stored as "already expired".
-const deadlineHorizon = 10 * 365 * 24 * time.Hour
-
-// checkDeadline is the runtime backstop behind the simlint wallclock
-// rule: deadlines reaching a simulated conn or stream must be
-// Epoch-relative (Clock.VirtualDeadline), never wall-clock instants.
-func checkDeadline(t time.Time) error {
-	if t.IsZero() {
-		return nil
-	}
-	if d := t.Sub(Epoch); d < -deadlineHorizon || d > deadlineHorizon {
-		return fmt.Errorf("netem: deadline %v is %v from netem.Epoch and cannot be a virtual instant; encode deadlines with Clock.VirtualDeadline, not time.Now().Add", t.UTC(), d)
-	}
-	return nil
-}
-
-// SetDeadline implements net.Conn.
-func (c *Conn) SetDeadline(t time.Time) error {
-	if err := checkDeadline(t); err != nil {
-		return err
-	}
-	c.rdl, c.wdl = t, t
-	return nil
-}
-
-// SetReadDeadline implements net.Conn.
-func (c *Conn) SetReadDeadline(t time.Time) error {
-	if err := checkDeadline(t); err != nil {
-		return err
-	}
-	c.rdl = t
-	return nil
-}
-
-// SetWriteDeadline implements net.Conn.
-func (c *Conn) SetWriteDeadline(t time.Time) error {
-	if err := checkDeadline(t); err != nil {
-		return err
-	}
-	c.wdl = t
+// SetReadTimeout implements Stream. A read already parked keeps the
+// timeout it parked with.
+func (c *Conn) SetReadTimeout(d time.Duration) error {
+	c.rdl = readDeadline(c.tx.clock, d)
 	return nil
 }

@@ -91,7 +91,7 @@ func (h *Host) Listen(port int) (*Listener, error) {
 }
 
 // Accept parks until the next inbound connection arrives.
-func (l *Listener) Accept() (net.Conn, error) {
+func (l *Listener) Accept() (Stream, error) {
 	c, ok := l.queue.Recv()
 	if !ok {
 		return nil, ErrClosed
@@ -107,7 +107,7 @@ func (l *Listener) Accept() (net.Conn, error) {
 // goroutine parked in Accept (Chan.RecvEvent), so each handler is
 // spawned at the instant and run-queue position a goroutine accept loop
 // would have spawned it, and an idle listener holds no goroutine.
-func (l *Listener) Serve(fn func(net.Conn)) {
+func (l *Listener) Serve(fn func(*Conn)) {
 	clock := l.host.net.clock
 	var next func()
 	next = func() {
@@ -151,7 +151,7 @@ func (l *Listener) deliver(c *Conn) error {
 
 // Dial opens a shaped connection from this host to "host:port". It costs
 // one round trip (the transport handshake) on the virtual clock.
-func (h *Host) Dial(address string) (net.Conn, error) {
+func (h *Host) Dial(address string) (Stream, error) {
 	c, err, _ := h.DialEvent(address, nil)
 	if err != nil {
 		return nil, err

@@ -16,6 +16,7 @@ import (
 // Reads drain what was delivered before they report the end: io.EOF
 // after End, or at once, with the queue released, the error of a Drop.
 type Inbox struct {
+	netDeadlines
 	cond Cond
 	// The unread bytes are chunks[0][head:] and every later chunk, n in
 	// all. Each chunk is an inboxChunkPool lease that Deliver fills
@@ -35,7 +36,7 @@ type Inbox struct {
 	// end is nil while bytes may still arrive, io.EOF once End was
 	// called, or the error of a Drop.
 	end error
-	rdl time.Duration
+	rdl time.Duration // the instant reads time out, noDeadline for none
 }
 
 // inboxChunk is what one chunk of an Inbox holds: one threshold read of
@@ -78,7 +79,7 @@ func (q *Inbox) ReadEvent(p []byte, again func()) (n int, err error, done bool) 
 }
 
 // read is the one read path: it returns once want bytes are in p, or
-// with what there is when the inbox ends or the deadline passes. A
+// with what there is when the inbox ends or the read timeout passes. A
 // ReadFull takes what is queued and parks with the rest of its request
 // as fill. With again non-nil it is an event read (want 1), which
 // queues again where it would park.
@@ -193,22 +194,11 @@ func (q *Inbox) Drop(err error) {
 // Wake wakes a parked reader to check its request again.
 func (q *Inbox) Wake() { q.cond.Broadcast() }
 
-// SetDeadline implements net.Conn; only reads observe deadlines.
-func (q *Inbox) SetDeadline(t time.Time) error { return q.SetReadDeadline(t) }
-
-// SetReadDeadline implements net.Conn. A parked read observes the new
-// deadline at once; a wall-clock instant is refused (checkDeadline) and
-// leaves the deadline as it was.
-func (q *Inbox) SetReadDeadline(t time.Time) error {
-	if err := checkDeadline(t); err != nil {
-		return err
-	}
-	q.rdl = deadlineVT(t)
+// SetReadTimeout implements netem.Stream: reads time out once d has
+// passed from now. A parked read observes the new timeout at once. The
+// stream's writes are paced by its mechanism and never time out.
+func (q *Inbox) SetReadTimeout(d time.Duration) error {
+	q.rdl = readDeadline(q.cond.clock, d)
 	q.cond.Broadcast()
 	return nil
 }
-
-// SetWriteDeadline implements net.Conn: the stream's writes are paced
-// by its mechanism and never time out, but a wall-clock instant is
-// refused as reads refuse it.
-func (q *Inbox) SetWriteDeadline(t time.Time) error { return checkDeadline(t) }

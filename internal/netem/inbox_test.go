@@ -108,7 +108,7 @@ func TestInboxDeliverNeverRegrows(t *testing.T) {
 }
 
 // TestInboxContract pins the read half both stream kinds share: how it
-// ends, how its deadline ends a read, and how a parked ReadFull is
+// ends, how its read timeout ends a read, and how a parked ReadFull is
 // filled.
 func TestInboxContract(t *testing.T) {
 	errDropped := errors.New("dropped")
@@ -146,7 +146,7 @@ func TestInboxContract(t *testing.T) {
 			}
 		}},
 		{"ErrTimeout at exactly the deadline instant", func(t *testing.T, clock *Clock, q *Inbox) {
-			q.SetDeadline(clock.VirtualDeadline(50 * time.Millisecond))
+			q.SetReadTimeout(50 * time.Millisecond)
 			clock.EventAt(20*time.Millisecond, func() { q.Deliver([]byte("ab")) })
 			buf := make([]byte, 4)
 			n, err := q.ReadFull(buf)
@@ -157,8 +157,8 @@ func TestInboxContract(t *testing.T) {
 				t.Fatalf("Read at the deadline: %d %v at %v", n, err, clock.Now())
 			}
 		}},
-		{"SetReadDeadline wakes a parked read", func(t *testing.T, clock *Clock, q *Inbox) {
-			clock.EventAt(time.Second, func() { q.SetReadDeadline(clock.VirtualDeadline(2 * time.Second)) })
+		{"SetReadTimeout wakes a parked read", func(t *testing.T, clock *Clock, q *Inbox) {
+			clock.EventAt(time.Second, func() { q.SetReadTimeout(2 * time.Second) })
 			if _, err := q.Read(make([]byte, 1)); err != ErrTimeout || clock.Now() != 3*time.Second {
 				t.Fatalf("err=%v at %v, want ErrTimeout at 3s", err, clock.Now())
 			}

@@ -60,12 +60,6 @@ func (n *Network) Now() time.Duration { return n.clock.Now() }
 // Since returns the virtual time elapsed since a mark from Now.
 func (n *Network) Since(mark time.Duration) time.Duration { return n.clock.Now() - mark }
 
-// VirtualDeadline converts a virtual timeout into the time.Time
-// encoding (relative to Epoch) usable with net.Conn deadlines.
-func (n *Network) VirtualDeadline(v time.Duration) time.Time {
-	return n.clock.VirtualDeadline(v)
-}
-
 // Go spawns fn as a simulation goroutine on this network's scheduler.
 func (n *Network) Go(fn func()) { n.clock.Go(fn) }
 

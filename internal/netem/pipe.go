@@ -13,7 +13,7 @@ var (
 	ErrClosed = errors.New("netem: use of closed connection")
 	// ErrReset is returned when writing to a conn whose peer has closed.
 	ErrReset = errors.New("netem: connection reset by peer")
-	// ErrTimeout is returned when a deadline expires. It satisfies
+	// ErrTimeout is returned when a read timeout expires. It satisfies
 	// net.Error with Timeout() == true via timeoutError.
 	ErrTimeout = &timeoutError{}
 )
@@ -150,31 +150,18 @@ func newPipe(clock *Clock, maxBuf int, acct *Acct) *pipe {
 	return p
 }
 
-// deadlineVT decodes a net.Conn deadline into a virtual instant,
-// mapping the zero time ("none") to noDeadline.
-func deadlineVT(t time.Time) time.Duration {
-	if t.IsZero() {
-		return noDeadline
-	}
-	return t.Sub(Epoch)
-}
-
 func vtExpired(c *Clock, vt time.Duration) bool {
 	return vt != noDeadline && c.Now() >= vt
 }
 
 // push enqueues a shaped segment, waiting while the receive window is
-// full until vt: a nil fn parks, any other is queued in the writer's
-// place (Cond.wait) and push returns done false, keeping s for fn's
+// full: a nil fn parks, any other is queued in the writer's place
+// (Cond.WaitEvent) and push returns done false, keeping s for fn's
 // retry. It returns an error if either side has closed. Ownership of
 // s's base transfers to the pipe once done (errors recycle it).
-func (p *pipe) push(s *seg, vt time.Duration, fn func()) (done bool, err error) {
+func (p *pipe) push(s *seg, fn func()) (done bool, err error) {
 	for p.wouldPark(len(s.data)) {
-		if vtExpired(p.clock, vt) {
-			putSegBuf(s.pool, s.base)
-			return true, ErrTimeout
-		}
-		if _, queued := p.cond.wait(vt, fn); queued {
+		if p.cond.WaitEvent(fn) {
 			return false, nil
 		}
 	}
@@ -329,8 +316,8 @@ func (p *pipe) deliver() {
 
 // read is the one parked-read path. It copies arrived bytes into buf,
 // in order, until at least min of them are there, parking through
-// propagation delay as needed; when the stream ends or the deadline
-// expires first it returns what had arrived with io.EOF, ErrClosed or
+// propagation delay as needed; when the stream ends or the read
+// deadline vt (noDeadline for none) passes first it returns what had arrived with io.EOF, ErrClosed or
 // ErrTimeout (end of stream is reported ahead of an expired deadline).
 // Conn.Read asks for one byte, Conn.ReadFull for len(buf). It never
 // returns (0, nil) except for a zero-length buf, which returns at once
@@ -345,8 +332,8 @@ func (p *pipe) deliver() {
 // byte. Window space is freed in request-sized steps rather than per
 // segment, so a writer parked on the receive-window bound can unpark
 // up to one request later than under an eager reader.
-func (p *pipe) read(buf []byte, min int, deadline time.Time) (int, error) {
-	n, err, _ := p.readEvent(buf, min, deadline, nil)
+func (p *pipe) read(buf []byte, min int, vt time.Duration) (int, error) {
+	n, err, _ := p.readEvent(buf, min, vt, nil)
 	return n, err
 }
 
@@ -354,11 +341,10 @@ func (p *pipe) read(buf []byte, min int, deadline time.Time) (int, error) {
 // would park it queues fn in the reader's place (Cond.wait) and returns
 // done false with the bytes copied so far, and fn reads on with the
 // rest of buf. With min 1 a wait comes only before the first byte.
-func (p *pipe) readEvent(buf []byte, min int, deadline time.Time, fn func()) (total int, err error, done bool) {
+func (p *pipe) readEvent(buf []byte, min int, vt time.Duration, fn func()) (total int, err error, done bool) {
 	if len(buf) == 0 {
 		return 0, nil, true
 	}
-	vt := deadlineVT(deadline)
 	if p.sink != nil {
 		panic("netem: Read on a conn with an inline read sink")
 	}

@@ -19,20 +19,20 @@ func TestPopZeroLengthBuf(t *testing.T) {
 	clock := NewClock()
 	p := newPipe(clock, 0, new(Acct))
 	data, base, pool := getSegBuf([]byte("abc"))
-	if _, err := p.push(&seg{data: data, base: base, pool: pool}, noDeadline, nil); err != nil {
+	if _, err := p.push(&seg{data: data, base: base, pool: pool}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := p.read(nil, 1, time.Time{}); n != 0 || err != nil {
+	if n, err := p.read(nil, 1, noDeadline); n != 0 || err != nil {
 		t.Fatalf("read(nil, 1) = (%d, %v), want (0, nil)", n, err)
 	}
-	if n, err := p.read([]byte{}, 1, time.Time{}); n != 0 || err != nil {
+	if n, err := p.read([]byte{}, 1, noDeadline); n != 0 || err != nil {
 		t.Fatalf("read(empty, 1) = (%d, %v), want (0, nil)", n, err)
 	}
-	if n, err := p.read(nil, 0, time.Time{}); n != 0 || err != nil {
+	if n, err := p.read(nil, 0, noDeadline); n != 0 || err != nil {
 		t.Fatalf("read(nil, 0) = (%d, %v), want (0, nil)", n, err)
 	}
 	buf := make([]byte, 8)
-	n, err := p.read(buf, 1, time.Time{})
+	n, err := p.read(buf, 1, noDeadline)
 	if err != nil || string(buf[:n]) != "abc" {
 		t.Fatalf("read after zero-length reads = (%q, %v), want (\"abc\", nil)", buf[:n], err)
 	}
@@ -45,11 +45,11 @@ func TestReadEOFBeforeTimeout(t *testing.T) {
 	clock := NewClock()
 	p := newPipe(clock, 0, new(Acct))
 	data, base, pool := getSegBuf([]byte("abc"))
-	if _, err := p.push(&seg{data: data, base: base, pool: pool}, noDeadline, nil); err != nil {
+	if _, err := p.push(&seg{data: data, base: base, pool: pool}, nil); err != nil {
 		t.Fatal(err)
 	}
 	p.closeWrite()
-	expired := clock.VirtualDeadline(0)
+	expired := clock.Now()
 	buf := make([]byte, 8)
 	if n, err := p.read(buf, len(buf), expired); n != 3 || err != io.EOF {
 		t.Fatalf("threshold read = (%d, %v), want (3, EOF)", n, err)
@@ -188,7 +188,7 @@ func TestReadFullTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	c.SetReadDeadline(n.VirtualDeadline(20 * time.Millisecond))
+	c.SetReadTimeout(20 * time.Millisecond)
 	rn, err := c.(*Conn).ReadFull(make([]byte, 16))
 	ne, ok := err.(interface{ Timeout() bool })
 	if rn != 0 || !ok || !ne.Timeout() {
@@ -405,7 +405,7 @@ func TestPipeKeepsItsArray(t *testing.T) {
 	p := newPipe(clock, 0, new(Acct))
 	push := func() {
 		data, base, pool := getSegBuf([]byte{'x'})
-		if _, err := p.push(&seg{data: data, base: base, pool: pool}, noDeadline, nil); err != nil {
+		if _, err := p.push(&seg{data: data, base: base, pool: pool}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -413,7 +413,7 @@ func TestPipeKeepsItsArray(t *testing.T) {
 	one := make([]byte, 1)
 	for i := 0; i < 100_000; i++ {
 		push()
-		if n, err := p.read(one, 1, time.Time{}); n != 1 || err != nil {
+		if n, err := p.read(one, 1, noDeadline); n != 1 || err != nil {
 			t.Fatalf("read %d = (%d, %v)", i, n, err)
 		}
 	}

@@ -23,12 +23,6 @@ import (
 // resuming the coroutine, and no second thread is ever woken (DESIGN.md
 // "Performance notes"). The build tag lets a go 1.22 module import iter.
 
-// Epoch anchors the time.Time encoding of virtual deadlines: a virtual
-// instant vt is encoded as Epoch.Add(vt). It is deliberately placed far
-// in the future so that a stray wall-clock deadline (time.Now().Add(d))
-// decodes as "already expired" and fails fast instead of hanging.
-var Epoch = time.Date(2100, 1, 1, 0, 0, 0, 0, time.UTC)
-
 // noDeadline marks waits without a timeout.
 const noDeadline = time.Duration(-1)
 
@@ -546,10 +540,4 @@ func (c *Clock) ReadyEvent(fn func()) {
 	w := c.newWaiter()
 	w.fn, w.woken = fn, true
 	c.ready = append(c.ready, w)
-}
-
-// VirtualDeadline converts a virtual timeout (from now) into the
-// time.Time encoding used by net.Conn deadlines.
-func (c *Clock) VirtualDeadline(v time.Duration) time.Time {
-	return Epoch.Add(c.Now() + v)
 }

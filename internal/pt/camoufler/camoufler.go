@@ -26,7 +26,6 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"net"
 	"slices"
 	"sort"
 	"time"
@@ -270,7 +269,7 @@ func (s *IMServer) Addr() string { return s.ln.Addr().String() }
 
 // serveConn handles one logged-in account: the first message names the
 // account ("login"), subsequent frames are relayed.
-func (s *IMServer) serveConn(c net.Conn) {
+func (s *IMServer) serveConn(c *netem.Conn) {
 	var rbuf []byte
 	login, _, _, err := readMessage(c, &rbuf)
 	if err != nil {
@@ -279,7 +278,7 @@ func (s *IMServer) serveConn(c net.Conn) {
 	}
 	name := string(login)
 	clock := s.clock
-	acct := &account{s: s, conn: c.(*netem.Conn), contacts: make(map[string]bool)}
+	acct := &account{s: s, conn: c, contacts: make(map[string]bool)}
 	acct.deliverFn = acct.deliver
 	s.accounts[name] = acct
 	defer func() {
@@ -346,7 +345,7 @@ func (s *IMServer) serveConn(c net.Conn) {
 	}
 }
 
-// imConn is one end of the IM tunnel: a net.Conn whose bytes travel as
+// imConn is one end of the IM tunnel: a netem.Stream whose bytes travel as
 // messages between two accounts. Writes go straight to the provider as
 // messages; only the read half of the stream is used.
 type imConn struct {
@@ -397,7 +396,7 @@ func (ic *imConn) message(b []byte) {
 	ic.in.Await()
 }
 
-// Write implements net.Conn: chunk into messages.
+// Write implements netem.Stream: chunk into messages.
 func (ic *imConn) Write(p []byte) (int, error) {
 	n, err, _ := ic.WriteEvent(p, nil)
 	return n, err
@@ -432,7 +431,7 @@ func (ic *imConn) WriteEvent(p []byte, again func()) (n int, err error, done boo
 	}
 }
 
-// Close implements net.Conn. onClose runs only when this call is what
+// Close implements netem.Stream. onClose runs only when this call is what
 // ended the tunnel, not when the provider or the peer already had.
 func (ic *imConn) Close() error {
 	wasClosed := ic.Closed()
@@ -517,7 +516,7 @@ func NewDialer(host *netem.Host, imServerAddr, accountBase string, cfg Config, p
 }
 
 // Dial implements pt.Dialer.
-func (d *Dialer) Dial(target string) (net.Conn, error) {
+func (d *Dialer) Dial(target string) (netem.Stream, error) {
 	if d.active {
 		return nil, ErrBusy
 	}

@@ -3,7 +3,6 @@ package camoufler
 import (
 	"bytes"
 	"io"
-	"net"
 	"testing"
 	"testing/quick"
 	"time"
@@ -157,7 +156,7 @@ func TestRefusedDeliveryWaitsForTheWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	login := func(name string) net.Conn {
+	login := func(name string) netem.Stream {
 		c, err := h.Dial(s.Addr())
 		if err != nil {
 			t.Fatal(err)

@@ -17,7 +17,6 @@ import (
 	"errors"
 	"io"
 	"math/rand"
-	"net"
 
 	"ptperf/internal/netem"
 	"ptperf/internal/pt"
@@ -66,7 +65,7 @@ const serverHelloLen = 3 + 32 + 90
 // conn on top — zero RTT. The ServerHello is consumed by the first
 // read, so the client can start sending at once while the inbound
 // record stream stays aligned.
-func clientWrap(conn net.Conn, cfg Config, seed int64) (net.Conn, error) {
+func clientWrap(conn netem.Stream, cfg Config, seed int64) (netem.Stream, error) {
 	if _, err := conn.Write(buildClientHello(cfg, sim.NewRand(seed))); err != nil {
 		return nil, err
 	}
@@ -80,7 +79,7 @@ func clientWrap(conn net.Conn, cfg Config, seed int64) (net.Conn, error) {
 
 // serverWrap validates the ClientHello, replies with a ServerHello
 // asynchronously (the client does not wait for it) and layers records.
-func serverWrap(conn net.Conn, cfg Config, seed int64) (net.Conn, error) {
+func serverWrap(conn netem.Stream, cfg Config, seed int64) (netem.Stream, error) {
 	hello := make([]byte, clientHelloLen)
 	if _, err := io.ReadFull(conn, hello); err != nil {
 		return nil, err
@@ -109,8 +108,8 @@ func serverWrap(conn net.Conn, cfg Config, seed int64) (net.Conn, error) {
 func transport(cfg Config) pt.WrapTransport {
 	return pt.WrapTransport{
 		Name: "cloak", Keyed: len(cfg.UID) > 0, Seed: cfg.Seed, DialerOffset: 49979687,
-		Client: func(conn net.Conn, seed int64) (net.Conn, error) { return clientWrap(conn, cfg, seed) },
-		Server: func(conn net.Conn, seed int64) (net.Conn, error) { return serverWrap(conn, cfg, seed) },
+		Client: func(conn netem.Stream, seed int64) (netem.Stream, error) { return clientWrap(conn, cfg, seed) },
+		Server: func(conn netem.Stream, seed int64) (netem.Stream, error) { return serverWrap(conn, cfg, seed) },
 	}
 }
 

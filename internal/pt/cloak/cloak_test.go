@@ -2,7 +2,6 @@ package cloak
 
 import (
 	"math/rand"
-	"net"
 	"testing"
 
 	"ptperf/internal/geo"
@@ -11,7 +10,7 @@ import (
 
 // bufferedPair returns two connected conns with buffering (unlike
 // net.Pipe), so a server can flush its ServerHello without a reader.
-func bufferedPair(t *testing.T) (*netem.Network, net.Conn, net.Conn) {
+func bufferedPair(t *testing.T) (*netem.Network, netem.Stream, netem.Stream) {
 	t.Helper()
 	n := netem.New(netem.WithSeed(9))
 	t.Cleanup(n.Clock().Shutdown)
@@ -21,7 +20,7 @@ func bufferedPair(t *testing.T) (*netem.Network, net.Conn, net.Conn) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	accepted := netem.NewChan[net.Conn](n.Clock(), 1)
+	accepted := netem.NewChan[netem.Stream](n.Clock(), 1)
 	n.Go(func() {
 		c, err := ln.Accept()
 		if err == nil {

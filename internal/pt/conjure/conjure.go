@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 
 	"ptperf/internal/netem"
 	"ptperf/internal/pt"
@@ -94,7 +93,7 @@ func (inf *Infra) RegistrarAddr() string { return inf.regLn.Addr().String() }
 func (inf *Infra) PhantomAddr() string { return inf.phantomLn.Addr().String() }
 
 // serveRegistration takes one registration: nonce ‖ MAC → ack.
-func (inf *Infra) serveRegistration(c net.Conn) {
+func (inf *Infra) serveRegistration(c *netem.Conn) {
 	defer c.Close()
 	msg := make([]byte, nonceLen+16)
 	if _, err := io.ReadFull(c, msg); err != nil {
@@ -111,7 +110,7 @@ func (inf *Infra) serveRegistration(c net.Conn) {
 
 // serveFlow validates one phantom flow's registration and splices it to
 // the bridge.
-func (inf *Infra) serveFlow(c net.Conn) {
+func (inf *Infra) serveFlow(c *netem.Conn) {
 	hello := make([]byte, nonceLen)
 	if _, err := io.ReadFull(c, hello); err != nil {
 		c.Close()
@@ -146,7 +145,7 @@ func (inf *Infra) serveFlow(c net.Conn) {
 func StartBridge(host *netem.Host, port int, cfg Config, handle pt.StreamHandler) (pt.Server, error) {
 	return pt.WrapTransport{
 		Name: "conjure", Keyed: len(cfg.Secret) > 0, Seed: cfg.Seed,
-		Server: func(conn net.Conn, seed int64) (net.Conn, error) {
+		Server: func(conn netem.Stream, seed int64) (netem.Stream, error) {
 			// The station forwards the registration's nonce ahead of
 			// the records.
 			nonce := make([]byte, nonceLen)
@@ -184,7 +183,7 @@ func NewDialer(host *netem.Host, registrarAddr, phantomAddr string, cfg Config) 
 
 // Dial implements pt.Dialer: register, dial the phantom, speak the
 // session's records.
-func (d *Dialer) Dial(target string) (net.Conn, error) {
+func (d *Dialer) Dial(target string) (netem.Stream, error) {
 	if len(d.cfg.Secret) == 0 {
 		return nil, errors.New("conjure: dialer needs a secret")
 	}
@@ -214,7 +213,7 @@ func (d *Dialer) Dial(target string) (net.Conn, error) {
 
 	// Phantom dial through the station: the nonce names the
 	// registration, then the session's records follow.
-	conn, err := pt.DialWrapped(d.host, d.phantomAddr, func(raw net.Conn) (net.Conn, error) {
+	conn, err := pt.DialWrapped(d.host, d.phantomAddr, func(raw netem.Stream) (netem.Stream, error) {
 		if _, err := raw.Write(nonce); err != nil {
 			return nil, err
 		}

@@ -2,7 +2,6 @@ package conjure
 
 import (
 	"io"
-	"net"
 	"testing"
 	"time"
 
@@ -23,7 +22,7 @@ func testNet(t *testing.T) (*netem.Host, *netem.Host, *netem.Host, *netem.Host) 
 func TestRegistrationIsSingleUse(t *testing.T) {
 	client, reg, station, bridgeHost := testNet(t)
 	secret := []byte("s")
-	bridge, err := StartBridge(bridgeHost, 4443, Config{Secret: secret}, func(target string, conn net.Conn) {
+	bridge, err := StartBridge(bridgeHost, 4443, Config{Secret: secret}, func(target string, conn netem.Stream) {
 		defer conn.Close()
 		io.Copy(conn, conn)
 	})
@@ -51,7 +50,7 @@ func TestRegistrationIsSingleUse(t *testing.T) {
 	}
 	defer raw.Close()
 	raw.Write(make([]byte, nonceLen))
-	raw.SetReadDeadline(client.Network().VirtualDeadline(30 * time.Millisecond))
+	raw.SetReadTimeout(30 * time.Millisecond)
 	if _, err := raw.Read(make([]byte, 1)); err == nil {
 		t.Fatal("unregistered phantom flow must get nothing")
 	}
@@ -59,7 +58,7 @@ func TestRegistrationIsSingleUse(t *testing.T) {
 
 func TestBadRegistrationMACDropped(t *testing.T) {
 	client, reg, station, bridgeHost := testNet(t)
-	bridge, _ := StartBridge(bridgeHost, 4443, Config{Secret: []byte("s")}, func(string, net.Conn) {})
+	bridge, _ := StartBridge(bridgeHost, 4443, Config{Secret: []byte("s")}, func(string, netem.Stream) {})
 	inf, err := StartInfra(reg, station, 53000, 443, Config{Secret: []byte("s")}, bridge.Addr())
 	if err != nil {
 		t.Fatal(err)

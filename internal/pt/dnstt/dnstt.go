@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"net"
 	"time"
 
 	"ptperf/internal/netem"
@@ -193,11 +192,11 @@ type relay struct {
 }
 
 // serve starts relaying one client poll pipeline.
-func (r *Resolver) serve(c net.Conn) {
+func (r *Resolver) serve(c *netem.Conn) {
 	l := &relay{r: r}
 	l.in = pt.NewFrameConn(pt.Prefix16, l.query, l.stop)
 	l.out, l.resolvedFn = pt.NewFrameConn(pt.Prefix16, l.answer, l.stop), l.resolved
-	l.in.Attach(c.(*netem.Conn))
+	l.in.Attach(c)
 	l.in.Await()
 }
 
@@ -315,10 +314,10 @@ type answerer struct {
 }
 
 // serve starts answering one resolver pipeline.
-func (s *Server) serve(c net.Conn) {
+func (s *Server) serve(c *netem.Conn) {
 	a := &answerer{s: s}
 	a.in = pt.NewFrameConn(pt.Prefix16, a.answer, a.stop)
-	a.in.Attach(c.(*netem.Conn))
+	a.in.Attach(c)
 	a.in.Await()
 }
 
@@ -377,7 +376,7 @@ func NewDialer(host *netem.Host, resolverAddr string, cfg Config) *Dialer {
 }
 
 // Dial implements pt.Dialer.
-func (d *Dialer) Dial(target string) (net.Conn, error) {
+func (d *Dialer) Dial(target string) (netem.Stream, error) {
 	if err := d.cfg.check(); err != nil {
 		return nil, err
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"io"
 	"math"
-	"net"
 	"testing"
 	"testing/quick"
 
@@ -140,7 +139,7 @@ func TestLargestCapsCarryData(t *testing.T) {
 	resolver := n.MustAddHost(netem.HostConfig{Name: "resolver"})
 	server := n.MustAddHost(netem.HostConfig{Name: "server"})
 	cfg := Config{QueryCap: math.MaxUint16 - sessionLen - 4, RespCap: math.MaxUint16 - 4, Inflight: 2, BudgetMedian: -1}
-	srv, err := StartServer(server, 53, cfg, func(_ string, c net.Conn) {
+	srv, err := StartServer(server, 53, cfg, func(_ string, c netem.Stream) {
 		defer c.Close()
 		io.Copy(c, c)
 	})

@@ -7,7 +7,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math/rand"
-	"net"
 	"slices"
 	"sync"
 
@@ -46,7 +45,7 @@ type RecordCodec interface {
 // a record longer than its codec's maximum and forwards half-close.
 // What a record looks like on the wire is the codec's business.
 type RecordConn struct {
-	net.Conn
+	netem.Stream
 	codec RecordCodec
 	// skip bytes of the inner conn precede the first record; the first
 	// Read discards them (see SkipFirst).
@@ -86,8 +85,8 @@ const (
 )
 
 // NewCodecConn layers codec's records over conn.
-func NewCodecConn(conn net.Conn, codec RecordCodec) *RecordConn {
-	return &RecordConn{Conn: conn, codec: codec}
+func NewCodecConn(conn netem.Stream, codec RecordCodec) *RecordConn {
+	return &RecordConn{Stream: conn, codec: codec}
 }
 
 // SkipFirst makes the first Read discard n bytes of the inner conn
@@ -105,7 +104,7 @@ type fullEventReader interface {
 // conn's threshold path: its ReadFull for a nil again, and for an event
 // read its event form, where done false means again will fill on.
 func (rc *RecordConn) fill(again func()) (err error, done bool) {
-	n, err, done := rc.Conn.(fullEventReader).ReadFullEvent(rc.rbuf[rc.got:rc.want], again)
+	n, err, done := rc.Stream.(fullEventReader).ReadFullEvent(rc.rbuf[rc.got:rc.want], again)
 	if rc.got += n; !done {
 		return nil, false
 	}
@@ -143,7 +142,7 @@ func (rc *RecordConn) WriteEvent(p []byte, again func()) (n int, err error, done
 	maxPayload, _, _ := rc.codec.Sizes()
 	for {
 		if rc.sealed {
-			k, err, done := rc.Conn.(netem.EventWriter).WriteEvent(rc.wbuf[rc.sent:], again)
+			k, err, done := rc.Stream.WriteEvent(rc.wbuf[rc.sent:], again)
 			if rc.sent += k; !done {
 				return n, nil, false
 			}
@@ -228,10 +227,10 @@ func (rc *RecordConn) open(again func()) (err error, done bool) {
 
 // CloseWrite forwards half-close to the inner conn.
 func (rc *RecordConn) CloseWrite() error {
-	if hc, ok := rc.Conn.(HalfCloser); ok {
+	if hc, ok := rc.Stream.(HalfCloser); ok {
 		return hc.CloseWrite()
 	}
-	return rc.Conn.Close()
+	return rc.Stream.Close()
 }
 
 // HalfCloser is implemented by conns supporting TCP-style half close.
@@ -332,7 +331,7 @@ type ctrCodec struct {
 
 // NewRecordConn wraps conn in the padded framing. The error is always
 // nil; the benchmark probes fix the signature.
-func NewRecordConn(conn net.Conn, cfg RecordConfig) (*RecordConn, error) {
+func NewRecordConn(conn netem.Stream, cfg RecordConfig) (*RecordConn, error) {
 	return NewCodecConn(conn, NewRecordCodec(cfg)), nil
 }
 
@@ -432,16 +431,15 @@ var pumpBufPool = sync.Pool{New: func() any { b := make([]byte, spliceBuf); retu
 // forms above; netem.Cond.WaitEvent), so every Write, every freed
 // receive window and every close happens at the virtual instant and in
 // the run-queue position it did, and a destination that is full leaves
-// its source unread. Both conns must have the event forms: netem.Conn,
-// RecordConn, Stream, the tunnels' conns and tor.Stream do.
-func Splice(clock *netem.Clock, a, b net.Conn) {
-	s := &splice{clock: clock, ends: [2]net.Conn{a, b}, live: 2}
+// its source unread.
+func Splice(clock *netem.Clock, a, b netem.Stream) {
+	s := &splice{clock: clock, ends: [2]netem.Stream{a, b}, live: 2}
 	s.closeFn = s.closeBoth
 	// The loop's two goroutines started from the run queue, a's pump
 	// first.
 	for i, dst := range s.ends {
 		p := &s.pumps[i]
-		p.s, p.src, p.dst, p.w = s, s.ends[1-i].(netem.EventReader), dst, dst.(netem.EventWriter)
+		p.s, p.src, p.dst = s, s.ends[1-i], dst
 		p.next = p.run
 		clock.ReadyEvent(p.next)
 	}
@@ -451,7 +449,7 @@ func Splice(clock *netem.Clock, a, b net.Conn) {
 // ends once both have finished.
 type splice struct {
 	clock   *netem.Clock
-	ends    [2]net.Conn
+	ends    [2]netem.Stream
 	pumps   [2]pump
 	live    int // pumps not yet finished
 	closed  int // ends closed so far
@@ -460,10 +458,8 @@ type splice struct {
 
 // pump copies src into dst as the loop did.
 type pump struct {
-	s   *splice
-	src netem.EventReader
-	dst net.Conn
-	w   netem.EventWriter
+	s        *splice
+	src, dst netem.Stream
 	// out[off:] was read into buf, a pumpBufPool lease, and not yet
 	// written; rerr ended the source.
 	out              []byte
@@ -490,7 +486,7 @@ func (p *pump) run() {
 			}
 			return
 		case p.writing:
-			k, err, done := p.w.WriteEvent(p.out[p.off:], p.next)
+			k, err, done := p.dst.WriteEvent(p.out[p.off:], p.next)
 			if p.off += k; !done {
 				return
 			}
@@ -524,7 +520,7 @@ func (p *pump) release() {
 
 // halfClose ends dst's sending direction as the loop did: CloseWrite
 // where dst has it, Close otherwise.
-func halfClose(dst net.Conn, again func()) bool {
+func halfClose(dst netem.Stream, again func()) bool {
 	if hc, ok := dst.(eventHalfCloser); ok {
 		return hc.CloseWriteEvent(again)
 	}
@@ -536,7 +532,7 @@ func halfClose(dst net.Conn, again func()) bool {
 }
 
 // closeEnd closes c, through its event form where its Close can park.
-func closeEnd(c net.Conn, again func()) bool {
+func closeEnd(c netem.Stream, again func()) bool {
 	if ec, ok := c.(eventCloser); ok {
 		return ec.CloseEvent(again)
 	}

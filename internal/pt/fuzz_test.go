@@ -5,7 +5,9 @@ import (
 	"io"
 	"net"
 	"testing"
+	"time"
 
+	"ptperf/internal/netem"
 	"ptperf/internal/pt"
 	"ptperf/internal/pt/psiphon"
 	"ptperf/internal/pt/shadowsocks"
@@ -34,10 +36,11 @@ func FuzzReadTarget(f *testing.F) {
 	})
 }
 
-// bufConn is a net.Conn over in-memory bytes: reads drain buf, writes
-// append to it. Its event forms never wait.
+// bufConn is a netem.Stream over in-memory bytes: reads drain buf,
+// writes append to it. Its event forms never wait; the rest of the
+// interface is never called.
 type bufConn struct {
-	net.Conn
+	netem.Stream
 	buf bytes.Buffer
 }
 
@@ -68,6 +71,13 @@ func (p pipeEnd) WriteEvent(b []byte, _ func()) (int, error, bool) {
 	n, err := p.Conn.Write(b)
 	return n, err, true
 }
+
+func (p pipeEnd) ReadEvent(b []byte, _ func()) (int, error, bool) {
+	n, err := p.Conn.Read(b)
+	return n, err, true
+}
+
+func (p pipeEnd) SetReadTimeout(time.Duration) error { return nil }
 
 // recordCodecs builds the sealing and the opening end of each record
 // codec a transport installs under pt.RecordConn.

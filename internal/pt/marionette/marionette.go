@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"net"
 	"time"
 
 	"ptperf/internal/netem"
@@ -371,7 +370,7 @@ func (mc *marionetteConn) CloseWrite() error {
 	return nil
 }
 
-// Close implements net.Conn.
+// Close implements netem.Stream.
 func (mc *marionetteConn) Close() error {
 	mc.Fail()
 	return mc.conn.Close()
@@ -384,7 +383,7 @@ func StartServer(host *netem.Host, port int, model *Model, seed int64, handle pt
 	}
 	clock := host.Network().Clock()
 	s := seed
-	return pt.ListenAndServe(host, port, func(conn net.Conn) (net.Conn, error) {
+	return pt.ListenAndServe(host, port, func(conn netem.Stream) (netem.Stream, error) {
 		s++
 		return newConn(model, conn.(*netem.Conn), clock, s), nil
 	}, handle)
@@ -397,7 +396,7 @@ func NewDialer(host *netem.Host, addr string, model *Model, seed int64) (pt.Dial
 	}
 	clock := host.Network().Clock()
 	s := seed + 179426549
-	return pt.DialerFunc(func(target string) (net.Conn, error) {
+	return pt.DialerFunc(func(target string) (netem.Stream, error) {
 		s++
 		mine := s
 		raw, err := host.Dial(addr)

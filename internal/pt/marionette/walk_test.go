@@ -2,7 +2,6 @@ package marionette
 
 import (
 	"bytes"
-	"net"
 	"testing"
 	"time"
 
@@ -18,7 +17,7 @@ func pair(t *testing.T) (*netem.Clock, *netem.Conn, *netem.Conn) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	accepted := netem.NewChan[net.Conn](n.Clock(), 1)
+	accepted := netem.NewChan[netem.Stream](n.Clock(), 1)
 	n.Go(func() {
 		if c, err := ln.Accept(); err == nil {
 			accepted.TrySend(c)

@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"net"
 	"time"
 
 	"ptperf/internal/netem"
@@ -141,9 +140,10 @@ type relay struct {
 	forwardFn func()
 }
 
-// serveConn dials the bridge, the one step of a front that parks, then
-// relays. A poll that arrives meanwhile waits in the endpoint.
-func (f *Front) serveConn(c net.Conn) {
+// serveConn dials the bridge, then relays. The dial's round trip is a
+// clock event (Host.DialEvent); a poll that arrives meanwhile waits in
+// the endpoint.
+func (f *Front) serveConn(c *netem.Conn) {
 	clock := f.host.Network().Clock()
 	l := &relay{}
 	l.in = pt.NewFrameConn(cutPoll, func(poll []byte) {
@@ -152,13 +152,19 @@ func (f *Front) serveConn(c net.Conn) {
 	}, l.stop)
 	l.out = pt.NewFrameConn(cutReply, l.in.Send, l.stop)
 	l.forwardFn = func() { l.out.Send(l.poll) }
-	l.in.Attach(c.(*netem.Conn))
-	up, err := f.host.Dial(f.bridgeAddr)
+	l.in.Attach(c)
+	if up, err, done := f.host.DialEvent(f.bridgeAddr, l.dialed); done {
+		l.dialed(up, err)
+	}
+}
+
+// dialed starts relaying over the conn to the bridge.
+func (l *relay) dialed(up *netem.Conn, err error) {
 	if err != nil {
 		l.in.Stop()
 		return
 	}
-	l.out.Attach(up.(*netem.Conn))
+	l.out.Attach(up)
 	l.in.Await()
 }
 
@@ -263,11 +269,11 @@ type answerer struct {
 }
 
 // serveFrontConn starts answering the polls arriving from the front.
-func (b *Bridge) serveFrontConn(c net.Conn) {
+func (b *Bridge) serveFrontConn(c *netem.Conn) {
 	a := &answerer{b: b}
 	a.in = pt.NewFrameConn(cutPoll, a.poll, func() { c.Close() })
 	a.replyFn = func() { a.in.Send(a.reply) }
-	a.in.Attach(c.(*netem.Conn))
+	a.in.Attach(c)
 	a.in.Await()
 }
 
@@ -313,7 +319,7 @@ func NewDialer(host *netem.Host, frontAddr string, cfg Config) *Dialer {
 }
 
 // Dial implements pt.Dialer.
-func (d *Dialer) Dial(target string) (net.Conn, error) {
+func (d *Dialer) Dial(target string) (netem.Stream, error) {
 	d.next++
 	clock := d.host.Network().Clock()
 	t := &pollConn{

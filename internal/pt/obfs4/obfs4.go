@@ -16,7 +16,6 @@ import (
 	"errors"
 	"io"
 	"math/rand"
-	"net"
 
 	"ptperf/internal/netem"
 	"ptperf/internal/pt"
@@ -80,7 +79,7 @@ func readHandshake(r io.Reader, secret []byte, role byte) error {
 }
 
 // clientWrap performs the client handshake and returns the framed conn.
-func clientWrap(conn net.Conn, cfg Config, seed int64) (net.Conn, error) {
+func clientWrap(conn netem.Stream, cfg Config, seed int64) (netem.Stream, error) {
 	if err := writeHandshake(conn, cfg.Secret, 'c', sim.NewRand(seed)); err != nil {
 		return nil, err
 	}
@@ -94,7 +93,7 @@ func clientWrap(conn net.Conn, cfg Config, seed int64) (net.Conn, error) {
 }
 
 // serverWrap performs the server handshake.
-func serverWrap(conn net.Conn, cfg Config, seed int64) (net.Conn, error) {
+func serverWrap(conn netem.Stream, cfg Config, seed int64) (netem.Stream, error) {
 	if err := readHandshake(conn, cfg.Secret, 'c'); err != nil {
 		return nil, err
 	}
@@ -110,8 +109,8 @@ func serverWrap(conn net.Conn, cfg Config, seed int64) (net.Conn, error) {
 func transport(cfg Config) pt.WrapTransport {
 	return pt.WrapTransport{
 		Name: "obfs4", Keyed: len(cfg.Secret) > 0, Seed: cfg.Seed, DialerOffset: 7919,
-		Client: func(conn net.Conn, seed int64) (net.Conn, error) { return clientWrap(conn, cfg, seed) },
-		Server: func(conn net.Conn, seed int64) (net.Conn, error) { return serverWrap(conn, cfg, seed) },
+		Client: func(conn netem.Stream, seed int64) (netem.Stream, error) { return clientWrap(conn, cfg, seed) },
+		Server: func(conn netem.Stream, seed int64) (netem.Stream, error) { return serverWrap(conn, cfg, seed) },
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
-	"net"
 
 	"ptperf/internal/netem"
 	"ptperf/internal/pt"
@@ -94,7 +93,7 @@ func (c *packetCodec) Open(_, body []byte) ([]byte, error) {
 }
 
 // clientWrap runs banner exchange + kex (2 RTTs).
-func clientWrap(conn net.Conn, cfg Config, seed int64) (net.Conn, error) {
+func clientWrap(conn netem.Stream, cfg Config, seed int64) (netem.Stream, error) {
 	// RTT 1: version banners.
 	if _, err := conn.Write(banner); err != nil {
 		return nil, err
@@ -126,7 +125,7 @@ func clientWrap(conn net.Conn, cfg Config, seed int64) (net.Conn, error) {
 }
 
 // serverWrap mirrors the client handshake.
-func serverWrap(conn net.Conn, cfg Config, seed int64) (net.Conn, error) {
+func serverWrap(conn netem.Stream, cfg Config, seed int64) (netem.Stream, error) {
 	peer := make([]byte, len(banner))
 	if _, err := io.ReadFull(conn, peer); err != nil {
 		return nil, err
@@ -156,8 +155,8 @@ func serverWrap(conn net.Conn, cfg Config, seed int64) (net.Conn, error) {
 func transport(cfg Config) pt.WrapTransport {
 	return pt.WrapTransport{
 		Name: "psiphon", Keyed: len(cfg.HostKey) > 0, Seed: cfg.Seed, DialerOffset: 32452843,
-		Client: func(conn net.Conn, seed int64) (net.Conn, error) { return clientWrap(conn, cfg, seed) },
-		Server: func(conn net.Conn, seed int64) (net.Conn, error) { return serverWrap(conn, cfg, seed) },
+		Client: func(conn netem.Stream, seed int64) (netem.Stream, error) { return clientWrap(conn, cfg, seed) },
+		Server: func(conn netem.Stream, seed int64) (netem.Stream, error) { return serverWrap(conn, cfg, seed) },
 	}
 }
 

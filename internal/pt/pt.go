@@ -17,7 +17,8 @@ package pt
 
 import (
 	"fmt"
-	"net"
+
+	"ptperf/internal/netem"
 )
 
 // Category is the paper's Section 2 taxonomy.
@@ -94,18 +95,18 @@ type Info struct {
 // ignores it.
 type Dialer interface {
 	// Dial opens one stream carrying target to the server.
-	Dial(target string) (net.Conn, error)
+	Dial(target string) (netem.Stream, error)
 }
 
 // DialerFunc adapts a function to the Dialer interface.
-type DialerFunc func(target string) (net.Conn, error)
+type DialerFunc func(target string) (netem.Stream, error)
 
 // Dial implements Dialer.
-func (f DialerFunc) Dial(target string) (net.Conn, error) { return f(target) }
+func (f DialerFunc) Dial(target string) (netem.Stream, error) { return f(target) }
 
 // StreamHandler consumes one unwrapped stream on the server side. It
 // owns conn and must close it.
-type StreamHandler func(target string, conn net.Conn)
+type StreamHandler func(target string, conn netem.Stream)
 
 // Server is a running PT server.
 type Server interface {

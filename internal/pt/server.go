@@ -2,14 +2,13 @@ package pt
 
 import (
 	"fmt"
-	"net"
 
 	"ptperf/internal/netem"
 )
 
 // Wrapper upgrades a raw connection, accepted or dialed, into the
 // transport's obfuscated stream: one side of the handshake.
-type Wrapper func(conn net.Conn) (net.Conn, error)
+type Wrapper func(conn netem.Stream) (netem.Stream, error)
 
 // listenServer is the standard single-listener PT server.
 type listenServer struct{ *netem.Listener }
@@ -19,7 +18,7 @@ func (s listenServer) Addr() string { return s.Listener.Addr().String() }
 
 // ServeStream reads the target prologue off an unwrapped stream and
 // hands the stream to the handler, which owns it from then on.
-func ServeStream(conn net.Conn, handle StreamHandler) {
+func ServeStream(conn netem.Stream, handle StreamHandler) {
 	target, err := ReadTarget(conn)
 	if err != nil {
 		conn.Close()
@@ -35,8 +34,8 @@ func ListenAndServe(host *netem.Host, port int, wrap Wrapper, handle StreamHandl
 	if err != nil {
 		return nil, err
 	}
-	ln.Serve(func(raw net.Conn) {
-		conn := raw
+	ln.Serve(func(raw *netem.Conn) {
+		var conn netem.Stream = raw
 		if wrap != nil {
 			var err error
 			conn, err = wrap(raw)
@@ -52,7 +51,7 @@ func ListenAndServe(host *netem.Host, port int, wrap Wrapper, handle StreamHandl
 
 // DialWrapped runs the common PT client skeleton: dial, wrap, send the
 // target prologue.
-func DialWrapped(host *netem.Host, addr string, wrap Wrapper, target string) (net.Conn, error) {
+func DialWrapped(host *netem.Host, addr string, wrap Wrapper, target string) (netem.Stream, error) {
 	raw, err := host.Dial(addr)
 	if err != nil {
 		return nil, err
@@ -87,7 +86,7 @@ type WrapTransport struct {
 	Seed, DialerOffset int64
 	// Client and Server run one side of the handshake over a raw conn
 	// with that conn's seed and return the obfuscated stream.
-	Client, Server func(conn net.Conn, seed int64) (net.Conn, error)
+	Client, Server func(conn netem.Stream, seed int64) (netem.Stream, error)
 }
 
 // StartServer runs the transport's server on host:port, delivering
@@ -97,7 +96,7 @@ func (w WrapTransport) StartServer(host *netem.Host, port int, handle StreamHand
 		return nil, fmt.Errorf("%s: server needs its shared secret", w.Name)
 	}
 	seed := w.Seed
-	return ListenAndServe(host, port, func(conn net.Conn) (net.Conn, error) {
+	return ListenAndServe(host, port, func(conn netem.Stream) (netem.Stream, error) {
 		seed++
 		return w.Server(conn, seed)
 	}, handle)
@@ -106,13 +105,13 @@ func (w WrapTransport) StartServer(host *netem.Host, port int, handle StreamHand
 // NewDialer returns the transport's client for a server at addr.
 func (w WrapTransport) NewDialer(host *netem.Host, addr string) Dialer {
 	seed := w.Seed + w.DialerOffset
-	return DialerFunc(func(target string) (net.Conn, error) {
+	return DialerFunc(func(target string) (netem.Stream, error) {
 		if !w.Keyed {
 			return nil, fmt.Errorf("%s: dialer needs its shared secret", w.Name)
 		}
 		seed++
 		s := seed
-		conn, err := DialWrapped(host, addr, func(raw net.Conn) (net.Conn, error) {
+		conn, err := DialWrapped(host, addr, func(raw netem.Stream) (netem.Stream, error) {
 			return w.Client(raw, s)
 		}, target)
 		if err != nil {
@@ -132,8 +131,8 @@ func ForwardTo(fromHost *netem.Host) StreamHandler {
 // HandleWithDialer returns a StreamHandler that opens the target through
 // an arbitrary dialer and splices — the integration-set-3 server
 // behaviour (the dialer is the co-located Tor client).
-func HandleWithDialer(clock *netem.Clock, dial func(target string) (net.Conn, error)) StreamHandler {
-	return func(target string, conn net.Conn) {
+func HandleWithDialer(clock *netem.Clock, dial func(target string) (netem.Stream, error)) StreamHandler {
+	return func(target string, conn netem.Stream) {
 		up, err := dial(target)
 		if err != nil {
 			conn.Close()

@@ -3,11 +3,11 @@ package pt_test
 import (
 	"bytes"
 	"encoding/binary"
-	"net"
 	"reflect"
 	"strings"
 	"testing"
 
+	"ptperf/internal/netem"
 	"ptperf/internal/pt"
 	"ptperf/internal/sim"
 )
@@ -21,8 +21,8 @@ func TestWrapTransport(t *testing.T) {
 	var client, server []int64
 	wt := pt.WrapTransport{
 		Name: "demo", Keyed: true, Seed: 10, DialerOffset: 100,
-		Client: func(c net.Conn, seed int64) (net.Conn, error) { client = append(client, seed); return c, nil },
-		Server: func(c net.Conn, seed int64) (net.Conn, error) { server = append(server, seed); return c, nil },
+		Client: func(c netem.Stream, seed int64) (netem.Stream, error) { client = append(client, seed); return c, nil },
+		Server: func(c netem.Stream, seed int64) (netem.Stream, error) { server = append(server, seed); return c, nil },
 	}
 	srv, err := wt.StartServer(w.server, 443, echoHandler(t, "guard-0:9001"))
 	if err != nil {

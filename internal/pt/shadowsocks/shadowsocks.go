@@ -16,7 +16,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
-	"net"
 	"slices"
 
 	"ptperf/internal/netem"
@@ -92,7 +91,7 @@ func (c *chunkCodec) Open(_, body []byte) ([]byte, error) {
 }
 
 // clientWrap sends the salt and builds the codec (zero RTT).
-func clientWrap(conn net.Conn, cfg Config, seed int64) (net.Conn, error) {
+func clientWrap(conn netem.Stream, cfg Config, seed int64) (netem.Stream, error) {
 	salt := make([]byte, saltLen)
 	pt.RandFill(sim.NewRand(seed), salt)
 	if _, err := conn.Write(salt); err != nil {
@@ -102,7 +101,7 @@ func clientWrap(conn net.Conn, cfg Config, seed int64) (net.Conn, error) {
 }
 
 // serverWrap reads the salt and mirrors the codec.
-func serverWrap(conn net.Conn, cfg Config) (net.Conn, error) {
+func serverWrap(conn netem.Stream, cfg Config) (netem.Stream, error) {
 	salt := make([]byte, saltLen)
 	if _, err := io.ReadFull(conn, salt); err != nil {
 		return nil, err
@@ -113,8 +112,8 @@ func serverWrap(conn net.Conn, cfg Config) (net.Conn, error) {
 func transport(cfg Config) pt.WrapTransport {
 	return pt.WrapTransport{
 		Name: "shadowsocks", Keyed: len(cfg.PSK) > 0, Seed: cfg.Seed, DialerOffset: 104729,
-		Client: func(conn net.Conn, seed int64) (net.Conn, error) { return clientWrap(conn, cfg, seed) },
-		Server: func(conn net.Conn, _ int64) (net.Conn, error) { return serverWrap(conn, cfg) },
+		Client: func(conn netem.Stream, seed int64) (netem.Stream, error) { return clientWrap(conn, cfg, seed) },
+		Server: func(conn netem.Stream, _ int64) (netem.Stream, error) { return serverWrap(conn, cfg) },
 	}
 }
 

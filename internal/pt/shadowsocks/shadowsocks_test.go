@@ -6,6 +6,7 @@ import (
 	"net"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // pipeEnd is a net.Pipe end with the event forms a RecordConn reads and
@@ -22,6 +23,13 @@ func (p pipeEnd) WriteEvent(b []byte, _ func()) (int, error, bool) {
 	n, err := p.Conn.Write(b)
 	return n, err, true
 }
+
+func (p pipeEnd) ReadEvent(b []byte, _ func()) (int, error, bool) {
+	n, err := p.Conn.Read(b)
+	return n, err, true
+}
+
+func (p pipeEnd) SetReadTimeout(time.Duration) error { return nil }
 
 // pipe is net.Pipe with both ends wrapped.
 func pipe() (pipeEnd, pipeEnd) {

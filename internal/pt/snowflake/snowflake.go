@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"net"
 	"time"
 
 	"ptperf/internal/geo"
@@ -91,7 +90,7 @@ type proxy struct {
 	host  *netem.Host
 	ln    *netem.Listener
 	addr  string
-	conns []interface{ Abort() }
+	conns []*netem.Conn
 	dead  bool
 }
 
@@ -185,7 +184,7 @@ func proxyLocation(id int) geo.Location {
 
 // serveFlow splices one accepted flow to the bridge address it
 // announces.
-func (p *proxy) serveFlow(c net.Conn) {
+func (p *proxy) serveFlow(c *netem.Conn) {
 	bridgeAddr, err := readString(c) // the client's hello
 	if err != nil {
 		c.Close()
@@ -196,16 +195,8 @@ func (p *proxy) serveFlow(c net.Conn) {
 		c.Close()
 		return
 	}
-	p.track(c, down)
+	p.conns = append(p.conns, c, down.(*netem.Conn)) // Host.Dial's conns are *netem.Conn
 	pt.Splice(p.host.Network().Clock(), c, down)
-}
-
-func (p *proxy) track(conns ...net.Conn) {
-	for _, c := range conns {
-		if a, ok := c.(interface{ Abort() }); ok {
-			p.conns = append(p.conns, a)
-		}
-	}
 }
 
 // kill takes the volunteer offline, aborting all flows mid-transfer.
@@ -233,7 +224,7 @@ func (p *proxy) kill() {
 
 // serveRendezvous answers one rendezvous request, a byte, with a proxy
 // address matchDelay after it arrives, and closes the conn.
-func (d *Deployment) serveRendezvous(c net.Conn) {
+func (d *Deployment) serveRendezvous(c *netem.Conn) {
 	var in *pt.FrameConn
 	in = pt.NewFrameConn(cutRequest, func([]byte) {
 		// Matching takes time; under load the queue is longer.
@@ -246,7 +237,7 @@ func (d *Deployment) serveRendezvous(c net.Conn) {
 			in.Stop()
 		})
 	}, func() { c.Close() })
-	in.Attach(c.(*netem.Conn))
+	in.Attach(c)
 	in.Await()
 }
 
@@ -287,7 +278,7 @@ func NewDialer(host *netem.Host, brokerAddr, bridgeAddr string) *Dialer {
 
 // Dial implements pt.Dialer: rendezvous, connect to the volunteer, and
 // announce the bridge.
-func (d *Dialer) Dial(target string) (net.Conn, error) {
+func (d *Dialer) Dial(target string) (netem.Stream, error) {
 	b, err := d.host.Dial(d.brokerAddr)
 	if err != nil {
 		return nil, fmt.Errorf("snowflake: broker unreachable: %w", err)

@@ -3,7 +3,6 @@ package snowflake
 import (
 	"bytes"
 	"io"
-	"net"
 	"testing"
 	"testing/quick"
 	"time"
@@ -57,7 +56,7 @@ func TestBrokerAssignsLiveProxy(t *testing.T) {
 	}
 
 	bridgeHost := infra.Network().MustAddHost(netem.HostConfig{Name: "bridge", Location: geo.Frankfurt})
-	bridge, err := StartBridge(bridgeHost, 7001, func(target string, conn net.Conn) {
+	bridge, err := StartBridge(bridgeHost, 7001, func(target string, conn netem.Stream) {
 		defer conn.Close()
 		io.Copy(conn, conn)
 	})

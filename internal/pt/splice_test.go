@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"net"
 	"sync"
 	"testing"
 	"time"
@@ -23,8 +22,8 @@ import (
 type spliceRig struct {
 	net   *netem.Network
 	clock *netem.Clock
-	c     net.Conn // the client's end of wire A
-	up    net.Conn
+	c     netem.Stream // the client's end of wire A
+	up    netem.Stream
 	upW   io.Writer
 	trace []byte
 }
@@ -38,21 +37,21 @@ func (r *spliceRig) record(side string, n int, err error) {
 // splice host splices to, and the upstream's end of the wire.
 var spliceLegs = []struct {
 	kind string
-	leg  func(t *testing.T, r *spliceRig, mid, upstream *netem.Host, accepted *netem.Chan[net.Conn]) net.Conn
+	leg  func(t *testing.T, r *spliceRig, mid, upstream *netem.Host, accepted *netem.Chan[netem.Stream]) netem.Stream
 }{
-	{"netem", func(t *testing.T, r *spliceRig, mid, _ *netem.Host, accepted *netem.Chan[net.Conn]) net.Conn {
+	{"netem", func(t *testing.T, r *spliceRig, mid, _ *netem.Host, accepted *netem.Chan[netem.Stream]) netem.Stream {
 		b := mustDial(t, mid, "upstream:80")
 		r.up, _ = accepted.Recv()
 		r.upW = r.up
 		return b
 	}},
-	{"record", func(t *testing.T, r *spliceRig, mid, _ *netem.Host, accepted *netem.Chan[net.Conn]) net.Conn {
+	{"record", func(t *testing.T, r *spliceRig, mid, _ *netem.Host, accepted *netem.Chan[netem.Stream]) netem.Stream {
 		b, _ := pt.NewRecordConn(mustDial(t, mid, "upstream:80"), pt.RecordConfig{MaxPadding: 64, Seed: 5})
 		r.up, _ = accepted.Recv()
 		r.upW, _ = pt.NewRecordConn(r.up, pt.RecordConfig{MaxPadding: 64, Seed: 6})
 		return b
 	}},
-	{"stream", func(t *testing.T, r *spliceRig, mid, _ *netem.Host, accepted *netem.Chan[net.Conn]) net.Conn {
+	{"stream", func(t *testing.T, r *spliceRig, mid, _ *netem.Host, accepted *netem.Chan[netem.Stream]) netem.Stream {
 		// A mechanism of the test's own moves the stream's bytes over
 		// wire B: a goroutine that takes what was written every
 		// millisecond, and a read sink that delivers what arrives.
@@ -87,7 +86,7 @@ var spliceLegs = []struct {
 		r.upW = r.up
 		return b
 	}},
-	{"tor", func(t *testing.T, r *spliceRig, mid, _ *netem.Host, accepted *netem.Chan[net.Conn]) net.Conn {
+	{"tor", func(t *testing.T, r *spliceRig, mid, _ *netem.Host, accepted *netem.Chan[netem.Stream]) netem.Stream {
 		dir := tor.NewDirectory()
 		for i, role := range []struct {
 			name  string
@@ -113,7 +112,7 @@ var spliceLegs = []struct {
 	}},
 }
 
-func mustDial(t *testing.T, h *netem.Host, addr string) net.Conn {
+func mustDial(t *testing.T, h *netem.Host, addr string) netem.Stream {
 	c, err := h.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +123,7 @@ func mustDial(t *testing.T, h *netem.Host, addr string) net.Conn {
 // newSpliceRig builds the hosts and wire A, and hands the splice host's
 // accepted end to splice, on a goroutine of the splice host's, after
 // delay.
-func newSpliceRig(t *testing.T, leg func(*testing.T, *spliceRig, *netem.Host, *netem.Host, *netem.Chan[net.Conn]) net.Conn, delay time.Duration) *spliceRig {
+func newSpliceRig(t *testing.T, leg func(*testing.T, *spliceRig, *netem.Host, *netem.Host, *netem.Chan[netem.Stream]) netem.Stream, delay time.Duration) *spliceRig {
 	n := netem.New(netem.WithSeed(3))
 	t.Cleanup(n.Clock().Shutdown)
 	r := &spliceRig{net: n, clock: n.Clock()}
@@ -139,7 +138,7 @@ func newSpliceRig(t *testing.T, leg func(*testing.T, *spliceRig, *netem.Host, *n
 	if err != nil {
 		t.Fatal(err)
 	}
-	accepted := netem.NewChan[net.Conn](r.clock, 1)
+	accepted := netem.NewChan[netem.Stream](r.clock, 1)
 	n.Go(func() {
 		if c, err := upLn.Accept(); err == nil {
 			accepted.Send(c)
@@ -165,7 +164,7 @@ func newSpliceRig(t *testing.T, leg func(*testing.T, *spliceRig, *netem.Host, *n
 
 // reader reads conn until an error, recording each read; pause is slept
 // after every read.
-func (r *spliceRig) reader(side string, conn net.Conn, size int, pause time.Duration) {
+func (r *spliceRig) reader(side string, conn netem.Stream, size int, pause time.Duration) {
 	r.net.Go(func() {
 		buf := make([]byte, size)
 		for {
@@ -181,7 +180,7 @@ func (r *spliceRig) reader(side string, conn net.Conn, size int, pause time.Dura
 
 // writer writes n bytes through w in one Write, records it, and then
 // half-closes or closes conn.
-func (r *spliceRig) writer(side string, w io.Writer, conn net.Conn, n int, then func(net.Conn)) {
+func (r *spliceRig) writer(side string, w io.Writer, conn netem.Stream, n int, then func(netem.Stream)) {
 	r.net.Go(func() {
 		k, err := w.Write(bytes.Repeat([]byte("splice"), n/6+1)[:n])
 		r.record(side+" wrote", k, err)
@@ -191,7 +190,7 @@ func (r *spliceRig) writer(side string, w io.Writer, conn net.Conn, n int, then 
 	})
 }
 
-func closeWrite(c net.Conn) {
+func closeWrite(c netem.Stream) {
 	if hc, ok := c.(pt.HalfCloser); ok {
 		hc.CloseWrite()
 	}
@@ -210,7 +209,7 @@ var spliceScenarios = []struct {
 	}},
 	{"both-directions", 0, func(r *spliceRig) {
 		r.writer("client", r.c, r.c, 512<<10, closeWrite)
-		r.writer("upstream", r.upW, r.upW.(net.Conn), 512<<10, closeWrite)
+		r.writer("upstream", r.upW, r.upW.(netem.Stream), 512<<10, closeWrite)
 		r.reader("upstream", r.up, 32<<10, 0)
 		r.reader("client", r.c, 32<<10, 0)
 	}},
@@ -328,7 +327,7 @@ func TestSpliceRegistersNoGoroutine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var a, up net.Conn
+	var a, up netem.Stream
 	n.Go(func() { a, _ = midLn.Accept() })
 	n.Go(func() { up, _ = upLn.Accept() })
 	c := mustDial(t, client, "mid:443")

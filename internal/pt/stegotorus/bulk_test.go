@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
-	"net"
 	"testing"
 	"time"
 
@@ -66,7 +65,7 @@ func TestBulkOverManyConns(t *testing.T) {
 			if !bytes.Equal(got, blob) {
 				t.Fatalf("conns=%d corrupted", conns)
 			}
-			var _ net.Conn = conn
+			var _ netem.Stream = conn
 		})
 	}
 }
@@ -79,7 +78,7 @@ func TestIncompleteFanOutIsClosed(t *testing.T) {
 	t.Cleanup(n.Clock().Shutdown)
 	client := n.MustAddHost(netem.HostConfig{Name: "client", Location: geo.Toronto})
 	server := n.MustAddHost(netem.HostConfig{Name: "server", Location: geo.Frankfurt})
-	srv, err := StartServer(server, 8080, Config{Seed: 1}, func(string, net.Conn) {
+	srv, err := StartServer(server, 8080, Config{Seed: 1}, func(string, netem.Stream) {
 		t.Error("a fan-out of one conn out of two reached the handler")
 	})
 	if err != nil {

@@ -7,7 +7,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"net"
 	"testing"
 
 	"ptperf/internal/netem"
@@ -17,7 +16,7 @@ import (
 
 // wire is a fan-out conn that keeps what was written to it.
 type wire struct {
-	net.Conn
+	netem.Stream
 	buf bytes.Buffer
 }
 
@@ -30,7 +29,7 @@ func (w *wire) WriteEvent(p []byte, _ func()) (int, error, bool) {
 
 // wired is a chopConn over n wires, with no read loops.
 func wired(n int, seed int64) (*chopConn, []*wire) {
-	wires, conns := make([]*wire, n), make([]net.Conn, n)
+	wires, conns := make([]*wire, n), make([]netem.Stream, n)
 	for i := range wires {
 		wires[i] = new(wire)
 		conns[i] = wires[i]
@@ -142,7 +141,7 @@ func TestChopConnWriteRefusesReentry(t *testing.T) {
 
 // reenter is a fan-out conn whose Write calls back.
 type reenter struct {
-	net.Conn
+	netem.Stream
 	write func()
 }
 

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"net"
 	"strconv"
 	"sync"
 
@@ -174,7 +173,7 @@ type chopConn struct {
 	*pt.Stream
 	cfg   Config
 	sid   uint64
-	conns []net.Conn
+	conns []netem.Stream
 	// werrs holds each conn's first write error. A conn that failed a
 	// write is never written again: a write to a dead conn still passes
 	// the censor's segment filter, which counts it.
@@ -204,7 +203,7 @@ type chopConn struct {
 	readers int
 }
 
-func newChopConn(clock *netem.Clock, cfg Config, sid uint64, conns []net.Conn, seed int64) *chopConn {
+func newChopConn(clock *netem.Clock, cfg Config, sid uint64, conns []netem.Stream, seed int64) *chopConn {
 	c := &chopConn{
 		Stream:  pt.NewStream(clock, "steg", "stegotorus", "stegotorus-peer", 0),
 		cfg:     cfg,
@@ -268,7 +267,7 @@ func (c *chopConn) startCover(i int, block []byte) {
 // lease once the conn has taken it all; done false means again goes on.
 // A conn that failed a write is never written again.
 func (c *chopConn) flushCover(again func()) (err error, done bool) {
-	k, err, done := c.conns[c.to].(netem.EventWriter).WriteEvent((*c.cover)[c.sent:], again)
+	k, err, done := c.conns[c.to].WriteEvent((*c.cover)[c.sent:], again)
 	if c.sent += k; !done {
 		return nil, false
 	}
@@ -374,7 +373,7 @@ func (c *chopConn) WriteEvent(p []byte, again func()) (n int, err error, done bo
 	}
 }
 
-// Close implements net.Conn.
+// Close implements netem.Stream.
 func (c *chopConn) Close() error {
 	c.closed = true
 	c.Fail()
@@ -399,7 +398,7 @@ type Server struct {
 
 // fanOut is a session's conns so far.
 type fanOut struct {
-	conns []net.Conn
+	conns []netem.Stream
 	want  int
 	// abandoned turns away a conn that arrives after the rest were
 	// closed.
@@ -439,7 +438,7 @@ func (s *Server) abandon(f *fanOut) {
 
 // serveConn reads one fan-out conn's preamble, [8B session][1B index]
 // [1B total], and serves the session once its last conn is in.
-func (s *Server) serveConn(c net.Conn) {
+func (s *Server) serveConn(c *netem.Conn) {
 	var pre [10]byte
 	if _, err := io.ReadFull(c, pre[:]); err != nil {
 		c.Close()
@@ -491,12 +490,12 @@ func NewDialer(host *netem.Host, addr string, cfg Config) *Dialer {
 
 // Dial implements pt.Dialer: open the fan-out, announce the session on
 // every conn, then chop.
-func (d *Dialer) Dial(target string) (net.Conn, error) {
+func (d *Dialer) Dial(target string) (netem.Stream, error) {
 	d.next++
 	sid := d.next
 	seed := int64(d.next) + d.cfg.Seed
 
-	conns := make([]net.Conn, 0, d.cfg.Conns)
+	conns := make([]netem.Stream, 0, d.cfg.Conns)
 	for i := 0; i < d.cfg.Conns; i++ {
 		c, err := d.host.Dial(d.addr)
 		if err != nil {

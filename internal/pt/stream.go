@@ -16,13 +16,13 @@ func (a Addr) Network() string { return a.Transport }
 func (a Addr) String() string { return a.End }
 
 // Stream is the virtual byte-stream endpoint every tunnelling transport
-// hands out as its net.Conn. The application reads and writes it; the
+// hands out as its netem.Stream. The application reads and writes it; the
 // transport's mechanism (a poll loop, a message receiver, an automaton
 // walk) moves the bytes on the other side with Deliver, DeliverSeq,
 // Take, PeerFin and Fail. A transport whose writes go straight to the
 // wire as messages or blocks shadows Write and uses the read half only.
 //
-// The read half, with the read deadline, is the embedded netem.Inbox,
+// The read half, with the read timeout, is the embedded netem.Inbox,
 // which tor's streams share. Write has an event form (WriteEvent), as
 // Read has (ReadEvent), for a caller that must not park, pt.Splice's
 // pumps: where the plain call parks, the form queues its continuation
@@ -71,7 +71,7 @@ func NewStream(clock *netem.Clock, transport, local, remote string, outCap int) 
 // queued counts the bytes written and not yet taken.
 func (s *Stream) queued() int { return len(s.out) - s.outHead }
 
-// Write implements net.Conn: bytes queue for the mechanism, and the
+// Write implements netem.Stream: bytes queue for the mechanism, and the
 // bounded queue is the tunnel's backpressure.
 func (s *Stream) Write(p []byte) (int, error) {
 	n, err, _ := s.WriteEvent(p, nil)
@@ -99,7 +99,7 @@ func (s *Stream) WriteEvent(p []byte, again func()) (written int, err error, don
 	return written, nil, true
 }
 
-// Close implements net.Conn.
+// Close implements netem.Stream.
 func (s *Stream) Close() error {
 	s.Fail()
 	return nil

@@ -49,7 +49,7 @@ func newWorld(t *testing.T) *world {
 
 // echoHandler records the target and echoes bytes until EOF.
 func echoHandler(t *testing.T, wantTarget string) pt.StreamHandler {
-	return func(target string, conn net.Conn) {
+	return func(target string, conn netem.Stream) {
 		if target != wantTarget {
 			t.Errorf("handler target = %q want %q", target, wantTarget)
 		}
@@ -97,7 +97,7 @@ func TestObfs4EndToEnd(t *testing.T) {
 
 func TestObfs4RejectsWrongSecret(t *testing.T) {
 	w := newWorld(t)
-	srv, err := obfs4.StartServer(w.server, 443, obfs4.Config{Secret: []byte("right"), Seed: 1}, func(string, net.Conn) {
+	srv, err := obfs4.StartServer(w.server, 443, obfs4.Config{Secret: []byte("right"), Seed: 1}, func(string, netem.Stream) {
 		t.Error("unauthorized client reached the handler")
 	})
 	if err != nil {
@@ -108,7 +108,7 @@ func TestObfs4RejectsWrongSecret(t *testing.T) {
 	if err == nil {
 		// The server drops us during the handshake; the failure may
 		// surface on first read instead of dial.
-		conn.SetReadDeadline(w.net.VirtualDeadline(50 * time.Millisecond))
+		conn.SetReadTimeout(50 * time.Millisecond)
 		buf := make([]byte, 1)
 		if _, rerr := conn.Read(buf); rerr == nil {
 			t.Fatal("probe with wrong secret should not produce data")
@@ -217,7 +217,7 @@ func TestCloakEndToEnd(t *testing.T) {
 func TestCloakClientHalfClose(t *testing.T) {
 	w := newWorld(t)
 	cfg := cloak.Config{UID: []byte("cloak-uid"), RedirAddr: "bing.com", Seed: 1}
-	srv, err := cloak.StartServer(w.server, 443, cfg, func(_ string, conn net.Conn) {
+	srv, err := cloak.StartServer(w.server, 443, cfg, func(_ string, conn netem.Stream) {
 		defer conn.Close()
 		req, err := io.ReadAll(conn)
 		if err != nil {
@@ -265,7 +265,7 @@ func TestConjureEndToEnd(t *testing.T) {
 func TestConjureUnregisteredFlowDropped(t *testing.T) {
 	w := newWorld(t)
 	secret := []byte("s")
-	bridge, _ := conjure.StartBridge(w.server, 4443, conjure.Config{Secret: secret}, func(string, net.Conn) {
+	bridge, _ := conjure.StartBridge(w.server, 4443, conjure.Config{Secret: secret}, func(string, netem.Stream) {
 		t.Error("unregistered flow reached bridge")
 	})
 	inf, err := conjure.StartInfra(w.extra, w.extra2, 53000, 443, conjure.Config{Secret: secret}, bridge.Addr())
@@ -279,7 +279,7 @@ func TestConjureUnregisteredFlowDropped(t *testing.T) {
 	}
 	defer conn.Close()
 	conn.Write(make([]byte, 32))
-	conn.SetReadDeadline(w.net.VirtualDeadline(50 * time.Millisecond))
+	conn.SetReadTimeout(50 * time.Millisecond)
 	if _, err := conn.Read(make([]byte, 1)); err == nil {
 		t.Fatal("station must not answer unregistered flows")
 	}
@@ -301,7 +301,7 @@ func TestDnsttEndToEnd(t *testing.T) {
 
 func TestDnsttRespCapLimitsThroughput(t *testing.T) {
 	w := newWorld(t)
-	sink := func(target string, conn net.Conn) {
+	sink := func(target string, conn netem.Stream) {
 		defer conn.Close()
 		conn.Write(make([]byte, 8<<10)) // 8 KiB downstream
 		io.Copy(io.Discard, conn)
@@ -332,7 +332,7 @@ func TestDnsttRespCapLimitsThroughput(t *testing.T) {
 func TestDnsttResolverBudgetThrottles(t *testing.T) {
 	w := newWorld(t)
 	blob := make([]byte, 64<<10)
-	sink := func(target string, conn net.Conn) {
+	sink := func(target string, conn netem.Stream) {
 		defer conn.Close()
 		conn.Write(blob)
 		io.Copy(io.Discard, conn)
@@ -347,7 +347,7 @@ func TestDnsttResolverBudgetThrottles(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	conn.SetReadDeadline(w.net.VirtualDeadline(300 * time.Millisecond))
+	conn.SetReadTimeout(300 * time.Millisecond)
 	got := 0
 	buf := make([]byte, 4<<10)
 	for {
@@ -379,7 +379,7 @@ func TestMeekEndToEnd(t *testing.T) {
 func TestMeekSessionBudgetCutsBulk(t *testing.T) {
 	w := newWorld(t)
 	blob := make([]byte, 1<<20)
-	sink := func(target string, conn net.Conn) {
+	sink := func(target string, conn netem.Stream) {
 		defer conn.Close()
 		conn.Write(blob)
 	}
@@ -427,7 +427,7 @@ func TestSnowflakeEndToEnd(t *testing.T) {
 func TestSnowflakeProxyChurnBreaksTransfer(t *testing.T) {
 	w := newWorld(t)
 	blob := make([]byte, 4<<20)
-	sink := func(target string, conn net.Conn) {
+	sink := func(target string, conn netem.Stream) {
 		defer conn.Close()
 		conn.Write(blob)
 	}
@@ -481,7 +481,7 @@ func TestCamouflerSingleStreamOnly(t *testing.T) {
 	w := newWorld(t)
 	im, _ := camoufler.StartIMServer(w.extra, 5222, camoufler.Config{Seed: 5, LossProb: -1})
 	hold := netem.NewChan[struct{}](w.net.Clock(), 1)
-	proxy, _ := camoufler.StartProxy(w.server, im.Addr(), "acct", camoufler.Config{Seed: 6, LossProb: -1}, func(target string, conn net.Conn) {
+	proxy, _ := camoufler.StartProxy(w.server, im.Addr(), "acct", camoufler.Config{Seed: 6, LossProb: -1}, func(target string, conn netem.Stream) {
 		hold.Recv()
 		conn.Close()
 	})
@@ -511,7 +511,7 @@ func TestCamouflerRateLimitPacesBulk(t *testing.T) {
 	run := func(cfg camoufler.Config, port int) time.Duration {
 		im, _ := camoufler.StartIMServer(w.extra, port, cfg)
 		blob := make([]byte, 256<<10)
-		proxy, _ := camoufler.StartProxy(w.server, im.Addr(), fmt.Sprintf("a%d", port), cfg, func(target string, conn net.Conn) {
+		proxy, _ := camoufler.StartProxy(w.server, im.Addr(), fmt.Sprintf("a%d", port), cfg, func(target string, conn netem.Stream) {
 			defer conn.Close()
 			conn.Write(blob)
 		})

@@ -3,7 +3,6 @@ package pt_test
 import (
 	"bytes"
 	"io"
-	"net"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -38,8 +37,8 @@ var tunnels = []struct {
 		if err != nil {
 			return nil, err
 		}
-		plain := func(c net.Conn) (net.Conn, error) { return c, nil }
-		return pt.DialerFunc(func(target string) (net.Conn, error) {
+		plain := func(c netem.Stream) (netem.Stream, error) { return c, nil }
+		return pt.DialerFunc(func(target string) (netem.Stream, error) {
 			return pt.DialWrapped(w.client, srv.Addr(), plain, target)
 		}), nil
 	}},
@@ -195,7 +194,7 @@ func TestRecordPathAllocationBudget(t *testing.T) {
 		t.Run(tn.name, func(t *testing.T) {
 			w := newWorld(t)
 			defer w.net.Clock().Shutdown()
-			d, err := tn.start(w, func(_ string, conn net.Conn) {
+			d, err := tn.start(w, func(_ string, conn netem.Stream) {
 				defer conn.Close()
 				io.Copy(conn, conn)
 			})
@@ -271,7 +270,7 @@ func TestWritersCopyBeforeReturn(t *testing.T) {
 				err error
 			}
 			arrived := netem.NewChan[read](w.net.Clock(), 1)
-			d, err := tn.start(w, func(_ string, conn net.Conn) {
+			d, err := tn.start(w, func(_ string, conn netem.Stream) {
 				defer conn.Close()
 				got := make([]byte, size)
 				_, err := io.ReadFull(conn, got)
@@ -303,7 +302,7 @@ func TestWritersCopyBeforeReturn(t *testing.T) {
 
 // reenter is an inner conn whose Write calls back.
 type reenter struct {
-	net.Conn
+	netem.Stream
 	write func()
 }
 
@@ -364,7 +363,7 @@ func TestVanishedClientIsReaped(t *testing.T) {
 			w := newWorld(t)
 			clock := w.net.Clock()
 			ended := netem.NewChan[time.Duration](clock, 1)
-			d, err := tc.start(w, func(_ string, conn net.Conn) {
+			d, err := tc.start(w, func(_ string, conn netem.Stream) {
 				io.Copy(io.Discard, conn)
 				ended.Send(clock.Now())
 				conn.Close()
@@ -416,7 +415,7 @@ func TestGoroutinesPerDial(t *testing.T) {
 		t.Run(tn.name, func(t *testing.T) {
 			w := newWorld(t)
 			clock := w.net.Clock()
-			d, err := tn.start(w, func(_ string, conn net.Conn) {
+			d, err := tn.start(w, func(_ string, conn netem.Stream) {
 				defer conn.Close()
 				io.Copy(conn, conn)
 			})

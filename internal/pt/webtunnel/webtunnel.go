@@ -13,7 +13,6 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"net"
 
 	"ptperf/internal/netem"
 	"ptperf/internal/pt"
@@ -36,7 +35,7 @@ var ErrHandshake = errors.New("webtunnel: handshake failed")
 
 // clientWrap performs ClientHello/ServerHello+Finished (2 RTT) and the
 // HTTP upgrade (1 RTT folded into the Finished flight).
-func clientWrap(conn net.Conn, cfg Config, seed int64) (net.Conn, error) {
+func clientWrap(conn netem.Stream, cfg Config, seed int64) (netem.Stream, error) {
 	hello := make([]byte, 0, 280)
 	hello = append(hello, 0x16, 0x03, 0x01) // handshake record
 	random := make([]byte, 32)
@@ -79,7 +78,7 @@ func clientWrap(conn net.Conn, cfg Config, seed int64) (net.Conn, error) {
 var upgradeResponse = []byte("HTTP/1.1 101 Switching Protocols\r\n\r\n")
 
 // serverWrap mirrors the handshake.
-func serverWrap(conn net.Conn, cfg Config, seed int64) (net.Conn, error) {
+func serverWrap(conn netem.Stream, cfg Config, seed int64) (netem.Stream, error) {
 	rng := sim.NewRand(seed)
 	head := make([]byte, 3+32+1)
 	if _, err := io.ReadFull(conn, head); err != nil {
@@ -132,8 +131,8 @@ func transport(cfg Config) pt.WrapTransport {
 	return pt.WrapTransport{
 		// webtunnel's handshake checks no secret.
 		Name: "webtunnel", Keyed: true, Seed: cfg.Seed, DialerOffset: 15485863,
-		Client: func(conn net.Conn, seed int64) (net.Conn, error) { return clientWrap(conn, cfg, seed) },
-		Server: func(conn net.Conn, seed int64) (net.Conn, error) { return serverWrap(conn, cfg, seed) },
+		Client: func(conn netem.Stream, seed int64) (netem.Stream, error) { return clientWrap(conn, cfg, seed) },
+		Server: func(conn netem.Stream, seed int64) (netem.Stream, error) { return serverWrap(conn, cfg, seed) },
 	}
 }
 

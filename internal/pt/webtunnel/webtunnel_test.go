@@ -2,14 +2,13 @@ package webtunnel
 
 import (
 	"bytes"
-	"net"
 	"testing"
 
 	"ptperf/internal/geo"
 	"ptperf/internal/netem"
 )
 
-func bufferedPair(t *testing.T) (*netem.Network, net.Conn, net.Conn) {
+func bufferedPair(t *testing.T) (*netem.Network, netem.Stream, netem.Stream) {
 	t.Helper()
 	n := netem.New(netem.WithSeed(11))
 	t.Cleanup(n.Clock().Shutdown)
@@ -19,7 +18,7 @@ func bufferedPair(t *testing.T) (*netem.Network, net.Conn, net.Conn) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	accepted := netem.NewChan[net.Conn](n.Clock(), 1)
+	accepted := netem.NewChan[netem.Stream](n.Clock(), 1)
 	n.Go(func() {
 		c, err := ln.Accept()
 		if err == nil {
@@ -38,7 +37,7 @@ func TestHandshakeAndRecords(t *testing.T) {
 	cfg := Config{SNI: "static.example", Seed: 1}
 	n, a, b := bufferedPair(t)
 	type res struct {
-		conn net.Conn
+		conn netem.Stream
 		err  error
 	}
 	sc := netem.NewChan[res](n.Clock(), 1)
@@ -89,7 +88,7 @@ func TestServerRejectsNonTunnelRequest(t *testing.T) {
 	}
 }
 
-func readFull(t *testing.T, c net.Conn, buf []byte) {
+func readFull(t *testing.T, c netem.Stream, buf []byte) {
 	t.Helper()
 	total := 0
 	for total < len(buf) {

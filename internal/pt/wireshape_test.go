@@ -2,7 +2,6 @@ package pt_test
 
 import (
 	"io"
-	"net"
 	"testing"
 
 	"ptperf/internal/netem"
@@ -111,7 +110,7 @@ func TestWireShapePinned(t *testing.T) {
 			// before the next begins.
 			clock := w.net.Clock()
 			uploaded, reply, served := netem.NewChan[error](clock, 1), netem.NewChan[bool](clock, 1), netem.NewChan[error](clock, 1)
-			d, err := tc.start(w, func(_ string, conn net.Conn) {
+			d, err := tc.start(w, func(_ string, conn netem.Stream) {
 				defer conn.Close()
 				buf := make([]byte, payload)
 				_, err := io.ReadFull(conn, buf)

@@ -27,7 +27,6 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"ptperf/internal/censor"
@@ -362,11 +361,10 @@ func measure(w *testbed.World, spec Spec, repeats int, clockErr *error) map[stri
 		sites = append(sites, site{w.CBL.Sites[i].Path})
 	}
 
-	// Exactly one simulation goroutine runs at a time, so a plain mutex
-	// never blocks here; it only orders the map writes (same pattern as
-	// the harness's forEachMethod).
+	// The per-method goroutines are simulation goroutines of w, one
+	// running at a time, so out and clockErr need no lock (as in the
+	// harness's forEachMethod).
 	out := make(map[string]*methodResult, len(spec.Transports))
-	var mu sync.Mutex
 	wg := netem.NewWaitGroup(clock)
 	for _, name := range spec.Transports {
 		name := name
@@ -383,11 +381,9 @@ func measure(w *testbed.World, spec Spec, repeats int, clockErr *error) map[stri
 					res.Failed++
 				}
 				if now := clock.Now(); now < last {
-					mu.Lock()
 					if *clockErr == nil {
 						*clockErr = fmt.Errorf("virtual clock moved backwards: %v after %v", now, last)
 					}
-					mu.Unlock()
 				} else {
 					last = now
 				}
@@ -399,9 +395,7 @@ func measure(w *testbed.World, spec Spec, repeats int, clockErr *error) map[stri
 				for i := 0; i < len(sites)*repeats; i++ {
 					record(pageTimeout.Seconds(), false)
 				}
-				mu.Lock()
 				out[name] = res
-				mu.Unlock()
 				return
 			}
 			// A failed preheat is not fatal: under blocking scenarios
@@ -418,9 +412,7 @@ func measure(w *testbed.World, spec Spec, repeats int, clockErr *error) map[stri
 					record(got.Total.Seconds(), true)
 				}
 			}
-			mu.Lock()
 			out[name] = res
-			mu.Unlock()
 		})
 	}
 	wg.Wait()

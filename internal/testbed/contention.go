@@ -122,7 +122,7 @@ func (r *ContentionRig) Start() {
 		clock.Go(func() {
 			defer r.wg.Done()
 			clock.Sleep(time.Duration(i+1) * r.level.Stagger)
-			c := &fetch.Client{Net: r.world.Net, Dial: cl.Dial, Timeout: 600 * time.Second}
+			c := &fetch.Client{Net: r.world.Net, Dial: TorDialer(cl), Timeout: 600 * time.Second}
 			for !r.stopped {
 				c.DownloadFile(r.world.Origin.Addr(), size)
 				if r.stopped {

@@ -55,7 +55,7 @@ func TestRecipeStartsEveryTransport(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fetchPage(t, w, d.Dial)
+			fetchPage(t, w, func(target string) (net.Conn, error) { return d.Dial(target) })
 		})
 	}
 }
@@ -93,7 +93,7 @@ func TestRigsFetch(t *testing.T) {
 		}
 		for _, method := range rig.Methods() {
 			t.Run(shared.kind+"/"+method, func(t *testing.T) {
-				fetchPage(t, w, clients[method].Dial)
+				fetchPage(t, w, TorDialer(clients[method]))
 				if g := clients[method].Path().Guard; g != rig.Relay.Descriptor() {
 					t.Fatalf("first hop is %v, want the rig's shared relay", g)
 				}

@@ -278,7 +278,7 @@ func (w *World) Close() {
 // fault injector is attached, makes it crashable by name.
 func (w *World) startRelay(cfg tor.RelayConfig) (*tor.Relay, error) {
 	cfg.Directory = w.Dir
-	cfg.Sched = tor.SchedConfig{Policy: w.Opts.SchedPolicy}
+	cfg.SchedPolicy = w.Opts.SchedPolicy
 	r, err := tor.StartRelay(cfg)
 	if err != nil {
 		return nil, err
@@ -376,3 +376,8 @@ func (w *World) newTorClient(host *netem.Host, p pin, dial tor.FirstHopDialer, s
 
 // Dialer adapts a deployment to the fetch.Dialer signature.
 type Dialer = func(target string) (net.Conn, error)
+
+// TorDialer is c.Dial as a Dialer.
+func TorDialer(c *tor.Client) Dialer {
+	return func(target string) (net.Conn, error) { return c.Dial(target) }
+}

@@ -2,7 +2,6 @@ package testbed
 
 import (
 	"fmt"
-	"net"
 
 	"ptperf/internal/geo"
 	"ptperf/internal/netem"
@@ -18,12 +17,12 @@ type pin struct{ guard, middle, exit *tor.Descriptor }
 // feeding relay's OR protocol directly, and returns what a Tor client
 // pinned to relay dials its first hop through.
 func (w *World) bridge(relay *tor.Relay, name string, s site) (tor.FirstHopDialer, error) {
-	s.handle = func(_ string, conn net.Conn) { relay.ServeConn(conn) }
+	s.handle = func(_ string, conn netem.Stream) { relay.ServeConn(conn) }
 	dialer, err := w.startTransport(name, s)
 	if err != nil {
 		return nil, err
 	}
-	return func(*tor.Descriptor) (net.Conn, error) { return dialer.Dial("") }, nil
+	return func(*tor.Descriptor) (netem.Stream, error) { return dialer.Dial("") }, nil
 }
 
 // wire starts a transport at s and wires it per its integration set
@@ -46,12 +45,12 @@ func (w *World) wire(info pt.Info, s site, relay *tor.Relay, p pin, seed int64) 
 		// names in the stream prologue.
 		s.handle = pt.ForwardTo(s.host)
 		d.dialer, err = w.startTransport(info.Name, s)
-		hop = func(g *tor.Descriptor) (net.Conn, error) { return d.dialer.Dial(g.Addr) }
+		hop = func(g *tor.Descriptor) (netem.Stream, error) { return d.dialer.Dial(g.Addr) }
 	case pt.Set3:
 		// The PT server host runs the Tor client; application streams
 		// arrive with their final destination.
 		torHost = s.host
-		s.handle = pt.HandleWithDialer(w.Net.Clock(), func(target string) (net.Conn, error) {
+		s.handle = pt.HandleWithDialer(w.Net.Clock(), func(target string) (netem.Stream, error) {
 			return d.tor.Dial(target)
 		})
 		d.dialer, err = w.startTransport(info.Name, s)

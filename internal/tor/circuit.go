@@ -5,7 +5,6 @@ import (
 	"net"
 	"sort"
 	"sync"
-	"time"
 
 	"ptperf/internal/netem"
 )
@@ -13,7 +12,7 @@ import (
 // circuit is the client's view of one 3-hop circuit.
 type circuit struct {
 	client *Client
-	conn   net.Conn
+	conn   netem.Stream
 	path   Path
 	id     uint32
 
@@ -42,7 +41,7 @@ type circuit struct {
 	circDlvWin int // backward-data accounting for SENDME generation
 }
 
-func newCircuit(client *Client, conn net.Conn, path Path) *circuit {
+func newCircuit(client *Client, conn netem.Stream, path Path) *circuit {
 	circ := &circuit{
 		client:     client,
 		conn:       conn,
@@ -75,12 +74,12 @@ func (circ *circuit) build() error {
 	// The CREATED wait is bounded like every other build step: lossy
 	// first hops (a camoufler message drop, a dying snowflake proxy)
 	// can otherwise stall this read forever.
-	circ.conn.SetReadDeadline(c.clock.VirtualDeadline(c.cfg.BuildTimeout))
+	circ.conn.SetReadTimeout(c.cfg.BuildTimeout)
 	var created Cell
 	if err := ReadCell(circ.conn, &created); err != nil {
 		return fmt.Errorf("tor: waiting for CREATED: %w", err)
 	}
-	circ.conn.SetReadDeadline(time.Time{})
+	circ.conn.SetReadTimeout(netem.NoTimeout)
 	if created.Cmd != CmdCreated || created.CircID != circ.id {
 		return fmt.Errorf("tor: unexpected %v during create", created.Cmd)
 	}
@@ -97,7 +96,7 @@ func (circ *circuit) build() error {
 		// where a read loop's goroutine would have.
 		oc.SetReadSink(circ.cellSink)
 	} else {
-		circ.rd = cellPump{r: circ.conn.(netem.EventReader), cell: make([]byte, CellSize)}
+		circ.rd = cellPump{r: circ.conn, cell: make([]byte, CellSize)}
 		circ.rd.next = circ.pump
 		c.clock.ReadyEvent(circ.rd.next)
 	}
@@ -181,7 +180,7 @@ func (o *relayOut) pack(circ *circuit, h int, rc RelayCell) error {
 // sendEvent is the rest of sendRelay: the cell goes out under sendMu
 // (cellOut.sendEvent), and a failed write closes the circuit.
 func (o *relayOut) sendEvent(circ *circuit, again func()) (err error, done bool) {
-	err, done = o.cellOut.sendEvent(circ.sendMu, circ.conn.(netem.EventWriter), circ.close, again)
+	err, done = o.cellOut.sendEvent(circ.sendMu, circ.conn, circ.close, again)
 	if err != nil {
 		err = ErrCircuitClosed
 	}
@@ -455,7 +454,7 @@ func (circ *circuit) consumePackage(s *Stream) {
 }
 
 // Stream is an anonymized byte stream over a circuit. It implements
-// net.Conn; the read half, with the read deadline, is the embedded
+// netem.Stream; the read half, with the read timeout, is the embedded
 // netem.Inbox, which deliverData fills and the exit's END ends.
 type Stream struct {
 	netem.Inbox
@@ -491,7 +490,7 @@ func (s *Stream) notifyConnected(err error) {
 	s.connected.TrySend(err)
 }
 
-// Write implements net.Conn, packaging MaxRelayData-sized DATA cells
+// Write implements netem.Stream, packaging MaxRelayData-sized DATA cells
 // under flow control.
 func (s *Stream) Write(p []byte) (int, error) {
 	n, err, _ := s.WriteEvent(p, nil)
@@ -540,7 +539,7 @@ func (s *Stream) WriteEvent(p []byte, again func()) (n int, err error, done bool
 	}
 }
 
-// Close implements net.Conn, sending RELAY_END.
+// Close implements netem.Stream, sending RELAY_END.
 func (s *Stream) Close() error {
 	s.CloseEvent(nil)
 	return nil

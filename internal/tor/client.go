@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"net"
 	"time"
 
 	"ptperf/internal/netem"
@@ -25,7 +24,7 @@ var (
 // Tor dials the guard's ORPort directly; pluggable transports substitute
 // their obfuscated channel here — this is the paper's PT client plug-in
 // point.
-type FirstHopDialer func(guard *Descriptor) (net.Conn, error)
+type FirstHopDialer func(guard *Descriptor) (netem.Stream, error)
 
 // RetryPolicy bounds the client's recovery machinery. The zero value
 // reproduces the historical hard-coded behavior byte-for-byte on
@@ -331,7 +330,7 @@ func (c *Client) buildCircuit() (*circuit, error) {
 
 	dial := c.cfg.DialFirstHop
 	if dial == nil {
-		dial = func(g *Descriptor) (net.Conn, error) { return c.cfg.Host.Dial(g.Addr) }
+		dial = func(g *Descriptor) (netem.Stream, error) { return c.cfg.Host.Dial(g.Addr) }
 	}
 	conn, err := dial(path.Guard)
 	if err != nil {
@@ -366,7 +365,7 @@ func (c *Client) backoff(n int) time.Duration {
 // client's circuit. A stream that fails because its circuit died is
 // re-attached to a fresh circuit up to RetryPolicy.MaxStreamRetries
 // times (Tor's stream re-attach; default one retry).
-func (c *Client) Dial(target string) (net.Conn, error) {
+func (c *Client) Dial(target string) (netem.Stream, error) {
 	retries := c.cfg.Retry.streamRetries()
 	for attempt := 0; ; attempt++ {
 		circ, err := c.circuitFor()

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"net"
 	"sync"
 	"testing"
 	"time"
@@ -26,9 +25,9 @@ type pumpRig struct {
 	relays []*Relay // guard, middle, exit
 	client *Client
 	// server is the guard's end of the first hop as ServeConn got it.
-	server net.Conn
+	server netem.Stream
 	// targets hands the target's accepted conns to the scenario.
-	targets *netem.Chan[net.Conn]
+	targets *netem.Chan[netem.Stream]
 	trace   []byte
 }
 
@@ -43,25 +42,25 @@ func (r *pumpRig) record(side string, n int, err error) {
 // raw conn, and a bare end the raw conn itself.
 var firstHops = []struct {
 	kind           string
-	client, server func(r *pumpRig, raw *netem.Conn) net.Conn
+	client, server func(r *pumpRig, raw *netem.Conn) netem.Stream
 }{
 	{"record", recordEnd(5), recordEnd(6)},
 	{"stream", streamEnd, bareEnd},
 	{"flusher", bareEnd, streamEnd},
 }
 
-func recordEnd(seed int64) func(*pumpRig, *netem.Conn) net.Conn {
-	return func(_ *pumpRig, raw *netem.Conn) net.Conn {
+func recordEnd(seed int64) func(*pumpRig, *netem.Conn) netem.Stream {
+	return func(_ *pumpRig, raw *netem.Conn) netem.Stream {
 		rc, _ := pt.NewRecordConn(raw, pt.RecordConfig{MaxPadding: 64, Seed: seed})
 		return rc
 	}
 }
 
-func bareEnd(_ *pumpRig, raw *netem.Conn) net.Conn { return raw }
+func bareEnd(_ *pumpRig, raw *netem.Conn) netem.Stream { return raw }
 
 // streamEnd moves a pt.Stream's bytes over raw: a goroutine takes what
 // was written every millisecond, and a read sink delivers what arrives.
-func streamEnd(r *pumpRig, raw *netem.Conn) net.Conn {
+func streamEnd(r *pumpRig, raw *netem.Conn) netem.Stream {
 	s := pt.NewStream(r.clock, "test", raw.LocalAddr().String(), raw.RemoteAddr().String(), 64<<10)
 	raw.SetReadSink(func(data []byte, base *[]byte, pool *sync.Pool, err error) {
 		if err != nil {
@@ -94,10 +93,10 @@ func streamEnd(r *pumpRig, raw *netem.Conn) net.Conn {
 // newPumpRig starts the relays, the guard's first-hop server, a target
 // host listening on port 80 and a client pinned to the three relays
 // whose first hop is hop's.
-func newPumpRig(t *testing.T, seed int64, client, server func(*pumpRig, *netem.Conn) net.Conn) *pumpRig {
+func newPumpRig(t *testing.T, seed int64, client, server func(*pumpRig, *netem.Conn) netem.Stream) *pumpRig {
 	n := netem.New(netem.WithSeed(seed))
 	t.Cleanup(n.Clock().Shutdown)
-	r := &pumpRig{net: n, clock: n.Clock(), targets: netem.NewChan[net.Conn](n.Clock(), 0)}
+	r := &pumpRig{net: n, clock: n.Clock(), targets: netem.NewChan[netem.Stream](n.Clock(), 0)}
 	for i, role := range []struct {
 		name  string
 		flags Flag
@@ -145,7 +144,7 @@ func newPumpRig(t *testing.T, seed int64, client, server func(*pumpRig, *netem.C
 		Host:  host,
 		Guard: guard.Descriptor(), Middle: r.relays[1].Descriptor(), Exit: r.relays[2].Descriptor(),
 		Seed: 9,
-		DialFirstHop: func(*Descriptor) (net.Conn, error) {
+		DialFirstHop: func(*Descriptor) (netem.Stream, error) {
 			raw, err := host.Dial("guard:443")
 			if err != nil {
 				return nil, err
@@ -161,7 +160,7 @@ func newPumpRig(t *testing.T, seed int64, client, server func(*pumpRig, *netem.C
 
 // serveTarget runs fn on the target's end of the next stream, on a
 // goroutine of the target's.
-func (r *pumpRig) serveTarget(fn func(c net.Conn)) {
+func (r *pumpRig) serveTarget(fn func(c netem.Stream)) {
 	r.net.Go(func() {
 		c, _ := r.targets.Recv()
 		fn(c)
@@ -169,7 +168,7 @@ func (r *pumpRig) serveTarget(fn func(c net.Conn)) {
 }
 
 // answer reads a 1 KiB request off c and writes size bytes back.
-func (r *pumpRig) answer(c net.Conn, size int) {
+func (r *pumpRig) answer(c netem.Stream, size int) {
 	k, err := io.ReadFull(c, make([]byte, 1<<10))
 	r.record("target read", k, err)
 	k, err = c.Write(bytes.Repeat([]byte("cellpump"), size/8+1)[:size])
@@ -217,7 +216,7 @@ var pumpScenarios = []struct {
 	// 700 KiB back is more than a circuit window, so the client sends
 	// circuit and stream SENDMEs and the exit waits for them.
 	{"bulk", func(r *pumpRig) {
-		r.serveTarget(func(c net.Conn) {
+		r.serveTarget(func(c netem.Stream) {
 			r.answer(c, 700<<10)
 			c.Close()
 		})
@@ -226,7 +225,7 @@ var pumpScenarios = []struct {
 	// The exit dies mid-transfer: the middle tears the circuit down and
 	// a DESTROY comes back through the guard.
 	{"destroy", func(r *pumpRig) {
-		r.serveTarget(func(c net.Conn) {
+		r.serveTarget(func(c netem.Stream) {
 			r.answer(c, 700<<10)
 			c.Close()
 		})
@@ -236,7 +235,7 @@ var pumpScenarios = []struct {
 	// The guard's end of the first hop writes part of a cell and
 	// closes once the stream has gone quiet.
 	{"eof-mid-cell", func(r *pumpRig) {
-		r.serveTarget(func(c net.Conn) {
+		r.serveTarget(func(c netem.Stream) {
 			r.answer(c, 4<<10)
 		})
 		r.request(16<<10, 0)
@@ -250,7 +249,7 @@ var pumpScenarios = []struct {
 	// The guard dies while the cells it has flushed wait to be written
 	// to its end of the first hop.
 	{"guard-crash", func(r *pumpRig) {
-		r.serveTarget(func(c net.Conn) {
+		r.serveTarget(func(c netem.Stream) {
 			r.answer(c, 700<<10)
 			c.Close()
 		})
@@ -260,7 +259,7 @@ var pumpScenarios = []struct {
 	// The target resets its end while the exit waits for a slow
 	// client's SENDMEs.
 	{"target-close", func(r *pumpRig) {
-		r.serveTarget(func(c net.Conn) {
+		r.serveTarget(func(c netem.Stream) {
 			r.answer(c, 400<<10)
 			r.clock.Sleep(50 * time.Millisecond)
 			r.record("target abort", 0, nil)
@@ -275,7 +274,7 @@ var pumpScenarios = []struct {
 	{"upload", func(r *pumpRig) {
 		for i := range 2 {
 			side := fmt.Sprintf("target %d read", i)
-			r.serveTarget(func(c net.Conn) {
+			r.serveTarget(func(c netem.Stream) {
 				buf := make([]byte, 1<<10)
 				for {
 					k, err := io.ReadFull(c, buf)
@@ -304,7 +303,7 @@ var pumpScenarios = []struct {
 	// end and tears the circuit down both ways, and the exit its
 	// upstream link.
 	{"middle-crash", func(r *pumpRig) {
-		r.serveTarget(func(c net.Conn) {
+		r.serveTarget(func(c netem.Stream) {
 			r.answer(c, 700<<10)
 			c.Close()
 		})
@@ -316,7 +315,7 @@ var pumpScenarios = []struct {
 	{"begin-refused", func(r *pumpRig) {
 		_, err := r.client.Dial("target:81")
 		r.record("client dial refused", 0, err)
-		r.serveTarget(func(c net.Conn) {
+		r.serveTarget(func(c netem.Stream) {
 			r.answer(c, 4<<10)
 			c.Close()
 		})
@@ -400,7 +399,7 @@ func TestCircuitRegistersNoGoroutine(t *testing.T) {
 	r := newPumpRig(t, 4, recordEnd(5), recordEnd(6))
 	clock := r.clock
 	const size = 1 << 20
-	r.serveTarget(func(c net.Conn) {
+	r.serveTarget(func(c netem.Stream) {
 		c.Write(make([]byte, size))
 		c.Close()
 	})

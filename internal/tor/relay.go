@@ -3,7 +3,6 @@ package tor
 import (
 	"fmt"
 	"math/rand"
-	"net"
 	"sort"
 	"sync"
 
@@ -35,9 +34,9 @@ type RelayConfig struct {
 	// Unpublished relays (private bridges acting as guards for PT
 	// servers) are reachable but never selected from the consensus.
 	Unpublished bool
-	// Sched tunes the relay cell scheduler (see SchedConfig); the zero
-	// value selects EWMA priority with bandwidth-derived budgets.
-	Sched SchedConfig
+	// SchedPolicy is the cell scheduler's circuit pick rule; the zero
+	// value selects EWMA priority.
+	SchedPolicy SchedPolicy
 }
 
 // Relay is a running onion router.
@@ -94,8 +93,8 @@ func StartRelay(cfg RelayConfig) (*Relay, error) {
 			return nil, err
 		}
 	}
-	r.sched = newCellScheduler(r.clock, cfg.Host.Network().Acct(), cfg.Sched.Policy, cfg.Bandwidth)
-	ln.Serve(r.ServeConn)
+	r.sched = newCellScheduler(r.clock, cfg.Host.Network().Acct(), cfg.SchedPolicy, cfg.Bandwidth)
+	ln.Serve(func(c *netem.Conn) { r.ServeConn(c) })
 	return r, nil
 }
 
@@ -145,12 +144,12 @@ func (r *Relay) Restart() error {
 	if err != nil {
 		return err
 	}
-	sched := newCellScheduler(r.clock, r.cfg.Host.Network().Acct(), r.cfg.Sched.Policy, r.cfg.Bandwidth)
+	sched := newCellScheduler(r.clock, r.cfg.Host.Network().Acct(), r.cfg.SchedPolicy, r.cfg.Bandwidth)
 	r.retired = append(r.retired, r.sched)
 	r.ln = ln
 	r.sched = sched
 	r.crashed = false
-	ln.Serve(r.ServeConn)
+	ln.Serve(func(c *netem.Conn) { r.ServeConn(c) })
 	if !r.cfg.Unpublished && r.cfg.Directory != nil {
 		if err := r.cfg.Directory.Publish(r.desc); err != nil {
 			return err
@@ -164,12 +163,12 @@ func (r *Relay) Restart() error {
 // a co-located relay (integration set 1 of the paper, where the PT server
 // is the guard). The link's pump runs inline on the caller's goroutine
 // and goes on as clock events: ServeConn returns once it first waits.
-func (r *Relay) ServeConn(conn net.Conn) {
+func (r *Relay) ServeConn(conn netem.Stream) {
 	// The link binds the current incarnation's scheduler once, so a
 	// restart's fresh scheduler never sees calls from links that belong
 	// to a crashed incarnation.
 	fast, _ := conn.(*netem.Conn)
-	l := &link{relay: r, sched: r.sched, conn: conn.(linkConn), fast: fast, wmu: netem.NewMutex(r.clock), circs: make(map[uint32]*relayCirc)}
+	l := &link{relay: r, sched: r.sched, conn: conn, fast: fast, wmu: netem.NewMutex(r.clock), circs: make(map[uint32]*relayCirc)}
 	buf, base := getCellBuf()
 	l.rd = cellPump{r: l.conn, cell: buf, base: base, next: l.pump}
 	l.pump()
@@ -199,14 +198,6 @@ func (r *Relay) randID(l *link) uint32 {
 	return uniqueID(r.rng.Uint32, func(id uint32) bool { return l != nil && l.circs[id] != nil })
 }
 
-// linkConn is what a link carries its cells over: a bare netem conn or
-// a PT server's stream.
-type linkConn interface {
-	netem.EventReader
-	netem.EventWriter
-	Close() error
-}
-
 // link is one upstream connection carrying circuits.
 type link struct {
 	relay *Relay
@@ -214,7 +205,7 @@ type link struct {
 	// its queues are retired with it, so a restarted relay's scheduler
 	// never receives cells from a pre-crash link.
 	sched *cellScheduler
-	conn  linkConn
+	conn  netem.Stream // a bare netem conn or a PT server's stream
 	// fast is conn as a bare netem conn, nil for a PT conn: the flush
 	// pass writes to it inline and probes its write budget.
 	fast *netem.Conn

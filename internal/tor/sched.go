@@ -66,12 +66,6 @@ func (p SchedPolicy) String() string {
 	return "ewma"
 }
 
-// SchedConfig tunes a relay's cell scheduler.
-type SchedConfig struct {
-	// Policy is the circuit pick rule (default SchedEWMA).
-	Policy SchedPolicy
-}
-
 const (
 	// schedInterval is the scheduling pass cadence on the virtual
 	// clock (KIST's sched run interval).

@@ -98,8 +98,8 @@ func contendedDelays(t *testing.T, policy SchedPolicy) (bursty, bulk CircuitSche
 		return n.MustAddHost(netem.HostConfig{Name: name, Location: geo.Frankfurt, UplinkBps: bps, DownlinkBps: bps})
 	}
 	dir := NewDirectory()
-	relay := func(name string, host *netem.Host, flags Flag, bandwidth float64, sched SchedConfig) *Relay {
-		r, err := StartRelay(RelayConfig{Name: name, Host: host, Directory: dir, Flags: flags, Bandwidth: bandwidth, Seed: int64(len(name)), Sched: sched})
+	relay := func(name string, host *netem.Host, flags Flag, bandwidth float64, sched SchedPolicy) *Relay {
+		r, err := StartRelay(RelayConfig{Name: name, Host: host, Directory: dir, Flags: flags, Bandwidth: bandwidth, Seed: int64(len(name)), SchedPolicy: sched})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,9 +109,9 @@ func contendedDelays(t *testing.T, policy SchedPolicy) (bursty, bulk CircuitSche
 	// whose passes flush the floor of 4 cells per 10ms (~205 KB/s),
 	// against fast links everywhere else, so the bulk circuit's window
 	// piles up in the guard's queue, not in pipes.
-	guard := relay("guard-0", mk("guard-0", 8<<20), FlagGuard|FlagFast, 100<<10, SchedConfig{Policy: policy})
-	relay("middle-0", mk("middle-0", 50<<20), FlagFast, 0, SchedConfig{})
-	relay("exit-0", mk("exit-0", 50<<20), FlagExit|FlagFast, 0, SchedConfig{})
+	guard := relay("guard-0", mk("guard-0", 8<<20), FlagGuard|FlagFast, 100<<10, policy)
+	relay("middle-0", mk("middle-0", 50<<20), FlagFast, 0, SchedEWMA)
+	relay("exit-0", mk("exit-0", 50<<20), FlagExit|FlagFast, 0, SchedEWMA)
 
 	web := mk("web", 50<<20)
 	bulkLn, err := web.Listen(80)
@@ -369,7 +369,7 @@ func TestSchedulerTransparentWhenUncontended(t *testing.T) {
 // discardConn is a link conn without the inline write path: the
 // scheduler hands its cells to a flusher, which writes here with the
 // event form every PT conn has. Nothing reads it.
-type discardConn struct{ linkConn }
+type discardConn struct{ netem.Stream }
 
 func (discardConn) WriteEvent(p []byte, _ func()) (int, error, bool) { return len(p), nil, true }
 

@@ -372,7 +372,7 @@ func TestStreamReadDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	conn.SetReadDeadline(w.net.VirtualDeadline(20 * time.Millisecond))
+	conn.SetReadTimeout(20 * time.Millisecond)
 	buf := make([]byte, 1)
 	_, err = conn.Read(buf)
 	ne, ok := err.(net.Error)
@@ -382,9 +382,9 @@ func TestStreamReadDeadline(t *testing.T) {
 }
 
 // TestStreamRefusesWallClockDeadline: a wall-clock instant is refused by
-// all three deadline setters, as netem.Conn and pt.Stream refuse it,
-// rather than stored as a deadline that has long passed, and a virtual
-// deadline set afterwards still governs the read.
+// all three net.Conn deadline setters, as netem.Conn and pt.Stream
+// refuse it, rather than stored as a deadline that has long passed, and
+// a virtual read timeout set afterwards still governs the read.
 func TestStreamRefusesWallClockDeadline(t *testing.T) {
 	w := buildWorld(t, 1, 1, 1)
 	conn, err := newTestClient(t, w, nil).Dial(w.target)
@@ -397,11 +397,11 @@ func TestStreamRefusesWallClockDeadline(t *testing.T) {
 	wall := time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC).Add(5 * time.Second)
 	for _, set := range []func(time.Time) error{conn.SetDeadline, conn.SetReadDeadline, conn.SetWriteDeadline} {
 		if err := set(wall); err == nil {
-			t.Fatal("wall-clock deadline accepted; want rejection naming netem.Epoch")
+			t.Fatal("wall-clock deadline accepted; want a refusal")
 		}
 	}
 	deadline := w.net.Clock().Now() + 20*time.Millisecond
-	conn.SetReadDeadline(netem.Epoch.Add(deadline))
+	conn.SetReadTimeout(20 * time.Millisecond)
 	_, err = conn.Read(make([]byte, 1))
 	if ne, ok := err.(net.Error); !ok || !ne.Timeout() || w.net.Clock().Now() != deadline {
 		t.Fatalf("read ended with %v at %v, want a timeout at %v", err, w.net.Clock().Now(), deadline)

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
-	"net"
 	"strconv"
 	"strings"
 	"sync"
@@ -47,7 +46,7 @@ var (
 	writerPool = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 32<<10) }}
 )
 
-func (o *Origin) serveConn(conn net.Conn) {
+func (o *Origin) serveConn(conn *netem.Conn) {
 	defer conn.Close()
 	r := readerPool.Get().(*bufio.Reader)
 	w := writerPool.Get().(*bufio.Writer)

@@ -78,6 +78,17 @@ func (p *proc) onEvent() {
 	io.Copy(io.Discard, p.conn) // want `io\.Copy loops over parking Read/Write`
 }
 
+// badStream reads and writes a netem.Stream with the plain forms,
+// which come from net.Conn; its event forms are the legal surface.
+func badStream(c *netem.Clock, s netem.Stream) {
+	c.EventAt(0, func() {
+		s.Read(nil)           // want `\(net\.Conn\)\.Read dynamic dispatch into a parking Read.*Clock\.EventAt arm`
+		s.Write(nil)          // want `\(net\.Conn\)\.Write dynamic dispatch into a parking Write`
+		s.ReadEvent(nil, nil) // want `\(netem\.Stream\)\.ReadEvent with a nil continuation parks`
+		s.WriteEvent(nil, func() {})
+	})
+}
+
 // badChain is a paced sender: a ReadyEvent starts it, and each step
 // re-arms the method value it keeps in a field for the next.
 func badChain(p *proc) {

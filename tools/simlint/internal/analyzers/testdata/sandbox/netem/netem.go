@@ -4,7 +4,10 @@
 // empty shells stand in for the real scheduler.
 package netem
 
-import "time"
+import (
+	"net"
+	"time"
+)
 
 type Clock struct{}
 
@@ -62,6 +65,15 @@ func (c *Conn) ReadEvent(p []byte, again func()) (int, error, bool) {
 }
 func (c *Conn) WriteEvent(p []byte, again func()) (int, error, bool) {
 	return 0, nil, true
+}
+
+// Stream is the world conn: its plain Read and Write are net.Conn's,
+// so a call through it dispatches into a parking Read or Write.
+type Stream interface {
+	net.Conn
+	ReadEvent(p []byte, again func()) (int, error, bool)
+	WriteEvent(p []byte, again func()) (int, error, bool)
+	SetReadTimeout(d time.Duration) error
 }
 
 type Host struct{}

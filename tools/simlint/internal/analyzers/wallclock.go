@@ -8,10 +8,9 @@ import (
 
 // Wallclock forbids reading or waiting on the wall clock anywhere in
 // the module. Virtual time is the only time simulation code may
-// observe (netem Clock.Now/Sleep/EventAt, VirtualDeadline); one
-// stray time.Now() silently destroys byte-identical determinism, and a
-// wall-clock SetDeadline instant decodes as a deadline ~74 years before
-// netem.Epoch. The rule is module-wide rather than scoped to the
+// observe (netem Clock.Now/Sleep/EventAt, and a read timeout is a
+// virtual duration, Stream.SetReadTimeout); one stray time.Now()
+// silently destroys byte-identical determinism. The rule is module-wide rather than scoped to the
 // simulation packages: non-simulation code (CLI timing output, bench
 // tooling) may legitimately read the wall clock, but must say so with
 // //simlint:allow wallclock -- <reason> so every wall-clock read in the
@@ -52,7 +51,7 @@ func runWallclock(pass *lint.Pass) error {
 			if recvTypeName(fn) != "" || !wallclockBanned[fn.Name()] {
 				return true
 			}
-			hint := "use the netem clock (Clock.Now/Sleep/EventAt, VirtualDeadline)"
+			hint := "use the netem clock (Clock.Now/Sleep/EventAt, Stream.SetReadTimeout)"
 			if !isSimPkg(pass.Pkg.Path()) {
 				hint = "outside simulation code, annotate //simlint:allow wallclock -- <reason>"
 			}
