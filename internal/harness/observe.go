@@ -49,19 +49,21 @@ func (r *Runner) setTimeline(key string, tl *obs.Timeline) {
 	r.omu.Unlock()
 }
 
-// addSimStats adds one measured world's scheduler counters.
+// addSimStats adds one measured world's scheduler counters; the timer
+// heap's high-water mark is the deepest any world's heap went.
 func (r *Runner) addSimStats(st netem.Stats) {
 	r.omu.Lock()
 	r.simStats.Spawns += st.Spawns
 	r.simStats.Parks += st.Parks
 	r.simStats.Events += st.Events
 	r.simStats.ReadyEvents += st.ReadyEvents
+	r.simStats.TimersHigh = max(r.simStats.TimersHigh, st.TimersHigh)
 	r.omu.Unlock()
 }
 
 // SimStats returns the scheduler counters (netem.Clock.Stats) of every
-// world this Runner has built and measured, summed; a cell answered
-// from the cache adds nothing.
+// world this Runner has built and measured, summed (TimersHigh is their
+// maximum); a cell answered from the cache adds nothing.
 func (r *Runner) SimStats() netem.Stats {
 	r.omu.Lock()
 	defer r.omu.Unlock()

@@ -28,7 +28,7 @@ func TestBulkCampaignParks(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := r.SimStats()
-	t.Logf("spawns %d, parks %d, events %d, ready events %d", st.Spawns, st.Parks, st.Events, st.ReadyEvents)
+	t.Logf("spawns %d, parks %d, events %d, ready events %d, timer heap high-water %d", st.Spawns, st.Parks, st.Events, st.ReadyEvents, st.TimersHigh)
 	if st.Parks > 11700 {
 		t.Errorf("the bulk campaign parked %d times, want at most 11700", st.Parks)
 	}

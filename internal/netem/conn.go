@@ -43,14 +43,14 @@ type Conn struct {
 	out           shape
 	memo          FlowMemo // the policy's constant of this direction
 
-	rng *rand.Rand // jitter and loss draws
+	src sim.Source // rng's stream, held inline
+	rng rand.Rand  // jitter and loss draws
 
 	wmu Mutex // serializes writers, who park on backpressure
 	// A write keeps the segment it shaped for a full window in held
-	// until the window takes it. An event write (WriteEvent) holds wmu
-	// across its waits, marked by wlocked.
-	wlocked, holding bool
-	held             seg
+	// until the window takes it, marked by holding. An event write
+	// (WriteEvent) holds wmu across its waits, marked by wlocked.
+	held seg
 
 	rdl time.Duration // the instant reads time out, noDeadline for none
 
@@ -58,6 +58,14 @@ type Conn struct {
 	// closure once; closeCalled makes a second Close a no-op without
 	// stopping a later Abort.
 	closed, closeCalled bool
+	wlocked, holding    bool
+}
+
+// connPair is the one allocation behind a dialled connection: both
+// ends and both directions.
+type connPair struct {
+	a, b   Conn
+	ab, ba pipe
 }
 
 // newConnPair wires two conns back to back. aOut shapes a→b traffic and
@@ -68,12 +76,16 @@ func newConnPair(n *Network, aAddr, bAddr Addr, aOut, bOut shape, seed int64) (*
 	// Both endpoints count: each closes independently, so ConnsOpened
 	// and ConnsClosed balance per conn, not per pair.
 	acct.addConnsOpened(2)
-	ab := newPipe(clock, 0, acct)
-	ba := newPipe(clock, 0, acct)
-	a := &Conn{net: n, local: aAddr, remote: bAddr, tx: ab, rx: ba, out: aOut,
-		rng: sim.NewRand(seed), wmu: Mutex{cond: Cond{clock: clock}}, rdl: noDeadline}
-	b := &Conn{net: n, local: bAddr, remote: aAddr, tx: ba, rx: ab, out: bOut,
-		rng: sim.NewRand(seed + 1), wmu: Mutex{cond: Cond{clock: clock}}, rdl: noDeadline}
+	p := new(connPair)
+	p.ab.init(clock, acct)
+	p.ba.init(clock, acct)
+	// Each end draws from its own inline stream, NewRand(seed)'s.
+	a, b := &p.a, &p.b
+	*a = Conn{net: n, local: aAddr, remote: bAddr, tx: &p.ab, rx: &p.ba, out: aOut,
+		src: sim.NewSource(seed), wmu: Mutex{cond: Cond{clock: clock}}, rdl: noDeadline}
+	*b = Conn{net: n, local: bAddr, remote: aAddr, tx: &p.ba, rx: &p.ab, out: bOut,
+		src: sim.NewSource(seed + 1), wmu: Mutex{cond: Cond{clock: clock}}, rdl: noDeadline}
+	a.rng, b.rng = *sim.RandOn(&a.src), *sim.RandOn(&b.src)
 	acct.registerConn(a)
 	acct.registerConn(b)
 	return a, b

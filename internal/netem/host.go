@@ -193,7 +193,8 @@ func (h *Host) DialEvent(address string, fn func(*Conn, error)) (c *Conn, err er
 		return nil, fmt.Errorf("netem: connection refused: %s", address), true
 	}
 
-	localAddr := Addr{host: fmt.Sprintf("%s:%d", h.name, h.ephemeral())}
+	local := append(append(make([]byte, 0, 64), h.name...), ':')
+	localAddr := Addr{host: string(strconv.AppendInt(local, int64(h.ephemeral()), 10))}
 	remoteAddr := Addr{host: address}
 	out, in := h.net.shapes(h, peer)
 	rtt := out.delay + in.delay

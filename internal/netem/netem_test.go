@@ -433,6 +433,37 @@ func TestConnFirstWriteAllocatesNoSource(t *testing.T) {
 	}
 }
 
+// TestDialAcceptCloseAllocations: a plain dial, its accept and both
+// closes cost a fixed handful of objects: one block for both ends and
+// both directions, the dialler's address and the SYN's event (12 while
+// each end, each direction and each end's generator was an object of
+// its own and the address came from fmt.Sprintf).
+func TestDialAcceptCloseAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts do not hold under the race detector")
+	}
+	_, a, b := testNetwork(t)
+	l, err := b.Listen(80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		c, err := a.Dial("b:80")
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := l.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Close()
+		s.Close()
+	})
+	if allocs > 3 {
+		t.Fatalf("Dial+Accept+Close allocated %v objects, want at most 3", allocs)
+	}
+}
+
 // tryWriteWorld dials one conn from a wireless host, so each segment
 // draws jitter and loss, and accepts its peer, which reads nothing:
 // what a write leaves in the pipe stays there. Two calls build twins.
@@ -474,7 +505,7 @@ func writeTrace(n *Network, c *Conn) string {
 func TestTryWriteAllOrNothing(t *testing.T) {
 	n, c, s := tryWriteWorld(t)
 	const room = 40_000 // three segments
-	fill := c.tx.maxBuf - room
+	fill := pipeWindow - room
 	if _, err := c.Write(make([]byte, fill)); err != nil {
 		t.Fatal(err)
 	}
@@ -510,7 +541,7 @@ func TestTryWriteAllOrNothing(t *testing.T) {
 func TestTryWriteRefusalLeavesNoTrace(t *testing.T) {
 	n1, tried, _ := tryWriteWorld(t)
 	n2, twin, _ := tryWriteWorld(t)
-	fill := make([]byte, tried.tx.maxBuf-100)
+	fill := make([]byte, pipeWindow-100)
 	for _, c := range []*Conn{tried, twin} {
 		if _, err := c.Write(fill); err != nil {
 			t.Fatal(err)
@@ -610,12 +641,12 @@ func TestTryWriteOwnedHandsOverWhatWriteCopies(t *testing.T) {
 		setup func(n *Network, c *Conn)
 	}{
 		{"full window", 512, func(_ *Network, c *Conn) {
-			if _, err := c.Write(make([]byte, c.tx.maxBuf-100)); err != nil {
+			if _, err := c.Write(make([]byte, pipeWindow-100)); err != nil {
 				t.Fatal(err)
 			}
 		}},
 		{"writer lock held", 512, func(n *Network, c *Conn) {
-			if _, err := c.Write(make([]byte, c.tx.maxBuf-1000)); err != nil {
+			if _, err := c.Write(make([]byte, pipeWindow-1000)); err != nil {
 				t.Fatal(err)
 			}
 			n.Go(func() { c.Write(make([]byte, segmentSize)) })

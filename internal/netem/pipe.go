@@ -120,10 +120,7 @@ type pipe struct {
 	// re-slicing capacity away on every segment.
 	segs     []seg
 	segHead  int
-	buffered int  // bytes queued and not yet read
-	maxBuf   int  // receive-window bound for backpressure
-	wclosed  bool // writer has closed; reader drains then sees EOF
-	rclosed  bool // reader has closed; writes fail
+	buffered int // bytes queued and not yet read
 	// rdWant, while a reader is parked, is the byte count it
 	// still needs; enqueue skips the arrival wake until the queue
 	// holds that much, so a threshold reader parks once per request
@@ -139,15 +136,18 @@ type pipe struct {
 	sinkArmed bool
 	sinkDone  bool
 	loop      bool // the sink stands in for a read loop (Conn.SetLoopSink)
+	wclosed   bool // writer has closed; reader drains then sees EOF
+	rclosed   bool // reader has closed; writes fail
 }
 
-func newPipe(clock *Clock, maxBuf int, acct *Acct) *pipe {
-	if maxBuf <= 0 {
-		maxBuf = 256 << 10
-	}
-	p := &pipe{clock: clock, acct: acct, cond: Cond{clock: clock}, maxBuf: maxBuf}
+// pipeWindow is a pipe's receive window, the bound on its buffered
+// bytes that a writer waits on.
+const pipeWindow = 256 << 10
+
+// init readies a pipe in place.
+func (p *pipe) init(clock *Clock, acct *Acct) {
+	*p = pipe{clock: clock, acct: acct, cond: Cond{clock: clock}}
 	acct.registerPipe(p)
-	return p
 }
 
 func vtExpired(c *Clock, vt time.Duration) bool {
@@ -180,7 +180,7 @@ func (p *pipe) push(s *seg, fn func()) (done bool, err error) {
 // wouldPark reports whether a push of n more bytes would park on the
 // receive-window bound; a closed pipe fails a push instead.
 func (p *pipe) wouldPark(n int) bool {
-	return p.buffered+n > p.maxBuf && !p.rclosed && !p.wclosed
+	return p.buffered+n > pipeWindow && !p.rclosed && !p.wclosed
 }
 
 // enqueue appends a segment and schedules its consumption at the
@@ -442,7 +442,7 @@ func (p *pipe) freeSpace() int {
 	if p.rclosed || p.wclosed {
 		return 0
 	}
-	if free := p.maxBuf - p.buffered; free > 0 {
+	if free := pipeWindow - p.buffered; free > 0 {
 		return free
 	}
 	return 0

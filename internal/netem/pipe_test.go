@@ -10,6 +10,13 @@ import (
 	"time"
 )
 
+// newPipe makes a lone pipe, as a conn pair makes its two.
+func newPipe(clock *Clock, acct *Acct) *pipe {
+	p := new(pipe)
+	p.init(clock, acct)
+	return p
+}
+
 // TestPopZeroLengthBuf pins the io.Reader contract for zero-length
 // reads: (0, nil) immediately, with any queued segment left untouched.
 // The retired implementation fell through the copy loop and returned
@@ -17,7 +24,7 @@ import (
 // the window accounting for it.
 func TestPopZeroLengthBuf(t *testing.T) {
 	clock := NewClock()
-	p := newPipe(clock, 0, new(Acct))
+	p := newPipe(clock, new(Acct))
 	data, base, pool := getSegBuf([]byte("abc"))
 	if _, err := p.push(&seg{data: data, base: base, pool: pool}, nil); err != nil {
 		t.Fatal(err)
@@ -43,7 +50,7 @@ func TestPopZeroLengthBuf(t *testing.T) {
 // also passed, at one byte (Conn.Read) and at len(buf) (Conn.ReadFull).
 func TestReadEOFBeforeTimeout(t *testing.T) {
 	clock := NewClock()
-	p := newPipe(clock, 0, new(Acct))
+	p := newPipe(clock, new(Acct))
 	data, base, pool := getSegBuf([]byte("abc"))
 	if _, err := p.push(&seg{data: data, base: base, pool: pool}, nil); err != nil {
 		t.Fatal(err)
@@ -402,7 +409,7 @@ func TestReadAfterSinkPanics(t *testing.T) {
 // growing by every segment that ever passed.
 func TestPipeKeepsItsArray(t *testing.T) {
 	clock := NewClock()
-	p := newPipe(clock, 0, new(Acct))
+	p := newPipe(clock, new(Acct))
 	push := func() {
 		data, base, pool := getSegBuf([]byte{'x'})
 		if _, err := p.push(&seg{data: data, base: base, pool: pool}, nil); err != nil {

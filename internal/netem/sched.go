@@ -239,10 +239,14 @@ type Stats struct {
 	// ReadyEvents counts inline callbacks run from the run queue:
 	// ReadyEvent arms, and event waits a Broadcast readied.
 	ReadyEvents uint64
+	// TimersHigh is the timer heap's high-water mark: the most timed
+	// waits and events pending at once.
+	TimersHigh uint64
 }
 
 // Stats returns the clock's counters so far. Counting costs one
-// increment per park or event, and it schedules nothing.
+// increment per park or event and one compare per timer armed, and it
+// schedules nothing.
 func (c *Clock) Stats() Stats { return c.stats }
 
 // NewClock returns a fresh scheduler with the calling goroutine
@@ -468,9 +472,7 @@ func (c *Clock) SleepUntil(vt time.Duration) {
 		return
 	}
 	w := c.newWaiter()
-	w.at = vt
-	w.timed = true
-	c.timers.push(w)
+	c.arm(w, vt)
 	c.park(w)
 }
 
@@ -518,13 +520,16 @@ func (c *Clock) EventAt(vt time.Duration, fn func()) {
 		return
 	}
 	w := c.newWaiter()
-	if now := c.Now(); vt < now {
-		vt = now
-	}
-	w.at = vt
-	w.timed = true
 	w.fn = fn
+	c.arm(w, max(vt, c.Now()))
+}
+
+// arm puts w in the timer heap at vt and keeps the heap's high-water
+// mark.
+func (c *Clock) arm(w *waiter, vt time.Duration) {
+	w.at, w.timed = vt, true
 	c.timers.push(w)
+	c.stats.TimersHigh = max(c.stats.TimersHigh, uint64(len(c.timers)))
 }
 
 // ReadyEvent runs fn inline from the run queue, where a goroutine woken

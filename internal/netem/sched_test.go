@@ -713,3 +713,25 @@ func TestEventWaitLeftAtShutdownIsDropped(t *testing.T) {
 		t.Fatalf("after Shutdown: %d ready, %d timers, %d continuations run; want none", n, len(clock.timers), ran)
 	}
 }
+
+// TestTimersHighIsTheDeepestHeap: TimersHigh counts every way into the
+// timer heap (EventAt, a timed wait, a WakeAt) and keeps the deepest the
+// heap went after the heap has drained.
+func TestTimersHighIsTheDeepestHeap(t *testing.T) {
+	clock := NewClock()
+	t.Cleanup(clock.Shutdown)
+	cd := NewCond(clock)
+	for i := 1; i <= 3; i++ {
+		clock.EventAt(time.Duration(i)*time.Second, func() {})
+	}
+	clock.Go(func() { cd.wait(10*time.Second, nil) }) // a timed wait
+	clock.Go(func() { cd.Wait() })                    // woken by WakeAt
+	clock.Go(func() {
+		clock.Sleep(time.Millisecond)
+		cd.WakeAt(5 * time.Second)
+	})
+	clock.Sleep(20 * time.Second)
+	if got := clock.Stats().TimersHigh; got != 6 {
+		t.Fatalf("TimersHigh = %d, want 6: three events, a timed wait, a WakeAt and the driver's sleep", got)
+	}
+}

@@ -24,6 +24,9 @@ import "time"
 type Cond struct {
 	clock   *Clock
 	waiters []*waiter
+	// first is waiters' backing array until a second waiter joins, so a
+	// lone waiter costs no allocation. A Cond is not copied once used.
+	first [1]*waiter
 }
 
 // NewCond returns a Cond parking on clock.
@@ -74,11 +77,12 @@ func (cd *Cond) wait(vt time.Duration, fn func()) (timedOut, queued bool) {
 	w := c.newWaiter()
 	w.fn = fn
 	if vt != noDeadline {
-		w.at = vt
-		w.timed = true
-		c.timers.push(w)
+		c.arm(w, vt)
 	}
 	w.cond = cd
+	if cd.waiters == nil {
+		cd.waiters = cd.first[:0]
+	}
 	cd.waiters = append(cd.waiters, w)
 	if fn != nil {
 		return false, true
@@ -113,12 +117,11 @@ func (cd *Cond) WakeAt(vt time.Duration) {
 		if w.woken || (w.timed && w.at <= vt) {
 			continue
 		}
-		w.at = vt
 		if w.timed {
+			w.at = vt
 			c.timers.fix(w.heapIndex, w)
 		} else {
-			w.timed = true
-			c.timers.push(w)
+			c.arm(w, vt)
 		}
 	}
 }

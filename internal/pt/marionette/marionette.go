@@ -252,6 +252,7 @@ type marionetteConn struct {
 	clock  *netem.Clock
 	rng    *rand.Rand
 	fireFn func() // mc.fire, bound once
+	lateFn func() // mc.late, bound once
 
 	state         string        // where the next transition starts
 	t             *Transition   // the transition under way
@@ -259,8 +260,9 @@ type marionetteConn struct {
 	payload, wbuf []byte        // its stream bytes; its frame, then the FIN
 	fin           bool          // wbuf holds the FIN
 	// replies counts the peer's messages no wait has taken; waiting is
-	// the token of the wait in progress (0: none), one of waits so far.
-	replies, waiting, waits int
+	// the token of the wait in progress (0: none), one of waits so far,
+	// and lates counts the waits whose reply timeout has fired.
+	replies, waiting, waits, lates int
 }
 
 func newConn(model *Model, conn *netem.Conn, clock *netem.Clock, seed int64) *marionetteConn {
@@ -272,7 +274,7 @@ func newConn(model *Model, conn *netem.Conn, clock *netem.Clock, seed int64) *ma
 		rng:    sim.NewRand(seed),
 		state:  model.Start,
 	}
-	mc.fireFn = mc.fire
+	mc.fireFn, mc.lateFn = mc.fire, mc.late
 	mc.in = pt.NewFrameConn(cutFrame, mc.frame, mc.Fail)
 	mc.in.Attach(conn)
 	mc.in.Await()
@@ -353,14 +355,19 @@ func (mc *marionetteConn) await() {
 		return
 	}
 	mc.waits++
-	token := mc.waits
-	mc.waiting = token
-	mc.clock.EventAt(mc.clock.Now()+replyTimeout, func() {
-		if mc.waiting == token {
-			mc.waiting = 0
-			mc.Fail()
-		}
-	})
+	mc.waiting = mc.waits
+	mc.clock.EventAt(mc.clock.Now()+replyTimeout, mc.lateFn)
+}
+
+// late is a wait's reply timeout, which fails the conn if that wait is
+// still in progress. Every wait arms one replyTimeout ahead, so the
+// timeouts fire in the order of their waits: the n-th is wait n's.
+func (mc *marionetteConn) late() {
+	mc.lates++
+	if mc.waiting == mc.lates {
+		mc.waiting = 0
+		mc.Fail()
+	}
 }
 
 // CloseWrite half-closes the sending direction: queued bytes still walk

@@ -50,9 +50,23 @@ func (s *splitmix64) Int63() int64 { return int64(s.Uint64() >> 1) }
 
 func (s *splitmix64) Seed(seed int64) { s.state = mix64(uint64(seed)) }
 
+// Source is the stream a NewRand draws from, as a value. A struct that
+// keeps one inline, beside the generator's value (*RandOn(&s.src)),
+// pays no object for its stream.
+type Source = splitmix64
+
+// NewSource returns the stream NewRand(seed) draws from.
+func NewSource(seed int64) Source { return Source{state: mix64(uint64(seed))} }
+
+// RandOn returns a generator drawing from src. It is how a simulation
+// package builds one over an inline Source: simlint's seededrand rule
+// keeps rand.New out of them.
+func RandOn(src *Source) *rand.Rand { return rand.New(src) }
+
 // NewRand returns the generator every in-world draw comes from. The
 // seed goes through mix64 once, so the additive neighbours in use
 // (cfg.Seed+3, seed+1) start at unrelated points of the Weyl sequence.
 func NewRand(seed int64) *rand.Rand {
-	return rand.New(&splitmix64{state: mix64(uint64(seed))})
+	s := NewSource(seed)
+	return RandOn(&s)
 }

@@ -81,6 +81,23 @@ func TestNewRandIsSmall(t *testing.T) {
 	}
 }
 
+// TestSourceDrawsWhatNewRandDraws: a generator over an inline Source
+// draws what NewRand's does.
+func TestSourceDrawsWhatNewRandDraws(t *testing.T) {
+	for _, seed := range []int64{0, 1, -7, 1 << 40} {
+		src := NewSource(seed)
+		inline, ref := RandOn(&src), NewRand(seed)
+		for i := 0; i < 100; i++ {
+			if a, b := inline.Int63n(1e9), ref.Int63n(1e9); a != b {
+				t.Fatalf("seed %d draw %d: %d, want %d", seed, i, a, b)
+			}
+			if a, b := inline.Float64(), ref.Float64(); a != b {
+				t.Fatalf("seed %d draw %d: %v, want %v", seed, i, a, b)
+			}
+		}
+	}
+}
+
 func BenchmarkNewRand(b *testing.B) {
 	b.Run("splitmix64", func(b *testing.B) {
 		b.ReportAllocs()

@@ -749,7 +749,6 @@ func (c *relayCirc) beginDialed(l *link) error {
 		return err
 	}
 	// The pump starts where a read loop's goroutine would have.
-	s.buf = make([]byte, MaxRelayData)
 	s.next = s.pump
 	c.link.relay.clock.ReadyEvent(s.next)
 	return nil
@@ -907,7 +906,7 @@ type exitStream struct {
 
 	// buf is what the pump reads the destination into; reading marks a
 	// read under way, next is pump, bound once.
-	buf     []byte
+	buf     [MaxRelayData]byte
 	reading bool
 	next    func()
 }
@@ -931,7 +930,7 @@ func (s *exitStream) pump() {
 				return
 			}
 		}
-		n, err, done := s.conn.ReadEvent(s.buf, s.next)
+		n, err, done := s.conn.ReadEvent(s.buf[:], s.next)
 		if !done {
 			return
 		}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"sync"
 	"unicode"
 )
 
@@ -68,7 +69,10 @@ func ReadRequest(r *bufio.Reader) (Request, error) {
 	if extra, _ := nextField(rest); len(proto) == 0 || len(extra) != 0 || !bytes.HasPrefix(proto, []byte("HTTP/1.")) {
 		return Request{}, fmt.Errorf("web: malformed request line %q", bytes.TrimSpace(line))
 	}
-	req := Request{Method: string(method), Path: string(path)}
+	req := Request{Method: "GET", Path: string(path)}
+	if string(method) != req.Method {
+		req.Method = string(method)
+	}
 	for {
 		h, err := readLine(r)
 		if err != nil {
@@ -83,15 +87,25 @@ func ReadRequest(r *bufio.Reader) (Request, error) {
 	}
 }
 
-// WriteRequest emits a GET for path.
+// WriteRequest emits a GET for path in one Write of the bytes
+// "GET %s HTTP/1.1\r\nHost: origin\r\nConnection: %s\r\n\r\n" formats,
+// framed in a leased buffer.
 func WriteRequest(w io.Writer, path string, close bool) error {
 	conn := "keep-alive"
 	if close {
 		conn = "close"
 	}
-	_, err := fmt.Fprintf(w, "GET %s HTTP/1.1\r\nHost: origin\r\nConnection: %s\r\n\r\n", path, conn)
+	b := requestPool.Get().(*[]byte)
+	*b = append(append(append((*b)[:0], "GET "...), path...), " HTTP/1.1\r\nHost: origin\r\nConnection: "...)
+	*b = append(append(*b, conn...), "\r\n\r\n"...)
+	_, err := w.Write(*b)
+	requestPool.Put(b)
 	return err
 }
+
+// requestPool holds the buffers requests are framed in; every conn a
+// request is written to copies it before Write returns.
+var requestPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // Response is a parsed response header.
 type Response struct {
@@ -138,13 +152,17 @@ func ReadResponse(r *bufio.Reader) (Response, error) {
 }
 
 // writeResponseHeader emits the status line and headers for a body of n
-// bytes.
-func writeResponseHeader(w io.Writer, status int, n int64) error {
+// bytes in one Write of the bytes
+// "HTTP/1.1 %d %s\r\nContent-Length: %d\r\n\r\n" formats, appended in
+// w's own free space.
+func writeResponseHeader(w *bufio.Writer, status int, n int64) error {
 	text := "OK"
 	if status == 404 {
 		text = "Not Found"
 	}
-	_, err := fmt.Fprintf(w, "HTTP/1.1 %d %s\r\nContent-Length: %d\r\n\r\n", status, text, n)
+	b := strconv.AppendInt(append(w.AvailableBuffer(), "HTTP/1.1 "...), int64(status), 10)
+	b = append(append(append(b, ' '), text...), "\r\nContent-Length: "...)
+	_, err := w.Write(append(strconv.AppendInt(b, n, 10), "\r\n\r\n"...))
 	return err
 }
 

@@ -113,11 +113,9 @@ func (o *Origin) lookupSite(list, id string) *Site {
 //	<path> <bytes> <weight-ppm>
 //	...
 func (o *Origin) servePage(w *bufio.Writer, path string) error {
-	parts := strings.Split(strings.TrimPrefix(path, "/site/"), "/")
-	if len(parts) != 2 {
-		return writeResponseHeader(w, 404, 0)
-	}
-	site := o.lookupSite(parts[0], parts[1])
+	// A missing or extra slash leaves an id no number parses.
+	list, id, _ := strings.Cut(strings.TrimPrefix(path, "/site/"), "/")
+	site := o.lookupSite(list, id)
 	if site == nil {
 		return writeResponseHeader(w, 404, 0)
 	}
@@ -133,15 +131,13 @@ func (o *Origin) servePage(w *bufio.Writer, path string) error {
 }
 
 func (o *Origin) serveResource(w *bufio.Writer, path string) error {
-	parts := strings.Split(strings.TrimPrefix(path, "/res/"), "/")
-	if len(parts) != 3 {
-		return writeResponseHeader(w, 404, 0)
-	}
-	site := o.lookupSite(parts[0], parts[1])
+	list, rest, _ := strings.Cut(strings.TrimPrefix(path, "/res/"), "/")
+	id, idx, _ := strings.Cut(rest, "/") // as in servePage
+	site := o.lookupSite(list, id)
 	if site == nil {
 		return writeResponseHeader(w, 404, 0)
 	}
-	k, err := strconv.Atoi(parts[2])
+	k, err := strconv.Atoi(idx)
 	if err != nil || k < 0 || k >= len(site.Resources) {
 		return writeResponseHeader(w, 404, 0)
 	}

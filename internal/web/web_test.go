@@ -3,7 +3,9 @@ package web
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"io"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -120,15 +122,126 @@ func TestHTTPRequestRoundTrip(t *testing.T) {
 
 func TestHTTPResponseRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeResponseHeader(&buf, 200, 1234); err != nil {
+	w := bufio.NewWriter(&buf)
+	if err := writeResponseHeader(w, 200, 1234); err != nil {
 		t.Fatal(err)
 	}
+	w.Flush()
 	resp, err := ReadResponse(bufio.NewReader(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.Status != 200 || resp.ContentLength != 1234 {
 		t.Fatalf("resp = %+v", resp)
+	}
+}
+
+// countingWriter counts the Writes it takes.
+type countingWriter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+// TestWritersMatchFmt: the request and response-header writers put the
+// bytes the fmt formats they replaced printed on the wire, in one Write.
+func TestWritersMatchFmt(t *testing.T) {
+	for _, tc := range []struct {
+		path  string
+		close bool
+	}{{"/site/tranco/3", true}, {"/res/cbl/12/0", false}, {"/file/1048576?from=524288", true}, {"", false}} {
+		conn := "keep-alive"
+		if tc.close {
+			conn = "close"
+		}
+		want := fmt.Sprintf("GET %s HTTP/1.1\r\nHost: origin\r\nConnection: %s\r\n\r\n", tc.path, conn)
+		var w countingWriter
+		if err := WriteRequest(&w, tc.path, tc.close); err != nil {
+			t.Fatal(err)
+		}
+		if got := w.String(); got != want || w.writes != 1 {
+			t.Errorf("WriteRequest(%q, %v) = %q in %d writes, want %q in 1", tc.path, tc.close, got, w.writes, want)
+		}
+	}
+	for _, tc := range []struct {
+		status int
+		n      int64
+	}{{200, 0}, {200, 1234}, {404, 0}, {200, 1 << 31}, {200, 1<<63 - 1}} {
+		text := "OK"
+		if tc.status == 404 {
+			text = "Not Found"
+		}
+		want := fmt.Sprintf("HTTP/1.1 %d %s\r\nContent-Length: %d\r\n\r\n", tc.status, text, tc.n)
+		for _, size := range []int{4096, 16} { // the header fits w's free space, or not
+			var cw countingWriter
+			w := bufio.NewWriterSize(&cw, size)
+			if err := writeResponseHeader(w, tc.status, tc.n); err != nil {
+				t.Fatal(err)
+			}
+			w.Flush()
+			if got := cw.String(); got != want || cw.writes != 1 {
+				t.Errorf("writeResponseHeader(%d, %d) through %d B = %q in %d writes, want %q in 1", tc.status, tc.n, size, got, cw.writes, want)
+			}
+		}
+	}
+}
+
+// splitStatus is the status the origin's routing gave a /site/ or /res/
+// path while it split the path on every slash.
+func splitStatus(o *Origin, path string) int {
+	if rest, ok := strings.CutPrefix(path, "/site/"); ok {
+		parts := strings.Split(rest, "/")
+		if len(parts) != 2 || o.lookupSite(parts[0], parts[1]) == nil {
+			return 404
+		}
+		return 200
+	}
+	parts := strings.Split(strings.TrimPrefix(path, "/res/"), "/")
+	if len(parts) != 3 {
+		return 404
+	}
+	site := o.lookupSite(parts[0], parts[1])
+	if site == nil {
+		return 404
+	}
+	if k, err := strconv.Atoi(parts[2]); err != nil || k < 0 || k >= len(site.Resources) {
+		return 404
+	}
+	return 200
+}
+
+// TestRoutingRefusesWhatSplitRefused: routing a page or resource path
+// with strings.Cut serves what splitting it on every slash served, and
+// refuses the rest.
+func TestRoutingRefusesWhatSplitRefused(t *testing.T) {
+	o := &Origin{catalogs: map[List]*Catalog{Tranco: GenerateCatalog(Tranco, 3, 1, 0.01)}}
+	res := o.catalogs[Tranco].Sites[0].Resources[0].Path
+	served := []string{"/site/tranco/0", "/site/tranco/2", res}
+	for i, path := range append(served,
+		"/site/a", "/site/a/b/c", "/res/a/b", "/res/a/b/c/d", "/site//0",
+		"/site/tranco/0/", "/site/tranco/", "/site/", "/res/tranco/0/", "/res/tranco//0", "/res//0/0", "/res/tranco/0/0/0",
+	) {
+		var buf bytes.Buffer
+		w := bufio.NewWriter(&buf)
+		if err := o.serveRequest(w, Request{Method: "GET", Path: path}); err != nil {
+			t.Fatal(err)
+		}
+		w.Flush()
+		resp, err := ReadResponse(bufio.NewReader(&buf))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := splitStatus(o, path)
+		if want != 200 && i < len(served) || want != 404 && i >= len(served) {
+			t.Fatalf("%s: the split routing gives %d", path, want)
+		}
+		if resp.Status != want {
+			t.Errorf("%s: status %d, want %d", path, resp.Status, want)
+		}
 	}
 }
 
