@@ -15,12 +15,9 @@ package cloak
 
 import (
 	"errors"
-	"io"
-	"math/rand"
 
 	"ptperf/internal/netem"
 	"ptperf/internal/pt"
-	"ptperf/internal/sim"
 )
 
 // clientHelloLen mirrors a typical browser ClientHello.
@@ -43,73 +40,54 @@ type Config struct {
 
 var tlsAppHeader = []byte{0x17, 0x03, 0x03}
 
-// buildClientHello assembles the mimicked first flight. Layout:
-// type(1)‖ver(2)‖random(32)‖proof(32)‖sni-len(1)‖sni‖pad to 517.
-func buildClientHello(cfg Config, rng *rand.Rand) []byte {
-	hello := make([]byte, clientHelloLen)
-	hello[0], hello[1], hello[2] = 0x16, 0x03, 0x01
-	random := hello[3:35]
-	pt.RandFill(rng, random)
-	proof := pt.NewTag("cloak", cfg.UID)
-	proof.Put(hello[35:67], 0, random)
-	hello[67] = byte(len(cfg.RedirAddr))
-	copy(hello[68:], cfg.RedirAddr)
-	pt.RandFill(rng, hello[68+len(cfg.RedirAddr):])
-	return hello
-}
-
 // serverHelloLen is the fixed size of the mimicked ServerHello flight.
 const serverHelloLen = 3 + 32 + 90
 
-// clientWrap sends the ClientHello and immediately layers the record
-// conn on top — zero RTT. The ServerHello is consumed by the first
-// read, so the client can start sending at once while the inbound
-// record stream stays aligned.
-func clientWrap(conn netem.Stream, cfg Config, seed int64) (netem.Stream, error) {
-	if _, err := conn.Write(buildClientHello(cfg, sim.NewRand(seed))); err != nil {
-		return nil, err
-	}
-	rc := pt.NewCodecConn(conn, pt.NewRecordCodec(pt.RecordConfig{
-		Header: tlsAppHeader,
-		Seed:   seed + 1,
-	}))
-	rc.SkipFirst(serverHelloLen)
-	return rc, nil
-}
-
-// serverWrap validates the ClientHello, replies with a ServerHello
-// asynchronously (the client does not wait for it) and layers records.
-func serverWrap(conn netem.Stream, cfg Config, seed int64) (netem.Stream, error) {
-	hello := make([]byte, clientHelloLen)
-	if _, err := io.ReadFull(conn, hello); err != nil {
-		return nil, err
-	}
-	if hello[0] != 0x16 {
-		return nil, ErrAuth
-	}
-	proof := pt.NewTag("cloak", cfg.UID)
-	if !proof.Check(hello[35:67], 0, hello[3:35]) {
-		return nil, ErrAuth
-	}
-	// ServerHello flight; the client does not wait for it before
-	// sending data, preserving the zero-RTT property.
+// serverHello is the ServerHello flight; the client does not wait for
+// it before sending data, preserving the zero-RTT property.
+var serverHello = pt.Step{Send: func(t *pt.Transcript) []byte {
 	sh := make([]byte, serverHelloLen)
 	sh[0], sh[1], sh[2] = 0x16, 0x03, 0x03
-	pt.RandFill(sim.NewRand(seed), sh[3:])
-	if _, err := conn.Write(sh); err != nil {
-		return nil, err
-	}
-	return pt.NewRecordConn(conn, pt.RecordConfig{
-		Header: tlsAppHeader,
-		Seed:   seed + 1,
-	})
-}
+	pt.RandFill(t.Rand, sh[3:])
+	return sh
+}}
 
 func transport(cfg Config) pt.WrapTransport {
+	// The mimicked first flight. Layout:
+	// type(1)‖ver(2)‖random(32)‖proof(32)‖sni-len(1)‖sni‖pad to 517.
+	clientHello := pt.Step{Send: func(t *pt.Transcript) []byte {
+		hello := make([]byte, clientHelloLen)
+		hello[0], hello[1], hello[2] = 0x16, 0x03, 0x01
+		random := hello[3:35]
+		pt.RandFill(t.Rand, random)
+		proof := pt.NewTag("cloak", cfg.UID)
+		proof.Put(hello[35:67], 0, random)
+		hello[67] = byte(len(cfg.RedirAddr))
+		copy(hello[68:], cfg.RedirAddr)
+		pt.RandFill(t.Rand, hello[68+len(cfg.RedirAddr):])
+		return hello
+	}}
+	// The server refuses a hello whose random lacks the UID's proof.
+	checkHello := pt.Step{N: clientHelloLen, Check: func(_ *pt.Transcript, hello []byte) (int, error) {
+		proof := pt.NewTag("cloak", cfg.UID)
+		if hello[0] != 0x16 || !proof.Check(hello[35:67], 0, hello[3:35]) {
+			return 0, ErrAuth
+		}
+		return 0, nil
+	}}
 	return pt.WrapTransport{
 		Name: "cloak", Keyed: len(cfg.UID) > 0, Seed: cfg.Seed, DialerOffset: 49979687,
-		Client: func(conn netem.Stream, seed int64) (netem.Stream, error) { return clientWrap(conn, cfg, seed) },
-		Server: func(conn netem.Stream, seed int64) (netem.Stream, error) { return serverWrap(conn, cfg, seed) },
+		// The client sends its hello and layers records at once (zero
+		// RTT): the ServerHello is skipped by the first read, so the
+		// inbound records stay aligned.
+		Client: pt.Handshake{Steps: []pt.Step{clientHello}, Records: func(conn netem.Stream, t *pt.Transcript) (netem.Stream, error) {
+			rc := pt.NewCodecConn(conn, pt.NewRecordCodec(pt.RecordConfig{Header: tlsAppHeader, Seed: t.Seed + 1}))
+			rc.SkipFirst(serverHelloLen)
+			return rc, nil
+		}},
+		Server: pt.Handshake{Steps: []pt.Step{checkHello, serverHello}, Records: func(conn netem.Stream, t *pt.Transcript) (netem.Stream, error) {
+			return pt.NewRecordConn(conn, pt.RecordConfig{Header: tlsAppHeader, Seed: t.Seed + 1})
+		}},
 	}
 }
 

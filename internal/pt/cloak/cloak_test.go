@@ -1,12 +1,19 @@
 package cloak
 
 import (
-	"math/rand"
 	"testing"
 
 	"ptperf/internal/geo"
 	"ptperf/internal/netem"
+	"ptperf/internal/pt"
+	"ptperf/internal/sim"
 )
+
+// clientHelloOf is the first flight a client with cfg sends on a conn
+// of seed.
+func clientHelloOf(cfg Config, seed int64) []byte {
+	return transport(cfg).Client.Steps[0].Send(&pt.Transcript{Seed: seed, Rand: sim.NewRand(seed)})
+}
 
 // bufferedPair returns two connected conns with buffering (unlike
 // net.Pipe), so a server can flush its ServerHello without a reader.
@@ -37,8 +44,7 @@ func bufferedPair(t *testing.T) (*netem.Network, netem.Stream, netem.Stream) {
 
 func TestClientHelloShape(t *testing.T) {
 	cfg := Config{UID: []byte("uid"), RedirAddr: "bing.com"}
-	rng := rand.New(rand.NewSource(1))
-	hello := buildClientHello(cfg, rng)
+	hello := clientHelloOf(cfg, 1)
 	if len(hello) != clientHelloLen {
 		t.Fatalf("ClientHello must be %d bytes (browser-shaped), got %d", clientHelloLen, len(hello))
 	}
@@ -50,14 +56,13 @@ func TestClientHelloShape(t *testing.T) {
 func TestClientHelloAuthenticates(t *testing.T) {
 	// The steganographic proof must validate for the right UID only.
 	uid := []byte("the-uid")
-	rng := rand.New(rand.NewSource(2))
-	hello := buildClientHello(Config{UID: uid, RedirAddr: "x.com"}, rng)
+	hello := clientHelloOf(Config{UID: uid, RedirAddr: "x.com"}, 2)
 
 	n1, a, b := bufferedPair(t)
 	defer a.Close()
 	defer b.Close()
 	n1.Go(func() { a.Write(hello) })
-	if _, err := serverWrap(b, Config{UID: uid}, 3); err != nil {
+	if _, err := transport(Config{UID: uid}).Server.Run(b, 3); err != nil {
 		t.Fatalf("valid hello rejected: %v", err)
 	}
 
@@ -65,7 +70,7 @@ func TestClientHelloAuthenticates(t *testing.T) {
 	defer c.Close()
 	defer d.Close()
 	n2.Go(func() { c.Write(hello) })
-	if _, err := serverWrap(d, Config{UID: []byte("other")}, 4); err != ErrAuth {
+	if _, err := transport(Config{UID: []byte("other")}).Server.Run(d, 4); err != ErrAuth {
 		t.Fatalf("wrong UID must fail auth, got %v", err)
 	}
 }
@@ -79,7 +84,7 @@ func TestZeroRTT(t *testing.T) {
 
 	serverGot := netem.NewChan[[]byte](nw.Clock(), 1)
 	nw.Go(func() {
-		sc, err := serverWrap(b, Config{UID: []byte("u")}, 5)
+		sc, err := transport(Config{UID: []byte("u")}).Server.Run(b, 5)
 		if err != nil {
 			serverGot.Send(nil)
 			return
@@ -89,7 +94,7 @@ func TestZeroRTT(t *testing.T) {
 		serverGot.Send(buf[:n])
 	})
 
-	cc, err := clientWrap(a, Config{UID: []byte("u")}, 6)
+	cc, err := transport(Config{UID: []byte("u")}).Client.Run(a, 6)
 	if err != nil {
 		t.Fatal(err)
 	}

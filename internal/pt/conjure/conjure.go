@@ -17,14 +17,17 @@ package conjure
 import (
 	"errors"
 	"fmt"
-	"io"
 
 	"ptperf/internal/netem"
 	"ptperf/internal/pt"
-	"ptperf/internal/sim"
 )
 
-const nonceLen = 32
+const (
+	nonceLen = 32
+	macLen   = 16
+)
+
+var tlsAppHeader = []byte{0x17, 0x03, 0x03}
 
 // Errors reported by the conjure control plane.
 var (
@@ -92,71 +95,65 @@ func (inf *Infra) RegistrarAddr() string { return inf.regLn.Addr().String() }
 // PhantomAddr returns the phantom address clients dial.
 func (inf *Infra) PhantomAddr() string { return inf.phantomLn.Addr().String() }
 
-// serveRegistration takes one registration: nonce ‖ MAC → ack.
+// serveRegistration takes one registration: nonce ‖ MAC → ack. A bad
+// MAC gets no ack, like a real registrar's silent drop.
 func (inf *Infra) serveRegistration(c *netem.Conn) {
 	defer c.Close()
-	msg := make([]byte, nonceLen+16)
-	if _, err := io.ReadFull(c, msg); err != nil {
-		return
+	pt.Handshake{Steps: []pt.Step{{N: nonceLen + macLen, Check: inf.register}, pt.Send([]byte{0x01})}}.Run(c, 0)
+}
+
+func (inf *Infra) register(_ *pt.Transcript, msg []byte) (int, error) {
+	if !inf.tag.Check(msg[nonceLen:], 0, msg[:nonceLen]) {
+		return 0, ErrAuth
 	}
-	var nonce [nonceLen]byte
-	copy(nonce[:], msg[:nonceLen])
-	if !inf.tag.Check(msg[nonceLen:], 0, nonce[:]) {
-		return // drop silently, like a real registrar
-	}
-	inf.registered[nonce] = true
-	c.Write([]byte{0x01}) // ack
+	inf.registered[[nonceLen]byte(msg)] = true
+	return 0, nil
 }
 
 // serveFlow validates one phantom flow's registration and splices it to
 // the bridge.
 func (inf *Infra) serveFlow(c *netem.Conn) {
-	hello := make([]byte, nonceLen)
-	if _, err := io.ReadFull(c, hello); err != nil {
-		c.Close()
-		return
-	}
-	var nonce [nonceLen]byte
-	copy(nonce[:], hello)
-	ok := inf.registered[nonce]
-	delete(inf.registered, nonce)
-	if !ok {
-		// Unregistered flows to phantom IPs look like scans;
-		// the station lets them time out.
-		c.Close()
-		return
-	}
-	down, err := inf.stationHst.Dial(inf.bridgeAddr)
+	down, err := pt.Handshake{Steps: []pt.Step{{N: nonceLen, Check: inf.claim}}, Records: inf.forward}.Run(c, 0)
 	if err != nil {
 		c.Close()
-		return
-	}
-	// Forward the nonce: the bridge reads it before the records.
-	if _, err := down.Write(nonce[:]); err != nil {
-		c.Close()
-		down.Close()
 		return
 	}
 	pt.Splice(inf.stationHst.Network().Clock(), c, down)
 }
 
+// claim uses up the nonce's registration. Unregistered flows to phantom
+// IPs look like scans; the station lets them time out.
+func (inf *Infra) claim(_ *pt.Transcript, nonce []byte) (int, error) {
+	if !inf.registered[[nonceLen]byte(nonce)] {
+		return 0, ErrNotRegistered
+	}
+	delete(inf.registered, [nonceLen]byte(nonce))
+	return 0, nil
+}
+
+// forward dials the bridge, the conn a claimed flow is spliced to, and
+// forwards the nonce: the bridge reads it before the records.
+func (inf *Infra) forward(_ netem.Stream, t *pt.Transcript) (netem.Stream, error) {
+	down, err := inf.stationHst.Dial(inf.bridgeAddr)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := down.Write(t.Flights[0]); err != nil {
+		down.Close()
+		return nil, err
+	}
+	return down, nil
+}
+
 // StartBridge runs the conjure bridge (the PT server proper, co-located
-// with the guard) on host:port.
+// with the guard) on host:port. The station forwards the registration's
+// nonce ahead of the records.
 func StartBridge(host *netem.Host, port int, cfg Config, handle pt.StreamHandler) (pt.Server, error) {
 	return pt.WrapTransport{
 		Name: "conjure", Keyed: len(cfg.Secret) > 0, Seed: cfg.Seed,
-		Server: func(conn netem.Stream, seed int64) (netem.Stream, error) {
-			// The station forwards the registration's nonce ahead of
-			// the records.
-			nonce := make([]byte, nonceLen)
-			if _, err := io.ReadFull(conn, nonce); err != nil {
-				return nil, err
-			}
-			return pt.NewRecordConn(conn, pt.RecordConfig{
-				Header: []byte{0x17, 0x03, 0x03},
-				Seed:   seed,
-			})
-		},
+		Server: pt.Handshake{Steps: []pt.Step{{N: nonceLen}}, Records: func(conn netem.Stream, t *pt.Transcript) (netem.Stream, error) {
+			return pt.NewRecordConn(conn, pt.RecordConfig{Header: tlsAppHeader, Seed: t.Seed})
+		}},
 	}.StartServer(host, port, handle)
 }
 
@@ -189,38 +186,31 @@ func (d *Dialer) Dial(target string) (netem.Stream, error) {
 	}
 	d.seed++
 	s := d.seed
-	msg := make([]byte, nonceLen+16)
-	nonce := msg[:nonceLen]
-	pt.RandFill(sim.NewRand(s), nonce)
-	tag := pt.NewTag("conjure", d.cfg.Secret)
-	tag.Put(msg[nonceLen:], 0, nonce)
 
-	// Registration round trip.
+	// Registration round trip. The nonce is the first draw of the
+	// conn's seed, here and on the phantom conn.
 	reg, err := d.host.Dial(d.registrarAddr)
 	if err != nil {
 		return nil, fmt.Errorf("conjure: registrar unreachable: %w", err)
 	}
-	if _, err := reg.Write(msg); err != nil {
-		reg.Close()
-		return nil, err
-	}
-	ack := make([]byte, 1)
-	if _, err := io.ReadFull(reg, ack); err != nil {
-		reg.Close()
+	_, err = pt.Handshake{Steps: []pt.Step{{Send: func(t *pt.Transcript) []byte {
+		msg := make([]byte, nonceLen+macLen)
+		pt.RandFill(t.Rand, msg[:nonceLen])
+		tag := pt.NewTag("conjure", d.cfg.Secret)
+		tag.Put(msg[nonceLen:], 0, msg[:nonceLen])
+		return msg
+	}}, {N: 1}}}.Run(reg, s)
+	reg.Close()
+	if err != nil {
 		return nil, fmt.Errorf("conjure: registration rejected: %w", err)
 	}
-	reg.Close()
 
 	// Phantom dial through the station: the nonce names the
 	// registration, then the session's records follow.
 	conn, err := pt.DialWrapped(d.host, d.phantomAddr, func(raw netem.Stream) (netem.Stream, error) {
-		if _, err := raw.Write(nonce); err != nil {
-			return nil, err
-		}
-		return pt.NewRecordConn(raw, pt.RecordConfig{
-			Header: []byte{0x17, 0x03, 0x03},
-			Seed:   s + 1,
-		})
+		return pt.Handshake{Steps: []pt.Step{pt.Random(nonceLen)}, Records: func(conn netem.Stream, t *pt.Transcript) (netem.Stream, error) {
+			return pt.NewRecordConn(conn, pt.RecordConfig{Header: tlsAppHeader, Seed: t.Seed + 1})
+		}}.Run(raw, s)
 	}, target)
 	if err != nil {
 		return nil, fmt.Errorf("conjure: phantom flow: %w", err)

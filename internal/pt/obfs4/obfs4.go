@@ -14,12 +14,9 @@ package obfs4
 import (
 	"encoding/binary"
 	"errors"
-	"io"
-	"math/rand"
 
 	"ptperf/internal/netem"
 	"ptperf/internal/pt"
-	"ptperf/internal/sim"
 )
 
 const (
@@ -43,74 +40,50 @@ type Config struct {
 	Seed int64
 }
 
-// writeHandshake sends nonce ‖ MAC ‖ padLen ‖ padding, the MAC the
-// secret's tag of the nonce with the role as its counter.
-func writeHandshake(w io.Writer, secret []byte, role byte, rng *rand.Rand) error {
-	nonce := make([]byte, nonceLen)
-	pt.RandFill(rng, nonce)
-	pad := rng.Intn(maxHandshakePad + 1)
-	msg := make([]byte, nonceLen+macLen+2+pad)
-	copy(msg, nonce)
-	tag := pt.NewTag("obfs4", secret)
-	tag.Put(msg[nonceLen:nonceLen+macLen], uint64(role), nonce)
-	binary.BigEndian.PutUint16(msg[nonceLen+macLen:], uint16(pad))
-	pt.RandFill(rng, msg[nonceLen+macLen+2:])
-	_, err := w.Write(msg)
-	return err
+// hello is one side's handshake flight: nonce ‖ MAC ‖ padLen ‖
+// padding, the MAC the secret's tag of the nonce with the role as its
+// counter.
+func hello(secret []byte, role byte) pt.Step {
+	return pt.Step{Send: func(t *pt.Transcript) []byte {
+		var nonce [nonceLen]byte
+		pt.RandFill(t.Rand, nonce[:])
+		pad := t.Rand.Intn(maxHandshakePad + 1)
+		msg := make([]byte, nonceLen+macLen+2+pad)
+		copy(msg, nonce[:])
+		tag := pt.NewTag("obfs4", secret)
+		tag.Put(msg[nonceLen:nonceLen+macLen], uint64(role), nonce[:])
+		binary.BigEndian.PutUint16(msg[nonceLen+macLen:], uint16(pad))
+		pt.RandFill(t.Rand, msg[nonceLen+macLen+2:])
+		return msg
+	}}
 }
 
-// readHandshake reads the peer's handshake and refuses it unless its MAC
-// is the secret's tag for role.
-func readHandshake(r io.Reader, secret []byte, role byte) error {
-	head := make([]byte, nonceLen+macLen+2)
-	if _, err := io.ReadFull(r, head); err != nil {
-		return err
-	}
-	tag := pt.NewTag("obfs4", secret)
-	if !tag.Check(head[nonceLen:nonceLen+macLen], uint64(role), head[:nonceLen]) {
-		return ErrAuth
-	}
-	pad := int(binary.BigEndian.Uint16(head[nonceLen+macLen:]))
-	if pad > maxHandshakePad {
-		return errors.New("obfs4: implausible padding")
-	}
-	_, err := io.CopyN(io.Discard, r, int64(pad))
-	return err
+// peerHello reads the peer's flight, refuses it unless its MAC is the
+// secret's tag for role, and discards its padding.
+func peerHello(secret []byte, role byte) pt.Step {
+	return pt.Step{N: nonceLen + macLen + 2, Check: func(_ *pt.Transcript, head []byte) (int, error) {
+		tag := pt.NewTag("obfs4", secret)
+		if !tag.Check(head[nonceLen:nonceLen+macLen], uint64(role), head[:nonceLen]) {
+			return 0, ErrAuth
+		}
+		pad := int(binary.BigEndian.Uint16(head[nonceLen+macLen:]))
+		if pad > maxHandshakePad {
+			return 0, errors.New("obfs4: implausible padding")
+		}
+		return pad, nil
+	}}
 }
 
-// clientWrap performs the client handshake and returns the framed conn.
-func clientWrap(conn netem.Stream, cfg Config, seed int64) (netem.Stream, error) {
-	if err := writeHandshake(conn, cfg.Secret, 'c', sim.NewRand(seed)); err != nil {
-		return nil, err
-	}
-	if err := readHandshake(conn, cfg.Secret, 's'); err != nil {
-		return nil, err
-	}
-	return pt.NewRecordConn(conn, pt.RecordConfig{
-		MaxPadding: maxRecordPad,
-		Seed:       seed + 1,
-	})
-}
-
-// serverWrap performs the server handshake.
-func serverWrap(conn netem.Stream, cfg Config, seed int64) (netem.Stream, error) {
-	if err := readHandshake(conn, cfg.Secret, 'c'); err != nil {
-		return nil, err
-	}
-	if err := writeHandshake(conn, cfg.Secret, 's', sim.NewRand(seed)); err != nil {
-		return nil, err
-	}
-	return pt.NewRecordConn(conn, pt.RecordConfig{
-		MaxPadding: maxRecordPad,
-		Seed:       seed + 1,
-	})
+// records is the padded record layer both sides put over the conn.
+func records(conn netem.Stream, t *pt.Transcript) (netem.Stream, error) {
+	return pt.NewRecordConn(conn, pt.RecordConfig{MaxPadding: maxRecordPad, Seed: t.Seed + 1})
 }
 
 func transport(cfg Config) pt.WrapTransport {
 	return pt.WrapTransport{
 		Name: "obfs4", Keyed: len(cfg.Secret) > 0, Seed: cfg.Seed, DialerOffset: 7919,
-		Client: func(conn netem.Stream, seed int64) (netem.Stream, error) { return clientWrap(conn, cfg, seed) },
-		Server: func(conn netem.Stream, seed int64) (netem.Stream, error) { return serverWrap(conn, cfg, seed) },
+		Client: pt.Handshake{Steps: []pt.Step{hello(cfg.Secret, 'c'), peerHello(cfg.Secret, 's')}, Records: records},
+		Server: pt.Handshake{Steps: []pt.Step{peerHello(cfg.Secret, 'c'), hello(cfg.Secret, 's')}, Records: records},
 	}
 }
 

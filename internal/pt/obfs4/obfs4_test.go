@@ -2,18 +2,38 @@ package obfs4
 
 import (
 	"bytes"
-	"math/rand"
+	"encoding/binary"
+	"errors"
 	"testing"
+
+	"ptperf/internal/netem"
+	"ptperf/internal/pt"
 )
+
+// bufConn is a netem.Stream over one buffer: a handshake's flights are
+// written into it and read back out of it.
+type bufConn struct {
+	netem.Stream
+	buf *bytes.Buffer
+}
+
+func (c bufConn) Read(p []byte) (int, error)  { return c.buf.Read(p) }
+func (c bufConn) Write(p []byte) (int, error) { return c.buf.Write(p) }
+
+// play runs steps over c with seed.
+func play(c netem.Stream, seed int64, steps ...pt.Step) error {
+	_, err := pt.Handshake{Steps: steps}.Run(c, seed)
+	return err
+}
 
 func TestHandshakeMessageRoundTrip(t *testing.T) {
 	secret := []byte("bridge-secret")
-	rng := rand.New(rand.NewSource(1))
 	var buf bytes.Buffer
-	if err := writeHandshake(&buf, secret, 'c', rng); err != nil {
+	c := bufConn{buf: &buf}
+	if err := play(c, 1, hello(secret, 'c')); err != nil {
 		t.Fatal(err)
 	}
-	if err := readHandshake(&buf, secret, 'c'); err != nil {
+	if err := play(c, 0, peerHello(secret, 'c')); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() != 0 {
@@ -23,36 +43,54 @@ func TestHandshakeMessageRoundTrip(t *testing.T) {
 
 func TestHandshakeRoleConfusionRejected(t *testing.T) {
 	secret := []byte("s")
-	rng := rand.New(rand.NewSource(2))
-	var buf bytes.Buffer
-	if err := writeHandshake(&buf, secret, 'c', rng); err != nil {
+	c := bufConn{buf: new(bytes.Buffer)}
+	if err := play(c, 2, hello(secret, 'c')); err != nil {
 		t.Fatal(err)
 	}
 	// Reading a client message as a server message must fail: the MAC
 	// binds the role, preventing reflection attacks.
-	if err := readHandshake(&buf, secret, 's'); err != ErrAuth {
+	if err := play(c, 0, peerHello(secret, 's')); err != ErrAuth {
 		t.Fatalf("want ErrAuth, got %v", err)
 	}
 }
 
 func TestHandshakeWrongSecretRejected(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	var buf bytes.Buffer
-	if err := writeHandshake(&buf, []byte("right"), 'c', rng); err != nil {
+	c := bufConn{buf: new(bytes.Buffer)}
+	if err := play(c, 3, hello([]byte("right"), 'c')); err != nil {
 		t.Fatal(err)
 	}
-	if err := readHandshake(&buf, []byte("wrong"), 'c'); err != ErrAuth {
+	if err := play(c, 0, peerHello([]byte("wrong"), 'c')); err != ErrAuth {
 		t.Fatalf("want ErrAuth, got %v", err)
+	}
+}
+
+// TestHandshakeImplausiblePaddingRejected: a flight whose MAC checks but
+// whose padding length is past obfs4's bound is refused before any of
+// the padding is read.
+func TestHandshakeImplausiblePaddingRejected(t *testing.T) {
+	secret := []byte("s")
+	var buf bytes.Buffer
+	if err := play(bufConn{buf: &buf}, 5, hello(secret, 'c')); err != nil {
+		t.Fatal(err)
+	}
+	head := buf.Bytes()[:nonceLen+macLen+2]
+	binary.BigEndian.PutUint16(head[nonceLen+macLen:], maxHandshakePad+1)
+	c := bufConn{buf: bytes.NewBuffer(append(head, make([]byte, maxHandshakePad+1)...))}
+	err := play(c, 0, peerHello(secret, 'c'))
+	if err == nil || errors.Is(err, ErrAuth) {
+		t.Fatalf("want the padding refused, got %v", err)
+	}
+	if c.buf.Len() != maxHandshakePad+1 {
+		t.Fatalf("%d bytes of padding read before the refusal", maxHandshakePad+1-c.buf.Len())
 	}
 }
 
 func TestHandshakePaddingVaries(t *testing.T) {
 	secret := []byte("s")
-	rng := rand.New(rand.NewSource(4))
 	sizes := map[int]bool{}
-	for i := 0; i < 20; i++ {
+	for i := int64(0); i < 20; i++ {
 		var buf bytes.Buffer
-		if err := writeHandshake(&buf, secret, 'c', rng); err != nil {
+		if err := play(bufConn{buf: &buf}, 4+i, hello(secret, 'c')); err != nil {
 			t.Fatal(err)
 		}
 		sizes[buf.Len()] = true

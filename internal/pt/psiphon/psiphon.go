@@ -11,20 +11,18 @@
 package psiphon
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
-	"io"
 
 	"ptperf/internal/netem"
 	"ptperf/internal/pt"
-	"ptperf/internal/sim"
 )
 
 const (
 	macLen = 16
 	// proofLen is the host-key proof's length, that of an HMAC-SHA256.
 	proofLen = 32
+	kexLen   = 64
 )
 
 // Errors reported by the handshake and packet layer.
@@ -92,71 +90,36 @@ func (c *packetCodec) Open(_, body []byte) ([]byte, error) {
 	return body[:n], nil
 }
 
-// clientWrap runs banner exchange + kex (2 RTTs).
-func clientWrap(conn netem.Stream, cfg Config, seed int64) (netem.Stream, error) {
-	// RTT 1: version banners.
-	if _, err := conn.Write(banner); err != nil {
-		return nil, err
-	}
-	peer := make([]byte, len(banner))
-	if _, err := io.ReadFull(conn, peer); err != nil {
-		return nil, err
-	}
-	if !bytes.Equal(peer, banner) {
-		return nil, ErrVersion
-	}
-	// RTT 2: kexinit + host key verification.
-	kex := make([]byte, 64)
-	pt.RandFill(sim.NewRand(seed), kex)
-	if _, err := conn.Write(kex); err != nil {
-		return nil, err
-	}
-	reply := make([]byte, 64+proofLen)
-	if _, err := io.ReadFull(conn, reply); err != nil {
-		return nil, err
-	}
-	serverKex := reply[:64]
-	proof := pt.NewTag("psiphon", cfg.HostKey, kex)
-	if !proof.Check(reply[64:], 0, serverKex) {
-		return nil, ErrHostKey
-	}
-	secret := append(append(append([]byte{}, cfg.HostKey...), kex...), serverKex...)
-	return pt.NewCodecConn(conn, NewCodec(secret, true)), nil
-}
-
-// serverWrap mirrors the client handshake.
-func serverWrap(conn netem.Stream, cfg Config, seed int64) (netem.Stream, error) {
-	peer := make([]byte, len(banner))
-	if _, err := io.ReadFull(conn, peer); err != nil {
-		return nil, err
-	}
-	if !bytes.Equal(peer, banner) {
-		return nil, ErrVersion
-	}
-	if _, err := conn.Write(banner); err != nil {
-		return nil, err
-	}
-	kex := make([]byte, 64)
-	if _, err := io.ReadFull(conn, kex); err != nil {
-		return nil, err
-	}
-	reply := make([]byte, 64+proofLen)
-	serverKex := reply[:64]
-	pt.RandFill(sim.NewRand(seed), serverKex)
-	proof := pt.NewTag("psiphon", cfg.HostKey, kex)
-	proof.Put(reply[64:], 0, serverKex)
-	if _, err := conn.Write(reply); err != nil {
-		return nil, err
-	}
-	secret := append(append(append([]byte{}, cfg.HostKey...), kex...), serverKex...)
-	return pt.NewCodecConn(conn, NewCodec(secret, false)), nil
-}
-
+// transport declares banner exchange + kex (2 RTTs). The flights are
+// numbered alike at both ends: 0 and 1 the client's and the server's
+// banners, 2 the client's kexinit, 3 the server's followed by its
+// host-key proof over flight 2. The session secret is the host key, then
+// both kexinits.
 func transport(cfg Config) pt.WrapTransport {
+	codec := func(isClient bool) func(netem.Stream, *pt.Transcript) (netem.Stream, error) {
+		return func(conn netem.Stream, t *pt.Transcript) (netem.Stream, error) {
+			secret := append(append(append([]byte{}, cfg.HostKey...), t.Flights[2]...), t.Flights[3][:kexLen]...)
+			return pt.NewCodecConn(conn, NewCodec(secret, isClient)), nil
+		}
+	}
+	reply := pt.Step{Send: func(t *pt.Transcript) []byte {
+		reply := make([]byte, kexLen+proofLen)
+		pt.RandFill(t.Rand, reply[:kexLen])
+		proof := pt.NewTag("psiphon", cfg.HostKey, t.Flights[2])
+		proof.Put(reply[kexLen:], 0, reply[:kexLen])
+		return reply
+	}}
+	checkReply := pt.Step{N: kexLen + proofLen, Check: func(t *pt.Transcript, reply []byte) (int, error) {
+		proof := pt.NewTag("psiphon", cfg.HostKey, t.Flights[2])
+		if !proof.Check(reply[kexLen:], 0, reply[:kexLen]) {
+			return 0, ErrHostKey
+		}
+		return 0, nil
+	}}
 	return pt.WrapTransport{
 		Name: "psiphon", Keyed: len(cfg.HostKey) > 0, Seed: cfg.Seed, DialerOffset: 32452843,
-		Client: func(conn netem.Stream, seed int64) (netem.Stream, error) { return clientWrap(conn, cfg, seed) },
-		Server: func(conn netem.Stream, seed int64) (netem.Stream, error) { return serverWrap(conn, cfg, seed) },
+		Client: pt.Handshake{Steps: []pt.Step{pt.Send(banner), pt.Expect(banner, ErrVersion), pt.Random(kexLen), checkReply}, Records: codec(true)},
+		Server: pt.Handshake{Steps: []pt.Step{pt.Expect(banner, ErrVersion), pt.Send(banner), {N: kexLen}, reply}, Records: codec(false)},
 	}
 }
 

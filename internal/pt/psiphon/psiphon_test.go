@@ -2,9 +2,13 @@ package psiphon
 
 import (
 	"bytes"
+	"errors"
+	"net"
+	"reflect"
 	"testing"
 	"testing/quick"
 
+	"ptperf/internal/netem"
 	"ptperf/internal/pt"
 )
 
@@ -59,5 +63,79 @@ func TestDirectionKeysVaryWithSecret(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// pipeEnd is one end of a net.Pipe as a netem.Stream: a handshake only
+// reads and writes its conn.
+type pipeEnd struct {
+	netem.Stream
+	c net.Conn
+}
+
+func (p pipeEnd) Read(b []byte) (int, error)  { return p.c.Read(b) }
+func (p pipeEnd) Write(b []byte) (int, error) { return p.c.Write(b) }
+
+// flightsOf runs h over conn with seed and returns its transcript's
+// flights.
+func flightsOf(h pt.Handshake, conn netem.Stream, seed int64) ([][]byte, error) {
+	var flights [][]byte
+	records := h.Records
+	h.Records = func(c netem.Stream, tr *pt.Transcript) (netem.Stream, error) {
+		flights = tr.Flights
+		return records(c, tr)
+	}
+	_, err := h.Run(conn, seed)
+	return flights, err
+}
+
+// handshake runs a client with clientKey against a server with
+// serverKey and returns both transcripts' flights and the client's
+// error.
+func handshake(clientKey, serverKey []byte) (client, server [][]byte, err error) {
+	a, b := net.Pipe()
+	defer a.Close()
+	defer b.Close()
+	done := make(chan [][]byte, 1)
+	go func() {
+		flights, _ := flightsOf(transport(Config{HostKey: serverKey}).Server, pipeEnd{c: b}, 11)
+		done <- flights
+	}()
+	client, err = flightsOf(transport(Config{HostKey: clientKey}).Client, pipeEnd{c: a}, 12)
+	return client, <-done, err
+}
+
+// TestTranscriptsAgree: the four flights are the same bytes at both
+// ends, so both derive the session secret from flights 2 and 3.
+func TestTranscriptsAgree(t *testing.T) {
+	client, server, err := handshake([]byte("hk"), []byte("hk"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(client) != 4 || !reflect.DeepEqual(client, server) {
+		t.Fatalf("client flights %x, server flights %x", client, server)
+	}
+	if len(client[2]) != kexLen || len(client[3]) != kexLen+proofLen {
+		t.Fatalf("kexinit flights of %d and %d bytes", len(client[2]), len(client[3]))
+	}
+}
+
+// TestHostKeyMismatch: a server proving another host key is refused
+// once its kexinit arrives, before any record layer is made.
+func TestHostKeyMismatch(t *testing.T) {
+	if client, _, err := handshake([]byte("right"), []byte("evil")); !errors.Is(err, ErrHostKey) || client != nil {
+		t.Fatalf("got %v with flights %x, want %v", err, client, ErrHostKey)
+	}
+}
+
+// TestBannerMismatch: a server refuses a first flight that is not the
+// version banner.
+func TestBannerMismatch(t *testing.T) {
+	a, b := net.Pipe()
+	defer a.Close()
+	defer b.Close()
+	go a.Write([]byte("SSH-2.0-OpenSSH_9.6p1\r\n"))
+	if _, err := transport(Config{HostKey: []byte("hk")}).Server.Run(pipeEnd{c: b}, 1); !errors.Is(err, ErrVersion) {
+		t.Fatalf("got %v, want %v", err, ErrVersion)
 	}
 }

@@ -4,9 +4,11 @@
 // and the plumbing of both transport shapes. Tunnelling transports
 // stand on Stream (the virtual byte-stream endpoint), Sessions (the
 // keyed session table with staleness expiry) and netem's
-// Listener.Serve (the accept loop); wrapping transports on RecordConn
-// (the record layer over a per-transport codec), WrapTransport (the
-// server and dialer constructor) and Splice (the forwarding loop).
+// Listener.Serve (the accept loop); wrapping transports on Handshake
+// (the declared flights of each side and the one engine that plays
+// them), RecordConn (the record layer over a per-transport codec),
+// WrapTransport (the server and dialer constructor) and Splice (the
+// forwarding loop).
 //
 // The twelve transports of the paper live in subpackages; each implements
 // the same obfuscation idea and — crucially for performance fidelity —

@@ -71,7 +71,7 @@ func DialWrapped(host *netem.Host, addr string, wrap Wrapper, target string) (ne
 // WrapTransport is the one constructor of a wrapping transport's server
 // and dialer: it owns the key-present check, the per-conn handshake
 // seeds, the listen and dial skeletons and the error prefix, and the
-// transport supplies the two sides of its handshake.
+// transport declares the two sides of its handshake.
 type WrapTransport struct {
 	// Name prefixes errors.
 	Name string
@@ -84,9 +84,9 @@ type WrapTransport struct {
 	// Seed+DialerOffset, so the two ends of one config never share a
 	// stream.
 	Seed, DialerOffset int64
-	// Client and Server run one side of the handshake over a raw conn
-	// with that conn's seed and return the obfuscated stream.
-	Client, Server func(conn netem.Stream, seed int64) (netem.Stream, error)
+	// Client and Server are the two sides of the handshake, each run
+	// over a raw conn with that conn's seed.
+	Client, Server Handshake
 }
 
 // StartServer runs the transport's server on host:port, delivering
@@ -98,7 +98,7 @@ func (w WrapTransport) StartServer(host *netem.Host, port int, handle StreamHand
 	seed := w.Seed
 	return ListenAndServe(host, port, func(conn netem.Stream) (netem.Stream, error) {
 		seed++
-		return w.Server(conn, seed)
+		return w.Server.Run(conn, seed)
 	}, handle)
 }
 
@@ -112,7 +112,7 @@ func (w WrapTransport) NewDialer(host *netem.Host, addr string) Dialer {
 		seed++
 		s := seed
 		conn, err := DialWrapped(host, addr, func(raw netem.Stream) (netem.Stream, error) {
-			return w.Client(raw, s)
+			return w.Client.Run(raw, s)
 		}, target)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", w.Name, err)

@@ -19,10 +19,16 @@ import (
 func TestWrapTransport(t *testing.T) {
 	w := newWorld(t)
 	var client, server []int64
+	// logSeed is a handshake of no flights that logs its conn's seed.
+	logSeed := func(seeds *[]int64) pt.Handshake {
+		return pt.Handshake{Records: func(c netem.Stream, t *pt.Transcript) (netem.Stream, error) {
+			*seeds = append(*seeds, t.Seed)
+			return c, nil
+		}}
+	}
 	wt := pt.WrapTransport{
 		Name: "demo", Keyed: true, Seed: 10, DialerOffset: 100,
-		Client: func(c netem.Stream, seed int64) (netem.Stream, error) { client = append(client, seed); return c, nil },
-		Server: func(c netem.Stream, seed int64) (netem.Stream, error) { server = append(server, seed); return c, nil },
+		Client: logSeed(&client), Server: logSeed(&server),
 	}
 	srv, err := wt.StartServer(w.server, 443, echoHandler(t, "guard-0:9001"))
 	if err != nil {

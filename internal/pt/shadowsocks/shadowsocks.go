@@ -15,12 +15,10 @@ package shadowsocks
 import (
 	"encoding/binary"
 	"errors"
-	"io"
 	"slices"
 
 	"ptperf/internal/netem"
 	"ptperf/internal/pt"
-	"ptperf/internal/sim"
 )
 
 const (
@@ -90,30 +88,18 @@ func (c *chunkCodec) Open(_, body []byte) ([]byte, error) {
 	return body[:n], nil
 }
 
-// clientWrap sends the salt and builds the codec (zero RTT).
-func clientWrap(conn netem.Stream, cfg Config, seed int64) (netem.Stream, error) {
-	salt := make([]byte, saltLen)
-	pt.RandFill(sim.NewRand(seed), salt)
-	if _, err := conn.Write(salt); err != nil {
-		return nil, err
-	}
-	return pt.NewCodecConn(conn, NewCodec(cfg.PSK, salt, true)), nil
-}
-
-// serverWrap reads the salt and mirrors the codec.
-func serverWrap(conn netem.Stream, cfg Config) (netem.Stream, error) {
-	salt := make([]byte, saltLen)
-	if _, err := io.ReadFull(conn, salt); err != nil {
-		return nil, err
-	}
-	return pt.NewCodecConn(conn, NewCodec(cfg.PSK, salt, false)), nil
-}
-
+// transport: the client sends the salt and both ends key their codecs
+// from it (zero RTT); the salt is flight 0 at either end.
 func transport(cfg Config) pt.WrapTransport {
+	codec := func(isClient bool) func(netem.Stream, *pt.Transcript) (netem.Stream, error) {
+		return func(conn netem.Stream, t *pt.Transcript) (netem.Stream, error) {
+			return pt.NewCodecConn(conn, NewCodec(cfg.PSK, t.Flights[0], isClient)), nil
+		}
+	}
 	return pt.WrapTransport{
 		Name: "shadowsocks", Keyed: len(cfg.PSK) > 0, Seed: cfg.Seed, DialerOffset: 104729,
-		Client: func(conn netem.Stream, seed int64) (netem.Stream, error) { return clientWrap(conn, cfg, seed) },
-		Server: func(conn netem.Stream, _ int64) (netem.Stream, error) { return serverWrap(conn, cfg) },
+		Client: pt.Handshake{Steps: []pt.Step{pt.Random(saltLen)}, Records: codec(true)},
+		Server: pt.Handshake{Steps: []pt.Step{{N: saltLen}}, Records: codec(false)},
 	}
 }
 

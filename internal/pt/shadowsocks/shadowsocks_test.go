@@ -2,11 +2,16 @@ package shadowsocks
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"net"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"ptperf/internal/netem"
+	"ptperf/internal/pt"
 )
 
 // pipeEnd is a net.Pipe end with the event forms a RecordConn reads and
@@ -42,14 +47,14 @@ func pipePair(t *testing.T, psk []byte) (net.Conn, net.Conn) {
 	a, b := pipe()
 	done := make(chan net.Conn, 1)
 	go func() {
-		s, err := serverWrap(b, Config{PSK: psk})
+		s, err := transport(Config{PSK: psk}).Server.Run(b, 0)
 		if err != nil {
 			done <- nil
 			return
 		}
 		done <- s
 	}()
-	c, err := clientWrap(a, Config{PSK: psk}, 42)
+	c, err := transport(Config{PSK: psk}).Client.Run(a, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +137,7 @@ func TestTamperDetected(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		s, err := serverWrap(b2, Config{PSK: []byte("k")})
+		s, err := transport(Config{PSK: []byte("k")}).Server.Run(b2, 0)
 		if err != nil {
 			done <- err
 			return
@@ -141,7 +146,7 @@ func TestTamperDetected(t *testing.T) {
 		_, err = s.Read(buf)
 		done <- err
 	}()
-	cConn, err := clientWrap(a1, Config{PSK: []byte("k")}, 1)
+	cConn, err := transport(Config{PSK: []byte("k")}).Client.Run(a1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +160,7 @@ func TestWrongPSKFails(t *testing.T) {
 	a, b := pipe()
 	done := make(chan error, 1)
 	go func() {
-		s, err := serverWrap(b, Config{PSK: []byte("server-key")})
+		s, err := transport(Config{PSK: []byte("server-key")}).Server.Run(b, 0)
 		if err != nil {
 			done <- err
 			return
@@ -164,16 +169,53 @@ func TestWrongPSKFails(t *testing.T) {
 		_, err = s.Read(buf)
 		done <- err
 	}()
-	c, err := clientWrap(a, Config{PSK: []byte("client-key")}, 7)
+	c, err := transport(Config{PSK: []byte("client-key")}).Client.Run(a, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	go c.Write([]byte("deadbeef")) // async: the server aborts mid-read
-	if err := <-done; err == nil {
-		t.Fatal("mismatched PSKs must not authenticate")
+	if err := <-done; !errors.Is(err, ErrTag) {
+		t.Fatalf("mismatched PSKs must not authenticate: %v, want %v", err, ErrTag)
 	}
 	a.Close()
 	b.Close()
+}
+
+// flightsOf runs h over conn with seed and returns its transcript's
+// flights.
+func flightsOf(h pt.Handshake, conn netem.Stream, seed int64) ([][]byte, error) {
+	var flights [][]byte
+	records := h.Records
+	h.Records = func(c netem.Stream, tr *pt.Transcript) (netem.Stream, error) {
+		flights = tr.Flights
+		return records(c, tr)
+	}
+	_, err := h.Run(conn, seed)
+	return flights, err
+}
+
+// TestTranscriptsAgree: both ends see the salt as flight 0, the flight
+// each keys its codec from.
+func TestTranscriptsAgree(t *testing.T) {
+	a, b := pipe()
+	defer a.Close()
+	defer b.Close()
+	h := transport(Config{PSK: []byte("k")})
+	done := make(chan [][]byte, 1)
+	go func() {
+		flights, err := flightsOf(h.Server, b, 9)
+		if err != nil {
+			t.Error(err)
+		}
+		done <- flights
+	}()
+	client, err := flightsOf(h.Client, a, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if server := <-done; len(client) != 1 || len(client[0]) != saltLen || !reflect.DeepEqual(client, server) {
+		t.Fatalf("client flights %x, server flights %x", client, server)
+	}
 }
 
 func TestConfigValidation(t *testing.T) {

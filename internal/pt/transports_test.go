@@ -2,6 +2,7 @@ package pt_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -181,8 +182,8 @@ func TestPsiphonRejectsWrongHostKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := psiphon.NewDialer(w.client, srv.Addr(), psiphon.Config{HostKey: []byte("evil"), Seed: 2})
-	if _, err := d.Dial("x"); err == nil {
-		t.Fatal("MITM host key must be rejected")
+	if _, err := d.Dial("x"); !errors.Is(err, psiphon.ErrHostKey) {
+		t.Fatalf("MITM host key must be rejected: %v, want %v", err, psiphon.ErrHostKey)
 	}
 }
 

@@ -12,11 +12,9 @@ package webtunnel
 import (
 	"bytes"
 	"errors"
-	"io"
 
 	"ptperf/internal/netem"
 	"ptperf/internal/pt"
-	"ptperf/internal/sim"
 )
 
 // tlsRecordHeader mimics TLS application-data record headers.
@@ -33,106 +31,66 @@ type Config struct {
 // ErrHandshake reports a malformed upgrade exchange.
 var ErrHandshake = errors.New("webtunnel: handshake failed")
 
-// clientWrap performs ClientHello/ServerHello+Finished (2 RTT) and the
-// HTTP upgrade (1 RTT folded into the Finished flight).
-func clientWrap(conn netem.Stream, cfg Config, seed int64) (netem.Stream, error) {
-	hello := make([]byte, 0, 280)
-	hello = append(hello, 0x16, 0x03, 0x01) // handshake record
-	random := make([]byte, 32)
-	pt.RandFill(sim.NewRand(seed), random)
-	hello = append(hello, random...)
-	hello = append(hello, byte(len(cfg.SNI)))
-	hello = append(hello, cfg.SNI...)
-	if _, err := conn.Write(hello); err != nil {
-		return nil, err
-	}
-	// ServerHello + certificate blob.
-	sh := make([]byte, 3+32+2)
-	if _, err := io.ReadFull(conn, sh); err != nil {
-		return nil, err
-	}
-	if sh[0] != 0x16 {
-		return nil, ErrHandshake
-	}
-	certLen := int(sh[len(sh)-2])<<8 | int(sh[len(sh)-1])
-	if _, err := io.CopyN(io.Discard, conn, int64(certLen)); err != nil {
-		return nil, err
-	}
-	// Finished + upgrade request.
-	if _, err := conn.Write([]byte("GET /tunnel HTTP/1.1\r\nUpgrade: websocket\r\n\r\n")); err != nil {
-		return nil, err
-	}
-	resp := make([]byte, len(upgradeResponse))
-	if _, err := io.ReadFull(conn, resp); err != nil {
-		return nil, err
-	}
-	if !bytes.Equal(resp, upgradeResponse) {
-		return nil, ErrHandshake
-	}
-	return pt.NewRecordConn(conn, pt.RecordConfig{
-		Header: tlsRecordHeader,
-		Seed:   seed + 1,
-	})
-}
-
 var upgradeResponse = []byte("HTTP/1.1 101 Switching Protocols\r\n\r\n")
 
-// serverWrap mirrors the handshake.
-func serverWrap(conn netem.Stream, cfg Config, seed int64) (netem.Stream, error) {
-	rng := sim.NewRand(seed)
-	head := make([]byte, 3+32+1)
-	if _, err := io.ReadFull(conn, head); err != nil {
-		return nil, err
-	}
-	if head[0] != 0x16 {
-		return nil, ErrHandshake
-	}
-	sniLen := int(head[len(head)-1])
-	if _, err := io.CopyN(io.Discard, conn, int64(sniLen)); err != nil {
-		return nil, err
-	}
-	// ServerHello with a certificate-sized blob (~1.2 KB like a real
-	// leaf certificate chain element).
-	certLen := 1100 + rng.Intn(300)
+// serverHello is the ServerHello with a certificate-sized blob (~1.2 KB
+// like a real leaf certificate chain element).
+var serverHello = pt.Step{Send: func(t *pt.Transcript) []byte {
+	certLen := 1100 + t.Rand.Intn(300)
 	sh := make([]byte, 3+32+2+certLen)
 	sh[0], sh[1], sh[2] = 0x16, 0x03, 0x03
-	pt.RandFill(rng, sh[3:3+32])
+	pt.RandFill(t.Rand, sh[3:3+32])
 	sh[3+32] = byte(certLen >> 8)
 	sh[3+33] = byte(certLen)
-	pt.RandFill(rng, sh[3+34:])
-	if _, err := conn.Write(sh); err != nil {
-		return nil, err
-	}
-	// Read the upgrade request up to its terminator.
-	req := make([]byte, 0, 128)
-	one := make([]byte, 1)
-	for !bytes.HasSuffix(req, []byte("\r\n\r\n")) {
-		if _, err := io.ReadFull(conn, one); err != nil {
-			return nil, err
+	pt.RandFill(t.Rand, sh[3+34:])
+	return sh
+}}
+
+// peerHello receives the n-byte head of the peer's hello, refuses it
+// unless it is a handshake record, and discards the SNI or certificate
+// its last lenBytes bytes count.
+func peerHello(n, lenBytes int) pt.Step {
+	return pt.Step{N: n, Check: func(_ *pt.Transcript, head []byte) (int, error) {
+		if head[0] != 0x16 {
+			return 0, ErrHandshake
 		}
-		req = append(req, one[0])
-		if len(req) > 4096 {
-			return nil, ErrHandshake
+		follow := 0
+		for _, b := range head[n-lenBytes:] {
+			follow = follow<<8 | int(b)
 		}
-	}
-	if !bytes.HasPrefix(req, []byte("GET /tunnel")) {
-		return nil, ErrHandshake
-	}
-	if _, err := conn.Write(upgradeResponse); err != nil {
-		return nil, err
-	}
-	return pt.NewRecordConn(conn, pt.RecordConfig{
-		Header: tlsRecordHeader,
-		Seed:   seed + 1,
-	})
+		return follow, nil
+	}}
 }
 
+// transport declares ClientHello/ServerHello+Finished (2 RTT) and the
+// HTTP upgrade (1 RTT folded into the Finished flight).
 func transport(cfg Config) pt.WrapTransport {
+	clientHello := pt.Step{Send: func(t *pt.Transcript) []byte {
+		hello := make([]byte, 3+32, 3+32+1+len(cfg.SNI))
+		hello[0], hello[1], hello[2] = 0x16, 0x03, 0x01 // handshake record
+		pt.RandFill(t.Rand, hello[3:])
+		return append(append(hello, byte(len(cfg.SNI))), cfg.SNI...)
+	}}
+	// The server reads the upgrade request up to its terminator.
+	request := pt.Step{N: 4096, Until: []byte("\r\n\r\n"), Check: func(_ *pt.Transcript, req []byte) (int, error) {
+		if !bytes.HasPrefix(req, []byte("GET /tunnel")) {
+			return 0, ErrHandshake
+		}
+		return 0, nil
+	}}
+	records := func(conn netem.Stream, t *pt.Transcript) (netem.Stream, error) {
+		return pt.NewRecordConn(conn, pt.RecordConfig{Header: tlsRecordHeader, Seed: t.Seed + 1})
+	}
 	return pt.WrapTransport{
 		// webtunnel's handshake checks no secret.
 		Name: "webtunnel", Keyed: true, Seed: cfg.Seed, DialerOffset: 15485863,
-		Client: func(conn netem.Stream, seed int64) (netem.Stream, error) { return clientWrap(conn, cfg, seed) },
-		Server: func(conn netem.Stream, seed int64) (netem.Stream, error) { return serverWrap(conn, cfg, seed) },
+		Client: pt.Handshake{Steps: []pt.Step{
+			clientHello, peerHello(3+32+2, 2),
+			pt.Send([]byte("GET /tunnel HTTP/1.1\r\nUpgrade: websocket\r\n\r\n")), pt.Expect(upgradeResponse, ErrHandshake),
+		}, Records: records},
+		Server: pt.Handshake{Steps: []pt.Step{
+			peerHello(3+32+1, 1), serverHello, request, pt.Send(upgradeResponse),
+		}, Records: records},
 	}
 }
 

@@ -2,10 +2,12 @@ package webtunnel
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"ptperf/internal/geo"
 	"ptperf/internal/netem"
+	"ptperf/internal/pt"
 )
 
 func bufferedPair(t *testing.T) (*netem.Network, netem.Stream, netem.Stream) {
@@ -42,10 +44,10 @@ func TestHandshakeAndRecords(t *testing.T) {
 	}
 	sc := netem.NewChan[res](n.Clock(), 1)
 	n.Go(func() {
-		c, err := serverWrap(b, cfg, 2)
+		c, err := transport(cfg).Server.Run(b, 2)
 		sc.Send(res{c, err})
 	})
-	cc, err := clientWrap(a, cfg, 3)
+	cc, err := transport(cfg).Client.Run(a, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,29 +64,39 @@ func TestHandshakeAndRecords(t *testing.T) {
 	}
 }
 
+// TestServerRejectsNonTunnelRequest: after the TLS-ish prologue the
+// server refuses a request for another path, like an ordinary HTTPS
+// client hitting the innocuous site, and a request with no terminator
+// in its first 4096 bytes, at byte 4097.
 func TestServerRejectsNonTunnelRequest(t *testing.T) {
-	cfg := Config{SNI: "x", Seed: 4}
-	n, a, b := bufferedPair(t)
-	errc := netem.NewChan[error](n.Clock(), 1)
-	n.Go(func() {
-		_, err := serverWrap(b, cfg, 5)
-		errc.Send(err)
-	})
-	// Speak the TLS-ish prologue but then request the wrong path, like
-	// an ordinary HTTPS client hitting the innocuous site.
-	a.Write(append([]byte{0x16, 0x03, 0x01}, make([]byte, 32+1)...))
-	// Consume the ServerHello so the server can progress.
-	n.Go(func() {
-		buf := make([]byte, 4096)
-		for {
-			if _, err := a.Read(buf); err != nil {
-				return
+	for _, tc := range []struct {
+		req  []byte
+		want error
+	}{
+		{[]byte("GET /index.html HTTP/1.1\r\n\r\n"), ErrHandshake},
+		{append([]byte("GET /tunnel "), bytes.Repeat([]byte("a"), 8192)...), pt.ErrFlightTooLong},
+	} {
+		cfg := Config{SNI: "x", Seed: 4}
+		n, a, b := bufferedPair(t)
+		errc := netem.NewChan[error](n.Clock(), 1)
+		n.Go(func() {
+			_, err := transport(cfg).Server.Run(b, 5)
+			errc.Send(err)
+		})
+		a.Write(append([]byte{0x16, 0x03, 0x01}, make([]byte, 32+1)...))
+		// Consume the ServerHello so the server can progress.
+		n.Go(func() {
+			buf := make([]byte, 4096)
+			for {
+				if _, err := a.Read(buf); err != nil {
+					return
+				}
 			}
+		})
+		a.Write(tc.req)
+		if err, _ := errc.Recv(); !errors.Is(err, tc.want) {
+			t.Fatalf("%d B request: want %v, got %v", len(tc.req), tc.want, err)
 		}
-	})
-	a.Write([]byte("GET /index.html HTTP/1.1\r\n\r\n"))
-	if err, _ := errc.Recv(); err != ErrHandshake {
-		t.Fatalf("want ErrHandshake, got %v", err)
 	}
 }
 
