@@ -151,8 +151,7 @@ func (c *Client) get(origin, path string, keepBody bool, start, deadline time.Du
 
 	var keep *[]byte
 	if keepBody {
-		// No declared length, no body: nothing to make room for.
-		res.Body = make([]byte, 0, min(max(resp.ContentLength, 0), 1<<20))
+		res.Body = make([]byte, 0, min(resp.ContentLength, 1<<20))
 		keep = &res.Body
 	}
 	res.BytesGot, err = copyBody(keep, br, conn, resp.ContentLength)
@@ -196,7 +195,7 @@ func (c *Client) DownloadFileResumed(origin string, sizeBytes, maxResumes int) R
 		out.BytesGot += leg.BytesGot
 		out.Err = leg.Err
 		out.Total = c.Net.Since(start)
-		if leg.Err == nil && leg.Status == 200 && leg.BytesWanted >= 0 && leg.BytesGot >= leg.BytesWanted {
+		if leg.Err == nil && leg.Status == 200 && leg.BytesGot >= leg.BytesWanted {
 			return out // this leg delivered the remainder
 		}
 		if out.Resumes >= maxResumes || c.Net.Since(start) >= c.timeout() {
@@ -260,8 +259,7 @@ func releaseReader(br *bufio.Reader) {
 // the last byte is still consumed at its arrival instant, so TTLB and
 // timeout behavior match an eager copy exactly. Otherwise each read
 // fills br's own buffer. Early end-of-stream returns a short count with
-// nil error; callers detect the short body from the count. A negative n
-// (no declared length) reads nothing.
+// nil error; callers detect the short body from the count.
 func copyBody(keep *[]byte, br *bufio.Reader, conn netem.Stream, n int64) (int64, error) {
 	fr, threshold := conn.(netem.FullReader)
 	var chunk *[bodyChunk]byte

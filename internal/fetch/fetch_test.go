@@ -342,9 +342,9 @@ func (c *cannedConn) Write(p []byte) (int, error)        { return len(p), nil }
 func (c *cannedConn) Close() error                       { return nil }
 func (c *cannedConn) SetReadTimeout(time.Duration) error { return nil }
 
-// TestGetContentLength: a declared length must be a non-negative number,
-// and a response that declares none has an unknown length — not a
-// complete body, and nothing to make room for.
+// TestGetContentLength: a response header must declare its length as a
+// non-negative number; one that declares none is malformed, its length
+// unknown and its body not complete, with nothing made room for.
 func TestGetContentLength(t *testing.T) {
 	for _, tc := range []struct {
 		name, response string
@@ -355,7 +355,7 @@ func TestGetContentLength(t *testing.T) {
 	}{
 		{"declared", "HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello", false, 5, true, "hello"},
 		{"zero", "HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n", false, 0, true, ""},
-		{"absent", "HTTP/1.1 200 OK\r\nServer: x\r\n\r\nhello", false, -1, false, ""},
+		{"absent", "HTTP/1.1 200 OK\r\nServer: x\r\n\r\nhello", true, -1, false, ""},
 		{"negative", "HTTP/1.1 200 OK\r\nContent-Length: -7\r\n\r\nhello", true, -1, false, ""},
 		{"not a number", "HTTP/1.1 200 OK\r\nContent-Length: five\r\n\r\nhello", true, -1, false, ""},
 		{"overflowing", "HTTP/1.1 200 OK\r\nContent-Length: 99999999999999999999\r\n\r\nhello", true, -1, false, ""},

@@ -13,6 +13,9 @@ import (
 // ErrFlightTooLong refuses a delimited flight longer than its bound.
 var ErrFlightTooLong = errors.New("pt: handshake flight exceeds its bound")
 
+// ErrFlightOverrun refuses a delimited flight that bytes follow.
+var ErrFlightOverrun = errors.New("pt: bytes follow a delimited handshake flight")
+
 // Transcript is what one side of a handshake has seen on its conn: the
 // conn's seed, the random stream drawn from it and every flight in
 // order, sent or received. Both sides number the flights alike, so
@@ -26,7 +29,9 @@ type Transcript struct {
 
 // Step is one flight of a handshake. A step with Send writes the flight
 // Send builds. Any other step receives one: exactly N bytes, or with
-// Until, bytes up to and including Until and at most N of them. Check,
+// Until, bytes up to and including Until and at most N of them. A
+// delimited flight is read as it arrives, so it must be the peer's last
+// before the peer waits for a reply: bytes after Until refuse it. Check,
 // if set, sees a received flight once the transcript holds it; it
 // refuses the flight with an error or names how many bytes after it to
 // read and discard.
@@ -71,8 +76,8 @@ func Expect(b []byte, err error) Step {
 
 // Run plays the handshake over conn with conn's seed. A fixed flight is
 // read with io.ReadFull, a discard with io.CopyN and a delimited flight
-// one byte at a time, so nothing past the handshake is read, and a
-// refused flight is the last one played.
+// as it arrives, so nothing past the handshake is read, and a refused
+// flight is the last one played.
 func (h Handshake) Run(conn netem.Stream, seed int64) (netem.Stream, error) {
 	t := &Transcript{Seed: seed, Flights: make([][]byte, 0, len(h.Steps)), src: sim.NewSource(seed)}
 	t.Rand = sim.RandOn(&t.src)
@@ -107,18 +112,21 @@ func (h Handshake) Run(conn netem.Stream, seed int64) (netem.Stream, error) {
 	return h.Records(conn, t)
 }
 
-// readUntil reads one byte at a time up to and including until, and
-// refuses the flight at its first byte past bound.
+// readUntil reads what has arrived until it holds until, and refuses
+// the flight once it holds more than bound bytes or bytes after until.
 func readUntil(conn netem.Stream, until []byte, bound int) ([]byte, error) {
-	flight := make([]byte, 0, 128)
-	one := make([]byte, 1)
-	for !bytes.HasSuffix(flight, until) {
-		if _, err := io.ReadFull(conn, one); err != nil {
+	flight := make([]byte, bound+1)
+	for got := 0; got <= bound; {
+		n, err := conn.Read(flight[got:])
+		got += n
+		switch i := bytes.Index(flight[:got], until); {
+		case i >= 0 && i+len(until) < got:
+			return nil, ErrFlightOverrun
+		case i >= 0 && got <= bound:
+			return flight[:got], nil
+		case err != nil && got <= bound:
 			return nil, err
 		}
-		if flight = append(flight, one[0]); len(flight) > bound {
-			return nil, ErrFlightTooLong
-		}
 	}
-	return flight, nil
+	return nil, ErrFlightTooLong
 }

@@ -13,7 +13,6 @@
 package stegotorus
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -68,65 +67,56 @@ const maxCover = 1 << 20
 // every block (possibly arriving out of order on other conns) is in.
 const finLen = 0xffffffff
 
-// maxLine bounds a cover's request and header lines, line end included:
-// a longer one is no cover of ours.
-const maxLine = 8 << 10
-
 // A cover is built in a scratch buffer leased until its conn has taken
 // it (DESIGN.md "Buffer ownership").
 var coverPool = sync.Pool{New: func() any { b := make([]byte, 0, 8<<10); return &b }}
+
+// coverHead is a cover's header up to its Content-Length digits, which
+// "\r\n\r\n" ends.
+const coverHead = "POST /images/upload HTTP/1.1\r\nHost: pics.example\r\nContent-Type: image/jpeg\r\nContent-Length: "
+
+// errCover refuses bytes that no cover begins with.
+var errCover = errors.New("stegotorus: not a cover")
 
 // appendCover appends block's cover to b: the block as it is, then zero
 // filler up to the 4⌈n/3⌉ bytes the base64 form of n bytes takes, so
 // the cover has the length and Content-Length of an HTTP-steg cover.
 func appendCover(b, block []byte) []byte {
 	body := (len(block) + 2) / 3 * 4
-	b = append(b, "POST /images/upload HTTP/1.1\r\nHost: pics.example\r\nContent-Type: image/jpeg\r\nContent-Length: "...)
-	b = append(strconv.AppendInt(b, int64(body), 10), "\r\n\r\n"...)
+	b = append(strconv.AppendInt(append(b, coverHead...), int64(body), 10), "\r\n\r\n"...)
 	b = append(b, block...)
 	return append(b, make([]byte, body-len(block))...)
 }
 
-// cutCover finds the cover at the head of b (a pt.FrameCut): its body is
-// the block and its filler after the header. The request line must be a
-// cover's and every line must end within maxLine bytes; the last
-// Content-Length header gives the body's length.
+// cutCover finds the cover at the head of b (a pt.FrameCut), as
+// appendCover writes it: coverHead, the body's length in decimal digits
+// (no leading zero, at most maxCover), "\r\n\r\n", then the body,
+// which is the block and its filler. It needs more bytes while b is a
+// proper prefix of a cover and refuses b at the first byte that no
+// cover has there.
 func cutCover(b []byte) (body, end int, err error) {
-	contentLen := 0
-	for pos, first := 0, true; ; first = false {
-		n := bytes.IndexByte(b[pos:min(len(b), pos+maxLine)], '\n')
-		if n < 0 {
-			if len(b)-pos >= maxLine {
-				return 0, 0, errors.New("stegotorus: cover line too long")
-			}
-			return 0, 0, nil
+	if n := min(len(b), len(coverHead)); string(b[:n]) != coverHead[:n] {
+		return 0, 0, errCover
+	}
+	digits := b[min(len(b), len(coverHead)):]
+	i, length := 0, 0
+	for ; i < len(digits) && '0' <= digits[i] && digits[i] <= '9'; i++ {
+		if i > 0 && length == 0 {
+			return 0, 0, errCover // a leading zero
 		}
-		line := b[pos : pos+n+1]
-		pos += n + 1
-		if first {
-			if !bytes.HasPrefix(line, []byte("POST /images/upload")) {
-				return 0, 0, errors.New("stegotorus: unexpected cover request")
-			}
-			continue
-		}
-		h := bytes.TrimSpace(line)
-		if len(h) == 0 {
-			body = pos
-			break
-		}
-		if rest, ok := cutPrefixFold(h, "content-length:"); ok {
-			if contentLen, err = strconv.Atoi(string(bytes.TrimSpace(rest))); err != nil {
-				return 0, 0, err
-			}
+		if length = length*10 + int(digits[i]-'0'); length > maxCover {
+			return 0, 0, errCover
 		}
 	}
-	if contentLen < 0 || contentLen > maxCover {
-		return 0, 0, errors.New("stegotorus: bad cover length")
+	tail := digits[i:]
+	if n := min(len(tail), 4); n > 0 && (i == 0 || string(tail[:n]) != "\r\n\r\n"[:n]) {
+		return 0, 0, errCover
 	}
-	if len(b) < body+contentLen {
+	body = len(coverHead) + i + 4
+	if len(b) < body+length {
 		return 0, 0, nil
 	}
-	return body, body + contentLen, nil
+	return body, body + length, nil
 }
 
 // blockOf is the block at the head of a cover's body, read in place: its
@@ -145,25 +135,6 @@ func blockOf(body []byte) ([]byte, error) {
 		return nil, errors.New("stegotorus: cover shorter than its block")
 	}
 	return body[:blockHeader+int(n)], nil
-}
-
-func cutPrefixFold(s []byte, prefix string) ([]byte, bool) {
-	if len(s) < len(prefix) {
-		return nil, false
-	}
-	for i := 0; i < len(prefix); i++ {
-		a, b := s[i], prefix[i]
-		if 'A' <= a && a <= 'Z' {
-			a += 'a' - 'A'
-		}
-		if 'A' <= b && b <= 'Z' {
-			b += 'a' - 'A'
-		}
-		if a != b {
-			return nil, false
-		}
-	}
-	return s[len(prefix):], true
 }
 
 // chopConn is one endpoint of the chopped stream: it writes blocks

@@ -71,7 +71,8 @@ func transport(cfg Config) pt.WrapTransport {
 		pt.RandFill(t.Rand, hello[3:])
 		return append(append(hello, byte(len(cfg.SNI))), cfg.SNI...)
 	}}
-	// The server reads the upgrade request up to its terminator.
+	// The server reads the upgrade request as it arrives, up to its
+	// terminator: the client sends nothing more before the response.
 	request := pt.Step{N: 4096, Until: []byte("\r\n\r\n"), Check: func(_ *pt.Transcript, req []byte) (int, error) {
 		if !bytes.HasPrefix(req, []byte("GET /tunnel")) {
 			return 0, ErrHandshake

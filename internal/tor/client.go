@@ -114,10 +114,6 @@ type ClientConfig struct {
 	// Retry bounds build retries, stream re-attach and backoff; the
 	// zero value preserves the historical defaults.
 	Retry RetryPolicy
-	// GuardProbation is the base sit-out period after a guard failure;
-	// zero means DefaultGuardProbation, negative marks failed guards bad
-	// forever (the pre-probation behavior).
-	GuardProbation time.Duration
 }
 
 // guardProbation is one guard's decaying failure memory.
@@ -160,9 +156,6 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if cfg.BuildTimeout <= 0 {
 		cfg.BuildTimeout = 60 * time.Second
 	}
-	if cfg.GuardProbation == 0 {
-		cfg.GuardProbation = DefaultGuardProbation
-	}
 	c := &Client{
 		cfg:       cfg,
 		clock:     cfg.Host.Network().Clock(),
@@ -187,7 +180,7 @@ func (c *Client) Guard() *Descriptor {
 		cands := c.cfg.Directory.WithFlag(FlagGuard)
 		var skip []*Descriptor
 		for _, g := range cands {
-			if p := c.probation[g.Name]; p != nil && c.onProbation(p, now) {
+			if p := c.probation[g.Name]; p != nil && now < p.until {
 				skip = append(skip, g)
 			}
 		}
@@ -199,12 +192,6 @@ func (c *Client) Guard() *Descriptor {
 		}
 	}
 	return c.guard
-}
-
-// onProbation reports whether a sentence is still active at now. A
-// negative GuardProbation makes every sentence permanent.
-func (c *Client) onProbation(p *guardProbation, now time.Duration) bool {
-	return c.cfg.GuardProbation < 0 || now < p.until
 }
 
 // guardFailed records a first-hop dial failure. An unpinned client
@@ -230,11 +217,7 @@ func (c *Client) guardFailed(g *Descriptor) {
 	if p.strikes < 7 {
 		p.strikes++
 	}
-	base := c.cfg.GuardProbation
-	if base < 0 {
-		base = DefaultGuardProbation // sentence length is moot: permanent
-	}
-	p.until = now + base<<(p.strikes-1)
+	p.until = now + DefaultGuardProbation<<(p.strikes-1)
 	c.rec.GuardProbations++
 }
 

@@ -58,9 +58,7 @@ func TestBackoffBounds(t *testing.T) {
 // forever, so one flap permanently shrank the guard set.
 func TestGuardProbationExpires(t *testing.T) {
 	w := buildWorld(t, 2, 1, 1)
-	c := newTestClient(t, w, func(cfg *ClientConfig) {
-		cfg.GuardProbation = 5 * time.Second
-	})
+	c := newTestClient(t, w, nil)
 	g1 := c.Guard()
 	c.guardFailed(g1)
 	if got := c.Recovery().GuardProbations; got != 1 {
@@ -77,31 +75,17 @@ func TestGuardProbationExpires(t *testing.T) {
 		}
 	}
 	// One strike: the sentence is exactly the base period.
-	w.net.Clock().Sleep(6 * time.Second)
+	w.net.Clock().Sleep(DefaultGuardProbation - time.Second)
+	if reselect() == g1.Name {
+		t.Fatal("on-probation guard reselected a second before its sentence ends")
+	}
+	w.net.Clock().Sleep(time.Second)
 	reused := false
 	for i := 0; i < 200 && !reused; i++ {
 		reused = reselect() == g1.Name
 	}
 	if !reused {
 		t.Fatal("flapped guard never reused after its probation expired")
-	}
-}
-
-// TestGuardProbationPermanent pins the opt-out: a negative probation
-// restores mark-bad-forever (some experiments want that determinism).
-func TestGuardProbationPermanent(t *testing.T) {
-	w := buildWorld(t, 2, 1, 1)
-	c := newTestClient(t, w, func(cfg *ClientConfig) {
-		cfg.GuardProbation = -1
-	})
-	g1 := c.Guard()
-	c.guardFailed(g1)
-	w.net.Clock().Sleep(30 * time.Minute) // far beyond any finite sentence
-	for i := 0; i < 50; i++ {
-		c.guard = nil
-		if c.Guard().Name == g1.Name {
-			t.Fatal("permanently failed guard reselected")
-		}
 	}
 }
 

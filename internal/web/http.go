@@ -3,28 +3,42 @@ package web
 import (
 	"bufio"
 	"bytes"
-	"fmt"
+	"cmp"
+	"errors"
 	"io"
 	"strconv"
-	"strings"
 	"sync"
-	"unicode"
 )
 
-// The origin speaks a deliberately small HTTP/1.1 subset: GET with
-// Content-Length responses and connection keep-alive. Hand-rolling it
-// (rather than net/http) keeps byte-level control over when the first
-// body byte leaves the server, which the TTFB metric depends on.
+// The origin and its clients exchange two messages, each in one Write:
+// the request
+//
+//	GET <path> HTTP/1.1\r\n
+//	Host: origin\r\n
+//	Connection: close\r\n   (or keep-alive)
+//	\r\n
+//
+// and the response header
+//
+//	HTTP/1.1 <code> <reason>\r\n
+//	Content-Length: <n>\r\n
+//	\r\n
+//
+// then n body bytes. The readers take exactly these bytes and refuse any
+// others. Hand-rolling them (rather than net/http) keeps byte-level
+// control over when the first body byte leaves the server, which the
+// TTFB metric depends on.
 
-// Request is a parsed HTTP request line.
+// Request is a parsed GET.
 type Request struct {
-	// Method is the HTTP method (only GET is served).
-	Method string
 	// Path is the origin-relative request path.
 	Path string
 	// Close reports whether the client asked for Connection: close.
 	Close bool
 }
+
+// errMalformed refuses bytes that are not the message expected.
+var errMalformed = errors.New("web: malformed HTTP message")
 
 // readLine returns the next line of r with its terminator, valid until
 // the next read of r. Only a line longer than r's buffer is copied.
@@ -38,58 +52,52 @@ func readLine(r *bufio.Reader) ([]byte, error) {
 	return line, err
 }
 
-// nextField splits the first whitespace-separated field off b.
-func nextField(b []byte) (field, rest []byte) {
-	b = bytes.TrimLeftFunc(b, unicode.IsSpace)
-	if i := bytes.IndexFunc(b, unicode.IsSpace); i >= 0 {
-		return b[:i], b[i:]
+// isPath reports whether b is a path the simulator writes: one or more
+// bytes of visible ASCII.
+func isPath(b []byte) bool {
+	for _, c := range b {
+		if c <= ' ' || c > '~' {
+			return false
+		}
 	}
-	return b, nil
+	return len(b) > 0
 }
 
-// headerValue reports the trimmed value of header line h if its name is
-// key, compared without case.
-func headerValue(h []byte, key string) ([]byte, bool) {
-	k, v, ok := bytes.Cut(h, []byte(":"))
-	if !ok || !strings.EqualFold(string(bytes.TrimSpace(k)), key) {
-		return nil, false
+// atoi reads b as strconv.AppendInt writes a non-negative number that
+// fits in bits: decimal digits, with no sign and no leading zero.
+func atoi(b []byte, bits int) (int64, bool) {
+	if len(b) == 0 || b[0] < '0' || b[0] > '9' || b[0] == '0' && len(b) > 1 {
+		return 0, false
 	}
-	return bytes.TrimSpace(v), true
+	n, err := strconv.ParseInt(string(b), 10, bits)
+	return n, err == nil
 }
 
-// ReadRequest parses one request from r.
+// ReadRequest reads one request as WriteRequest writes it.
 func ReadRequest(r *bufio.Reader) (Request, error) {
 	line, err := readLine(r)
-	if err != nil {
-		return Request{}, err
+	path, get := bytes.CutPrefix(line, []byte("GET "))
+	path, proto := bytes.CutSuffix(path, []byte(" HTTP/1.1\r\n"))
+	if err != nil || !get || !proto || !isPath(path) {
+		return Request{}, cmp.Or(err, errMalformed)
 	}
-	method, rest := nextField(line)
-	path, rest := nextField(rest)
-	proto, rest := nextField(rest)
-	if extra, _ := nextField(rest); len(proto) == 0 || len(extra) != 0 || !bytes.HasPrefix(proto, []byte("HTTP/1.")) {
-		return Request{}, fmt.Errorf("web: malformed request line %q", bytes.TrimSpace(line))
+	req := Request{Path: string(path)}
+	if line, err = readLine(r); err != nil || string(line) != "Host: origin\r\n" {
+		return Request{}, cmp.Or(err, errMalformed)
 	}
-	req := Request{Method: "GET", Path: string(path)}
-	if string(method) != req.Method {
-		req.Method = string(method)
+	line, err = readLine(r)
+	req.Close = string(line) == "Connection: close\r\n"
+	if err != nil || !req.Close && string(line) != "Connection: keep-alive\r\n" {
+		return Request{}, cmp.Or(err, errMalformed)
 	}
-	for {
-		h, err := readLine(r)
-		if err != nil {
-			return Request{}, err
-		}
-		if len(bytes.TrimSpace(h)) == 0 {
-			return req, nil
-		}
-		if v, ok := headerValue(h, "Connection"); ok && strings.EqualFold(string(v), "close") {
-			req.Close = true
-		}
+	if line, err = readLine(r); err != nil || string(line) != "\r\n" {
+		return Request{}, cmp.Or(err, errMalformed)
 	}
+	return req, nil
 }
 
-// WriteRequest emits a GET for path in one Write of the bytes
-// "GET %s HTTP/1.1\r\nHost: origin\r\nConnection: %s\r\n\r\n" formats,
-// framed in a leased buffer.
+// WriteRequest emits a GET for path in one Write, framed in a leased
+// buffer.
 func WriteRequest(w io.Writer, path string, close bool) error {
 	conn := "keep-alive"
 	if close {
@@ -111,57 +119,46 @@ var requestPool = sync.Pool{New: func() any { return new([]byte) }}
 type Response struct {
 	// Status is the HTTP status code.
 	Status int
-	// ContentLength is the declared body size, -1 when none was.
+	// ContentLength is the declared body size.
 	ContentLength int64
 }
 
-// ReadResponse parses status line and headers; the body remains on r.
-// ContentLength is -1 when the header is absent; a negative or
-// non-numeric one is a malformed header.
+// reason ends the status line of status: its reason phrase and CRLF.
+func reason(status int64) string {
+	if status == 404 {
+		return "Not Found\r\n"
+	}
+	return "OK\r\n"
+}
+
+// ReadResponse reads a response header as writeResponseHeader writes
+// it; the body remains on r.
 func ReadResponse(r *bufio.Reader) (Response, error) {
 	line, err := readLine(r)
-	if err != nil {
-		return Response{}, err
+	line, proto := bytes.CutPrefix(line, []byte("HTTP/1.1 "))
+	code, text, _ := bytes.Cut(line, []byte(" "))
+	status, ok := atoi(code, 0)
+	if err != nil || !proto || !ok || string(text) != reason(status) {
+		return Response{}, cmp.Or(err, errMalformed)
 	}
-	proto, rest, ok := bytes.Cut(bytes.TrimSpace(line), []byte(" "))
-	if !ok || !bytes.HasPrefix(proto, []byte("HTTP/1.")) {
-		return Response{}, fmt.Errorf("web: malformed status line %q", bytes.TrimSpace(line))
+	line, err = readLine(r)
+	n, named := bytes.CutPrefix(line, []byte("Content-Length: "))
+	n, ended := bytes.CutSuffix(n, []byte("\r\n"))
+	length, ok := atoi(n, 64)
+	if err != nil || !named || !ended || !ok {
+		return Response{}, cmp.Or(err, errMalformed)
 	}
-	code, _, _ := bytes.Cut(rest, []byte(" "))
-	status, err := strconv.Atoi(string(code))
-	if err != nil {
-		return Response{}, fmt.Errorf("web: bad status %q", code)
+	if line, err = readLine(r); err != nil || string(line) != "\r\n" {
+		return Response{}, cmp.Or(err, errMalformed)
 	}
-	resp := Response{Status: status, ContentLength: -1}
-	for {
-		h, err := readLine(r)
-		if err != nil {
-			return Response{}, err
-		}
-		if len(bytes.TrimSpace(h)) == 0 {
-			return resp, nil
-		}
-		if v, ok := headerValue(h, "Content-Length"); ok {
-			n, err := strconv.ParseInt(string(v), 10, 64)
-			if err != nil || n < 0 {
-				return Response{}, fmt.Errorf("web: bad content-length %q", v)
-			}
-			resp.ContentLength = n
-		}
-	}
+	return Response{Status: int(status), ContentLength: length}, nil
 }
 
 // writeResponseHeader emits the status line and headers for a body of n
-// bytes in one Write of the bytes
-// "HTTP/1.1 %d %s\r\nContent-Length: %d\r\n\r\n" formats, appended in
-// w's own free space.
+// bytes in one Write, appended in w's own free space.
 func writeResponseHeader(w *bufio.Writer, status int, n int64) error {
-	text := "OK"
-	if status == 404 {
-		text = "Not Found"
-	}
 	b := strconv.AppendInt(append(w.AvailableBuffer(), "HTTP/1.1 "...), int64(status), 10)
-	b = append(append(append(b, ' '), text...), "\r\nContent-Length: "...)
+	b = append(append(append(b, ' '), reason(int64(status))...), "Content-Length: "...)
 	_, err := w.Write(append(strconv.AppendInt(b, n, 10), "\r\n\r\n"...))
 	return err
 }

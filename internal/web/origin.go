@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"unicode/utf8"
 
 	"ptperf/internal/netem"
 )
@@ -77,9 +76,6 @@ func (o *Origin) serveConn(conn *netem.Conn) {
 
 // serveRequest routes one GET.
 func (o *Origin) serveRequest(w *bufio.Writer, req Request) error {
-	if req.Method != "GET" {
-		return writeResponseHeader(w, 404, 0)
-	}
 	switch {
 	case strings.HasPrefix(req.Path, "/site/"):
 		return o.servePage(w, req.Path)
@@ -109,7 +105,7 @@ func (o *Origin) lookupSite(list, id string) *Site {
 // manifest — the simulation's stand-in for HTML references — followed by
 // filler up to the page size:
 //
-//	ptperf-page resources=<n>
+//	ptperf-page resources=<n> base-weight-ppm=<ppm>
 //	<path> <bytes> <weight-ppm>
 //	...
 func (o *Origin) servePage(w *bufio.Writer, path string) error {
@@ -189,125 +185,31 @@ func BuildManifest(site *Site) []byte {
 	return b
 }
 
-// ParseManifest recovers the resource list from a page body prefix. It
-// reads the manifest's lines only, never the filler after them.
-//
-// Each line is read as fmt.Sscanf reads it with the formats
-// "ptperf-page resources=%d base-weight-ppm=%d" and "%s %d %d", which
-// FuzzParseManifest holds it to: a space in the format matches one or
-// more of fmt's spaces, a %d skips spaces and takes a sign and decimal
-// digits, a %s the next run of non-spaces, and what follows a line's
-// last number is ignored.
+// ParseManifest recovers the resource list from a page body prefix,
+// written by BuildManifest: its first line, then one line per resource.
+// It reads the manifest's lines only, never the filler after them.
 func ParseManifest(body []byte) (base float64, res []Resource, ok bool) {
-	line, rest, more := bytes.Cut(body, []byte("\n"))
-	line, ok = bytes.CutPrefix(line, []byte("ptperf-page "))
-	if !ok {
+	line, body, ok := bytes.Cut(body, []byte("\n"))
+	line, head := bytes.CutPrefix(line, []byte("ptperf-page resources="))
+	count, line, _ := bytes.Cut(line, []byte(" "))
+	basePPM, named := bytes.CutPrefix(line, []byte("base-weight-ppm="))
+	nres, okn := atoi(count, 0)
+	ppm, okp := atoi(basePPM, 0)
+	if !ok || !head || !named || !okn || !okp {
 		return 0, nil, false
 	}
-	line, _ = skipSpaces(line)
-	nres, line, ok := scanInt(line, "resources=")
-	if !ok {
-		return 0, nil, false
-	}
-	basePPM, _, ok := scanInt(line, " base-weight-ppm=")
-	if !ok {
-		return 0, nil, false
-	}
-	for i := 0; i < nres; i++ {
-		if !more {
+	for ; nres > 0; nres-- {
+		if line, body, ok = bytes.Cut(body, []byte("\n")); !ok {
 			return 0, nil, false // fewer lines than resources declared
 		}
-		line, rest, more = bytes.Cut(rest, []byte("\n"))
-		var r Resource
-		var ppm int
-		r.Path, line, ok = scanWord(line)
-		if ok {
-			r.Bytes, line, ok = scanInt(line, " ")
-		}
-		if ok {
-			ppm, _, ok = scanInt(line, " ")
-		}
-		if !ok {
+		path, line, _ := bytes.Cut(line, []byte(" "))
+		size, weight, _ := bytes.Cut(line, []byte(" "))
+		n, okn := atoi(size, 0)
+		w, okw := atoi(weight, 0)
+		if !isPath(path) || !okn || !okw {
 			return 0, nil, false
 		}
-		r.VisualWeight = float64(ppm) / 1e6
-		res = append(res, r)
+		res = append(res, Resource{Path: string(path), Bytes: int(n), VisualWeight: float64(w) / 1e6})
 	}
-	return float64(basePPM) / 1e6, res, true
-}
-
-// isScanSpace reports whether fmt's scanner takes r for a space.
-func isScanSpace(r rune) bool {
-	switch {
-	case r >= '\t' && r <= '\r', r == ' ', r == 0x85, r == 0xa0, r == 0x1680,
-		r >= 0x2000 && r <= 0x200a, r == 0x2028, r == 0x2029, r == 0x202f, r == 0x205f, r == 0x3000:
-		return true
-	}
-	return false
-}
-
-// skipSpaces drops the spaces at the head of b and reports whether
-// there were any.
-func skipSpaces(b []byte) ([]byte, bool) {
-	n := 0
-	for n < len(b) {
-		r, w := utf8.DecodeRune(b[n:])
-		if !isScanSpace(r) {
-			break
-		}
-		n += w
-	}
-	return b[n:], n > 0
-}
-
-// scanInt reads lit, then a %d, at the head of b; a leading space in lit
-// stands for one or more spaces.
-func scanInt(b []byte, lit string) (int, []byte, bool) {
-	if l, ok := strings.CutPrefix(lit, " "); ok {
-		var spaced bool
-		if b, spaced = skipSpaces(b); !spaced {
-			return 0, nil, false
-		}
-		lit = l
-	}
-	b, ok := bytes.CutPrefix(b, []byte(lit))
-	if !ok {
-		return 0, nil, false
-	}
-	b, _ = skipSpaces(b)
-	n := 0
-	if n < len(b) && (b[n] == '+' || b[n] == '-') {
-		n++
-	}
-	digits := n
-	for n < len(b) && '0' <= b[n] && b[n] <= '9' {
-		n++
-	}
-	if n == digits {
-		return 0, nil, false
-	}
-	x, err := strconv.ParseInt(string(b[:n]), 10, 64)
-	return int(x), b[n:], err == nil
-}
-
-// scanWord reads a %s at the head of b: spaces, then at least one
-// non-space. fmt reads each byte of invalid UTF-8 as U+FFFD, so the word
-// does too.
-func scanWord(b []byte) (string, []byte, bool) {
-	b, _ = skipSpaces(b)
-	n := 0
-	for n < len(b) {
-		r, w := utf8.DecodeRune(b[n:])
-		if isScanSpace(r) {
-			break
-		}
-		n += w
-	}
-	if n == 0 {
-		return "", nil, false
-	}
-	if !utf8.Valid(b[:n]) {
-		return string([]rune(string(b[:n]))), b[n:], true
-	}
-	return string(b[:n]), b[n:], true
+	return float64(ppm) / 1e6, res, true
 }

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math/rand"
 	"strconv"
 	"strings"
 	"testing"
@@ -12,6 +13,7 @@ import (
 
 	"ptperf/internal/geo"
 	"ptperf/internal/netem"
+	"ptperf/internal/sim"
 )
 
 // TotalBytes is the full page weight (default page plus resources).
@@ -74,21 +76,28 @@ func TestCatalogWeightsNormalized(t *testing.T) {
 	}
 }
 
+// TestManifestRoundTrip: ParseManifest reads what BuildManifest writes,
+// followed by a page's filler, for the sites of random catalogs and for
+// sites of random paths, sizes and weights, and recovers each weight to
+// the ppm the manifest holds.
 func TestManifestRoundTrip(t *testing.T) {
-	f := func(seed int64) bool {
-		cat := GenerateCatalog(Tranco, 1, seed, 1)
-		site := &cat.Sites[0]
-		m := BuildManifest(site)
-		base, res, ok := ParseManifest(m)
-		if !ok || len(res) != len(site.Resources) {
-			return false
+	ppm := func(w float64) float64 { return float64(int(w*1e6)) / 1e6 }
+	f := func(seed int64, n uint8, scale uint16) bool {
+		cat := GenerateCatalog([]List{Tranco, CBL}[seed&1], int(n%4)+1, seed, float64(scale)/1e3+1e-3)
+		rng := sim.NewRand(seed)
+		random := Site{BaseVisualWeight: rng.Float64()}
+		for k := rng.Intn(50); k > 0; k-- {
+			random.Resources = append(random.Resources, Resource{randomPath(rng, 1+rng.Intn(200)), rng.Int(), rng.Float64()})
 		}
-		if base < site.BaseVisualWeight-0.001 || base > site.BaseVisualWeight+0.001 {
-			return false
-		}
-		for i := range res {
-			if res[i].Path != site.Resources[i].Path || res[i].Bytes != site.Resources[i].Bytes {
+		for _, site := range append(cat.Sites, random) {
+			base, res, ok := ParseManifest(append(BuildManifest(&site), bodyPattern[:rng.Intn(100)]...))
+			if !ok || base != ppm(site.BaseVisualWeight) || len(res) != len(site.Resources) {
 				return false
+			}
+			for k, r := range site.Resources {
+				if res[k] != (Resource{r.Path, r.Bytes, ppm(r.VisualWeight)}) {
+					return false
+				}
 			}
 		}
 		return true
@@ -98,41 +107,91 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 }
 
+// randomPath draws a path of n visible ASCII bytes.
+func randomPath(rng *rand.Rand, n int) string {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte('!' + rng.Intn('~'-'!'+1))
+	}
+	return string(b)
+}
+
+// TestParseManifestRejectsGarbage: ParseManifest refuses what
+// BuildManifest does not write, down to one byte of a manifest zeroed.
 func TestParseManifestRejectsGarbage(t *testing.T) {
-	for _, body := range []string{"", "hello", "ptperf-page resources=nope", "ptperf-page resources=3 base-weight-ppm=5\nonly-one-line"} {
+	for _, body := range []string{
+		"", "hello", "ptperf-page resources=nope", "ptperf-page resources=3 base-weight-ppm=5\nonly-one-line",
+		"ptperf-page resources=1 base-weight-ppm=5", "ptperf-page resources=01 base-weight-ppm=5\n/a 1 2\n",
+		"ptperf-page resources=1 base-weight-ppm=-5\n/a 1 2\n", "ptperf-page resources=1 base-weight-ppm=5\n/a 1  2\n",
+		"ptperf-page resources=1 base-weight-ppm=5\n/a 1 2 3\n", "ptperf-page resources=1 base-weight-ppm=5\n/a +1 2\n",
+		"ptperf-page resources=1 base-weight-ppm=5\n/\xe2\x80\x83 1 2\n", "ptperf-page resources=1 base-weight-ppm=5\n/a 1 2\r\n",
+	} {
 		if _, _, ok := ParseManifest([]byte(body)); ok {
 			t.Errorf("garbage %q parsed", body)
 		}
 	}
+	m := BuildManifest(&GenerateCatalog(Tranco, 1, 2, 1).Sites[0])
+	for i := range m {
+		b := bytes.Clone(m)
+		b[i] = 0
+		if _, _, ok := ParseManifest(append(b, "filler"...)); ok {
+			t.Errorf("manifest with byte %d zeroed parsed: %q", i, b)
+		}
+	}
 }
 
+// TestHTTPRequestRoundTrip: ReadRequest reads what WriteRequest writes,
+// for paths longer than the origin's 4 KiB reader too, and leaves the
+// next pipelined request unread.
 func TestHTTPRequestRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteRequest(&buf, "/site/tranco/3", true); err != nil {
-		t.Fatal(err)
+	rng := sim.NewRand(1)
+	paths := []string{"/site/tranco/3", FilePath(1<<20) + "?from=524288", "/" + randomPath(rng, 5000)}
+	for i := 0; i < 20; i++ {
+		paths = append(paths, randomPath(rng, 1+rng.Intn(9000)))
 	}
-	req, err := ReadRequest(bufio.NewReader(&buf))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if req.Method != "GET" || req.Path != "/site/tranco/3" || !req.Close {
-		t.Fatalf("req = %+v", req)
+	for _, path := range paths {
+		for _, close := range []bool{true, false} {
+			var buf, next bytes.Buffer
+			if err := WriteRequest(&buf, path, close); err != nil {
+				t.Fatal(err)
+			}
+			WriteRequest(&next, "/res/cbl/1/2", !close)
+			r := bufio.NewReaderSize(io.MultiReader(&buf, bytes.NewReader(next.Bytes())), 4<<10)
+			req, err := ReadRequest(r)
+			if err != nil || req != (Request{Path: path, Close: close}) {
+				t.Fatalf("%.40q (close %v): read %+v, %v", path, close, req, err)
+			}
+			if rest, _ := io.ReadAll(r); !bytes.Equal(rest, next.Bytes()) {
+				t.Fatalf("%.40q: left %q unread, want the next request", path, rest)
+			}
+		}
 	}
 }
 
+// TestHTTPResponseRoundTrip: ReadResponse reads what writeResponseHeader
+// writes and leaves the body and the next pipelined response unread.
 func TestHTTPResponseRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	w := bufio.NewWriter(&buf)
-	if err := writeResponseHeader(w, 200, 1234); err != nil {
-		t.Fatal(err)
-	}
-	w.Flush()
-	resp, err := ReadResponse(bufio.NewReader(&buf))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Status != 200 || resp.ContentLength != 1234 {
-		t.Fatalf("resp = %+v", resp)
+	for _, tc := range []struct {
+		status int
+		n      int64
+	}{{200, 1234}, {200, 0}, {404, 0}, {200, 1<<63 - 1}} {
+		var buf bytes.Buffer
+		w := bufio.NewWriter(&buf)
+		if err := writeResponseHeader(w, tc.status, tc.n); err != nil {
+			t.Fatal(err)
+		}
+		w.WriteString("body")
+		writeResponseHeader(w, 404, 0)
+		w.Flush()
+		next := buf.Bytes()[bytes.Index(buf.Bytes(), []byte("body")):]
+		r := bufio.NewReaderSize(&buf, 16)
+		resp, err := ReadResponse(r)
+		if err != nil || resp != (Response{Status: tc.status, ContentLength: tc.n}) {
+			t.Fatalf("%+v: read %+v, %v", tc, resp, err)
+		}
+		if rest, _ := io.ReadAll(r); !bytes.Equal(rest, next) {
+			t.Fatalf("%+v: left %q unread, want %q", tc, rest, next)
+		}
 	}
 }
 
@@ -227,7 +286,7 @@ func TestRoutingRefusesWhatSplitRefused(t *testing.T) {
 	) {
 		var buf bytes.Buffer
 		w := bufio.NewWriter(&buf)
-		if err := o.serveRequest(w, Request{Method: "GET", Path: path}); err != nil {
+		if err := o.serveRequest(w, Request{Path: path}); err != nil {
 			t.Fatal(err)
 		}
 		w.Flush()
@@ -245,12 +304,56 @@ func TestRoutingRefusesWhatSplitRefused(t *testing.T) {
 	}
 }
 
+// TestHTTPMalformed: the readers refuse what their writers do not
+// write, down to one byte of a written message zeroed.
 func TestHTTPMalformed(t *testing.T) {
 	if _, err := ReadRequest(bufio.NewReader(strings.NewReader("BOGUS\r\n\r\n"))); err == nil {
 		t.Fatal("malformed request accepted")
 	}
 	if _, err := ReadResponse(bufio.NewReader(strings.NewReader("NOT-HTTP 200\r\n\r\n"))); err == nil {
 		t.Fatal("malformed response accepted")
+	}
+	const (
+		host = "Host: origin\r\n"
+		keep = "Connection: keep-alive\r\n\r\n"
+		ok   = "HTTP/1.1 200 OK\r\n"
+	)
+	for _, req := range []string{
+		"GET /x HTTP/1.0\r\n" + host + keep, "get /x HTTP/1.1\r\n" + host + keep, "GET /x HTTP/1.1\n" + host + keep,
+		"GET /x HTTP/1.1\r\nhost: origin\r\n" + keep, "GET /x HTTP/1.1\r\n" + keep, "GET /x HTTP/1.1\r\n" + host + "Connection: Close\r\n\r\n",
+		"GET /x HTTP/1.1\r\n" + host + "Connection: keep-alive\r\nServer: x\r\n\r\n", "GET /\xe2\x80\x83 HTTP/1.1\r\n" + host + keep,
+	} {
+		if got, err := ReadRequest(bufio.NewReader(strings.NewReader(req))); err == nil {
+			t.Errorf("request %q read as %+v", req, got)
+		}
+	}
+	for _, resp := range []string{
+		"HTTP/1.1 0200 OK\r\nContent-Length: 5\r\n\r\n", "HTTP/1.1 +200 OK\r\nContent-Length: 5\r\n\r\n", "HTTP/1.1 404 OK\r\nContent-Length: 5\r\n\r\n",
+		ok + "Content-Length: 05\r\n\r\n", ok + "Content-Length: +5\r\n\r\n", ok + "content-length: 5\r\n\r\n", ok + "Content-Length:  5\r\n\r\n",
+		ok + "\r\n", ok + "Content-Length: 5\r\nServer: x\r\n\r\n",
+	} {
+		if got, err := ReadResponse(bufio.NewReader(strings.NewReader(resp))); err == nil {
+			t.Errorf("response header %q read as %+v", resp, got)
+		}
+	}
+	var req, resp bytes.Buffer
+	WriteRequest(&req, FilePath(1234)+"?from=5", false)
+	w := bufio.NewWriter(&resp)
+	writeResponseHeader(w, 404, 0)
+	w.Flush()
+	for i := range req.Len() {
+		b := bytes.Clone(req.Bytes())
+		b[i] = 0
+		if got, err := ReadRequest(bufio.NewReader(bytes.NewReader(b))); err == nil {
+			t.Errorf("request %q read as %+v", b, got)
+		}
+	}
+	for i := range resp.Len() {
+		b := bytes.Clone(resp.Bytes())
+		b[i] = 0
+		if got, err := ReadResponse(bufio.NewReader(bytes.NewReader(b))); err == nil {
+			t.Errorf("response header %q read as %+v", b, got)
+		}
 	}
 }
 
