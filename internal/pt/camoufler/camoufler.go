@@ -153,9 +153,17 @@ type IMServer struct {
 	rng      *rand.Rand
 }
 
+// link is the provider's end of an account's conn: a *netem.Conn, or a
+// test's wrapper that traces the calls made on one.
+type link interface {
+	io.Reader
+	TryWrite(p []byte) (ok bool, err error)
+	Close() error
+}
+
 type account struct {
 	s    *IMServer
-	conn *netem.Conn
+	conn link
 	// sendFree enforces the per-account API rate limit (virtual time
 	// at which the account may send its next message).
 	sendFree time.Duration
@@ -260,7 +268,7 @@ func StartIMServer(host *netem.Host, port int, cfg Config) (*IMServer, error) {
 		rng:      sim.NewRand(cfg.Seed + 2),
 	}
 	s.slot = time.Duration(float64(time.Second) / s.cfg.RatePerSec)
-	ln.Serve(s.serveConn)
+	ln.Serve(func(c *netem.Conn) { s.serveConn(c) })
 	return s, nil
 }
 
@@ -269,7 +277,7 @@ func (s *IMServer) Addr() string { return s.ln.Addr().String() }
 
 // serveConn handles one logged-in account: the first message names the
 // account ("login"), subsequent frames are relayed.
-func (s *IMServer) serveConn(c *netem.Conn) {
+func (s *IMServer) serveConn(c link) {
 	var rbuf []byte
 	login, _, _, err := readMessage(c, &rbuf)
 	if err != nil {

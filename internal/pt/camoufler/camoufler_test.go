@@ -177,7 +177,7 @@ func TestRefusedDeliveryWaitsForTheWindow(t *testing.T) {
 		}
 	})
 	clock.Sleep(time.Second)
-	if left := s.accounts["to"].conn.WriteBudget(); left >= size {
+	if left := s.accounts["to"].conn.(*netem.Conn).WriteBudget(); left >= size {
 		t.Fatalf("%d bytes of the account's window left after 1 s: it never filled", left)
 	}
 	var rbuf []byte

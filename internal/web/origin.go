@@ -31,7 +31,7 @@ func StartOrigin(host *netem.Host, port int, catalogs ...*Catalog) (*Origin, err
 	for _, c := range catalogs {
 		o.catalogs[c.List] = c
 	}
-	ln.Serve(o.serveConn)
+	ln.Serve(func(c *netem.Conn) { o.serveConn(c) })
 	return o, nil
 }
 
@@ -45,7 +45,7 @@ var (
 	writerPool = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 32<<10) }}
 )
 
-func (o *Origin) serveConn(conn *netem.Conn) {
+func (o *Origin) serveConn(conn netem.Stream) {
 	defer conn.Close()
 	r := readerPool.Get().(*bufio.Reader)
 	w := writerPool.Get().(*bufio.Writer)
