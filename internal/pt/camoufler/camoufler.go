@@ -45,9 +45,9 @@ const (
 	DefaultMessageCap = 4 << 10
 	// DefaultRatePerSec is the per-account message rate limit.
 	DefaultRatePerSec = 64
-	// DefaultDeliveryDelay is the provider's per-message delivery
-	// latency (pipelined, FIFO).
-	DefaultDeliveryDelay = 600 * time.Millisecond
+	// DeliveryDelay is the provider's per-message delivery latency
+	// (pipelined, FIFO).
+	DeliveryDelay = 600 * time.Millisecond
 	// DefaultLossProb is the chance one message never arrives.
 	DefaultLossProb = 0.0006
 )
@@ -58,8 +58,6 @@ type Config struct {
 	MessageCap int
 	// RatePerSec overrides DefaultRatePerSec.
 	RatePerSec float64
-	// DeliveryDelay overrides DefaultDeliveryDelay.
-	DeliveryDelay time.Duration
 	// LossProb overrides DefaultLossProb (negative disables loss).
 	LossProb float64
 	// Seed drives loss draws.
@@ -74,9 +72,6 @@ func (c Config) withDefaults() Config {
 	c.MessageCap = min(c.MessageCap, math.MaxUint16-1-255-8)
 	if c.RatePerSec <= 0 {
 		c.RatePerSec = DefaultRatePerSec
-	}
-	if c.DeliveryDelay <= 0 {
-		c.DeliveryDelay = DefaultDeliveryDelay
 	}
 	if c.LossProb == 0 {
 		c.LossProb = DefaultLossProb
@@ -114,20 +109,6 @@ func writeMessage(w io.Writer, buf *[]byte, to string, seq uint64, payload []byt
 	return err
 }
 
-func readMessage(r io.Reader, buf *[]byte) (to []byte, seq uint64, payload []byte, err error) {
-	b := slices.Grow((*buf)[:0], 2)[:2]
-	if _, err = io.ReadFull(r, b); err != nil {
-		return
-	}
-	n := int(binary.BigEndian.Uint16(b))
-	b = slices.Grow(b[:0], n)[:n]
-	*buf = b
-	if _, err = io.ReadFull(r, b); err != nil {
-		return
-	}
-	return parseMessage(b)
-}
-
 // parseMessage splits a message's body, what follows its length, into
 // addressee, sequence number and payload.
 func parseMessage(b []byte) (to []byte, seq uint64, payload []byte, err error) {
@@ -156,7 +137,7 @@ type IMServer struct {
 // link is the provider's end of an account's conn: a *netem.Conn, or a
 // test's wrapper that traces the calls made on one.
 type link interface {
-	io.Reader
+	netem.EventReader
 	TryWrite(p []byte) (ok bool, err error)
 	Close() error
 }
@@ -164,22 +145,35 @@ type link interface {
 type account struct {
 	s    *IMServer
 	conn link
+	// The read loop reads each message into rbuf, got bytes of it so
+	// far. name is the account's, from its login; to is the addressee
+	// of the last message read, and out its delivery to dst while it
+	// waits out the rate limit, its payload still in rbuf.
+	rbuf []byte
+	got  int
+	name string
+	to   string
+	out  delivery
+	dst  *account
 	// sendFree enforces the per-account API rate limit (virtual time
 	// at which the account may send its next message).
 	sendFree time.Duration
 	// inbox[inHead:] is the inbound queue: messages wait out the
 	// provider's delivery latency here, pipelined but FIFO, and leave
 	// from a chain of clock events (deliver) while it is not empty.
-	inbox     []delivery
-	inHead    int
-	deliverFn func() // a.deliver, bound once
-	wbuf      []byte
+	inbox  []delivery
+	inHead int
+	wbuf   []byte
 	// contacts are accounts this one exchanged messages with; they get
-	// an unavailable-presence notification when it disconnects.
+	// an unavailable-presence notification when it disconnects. It is
+	// made at login.
 	contacts map[string]bool
 	// spare holds the arrays of the payloads this account sent that
 	// were delivered or dropped, for the next ones it queues.
 	spare [][]byte
+	// deliverFn, readFn and relayFn are deliver, read and relayed,
+	// bound once.
+	deliverFn, readFn, relayFn func()
 }
 
 // delivery is one queued message with its delivery due time. payload is
@@ -275,82 +269,132 @@ func StartIMServer(host *netem.Host, port int, cfg Config) (*IMServer, error) {
 // Addr returns the provider's contact address.
 func (s *IMServer) Addr() string { return s.ln.Addr().String() }
 
-// serveConn handles one logged-in account: the first message names the
-// account ("login"), subsequent frames are relayed.
+// serveConn serves one account's conn: its first message names the
+// account (the login), and the ones after it are relayed.
 func (s *IMServer) serveConn(c link) {
-	var rbuf []byte
-	login, _, _, err := readMessage(c, &rbuf)
+	a := &account{s: s, conn: c}
+	a.deliverFn, a.readFn, a.relayFn = a.deliver, a.read, a.relayed
+	a.read()
+}
+
+// read is the account's read loop, a chain of clock events: it reads
+// each message into rbuf as io.ReadFull read it, the 2-byte length and
+// then the body, one Read at a time, and hands it to message. A read
+// that fails hangs up.
+func (a *account) read() {
+	for {
+		want := 2
+		if a.got >= 2 {
+			want += int(binary.BigEndian.Uint16(a.rbuf))
+		}
+		if a.got == want {
+			if a.got = 0; !a.message(a.rbuf[2:want]) {
+				return
+			}
+			continue
+		}
+		a.rbuf = slices.Grow(a.rbuf[:a.got], want-a.got)[:want]
+		n, err, done := a.conn.ReadEvent(a.rbuf[a.got:], a.readFn)
+		if !done {
+			return
+		}
+		if a.got += n; err != nil {
+			a.hangUp()
+			return
+		}
+	}
+}
+
+// message takes one message the account sent: the login, then messages
+// to relay. A message is relayed once it has waited out the account's
+// rate limit, which an event at its end does. message reports whether
+// the read loop goes on now.
+func (a *account) message(b []byte) bool {
+	to, seq, payload, err := parseMessage(b)
 	if err != nil {
-		c.Close()
+		a.hangUp()
+		return false
+	}
+	s := a.s
+	if a.contacts == nil {
+		a.name, a.contacts = string(to), make(map[string]bool)
+		s.accounts[a.name] = a
+		return true
+	}
+	if a.to != string(to) { // a run of messages to one peer names it once
+		a.to = string(to)
+	}
+	// API rate limit: the sender's next slot.
+	now := s.clock.Now()
+	a.sendFree = max(a.sendFree, now)
+	wait := a.sendFree - now
+	a.sendFree += s.slot
+	dropped := s.cfg.LossProb > 0 && s.rng.Float64() < s.cfg.LossProb
+	if a.dst = s.accounts[a.to]; a.dst != nil {
+		a.contacts[a.to] = true
+		a.dst.contacts[a.name] = true
+	}
+	if dropped {
+		a.dst = nil
+	}
+	a.out = delivery{from: a.name, src: a, seq: seq, payload: payload}
+	if wait > 0 {
+		s.clock.EventAt(now+wait, a.relayFn)
+		return false
+	}
+	a.relay()
+	return true
+}
+
+// relay queues the message read for its addressee, unless it was
+// dropped or the addressee was offline: a copy of its payload, due
+// after the delivery latency. Inbox overflow behaves like a dropped
+// message.
+func (a *account) relay() {
+	if a.dst == nil {
 		return
 	}
-	name := string(login)
-	clock := s.clock
-	acct := &account{s: s, conn: c, contacts: make(map[string]bool)}
-	acct.deliverFn = acct.deliver
-	s.accounts[name] = acct
-	defer func() {
-		if s.accounts[name] == acct {
-			delete(s.accounts, name)
+	d := a.out
+	d.at = a.s.clock.Now() + DeliveryDelay
+	var spare []byte
+	if n := len(a.spare); n > 0 {
+		spare, a.spare = a.spare[n-1], a.spare[:n-1]
+	}
+	d.payload = append(spare[:0], d.payload...)
+	a.dst.queue(d)
+}
+
+// relayed is relay at the end of a rate-limit wait; the read loop goes
+// on after it.
+func (a *account) relayed() {
+	a.relay()
+	a.read()
+}
+
+// hangUp closes the account's conn. An account that logged in goes
+// offline first: contacts still online learn it went away, like an XMPP
+// roster update — without it the proxy side of an abandoned session
+// waits for messages forever — and its delivery chain stops; late
+// producers' messages fall into its inbox or are dropped.
+func (a *account) hangUp() {
+	if s := a.s; a.contacts != nil {
+		if s.accounts[a.name] == a {
+			delete(s.accounts, a.name)
 		}
-		// Unavailable presence: contacts still online learn the account
-		// went away, like an XMPP roster update — without it the proxy
-		// side of an abandoned session waits for messages forever.
-		contacts := make([]string, 0, len(acct.contacts))
-		for peer := range acct.contacts {
+		contacts := make([]string, 0, len(a.contacts))
+		for peer := range a.contacts {
 			contacts = append(contacts, peer)
 		}
 		sort.Strings(contacts) // map order must not reach the scheduler
-		gone := delivery{from: name, seq: presenceGoneSeq, at: clock.Now() + s.cfg.DeliveryDelay}
+		gone := delivery{from: a.name, seq: presenceGoneSeq, at: s.clock.Now() + DeliveryDelay}
 		for _, peer := range contacts {
 			if dst := s.accounts[peer]; dst != nil {
 				dst.queue(gone)
 			}
 		}
-		// Stop the delivery chain; late producers' messages fall into the
-		// inbox or are dropped.
-		acct.queue(delivery{stop: true})
-		c.Close()
-	}()
-
-	var to string
-	for {
-		addr, seq, payload, err := readMessage(c, &rbuf)
-		if err != nil {
-			return
-		}
-		if to != string(addr) { // a run of messages to one peer names it once
-			to = string(addr)
-		}
-		// API rate limit: the sender's next slot.
-		now := clock.Now()
-		if acct.sendFree < now {
-			acct.sendFree = now
-		}
-		wait := acct.sendFree - now
-		acct.sendFree += s.slot
-		dropped := s.cfg.LossProb > 0 && s.rng.Float64() < s.cfg.LossProb
-		dst := s.accounts[to]
-		if dst != nil {
-			acct.contacts[to] = true
-			dst.contacts[name] = true
-		}
-
-		if wait > 0 {
-			clock.Sleep(wait)
-		}
-		if dropped || dst == nil {
-			continue
-		}
-		d := delivery{from: name, src: acct, seq: seq, at: clock.Now() + s.cfg.DeliveryDelay}
-		var spare []byte
-		if n := len(acct.spare); n > 0 {
-			spare, acct.spare = acct.spare[n-1], acct.spare[:n-1]
-		}
-		d.payload = append(spare[:0], payload...)
-		// Inbox overflow behaves like a dropped message.
-		dst.queue(d)
+		a.queue(delivery{stop: true})
 	}
+	a.conn.Close()
 }
 
 // imConn is one end of the IM tunnel: a netem.Stream whose bytes travel as

@@ -40,8 +40,7 @@ func TestMessageFrameRejectsOverlongAccount(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.MessageCap != DefaultMessageCap || c.RatePerSec != DefaultRatePerSec ||
-		c.DeliveryDelay != DefaultDeliveryDelay || c.LossProb != DefaultLossProb {
+	if c.MessageCap != DefaultMessageCap || c.RatePerSec != DefaultRatePerSec || c.LossProb != DefaultLossProb {
 		t.Fatalf("defaults: %+v", c)
 	}
 	if c2 := (Config{LossProb: -1}).withDefaults(); c2.LossProb != 0 {
@@ -152,7 +151,7 @@ func TestRefusedDeliveryWaitsForTheWindow(t *testing.T) {
 	t.Cleanup(n.Clock().Shutdown)
 	clock := n.Clock()
 	h := n.MustAddHost(netem.HostConfig{Name: "im"})
-	s, err := StartIMServer(h, 5222, Config{RatePerSec: 1000, DeliveryDelay: 10 * time.Millisecond, LossProb: -1})
+	s, err := StartIMServer(h, 5222, Config{RatePerSec: 1000, LossProb: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,10 +2,31 @@ package camoufler
 
 import (
 	"bytes"
+	"encoding/binary"
+	"io"
+	"slices"
 	"testing"
 
 	"ptperf/internal/pt"
 )
+
+// readMessage is the provider's read loop as it was before it ran on
+// clock events: it reads one message from r with io.ReadFull, into
+// *buf's array. It is the reference the cut and parse of a message are
+// held to, and the tests read messages with it.
+func readMessage(r io.Reader, buf *[]byte) (to []byte, seq uint64, payload []byte, err error) {
+	b := slices.Grow((*buf)[:0], 2)[:2]
+	if _, err = io.ReadFull(r, b); err != nil {
+		return
+	}
+	n := int(binary.BigEndian.Uint16(b))
+	b = slices.Grow(b[:0], n)[:n]
+	*buf = b
+	if _, err = io.ReadFull(r, b); err != nil {
+		return
+	}
+	return parseMessage(b)
+}
 
 // FuzzReadMessage: readMessage either rejects the bytes or returns
 // exactly the message writeMessage would have encoded, and a read into a

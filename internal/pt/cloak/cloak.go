@@ -23,6 +23,9 @@ import (
 // clientHelloLen mirrors a typical browser ClientHello.
 const clientHelloLen = 517
 
+// redirAddr is the innocuous domain presented as SNI.
+const redirAddr = "bing.com"
+
 // ErrAuth reports a ClientHello whose steganographic random fails
 // validation; real cloak silently proxies such clients to a decoy, we
 // just refuse.
@@ -32,8 +35,6 @@ var ErrAuth = errors.New("cloak: steganographic authentication failed")
 type Config struct {
 	// UID is the client's identity key from the cloak config.
 	UID []byte
-	// RedirAddr is the innocuous domain presented as SNI.
-	RedirAddr string
 	// Seed drives session randomness.
 	Seed int64
 }
@@ -62,9 +63,9 @@ func transport(cfg Config) pt.WrapTransport {
 		pt.RandFill(t.Rand, random)
 		proof := pt.NewTag("cloak", cfg.UID)
 		proof.Put(hello[35:67], 0, random)
-		hello[67] = byte(len(cfg.RedirAddr))
-		copy(hello[68:], cfg.RedirAddr)
-		pt.RandFill(t.Rand, hello[68+len(cfg.RedirAddr):])
+		hello[67] = byte(len(redirAddr))
+		copy(hello[68:], redirAddr)
+		pt.RandFill(t.Rand, hello[68+len(redirAddr):])
 		return hello
 	}}
 	// The server refuses a hello whose random lacks the UID's proof.

@@ -43,7 +43,7 @@ func bufferedPair(t *testing.T) (*netem.Network, netem.Stream, netem.Stream) {
 }
 
 func TestClientHelloShape(t *testing.T) {
-	cfg := Config{UID: []byte("uid"), RedirAddr: "bing.com"}
+	cfg := Config{UID: []byte("uid")}
 	hello := clientHelloOf(cfg, 1)
 	if len(hello) != clientHelloLen {
 		t.Fatalf("ClientHello must be %d bytes (browser-shaped), got %d", clientHelloLen, len(hello))
@@ -56,7 +56,7 @@ func TestClientHelloShape(t *testing.T) {
 func TestClientHelloAuthenticates(t *testing.T) {
 	// The steganographic proof must validate for the right UID only.
 	uid := []byte("the-uid")
-	hello := clientHelloOf(Config{UID: uid, RedirAddr: "x.com"}, 2)
+	hello := clientHelloOf(Config{UID: uid}, 2)
 
 	n1, a, b := bufferedPair(t)
 	defer a.Close()

@@ -190,11 +190,11 @@ func TestPsiphonRejectsWrongHostKey(t *testing.T) {
 func TestCloakEndToEnd(t *testing.T) {
 	w := newWorld(t)
 	uid := []byte("cloak-uid")
-	srv, err := cloak.StartServer(w.server, 443, cloak.Config{UID: uid, RedirAddr: "bing.com", Seed: 1}, echoHandler(t, "origin:80"))
+	srv, err := cloak.StartServer(w.server, 443, cloak.Config{UID: uid, Seed: 1}, echoHandler(t, "origin:80"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := cloak.NewDialer(w.client, srv.Addr(), cloak.Config{UID: uid, RedirAddr: "bing.com", Seed: 2})
+	d := cloak.NewDialer(w.client, srv.Addr(), cloak.Config{UID: uid, Seed: 2})
 	conn, err := d.Dial("origin:80")
 	if err != nil {
 		t.Fatal(err)
@@ -217,7 +217,7 @@ func TestCloakEndToEnd(t *testing.T) {
 // afterwards.
 func TestCloakClientHalfClose(t *testing.T) {
 	w := newWorld(t)
-	cfg := cloak.Config{UID: []byte("cloak-uid"), RedirAddr: "bing.com", Seed: 1}
+	cfg := cloak.Config{UID: []byte("cloak-uid"), Seed: 1}
 	srv, err := cloak.StartServer(w.server, 443, cfg, func(_ string, conn netem.Stream) {
 		defer conn.Close()
 		req, err := io.ReadAll(conn)

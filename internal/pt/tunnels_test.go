@@ -135,7 +135,7 @@ var tunnels = []struct {
 		return camoufler.NewDialer(w.client, im.Addr(), "acct", camoufler.Config{Seed: 7, LossProb: -1}, proxy), nil
 	}},
 	{"cloak", func(w *world, h pt.StreamHandler) (pt.Dialer, error) {
-		cfg := cloak.Config{UID: tunnelKey, RedirAddr: "bing.com", Seed: 1}
+		cfg := cloak.Config{UID: tunnelKey, Seed: 1}
 		srv, err := cloak.StartServer(w.server, 443, cfg, h)
 		if err != nil {
 			return nil, err
@@ -402,13 +402,14 @@ func TestVanishedClientIsReaped(t *testing.T) {
 // method; the rest is each mechanism's own pumps, loops and pollers. A
 // receiver or a hop on a pt.FrameConn is none (meek's front, bridge and
 // poll cycle, dnstt's three hops), and neither is a paced sender on clock
-// events (marionette's automaton walks, camoufler's delivery chains):
-// camoufler keeps the provider's read loops of both accounts.
+// events (marionette's automaton walks, camoufler's delivery chains),
+// nor the IM provider's read loops (3 for camoufler while they were
+// goroutines).
 func TestGoroutinesPerDial(t *testing.T) {
 	want := map[string]int{
 		"tor": 1, "obfs4": 1, "webtunnel": 1, "psiphon": 1, "shadowsocks": 1, "cloak": 1, "dnstt": 1, "stegotorus": 1, "meek": 1,
 		"marionette": 1,
-		"camoufler":  3,
+		"camoufler":  1,
 		"conjure":    1, "snowflake": 1,
 	}
 	for _, tn := range tunnels {

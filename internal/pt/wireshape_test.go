@@ -61,7 +61,7 @@ func TestWireShapePinned(t *testing.T) {
 			return webtunnel.NewDialer(w.client, srv.Addr(), cfg), nil
 		}, wireShape{1404, 5}, wireShape{100049, 13}, wireShape{100049, 13}},
 		{"cloak", func(w *world, h pt.StreamHandler) (pt.Dialer, error) {
-			cfg := cloak.Config{UID: key, RedirAddr: "bing.com", Seed: 1}
+			cfg := cloak.Config{UID: key, Seed: 1}
 			srv, err := cloak.StartServer(w.server, 443, cfg, h)
 			if err != nil {
 				return nil, err

@@ -230,7 +230,7 @@ func (w *World) startTransport(name string, s site) (pt.Dialer, error) {
 		}
 		d = snowflakeDialer{snowflake.NewDialer(w.Client, pool.BrokerAddr(), bridge.Addr()), pool}
 	case "cloak":
-		cfg := cloak.Config{UID: []byte("cloak-uid"), RedirAddr: "bing.com", Seed: s.seed}
+		cfg := cloak.Config{UID: []byte("cloak-uid"), Seed: s.seed}
 		_, err = cloak.StartServer(s.host, s.port, cfg, s.handle)
 		d = cloak.NewDialer(w.Client, addr, cfg)
 	case "marionette":

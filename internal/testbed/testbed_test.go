@@ -194,11 +194,11 @@ func TestCloseLeavesNothing(t *testing.T) {
 	contended.Start()
 	clock := w.Net.Clock()
 	clock.Sleep(contended.level.RampTime())
-	// Relays and PT servers wait as clock events, so what is parked
-	// here is the workload: the competitors' downloads and the origins
-	// reading their requests (58 goroutines while every relay link was a
-	// read loop).
-	if r, open := clock.Registered(), w.Net.Acct().Snapshot().OpenConns(); r < 5 || open < 50 {
+	// Relays, PT servers and the origins wait as clock events, so what
+	// is parked here is the workload: the competitors' downloads (58
+	// goroutines while every relay link was a read loop, 5 while the
+	// origins read their requests on goroutines).
+	if r, open := clock.Registered(), w.Net.Acct().Snapshot().OpenConns(); r < 3 || open < 50 {
 		t.Fatalf("the live world holds %d goroutines and %d open conns: too few to prove anything", r, open)
 	}
 

@@ -27,7 +27,12 @@ import (
 // then n body bytes. The readers take exactly these bytes and refuse any
 // others. Hand-rolling them (rather than net/http) keeps byte-level
 // control over when the first body byte leaves the server, which the
-// TTFB metric depends on.
+// TTFB metric depends on. The origin runs on clock events (origin.go),
+// so it reads a request with ReadRequest, a parser of the lines it has
+// read (a line longer than its 4 KiB read buffer is read on, as a
+// bufio.Reader's was), and appends its response header to its own
+// write buffer with appendResponseHeader; a client reads the response
+// header from its bufio.Reader with ReadResponse.
 
 // Request is a parsed GET.
 type Request struct {
@@ -65,7 +70,7 @@ func isPath(b []byte) bool {
 
 // atoi reads b as strconv.AppendInt writes a non-negative number that
 // fits in bits: decimal digits, with no sign and no leading zero.
-func atoi(b []byte, bits int) (int64, bool) {
+func atoi[B []byte | string](b B, bits int) (int64, bool) {
 	if len(b) == 0 || b[0] < '0' || b[0] > '9' || b[0] == '0' && len(b) > 1 {
 		return 0, false
 	}
@@ -73,27 +78,42 @@ func atoi(b []byte, bits int) (int64, bool) {
 	return n, err == nil
 }
 
-// ReadRequest reads one request as WriteRequest writes it.
-func ReadRequest(r *bufio.Reader) (Request, error) {
-	line, err := readLine(r)
-	path, get := bytes.CutPrefix(line, []byte("GET "))
-	path, proto := bytes.CutSuffix(path, []byte(" HTTP/1.1\r\n"))
-	if err != nil || !get || !proto || !isPath(path) {
-		return Request{}, cmp.Or(err, errMalformed)
+// ReadRequest reads the request WriteRequest writes from the front of
+// b. It returns the request and its length in bytes; a length of 0 and
+// no error while b holds only the beginning of one, every whole line of
+// it what WriteRequest writes; and errMalformed once a whole line is
+// not.
+func ReadRequest(b []byte) (req Request, n int, err error) {
+	var path []byte
+	for k := 0; ; k++ {
+		i := bytes.IndexByte(b[n:], '\n')
+		if i < 0 {
+			return Request{}, 0, nil
+		}
+		line := b[n : n+i+1]
+		n += i + 1
+		ok := false
+		switch k {
+		case 0:
+			var get, proto bool
+			path, get = bytes.CutPrefix(line, []byte("GET "))
+			path, proto = bytes.CutSuffix(path, []byte(" HTTP/1.1\r\n"))
+			ok = get && proto && isPath(path)
+		case 1:
+			ok = string(line) == "Host: origin\r\n"
+		case 2:
+			req.Close = string(line) == "Connection: close\r\n"
+			ok = req.Close || string(line) == "Connection: keep-alive\r\n"
+		case 3:
+			if ok = string(line) == "\r\n"; ok {
+				req.Path = string(path)
+				return req, n, nil
+			}
+		}
+		if !ok {
+			return Request{}, 0, errMalformed
+		}
 	}
-	req := Request{Path: string(path)}
-	if line, err = readLine(r); err != nil || string(line) != "Host: origin\r\n" {
-		return Request{}, cmp.Or(err, errMalformed)
-	}
-	line, err = readLine(r)
-	req.Close = string(line) == "Connection: close\r\n"
-	if err != nil || !req.Close && string(line) != "Connection: keep-alive\r\n" {
-		return Request{}, cmp.Or(err, errMalformed)
-	}
-	if line, err = readLine(r); err != nil || string(line) != "\r\n" {
-		return Request{}, cmp.Or(err, errMalformed)
-	}
-	return req, nil
 }
 
 // WriteRequest emits a GET for path in one Write, framed in a leased
@@ -131,7 +151,7 @@ func reason(status int64) string {
 	return "OK\r\n"
 }
 
-// ReadResponse reads a response header as writeResponseHeader writes
+// ReadResponse reads a response header as appendResponseHeader writes
 // it; the body remains on r.
 func ReadResponse(r *bufio.Reader) (Response, error) {
 	line, err := readLine(r)
@@ -154,17 +174,16 @@ func ReadResponse(r *bufio.Reader) (Response, error) {
 	return Response{Status: int(status), ContentLength: length}, nil
 }
 
-// writeResponseHeader emits the status line and headers for a body of n
-// bytes in one Write, appended in w's own free space.
-func writeResponseHeader(w *bufio.Writer, status int, n int64) error {
-	b := strconv.AppendInt(append(w.AvailableBuffer(), "HTTP/1.1 "...), int64(status), 10)
+// appendResponseHeader appends the status line and headers for a body
+// of n bytes to dst.
+func appendResponseHeader(dst []byte, status int, n int64) []byte {
+	b := strconv.AppendInt(append(dst, "HTTP/1.1 "...), int64(status), 10)
 	b = append(append(append(b, ' '), reason(int64(status))...), "Content-Length: "...)
-	_, err := w.Write(append(strconv.AppendInt(b, n, 10), "\r\n\r\n"...))
-	return err
+	return append(strconv.AppendInt(b, n, 10), "\r\n\r\n"...)
 }
 
 // bodyPattern is a shared 64 KiB block used to synthesize bodies without
-// allocating per request.
+// allocating per request: a body goes on in 64 KiB chunks of it.
 var bodyPattern = func() []byte {
 	b := make([]byte, 64<<10)
 	for i := range b {
@@ -172,27 +191,3 @@ var bodyPattern = func() []byte {
 	}
 	return b
 }()
-
-// writeBody streams n pattern bytes after the given prefix.
-func writeBody(w io.Writer, prefix []byte, n int) error {
-	if len(prefix) > n {
-		prefix = prefix[:n]
-	}
-	if len(prefix) > 0 {
-		if _, err := w.Write(prefix); err != nil {
-			return err
-		}
-		n -= len(prefix)
-	}
-	for n > 0 {
-		chunk := bodyPattern
-		if n < len(chunk) {
-			chunk = chunk[:n]
-		}
-		if _, err := w.Write(chunk); err != nil {
-			return err
-		}
-		n -= len(chunk)
-	}
-	return nil
-}

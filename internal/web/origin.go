@@ -1,7 +1,6 @@
 package web
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
 	"strconv"
@@ -38,54 +37,163 @@ func StartOrigin(host *netem.Host, port int, catalogs ...*Catalog) (*Origin, err
 // Addr returns the origin's "host:port".
 func (o *Origin) Addr() string { return o.addr }
 
-// A served conn leases its reader and writer for as long as it is open
-// (DESIGN.md "Buffer ownership").
-var (
-	readerPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 4<<10) }}
-	writerPool = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 32<<10) }}
-)
+// served is one conn the origin serves, leased from servedPool for as
+// long as it is open (DESIGN.md "Buffer ownership"). It is served by a
+// chain of clock events that makes the Read and Write calls a loop over
+// a 4 KiB bufio.Reader and a 32 KiB bufio.Writer made, with the same
+// spans at the same instants: a span is where a segment ends, which
+// moves report bytes.
+type served struct {
+	o    *Origin
+	conn netem.Stream
+	// in[r:w] is read and not yet taken; head holds the lines of the
+	// request being read.
+	in   *[4 << 10]byte
+	r, w int
+	head []byte
+	// out[:n] is the response buffered. The response goes on with body,
+	// then left pattern bytes; span is what a Write is taking, nil
+	// between Writes.
+	out   *[32 << 10]byte
+	n     int
+	body  []byte
+	left  int
+	span  []byte
+	close bool
+	// readFn and resumeFn are read and resume, bound once.
+	readFn, resumeFn func()
+}
+
+// The buffers are allocations of their own: with them inline, a served
+// would round up from 36 KiB to 40 KiB, and the web workload's peak RSS
+// rose by 1 MB.
+var servedPool = sync.Pool{New: func() any {
+	return &served{in: new([4 << 10]byte), out: new([32 << 10]byte)}
+}}
 
 func (o *Origin) serveConn(conn netem.Stream) {
-	defer conn.Close()
-	r := readerPool.Get().(*bufio.Reader)
-	w := writerPool.Get().(*bufio.Writer)
-	r.Reset(conn)
-	w.Reset(conn)
-	defer func() {
-		r.Reset(nil)
-		w.Reset(nil)
-		readerPool.Put(r)
-		writerPool.Put(w)
-	}()
+	s := servedPool.Get().(*served)
+	if s.readFn == nil {
+		s.readFn, s.resumeFn = s.read, s.resume
+	}
+	s.o, s.conn, s.r, s.w = o, conn, 0, 0
+	s.read()
+}
+
+// read takes requests a line at a time, as ReadSlice took them from a
+// bufio.Reader of in's size: a line is looked for in what was read, and
+// in is refilled, its unread bytes moved to its front, only when none
+// is there. A line longer than in is read on, as readLine did. Each
+// request is answered before the next line is looked for.
+func (s *served) read() {
 	for {
-		req, err := ReadRequest(r)
-		if err != nil {
+		if i := bytes.IndexByte(s.in[s.r:s.w], '\n'); i >= 0 {
+			s.head = append(s.head, s.in[s.r:s.r+i+1]...)
+			s.r += i + 1
+			req, n, err := ReadRequest(s.head)
+			if err != nil {
+				s.hangUp()
+				return
+			}
+			if n > 0 && !s.respond(req) {
+				return
+			}
+			continue
+		}
+		if s.w-s.r == len(s.in) {
+			s.head = append(s.head, s.in[s.r:s.w]...)
+			s.r = s.w
+		}
+		s.w = copy(s.in[:], s.in[s.r:s.w])
+		s.r = 0
+		n, err, done := s.conn.ReadEvent(s.in[s.w:], s.readFn)
+		if !done {
 			return
 		}
-		if err := o.serveRequest(w, req); err != nil {
-			return
-		}
-		if err := w.Flush(); err != nil {
-			return
-		}
-		if req.Close {
+		if s.w += n; err != nil {
+			s.hangUp()
 			return
 		}
 	}
 }
 
-// serveRequest routes one GET.
-func (o *Origin) serveRequest(w *bufio.Writer, req Request) error {
-	switch {
-	case strings.HasPrefix(req.Path, "/site/"):
-		return o.servePage(w, req.Path)
-	case strings.HasPrefix(req.Path, "/res/"):
-		return o.serveResource(w, req.Path)
-	case strings.HasPrefix(req.Path, "/file/"):
-		return o.serveFile(w, req.Path)
-	default:
-		return writeResponseHeader(w, 404, 0)
+// respond starts the response to req and reports whether it has been
+// written whole and the conn stays open.
+func (s *served) respond(req Request) bool {
+	status, prefix, n := s.o.route(req.Path)
+	s.head, s.close = s.head[:0], req.Close
+	s.n = len(appendResponseHeader(s.out[:0], status, int64(n)))
+	s.body, s.left = prefix, n-len(prefix)
+	return s.write()
+}
+
+// write writes the response as a bufio.Writer of out's size wrote it:
+// a piece that fits is copied into out; one that does not goes straight
+// to the conn if out is empty, or else fills out, which is written
+// whole; and what is left in out is written at the end. It reports
+// whether the response is written and the conn stays open.
+func (s *served) write() bool {
+	for {
+		if s.span != nil {
+			n, err, done := s.conn.WriteEvent(s.span, s.resumeFn)
+			if s.span = s.span[n:]; !done {
+				return false // perhaps all taken, and a segment waits
+			}
+			if s.span = nil; err != nil {
+				s.hangUp()
+				return false
+			}
+		}
+		switch {
+		case len(s.body) == 0 && s.left > 0:
+			s.body = bodyPattern[:min(s.left, len(bodyPattern))]
+			s.left -= len(s.body)
+		case len(s.body) == 0 && s.n > 0:
+			s.span, s.n = s.out[:s.n], 0
+		case len(s.body) == 0 && s.close:
+			s.hangUp()
+			return false
+		case len(s.body) == 0:
+			return true
+		case len(s.body) <= len(s.out)-s.n:
+			s.n += copy(s.out[s.n:], s.body)
+			s.body = nil
+		case s.n == 0:
+			s.span, s.body = s.body, nil
+		default:
+			s.body = s.body[copy(s.out[s.n:], s.body):]
+			s.span, s.n = s.out[:], 0
+		}
 	}
+}
+
+// resume is write's continuation: it writes on, and reads the next
+// request once the response is out.
+func (s *served) resume() {
+	if s.write() {
+		s.read()
+	}
+}
+
+// hangUp closes the conn and hands the state back.
+func (s *served) hangUp() {
+	s.conn.Close()
+	s.o, s.conn, s.head, s.body, s.span = nil, nil, s.head[:0], nil, nil
+	servedPool.Put(s)
+}
+
+// route answers a GET: its status, and a body of n bytes that begins
+// with prefix, no longer than n, and goes on in pattern bytes.
+func (o *Origin) route(path string) (status int, prefix []byte, n int) {
+	switch {
+	case strings.HasPrefix(path, "/site/"):
+		return o.page(path)
+	case strings.HasPrefix(path, "/res/"):
+		return o.resource(path)
+	case strings.HasPrefix(path, "/file/"):
+		return o.file(path)
+	}
+	return 404, nil, 0
 }
 
 // lookupSite resolves "/site/<list>/<id>" or "/res/<list>/<id>/<k>".
@@ -94,80 +202,62 @@ func (o *Origin) lookupSite(list, id string) *Site {
 	if cat == nil {
 		return nil
 	}
-	n, err := strconv.Atoi(id)
-	if err != nil || n < 0 || n >= len(cat.Sites) {
+	n, ok := atoi(id, 0)
+	if !ok || n >= int64(len(cat.Sites)) {
 		return nil
 	}
 	return &cat.Sites[n]
 }
 
-// servePage writes the default document. Its body begins with a resource
-// manifest — the simulation's stand-in for HTML references — followed by
-// filler up to the page size:
+// page answers with the default document. Its body begins with a
+// resource manifest — the simulation's stand-in for HTML references —
+// followed by filler up to the page size:
 //
 //	ptperf-page resources=<n> base-weight-ppm=<ppm>
 //	<path> <bytes> <weight-ppm>
 //	...
-func (o *Origin) servePage(w *bufio.Writer, path string) error {
+func (o *Origin) page(path string) (int, []byte, int) {
 	// A missing or extra slash leaves an id no number parses.
 	list, id, _ := strings.Cut(strings.TrimPrefix(path, "/site/"), "/")
 	site := o.lookupSite(list, id)
 	if site == nil {
-		return writeResponseHeader(w, 404, 0)
+		return 404, nil, 0
 	}
 	manifest := BuildManifest(site)
-	n := site.PageBytes
-	if len(manifest) > n {
-		n = len(manifest)
-	}
-	if err := writeResponseHeader(w, 200, int64(n)); err != nil {
-		return err
-	}
-	return writeBody(w, manifest, n)
+	return 200, manifest, max(site.PageBytes, len(manifest))
 }
 
-func (o *Origin) serveResource(w *bufio.Writer, path string) error {
+func (o *Origin) resource(path string) (int, []byte, int) {
 	list, rest, _ := strings.Cut(strings.TrimPrefix(path, "/res/"), "/")
-	id, idx, _ := strings.Cut(rest, "/") // as in servePage
+	id, idx, _ := strings.Cut(rest, "/") // as in page
 	site := o.lookupSite(list, id)
 	if site == nil {
-		return writeResponseHeader(w, 404, 0)
+		return 404, nil, 0
 	}
-	k, err := strconv.Atoi(idx)
-	if err != nil || k < 0 || k >= len(site.Resources) {
-		return writeResponseHeader(w, 404, 0)
+	k, ok := atoi(idx, 0)
+	if !ok || k >= int64(len(site.Resources)) {
+		return 404, nil, 0
 	}
-	res := site.Resources[k]
-	if err := writeResponseHeader(w, 200, int64(res.Bytes)); err != nil {
-		return err
-	}
-	return writeBody(w, nil, res.Bytes)
+	return 200, nil, site.Resources[k].Bytes
 }
 
-// serveFile serves "/file/<n>" (n pattern bytes) or "/file/<n>?from=<off>"
-// (the remainder from byte off — the resume form clients use to finish a
-// download interrupted by a mid-circuit failure).
-func (o *Origin) serveFile(w *bufio.Writer, path string) error {
+// file answers "/file/<n>" (n pattern bytes) or "/file/<n>?from=<off>"
+// (the remainder from byte off — the resume form clients use to finish
+// a download interrupted by a mid-circuit failure).
+func (o *Origin) file(path string) (int, []byte, int) {
 	spec, query, _ := strings.Cut(strings.TrimPrefix(path, "/file/"), "?")
-	n, err := strconv.Atoi(spec)
-	if err != nil || n < 0 || int64(n) > 1<<31 {
-		return writeResponseHeader(w, 404, 0)
+	n, ok := atoi(spec, 0)
+	if !ok || n > 1<<31 {
+		return 404, nil, 0
 	}
-	from := 0
+	from := int64(0)
 	if query != "" {
-		v, ok := strings.CutPrefix(query, "from=")
-		if !ok {
-			return writeResponseHeader(w, 404, 0)
-		}
-		from, err = strconv.Atoi(v)
-		if err != nil || from < 0 || from > n {
-			return writeResponseHeader(w, 404, 0)
+		v, named := strings.CutPrefix(query, "from=")
+		if from, ok = atoi(v, 0); !named || !ok || from > n {
+			return 404, nil, 0
 		}
 	}
-	if err := writeResponseHeader(w, 200, int64(n-from)); err != nil {
-		return err
-	}
-	return writeBody(w, nil, n-from)
+	return 200, nil, int(n - from)
 }
 
 // BuildManifest renders the machine-readable resource list embedded at

@@ -141,8 +141,9 @@ func TestParseManifestRejectsGarbage(t *testing.T) {
 }
 
 // TestHTTPRequestRoundTrip: ReadRequest reads what WriteRequest writes,
-// for paths longer than the origin's 4 KiB reader too, and leaves the
-// next pipelined request unread.
+// for paths longer than the origin's 4 KiB read buffer too, and leaves
+// the next pipelined request unread; it waits for more bytes on every
+// beginning of a request.
 func TestHTTPRequestRoundTrip(t *testing.T) {
 	rng := sim.NewRand(1)
 	paths := []string{"/site/tranco/3", FilePath(1<<20) + "?from=524288", "/" + randomPath(rng, 5000)}
@@ -151,40 +152,35 @@ func TestHTTPRequestRoundTrip(t *testing.T) {
 	}
 	for _, path := range paths {
 		for _, close := range []bool{true, false} {
-			var buf, next bytes.Buffer
+			var buf bytes.Buffer
 			if err := WriteRequest(&buf, path, close); err != nil {
 				t.Fatal(err)
 			}
-			WriteRequest(&next, "/res/cbl/1/2", !close)
-			r := bufio.NewReaderSize(io.MultiReader(&buf, bytes.NewReader(next.Bytes())), 4<<10)
-			req, err := ReadRequest(r)
-			if err != nil || req != (Request{Path: path, Close: close}) {
-				t.Fatalf("%.40q (close %v): read %+v, %v", path, close, req, err)
+			size := buf.Len()
+			WriteRequest(&buf, "/res/cbl/1/2", !close)
+			req, n, err := ReadRequest(buf.Bytes())
+			if err != nil || req != (Request{Path: path, Close: close}) || n != size {
+				t.Fatalf("%.40q (close %v): read %+v of %d B, %v; want %d B", path, close, req, n, err, size)
 			}
-			if rest, _ := io.ReadAll(r); !bytes.Equal(rest, next.Bytes()) {
-				t.Fatalf("%.40q: left %q unread, want the next request", path, rest)
+			for k := range size {
+				if req, n, err := ReadRequest(buf.Bytes()[:k]); n != 0 || err != nil {
+					t.Fatalf("%.40q: the first %d B read as %+v of %d B, %v", path, k, req, n, err)
+				}
 			}
 		}
 	}
 }
 
-// TestHTTPResponseRoundTrip: ReadResponse reads what writeResponseHeader
+// TestHTTPResponseRoundTrip: ReadResponse reads what appendResponseHeader
 // writes and leaves the body and the next pipelined response unread.
 func TestHTTPResponseRoundTrip(t *testing.T) {
 	for _, tc := range []struct {
 		status int
 		n      int64
 	}{{200, 1234}, {200, 0}, {404, 0}, {200, 1<<63 - 1}} {
-		var buf bytes.Buffer
-		w := bufio.NewWriter(&buf)
-		if err := writeResponseHeader(w, tc.status, tc.n); err != nil {
-			t.Fatal(err)
-		}
-		w.WriteString("body")
-		writeResponseHeader(w, 404, 0)
-		w.Flush()
-		next := buf.Bytes()[bytes.Index(buf.Bytes(), []byte("body")):]
-		r := bufio.NewReaderSize(&buf, 16)
+		b := appendResponseHeader(nil, tc.status, tc.n)
+		next := appendResponseHeader([]byte("body"), 404, 0)
+		r := bufio.NewReaderSize(bytes.NewReader(append(b, next...)), 16)
 		resp, err := ReadResponse(r)
 		if err != nil || resp != (Response{Status: tc.status, ContentLength: tc.n}) {
 			t.Fatalf("%+v: read %+v, %v", tc, resp, err)
@@ -206,8 +202,9 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 	return w.Buffer.Write(p)
 }
 
-// TestWritersMatchFmt: the request and response-header writers put the
-// bytes the fmt formats they replaced printed on the wire, in one Write.
+// TestWritersMatchFmt: the request writer puts the bytes the fmt format
+// it replaced printed on the wire, in one Write, and the response
+// header appender appends the bytes its format printed.
 func TestWritersMatchFmt(t *testing.T) {
 	for _, tc := range []struct {
 		path  string
@@ -235,16 +232,8 @@ func TestWritersMatchFmt(t *testing.T) {
 			text = "Not Found"
 		}
 		want := fmt.Sprintf("HTTP/1.1 %d %s\r\nContent-Length: %d\r\n\r\n", tc.status, text, tc.n)
-		for _, size := range []int{4096, 16} { // the header fits w's free space, or not
-			var cw countingWriter
-			w := bufio.NewWriterSize(&cw, size)
-			if err := writeResponseHeader(w, tc.status, tc.n); err != nil {
-				t.Fatal(err)
-			}
-			w.Flush()
-			if got := cw.String(); got != want || cw.writes != 1 {
-				t.Errorf("writeResponseHeader(%d, %d) through %d B = %q in %d writes, want %q in 1", tc.status, tc.n, size, got, cw.writes, want)
-			}
+		if got := appendResponseHeader([]byte("x"), tc.status, tc.n); string(got) != "x"+want {
+			t.Errorf("appendResponseHeader(%d, %d) = %q, want %q", tc.status, tc.n, got, "x"+want)
 		}
 	}
 }
@@ -284,22 +273,13 @@ func TestRoutingRefusesWhatSplitRefused(t *testing.T) {
 		"/site/a", "/site/a/b/c", "/res/a/b", "/res/a/b/c/d", "/site//0",
 		"/site/tranco/0/", "/site/tranco/", "/site/", "/res/tranco/0/", "/res/tranco//0", "/res//0/0", "/res/tranco/0/0/0",
 	) {
-		var buf bytes.Buffer
-		w := bufio.NewWriter(&buf)
-		if err := o.serveRequest(w, Request{Path: path}); err != nil {
-			t.Fatal(err)
-		}
-		w.Flush()
-		resp, err := ReadResponse(bufio.NewReader(&buf))
-		if err != nil {
-			t.Fatal(err)
-		}
+		status, _, _ := o.route(path)
 		want := splitStatus(o, path)
 		if want != 200 && i < len(served) || want != 404 && i >= len(served) {
 			t.Fatalf("%s: the split routing gives %d", path, want)
 		}
-		if resp.Status != want {
-			t.Errorf("%s: status %d, want %d", path, resp.Status, want)
+		if status != want {
+			t.Errorf("%s: status %d, want %d", path, status, want)
 		}
 	}
 }
@@ -307,7 +287,7 @@ func TestRoutingRefusesWhatSplitRefused(t *testing.T) {
 // TestHTTPMalformed: the readers refuse what their writers do not
 // write, down to one byte of a written message zeroed.
 func TestHTTPMalformed(t *testing.T) {
-	if _, err := ReadRequest(bufio.NewReader(strings.NewReader("BOGUS\r\n\r\n"))); err == nil {
+	if _, _, err := ReadRequest([]byte("BOGUS\r\n\r\n")); err == nil {
 		t.Fatal("malformed request accepted")
 	}
 	if _, err := ReadResponse(bufio.NewReader(strings.NewReader("NOT-HTTP 200\r\n\r\n"))); err == nil {
@@ -323,7 +303,7 @@ func TestHTTPMalformed(t *testing.T) {
 		"GET /x HTTP/1.1\r\nhost: origin\r\n" + keep, "GET /x HTTP/1.1\r\n" + keep, "GET /x HTTP/1.1\r\n" + host + "Connection: Close\r\n\r\n",
 		"GET /x HTTP/1.1\r\n" + host + "Connection: keep-alive\r\nServer: x\r\n\r\n", "GET /\xe2\x80\x83 HTTP/1.1\r\n" + host + keep,
 	} {
-		if got, err := ReadRequest(bufio.NewReader(strings.NewReader(req))); err == nil {
+		if got, n, _ := ReadRequest([]byte(req)); n > 0 {
 			t.Errorf("request %q read as %+v", req, got)
 		}
 	}
@@ -336,20 +316,18 @@ func TestHTTPMalformed(t *testing.T) {
 			t.Errorf("response header %q read as %+v", resp, got)
 		}
 	}
-	var req, resp bytes.Buffer
+	var req bytes.Buffer
 	WriteRequest(&req, FilePath(1234)+"?from=5", false)
-	w := bufio.NewWriter(&resp)
-	writeResponseHeader(w, 404, 0)
-	w.Flush()
+	resp := appendResponseHeader(nil, 404, 0)
 	for i := range req.Len() {
 		b := bytes.Clone(req.Bytes())
 		b[i] = 0
-		if got, err := ReadRequest(bufio.NewReader(bytes.NewReader(b))); err == nil {
+		if got, n, _ := ReadRequest(b); n > 0 {
 			t.Errorf("request %q read as %+v", b, got)
 		}
 	}
-	for i := range resp.Len() {
-		b := bytes.Clone(resp.Bytes())
+	for i := range resp {
+		b := bytes.Clone(resp)
 		b[i] = 0
 		if got, err := ReadResponse(bufio.NewReader(bytes.NewReader(b))); err == nil {
 			t.Errorf("response header %q read as %+v", b, got)
@@ -443,7 +421,11 @@ func TestOriginServesFileTail(t *testing.T) {
 
 func TestOrigin404s(t *testing.T) {
 	_, client, o := newOrigin(t)
-	for _, p := range []string{"/site/tranco/999", "/site/bogus/0", "/res/tranco/0/999", "/file/abc", "/nothing", "/site/tranco/0/extra"} {
+	for _, p := range []string{
+		"/site/tranco/999", "/site/bogus/0", "/res/tranco/0/999", "/file/abc", "/nothing", "/site/tranco/0/extra",
+		// Numbers no client writes: a sign or a leading zero.
+		"/site/tranco/+1", "/site/tranco/01", "/res/tranco/0/+0", "/file/+10", "/file/10?from=+2", "/file/010",
+	} {
 		if status, _ := get(t, client, o, p); status != 404 {
 			t.Errorf("path %s: status %d, want 404", p, status)
 		}
