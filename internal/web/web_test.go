@@ -3,6 +3,7 @@ package web
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -303,8 +304,8 @@ func TestHTTPMalformed(t *testing.T) {
 		"GET /x HTTP/1.1\r\nhost: origin\r\n" + keep, "GET /x HTTP/1.1\r\n" + keep, "GET /x HTTP/1.1\r\n" + host + "Connection: Close\r\n\r\n",
 		"GET /x HTTP/1.1\r\n" + host + "Connection: keep-alive\r\nServer: x\r\n\r\n", "GET /\xe2\x80\x83 HTTP/1.1\r\n" + host + keep,
 	} {
-		if got, n, _ := ReadRequest([]byte(req)); n > 0 {
-			t.Errorf("request %q read as %+v", req, got)
+		if got, n, err := ReadRequest([]byte(req)); !errors.Is(err, errMalformed) {
+			t.Errorf("request %q read as %+v of %d B, %v; want %v", req, got, n, err, errMalformed)
 		}
 	}
 	for _, resp := range []string{
@@ -322,8 +323,11 @@ func TestHTTPMalformed(t *testing.T) {
 	for i := range req.Len() {
 		b := bytes.Clone(req.Bytes())
 		b[i] = 0
-		if got, n, _ := ReadRequest(b); n > 0 {
-			t.Errorf("request %q read as %+v", b, got)
+		// Zeroing the last '\n' leaves the beginning of a request, read
+		// or not; any other byte zeroed spoils a whole line.
+		got, n, err := ReadRequest(b)
+		if last := i == req.Len()-1; last && (n != 0 || err != nil) || !last && !errors.Is(err, errMalformed) {
+			t.Errorf("request %q read as %+v of %d B, %v", b, got, n, err)
 		}
 	}
 	for i := range resp {
