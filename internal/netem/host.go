@@ -100,13 +100,15 @@ func (l *Listener) Accept() (Stream, error) {
 }
 
 // Serve runs the accept loop every server shares: each accepted conn is
-// handed to fn on a simulation goroutine of its own (Clock.Go) until l
-// closes. The loop is a chain of clock events, not a goroutine: it
-// starts from the run queue where a goroutine Go spawned now would
-// (Clock.ReadyEvent), and waits for the next conn in the place of a
-// goroutine parked in Accept (Chan.RecvEvent), so each handler is
-// spawned at the instant and run-queue position a goroutine accept loop
-// would have spawned it, and an idle listener holds no goroutine.
+// handed to fn until l closes. The loop is a chain of clock events, not
+// a goroutine: it starts from the run queue where a goroutine Go spawned
+// now would (Clock.ReadyEvent), and waits for the next conn in the place
+// of a goroutine parked in Accept (Chan.RecvEvent). fn runs from the run
+// queue too, at the instant and position where a goroutine spawned for
+// the conn would have started, so it is a clock event and must never
+// park: a handler that reads or writes uses the event forms, and one
+// whose work parks spawns it (Clock.Go). An idle listener, and a server
+// between its events, holds no goroutine.
 func (l *Listener) Serve(fn func(*Conn)) {
 	clock := l.host.net.clock
 	var next func()
@@ -116,7 +118,7 @@ func (l *Listener) Serve(fn func(*Conn)) {
 			if !done || !ok {
 				return
 			}
-			clock.Go(func() { fn(c) })
+			clock.ReadyEvent(func() { fn(c) })
 		}
 	}
 	clock.ReadyEvent(next)

@@ -535,7 +535,7 @@ func (p *Proxy) serveSession(n uint64) error {
 		ic.Close()
 		return err
 	}
-	p.host.Network().Go(func() { pt.ServeStream(ic, p.handle) })
+	p.host.Network().Clock().ReadyEvent(func() { pt.ServeStream(ic, p.handle) })
 	return nil
 }
 

@@ -53,7 +53,9 @@ var serverHello = pt.Step{Send: func(t *pt.Transcript) []byte {
 	return sh
 }}
 
-func transport(cfg Config) pt.WrapTransport {
+// Transport declares cloak's two handshakes: the ClientHello, then the
+// ServerHello the client does not wait for (zero RTT).
+func Transport(cfg Config) pt.WrapTransport {
 	// The mimicked first flight. Layout:
 	// type(1)‖ver(2)‖random(32)‖proof(32)‖sni-len(1)‖sni‖pad to 517.
 	clientHello := pt.Step{Send: func(t *pt.Transcript) []byte {
@@ -94,10 +96,10 @@ func transport(cfg Config) pt.WrapTransport {
 
 // StartServer runs a cloak server on host:port.
 func StartServer(host *netem.Host, port int, cfg Config, handle pt.StreamHandler) (pt.Server, error) {
-	return transport(cfg).StartServer(host, port, handle)
+	return Transport(cfg).StartServer(host, port, handle)
 }
 
 // NewDialer returns the cloak client for a server at addr.
 func NewDialer(host *netem.Host, addr string, cfg Config) pt.Dialer {
-	return transport(cfg).NewDialer(host, addr)
+	return Transport(cfg).NewDialer(host, addr)
 }

@@ -12,7 +12,7 @@ import (
 // clientHelloOf is the first flight a client with cfg sends on a conn
 // of seed.
 func clientHelloOf(cfg Config, seed int64) []byte {
-	return transport(cfg).Client.Steps[0].Send(&pt.Transcript{Seed: seed, Rand: sim.NewRand(seed)})
+	return Transport(cfg).Client.Steps[0].Send(&pt.Transcript{Seed: seed, Rand: sim.NewRand(seed)})
 }
 
 // bufferedPair returns two connected conns with buffering (unlike
@@ -62,7 +62,7 @@ func TestClientHelloAuthenticates(t *testing.T) {
 	defer a.Close()
 	defer b.Close()
 	n1.Go(func() { a.Write(hello) })
-	if _, err := transport(Config{UID: uid}).Server.Run(b, 3); err != nil {
+	if _, err := Transport(Config{UID: uid}).Server.Run(b, 3); err != nil {
 		t.Fatalf("valid hello rejected: %v", err)
 	}
 
@@ -70,7 +70,7 @@ func TestClientHelloAuthenticates(t *testing.T) {
 	defer c.Close()
 	defer d.Close()
 	n2.Go(func() { c.Write(hello) })
-	if _, err := transport(Config{UID: []byte("other")}).Server.Run(d, 4); err != ErrAuth {
+	if _, err := Transport(Config{UID: []byte("other")}).Server.Run(d, 4); err != ErrAuth {
 		t.Fatalf("wrong UID must fail auth, got %v", err)
 	}
 }
@@ -84,7 +84,7 @@ func TestZeroRTT(t *testing.T) {
 
 	serverGot := netem.NewChan[[]byte](nw.Clock(), 1)
 	nw.Go(func() {
-		sc, err := transport(Config{UID: []byte("u")}).Server.Run(b, 5)
+		sc, err := Transport(Config{UID: []byte("u")}).Server.Run(b, 5)
 		if err != nil {
 			serverGot.Send(nil)
 			return
@@ -94,7 +94,7 @@ func TestZeroRTT(t *testing.T) {
 		serverGot.Send(buf[:n])
 	})
 
-	cc, err := transport(Config{UID: []byte("u")}).Client.Run(a, 6)
+	cc, err := Transport(Config{UID: []byte("u")}).Client.Run(a, 6)
 	if err != nil {
 		t.Fatal(err)
 	}

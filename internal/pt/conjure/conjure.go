@@ -98,8 +98,8 @@ func (inf *Infra) PhantomAddr() string { return inf.phantomLn.Addr().String() }
 // serveRegistration takes one registration: nonce ‖ MAC → ack. A bad
 // MAC gets no ack, like a real registrar's silent drop.
 func (inf *Infra) serveRegistration(c *netem.Conn) {
-	defer c.Close()
-	pt.Handshake{Steps: []pt.Step{{N: nonceLen + macLen, Check: inf.register}, pt.Send([]byte{0x01})}}.Run(c, 0)
+	pt.Handshake{Steps: []pt.Step{{N: nonceLen + macLen, Check: inf.register}, pt.Send([]byte{0x01})}}.RunEvent(c, 0,
+		func(netem.Stream, error) { c.Close() })
 }
 
 func (inf *Infra) register(_ *pt.Transcript, msg []byte) (int, error) {
@@ -110,39 +110,69 @@ func (inf *Infra) register(_ *pt.Transcript, msg []byte) (int, error) {
 	return 0, nil
 }
 
+// flow is one phantom flow at the station: its claim, then the dial of
+// the bridge it is spliced to and the nonce forwarded ahead of it, a
+// chain of clock events.
+type flow struct {
+	inf       *Infra
+	up, down  *netem.Conn
+	nonce     []byte
+	sent      int
+	forwardFn func() // forward, bound once
+}
+
 // serveFlow validates one phantom flow's registration and splices it to
 // the bridge.
 func (inf *Infra) serveFlow(c *netem.Conn) {
-	down, err := pt.Handshake{Steps: []pt.Step{{N: nonceLen, Check: inf.claim}}, Records: inf.forward}.Run(c, 0)
-	if err != nil {
-		c.Close()
-		return
-	}
-	pt.Splice(inf.stationHst.Network().Clock(), c, down)
+	f := &flow{inf: inf, up: c}
+	pt.Handshake{Steps: []pt.Step{{N: nonceLen, Check: f.claim}}}.RunEvent(c, 0, f.claimed)
 }
 
 // claim uses up the nonce's registration. Unregistered flows to phantom
 // IPs look like scans; the station lets them time out.
-func (inf *Infra) claim(_ *pt.Transcript, nonce []byte) (int, error) {
-	if !inf.registered[[nonceLen]byte(nonce)] {
+func (f *flow) claim(_ *pt.Transcript, nonce []byte) (int, error) {
+	if !f.inf.registered[[nonceLen]byte(nonce)] {
 		return 0, ErrNotRegistered
 	}
-	delete(inf.registered, [nonceLen]byte(nonce))
+	delete(f.inf.registered, [nonceLen]byte(nonce))
+	f.nonce = nonce
 	return 0, nil
 }
 
-// forward dials the bridge, the conn a claimed flow is spliced to, and
-// forwards the nonce: the bridge reads it before the records.
-func (inf *Infra) forward(_ netem.Stream, t *pt.Transcript) (netem.Stream, error) {
-	down, err := inf.stationHst.Dial(inf.bridgeAddr)
+// claimed dials the bridge for a claimed flow.
+func (f *flow) claimed(_ netem.Stream, err error) {
 	if err != nil {
-		return nil, err
+		f.up.Close()
+		return
 	}
-	if _, err := down.Write(t.Flights[0]); err != nil {
-		down.Close()
-		return nil, err
+	if down, err, done := f.inf.stationHst.DialEvent(f.inf.bridgeAddr, f.dialed); done {
+		f.dialed(down, err)
 	}
-	return down, nil
+}
+
+// dialed goes on with the bridge conn once its dial is done.
+func (f *flow) dialed(down *netem.Conn, err error) {
+	if err != nil {
+		f.up.Close()
+		return
+	}
+	f.down, f.forwardFn = down, f.forward
+	f.forward()
+}
+
+// forward writes the nonce to the bridge, which reads it before the
+// records, and splices the flow to it.
+func (f *flow) forward() {
+	n, err, done := f.down.WriteEvent(f.nonce[f.sent:], f.forwardFn)
+	if f.sent += n; !done {
+		return
+	}
+	if err != nil {
+		f.down.Close()
+		f.up.Close()
+		return
+	}
+	pt.Splice(f.inf.stationHst.Network().Clock(), f.up, f.down)
 }
 
 // StartBridge runs the conjure bridge (the PT server proper, co-located
@@ -207,11 +237,9 @@ func (d *Dialer) Dial(target string) (netem.Stream, error) {
 
 	// Phantom dial through the station: the nonce names the
 	// registration, then the session's records follow.
-	conn, err := pt.DialWrapped(d.host, d.phantomAddr, func(raw netem.Stream) (netem.Stream, error) {
-		return pt.Handshake{Steps: []pt.Step{pt.Random(nonceLen)}, Records: func(conn netem.Stream, t *pt.Transcript) (netem.Stream, error) {
-			return pt.NewRecordConn(conn, pt.RecordConfig{Header: tlsAppHeader, Seed: t.Seed + 1})
-		}}.Run(raw, s)
-	}, target)
+	conn, err := pt.DialWrapped(d.host, d.phantomAddr, pt.Handshake{Steps: []pt.Step{pt.Random(nonceLen)}, Records: func(conn netem.Stream, t *pt.Transcript) (netem.Stream, error) {
+		return pt.NewRecordConn(conn, pt.RecordConfig{Header: tlsAppHeader, Seed: t.Seed + 1})
+	}}, s, target)
 	if err != nil {
 		return nil, fmt.Errorf("conjure: phantom flow: %w", err)
 	}

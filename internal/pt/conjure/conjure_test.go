@@ -22,9 +22,13 @@ func testNet(t *testing.T) (*netem.Host, *netem.Host, *netem.Host, *netem.Host) 
 func TestRegistrationIsSingleUse(t *testing.T) {
 	client, reg, station, bridgeHost := testNet(t)
 	secret := []byte("s")
+	// The echo parks, so the handler, which the server calls from a
+	// clock event, spawns it.
 	bridge, err := StartBridge(bridgeHost, 4443, Config{Secret: secret}, func(target string, conn netem.Stream) {
-		defer conn.Close()
-		io.Copy(conn, conn)
+		bridgeHost.Network().Go(func() {
+			defer conn.Close()
+			io.Copy(conn, conn)
+		})
 	})
 	if err != nil {
 		t.Fatal(err)

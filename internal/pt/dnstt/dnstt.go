@@ -285,7 +285,7 @@ func StartServer(host *netem.Host, port int, cfg Config, handle pt.StreamHandler
 	// The handler sees an ordinary stream; dnstt framing hides behind it.
 	s.sessions = pt.NewSessions(clock, func(sessionID) *serverSession {
 		ss := &serverSession{Stream: pt.NewStream(clock, "dns", "dnstt-server", "dnstt-client", serverQueue)}
-		clock.Go(func() { pt.ServeStream(ss, handle) })
+		clock.ReadyEvent(func() { pt.ServeStream(ss, handle) })
 		return ss
 	}, (*serverSession).Fail)
 	ln.Serve(s.serve)

@@ -139,9 +139,13 @@ func TestLargestCapsCarryData(t *testing.T) {
 	resolver := n.MustAddHost(netem.HostConfig{Name: "resolver"})
 	server := n.MustAddHost(netem.HostConfig{Name: "server"})
 	cfg := Config{QueryCap: math.MaxUint16 - sessionLen - 4, RespCap: math.MaxUint16 - 4, Inflight: 2, BudgetMedian: -1}
+	// The echo parks, so the handler, which the server calls from a
+	// clock event, spawns it.
 	srv, err := StartServer(server, 53, cfg, func(_ string, c netem.Stream) {
-		defer c.Close()
-		io.Copy(c, c)
+		n.Go(func() {
+			defer c.Close()
+			io.Copy(c, c)
+		})
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -375,7 +375,8 @@ func (c *ctrCodec) Open(header, body []byte) ([]byte, error) {
 	return body[:binary.BigEndian.Uint16(header[len(c.header):])], nil
 }
 
-// WriteTarget sends the stream prologue naming the server-side target.
+// WriteTarget sends the stream prologue naming the server-side target:
+// its length byte, then the target, which ServeStream reads.
 func WriteTarget(w io.Writer, target string) error {
 	if len(target) > 255 {
 		return fmt.Errorf("pt: target too long")
@@ -385,19 +386,6 @@ func WriteTarget(w io.Writer, target string) error {
 	copy(buf[1:], target)
 	_, err := w.Write(buf)
 	return err
-}
-
-// ReadTarget reads the stream prologue.
-func ReadTarget(r io.Reader) (string, error) {
-	var n [1]byte
-	if _, err := io.ReadFull(r, n[:]); err != nil {
-		return "", err
-	}
-	buf := make([]byte, n[0])
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", err
-	}
-	return string(buf), nil
 }
 
 // Event forms of a conn's Close and CloseWrite, with the contract of

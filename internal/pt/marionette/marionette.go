@@ -383,17 +383,20 @@ func (mc *marionetteConn) Close() error {
 	return mc.conn.Close()
 }
 
+// walk is the handshake of either end: no flight, only the automaton
+// walk over the raw conn, seeded by the conn's seed.
+func walk(model *Model, clock *netem.Clock) pt.Handshake {
+	return pt.Handshake{Records: func(conn netem.Stream, t *pt.Transcript) (netem.Stream, error) {
+		return newConn(model, conn.(*netem.Conn), clock, t.Seed), nil
+	}}
+}
+
 // StartServer runs a marionette server on host:port using the model.
 func StartServer(host *netem.Host, port int, model *Model, seed int64, handle pt.StreamHandler) (pt.Server, error) {
 	if err := model.Validate(); err != nil {
 		return nil, err
 	}
-	clock := host.Network().Clock()
-	s := seed
-	return pt.ListenAndServe(host, port, func(conn netem.Stream) (netem.Stream, error) {
-		s++
-		return newConn(model, conn.(*netem.Conn), clock, s), nil
-	}, handle)
+	return pt.ListenAndServe(host, port, walk(model, host.Network().Clock()), seed, handle)
 }
 
 // NewDialer returns a marionette client for a server at addr.
@@ -401,20 +404,14 @@ func NewDialer(host *netem.Host, addr string, model *Model, seed int64) (pt.Dial
 	if err := model.Validate(); err != nil {
 		return nil, err
 	}
-	clock := host.Network().Clock()
+	hs := walk(model, host.Network().Clock())
 	s := seed + 179426549
 	return pt.DialerFunc(func(target string) (netem.Stream, error) {
 		s++
-		mine := s
-		raw, err := host.Dial(addr)
+		conn, err := pt.DialWrapped(host, addr, hs, s, target)
 		if err != nil {
 			return nil, fmt.Errorf("marionette: %w", err)
 		}
-		mc := newConn(model, raw.(*netem.Conn), clock, mine)
-		if err := pt.WriteTarget(mc, target); err != nil {
-			mc.Close()
-			return nil, err
-		}
-		return mc, nil
+		return conn, nil
 	}), nil
 }

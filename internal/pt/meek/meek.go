@@ -217,7 +217,7 @@ func StartBridge(host *netem.Host, port int, cfg Config, handle pt.StreamHandler
 			Stream: pt.NewStream(clock, "meek", "meek-bridge", "meek-client", maxQueue),
 			budget: b.drawBudget(),
 		}
-		clock.Go(func() { pt.ServeStream(s, handle) })
+		clock.ReadyEvent(func() { pt.ServeStream(s, handle) })
 		return s
 	}, b.cut)
 	ln.Serve(b.serveFrontConn)

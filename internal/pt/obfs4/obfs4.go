@@ -79,7 +79,9 @@ func records(conn netem.Stream, t *pt.Transcript) (netem.Stream, error) {
 	return pt.NewRecordConn(conn, pt.RecordConfig{MaxPadding: maxRecordPad, Seed: t.Seed + 1})
 }
 
-func transport(cfg Config) pt.WrapTransport {
+// Transport declares obfs4's two handshakes: each side's hello, the
+// client's first (1 RTT).
+func Transport(cfg Config) pt.WrapTransport {
 	return pt.WrapTransport{
 		Name: "obfs4", Keyed: len(cfg.Secret) > 0, Seed: cfg.Seed, DialerOffset: 7919,
 		Client: pt.Handshake{Steps: []pt.Step{hello(cfg.Secret, 'c'), peerHello(cfg.Secret, 's')}, Records: records},
@@ -90,10 +92,10 @@ func transport(cfg Config) pt.WrapTransport {
 // StartServer runs an obfs4 server on host:port, delivering unwrapped
 // streams to handle.
 func StartServer(host *netem.Host, port int, cfg Config, handle pt.StreamHandler) (pt.Server, error) {
-	return transport(cfg).StartServer(host, port, handle)
+	return Transport(cfg).StartServer(host, port, handle)
 }
 
 // NewDialer returns the obfs4 client for a bridge at addr.
 func NewDialer(host *netem.Host, addr string, cfg Config) pt.Dialer {
-	return transport(cfg).NewDialer(host, addr)
+	return Transport(cfg).NewDialer(host, addr)
 }

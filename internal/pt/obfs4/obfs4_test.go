@@ -20,6 +20,17 @@ type bufConn struct {
 func (c bufConn) Read(p []byte) (int, error)  { return c.buf.Read(p) }
 func (c bufConn) Write(p []byte) (int, error) { return c.buf.Write(p) }
 
+// ReadEvent and WriteEvent never wait: each is the plain call.
+func (c bufConn) ReadEvent(p []byte, _ func()) (int, error, bool) {
+	n, err := c.buf.Read(p)
+	return n, err, true
+}
+
+func (c bufConn) WriteEvent(p []byte, _ func()) (int, error, bool) {
+	n, err := c.buf.Write(p)
+	return n, err, true
+}
+
 // play runs steps over c with seed.
 func play(c netem.Stream, seed int64, steps ...pt.Step) error {
 	_, err := pt.Handshake{Steps: steps}.Run(c, seed)

@@ -90,12 +90,13 @@ func (c *packetCodec) Open(_, body []byte) ([]byte, error) {
 	return body[:n], nil
 }
 
-// transport declares banner exchange + kex (2 RTTs). The flights are
+// Transport declares psiphon's two handshakes: banner exchange + kex
+// (2 RTTs). The flights are
 // numbered alike at both ends: 0 and 1 the client's and the server's
 // banners, 2 the client's kexinit, 3 the server's followed by its
 // host-key proof over flight 2. The session secret is the host key, then
 // both kexinits.
-func transport(cfg Config) pt.WrapTransport {
+func Transport(cfg Config) pt.WrapTransport {
 	codec := func(isClient bool) func(netem.Stream, *pt.Transcript) (netem.Stream, error) {
 		return func(conn netem.Stream, t *pt.Transcript) (netem.Stream, error) {
 			secret := append(append(append([]byte{}, cfg.HostKey...), t.Flights[2]...), t.Flights[3][:kexLen]...)
@@ -125,10 +126,10 @@ func transport(cfg Config) pt.WrapTransport {
 
 // StartServer runs a psiphon server on host:port.
 func StartServer(host *netem.Host, port int, cfg Config, handle pt.StreamHandler) (pt.Server, error) {
-	return transport(cfg).StartServer(host, port, handle)
+	return Transport(cfg).StartServer(host, port, handle)
 }
 
 // NewDialer returns the psiphon client for a server at addr.
 func NewDialer(host *netem.Host, addr string, cfg Config) pt.Dialer {
-	return transport(cfg).NewDialer(host, addr)
+	return Transport(cfg).NewDialer(host, addr)
 }

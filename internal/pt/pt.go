@@ -107,7 +107,9 @@ type DialerFunc func(target string) (netem.Stream, error)
 func (f DialerFunc) Dial(target string) (netem.Stream, error) { return f(target) }
 
 // StreamHandler consumes one unwrapped stream on the server side. It
-// owns conn and must close it.
+// owns conn and must close it. A server calls it from a clock event, so
+// it must not park: it uses the event forms, and spawns work that parks
+// (Clock.Go).
 type StreamHandler func(target string, conn netem.Stream)
 
 // Server is a running PT server.

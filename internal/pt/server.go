@@ -6,57 +6,56 @@ import (
 	"ptperf/internal/netem"
 )
 
-// Wrapper upgrades a raw connection, accepted or dialed, into the
-// transport's obfuscated stream: one side of the handshake.
-type Wrapper func(conn netem.Stream) (netem.Stream, error)
-
 // listenServer is the standard single-listener PT server.
 type listenServer struct{ *netem.Listener }
 
 // Addr implements Server.
 func (s listenServer) Addr() string { return s.Listener.Addr().String() }
 
-// ServeStream reads the target prologue off an unwrapped stream and
-// hands the stream to the handler, which owns it from then on.
+// ServeStream reads the target prologue off an unwrapped stream, its
+// length byte and then the target, and hands the stream to the handler,
+// which owns it from then on, from the event that completes it. It
+// returns at its first wait.
 func ServeStream(conn netem.Stream, handle StreamHandler) {
-	target, err := ReadTarget(conn)
-	if err != nil {
-		conn.Close()
-		return
-	}
-	handle(target, conn)
+	ReadPrefixed(conn, 1, func(target []byte, err error) {
+		if err != nil {
+			conn.Close()
+			return
+		}
+		handle(string(target), conn)
+	})
 }
 
-// ListenAndServe runs the common PT server skeleton: accept, wrap,
-// read the target prologue, hand off to the stream handler.
-func ListenAndServe(host *netem.Host, port int, wrap Wrapper, handle StreamHandler) (Server, error) {
+// ListenAndServe runs the common PT server skeleton: accept, play hs
+// with the seeds after seed, one per conn in turn, read the target
+// prologue and hand off to the stream handler, each conn a chain of
+// clock events.
+func ListenAndServe(host *netem.Host, port int, hs Handshake, seed int64, handle StreamHandler) (Server, error) {
 	ln, err := host.Listen(port)
 	if err != nil {
 		return nil, err
 	}
 	ln.Serve(func(raw *netem.Conn) {
-		var conn netem.Stream = raw
-		if wrap != nil {
-			var err error
-			conn, err = wrap(raw)
+		seed++
+		hs.RunEvent(raw, seed, func(conn netem.Stream, err error) {
 			if err != nil {
 				raw.Close()
 				return
 			}
-		}
-		ServeStream(conn, handle)
+			ServeStream(conn, handle)
+		})
 	})
 	return listenServer{ln}, nil
 }
 
-// DialWrapped runs the common PT client skeleton: dial, wrap, send the
-// target prologue.
-func DialWrapped(host *netem.Host, addr string, wrap Wrapper, target string) (netem.Stream, error) {
+// DialWrapped runs the common PT client skeleton: dial, play hs with
+// seed, send the target prologue.
+func DialWrapped(host *netem.Host, addr string, hs Handshake, seed int64, target string) (netem.Stream, error) {
 	raw, err := host.Dial(addr)
 	if err != nil {
 		return nil, err
 	}
-	conn, err := wrap(raw)
+	conn, err := hs.Run(raw, seed)
 	if err != nil {
 		raw.Close()
 		return nil, err
@@ -95,11 +94,7 @@ func (w WrapTransport) StartServer(host *netem.Host, port int, handle StreamHand
 	if !w.Keyed {
 		return nil, fmt.Errorf("%s: server needs its shared secret", w.Name)
 	}
-	seed := w.Seed
-	return ListenAndServe(host, port, func(conn netem.Stream) (netem.Stream, error) {
-		seed++
-		return w.Server.Run(conn, seed)
-	}, handle)
+	return ListenAndServe(host, port, w.Server, w.Seed, handle)
 }
 
 // NewDialer returns the transport's client for a server at addr.
@@ -110,10 +105,7 @@ func (w WrapTransport) NewDialer(host *netem.Host, addr string) Dialer {
 			return nil, fmt.Errorf("%s: dialer needs its shared secret", w.Name)
 		}
 		seed++
-		s := seed
-		conn, err := DialWrapped(host, addr, func(raw netem.Stream) (netem.Stream, error) {
-			return w.Client.Run(raw, s)
-		}, target)
+		conn, err := DialWrapped(host, addr, w.Client, seed, target)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", w.Name, err)
 		}
@@ -123,21 +115,38 @@ func (w WrapTransport) NewDialer(host *netem.Host, addr string) Dialer {
 
 // ForwardTo returns a StreamHandler that dials the stream's target from
 // fromHost and splices — the integration-set-2 server behaviour (the
-// target names the guard the client's Tor selected).
+// target names the guard the client's Tor selected). It dials with
+// DialEvent, so nothing of it parks.
 func ForwardTo(fromHost *netem.Host) StreamHandler {
-	return HandleWithDialer(fromHost.Network().Clock(), fromHost.Dial)
+	clock := fromHost.Network().Clock()
+	return func(target string, conn netem.Stream) {
+		forward := func(up *netem.Conn, err error) {
+			if err != nil {
+				conn.Close()
+				return
+			}
+			Splice(clock, conn, up)
+		}
+		if up, err, done := fromHost.DialEvent(target, forward); done {
+			forward(up, err)
+		}
+	}
 }
 
 // HandleWithDialer returns a StreamHandler that opens the target through
 // an arbitrary dialer and splices — the integration-set-3 server
-// behaviour (the dialer is the co-located Tor client).
+// behaviour (the dialer is the co-located Tor client). That dialer
+// parks, so the handler spawns a goroutine for it: the one the PT layer
+// spawns.
 func HandleWithDialer(clock *netem.Clock, dial func(target string) (netem.Stream, error)) StreamHandler {
 	return func(target string, conn netem.Stream) {
-		up, err := dial(target)
-		if err != nil {
-			conn.Close()
-			return
-		}
-		Splice(clock, conn, up)
+		clock.Go(func() {
+			up, err := dial(target)
+			if err != nil {
+				conn.Close()
+				return
+			}
+			Splice(clock, conn, up)
+		})
 	}
 }

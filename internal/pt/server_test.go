@@ -30,7 +30,7 @@ func TestWrapTransport(t *testing.T) {
 		Name: "demo", Keyed: true, Seed: 10, DialerOffset: 100,
 		Client: logSeed(&client), Server: logSeed(&server),
 	}
-	srv, err := wt.StartServer(w.server, 443, echoHandler(t, "guard-0:9001"))
+	srv, err := wt.StartServer(w.server, 443, echoHandler(t, w, "guard-0:9001"))
 	if err != nil {
 		t.Fatal(err)
 	}

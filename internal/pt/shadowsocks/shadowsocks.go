@@ -88,9 +88,10 @@ func (c *chunkCodec) Open(_, body []byte) ([]byte, error) {
 	return body[:n], nil
 }
 
-// transport: the client sends the salt and both ends key their codecs
-// from it (zero RTT); the salt is flight 0 at either end.
-func transport(cfg Config) pt.WrapTransport {
+// Transport declares shadowsocks's two handshakes: the client sends the
+// salt and both ends key their codecs from it (zero RTT); the salt is
+// flight 0 at either end.
+func Transport(cfg Config) pt.WrapTransport {
 	codec := func(isClient bool) func(netem.Stream, *pt.Transcript) (netem.Stream, error) {
 		return func(conn netem.Stream, t *pt.Transcript) (netem.Stream, error) {
 			return pt.NewCodecConn(conn, NewCodec(cfg.PSK, t.Flights[0], isClient)), nil
@@ -105,10 +106,10 @@ func transport(cfg Config) pt.WrapTransport {
 
 // StartServer runs a shadowsocks server on host:port.
 func StartServer(host *netem.Host, port int, cfg Config, handle pt.StreamHandler) (pt.Server, error) {
-	return transport(cfg).StartServer(host, port, handle)
+	return Transport(cfg).StartServer(host, port, handle)
 }
 
 // NewDialer returns the shadowsocks client for a server at addr.
 func NewDialer(host *netem.Host, addr string, cfg Config) pt.Dialer {
-	return transport(cfg).NewDialer(host, addr)
+	return Transport(cfg).NewDialer(host, addr)
 }

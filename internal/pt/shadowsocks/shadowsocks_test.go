@@ -47,14 +47,14 @@ func pipePair(t *testing.T, psk []byte) (net.Conn, net.Conn) {
 	a, b := pipe()
 	done := make(chan net.Conn, 1)
 	go func() {
-		s, err := transport(Config{PSK: psk}).Server.Run(b, 0)
+		s, err := Transport(Config{PSK: psk}).Server.Run(b, 0)
 		if err != nil {
 			done <- nil
 			return
 		}
 		done <- s
 	}()
-	c, err := transport(Config{PSK: psk}).Client.Run(a, 42)
+	c, err := Transport(Config{PSK: psk}).Client.Run(a, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestTamperDetected(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		s, err := transport(Config{PSK: []byte("k")}).Server.Run(b2, 0)
+		s, err := Transport(Config{PSK: []byte("k")}).Server.Run(b2, 0)
 		if err != nil {
 			done <- err
 			return
@@ -146,7 +146,7 @@ func TestTamperDetected(t *testing.T) {
 		_, err = s.Read(buf)
 		done <- err
 	}()
-	cConn, err := transport(Config{PSK: []byte("k")}).Client.Run(a1, 1)
+	cConn, err := Transport(Config{PSK: []byte("k")}).Client.Run(a1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestWrongPSKFails(t *testing.T) {
 	a, b := pipe()
 	done := make(chan error, 1)
 	go func() {
-		s, err := transport(Config{PSK: []byte("server-key")}).Server.Run(b, 0)
+		s, err := Transport(Config{PSK: []byte("server-key")}).Server.Run(b, 0)
 		if err != nil {
 			done <- err
 			return
@@ -169,7 +169,7 @@ func TestWrongPSKFails(t *testing.T) {
 		_, err = s.Read(buf)
 		done <- err
 	}()
-	c, err := transport(Config{PSK: []byte("client-key")}).Client.Run(a, 7)
+	c, err := Transport(Config{PSK: []byte("client-key")}).Client.Run(a, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestTranscriptsAgree(t *testing.T) {
 	a, b := pipe()
 	defer a.Close()
 	defer b.Close()
-	h := transport(Config{PSK: []byte("k")})
+	h := Transport(Config{PSK: []byte("k")})
 	done := make(chan [][]byte, 1)
 	go func() {
 		flights, err := flightsOf(h.Server, b, 9)

@@ -182,21 +182,26 @@ func proxyLocation(id int) geo.Location {
 	return geo.All[id%len(geo.All)]
 }
 
-// serveFlow splices one accepted flow to the bridge address it
-// announces.
+// serveFlow splices one accepted flow to the bridge address its hello
+// announces, a chain of clock events: the hello's reads, the dial.
 func (p *proxy) serveFlow(c *netem.Conn) {
-	bridgeAddr, err := readString(c) // the client's hello
-	if err != nil {
-		c.Close()
-		return
-	}
-	down, err := p.host.Dial(bridgeAddr)
-	if err != nil {
-		c.Close()
-		return
-	}
-	p.conns = append(p.conns, c, down.(*netem.Conn)) // Host.Dial's conns are *netem.Conn
-	pt.Splice(p.host.Network().Clock(), c, down)
+	pt.ReadPrefixed(c, 2, func(bridgeAddr []byte, err error) {
+		if err != nil {
+			c.Close()
+			return
+		}
+		dialed := func(down *netem.Conn, err error) {
+			if err != nil {
+				c.Close()
+				return
+			}
+			p.conns = append(p.conns, c, down)
+			pt.Splice(p.host.Network().Clock(), c, down)
+		}
+		if down, err, done := p.host.DialEvent(string(bridgeAddr), dialed); done {
+			dialed(down, err)
+		}
+	})
 }
 
 // kill takes the volunteer offline, aborting all flows mid-transfer.
@@ -312,5 +317,5 @@ func (d *Dialer) Dial(target string) (netem.Stream, error) {
 
 // StartBridge runs the snowflake bridge (PT server) on host:port.
 func StartBridge(host *netem.Host, port int, handle pt.StreamHandler) (pt.Server, error) {
-	return pt.ListenAndServe(host, port, nil, handle)
+	return pt.ListenAndServe(host, port, pt.Handshake{}, 0, handle)
 }

@@ -56,9 +56,13 @@ func TestBrokerAssignsLiveProxy(t *testing.T) {
 	}
 
 	bridgeHost := infra.Network().MustAddHost(netem.HostConfig{Name: "bridge", Location: geo.Frankfurt})
+	// The echo parks, so the handler, which the server calls from a
+	// clock event, spawns it.
 	bridge, err := StartBridge(bridgeHost, 7001, func(target string, conn netem.Stream) {
-		defer conn.Close()
-		io.Copy(conn, conn)
+		n.Go(func() {
+			defer conn.Close()
+			io.Copy(conn, conn)
+		})
 	})
 	if err != nil {
 		t.Fatal(err)

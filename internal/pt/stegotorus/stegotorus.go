@@ -16,7 +16,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"strconv"
 	"sync"
@@ -410,13 +409,18 @@ func (s *Server) abandon(f *fanOut) {
 // serveConn reads one fan-out conn's preamble, [8B session][1B index]
 // [1B total], and serves the session once its last conn is in.
 func (s *Server) serveConn(c *netem.Conn) {
-	var pre [10]byte
-	if _, err := io.ReadFull(c, pre[:]); err != nil {
-		c.Close()
-		return
-	}
-	sid := binary.BigEndian.Uint64(pre[:8])
-	total := int(pre[9])
+	pre := make([]byte, 10)
+	pt.ReadFullEvent(c, pre, func(err error) {
+		if err != nil {
+			c.Close()
+			return
+		}
+		s.join(c, binary.BigEndian.Uint64(pre[:8]), int(pre[9]))
+	})
+}
+
+// join adds c to session sid's fan-out of total conns.
+func (s *Server) join(c *netem.Conn, sid uint64, total int) {
 	if total <= 0 || total > 16 {
 		c.Close()
 		return

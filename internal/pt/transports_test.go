@@ -48,15 +48,22 @@ func newWorld(t *testing.T) *world {
 	}
 }
 
+// spawned runs h on a goroutine of its own. A server calls its handler
+// from a clock event, where nothing may park, so a handler that reads or
+// writes with the parking calls spawns itself.
+func spawned(w *world, h pt.StreamHandler) pt.StreamHandler {
+	return func(target string, conn netem.Stream) { w.net.Go(func() { h(target, conn) }) }
+}
+
 // echoHandler records the target and echoes bytes until EOF.
-func echoHandler(t *testing.T, wantTarget string) pt.StreamHandler {
-	return func(target string, conn netem.Stream) {
+func echoHandler(t *testing.T, w *world, wantTarget string) pt.StreamHandler {
+	return spawned(w, func(target string, conn netem.Stream) {
 		if target != wantTarget {
 			t.Errorf("handler target = %q want %q", target, wantTarget)
 		}
 		defer conn.Close()
 		io.Copy(conn, conn)
-	}
+	})
 }
 
 // exerciseEcho drives a full bidirectional transfer through a dialer.
@@ -88,7 +95,7 @@ func exerciseEcho(t *testing.T, w *world, d pt.Dialer, payloadLen int) {
 func TestObfs4EndToEnd(t *testing.T) {
 	w := newWorld(t)
 	secret := []byte("bridge-line-secret")
-	srv, err := obfs4.StartServer(w.server, 443, obfs4.Config{Secret: secret, Seed: 1}, echoHandler(t, "guard-0:9001"))
+	srv, err := obfs4.StartServer(w.server, 443, obfs4.Config{Secret: secret, Seed: 1}, echoHandler(t, w, "guard-0:9001"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +128,7 @@ func TestObfs4RejectsWrongSecret(t *testing.T) {
 func TestShadowsocksEndToEnd(t *testing.T) {
 	w := newWorld(t)
 	psk := []byte("shadowsocks-psk")
-	srv, err := shadowsocks.StartServer(w.server, 8388, shadowsocks.Config{PSK: psk, Seed: 1}, echoHandler(t, "guard-0:9001"))
+	srv, err := shadowsocks.StartServer(w.server, 8388, shadowsocks.Config{PSK: psk, Seed: 1}, echoHandler(t, w, "guard-0:9001"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,8 +139,8 @@ func TestShadowsocksEndToEnd(t *testing.T) {
 func TestShadowsocksZeroRTTFasterThanObfs4(t *testing.T) {
 	w := newWorld(t)
 	psk := []byte("k")
-	ssrv, _ := shadowsocks.StartServer(w.server, 8388, shadowsocks.Config{PSK: psk}, echoHandler(t, "g:1"))
-	osrv, _ := obfs4.StartServer(w.server, 443, obfs4.Config{Secret: psk}, echoHandler(t, "g:1"))
+	ssrv, _ := shadowsocks.StartServer(w.server, 8388, shadowsocks.Config{PSK: psk}, echoHandler(t, w, "g:1"))
+	osrv, _ := obfs4.StartServer(w.server, 443, obfs4.Config{Secret: psk}, echoHandler(t, w, "g:1"))
 
 	measure := func(d pt.Dialer) time.Duration {
 		start := w.net.Now()
@@ -156,7 +163,7 @@ func TestShadowsocksZeroRTTFasterThanObfs4(t *testing.T) {
 
 func TestWebtunnelEndToEnd(t *testing.T) {
 	w := newWorld(t)
-	srv, err := webtunnel.StartServer(w.server, 443, webtunnel.Config{SNI: "cdn.example", Seed: 1}, echoHandler(t, "guard-0:9001"))
+	srv, err := webtunnel.StartServer(w.server, 443, webtunnel.Config{SNI: "cdn.example", Seed: 1}, echoHandler(t, w, "guard-0:9001"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +174,7 @@ func TestWebtunnelEndToEnd(t *testing.T) {
 func TestPsiphonEndToEnd(t *testing.T) {
 	w := newWorld(t)
 	hostKey := []byte("psiphon-host-key")
-	srv, err := psiphon.StartServer(w.server, 22, psiphon.Config{HostKey: hostKey, Seed: 1}, echoHandler(t, "guard-0:9001"))
+	srv, err := psiphon.StartServer(w.server, 22, psiphon.Config{HostKey: hostKey, Seed: 1}, echoHandler(t, w, "guard-0:9001"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +184,7 @@ func TestPsiphonEndToEnd(t *testing.T) {
 
 func TestPsiphonRejectsWrongHostKey(t *testing.T) {
 	w := newWorld(t)
-	srv, err := psiphon.StartServer(w.server, 22, psiphon.Config{HostKey: []byte("right"), Seed: 1}, echoHandler(t, "x"))
+	srv, err := psiphon.StartServer(w.server, 22, psiphon.Config{HostKey: []byte("right"), Seed: 1}, echoHandler(t, w, "x"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +197,7 @@ func TestPsiphonRejectsWrongHostKey(t *testing.T) {
 func TestCloakEndToEnd(t *testing.T) {
 	w := newWorld(t)
 	uid := []byte("cloak-uid")
-	srv, err := cloak.StartServer(w.server, 443, cloak.Config{UID: uid, Seed: 1}, echoHandler(t, "origin:80"))
+	srv, err := cloak.StartServer(w.server, 443, cloak.Config{UID: uid, Seed: 1}, echoHandler(t, w, "origin:80"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +225,7 @@ func TestCloakEndToEnd(t *testing.T) {
 func TestCloakClientHalfClose(t *testing.T) {
 	w := newWorld(t)
 	cfg := cloak.Config{UID: []byte("cloak-uid"), Seed: 1}
-	srv, err := cloak.StartServer(w.server, 443, cfg, func(_ string, conn netem.Stream) {
+	srv, err := cloak.StartServer(w.server, 443, cfg, spawned(w, func(_ string, conn netem.Stream) {
 		defer conn.Close()
 		req, err := io.ReadAll(conn)
 		if err != nil {
@@ -226,7 +233,7 @@ func TestCloakClientHalfClose(t *testing.T) {
 			return
 		}
 		conn.Write(append([]byte("after EOF: "), req...))
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +258,7 @@ func TestCloakClientHalfClose(t *testing.T) {
 func TestConjureEndToEnd(t *testing.T) {
 	w := newWorld(t)
 	secret := []byte("conjure-secret")
-	bridge, err := conjure.StartBridge(w.server, 4443, conjure.Config{Secret: secret, Seed: 1}, echoHandler(t, "guard-0:9001"))
+	bridge, err := conjure.StartBridge(w.server, 4443, conjure.Config{Secret: secret, Seed: 1}, echoHandler(t, w, "guard-0:9001"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +295,7 @@ func TestConjureUnregisteredFlowDropped(t *testing.T) {
 
 func TestDnsttEndToEnd(t *testing.T) {
 	w := newWorld(t)
-	srv, err := dnstt.StartServer(w.server, 5300, dnstt.Config{Seed: 1}, echoHandler(t, "guard-0:9001"))
+	srv, err := dnstt.StartServer(w.server, 5300, dnstt.Config{Seed: 1}, echoHandler(t, w, "guard-0:9001"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,11 +309,11 @@ func TestDnsttEndToEnd(t *testing.T) {
 
 func TestDnsttRespCapLimitsThroughput(t *testing.T) {
 	w := newWorld(t)
-	sink := func(target string, conn netem.Stream) {
+	sink := spawned(w, func(target string, conn netem.Stream) {
 		defer conn.Close()
 		conn.Write(make([]byte, 8<<10)) // 8 KiB downstream
 		io.Copy(io.Discard, conn)
-	}
+	})
 	srv, _ := dnstt.StartServer(w.server, 5300, dnstt.Config{Seed: 1}, sink)
 	res, _ := dnstt.StartResolver(w.extra, 443, dnstt.Config{Seed: 2}, srv.Addr())
 
@@ -333,11 +340,11 @@ func TestDnsttRespCapLimitsThroughput(t *testing.T) {
 func TestDnsttResolverBudgetThrottles(t *testing.T) {
 	w := newWorld(t)
 	blob := make([]byte, 64<<10)
-	sink := func(target string, conn netem.Stream) {
+	sink := spawned(w, func(target string, conn netem.Stream) {
 		defer conn.Close()
 		conn.Write(blob)
 		io.Copy(io.Discard, conn)
-	}
+	})
 	cfg := dnstt.Config{Seed: 1, BudgetMedian: 4 << 10}
 	srv, _ := dnstt.StartServer(w.server, 5300, cfg, sink)
 	res, _ := dnstt.StartResolver(w.extra, 443, cfg, srv.Addr())
@@ -365,7 +372,7 @@ func TestDnsttResolverBudgetThrottles(t *testing.T) {
 
 func TestMeekEndToEnd(t *testing.T) {
 	w := newWorld(t)
-	bridge, err := meek.StartBridge(w.server, 7002, meek.Config{Seed: 1, SessionBudgetMedian: -1}, echoHandler(t, "guard-0:9001"))
+	bridge, err := meek.StartBridge(w.server, 7002, meek.Config{Seed: 1, SessionBudgetMedian: -1}, echoHandler(t, w, "guard-0:9001"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,10 +387,10 @@ func TestMeekEndToEnd(t *testing.T) {
 func TestMeekSessionBudgetCutsBulk(t *testing.T) {
 	w := newWorld(t)
 	blob := make([]byte, 1<<20)
-	sink := func(target string, conn netem.Stream) {
+	sink := spawned(w, func(target string, conn netem.Stream) {
 		defer conn.Close()
 		conn.Write(blob)
-	}
+	})
 	// A tiny budget guarantees the cut.
 	bridge, _ := meek.StartBridge(w.server, 7002, meek.Config{Seed: 9, SessionBudgetMedian: 64 << 10}, sink)
 	front, _ := meek.StartFront(w.extra, 443, meek.Config{Seed: 2}, bridge.Addr())
@@ -413,7 +420,7 @@ func TestMeekSessionBudgetCutsBulk(t *testing.T) {
 
 func TestSnowflakeEndToEnd(t *testing.T) {
 	w := newWorld(t)
-	bridge, err := snowflake.StartBridge(w.server, 7001, echoHandler(t, "guard-0:9001"))
+	bridge, err := snowflake.StartBridge(w.server, 7001, echoHandler(t, w, "guard-0:9001"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,10 +435,10 @@ func TestSnowflakeEndToEnd(t *testing.T) {
 func TestSnowflakeProxyChurnBreaksTransfer(t *testing.T) {
 	w := newWorld(t)
 	blob := make([]byte, 4<<20)
-	sink := func(target string, conn netem.Stream) {
+	sink := spawned(w, func(target string, conn netem.Stream) {
 		defer conn.Close()
 		conn.Write(blob)
-	}
+	})
 	bridge, _ := snowflake.StartBridge(w.server, 7001, sink)
 	// Very short proxy lifetimes: transfers should break mid-flight.
 	dep, err := snowflake.Deploy(w.extra, 443, snowflake.Config{
@@ -470,7 +477,7 @@ func TestCamouflerEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	proxy, err := camoufler.StartProxy(w.server, im.Addr(), "acct", camoufler.Config{Seed: 6, LossProb: -1}, echoHandler(t, "guard-0:9001"))
+	proxy, err := camoufler.StartProxy(w.server, im.Addr(), "acct", camoufler.Config{Seed: 6, LossProb: -1}, echoHandler(t, w, "guard-0:9001"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,10 +489,10 @@ func TestCamouflerSingleStreamOnly(t *testing.T) {
 	w := newWorld(t)
 	im, _ := camoufler.StartIMServer(w.extra, 5222, camoufler.Config{Seed: 5, LossProb: -1})
 	hold := netem.NewChan[struct{}](w.net.Clock(), 1)
-	proxy, _ := camoufler.StartProxy(w.server, im.Addr(), "acct", camoufler.Config{Seed: 6, LossProb: -1}, func(target string, conn netem.Stream) {
+	proxy, _ := camoufler.StartProxy(w.server, im.Addr(), "acct", camoufler.Config{Seed: 6, LossProb: -1}, spawned(w, func(target string, conn netem.Stream) {
 		hold.Recv()
 		conn.Close()
-	})
+	}))
 	d := camoufler.NewDialer(w.client, im.Addr(), "acct", camoufler.Config{Seed: 7, LossProb: -1}, proxy)
 	c1, err := d.Dial("g:1")
 	if err != nil {
@@ -512,10 +519,10 @@ func TestCamouflerRateLimitPacesBulk(t *testing.T) {
 	run := func(cfg camoufler.Config, port int) time.Duration {
 		im, _ := camoufler.StartIMServer(w.extra, port, cfg)
 		blob := make([]byte, 256<<10)
-		proxy, _ := camoufler.StartProxy(w.server, im.Addr(), fmt.Sprintf("a%d", port), cfg, func(target string, conn netem.Stream) {
+		proxy, _ := camoufler.StartProxy(w.server, im.Addr(), fmt.Sprintf("a%d", port), cfg, spawned(w, func(target string, conn netem.Stream) {
 			defer conn.Close()
 			conn.Write(blob)
-		})
+		}))
 		d := camoufler.NewDialer(w.client, im.Addr(), fmt.Sprintf("a%d", port), cfg, proxy)
 		conn, err := d.Dial("g:1")
 		if err != nil {
@@ -537,7 +544,7 @@ func TestCamouflerRateLimitPacesBulk(t *testing.T) {
 
 func TestStegotorusEndToEnd(t *testing.T) {
 	w := newWorld(t)
-	srv, err := stegotorus.StartServer(w.server, 8080, stegotorus.Config{Seed: 8}, echoHandler(t, "guard-0:9001"))
+	srv, err := stegotorus.StartServer(w.server, 8080, stegotorus.Config{Seed: 8}, echoHandler(t, w, "guard-0:9001"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -547,7 +554,7 @@ func TestStegotorusEndToEnd(t *testing.T) {
 
 func TestMarionetteEndToEnd(t *testing.T) {
 	w := newWorld(t)
-	srv, err := marionette.StartServer(w.server, 2121, marionette.FTPWithCapacity(marionette.DefaultCapacity), 10, echoHandler(t, "guard-0:9001"))
+	srv, err := marionette.StartServer(w.server, 2121, marionette.FTPWithCapacity(marionette.DefaultCapacity), 10, echoHandler(t, w, "guard-0:9001"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -573,8 +580,8 @@ func TestMarionetteModelValidate(t *testing.T) {
 func TestMarionetteSlowerThanObfs4(t *testing.T) {
 	w := newWorld(t)
 	secret := []byte("k")
-	osrv, _ := obfs4.StartServer(w.server, 443, obfs4.Config{Secret: secret}, echoHandler(t, "g:1"))
-	msrv, _ := marionette.StartServer(w.server, 2121, marionette.FTPWithCapacity(marionette.DefaultCapacity), 12, echoHandler(t, "g:1"))
+	osrv, _ := obfs4.StartServer(w.server, 443, obfs4.Config{Secret: secret}, echoHandler(t, w, "g:1"))
+	msrv, _ := marionette.StartServer(w.server, 2121, marionette.FTPWithCapacity(marionette.DefaultCapacity), 12, echoHandler(t, w, "g:1"))
 
 	const payload = 16 << 10
 	measure := func(d pt.Dialer) time.Duration {
@@ -711,7 +718,7 @@ func TestTargetPrologue(t *testing.T) {
 	if err := pt.WriteTarget(&buf, "relay-3:9001"); err != nil {
 		t.Fatal(err)
 	}
-	got, err := pt.ReadTarget(&buf)
+	got, err := readTarget(buf.Bytes())
 	if err != nil || got != "relay-3:9001" {
 		t.Fatalf("got %q err %v", got, err)
 	}

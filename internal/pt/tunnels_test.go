@@ -33,13 +33,12 @@ var tunnels = []struct {
 	start func(w *world, h pt.StreamHandler) (pt.Dialer, error)
 }{
 	{"tor", func(w *world, h pt.StreamHandler) (pt.Dialer, error) {
-		srv, err := pt.ListenAndServe(w.server, 9001, nil, h)
+		srv, err := pt.ListenAndServe(w.server, 9001, pt.Handshake{}, 0, h)
 		if err != nil {
 			return nil, err
 		}
-		plain := func(c netem.Stream) (netem.Stream, error) { return c, nil }
 		return pt.DialerFunc(func(target string) (netem.Stream, error) {
-			return pt.DialWrapped(w.client, srv.Addr(), plain, target)
+			return pt.DialWrapped(w.client, srv.Addr(), pt.Handshake{}, 0, target)
 		}), nil
 	}},
 	{"obfs4", func(w *world, h pt.StreamHandler) (pt.Dialer, error) {
@@ -194,10 +193,10 @@ func TestRecordPathAllocationBudget(t *testing.T) {
 		t.Run(tn.name, func(t *testing.T) {
 			w := newWorld(t)
 			defer w.net.Clock().Shutdown()
-			d, err := tn.start(w, func(_ string, conn netem.Stream) {
+			d, err := tn.start(w, spawned(w, func(_ string, conn netem.Stream) {
 				defer conn.Close()
 				io.Copy(conn, conn)
-			})
+			}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -270,12 +269,12 @@ func TestWritersCopyBeforeReturn(t *testing.T) {
 				err error
 			}
 			arrived := netem.NewChan[read](w.net.Clock(), 1)
-			d, err := tn.start(w, func(_ string, conn netem.Stream) {
+			d, err := tn.start(w, spawned(w, func(_ string, conn netem.Stream) {
 				defer conn.Close()
 				got := make([]byte, size)
 				_, err := io.ReadFull(conn, got)
 				arrived.Send(read{got, err})
-			})
+			}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -363,11 +362,11 @@ func TestVanishedClientIsReaped(t *testing.T) {
 			w := newWorld(t)
 			clock := w.net.Clock()
 			ended := netem.NewChan[time.Duration](clock, 1)
-			d, err := tc.start(w, func(_ string, conn netem.Stream) {
+			d, err := tc.start(w, spawned(w, func(_ string, conn netem.Stream) {
 				io.Copy(io.Discard, conn)
 				ended.Send(clock.Now())
 				conn.Close()
-			})
+			}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -416,10 +415,10 @@ func TestGoroutinesPerDial(t *testing.T) {
 		t.Run(tn.name, func(t *testing.T) {
 			w := newWorld(t)
 			clock := w.net.Clock()
-			d, err := tn.start(w, func(_ string, conn netem.Stream) {
+			d, err := tn.start(w, spawned(w, func(_ string, conn netem.Stream) {
 				defer conn.Close()
 				io.Copy(conn, conn)
-			})
+			}))
 			if err != nil {
 				t.Fatal(err)
 			}

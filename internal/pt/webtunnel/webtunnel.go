@@ -62,9 +62,10 @@ func peerHello(n, lenBytes int) pt.Step {
 	}}
 }
 
-// transport declares ClientHello/ServerHello+Finished (2 RTT) and the
-// HTTP upgrade (1 RTT folded into the Finished flight).
-func transport(cfg Config) pt.WrapTransport {
+// Transport declares webtunnel's two handshakes: ClientHello/ServerHello
+// +Finished (2 RTT) and the HTTP upgrade (1 RTT folded into the Finished
+// flight).
+func Transport(cfg Config) pt.WrapTransport {
 	clientHello := pt.Step{Send: func(t *pt.Transcript) []byte {
 		hello := make([]byte, 3+32, 3+32+1+len(cfg.SNI))
 		hello[0], hello[1], hello[2] = 0x16, 0x03, 0x01 // handshake record
@@ -97,10 +98,10 @@ func transport(cfg Config) pt.WrapTransport {
 
 // StartServer runs a webtunnel server on host:port.
 func StartServer(host *netem.Host, port int, cfg Config, handle pt.StreamHandler) (pt.Server, error) {
-	return transport(cfg).StartServer(host, port, handle)
+	return Transport(cfg).StartServer(host, port, handle)
 }
 
 // NewDialer returns the webtunnel client for a bridge at addr.
 func NewDialer(host *netem.Host, addr string, cfg Config) pt.Dialer {
-	return transport(cfg).NewDialer(host, addr)
+	return Transport(cfg).NewDialer(host, addr)
 }

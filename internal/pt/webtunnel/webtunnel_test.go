@@ -44,10 +44,10 @@ func TestHandshakeAndRecords(t *testing.T) {
 	}
 	sc := netem.NewChan[res](n.Clock(), 1)
 	n.Go(func() {
-		c, err := transport(cfg).Server.Run(b, 2)
+		c, err := Transport(cfg).Server.Run(b, 2)
 		sc.Send(res{c, err})
 	})
-	cc, err := transport(cfg).Client.Run(a, 3)
+	cc, err := Transport(cfg).Client.Run(a, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestServerRejectsNonTunnelRequest(t *testing.T) {
 		n, a, b := bufferedPair(t)
 		errc := netem.NewChan[error](n.Clock(), 1)
 		n.Go(func() {
-			_, err := transport(cfg).Server.Run(b, 5)
+			_, err := Transport(cfg).Server.Run(b, 5)
 			errc.Send(err)
 		})
 		a.Write(append([]byte{0x16, 0x03, 0x01}, make([]byte, 32+1)...))

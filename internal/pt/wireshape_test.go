@@ -110,7 +110,7 @@ func TestWireShapePinned(t *testing.T) {
 			// before the next begins.
 			clock := w.net.Clock()
 			uploaded, reply, served := netem.NewChan[error](clock, 1), netem.NewChan[bool](clock, 1), netem.NewChan[error](clock, 1)
-			d, err := tc.start(w, func(_ string, conn netem.Stream) {
+			d, err := tc.start(w, spawned(w, func(_ string, conn netem.Stream) {
 				defer conn.Close()
 				buf := make([]byte, payload)
 				_, err := io.ReadFull(conn, buf)
@@ -118,7 +118,7 @@ func TestWireShapePinned(t *testing.T) {
 				reply.Recv()
 				_, err = conn.Write(buf)
 				served.Send(err)
-			})
+			}))
 			if err != nil {
 				t.Fatal(err)
 			}

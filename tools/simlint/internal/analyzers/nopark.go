@@ -27,6 +27,9 @@ import (
 //     the package-internal (netem.pipe).setSink — which covers the tor
 //     cell sinks (cellSink, clientCell, backwardSink) and the relay
 //     scheduler's flush pass, both armed through these APIs;
+//   - the handler argument of (netem.Listener).Serve, which the accept
+//     loop calls from the run queue for each conn: every server's
+//     accept path, a PT server's handshake and target read among them;
 //   - the three handler arguments (cut, frame, stop) of
 //     pt.NewFrameConn, which that endpoint's read sink calls: the
 //     tunnelling transports' frame handlers live in their own packages,
@@ -47,8 +50,8 @@ import (
 // parking primitive is an error:
 //   - netem scheduler waits: Clock.Sleep/SleepUntil, Cond.Wait,
 //     Mutex.Lock, WaitGroup.Wait, Chan.Send/Recv/RecvTimeout, and the
-//     waits of a conn's life: Host.Dial (its round trip) and
-//     Listener.Accept;
+//     waits of a conn's life: Host.Dial (its round trip),
+//     Listener.Accept and a PT handshake's plain pt.Handshake.Run;
 //   - any event form called with a literal nil continuation, which
 //     parks: the plain forms are their event forms so called
 //     (netem.Conn.Write is WriteEvent(p, nil), pt.Stream.Read is
@@ -102,6 +105,7 @@ var parkingMethods = map[primKey]string{
 	{"netem", "Conn", "Write"}:         "parks on receive-window backpressure (use WriteEvent)",
 	{"netem", "Host", "Dial"}:          "parks for the handshake's round trip (use DialEvent)",
 	{"netem", "Listener", "Accept"}:    "parks until a conn arrives (use Listener.Serve)",
+	{"pt", "Handshake", "Run"}:         "parks on its flights (use RunEvent)",
 	{"netem", "pipe", "read"}:          "parks until the requested bytes arrive",
 	{"netem", "pipe", "push"}:          "parks on receive-window backpressure (use its event form)",
 	{"net", "Conn", "Read"}:            "dynamic dispatch into a parking Read",
@@ -129,8 +133,8 @@ func parkingPrimitive(f *types.Func) (string, string, bool) {
 	}
 	pkgPath := f.Pkg().Path()
 	pkgKey := pkgPath
-	if lastSegment(pkgPath) == "netem" {
-		pkgKey = "netem"
+	if seg := lastSegment(pkgPath); seg == "netem" || seg == "pt" {
+		pkgKey = seg
 	}
 	if why, ok := parkingMethods[primKey{pkgKey, recvTypeName(f), f.Name()}]; ok {
 		return funcLabel(f), why, true
@@ -159,6 +163,8 @@ func contextSwitchArg(f *types.Func) int {
 	case isMethodOf(f, "netem", "Clock", "EventAt"):
 		return 1
 	case isMethodOf(f, "netem", "Clock", "ReadyEvent"):
+		return 0
+	case isMethodOf(f, "netem", "Listener", "Serve"):
 		return 0
 	case isMethodOf(f, "netem", "Conn", "SetReadSink"):
 		return 0
@@ -291,6 +297,8 @@ func (a *noParkAnalysis) collectRoots() []root {
 				idxs, kind = []int{1}, "Clock.EventAt arm"
 			case isMethodOf(fn, "netem", "Clock", "ReadyEvent"):
 				idxs, kind = []int{0}, "Clock.ReadyEvent arm"
+			case isMethodOf(fn, "netem", "Listener", "Serve"):
+				idxs, kind = []int{0}, "Listener.Serve handler"
 			case isMethodOf(fn, "netem", "Conn", "SetReadSink"):
 				idxs, kind = []int{0}, "Conn.SetReadSink sink"
 			case isMethodOf(fn, "netem", "Conn", "SetLoopSink"):

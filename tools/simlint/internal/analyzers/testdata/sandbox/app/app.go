@@ -278,6 +278,23 @@ func (l *relayLink) dialed(c *netem.Conn, err error) {
 	}
 }
 
+// serve is a server's accept path: the handler runs from the run queue
+// for each conn, so it and what it calls must not park, and work that
+// parks is spawned.
+func (p *proc) serve(ln *netem.Listener) {
+	ln.Serve(func(c *netem.Conn) {
+		c.Read(nil) // want `\(netem\.Conn\)\.Read parks until arrival \(use ReadEvent\).*Listener\.Serve handler`
+	})
+	ln.Serve(p.accepted)
+}
+
+func (p *proc) accepted(c *netem.Conn) {
+	p.clock.Sleep(1)                                                // want `\(netem\.Clock\)\.Sleep parks until a virtual instant.*Listener\.Serve handler`
+	pt.Handshake{}.Run(c, 1)                                        // want `\(pt\.Handshake\)\.Run parks on its flights \(use RunEvent\).*Listener\.Serve handler`
+	pt.Handshake{}.RunEvent(c, 1, func(any, error) { c.Read(nil) }) // want `\(netem\.Conn\)\.Read parks until arrival.*Handshake\.RunEvent continuation`
+	p.clock.Go(func() { c.Read(nil) })
+}
+
 // cutAll and onStop are handlers that stay on the non-parking surface.
 func cutAll(b []byte) (int, int, error) { return 0, len(b), nil }
 
