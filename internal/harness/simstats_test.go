@@ -17,13 +17,15 @@ import (
 // parked, 9 624 parks on fig5 and 9 665 on fig2b while the origin and
 // camoufler's IM provider read on goroutines of their own, and 191 and
 // 1 472 spawns and 4 964 and 6 248 parks while netem.Listener.Serve
-// spawned a goroutine for every accepted conn (19 and 694 spawns and
-// 4 920 and 6 065 parks since).
+// spawned a goroutine for every accepted conn, and 19 and 694 spawns and
+// 4 920 and 6 065 parks while the set-3 servers dialed each stream with
+// the parking tor.Client.Dial on a goroutine of their own (13 and 582
+// spawns and 4 914 and 5 953 parks since, all the workload's).
 func TestBulkCampaignParks(t *testing.T) {
 	for _, tc := range []struct {
 		exp           string
 		parks, spawns uint64
-	}{{"fig5", 5900, 30}, {"fig2b", 7300, 850}} {
+	}{{"fig5", 4950, 15}, {"fig2b", 6000, 600}} {
 		r := New(Config{
 			Seed:         1,
 			ByteScale:    0.06,

@@ -232,14 +232,14 @@ func (h *Host) DialEvent(address string, fn func(*Conn, error)) (c *Conn, err er
 }
 
 // handshake is the one wait of a dial, its round trip: a Sleep for a
-// nil fn, fn's arm otherwise. Once it is over, the dial opens cc, or
-// fails with err.
+// nil fn, fn's arm otherwise (Clock.SleepEvent). Once it is over, the
+// dial opens cc, or fails with err.
 func (h *Host) handshake(rtt time.Duration, cc *Conn, err error, fn func(*Conn, error)) (*Conn, error, bool) {
-	clk := h.net.clock
-	if fn == nil {
-		clk.Sleep(rtt)
-	} else if vt := clk.Now() + rtt; rtt > 0 && !clk.advanceIdle(vt) {
-		clk.EventAt(vt, func() { fn(h.open(cc, err)) })
+	var wake func()
+	if fn != nil {
+		wake = func() { fn(h.open(cc, err)) }
+	}
+	if !h.net.clock.SleepEvent(rtt, wake) {
 		return nil, nil, false
 	}
 	c, e := h.open(cc, err)

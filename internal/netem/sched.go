@@ -466,6 +466,20 @@ func (c *Clock) Sleep(v time.Duration) {
 	}
 }
 
+// SleepEvent is Sleep for an event callback, which must not park, and
+// Sleep itself for a nil fn. done reports the sleep over, at once or in
+// place as Sleep's passes (advanceIdle); otherwise fn is armed where the
+// sleeper would have woken (EventAt), in its park's place in the order.
+func (c *Clock) SleepEvent(d time.Duration, fn func()) (done bool) {
+	if fn == nil {
+		c.Sleep(d)
+	} else if vt := c.Now() + d; d > 0 && !c.advanceIdle(vt) {
+		c.EventAt(vt, fn)
+		return false
+	}
+	return true
+}
+
 // SleepUntil pauses until the virtual clock reaches vt.
 func (c *Clock) SleepUntil(vt time.Duration) {
 	if vt <= c.Now() || c.advanceInPlace(vt) {

@@ -282,19 +282,16 @@ func (ch *Chan[T]) Recv() (v T, ok bool) {
 // returns done false; again calls RecvEvent once more. With a nil again
 // it is Recv.
 func (ch *Chan[T]) RecvEvent(again func()) (v T, ok, done bool) {
-	v, ok, _, done = ch.recv(noDeadline, again)
+	v, ok, _, done = ch.RecvUntilEvent(noDeadline, again)
 	return v, ok, done
 }
 
-// RecvTimeout is Recv bounded by a virtual duration from now.
-func (ch *Chan[T]) RecvTimeout(d time.Duration) (v T, ok bool, timedOut bool) {
-	v, ok, timedOut, _ = ch.recv(ch.cond.clock.Now()+d, nil)
-	return v, ok, timedOut
-}
-
-// recv is the one receive path: a nil again parks, any other queues
-// where the park would be (Cond.wait).
-func (ch *Chan[T]) recv(vt time.Duration, again func()) (v T, ok, timedOut, done bool) {
+// RecvUntilEvent is RecvEvent bounded by the virtual instant vt, the one
+// receive path: timedOut once vt passes with the queue still empty. The
+// deadline is absolute, so again's call with the same vt keeps the
+// first call's bound. A nil again parks, any other queues where the park
+// would be (Cond.wait).
+func (ch *Chan[T]) RecvUntilEvent(vt time.Duration, again func()) (v T, ok, timedOut, done bool) {
 	for ch.Len() == 0 {
 		if ch.closed {
 			return v, false, false, true

@@ -157,11 +157,14 @@ var acceptScenarios = []struct {
 		srv, _ := cloak.StartServer(r.server, 443, cloak.Config{UID: acceptKey, Seed: 1}, r.handler)
 		r.session(cloak.NewDialer(r.client, srv.Addr(), cloak.Config{UID: acceptKey, Seed: 2}))
 	}},
-	// cloak as set 3 runs it: the server opens the target through a
-	// dialer that parks.
+	// cloak as set 3 runs it: the server opens the target through an
+	// event-form dialer.
 	{"cloak-dialer", time.Minute, func(t *testing.T, r *acceptRig) {
 		srv, _ := cloak.StartServer(r.server, 443, cloak.Config{UID: acceptKey, Seed: 1},
-			pt.HandleWithDialer(r.net.Clock(), r.server.Dial))
+			pt.HandleWithDialer(r.net.Clock(), func(target string, fn func(netem.Stream, error)) (netem.Stream, error, bool) {
+				up, err, done := r.server.DialEvent(target, func(c *netem.Conn, err error) { fn(c, err) })
+				return up, err, done
+			}))
 		r.session(cloak.NewDialer(r.client, srv.Addr(), cloak.Config{UID: acceptKey, Seed: 2}))
 	}},
 	{"shadowsocks", time.Minute, func(t *testing.T, r *acceptRig) {

@@ -133,20 +133,24 @@ func ForwardTo(fromHost *netem.Host) StreamHandler {
 	}
 }
 
-// HandleWithDialer returns a StreamHandler that opens the target through
-// an arbitrary dialer and splices — the integration-set-3 server
-// behaviour (the dialer is the co-located Tor client). That dialer
-// parks, so the handler spawns a goroutine for it: the one the PT layer
-// spawns.
-func HandleWithDialer(clock *netem.Clock, dial func(target string) (netem.Stream, error)) StreamHandler {
+// HandleWithDialer returns a StreamHandler that opens the target with
+// dial, an event-form dial with tor.Client.DialEvent's contract, and
+// splices: the integration-set-3 server behaviour (dial is the
+// co-located Tor client's). dial starts from the run queue, where a
+// goroutine dialing with the parking form started.
+func HandleWithDialer(clock *netem.Clock, dial func(target string, fn func(netem.Stream, error)) (netem.Stream, error, bool)) StreamHandler {
 	return func(target string, conn netem.Stream) {
-		clock.Go(func() {
-			up, err := dial(target)
+		opened := func(up netem.Stream, err error) {
 			if err != nil {
 				conn.Close()
 				return
 			}
 			Splice(clock, conn, up)
+		}
+		clock.ReadyEvent(func() {
+			if up, err, done := dial(target, opened); done {
+				opened(up, err)
+			}
 		})
 	}
 }

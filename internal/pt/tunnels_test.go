@@ -384,7 +384,7 @@ func TestVanishedClientIsReaped(t *testing.T) {
 			vanished := clock.Now()
 			w.net.AbortHostConns("client")
 
-			at, _, timedOut := ended.RecvTimeout(4 * pt.StaleAfter)
+			at, _, timedOut, _ := ended.RecvUntilEvent(clock.Now()+4*pt.StaleAfter, nil)
 			if timedOut {
 				t.Fatal("the vanished client's session was never cut")
 			}

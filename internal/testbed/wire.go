@@ -31,7 +31,6 @@ func (w *World) bridge(relay *tor.Relay, name string, s site) (tor.FirstHopDiale
 // s.host that a set-1 server feeds; the other sets ignore it.
 func (w *World) wire(info pt.Info, s site, relay *tor.Relay, p pin, seed int64) (*Deployment, error) {
 	d := &Deployment{Name: info.Name, Info: info}
-	torHost := w.Client
 	var hop tor.FirstHopDialer
 	var err error
 	switch info.Set {
@@ -47,19 +46,21 @@ func (w *World) wire(info pt.Info, s site, relay *tor.Relay, p pin, seed int64) 
 		d.dialer, err = w.startTransport(info.Name, s)
 		hop = func(g *tor.Descriptor) (netem.Stream, error) { return d.dialer.Dial(g.Addr) }
 	case pt.Set3:
-		// The PT server host runs the Tor client; application streams
-		// arrive with their final destination.
-		torHost = s.host
-		s.handle = pt.HandleWithDialer(w.Net.Clock(), func(target string) (netem.Stream, error) {
-			return d.tor.Dial(target)
-		})
+		// The PT server host runs the Tor client, which dials each
+		// application stream's final destination on the clock.
+		if d.tor, err = w.newTorClient(s.host, p, nil, seed); err != nil {
+			return nil, err
+		}
+		s.handle = pt.HandleWithDialer(w.Net.Clock(), d.tor.DialEvent)
 		d.dialer, err = w.startTransport(info.Name, s)
 	}
 	if err != nil {
 		return nil, err
 	}
-	if d.tor, err = w.newTorClient(torHost, p, hop, seed); err != nil {
-		return nil, err
+	if d.tor == nil {
+		if d.tor, err = w.newTorClient(w.Client, p, hop, seed); err != nil {
+			return nil, err
+		}
 	}
 	return d, nil
 }

@@ -158,27 +158,6 @@ func (c *Cell) Decode(buf []byte) error {
 	return nil
 }
 
-// WriteCell writes one cell to w. The encode buffer is pooled: a stack
-// array here escapes through the io.Writer call and used to cost one
-// 512-byte heap allocation per cell.
-func WriteCell(w io.Writer, c *Cell) error {
-	buf, base := getCellBuf()
-	_, err := w.Write(c.Encode(buf[:0]))
-	putCellBuf(base)
-	return err
-}
-
-// ReadCell reads one cell from r.
-func ReadCell(r io.Reader, c *Cell) error {
-	buf, base := getCellBuf()
-	_, err := io.ReadFull(r, buf)
-	if err == nil {
-		err = c.Decode(buf)
-	}
-	putCellBuf(base)
-	return err
-}
-
 // Wire-buffer accessors for the zero-copy cell path: hot loops operate
 // directly on pooled CellSize byte slices (cellBufPool) instead of
 // round-tripping through the Cell struct, so a relayed cell's payload

@@ -56,112 +56,17 @@ func newCircuit(client *Client, conn netem.Stream, path Path) *circuit {
 	return circ
 }
 
-func (circ *circuit) isClosed() bool {
-	return circ.closed
-}
-
-// build performs CREATE + 2×EXTEND.
-func (circ *circuit) build() error {
-	c := circ.client
-	circ.id = c.rng.Uint32() | 1
-	hs := newHandshake(c.rng)
-
-	create := &Cell{CircID: circ.id, Cmd: CmdCreate}
-	copy(create.Payload[:], hs[:])
-	if err := WriteCell(circ.conn, create); err != nil {
-		return err
-	}
-	// The CREATED wait is bounded like every other build step: lossy
-	// first hops (a camoufler message drop, a dying snowflake proxy)
-	// can otherwise stall this read forever.
-	circ.conn.SetReadTimeout(c.cfg.BuildTimeout)
-	var created Cell
-	if err := ReadCell(circ.conn, &created); err != nil {
-		return fmt.Errorf("tor: waiting for CREATED: %w", err)
-	}
-	circ.conn.SetReadTimeout(netem.NoTimeout)
-	if created.Cmd != CmdCreated || created.CircID != circ.id {
-		return fmt.Errorf("tor: unexpected %v during create", created.Cmd)
-	}
-	hop, err := hs.complete(created.Payload[:HandshakeLen])
-	if err != nil {
-		return err
-	}
-	circ.hops = append(circ.hops, hop)
-
-	if oc, ok := circ.conn.(*netem.Conn); ok {
-		// Vanilla-tor first hop: demultiplex backward cells inline at
-		// their arrival instants. PT transports wrap the conn in a
-		// stream transform, whose bytes the cell pump reads; it starts
-		// where a read loop's goroutine would have.
-		oc.SetReadSink(circ.cellSink)
-	} else {
-		circ.rd = cellPump{r: circ.conn, cell: make([]byte, CellSize)}
-		circ.rd.next = circ.pump
-		c.clock.ReadyEvent(circ.rd.next)
-	}
-
-	for _, next := range []*Descriptor{circ.path.Middle, circ.path.Exit} {
-		if next == nil {
-			return fmt.Errorf("tor: incomplete path")
-		}
-		if err := circ.extend(next); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// extend adds one hop via RELAY_EXTEND addressed to the current last hop.
-func (circ *circuit) extend(next *Descriptor) error {
-	c := circ.client
-	hs := newHandshake(c.rng)
-	last := len(circ.hops) - 1
-
-	rc := RelayCell{Cmd: RelayExtend, Data: encodeExtend(next.Addr, hs[:])}
-	if err := circ.sendRelay(last, rc); err != nil {
-		return err
-	}
-	reply, ok, timedOut := circ.control.RecvTimeout(c.cfg.BuildTimeout)
-	if timedOut {
-		circ.close(ErrBuildTimeout)
-		return ErrBuildTimeout
-	}
-	if !ok {
-		return circ.closeReason()
-	}
-	if reply.Cmd != RelayExtended || len(reply.Data) != HandshakeLen {
-		return fmt.Errorf("tor: extension to %s failed (%v)", next.Name, reply.Cmd)
-	}
-	hop, err := hs.complete(reply.Data)
-	if err != nil {
-		return err
-	}
-	circ.hops = append(circ.hops, hop)
-	return nil
-}
-
-// sendRelay seals a relay cell for hop index h and writes it.
-func (circ *circuit) sendRelay(h int, rc RelayCell) error {
-	var o relayOut
-	if err := o.pack(circ, h, rc); err != nil {
-		return err
-	}
-	err, _ := o.sendEvent(circ, nil)
-	return err
-}
-
 // A relayOut is a relay cell on its way out: a cellBufPool lease
 // carrying data bytes of its writer's, sealed for its hop once sendMu is
-// held. sendRelay keeps one on its stack; a Stream keeps one for its
-// writes and one for its END cell, where an event form leaves it across
-// its waits.
+// held. A dial keeps one for its EXTENDs and BEGIN, an asyncSend one for
+// its SENDME, and a Stream one for its writes and one for its END cell,
+// where an event form leaves it across its waits.
 type relayOut struct {
 	cellOut
 	data int
 }
 
-// pack is sendRelay's part before sendMu: rc goes into a cell lease.
+// pack is a relay cell's part before sendMu: rc goes into a cell lease.
 func (o *relayOut) pack(circ *circuit, h int, rc RelayCell) error {
 	buf, base := getCellBuf()
 	if err := marshalRelayInto(wirePayload(buf), &rc); err != nil {
@@ -177,7 +82,7 @@ func (o *relayOut) pack(circ *circuit, h int, rc RelayCell) error {
 	return nil
 }
 
-// sendEvent is the rest of sendRelay: the cell goes out under sendMu
+// sendEvent is the rest: the cell goes out under sendMu
 // (cellOut.sendEvent), and a failed write closes the circuit.
 func (o *relayOut) sendEvent(circ *circuit, again func()) (err error, done bool) {
 	err, done = o.cellOut.sendEvent(circ.sendMu, circ.conn, circ.close, again)
@@ -325,7 +230,7 @@ func (circ *circuit) deliverData(rc RelayCell) {
 
 // sendRelayAsync originates rc from the run queue, where a goroutine
 // spawned now would start: deliver runs inline, on a read sink or the
-// cell pump, and sendRelay can park (sendMu, conn backpressure). Both
+// cell pump, and a send can wait (sendMu, conn backpressure). Both
 // read modes use it, so cell order does not depend on which is active.
 func (circ *circuit) sendRelayAsync(h int, rc RelayCell) {
 	c := circ.client
@@ -341,8 +246,8 @@ func (circ *circuit) sendRelayAsync(h int, rc RelayCell) {
 }
 
 // An asyncSend is one sendRelayAsync cell on its way: packed when it
-// starts, as a goroutine's sendRelay packed it, then sent with
-// relayOut.sendEvent, which waits where that sendRelay parked. A
+// starts, as a goroutine spawned to send it packed it, then sent with
+// relayOut.sendEvent, which waits where that goroutine parked. A
 // finished one waits on its client's idle list for the next, as a
 // finished coroutine waits for the next Clock.Go.
 type asyncSend struct {
@@ -386,33 +291,6 @@ func (circ *circuit) stream(id uint16) *Stream {
 
 func (circ *circuit) forgetStream(id uint16) {
 	delete(circ.streams, id)
-}
-
-// openStream performs BEGIN/CONNECTED.
-func (circ *circuit) openStream(target string) (*Stream, error) {
-	if circ.closed {
-		return nil, ErrCircuitClosed
-	}
-	circ.nextStream++
-	id := circ.nextStream
-	s := newStream(circ, id, target)
-	circ.streams[id] = s
-	exit := len(circ.hops) - 1
-
-	if err := circ.sendRelay(exit, RelayCell{Cmd: RelayBegin, StreamID: id, Data: []byte(target)}); err != nil {
-		circ.forgetStream(id)
-		return nil, err
-	}
-	err, ok, timedOut := s.connected.RecvTimeout(circ.client.cfg.BuildTimeout)
-	if timedOut || !ok {
-		circ.forgetStream(id)
-		return nil, ErrBuildTimeout
-	}
-	if err != nil {
-		circ.forgetStream(id)
-		return nil, err
-	}
-	return s, nil
 }
 
 func (circ *circuit) closeReason() error {
@@ -520,12 +398,12 @@ func (s *Stream) WriteEvent(p []byte, again func()) (n int, err error, done bool
 			return n, nil, true
 		}
 		// Wait for the circuit and stream package windows.
-		for !circ.isClosed() && !s.localClosed && (circ.circPkgWin <= 0 || s.pkgWin <= 0) {
+		for !circ.closed && !s.localClosed && (circ.circPkgWin <= 0 || s.pkgWin <= 0) {
 			if circ.fcCond.WaitEvent(again) {
 				return n, nil, false
 			}
 		}
-		if circ.isClosed() || s.localClosed {
+		if circ.closed || s.localClosed {
 			return n, ErrCircuitClosed, true
 		}
 		k := min(len(p), MaxRelayData)

@@ -2,7 +2,6 @@ package tor
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"time"
 
@@ -221,13 +220,6 @@ func (c *Client) guardFailed(g *Descriptor) {
 	c.rec.GuardProbations++
 }
 
-// Preheat builds a circuit if none is alive, so that measurement code can
-// exclude (or include) bootstrap cost explicitly.
-func (c *Client) Preheat() error {
-	_, err := c.circuitFor()
-	return err
-}
-
 // NewCircuit discards the current circuit so the next Dial builds a fresh
 // one (the paper accesses each website over a fresh circuit in §5.2, and
 // MaxCircuitDirtiness-style reuse otherwise).
@@ -247,88 +239,6 @@ func (c *Client) Path() Path {
 	return c.circ.path
 }
 
-// circuitFor returns a live circuit, building one if necessary.
-func (c *Client) circuitFor() (*circuit, error) {
-	if c.circ != nil {
-		if !c.circ.isClosed() {
-			return c.circ, nil
-		}
-		// The cached circuit died under us (relay crash, link flap,
-		// scheduler drop) rather than being discarded via NewCircuit:
-		// its replacement is a rebuild, not a first build.
-		c.circ = nil
-		c.rec.Rebuilds++
-	}
-
-	// Like the real client, retry a failed build on a fresh circuit: a
-	// lossy transport can eat a handshake cell, a snowflake volunteer
-	// can die mid-build, and under fault injection the chosen relay may
-	// just have crashed. Retries optionally back off exponentially with
-	// seeded jitter (RetryPolicy.BackoffBase).
-	var circ *circuit
-	var err error
-	attempts := 1 + c.cfg.Retry.buildRetries()
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
-			c.rec.Rebuilds++
-			if d := c.backoff(attempt - 1); d > 0 {
-				c.clock.Sleep(d)
-			}
-		}
-		circ, err = c.buildCircuit()
-		if err == nil {
-			break
-		}
-		if errors.Is(err, ErrBuildTimeout) {
-			c.rec.BuildTimeouts++
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	// Another goroutine may have built one while this build was parked;
-	// prefer the existing one.
-	if c.circ != nil && !c.circ.isClosed() {
-		circ.close(nil)
-		return c.circ, nil
-	}
-	c.circ = circ
-	return circ, nil
-}
-
-// buildCircuit constructs a fresh 3-hop circuit: CREATE to the guard,
-// then two EXTENDs, each costing the appropriate chained round trips.
-func (c *Client) buildCircuit() (*circuit, error) {
-	guard := c.Guard()
-	var path Path
-	var err error
-	if c.cfg.Directory != nil {
-		path, err = c.cfg.Directory.SelectPath(c.rng, guard, c.cfg.Middle, c.cfg.Exit)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		path = Path{Guard: guard, Middle: c.cfg.Middle, Exit: c.cfg.Exit}
-	}
-
-	dial := c.cfg.DialFirstHop
-	if dial == nil {
-		dial = func(g *Descriptor) (netem.Stream, error) { return c.cfg.Host.Dial(g.Addr) }
-	}
-	conn, err := dial(path.Guard)
-	if err != nil {
-		c.guardFailed(path.Guard)
-		return nil, fmt.Errorf("tor: dial first hop: %w", err)
-	}
-
-	circ := newCircuit(c, conn, path)
-	if err := circ.build(); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	return circ, nil
-}
-
 // backoff computes the post-failure build sleep: BackoffBase·2^n plus a
 // uniform jitter in [0, BackoffBase), drawn from the dedicated retry
 // RNG. With BackoffBase zero nothing is slept and nothing is drawn.
@@ -342,37 +252,4 @@ func (c *Client) backoff(n int) time.Duration {
 	}
 	jitter := time.Duration(c.retryRng.Int63n(int64(base)))
 	return base<<n + jitter
-}
-
-// Dial opens an anonymized stream to target ("host:port") through the
-// client's circuit. A stream that fails because its circuit died is
-// re-attached to a fresh circuit up to RetryPolicy.MaxStreamRetries
-// times (Tor's stream re-attach; default one retry).
-func (c *Client) Dial(target string) (netem.Stream, error) {
-	retries := c.cfg.Retry.streamRetries()
-	for attempt := 0; ; attempt++ {
-		circ, err := c.circuitFor()
-		if err != nil {
-			if attempt > 0 {
-				// A re-attach that cannot even get a circuit abandons the
-				// stream.
-				c.rec.Abandoned++
-			}
-			return nil, err
-		}
-		s, err := circ.openStream(target)
-		if err == nil {
-			return s, nil
-		}
-		c.rec.StreamFailures++
-		if !errors.Is(err, ErrCircuitClosed) {
-			return nil, err
-		}
-		if attempt >= retries {
-			c.rec.Abandoned++
-			return nil, err
-		}
-		c.rec.ReAttaches++
-		c.NewCircuit()
-	}
 }

@@ -66,22 +66,29 @@ func TestDuplicateCreateRejected(t *testing.T) {
 		hs := newHandshake(rand.New(rand.NewSource(seed)))
 		create := &Cell{CircID: id, Cmd: CmdCreate}
 		copy(create.Payload[:], hs[:])
-		if err := WriteCell(conn, create); err != nil {
+		if _, err := conn.Write(create.Encode(nil)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	var reply Cell
+	read := func() error {
+		buf := make([]byte, CellSize)
+		if _, err := io.ReadFull(conn, buf); err != nil {
+			return err
+		}
+		return reply.Decode(buf)
+	}
 	send(9, 1)
-	if err := ReadCell(conn, &reply); err != nil || reply.Cmd != CmdCreated || reply.CircID != 9 {
+	if err := read(); err != nil || reply.Cmd != CmdCreated || reply.CircID != 9 {
 		t.Fatalf("first CREATE: got %v/%d, %v; want CREATED/9", reply.Cmd, reply.CircID, err)
 	}
 	send(9, 2)
-	if err := ReadCell(conn, &reply); err != nil || reply.Cmd != CmdDestroy || reply.CircID != 9 {
+	if err := read(); err != nil || reply.Cmd != CmdDestroy || reply.CircID != 9 {
 		t.Fatalf("duplicate CREATE: got %v/%d, %v; want DESTROY/9", reply.Cmd, reply.CircID, err)
 	}
 	// A fresh ID on the same link must still work.
 	send(11, 3)
-	if err := ReadCell(conn, &reply); err != nil || reply.Cmd != CmdCreated || reply.CircID != 11 {
+	if err := read(); err != nil || reply.Cmd != CmdCreated || reply.CircID != 11 {
 		t.Fatalf("post-duplicate CREATE: got %v/%d, %v; want CREATED/11", reply.Cmd, reply.CircID, err)
 	}
 }

@@ -34,6 +34,8 @@ import (
 //     pt.NewFrameConn, which that endpoint's read sink calls: the
 //     tunnelling transports' frame handlers live in their own packages,
 //     where the sink's calls through its fields cannot be followed;
+//   - the dial argument of pt.HandleWithDialer, which the set-3
+//     server's handler starts from the run queue;
 //   - the continuation of every event form, a method whose name ends in
 //     Event and whose last parameter is a func without results: netem's
 //     Cond.WaitEvent, Mutex.LockEvent, Chan.RecvEvent, Host.DialEvent
@@ -49,9 +51,10 @@ import (
 // struct fields, to everything ever assigned to the field). Reaching any
 // parking primitive is an error:
 //   - netem scheduler waits: Clock.Sleep/SleepUntil, Cond.Wait,
-//     Mutex.Lock, WaitGroup.Wait, Chan.Send/Recv/RecvTimeout, and the
-//     waits of a conn's life: Host.Dial (its round trip),
-//     Listener.Accept and a PT handshake's plain pt.Handshake.Run;
+//     Mutex.Lock, WaitGroup.Wait, Chan.Send/Recv, and the waits of a
+//     conn's life: Host.Dial (its round trip), Listener.Accept, a PT
+//     handshake's plain pt.Handshake.Run and a Tor client's plain
+//     tor.Client.Dial and Preheat;
 //   - any event form called with a literal nil continuation, which
 //     parks: the plain forms are their event forms so called
 //     (netem.Conn.Write is WriteEvent(p, nil), pt.Stream.Read is
@@ -81,8 +84,8 @@ import (
 // compile-time error instead.
 var NoParkInEvent = &lint.Analyzer{
 	Name: "noparkinevent",
-	Doc: "functions reachable from Clock.EventAt arms, Conn.SetReadSink sinks, pt.NewFrameConn " +
-		"handlers and event-form continuations must never reach a parking primitive; only the non-parking surface is allowed",
+	Doc: "functions reachable from Clock.EventAt arms, Conn.SetReadSink sinks, pt.NewFrameConn handlers, pt.HandleWithDialer " +
+		"dials and event-form continuations must never reach a parking primitive; only the non-parking surface is allowed",
 	Run: runNoParkInEvent,
 }
 
@@ -99,13 +102,14 @@ var parkingMethods = map[primKey]string{
 	{"netem", "WaitGroup", "Wait"}:     "parks until the counter drains",
 	{"netem", "Chan", "Send"}:          "parks while full (use TrySend)",
 	{"netem", "Chan", "Recv"}:          "parks while empty (use RecvEvent)",
-	{"netem", "Chan", "RecvTimeout"}:   "parks while empty (use RecvEvent)",
 	{"netem", "Conn", "Read"}:          "parks until arrival (use ReadEvent)",
 	{"netem", "Conn", "ReadFull"}:      "parks until the record completes (use ReadFullEvent)",
 	{"netem", "Conn", "Write"}:         "parks on receive-window backpressure (use WriteEvent)",
 	{"netem", "Host", "Dial"}:          "parks for the handshake's round trip (use DialEvent)",
 	{"netem", "Listener", "Accept"}:    "parks until a conn arrives (use Listener.Serve)",
 	{"pt", "Handshake", "Run"}:         "parks on its flights (use RunEvent)",
+	{"tor", "Client", "Dial"}:          "parks for the circuit's build and the stream's open (use DialEvent)",
+	{"tor", "Client", "Preheat"}:       "parks for the circuit's build",
 	{"netem", "pipe", "read"}:          "parks until the requested bytes arrive",
 	{"netem", "pipe", "push"}:          "parks on receive-window backpressure (use its event form)",
 	{"net", "Conn", "Read"}:            "dynamic dispatch into a parking Read",
@@ -133,7 +137,7 @@ func parkingPrimitive(f *types.Func) (string, string, bool) {
 	}
 	pkgPath := f.Pkg().Path()
 	pkgKey := pkgPath
-	if seg := lastSegment(pkgPath); seg == "netem" || seg == "pt" {
+	if seg := lastSegment(pkgPath); seg == "netem" || seg == "pt" || seg == "tor" {
 		pkgKey = seg
 	}
 	if why, ok := parkingMethods[primKey{pkgKey, recvTypeName(f), f.Name()}]; ok {
@@ -307,6 +311,8 @@ func (a *noParkAnalysis) collectRoots() []root {
 				idxs, kind = []int{0}, "pipe.setSink sink"
 			case isMethodOf(fn, "pt", "", "NewFrameConn"):
 				idxs, kind = []int{0, 1, 2}, "pt.NewFrameConn handler"
+			case isMethodOf(fn, "pt", "", "HandleWithDialer"):
+				idxs, kind = []int{1}, "pt.HandleWithDialer dial"
 			default:
 				i := eventFormArg(fn)
 				if i < 0 {

@@ -11,6 +11,7 @@ import (
 
 	"sandbox/netem"
 	"sandbox/pt"
+	"sandbox/tor"
 )
 
 // joined is filled by several worlds' drivers: app is not a world
@@ -61,9 +62,9 @@ func badSink(p *proc) {
 // each hint names the event form to use.
 func badReceive(p *proc) {
 	p.clock.EventAt(0, func() {
-		p.ch.Recv()          // want `\(netem\.Chan\)\.Recv parks while empty \(use RecvEvent\)`
-		p.ch.RecvTimeout(1)  // want `\(netem\.Chan\)\.RecvTimeout parks while empty \(use RecvEvent\)`
-		p.conn.ReadFull(nil) // want `\(netem\.Conn\)\.ReadFull parks until the record completes \(use ReadFullEvent\)`
+		p.ch.Recv()                 // want `\(netem\.Chan\)\.Recv parks while empty \(use RecvEvent\)`
+		p.ch.RecvUntilEvent(1, nil) // want `\(netem\.Chan\)\.RecvUntilEvent with a nil continuation parks`
+		p.conn.ReadFull(nil)        // want `\(netem\.Conn\)\.ReadFull parks until the record completes \(use ReadFullEvent\)`
 	})
 }
 
@@ -293,6 +294,22 @@ func (p *proc) accepted(c *netem.Conn) {
 	pt.Handshake{}.Run(c, 1)                                        // want `\(pt\.Handshake\)\.Run parks on its flights \(use RunEvent\).*Listener\.Serve handler`
 	pt.Handshake{}.RunEvent(c, 1, func(any, error) { c.Read(nil) }) // want `\(netem\.Conn\)\.Read parks until arrival.*Handshake\.RunEvent continuation`
 	p.clock.Go(func() { c.Read(nil) })
+}
+
+// setThree is a set-3 server: its handler starts the dial of the Tor
+// client beside it from the run queue, so the dial is the event form,
+// and so is every dial an event makes.
+func setThree(clock *netem.Clock, cl *tor.Client) {
+	pt.HandleWithDialer(clock, func(target string, fn func(netem.Stream, error)) (netem.Stream, error, bool) {
+		s, err := cl.Dial(target) // want `\(tor\.Client\)\.Dial parks for the circuit's build and the stream's open \(use DialEvent\).*pt\.HandleWithDialer dial`
+		return s, err, true
+	})
+	pt.HandleWithDialer(clock, cl.DialEvent)
+	clock.EventAt(0, func() {
+		cl.Preheat()              // want `\(tor\.Client\)\.Preheat parks for the circuit's build.*Clock\.EventAt arm`
+		cl.DialEvent("exit", nil) // want `\(tor\.Client\)\.DialEvent with a nil continuation parks`
+		cl.DialEvent("exit", func(netem.Stream, error) {})
+	})
 }
 
 // cutAll and onStop are handlers that stay on the non-parking surface.

@@ -44,9 +44,9 @@ func (ch *Chan[T]) Recv() (T, bool) {
 	var zero T
 	return zero, false
 }
-func (ch *Chan[T]) RecvTimeout(d time.Duration) (T, bool, bool) {
+func (ch *Chan[T]) RecvUntilEvent(vt time.Duration, again func()) (T, bool, bool, bool) {
 	var zero T
-	return zero, false, false
+	return zero, false, false, true
 }
 func (ch *Chan[T]) RecvEvent(again func()) (T, bool, bool) {
 	var zero T

@@ -10,6 +10,16 @@ import (
 	"sandbox/sim"
 )
 
+// Client is a Tor client: Dial and Preheat park, and DialEvent is
+// Dial's event form.
+type Client struct{}
+
+func (c *Client) Dial(target string) (netem.Stream, error) { return nil, nil }
+func (c *Client) Preheat() error                           { return nil }
+func (c *Client) DialEvent(target string, done func(netem.Stream, error)) (netem.Stream, error, bool) {
+	return nil, nil, true
+}
+
 type sched struct {
 	clock *netem.Clock
 	mu    netem.Mutex
