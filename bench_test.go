@@ -39,9 +39,14 @@ func benchConfig(seed int64) harness.Config {
 	}
 }
 
-// runExperiment executes one harness experiment b.N times.
+// runExperiment executes one harness experiment b.N times. Beside the
+// timings it reports the scheduler's work per run (Runner.SimStats):
+// parks/op, the waits that released the run token, and events/op, the
+// inline callbacks run from the timer heap and the run queue. Both are
+// exact functions of seed and code, so they hold on any runner.
 func runExperiment(b *testing.B, id string, mut func(*harness.Config)) {
 	b.Helper()
+	var parks, events uint64
 	for i := 0; i < b.N; i++ {
 		cfg := benchConfig(int64(i) + 1)
 		if mut != nil {
@@ -51,7 +56,12 @@ func runExperiment(b *testing.B, id string, mut func(*harness.Config)) {
 		if err := r.Run(id); err != nil {
 			b.Fatalf("%s: %v", id, err)
 		}
+		st := r.SimStats()
+		parks += st.Parks
+		events += st.Events + st.ReadyEvents
 	}
+	b.ReportMetric(float64(parks)/float64(b.N), "parks/op")
+	b.ReportMetric(float64(events)/float64(b.N), "events/op")
 }
 
 func BenchmarkTable1Overview(b *testing.B) { runExperiment(b, "table1", nil) }

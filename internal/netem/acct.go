@@ -27,6 +27,9 @@ type Acct struct {
 
 	pipes []*pipe
 	conns []*Conn
+	// lists are the world's queue node lists, one per element type
+	// (NodesFor).
+	lists []interface{ Out() int }
 }
 
 // AcctSnapshot is a point-in-time copy of a network's accounting.
@@ -212,6 +215,16 @@ func (a *Acct) Snapshot() AcctSnapshot {
 		s.BytesBuffered += int64(p.buffered)
 	}
 	return s
+}
+
+// NodesOut reports the queue nodes the world's lists have handed out
+// and not got back: 0 once every queue is empty.
+func (a *Acct) NodesOut() int {
+	n := 0
+	for _, l := range a.lists {
+		n += l.Out()
+	}
+	return n
 }
 
 // OpenConns reports flows opened and not yet closed.

@@ -492,8 +492,8 @@ func tryWriteWorld(t *testing.T) (*Network, *Conn, *Conn) {
 // counters.
 func writeTrace(n *Network, c *Conn) string {
 	var last time.Duration
-	if segs := c.tx.segs; len(segs) > 0 {
-		last = segs[len(segs)-1].at
+	if tail := c.tx.segs.tail; tail != nil {
+		last = tail.v.at
 	}
 	return fmt.Sprintf("egress %v ingress %v arrival %v draw %d %+v",
 		c.out.egress.free, c.out.ingress.free, last, c.rng.Int63(), n.Acct().Snapshot())
@@ -669,8 +669,8 @@ func TestTryWriteOwnedHandsOverWhatWriteCopies(t *testing.T) {
 			if tried.held.base == &data {
 				t.Fatal("the refused buffer is held by the conn")
 			}
-			for _, s := range tried.tx.segs[tried.tx.segHead:] {
-				if s.base == &data {
+			for nd := tried.tx.segs.head; nd != nil; nd = nd.next {
+				if nd.v.base == &data {
 					t.Fatal("the refused buffer is in the pipe")
 				}
 			}

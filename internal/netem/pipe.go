@@ -115,11 +115,10 @@ type pipe struct {
 	acct  *Acct // network accounting
 
 	cond Cond
-	// segs is a head-indexed queue (like Clock.ready): read advances
-	// segHead and enqueue reuses the backing array (Compact), instead of
-	// re-slicing capacity away on every segment.
-	segs     []seg
-	segHead  int
+	// segs queues the segments in flight, in write order, on nodes
+	// from the network's list (NodesFor[seg]): a closed pipe leaves no
+	// array behind.
+	segs     Queue[seg]
 	buffered int // bytes queued and not yet read
 	// rdWant, while a reader is parked, is the byte count it
 	// still needs; enqueue skips the arrival wake until the queue
@@ -147,6 +146,7 @@ const pipeWindow = 256 << 10
 // init readies a pipe in place.
 func (p *pipe) init(clock *Clock, acct *Acct) {
 	*p = pipe{clock: clock, acct: acct, cond: Cond{clock: clock}}
+	p.segs.Init(NodesFor[seg](acct))
 	acct.registerPipe(p)
 }
 
@@ -188,8 +188,7 @@ func (p *pipe) wouldPark(n int) bool {
 // parked-reader wake-up (waking the reader at push time would only make
 // it re-park until the data has propagated).
 func (p *pipe) enqueue(data []byte, base *[]byte, pool *sync.Pool, arrival time.Duration) {
-	p.segs, p.segHead = Compact(p.segs, p.segHead, 1)
-	p.segs = append(p.segs, seg{data: data, base: base, pool: pool, at: arrival})
+	p.segs.Push(seg{data: data, base: base, pool: pool, at: arrival})
 	p.buffered += len(data)
 	p.acct.addSent(len(data))
 	if p.sink != nil {
@@ -225,8 +224,8 @@ func (p *pipe) wakeSink() {
 	if p.sink == nil || p.sinkDone {
 		return
 	}
-	pending := p.segHead < len(p.segs)
-	if p.rclosed || (!pending && p.wclosed) || (pending && p.segs[p.segHead].at <= p.clock.Now()) {
+	head := p.segs.Front()
+	if p.rclosed || (head == nil && p.wclosed) || (head != nil && head.at <= p.clock.Now()) {
 		p.clock.ReadyEvent(p.deliverFn)
 		return
 	}
@@ -241,10 +240,8 @@ func (p *pipe) armSink() {
 		return
 	}
 	at := p.clock.Now()
-	if p.segHead < len(p.segs) {
-		if first := p.segs[p.segHead].at; first > at {
-			at = first
-		}
+	if head := p.segs.Front(); head != nil {
+		at = max(at, head.at)
 	} else if !p.wclosed && !p.rclosed {
 		return // nothing to deliver yet
 	}
@@ -273,24 +270,15 @@ func (p *pipe) deliver() {
 	var batchArr [8]seg
 	batch := batchArr[:0]
 	total := 0
-	for p.segHead < len(p.segs) {
-		s := p.segs[p.segHead]
-		if s.at > now {
-			break
-		}
+	for head := p.segs.Front(); head != nil && head.at <= now; head = p.segs.Front() {
+		s := p.segs.Pop()
 		batch = append(batch, s)
 		total += len(s.data)
-		p.segs[p.segHead] = seg{}
-		p.segHead++
-	}
-	if p.segHead == len(p.segs) {
-		p.segs = p.segs[:0]
-		p.segHead = 0
 	}
 	var term error
 	if p.rclosed {
 		term = ErrClosed
-	} else if p.wclosed && p.segHead == len(p.segs) {
+	} else if p.wclosed && p.segs.Len() == 0 {
 		term = io.EOF
 	}
 	if total > 0 {
@@ -370,24 +358,15 @@ func (p *pipe) readPass(buf []byte, min int, vt time.Duration) (total int, err e
 		return 0, ErrClosed, 0, true
 	}
 	now := p.clock.Now()
-	for p.segHead < len(p.segs) && total < len(buf) {
-		s := &p.segs[p.segHead]
-		if s.at > now {
-			break
-		}
+	for s := p.segs.Front(); s != nil && s.at <= now && total < len(buf); s = p.segs.Front() {
 		n := copy(buf[total:], s.data)
 		total += n
-		if n == len(s.data) {
-			putSegBuf(s.pool, s.base)
-			p.segs[p.segHead] = seg{}
-			p.segHead++
-		} else {
+		if n < len(s.data) {
 			s.data = s.data[n:]
+			break
 		}
-	}
-	if p.segHead == len(p.segs) {
-		p.segs = p.segs[:0]
-		p.segHead = 0
+		putSegBuf(s.pool, s.base)
+		p.segs.Pop()
 	}
 	if total > 0 {
 		p.buffered -= total
@@ -397,7 +376,7 @@ func (p *pipe) readPass(buf []byte, min int, vt time.Duration) (total int, err e
 	if total >= min {
 		return total, nil, 0, true
 	}
-	if p.wclosed && p.segHead == len(p.segs) {
+	if p.wclosed && p.segs.Len() == 0 {
 		return total, io.EOF, 0, true
 	}
 	if vtExpired(p.clock, vt) {
@@ -416,14 +395,9 @@ func (p *pipe) readPass(buf []byte, min int, vt time.Duration) (total int, err e
 	need := min - total
 	queued := 0
 	var arr time.Duration
-	for i := p.segHead; i < len(p.segs); i++ {
-		queued += len(p.segs[i].data)
-		if a := p.segs[i].at; a > arr {
-			arr = a
-		}
-		if queued >= need {
-			break
-		}
+	for nd := p.segs.head; nd != nil && queued < need; nd = nd.next {
+		queued += len(nd.v.data)
+		arr = max(arr, nd.v.at)
 	}
 	if queued >= need || p.wclosed {
 		if vt == noDeadline || arr < vt {
@@ -459,11 +433,10 @@ func (p *pipe) closeWrite() {
 // subsequent writes fail with ErrReset.
 func (p *pipe) closeRead() {
 	p.rclosed = true
-	for i := p.segHead; i < len(p.segs); i++ {
-		putSegBuf(p.segs[i].pool, p.segs[i].base)
+	for p.segs.Len() > 0 {
+		s := p.segs.Pop()
+		putSegBuf(s.pool, s.base)
 	}
-	p.segs = nil
-	p.segHead = 0
 	p.acct.addDropped(p.buffered)
 	p.buffered = 0
 	p.wakeSink()

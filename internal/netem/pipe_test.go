@@ -405,11 +405,12 @@ func TestReadAfterSinkPanics(t *testing.T) {
 }
 
 // TestPipeKeepsItsArray feeds a pipe that is drained one segment behind,
-// so it is never empty: the queue must reuse its array instead of
-// growing by every segment that ever passed.
+// so it is never empty: the queue must reuse its nodes instead of
+// drawing one for every segment that ever passed.
 func TestPipeKeepsItsArray(t *testing.T) {
 	clock := NewClock()
-	p := newPipe(clock, new(Acct))
+	acct := new(Acct)
+	p := newPipe(clock, acct)
 	push := func() {
 		data, base, pool := getSegBuf([]byte{'x'})
 		if _, err := p.push(&seg{data: data, base: base, pool: pool}, nil); err != nil {
@@ -424,10 +425,10 @@ func TestPipeKeepsItsArray(t *testing.T) {
 			t.Fatalf("read %d = (%d, %v)", i, n, err)
 		}
 	}
-	if got := len(p.segs) - p.segHead; got != 1 {
+	if got := p.segs.Len(); got != 1 {
 		t.Fatalf("%d segments queued, want 1", got)
 	}
-	if c := cap(p.segs); c > 16 {
-		t.Fatalf("segment queue grew to cap %d while holding at most 2", c)
+	if c := NodesFor[seg](acct).Cap(); c > nodeSlab {
+		t.Fatalf("segment list grew to %d nodes while the queue held at most 2", c)
 	}
 }

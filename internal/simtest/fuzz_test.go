@@ -138,6 +138,11 @@ func TestTeardownInvariants(t *testing.T) {
 	if err := checkClosedWorldEmpty(&leaky); err == nil {
 		t.Error("closed-world-empty accepts an open conn")
 	}
+	leaky = *o
+	leaky.Closed.NodesOut = 1
+	if err := checkClosedWorldEmpty(&leaky); err == nil {
+		t.Error("closed-world-empty accepts a queue node not back on its list")
+	}
 
 	// Fabricate a leak: the world grew by one goroutine more than the
 	// tolerance after a first sample at t=0, and the suspect Close found

@@ -295,15 +295,19 @@ func checkTimelineConservation(o *Outcome) error {
 }
 
 // checkClosedWorldEmpty audits teardown: once Close has run, the world's
-// clock counts the driver and nobody else, and no conn endpoint is open.
-// There is no tolerance: whatever the world was doing, its end is the
-// same.
+// clock counts the driver and nobody else, no conn endpoint is open, and
+// every node the world's queue lists handed out (pipe segments, relay
+// cells) is back on its list. There is no tolerance: whatever the world
+// was doing, its end is the same.
 func checkClosedWorldEmpty(o *Outcome) error {
 	if o.Closed.Registered != 1 {
 		return fmt.Errorf("%d goroutines registered after Close, want 1 (the driver)", o.Closed.Registered)
 	}
 	if o.Closed.OpenConns != 0 {
 		return fmt.Errorf("%d conn endpoints open after Close", o.Closed.OpenConns)
+	}
+	if o.Closed.NodesOut != 0 {
+		return fmt.Errorf("%d queue nodes not back on their lists after Close", o.Closed.NodesOut)
 	}
 	return nil
 }

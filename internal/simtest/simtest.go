@@ -245,12 +245,14 @@ type Outcome struct {
 	FirstSample time.Duration
 	// Parked lists the goroutines Close found parked and on what; those
 	// spawned after FirstSample are what a leak report names. Closed is
-	// the same pair of counts once more, after Close: the driver alone
-	// and no open conn (the closed-world-empty comparand).
+	// the same pair of counts once more, after Close, with the queue
+	// nodes the world's lists have not got back: the driver alone, no
+	// open conn and no node out (the closed-world-empty comparand).
 	Parked []netem.Parked
 	Closed struct {
 		Registered int
 		OpenConns  int64
+		NodesOut   int
 	}
 	// ClockErr records a virtual-clock monotonicity violation observed
 	// while measuring.
@@ -342,6 +344,7 @@ func Run(spec Spec) (*Outcome, error) {
 	w.Close()
 	out.Closed.Registered = clock.Registered()
 	out.Closed.OpenConns = w.Net.Acct().Snapshot().OpenConns()
+	out.Closed.NodesOut = w.Net.Acct().NodesOut()
 	return out, nil
 }
 

@@ -107,11 +107,10 @@ type circQueue struct {
 	link *link
 	id   uint32
 
-	// cells is a head-indexed queue: flushes advance head and enqueue
-	// reuses the backing array (netem.Compact), instead of re-slicing
-	// capacity away cell by cell.
-	cells  []queuedCell
-	head   int
+	// cells queues the wire-ready cells in enqueue order, on nodes from
+	// the scheduler's list (cellScheduler.nodes): a retired circuit
+	// leaves no array behind.
+	cells  netem.Queue[queuedCell]
 	closed bool
 
 	// EWMA cell count, decayed with the configured half-life.
@@ -180,11 +179,15 @@ type cellScheduler struct {
 	// flushers lists the slow-link writer queues in creation order
 	// (deterministic stop); see link.flusher.
 	flushers []*netem.Chan[queuedCell]
+
+	// nodes is the list every circuit queue of this scheduler draws its
+	// nodes from: the world's, shared by every relay and incarnation.
+	nodes *netem.Nodes[queuedCell]
 }
 
 func newCellScheduler(clock *netem.Clock, acct *netem.Acct, policy SchedPolicy, bandwidth float64) *cellScheduler {
 	perPass := max(int(math.Ceil(bandwidth*schedInterval.Seconds()/CellSize)), minCellsPerPass)
-	s := &cellScheduler{clock: clock, acct: acct, policy: policy, perPass: perPass}
+	s := &cellScheduler{clock: clock, acct: acct, policy: policy, perPass: perPass, nodes: netem.NodesFor[queuedCell](acct)}
 	s.flushFn = s.flushEvent // one closure, not one per arm
 	return s
 }
@@ -192,6 +195,7 @@ func newCellScheduler(clock *netem.Clock, acct *netem.Acct, policy SchedPolicy, 
 // newQueue registers a fresh circuit queue.
 func (s *cellScheduler) newQueue(l *link, id uint32) *circQueue {
 	q := &circQueue{link: l, id: id}
+	q.cells.Init(s.nodes)
 	if s.closed {
 		q.closed = true
 		return q
@@ -210,8 +214,7 @@ func (s *cellScheduler) enqueueWire(q *circQueue, buf []byte, base *[]byte) erro
 		return ErrCircuitClosed
 	}
 	s.enqSeq++
-	q.cells, q.head = netem.Compact(q.cells, q.head, 1)
-	q.cells = append(q.cells, queuedCell{buf: buf, base: base, at: s.clock.Now(), seq: s.enqSeq})
+	q.cells.Push(queuedCell{buf: buf, base: base, at: s.clock.Now(), seq: s.enqSeq})
 	q.queued++
 	s.pending++
 	s.acct.AddCellsQueued(1)
@@ -259,12 +262,10 @@ func (s *cellScheduler) flushEvent() {
 // removes q from (or resets) s.active.
 func (s *cellScheduler) retireQueue(q *circQueue) {
 	q.closed = true
-	for i := q.head; i < len(q.cells); i++ {
-		putCellBuf(q.cells[i].base)
+	n := q.cells.Len()
+	for q.cells.Len() > 0 {
+		putCellBuf(q.cells.Pop().base)
 	}
-	n := len(q.cells) - q.head
-	q.cells = nil
-	q.head = 0
 	q.dropped += int64(n)
 	s.pending -= n
 	s.acct.AddCellsDropped(int64(n))
@@ -317,7 +318,7 @@ func (s *cellScheduler) flushPass() {
 			return
 		}
 		l := q.link
-		cell := q.cells[q.head]
+		cell := *q.cells.Front()
 		if !l.flushCell(s, cell) {
 			// The link cannot take this write right now (writer lock
 			// held by a parked writer, or less window than the budget
@@ -326,12 +327,7 @@ func (s *cellScheduler) flushPass() {
 			l.passBudget = 0
 			continue
 		}
-		q.cells[q.head] = queuedCell{}
-		q.head++
-		if q.head == len(q.cells) {
-			q.cells = q.cells[:0]
-			q.head = 0
-		}
+		q.cells.Pop()
 		s.pending--
 		now := s.clock.Now()
 		q.decayTo(now, schedHalflife)
@@ -353,7 +349,7 @@ func (s *cellScheduler) pick() *circQueue {
 	var best *circQueue
 	now := s.clock.Now()
 	for _, q := range s.active {
-		if q.head == len(q.cells) {
+		if q.cells.Len() == 0 {
 			continue
 		}
 		l := q.link
@@ -369,14 +365,14 @@ func (s *cellScheduler) pick() *circQueue {
 			continue
 		}
 		if s.policy == SchedFIFO {
-			if q.cells[q.head].seq < best.cells[best.head].seq {
+			if q.cells.Front().seq < best.cells.Front().seq {
 				best = q
 			}
 			continue
 		}
 		q.decayTo(now, schedHalflife)
 		best.decayTo(now, schedHalflife)
-		if q.ewma < best.ewma || (q.ewma == best.ewma && q.cells[q.head].seq < best.cells[best.head].seq) {
+		if q.ewma < best.ewma || (q.ewma == best.ewma && q.cells.Front().seq < best.cells.Front().seq) {
 			best = q
 		}
 	}

@@ -286,7 +286,7 @@ func (r *Relay) CircuitScheds() []CircuitSched {
 					Queued:   q.queued,
 					Flushed:  q.flushed,
 					Dropped:  q.dropped,
-					Pending:  int64(len(q.cells) - q.head),
+					Pending:  int64(q.cells.Len()),
 					DelaySum: q.delaySum,
 					Delays:   q.delays,
 				})
@@ -382,8 +382,8 @@ func (discardConn) WriteEvent(p []byte, _ func()) (int, error, bool) { return le
 
 // TestCircQueueKeepsItsArray feeds a circuit queue that a one-cell-a-pass
 // scheduler drains one cell behind, as a loaded guard's is: never empty,
-// so only compaction keeps it from growing by every cell that ever
-// passed.
+// so only nodes going back to the scheduler's list keep it from drawing
+// one for every cell that ever passed.
 func TestCircQueueKeepsItsArray(t *testing.T) {
 	clock := netem.NewClock()
 	t.Cleanup(clock.Shutdown)
@@ -402,11 +402,43 @@ func TestCircQueueKeepsItsArray(t *testing.T) {
 		enqueue()
 		clock.Sleep(schedInterval) // one pass: one cell out
 	}
-	if q.flushed < 100_000 || len(q.cells)-q.head > 2 {
-		t.Fatalf("flushed %d cells, %d still queued: the queue was not drained one behind", q.flushed, len(q.cells)-q.head)
+	if q.flushed < 100_000 || q.cells.Len() > 2 {
+		t.Fatalf("flushed %d cells, %d still queued: the queue was not drained one behind", q.flushed, q.cells.Len())
 	}
-	if c := cap(q.cells); c > 16 {
-		t.Fatalf("cell queue grew to cap %d while holding at most 3", c)
+	if c := s.nodes.Cap(); c > 32 {
+		t.Fatalf("cell list grew to %d nodes, more than one slab, while the queue held at most 3", c)
+	}
+}
+
+// TestCircQueueCycleAllocationFree: once warm, cells enqueued on a
+// circuit and flushed by a pass allocate nothing: the nodes come from
+// the scheduler's list and the buffers from their pool. A cycle queues
+// two slabs' worth, so a node that never came back shows as
+// allocations.
+func TestCircQueueCycleAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts do not hold under the race detector")
+	}
+	clock := netem.NewClock()
+	t.Cleanup(clock.Shutdown)
+	s := newCellScheduler(clock, new(netem.Acct), SchedEWMA, 16<<20) // 328 cells a pass
+	defer s.stop()
+	q := s.newQueue(&link{conn: discardConn{}, wmu: netem.NewMutex(clock)}, 1)
+	cycle := func() {
+		for i := 0; i < 64; i++ {
+			buf, base := getCellBuf()
+			if err := s.enqueueWire(q, buf, base); err != nil {
+				t.Fatal(err)
+			}
+		}
+		clock.Sleep(schedInterval) // one pass flushes them all
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+		t.Fatalf("a warm enqueue and flush allocated %v objects, want 0", allocs)
+	}
+	if q.flushed != 202*64 || q.cells.Len() != 0 {
+		t.Fatalf("flushed %d cells with %d queued, want %d and none", q.flushed, q.cells.Len(), 202*64)
 	}
 }
 
@@ -466,7 +498,7 @@ func TestRefusedLinkSkippedForRestOfPass(t *testing.T) {
 
 	// Make the head cell writable: the next pass must try the link again.
 	buf, base := getCellBuf()
-	qr.cells[qr.head].buf, qr.cells[qr.head].base = buf, base
+	qr.cells.Front().buf, qr.cells.Front().base = buf, base
 	clock.Sleep(schedInterval)
 	if s.passes != 2 || qr.flushed != 1 || qo.flushed != 6 {
 		t.Fatalf("after pass 2: passes=%d, refusing link flushed %d (want 1), other %d (want 6)", s.passes, qr.flushed, qo.flushed)
