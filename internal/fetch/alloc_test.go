@@ -9,6 +9,7 @@ import (
 
 	"ptperf/internal/geo"
 	"ptperf/internal/netem"
+	"ptperf/internal/testkit"
 	"ptperf/internal/web"
 )
 
@@ -25,7 +26,7 @@ func allocated(f func()) uint64 {
 // the pools are warm: an access pays for its conns, its goroutines and
 // the body it was asked to keep, not for buffers sized to the transfer.
 func TestAccessAllocationBudget(t *testing.T) {
-	if raceEnabled {
+	if testkit.Race {
 		t.Skip("sync.Pool drops puts at random under the race detector")
 	}
 	site := web.Site{List: web.Tranco, Path: "/site/tranco/0", PageBytes: 32 << 10, BaseVisualWeight: 0.2}

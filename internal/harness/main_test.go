@@ -1,25 +1,9 @@
 package harness
 
 import (
-	"flag"
-	"fmt"
-	"os"
-	"runtime"
 	"testing"
+
+	"ptperf/internal/testkit"
 )
 
-// TestMain fails the package when its tests end with more goroutines
-// than they began with: every test world must be ended, and a parked
-// simulation goroutine is a goroutine the runtime never collects.
-// goroutinesSettleAt is teardown_test.go's.
-func TestMain(m *testing.M) {
-	before := runtime.NumGoroutine()
-	code := m.Run()
-	// A fuzzing run keeps the fuzz engine's own goroutines.
-	fuzzing := flag.Lookup("test.fuzz").Value.String() != ""
-	if after := goroutinesSettleAt(before); code == 0 && !fuzzing && after > before {
-		fmt.Fprintf(os.Stderr, "harness: %d goroutines after the tests, %d before: a test world was not ended\n", after, before)
-		code = 1
-	}
-	os.Exit(code)
-}
+func TestMain(m *testing.M) { testkit.Main(m, "harness") }

@@ -9,21 +9,8 @@ import (
 	"time"
 
 	"ptperf/internal/testbed"
+	"ptperf/internal/testkit"
 )
-
-// goroutinesSettleAt reads the goroutine count until it is down to want.
-// A cell's world is closed before its future resolves, but the task
-// goroutine that ran the cell (sim.Submit) resolves the future before it
-// exits itself, and the testing package's goroutine for the previous
-// test exits in its own time too.
-func goroutinesSettleAt(want int) int {
-	n := runtime.NumGoroutine()
-	for i := 0; i < 100000 && n > want; i++ {
-		runtime.Gosched()
-		n = runtime.NumGoroutine()
-	}
-	return n
-}
 
 // TestRunLeavesNoGoroutines: the multi-world experiments end every world
 // they build, sequentially and four at a time.
@@ -39,7 +26,7 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 			if err := New(tc.cfg, io.Discard).Run(tc.exp); err != nil {
 				t.Fatalf("%s: %v", tc.exp, err)
 			}
-			if after := goroutinesSettleAt(before); after > before {
+			if after := testkit.SettleAt(before); after > before {
 				t.Errorf("%s at jobs=%d: %d goroutines after the run, %d before", tc.exp, jobs, after, before)
 			}
 		}
@@ -94,7 +81,7 @@ func TestFailedCellLeavesNoGoroutines(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("%s: cell error %v, want %q", how, err, want)
 		}
-		if after := goroutinesSettleAt(before); after > before {
+		if after := testkit.SettleAt(before); after > before {
 			t.Errorf("%s: %d goroutines after the cell, %d before", how, after, before)
 		}
 	}

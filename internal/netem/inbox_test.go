@@ -7,6 +7,8 @@ import (
 	"runtime/debug"
 	"testing"
 	"time"
+
+	"ptperf/internal/testkit"
 )
 
 // allocated reports the heap bytes f allocates.
@@ -25,7 +27,7 @@ func allocated(f func()) uint64 {
 // is back in the pool once the reader has drained the queue, or once a
 // Drop has released what it left.
 func TestInboxDeliverNeverRegrows(t *testing.T) {
-	if raceEnabled {
+	if testkit.Race {
 		t.Skip("sync.Pool drops puts at random under the race detector")
 	}
 	const total = 4 << 20

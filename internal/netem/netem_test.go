@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"ptperf/internal/geo"
+	"ptperf/internal/testkit"
 )
 
 // testNetwork builds a two-host network with a fast clock for tests.
@@ -439,7 +440,7 @@ func TestConnFirstWriteAllocatesNoSource(t *testing.T) {
 // each end, each direction and each end's generator was an object of
 // its own and the address came from fmt.Sprintf).
 func TestDialAcceptCloseAllocations(t *testing.T) {
-	if raceEnabled {
+	if testkit.Race {
 		t.Skip("allocation counts do not hold under the race detector")
 	}
 	_, a, b := testNetwork(t)

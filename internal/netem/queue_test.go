@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"ptperf/internal/testkit"
 )
 
 // TestQueueFIFOOnSharedNodes: two queues drawing from one list each
@@ -90,7 +92,7 @@ func TestPoppedNodeHoldsNoLease(t *testing.T) {
 // they arrive a microsecond apart, one to a delivery, because a delivery
 // of more than eight segments grows its batch on the heap.
 func TestPipeCycleAllocationFree(t *testing.T) {
-	if raceEnabled {
+	if testkit.Race {
 		t.Skip("allocation counts do not hold under the race detector")
 	}
 	clock := NewClock()

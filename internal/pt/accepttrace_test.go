@@ -2,8 +2,6 @@ package pt_test
 
 import (
 	"bytes"
-	"fmt"
-	"hash/fnv"
 	"io"
 	"testing"
 	"time"
@@ -22,50 +20,23 @@ import (
 	"ptperf/internal/pt/snowflake"
 	"ptperf/internal/pt/stegotorus"
 	"ptperf/internal/pt/webtunnel"
+	"ptperf/internal/testkit/tracekit"
 )
 
-// wireTap is a netem.Policy that passes everything and records what the
-// servers' conn calls put on the network: every dial with its verdict
-// and every segment, each at its instant, with the bytes read out of
-// every pipe and the conns closed so far. A server owns its listener and
-// hands its accepted conn to code that needs a *netem.Conn, so no
+// acceptRig is a world whose network is tapped, with an echo service on
+// extra:9001 for the handlers that forward. A server owns its listener
+// and hands its accepted conn to code that needs a *netem.Conn, so no
 // wrapper can stand between it and its conn; at the network's edge its
 // writes are the segments, its reads the delivered count and its closes
 // the closed count.
-type wireTap struct {
-	net   *netem.Network
-	trace []byte
-}
-
-func (w *wireTap) note(format string, args ...any) {
-	a := w.net.Acct().Snapshot()
-	w.trace = fmt.Appendf(w.trace, "%d %d %d ", w.net.Now(), a.BytesDelivered, a.ConnsClosed)
-	w.trace = fmt.Appendf(w.trace, format+"\n", args...)
-}
-
-func (w *wireTap) FilterDial(src, dst string) error {
-	w.note("dial %s %s", src, dst)
-	return nil
-}
-
-func (w *wireTap) ConnOpened(c *netem.Conn) { w.note("open %s %s", c.LocalAddr(), c.RemoteAddr()) }
-
-func (w *wireTap) FilterSegment(f netem.Flow, n int) netem.Verdict {
-	w.note("segment %s %s %d", f.Src, f.Dst, n)
-	return netem.Verdict{}
-}
-
-// acceptRig is a world whose network is tapped, with an echo service on
-// extra:9001 for the handlers that forward.
 type acceptRig struct {
 	*world
-	tap *wireTap
+	tap *tracekit.Trace
 }
 
 func newAcceptRig(t *testing.T) *acceptRig {
 	w := newWorld(t)
-	r := &acceptRig{world: w, tap: &wireTap{net: w.net}}
-	w.net.SetPolicy(r.tap)
+	r := &acceptRig{world: w, tap: tracekit.New(w.net).Tap(nil)}
 	ln, err := w.extra.Listen(9001)
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +65,7 @@ func (r *acceptRig) echo(c netem.Stream, n int) {
 // handler notes the stream a server hands on and echoes its first 1500
 // bytes on a goroutine of its own.
 func (r *acceptRig) handler(target string, conn netem.Stream) {
-	r.tap.note("handler %s", target)
+	r.tap.Note("handler %s", target)
 	r.net.Go(func() { r.echo(conn, 1500) })
 }
 
@@ -102,16 +73,16 @@ func (r *acceptRig) handler(target string, conn netem.Stream) {
 // closes, noting each result.
 func (r *acceptRig) session(d pt.Dialer) {
 	conn, err := d.Dial("extra:9001")
-	r.tap.note("dialed %v", err)
+	r.tap.Note("dialed %v", err)
 	if err != nil {
 		return
 	}
 	msg := bytes.Repeat([]byte("accept-trace/"), 116)[:1500]
 	_, err = conn.Write(msg)
-	r.tap.note("wrote %v", err)
+	r.tap.Note("wrote %v", err)
 	got := make([]byte, len(msg))
 	n, err := io.ReadFull(conn, got)
-	r.tap.note("read %d %v %v", n, err, bytes.Equal(got, msg))
+	r.tap.Note("read %d %v %v", n, err, bytes.Equal(got, msg))
 	conn.Close()
 }
 
@@ -124,11 +95,11 @@ func (r *acceptRig) raw(t *testing.T, addr string, flights ...[]byte) {
 	}
 	for _, f := range flights {
 		_, err := conn.Write(f)
-		r.tap.note("wrote %d %v", len(f), err)
+		r.tap.Note("wrote %d %v", len(f), err)
 	}
 	conn.SetReadTimeout(5 * time.Minute)
 	got, err := io.ReadAll(conn)
-	r.tap.note("read %d %v", len(got), err)
+	r.tap.Note("read %d %v", len(got), err)
 	conn.Close()
 }
 
@@ -294,13 +265,8 @@ func TestServerAcceptTrace(t *testing.T) {
 			r := newAcceptRig(t)
 			sc.run(t, r)
 			r.net.Clock().Sleep(sc.span)
-			r.tap.note("end")
-			h := fnv.New64a()
-			h.Write(r.tap.trace)
-			got := fmt.Sprintf("%016x", h.Sum64())
-			if want := acceptTraceDigests[sc.name]; got != want {
-				t.Errorf("trace digest %s, want %s; trace:\n%s", got, want, r.tap.trace)
-			}
+			r.tap.Note("end")
+			tracekit.Pin(t, r.tap, acceptTraceDigests[sc.name])
 		})
 	}
 }

@@ -524,13 +524,13 @@ func StartProxy(host *netem.Host, imServerAddr, accountBase string, cfg Config, 
 
 // serveSession logs the proxy account for session n in and handles it.
 func (p *Proxy) serveSession(n uint64) error {
-	conn, err := p.host.Dial(p.imAddr)
+	conn, err, _ := p.host.DialEvent(p.imAddr, nil)
 	if err != nil {
 		return err
 	}
 	self := fmt.Sprintf("%s-p%d", p.acct, n)
 	peer := fmt.Sprintf("%s-c%d", p.acct, n)
-	ic := newIMConn(p.host.Network().Clock(), conn.(*netem.Conn), self, peer, p.cfg.MessageCap)
+	ic := newIMConn(p.host.Network().Clock(), conn, self, peer, p.cfg.MessageCap)
 	if err := ic.login(); err != nil {
 		ic.Close()
 		return err
@@ -583,14 +583,14 @@ func (d *Dialer) Dial(target string) (netem.Stream, error) {
 		release()
 		return nil, err
 	}
-	conn, err := d.host.Dial(d.imAddr)
+	conn, err, _ := d.host.DialEvent(d.imAddr, nil)
 	if err != nil {
 		release()
 		return nil, err
 	}
 	self := fmt.Sprintf("%s-c%d", d.acct, n)
 	peer := fmt.Sprintf("%s-p%d", d.acct, n)
-	ic := newIMConn(d.host.Network().Clock(), conn.(*netem.Conn), self, peer, d.cfg.MessageCap)
+	ic := newIMConn(d.host.Network().Clock(), conn, self, peer, d.cfg.MessageCap)
 	ic.onClose = release
 	if err := ic.login(); err != nil {
 		ic.Close()

@@ -1,53 +1,13 @@
 package camoufler
 
 import (
-	"fmt"
-	"hash/fnv"
 	"testing"
 	"time"
 
 	"ptperf/internal/geo"
 	"ptperf/internal/netem"
+	"ptperf/internal/testkit/tracekit"
 )
-
-// tracedLink is the provider's end of an account's conn, recording every
-// call the provider makes on it as it returns: the instant, the conn,
-// the span asked for and the result. An event read that waits is
-// recorded when it finishes, where the plain read would have returned.
-type tracedLink struct {
-	*netem.Conn
-	clock *netem.Clock
-	trace *[]byte
-}
-
-func (c *tracedLink) note(op string, span, n int, err error) {
-	*c.trace = fmt.Appendf(*c.trace, "%d provider %s %s %d %d %v\n", c.clock.Now(), c.RemoteAddr(), op, span, n, err)
-}
-
-func (c *tracedLink) Read(p []byte) (int, error) {
-	n, err := c.Conn.Read(p)
-	c.note("read", len(p), n, err)
-	return n, err
-}
-
-func (c *tracedLink) ReadEvent(p []byte, again func()) (int, error, bool) {
-	n, err, done := c.Conn.ReadEvent(p, again)
-	if done {
-		c.note("read", len(p), n, err)
-	}
-	return n, err, done
-}
-
-func (c *tracedLink) TryWrite(p []byte) (bool, error) {
-	ok, err := c.Conn.TryWrite(p)
-	c.note("trywrite", len(p), map[bool]int{true: len(p)}[ok], err)
-	return ok, err
-}
-
-func (c *tracedLink) Close() error {
-	c.note("close", 0, 0, nil)
-	return c.Conn.Close()
-}
 
 // providerRig is an IM provider whose conns are traced, and two account
 // holders on hosts of their own.
@@ -55,13 +15,13 @@ type providerRig struct {
 	net        *netem.Network
 	clock      *netem.Clock
 	alice, bob *netem.Host
-	trace      []byte
+	trace      *tracekit.Trace
 }
 
 func newProviderRig(t *testing.T, cfg Config) *providerRig {
 	n := netem.New(netem.WithSeed(6))
 	t.Cleanup(n.Clock().Shutdown)
-	r := &providerRig{net: n, clock: n.Clock()}
+	r := &providerRig{net: n, clock: n.Clock(), trace: tracekit.New(n)}
 	im := n.MustAddHost(netem.HostConfig{Name: "im", Location: geo.Frankfurt, UplinkBps: 4 << 20, DownlinkBps: 4 << 20})
 	r.alice = n.MustAddHost(netem.HostConfig{Name: "alice", Location: geo.Toronto, UplinkBps: 2 << 20, DownlinkBps: 2 << 20})
 	r.bob = n.MustAddHost(netem.HostConfig{Name: "bob", Location: geo.London, UplinkBps: 1 << 20, DownlinkBps: 1 << 20})
@@ -73,7 +33,7 @@ func newProviderRig(t *testing.T, cfg Config) *providerRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ln.Serve(func(c *netem.Conn) { s.serveConn(&tracedLink{Conn: c, clock: r.clock, trace: &r.trace}) })
+	ln.Serve(func(c *netem.Conn) { s.serveConn(r.trace.Calls(c, "provider "+c.RemoteAddr().String())) })
 	return r
 }
 
@@ -114,7 +74,7 @@ func (r *providerRig) receive(c netem.Stream, wait, pause time.Duration) {
 		var rbuf []byte
 		for {
 			from, seq, payload, err := readMessage(c, &rbuf)
-			r.trace = fmt.Appendf(r.trace, "%d bob got %q %d %d %v\n", r.clock.Now(), from, seq, len(payload), err)
+			r.trace.Printf("%d bob got %q %d %d %v\n", r.clock.Now(), from, seq, len(payload), err)
 			if err != nil {
 				return
 			}
@@ -227,12 +187,7 @@ func TestIMProviderWireTrace(t *testing.T) {
 			r := newProviderRig(t, sc.cfg)
 			sc.run(t, r)
 			r.clock.Sleep(2 * time.Minute)
-			h := fnv.New64a()
-			h.Write(r.trace)
-			got := fmt.Sprintf("%016x", h.Sum64())
-			if want := providerTraceDigests[sc.name]; got != want {
-				t.Errorf("trace digest %s, want %s; trace:\n%s", got, want, r.trace)
-			}
+			tracekit.Pin(t, r.trace, providerTraceDigests[sc.name])
 		})
 	}
 }

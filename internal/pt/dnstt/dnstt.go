@@ -386,14 +386,14 @@ func (d *Dialer) Dial(target string) (netem.Stream, error) {
 	// Open the poll pipelines up front; each is one "DoH connection".
 	conns := make([]*netem.Conn, 0, d.cfg.Inflight)
 	for i := 0; i < d.cfg.Inflight; i++ {
-		c, err := d.host.Dial(d.resolverAddr)
+		c, err, _ := d.host.DialEvent(d.resolverAddr, nil)
 		if err != nil {
 			for _, cc := range conns {
 				cc.Close()
 			}
 			return nil, fmt.Errorf("dnstt: resolver unreachable: %w", err)
 		}
-		conns = append(conns, c.(*netem.Conn))
+		conns = append(conns, c)
 	}
 	clock := d.host.Network().Clock()
 	t := &tunnelConn{

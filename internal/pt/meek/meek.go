@@ -328,12 +328,12 @@ func (d *Dialer) Dial(target string) (netem.Stream, error) {
 		interval: minPoll,
 	}
 	binary.BigEndian.PutUint64(t.sid[:], d.next) // before Dial parks and another Dial runs
-	conn, err := d.host.Dial(d.frontAddr)
+	conn, err, _ := d.host.DialEvent(d.frontAddr, nil)
 	if err != nil {
 		return nil, fmt.Errorf("meek: front unreachable: %w", err)
 	}
 	t.in, t.pollFn = pt.NewFrameConn(cutReply, t.reply, t.stop), t.send
-	t.in.Attach(conn.(*netem.Conn))
+	t.in.Attach(conn)
 	// The first poll goes out once the caller parks, so it carries the
 	// target prologue written below.
 	clock.ReadyEvent(t.pollFn)

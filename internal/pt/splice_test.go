@@ -2,16 +2,14 @@ package pt_test
 
 import (
 	"bytes"
-	"fmt"
-	"hash/fnv"
 	"io"
-	"sync"
 	"testing"
 	"time"
 
 	"ptperf/internal/geo"
 	"ptperf/internal/netem"
 	"ptperf/internal/pt"
+	"ptperf/internal/testkit/tracekit"
 	"ptperf/internal/tor"
 )
 
@@ -25,12 +23,7 @@ type spliceRig struct {
 	c     netem.Stream // the client's end of wire A
 	up    netem.Stream
 	upW   io.Writer
-	trace []byte
-}
-
-// record notes one observation: which side, what it returned and when.
-func (r *spliceRig) record(side string, n int, err error) {
-	r.trace = fmt.Appendf(r.trace, "%s %d %v %d\n", side, n, err, r.clock.Now())
+	trace *tracekit.Trace
 }
 
 // spliceLegs builds wire B for each kind of destination: the conn the
@@ -52,36 +45,7 @@ var spliceLegs = []struct {
 		return b
 	}},
 	{"stream", func(t *testing.T, r *spliceRig, mid, _ *netem.Host, accepted *netem.Chan[netem.Stream]) netem.Stream {
-		// A mechanism of the test's own moves the stream's bytes over
-		// wire B: a goroutine that takes what was written every
-		// millisecond, and a read sink that delivers what arrives.
-		wire := mustDial(t, mid, "upstream:80").(*netem.Conn)
-		b := pt.NewStream(r.clock, "test", "mid", "upstream", 64<<10)
-		wire.SetReadSink(func(data []byte, base *[]byte, pool *sync.Pool, err error) {
-			if err != nil {
-				b.PeerFin(0)
-				return
-			}
-			b.Deliver(data)
-			if base != nil && pool != nil {
-				pool.Put(base)
-			}
-		})
-		r.net.Go(func() {
-			var buf []byte
-			for {
-				if buf = b.Take(buf, 16<<10); len(buf) > 0 {
-					if _, err := wire.Write(buf); err != nil {
-						b.Fail()
-						return
-					}
-				} else if b.Closed() {
-					wire.CloseWrite()
-					return
-				}
-				r.clock.Sleep(time.Millisecond)
-			}
-		})
+		b := tracekit.Stream(r.clock, mustDial(t, mid, "upstream:80").(*netem.Conn), 16<<10)
 		r.up, _ = accepted.Recv()
 		r.upW = r.up
 		return b
@@ -126,7 +90,7 @@ func mustDial(t *testing.T, h *netem.Host, addr string) netem.Stream {
 func newSpliceRig(t *testing.T, leg func(*testing.T, *spliceRig, *netem.Host, *netem.Host, *netem.Chan[netem.Stream]) netem.Stream, delay time.Duration) *spliceRig {
 	n := netem.New(netem.WithSeed(3))
 	t.Cleanup(n.Clock().Shutdown)
-	r := &spliceRig{net: n, clock: n.Clock()}
+	r := &spliceRig{net: n, clock: n.Clock(), trace: tracekit.New(n)}
 	client := n.MustAddHost(netem.HostConfig{Name: "client", Location: geo.Toronto, UplinkBps: 2 << 20, DownlinkBps: 2 << 20})
 	mid := n.MustAddHost(netem.HostConfig{Name: "mid", Location: geo.Frankfurt, UplinkBps: 3 << 20, DownlinkBps: 3 << 20})
 	upstream := n.MustAddHost(netem.HostConfig{Name: "upstream", Location: geo.NewYork, UplinkBps: 1 << 20, DownlinkBps: 1 << 20})
@@ -169,7 +133,7 @@ func (r *spliceRig) reader(side string, conn netem.Stream, size int, pause time.
 		buf := make([]byte, size)
 		for {
 			n, err := conn.Read(buf)
-			r.record(side+" read", n, err)
+			r.trace.Record(side+" read", n, err)
 			if err != nil {
 				return
 			}
@@ -183,7 +147,7 @@ func (r *spliceRig) reader(side string, conn netem.Stream, size int, pause time.
 func (r *spliceRig) writer(side string, w io.Writer, conn netem.Stream, n int, then func(netem.Stream)) {
 	r.net.Go(func() {
 		k, err := w.Write(bytes.Repeat([]byte("splice"), n/6+1)[:n])
-		r.record(side+" wrote", k, err)
+		r.trace.Record(side+" wrote", k, err)
 		if then != nil {
 			then(conn)
 		}
@@ -220,13 +184,13 @@ var spliceScenarios = []struct {
 			buf := make([]byte, 32<<10)
 			for {
 				n, err := r.up.Read(buf)
-				r.record("upstream read", n, err)
+				r.trace.Record("upstream read", n, err)
 				if err != nil {
 					break
 				}
 			}
 			k, err := r.upW.Write(bytes.Repeat([]byte("back"), 16<<10))
-			r.record("upstream wrote", k, err)
+			r.trace.Record("upstream wrote", k, err)
 			r.up.Close()
 		})
 	}},
@@ -237,10 +201,10 @@ var spliceScenarios = []struct {
 			buf := make([]byte, 16<<10)
 			for i := 0; i < 3; i++ {
 				n, err := r.up.Read(buf)
-				r.record("upstream read", n, err)
+				r.trace.Record("upstream read", n, err)
 			}
 			r.up.(*netem.Conn).Abort()
-			r.record("upstream abort", 0, nil)
+			r.trace.Record("upstream abort", 0, nil)
 		})
 	}},
 	{"early-bytes", 30 * time.Millisecond, func(r *spliceRig) {
@@ -253,7 +217,7 @@ var spliceScenarios = []struct {
 			buf := make([]byte, 32<<10)
 			for {
 				n, err := r.up.Read(buf)
-				r.record("upstream read", n, err)
+				r.trace.Record("upstream read", n, err)
 				if err != nil {
 					r.up.Close()
 					return
@@ -298,12 +262,7 @@ func TestSpliceWireTrace(t *testing.T) {
 				r := newSpliceRig(t, leg.leg, sc.delay)
 				sc.run(r)
 				r.clock.Sleep(time.Minute)
-				h := fnv.New64a()
-				h.Write(r.trace)
-				got := fmt.Sprintf("%016x", h.Sum64())
-				if want := spliceTraceDigests[name]; got != want {
-					t.Errorf("trace digest %s, want %s; trace:\n%s", got, want, r.trace)
-				}
+				tracekit.Pin(t, r.trace, spliceTraceDigests[name])
 			})
 		}
 	}

@@ -8,36 +8,50 @@ import (
 	"fmt"
 	"io"
 	"testing"
+	"time"
 
+	"ptperf/internal/geo"
 	"ptperf/internal/netem"
 	"ptperf/internal/pt"
 	"ptperf/internal/sim"
 )
 
-// wire is a fan-out conn that keeps what was written to it.
-type wire struct {
-	netem.Stream
-	buf bytes.Buffer
-}
-
-func (w *wire) Write(p []byte) (int, error) { return w.buf.Write(p) }
-
-func (w *wire) WriteEvent(p []byte, _ func()) (int, error, bool) {
-	n, err := w.Write(p)
-	return n, err, true
-}
-
-// wired is a chopConn over n wires, with no read loops.
-func wired(n int, seed int64) (*chopConn, []*wire) {
-	wires, conns := make([]*wire, n), make([]netem.Stream, n)
-	for i := range wires {
-		wires[i] = new(wire)
-		conns[i] = wires[i]
+// wired is a chopConn over n fan-out conns of a world of its own, with
+// no read loops, and what each conn's far end has read.
+func wired(t *testing.T, n int, seed int64) (*chopConn, *netem.Network, []*bytes.Buffer) {
+	net := netem.New(netem.WithSeed(seed))
+	t.Cleanup(net.Clock().Shutdown)
+	client := net.MustAddHost(netem.HostConfig{Name: "client", Location: geo.London})
+	server := net.MustAddHost(netem.HostConfig{Name: "server", Location: geo.Frankfurt})
+	ln, err := server.Listen(80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wires, conns := make([]*bytes.Buffer, n), make([]*netem.Conn, n)
+	for i := range conns {
+		wires[i] = new(bytes.Buffer)
+		if conns[i], err, _ = client.DialEvent("server:80", nil); err != nil {
+			t.Fatal(err)
+		}
+		far, err := ln.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		net.Go(func() { io.Copy(wires[i], far) })
 	}
 	return &chopConn{
-		Stream: pt.NewStream(netem.NewClock(), "steg", "a", "b", 0),
+		Stream: pt.NewStream(net.Clock(), "steg", "a", "b", 0),
 		cfg:    Config{}.withDefaults(), sid: 7, conns: conns, werrs: make([]error, n), rng: sim.NewRand(seed),
-	}, wires
+	}, net, wires
+}
+
+// drain ends c's fan-out conns and waits until their far ends have read
+// everything.
+func drain(c *chopConn, net *netem.Network) {
+	for _, conn := range c.conns {
+		conn.Close()
+	}
+	net.Clock().Sleep(time.Minute)
 }
 
 // writeAlloc is chopConn.Write with a buffer of its own for every block
@@ -92,8 +106,8 @@ func decodeAlloc(t *testing.T, r *bufio.Reader) []byte {
 // allocating Write put there, with the same draws; and every cover
 // decodes in place to the block a copy of it gave.
 func TestSealMatchesAllocatingSeal(t *testing.T) {
-	got, gotWires := wired(3, 5)
-	want, wantWires := wired(3, 5)
+	got, gotNet, gotWires := wired(t, 3, 5)
+	want, wantNet, wantWires := wired(t, 3, 5)
 	sizes := sim.NewRand(9)
 	payload := make([]byte, 8<<10)
 	for i := 0; i < 1000; i++ {
@@ -107,11 +121,13 @@ func TestSealMatchesAllocatingSeal(t *testing.T) {
 	if got.rng.Uint64() != want.rng.Uint64() {
 		t.Fatal("the two choppers drew differently")
 	}
+	drain(got, gotNet)
+	drain(want, wantNet)
 	for i := range gotWires {
-		if !bytes.Equal(gotWires[i].buf.Bytes(), wantWires[i].buf.Bytes()) {
+		if !bytes.Equal(gotWires[i].Bytes(), wantWires[i].Bytes()) {
 			t.Fatalf("fan-out conn %d carries different bytes", i)
 		}
-		r, ref := bufio.NewReader(&gotWires[i].buf), bufio.NewReader(&wantWires[i].buf)
+		r, ref := bufio.NewReader(gotWires[i]), bufio.NewReader(wantWires[i])
 		for blocks := 0; ; blocks++ {
 			block, err := decodeCover(r)
 			if err == io.EOF && blocks > 0 {
@@ -128,24 +144,27 @@ func TestSealMatchesAllocatingSeal(t *testing.T) {
 
 // TestChopConnWriteRefusesReentry: a second writer arriving while the
 // first is inside a fan-out conn's Write is a bug, not a race to lose.
+// The network's policy filters the first write's segment inside that
+// Write, and writes again from there.
 func TestChopConnWriteRefusesReentry(t *testing.T) {
-	c, _ := wired(1, 1)
-	c.conns[0] = reenter{write: func() { c.Write([]byte("second")) }}
+	c, net, _ := wired(t, 1, 1)
+	net.SetPolicy(reenter{write: func() { c.Write([]byte("second")) }})
 	defer func() {
-		if recover() == nil {
-			t.Fatal("a Write inside a Write went through")
+		if v := recover(); v != "stegotorus: chopConn.Write re-entered" {
+			t.Fatalf("a Write inside a Write: recovered %v", v)
 		}
 	}()
 	c.Write([]byte("first"))
 }
 
-// reenter is a fan-out conn whose Write calls back.
-type reenter struct {
-	netem.Stream
-	write func()
-}
+// reenter is a policy that writes again on every segment.
+type reenter struct{ write func() }
 
-func (r reenter) WriteEvent(p []byte, _ func()) (int, error, bool) {
+func (reenter) FilterDial(string, string) error { return nil }
+
+func (reenter) ConnOpened(*netem.Conn) {}
+
+func (r reenter) FilterSegment(netem.Flow, int) netem.Verdict {
 	r.write()
-	return len(p), nil, true
+	return netem.Verdict{}
 }

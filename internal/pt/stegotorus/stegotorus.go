@@ -143,7 +143,7 @@ type chopConn struct {
 	*pt.Stream
 	cfg   Config
 	sid   uint64
-	conns []netem.Stream
+	conns []*netem.Conn
 	// werrs holds each conn's first write error. A conn that failed a
 	// write is never written again: a write to a dead conn still passes
 	// the censor's segment filter, which counts it.
@@ -173,7 +173,7 @@ type chopConn struct {
 	readers int
 }
 
-func newChopConn(clock *netem.Clock, cfg Config, sid uint64, conns []netem.Stream, seed int64) *chopConn {
+func newChopConn(clock *netem.Clock, cfg Config, sid uint64, conns []*netem.Conn, seed int64) *chopConn {
 	c := &chopConn{
 		Stream:  pt.NewStream(clock, "steg", "stegotorus", "stegotorus-peer", 0),
 		cfg:     cfg,
@@ -186,7 +186,7 @@ func newChopConn(clock *netem.Clock, cfg Config, sid uint64, conns []netem.Strea
 	for _, conn := range conns {
 		r := &fanIn{c: c}
 		r.in = pt.NewFrameConn(cutCover, r.cover, r.stop)
-		r.in.Attach(conn.(*netem.Conn))
+		r.in.Attach(conn)
 		r.in.Await()
 	}
 	return c
@@ -282,9 +282,7 @@ func (c *chopConn) CloseWriteEvent(again func()) bool {
 		if c.finErr == nil {
 			c.finErr = c.werrs[c.fins]
 		}
-		if hc, ok := c.conns[c.fins].(pt.HalfCloser); ok {
-			hc.CloseWrite()
-		}
+		c.conns[c.fins].CloseWrite()
 	}
 	c.finishing = false
 	return true
@@ -368,7 +366,7 @@ type Server struct {
 
 // fanOut is a session's conns so far.
 type fanOut struct {
-	conns []netem.Stream
+	conns []*netem.Conn
 	want  int
 	// abandoned turns away a conn that arrives after the rest were
 	// closed.
@@ -470,9 +468,9 @@ func (d *Dialer) Dial(target string) (netem.Stream, error) {
 	sid := d.next
 	seed := int64(d.next) + d.cfg.Seed
 
-	conns := make([]netem.Stream, 0, d.cfg.Conns)
+	conns := make([]*netem.Conn, 0, d.cfg.Conns)
 	for i := 0; i < d.cfg.Conns; i++ {
-		c, err := d.host.Dial(d.addr)
+		c, err, _ := d.host.DialEvent(d.addr, nil)
 		if err != nil {
 			for _, cc := range conns {
 				cc.Close()

@@ -22,6 +22,7 @@ import (
 	"ptperf/internal/pt/snowflake"
 	"ptperf/internal/pt/stegotorus"
 	"ptperf/internal/pt/webtunnel"
+	"ptperf/internal/testkit"
 )
 
 // tunnels starts each of the 13 access methods' client-to-server legs in
@@ -181,7 +182,7 @@ func allocated(f func()) uint64 {
 // sixteenth of what they move. A make per record, per poll, per message
 // or per block is eight to sixty times that.
 func TestRecordPathAllocationBudget(t *testing.T) {
-	if raceEnabled {
+	if testkit.Race {
 		t.Skip("sync.Pool drops puts at random under the race detector")
 	}
 	const each = 1 << 20

@@ -110,8 +110,11 @@ func TestConcurrentWorldsMatchSequential(t *testing.T) {
 // isolation"): the progress monitor formats its status line, horizons
 // included, on its caller's goroutine while the worlds run. Everything
 // in a world is unlocked and non-atomic except Clock.now, so under -race
-// this is the test that a horizon reads nothing else; the signatures
-// prove the polling did not disturb a world.
+// the background poller is the test that a horizon reads nothing else;
+// the signatures prove the polling did not disturb a world. Each world
+// also reads the line once right after it attaches its horizon, so that
+// the line shows the horizon of a running world does not hang on the
+// poller winning a race with the worlds.
 func TestMonitorHorizonReadsRunningClocks(t *testing.T) {
 	const worlds = 4
 	sequential := make([]string, worlds)
@@ -124,26 +127,23 @@ func TestMonitorHorizonReadsRunningClocks(t *testing.T) {
 	}
 
 	m := sim.NewMonitor(nil)
-	stop := make(chan struct{})
-	horizons := make(chan int)
+	stop, polled := make(chan struct{}), make(chan struct{})
 	go func() {
-		seen := 0
+		defer close(polled)
 		for {
 			select {
 			case <-stop:
-				horizons <- seen
 				return
 			default:
 			}
-			if strings.Contains(m.Line(), "@") {
-				seen++
-			}
+			m.Line()
 			runtime.Gosched()
 		}
 	}()
 
 	e := sim.NewExecutor(worlds)
 	futures := make([]*sim.Future[string], worlds)
+	shown := make([]bool, worlds) // world i's own read showed its horizon
 	for i := range futures {
 		key := fmt.Sprintf("world-%d", i)
 		m.Register(key)
@@ -151,6 +151,7 @@ func TestMonitorHorizonReadsRunningClocks(t *testing.T) {
 			m.Start(key)
 			sig, err := worldSignature(2, int64(i), func(w *testbed.World) {
 				m.Horizon(key, w.Net.Clock().Now)
+				shown[i] = strings.Contains(m.Line(), key+"@")
 			})
 			m.Finish(key, err)
 			return sig, err
@@ -167,8 +168,15 @@ func TestMonitorHorizonReadsRunningClocks(t *testing.T) {
 		}
 	}
 	close(stop)
-	if seen := <-horizons; seen == 0 {
-		t.Error("the monitor never formatted a running world's horizon")
+	<-polled
+	reads := 0
+	for _, ok := range shown {
+		if ok {
+			reads++
+		}
+	}
+	if reads != worlds {
+		t.Errorf("the monitor formatted a running world's horizon in %d of %d reads", reads, worlds)
 	}
 }
 

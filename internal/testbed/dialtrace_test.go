@@ -3,54 +3,41 @@ package testbed
 import (
 	"bytes"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"strings"
 	"testing"
 	"time"
 
 	"ptperf/internal/netem"
+	"ptperf/internal/testkit/tracekit"
 	"ptperf/internal/tor"
 )
 
-// dialTap is a netem.Policy that passes everything and records, each at
-// its instant with the bytes delivered and conns closed so far, every
-// dial with its verdict, every conn opened and every segment. A case's
-// faults ride on it: refuse turns a dial away, delay holds a segment
-// back (an hour is a black hole), and seen learns of each segment once
-// it is recorded.
-type dialTap struct {
-	net    *netem.Network
-	trace  []byte
+// casePolicy is the policy a case's faults ride on, under the rig's tap:
+// refuse turns a dial away, delay holds a segment back (an hour is a
+// black hole), and seen learns of each segment once the tap has
+// recorded it.
+type casePolicy struct {
 	refuse func(src, dst string) bool
 	delay  func(f netem.Flow) time.Duration
 	seen   func(f netem.Flow, n int)
 }
 
-func (d *dialTap) note(format string, args ...any) {
-	a := d.net.Acct().Snapshot()
-	d.trace = fmt.Appendf(d.trace, "%d %d %d ", d.net.Now(), a.BytesDelivered, a.ConnsClosed)
-	d.trace = fmt.Appendf(d.trace, format+"\n", args...)
-}
-
-func (d *dialTap) FilterDial(src, dst string) error {
-	if d.refuse != nil && d.refuse(src, dst) {
-		d.note("dial %s %s refused", src, dst)
+func (p *casePolicy) FilterDial(src, dst string) error {
+	if p.refuse != nil && p.refuse(src, dst) {
 		return fmt.Errorf("dial refused")
 	}
-	d.note("dial %s %s", src, dst)
 	return nil
 }
 
-func (d *dialTap) ConnOpened(c *netem.Conn) { d.note("open %s %s", c.LocalAddr(), c.RemoteAddr()) }
+func (p *casePolicy) ConnOpened(*netem.Conn) {}
 
-func (d *dialTap) FilterSegment(f netem.Flow, n int) netem.Verdict {
-	d.note("segment %s %s %d", f.Src, f.Dst, n)
-	if d.seen != nil {
-		d.seen(f, n)
+func (p *casePolicy) FilterSegment(f netem.Flow, n int) netem.Verdict {
+	if p.seen != nil {
+		p.seen(f, n)
 	}
-	if d.delay != nil {
-		if extra := d.delay(f); extra > 0 {
+	if p.delay != nil {
+		if extra := p.delay(f); extra > 0 {
 			return netem.Verdict{Action: netem.Impair, Extra: extra}
 		}
 	}
@@ -61,9 +48,10 @@ func (d *dialTap) FilterSegment(f netem.Flow, n int) netem.Verdict {
 // server runs the Tor client that dials each stream's target) and an
 // echo service on echo:7, its network tapped.
 type dialRig struct {
-	w   *World
-	d   *Deployment
-	tap *dialTap
+	w      *World
+	d      *Deployment
+	tap    *tracekit.Trace
+	faults casePolicy
 }
 
 func newDialRig(t *testing.T, retry tor.RetryPolicy) *dialRig {
@@ -72,8 +60,8 @@ func newDialRig(t *testing.T, retry tor.RetryPolicy) *dialRig {
 		t.Fatal(err)
 	}
 	t.Cleanup(w.Close)
-	r := &dialRig{w: w, tap: &dialTap{net: w.Net}}
-	w.Net.SetPolicy(r.tap)
+	r := &dialRig{w: w}
+	r.tap = tracekit.New(w.Net).Tap(&r.faults)
 	ln, err := w.Net.MustAddHost(netem.HostConfig{Name: "echo", Location: w.Opts.ClientLocation}).Listen(7)
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +91,7 @@ func host(addr string) string { h, _, _ := strings.Cut(addr, ":"); return h }
 func (r *dialRig) preheat() tor.Path {
 	err := r.d.Preheat()
 	p := r.d.tor.Path()
-	r.tap.note("preheat %v", err)
+	r.tap.Note("preheat %v", err)
 	return p
 }
 
@@ -112,17 +100,17 @@ func (r *dialRig) preheat() tor.Path {
 // result: the instants the application sees.
 func (r *dialRig) session(target string) {
 	conn, err := r.d.Dial(target)
-	r.tap.note("dialed %v", err)
+	r.tap.Note("dialed %v", err)
 	if err != nil {
 		return
 	}
 	msg := bytes.Repeat([]byte("dial-trace/"), 137)[:1500]
 	_, err = conn.Write(msg)
-	r.tap.note("wrote %v", err)
+	r.tap.Note("wrote %v", err)
 	conn.(netem.Stream).SetReadTimeout(10 * time.Minute)
 	got := make([]byte, len(msg))
 	n, err := io.ReadFull(conn, got)
-	r.tap.note("read %d %v %v", n, err, bytes.Equal(got, msg))
+	r.tap.Note("read %d %v %v", n, err, bytes.Equal(got, msg))
 	conn.Close()
 }
 
@@ -158,9 +146,9 @@ var dialCases = []struct {
 	{"reattach", tor.RetryPolicy{}, 5 * time.Minute, func(t *testing.T, r *dialRig) {
 		p := r.preheat()
 		middle, clock := r.relay(p.Middle), r.w.Net.Clock()
-		r.tap.seen = func(f netem.Flow, n int) {
+		r.faults.seen = func(f netem.Flow, n int) {
 			if strings.HasPrefix(f.Src, "cloak-server-") && f.Dst == p.Guard.Addr {
-				r.tap.seen = nil
+				r.faults.seen = nil
 				clock.EventAt(clock.Now(), func() { middle.Crash() })
 			}
 		}
@@ -170,7 +158,7 @@ var dialCases = []struct {
 	// out, and the rebuild goes through.
 	{"create-timeout", tor.RetryPolicy{}, 10 * time.Minute, func(t *testing.T, r *dialRig) {
 		holes := 1
-		r.tap.delay = func(f netem.Flow) time.Duration {
+		r.faults.delay = func(f netem.Flow) time.Duration {
 			if strings.HasPrefix(f.Dst, "guard-") && holes > 0 {
 				holes--
 				return time.Hour
@@ -183,7 +171,7 @@ var dialCases = []struct {
 	// BuildTimeout, and the rebuild goes through.
 	{"extend-timeout", tor.RetryPolicy{}, 10 * time.Minute, func(t *testing.T, r *dialRig) {
 		segs := 0
-		r.tap.delay = func(f netem.Flow) time.Duration {
+		r.faults.delay = func(f netem.Flow) time.Duration {
 			if strings.HasPrefix(f.Dst, "guard-") {
 				if segs++; segs == 2 {
 					return time.Hour
@@ -197,7 +185,7 @@ var dialCases = []struct {
 	// off, with jitter, before the next.
 	{"backoff", tor.RetryPolicy{BackoffBase: 2 * time.Second}, 5 * time.Minute, func(t *testing.T, r *dialRig) {
 		refusals := 2
-		r.tap.refuse = func(src, dst string) bool {
+		r.faults.refuse = func(src, dst string) bool {
 			if strings.HasPrefix(dst, "guard-") && refusals > 0 {
 				refusals--
 				return true
@@ -208,7 +196,7 @@ var dialCases = []struct {
 	}},
 	// Every dial fails: the stream's build fails after its one retry.
 	{"unreachable", tor.RetryPolicy{BackoffBase: time.Second, MaxBuildRetries: 1}, 5 * time.Minute, func(t *testing.T, r *dialRig) {
-		r.tap.refuse = func(src, dst string) bool { return strings.HasPrefix(dst, "guard-") }
+		r.faults.refuse = func(src, dst string) bool { return strings.HasPrefix(dst, "guard-") }
 		r.session("echo:7")
 	}},
 	// The middle crashes as the BEGIN leaves and every guard refuses
@@ -217,10 +205,10 @@ var dialCases = []struct {
 	{"abandoned", tor.RetryPolicy{}, 5 * time.Minute, func(t *testing.T, r *dialRig) {
 		p := r.preheat()
 		middle, clock := r.relay(p.Middle), r.w.Net.Clock()
-		r.tap.seen = func(f netem.Flow, n int) {
+		r.faults.seen = func(f netem.Flow, n int) {
 			if strings.HasPrefix(f.Src, "cloak-server-") && f.Dst == p.Guard.Addr {
-				r.tap.seen = nil
-				r.tap.refuse = func(src, dst string) bool { return strings.HasPrefix(dst, "guard-") }
+				r.faults.seen = nil
+				r.faults.refuse = func(src, dst string) bool { return strings.HasPrefix(dst, "guard-") }
 				clock.EventAt(clock.Now(), func() { middle.Crash() })
 			}
 		}
@@ -256,7 +244,7 @@ var dialCases = []struct {
 	// The exit's answers are held back an hour: CONNECTED times out.
 	{"connected-timeout", tor.RetryPolicy{}, 10 * time.Minute, func(t *testing.T, r *dialRig) {
 		p := r.preheat()
-		r.tap.delay = func(f netem.Flow) time.Duration {
+		r.faults.delay = func(f netem.Flow) time.Duration {
 			if host(f.Src) == host(p.Exit.Addr) {
 				return time.Hour
 			}
@@ -299,13 +287,8 @@ func TestClientDialTrace(t *testing.T) {
 			r := newDialRig(t, tc.retry)
 			tc.run(t, r)
 			r.w.Net.Clock().Sleep(tc.span)
-			r.tap.note("end %+v", r.d.Recovery())
-			h := fnv.New64a()
-			h.Write(r.tap.trace)
-			got := fmt.Sprintf("%016x", h.Sum64())
-			if want := dialTraceDigests[tc.name]; got != want {
-				t.Errorf("trace digest %s, want %s; trace:\n%s", got, want, r.tap.trace)
-			}
+			r.tap.Note("end %+v", r.d.Recovery())
+			tracekit.Pin(t, r.tap, dialTraceDigests[tc.name])
 		})
 	}
 }

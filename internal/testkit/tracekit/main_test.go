@@ -1,0 +1,9 @@
+package tracekit
+
+import (
+	"testing"
+
+	"ptperf/internal/testkit"
+)
+
+func TestMain(m *testing.M) { testkit.Main(m, "tracekit") }

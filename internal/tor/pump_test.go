@@ -4,15 +4,14 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
-	"sync"
 	"testing"
 	"time"
 
 	"ptperf/internal/geo"
 	"ptperf/internal/netem"
 	"ptperf/internal/pt"
+	"ptperf/internal/testkit/tracekit"
 )
 
 // pumpRig is a three-relay circuit over a first hop the test builds: the
@@ -28,18 +27,13 @@ type pumpRig struct {
 	server netem.Stream
 	// targets hands the target's accepted conns to the scenario.
 	targets *netem.Chan[netem.Stream]
-	trace   []byte
-}
-
-// record notes one observation: which side, what it returned and when.
-func (r *pumpRig) record(side string, n int, err error) {
-	r.trace = fmt.Appendf(r.trace, "%s %d %v %d\n", side, n, err, r.clock.Now())
+	trace   *tracekit.Trace
 }
 
 // firstHops builds each kind of first hop over the raw conn pair: the
 // client's end and the guard's. A record end is a pt.RecordConn, a
-// stream end a pt.Stream a mechanism of the test's own moves over the
-// raw conn, and a bare end the raw conn itself.
+// stream end a pt.Stream that tracekit.Stream moves over the raw conn in
+// 2 KiB takes, and a bare end the raw conn itself.
 var firstHops = []struct {
 	kind           string
 	client, server func(r *pumpRig, raw *netem.Conn) netem.Stream
@@ -58,37 +52,7 @@ func recordEnd(seed int64) func(*pumpRig, *netem.Conn) netem.Stream {
 
 func bareEnd(_ *pumpRig, raw *netem.Conn) netem.Stream { return raw }
 
-// streamEnd moves a pt.Stream's bytes over raw: a goroutine takes what
-// was written every millisecond, and a read sink delivers what arrives.
-func streamEnd(r *pumpRig, raw *netem.Conn) netem.Stream {
-	s := pt.NewStream(r.clock, "test", raw.LocalAddr().String(), raw.RemoteAddr().String(), 64<<10)
-	raw.SetReadSink(func(data []byte, base *[]byte, pool *sync.Pool, err error) {
-		if err != nil {
-			s.PeerFin(0)
-			return
-		}
-		s.Deliver(data)
-		if base != nil && pool != nil {
-			pool.Put(base)
-		}
-	})
-	r.net.Go(func() {
-		var buf []byte
-		for {
-			if buf = s.Take(buf, 2<<10); len(buf) > 0 {
-				if _, err := raw.Write(buf); err != nil {
-					s.Fail()
-					return
-				}
-			} else if s.Closed() {
-				raw.CloseWrite()
-				return
-			}
-			r.clock.Sleep(time.Millisecond)
-		}
-	})
-	return s
-}
+func streamEnd(r *pumpRig, raw *netem.Conn) netem.Stream { return tracekit.Stream(r.clock, raw, 2<<10) }
 
 // newPumpRig starts the relays, the guard's first-hop server, a target
 // host listening on port 80 and a client pinned to the three relays
@@ -96,7 +60,7 @@ func streamEnd(r *pumpRig, raw *netem.Conn) netem.Stream {
 func newPumpRig(t *testing.T, seed int64, client, server func(*pumpRig, *netem.Conn) netem.Stream) *pumpRig {
 	n := netem.New(netem.WithSeed(seed))
 	t.Cleanup(n.Clock().Shutdown)
-	r := &pumpRig{net: n, clock: n.Clock(), targets: netem.NewChan[netem.Stream](n.Clock(), 0)}
+	r := &pumpRig{net: n, clock: n.Clock(), targets: netem.NewChan[netem.Stream](n.Clock(), 0), trace: tracekit.New(n)}
 	for i, role := range []struct {
 		name  string
 		flags Flag
@@ -170,26 +134,26 @@ func (r *pumpRig) serveTarget(fn func(c netem.Stream)) {
 // answer reads a 1 KiB request off c and writes size bytes back.
 func (r *pumpRig) answer(c netem.Stream, size int) {
 	k, err := io.ReadFull(c, make([]byte, 1<<10))
-	r.record("target read", k, err)
+	r.trace.Record("target read", k, err)
 	k, err = c.Write(bytes.Repeat([]byte("cellpump"), size/8+1)[:size])
-	r.record("target wrote", k, err)
+	r.trace.Record("target wrote", k, err)
 }
 
 // request dials the target, sends a 1 KiB request and reads the answer
 // on a goroutine of the client's, size bytes a read, pausing after each.
 func (r *pumpRig) request(size int, pause time.Duration) {
 	s, err := r.client.Dial("target:80")
-	r.record("client dial", 0, err)
+	r.trace.Record("client dial", 0, err)
 	if err != nil {
 		return
 	}
 	k, err := s.Write(bytes.Repeat([]byte("q"), 1<<10))
-	r.record("client wrote", k, err)
+	r.trace.Record("client wrote", k, err)
 	r.net.Go(func() {
 		buf := make([]byte, size)
 		for {
 			n, err := s.Read(buf)
-			r.record("client read", n, err)
+			r.trace.Record("client read", n, err)
 			if err != nil {
 				return
 			}
@@ -230,7 +194,7 @@ var pumpScenarios = []struct {
 			c.Close()
 		})
 		r.request(16<<10, 0)
-		r.after(300*time.Millisecond, func() { r.record("exit crash", 0, nil); r.relays[2].Crash() })
+		r.after(300*time.Millisecond, func() { r.trace.Record("exit crash", 0, nil); r.relays[2].Crash() })
 	}},
 	// The guard's end of the first hop writes part of a cell and
 	// closes once the stream has gone quiet.
@@ -241,7 +205,7 @@ var pumpScenarios = []struct {
 		r.request(16<<10, 0)
 		r.after(time.Second, func() {
 			k, err := r.server.Write(bytes.Repeat([]byte{7}, 100))
-			r.record("guard wrote", k, err)
+			r.trace.Record("guard wrote", k, err)
 			r.clock.Sleep(10 * time.Millisecond)
 			r.server.Close()
 		})
@@ -254,7 +218,7 @@ var pumpScenarios = []struct {
 			c.Close()
 		})
 		r.request(16<<10, 0)
-		r.after(230*time.Millisecond, func() { r.record("guard crash", 0, nil); r.relays[0].Crash() })
+		r.after(230*time.Millisecond, func() { r.trace.Record("guard crash", 0, nil); r.relays[0].Crash() })
 	}},
 	// The target resets its end while the exit waits for a slow
 	// client's SENDMEs.
@@ -262,7 +226,7 @@ var pumpScenarios = []struct {
 		r.serveTarget(func(c netem.Stream) {
 			r.answer(c, 400<<10)
 			r.clock.Sleep(50 * time.Millisecond)
-			r.record("target abort", 0, nil)
+			r.trace.Record("target abort", 0, nil)
 			c.(*netem.Conn).Abort()
 		})
 		r.request(4<<10, 20*time.Millisecond)
@@ -278,7 +242,7 @@ var pumpScenarios = []struct {
 				buf := make([]byte, 1<<10)
 				for {
 					k, err := io.ReadFull(c, buf)
-					r.record(side, k, err)
+					r.trace.Record(side, k, err)
 					if err != nil {
 						return
 					}
@@ -289,12 +253,12 @@ var pumpScenarios = []struct {
 		for range 2 {
 			r.net.Go(func() {
 				s, err := r.client.Dial("target:80")
-				r.record("client dial", 0, err)
+				r.trace.Record("client dial", 0, err)
 				if err != nil {
 					return
 				}
 				k, err := s.Write(bytes.Repeat([]byte("u"), 600<<10))
-				r.record("client wrote", k, err)
+				r.trace.Record("client wrote", k, err)
 				s.Close()
 			})
 		}
@@ -308,13 +272,13 @@ var pumpScenarios = []struct {
 			c.Close()
 		})
 		r.request(16<<10, 0)
-		r.after(300*time.Millisecond, func() { r.record("middle crash", 0, nil); r.relays[1].Crash() })
+		r.after(300*time.Millisecond, func() { r.trace.Record("middle crash", 0, nil); r.relays[1].Crash() })
 	}},
 	// A stream to a port with no listener: the exit's dial fails and an
 	// END comes back; a stream after it still goes through.
 	{"begin-refused", func(r *pumpRig) {
 		_, err := r.client.Dial("target:81")
-		r.record("client dial refused", 0, err)
+		r.trace.Record("client dial refused", 0, err)
 		r.serveTarget(func(c netem.Stream) {
 			r.answer(c, 4<<10)
 			c.Close()
@@ -368,21 +332,16 @@ func TestCellPumpWireTrace(t *testing.T) {
 				var closeErr error
 				if circ := r.client.circ; circ != nil {
 					closeErr = circ.closeErr
-					r.record("circuit closed "+fmt.Sprint(circ.closed), 0, closeErr)
+					r.trace.Record("circuit closed "+fmt.Sprint(circ.closed), 0, closeErr)
 				}
 				for _, relay := range r.relays {
 					st := relay.SchedStats()
-					r.trace = fmt.Appendf(r.trace, "%s queued %d flushed %d dropped %d\n", relay.Name(), st.Queued, st.Flushed, st.Dropped)
+					r.trace.Printf("%s queued %d flushed %d dropped %d\n", relay.Name(), st.Queued, st.Flushed, st.Dropped)
 				}
 				if sc.name == "eof-mid-cell" && hop.kind != "flusher" && !errors.Is(closeErr, io.ErrUnexpectedEOF) {
 					t.Errorf("a first hop that ends mid-cell closed the circuit with %v, want %v", closeErr, io.ErrUnexpectedEOF)
 				}
-				h := fnv.New64a()
-				h.Write(r.trace)
-				got := fmt.Sprintf("%016x", h.Sum64())
-				if want := pumpTraceDigests[name]; got != want {
-					t.Errorf("trace digest %s, want %s; trace:\n%s", got, want, r.trace)
-				}
+				tracekit.Pin(t, r.trace, pumpTraceDigests[name])
 			})
 		}
 	}

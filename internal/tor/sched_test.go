@@ -9,6 +9,7 @@ import (
 
 	"ptperf/internal/geo"
 	"ptperf/internal/netem"
+	"ptperf/internal/testkit"
 )
 
 func TestEWMADecayHalflife(t *testing.T) {
@@ -416,7 +417,7 @@ func TestCircQueueKeepsItsArray(t *testing.T) {
 // two slabs' worth, so a node that never came back shows as
 // allocations.
 func TestCircQueueCycleAllocationFree(t *testing.T) {
-	if raceEnabled {
+	if testkit.Race {
 		t.Skip("allocation counts do not hold under the race detector")
 	}
 	clock := netem.NewClock()

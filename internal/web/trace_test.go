@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"strings"
 	"testing"
@@ -12,59 +11,8 @@ import (
 
 	"ptperf/internal/geo"
 	"ptperf/internal/netem"
+	"ptperf/internal/testkit/tracekit"
 )
-
-// tracedConn is the origin's end of a conn, recording every call the
-// origin makes on it as it returns: the instant, the span asked for and
-// the result. An event form that waits is recorded when it finishes,
-// where the plain call would have returned, and a write's span counts
-// what its unfinished turns took. A write's count is left out: where a
-// write fails, the event form's unfinished turns have counted a segment
-// that the plain call's count does not.
-type tracedConn struct {
-	netem.Stream
-	clock *netem.Clock
-	trace *[]byte
-	taken int
-}
-
-func (c *tracedConn) note(op string, span, n int, err error) {
-	*c.trace = fmt.Appendf(*c.trace, "%d origin %s %d %d %v\n", c.clock.Now(), op, span, n, err)
-}
-
-func (c *tracedConn) Read(p []byte) (int, error) {
-	n, err := c.Stream.Read(p)
-	c.note("read", len(p), n, err)
-	return n, err
-}
-
-func (c *tracedConn) ReadEvent(p []byte, again func()) (int, error, bool) {
-	n, err, done := c.Stream.ReadEvent(p, again)
-	if done {
-		c.note("read", len(p), n, err)
-	}
-	return n, err, done
-}
-
-func (c *tracedConn) Write(p []byte) (int, error) {
-	n, err := c.Stream.Write(p)
-	c.note("write", len(p), 0, err)
-	return n, err
-}
-
-func (c *tracedConn) WriteEvent(p []byte, again func()) (int, error, bool) {
-	n, err, done := c.Stream.WriteEvent(p, again)
-	if c.taken += n; done {
-		c.note("write", c.taken-n+len(p), 0, err)
-		c.taken = 0
-	}
-	return n, err, done
-}
-
-func (c *tracedConn) Close() error {
-	c.note("close", 0, 0, nil)
-	return c.Stream.Close()
-}
 
 // originRig is an origin whose conns are traced, and a client host on
 // a slower link than the origin's.
@@ -73,13 +21,13 @@ type originRig struct {
 	clock  *netem.Clock
 	client *netem.Host
 	origin *Origin
-	trace  []byte
+	trace  *tracekit.Trace
 }
 
 func newOriginRig(t *testing.T) *originRig {
 	n := netem.New(netem.WithSeed(5))
 	t.Cleanup(n.Clock().Shutdown)
-	r := &originRig{net: n, clock: n.Clock()}
+	r := &originRig{net: n, clock: n.Clock(), trace: tracekit.New(n)}
 	server := n.MustAddHost(netem.HostConfig{Name: "origin", Location: geo.NewYork, UplinkBps: 4 << 20, DownlinkBps: 4 << 20})
 	r.client = n.MustAddHost(netem.HostConfig{Name: "client", Location: geo.Toronto, UplinkBps: 1 << 20, DownlinkBps: 1 << 20})
 	// The one CBL site's manifest is more than the origin's 32 KiB write
@@ -96,7 +44,7 @@ func newOriginRig(t *testing.T) *originRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ln.Serve(func(c *netem.Conn) { r.origin.serveConn(&tracedConn{Stream: c, clock: r.clock, trace: &r.trace}) })
+	ln.Serve(func(c *netem.Conn) { r.origin.serveConn(r.trace.Calls(c, "origin")) })
 	return r
 }
 
@@ -121,7 +69,7 @@ func (r *originRig) fetch(br *bufio.Reader, chunk int, pause time.Duration) {
 		got += n
 		r.clock.Sleep(pause)
 	}
-	r.trace = fmt.Appendf(r.trace, "%d client got %d %d of %d %v\n", r.clock.Now(), resp.Status, got, resp.ContentLength, err)
+	r.trace.Printf("%d client got %d %d of %d %v\n", r.clock.Now(), resp.Status, got, resp.ContentLength, err)
 }
 
 // originScenarios drive a rig; each then runs for a minute of virtual
@@ -260,12 +208,7 @@ func TestOriginWireTrace(t *testing.T) {
 			r := newOriginRig(t)
 			sc.run(t, r)
 			r.clock.Sleep(time.Minute)
-			h := fnv.New64a()
-			h.Write(r.trace)
-			got := fmt.Sprintf("%016x", h.Sum64())
-			if want := originTraceDigests[sc.name]; got != want {
-				t.Errorf("trace digest %s, want %s; trace:\n%s", got, want, r.trace)
-			}
+			tracekit.Pin(t, r.trace, originTraceDigests[sc.name])
 		})
 	}
 }
