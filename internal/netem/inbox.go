@@ -18,16 +18,8 @@ import (
 type Inbox struct {
 	netDeadlines
 	cond Cond
-	// The unread bytes are chunks[0][head:] and every later chunk, n in
-	// all. Each chunk is an inboxChunkPool lease that Deliver fills
-	// before it takes the next and a read returns once drained, so a
-	// reader slower than its stream costs a lease per chunk of backlog
-	// and no copy. While bytes remain, a drained chunk waits as spare
-	// for the next lease: a queue that is never empty cycles two chunks
-	// without the pool.
-	chunks  []*[]byte
-	head, n int
-	spare   *[]byte
+	// unread holds the delivered bytes no read has taken yet.
+	unread ByteQueue
 	// fill, while a ReadFull is parked, is the rest of its request:
 	// deliveries fill it in place of the queue (filled bytes so far)
 	// and wake the reader only once it is full.
@@ -37,19 +29,6 @@ type Inbox struct {
 	// called, or the error of a Drop.
 	end error
 	rdl time.Duration // the instant reads time out, noDeadline for none
-}
-
-// inboxChunk is what one chunk of an Inbox holds: one threshold read of
-// the fetch body copy (64 KiB) and the two tor cells that land while
-// its reader wakes.
-const inboxChunk = 64<<10 + 2*514
-
-// inboxChunkPool leases the chunks of every Inbox.
-var inboxChunkPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, inboxChunk)
-		return &b
-	},
 }
 
 // NewInbox returns an open, empty inbox parking its reader on clock.
@@ -89,7 +68,7 @@ func (q *Inbox) read(p []byte, want int, again func()) (int, error, bool) {
 		if q.end != nil && q.end != io.EOF {
 			return 0, q.end, true
 		}
-		n += q.take(p[n:])
+		n += q.unread.TakeInto(p[n:])
 		switch {
 		case n >= want:
 			return n, nil, true
@@ -109,39 +88,6 @@ func (q *Inbox) read(p []byte, want int, again func()) (int, error, bool) {
 	}
 }
 
-// take moves up to len(p) queued bytes into p, returning each chunk's
-// lease as it drains.
-func (q *Inbox) take(p []byte) int {
-	total := 0
-	for len(p) > 0 && q.n > 0 {
-		first := q.chunks[0]
-		k := copy(p, (*first)[q.head:])
-		p, total, q.n = p[k:], total+k, q.n-k
-		if q.head += k; q.head == len(*first) {
-			q.dropChunk()
-		}
-	}
-	return total
-}
-
-// dropChunk drops the drained first chunk, the spare while bytes
-// remain, and returns it and the spare to the pool once none do; the
-// list keeps its array.
-func (q *Inbox) dropChunk() {
-	c := q.chunks[0]
-	*c = (*c)[:0]
-	q.chunks, q.head = slices.Delete(q.chunks, 0, 1), 0
-	if q.n > 0 && q.spare == nil {
-		q.spare = c
-		return
-	}
-	inboxChunkPool.Put(c)
-	if q.n == 0 && q.spare != nil {
-		inboxChunkPool.Put(q.spare)
-		q.spare = nil
-	}
-}
-
 // Deliver appends p to the read side, into a parked ReadFull's request
 // while it has room and then to the queue, and wakes the reader unless
 // it is a ReadFull still short of its request. Bytes arriving after
@@ -150,23 +96,11 @@ func (q *Inbox) Deliver(p []byte) {
 	if q.end != nil {
 		return
 	}
-	if len(q.fill) > 0 && q.n == 0 {
+	if len(q.fill) > 0 && q.unread.Len() == 0 {
 		k := copy(q.fill, p)
 		q.fill, q.filled, p = q.fill[k:], q.filled+k, p[k:]
 	}
-	for q.n += len(p); len(p) > 0; {
-		if k := len(q.chunks); k == 0 || len(*q.chunks[k-1]) == inboxChunk {
-			c := q.spare
-			if q.spare = nil; c == nil {
-				c = inboxChunkPool.Get().(*[]byte)
-			}
-			q.chunks = append(q.chunks, c)
-		}
-		last := q.chunks[len(q.chunks)-1]
-		k := min(len(p), inboxChunk-len(*last))
-		*last = append(*last, p[:k]...)
-		p = p[k:]
-	}
+	q.unread.Push(p)
 	if len(q.fill) == 0 {
 		q.cond.Broadcast()
 	}
@@ -184,10 +118,8 @@ func (q *Inbox) End() {
 // Drop ends the inbox with err: the queue is released, and every read
 // from now on returns err at once. It wakes the reader.
 func (q *Inbox) Drop(err error) {
-	q.end, q.n = err, 0
-	for len(q.chunks) > 0 {
-		q.dropChunk()
-	}
+	q.end = err
+	q.unread.Release()
 	q.cond.Broadcast()
 }
 
@@ -201,4 +133,94 @@ func (q *Inbox) SetReadTimeout(d time.Duration) error {
 	q.rdl = readDeadline(q.cond.clock, d)
 	q.cond.Broadcast()
 	return nil
+}
+
+// ByteQueue is a FIFO of bytes held in inboxChunkPool leases: Inbox's
+// unread bytes and pt.Stream's unsent ones. The queued bytes are
+// chunks[0][head:] and every later chunk, n in all. Push fills a chunk
+// before it leases the next and TakeInto returns each lease once
+// drained, so a consumer slower than its producer costs a lease per
+// chunk of backlog, and no array regrows or copies what it holds. While
+// bytes remain, a drained chunk waits as spare for the next lease: a
+// queue that is never empty cycles two chunks without the pool. The
+// zero ByteQueue is empty and holds no lease.
+type ByteQueue struct {
+	chunks  []*[]byte
+	head, n int
+	spare   *[]byte
+}
+
+// inboxChunk is what one chunk of a ByteQueue holds. A backlog is
+// mostly a few cells or one poll's worth, so a chunk a quarter of a
+// fetch body's 64 KiB threshold read keeps a short queue small; a long
+// one takes more leases, none of them copied.
+const inboxChunk = 16 << 10
+
+// inboxChunkPool leases the chunks of every ByteQueue.
+var inboxChunkPool = sync.Pool{
+	New: func() any {
+		b := make([]byte, 0, inboxChunk)
+		return &b
+	},
+}
+
+// Len counts the queued bytes.
+func (b *ByteQueue) Len() int { return b.n }
+
+// Push appends p to the queue.
+func (b *ByteQueue) Push(p []byte) {
+	for b.n += len(p); len(p) > 0; {
+		if k := len(b.chunks); k == 0 || len(*b.chunks[k-1]) == inboxChunk {
+			c := b.spare
+			if b.spare = nil; c == nil {
+				c = inboxChunkPool.Get().(*[]byte)
+			}
+			b.chunks = append(b.chunks, c)
+		}
+		last := b.chunks[len(b.chunks)-1]
+		k := min(len(p), inboxChunk-len(*last))
+		*last = append(*last, p[:k]...)
+		p = p[k:]
+	}
+}
+
+// TakeInto moves up to len(p) queued bytes into p and returns how many,
+// returning each chunk's lease as it drains.
+func (b *ByteQueue) TakeInto(p []byte) int {
+	total := 0
+	for len(p) > 0 && b.n > 0 {
+		first := b.chunks[0]
+		k := copy(p, (*first)[b.head:])
+		p, total, b.n = p[k:], total+k, b.n-k
+		if b.head += k; b.head == len(*first) {
+			b.dropChunk()
+		}
+	}
+	return total
+}
+
+// Release empties the queue and returns every lease to the pool.
+func (b *ByteQueue) Release() {
+	b.n = 0
+	for len(b.chunks) > 0 {
+		b.dropChunk()
+	}
+}
+
+// dropChunk drops the drained first chunk, the spare while bytes
+// remain, and returns it and the spare to the pool once none do; the
+// list keeps its array.
+func (b *ByteQueue) dropChunk() {
+	c := b.chunks[0]
+	*c = (*c)[:0]
+	b.chunks, b.head = slices.Delete(b.chunks, 0, 1), 0
+	if b.n > 0 && b.spare == nil {
+		b.spare = c
+		return
+	}
+	inboxChunkPool.Put(c)
+	if b.n == 0 && b.spare != nil {
+		inboxChunkPool.Put(b.spare)
+		b.spare = nil
+	}
 }

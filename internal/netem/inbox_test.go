@@ -84,18 +84,18 @@ func TestInboxDeliverNeverRegrows(t *testing.T) {
 			if grew > 16<<10 {
 				t.Errorf("queueing %d bytes and reading half allocated %d outside the pool", total, grew)
 			}
-			if want := sent - read; q.n != want || len(q.chunks) < want/inboxChunk {
-				t.Fatalf("%d bytes in %d chunks still queued, want %d bytes", q.n, len(q.chunks), want)
+			if want := sent - read; q.unread.n != want || len(q.unread.chunks) < want/inboxChunk {
+				t.Fatalf("%d bytes in %d chunks still queued, want %d bytes", q.unread.n, len(q.unread.chunks), want)
 			}
 			if end.drain {
-				for q.n > 0 {
-					q.ReadFull(got[:min(len(got), q.n)])
+				for q.unread.n > 0 {
+					q.ReadFull(got[:min(len(got), q.unread.n)])
 				}
 			} else {
 				q.Drop(errors.New("closed"))
 			}
-			if q.n != 0 || len(q.chunks) != 0 {
-				t.Fatalf("%d bytes in %d chunks queued at the end", q.n, len(q.chunks))
+			if q.unread.n != 0 || len(q.unread.chunks) != 0 {
+				t.Fatalf("%d bytes in %d chunks queued at the end", q.unread.n, len(q.unread.chunks))
 			}
 			if missing := allocated(leaseAll); missing > 16<<10 {
 				t.Errorf("leasing %d chunks at the end allocated %d bytes: not every lease came back", chunks, missing)
@@ -135,8 +135,8 @@ func TestInboxContract(t *testing.T) {
 			q.End()
 			q.Drop(errDropped)
 			q.Deliver([]byte("late"))
-			if q.n != 0 || len(q.chunks) != 0 {
-				t.Fatalf("%d bytes in %d chunks kept after Drop", q.n, len(q.chunks))
+			if q.unread.n != 0 || len(q.unread.chunks) != 0 {
+				t.Fatalf("%d bytes in %d chunks kept after Drop", q.unread.n, len(q.unread.chunks))
 			}
 			for _, read := range []func([]byte) (int, error){q.Read, q.ReadFull} {
 				if n, err := read(make([]byte, 4)); n != 0 || err != errDropped {
@@ -183,7 +183,7 @@ func TestInboxContract(t *testing.T) {
 			if parks := clock.Stats().Parks - before.Parks; parks != 1 {
 				t.Fatalf("ReadFull parked %d times, want once", parks)
 			}
-			if cap(q.chunks) != 0 {
+			if cap(q.unread.chunks) != 0 {
 				t.Fatal("a delivery to a parked ReadFull leased a chunk")
 			}
 		}},

@@ -2,6 +2,7 @@ package pt
 
 import (
 	"net"
+	"slices"
 
 	"ptperf/internal/netem"
 )
@@ -46,11 +47,9 @@ type Stream struct {
 	next  uint64
 	held  map[uint64][]byte
 	spare [][]byte
-	// out[outHead:] is written and not yet taken, a head-indexed queue
-	// that keeps its array (netem.Compact) however many bytes pass
-	// through.
-	out     []byte
-	outHead int
+	// unsent holds what was written and not yet taken, in pooled
+	// chunks that no write regrows.
+	unsent netem.ByteQueue
 	// closed is the hard teardown (Close or Fail): reads drain what was
 	// delivered and then report io.EOF, writes fail.
 	closed bool
@@ -68,9 +67,6 @@ func NewStream(clock *netem.Clock, transport, local, remote string, outCap int) 
 		outCap: outCap, writers: netem.NewCond(clock)}
 }
 
-// queued counts the bytes written and not yet taken.
-func (s *Stream) queued() int { return len(s.out) - s.outHead }
-
 // Write implements netem.Stream: bytes queue for the mechanism, and the
 // bounded queue is the tunnel's backpressure.
 func (s *Stream) Write(p []byte) (int, error) {
@@ -82,7 +78,7 @@ func (s *Stream) Write(p []byte) (int, error) {
 // the contract), or Write itself for a nil again.
 func (s *Stream) WriteEvent(p []byte, again func()) (written int, err error, done bool) {
 	for len(p) > 0 {
-		for s.queued() >= s.outCap && !s.closed {
+		for s.unsent.Len() >= s.outCap && !s.closed {
 			if s.writers.WaitEvent(again) {
 				return written, nil, false
 			}
@@ -90,9 +86,8 @@ func (s *Stream) WriteEvent(p []byte, again func()) (written int, err error, don
 		if s.closed || s.wdone {
 			return written, netem.ErrClosed, true
 		}
-		n := min(len(p), s.outCap-s.queued())
-		s.out, s.outHead = netem.Compact(s.out, s.outHead, n)
-		s.out = append(s.out, p[:n]...)
+		n := min(len(p), s.outCap-s.unsent.Len())
+		s.unsent.Push(p[:n])
 		written += n
 		p = p[n:]
 	}
@@ -121,7 +116,7 @@ func (s *Stream) EndWrite() {
 // WriteEnded reports whether EndWrite was called and every queued byte
 // has been taken.
 func (s *Stream) WriteEnded() bool {
-	return s.wdone && s.queued() == 0
+	return s.wdone && s.unsent.Len() == 0
 }
 
 // DeliverSeq is Deliver for mechanisms whose units arrive out of order:
@@ -172,14 +167,12 @@ func (s *Stream) finished() bool {
 // returned), empty when none wait. It keeps working after Close, so a
 // queue filled before the close still drains to the peer.
 func (s *Stream) Take(buf []byte, n int) []byte {
-	n = min(n, s.queued())
+	n = min(n, s.unsent.Len())
 	if n == 0 {
 		return buf[:0]
 	}
-	buf = append(buf[:0], s.out[s.outHead:s.outHead+n]...)
-	if s.outHead += n; s.outHead == len(s.out) {
-		s.out, s.outHead = s.out[:0], 0
-	}
+	buf = slices.Grow(buf[:0], n)[:n]
+	s.unsent.TakeInto(buf)
 	s.writers.Broadcast()
 	return buf
 }

@@ -1,14 +1,18 @@
 package pt_test
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"net"
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 
 	"ptperf/internal/netem"
 	"ptperf/internal/pt"
+	"ptperf/internal/testkit"
 )
 
 // A Stream's read half is its netem.Inbox: the embedding must keep it a
@@ -315,5 +319,64 @@ func TestStreamKeepsItsArrays(t *testing.T) {
 	}
 	if allocs > 16 {
 		t.Fatalf("1 MiB through each half of a stream took %.0f allocations, want a handful", allocs)
+	}
+}
+
+// TestStreamWriteNeverRegrows writes 1 MiB ahead of a Take loop on a
+// stream with meek's 256 KiB outCap and fails the stream once Write has
+// returned, with a full queue still to take. The bytes must arrive in
+// order, the last outCap of them taken after the Fail. The write half
+// queues in pooled chunks and nowhere else, and every lease is back
+// once drained: a second stream run the same way leases them all again
+// and allocates under 8 KiB, less than one lease, where a queue in an
+// array of the stream's own allocates at least one outCap.
+func TestStreamWriteNeverRegrows(t *testing.T) {
+	if testkit.Race {
+		t.Skip("sync.Pool drops puts at random under the race detector")
+	}
+	const total, outCap = 1 << 20, 256 << 10
+	// See TestAccessAllocationBudget for why the collector and the
+	// other Ps are off.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	up := bytes.Repeat([]byte("write-half/"), total/11+1)[:total]
+	got, buf := make([]byte, 0, total), make([]byte, 0, 4<<10)
+	afterFail := 0
+	run := func() {
+		clock := netem.NewClock()
+		defer clock.Shutdown()
+		s := pt.NewStream(clock, "test", "a", "b", outCap)
+		clock.Go(func() {
+			if n, err := s.Write(up); n != total || err != nil {
+				t.Errorf("Write: %d %v", n, err)
+			}
+			s.Fail()
+		})
+		got, afterFail = got[:0], 0
+		for len(got) < total {
+			failed := s.Closed()
+			if buf = s.Take(buf, cap(buf)); len(buf) == 0 {
+				clock.Sleep(time.Millisecond)
+			}
+			if failed {
+				afterFail += len(buf)
+			}
+			got = append(got, buf...)
+		}
+		if len(s.Take(buf, 1)) != 0 || !s.Closed() {
+			t.Fatal("the stream held more than was written, or never failed")
+		}
+	}
+	run() // fills the pool
+	grew := allocated(run)
+	t.Logf("allocated %d bytes queueing %d through a %d-byte window", grew, total, outCap)
+	if !bytes.Equal(got, up) {
+		t.Fatal("the written bytes were taken out of order")
+	}
+	if afterFail != outCap {
+		t.Errorf("%d bytes taken after Fail, want the full queue of %d", afterFail, outCap)
+	}
+	if grew > 8<<10 {
+		t.Errorf("a second stream allocated %d bytes: the queue regrew or a lease never came back", grew)
 	}
 }
