@@ -14,7 +14,6 @@
 package harness
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -125,11 +124,10 @@ type Runner struct {
 	cells map[string]any // cell key → its *sim.Future[Out] (see submit)
 
 	// omu guards the observability sinks: per-cell timelines, the
-	// captured experiment sections the HTML report embeds and the
-	// scheduler counters of the worlds measured.
+	// experiments run (for Sections) and the worlds' scheduler counters.
 	omu       sync.Mutex
 	timelines map[string]*obs.Timeline
-	sections  []obs.Section
+	ran       []Experiment
 	simStats  netem.Stats
 }
 
@@ -267,19 +265,22 @@ func (r *Runner) Run(id string) error {
 	return fmt.Errorf("harness: unknown experiment %q (have all, %s)", id, strings.Join(ids, ", "))
 }
 
-// run renders one experiment, teeing its report into a section buffer so
-// the HTML artifact can embed it. Rendering is single-threaded (tasks
-// never write r.out), so swapping the writer is safe.
+// run notes the experiment for Sections and renders it to r.out.
 func (r *Runner) run(e Experiment) error {
-	var buf bytes.Buffer
+	r.omu.Lock()
+	r.ran = append(r.ran, e)
+	r.omu.Unlock()
+	return r.render(r.out, e)
+}
+
+// render writes one experiment's report to w. Rendering is single-threaded
+// (tasks never write r.out), so swapping the writer is safe.
+func (r *Runner) render(w io.Writer, e Experiment) error {
 	orig := r.out
-	r.out = io.MultiWriter(orig, &buf)
-	fmt.Fprintf(r.out, "\n=== %s — %s (%s) ===\n", e.ID, e.Title, e.Artifact)
+	r.out = w
+	fmt.Fprintf(w, "\n=== %s — %s (%s) ===\n", e.ID, e.Title, e.Artifact)
 	err := e.run(r)
 	r.out = orig
-	r.omu.Lock()
-	r.sections = append(r.sections, obs.Section{ID: e.ID, Title: e.Title, Body: buf.String()})
-	r.omu.Unlock()
 	return err
 }
 

@@ -87,12 +87,20 @@ func (r *Runner) Timelines() []obs.CellTimeline {
 	return out
 }
 
-// Sections returns the experiment reports captured by Run, in run
-// order.
+// Sections renders every experiment Run rendered again, each into its own
+// buffer, in run order. Cells are memoised, so this reads no cache and
+// builds no world; call it after Run returns, as WriteArtifacts does.
 func (r *Runner) Sections() []obs.Section {
 	r.omu.Lock()
-	defer r.omu.Unlock()
-	return append([]obs.Section(nil), r.sections...)
+	ran := r.ran
+	r.omu.Unlock()
+	out := make([]obs.Section, 0, len(ran))
+	for _, e := range ran {
+		var b strings.Builder
+		r.render(&b, e)
+		out = append(out, obs.Section{ID: e.ID, Title: e.Title, Body: b.String()})
+	}
+	return out
 }
 
 // configSummary renders the campaign configuration lines the HTML

@@ -2,9 +2,13 @@ package harness
 
 import (
 	"bytes"
+	"io"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+
+	"ptperf/internal/testkit"
 )
 
 // TestSectionsMatchReport holds the HTML report's sections to the text
@@ -60,5 +64,53 @@ func TestSectionsMatchReport(t *testing.T) {
 		if got := r.CacheStats(); got != st {
 			t.Fatalf("plot=%v: Sections moved the cache counters from %+v to %+v", plot, st, got)
 		}
+	}
+}
+
+// TestCachedRunAllocationBudget holds a cached Run("all") with plots on,
+// the bench's warm workload, to what reading cells and printing the
+// report costs: the report is written once, straight to the Runner's
+// writer, and no section is kept for an HTML report nobody asked for.
+func TestCachedRunAllocationBudget(t *testing.T) {
+	if testkit.Race {
+		t.Skip("the race detector adds allocations of its own")
+	}
+	cfg := Config{
+		Seed:         1,
+		ByteScale:    0.06,
+		Sites:        4,
+		Repeats:      1,
+		FileAttempts: 1,
+		FileSizesMB:  []int{5, 10},
+		Jobs:         1,
+		Plot:         true,
+	}
+	dir := t.TempDir()
+	run := func(cached bool) {
+		r := New(cfg, io.Discard)
+		if err := r.EnableCache(dir); err != nil {
+			t.Fatalf("enable cache: %v", err)
+		}
+		if err := r.Run("all"); err != nil {
+			t.Fatalf("all: %v", err)
+		}
+		if st := r.CacheStats(); cached && st.Misses != 0 {
+			t.Fatalf("cached run missed: %+v", st)
+		}
+	}
+	run(false) // fills the cache
+	run(true)  // warms what a first cached read sets up once
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run(true)
+	}
+	runtime.ReadMemStats(&after)
+	bytesPer := (after.TotalAlloc - before.TotalAlloc) / runs
+	objsPer := (after.Mallocs - before.Mallocs) / runs
+	t.Logf("cached Run(\"all\"): %d B and %d objects per run", bytesPer, objsPer)
+	if bytesPer > 340_000 || objsPer > 5300 {
+		t.Fatalf("cached Run(\"all\") allocates %d B and %d objects per run, budget 340 000 B and 5 300", bytesPer, objsPer)
 	}
 }

@@ -97,7 +97,7 @@ var boxHeader = []string{"method", "n", "min", "q1", "median", "q3", "max", "mea
 func (r *Runner) writeBoxes(title string, rows []boxRow) {
 	w := r.out
 	fmt.Fprintf(w, "%s\n", title)
-	t := newTable(boxHeader...)
+	t := &table{header: boxHeader, rows: make([][]string, 0, len(rows))}
 	for _, row := range rows {
 		t.add(row.cells()...)
 	}
@@ -154,6 +154,7 @@ func (r *Runner) writeECDF(title string, series map[string][]float64, order []st
 func writePairedT(w io.Writer, title string, pairs []pairResult) {
 	fmt.Fprintf(w, "%s\n", title)
 	t := newTable("pair", "ci-lower", "ci-upper", "t-value", "p-value", "mean-diff")
+	t.rows = make([][]string, 0, len(pairs))
 	for _, p := range pairs {
 		t.add(
 			p.Name,
@@ -190,7 +191,7 @@ func fixed(x float64, prec int) string {
 
 // allPairs runs paired t-tests over every method pair of the dataset.
 func allPairs(data map[string]*accessData, pick func(*accessData) []float64, order []string) []pairResult {
-	var out []pairResult
+	out := make([]pairResult, 0, len(order)*(len(order)-1)/2)
 	for i := 0; i < len(order); i++ {
 		a, ok := data[order[i]]
 		if !ok {

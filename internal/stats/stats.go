@@ -172,12 +172,17 @@ func PairedT(x, y []float64) (TTestResult, error) {
 	if n < 2 {
 		return TTestResult{}, ErrTooFewPairs
 	}
-	d := make([]float64, n)
+	// Each pass recomputes x[i]-y[i] in order, giving Mean's and StdDev's bits.
+	var sum, ss float64
 	for i := range x {
-		d[i] = x[i] - y[i]
+		sum += x[i] - y[i]
 	}
-	mean := Mean(d)
-	sd := StdDev(d)
+	mean := sum / float64(n)
+	for i := range x {
+		dd := x[i] - y[i] - mean
+		ss += float64(dd * dd)
+	}
+	sd := math.Sqrt(ss / float64(n-1))
 	df := n - 1
 	res := TTestResult{N: n, MeanDiff: mean, DF: df}
 	if sd == 0 {

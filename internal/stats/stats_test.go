@@ -446,3 +446,90 @@ func TestSummarizeMatchesQuantile(t *testing.T) {
 		}
 	}
 }
+
+// pairedTSlice is PairedT as it was while it stored the differences in
+// a slice: the reference TestPairedTMatchesSliceForm holds it to.
+func pairedTSlice(x, y []float64) TTestResult {
+	n := len(x)
+	d := make([]float64, n)
+	for i := range x {
+		d[i] = x[i] - y[i]
+	}
+	mean, sd, df := Mean(d), StdDev(d), n-1
+	res := TTestResult{N: n, MeanDiff: mean, DF: df}
+	if sd == 0 {
+		if mean == 0 {
+			res.P = 1
+		} else {
+			res.T = math.Inf(sign(mean))
+		}
+		res.CILower, res.CIUpper = mean, mean
+		return res
+	}
+	se := sd / math.Sqrt(float64(n))
+	res.T = mean / se
+	res.P = 2 * (1 - TCDF(math.Abs(res.T), float64(df)))
+	tcrit := tCrit975(df)
+	res.CILower = mean - float64(tcrit*se)
+	res.CIUpper = mean + float64(tcrit*se)
+	return res
+}
+
+// TestPairedTMatchesSliceForm requires every field of PairedT to be
+// bit-equal to the slice-based reference over drawn samples: n=2,
+// constant shifts, large magnitudes and identical samples among them.
+// It also holds PairedT to no allocation.
+func TestPairedTMatchesSliceForm(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	check := func(x, y []float64) {
+		t.Helper()
+		got, err := PairedT(x, y)
+		if err != nil {
+			t.Fatalf("n=%d: %v", len(x), err)
+		}
+		want := pairedTSlice(x, y)
+		fields := []struct {
+			name      string
+			got, want float64
+		}{
+			{"MeanDiff", got.MeanDiff, want.MeanDiff},
+			{"T", got.T, want.T},
+			{"P", got.P, want.P},
+			{"CILower", got.CILower, want.CILower},
+			{"CIUpper", got.CIUpper, want.CIUpper},
+		}
+		for _, f := range fields {
+			if math.Float64bits(f.got) != math.Float64bits(f.want) {
+				t.Fatalf("n=%d %s: %v, slice form %v (x %v, y %v)", len(x), f.name, f.got, f.want, x, y)
+			}
+		}
+		if got.N != want.N || got.DF != want.DF {
+			t.Fatalf("n=%d: N, DF = %d, %d; slice form %d, %d", len(x), got.N, got.DF, want.N, want.DF)
+		}
+	}
+	for _, n := range []int{2, 3, 5, 17, 64, 1000} {
+		for trial := 0; trial < 8; trial++ {
+			scale := []float64{1, 1e-9, 1e12, 1e300}[trial%4]
+			x, y := make([]float64, n), make([]float64, n)
+			for i := range x {
+				x[i] = (rng.NormFloat64()*3 + 10) * scale
+				y[i] = (rng.NormFloat64()*3 + 9) * scale
+			}
+			check(x, y)
+			check(x, x)
+			shift := rng.NormFloat64() * scale
+			for i := range y {
+				y[i] = x[i] + shift
+			}
+			check(x, y)
+			check([]float64{x[0], 0}, []float64{0, x[0]})
+		}
+	}
+	check([]float64{1, 2, 3, 4}, []float64{3, 4, 5, 6})
+	x := []float64{3.1, 2.2, 5.9, 4.4, 1.3, 2.8}
+	y := []float64{2.0, 2.5, 4.1, 4.0, 1.9, 1.1}
+	check(x, y)
+	if a := testing.AllocsPerRun(100, func() { PairedT(x, y) }); a != 0 {
+		t.Fatalf("PairedT allocates %v times per call, want 0", a)
+	}
+}
