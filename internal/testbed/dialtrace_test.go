@@ -44,9 +44,9 @@ func (p *casePolicy) FilterSegment(f netem.Flow, n int) netem.Verdict {
 	return netem.Verdict{}
 }
 
-// dialRig is a small world with a set-3 deployment (cloak: the PT
-// server runs the Tor client that dials each stream's target) and an
-// echo service on echo:7, its network tapped.
+// dialRig is a small world with one method's deployment (TestClientDialTrace's
+// is cloak, a set-3 one: the PT server runs the Tor client that dials each
+// stream's target) and an echo service on echo:7, its network tapped.
 type dialRig struct {
 	w      *World
 	d      *Deployment
@@ -54,7 +54,7 @@ type dialRig struct {
 	faults casePolicy
 }
 
-func newDialRig(t *testing.T, retry tor.RetryPolicy) *dialRig {
+func newDialRig(t *testing.T, retry tor.RetryPolicy, method string) *dialRig {
 	w, err := New(Options{Seed: 7, ByteScale: 0.1, Guards: 2, Middles: 2, Exits: 2, TrancoN: 4, CBLN: 4, Retry: retry})
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +80,7 @@ func newDialRig(t *testing.T, retry tor.RetryPolicy) *dialRig {
 			})
 		}
 	})
-	r.d = mustDeploy(t, w, "cloak")
+	r.d = mustDeploy(t, w, method)
 	return r
 }
 
@@ -284,7 +284,7 @@ var dialTraceDigests = map[string]string{
 func TestClientDialTrace(t *testing.T) {
 	for _, tc := range dialCases {
 		t.Run(tc.name, func(t *testing.T) {
-			r := newDialRig(t, tc.retry)
+			r := newDialRig(t, tc.retry, "cloak")
 			tc.run(t, r)
 			r.w.Net.Clock().Sleep(tc.span)
 			r.tap.Note("end %+v", r.d.Recovery())
