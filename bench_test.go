@@ -220,7 +220,8 @@ func (w *ablationWorld) fetchThrough(b *testing.B, d pt.Dialer, size int) float6
 	c := &fetch.Client{
 		Net: w.net,
 		Dial: func(target string) (net.Conn, error) {
-			return d.Dial(target)
+			s, err, _ := d.DialEvent(target, nil)
+			return s, err
 		},
 		Timeout: 600 * time.Second,
 	}

@@ -18,7 +18,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -384,14 +384,21 @@ func forEachMethod[T any](w *testbed.World, methods []string, sequential bool, f
 // seconds converts a virtual duration to float seconds for stats.
 func seconds(d time.Duration) float64 { return d.Seconds() }
 
-// orderedMethods keeps report rows in category order: Tor first, then
-// the paper's PT ordering.
-func orderedMethods(methods []string) []string {
+// methodRank is each method's place in the report rows: Tor first, then
+// the paper's PT ordering. A name it lacks ranks with Tor.
+var methodRank = func() map[string]int {
 	rank := map[string]int{"tor": 0}
-	for i, n := range pt.Names() {
-		rank[n] = i + 1
+	for i, info := range pt.Infos {
+		rank[info.Name] = i + 1
 	}
+	return rank
+}()
+
+// orderedMethods keeps report rows in category order. slices.SortFunc
+// is sort.Slice's pattern-defeating quicksort, so even names of one rank
+// keep the order they always had.
+func orderedMethods(methods []string) []string {
 	out := append([]string(nil), methods...)
-	sort.Slice(out, func(i, j int) bool { return rank[out[i]] < rank[out[j]] })
+	slices.SortFunc(out, func(a, b string) int { return methodRank[a] - methodRank[b] })
 	return out
 }

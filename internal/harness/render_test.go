@@ -3,11 +3,15 @@ package harness
 import (
 	"bytes"
 	"io"
+	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
+	"ptperf/internal/pt"
 	"ptperf/internal/testkit"
 )
 
@@ -112,5 +116,46 @@ func TestCachedRunAllocationBudget(t *testing.T) {
 	t.Logf("cached Run(\"all\"): %d B and %d objects per run", bytesPer, objsPer)
 	if bytesPer > 340_000 || objsPer > 5300 {
 		t.Fatalf("cached Run(\"all\") allocates %d B and %d objects per run, budget 340 000 B and 5 300", bytesPer, objsPer)
+	}
+}
+
+// orderedBySortSlice is orderedMethods as it was: a rank map built per
+// call and sort.Slice.
+func orderedBySortSlice(methods []string) []string {
+	rank := map[string]int{"tor": 0}
+	for i, n := range pt.Names() {
+		rank[n] = i + 1
+	}
+	out := append([]string(nil), methods...)
+	sort.Slice(out, func(i, j int) bool { return rank[out[i]] < rank[out[j]] })
+	return out
+}
+
+// TestOrderedMethodsMatchesSortSlice: Tor first, then the paper's order;
+// the same rows as sort.Slice gave, ties and unknown names included, over
+// drawn lists; and one allocation, the returned slice.
+func TestOrderedMethodsMatchesSortSlice(t *testing.T) {
+	names := append([]string{"tor"}, pt.Names()...)
+	rev := slices.Clone(names)
+	slices.Reverse(rev)
+	if got := orderedMethods(rev); !slices.Equal(got, names) {
+		t.Fatalf("orderedMethods(%v) = %v, want %v", rev, got, names)
+	}
+	pool := append(slices.Clone(names), "x", "y", "z")
+	rng := rand.New(rand.NewSource(1))
+	for range 2000 {
+		in := make([]string, rng.Intn(40))
+		for i := range in {
+			in[i] = pool[rng.Intn(len(pool))]
+		}
+		if got, want := orderedMethods(in), orderedBySortSlice(in); !slices.Equal(got, want) {
+			t.Fatalf("orderedMethods(%v) = %v, sort.Slice gave %v", in, got, want)
+		}
+	}
+	if testkit.Race {
+		t.Skip("the race detector adds allocations of its own")
+	}
+	if n := testing.AllocsPerRun(100, func() { orderedMethods(rev) }); n > 1 {
+		t.Errorf("orderedMethods allocates %v times per call, want 1", n)
 	}
 }

@@ -72,7 +72,7 @@ func (r *acceptRig) handler(target string, conn netem.Stream) {
 // session dials through d, writes 1500 bytes, reads their echo and
 // closes, noting each result.
 func (r *acceptRig) session(d pt.Dialer) {
-	conn, err := d.Dial("extra:9001")
+	conn, err, _ := d.DialEvent("extra:9001", nil)
 	r.tap.Note("dialed %v", err)
 	if err != nil {
 		return
@@ -132,10 +132,10 @@ var acceptScenarios = []struct {
 	// event-form dialer.
 	{"cloak-dialer", time.Minute, func(t *testing.T, r *acceptRig) {
 		srv, _ := cloak.StartServer(r.server, 443, cloak.Config{UID: acceptKey, Seed: 1},
-			pt.HandleWithDialer(r.net.Clock(), func(target string, fn func(netem.Stream, error)) (netem.Stream, error, bool) {
+			pt.HandleWithDialer(r.net.Clock(), pt.DialerFunc(func(target string, fn func(netem.Stream, error)) (netem.Stream, error, bool) {
 				up, err, done := r.server.DialEvent(target, func(c *netem.Conn, err error) { fn(c, err) })
 				return up, err, done
-			}))
+			})))
 		r.session(cloak.NewDialer(r.client, srv.Addr(), cloak.Config{UID: acceptKey, Seed: 2}))
 	}},
 	{"shadowsocks", time.Minute, func(t *testing.T, r *acceptRig) {

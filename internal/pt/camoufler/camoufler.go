@@ -23,7 +23,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"slices"
@@ -99,14 +98,6 @@ func appendMessage(dst []byte, to string, seq uint64, payload []byte) ([]byte, e
 	}
 	dst = append(binary.BigEndian.AppendUint16(dst, uint16(n)), byte(len(to)))
 	return append(binary.BigEndian.AppendUint64(append(dst, to...), seq), payload...), nil
-}
-
-// writeMessage writes one message, built in *buf's array.
-func writeMessage(w io.Writer, buf *[]byte, to string, seq uint64, payload []byte) (err error) {
-	if *buf, err = appendMessage((*buf)[:0], to, seq, payload); err == nil {
-		_, err = w.Write(*buf)
-	}
-	return err
 }
 
 // parseMessage splits a message's body, what follows its length, into
@@ -425,9 +416,12 @@ func newIMConn(clock *netem.Clock, conn *netem.Conn, self, peer string, capBytes
 	return ic
 }
 
-// login announces the account to the provider.
-func (ic *imConn) login() error {
-	return writeMessage(ic.conn, &ic.wbuf, ic.self, 0, nil)
+// login is the message that announces the account to the provider,
+// built in wbuf.
+func (ic *imConn) login() ([]byte, error) {
+	var err error
+	ic.wbuf, err = appendMessage(ic.wbuf[:0], ic.self, 0, nil)
+	return ic.wbuf, err
 }
 
 // message takes one message from the provider. The tunnel is over when
@@ -522,23 +516,6 @@ func StartProxy(host *netem.Host, imServerAddr, accountBase string, cfg Config, 
 	return p, nil
 }
 
-// serveSession logs the proxy account for session n in and handles it.
-func (p *Proxy) serveSession(n uint64) error {
-	conn, err, _ := p.host.DialEvent(p.imAddr, nil)
-	if err != nil {
-		return err
-	}
-	self := fmt.Sprintf("%s-p%d", p.acct, n)
-	peer := fmt.Sprintf("%s-c%d", p.acct, n)
-	ic := newIMConn(p.host.Network().Clock(), conn, self, peer, p.cfg.MessageCap)
-	if err := ic.login(); err != nil {
-		ic.Close()
-		return err
-	}
-	p.host.Network().Clock().ReadyEvent(func() { pt.ServeStream(ic, p.handle) })
-	return nil
-}
-
 // Dialer is the camoufler client. It admits a single concurrent stream:
 // concurrent Dial calls fail, mirroring the paper's observation that
 // camoufler cannot serve selenium's parallel requests.
@@ -567,38 +544,69 @@ func NewDialer(host *netem.Host, imServerAddr, accountBase string, cfg Config, p
 	}
 }
 
-// Dial implements pt.Dialer.
-func (d *Dialer) Dial(target string) (netem.Stream, error) {
+// DialEvent implements pt.Dialer.
+func (d *Dialer) DialEvent(target string, done func(netem.Stream, error)) (netem.Stream, error, bool) {
 	if d.active {
-		return nil, ErrBusy
+		return nil, ErrBusy, true
 	}
 	d.active = true
 	d.session++
-	n := d.session
-
-	release := func() { d.active = false }
-
-	// The proxy side brings its account online for this session.
-	if err := d.proxy.serveSession(n); err != nil {
-		release()
-		return nil, err
-	}
-	conn, err, _ := d.host.DialEvent(d.imAddr, nil)
-	if err != nil {
-		release()
-		return nil, err
-	}
-	self := fmt.Sprintf("%s-c%d", d.acct, n)
-	peer := fmt.Sprintf("%s-p%d", d.acct, n)
-	ic := newIMConn(d.host.Network().Clock(), conn, self, peer, d.cfg.MessageCap)
-	ic.onClose = release
-	if err := ic.login(); err != nil {
-		ic.Close()
-		return nil, err
-	}
-	if err := pt.WriteTarget(ic, target); err != nil {
-		ic.Close()
-		return nil, err
-	}
-	return ic, nil
+	x := &dial{d: d, target: target, n: d.session}
+	return x.Play(x, done)
 }
+
+// dial is one Dial under way: the proxy logs its account for session n
+// in and serves it, then the client logs its own in and writes the
+// target prologue. ic is the account being logged in.
+type dial struct {
+	pt.Chain
+	d      *Dialer
+	target string
+	n      uint64
+	ic     *imConn
+}
+
+func (x *dial) Next() {
+	c, d, p := &x.Chain, x.d, x.d.proxy
+	if c.Err != nil {
+		if c.At != 1 && c.At != 3 { // a login or the prologue failed
+			x.ic.Close()
+		}
+		if c.At <= 3 { // from then on the client's Close releases
+			d.release()
+		}
+		c.End(nil, c.Err)
+		return
+	}
+	switch c.At {
+	case 0:
+		c.Dial(p.host, p.imAddr)
+	case 1:
+		x.ic = newIMConn(p.host.Network().Clock(), c.Raw, fmt.Sprintf("%s-p%d", p.acct, x.n), fmt.Sprintf("%s-c%d", p.acct, x.n), p.cfg.MessageCap)
+		x.login()
+	case 2:
+		ic := x.ic
+		p.host.Network().Clock().ReadyEvent(func() { pt.ServeStream(ic, p.handle) })
+		c.Dial(d.host, d.imAddr)
+	case 3:
+		x.ic = newIMConn(d.host.Network().Clock(), c.Raw, fmt.Sprintf("%s-c%d", d.acct, x.n), fmt.Sprintf("%s-p%d", d.acct, x.n), d.cfg.MessageCap)
+		x.ic.onClose = d.release
+		x.login()
+	case 4:
+		c.WriteTarget(x.ic, x.target)
+	default:
+		c.End(x.ic, nil)
+	}
+}
+
+// login writes the account's login message.
+func (x *dial) login() {
+	if msg, err := x.ic.login(); err != nil {
+		x.Err = err
+	} else {
+		x.Write(x.ic.conn, msg)
+	}
+}
+
+// release frees the account pair for the next stream.
+func (d *Dialer) release() { d.active = false }

@@ -187,3 +187,11 @@ func TestRefusedDeliveryWaitsForTheWindow(t *testing.T) {
 		}
 	}
 }
+
+// writeMessage writes one message, built in *buf's array.
+func writeMessage(w io.Writer, buf *[]byte, to string, seq uint64, payload []byte) (err error) {
+	if *buf, err = appendMessage((*buf)[:0], to, seq, payload); err == nil {
+		_, err = w.Write(*buf)
+	}
+	return err
+}

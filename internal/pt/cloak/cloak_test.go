@@ -62,7 +62,7 @@ func TestClientHelloAuthenticates(t *testing.T) {
 	defer a.Close()
 	defer b.Close()
 	n1.Go(func() { a.Write(hello) })
-	if _, err := Transport(Config{UID: uid}).Server.Run(b, 3); err != nil {
+	if _, err, _ := Transport(Config{UID: uid}).Server.RunEvent(b, 3, nil); err != nil {
 		t.Fatalf("valid hello rejected: %v", err)
 	}
 
@@ -70,7 +70,7 @@ func TestClientHelloAuthenticates(t *testing.T) {
 	defer c.Close()
 	defer d.Close()
 	n2.Go(func() { c.Write(hello) })
-	if _, err := Transport(Config{UID: []byte("other")}).Server.Run(d, 4); err != ErrAuth {
+	if _, err, _ := Transport(Config{UID: []byte("other")}).Server.RunEvent(d, 4, nil); err != ErrAuth {
 		t.Fatalf("wrong UID must fail auth, got %v", err)
 	}
 }
@@ -84,7 +84,7 @@ func TestZeroRTT(t *testing.T) {
 
 	serverGot := netem.NewChan[[]byte](nw.Clock(), 1)
 	nw.Go(func() {
-		sc, err := Transport(Config{UID: []byte("u")}).Server.Run(b, 5)
+		sc, err, _ := Transport(Config{UID: []byte("u")}).Server.RunEvent(b, 5, nil)
 		if err != nil {
 			serverGot.Send(nil)
 			return
@@ -94,7 +94,7 @@ func TestZeroRTT(t *testing.T) {
 		serverGot.Send(buf[:n])
 	})
 
-	cc, err := Transport(Config{UID: []byte("u")}).Client.Run(a, 6)
+	cc, err, _ := Transport(Config{UID: []byte("u")}).Client.RunEvent(a, 6, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

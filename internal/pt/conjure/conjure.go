@@ -98,8 +98,11 @@ func (inf *Infra) PhantomAddr() string { return inf.phantomLn.Addr().String() }
 // serveRegistration takes one registration: nonce ‖ MAC → ack. A bad
 // MAC gets no ack, like a real registrar's silent drop.
 func (inf *Infra) serveRegistration(c *netem.Conn) {
-	pt.Handshake{Steps: []pt.Step{{N: nonceLen + macLen, Check: inf.register}, pt.Send([]byte{0x01})}}.RunEvent(c, 0,
-		func(netem.Stream, error) { c.Close() })
+	closeFn := func(netem.Stream, error) { c.Close() }
+	hs := pt.Handshake{Steps: []pt.Step{{N: nonceLen + macLen, Check: inf.register}, pt.Send([]byte{0x01})}}
+	if _, _, done := hs.RunEvent(c, 0, closeFn); done {
+		c.Close()
+	}
 }
 
 func (inf *Infra) register(_ *pt.Transcript, msg []byte) (int, error) {
@@ -125,7 +128,9 @@ type flow struct {
 // the bridge.
 func (inf *Infra) serveFlow(c *netem.Conn) {
 	f := &flow{inf: inf, up: c}
-	pt.Handshake{Steps: []pt.Step{{N: nonceLen, Check: f.claim}}}.RunEvent(c, 0, f.claimed)
+	if conn, err, done := (pt.Handshake{Steps: []pt.Step{{N: nonceLen, Check: f.claim}}}).RunEvent(c, 0, f.claimed); done {
+		f.claimed(conn, err)
+	}
 }
 
 // claim uses up the nonce's registration. Unregistered flows to phantom
@@ -193,6 +198,9 @@ type Dialer struct {
 	registrarAddr string
 	phantomAddr   string
 	cfg           Config
+	// register and phantom are the client's handshakes on its two
+	// conns. The nonce is the first draw of the conn's seed, on either.
+	register, phantom pt.Handshake
 
 	seed int64
 }
@@ -204,44 +212,54 @@ func NewDialer(host *netem.Host, registrarAddr, phantomAddr string, cfg Config) 
 		registrarAddr: registrarAddr,
 		phantomAddr:   phantomAddr,
 		cfg:           cfg,
-		seed:          cfg.Seed + 86028157,
+		register: pt.Handshake{Steps: []pt.Step{{Send: func(t *pt.Transcript) []byte {
+			msg := make([]byte, nonceLen+macLen)
+			pt.RandFill(t.Rand, msg[:nonceLen])
+			tag := pt.NewTag("conjure", cfg.Secret)
+			tag.Put(msg[nonceLen:], 0, msg[:nonceLen])
+			return msg
+		}}, {N: 1}}},
+		phantom: pt.Handshake{Steps: []pt.Step{pt.Random(nonceLen)}, Records: func(conn netem.Stream, t *pt.Transcript) (netem.Stream, error) {
+			return pt.NewRecordConn(conn, pt.RecordConfig{Header: tlsAppHeader, Seed: t.Seed + 1})
+		}},
+		seed: cfg.Seed + 86028157,
 	}
 }
 
-// Dial implements pt.Dialer: register, dial the phantom, speak the
+// DialEvent implements pt.Dialer: register, dial the phantom, speak the
 // session's records.
-func (d *Dialer) Dial(target string) (netem.Stream, error) {
+func (d *Dialer) DialEvent(target string, done func(netem.Stream, error)) (netem.Stream, error, bool) {
 	if len(d.cfg.Secret) == 0 {
-		return nil, errors.New("conjure: dialer needs a secret")
+		return nil, errors.New("conjure: dialer needs a secret"), true
 	}
 	d.seed++
-	s := d.seed
+	x := &dial{d: d, target: target, seed: d.seed}
+	return x.Play(x, done)
+}
 
-	// Registration round trip. The nonce is the first draw of the
-	// conn's seed, here and on the phantom conn.
-	reg, err := d.host.Dial(d.registrarAddr)
-	if err != nil {
-		return nil, fmt.Errorf("conjure: registrar unreachable: %w", err)
-	}
-	_, err = pt.Handshake{Steps: []pt.Step{{Send: func(t *pt.Transcript) []byte {
-		msg := make([]byte, nonceLen+macLen)
-		pt.RandFill(t.Rand, msg[:nonceLen])
-		tag := pt.NewTag("conjure", d.cfg.Secret)
-		tag.Put(msg[nonceLen:], 0, msg[:nonceLen])
-		return msg
-	}}, {N: 1}}}.Run(reg, s)
-	reg.Close()
-	if err != nil {
-		return nil, fmt.Errorf("conjure: registration rejected: %w", err)
-	}
+// dial is one Dial under way: the registration round trip, then the
+// phantom dial through the station, the nonce naming the registration,
+// then the session's records.
+type dial struct {
+	pt.Chain
+	d      *Dialer
+	target string
+	seed   int64
+}
 
-	// Phantom dial through the station: the nonce names the
-	// registration, then the session's records follow.
-	conn, err := pt.DialWrapped(d.host, d.phantomAddr, pt.Handshake{Steps: []pt.Step{pt.Random(nonceLen)}, Records: func(conn netem.Stream, t *pt.Transcript) (netem.Stream, error) {
-		return pt.NewRecordConn(conn, pt.RecordConfig{Header: tlsAppHeader, Seed: t.Seed + 1})
-	}}, s, target)
-	if err != nil {
-		return nil, fmt.Errorf("conjure: phantom flow: %w", err)
+func (x *dial) Next() {
+	switch c, d := &x.Chain, x.d; {
+	case c.At == 0:
+		c.Dial(d.host, d.registrarAddr)
+	case c.At == 1 && c.Err != nil:
+		c.End(nil, fmt.Errorf("conjure: registrar unreachable: %w", c.Err))
+	case c.At == 1:
+		c.Handshake(d.register, c.Raw, x.seed)
+	default:
+		if c.Raw.Close(); c.Err != nil {
+			c.End(nil, fmt.Errorf("conjure: registration rejected: %w", c.Err))
+			return
+		}
+		c.Hand(pt.DialWrapped(d.host, d.phantomAddr, d.phantom, x.seed, x.target, "conjure: phantom flow", c.Done()))
 	}
-	return conn, nil
 }

@@ -39,7 +39,7 @@ func TestRegistrationIsSingleUse(t *testing.T) {
 	}
 
 	d := NewDialer(client, inf.RegistrarAddr(), inf.PhantomAddr(), Config{Secret: secret, Seed: 5})
-	c1, err := d.Dial("t:1")
+	c1, err, _ := d.DialEvent("t:1", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestBadRegistrationMACDropped(t *testing.T) {
 
 	// A registrar client with the wrong secret never gets an ack.
 	d := NewDialer(client, inf.RegistrarAddr(), inf.PhantomAddr(), Config{Secret: []byte("wrong"), Seed: 6})
-	if _, err := d.Dial("t:1"); err == nil {
+	if _, err, _ := d.DialEvent("t:1", nil); err == nil {
 		t.Fatal("registration with wrong secret must fail")
 	}
 }

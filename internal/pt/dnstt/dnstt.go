@@ -375,25 +375,51 @@ func NewDialer(host *netem.Host, resolverAddr string, cfg Config) *Dialer {
 	return &Dialer{cfg: cfg.withDefaults(), host: host, resolverAddr: resolverAddr, next: cfg.Seed}
 }
 
-// Dial implements pt.Dialer.
-func (d *Dialer) Dial(target string) (netem.Stream, error) {
+// DialEvent implements pt.Dialer.
+func (d *Dialer) DialEvent(target string, done func(netem.Stream, error)) (netem.Stream, error, bool) {
 	if err := d.cfg.check(); err != nil {
-		return nil, err
+		return nil, err, true
 	}
 	d.next++
-	sid := uint64(d.next) * 2654435761
+	x := &dial{d: d, target: target, sid: uint64(d.next) * 2654435761, conns: make([]*netem.Conn, 0, d.cfg.Inflight)}
+	return x.Play(x, done)
+}
 
-	// Open the poll pipelines up front; each is one "DoH connection".
-	conns := make([]*netem.Conn, 0, d.cfg.Inflight)
-	for i := 0; i < d.cfg.Inflight; i++ {
-		c, err, _ := d.host.DialEvent(d.resolverAddr, nil)
-		if err != nil {
-			for _, cc := range conns {
+// dial is one Dial under way: the poll pipelines, each one "DoH
+// connection", opened up front, then the tunnel's target prologue.
+type dial struct {
+	pt.Chain
+	d      *Dialer
+	target string
+	sid    uint64
+	conns  []*netem.Conn
+	t      *tunnelConn
+}
+
+func (x *dial) Next() {
+	c, d := &x.Chain, x.d
+	if x.t != nil { // the prologue's write has ended
+		if c.Err != nil {
+			x.t.Close()
+			c.End(nil, c.Err)
+		} else {
+			c.End(x.t, nil)
+		}
+		return
+	}
+	if c.At > 0 { // a pipeline's dial has ended
+		if c.Err != nil {
+			for _, cc := range x.conns {
 				cc.Close()
 			}
-			return nil, fmt.Errorf("dnstt: resolver unreachable: %w", err)
+			c.End(nil, fmt.Errorf("dnstt: resolver unreachable: %w", c.Err))
+			return
 		}
-		conns = append(conns, c)
+		x.conns = append(x.conns, c.Raw)
+	}
+	if len(x.conns) < d.cfg.Inflight {
+		c.Dial(d.host, d.resolverAddr)
+		return
 	}
 	clock := d.host.Network().Clock()
 	t := &tunnelConn{
@@ -401,8 +427,9 @@ func (d *Dialer) Dial(target string) (netem.Stream, error) {
 		queryCap: d.cfg.QueryCap,
 		clock:    clock,
 	}
-	// The first queries go out once the caller parks, so they carry the
-	// target prologue written below.
+	// The first queries go out once the dial's caller waits, so they
+	// carry the target prologue.
+	conns, sid := x.conns, x.sid
 	clock.ReadyEvent(func() {
 		for _, c := range conns {
 			p := &poller{t: t, idle: firstIdlePoll}
@@ -412,11 +439,8 @@ func (d *Dialer) Dial(target string) (netem.Stream, error) {
 			p.poll()
 		}
 	})
-	if err := pt.WriteTarget(t, target); err != nil {
-		t.Close()
-		return nil, err
-	}
-	return t, nil
+	x.t = t
+	c.WriteTarget(t, x.target)
 }
 
 // tunnelConn is the client-side stream over the poll pipelines.

@@ -119,7 +119,7 @@ func TestCapsThatWrapRefused(t *testing.T) {
 		}
 		defer ln.Close()
 		for _, cfg := range wrapping {
-			if _, err := NewDialer(h, "h:443", cfg).Dial("guard:9001"); err == nil {
+			if _, err, _ := NewDialer(h, "h:443", cfg).DialEvent("guard:9001", nil); err == nil {
 				t.Errorf("took %+v", cfg)
 			}
 		}
@@ -154,7 +154,7 @@ func TestLargestCapsCarryData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn, err := NewDialer(client, res.Addr(), cfg).Dial("guard:9001")
+	conn, err, _ := NewDialer(client, res.Addr(), cfg).DialEvent("guard:9001", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

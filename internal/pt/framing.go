@@ -375,17 +375,16 @@ func (c *ctrCodec) Open(header, body []byte) ([]byte, error) {
 	return body[:binary.BigEndian.Uint16(header[len(c.header):])], nil
 }
 
-// WriteTarget sends the stream prologue naming the server-side target:
-// its length byte, then the target, which ServeStream reads.
-func WriteTarget(w io.Writer, target string) error {
+// Prologue is the stream prologue naming the server-side target: its
+// length byte, then the target, which ServeStream reads.
+func Prologue(target string) ([]byte, error) {
 	if len(target) > 255 {
-		return fmt.Errorf("pt: target too long")
+		return nil, fmt.Errorf("pt: target too long")
 	}
 	buf := make([]byte, 1+len(target))
 	buf[0] = byte(len(target))
 	copy(buf[1:], target)
-	_, err := w.Write(buf)
-	return err
+	return buf, nil
 }
 
 // Event forms of a conn's Close and CloseWrite, with the contract of

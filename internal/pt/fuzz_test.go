@@ -18,16 +18,15 @@ import (
 func readTarget(data []byte) (target string, err error) {
 	c := new(bufConn)
 	c.buf.Write(data)
-	pt.ReadPrefixed(c, 1, func(field []byte, e error) { target, err = string(field), e })
-	return target, err
+	field, err, _ := pt.ReadPrefixed(c, 1, nil)
+	return string(field), err
 }
 
 // FuzzReadTarget: the target prologue's reader either rejects the bytes
-// or returns exactly the target WriteTarget would have encoded.
+// or returns exactly the target Prologue would have encoded.
 func FuzzReadTarget(f *testing.F) {
-	var seed bytes.Buffer
-	pt.WriteTarget(&seed, "guard-0:9001")
-	f.Add(seed.Bytes())
+	seed, _ := pt.Prologue("guard-0:9001")
+	f.Add(seed)
 	f.Add([]byte{0})
 	f.Add([]byte{255, 'x'})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -35,11 +34,11 @@ func FuzzReadTarget(f *testing.F) {
 		if err != nil {
 			return
 		}
-		var again bytes.Buffer
-		if err := pt.WriteTarget(&again, target); err != nil {
+		again, err := pt.Prologue(target)
+		if err != nil {
 			t.Fatalf("decoded target does not encode: %v", err)
 		}
-		if !bytes.HasPrefix(data, again.Bytes()) {
+		if !bytes.HasPrefix(data, again) {
 			t.Fatalf("decoded %q does not re-encode to the input", target)
 		}
 	})

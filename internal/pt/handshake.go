@@ -76,57 +76,53 @@ func Expect(b []byte, err error) Step {
 	}}
 }
 
-// Run plays the handshake over conn with conn's seed and returns what
-// RunEvent hands its done: it is RunEvent's nil form, for a dialer,
-// and parks where RunEvent waits.
-func (h Handshake) Run(conn netem.Stream, seed int64) (netem.Stream, error) {
-	var out netem.Stream
-	var err error
-	h.play(conn, seed, false, func(c netem.Stream, e error) { out, err = c, e })
-	return out, err
-}
-
-// RunEvent plays the handshake over conn with conn's seed for a clock
-// event, which must not park: it returns at its first wait, and done
-// gets the conn Records made, or the error that ended the handshake,
-// from the event that ends it. It makes the calls a goroutine playing
-// the flights in order made: a sent flight is one Write, a fixed
-// flight is read with io.ReadFull's reads, a discard with io.CopyN's,
-// 8 KiB at most each, and a delimited flight as it arrives, into a
-// buffer one byte past its bound. So nothing past the handshake is
-// read, and a refused flight is the last one played. Records must not
-// park either.
-func (h Handshake) RunEvent(conn netem.Stream, seed int64, done func(netem.Stream, error)) {
-	h.play(conn, seed, true, done)
-}
-
-func (h Handshake) play(conn netem.Stream, seed int64, event bool, done func(netem.Stream, error)) {
-	p := &player{h: h, conn: conn, done: done}
+// RunEvent plays the handshake over conn with conn's seed, for a clock
+// event, which must not park, and parks in place for a nil done, its
+// plain form: it returns done with the conn Records made, or the error
+// that ended the handshake, or false at its first wait, and done gets
+// the result from the event that ends it. Both forms make the calls a
+// goroutine playing the flights in order made: a sent flight is one
+// Write, a fixed flight is read with io.ReadFull's reads, a discard
+// with io.CopyN's, 8 KiB at most each, and a delimited flight as it
+// arrives, into a buffer one byte past its bound. So nothing past the
+// handshake is read, and a refused flight is the last one played.
+// Records must not park either.
+func (h Handshake) RunEvent(conn netem.Stream, seed int64, done func(netem.Stream, error)) (netem.Stream, error, bool) {
+	p := &player{h: h, conn: conn}
 	p.t = Transcript{Seed: seed, Flights: make([][]byte, 0, len(h.Steps)), src: sim.NewSource(seed)}
 	p.t.Rand = sim.RandOn(&p.t.src)
-	if event {
-		p.again = p.run
+	if done != nil {
+		p.again = func() {
+			if p.run() {
+				done(p.out, p.err)
+			}
+		}
 	}
-	p.run()
+	if !p.run() {
+		return nil, nil, false
+	}
+	return p.out, p.err, true
 }
 
 // player is one handshake under way: step is the step it is at, whose
 // flight, fill.buf, is sent or received, fill.got bytes of it so far,
-// and then left bytes after it are discarded into fill.buf.
+// and then left bytes after it are discarded into fill.buf. out and err
+// are its result once it ends.
 type player struct {
 	h                   Handshake
-	conn                netem.Stream
+	conn, out           netem.Stream
+	err                 error
 	t                   Transcript
-	done                func(netem.Stream, error)
-	again               func() // run, bound once; nil for Run
+	again               func() // run on, bound once; nil in parking form
 	step                int
 	started, discarding bool
 	fill                fullRead
 	left                int
 }
 
-// run plays on from where the handshake stands until it waits or ends.
-func (p *player) run() {
+// run plays on from where the handshake stands until it waits, false,
+// or ends, true.
+func (p *player) run() bool {
 	for ; p.step < len(p.h.Steps); p.step++ {
 		s := &p.h.Steps[p.step]
 		if !p.started {
@@ -143,33 +139,32 @@ func (p *player) run() {
 		if !p.discarding {
 			flight, err, done := p.move(s)
 			if !done {
-				return
+				return false
 			}
 			p.t.Flights = append(p.t.Flights, flight)
 			if err == nil && s.Check != nil {
 				p.left, err = s.Check(&p.t, flight)
 			}
 			if err != nil {
-				p.done(nil, err)
-				return
+				p.err = err
+				return true
 			}
 			if p.discarding = true; p.left > 0 {
 				p.fill.buf = make([]byte, min(p.left, 8<<10))
 			}
 		}
 		if err, done := p.discard(); !done {
-			return
+			return false
 		} else if err != nil {
-			p.done(nil, err)
-			return
+			p.err = err
+			return true
 		}
 		p.started, p.discarding, p.left = false, false, 0
 	}
-	if p.h.Records == nil {
-		p.done(p.conn, nil)
-		return
+	if p.out = p.conn; p.h.Records != nil {
+		p.out, p.err = p.h.Records(p.conn, &p.t)
 	}
-	p.done(p.h.Records(p.conn, &p.t))
+	return true
 }
 
 // move sends or receives the step's flight, and done false means again
@@ -245,46 +240,67 @@ func (f *fullRead) read(conn netem.EventReader, again func()) (err error, done b
 }
 
 // ReadFullEvent reads p off conn with the reads io.ReadFull makes, each
-// a ReadEvent, for a clock event, which must not park: it returns at its
-// first wait, and done gets io.ReadFull's error from the event that
+// a ReadEvent, for a clock event, which must not park, and parks in
+// place for a nil done: it returns done with io.ReadFull's error, or
+// false at its first wait, and done gets the error from the event that
 // completes the read.
-func ReadFullEvent(conn netem.EventReader, p []byte, done func(error)) {
-	r := &prefixed{conn: conn, done: func(_ []byte, err error) { done(err) }, body: true}
-	r.fill.buf, r.again = p, r.run
-	r.run()
+func ReadFullEvent(conn netem.EventReader, p []byte, done func(error)) (error, bool) {
+	var fn func([]byte, error)
+	if done != nil {
+		fn = func(_ []byte, err error) { done(err) }
+	}
+	r := &prefixed{conn: conn, body: true}
+	r.fill.buf = p
+	_, err, ok := r.start(fn)
+	return err, ok
 }
 
 // ReadPrefixed reads a field that opens with its length, size bytes
 // big-endian (at most 2), as ReadFullEvent reads: the length, then the
-// field, which done gets, or the error that ended the read.
-func ReadPrefixed(conn netem.EventReader, size int, done func(field []byte, err error)) {
-	r := &prefixed{conn: conn, done: done}
-	r.fill.buf, r.again = r.head[:size], r.run
-	r.run()
+// field, which it returns or done gets, or the error that ended the
+// read.
+func ReadPrefixed(conn netem.EventReader, size int, done func(field []byte, err error)) ([]byte, error, bool) {
+	r := &prefixed{conn: conn}
+	r.fill.buf = r.head[:size]
+	return r.start(done)
 }
 
 // prefixed is a field being read: fill holds its length, then, once
-// body is set, the field (at once for ReadFullEvent).
+// body is set, the field (at once for ReadFullEvent); err ends it.
 type prefixed struct {
 	conn  netem.EventReader
-	done  func([]byte, error)
-	again func() // run, bound once
+	again func() // run on, bound once; nil in parking form
 	fill  fullRead
 	head  [2]byte
 	body  bool
+	err   error
 }
 
-func (r *prefixed) run() {
+// start reads the field in the form done names.
+func (r *prefixed) start(done func([]byte, error)) ([]byte, error, bool) {
+	if done != nil {
+		r.again = func() {
+			if r.run() {
+				done(r.fill.buf, r.err)
+			}
+		}
+	}
+	if !r.run() {
+		return nil, nil, false
+	}
+	return r.fill.buf, r.err, true
+}
+
+// run reads on until a wait, false, or the read's end, true.
+func (r *prefixed) run() bool {
 	for {
 		if err, done := r.fill.read(r.conn, r.again); !done {
-			return
+			return false
 		} else if err != nil {
-			r.done(nil, err)
-			return
-		}
-		if r.body {
-			r.done(r.fill.buf, nil)
-			return
+			r.fill.buf, r.err = nil, err
+			return true
+		} else if r.body {
+			return true
 		}
 		n := 0
 		for _, b := range r.fill.buf {

@@ -80,10 +80,10 @@ func TestHandshakeRunCalls(t *testing.T) {
 	}
 	var flights [][]byte
 	got := &callLog{in: in()}
-	conn, err := pt.Handshake{Steps: steps, Records: func(c netem.Stream, t *pt.Transcript) (netem.Stream, error) {
+	conn, err, _ := pt.Handshake{Steps: steps, Records: func(c netem.Stream, t *pt.Transcript) (netem.Stream, error) {
 		flights = t.Flights
 		return c, nil
-	}}.Run(got, 1)
+	}}.RunEvent(got, 1, nil)
 	if err != nil || conn != got {
 		t.Fatalf("Run: %v, %v", conn, err)
 	}
@@ -119,13 +119,13 @@ func TestHandshakeRunCalls(t *testing.T) {
 func TestHandshakeCheckRefuses(t *testing.T) {
 	errWrong := errors.New("wrong flight")
 	c := &callLog{in: [][]byte{[]byte("abcd" + "0123456789")}}
-	_, err := pt.Handshake{Steps: []pt.Step{
+	_, err, _ := pt.Handshake{Steps: []pt.Step{
 		{N: 4, Check: func(*pt.Transcript, []byte) (int, error) { return 10, errWrong }},
 		pt.Send([]byte("later")),
 	}, Records: func(netem.Stream, *pt.Transcript) (netem.Stream, error) {
 		t.Error("records made after a refused flight")
 		return nil, nil
-	}}.Run(c, 1)
+	}}.RunEvent(c, 1, nil)
 	if !errors.Is(err, errWrong) {
 		t.Fatalf("Run: %v, want %v", err, errWrong)
 	}
@@ -142,7 +142,7 @@ func TestHandshakeDelimitedBound(t *testing.T) {
 	req := []byte("GET /tunnel\r\n\r\n")
 	run := func(in []byte, bound int) (*callLog, error) {
 		c := &callLog{in: [][]byte{in}}
-		_, err := pt.Handshake{Steps: []pt.Step{{N: bound, Until: []byte("\r\n\r\n")}}}.Run(c, 1)
+		_, err, _ := pt.Handshake{Steps: []pt.Step{{N: bound, Until: []byte("\r\n\r\n")}}}.RunEvent(c, 1, nil)
 		return c, err
 	}
 	for _, tc := range []struct {
@@ -168,7 +168,7 @@ func TestHandshakeDelimitedBound(t *testing.T) {
 func TestHandshakeDraws(t *testing.T) {
 	for _, seed := range []int64{3, 4} {
 		c := &callLog{}
-		if _, err := (pt.Handshake{Steps: []pt.Step{pt.Random(16)}}).Run(c, seed); err != nil {
+		if _, err, _ := (pt.Handshake{Steps: []pt.Step{pt.Random(16)}}).RunEvent(c, seed, nil); err != nil {
 			t.Fatal(err)
 		}
 		want := make([]byte, 16)
@@ -316,11 +316,11 @@ func clientBytes(w pt.WrapTransport, seed int64) []byte {
 	served := make(chan struct{})
 	go func() {
 		defer close(served)
-		w.Server.Run(pipeEnd{b}, seed+1)
+		w.Server.RunEvent(pipeEnd{b}, seed+1, nil)
 		b.Close()
 	}()
 	var sent bytes.Buffer
-	w.Client.Run(teeEnd{pipeEnd{a}, &sent}, seed)
+	w.Client.RunEvent(teeEnd{pipeEnd{a}, &sent}, seed, nil)
 	a.Close()
 	<-served
 	return sent.Bytes()

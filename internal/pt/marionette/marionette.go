@@ -383,12 +383,15 @@ func (mc *marionetteConn) Close() error {
 	return mc.conn.Close()
 }
 
-// walk is the handshake of either end: no flight, only the automaton
-// walk over the raw conn, seeded by the conn's seed.
-func walk(model *Model, clock *netem.Clock) pt.Handshake {
-	return pt.Handshake{Records: func(conn netem.Stream, t *pt.Transcript) (netem.Stream, error) {
+// transport is marionette as a wrapping transport: no flight, only the
+// automaton walk over the raw conn, seeded by the conn's seed. The
+// server's conns take seed+1, seed+2, …, and a dialer given seed counts
+// on from seed+179426549.
+func transport(model *Model, clock *netem.Clock, seed int64) pt.WrapTransport {
+	walk := pt.Handshake{Records: func(conn netem.Stream, t *pt.Transcript) (netem.Stream, error) {
 		return newConn(model, conn.(*netem.Conn), clock, t.Seed), nil
 	}}
+	return pt.WrapTransport{Name: "marionette", Keyed: true, Seed: seed, DialerOffset: 179426549, Client: walk, Server: walk}
 }
 
 // StartServer runs a marionette server on host:port using the model.
@@ -396,7 +399,7 @@ func StartServer(host *netem.Host, port int, model *Model, seed int64, handle pt
 	if err := model.Validate(); err != nil {
 		return nil, err
 	}
-	return pt.ListenAndServe(host, port, walk(model, host.Network().Clock()), seed, handle)
+	return transport(model, host.Network().Clock(), seed).StartServer(host, port, handle)
 }
 
 // NewDialer returns a marionette client for a server at addr.
@@ -404,14 +407,5 @@ func NewDialer(host *netem.Host, addr string, model *Model, seed int64) (pt.Dial
 	if err := model.Validate(); err != nil {
 		return nil, err
 	}
-	hs := walk(model, host.Network().Clock())
-	s := seed + 179426549
-	return pt.DialerFunc(func(target string) (netem.Stream, error) {
-		s++
-		conn, err := pt.DialWrapped(host, addr, hs, s, target)
-		if err != nil {
-			return nil, fmt.Errorf("marionette: %w", err)
-		}
-		return conn, nil
-	}), nil
+	return transport(model, host.Network().Clock(), seed).NewDialer(host, addr), nil
 }

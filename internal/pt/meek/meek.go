@@ -318,30 +318,47 @@ func NewDialer(host *netem.Host, frontAddr string, cfg Config) *Dialer {
 	return &Dialer{host: host, frontAddr: frontAddr, next: uint64(cfg.Seed)*2654435761 + 1}
 }
 
-// Dial implements pt.Dialer.
-func (d *Dialer) Dial(target string) (netem.Stream, error) {
+// DialEvent implements pt.Dialer.
+func (d *Dialer) DialEvent(target string, done func(netem.Stream, error)) (netem.Stream, error, bool) {
 	d.next++
 	clock := d.host.Network().Clock()
-	t := &pollConn{
+	x := &dial{d: d, target: target, t: &pollConn{
 		Stream:   pt.NewStream(clock, "meek", "meek-client", "meek-tunnel", maxQueue),
 		clock:    clock,
 		interval: minPoll,
-	}
-	binary.BigEndian.PutUint64(t.sid[:], d.next) // before Dial parks and another Dial runs
-	conn, err, _ := d.host.DialEvent(d.frontAddr, nil)
-	if err != nil {
-		return nil, fmt.Errorf("meek: front unreachable: %w", err)
-	}
-	t.in, t.pollFn = pt.NewFrameConn(cutReply, t.reply, t.stop), t.send
-	t.in.Attach(conn)
-	// The first poll goes out once the caller parks, so it carries the
-	// target prologue written below.
-	clock.ReadyEvent(t.pollFn)
-	if err := pt.WriteTarget(t, target); err != nil {
+	}}
+	binary.BigEndian.PutUint64(x.t.sid[:], d.next) // before the dial waits and another dial runs
+	return x.Play(x, done)
+}
+
+// dial is one Dial under way: the front's conn, then the tunnel's
+// target prologue.
+type dial struct {
+	pt.Chain
+	d      *Dialer
+	target string
+	t      *pollConn
+}
+
+func (x *dial) Next() {
+	switch c, t := &x.Chain, x.t; {
+	case c.At == 0:
+		c.Dial(x.d.host, x.d.frontAddr)
+	case c.At == 1 && c.Err != nil:
+		c.End(nil, fmt.Errorf("meek: front unreachable: %w", c.Err))
+	case c.At == 1:
+		t.in, t.pollFn = pt.NewFrameConn(cutReply, t.reply, t.stop), t.send
+		t.in.Attach(c.Raw)
+		// The first poll goes out once the dial's caller waits, so it
+		// carries the target prologue.
+		t.clock.ReadyEvent(t.pollFn)
+		c.WriteTarget(t, x.target)
+	case c.Err != nil:
 		t.Close()
-		return nil, err
+		c.End(nil, c.Err)
+	default:
+		c.End(t, nil)
 	}
-	return t, nil
 }
 
 // pollConn is the client-side tunnel endpoint and its polling cycle: a

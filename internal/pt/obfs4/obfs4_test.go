@@ -33,7 +33,7 @@ func (c bufConn) WriteEvent(p []byte, _ func()) (int, error, bool) {
 
 // play runs steps over c with seed.
 func play(c netem.Stream, seed int64, steps ...pt.Step) error {
-	_, err := pt.Handshake{Steps: steps}.Run(c, seed)
+	_, err, _ := pt.Handshake{Steps: steps}.RunEvent(c, seed, nil)
 	return err
 }
 

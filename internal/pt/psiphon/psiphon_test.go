@@ -97,7 +97,7 @@ func flightsOf(h pt.Handshake, conn netem.Stream, seed int64) ([][]byte, error) 
 		flights = tr.Flights
 		return records(c, tr)
 	}
-	_, err := h.Run(conn, seed)
+	_, err, _ := h.RunEvent(conn, seed, nil)
 	return flights, err
 }
 
@@ -147,7 +147,7 @@ func TestBannerMismatch(t *testing.T) {
 	defer a.Close()
 	defer b.Close()
 	go a.Write([]byte("SSH-2.0-OpenSSH_9.6p1\r\n"))
-	if _, err := Transport(Config{HostKey: []byte("hk")}).Server.Run(pipeEnd{c: b}, 1); !errors.Is(err, ErrVersion) {
+	if _, err, _ := Transport(Config{HostKey: []byte("hk")}).Server.RunEvent(pipeEnd{c: b}, 1, nil); !errors.Is(err, ErrVersion) {
 		t.Fatalf("got %v, want %v", err, ErrVersion)
 	}
 }

@@ -94,17 +94,24 @@ type Info struct {
 // Dialer opens obfuscated streams to a PT server. The target string is
 // delivered to the server's StreamHandler: integration set 2 uses it to
 // name the guard to splice to, set 3 the final destination; set 1
-// ignores it.
+// ignores it. A Tor client's first hop (tor.ClientConfig.DialFirstHop)
+// and a set-3 server's Tor client (HandleWithDialer) are Dialers too.
 type Dialer interface {
-	// Dial opens one stream carrying target to the server.
-	Dial(target string) (netem.Stream, error)
+	// DialEvent opens one stream carrying target to the server, for a
+	// clock event, which must not park, and parks in place for a nil
+	// done, its plain form: it returns done with the stream or the
+	// error, or false at its first wait, and done gets the result from
+	// the event that ends the dial.
+	DialEvent(target string, done func(netem.Stream, error)) (netem.Stream, error, bool)
 }
 
 // DialerFunc adapts a function to the Dialer interface.
-type DialerFunc func(target string) (netem.Stream, error)
+type DialerFunc func(target string, done func(netem.Stream, error)) (netem.Stream, error, bool)
 
-// Dial implements Dialer.
-func (f DialerFunc) Dial(target string) (netem.Stream, error) { return f(target) }
+// DialEvent implements Dialer.
+func (f DialerFunc) DialEvent(target string, done func(netem.Stream, error)) (netem.Stream, error, bool) {
+	return f(target, done)
+}
 
 // StreamHandler consumes one unwrapped stream on the server side. It
 // owns conn and must close it. A server calls it from a clock event, so

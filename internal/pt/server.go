@@ -17,13 +17,16 @@ func (s listenServer) Addr() string { return s.Listener.Addr().String() }
 // which owns it from then on, from the event that completes it. It
 // returns at its first wait.
 func ServeStream(conn netem.Stream, handle StreamHandler) {
-	ReadPrefixed(conn, 1, func(target []byte, err error) {
+	served := func(target []byte, err error) {
 		if err != nil {
 			conn.Close()
 			return
 		}
 		handle(string(target), conn)
-	})
+	}
+	if target, err, done := ReadPrefixed(conn, 1, served); done {
+		served(target, err)
+	}
 }
 
 // ListenAndServe runs the common PT server skeleton: accept, play hs
@@ -37,34 +40,18 @@ func ListenAndServe(host *netem.Host, port int, hs Handshake, seed int64, handle
 	}
 	ln.Serve(func(raw *netem.Conn) {
 		seed++
-		hs.RunEvent(raw, seed, func(conn netem.Stream, err error) {
+		handshook := func(conn netem.Stream, err error) {
 			if err != nil {
 				raw.Close()
 				return
 			}
 			ServeStream(conn, handle)
-		})
+		}
+		if conn, err, done := hs.RunEvent(raw, seed, handshook); done {
+			handshook(conn, err)
+		}
 	})
 	return listenServer{ln}, nil
-}
-
-// DialWrapped runs the common PT client skeleton: dial, play hs with
-// seed, send the target prologue.
-func DialWrapped(host *netem.Host, addr string, hs Handshake, seed int64, target string) (netem.Stream, error) {
-	raw, err := host.Dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	conn, err := hs.Run(raw, seed)
-	if err != nil {
-		raw.Close()
-		return nil, err
-	}
-	if err := WriteTarget(conn, target); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	return conn, nil
 }
 
 // WrapTransport is the one constructor of a wrapping transport's server
@@ -100,16 +87,12 @@ func (w WrapTransport) StartServer(host *netem.Host, port int, handle StreamHand
 // NewDialer returns the transport's client for a server at addr.
 func (w WrapTransport) NewDialer(host *netem.Host, addr string) Dialer {
 	seed := w.Seed + w.DialerOffset
-	return DialerFunc(func(target string) (netem.Stream, error) {
+	return DialerFunc(func(target string, done func(netem.Stream, error)) (netem.Stream, error, bool) {
 		if !w.Keyed {
-			return nil, fmt.Errorf("%s: dialer needs its shared secret", w.Name)
+			return nil, fmt.Errorf("%s: dialer needs its shared secret", w.Name), true
 		}
 		seed++
-		conn, err := DialWrapped(host, addr, w.Client, seed, target)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", w.Name, err)
-		}
-		return conn, nil
+		return DialWrapped(host, addr, w.Client, seed, target, w.Name, done)
 	})
 }
 
@@ -134,11 +117,10 @@ func ForwardTo(fromHost *netem.Host) StreamHandler {
 }
 
 // HandleWithDialer returns a StreamHandler that opens the target with
-// dial, an event-form dial with tor.Client.DialEvent's contract, and
-// splices: the integration-set-3 server behaviour (dial is the
-// co-located Tor client's). dial starts from the run queue, where a
+// dial and splices: the integration-set-3 server behaviour (dial is the
+// co-located Tor client). dial starts from the run queue, where a
 // goroutine dialing with the parking form started.
-func HandleWithDialer(clock *netem.Clock, dial func(target string, fn func(netem.Stream, error)) (netem.Stream, error, bool)) StreamHandler {
+func HandleWithDialer(clock *netem.Clock, dial Dialer) StreamHandler {
 	return func(target string, conn netem.Stream) {
 		opened := func(up netem.Stream, err error) {
 			if err != nil {
@@ -148,7 +130,7 @@ func HandleWithDialer(clock *netem.Clock, dial func(target string, fn func(netem
 			Splice(clock, conn, up)
 		}
 		clock.ReadyEvent(func() {
-			if up, err, done := dial(target, opened); done {
+			if up, err, done := dial.DialEvent(target, opened); done {
 				opened(up, err)
 			}
 		})

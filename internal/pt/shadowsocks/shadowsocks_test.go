@@ -47,14 +47,14 @@ func pipePair(t *testing.T, psk []byte) (net.Conn, net.Conn) {
 	a, b := pipe()
 	done := make(chan net.Conn, 1)
 	go func() {
-		s, err := Transport(Config{PSK: psk}).Server.Run(b, 0)
+		s, err, _ := Transport(Config{PSK: psk}).Server.RunEvent(b, 0, nil)
 		if err != nil {
 			done <- nil
 			return
 		}
 		done <- s
 	}()
-	c, err := Transport(Config{PSK: psk}).Client.Run(a, 42)
+	c, err, _ := Transport(Config{PSK: psk}).Client.RunEvent(a, 42, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestTamperDetected(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		s, err := Transport(Config{PSK: []byte("k")}).Server.Run(b2, 0)
+		s, err, _ := Transport(Config{PSK: []byte("k")}).Server.RunEvent(b2, 0, nil)
 		if err != nil {
 			done <- err
 			return
@@ -146,7 +146,7 @@ func TestTamperDetected(t *testing.T) {
 		_, err = s.Read(buf)
 		done <- err
 	}()
-	cConn, err := Transport(Config{PSK: []byte("k")}).Client.Run(a1, 1)
+	cConn, err, _ := Transport(Config{PSK: []byte("k")}).Client.RunEvent(a1, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestWrongPSKFails(t *testing.T) {
 	a, b := pipe()
 	done := make(chan error, 1)
 	go func() {
-		s, err := Transport(Config{PSK: []byte("server-key")}).Server.Run(b, 0)
+		s, err, _ := Transport(Config{PSK: []byte("server-key")}).Server.RunEvent(b, 0, nil)
 		if err != nil {
 			done <- err
 			return
@@ -169,7 +169,7 @@ func TestWrongPSKFails(t *testing.T) {
 		_, err = s.Read(buf)
 		done <- err
 	}()
-	c, err := Transport(Config{PSK: []byte("client-key")}).Client.Run(a, 7)
+	c, err, _ := Transport(Config{PSK: []byte("client-key")}).Client.RunEvent(a, 7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func flightsOf(h pt.Handshake, conn netem.Stream, seed int64) ([][]byte, error) 
 		flights = tr.Flights
 		return records(c, tr)
 	}
-	_, err := h.Run(conn, seed)
+	_, err, _ := h.RunEvent(conn, seed, nil)
 	return flights, err
 }
 
@@ -223,7 +223,7 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatal("server without PSK must fail")
 	}
 	d := NewDialer(nil, "x:1", Config{})
-	if _, err := d.Dial("t:1"); err == nil {
+	if _, err, _ := d.DialEvent("t:1", nil); err == nil {
 		t.Fatal("dialer without PSK must fail")
 	}
 }

@@ -16,10 +16,8 @@
 package snowflake
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"time"
 
@@ -249,24 +247,12 @@ func (d *Deployment) serveRendezvous(c *netem.Conn) {
 // cutRequest cuts a rendezvous request (a pt.FrameCut).
 func cutRequest(b []byte) (body, end int, err error) { return 0, min(len(b), 1), nil }
 
-// writeString writes s as a pt.Prefix16 frame: a client's hello, which
-// names the bridge to its proxy (the broker answers in the same frame).
-func writeString(w io.Writer, s string) error {
-	_, err := w.Write(pt.AppendPrefix16(nil, nil, []byte(s)))
-	return err
-}
+// hello is a client's hello, a pt.Prefix16 frame that names the bridge
+// to its proxy (the broker answers in the same frame).
+func hello(bridgeAddr string) []byte { return pt.AppendPrefix16(nil, nil, []byte(bridgeAddr)) }
 
-func readString(r io.Reader) (string, error) {
-	var head [2]byte
-	if _, err := io.ReadFull(r, head[:]); err != nil {
-		return "", err
-	}
-	buf := make([]byte, binary.BigEndian.Uint16(head[:]))
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", err
-	}
-	return string(buf), nil
-}
+// rendezvous is a client's rendezvous request.
+var rendezvous = []byte{0x01}
 
 // Dialer is the snowflake client.
 type Dialer struct {
@@ -281,38 +267,58 @@ func NewDialer(host *netem.Host, brokerAddr, bridgeAddr string) *Dialer {
 	return &Dialer{host: host, brokerAddr: brokerAddr, bridgeAddr: bridgeAddr}
 }
 
-// Dial implements pt.Dialer: rendezvous, connect to the volunteer, and
-// announce the bridge.
-func (d *Dialer) Dial(target string) (netem.Stream, error) {
-	b, err := d.host.Dial(d.brokerAddr)
-	if err != nil {
-		return nil, fmt.Errorf("snowflake: broker unreachable: %w", err)
+// DialEvent implements pt.Dialer: rendezvous, connect to the volunteer,
+// and announce the bridge.
+func (d *Dialer) DialEvent(target string, done func(netem.Stream, error)) (netem.Stream, error, bool) {
+	x := &dial{d: d, target: target}
+	return x.Play(x, done)
+}
+
+// dial is one Dial under way: the broker is asked for a proxy, and its
+// conn closed once the answer is in, then the proxy gets the hello and
+// the target prologue, its conn closed if a write fails.
+type dial struct {
+	pt.Chain
+	d      *Dialer
+	target string
+	broker *netem.Conn
+}
+
+func (x *dial) Next() {
+	switch c, d := &x.Chain, x.d; {
+	case c.At == 0:
+		c.Dial(d.host, d.brokerAddr)
+	case c.At == 1 && c.Err != nil:
+		c.End(nil, fmt.Errorf("snowflake: broker unreachable: %w", c.Err))
+	case c.At == 1:
+		x.broker = c.Raw
+		c.Write(x.broker, rendezvous)
+	case c.At == 2 && c.Err != nil:
+		x.broker.Close()
+		c.End(nil, c.Err)
+	case c.At == 2:
+		c.ReadPrefixed(x.broker, 2)
+	case c.At == 3:
+		switch x.broker.Close(); {
+		case c.Err != nil:
+			c.End(nil, fmt.Errorf("snowflake: rendezvous failed: %w", c.Err))
+		case len(c.Field) == 0:
+			c.End(nil, errors.New("snowflake: no volunteer proxies available"))
+		default:
+			c.Dial(d.host, string(c.Field))
+		}
+	case c.At == 4 && c.Err != nil:
+		c.End(nil, fmt.Errorf("snowflake: volunteer gone: %w", c.Err))
+	case c.Err != nil: // a write to the proxy failed
+		c.Raw.Close()
+		c.End(nil, c.Err)
+	case c.At == 4:
+		c.Write(c.Raw, hello(d.bridgeAddr))
+	case c.At == 5:
+		c.WriteTarget(c.Raw, x.target)
+	default:
+		c.End(c.Raw, nil)
 	}
-	if _, err := b.Write([]byte{0x01}); err != nil {
-		b.Close()
-		return nil, err
-	}
-	proxyAddr, err := readString(b)
-	b.Close()
-	if err != nil {
-		return nil, fmt.Errorf("snowflake: rendezvous failed: %w", err)
-	}
-	if proxyAddr == "" {
-		return nil, errors.New("snowflake: no volunteer proxies available")
-	}
-	conn, err := d.host.Dial(proxyAddr)
-	if err != nil {
-		return nil, fmt.Errorf("snowflake: volunteer gone: %w", err)
-	}
-	if err := writeString(conn, d.bridgeAddr); err != nil { // the hello
-		conn.Close()
-		return nil, err
-	}
-	if err := pt.WriteTarget(conn, target); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	return conn, nil
 }
 
 // StartBridge runs the snowflake bridge (PT server) on host:port.

@@ -9,19 +9,26 @@ import (
 
 	"ptperf/internal/geo"
 	"ptperf/internal/netem"
+	"ptperf/internal/pt"
 )
 
+// bufReader reads a buffer as a conn whose bytes have all arrived.
+type bufReader struct{ *bytes.Buffer }
+
+func (r bufReader) ReadEvent(p []byte, _ func()) (int, error, bool) {
+	n, err := r.Read(p)
+	return n, err, true
+}
+
+// TestStringFrameRoundTrip: a hello reads back, as the proxy reads it,
+// as the string it names.
 func TestStringFrameRoundTrip(t *testing.T) {
 	f := func(s string) bool {
 		if len(s) > 60000 {
 			return true
 		}
-		var buf bytes.Buffer
-		if err := writeString(&buf, s); err != nil {
-			return false
-		}
-		got, err := readString(&buf)
-		return err == nil && got == s
+		got, err, done := pt.ReadPrefixed(bufReader{bytes.NewBuffer(hello(s))}, 2, nil)
+		return done && err == nil && string(got) == s
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -69,7 +76,7 @@ func TestBrokerAssignsLiveProxy(t *testing.T) {
 	}
 
 	d := NewDialer(client, dep.BrokerAddr(), bridge.Addr())
-	conn, err := d.Dial("guard-x:9001")
+	conn, err, _ := d.DialEvent("guard-x:9001", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,7 +50,7 @@ func TestBulkOverManyConns(t *testing.T) {
 				t.Fatal(err)
 			}
 			d := NewDialer(client, srv.Addr(), cfg)
-			conn, err := d.Dial("sink:80")
+			conn, err, _ := d.DialEvent("sink:80", nil)
 			if err != nil {
 				t.Fatal(err)
 			}

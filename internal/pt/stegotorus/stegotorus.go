@@ -461,39 +461,67 @@ func NewDialer(host *netem.Host, addr string, cfg Config) *Dialer {
 	return &Dialer{cfg: cfg.withDefaults(), host: host, addr: addr, next: uint64(cfg.Seed)*0x9e3779b9 + 7}
 }
 
-// Dial implements pt.Dialer: open the fan-out, announce the session on
-// every conn, then chop.
-func (d *Dialer) Dial(target string) (netem.Stream, error) {
+// DialEvent implements pt.Dialer: open the fan-out, announce the
+// session on every conn, then chop.
+func (d *Dialer) DialEvent(target string, done func(netem.Stream, error)) (netem.Stream, error, bool) {
 	d.next++
-	sid := d.next
-	seed := int64(d.next) + d.cfg.Seed
+	x := &dial{d: d, target: target, sid: d.next, seed: int64(d.next) + d.cfg.Seed, conns: make([]*netem.Conn, 0, d.cfg.Conns)}
+	return x.Play(x, done)
+}
 
-	conns := make([]*netem.Conn, 0, d.cfg.Conns)
-	for i := 0; i < d.cfg.Conns; i++ {
-		c, err, _ := d.host.DialEvent(d.addr, nil)
-		if err != nil {
-			for _, cc := range conns {
-				cc.Close()
-			}
-			return nil, fmt.Errorf("stegotorus: %w", err)
+// dial is one Dial under way: each fan-out conn's dial and preamble,
+// then the chopped stream's target prologue.
+type dial struct {
+	pt.Chain
+	d      *Dialer
+	target string
+	sid    uint64
+	seed   int64
+	conns  []*netem.Conn
+	pre    [10]byte
+	cc     *chopConn
+}
+
+func (x *dial) Next() {
+	c, d := &x.Chain, x.d
+	switch {
+	case x.cc != nil: // the prologue's write has ended
+		if c.Err != nil {
+			x.cc.Close()
+			c.End(nil, c.Err)
+		} else {
+			c.End(x.cc, nil)
 		}
-		var pre [10]byte
-		binary.BigEndian.PutUint64(pre[:8], sid)
-		pre[8] = byte(i)
-		pre[9] = byte(d.cfg.Conns)
-		if _, err := c.Write(pre[:]); err != nil {
-			c.Close()
-			for _, cc := range conns {
-				cc.Close()
-			}
-			return nil, err
-		}
-		conns = append(conns, c)
+		return
+	case c.At%2 == 1 && c.Err != nil: // a dial failed
+		x.closeAll()
+		c.End(nil, fmt.Errorf("stegotorus: %w", c.Err))
+		return
+	case c.At%2 == 1: // a dial has ended: announce the session on its conn
+		binary.BigEndian.PutUint64(x.pre[:8], x.sid)
+		x.pre[8] = byte(len(x.conns))
+		x.pre[9] = byte(d.cfg.Conns)
+		c.Write(c.Raw, x.pre[:])
+		return
+	case c.At > 0 && c.Err != nil: // a preamble's write failed
+		c.Raw.Close()
+		x.closeAll()
+		c.End(nil, c.Err)
+		return
+	case c.At > 0:
+		x.conns = append(x.conns, c.Raw)
 	}
-	cc := newChopConn(d.host.Network().Clock(), d.cfg, sid, conns, seed)
-	if err := pt.WriteTarget(cc, target); err != nil {
+	if len(x.conns) < d.cfg.Conns {
+		c.Dial(d.host, d.addr)
+		return
+	}
+	x.cc = newChopConn(d.host.Network().Clock(), d.cfg, x.sid, x.conns, x.seed)
+	c.WriteTarget(x.cc, x.target)
+}
+
+// closeAll closes the fan-out conns opened so far.
+func (x *dial) closeAll() {
+	for _, cc := range x.conns {
 		cc.Close()
-		return nil, err
 	}
-	return cc, nil
 }

@@ -69,7 +69,7 @@ func echoHandler(t *testing.T, w *world, wantTarget string) pt.StreamHandler {
 // exerciseEcho drives a full bidirectional transfer through a dialer.
 func exerciseEcho(t *testing.T, w *world, d pt.Dialer, payloadLen int) {
 	t.Helper()
-	conn, err := d.Dial("guard-0:9001")
+	conn, err, _ := d.DialEvent("guard-0:9001", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestObfs4RejectsWrongSecret(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := obfs4.NewDialer(w.client, srv.Addr(), obfs4.Config{Secret: []byte("wrong"), Seed: 2})
-	conn, err := d.Dial("guard-0:9001")
+	conn, err, _ := d.DialEvent("guard-0:9001", nil)
 	if err == nil {
 		// The server drops us during the handshake; the failure may
 		// surface on first read instead of dial.
@@ -144,7 +144,7 @@ func TestShadowsocksZeroRTTFasterThanObfs4(t *testing.T) {
 
 	measure := func(d pt.Dialer) time.Duration {
 		start := w.net.Now()
-		conn, err := d.Dial("g:1")
+		conn, err, _ := d.DialEvent("g:1", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,7 +189,7 @@ func TestPsiphonRejectsWrongHostKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := psiphon.NewDialer(w.client, srv.Addr(), psiphon.Config{HostKey: []byte("evil"), Seed: 2})
-	if _, err := d.Dial("x"); !errors.Is(err, psiphon.ErrHostKey) {
+	if _, err, _ := d.DialEvent("x", nil); !errors.Is(err, psiphon.ErrHostKey) {
 		t.Fatalf("MITM host key must be rejected: %v, want %v", err, psiphon.ErrHostKey)
 	}
 }
@@ -202,7 +202,7 @@ func TestCloakEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := cloak.NewDialer(w.client, srv.Addr(), cloak.Config{UID: uid, Seed: 2})
-	conn, err := d.Dial("origin:80")
+	conn, err, _ := d.DialEvent("origin:80", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestCloakClientHalfClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Seed = 2
-	conn, err := cloak.NewDialer(w.client, srv.Addr(), cfg).Dial("origin:80")
+	conn, err, _ := cloak.NewDialer(w.client, srv.Addr(), cfg).DialEvent("origin:80", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ func TestDnsttRespCapLimitsThroughput(t *testing.T) {
 	res, _ := dnstt.StartResolver(w.extra, 443, dnstt.Config{Seed: 2}, srv.Addr())
 
 	d := dnstt.NewDialer(w.client, res.Addr(), dnstt.Config{Seed: 3})
-	conn, err := d.Dial("g:1")
+	conn, err, _ := d.DialEvent("g:1", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +350,7 @@ func TestDnsttResolverBudgetThrottles(t *testing.T) {
 	res, _ := dnstt.StartResolver(w.extra, 443, cfg, srv.Addr())
 
 	d := dnstt.NewDialer(w.client, res.Addr(), cfg)
-	conn, err := d.Dial("g:1")
+	conn, err, _ := d.DialEvent("g:1", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +396,7 @@ func TestMeekSessionBudgetCutsBulk(t *testing.T) {
 	front, _ := meek.StartFront(w.extra, 443, meek.Config{Seed: 2}, bridge.Addr())
 
 	d := meek.NewDialer(w.client, front.Addr(), meek.Config{Seed: 3})
-	conn, err := d.Dial("g:1")
+	conn, err, _ := d.DialEvent("g:1", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,7 +452,7 @@ func TestSnowflakeProxyChurnBreaksTransfer(t *testing.T) {
 	}
 
 	d := snowflake.NewDialer(w.client, dep.BrokerAddr(), bridge.Addr())
-	conn, err := d.Dial("g:1")
+	conn, err, _ := d.DialEvent("g:1", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -494,17 +494,17 @@ func TestCamouflerSingleStreamOnly(t *testing.T) {
 		conn.Close()
 	}))
 	d := camoufler.NewDialer(w.client, im.Addr(), "acct", camoufler.Config{Seed: 7, LossProb: -1}, proxy)
-	c1, err := d.Dial("g:1")
+	c1, err, _ := d.DialEvent("g:1", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Dial("g:1"); err != camoufler.ErrBusy {
+	if _, err, _ := d.DialEvent("g:1", nil); err != camoufler.ErrBusy {
 		t.Fatalf("second concurrent stream: want ErrBusy, got %v", err)
 	}
 	hold.Close()
 	c1.Close()
 	// After releasing, a new stream is possible.
-	c2, err := d.Dial("g:1")
+	c2, err, _ := d.DialEvent("g:1", nil)
 	if err != nil {
 		t.Fatalf("sequential re-dial should work: %v", err)
 	}
@@ -524,7 +524,7 @@ func TestCamouflerRateLimitPacesBulk(t *testing.T) {
 			conn.Write(blob)
 		}))
 		d := camoufler.NewDialer(w.client, im.Addr(), fmt.Sprintf("a%d", port), cfg, proxy)
-		conn, err := d.Dial("g:1")
+		conn, err, _ := d.DialEvent("g:1", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -586,7 +586,7 @@ func TestMarionetteSlowerThanObfs4(t *testing.T) {
 	const payload = 16 << 10
 	measure := func(d pt.Dialer) time.Duration {
 		start := w.net.Now()
-		conn, err := d.Dial("g:1")
+		conn, err, _ := d.DialEvent("g:1", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -714,16 +714,16 @@ func TestRecordTagsRefuse(t *testing.T) {
 }
 
 func TestTargetPrologue(t *testing.T) {
-	var buf bytes.Buffer
-	if err := pt.WriteTarget(&buf, "relay-3:9001"); err != nil {
+	b, err := pt.Prologue("relay-3:9001")
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := readTarget(buf.Bytes())
+	got, err := readTarget(b)
 	if err != nil || got != "relay-3:9001" {
 		t.Fatalf("got %q err %v", got, err)
 	}
 	long := make([]byte, 300)
-	if err := pt.WriteTarget(io.Discard, string(long)); err == nil {
+	if _, err := pt.Prologue(string(long)); err == nil {
 		t.Fatal("overlong target must fail")
 	}
 }

@@ -38,8 +38,8 @@ var tunnels = []struct {
 		if err != nil {
 			return nil, err
 		}
-		return pt.DialerFunc(func(target string) (netem.Stream, error) {
-			return pt.DialWrapped(w.client, srv.Addr(), pt.Handshake{}, 0, target)
+		return pt.DialerFunc(func(target string, done func(netem.Stream, error)) (netem.Stream, error, bool) {
+			return pt.DialWrapped(w.client, srv.Addr(), pt.Handshake{}, 0, target, "tor", done)
 		}), nil
 	}},
 	{"obfs4", func(w *world, h pt.StreamHandler) (pt.Dialer, error) {
@@ -201,7 +201,7 @@ func TestRecordPathAllocationBudget(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			conn, err := d.Dial("guard-0:9001")
+			conn, err, _ := d.DialEvent("guard-0:9001", nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -279,7 +279,7 @@ func TestWritersCopyBeforeReturn(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			conn, err := d.Dial("guard-0:9001")
+			conn, err, _ := d.DialEvent("guard-0:9001", nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -371,7 +371,7 @@ func TestVanishedClientIsReaped(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			conn, err := d.Dial("guard-0:9001")
+			conn, err, _ := d.DialEvent("guard-0:9001", nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -424,7 +424,7 @@ func TestGoroutinesPerDial(t *testing.T) {
 				t.Fatal(err)
 			}
 			before := clock.Registered()
-			conn, err := d.Dial("guard-0:9001")
+			conn, err, _ := d.DialEvent("guard-0:9001", nil)
 			if err != nil {
 				t.Fatal(err)
 			}

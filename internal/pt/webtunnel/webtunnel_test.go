@@ -44,10 +44,10 @@ func TestHandshakeAndRecords(t *testing.T) {
 	}
 	sc := netem.NewChan[res](n.Clock(), 1)
 	n.Go(func() {
-		c, err := Transport(cfg).Server.Run(b, 2)
+		c, err, _ := Transport(cfg).Server.RunEvent(b, 2, nil)
 		sc.Send(res{c, err})
 	})
-	cc, err := Transport(cfg).Client.Run(a, 3)
+	cc, err, _ := Transport(cfg).Client.RunEvent(a, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestServerRejectsNonTunnelRequest(t *testing.T) {
 		n, a, b := bufferedPair(t)
 		errc := netem.NewChan[error](n.Clock(), 1)
 		n.Go(func() {
-			_, err := Transport(cfg).Server.Run(b, 5)
+			_, err, _ := Transport(cfg).Server.RunEvent(b, 5, nil)
 			errc.Send(err)
 		})
 		a.Write(append([]byte{0x16, 0x03, 0x01}, make([]byte, 32+1)...))

@@ -129,7 +129,7 @@ func TestWireShapePinned(t *testing.T) {
 				last = now
 				return s
 			}
-			conn, err := d.Dial("guard-0:9001")
+			conn, err, _ := d.DialEvent("guard-0:9001", nil)
 			if err != nil {
 				t.Fatal(err)
 			}

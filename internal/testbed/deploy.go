@@ -37,12 +37,15 @@ type Deployment struct {
 	// dialer is the PT client that application streams (set 3) or the
 	// Tor client's first hop (set 2) go through.
 	dialer pt.Dialer
+	// pool is snowflake's volunteer pool, for the snowflake deployment.
+	pool *snowflake.Deployment
 }
 
 // Dial opens an application stream to target through the deployment.
 func (d *Deployment) Dial(target string) (net.Conn, error) {
 	if d.Info.Set == pt.Set3 {
-		return d.dialer.Dial(target)
+		s, err, _ := d.dialer.DialEvent(target, nil)
+		return s, err
 	}
 	return d.tor.Dial(target)
 }
@@ -54,19 +57,9 @@ func (d *Deployment) FreshCircuit() { d.tor.NewCircuit() }
 // Preheat builds circuits ahead of measurement.
 func (d *Deployment) Preheat() error { return d.tor.Preheat() }
 
-// snowflakeDialer is snowflake's dialer with its volunteer pool riding
-// along, which is how the recipe hands the pool to Deployment.Snowflake.
-type snowflakeDialer struct {
-	pt.Dialer
-	pool *snowflake.Deployment
-}
-
 // Snowflake returns the snowflake pool controller, if this deployment
 // is snowflake.
-func (d *Deployment) Snowflake() *snowflake.Deployment {
-	sd, _ := d.dialer.(snowflakeDialer)
-	return sd.pool
-}
+func (d *Deployment) Snowflake() *snowflake.Deployment { return d.pool }
 
 // Recovery returns the recovery counters of the deployment's Tor client
 // — the per-method recovery cost the churn experiment reports.
@@ -228,7 +221,8 @@ func (w *World) startTransport(name string, s site) (pt.Dialer, error) {
 				pool.SetLoad(p.Util, p.Lifetime)
 			})
 		}
-		d = snowflakeDialer{snowflake.NewDialer(w.Client, pool.BrokerAddr(), bridge.Addr()), pool}
+		w.pool = pool
+		d = snowflake.NewDialer(w.Client, pool.BrokerAddr(), bridge.Addr())
 	case "cloak":
 		cfg := cloak.Config{UID: []byte("cloak-uid"), Seed: s.seed}
 		_, err = cloak.StartServer(s.host, s.port, cfg, s.handle)

@@ -88,7 +88,7 @@ func TestPTDialTrace(t *testing.T) {
 			case tc.rejected:
 				d := conjure.NewDialer(r.w.Client, r.addr(t, "conjure-registrar", 53001), r.addr(t, "conjure-station", 443),
 					conjure.Config{Secret: []byte("not-the-station's"), Seed: 3})
-				_, err := d.Dial("echo:7")
+				_, err, _ := d.DialEvent("echo:7", nil)
 				r.tap.Note("dialed %v", err)
 			case r.d.Info.Set == pt.Set3:
 				r.session("echo:7")

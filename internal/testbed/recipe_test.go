@@ -55,7 +55,10 @@ func TestRecipeStartsEveryTransport(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fetchPage(t, w, func(target string) (net.Conn, error) { return d.Dial(target) })
+			fetchPage(t, w, func(target string) (net.Conn, error) {
+				s, err, _ := d.DialEvent(target, nil)
+				return s, err
+			})
 		})
 	}
 }

@@ -21,7 +21,7 @@ type FixedCircuitRig struct {
 
 	// firstHop is what each PT method's clients dial the shared relay
 	// through; vanilla Tor has no entry and dials it directly.
-	firstHop map[string]tor.FirstHopDialer
+	firstHop map[string]pt.Dialer
 	seq      int64
 }
 
@@ -54,7 +54,7 @@ func (w *World) newSharedHopRig(name string, share float64, seed int64) (*FixedC
 	if err != nil {
 		return nil, err
 	}
-	rig := &FixedCircuitRig{world: w, Relay: relay, firstHop: make(map[string]tor.FirstHopDialer)}
+	rig := &FixedCircuitRig{world: w, Relay: relay, firstHop: make(map[string]pt.Dialer)}
 	for i, method := range rig.Methods()[1:] {
 		s := site{
 			host: relay.Host(), port: 4430 + i,

@@ -24,6 +24,8 @@ import (
 	"ptperf/internal/faults"
 	"ptperf/internal/geo"
 	"ptperf/internal/netem"
+	"ptperf/internal/pt"
+	"ptperf/internal/pt/snowflake"
 	"ptperf/internal/sim"
 	"ptperf/internal/tor"
 	"ptperf/internal/web"
@@ -153,6 +155,9 @@ type World struct {
 	relays  []*tor.Relay
 	deps    map[string]*Deployment
 	nextSrv int
+	// pool is the volunteer pool of the snowflake started last, which
+	// wire hands to its deployment.
+	pool *snowflake.Deployment
 }
 
 // New builds a world. The caller owns it and ends it with Close; a
@@ -360,7 +365,7 @@ func (w *World) clientSeed(n int64) int64 { return w.Opts.Seed*1000 + n }
 // measurement host or a PT server's, behind a transport's first-hop
 // dialer or bare — so the build timeout and Options.Retry reach all of
 // them.
-func (w *World) newTorClient(host *netem.Host, p pin, dial tor.FirstHopDialer, seed int64) (*tor.Client, error) {
+func (w *World) newTorClient(host *netem.Host, p pin, dial pt.Dialer, seed int64) (*tor.Client, error) {
 	return tor.NewClient(tor.ClientConfig{
 		Host:         host,
 		Directory:    w.Dir,

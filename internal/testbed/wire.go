@@ -15,14 +15,17 @@ type pin struct{ guard, middle, exit *tor.Descriptor }
 
 // bridge starts a set-1 transport at s with its unwrapped streams
 // feeding relay's OR protocol directly, and returns what a Tor client
-// pinned to relay dials its first hop through.
-func (w *World) bridge(relay *tor.Relay, name string, s site) (tor.FirstHopDialer, error) {
+// pinned to relay dials its first hop through: the transport's dialer,
+// whose streams name no target, as the bridge reads none.
+func (w *World) bridge(relay *tor.Relay, name string, s site) (pt.Dialer, error) {
 	s.handle = func(_ string, conn netem.Stream) { relay.ServeConn(conn) }
 	dialer, err := w.startTransport(name, s)
 	if err != nil {
 		return nil, err
 	}
-	return func(*tor.Descriptor) (netem.Stream, error) { return dialer.Dial("") }, nil
+	return pt.DialerFunc(func(_ string, done func(netem.Stream, error)) (netem.Stream, error, bool) {
+		return dialer.DialEvent("", done)
+	}), nil
 }
 
 // wire starts a transport at s and wires it per its integration set
@@ -31,7 +34,7 @@ func (w *World) bridge(relay *tor.Relay, name string, s site) (tor.FirstHopDiale
 // s.host that a set-1 server feeds; the other sets ignore it.
 func (w *World) wire(info pt.Info, s site, relay *tor.Relay, p pin, seed int64) (*Deployment, error) {
 	d := &Deployment{Name: info.Name, Info: info}
-	var hop tor.FirstHopDialer
+	var hop pt.Dialer
 	var err error
 	switch info.Set {
 	case pt.Set1:
@@ -44,14 +47,17 @@ func (w *World) wire(info pt.Info, s site, relay *tor.Relay, p pin, seed int64) 
 		// names in the stream prologue.
 		s.handle = pt.ForwardTo(s.host)
 		d.dialer, err = w.startTransport(info.Name, s)
-		hop = func(g *tor.Descriptor) (netem.Stream, error) { return d.dialer.Dial(g.Addr) }
+		hop = d.dialer
+		if info.Name == "snowflake" {
+			d.pool = w.pool
+		}
 	case pt.Set3:
 		// The PT server host runs the Tor client, which dials each
 		// application stream's final destination on the clock.
 		if d.tor, err = w.newTorClient(s.host, p, nil, seed); err != nil {
 			return nil, err
 		}
-		s.handle = pt.HandleWithDialer(w.Net.Clock(), d.tor.DialEvent)
+		s.handle = pt.HandleWithDialer(w.Net.Clock(), d.tor)
 		d.dialer, err = w.startTransport(info.Name, s)
 	}
 	if err != nil {

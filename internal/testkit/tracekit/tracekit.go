@@ -26,6 +26,9 @@ func New(n *netem.Network) *Trace { return &Trace{net: n} }
 // Printf appends format's expansion.
 func (tr *Trace) Printf(format string, args ...any) { tr.buf = fmt.Appendf(tr.buf, format, args...) }
 
+// Bytes is the trace so far.
+func (tr *Trace) Bytes() []byte { return tr.buf }
+
 // Record notes what a call on side returned, and when.
 func (tr *Trace) Record(side string, n int, err error) {
 	tr.Printf("%s %d %v %d\n", side, n, err, tr.net.Now())

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"ptperf/internal/netem"
+	"ptperf/internal/pt"
 	"ptperf/internal/sim"
 )
 
@@ -18,12 +19,6 @@ var (
 	// ErrStreamRefused is returned when the exit cannot reach the target.
 	ErrStreamRefused = errors.New("tor: stream refused by exit")
 )
-
-// FirstHopDialer opens the client's connection to the first hop. Vanilla
-// Tor dials the guard's ORPort directly; pluggable transports substitute
-// their obfuscated channel here — this is the paper's PT client plug-in
-// point.
-type FirstHopDialer func(guard *Descriptor) (netem.Stream, error)
 
 // RetryPolicy bounds the client's recovery machinery. The zero value
 // reproduces the historical hard-coded behavior byte-for-byte on
@@ -96,8 +91,12 @@ type ClientConfig struct {
 	Host *netem.Host
 	// Directory provides the consensus for path selection.
 	Directory *Directory
-	// DialFirstHop overrides the vanilla direct dial to the guard.
-	DialFirstHop FirstHopDialer
+	// DialFirstHop opens the client's connection to the first hop, the
+	// guard's address its target. Nil dials the guard's ORPort directly,
+	// as vanilla Tor does; pluggable transports substitute their
+	// obfuscated channel here — this is the paper's PT client plug-in
+	// point.
+	DialFirstHop pt.Dialer
 	// Guard pins the first hop (guard persistence, fixed-circuit
 	// experiments, PT bridges). Nil selects one from the consensus and
 	// keeps it for the client's lifetime.
@@ -155,6 +154,9 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if cfg.BuildTimeout <= 0 {
 		cfg.BuildTimeout = 60 * time.Second
 	}
+	if cfg.DialFirstHop == nil {
+		cfg.DialFirstHop = directHop{cfg.Host}
+	}
 	c := &Client{
 		cfg:       cfg,
 		clock:     cfg.Host.Network().Clock(),
@@ -164,6 +166,18 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		guard:     cfg.Guard,
 	}
 	return c, nil
+}
+
+// directHop is vanilla Tor's first hop: a dial of the guard's ORPort.
+type directHop struct{ host *netem.Host }
+
+func (h directHop) DialEvent(addr string, done func(netem.Stream, error)) (netem.Stream, error, bool) {
+	var fn func(*netem.Conn, error)
+	if done != nil {
+		fn = func(conn *netem.Conn, err error) { done(conn, err) }
+	}
+	conn, err, ok := h.host.DialEvent(addr, fn)
+	return conn, err, ok
 }
 
 // Recovery returns the client's cumulative recovery counters.

@@ -31,16 +31,12 @@ func (c *Client) Dial(target string) (netem.Stream, error) {
 // itself for a nil done: it returns done with what Dial would have
 // returned, or false at its first wait, and done gets the result from
 // the event that ends the dial. Each wait is Dial's in its event form:
-// Host.DialEvent, cellOut.sendEvent, the CREATED cellPump,
-// Chan.RecvUntilEvent and Clock.SleepEvent. A DialFirstHop parks, so on
-// a client that has one DialEvent with a done panics.
+// the first hop's DialEvent, cellOut.sendEvent, the CREATED cellPump,
+// Chan.RecvUntilEvent and Clock.SleepEvent.
 func (c *Client) DialEvent(target string, done func(netem.Stream, error)) (netem.Stream, error, bool) {
 	d := &clientDial{c: c, target: target, done: done}
 	if done != nil {
-		if c.cfg.DialFirstHop != nil {
-			panic("tor: DialEvent on a client whose DialFirstHop parks; call Dial")
-		}
-		d.again, d.hopFn = d.resume, func(conn *netem.Conn, err error) { d.hopDialed(conn, err); d.resume() }
+		d.again = d.resume
 	}
 	if !d.run() {
 		return nil, nil, false
@@ -61,7 +57,7 @@ type clientDial struct {
 	preheat        bool // no stream
 	done           func(netem.Stream, error)
 	again          func()
-	hopFn          func(*netem.Conn, error) // the first hop's dial's
+	hopFn          func(netem.Stream, error) // the first hop's dial's
 	at             dialStep
 	attempt, build int           // the stream's re-attaches, the circuit's builds
 	deadline       time.Duration // EXTENDED's or CONNECTED's
@@ -134,18 +130,18 @@ func (d *clientDial) run() bool {
 			if c.cfg.Directory != nil {
 				d.path, err = c.cfg.Directory.SelectPath(c.rng, guard, c.cfg.Middle, c.cfg.Exit)
 			}
-			switch dial := c.cfg.DialFirstHop; {
-			case err != nil:
+			if err != nil {
 				d.buildFailed(err)
-			case dial != nil: // the parking form only (DialEvent)
-				d.hopDialed(dial(d.path.Guard))
-			default:
-				conn, err, done := c.cfg.Host.DialEvent(d.path.Guard.Addr, d.hopFn)
-				if !done {
-					return false
-				}
-				d.hopDialed(conn, err)
+				continue
 			}
+			if d.again != nil && d.hopFn == nil {
+				d.hopFn = func(conn netem.Stream, err error) { d.hopDialed(conn, err); d.resume() }
+			}
+			conn, err, done := c.cfg.DialFirstHop.DialEvent(d.path.Guard.Addr, d.hopFn)
+			if !done {
+				return false
+			}
+			d.hopDialed(conn, err)
 		case atCreate:
 			if err, done := d.out.cellOut.sendEvent(nil, d.circ.conn, nil, d.again); !done {
 				return false

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"ptperf/internal/netem"
+	"ptperf/internal/pt"
 	"ptperf/internal/sim"
 )
 
@@ -49,20 +50,44 @@ func (p *formTap) FilterSegment(f netem.Flow, n int) netem.Verdict {
 	return netem.Verdict{}
 }
 
+// hopTransport is a transport in front of each guard, as a set-1 bridge
+// is: a flight each way, then the OR protocol.
+var hopTransport = pt.WrapTransport{
+	Name: "hop", Keyed: true,
+	Client: pt.Handshake{Steps: []pt.Step{pt.Random(24), pt.Expect([]byte("ok"), errors.New("not ok"))}},
+	Server: pt.Handshake{Steps: []pt.Step{{N: 24}, pt.Send([]byte("ok"))}},
+}
+
 // dialWorld runs the world seed draws: a client with a drawn build
 // timeout and retry policy, drawn faults (two relays' crashes and
 // restarts, refused dials, a black hole) and one to six drawn dials, a fifth of
 // them to a port nothing listens on, each started at its instant on a
 // goroutine with Dial, or, for event, from the run queue with DialEvent.
-// It returns the tapped trace, with each dial's result at the instant
-// its caller learns it, and the client's recovery counters.
-func dialWorld(t *testing.T, seed int64, event bool) ([]byte, RecoveryStats) {
+// With hop, the client's first hop goes through hopTransport to the
+// guard's host. It returns the tapped trace, with each dial's result at
+// the instant its caller learns it, and the client's recovery counters.
+func dialWorld(t *testing.T, seed int64, event, hop bool) ([]byte, RecoveryStats) {
 	w := buildWorld(t, 2, 2, 2)
 	rng := sim.NewRand(seed)
 	draw := func(d time.Duration) time.Duration { return time.Duration(rng.Int63n(int64(d))) }
 	tap := &formTap{net: w.net}
 	w.net.SetPolicy(tap)
+	var dialer pt.Dialer
+	if hop {
+		for _, r := range w.relays {
+			if _, err := hopTransport.StartServer(r.Host(), 443, func(_ string, conn netem.Stream) { r.ServeConn(conn) }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var hs int64
+		dialer = pt.DialerFunc(func(guard string, done func(netem.Stream, error)) (netem.Stream, error, bool) {
+			host, _, _ := strings.Cut(guard, ":")
+			hs++
+			return pt.DialWrapped(w.client, host+":443", hopTransport.Client, hs, guard, "hop", done)
+		})
+	}
 	c := newTestClient(t, w, func(cfg *ClientConfig) {
+		cfg.DialFirstHop = dialer
 		cfg.Seed = seed
 		cfg.BuildTimeout = []time.Duration{2 * time.Second, 10 * time.Second}[rng.Intn(2)]
 		cfg.Retry = RetryPolicy{
@@ -107,14 +132,15 @@ func dialWorld(t *testing.T, seed int64, event bool) ([]byte, RecoveryStats) {
 // TestDialEventMatchesDial runs each drawn world twice, its dials once
 // with the parking Dial on goroutines and once with DialEvent from the
 // run queue, and requires the same trace, every dial, segment, close and
-// result at the same instant, and the same recovery counters. The draws
-// must reach every recovery path between them.
+// result at the same instant, and the same recovery counters. From seed
+// 61 on, the first hop goes through a transport. The draws must reach
+// every recovery path between them.
 func TestDialEventMatchesDial(t *testing.T) {
 	var sum RecoveryStats
-	for seed := int64(1); seed <= 60; seed++ {
+	for seed := int64(1); seed <= 90; seed++ {
 		t.Run(fmt.Sprint(seed), func(t *testing.T) {
-			parked, want := dialWorld(t, seed, false)
-			evented, got := dialWorld(t, seed, true)
+			parked, want := dialWorld(t, seed, false, seed > 60)
+			evented, got := dialWorld(t, seed, true, seed > 60)
 			if got != want {
 				t.Errorf("recovery %+v with DialEvent, %+v with Dial", got, want)
 			}
@@ -139,24 +165,4 @@ func TestDialEventMatchesDial(t *testing.T) {
 	if sum.Rebuilds == 0 || sum.BuildTimeouts == 0 || sum.StreamFailures == 0 || sum.ReAttaches == 0 || sum.Abandoned == 0 || sum.GuardProbations == 0 {
 		t.Errorf("the draws reached %+v: a recovery path never ran", sum)
 	}
-}
-
-// TestDialEventRefusesParkingFirstHop: a first hop through a transport
-// parks, so a client with a DialFirstHop refuses DialEvent before it
-// touches anything.
-func TestDialEventRefusesParkingFirstHop(t *testing.T) {
-	w := buildWorld(t, 1, 1, 1)
-	c := newTestClient(t, w, func(cfg *ClientConfig) {
-		cfg.DialFirstHop = func(g *Descriptor) (netem.Stream, error) { return w.client.Dial(g.Addr) }
-	})
-	before := w.net.Clock().Stats()
-	defer func() {
-		if p := recover(); p == nil || !strings.Contains(fmt.Sprint(p), "DialFirstHop") {
-			t.Fatalf("DialEvent on a client with a DialFirstHop: panic %v, want a refusal naming it", p)
-		}
-		if after := w.net.Clock().Stats(); after != before || c.circ != nil {
-			t.Fatalf("the refused DialEvent scheduled %+v (from %+v) or built a circuit", after, before)
-		}
-	}()
-	c.DialEvent(w.target, func(netem.Stream, error) { t.Error("the refused DialEvent reported a result") })
 }

@@ -108,13 +108,13 @@ func newPumpRig(t *testing.T, seed int64, client, server func(*pumpRig, *netem.C
 		Host:  host,
 		Guard: guard.Descriptor(), Middle: r.relays[1].Descriptor(), Exit: r.relays[2].Descriptor(),
 		Seed: 9,
-		DialFirstHop: func(*Descriptor) (netem.Stream, error) {
+		DialFirstHop: pt.DialerFunc(func(string, func(netem.Stream, error)) (netem.Stream, error, bool) {
 			raw, err := host.Dial("guard:443")
 			if err != nil {
-				return nil, err
+				return nil, err, true
 			}
-			return client(r, raw.(*netem.Conn)), nil
-		},
+			return client(r, raw.(*netem.Conn)), nil, true
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)

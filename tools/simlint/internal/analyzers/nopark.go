@@ -35,7 +35,11 @@ import (
 //     tunnelling transports' frame handlers live in their own packages,
 //     where the sink's calls through its fields cannot be followed;
 //   - the dial argument of pt.HandleWithDialer, which the set-3
-//     server's handler starts from the run queue;
+//     server's handler starts from the run queue (a function given as
+//     a pt.DialerFunc);
+//   - the Next method of the body given to pt.Chain.Play, a PT dialer's
+//     one dial body: its event form runs Next from each wait's
+//     continuation, so Next waits only through its Chain;
 //   - the continuation of every event form, a method whose name ends in
 //     Event and whose last parameter is a func without results: netem's
 //     Cond.WaitEvent, Mutex.LockEvent, Chan.RecvEvent, Host.DialEvent
@@ -52,13 +56,13 @@ import (
 // parking primitive is an error:
 //   - netem scheduler waits: Clock.Sleep/SleepUntil, Cond.Wait,
 //     Mutex.Lock, WaitGroup.Wait, Chan.Send/Recv, and the waits of a
-//     conn's life: Host.Dial (its round trip), Listener.Accept, a PT
-//     handshake's plain pt.Handshake.Run and a Tor client's plain
-//     tor.Client.Dial and Preheat;
+//     conn's life: Host.Dial (its round trip), Listener.Accept and a Tor
+//     client's plain tor.Client.Dial and Preheat;
 //   - any event form called with a literal nil continuation, which
 //     parks: the plain forms are their event forms so called
-//     (netem.Conn.Write is WriteEvent(p, nil), pt.Stream.Read is
-//     readEvent(p, 1, nil)), and the walker does not enter an event
+//     (netem.Conn.Write is WriteEvent(p, nil), a PT handshake's is
+//     pt.Handshake.RunEvent(conn, seed, nil), a PT dialer's its
+//     DialEvent(target, nil)), and the walker does not enter an event
 //     form's body;
 //   - netem conn/pipe operations that park on backpressure or arrival:
 //     Conn.Read/ReadFull/Write, pipe.read/push;
@@ -107,7 +111,6 @@ var parkingMethods = map[primKey]string{
 	{"netem", "Conn", "Write"}:         "parks on receive-window backpressure (use WriteEvent)",
 	{"netem", "Host", "Dial"}:          "parks for the handshake's round trip (use DialEvent)",
 	{"netem", "Listener", "Accept"}:    "parks until a conn arrives (use Listener.Serve)",
-	{"pt", "Handshake", "Run"}:         "parks on its flights (use RunEvent)",
 	{"tor", "Client", "Dial"}:          "parks for the circuit's build and the stream's open (use DialEvent)",
 	{"tor", "Client", "Preheat"}:       "parks for the circuit's build",
 	{"netem", "pipe", "read"}:          "parks until the requested bytes arrive",
@@ -313,6 +316,8 @@ func (a *noParkAnalysis) collectRoots() []root {
 				idxs, kind = []int{0, 1, 2}, "pt.NewFrameConn handler"
 			case isMethodOf(fn, "pt", "", "HandleWithDialer"):
 				idxs, kind = []int{1}, "pt.HandleWithDialer dial"
+			case isMethodOf(fn, "pt", "Chain", "Play"):
+				idxs, kind = []int{0}, "pt.Chain.Play body"
 			default:
 				i := eventFormArg(fn)
 				if i < 0 {
@@ -347,10 +352,20 @@ func (a *noParkAnalysis) resolveCallback(e ast.Expr, depth int) []ast.Node {
 	switch e := ast.Unparen(e).(type) {
 	case *ast.FuncLit:
 		return []ast.Node{e}
+	case *ast.CallExpr: // a conversion: pt.DialerFunc(func ...)
+		if tv, ok := info.Types[e.Fun]; ok && tv.IsType() && len(e.Args) == 1 {
+			return a.resolveCallback(e.Args[0], depth+1)
+		}
 	case *ast.Ident:
 		if f, ok := info.Uses[e].(*types.Func); ok {
 			if d := a.decls[f]; d != nil {
 				return []ast.Node{d}
+			}
+		} else if v, ok := info.Uses[e].(*types.Var); ok { // a pt.Body: its Next
+			if next := types.NewMethodSet(v.Type()).Lookup(a.pass.Pkg, "Next"); next != nil {
+				if d := a.decls[next.Obj().(*types.Func)]; d != nil {
+					return []ast.Node{d}
+				}
 			}
 		}
 	case *ast.SelectorExpr:

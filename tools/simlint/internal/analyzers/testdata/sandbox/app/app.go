@@ -291,7 +291,7 @@ func (p *proc) serve(ln *netem.Listener) {
 
 func (p *proc) accepted(c *netem.Conn) {
 	p.clock.Sleep(1)                                                // want `\(netem\.Clock\)\.Sleep parks until a virtual instant.*Listener\.Serve handler`
-	pt.Handshake{}.Run(c, 1)                                        // want `\(pt\.Handshake\)\.Run parks on its flights \(use RunEvent\).*Listener\.Serve handler`
+	pt.Handshake{}.RunEvent(c, 1, nil)                              // want `\(pt\.Handshake\)\.RunEvent with a nil continuation parks.*Listener\.Serve handler`
 	pt.Handshake{}.RunEvent(c, 1, func(any, error) { c.Read(nil) }) // want `\(netem\.Conn\)\.Read parks until arrival.*Handshake\.RunEvent continuation`
 	p.clock.Go(func() { c.Read(nil) })
 }
@@ -300,16 +300,42 @@ func (p *proc) accepted(c *netem.Conn) {
 // client beside it from the run queue, so the dial is the event form,
 // and so is every dial an event makes.
 func setThree(clock *netem.Clock, cl *tor.Client) {
-	pt.HandleWithDialer(clock, func(target string, fn func(netem.Stream, error)) (netem.Stream, error, bool) {
+	pt.HandleWithDialer(clock, pt.DialerFunc(func(target string, fn func(netem.Stream, error)) (netem.Stream, error, bool) {
 		s, err := cl.Dial(target) // want `\(tor\.Client\)\.Dial parks for the circuit's build and the stream's open \(use DialEvent\).*pt\.HandleWithDialer dial`
 		return s, err, true
-	})
-	pt.HandleWithDialer(clock, cl.DialEvent)
+	}))
+	pt.HandleWithDialer(clock, cl)
 	clock.EventAt(0, func() {
 		cl.Preheat()              // want `\(tor\.Client\)\.Preheat parks for the circuit's build.*Clock\.EventAt arm`
 		cl.DialEvent("exit", nil) // want `\(tor\.Client\)\.DialEvent with a nil continuation parks`
 		cl.DialEvent("exit", func(netem.Stream, error) {})
 	})
+}
+
+// firstHop is a Tor client's first hop through a transport, dialed from
+// an event: a PT dialer has one dial body, whose parking form is its
+// DialEvent with a nil continuation.
+func firstHop(clock *netem.Clock, d pt.Dialer) {
+	clock.EventAt(0, func() {
+		d.DialEvent("guard:9001", nil) // want `\(pt\.Dialer\)\.DialEvent with a nil continuation parks.*Clock\.EventAt arm`
+		d.DialEvent("guard:9001", func(netem.Stream, error) {})
+	})
+}
+
+// hopDial is a PT dialer's one dial body: its event form runs Next from
+// each wait's continuation, so Next waits only through its Chain.
+type hopDial struct {
+	pt.Chain
+	host *netem.Host
+}
+
+func (x *hopDial) DialEvent(target string, done func(netem.Stream, error)) (netem.Stream, error, bool) {
+	return x.Play(x, done)
+}
+
+func (x *hopDial) Next() bool {
+	x.host.Dial("guard:443") // want `\(netem\.Host\)\.Dial parks for the handshake's round trip.*pt\.Chain\.Play body`
+	return true
 }
 
 // cutAll and onStop are handlers that stay on the non-parking surface.

@@ -1,8 +1,8 @@
 // Package pt is a stub of ptperf/internal/pt for the simlint
 // analysistest sandbox: noparkinevent takes the handlers handed to
 // NewFrameConn and the dial handed to HandleWithDialer as event-callback
-// roots, and Handshake.Run for a parking primitive, matched by package
-// segment and name.
+// roots, matched by package segment and name, and the continuations of
+// Handshake.RunEvent and a Dialer's DialEvent as event forms'.
 package pt
 
 import "sandbox/netem"
@@ -17,9 +17,28 @@ func (f *FrameConn) Await() {}
 
 type Handshake struct{}
 
-func (h Handshake) Run(conn any, seed int64) (any, error)                { return nil, nil }
-func (h Handshake) RunEvent(conn any, seed int64, done func(any, error)) {}
+func (h Handshake) RunEvent(conn any, seed int64, done func(any, error)) (any, error, bool) {
+	return nil, nil, true
+}
 
-func HandleWithDialer(clock *netem.Clock, dial func(target string, fn func(netem.Stream, error)) (netem.Stream, error, bool)) func(string, netem.Stream) {
+type Dialer interface {
+	DialEvent(target string, done func(netem.Stream, error)) (netem.Stream, error, bool)
+}
+
+type DialerFunc func(target string, done func(netem.Stream, error)) (netem.Stream, error, bool)
+
+func (f DialerFunc) DialEvent(target string, done func(netem.Stream, error)) (netem.Stream, error, bool) {
+	return f(target, done)
+}
+
+func HandleWithDialer(clock *netem.Clock, dial Dialer) func(string, netem.Stream) {
 	return nil
+}
+
+type Chain struct{}
+
+type Body interface{ Next() bool }
+
+func (c *Chain) Play(body Body, done func(netem.Stream, error)) (netem.Stream, error, bool) {
+	return nil, nil, true
 }
