@@ -9,7 +9,8 @@ import (
 // A Chain is one dial under way, a Body's steps played in order by
 // Play. Step At takes the result of the wait the step before it started
 // and starts the next wait, with Dial, Handshake, ReadPrefixed, Write or
-// WriteTarget, or ends the dial with End. For a nil done each wait parks
+// WriteTarget, or ends the dial, with End, or Finish after the target
+// prologue's write. For a nil done each wait parks
 // in place, so the steps run straight through as a goroutine dialing
 // with the plain calls did; otherwise a wait leaves a continuation,
 // bound once per dial, that plays the next step from the event that
@@ -30,7 +31,8 @@ type Chain struct {
 	fieldFn      func([]byte, error)
 	writeFn      func()
 	to           netem.EventWriter
-	out          []byte // what the Write under way has still to send
+	out          []byte       // what the Write under way has still to send
+	last         netem.Stream // what Finish hands out
 }
 
 // A Body is a dialer's one dial body: Next plays its step At.
@@ -63,14 +65,29 @@ func (c *Chain) Play(body Body, done func(netem.Stream, error)) (netem.Stream, e
 // play plays steps until one waits, false, or the dial ends, true.
 func (c *Chain) play() bool {
 	for !c.waits && !c.ended {
-		c.body.Next()
-		c.At++
+		switch {
+		case c.last == nil:
+			c.body.Next()
+			c.At++
+		case c.Err != nil:
+			c.last.Close()
+			c.End(nil, c.Err)
+		default:
+			c.End(c.last, nil)
+		}
 	}
 	return c.ended
 }
 
 // End ends the dial with conn, or with err.
 func (c *Chain) End(conn netem.Stream, err error) { c.Conn, c.Err, c.ended = conn, err, true }
+
+// Finish writes target's prologue to conn, then ends the dial with conn,
+// or closes conn and ends the dial with the write's error.
+func (c *Chain) Finish(conn netem.Stream, target string) {
+	c.last = conn
+	c.WriteTarget(conn, target)
+}
 
 // Hand ends the dial with what a dial given Done returned: at once, or
 // once that dial hands its result to done itself.

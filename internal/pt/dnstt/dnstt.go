@@ -393,20 +393,10 @@ type dial struct {
 	target string
 	sid    uint64
 	conns  []*netem.Conn
-	t      *tunnelConn
 }
 
 func (x *dial) Next() {
 	c, d := &x.Chain, x.d
-	if x.t != nil { // the prologue's write has ended
-		if c.Err != nil {
-			x.t.Close()
-			c.End(nil, c.Err)
-		} else {
-			c.End(x.t, nil)
-		}
-		return
-	}
 	if c.At > 0 { // a pipeline's dial has ended
 		if c.Err != nil {
 			for _, cc := range x.conns {
@@ -439,8 +429,7 @@ func (x *dial) Next() {
 			p.poll()
 		}
 	})
-	x.t = t
-	c.WriteTarget(t, x.target)
+	c.Finish(t, x.target)
 }
 
 // tunnelConn is the client-side stream over the poll pipelines.

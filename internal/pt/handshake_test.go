@@ -403,7 +403,10 @@ func FuzzHandshakeRunEvent(f *testing.F) {
 			var err error
 			if event {
 				ended := 0
-				h.RunEvent(c, seed+1, func(_ netem.Stream, e error) { err, ended = e, ended+1 })
+				done := func(_ netem.Stream, e error) { err, ended = e, ended+1 }
+				if _, e, ok := h.RunEvent(c, seed+1, done); ok {
+					done(nil, e)
+				}
 				for ended == 0 {
 					again := c.again
 					if again == nil {

@@ -344,20 +344,15 @@ func (x *dial) Next() {
 	switch c, t := &x.Chain, x.t; {
 	case c.At == 0:
 		c.Dial(x.d.host, x.d.frontAddr)
-	case c.At == 1 && c.Err != nil:
+	case c.Err != nil:
 		c.End(nil, fmt.Errorf("meek: front unreachable: %w", c.Err))
-	case c.At == 1:
+	default:
 		t.in, t.pollFn = pt.NewFrameConn(cutReply, t.reply, t.stop), t.send
 		t.in.Attach(c.Raw)
 		// The first poll goes out once the dial's caller waits, so it
 		// carries the target prologue.
 		t.clock.ReadyEvent(t.pollFn)
-		c.WriteTarget(t, x.target)
-	case c.Err != nil:
-		t.Close()
-		c.End(nil, c.Err)
-	default:
-		c.End(t, nil)
+		c.Finish(t, x.target)
 	}
 }
 

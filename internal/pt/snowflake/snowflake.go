@@ -183,7 +183,7 @@ func proxyLocation(id int) geo.Location {
 // serveFlow splices one accepted flow to the bridge address its hello
 // announces, a chain of clock events: the hello's reads, the dial.
 func (p *proxy) serveFlow(c *netem.Conn) {
-	pt.ReadPrefixed(c, 2, func(bridgeAddr []byte, err error) {
+	hello := func(bridgeAddr []byte, err error) {
 		if err != nil {
 			c.Close()
 			return
@@ -199,7 +199,10 @@ func (p *proxy) serveFlow(c *netem.Conn) {
 		if down, err, done := p.host.DialEvent(string(bridgeAddr), dialed); done {
 			dialed(down, err)
 		}
-	})
+	}
+	if bridgeAddr, err, done := pt.ReadPrefixed(c, 2, hello); done {
+		hello(bridgeAddr, err)
+	}
 }
 
 // kill takes the volunteer offline, aborting all flows mid-transfer.
@@ -309,15 +312,13 @@ func (x *dial) Next() {
 		}
 	case c.At == 4 && c.Err != nil:
 		c.End(nil, fmt.Errorf("snowflake: volunteer gone: %w", c.Err))
-	case c.Err != nil: // a write to the proxy failed
-		c.Raw.Close()
-		c.End(nil, c.Err)
 	case c.At == 4:
 		c.Write(c.Raw, hello(d.bridgeAddr))
-	case c.At == 5:
-		c.WriteTarget(c.Raw, x.target)
+	case c.Err != nil: // the hello's write failed
+		c.Raw.Close()
+		c.End(nil, c.Err)
 	default:
-		c.End(c.Raw, nil)
+		c.Finish(c.Raw, x.target)
 	}
 }
 

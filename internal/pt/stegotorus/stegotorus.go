@@ -408,13 +408,16 @@ func (s *Server) abandon(f *fanOut) {
 // [1B total], and serves the session once its last conn is in.
 func (s *Server) serveConn(c *netem.Conn) {
 	pre := make([]byte, 10)
-	pt.ReadFullEvent(c, pre, func(err error) {
+	read := func(err error) {
 		if err != nil {
 			c.Close()
 			return
 		}
 		s.join(c, binary.BigEndian.Uint64(pre[:8]), int(pre[9]))
-	})
+	}
+	if err, done := pt.ReadFullEvent(c, pre, read); done {
+		read(err)
+	}
 }
 
 // join adds c to session sid's fan-out of total conns.
@@ -479,20 +482,11 @@ type dial struct {
 	seed   int64
 	conns  []*netem.Conn
 	pre    [10]byte
-	cc     *chopConn
 }
 
 func (x *dial) Next() {
 	c, d := &x.Chain, x.d
 	switch {
-	case x.cc != nil: // the prologue's write has ended
-		if c.Err != nil {
-			x.cc.Close()
-			c.End(nil, c.Err)
-		} else {
-			c.End(x.cc, nil)
-		}
-		return
 	case c.At%2 == 1 && c.Err != nil: // a dial failed
 		x.closeAll()
 		c.End(nil, fmt.Errorf("stegotorus: %w", c.Err))
@@ -515,8 +509,7 @@ func (x *dial) Next() {
 		c.Dial(d.host, d.addr)
 		return
 	}
-	x.cc = newChopConn(d.host.Network().Clock(), d.cfg, x.sid, x.conns, x.seed)
-	c.WriteTarget(x.cc, x.target)
+	c.Finish(newChopConn(d.host.Network().Clock(), d.cfg, x.sid, x.conns, x.seed), x.target)
 }
 
 // closeAll closes the fan-out conns opened so far.
