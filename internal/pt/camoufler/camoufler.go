@@ -517,7 +517,7 @@ func StartProxy(host *netem.Host, imServerAddr, accountBase string, cfg Config, 
 }
 
 // Dialer is the camoufler client. It admits a single concurrent stream:
-// concurrent Dial calls fail, mirroring the paper's observation that
+// concurrent dials fail, mirroring the paper's observation that
 // camoufler cannot serve selenium's parallel requests.
 type Dialer struct {
 	cfg    Config
@@ -555,7 +555,7 @@ func (d *Dialer) DialEvent(target string, done func(netem.Stream, error)) (netem
 	return x.Play(x, done)
 }
 
-// dial is one Dial under way: the proxy logs its account for session n
+// dial is one dial under way: the proxy logs its account for session n
 // in and serves it, then the client logs its own in and writes the
 // target prologue. ic is the account being logged in.
 type dial struct {

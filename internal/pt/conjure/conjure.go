@@ -237,7 +237,7 @@ func (d *Dialer) DialEvent(target string, done func(netem.Stream, error)) (netem
 	return x.Play(x, done)
 }
 
-// dial is one Dial under way: the registration round trip, then the
+// dial is one dial under way: the registration round trip, then the
 // phantom dial through the station, the nonce naming the registration,
 // then the session's records.
 type dial struct {

@@ -385,7 +385,7 @@ func (d *Dialer) DialEvent(target string, done func(netem.Stream, error)) (netem
 	return x.Play(x, done)
 }
 
-// dial is one Dial under way: the poll pipelines, each one "DoH
+// dial is one dial under way: the poll pipelines, each one "DoH
 // connection", opened up front, then the tunnel's target prologue.
 type dial struct {
 	pt.Chain

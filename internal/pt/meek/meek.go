@@ -331,7 +331,7 @@ func (d *Dialer) DialEvent(target string, done func(netem.Stream, error)) (netem
 	return x.Play(x, done)
 }
 
-// dial is one Dial under way: the front's conn, then the tunnel's
+// dial is one dial under way: the front's conn, then the tunnel's
 // target prologue.
 type dial struct {
 	pt.Chain

@@ -277,7 +277,7 @@ func (d *Dialer) DialEvent(target string, done func(netem.Stream, error)) (netem
 	return x.Play(x, done)
 }
 
-// dial is one Dial under way: the broker is asked for a proxy, and its
+// dial is one dial under way: the broker is asked for a proxy, and its
 // conn closed once the answer is in, then the proxy gets the hello and
 // the target prologue, its conn closed if a write fails.
 type dial struct {

@@ -472,7 +472,7 @@ func (d *Dialer) DialEvent(target string, done func(netem.Stream, error)) (netem
 	return x.Play(x, done)
 }
 
-// dial is one Dial under way: each fan-out conn's dial and preamble,
+// dial is one dial under way: each fan-out conn's dial and preamble,
 // then the chopped stream's target prologue.
 type dial struct {
 	pt.Chain
