@@ -569,7 +569,7 @@ type dial struct {
 func (x *dial) Next() {
 	c, d, p := &x.Chain, x.d, x.d.proxy
 	if c.Err != nil {
-		if c.At == 2 || c.At == 4 { // a login failed
+		if c.At == 2 || c.At >= 4 { // a login or the prologue failed
 			x.ic.Close()
 		}
 		if c.At < 4 { // from then on the client's Close releases
@@ -592,8 +592,10 @@ func (x *dial) Next() {
 		x.ic = newIMConn(d.host.Network().Clock(), c.Raw, fmt.Sprintf("%s-c%d", d.acct, x.n), fmt.Sprintf("%s-p%d", d.acct, x.n), d.cfg.MessageCap)
 		x.ic.onClose = d.release
 		x.login()
+	case 4:
+		c.WriteTarget(x.ic, x.target)
 	default:
-		c.Finish(x.ic, x.target)
+		c.End(x.ic, nil)
 	}
 }
 

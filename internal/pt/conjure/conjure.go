@@ -254,12 +254,14 @@ func (x *dial) Next() {
 	case c.At == 1 && c.Err != nil:
 		c.End(nil, fmt.Errorf("conjure: registrar unreachable: %w", c.Err))
 	case c.At == 1:
-		c.Handshake(d.register, c.Raw, x.seed)
-	default:
+		c.Wait(d.register.RunEvent(c.Raw, x.seed, c.Then))
+	case c.At == 2:
 		if c.Raw.Close(); c.Err != nil {
 			c.End(nil, fmt.Errorf("conjure: registration rejected: %w", c.Err))
-			return
+		} else {
+			c.Wait(pt.DialWrapped(d.host, d.phantomAddr, d.phantom, x.seed, x.target, "conjure: phantom flow", c.Then))
 		}
-		c.Hand(pt.DialWrapped(d.host, d.phantomAddr, d.phantom, x.seed, x.target, "conjure: phantom flow", c.Done()))
+	default:
+		c.End(c.Conn, c.Err)
 	}
 }

@@ -8,31 +8,30 @@ import (
 
 // A Chain is one dial under way, a Body's steps played in order by
 // Play. Step At takes the result of the wait the step before it started
-// and starts the next wait, with Dial, Handshake, ReadPrefixed, Write or
-// WriteTarget, or ends the dial, with End, or Finish after the target
-// prologue's write. For a nil done each wait parks
+// and starts the next wait, with Dial, Write, WriteTarget or a call
+// given Then, or ends the dial with End. For a nil done each wait parks
 // in place, so the steps run straight through as a goroutine dialing
 // with the plain calls did; otherwise a wait leaves a continuation,
 // bound once per dial, that plays the next step from the event that
 // ends the wait. Both forms make the same calls at the same instants.
 type Chain struct {
-	At    int          // the step Next plays
-	Raw   *netem.Conn  // what the last Dial opened
-	Conn  netem.Stream // what the last Handshake handed out, then the dial's stream
-	Field []byte       // what the last ReadPrefixed read
-	Err   error        // what the last wait ended with, then the dial's error
+	At   int          // the step Next plays
+	Raw  *netem.Conn  // what the last Dial opened
+	Conn netem.Stream // what the last call given Then handed out
+	Err  error        // what the last wait ended with, then the dial's error
+	// Then is the continuation of a step's event call for a stream, a
+	// handshake's or a dial's: it takes the stream or the error into
+	// Conn and Err and plays on. It is nil in parking form, where the
+	// call parks in place. Wait takes what the call returned.
+	Then func(netem.Stream, error)
 
 	body         Body
-	done         func(netem.Stream, error)
 	waits, ended bool
 	again        func() // plays on once a wait has ended
 	rawFn        func(*netem.Conn, error)
-	connFn       func(netem.Stream, error)
-	fieldFn      func([]byte, error)
 	writeFn      func()
 	to           netem.EventWriter
-	out          []byte       // what the Write under way has still to send
-	last         netem.Stream // what Finish hands out
+	out          []byte // what the Write under way has still to send
 }
 
 // A Body is a dialer's one dial body: Next plays its step At.
@@ -40,7 +39,7 @@ type Body interface{ Next() }
 
 // Play plays body, whose Chain c is, as a Dialer's DialEvent with done.
 func (c *Chain) Play(body Body, done func(netem.Stream, error)) (netem.Stream, error, bool) {
-	c.body, c.done = body, done
+	c.body = body
 	if done != nil {
 		c.again = func() {
 			if c.waits = false; c.play() {
@@ -48,8 +47,7 @@ func (c *Chain) Play(body Body, done func(netem.Stream, error)) (netem.Stream, e
 			}
 		}
 		c.rawFn = func(raw *netem.Conn, err error) { c.Raw, c.Err = raw, err; c.again() }
-		c.connFn = func(conn netem.Stream, err error) { c.Conn, c.Err = conn, err; c.again() }
-		c.fieldFn = func(field []byte, err error) { c.Field, c.Err = field, err; c.again() }
+		c.Then = func(conn netem.Stream, err error) { c.Conn, c.Err = conn, err; c.again() }
 		c.writeFn = func() {
 			if c.write() {
 				c.again()
@@ -65,60 +63,32 @@ func (c *Chain) Play(body Body, done func(netem.Stream, error)) (netem.Stream, e
 // play plays steps until one waits, false, or the dial ends, true.
 func (c *Chain) play() bool {
 	for !c.waits && !c.ended {
-		switch {
-		case c.last == nil:
-			c.body.Next()
-			c.At++
-		case c.Err != nil:
-			c.last.Close()
-			c.End(nil, c.Err)
-		default:
-			c.End(c.last, nil)
-		}
+		c.body.Next()
+		c.At++
 	}
 	return c.ended
 }
 
-// End ends the dial with conn, or with err.
-func (c *Chain) End(conn netem.Stream, err error) { c.Conn, c.Err, c.ended = conn, err, true }
-
-// Finish writes target's prologue to conn, then ends the dial with conn,
-// or closes conn and ends the dial with the write's error.
-func (c *Chain) Finish(conn netem.Stream, target string) {
-	c.last = conn
-	c.WriteTarget(conn, target)
-}
-
-// Hand ends the dial with what a dial given Done returned: at once, or
-// once that dial hands its result to done itself.
-func (c *Chain) Hand(conn netem.Stream, err error, done bool) {
-	if c.waits = !done; done {
-		c.End(conn, err)
+// End ends the dial with conn, or with a non-nil err, closing conn
+// unless it is nil.
+func (c *Chain) End(conn netem.Stream, err error) {
+	if err != nil && conn != nil {
+		conn.Close()
+		conn = nil
 	}
+	c.Conn, c.Err, c.ended = conn, err, true
 }
 
-// Done is the dial's done, nil in parking form.
-func (c *Chain) Done() func(netem.Stream, error) { return c.done }
+// Wait takes what a call given Then returned: its stream or error if it
+// ended, or its wait.
+func (c *Chain) Wait(conn netem.Stream, err error, done bool) {
+	c.Conn, c.Err, c.waits = conn, err, !done
+}
 
 // Dial dials addr from host into Raw.
 func (c *Chain) Dial(host *netem.Host, addr string) {
 	var done bool
 	c.Raw, c.Err, done = host.DialEvent(addr, c.rawFn)
-	c.waits = !done
-}
-
-// Handshake plays hs over conn with seed into Conn.
-func (c *Chain) Handshake(hs Handshake, conn netem.Stream, seed int64) {
-	var done bool
-	c.Conn, c.Err, done = hs.RunEvent(conn, seed, c.connFn)
-	c.waits = !done
-}
-
-// ReadPrefixed reads a field that opens with its size-byte length off
-// conn into Field.
-func (c *Chain) ReadPrefixed(conn netem.EventReader, size int) {
-	var done bool
-	c.Field, c.Err, done = ReadPrefixed(conn, size, c.fieldFn)
 	c.waits = !done
 }
 
@@ -164,21 +134,20 @@ type wrapped struct {
 // Next closes the raw conn on a failed handshake and the handshake's
 // conn on a failed prologue.
 func (x *wrapped) Next() {
-	switch c := &x.Chain; {
+	c := &x.Chain
+	if c.Err != nil {
+		c.Err = fmt.Errorf("%s: %w", x.name, c.Err)
+	}
+	switch {
 	case c.At == 0:
 		c.Dial(x.host, x.addr)
-	case c.Err != nil:
-		if c.At == 2 {
-			c.Raw.Close()
-		} else if c.At == 3 {
-			c.Conn.Close()
-		}
-		c.End(nil, fmt.Errorf("%s: %w", x.name, c.Err))
-	case c.At == 1:
-		c.Handshake(x.hs, c.Raw, x.seed)
+	case c.At == 1 && c.Err == nil:
+		c.Wait(x.hs.RunEvent(c.Raw, x.seed, c.Then))
+	case c.At == 2 && c.Err != nil:
+		c.End(c.Raw, c.Err)
 	case c.At == 2:
 		c.WriteTarget(c.Conn, x.target)
 	default:
-		c.End(c.Conn, nil)
+		c.End(c.Conn, c.Err)
 	}
 }

@@ -104,3 +104,38 @@ func TestDialEventMatchesPlainDial(t *testing.T) {
 		}
 	}
 }
+
+// TestFailedDialClosesItsConn fails a DialWrapped dial in its handshake
+// and in its target prologue: either way the dial closes the conn it
+// opened, and the server, waiting for the prologue, sees the close and
+// closes its end.
+func TestFailedDialClosesItsConn(t *testing.T) {
+	errWrong := errors.New("wrong flight")
+	for _, tc := range []struct{ name, sent, target string }{
+		{"handshake", "no", "guard-0:9001"},
+		{"prologue", "ok", string(make([]byte, 256))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := newWorld(t)
+			server := pt.Handshake{Steps: []pt.Step{pt.Send([]byte(tc.sent))}}
+			srv, err := pt.ListenAndServe(w.server, 443, server, 1, func(string, netem.Stream) {
+				t.Error("a failed dial reached the handler")
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			client := pt.Handshake{Steps: []pt.Step{pt.Expect([]byte("ok"), errWrong)}}
+			var dialErr error
+			w.net.Go(func() {
+				_, dialErr, _ = pt.DialWrapped(w.client, srv.Addr(), client, 2, tc.target, "test", nil)
+			})
+			w.net.Clock().Sleep(time.Minute)
+			if dialErr == nil {
+				t.Fatal("the dial succeeded")
+			}
+			if open := w.net.Acct().Snapshot().OpenConns(); open != 0 {
+				t.Errorf("%d conn ends open after the dial failed with %v", open, dialErr)
+			}
+		})
+	}
+}

@@ -393,10 +393,15 @@ type dial struct {
 	target string
 	sid    uint64
 	conns  []*netem.Conn
+	t      *tunnelConn
 }
 
 func (x *dial) Next() {
 	c, d := &x.Chain, x.d
+	if x.t != nil { // the prologue's write has ended
+		c.End(x.t, c.Err)
+		return
+	}
 	if c.At > 0 { // a pipeline's dial has ended
 		if c.Err != nil {
 			for _, cc := range x.conns {
@@ -417,6 +422,7 @@ func (x *dial) Next() {
 		queryCap: d.cfg.QueryCap,
 		clock:    clock,
 	}
+	x.t = t
 	// The first queries go out once the dial's caller waits, so they
 	// carry the target prologue.
 	conns, sid := x.conns, x.sid
@@ -429,7 +435,7 @@ func (x *dial) Next() {
 			p.poll()
 		}
 	})
-	c.Finish(t, x.target)
+	c.WriteTarget(t, x.target)
 }
 
 // tunnelConn is the client-side stream over the poll pipelines.

@@ -344,15 +344,17 @@ func (x *dial) Next() {
 	switch c, t := &x.Chain, x.t; {
 	case c.At == 0:
 		c.Dial(x.d.host, x.d.frontAddr)
-	case c.Err != nil:
+	case c.At == 1 && c.Err != nil:
 		c.End(nil, fmt.Errorf("meek: front unreachable: %w", c.Err))
-	default:
+	case c.At == 1:
 		t.in, t.pollFn = pt.NewFrameConn(cutReply, t.reply, t.stop), t.send
 		t.in.Attach(c.Raw)
 		// The first poll goes out once the dial's caller waits, so it
 		// carries the target prologue.
 		t.clock.ReadyEvent(t.pollFn)
-		c.Finish(t, x.target)
+		c.WriteTarget(t, x.target)
+	default: // the prologue's write has ended
+		c.End(t, c.Err)
 	}
 }
 

@@ -285,6 +285,7 @@ type dial struct {
 	d      *Dialer
 	target string
 	broker *netem.Conn
+	proxy  []byte // the broker's answer
 }
 
 func (x *dial) Next() {
@@ -297,29 +298,40 @@ func (x *dial) Next() {
 		x.broker = c.Raw
 		c.Write(x.broker, rendezvous)
 	case c.At == 2 && c.Err != nil:
-		x.broker.Close()
-		c.End(nil, c.Err)
+		c.End(x.broker, c.Err)
 	case c.At == 2:
-		c.ReadPrefixed(x.broker, 2)
+		x.readAnswer()
 	case c.At == 3:
 		switch x.broker.Close(); {
 		case c.Err != nil:
 			c.End(nil, fmt.Errorf("snowflake: rendezvous failed: %w", c.Err))
-		case len(c.Field) == 0:
+		case len(x.proxy) == 0:
 			c.End(nil, errors.New("snowflake: no volunteer proxies available"))
 		default:
-			c.Dial(d.host, string(c.Field))
+			c.Dial(d.host, string(x.proxy))
 		}
 	case c.At == 4 && c.Err != nil:
 		c.End(nil, fmt.Errorf("snowflake: volunteer gone: %w", c.Err))
 	case c.At == 4:
 		c.Write(c.Raw, hello(d.bridgeAddr))
-	case c.Err != nil: // the hello's write failed
-		c.Raw.Close()
-		c.End(nil, c.Err)
-	default:
-		c.Finish(c.Raw, x.target)
+	case c.At == 5 && c.Err == nil:
+		c.WriteTarget(c.Raw, x.target)
+	default: // the hello's or the prologue's write has ended
+		c.End(c.Raw, c.Err)
 	}
+}
+
+// readAnswer reads the broker's answer, a pt.Prefix16 frame naming a
+// proxy, into proxy.
+func (x *dial) readAnswer() {
+	c := &x.Chain
+	var fn func([]byte, error)
+	if c.Then != nil {
+		fn = func(proxy []byte, err error) { x.proxy = proxy; c.Then(nil, err) }
+	}
+	proxy, err, done := pt.ReadPrefixed(x.broker, 2, fn)
+	x.proxy = proxy
+	c.Wait(nil, err, done)
 }
 
 // StartBridge runs the snowflake bridge (PT server) on host:port.

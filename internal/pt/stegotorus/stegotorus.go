@@ -482,11 +482,15 @@ type dial struct {
 	seed   int64
 	conns  []*netem.Conn
 	pre    [10]byte
+	cc     *chopConn
 }
 
 func (x *dial) Next() {
 	c, d := &x.Chain, x.d
 	switch {
+	case x.cc != nil: // the prologue's write has ended
+		c.End(x.cc, c.Err)
+		return
 	case c.At%2 == 1 && c.Err != nil: // a dial failed
 		x.closeAll()
 		c.End(nil, fmt.Errorf("stegotorus: %w", c.Err))
@@ -509,7 +513,8 @@ func (x *dial) Next() {
 		c.Dial(d.host, d.addr)
 		return
 	}
-	c.Finish(newChopConn(d.host.Network().Clock(), d.cfg, x.sid, x.conns, x.seed), x.target)
+	x.cc = newChopConn(d.host.Network().Clock(), d.cfg, x.sid, x.conns, x.seed)
+	c.WriteTarget(x.cc, x.target)
 }
 
 // closeAll closes the fan-out conns opened so far.

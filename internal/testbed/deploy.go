@@ -110,14 +110,16 @@ func (w *World) quantum(real, floor int) (int, float64) {
 
 // startTransport launches the named transport's server side at s, with
 // whatever machine sits between client and server, and returns the
-// client dialer on the measurement host. It is the one place a transport
-// is started: deployments and rigs differ only in the site they pass.
-func (w *World) startTransport(name string, s site) (pt.Dialer, error) {
+// client dialer on the measurement host, and snowflake's volunteer pool
+// (nil for every other transport). It is the one place a transport is
+// started: deployments and rigs differ only in the site they pass.
+func (w *World) startTransport(name string, s site) (pt.Dialer, *snowflake.Deployment, error) {
 	addr := fmt.Sprintf("%s:%d", s.host.Name(), s.port)
 	aux := func(role string) *netem.Host {
 		return w.newServerHost(s.auxName+role, s.auxLoc, s.auxUtil)
 	}
 	var d pt.Dialer
+	var pool *snowflake.Deployment
 	var err error
 	switch name {
 	case "obfs4":
@@ -134,23 +136,23 @@ func (w *World) startTransport(name string, s site) (pt.Dialer, error) {
 		cfg.BridgeRate = meek.DefaultBridgeRate * w.Opts.ByteScale
 		bridge, err := meek.StartBridge(s.host, s.port, cfg, s.handle)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		// The CDN front: a large, busy edge.
 		front, err := meek.StartFront(aux(""), 443, cfg, bridge.Addr())
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		d = meek.NewDialer(w.Client, front.Addr(), cfg)
 	case "conjure":
 		cfg := conjure.Config{Secret: []byte("conjure-station-secret"), Seed: s.seed}
 		bridge, err := conjure.StartBridge(s.host, s.port, cfg, s.handle)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		inf, err := conjure.StartInfra(aux("-registrar"), aux("-station"), 53001, 443, cfg, bridge.Addr())
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		d = conjure.NewDialer(w.Client, inf.RegistrarAddr(), inf.PhantomAddr(), cfg)
 	case "dnstt":
@@ -165,12 +167,12 @@ func (w *World) startTransport(name string, s site) (pt.Dialer, error) {
 		cfg.BudgetMedian = int64(w.Bytes(dnstt.DefaultBudgetMedian))
 		srv, err := dnstt.StartServer(s.host, s.port, cfg, s.handle)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		// The public DoH resolver (e.g. OpenDNS).
 		res, err := dnstt.StartResolver(aux(""), 443, cfg, srv.Addr())
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		d = dnstt.NewDialer(w.Client, res.Addr(), cfg)
 	case "shadowsocks":
@@ -195,23 +197,22 @@ func (w *World) startTransport(name string, s site) (pt.Dialer, error) {
 		cfg.RatePerSec = camoufler.DefaultRatePerSec / stretch
 		im, err := camoufler.StartIMServer(aux(""), 5222, cfg)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		proxy, err := camoufler.StartProxy(s.host, im.Addr(), s.account, cfg, s.handle)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		d = camoufler.NewDialer(w.Client, im.Addr(), s.account, cfg, proxy)
 	case "snowflake":
 		bridge, err := snowflake.StartBridge(s.host, s.port, s.handle)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		cfg := snowflake.Config{Seed: s.seed}
 		cfg.ProxyUplink = snowflake.DefaultProxyUplink * w.Opts.ByteScale
-		pool, err := snowflake.Deploy(aux(""), 443, cfg)
-		if err != nil {
-			return nil, err
+		if pool, err = snowflake.Deploy(aux(""), 443, cfg); err != nil {
+			return nil, nil, err
 		}
 		if w.Censor != nil {
 			// Scenarios with an endpoint-weather timeline (the
@@ -221,7 +222,6 @@ func (w *World) startTransport(name string, s site) (pt.Dialer, error) {
 				pool.SetLoad(p.Util, p.Lifetime)
 			})
 		}
-		w.pool = pool
 		d = snowflake.NewDialer(w.Client, pool.BrokerAddr(), bridge.Addr())
 	case "cloak":
 		cfg := cloak.Config{UID: []byte("cloak-uid"), Seed: s.seed}
@@ -236,7 +236,7 @@ func (w *World) startTransport(name string, s site) (pt.Dialer, error) {
 		err = fmt.Errorf("testbed: unknown transport %q", name)
 	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return d, nil
+	return d, pool, nil
 }

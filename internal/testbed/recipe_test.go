@@ -51,7 +51,7 @@ func TestRecipeStartsEveryTransport(t *testing.T) {
 		t.Run(r.kind+"/"+r.name, func(t *testing.T) {
 			s := r.site(r.kind + "-" + r.name)
 			s.handle = pt.ForwardTo(s.host)
-			d, err := w.startTransport(r.name, s)
+			d, _, err := w.startTransport(r.name, s)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -155,7 +155,7 @@ func TestEveryTorClientCarriesRetry(t *testing.T) {
 func TestStartTransportRejectsUnknownName(t *testing.T) {
 	w := smallWorld(t, 15)
 	_, depErr := w.Deployment("nope")
-	_, err := w.startTransport("nope", w.deploymentSite("nope", w.Client))
+	_, _, err := w.startTransport("nope", w.deploymentSite("nope", w.Client))
 	const want = `testbed: unknown transport "nope"`
 	if err == nil || depErr == nil || err.Error() != want || depErr.Error() != want {
 		t.Fatalf("startTransport: %v, Deployment: %v, want both %q", err, depErr, want)

@@ -25,7 +25,6 @@ import (
 	"ptperf/internal/geo"
 	"ptperf/internal/netem"
 	"ptperf/internal/pt"
-	"ptperf/internal/pt/snowflake"
 	"ptperf/internal/sim"
 	"ptperf/internal/tor"
 	"ptperf/internal/web"
@@ -155,9 +154,6 @@ type World struct {
 	relays  []*tor.Relay
 	deps    map[string]*Deployment
 	nextSrv int
-	// pool is the volunteer pool of the snowflake started last, which
-	// wire hands to its deployment.
-	pool *snowflake.Deployment
 }
 
 // New builds a world. The caller owns it and ends it with Close; a

@@ -19,7 +19,7 @@ type pin struct{ guard, middle, exit *tor.Descriptor }
 // whose streams name no target, as the bridge reads none.
 func (w *World) bridge(relay *tor.Relay, name string, s site) (pt.Dialer, error) {
 	s.handle = func(_ string, conn netem.Stream) { relay.ServeConn(conn) }
-	dialer, err := w.startTransport(name, s)
+	dialer, _, err := w.startTransport(name, s)
 	if err != nil {
 		return nil, err
 	}
@@ -46,11 +46,8 @@ func (w *World) wire(info pt.Info, s site, relay *tor.Relay, p pin, seed int64) 
 		// The PT server splices to whichever guard the client's Tor
 		// names in the stream prologue.
 		s.handle = pt.ForwardTo(s.host)
-		d.dialer, err = w.startTransport(info.Name, s)
+		d.dialer, d.pool, err = w.startTransport(info.Name, s)
 		hop = d.dialer
-		if info.Name == "snowflake" {
-			d.pool = w.pool
-		}
 	case pt.Set3:
 		// The PT server host runs the Tor client, which dials each
 		// application stream's final destination on the clock.
@@ -58,7 +55,7 @@ func (w *World) wire(info pt.Info, s site, relay *tor.Relay, p pin, seed int64) 
 			return nil, err
 		}
 		s.handle = pt.HandleWithDialer(w.Net.Clock(), d.tor)
-		d.dialer, err = w.startTransport(info.Name, s)
+		d.dialer, d.pool, err = w.startTransport(info.Name, s)
 	}
 	if err != nil {
 		return nil, err

@@ -333,9 +333,8 @@ func (x *hopDial) DialEvent(target string, done func(netem.Stream, error)) (nete
 	return x.Play(x, done)
 }
 
-func (x *hopDial) Next() bool {
+func (x *hopDial) Next() {
 	x.host.Dial("guard:443") // want `\(netem\.Host\)\.Dial parks for the handshake's round trip.*pt\.Chain\.Play body`
-	return true
 }
 
 // cutAll and onStop are handlers that stay on the non-parking surface.

@@ -37,7 +37,7 @@ func HandleWithDialer(clock *netem.Clock, dial Dialer) func(string, netem.Stream
 
 type Chain struct{}
 
-type Body interface{ Next() bool }
+type Body interface{ Next() }
 
 func (c *Chain) Play(body Body, done func(netem.Stream, error)) (netem.Stream, error, bool) {
 	return nil, nil, true
