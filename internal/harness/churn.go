@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"strconv"
 	"time"
 
 	"ptperf/internal/faults"
@@ -160,44 +159,37 @@ func (r *Runner) runChurn() error {
 	}
 	g := grid[*churnCell]{cells, testbed.ChurnLevelNames(), churnMethods}
 	timesOf := func(c *churnCell, m string) []float64 { return c.Methods[m].Times }
-	r.writeBoxes("Download time under relay churn (s; failures count as the timeout)", g.rows("@", timesOf))
-	r.writeBoxes("Time to first byte under relay churn (s)",
-		g.rows("@", func(c *churnCell, m string) []float64 { return c.Methods[m].TTFBs }))
+	g.rows(r, "@", timesOf)
+	r.writeBoxes("Download time under relay churn (s; failures count as the timeout)")
+	g.rows(r, "@", func(c *churnCell, m string) []float64 { return c.Methods[m].TTFBs })
+	r.writeBoxes("Time to first byte under relay churn (s)")
 
-	t := newTable("level", "method", "attempts", "ok", "success", "resumes",
+	t := r.table("level", "method", "attempts", "ok", "success", "resumes",
 		"rebuilds", "build-timeouts", "stream-fails", "re-attaches", "abandoned", "probations")
 	for _, cell := range cells {
 		for _, m := range churnMethods {
 			cm := cell.Methods[m]
 			rec := cm.Recovery
-			t.add(cell.Level.Name, m,
-				strconv.Itoa(cm.Attempts), strconv.Itoa(cm.Completed),
-				fixed(100*float64(cm.Completed)/float64(cm.Attempts), 0)+"%",
-				strconv.Itoa(cm.Resumes),
-				strconv.FormatInt(rec.Rebuilds, 10), strconv.FormatInt(rec.BuildTimeouts, 10),
-				strconv.FormatInt(rec.StreamFailures, 10), strconv.FormatInt(rec.ReAttaches, 10),
-				strconv.FormatInt(rec.Abandoned, 10), strconv.FormatInt(rec.GuardProbations, 10))
+			t.row(cell.Level.Name, m)
+			t.ints(int64(cm.Attempts), int64(cm.Completed))
+			t.percent(cm.Completed, cm.Attempts)
+			t.ints(int64(cm.Resumes), rec.Rebuilds, rec.BuildTimeouts,
+				rec.StreamFailures, rec.ReAttaches, rec.Abandoned, rec.GuardProbations)
 		}
 	}
-	fmt.Fprintln(r.out, "Recovery cost per method (client-side circuit rebuilds and stream re-attaches)")
-	t.write(r.out)
+	t.write(r.out, "Recovery cost per method (client-side circuit rebuilds and stream re-attaches)")
 	fmt.Fprintln(r.out)
 
-	ft := newTable("level", "crashes", "restarts", "flaps-down", "flaps-up", "withdrawn", "rejoined", "skipped")
+	t = r.table("level", "crashes", "restarts", "flaps-down", "flaps-up", "withdrawn", "rejoined", "skipped")
 	for _, cell := range cells {
 		st := cell.Faults
-		ft.add(cell.Level.Name,
-			fmt.Sprintf("%d", st.Crashes), fmt.Sprintf("%d", st.Restarts),
-			fmt.Sprintf("%d", st.FlapsDown), fmt.Sprintf("%d", st.FlapsUp),
-			fmt.Sprintf("%d", st.Withdrawn), fmt.Sprintf("%d", st.Rejoined),
-			fmt.Sprintf("%d", st.Skipped))
+		t.row(cell.Level.Name)
+		t.ints(st.Crashes, st.Restarts, st.FlapsDown, st.FlapsUp, st.Withdrawn, st.Rejoined, st.Skipped)
 	}
-	fmt.Fprintln(r.out, "Fault injector transitions per level")
-	ft.write(r.out)
+	t.write(r.out, "Fault injector transitions per level")
 	fmt.Fprintln(r.out)
 
-	writePairedT(r.out, "Paired t-tests, download time per churn level vs fault-free (positive mean-diff = churn slower)",
-		g.pairsVsFirst(timesOf))
+	g.writePairsVsFirst(r, "Paired t-tests, download time per churn level vs fault-free (positive mean-diff = churn slower)", timesOf)
 
 	fmt.Fprintln(r.out, "Expected: downloads survive churn through resume legs and circuit rebuilds — success stays high while recovery counters, not failure rates, absorb the damage.")
 	fmt.Fprintln(r.out)

@@ -2,10 +2,10 @@ package harness
 
 import (
 	"fmt"
-	"strconv"
 	"time"
 
 	"ptperf/internal/fetch"
+	"ptperf/internal/plot"
 	"ptperf/internal/stats"
 	"ptperf/internal/testbed"
 	"ptperf/internal/tor"
@@ -130,28 +130,24 @@ func (r *Runner) runContention() error {
 	cells, fifo := all[:len(levels)], all[len(levels)]
 	g := grid[*contentionCell]{cells, testbed.ContentionLevelNames(), methods}
 	timesOf := func(c *contentionCell, m string) []float64 { return c.Times[m] }
-	r.writeBoxes("Download time under guard contention (s; failures count as the timeout)", g.rows("@", timesOf))
-	r.writeBoxes("Time to first byte under guard contention (s)",
-		g.rows("@", func(c *contentionCell, m string) []float64 { return c.TTFBs[m] }))
+	g.rows(r, "@", timesOf)
+	r.writeBoxes("Download time under guard contention (s; failures count as the timeout)")
+	g.rows(r, "@", func(c *contentionCell, m string) []float64 { return c.TTFBs[m] })
+	r.writeBoxes("Time to first byte under guard contention (s)")
 
-	t := newTable("level", "policy", "competitors", "cells-queued", "flushed", "dropped", "mean-queue-delay", "passes")
-	addSched := func(cell *contentionCell) {
+	t := r.table("level", "policy", "competitors", "cells-queued", "flushed", "dropped", "mean-queue-delay", "passes")
+	for _, cell := range all { // the levels, then the FIFO baseline
 		st := cell.Sched
-		t.add(cell.Level.Name, cell.Policy, strconv.Itoa(cell.Level.Competitors),
-			strconv.FormatInt(st.Queued, 10), strconv.FormatInt(st.Flushed, 10), strconv.FormatInt(st.Dropped, 10),
-			fixed(float64(st.MeanDelay())/float64(time.Millisecond), 1)+"ms",
-			strconv.FormatInt(st.Passes, 10))
+		t.row(cell.Level.Name, cell.Policy)
+		t.ints(int64(cell.Level.Competitors), st.Queued, st.Flushed, st.Dropped)
+		t.buf = plot.AppendFixed(t.buf, float64(st.MeanDelay())/float64(time.Millisecond), 1)
+		t.cell("ms")
+		t.ints(st.Passes)
 	}
-	for _, cell := range cells {
-		addSched(cell)
-	}
-	addSched(fifo)
-	fmt.Fprintln(r.out, "Shared-guard cell scheduler (queueing delay is what FCFS relays hid)")
-	t.write(r.out)
+	t.write(r.out, "Shared-guard cell scheduler (queueing delay is what FCFS relays hid)")
 	fmt.Fprintln(r.out)
 
-	writePairedT(r.out, "Paired t-tests, download time per load level vs idle (positive mean-diff = contention slower)",
-		g.pairsVsFirst(timesOf))
+	g.writePairsVsFirst(r, "Paired t-tests, download time per load level vs idle (positive mean-diff = contention slower)", timesOf)
 
 	top := cells[len(cells)-1]
 	fmt.Fprintf(r.out, "EWMA vs FIFO at %q: mean guard queueing delay %sms vs %sms",

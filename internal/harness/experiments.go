@@ -20,25 +20,21 @@ import (
 // all -jobs cores busy while reports still come out strictly in paper
 // order.
 
-// boxRows builds the standard per-method box table from a dataset:
-// one row per method of order that the dataset holds.
-func boxRows[D any](data map[string]D, pick func(D) []float64, order []string) []boxRow {
-	var rows []boxRow
+// boxRows adds the standard per-method box rows of a dataset to r's box
+// table: one row per method of order that the dataset holds.
+func boxRows[D any](r *Runner, data map[string]D, pick func(D) []float64, order []string) {
 	for _, name := range order {
 		if d, ok := data[name]; ok {
-			rows = append(rows, boxRow{name, stats.Summarize(pick(d))})
+			r.box(name, pick(d))
 		}
 	}
-	return rows
 }
 
-// sampleRows builds one box row per method from per-method samples.
-func sampleRows(samples map[string][]float64, methods []string) []boxRow {
-	var rows []boxRow
+// sampleRows adds one box row per method from per-method samples.
+func (r *Runner) sampleRows(samples map[string][]float64, methods []string) {
 	for _, m := range methods {
-		rows = append(rows, boxRow{m, stats.Summarize(samples[m])})
+		r.box(m, samples[m])
 	}
-	return rows
 }
 
 func times(d *accessData) []float64   { return d.Times }
@@ -48,25 +44,25 @@ func speedIx(d *accessData) []float64 { return d.SpeedIndexes }
 func (r *Runner) runTable1() error {
 	c := r.cfg
 	sites := 2 * c.Sites
-	t := newTable("measurement type", "measurements", "target")
+	t := r.table("measurement type", "measurements", "target")
 	methods := len(c.Transports)
 	// The selenium rows count the browser-capable subset, not
 	// methods-1: that shortcut assumed camoufler is always in the
 	// configured set.
 	selenium := len(c.seleniumMethods())
-	t.add("Website Download (curl)", fmt.Sprintf("%d", sites*c.Repeats*methods), fmt.Sprintf("Tranco top-%d & CBL-%d", c.Sites, c.Sites))
-	t.add("Website Download (selenium)", fmt.Sprintf("%d", sites*c.Repeats*selenium), fmt.Sprintf("Tranco top-%d & CBL-%d", c.Sites, c.Sites))
-	t.add("File Downloads (curl)", fmt.Sprintf("%d", len(c.FileSizesMB)*c.FileAttempts*methods), fmt.Sprintf("%v MB", c.FileSizesMB))
-	t.add("Speed Index", fmt.Sprintf("%d", sites*c.Repeats*selenium), fmt.Sprintf("Tranco top-%d", c.Sites))
-	t.add("PT Overhead", fmt.Sprintf("%d", c.Sites*len(testbed.OverheadPTs)), fmt.Sprintf("Tranco top-%d", c.Sites))
-	t.add("Location Variation", fmt.Sprintf("%d", 3*3*c.Sites*c.Repeats), "Tranco & CBL")
-	t.write(r.out)
+	t.row("Website Download (curl)", strconv.Itoa(sites*c.Repeats*methods), fmt.Sprintf("Tranco top-%d & CBL-%d", c.Sites, c.Sites))
+	t.row("Website Download (selenium)", strconv.Itoa(sites*c.Repeats*selenium), fmt.Sprintf("Tranco top-%d & CBL-%d", c.Sites, c.Sites))
+	t.row("File Downloads (curl)", strconv.Itoa(len(c.FileSizesMB)*c.FileAttempts*methods), fmt.Sprintf("%v MB", c.FileSizesMB))
+	t.row("Speed Index", strconv.Itoa(sites*c.Repeats*selenium), fmt.Sprintf("Tranco top-%d", c.Sites))
+	t.row("PT Overhead", strconv.Itoa(c.Sites*len(testbed.OverheadPTs)), fmt.Sprintf("Tranco top-%d", c.Sites))
+	t.row("Location Variation", strconv.Itoa(3*3*c.Sites*c.Repeats), "Tranco & CBL")
+	t.write(r.out, "")
 	return nil
 }
 
 // runTable2 prints the appendix's 28-candidate comparison.
 func (r *Runner) runTable2() error {
-	t := newTable("name", "status", "code", "functional", "integratable", "evaluated", "technology", "challenge")
+	t := r.table("name", "status", "code", "functional", "integratable", "evaluated", "technology", "challenge")
 	yn := func(b bool) string {
 		if b {
 			return "yes"
@@ -74,10 +70,10 @@ func (r *Runner) runTable2() error {
 		return "no"
 	}
 	for _, c := range pt.Candidates {
-		t.add(c.Name, c.Status.String(), yn(c.CodeAvailable), yn(c.Functional),
+		t.row(c.Name, c.Status.String(), yn(c.CodeAvailable), yn(c.Functional),
 			yn(c.Integratable), yn(c.Evaluated), c.Technology, c.Challenge)
 	}
-	t.write(r.out)
+	t.write(r.out, "")
 	fmt.Fprintf(r.out, "\n%d of %d candidates were functional, integratable and evaluated.\n",
 		pt.EvaluatedCount(), len(pt.Candidates))
 	return nil
@@ -125,33 +121,35 @@ type grid[C any] struct {
 	methods []string
 }
 
-// rows renders one box row per (cell, method), cells outermost,
-// labelled method+sep+label.
-func (g grid[C]) rows(sep string, pick func(C, string) []float64) []boxRow {
-	var rows []boxRow
+// rows adds one box row per (cell, method) to r's box table, cells
+// outermost, labelled method+sep+label.
+func (g grid[C]) rows(r *Runner, sep string, pick func(C, string) []float64) {
 	for i, c := range g.cells {
 		for _, m := range g.methods {
-			rows = append(rows, boxRow{m + sep + g.labels[i], stats.Summarize(pick(c, m))})
+			r.box(m+sep+g.labels[i], pick(c, m))
 		}
 	}
-	return rows
 }
 
-// pairsVsFirst runs each method's paired t-test of every later cell
-// against the first (the sweep's baseline); unpairable vectors are
-// skipped.
-func (g grid[C]) pairsVsFirst(pick func(C, string) []float64) []pairResult {
-	var pairs []pairResult
+// writePairsVsFirst prints a t-test table of each method's paired test
+// of every later cell against the first (the sweep's baseline), each
+// row written as its test is run; unpairable vectors are skipped.
+func (g grid[C]) writePairsVsFirst(r *Runner, title string, pick func(C, string) []float64) {
+	t := r.pairTable()
 	for i, c := range g.cells[1:] {
 		for _, m := range g.methods {
 			res, err := stats.PairedT(pick(c, m), pick(g.cells[0], m))
 			if err != nil {
 				continue
 			}
-			pairs = append(pairs, pairResult{fmt.Sprintf("%s@%s-%s", m, g.labels[i+1], g.labels[0]), res})
+			t.row()
+			t.buf = append(append(append(append(t.buf, m...), '@'), g.labels[i+1]...), '-')
+			t.cell(g.labels[0])
+			t.pair(res)
 		}
 	}
-	return pairs
+	t.write(r.out, title)
+	fmt.Fprintln(r.out)
 }
 
 func sampleOf(c map[string][]float64, m string) []float64 { return c[m] }
@@ -196,7 +194,8 @@ func (r *Runner) runMedium() error {
 	for _, medium := range mediumKinds {
 		g.labels = append(g.labels, medium.String())
 	}
-	r.writeBoxes("Website access time by access medium (s)", g.rows("/", sampleOf))
+	g.rows(r, "/", sampleOf)
+	r.writeBoxes("Website access time by access medium (s)")
 	fmt.Fprintln(r.out, "Expected: the between-transport ordering is unchanged by the medium (§4.7).")
 	return nil
 }
@@ -207,8 +206,8 @@ func (r *Runner) runFig2a() error {
 	if err != nil {
 		return err
 	}
-	r.writeBoxes("Website access time via curl (seconds, per-site means over Tranco+CBL)",
-		boxRows(data, times, orderedMethods(r.cfg.Transports)))
+	boxRows(r, data, times, orderedMethods(r.cfg.Transports))
+	r.writeBoxes("Website access time via curl (seconds, per-site means over Tranco+CBL)")
 	return nil
 }
 
@@ -218,8 +217,8 @@ func (r *Runner) runFig2b() error {
 	if err != nil {
 		return err
 	}
-	r.writeBoxes("Website access time via selenium (seconds; camoufler unsupported)",
-		boxRows(data, times, orderedMethods(r.cfg.Transports)))
+	boxRows(r, data, times, orderedMethods(r.cfg.Transports))
+	r.writeBoxes("Website access time via selenium (seconds; camoufler unsupported)")
 	// The headline §4.2.1 comparison: PTs whose bridge is the guard can
 	// beat vanilla Tor.
 	if tor, ok := data["tor"]; ok {
@@ -227,7 +226,7 @@ func (r *Runner) runFig2b() error {
 			if d, ok := data[name]; ok {
 				if res, err := stats.PairedT(tor.Times, d.Times); err == nil {
 					fmt.Fprintf(r.out, "paired t (tor−%s): t=%s P=%s CI=[%s, %s] mean-diff=%s\n",
-						name, fixed(res.T, 2), pvalue(res.P), fixed(res.CILower, 2), fixed(res.CIUpper, 2), fixed(res.MeanDiff, 2))
+						name, fixed(res.T, 2), appendP(nil, res.P), fixed(res.CILower, 2), fixed(res.CIUpper, 2), fixed(res.MeanDiff, 2))
 				}
 			}
 		}
@@ -305,19 +304,18 @@ func (r *Runner) runFig3() error {
 		return err
 	}
 	samples := fc.Samples
-	r.writeBoxes("Fixed circuit (same guard/middle/exit) website access time (s)", sampleRows(samples, fc.Methods))
+	r.sampleRows(samples, fc.Methods)
+	r.writeBoxes("Fixed circuit (same guard/middle/exit) website access time (s)")
 
 	for _, m := range []string{"obfs4", "webtunnel"} {
 		res, err := stats.PairedT(samples[m], samples["tor"])
 		if err == nil {
-			fmt.Fprintf(r.out, "paired t (%s−tor): t=%s P=%s CI=[%s, %s]\n", m, fixed(res.T, 2), pvalue(res.P), fixed(res.CILower, 2), fixed(res.CIUpper, 2))
+			fmt.Fprintf(r.out, "paired t (%s−tor): t=%s P=%s CI=[%s, %s]\n", m, fixed(res.T, 2), appendP(nil, res.P), fixed(res.CILower, 2), fixed(res.CIUpper, 2))
 		}
 	}
-	diffs := map[string][]float64{
-		"obfs4-vs-tor":     stats.AbsDiffs(samples["obfs4"], samples["tor"]),
-		"webtunnel-vs-tor": stats.AbsDiffs(samples["webtunnel"], samples["tor"]),
-	}
-	r.writeECDF("\nECDF of |PT − Tor| per access (s)", diffs, []string{"obfs4-vs-tor", "webtunnel-vs-tor"})
+	r.curve("obfs4-vs-tor", stats.AbsDiffs(samples["obfs4"], samples["tor"]))
+	r.curve("webtunnel-vs-tor", stats.AbsDiffs(samples["webtunnel"], samples["tor"]))
+	r.writeECDF("\nECDF of |PT − Tor| per access (s)")
 	return nil
 }
 
@@ -327,8 +325,8 @@ func (r *Runner) runFig4() error {
 	if err != nil {
 		return err
 	}
-	r.writeBoxes("Fixed guard, Tor-selected middle/exit: website access time (s)",
-		sampleRows(fc.Samples, []string{"tor", "obfs4"}))
+	r.sampleRows(fc.Samples, []string{"tor", "obfs4"})
+	r.writeBoxes("Fixed guard, Tor-selected middle/exit: website access time (s)")
 	return nil
 }
 
@@ -339,38 +337,35 @@ func (r *Runner) runFig5() error {
 	if err != nil {
 		return err
 	}
-	head := []string{"method"}
+	t := r.table("method")
 	for _, mb := range r.cfg.FileSizesMB {
-		head = append(head, fmt.Sprintf("%dMB", mb))
+		t.buf = strconv.AppendInt(t.buf, int64(mb), 10)
+		t.cell("MB")
 	}
-	t := newTable(head...)
 	for _, name := range orderedMethods(r.cfg.Transports) {
 		fd, ok := data[name]
 		if !ok {
 			continue
 		}
-		row := []string{name}
 		usable := false
 		for _, mb := range r.cfg.FileSizesMB {
-			mean, n := fd.meanTime(mb)
-			if n >= 1 {
-				row = append(row, fixed(mean, 1))
-				if n >= 2 || r.cfg.FileAttempts < 2 {
-					usable = true
-				}
-			} else {
-				row = append(row, "-")
-			}
+			_, n := fd.meanTime(mb)
+			usable = usable || n >= 2 || n >= 1 && r.cfg.FileAttempts < 2
 		}
+		t.row(name)
 		if !usable {
-			row = append(row[:1], "excluded (unreliable, see fig8)")
-			t.add(row...)
+			t.cell("excluded (unreliable, see fig8)")
 			continue
 		}
-		t.add(row...)
+		for _, mb := range r.cfg.FileSizesMB {
+			if mean, n := fd.meanTime(mb); n >= 1 {
+				t.fixed(1, mean)
+			} else {
+				t.cell("-")
+			}
+		}
 	}
-	fmt.Fprintln(r.out, "Mean complete-download time per file size (seconds)")
-	t.write(r.out)
+	t.write(r.out, "Mean complete-download time per file size (seconds)")
 	fmt.Fprintln(r.out)
 	return nil
 }
@@ -381,12 +376,12 @@ func (r *Runner) runFig6() error {
 	if err != nil {
 		return err
 	}
-	series := map[string][]float64{}
-	//simlint:allow maprange -- map-to-map copy under the same keys; per-key writes commute, and writeECDF orders the series by cfg.Transports.
-	for name, d := range data {
-		series[name] = d.TTFBs
+	for _, name := range orderedMethods(r.cfg.Transports) {
+		if d, ok := data[name]; ok {
+			r.curve(name, d.TTFBs)
+		}
 	}
-	r.writeECDF("Time to first byte, ECDF quantiles (s)", series, orderedMethods(r.cfg.Transports))
+	r.writeECDF("Time to first byte, ECDF quantiles (s)")
 	return nil
 }
 
@@ -418,7 +413,8 @@ func (r *Runner) runFig7() error {
 	for _, loc := range fig7Locations {
 		g.labels = append(g.labels, loc.Short())
 	}
-	r.writeBoxes("Website access time by client location (s)", g.rows("@", sampleOf))
+	g.rows(r, "@", sampleOf)
+	r.writeBoxes("Website access time by client location (s)")
 	return nil
 }
 
@@ -429,7 +425,7 @@ func (r *Runner) runFig8() error {
 	if err != nil {
 		return err
 	}
-	t := newTable("method", "complete", "partial", "failed", "complete%")
+	t := r.table("method", "complete", "partial", "failed", "complete%")
 	for _, name := range orderedMethods(r.cfg.Transports) {
 		fd, ok := data[name]
 		if !ok {
@@ -440,20 +436,19 @@ func (r *Runner) runFig8() error {
 		if total == 0 {
 			continue
 		}
-		t.add(name, strconv.Itoa(c), strconv.Itoa(p), strconv.Itoa(f),
-			fixed(100*float64(c)/float64(total), 0)+"%")
+		t.row(name)
+		t.ints(int64(c), int64(p), int64(f))
+		t.percent(c, total)
 	}
-	fmt.Fprintln(r.out, "File-download reliability per method")
-	t.write(r.out)
+	t.write(r.out, "File-download reliability per method")
 	fmt.Fprintln(r.out)
 
-	series := map[string][]float64{}
 	for _, name := range []string{"meek", "dnstt", "snowflake"} {
 		if fd, ok := data[name]; ok {
-			series[name] = fd.fractions()
+			r.curve(name, fd.fractions())
 		}
 	}
-	r.writeECDF("Downloaded fraction per attempt, ECDF quantiles", series, []string{"meek", "dnstt", "snowflake"})
+	r.writeECDF("Downloaded fraction per attempt, ECDF quantiles")
 	return nil
 }
 
@@ -495,8 +490,8 @@ func (r *Runner) runFig9() error {
 	if err != nil {
 		return err
 	}
-	r.writeBoxes("PT − vanilla Tor time difference on an identical circuit (s)",
-		sampleRows(samples, testbed.OverheadPTs))
+	r.sampleRows(samples, testbed.OverheadPTs)
+	r.writeBoxes("PT − vanilla Tor time difference on an identical circuit (s)")
 	return nil
 }
 
@@ -579,28 +574,25 @@ func measureSurge(w *testbed.World, _ struct{}) (*surgeAccess, error) {
 // runFig10 prints the snowflake user-count timeline (10a, from the load
 // model) and access time before/after the surge (10b).
 func (r *Runner) runFig10() error {
-	fmt.Fprintln(r.out, "Modeled snowflake daily users (relative load timeline)")
-	t := newTable("period", "users", "proxy-utilization", "mean-proxy-lifetime")
+	t := r.table("period", "users", "proxy-utilization", "mean-proxy-lifetime")
 	base := 20000.0
 	for _, lv := range surgePhases {
 		users := int(base * (1 + float64(6*lv.Util)))
-		t.add(lv.Label, strconv.Itoa(users), fixed(lv.Util, 2), lv.Lifetime.String())
+		t.row(lv.Label, strconv.Itoa(users), fixed(lv.Util, 2), lv.Lifetime.String())
 	}
-	t.write(r.out)
+	t.write(r.out, "Modeled snowflake daily users (relative load timeline)")
 	fmt.Fprintln(r.out)
 
 	surge, err := submit(r, r.cfg.fig10Cell()).Wait()
 	if err != nil {
 		return err
 	}
-	rows := []boxRow{
-		{"pre-September", stats.Summarize(surge.Pre)},
-		{"post-September", stats.Summarize(surge.Post)},
-	}
-	r.writeBoxes("Snowflake website access time before/after the surge (s)", rows)
+	r.box("pre-September", surge.Pre)
+	r.box("post-September", surge.Post)
+	r.writeBoxes("Snowflake website access time before/after the surge (s)")
 	if res, err := stats.PairedT(surge.Pre, surge.Post); err == nil {
 		fmt.Fprintf(r.out, "paired t (pre−post): t=%s P=%s CI=[%s, %s] mean-diff=%s\n\n",
-			fixed(res.T, 2), pvalue(res.P), fixed(res.CILower, 2), fixed(res.CIUpper, 2), fixed(res.MeanDiff, 2))
+			fixed(res.T, 2), appendP(nil, res.P), fixed(res.CILower, 2), fixed(res.CIUpper, 2), fixed(res.MeanDiff, 2))
 	}
 	return nil
 }
@@ -611,8 +603,8 @@ func (r *Runner) runFig11() error {
 	if err != nil {
 		return err
 	}
-	r.writeBoxes("Speed index (seconds; camoufler unsupported)",
-		boxRows(data, speedIx, orderedMethods(r.cfg.Transports)))
+	boxRows(r, data, speedIx, orderedMethods(r.cfg.Transports))
+	r.writeBoxes("Speed index (seconds; camoufler unsupported)")
 	return nil
 }
 
@@ -661,11 +653,10 @@ func (r *Runner) runFig12() error {
 	if err != nil {
 		return err
 	}
-	var rows []boxRow
 	for _, s := range series {
-		rows = append(rows, boxRow{s.Label, stats.Summarize(s.Xs)})
+		r.box(s.Label, s.Xs)
 	}
-	r.writeBoxes("Snowflake monthly website access time (s)", rows)
+	r.writeBoxes("Snowflake monthly website access time (s)")
 	return nil
 }
 
@@ -675,8 +666,8 @@ func (r *Runner) runTables34() error {
 	if err != nil {
 		return err
 	}
-	writePairedT(r.out, "Paired t-tests, website access via curl (all method pairs)",
-		allPairs(data, times, orderedMethods(r.cfg.Transports)))
+	r.writeAllPairs("Paired t-tests, website access via curl (all method pairs)",
+		data, times, orderedMethods(r.cfg.Transports))
 	return nil
 }
 
@@ -686,8 +677,8 @@ func (r *Runner) runTables56() error {
 	if err != nil {
 		return err
 	}
-	writePairedT(r.out, "Paired t-tests, website access via selenium (all method pairs)",
-		allPairs(data, times, orderedMethods(r.cfg.Transports)))
+	r.writeAllPairs("Paired t-tests, website access via selenium (all method pairs)",
+		data, times, orderedMethods(r.cfg.Transports))
 	return nil
 }
 
@@ -699,7 +690,7 @@ func (r *Runner) runTable7() error {
 		return err
 	}
 	acc := map[string]*accessData{}
-	//simlint:allow maprange -- per-key transform into a fresh map; keys are independent, so writes commute, and allPairs orders methods explicitly.
+	//simlint:allow maprange -- per-key transform into a fresh map; keys are independent, so writes commute, and writeAllPairs orders methods explicitly.
 	for name, fd := range data {
 		d := &accessData{Name: name}
 		for _, a := range fd.Attempts {
@@ -707,8 +698,8 @@ func (r *Runner) runTable7() error {
 		}
 		acc[name] = d
 	}
-	writePairedT(r.out, "Paired t-tests, file download times (attempts paired by size and index)",
-		allPairs(acc, times, orderedMethods(r.cfg.Transports)))
+	r.writeAllPairs("Paired t-tests, file download times (attempts paired by size and index)",
+		acc, times, orderedMethods(r.cfg.Transports))
 	return nil
 }
 
@@ -718,8 +709,8 @@ func (r *Runner) runTables89() error {
 	if err != nil {
 		return err
 	}
-	writePairedT(r.out, "Paired t-tests, speed index (all method pairs)",
-		allPairs(data, speedIx, orderedMethods(r.cfg.Transports)))
+	r.writeAllPairs("Paired t-tests, speed index (all method pairs)",
+		data, speedIx, orderedMethods(r.cfg.Transports))
 	return nil
 }
 
@@ -734,7 +725,7 @@ func (r *Runner) runTable10() error {
 	if d, ok := data["tor"]; ok {
 		catData["Tor"] = &accessData{Name: "Tor", Times: d.Times}
 	}
-	//simlint:allow maprange -- per-category aggregation: each key writes only its own catData entry (members iterate a slice), so writes commute; allPairs fixes the output order.
+	//simlint:allow maprange -- per-category aggregation: each key writes only its own catData entry (members iterate a slice), so writes commute; writeAllPairs fixes the output order.
 	for cat, members := range cats {
 		agg := &accessData{Name: cat.String()}
 		var n int
@@ -760,7 +751,6 @@ func (r *Runner) runTable10() error {
 		catData[cat.String()] = agg
 	}
 	order := []string{"Tor", pt.ProxyLayer.String(), pt.Tunneling.String(), pt.Mimicry.String(), pt.FullyEncrypted.String()}
-	writePairedT(r.out, "Paired t-tests, PT category pairs (curl access)",
-		allPairs(catData, times, order))
+	r.writeAllPairs("Paired t-tests, PT category pairs (curl access)", catData, times, order)
 	return nil
 }

@@ -26,8 +26,10 @@ import (
 	"ptperf/internal/censor"
 	"ptperf/internal/netem"
 	"ptperf/internal/obs"
+	"ptperf/internal/plot"
 	"ptperf/internal/pt"
 	"ptperf/internal/sim"
+	"ptperf/internal/stats"
 	"ptperf/internal/testbed"
 	"ptperf/internal/web"
 )
@@ -127,8 +129,15 @@ type Runner struct {
 	// experiments run (for Sections) and the worlds' scheduler counters.
 	omu       sync.Mutex
 	timelines map[string]*obs.Timeline
-	ran       []Experiment
+	ran       []*Experiment
 	simStats  netem.Stats
+
+	// Render scratch, reused by every report (rendering is
+	// single-threaded): see table, box, curve and writeECDF.
+	tab    table
+	boxes  []plot.Box
+	curves []plot.Series
+	ecdf   stats.ECDF
 }
 
 // New creates a Runner writing its reports to out.
@@ -167,8 +176,11 @@ type Experiment struct {
 }
 
 // Experiments lists every reproducible artifact in paper order, then
-// the censor-scenario experiments.
-func Experiments() []Experiment {
+// the censor-scenario experiments. The list is built once and shared:
+// callers read it and must not modify it.
+func Experiments() []Experiment { return experiments }
+
+var experiments = func() []Experiment {
 	exps := []Experiment{
 		{ID: "table1", Artifact: "Table 1", Title: "measurement campaign overview", run: (*Runner).runTable1},
 		{ID: "table2", Artifact: "Table 2", Title: "28 candidate transports at a glance", run: (*Runner).runTable2},
@@ -228,7 +240,7 @@ func Experiments() []Experiment {
 		run:      (*Runner).runChurn,
 	})
 	return exps
-}
+}()
 
 // Run executes one experiment by ID ("all" runs every paper artifact;
 // the scenario experiments and the sweep run by explicit ID).
@@ -243,19 +255,18 @@ func (r *Runner) Run(id string) error {
 				e.prefetch(r)
 			}
 		}
-		for _, e := range exps {
-			if e.Optional {
-				continue
-			}
-			if err := r.run(e); err != nil {
-				return fmt.Errorf("%s: %w", e.ID, err)
+		for i := range exps {
+			if e := &exps[i]; !e.Optional {
+				if err := r.run(e); err != nil {
+					return fmt.Errorf("%s: %w", e.ID, err)
+				}
 			}
 		}
 		return nil
 	}
-	for _, e := range exps {
-		if e.ID == id {
-			return r.run(e)
+	for i := range exps {
+		if exps[i].ID == id {
+			return r.run(&exps[i])
 		}
 	}
 	ids := make([]string, 0, len(exps))
@@ -266,7 +277,7 @@ func (r *Runner) Run(id string) error {
 }
 
 // run notes the experiment for Sections and renders it to r.out.
-func (r *Runner) run(e Experiment) error {
+func (r *Runner) run(e *Experiment) error {
 	r.omu.Lock()
 	r.ran = append(r.ran, e)
 	r.omu.Unlock()
@@ -275,7 +286,7 @@ func (r *Runner) run(e Experiment) error {
 
 // render writes one experiment's report to w. Rendering is single-threaded
 // (tasks never write r.out), so swapping the writer is safe.
-func (r *Runner) render(w io.Writer, e Experiment) error {
+func (r *Runner) render(w io.Writer, e *Experiment) error {
 	orig := r.out
 	r.out = w
 	fmt.Fprintf(w, "\n=== %s — %s (%s) ===\n", e.ID, e.Title, e.Artifact)

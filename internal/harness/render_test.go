@@ -114,8 +114,8 @@ func TestCachedRunAllocationBudget(t *testing.T) {
 	bytesPer := (after.TotalAlloc - before.TotalAlloc) / runs
 	objsPer := (after.Mallocs - before.Mallocs) / runs
 	t.Logf("cached Run(\"all\"): %d B and %d objects per run", bytesPer, objsPer)
-	if bytesPer > 340_000 || objsPer > 5300 {
-		t.Fatalf("cached Run(\"all\") allocates %d B and %d objects per run, budget 340 000 B and 5 300", bytesPer, objsPer)
+	if bytesPer > 160_000 || objsPer > 1650 {
+		t.Fatalf("cached Run(\"all\") allocates %d B and %d objects per run, budget 160 000 B and 1 650", bytesPer, objsPer)
 	}
 }
 

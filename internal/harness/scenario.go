@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"sort"
-	"strconv"
 
 	"ptperf/internal/censor"
 	"ptperf/internal/fetch"
@@ -124,11 +123,11 @@ func scenarioAccess(w *testbed.World, in methodsIn) (*scenarioCell, error) {
 func (r *Runner) writeScenarioReport(name string, sc *scenarioCell) {
 	data, st := sc.Data, sc.Stats
 	order := orderedMethods(r.cfg.Transports)
+	boxRows(r, data, func(d *scenarioResult) []float64 { return d.Times }, order)
 	r.writeBoxes(fmt.Sprintf("Website access time under scenario %q (s; failures count as the %gs timeout)",
-		name, pageTimeout.Seconds()),
-		boxRows(data, func(d *scenarioResult) []float64 { return d.Times }, order))
+		name, pageTimeout.Seconds()))
 
-	t := newTable("method", "ok", "failed", "ok%")
+	t := r.table("method", "ok", "failed", "ok%")
 	for _, m := range order {
 		d, ok := data[m]
 		if !ok {
@@ -138,11 +137,11 @@ func (r *Runner) writeScenarioReport(name string, sc *scenarioCell) {
 		if total == 0 {
 			continue
 		}
-		t.add(m, strconv.Itoa(d.OK), strconv.Itoa(d.Failed),
-			fixed(100*float64(d.OK)/float64(total), 0)+"%")
+		t.row(m)
+		t.ints(int64(d.OK), int64(d.Failed))
+		t.percent(d.OK, total)
 	}
-	fmt.Fprintf(r.out, "Access reliability under %q\n", name)
-	t.write(r.out)
+	t.write(r.out, fmt.Sprintf("Access reliability under %q", name))
 	fmt.Fprintf(r.out, "censor: blocked-dials=%d flows-cut=%d resets=%d loss-events=%d throttled-segments=%d\n\n",
 		st.BlockedDials, st.FlowsCut, st.Resets, st.LossEvents, st.ThrottledSegments)
 }
@@ -177,7 +176,7 @@ func (r *Runner) runSweep() error {
 		r.writeScenarioReport(name, cells[i])
 	}
 	g := grid[*scenarioCell]{cells, names, orderedMethods(r.cfg.Transports)}
-	writePairedT(r.out, "Paired t-tests, access time per scenario vs clean (positive mean-diff = scenario slower)",
-		g.pairsVsFirst(func(c *scenarioCell, m string) []float64 { return c.Data[m].Times }))
+	g.writePairsVsFirst(r, "Paired t-tests, access time per scenario vs clean (positive mean-diff = scenario slower)",
+		func(c *scenarioCell, m string) []float64 { return c.Data[m].Times })
 	return nil
 }

@@ -92,7 +92,10 @@ func newConnPair(n *Network, aAddr, bAddr Addr, aOut, bOut shape, seed int64) (*
 }
 
 // Read implements net.Conn.
-func (c *Conn) Read(p []byte) (int, error) { return c.rx.read(p, 1, c.rdl) }
+func (c *Conn) Read(p []byte) (int, error) {
+	n, err, _ := c.rx.readEvent(p, 1, c.rdl, nil)
+	return n, err
+}
 
 // FullReader is the threshold read netem conns and tor streams
 // provide: fill p completely, parking once until the byte completing
@@ -178,7 +181,8 @@ func (netDeadlines) SetWriteDeadline(time.Time) error { return errNetDeadline }
 // or, as the PT record framing does, with ReadFullEvent, whose nil form
 // it is.
 func (c *Conn) ReadFull(p []byte) (int, error) {
-	return c.rx.read(p, len(p), c.rdl)
+	n, err, _ := c.rx.readEvent(p, len(p), c.rdl, nil)
+	return n, err
 }
 
 // ReadEvent is Read for an event callback, which must not park: it

@@ -302,14 +302,14 @@ func (p *pipe) deliver() {
 	}
 }
 
-// read is the one parked-read path. It copies arrived bytes into buf,
-// in order, until at least min of them are there, parking through
+// readEvent is the one read path. It copies arrived bytes into buf, in
+// order, until at least min of them are there, parking through
 // propagation delay as needed; when the stream ends or the read
-// deadline vt (noDeadline for none) passes first it returns what had arrived with io.EOF, ErrClosed or
-// ErrTimeout (end of stream is reported ahead of an expired deadline).
-// Conn.Read asks for one byte, Conn.ReadFull for len(buf). It never
-// returns (0, nil) except for a zero-length buf, which returns at once
-// per the io.Reader contract.
+// deadline vt (noDeadline for none) passes first it returns what had
+// arrived with io.EOF, ErrClosed or ErrTimeout (end of stream is
+// reported ahead of an expired deadline). Conn.Read asks for one byte,
+// Conn.ReadFull for len(buf). It never returns (0, nil) except for a
+// zero-length buf, which returns at once per the io.Reader contract.
 //
 // Every segment that has already arrived is drained, not just the
 // first: bulk readers hand in large buffers, and one batched read
@@ -320,15 +320,12 @@ func (p *pipe) deliver() {
 // byte. Window space is freed in request-sized steps rather than per
 // segment, so a writer parked on the receive-window bound can unpark
 // up to one request later than under an eager reader.
-func (p *pipe) read(buf []byte, min int, vt time.Duration) (int, error) {
-	n, err, _ := p.readEvent(buf, min, vt, nil)
-	return n, err
-}
-
-// readEvent is read, and for a non-nil fn its event form: where read
-// would park it queues fn in the reader's place (Cond.wait) and returns
-// done false with the bytes copied so far, and fn reads on with the
-// rest of buf. With min 1 a wait comes only before the first byte.
+//
+// A nil fn parks, and the read is done when it returns. A non-nil fn
+// makes it the event form: where it would park it queues fn in the
+// reader's place (Cond.wait) and returns done false with the bytes
+// copied so far, and fn reads on with the rest of buf. With min 1 a
+// wait comes only before the first byte.
 func (p *pipe) readEvent(buf []byte, min int, vt time.Duration, fn func()) (total int, err error, done bool) {
 	if len(buf) == 0 {
 		return 0, nil, true

@@ -29,17 +29,17 @@ func TestPopZeroLengthBuf(t *testing.T) {
 	if _, err := p.push(&seg{data: data, base: base, pool: pool}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := p.read(nil, 1, noDeadline); n != 0 || err != nil {
+	if n, err, _ := p.readEvent(nil, 1, noDeadline, nil); n != 0 || err != nil {
 		t.Fatalf("read(nil, 1) = (%d, %v), want (0, nil)", n, err)
 	}
-	if n, err := p.read([]byte{}, 1, noDeadline); n != 0 || err != nil {
+	if n, err, _ := p.readEvent([]byte{}, 1, noDeadline, nil); n != 0 || err != nil {
 		t.Fatalf("read(empty, 1) = (%d, %v), want (0, nil)", n, err)
 	}
-	if n, err := p.read(nil, 0, noDeadline); n != 0 || err != nil {
+	if n, err, _ := p.readEvent(nil, 0, noDeadline, nil); n != 0 || err != nil {
 		t.Fatalf("read(nil, 0) = (%d, %v), want (0, nil)", n, err)
 	}
 	buf := make([]byte, 8)
-	n, err := p.read(buf, 1, noDeadline)
+	n, err, _ := p.readEvent(buf, 1, noDeadline, nil)
 	if err != nil || string(buf[:n]) != "abc" {
 		t.Fatalf("read after zero-length reads = (%q, %v), want (\"abc\", nil)", buf[:n], err)
 	}
@@ -58,10 +58,10 @@ func TestReadEOFBeforeTimeout(t *testing.T) {
 	p.closeWrite()
 	expired := clock.Now()
 	buf := make([]byte, 8)
-	if n, err := p.read(buf, len(buf), expired); n != 3 || err != io.EOF {
+	if n, err, _ := p.readEvent(buf, len(buf), expired, nil); n != 3 || err != io.EOF {
 		t.Fatalf("threshold read = (%d, %v), want (3, EOF)", n, err)
 	}
-	if n, err := p.read(buf, 1, expired); n != 0 || err != io.EOF {
+	if n, err, _ := p.readEvent(buf, 1, expired, nil); n != 0 || err != io.EOF {
 		t.Fatalf("one-byte read = (%d, %v), want (0, EOF)", n, err)
 	}
 }
@@ -421,7 +421,7 @@ func TestPipeKeepsItsArray(t *testing.T) {
 	one := make([]byte, 1)
 	for i := 0; i < 100_000; i++ {
 		push()
-		if n, err := p.read(one, 1, noDeadline); n != 1 || err != nil {
+		if n, err, _ := p.readEvent(one, 1, noDeadline, nil); n != 1 || err != nil {
 			t.Fatalf("read %d = (%d, %v)", i, n, err)
 		}
 	}

@@ -157,12 +157,13 @@ func ECDF(w io.Writer, title string, series []Series, width, height int) {
 	for y := range grid {
 		grid[y] = []byte(strings.Repeat(" ", width))
 	}
+	var e stats.ECDF // each curve's sorted sample, in one array
 	for si, s := range series {
 		if len(s.Values) == 0 {
 			continue
 		}
 		mark := byte('a' + si%26)
-		e := stats.NewECDF(s.Values)
+		e.Load(s.Values)
 		for col := 0; col < width; col++ {
 			v := lo + (hi-lo)*float64(col)/float64(width-1)
 			p := e.At(v)

@@ -27,12 +27,15 @@ type FrameCut func(b []byte) (body, end int, err error)
 // longer come (the stream ended first, or the bytes do not cut). From
 // then on the endpoint recycles what arrives unread, so it never holds
 // more than one frame and the segment that completed it.
+// Frames are reassembled in an array lent by frameBufs from the delivery
+// that brings bytes until the first one after all of them were cut.
 type FrameConn struct {
 	conn     *netem.Conn
 	cut      FrameCut
 	frame    func(body []byte)
 	stop     func()
-	buf      []byte // buf[head:] has arrived and is not yet cut
+	buf      []byte  // buf[head:] has arrived and is not yet cut
+	lease    *[]byte // buf's array while the endpoint holds one
 	head     int
 	end      error // what ended the stream, once it has arrived
 	awaiting bool
@@ -62,10 +65,19 @@ func (f *FrameConn) Conn() *netem.Conn { return f.conn }
 // recycles each segment and hands on a frame that is awaited and now
 // complete.
 func (f *FrameConn) Sink(data []byte, base *[]byte, pool *sync.Pool, err error) {
+	if f.lease != nil && f.head == len(f.buf) && !f.handing { // all cut and handed
+		*f.lease = f.buf[:0]
+		frameBufs.Put(f.lease)
+		f.lease, f.buf, f.head = nil, nil, 0
+	}
 	if err != nil {
 		f.end = err
 	} else {
 		if !f.stopped {
+			if f.lease == nil {
+				f.lease = frameBufs.Get().(*[]byte)
+				f.buf = *f.lease
+			}
 			f.buf, f.head = netem.Compact(f.buf, f.head, len(data))
 			f.buf = append(f.buf, data...)
 		}
@@ -108,7 +120,7 @@ func (f *FrameConn) Await() {
 func (f *FrameConn) Stop() {
 	if !f.stopped {
 		f.stopped, f.awaiting = true, false
-		f.buf, f.head = nil, 0
+		f.buf, f.lease, f.head = nil, nil, 0 // a frame in hand may still be read
 		f.stop()
 	}
 }
@@ -128,6 +140,9 @@ func (f *FrameConn) Send(frame []byte) {
 		f.Await()
 	}
 }
+
+// frameBufs lends FrameConn its reassembly arrays.
+var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // Prefix16 cuts frames that open with their body's length as a 16-bit
 // big-endian number.

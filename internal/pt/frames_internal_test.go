@@ -98,3 +98,30 @@ func TestFrameConnStoppedHoldsNothing(t *testing.T) {
 		t.Fatalf("handed %d frames, stopped %d times and holds %d bytes, want one frame, one stop and nothing held", handed, stops, len(in.buf))
 	}
 }
+
+// TestFrameConnLendsItsArray: an endpoint holds a reassembly array only
+// while bytes wait uncut or a frame cut from it may still be read. A
+// handed frame stays intact until the next delivery, which returns the
+// drained array, and an endpoint whose stream has ended holds none.
+func TestFrameConnLendsItsArray(t *testing.T) {
+	var frames [][]byte
+	var in *FrameConn
+	in = NewFrameConn(Prefix16, func(b []byte) {
+		frames = append(frames, b)
+		in.Await()
+	}, func() {})
+	in.Await()
+	second := AppendPrefix16(nil, nil, []byte("second"))
+	in.Sink(append(AppendPrefix16(nil, nil, []byte("first")), second[:3]...), nil, nil, nil)
+	if len(frames) != 1 || string(frames[0]) != "first" || in.lease == nil {
+		t.Fatalf("handed %q holding lease %v, want the first frame and an array for the second's head", frames, in.lease != nil)
+	}
+	in.Sink(second[3:], nil, nil, nil)
+	if len(frames) != 2 || string(frames[1]) != "second" || in.lease == nil {
+		t.Fatalf("handed %q, want the second frame from the array", frames)
+	}
+	in.Sink(nil, nil, nil, io.EOF)
+	if in.lease != nil || in.buf != nil {
+		t.Fatal("the stream ended and the endpoint still holds its array")
+	}
+}

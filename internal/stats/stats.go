@@ -113,8 +113,12 @@ type ECDF struct {
 	sorted []float64
 }
 
-// NewECDF builds an ECDF over the sample.
-func NewECDF(xs []float64) *ECDF { return &ECDF{sorted: sortedCopy(xs)} }
+// Load makes e the ECDF of xs, sorting a copy of xs into the array e
+// already holds.
+func (e *ECDF) Load(xs []float64) {
+	e.sorted = append(e.sorted[:0], xs...)
+	sort.Float64s(e.sorted)
+}
 
 // At returns P(X ≤ x).
 func (e *ECDF) At(x float64) float64 {

@@ -66,7 +66,8 @@ func TestECDFMonotoneAndBounds(t *testing.T) {
 	for i := range xs {
 		xs[i] = rng.NormFloat64() * 10
 	}
-	e := NewECDF(xs)
+	var e ECDF
+	e.Load(xs)
 	prev := 0.0
 	for x := -40.0; x <= 40; x += 0.5 {
 		p := e.At(x)
@@ -86,7 +87,13 @@ func TestECDFMonotoneAndBounds(t *testing.T) {
 }
 
 func TestECDFInverse(t *testing.T) {
-	e := NewECDF([]float64{1, 2, 3, 4})
+	var e ECDF
+	e.Load([]float64{9, 8, 7, 6, 5})
+	xs := []float64{4, 2, 3, 1}
+	e.Load(xs) // a second sample replaces the first; xs keeps its order
+	if xs[0] != 4 {
+		t.Fatalf("Load reordered its sample: %v", xs)
+	}
 	if got := e.InverseAt(0.5); got != 2 {
 		t.Fatalf("inverse(0.5) = %v", got)
 	}

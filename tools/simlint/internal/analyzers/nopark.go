@@ -65,7 +65,8 @@ import (
 //     DialEvent(target, nil)), and the walker does not enter an event
 //     form's body;
 //   - netem conn/pipe operations that park on backpressure or arrival:
-//     Conn.Read/ReadFull/Write, pipe.read/push;
+//     Conn.Read/ReadFull/Write, pipe.push (pipe.readEvent parks when
+//     called with nil, as every event form does);
 //   - interface escape hatches that reach the same parking code
 //     dynamically: (net.Conn).Read/Write, (io.Reader).Read,
 //     (io.Writer).Write, and io.ReadFull/ReadAtLeast/Copy/CopyN/
@@ -113,7 +114,6 @@ var parkingMethods = map[primKey]string{
 	{"netem", "Listener", "Accept"}:    "parks until a conn arrives (use Listener.Serve)",
 	{"tor", "Client", "Dial"}:          "parks for the circuit's build and the stream's open (use DialEvent)",
 	{"tor", "Client", "Preheat"}:       "parks for the circuit's build",
-	{"netem", "pipe", "read"}:          "parks until the requested bytes arrive",
 	{"netem", "pipe", "push"}:          "parks on receive-window backpressure (use its event form)",
 	{"net", "Conn", "Read"}:            "dynamic dispatch into a parking Read",
 	{"net", "Conn", "Write"}:           "dynamic dispatch into a parking Write",
