@@ -220,8 +220,9 @@ func (w *ablationWorld) fetchThrough(b *testing.B, d pt.Dialer, size int) float6
 	c := &fetch.Client{
 		Net: w.net,
 		Dial: func(target string) (net.Conn, error) {
-			s, err, _ := d.DialEvent(target, nil)
-			return s, err
+			return netem.Await(w.net.Clock(), func(done func(netem.Stream, error)) (netem.Stream, error, bool) {
+				return d.DialEvent(target, done)
+			})
 		},
 		Timeout: 600 * time.Second,
 	}

@@ -19,13 +19,15 @@ import (
 // 1 472 spawns and 4 964 and 6 248 parks while netem.Listener.Serve
 // spawned a goroutine for every accepted conn, and 19 and 694 spawns and
 // 4 920 and 6 065 parks while the set-3 servers dialed each stream with
-// the parking tor.Client.Dial on a goroutine of their own (13 and 582
-// spawns and 4 914 and 5 953 parks since, all the workload's).
+// the parking tor.Client.Dial on a goroutine of their own, and 13 and
+// 582 spawns and 4 914 and 5 953 parks, all the workload's, while the
+// workload's dials parked once per wait of their nil forms (4 799 and
+// 5 848 parks since they await the event form at once, netem.Await).
 func TestBulkCampaignParks(t *testing.T) {
 	for _, tc := range []struct {
 		exp           string
 		parks, spawns uint64
-	}{{"fig5", 4950, 15}, {"fig2b", 6000, 600}} {
+	}{{"fig5", 4800, 15}, {"fig2b", 5850, 600}} {
 		r := New(Config{
 			Seed:         1,
 			ByteScale:    0.06,

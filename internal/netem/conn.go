@@ -62,15 +62,18 @@ type Conn struct {
 }
 
 // connPair is the one allocation behind a dialled connection: both
-// ends and both directions.
+// ends and both directions, and while the dial is under way (dialed)
+// the listener the SYN is for and the dialer's continuation.
 type connPair struct {
 	a, b   Conn
 	ab, ba pipe
+	l      *Listener
+	fn     func(*Conn, error)
 }
 
 // newConnPair wires two conns back to back. aOut shapes a→b traffic and
 // bOut shapes b→a traffic.
-func newConnPair(n *Network, aAddr, bAddr Addr, aOut, bOut shape, seed int64) (*Conn, *Conn) {
+func newConnPair(n *Network, aAddr, bAddr Addr, aOut, bOut shape, seed int64) *connPair {
 	clock := n.clock
 	acct := &n.acct
 	// Both endpoints count: each closes independently, so ConnsOpened
@@ -88,7 +91,7 @@ func newConnPair(n *Network, aAddr, bAddr Addr, aOut, bOut shape, seed int64) (*
 	a.rng, b.rng = *sim.RandOn(&a.src), *sim.RandOn(&b.src)
 	acct.registerConn(a)
 	acct.registerConn(b)
-	return a, b
+	return p
 }
 
 // Read implements net.Conn.

@@ -5,7 +5,6 @@ import (
 	"net"
 	"strconv"
 	"strings"
-	"time"
 
 	"ptperf/internal/geo"
 )
@@ -152,23 +151,21 @@ func (l *Listener) deliver(c *Conn) error {
 }
 
 // Dial opens a shaped connection from this host to "host:port". It costs
-// one round trip (the transport handshake) on the virtual clock.
+// one round trip (the transport handshake) on the virtual clock, which
+// the caller awaits parked (Await).
 func (h *Host) Dial(address string) (Stream, error) {
-	c, err, _ := h.DialEvent(address, nil)
+	c, err := Await(h.net.clock, func(fn func(*Conn, error)) (*Conn, error, bool) { return h.DialEvent(address, fn) })
 	if err != nil {
 		return nil, err
 	}
 	return c, nil
 }
 
-// DialEvent is Dial for an event callback, which must not park, and Dial
-// itself for a nil fn. It returns done with what Dial would have
-// returned, or, where Dial would sleep out the handshake's round trip,
-// arms fn at the instant the sleeper would have woken (Clock.EventAt)
-// and returns done false; fn then gets the conn or the error. A
-// round trip that nothing else can beat passes in place for fn too, as
-// Sleep's does (Clock.advanceIdle), so the timer heap sees the waits
-// the parked dialer had, in its order.
+// DialEvent is Dial's event form. It returns done with the conn or the
+// error, or arms fn where a dialer would wake from the handshake's round
+// trip (Clock.EventAt) and returns done false; fn then gets the conn or
+// the error. A refused dial's round trip that nothing else can beat
+// passes in place, as Sleep's does (Clock.advanceIdle).
 func (h *Host) DialEvent(address string, fn func(*Conn, error)) (c *Conn, err error, done bool) {
 	hostName, portStr, ok := strings.Cut(address, ":")
 	if !ok {
@@ -200,58 +197,62 @@ func (h *Host) DialEvent(address string, fn func(*Conn, error)) (c *Conn, err er
 	remoteAddr := Addr{host: address}
 	out, in := h.net.shapes(h, peer)
 	rtt := out.delay + in.delay
+	clk := h.net.clock
 	if pol := h.net.policy; pol != nil {
 		if err := pol.FilterDial(h.name, address); err != nil {
 			// A censored dial still costs a round trip: the SYN travels
 			// to the interception point and the injected refusal (or
 			// the black-holed SYN's RST) travels back.
 			h.net.acct.addDial(true)
-			return h.handshake(rtt, nil, err, fn)
+			if clk.SleepEvent(rtt, func() { fn(nil, err) }) {
+				return nil, err, true
+			}
+			return nil, nil, false
 		}
 	}
 	h.net.acct.addDial(false)
-	seed := h.net.nextSeed()
-	cc, sc := newConnPair(h.net, localAddr, remoteAddr, out, in, seed)
+	p := newConnPair(h.net, localAddr, remoteAddr, out, in, h.net.nextSeed())
 
-	// Deliver the server side after one one-way delay (the SYN), then
-	// return to the dialer after the full handshake round trip. The SYN
-	// is a pure data-plane event — deliver (TrySend) and Abort never
-	// park — so it runs as an inline clock event instead of costing a
-	// goroutine spawn per dial.
-	clk := h.net.clock
-	clk.EventAt(clk.Now()+out.delay, func() {
-		if err := l.deliver(sc); err != nil {
-			// Abort both endpoints: the server side was never accepted,
-			// and leaving it half-open would count as a live flow in
-			// the accounting forever.
-			sc.Abort()
-			cc.Abort()
-		}
-	})
-	return h.handshake(rtt, cc, nil, fn)
+	// The SYN reaches the listener after one one-way delay, and the
+	// dialer learns the outcome after the round trip. Both are pure
+	// data-plane events (deliver's TrySend and Abort never park), so one
+	// inline clock event, armed at both instants, plays them instead of
+	// a goroutine spawn per dial.
+	p.l = l
+	dialed := p.dialed
+	clk.EventAt(clk.Now()+out.delay, dialed)
+	if rtt <= 0 {
+		return p.open(), nil, true
+	}
+	p.fn = fn
+	clk.EventAt(clk.Now()+rtt, dialed)
+	return nil, nil, false
 }
 
-// handshake is the one wait of a dial, its round trip: a Sleep for a
-// nil fn, fn's arm otherwise (Clock.SleepEvent). Once it is over, the
-// dial opens cc, or fails with err.
-func (h *Host) handshake(rtt time.Duration, cc *Conn, err error, fn func(*Conn, error)) (*Conn, error, bool) {
-	var wake func()
-	if fn != nil {
-		wake = func() { fn(h.open(cc, err)) }
+// dialed is a dial's clock event. At the SYN's arrival it hands the
+// server end to the listener, and aborts both ends if the listener
+// refuses it: left half-open, it would count as a live flow in the
+// accounting forever. At the round trip's end it opens the client end
+// for fn.
+func (p *connPair) dialed() {
+	if l := p.l; l != nil {
+		if p.l = nil; l.deliver(&p.b) != nil {
+			p.b.Abort()
+			p.a.Abort()
+		}
+		return
 	}
-	if !h.net.clock.SleepEvent(rtt, wake) {
-		return nil, nil, false
-	}
-	c, e := h.open(cc, err)
-	return c, e, true
+	fn := p.fn
+	p.fn = nil
+	fn(p.open(), nil)
 }
 
 // open ends a dial whose round trip is over.
-func (h *Host) open(cc *Conn, err error) (*Conn, error) {
-	if pol := h.net.policy; pol != nil && err == nil {
-		pol.ConnOpened(cc)
+func (p *connPair) open() *Conn {
+	if pol := p.a.net.policy; pol != nil {
+		pol.ConnOpened(&p.a)
 	}
-	return cc, err
+	return &p.a
 }
 
 func (h *Host) ephemeral() int {

@@ -4,6 +4,7 @@ package netem
 
 import (
 	"iter"
+	"slices"
 	"sync/atomic"
 	"time"
 )
@@ -57,6 +58,10 @@ type waiter struct {
 	// it reaches the head of the timer heap the dispatcher runs fn on
 	// its own stack instead of waking a goroutine. See Clock.EventAt.
 	fn func()
+	// An Await's continuation, kept across reuse, and what it handed.
+	done any
+	val  any
+	err  error
 }
 
 // timerHeap is a 4-ary min-heap of waiters ordered by (at, seq), each
@@ -276,7 +281,7 @@ func (c *Clock) newWaiter() *waiter {
 	} else {
 		w = new(waiter)
 	}
-	*w = waiter{seq: c.seq, heapIndex: -1}
+	*w = waiter{seq: c.seq, heapIndex: -1, done: w.done}
 	return w
 }
 
@@ -307,6 +312,40 @@ func (c *Clock) park(w *waiter) (timedOut bool) {
 	timedOut = w.timedOut
 	c.release(w)
 	return timedOut
+}
+
+// Await is the one park seam of the event forms, for a goroutine or the
+// driver: it calls start with a continuation and returns what start
+// returned if it is done. Otherwise it parks once, and the continuation
+// readies it at the head of the run queue, where it resumes as if parked
+// in each of the form's waits in turn. The continuation is bound once
+// per waiter and kept with it for reuse, so Await allocates nothing.
+func Await[T any](c *Clock, start func(done func(T, error)) (T, error, bool)) (T, error) {
+	w := c.newWaiter()
+	done, _ := w.done.(func(T, error))
+	if done == nil {
+		done = func(v T, err error) { w.val, w.err = v, err; c.readyFirst(w) }
+		w.done = done
+	}
+	v, err, ok := start(done)
+	if ok {
+		c.release(w)
+		return v, err
+	}
+	c.park(w)
+	v, _ = w.val.(T)
+	err, w.val, w.err = w.err, nil, nil
+	return v, err
+}
+
+// readyFirst readies w at the head of the run queue, to run next.
+func (c *Clock) readyFirst(w *waiter) {
+	if w.woken = true; c.readyHead == 0 {
+		c.ready = slices.Insert(c.ready, 0, w)
+	} else {
+		c.readyHead--
+		c.ready[c.readyHead] = w
+	}
 }
 
 // readyLen reports the number of queued runnable goroutines.
@@ -466,14 +505,12 @@ func (c *Clock) Sleep(v time.Duration) {
 	}
 }
 
-// SleepEvent is Sleep for an event callback, which must not park, and
-// Sleep itself for a nil fn. done reports the sleep over, at once or in
-// place as Sleep's passes (advanceIdle); otherwise fn is armed where the
-// sleeper would have woken (EventAt), in its park's place in the order.
+// SleepEvent is Sleep's event form. done reports the sleep over, at once
+// or in place as Sleep's passes (advanceIdle); otherwise fn, which must
+// not be nil, is armed where the sleeper would have woken (EventAt), in
+// its park's place in the order.
 func (c *Clock) SleepEvent(d time.Duration, fn func()) (done bool) {
-	if fn == nil {
-		c.Sleep(d)
-	} else if vt := c.Now() + d; d > 0 && !c.advanceIdle(vt) {
+	if vt := c.Now() + d; d > 0 && !c.advanceIdle(vt) {
 		c.EventAt(vt, fn)
 		return false
 	}

@@ -613,6 +613,77 @@ func TestWaitEventRunsWhereTheParkedGoroutineWould(t *testing.T) {
 	}
 }
 
+// TestAwaitResumesInPlace runs two waits, a sleep and a Cond wait,
+// twice on a goroutine: parked in each, and awaiting an event form of
+// both at once (Await). The Broadcast that ends the second wait queues a
+// callback after it, so a goroutine the continuation readied anywhere
+// but at the head of the run queue would resume after that callback,
+// not where the parked one did. Both runs make every step at the same
+// instant and in the same order, the awaiting goroutine parks once, and
+// an event form done at once parks nothing.
+func TestAwaitResumesInPlace(t *testing.T) {
+	run := func(await bool) ([]string, Stats) {
+		clock := NewClock()
+		defer clock.Shutdown()
+		cd := NewCond(clock)
+		var log []string
+		note := func(s string) { log = append(log, fmt.Sprintf("%s@%v", s, clock.Now())) }
+		twoWaits := func(done func(int, error)) (int, error, bool) {
+			step := 0
+			var fn func()
+			fn = func() {
+				if step++; step == 1 {
+					note("slept")
+					if cd.WaitEvent(fn) {
+						return
+					}
+				}
+				note("woken")
+				done(7, nil)
+			}
+			if !clock.SleepEvent(10*time.Millisecond, fn) {
+				return 0, nil, false
+			}
+			panic("the sleep passed in place")
+		}
+		clock.Go(func() {
+			v := 7
+			if await {
+				v, _ = Await(clock, twoWaits)
+			} else {
+				clock.Sleep(10 * time.Millisecond)
+				note("slept")
+				cd.Wait()
+				note("woken")
+			}
+			note(fmt.Sprintf("resumed with %d", v))
+		})
+		clock.Go(func() {
+			clock.Sleep(20 * time.Millisecond)
+			cd.Broadcast()
+			clock.ReadyEvent(func() { note("queued after broadcast") })
+		})
+		clock.EventAt(5*time.Millisecond, func() { note("early event") })
+		clock.Sleep(time.Second)
+		parks := clock.Stats().Parks
+		if v, _ := Await(clock, func(func(int, error)) (int, error, bool) { return 3, nil, true }); v != 3 || clock.Stats().Parks != parks {
+			t.Errorf("an event form done at once handed over %d and parked %d times, want 3 and none", v, clock.Stats().Parks-parks)
+		}
+		return log, clock.Stats()
+	}
+	parked, ps := run(false)
+	awaited, as := run(true)
+	if fmt.Sprint(parked) != fmt.Sprint(awaited) {
+		t.Fatalf("parked goroutine:\n%v\nawaiting goroutine:\n%v", parked, awaited)
+	}
+	if want := "[early event@5ms slept@10ms woken@20ms resumed with 7@20ms queued after broadcast@20ms]"; fmt.Sprint(parked) != want {
+		t.Fatalf("order %v, want %s", parked, want)
+	}
+	if ps.Parks-as.Parks != 1 {
+		t.Fatalf("parks: %d parked, %d awaiting; the awaiting goroutine should park once in place of twice", ps.Parks, as.Parks)
+	}
+}
+
 // TestRecvEventRunsWhereTheParkedReceiverWould drains a queue twice,
 // with a goroutine looping on Recv and with a callback chained through
 // Chan.RecvEvent, against the same sender: a value sent to an idle

@@ -151,9 +151,9 @@ func (c *Clock) deadlock(own *waiter) {
 type Parked struct {
 	// Born is the virtual instant of the Go that spawned it.
 	Born time.Duration
-	// The wait: a plain sleep until at, a Cond wait without deadline, or
-	// a Cond wait bounded by at (timed and onCond both set); woken if a
-	// broadcast or its timer had readied it and it had yet to be resumed.
+	// The wait: a plain sleep until at, an Await, a Cond wait without
+	// deadline, or a Cond wait bounded by at (timed and onCond both set);
+	// woken if it had been readied and had yet to be resumed.
 	at                   time.Duration
 	timed, onCond, woken bool
 	// pcs[:depth] is the goroutine's stack at the park, innermost first.
@@ -165,6 +165,8 @@ func (p Parked) wait() string {
 	switch {
 	case p.woken:
 		return "runnable"
+	case !p.onCond && !p.timed:
+		return "awaiting an event form (Await)"
 	case !p.onCond:
 		return fmt.Sprintf("sleep until t=%v", p.at)
 	case p.timed:

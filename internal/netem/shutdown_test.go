@@ -254,18 +254,19 @@ func TestDeadlockNamesTheParked(t *testing.T) {
 	endsClean(t, c, before)
 }
 
-// TestShutdownListing: timed waits, sleeps and goroutines already
-// readied describe themselves too.
+// TestShutdownListing: timed waits, sleeps, awaits and goroutines
+// already readied describe themselves too.
 func TestShutdownListing(t *testing.T) {
 	c := NewClock()
 	cd := NewCond(c)
 	c.Go(func() { c.Sleep(time.Hour) })
 	c.Go(func() { NewCond(c).wait(time.Minute, nil) })
 	c.Go(cd.Wait)
+	c.Go(func() { Await(c, func(func(int, error)) (int, error, bool) { return 0, nil, false }) })
 	c.Sleep(time.Second)
 	cd.Broadcast()
 	text := FormatParked(c.ShutdownListing())
-	for _, want := range []string{"sleep until t=1h0m0s", "cond wait, deadline t=1m0s", "runnable"} {
+	for _, want := range []string{"sleep until t=1h0m0s", "cond wait, deadline t=1m0s", "runnable", "awaiting an event form (Await)"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("listing lacks %q:\n%s", want, text)
 		}

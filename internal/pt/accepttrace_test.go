@@ -72,7 +72,7 @@ func (r *acceptRig) handler(target string, conn netem.Stream) {
 // session dials through d, writes 1500 bytes, reads their echo and
 // closes, noting each result.
 func (r *acceptRig) session(d pt.Dialer) {
-	conn, err, _ := d.DialEvent("extra:9001", nil)
+	conn, err := dial(r.net, d, "extra:9001")
 	r.tap.Note("dialed %v", err)
 	if err != nil {
 		return

@@ -9,8 +9,17 @@ import (
 	"ptperf/internal/sim"
 )
 
+// runHandshake plays h over conn, a conn of n, with seed, awaiting it
+// parked.
+func runHandshake(n *netem.Network, h pt.Handshake, conn netem.Stream, seed int64) (netem.Stream, error) {
+	return netem.Await(n.Clock(), func(done func(netem.Stream, error)) (netem.Stream, error, bool) {
+		return h.RunEvent(conn, seed, done)
+	})
+}
+
 // clientHelloOf is the first flight a client with cfg sends on a conn
 // of seed.
+
 func clientHelloOf(cfg Config, seed int64) []byte {
 	return Transport(cfg).Client.Steps[0].Send(&pt.Transcript{Seed: seed, Rand: sim.NewRand(seed)})
 }
@@ -62,7 +71,7 @@ func TestClientHelloAuthenticates(t *testing.T) {
 	defer a.Close()
 	defer b.Close()
 	n1.Go(func() { a.Write(hello) })
-	if _, err, _ := Transport(Config{UID: uid}).Server.RunEvent(b, 3, nil); err != nil {
+	if _, err := runHandshake(n1, Transport(Config{UID: uid}).Server, b, 3); err != nil {
 		t.Fatalf("valid hello rejected: %v", err)
 	}
 
@@ -70,7 +79,7 @@ func TestClientHelloAuthenticates(t *testing.T) {
 	defer c.Close()
 	defer d.Close()
 	n2.Go(func() { c.Write(hello) })
-	if _, err, _ := Transport(Config{UID: []byte("other")}).Server.RunEvent(d, 4, nil); err != ErrAuth {
+	if _, err := runHandshake(n2, Transport(Config{UID: []byte("other")}).Server, d, 4); err != ErrAuth {
 		t.Fatalf("wrong UID must fail auth, got %v", err)
 	}
 }
@@ -84,7 +93,7 @@ func TestZeroRTT(t *testing.T) {
 
 	serverGot := netem.NewChan[[]byte](nw.Clock(), 1)
 	nw.Go(func() {
-		sc, err, _ := Transport(Config{UID: []byte("u")}).Server.RunEvent(b, 5, nil)
+		sc, err := runHandshake(nw, Transport(Config{UID: []byte("u")}).Server, b, 5)
 		if err != nil {
 			serverGot.Send(nil)
 			return
@@ -94,7 +103,7 @@ func TestZeroRTT(t *testing.T) {
 		serverGot.Send(buf[:n])
 	})
 
-	cc, err, _ := Transport(Config{UID: []byte("u")}).Client.RunEvent(a, 6, nil)
+	cc, err := runHandshake(nw, Transport(Config{UID: []byte("u")}).Client, a, 6)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,14 @@ import (
 	"ptperf/internal/netem"
 )
 
+// awaitDial dials target through d from a goroutine, which awaits the
+// event form parked.
+func awaitDial(d *Dialer, target string) (netem.Stream, error) {
+	return netem.Await(d.host.Network().Clock(), func(done func(netem.Stream, error)) (netem.Stream, error, bool) {
+		return d.DialEvent(target, done)
+	})
+}
+
 func testNet(t *testing.T) (*netem.Host, *netem.Host, *netem.Host, *netem.Host) {
 	t.Helper()
 	n := netem.New(netem.WithSeed(33))
@@ -39,7 +47,7 @@ func TestRegistrationIsSingleUse(t *testing.T) {
 	}
 
 	d := NewDialer(client, inf.RegistrarAddr(), inf.PhantomAddr(), Config{Secret: secret, Seed: 5})
-	c1, err, _ := d.DialEvent("t:1", nil)
+	c1, err := awaitDial(d, "t:1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +78,7 @@ func TestBadRegistrationMACDropped(t *testing.T) {
 
 	// A registrar client with the wrong secret never gets an ack.
 	d := NewDialer(client, inf.RegistrarAddr(), inf.PhantomAddr(), Config{Secret: []byte("wrong"), Seed: 6})
-	if _, err, _ := d.DialEvent("t:1", nil); err == nil {
+	if _, err := awaitDial(d, "t:1"); err == nil {
 		t.Fatal("registration with wrong secret must fail")
 	}
 }

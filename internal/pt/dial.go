@@ -9,11 +9,11 @@ import (
 // A Chain is one dial under way, a Body's steps played in order by
 // Play. Step At takes the result of the wait the step before it started
 // and starts the next wait, with Dial, Write, WriteTarget or a call
-// given Then, or ends the dial with End. For a nil done each wait parks
-// in place, so the steps run straight through as a goroutine dialing
-// with the plain calls did; otherwise a wait leaves a continuation,
-// bound once per dial, that plays the next step from the event that
-// ends the wait. Both forms make the same calls at the same instants.
+// given Then, or ends the dial with End. Each wait leaves a
+// continuation, bound once per dial, that plays the next step from the
+// event that ends the wait, so the calls are a goroutine's that dialed
+// with the plain calls, at the same instants. A goroutine awaits the
+// whole dial at once (netem.Await).
 type Chain struct {
 	At   int          // the step Next plays
 	Raw  *netem.Conn  // what the last Dial opened
@@ -21,8 +21,7 @@ type Chain struct {
 	Err  error        // what the last wait ended with, then the dial's error
 	// Then is the continuation of a step's event call for a stream, a
 	// handshake's or a dial's: it takes the stream or the error into
-	// Conn and Err and plays on. It is nil in parking form, where the
-	// call parks in place. Wait takes what the call returned.
+	// Conn and Err and plays on. Wait takes what the call returned.
 	Then func(netem.Stream, error)
 
 	body         Body
@@ -40,18 +39,16 @@ type Body interface{ Next() }
 // Play plays body, whose Chain c is, as a Dialer's DialEvent with done.
 func (c *Chain) Play(body Body, done func(netem.Stream, error)) (netem.Stream, error, bool) {
 	c.body = body
-	if done != nil {
-		c.again = func() {
-			if c.waits = false; c.play() {
-				done(c.Conn, c.Err)
-			}
+	c.again = func() {
+		if c.waits = false; c.play() {
+			done(c.Conn, c.Err)
 		}
-		c.rawFn = func(raw *netem.Conn, err error) { c.Raw, c.Err = raw, err; c.again() }
-		c.Then = func(conn netem.Stream, err error) { c.Conn, c.Err = conn, err; c.again() }
-		c.writeFn = func() {
-			if c.write() {
-				c.again()
-			}
+	}
+	c.rawFn = func(raw *netem.Conn, err error) { c.Raw, c.Err = raw, err; c.again() }
+	c.Then = func(conn netem.Stream, err error) { c.Conn, c.Err = conn, err; c.again() }
+	c.writeFn = func() {
+		if c.write() {
+			c.again()
 		}
 	}
 	if !c.play() {

@@ -32,9 +32,9 @@ func (p *refuseNth) FilterSegment(netem.Flow, int) netem.Verdict { return netem.
 
 // dialTwice starts the tunnel's server, whose handler keeps each stream,
 // and dials it twice in a row, the second dial once the first has
-// ended: on a goroutine with the plain form, or, for event, from the run
-// queue with DialEvent, the second from the first's done, where the
-// goroutine went on. The client's refuse-th dial is turned away. It
+// ended: on a goroutine that awaits each dial (netem.Await), or, for
+// event, from the run queue with DialEvent, the second from the first's
+// done, where the goroutine went on. The client's refuse-th dial is turned away. It
 // returns the tapped trace, each result noted at the instant its caller
 // learns it, and the parks of the event run from its start.
 func dialTwice(t *testing.T, start func(*world, pt.StreamHandler) (pt.Dialer, error), refuse int, event bool) ([]byte, uint64) {
@@ -64,7 +64,7 @@ func dialTwice(t *testing.T, start func(*world, pt.StreamHandler) (pt.Dialer, er
 	} else {
 		clock.Go(func() {
 			for i := range 2 {
-				s, err, _ := d.DialEvent(fmt.Sprintf("guard-%d:9001", i), nil)
+				s, err := dial(w.net, d, fmt.Sprintf("guard-%d:9001", i))
 				note(s, err)
 			}
 		})
@@ -77,11 +77,11 @@ func dialTwice(t *testing.T, start func(*world, pt.StreamHandler) (pt.Dialer, er
 	return tap.Bytes(), parks
 }
 
-// TestDialEventMatchesPlainDial dials every method twice with each form
-// of its one dial body, and with the client's first or second dial
-// refused: the event form must make every dial, segment and close, and
-// hand every result over, at the instant and in the order the plain
-// form does, and park nothing.
+// TestDialEventMatchesPlainDial dials every method twice, from the run
+// queue and from a goroutine that awaits each dial, and with the
+// client's first or second dial refused: the event run must make every
+// dial, segment and close, and hand every result over, at the instant
+// and in the order the awaiting goroutine sees, and park nothing.
 func TestDialEventMatchesPlainDial(t *testing.T) {
 	for _, tn := range tunnels {
 		for refuse := range 3 {
@@ -127,7 +127,9 @@ func TestFailedDialClosesItsConn(t *testing.T) {
 			client := pt.Handshake{Steps: []pt.Step{pt.Expect([]byte("ok"), errWrong)}}
 			var dialErr error
 			w.net.Go(func() {
-				_, dialErr, _ = pt.DialWrapped(w.client, srv.Addr(), client, 2, tc.target, "test", nil)
+				_, dialErr = netem.Await(w.net.Clock(), func(done func(netem.Stream, error)) (netem.Stream, error, bool) {
+					return pt.DialWrapped(w.client, srv.Addr(), client, 2, tc.target, "test", done)
+				})
 			})
 			w.net.Clock().Sleep(time.Minute)
 			if dialErr == nil {

@@ -11,6 +11,14 @@ import (
 	"ptperf/internal/pt"
 )
 
+// awaitDial dials target through d from a goroutine, which awaits the
+// event form parked.
+func awaitDial(d *Dialer, target string) (netem.Stream, error) {
+	return netem.Await(d.host.Network().Clock(), func(done func(netem.Stream, error)) (netem.Stream, error, bool) {
+		return d.DialEvent(target, done)
+	})
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	// One pair of buffers for every frame, like a hop's.
 	var wbuf, got []byte
@@ -119,7 +127,7 @@ func TestCapsThatWrapRefused(t *testing.T) {
 		}
 		defer ln.Close()
 		for _, cfg := range wrapping {
-			if _, err, _ := NewDialer(h, "h:443", cfg).DialEvent("guard:9001", nil); err == nil {
+			if _, err := awaitDial(NewDialer(h, "h:443", cfg), "guard:9001"); err == nil {
 				t.Errorf("took %+v", cfg)
 			}
 		}
@@ -154,7 +162,7 @@ func TestLargestCapsCarryData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn, err, _ := NewDialer(client, res.Addr(), cfg).DialEvent("guard:9001", nil)
+	conn, err := awaitDial(NewDialer(client, res.Addr(), cfg), "guard:9001")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,9 @@ import (
 func readTarget(data []byte) (target string, err error) {
 	c := new(bufConn)
 	c.buf.Write(data)
-	field, err, _ := pt.ReadPrefixed(c, 1, nil)
+	field, err := netem.Await(netem.NewClock(), func(done func([]byte, error)) ([]byte, error, bool) {
+		return pt.ReadPrefixed(c, 1, done)
+	})
 	return string(field), err
 }
 

@@ -76,26 +76,23 @@ func Expect(b []byte, err error) Step {
 	}}
 }
 
-// RunEvent plays the handshake over conn with conn's seed, for a clock
-// event, which must not park, and parks in place for a nil done, its
-// plain form: it returns done with the conn Records made, or the error
-// that ended the handshake, or false at its first wait, and done gets
-// the result from the event that ends it. Both forms make the calls a
-// goroutine playing the flights in order made: a sent flight is one
-// Write, a fixed flight is read with io.ReadFull's reads, a discard
-// with io.CopyN's, 8 KiB at most each, and a delimited flight as it
-// arrives, into a buffer one byte past its bound. So nothing past the
-// handshake is read, and a refused flight is the last one played.
-// Records must not park either.
+// RunEvent plays the handshake over conn with conn's seed without
+// parking: it returns done with the conn Records made, or the error
+// that ended the handshake, or false at its first wait, and done, never
+// nil, gets the result from the event that ends it (a goroutine awaits
+// it, netem.Await). It makes the calls a goroutine playing the flights
+// in order made: a sent flight is one Write, a fixed flight is read
+// with io.ReadFull's reads, a discard with io.CopyN's, 8 KiB at most
+// each, and a delimited flight as it arrives, into a buffer one byte
+// past its bound. So nothing past the handshake is read, and a refused
+// flight is the last one played. Records must not park either.
 func (h Handshake) RunEvent(conn netem.Stream, seed int64, done func(netem.Stream, error)) (netem.Stream, error, bool) {
 	p := &player{h: h, conn: conn}
 	p.t = Transcript{Seed: seed, Flights: make([][]byte, 0, len(h.Steps)), src: sim.NewSource(seed)}
 	p.t.Rand = sim.RandOn(&p.t.src)
-	if done != nil {
-		p.again = func() {
-			if p.run() {
-				done(p.out, p.err)
-			}
+	p.again = func() {
+		if p.run() {
+			done(p.out, p.err)
 		}
 	}
 	if !p.run() {
@@ -113,7 +110,7 @@ type player struct {
 	conn, out           netem.Stream
 	err                 error
 	t                   Transcript
-	again               func() // run on, bound once; nil in parking form
+	again               func() // run on, bound once
 	step                int
 	started, discarding bool
 	fill                fullRead
@@ -240,18 +237,13 @@ func (f *fullRead) read(conn netem.EventReader, again func()) (err error, done b
 }
 
 // ReadFullEvent reads p off conn with the reads io.ReadFull makes, each
-// a ReadEvent, for a clock event, which must not park, and parks in
-// place for a nil done: it returns done with io.ReadFull's error, or
-// false at its first wait, and done gets the error from the event that
-// completes the read.
+// a ReadEvent, without parking: it returns done with io.ReadFull's
+// error, or false at its first wait, and done gets the error from the
+// event that completes the read.
 func ReadFullEvent(conn netem.EventReader, p []byte, done func(error)) (error, bool) {
-	var fn func([]byte, error)
-	if done != nil {
-		fn = func(_ []byte, err error) { done(err) }
-	}
 	r := &prefixed{conn: conn, body: true}
 	r.fill.buf = p
-	_, err, ok := r.start(fn)
+	_, err, ok := r.start(func(_ []byte, err error) { done(err) })
 	return err, ok
 }
 
@@ -269,20 +261,18 @@ func ReadPrefixed(conn netem.EventReader, size int, done func(field []byte, err 
 // body is set, the field (at once for ReadFullEvent); err ends it.
 type prefixed struct {
 	conn  netem.EventReader
-	again func() // run on, bound once; nil in parking form
+	again func() // run on, bound once
 	fill  fullRead
 	head  [2]byte
 	body  bool
 	err   error
 }
 
-// start reads the field in the form done names.
+// start reads the field, done getting it if a read waits.
 func (r *prefixed) start(done func([]byte, error)) ([]byte, error, bool) {
-	if done != nil {
-		r.again = func() {
-			if r.run() {
-				done(r.fill.buf, r.err)
-			}
+	r.again = func() {
+		if r.run() {
+			done(r.fill.buf, r.err)
 		}
 	}
 	if !r.run() {

@@ -20,6 +20,15 @@ import (
 	"ptperf/internal/sim"
 )
 
+// runHandshake plays h over conn with seed, awaiting it on a clock of
+// its own: the conns these tests play over never leave a wait to a
+// clock event.
+func runHandshake(h pt.Handshake, conn netem.Stream, seed int64) (netem.Stream, error) {
+	return netem.Await(netem.NewClock(), func(done func(netem.Stream, error)) (netem.Stream, error, bool) {
+		return h.RunEvent(conn, seed, done)
+	})
+}
+
 // callLog is a netem.Stream over fixed inbound flights that logs every
 // Read and Write, plain or in event form. A Read returns at most 7 bytes and none of the next
 // flight, so a fixed or discarded flight takes several.
@@ -80,10 +89,10 @@ func TestHandshakeRunCalls(t *testing.T) {
 	}
 	var flights [][]byte
 	got := &callLog{in: in()}
-	conn, err, _ := pt.Handshake{Steps: steps, Records: func(c netem.Stream, t *pt.Transcript) (netem.Stream, error) {
+	conn, err := runHandshake(pt.Handshake{Steps: steps, Records: func(c netem.Stream, t *pt.Transcript) (netem.Stream, error) {
 		flights = t.Flights
 		return c, nil
-	}}.RunEvent(got, 1, nil)
+	}}, got, 1)
 	if err != nil || conn != got {
 		t.Fatalf("Run: %v, %v", conn, err)
 	}
@@ -119,13 +128,13 @@ func TestHandshakeRunCalls(t *testing.T) {
 func TestHandshakeCheckRefuses(t *testing.T) {
 	errWrong := errors.New("wrong flight")
 	c := &callLog{in: [][]byte{[]byte("abcd" + "0123456789")}}
-	_, err, _ := pt.Handshake{Steps: []pt.Step{
+	_, err := runHandshake(pt.Handshake{Steps: []pt.Step{
 		{N: 4, Check: func(*pt.Transcript, []byte) (int, error) { return 10, errWrong }},
 		pt.Send([]byte("later")),
 	}, Records: func(netem.Stream, *pt.Transcript) (netem.Stream, error) {
 		t.Error("records made after a refused flight")
 		return nil, nil
-	}}.RunEvent(c, 1, nil)
+	}}, c, 1)
 	if !errors.Is(err, errWrong) {
 		t.Fatalf("Run: %v, want %v", err, errWrong)
 	}
@@ -142,7 +151,7 @@ func TestHandshakeDelimitedBound(t *testing.T) {
 	req := []byte("GET /tunnel\r\n\r\n")
 	run := func(in []byte, bound int) (*callLog, error) {
 		c := &callLog{in: [][]byte{in}}
-		_, err, _ := pt.Handshake{Steps: []pt.Step{{N: bound, Until: []byte("\r\n\r\n")}}}.RunEvent(c, 1, nil)
+		_, err := runHandshake(pt.Handshake{Steps: []pt.Step{{N: bound, Until: []byte("\r\n\r\n")}}}, c, 1)
 		return c, err
 	}
 	for _, tc := range []struct {
@@ -168,7 +177,7 @@ func TestHandshakeDelimitedBound(t *testing.T) {
 func TestHandshakeDraws(t *testing.T) {
 	for _, seed := range []int64{3, 4} {
 		c := &callLog{}
-		if _, err, _ := (pt.Handshake{Steps: []pt.Step{pt.Random(16)}}).RunEvent(c, seed, nil); err != nil {
+		if _, err := runHandshake(pt.Handshake{Steps: []pt.Step{pt.Random(16)}}, c, seed); err != nil {
 			t.Fatal(err)
 		}
 		want := make([]byte, 16)
@@ -316,11 +325,11 @@ func clientBytes(w pt.WrapTransport, seed int64) []byte {
 	served := make(chan struct{})
 	go func() {
 		defer close(served)
-		w.Server.RunEvent(pipeEnd{b}, seed+1, nil)
+		runHandshake(w.Server, pipeEnd{b}, seed+1)
 		b.Close()
 	}()
 	var sent bytes.Buffer
-	w.Client.RunEvent(teeEnd{pipeEnd{a}, &sent}, seed, nil)
+	runHandshake(w.Client, teeEnd{pipeEnd{a}, &sent}, seed)
 	a.Close()
 	<-served
 	return sent.Bytes()

@@ -33,7 +33,9 @@ func (c bufConn) WriteEvent(p []byte, _ func()) (int, error, bool) {
 
 // play runs steps over c with seed.
 func play(c netem.Stream, seed int64, steps ...pt.Step) error {
-	_, err, _ := pt.Handshake{Steps: steps}.RunEvent(c, seed, nil)
+	_, err := netem.Await(netem.NewClock(), func(done func(netem.Stream, error)) (netem.Stream, error, bool) {
+		return pt.Handshake{Steps: steps}.RunEvent(c, seed, done)
+	})
 	return err
 }
 

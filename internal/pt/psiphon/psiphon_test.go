@@ -97,8 +97,16 @@ func flightsOf(h pt.Handshake, conn netem.Stream, seed int64) ([][]byte, error) 
 		flights = tr.Flights
 		return records(c, tr)
 	}
-	_, err, _ := h.RunEvent(conn, seed, nil)
+	_, err := runHandshake(h, conn, seed)
 	return flights, err
+}
+
+// runHandshake plays h over conn with seed, awaiting it on a clock of
+// its own: the pipe ends here never leave a wait to a clock event.
+func runHandshake(h pt.Handshake, conn netem.Stream, seed int64) (netem.Stream, error) {
+	return netem.Await(netem.NewClock(), func(done func(netem.Stream, error)) (netem.Stream, error, bool) {
+		return h.RunEvent(conn, seed, done)
+	})
 }
 
 // handshake runs a client with clientKey against a server with
@@ -147,7 +155,7 @@ func TestBannerMismatch(t *testing.T) {
 	defer a.Close()
 	defer b.Close()
 	go a.Write([]byte("SSH-2.0-OpenSSH_9.6p1\r\n"))
-	if _, err, _ := Transport(Config{HostKey: []byte("hk")}).Server.RunEvent(pipeEnd{c: b}, 1, nil); !errors.Is(err, ErrVersion) {
+	if _, err := runHandshake(Transport(Config{HostKey: []byte("hk")}).Server, pipeEnd{c: b}, 1); !errors.Is(err, ErrVersion) {
 		t.Fatalf("got %v, want %v", err, ErrVersion)
 	}
 }

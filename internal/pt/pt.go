@@ -97,11 +97,10 @@ type Info struct {
 // ignores it. A Tor client's first hop (tor.ClientConfig.DialFirstHop)
 // and a set-3 server's Tor client (HandleWithDialer) are Dialers too.
 type Dialer interface {
-	// DialEvent opens one stream carrying target to the server, for a
-	// clock event, which must not park, and parks in place for a nil
-	// done, its plain form: it returns done with the stream or the
-	// error, or false at its first wait, and done gets the result from
-	// the event that ends the dial.
+	// DialEvent opens one stream carrying target to the server without
+	// parking: it returns done with the stream or the error, or false at
+	// its first wait, and done, never nil, gets the result from the
+	// event that ends the dial. A goroutine awaits it (netem.Await).
 	DialEvent(target string, done func(netem.Stream, error)) (netem.Stream, error, bool)
 }
 

@@ -119,7 +119,7 @@ func ForwardTo(fromHost *netem.Host) StreamHandler {
 // HandleWithDialer returns a StreamHandler that opens the target with
 // dial and splices: the integration-set-3 server behaviour (dial is the
 // co-located Tor client). dial starts from the run queue, where a
-// goroutine dialing with the parking form started.
+// goroutine spawned to await it would have started.
 func HandleWithDialer(clock *netem.Clock, dial Dialer) StreamHandler {
 	return func(target string, conn netem.Stream) {
 		opened := func(up netem.Stream, err error) {

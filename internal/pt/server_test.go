@@ -43,7 +43,7 @@ func TestWrapTransport(t *testing.T) {
 	if want := []int64{11, 12}; !reflect.DeepEqual(server, want) {
 		t.Errorf("server seeds %v, want %v", server, want)
 	}
-	if _, err, _ := wt.NewDialer(w.client, "pt-server:445").DialEvent("guard-0:9001", nil); err == nil || !strings.HasPrefix(err.Error(), "demo: ") {
+	if _, err := dial(w.net, wt.NewDialer(w.client, "pt-server:445"), "guard-0:9001"); err == nil || !strings.HasPrefix(err.Error(), "demo: ") {
 		t.Errorf("dial to a port where nothing listens: %v, want an error prefixed with the transport's name", err)
 	}
 
@@ -51,7 +51,7 @@ func TestWrapTransport(t *testing.T) {
 	if _, err := wt.StartServer(w.server, 444, nil); err == nil {
 		t.Error("server started without its key")
 	}
-	if _, err, _ := wt.NewDialer(w.client, srv.Addr()).DialEvent("guard-0:9001", nil); err == nil {
+	if _, err := dial(w.net, wt.NewDialer(w.client, srv.Addr()), "guard-0:9001"); err == nil {
 		t.Error("dialer dialed without its key")
 	}
 }

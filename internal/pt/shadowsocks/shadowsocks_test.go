@@ -36,6 +36,14 @@ func (p pipeEnd) ReadEvent(b []byte, _ func()) (int, error, bool) {
 
 func (p pipeEnd) SetReadTimeout(time.Duration) error { return nil }
 
+// runHandshake plays h over conn with seed, awaiting it on a clock of
+// its own: the pipe ends here never leave a wait to a clock event.
+func runHandshake(h pt.Handshake, conn netem.Stream, seed int64) (netem.Stream, error) {
+	return netem.Await(netem.NewClock(), func(done func(netem.Stream, error)) (netem.Stream, error, bool) {
+		return h.RunEvent(conn, seed, done)
+	})
+}
+
 // pipe is net.Pipe with both ends wrapped.
 func pipe() (pipeEnd, pipeEnd) {
 	a, b := net.Pipe()
@@ -47,14 +55,14 @@ func pipePair(t *testing.T, psk []byte) (net.Conn, net.Conn) {
 	a, b := pipe()
 	done := make(chan net.Conn, 1)
 	go func() {
-		s, err, _ := Transport(Config{PSK: psk}).Server.RunEvent(b, 0, nil)
+		s, err := runHandshake(Transport(Config{PSK: psk}).Server, b, 0)
 		if err != nil {
 			done <- nil
 			return
 		}
 		done <- s
 	}()
-	c, err, _ := Transport(Config{PSK: psk}).Client.RunEvent(a, 42, nil)
+	c, err := runHandshake(Transport(Config{PSK: psk}).Client, a, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +145,7 @@ func TestTamperDetected(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		s, err, _ := Transport(Config{PSK: []byte("k")}).Server.RunEvent(b2, 0, nil)
+		s, err := runHandshake(Transport(Config{PSK: []byte("k")}).Server, b2, 0)
 		if err != nil {
 			done <- err
 			return
@@ -146,7 +154,7 @@ func TestTamperDetected(t *testing.T) {
 		_, err = s.Read(buf)
 		done <- err
 	}()
-	cConn, err, _ := Transport(Config{PSK: []byte("k")}).Client.RunEvent(a1, 1, nil)
+	cConn, err := runHandshake(Transport(Config{PSK: []byte("k")}).Client, a1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +168,7 @@ func TestWrongPSKFails(t *testing.T) {
 	a, b := pipe()
 	done := make(chan error, 1)
 	go func() {
-		s, err, _ := Transport(Config{PSK: []byte("server-key")}).Server.RunEvent(b, 0, nil)
+		s, err := runHandshake(Transport(Config{PSK: []byte("server-key")}).Server, b, 0)
 		if err != nil {
 			done <- err
 			return
@@ -169,7 +177,7 @@ func TestWrongPSKFails(t *testing.T) {
 		_, err = s.Read(buf)
 		done <- err
 	}()
-	c, err, _ := Transport(Config{PSK: []byte("client-key")}).Client.RunEvent(a, 7, nil)
+	c, err := runHandshake(Transport(Config{PSK: []byte("client-key")}).Client, a, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +198,7 @@ func flightsOf(h pt.Handshake, conn netem.Stream, seed int64) ([][]byte, error) 
 		flights = tr.Flights
 		return records(c, tr)
 	}
-	_, err, _ := h.RunEvent(conn, seed, nil)
+	_, err := runHandshake(h, conn, seed)
 	return flights, err
 }
 
@@ -223,7 +231,9 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatal("server without PSK must fail")
 	}
 	d := NewDialer(nil, "x:1", Config{})
-	if _, err, _ := d.DialEvent("t:1", nil); err == nil {
+	if _, err := netem.Await(netem.NewClock(), func(done func(netem.Stream, error)) (netem.Stream, error, bool) {
+		return d.DialEvent("t:1", done)
+	}); err == nil {
 		t.Fatal("dialer without PSK must fail")
 	}
 }

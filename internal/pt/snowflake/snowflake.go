@@ -325,11 +325,7 @@ func (x *dial) Next() {
 // proxy, into proxy.
 func (x *dial) readAnswer() {
 	c := &x.Chain
-	var fn func([]byte, error)
-	if c.Then != nil {
-		fn = func(proxy []byte, err error) { x.proxy = proxy; c.Then(nil, err) }
-	}
-	proxy, err, done := pt.ReadPrefixed(x.broker, 2, fn)
+	proxy, err, done := pt.ReadPrefixed(x.broker, 2, func(proxy []byte, err error) { x.proxy = proxy; c.Then(nil, err) })
 	x.proxy = proxy
 	c.Wait(nil, err, done)
 }

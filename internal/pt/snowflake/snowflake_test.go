@@ -27,8 +27,10 @@ func TestStringFrameRoundTrip(t *testing.T) {
 		if len(s) > 60000 {
 			return true
 		}
-		got, err, done := pt.ReadPrefixed(bufReader{bytes.NewBuffer(hello(s))}, 2, nil)
-		return done && err == nil && string(got) == s
+		got, err := netem.Await(netem.NewClock(), func(done func([]byte, error)) ([]byte, error, bool) {
+			return pt.ReadPrefixed(bufReader{bytes.NewBuffer(hello(s))}, 2, done)
+		})
+		return err == nil && string(got) == s
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -76,7 +78,9 @@ func TestBrokerAssignsLiveProxy(t *testing.T) {
 	}
 
 	d := NewDialer(client, dep.BrokerAddr(), bridge.Addr())
-	conn, err, _ := d.DialEvent("guard-x:9001", nil)
+	conn, err := netem.Await(n.Clock(), func(done func(netem.Stream, error)) (netem.Stream, error, bool) {
+		return d.DialEvent("guard-x:9001", done)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,7 +50,9 @@ func TestBulkOverManyConns(t *testing.T) {
 				t.Fatal(err)
 			}
 			d := NewDialer(client, srv.Addr(), cfg)
-			conn, err, _ := d.DialEvent("sink:80", nil)
+			conn, err := netem.Await(n.Clock(), func(done func(netem.Stream, error)) (netem.Stream, error, bool) {
+				return d.DialEvent("sink:80", done)
+			})
 			if err != nil {
 				t.Fatal(err)
 			}

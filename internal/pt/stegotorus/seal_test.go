@@ -30,7 +30,9 @@ func wired(t *testing.T, n int, seed int64) (*chopConn, *netem.Network, []*bytes
 	wires, conns := make([]*bytes.Buffer, n), make([]*netem.Conn, n)
 	for i := range conns {
 		wires[i] = new(bytes.Buffer)
-		if conns[i], err, _ = client.DialEvent("server:80", nil); err != nil {
+		if conns[i], err = netem.Await(net.Clock(), func(done func(*netem.Conn, error)) (*netem.Conn, error, bool) {
+			return client.DialEvent("server:80", done)
+		}); err != nil {
 			t.Fatal(err)
 		}
 		far, err := ln.Accept()

@@ -55,6 +55,14 @@ func spawned(w *world, h pt.StreamHandler) pt.StreamHandler {
 	return func(target string, conn netem.Stream) { w.net.Go(func() { h(target, conn) }) }
 }
 
+// dial dials target through d from a goroutine, which awaits the event
+// form parked.
+func dial(n *netem.Network, d pt.Dialer, target string) (netem.Stream, error) {
+	return netem.Await(n.Clock(), func(done func(netem.Stream, error)) (netem.Stream, error, bool) {
+		return d.DialEvent(target, done)
+	})
+}
+
 // echoHandler records the target and echoes bytes until EOF.
 func echoHandler(t *testing.T, w *world, wantTarget string) pt.StreamHandler {
 	return spawned(w, func(target string, conn netem.Stream) {
@@ -69,7 +77,7 @@ func echoHandler(t *testing.T, w *world, wantTarget string) pt.StreamHandler {
 // exerciseEcho drives a full bidirectional transfer through a dialer.
 func exerciseEcho(t *testing.T, w *world, d pt.Dialer, payloadLen int) {
 	t.Helper()
-	conn, err, _ := d.DialEvent("guard-0:9001", nil)
+	conn, err := dial(w.net, d, "guard-0:9001")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +120,7 @@ func TestObfs4RejectsWrongSecret(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := obfs4.NewDialer(w.client, srv.Addr(), obfs4.Config{Secret: []byte("wrong"), Seed: 2})
-	conn, err, _ := d.DialEvent("guard-0:9001", nil)
+	conn, err := dial(w.net, d, "guard-0:9001")
 	if err == nil {
 		// The server drops us during the handshake; the failure may
 		// surface on first read instead of dial.
@@ -144,7 +152,7 @@ func TestShadowsocksZeroRTTFasterThanObfs4(t *testing.T) {
 
 	measure := func(d pt.Dialer) time.Duration {
 		start := w.net.Now()
-		conn, err, _ := d.DialEvent("g:1", nil)
+		conn, err := dial(w.net, d, "g:1")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,7 +197,7 @@ func TestPsiphonRejectsWrongHostKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := psiphon.NewDialer(w.client, srv.Addr(), psiphon.Config{HostKey: []byte("evil"), Seed: 2})
-	if _, err, _ := d.DialEvent("x", nil); !errors.Is(err, psiphon.ErrHostKey) {
+	if _, err := dial(w.net, d, "x"); !errors.Is(err, psiphon.ErrHostKey) {
 		t.Fatalf("MITM host key must be rejected: %v, want %v", err, psiphon.ErrHostKey)
 	}
 }
@@ -202,7 +210,7 @@ func TestCloakEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := cloak.NewDialer(w.client, srv.Addr(), cloak.Config{UID: uid, Seed: 2})
-	conn, err, _ := d.DialEvent("origin:80", nil)
+	conn, err := dial(w.net, d, "origin:80")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +246,7 @@ func TestCloakClientHalfClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Seed = 2
-	conn, err, _ := cloak.NewDialer(w.client, srv.Addr(), cfg).DialEvent("origin:80", nil)
+	conn, err := dial(w.net, cloak.NewDialer(w.client, srv.Addr(), cfg), "origin:80")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +326,7 @@ func TestDnsttRespCapLimitsThroughput(t *testing.T) {
 	res, _ := dnstt.StartResolver(w.extra, 443, dnstt.Config{Seed: 2}, srv.Addr())
 
 	d := dnstt.NewDialer(w.client, res.Addr(), dnstt.Config{Seed: 3})
-	conn, err, _ := d.DialEvent("g:1", nil)
+	conn, err := dial(w.net, d, "g:1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +358,7 @@ func TestDnsttResolverBudgetThrottles(t *testing.T) {
 	res, _ := dnstt.StartResolver(w.extra, 443, cfg, srv.Addr())
 
 	d := dnstt.NewDialer(w.client, res.Addr(), cfg)
-	conn, err, _ := d.DialEvent("g:1", nil)
+	conn, err := dial(w.net, d, "g:1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +404,7 @@ func TestMeekSessionBudgetCutsBulk(t *testing.T) {
 	front, _ := meek.StartFront(w.extra, 443, meek.Config{Seed: 2}, bridge.Addr())
 
 	d := meek.NewDialer(w.client, front.Addr(), meek.Config{Seed: 3})
-	conn, err, _ := d.DialEvent("g:1", nil)
+	conn, err := dial(w.net, d, "g:1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,7 +460,7 @@ func TestSnowflakeProxyChurnBreaksTransfer(t *testing.T) {
 	}
 
 	d := snowflake.NewDialer(w.client, dep.BrokerAddr(), bridge.Addr())
-	conn, err, _ := d.DialEvent("g:1", nil)
+	conn, err := dial(w.net, d, "g:1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -494,17 +502,17 @@ func TestCamouflerSingleStreamOnly(t *testing.T) {
 		conn.Close()
 	}))
 	d := camoufler.NewDialer(w.client, im.Addr(), "acct", camoufler.Config{Seed: 7, LossProb: -1}, proxy)
-	c1, err, _ := d.DialEvent("g:1", nil)
+	c1, err := dial(w.net, d, "g:1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err, _ := d.DialEvent("g:1", nil); err != camoufler.ErrBusy {
+	if _, err := dial(w.net, d, "g:1"); err != camoufler.ErrBusy {
 		t.Fatalf("second concurrent stream: want ErrBusy, got %v", err)
 	}
 	hold.Close()
 	c1.Close()
 	// After releasing, a new stream is possible.
-	c2, err, _ := d.DialEvent("g:1", nil)
+	c2, err := dial(w.net, d, "g:1")
 	if err != nil {
 		t.Fatalf("sequential re-dial should work: %v", err)
 	}
@@ -524,7 +532,7 @@ func TestCamouflerRateLimitPacesBulk(t *testing.T) {
 			conn.Write(blob)
 		}))
 		d := camoufler.NewDialer(w.client, im.Addr(), fmt.Sprintf("a%d", port), cfg, proxy)
-		conn, err, _ := d.DialEvent("g:1", nil)
+		conn, err := dial(w.net, d, "g:1")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -586,7 +594,7 @@ func TestMarionetteSlowerThanObfs4(t *testing.T) {
 	const payload = 16 << 10
 	measure := func(d pt.Dialer) time.Duration {
 		start := w.net.Now()
-		conn, err, _ := d.DialEvent("g:1", nil)
+		conn, err := dial(w.net, d, "g:1")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -201,7 +201,7 @@ func TestRecordPathAllocationBudget(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			conn, err, _ := d.DialEvent("guard-0:9001", nil)
+			conn, err := dial(w.net, d, "guard-0:9001")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -279,7 +279,7 @@ func TestWritersCopyBeforeReturn(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			conn, err, _ := d.DialEvent("guard-0:9001", nil)
+			conn, err := dial(w.net, d, "guard-0:9001")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -371,7 +371,7 @@ func TestVanishedClientIsReaped(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			conn, err, _ := d.DialEvent("guard-0:9001", nil)
+			conn, err := dial(w.net, d, "guard-0:9001")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -424,7 +424,7 @@ func TestGoroutinesPerDial(t *testing.T) {
 				t.Fatal(err)
 			}
 			before := clock.Registered()
-			conn, err, _ := d.DialEvent("guard-0:9001", nil)
+			conn, err := dial(w.net, d, "guard-0:9001")
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -10,6 +10,14 @@ import (
 	"ptperf/internal/pt"
 )
 
+// runHandshake plays h over conn, a conn of n, with seed, awaiting it
+// parked.
+func runHandshake(n *netem.Network, h pt.Handshake, conn netem.Stream, seed int64) (netem.Stream, error) {
+	return netem.Await(n.Clock(), func(done func(netem.Stream, error)) (netem.Stream, error, bool) {
+		return h.RunEvent(conn, seed, done)
+	})
+}
+
 func bufferedPair(t *testing.T) (*netem.Network, netem.Stream, netem.Stream) {
 	t.Helper()
 	n := netem.New(netem.WithSeed(11))
@@ -44,10 +52,10 @@ func TestHandshakeAndRecords(t *testing.T) {
 	}
 	sc := netem.NewChan[res](n.Clock(), 1)
 	n.Go(func() {
-		c, err, _ := Transport(cfg).Server.RunEvent(b, 2, nil)
+		c, err := runHandshake(n, Transport(cfg).Server, b, 2)
 		sc.Send(res{c, err})
 	})
-	cc, err, _ := Transport(cfg).Client.RunEvent(a, 3, nil)
+	cc, err := runHandshake(n, Transport(cfg).Client, a, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +88,7 @@ func TestServerRejectsNonTunnelRequest(t *testing.T) {
 		n, a, b := bufferedPair(t)
 		errc := netem.NewChan[error](n.Clock(), 1)
 		n.Go(func() {
-			_, err, _ := Transport(cfg).Server.RunEvent(b, 5, nil)
+			_, err := runHandshake(n, Transport(cfg).Server, b, 5)
 			errc.Send(err)
 		})
 		a.Write(append([]byte{0x16, 0x03, 0x01}, make([]byte, 32+1)...))

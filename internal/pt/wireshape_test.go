@@ -129,7 +129,7 @@ func TestWireShapePinned(t *testing.T) {
 				last = now
 				return s
 			}
-			conn, err, _ := d.DialEvent("guard-0:9001", nil)
+			conn, err := dial(w.net, d, "guard-0:9001")
 			if err != nil {
 				t.Fatal(err)
 			}

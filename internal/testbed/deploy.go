@@ -34,9 +34,10 @@ type Deployment struct {
 	// tor is the one Tor client beside the transport: on the measurement
 	// host for vanilla Tor and sets 1–2, on the PT server host for set 3.
 	tor *tor.Client
-	// dialer is the PT client that application streams (set 3) or the
-	// Tor client's first hop (set 2) go through.
+	// dialer is the PT client that application streams (set 3, awaited
+	// on clock) or the Tor client's first hop (set 2) go through.
 	dialer pt.Dialer
+	clock  *netem.Clock
 	// pool is snowflake's volunteer pool, for the snowflake deployment.
 	pool *snowflake.Deployment
 }
@@ -44,8 +45,9 @@ type Deployment struct {
 // Dial opens an application stream to target through the deployment.
 func (d *Deployment) Dial(target string) (net.Conn, error) {
 	if d.Info.Set == pt.Set3 {
-		s, err, _ := d.dialer.DialEvent(target, nil)
-		return s, err
+		return netem.Await(d.clock, func(done func(netem.Stream, error)) (netem.Stream, error, bool) {
+			return d.dialer.DialEvent(target, done)
+		})
 	}
 	return d.tor.Dial(target)
 }

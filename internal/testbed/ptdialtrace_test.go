@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"ptperf/internal/netem"
 	"ptperf/internal/pt"
 	"ptperf/internal/pt/conjure"
 	"ptperf/internal/testkit/tracekit"
@@ -88,7 +89,9 @@ func TestPTDialTrace(t *testing.T) {
 			case tc.rejected:
 				d := conjure.NewDialer(r.w.Client, r.addr(t, "conjure-registrar", 53001), r.addr(t, "conjure-station", 443),
 					conjure.Config{Secret: []byte("not-the-station's"), Seed: 3})
-				_, err, _ := d.DialEvent("echo:7", nil)
+				_, err := netem.Await(r.w.Net.Clock(), func(done func(netem.Stream, error)) (netem.Stream, error, bool) {
+					return d.DialEvent("echo:7", done)
+				})
 				r.tap.Note("dialed %v", err)
 			case r.d.Info.Set == pt.Set3:
 				r.session("echo:7")

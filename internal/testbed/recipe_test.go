@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"ptperf/internal/fetch"
+	"ptperf/internal/netem"
 	"ptperf/internal/pt"
 	"ptperf/internal/pt/camoufler"
 	"ptperf/internal/pt/dnstt"
@@ -56,8 +57,9 @@ func TestRecipeStartsEveryTransport(t *testing.T) {
 				t.Fatal(err)
 			}
 			fetchPage(t, w, func(target string) (net.Conn, error) {
-				s, err, _ := d.DialEvent(target, nil)
-				return s, err
+				return netem.Await(w.Net.Clock(), func(done func(netem.Stream, error)) (netem.Stream, error, bool) {
+					return d.DialEvent(target, done)
+				})
 			})
 		})
 	}

@@ -54,7 +54,7 @@ func (w *World) wire(info pt.Info, s site, relay *tor.Relay, p pin, seed int64) 
 		if d.tor, err = w.newTorClient(s.host, p, nil, seed); err != nil {
 			return nil, err
 		}
-		s.handle = pt.HandleWithDialer(w.Net.Clock(), d.tor)
+		s.handle, d.clock = pt.HandleWithDialer(w.Net.Clock(), d.tor), w.Net.Clock()
 		d.dialer, d.pool, err = w.startTransport(info.Name, s)
 	}
 	if err != nil {

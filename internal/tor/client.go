@@ -172,11 +172,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 type directHop struct{ host *netem.Host }
 
 func (h directHop) DialEvent(addr string, done func(netem.Stream, error)) (netem.Stream, error, bool) {
-	var fn func(*netem.Conn, error)
-	if done != nil {
-		fn = func(conn *netem.Conn, err error) { done(conn, err) }
-	}
-	conn, err, ok := h.host.DialEvent(addr, fn)
+	conn, err, ok := h.host.DialEvent(addr, func(conn *netem.Conn, err error) { done(conn, err) })
 	return conn, err, ok
 }
 

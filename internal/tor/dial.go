@@ -10,35 +10,34 @@ import (
 
 // Preheat builds a circuit if none is alive, so that measurement code can
 // exclude (or include) bootstrap cost explicitly: the dial engine
-// without a stream, in its parking form.
+// without a stream, which the caller awaits parked (netem.Await).
 func (c *Client) Preheat() error {
-	d := &clientDial{c: c, preheat: true}
-	d.run()
-	return d.err
+	_, err := netem.Await(c.clock, (&clientDial{c: c, preheat: true}).start)
+	return err
 }
 
 // Dial opens an anonymized stream to target ("host:port") through the
 // client's circuit. A stream that fails because its circuit died is
 // re-attached to a fresh circuit up to RetryPolicy.MaxStreamRetries
-// times (Tor's stream re-attach; default one retry). It is DialEvent's
-// nil form.
+// times (Tor's stream re-attach; default one retry). The caller awaits
+// DialEvent parked (netem.Await).
 func (c *Client) Dial(target string) (netem.Stream, error) {
-	s, err, _ := c.DialEvent(target, nil)
-	return s, err
+	return netem.Await(c.clock, (&clientDial{c: c, target: target}).start)
 }
 
-// DialEvent is Dial for an event callback, which must not park, and Dial
-// itself for a nil done: it returns done with what Dial would have
-// returned, or false at its first wait, and done gets the result from
-// the event that ends the dial. Each wait is Dial's in its event form:
-// the first hop's DialEvent, cellOut.sendEvent, the CREATED cellPump,
-// Chan.RecvUntilEvent and Clock.SleepEvent.
+// DialEvent is Dial's event form, for a clock event, which must not
+// park: it returns done with the stream or the error, or false at its
+// first wait, and done gets the result from the event that ends the
+// dial. Each wait is an event form: the first hop's DialEvent,
+// cellOut.sendEvent, the CREATED cellPump, Chan.RecvUntilEvent and
+// Clock.SleepEvent.
 func (c *Client) DialEvent(target string, done func(netem.Stream, error)) (netem.Stream, error, bool) {
-	d := &clientDial{c: c, target: target, done: done}
-	if done != nil {
-		d.again = d.resume
-	}
-	if !d.run() {
+	return (&clientDial{c: c, target: target}).start(done)
+}
+
+// start runs the dial until its first wait or its end.
+func (d *clientDial) start(done func(netem.Stream, error)) (netem.Stream, error, bool) {
+	if d.done, d.again = done, d.resume; !d.run() {
 		return nil, nil, false
 	}
 	return d.stream, d.err, true
@@ -49,8 +48,8 @@ func (c *Client) DialEvent(target string, done func(netem.Stream, error)) (netem
 // CREATE and CREATED, then EXTEND and EXTENDED per further hop; a failed
 // build is retried after a backoff), then opens the stream with BEGIN
 // and CONNECTED, re-attached to a fresh circuit if its circuit dies. at
-// is the step it is at. At each wait again (resume) takes the parked
-// goroutine's place; the parking form has none.
+// is the step it is at. At each wait again (resume) takes a parked
+// goroutine's place.
 type clientDial struct {
 	c              *Client
 	target         string
@@ -134,7 +133,7 @@ func (d *clientDial) run() bool {
 				d.buildFailed(err)
 				continue
 			}
-			if d.again != nil && d.hopFn == nil {
+			if d.hopFn == nil {
 				d.hopFn = func(conn netem.Stream, err error) { d.hopDialed(conn, err); d.resume() }
 			}
 			conn, err, done := c.cfg.DialFirstHop.DialEvent(d.path.Guard.Addr, d.hopFn)

@@ -55,15 +55,16 @@ import (
 // struct fields, to everything ever assigned to the field). Reaching any
 // parking primitive is an error:
 //   - netem scheduler waits: Clock.Sleep/SleepUntil, Cond.Wait,
-//     Mutex.Lock, WaitGroup.Wait, Chan.Send/Recv, and the waits of a
-//     conn's life: Host.Dial (its round trip), Listener.Accept and a Tor
-//     client's plain tor.Client.Dial and Preheat;
-//   - any event form called with a literal nil continuation, which
-//     parks: the plain forms are their event forms so called
-//     (netem.Conn.Write is WriteEvent(p, nil), a PT handshake's is
-//     pt.Handshake.RunEvent(conn, seed, nil), a PT dialer's its
-//     DialEvent(target, nil)), and the walker does not enter an event
-//     form's body;
+//     Mutex.Lock, WaitGroup.Wait, Chan.Send/Recv, netem.Await (the park
+//     seam a goroutine calls an event form through: in a callback it
+//     would park the driver mid-dispatch), and the waits of a conn's
+//     life: Host.Dial (its round trip), Listener.Accept and a Tor
+//     client's tor.Client.Dial and Preheat, which await;
+//   - any event form called with a literal nil continuation: a conn's
+//     reads and writes park so called (netem.Conn.Write is
+//     WriteEvent(p, nil)), and a dial engine, which has no such form
+//     (a PT dialer's DialEvent, pt.Handshake.RunEvent), would panic at
+//     its first wait. The walker does not enter an event form's body;
 //   - netem conn/pipe operations that park on backpressure or arrival:
 //     Conn.Read/ReadFull/Write, pipe.push (pipe.readEvent parks when
 //     called with nil, as every event form does);
@@ -102,6 +103,7 @@ type primKey struct{ pkg, recv, name string }
 var parkingMethods = map[primKey]string{
 	{"netem", "Clock", "Sleep"}:        "parks until a virtual instant",
 	{"netem", "Clock", "SleepUntil"}:   "parks until a virtual instant",
+	{"netem", "", "Await"}:             "parks until the event form's continuation runs (call the event form)",
 	{"netem", "Cond", "Wait"}:          "parks until broadcast",
 	{"netem", "Mutex", "Lock"}:         "parks while contended (use LockEvent)",
 	{"netem", "WaitGroup", "Wait"}:     "parks until the counter drains",

@@ -313,12 +313,20 @@ func setThree(clock *netem.Clock, cl *tor.Client) {
 }
 
 // firstHop is a Tor client's first hop through a transport, dialed from
-// an event: a PT dialer has one dial body, whose parking form is its
-// DialEvent with a nil continuation.
+// an event: a PT dialer has one dial body, its DialEvent, which a
+// goroutine awaits through netem.Await and an event calls itself.
 func firstHop(clock *netem.Clock, d pt.Dialer) {
 	clock.EventAt(0, func() {
 		d.DialEvent("guard:9001", nil) // want `\(pt\.Dialer\)\.DialEvent with a nil continuation parks.*Clock\.EventAt arm`
 		d.DialEvent("guard:9001", func(netem.Stream, error) {})
+		netem.Await(clock, func(done func(netem.Stream, error)) (netem.Stream, error, bool) { // want `netem\.Await parks until the event form's continuation runs.*Clock\.EventAt arm`
+			return d.DialEvent("guard:9001", done)
+		})
+	})
+	clock.Go(func() {
+		netem.Await(clock, func(done func(netem.Stream, error)) (netem.Stream, error, bool) {
+			return d.DialEvent("guard:9001", done)
+		})
 	})
 }
 

@@ -18,6 +18,11 @@ func (c *Clock) Go(fn func())                        {}
 func (c *Clock) EventAt(vt time.Duration, fn func()) {}
 func (c *Clock) ReadyEvent(fn func())                {}
 
+func Await[T any](c *Clock, start func(done func(T, error)) (T, error, bool)) (T, error) {
+	v, err, _ := start(nil)
+	return v, err
+}
+
 type Mutex struct{}
 
 func (m *Mutex) Lock()                    {}

@@ -10,8 +10,8 @@ import (
 	"sandbox/sim"
 )
 
-// Client is a Tor client: Dial and Preheat park, and DialEvent is
-// Dial's event form.
+// Client is a Tor client: Dial and Preheat await DialEvent, Dial's
+// event form, parked.
 type Client struct{}
 
 func (c *Client) Dial(target string) (netem.Stream, error) { return nil, nil }
