@@ -58,11 +58,13 @@ func TestAccessAllocationBudget(t *testing.T) {
 			t.Fatalf("download: %+v", res)
 		}
 	}
+	// The budgets are a little over what the access costs: 1.2 KB for a
+	// Get and 47 KB, most of it the page body kept, for a Browse.
 	get() // warm-up: fills the pools
 	got := allocated(get)
 	t.Logf("warm Get of 256 KiB: %d bytes allocated", got)
-	if got >= 64<<10 {
-		t.Errorf("a warm Get of a 256 KiB body allocated %d bytes, budget %d", got, 64<<10)
+	if got >= 4<<10 {
+		t.Errorf("a warm Get of a 256 KiB body allocated %d bytes, budget %d", got, 4<<10)
 	}
 
 	browse := func() {
@@ -71,7 +73,7 @@ func TestAccessAllocationBudget(t *testing.T) {
 		}
 	}
 	browse()
-	budget := uint64(pageBytes / 4)
+	budget := uint64(64 << 10)
 	got = allocated(browse)
 	t.Logf("warm Browse of %d bytes: %d bytes allocated", pageBytes, got)
 	if got >= budget {

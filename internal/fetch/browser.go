@@ -104,10 +104,10 @@ func (c *Client) Browse(origin, path string, maxConns int) PageResult {
 				}
 				defer conn.Close()
 				conn.SetReadTimeout(deadline - c.Net.Now())
-				br := leaseReader(conn)
-				defer releaseReader(br)
+				rd := newReader(c.Net.Clock(), conn)
+				defer rd.release()
 				for r := range queue {
-					n, err := fetchOn(conn, br, r.Path)
+					n, err := fetchOn(rd, r.Path)
 					at := c.Net.Since(start)
 					results <- done{
 						ev:    LoadEvent{At: at, Weight: r.VisualWeight},

@@ -8,7 +8,7 @@
 package fetch
 
 import (
-	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"net"
@@ -132,15 +132,12 @@ func (c *Client) get(origin, path string, keepBody bool, start, deadline time.Du
 		return res
 	}
 
-	// TTFB: time of the first byte of the response.
-	br := leaseReader(&firstByteReader{
-		r: conn,
-		onFirst: func() {
-			res.TTFB = c.Net.Since(start)
-		},
-	})
-	defer releaseReader(br)
-	resp, err := web.ReadResponse(br)
+	rd := newReader(c.Net.Clock(), conn)
+	defer rd.release()
+	resp, err := rd.readResponse()
+	if rd.first >= 0 {
+		res.TTFB = rd.first - start // the first byte of the response
+	}
 	if err != nil {
 		res.Err = err
 		res.Total = c.Net.Since(start)
@@ -154,7 +151,7 @@ func (c *Client) get(origin, path string, keepBody bool, start, deadline time.Du
 		res.Body = make([]byte, 0, min(resp.ContentLength, 1<<20))
 		keep = &res.Body
 	}
-	res.BytesGot, err = copyBody(keep, br, conn, resp.ContentLength)
+	res.BytesGot, err = copyBody(keep, rd, resp.ContentLength)
 	if err == nil && res.BytesGot < resp.ContentLength {
 		err = io.ErrUnexpectedEOF
 	}
@@ -207,18 +204,18 @@ func (c *Client) DownloadFileResumed(origin string, sizeBytes, maxResumes int) R
 
 // fetchOn issues one keep-alive GET over an existing connection,
 // returning body bytes received. Used by the browser's worker conns.
-func fetchOn(conn netem.Stream, br *bufio.Reader, path string) (int64, error) {
-	if err := web.WriteRequest(conn, path, false); err != nil {
+func fetchOn(rd *reader, path string) (int64, error) {
+	if err := web.WriteRequest(rd.conn, path, false); err != nil {
 		return 0, err
 	}
-	resp, err := web.ReadResponse(br)
+	resp, err := rd.readResponse()
 	if err != nil {
 		return 0, err
 	}
 	if resp.Status != 200 {
 		return 0, fmt.Errorf("fetch: status %d for %s", resp.Status, path)
 	}
-	got, err := copyBody(nil, br, conn, resp.ContentLength)
+	got, err := copyBody(nil, rd, resp.ContentLength)
 	if err == nil && got < resp.ContentLength {
 		err = io.ErrUnexpectedEOF
 	}
@@ -228,40 +225,132 @@ func fetchOn(conn netem.Stream, br *bufio.Reader, path string) (int64, error) {
 // bodyChunk sizes the threshold reads of copyBody.
 const bodyChunk = 64 << 10
 
-// readerSize is the buffer of a response reader: curl's and a browser
+// readerSize is the array of a response reader: curl's and a browser
 // worker's alike.
 const readerSize = 32 << 10
 
-// A transfer leases its buffers: the bufio.Reader for the length of one
-// Get or one browser worker conn, the threshold-read chunk for the
-// length of one copyBody (DESIGN.md "Buffer ownership").
+// A transfer leases its buffers: the reader for the length of one Get or
+// one browser worker conn, its array only while bytes are in it or a
+// read is filling it, and the threshold-read chunk for the length of one
+// copyBody (DESIGN.md "Buffer ownership").
 var (
-	readerPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, readerSize) }}
-	chunkPool  = sync.Pool{New: func() any { return new([bodyChunk]byte) }}
+	readerPool = sync.Pool{New: func() any {
+		r := &reader{head: make([]byte, 0, 64)} // room for a whole header
+		r.startFn = func(done func(int, error)) (int, error, bool) { r.done = done; return r.read() }
+		r.againFn = func() { // where a parked read would have been woken
+			if n, err, ok := r.read(); ok {
+				r.done(n, err)
+			}
+		}
+		return r
+	}}
+	arrayPool = sync.Pool{New: func() any { return new([readerSize]byte) }}
+	chunkPool = sync.Pool{New: func() any { return new([bodyChunk]byte) }}
 )
 
-func leaseReader(r io.Reader) *bufio.Reader {
-	br := readerPool.Get().(*bufio.Reader)
-	br.Reset(r)
-	return br
+// reader reads a conn's responses as a bufio.Reader of readerSize did:
+// the header a line at a time, and each read into the rest of the array
+// once the unread bytes are slid to its front. Where a read would park
+// it awaits the conn's ReadEvent (netem.Await), which reads nothing
+// there, so the array goes back meanwhile unless bytes are in it.
+type reader struct {
+	clock *netem.Clock
+	conn  netem.Stream
+	buf   []byte // buf[r:w] is read and not yet taken; nil unless leased
+	r, w  int
+	err   error         // the last read's error, kept until its bytes are taken
+	head  []byte        // the header's lines read so far
+	first time.Duration // when the first byte came, -1 before
+	// startFn starts fill's read and againFn reads on, each bound once;
+	// done is the continuation of the Await under way.
+	startFn func(func(int, error)) (int, error, bool)
+	againFn func()
+	done    func(int, error)
 }
 
-func releaseReader(br *bufio.Reader) {
-	br.Reset(nil)
-	readerPool.Put(br)
+func newReader(clock *netem.Clock, conn netem.Stream) *reader {
+	r := readerPool.Get().(*reader)
+	r.clock, r.conn, r.first = clock, conn, -1
+	return r
+}
+
+// release gives the reader and its array back.
+func (r *reader) release() {
+	r.r = r.w
+	r.drop()
+	r.clock, r.conn, r.err, r.done = nil, nil, nil, nil
+	readerPool.Put(r)
+}
+
+// drop gives the array back if every byte in it is taken.
+func (r *reader) drop() {
+	if r.buf != nil && r.r == r.w {
+		arrayPool.Put((*[readerSize]byte)(r.buf))
+		r.buf, r.r, r.w = nil, 0, 0
+	}
+}
+
+// fill slides buf[r:w] to the front, reads once into the rest and keeps
+// the read's error.
+func (r *reader) fill() {
+	r.w, r.r = copy(r.buf, r.buf[r.r:r.w]), 0
+	n, err := netem.Await(r.clock, r.startFn)
+	if n > 0 && r.first < 0 {
+		r.first = r.clock.Now()
+	}
+	r.w, r.err = r.w+n, err
+}
+
+// read is one ReadEvent into buf[w:], leasing the array if need be; a
+// read that waits has read nothing.
+func (r *reader) read() (int, error, bool) {
+	if r.buf == nil {
+		r.buf = arrayPool.Get().(*[readerSize]byte)[:]
+	}
+	n, err, ok := r.conn.ReadEvent(r.buf[r.w:], r.againFn)
+	if !ok {
+		r.drop()
+	}
+	return n, err, ok
+}
+
+// readResponse reads a response header as ReadSlice read it from a
+// bufio.Reader: a line is looked for in what was read, and only when
+// none is there is a kept error returned, or else the array refilled. A
+// line longer than the array is read on.
+func (r *reader) readResponse() (web.Response, error) {
+	r.head = r.head[:0]
+	for {
+		if i := bytes.IndexByte(r.buf[r.r:r.w], '\n'); i >= 0 {
+			r.head = append(r.head, r.buf[r.r:r.r+i+1]...)
+			r.r += i + 1
+			if resp, n, err := web.ReadResponse(r.head); err != nil || n > 0 {
+				return resp, err
+			}
+		} else if err := r.err; err != nil {
+			r.err = nil
+			return web.Response{}, err
+		} else {
+			if r.w-r.r == readerSize {
+				r.head = append(r.head, r.buf[r.r:r.w]...)
+				r.r = r.w
+			}
+			r.fill()
+		}
+	}
 }
 
 // copyBody drains a response body of n bytes, appending it to *keep
 // when keep is non-nil, and returns the count received: whatever
-// ReadResponse left buffered in br first, then the remainder from conn.
-// When conn supports threshold reads, the bulk is pulled in large chunks
-// so the reader parks once per chunk instead of once per arriving cell;
-// the last byte is still consumed at its arrival instant, so TTLB and
-// timeout behavior match an eager copy exactly. Otherwise each read
-// fills br's own buffer. Early end-of-stream returns a short count with
-// nil error; callers detect the short body from the count.
-func copyBody(keep *[]byte, br *bufio.Reader, conn netem.Stream, n int64) (int64, error) {
-	fr, threshold := conn.(netem.FullReader)
+// readResponse left in rd first, then the remainder from its conn.
+// When the conn supports threshold reads, the bulk is pulled in large
+// chunks so the reader parks once per chunk instead of once per arriving
+// cell; the last byte is still consumed at its arrival instant, so TTLB
+// and timeout behavior match an eager copy exactly. Otherwise each read
+// fills rd's array. Early end-of-stream returns a short count with nil
+// error; callers detect the short body from the count.
+func copyBody(keep *[]byte, rd *reader, n int64) (int64, error) {
+	fr, threshold := rd.conn.(netem.FullReader)
 	var chunk *[bodyChunk]byte
 	if threshold {
 		chunk = chunkPool.Get().(*[bodyChunk]byte)
@@ -269,20 +358,21 @@ func copyBody(keep *[]byte, br *bufio.Reader, conn netem.Stream, n int64) (int64
 	}
 	var got int64
 	for got < n {
+		rd.drop() // nothing is left in the array that p took from
 		var p []byte
 		var err error
 		switch {
-		case br.Buffered() > 0:
-			p, _ = br.Peek(int(min(int64(br.Buffered()), n-got)))
-			br.Discard(len(p))
+		case rd.w > rd.r:
+			p = rd.buf[rd.r : rd.r+int(min(int64(rd.w-rd.r), n-got))]
+			rd.r += len(p)
 		case threshold:
 			var m int
 			m, err = fr.ReadFull(chunk[:min(n-got, bodyChunk)])
 			p = chunk[:m]
+		case rd.err == nil:
+			rd.fill() // handed out by the next turn of the loop
 		default:
-			// One read of the conn into br's buffer, handed out by the
-			// next turn of the loop.
-			_, err = br.Peek(1)
+			err, rd.err = rd.err, nil
 		}
 		got += int64(len(p))
 		if keep != nil {
@@ -296,22 +386,4 @@ func copyBody(keep *[]byte, br *bufio.Reader, conn netem.Stream, n int64) (int64
 		}
 	}
 	return got, nil
-}
-
-// firstByteReader invokes onFirst once, at the first successful read.
-type firstByteReader struct {
-	r       io.Reader
-	onFirst func()
-	fired   bool
-}
-
-func (f *firstByteReader) Read(p []byte) (int, error) {
-	n, err := f.r.Read(p)
-	if n > 0 && !f.fired {
-		f.fired = true
-		if f.onFirst != nil {
-			f.onFirst()
-		}
-	}
-	return n, err
 }

@@ -110,23 +110,29 @@ func TestTimeoutYieldsPartial(t *testing.T) {
 }
 
 // cutConn fails reads after a byte budget — a stand-in for a circuit
-// dying mid-transfer.
+// dying mid-transfer. Its reads in both forms are cut, as the embedded
+// conn's would otherwise be promoted past the budget.
 type cutConn struct {
 	netem.Stream
 	remaining int
 }
 
 func (c *cutConn) Read(p []byte) (int, error) {
+	n, err, _ := c.ReadEvent(p, nil)
+	return n, err
+}
+
+func (c *cutConn) ReadEvent(p []byte, again func()) (int, error, bool) {
 	if c.remaining <= 0 {
 		c.Stream.Close()
-		return 0, io.ErrUnexpectedEOF
+		return 0, io.ErrUnexpectedEOF, true
 	}
 	if len(p) > c.remaining {
 		p = p[:c.remaining]
 	}
-	n, err := c.Stream.Read(p)
+	n, err, done := c.Stream.ReadEvent(p, again)
 	c.remaining -= n
-	return n, err
+	return n, err, done
 }
 
 // TestDownloadFileResumed kills the first leg partway and checks the
@@ -337,7 +343,11 @@ type cannedConn struct {
 	resp *strings.Reader
 }
 
-func (c *cannedConn) Read(p []byte) (int, error)         { return c.resp.Read(p) }
+func (c *cannedConn) Read(p []byte) (int, error) { return c.resp.Read(p) }
+func (c *cannedConn) ReadEvent(p []byte, _ func()) (int, error, bool) {
+	n, err := c.resp.Read(p)
+	return n, err, true
+}
 func (c *cannedConn) Write(p []byte) (int, error)        { return len(p), nil }
 func (c *cannedConn) Close() error                       { return nil }
 func (c *cannedConn) SetReadTimeout(time.Duration) error { return nil }

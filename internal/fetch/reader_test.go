@@ -1,0 +1,222 @@
+package fetch
+
+import (
+	"bufio"
+	"bytes"
+	"cmp"
+	"fmt"
+	"io"
+	"math/rand"
+	"slices"
+	"strings"
+	"testing"
+	"time"
+
+	"ptperf/internal/netem"
+	"ptperf/internal/sim"
+	"ptperf/internal/web"
+)
+
+// chunkConn is a client's conn end on which every read returns the next
+// chunk, or what of it fits, then io.EOF. It records the span each read
+// asked for. With waits set, an event read first waits, as a netem conn
+// with nothing arrived does: it reads nothing, and its again runs a
+// millisecond later.
+type chunkConn struct {
+	netem.Stream
+	chunks [][]byte
+	reads  []int
+	clock  *netem.Clock
+	rng    *rand.Rand
+	waits  bool
+	// waited marks an event read that has waited; idle reports, at
+	// each wait, whether the reader held an array with no bytes in it.
+	waited bool
+	idle   func() bool
+	holds  []bool
+}
+
+func (c *chunkConn) ReadEvent(p []byte, again func()) (int, error, bool) {
+	if c.waits && !c.waited && c.rng.Intn(3) == 0 {
+		c.waited = true
+		c.clock.EventAt(c.clock.Now()+time.Millisecond, func() {
+			c.holds = append(c.holds, c.idle())
+			again()
+		})
+		return 0, nil, false
+	}
+	c.waited = false
+	n, err := c.Read(p)
+	return n, err, true
+}
+
+func (c *chunkConn) Read(p []byte) (int, error) {
+	c.reads = append(c.reads, len(p))
+	if len(c.chunks) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, c.chunks[0])
+	if c.chunks[0] = c.chunks[0][n:]; len(c.chunks[0]) == 0 {
+		c.chunks = c.chunks[1:]
+	}
+	return n, nil
+}
+
+// bufioResponse reads a response as fetch read one through a bufio.Reader:
+// the header a line at a time with ReadSlice (a line longer than the
+// buffer read on with ReadBytes), then the body from what is buffered,
+// refilled by Peek(1).
+func bufioResponse(br *bufio.Reader) (web.Response, []byte, error) {
+	var head []byte
+	for {
+		line, err := br.ReadSlice('\n')
+		if err == bufio.ErrBufferFull {
+			line = append([]byte(nil), line...)
+			var rest []byte
+			rest, err = br.ReadBytes('\n')
+			line = append(line, rest...)
+		}
+		head = append(head, line...)
+		resp, n, perr := web.ReadResponse(head)
+		if perr != nil || n == 0 && err != nil {
+			return web.Response{}, nil, cmp.Or(err, perr)
+		}
+		if n == 0 {
+			continue
+		}
+		var body []byte
+		for int64(len(body)) < resp.ContentLength {
+			if br.Buffered() > 0 {
+				p, _ := br.Peek(int(min(int64(br.Buffered()), resp.ContentLength-int64(len(body)))))
+				body = append(body, p...)
+				br.Discard(len(p))
+			} else if _, err := br.Peek(1); err != nil {
+				return resp, body, err
+			}
+		}
+		return resp, body, nil
+	}
+}
+
+// randomWire writes keep-alive responses: well-formed headers with
+// random bodies, now and then a status line longer than the reader's
+// array, and perhaps cut short.
+func randomWire(rng *rand.Rand) []byte {
+	var wire bytes.Buffer
+	for k := 1 + rng.Intn(4); k > 0; k-- {
+		n := rng.Intn(3000)
+		if rng.Intn(3) == 0 {
+			n = rng.Intn(200000)
+		}
+		switch rng.Intn(12) {
+		case 0:
+			wire.WriteString("HTTP/1.1 200 " + strings.Repeat("x", rng.Intn(80000)) + "\r\n")
+		case 1:
+			fmt.Fprintf(&wire, "HTTP/1.1 404 Not Found\r\nContent-Length: %d\r\n\r\n", n)
+		default:
+			fmt.Fprintf(&wire, "HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n", n)
+		}
+		body := make([]byte, n)
+		rng.Read(body)
+		wire.Write(body)
+	}
+	b := wire.Bytes()
+	if rng.Intn(5) == 0 {
+		b = b[:rng.Intn(len(b)+1)]
+	}
+	return b
+}
+
+// TestResponseReaderReadsAsBufioDid: over random keep-alive responses
+// arriving in random chunks, some longer than the reader's array, with
+// event reads that now and then wait, the reader asks for the spans a
+// 32 KiB bufio.Reader asked for through Read and returns the same
+// headers, bodies and errors. Each read that waits does so holding no
+// array when no byte is in it.
+func TestResponseReaderReadsAsBufioDid(t *testing.T) {
+	rng := sim.NewRand(6)
+	clock := netem.NewClock()
+	defer clock.Shutdown()
+	for i := 0; i < 300; i++ {
+		wire := randomWire(rng)
+		var chunks [][]byte
+		for b := wire; len(b) > 0; {
+			k := min(len(b), 1+rng.Intn(40000))
+			chunks, b = append(chunks, slices.Clone(b[:k])), b[k:]
+		}
+		ref := &chunkConn{chunks: slices.Clone(chunks)}
+		br := bufio.NewReaderSize(ref, readerSize)
+		var want []string
+		for {
+			resp, body, err := bufioResponse(br)
+			want = append(want, fmt.Sprintf("%+v %x %v", resp, body, err))
+			if err != nil {
+				break
+			}
+		}
+
+		c := &chunkConn{chunks: chunks, clock: clock, rng: rng, waits: true}
+		rd := newReader(clock, c)
+		c.idle = func() bool { return rd.buf != nil && rd.r == rd.w }
+		var got []string
+		for {
+			resp, err := rd.readResponse()
+			var body []byte
+			if err == nil {
+				var n int64
+				n, err = copyBody(&body, rd, resp.ContentLength)
+				if err == nil && n < resp.ContentLength {
+					err = io.EOF
+				}
+			}
+			got = append(got, fmt.Sprintf("%+v %x %v", resp, body, err))
+			if err != nil {
+				break
+			}
+		}
+		rd.release()
+		if !slices.Equal(c.reads, ref.reads) {
+			t.Fatalf("case %d: reads of %v, a bufio.Reader's %v", i, c.reads, ref.reads)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("case %d: read\n%.200q\nwant\n%.200q", i, got, want)
+		}
+		if slices.Contains(c.holds, true) {
+			t.Fatalf("case %d: a read waited holding an array with no bytes in it", i)
+		}
+	}
+}
+
+// TestReaderHoldsNoArrayWhileWaiting: a reader waiting for its response
+// holds no array, and one holding the response's first bytes does.
+func TestReaderHoldsNoArrayWhileWaiting(t *testing.T) {
+	n, c, o, _ := testSetup(t)
+	conn, err := c.dial(o.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	clock := n.Clock()
+	rd := newReader(clock, conn)
+	defer rd.release()
+	if err := web.WriteRequest(conn, web.FilePath(100<<10), false); err != nil {
+		t.Fatal(err)
+	}
+	var waiting []bool
+	for _, at := range []time.Duration{time.Millisecond, 2 * time.Millisecond} {
+		clock.EventAt(clock.Now()+at, func() { waiting = append(waiting, rd.buf == nil) })
+	}
+	resp, err := rd.readResponse()
+	if err != nil || resp.Status != 200 {
+		t.Fatalf("read %+v, %v", resp, err)
+	}
+	if !slices.Equal(waiting, []bool{true, true}) {
+		t.Fatalf("waiting for the response, the reader held no array: %v, want [true true]", waiting)
+	}
+	if rd.buf == nil || rd.w == rd.r {
+		t.Fatal("the reader holds the bytes that came after the header in no array")
+	}
+	if got, err := copyBody(nil, rd, resp.ContentLength); err != nil || got != resp.ContentLength {
+		t.Fatalf("body: %d of %d, %v", got, resp.ContentLength, err)
+	}
+}

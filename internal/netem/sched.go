@@ -58,10 +58,6 @@ type waiter struct {
 	// it reaches the head of the timer heap the dispatcher runs fn on
 	// its own stack instead of waking a goroutine. See Clock.EventAt.
 	fn func()
-	// An Await's continuation, kept across reuse, and what it handed.
-	done any
-	val  any
-	err  error
 }
 
 // timerHeap is a 4-ary min-heap of waiters ordered by (at, seq), each
@@ -225,7 +221,9 @@ type Clock struct {
 	// spare holds released waiters for newWaiter; a campaign parks
 	// millions of times, and only the run token's holder touches it.
 	spare []*waiter
-	stats Stats
+	// awaits holds the idle *awaited[T] of the Awaits so far.
+	awaits []any
+	stats  Stats
 }
 
 // Stats counts what a clock has run: the goroutines it spawned, the
@@ -281,7 +279,7 @@ func (c *Clock) newWaiter() *waiter {
 	} else {
 		w = new(waiter)
 	}
-	*w = waiter{seq: c.seq, heapIndex: -1, done: w.done}
+	*w = waiter{seq: c.seq, heapIndex: -1}
 	return w
 }
 
@@ -318,24 +316,40 @@ func (c *Clock) park(w *waiter) (timedOut bool) {
 // driver: it calls start with a continuation and returns what start
 // returned if it is done. Otherwise it parks once, and the continuation
 // readies it at the head of the run queue, where it resumes as if parked
-// in each of the form's waits in turn. The continuation is bound once
-// per waiter and kept with it for reuse, so Await allocates nothing.
+// in each of the form's waits in turn. The continuation is bound once,
+// with a place for the T it hands over, and kept on its clock for the
+// next Await of a T, so Await allocates nothing once as many Awaits of
+// a T have been under way at once.
 func Await[T any](c *Clock, start func(done func(T, error)) (T, error, bool)) (T, error) {
-	w := c.newWaiter()
-	done, _ := w.done.(func(T, error))
-	if done == nil {
-		done = func(v T, err error) { w.val, w.err = v, err; c.readyFirst(w) }
-		w.done = done
+	var a *awaited[T]
+	for i := len(c.awaits) - 1; i >= 0 && a == nil; i-- {
+		if a, _ = c.awaits[i].(*awaited[T]); a != nil {
+			c.awaits = slices.Delete(c.awaits, i, i+1)
+		}
 	}
-	v, err, ok := start(done)
+	if a == nil {
+		a = new(awaited[T])
+		a.done = func(v T, err error) { a.v, a.err = v, err; c.readyFirst(a.w) }
+	}
+	a.w = c.newWaiter()
+	v, err, ok := start(a.done)
 	if ok {
-		c.release(w)
-		return v, err
+		c.release(a.w)
+	} else {
+		c.park(a.w)
+		v, err = a.v, a.err
 	}
-	c.park(w)
-	v, _ = w.val.(T)
-	err, w.val, w.err = w.err, nil, nil
+	a.w, a.v, a.err = nil, *new(T), nil
+	c.awaits = append(c.awaits, a)
 	return v, err
+}
+
+// awaited is an Await's continuation and what it hands over.
+type awaited[T any] struct {
+	w    *waiter
+	done func(T, error)
+	v    T
+	err  error
 }
 
 // readyFirst readies w at the head of the run queue, to run next.

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -169,7 +170,15 @@ func (c *Cache) LoadInto(digest string, out any, interval time.Duration) (*Entry
 }
 
 func (c *Cache) read(digest string, out any) (*Entry, bool) {
-	data, err := os.ReadFile(c.path(digest))
+	buf := readBufs.Get().(*bytes.Buffer)
+	defer readBufs.Put(buf)
+	buf.Reset()
+	f, err := os.Open(c.path(digest))
+	if err == nil {
+		_, err = buf.ReadFrom(f)
+		f.Close()
+	}
+	data := buf.Bytes()
 	if err != nil || len(data) < len(CacheVersion)+4 || string(data[:len(CacheVersion)]) != CacheVersion {
 		return nil, false
 	}
@@ -186,6 +195,11 @@ func (c *Cache) read(digest string, out any) (*Entry, bool) {
 	}
 	return &e, true
 }
+
+// readBufs lends read the array an entry is read into. Nothing decoded
+// points into it: DecodeValue copies every string, byte slice and
+// number an Entry and its Value keep.
+var readBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // Store writes the entry at its digest, atomically (temp file in the
 // cache directory, then rename).

@@ -28,7 +28,8 @@ type FrameCut func(b []byte) (body, end int, err error)
 // then on the endpoint recycles what arrives unread, so it never holds
 // more than one frame and the segment that completed it.
 // Frames are reassembled in an array lent by frameBufs from the delivery
-// that brings bytes until the first one after all of them were cut.
+// that brings bytes until a handler has returned and every byte in it is
+// cut: the endpoint holds one only while a frame is partly in.
 type FrameConn struct {
 	conn     *netem.Conn
 	cut      FrameCut
@@ -44,9 +45,11 @@ type FrameConn struct {
 }
 
 // NewFrameConn returns an endpoint that cuts frames with cut, hands each
-// body to frame, valid until the sink's next delivery, and calls stop
-// when an awaited frame cannot come. All three run in clock events and
-// must never park; simlint's noparkinevent walks them from this call.
+// body to frame, valid until frame returns (a handler copies what it
+// keeps: every transport's does, into a Stream's inbox, a reply or a
+// frame of its own), and calls stop when an awaited frame cannot come.
+// All three run in clock events and must never park; simlint's
+// noparkinevent walks them from this call.
 func NewFrameConn(cut FrameCut, frame func(body []byte), stop func()) *FrameConn {
 	return &FrameConn{cut: cut, frame: frame, stop: stop}
 }
@@ -65,11 +68,6 @@ func (f *FrameConn) Conn() *netem.Conn { return f.conn }
 // recycles each segment and hands on a frame that is awaited and now
 // complete.
 func (f *FrameConn) Sink(data []byte, base *[]byte, pool *sync.Pool, err error) {
-	if f.lease != nil && f.head == len(f.buf) && !f.handing { // all cut and handed
-		*f.lease = f.buf[:0]
-		frameBufs.Put(f.lease)
-		f.lease, f.buf, f.head = nil, nil, 0
-	}
 	if err != nil {
 		f.end = err
 	} else {
@@ -92,13 +90,14 @@ func (f *FrameConn) Sink(data []byte, base *[]byte, pool *sync.Pool, err error) 
 
 // Await asks for the next frame: the handler gets it as soon as it has
 // fully arrived, at once if it has. Called by the handler, it takes
-// effect when the handler returns.
+// effect when the handler returns. Once no handler is running and every
+// byte is cut, the array goes back.
 func (f *FrameConn) Await() {
 	f.awaiting = !f.stopped
 	for f.awaiting && !f.handing {
 		body, end, err := f.cut(f.buf[f.head:])
 		if err == nil && end == 0 && f.end == nil {
-			return
+			break
 		}
 		f.awaiting = false
 		if err != nil || end == 0 {
@@ -112,6 +111,11 @@ func (f *FrameConn) Await() {
 		f.handing = true
 		f.frame(frame)
 		f.handing = false
+	}
+	if f.lease != nil && f.head == len(f.buf) && !f.handing {
+		*f.lease = f.buf[:0]
+		frameBufs.Put(f.lease)
+		f.lease, f.buf, f.head = nil, nil, 0
 	}
 }
 

@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"testing"
+
+	"ptperf/internal/testkit"
 )
 
 // FuzzFrameConnLeavesTheRestUncut: however a stream is split into
@@ -100,28 +104,82 @@ func TestFrameConnStoppedHoldsNothing(t *testing.T) {
 }
 
 // TestFrameConnLendsItsArray: an endpoint holds a reassembly array only
-// while bytes wait uncut or a frame cut from it may still be read. A
-// handed frame stays intact until the next delivery, which returns the
-// drained array, and an endpoint whose stream has ended holds none.
+// while bytes wait uncut. A frame is handed from the array, which goes
+// back once the handler has returned and every byte in it is cut, and an
+// endpoint whose stream has ended holds none.
 func TestFrameConnLendsItsArray(t *testing.T) {
-	var frames [][]byte
+	var frames []string
 	var in *FrameConn
 	in = NewFrameConn(Prefix16, func(b []byte) {
-		frames = append(frames, b)
+		if in.lease == nil {
+			t.Fatalf("frame %q handed from no array", b)
+		}
+		frames = append(frames, string(b))
 		in.Await()
 	}, func() {})
 	in.Await()
 	second := AppendPrefix16(nil, nil, []byte("second"))
 	in.Sink(append(AppendPrefix16(nil, nil, []byte("first")), second[:3]...), nil, nil, nil)
-	if len(frames) != 1 || string(frames[0]) != "first" || in.lease == nil {
+	if !slices.Equal(frames, []string{"first"}) || in.lease == nil {
 		t.Fatalf("handed %q holding lease %v, want the first frame and an array for the second's head", frames, in.lease != nil)
 	}
 	in.Sink(second[3:], nil, nil, nil)
-	if len(frames) != 2 || string(frames[1]) != "second" || in.lease == nil {
-		t.Fatalf("handed %q, want the second frame from the array", frames)
+	if !slices.Equal(frames, []string{"first", "second"}) || in.lease != nil {
+		t.Fatalf("handed %q holding lease %v, want the second frame and no array once it is handled", frames, in.lease != nil)
 	}
 	in.Sink(nil, nil, nil, io.EOF)
 	if in.lease != nil || in.buf != nil {
 		t.Fatal("the stream ended and the endpoint still holds its array")
+	}
+}
+
+// TestFrameConnPoisonedArray: the array a frame was handed from goes
+// back to frameBufs when the handler returns. Overwritten there, it
+// spoils no frame handed after it, whole or straddling deliveries.
+func TestFrameConnPoisonedArray(t *testing.T) {
+	if testkit.Race {
+		t.Skip("sync.Pool drops puts at random under the race detector")
+	}
+	// One P and no collection: what was put is what the next Get returns.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var frames []string
+	var handed []byte
+	var in *FrameConn
+	in = NewFrameConn(Prefix16, func(b []byte) {
+		frames, handed = append(frames, string(b)), b
+		in.Await()
+	}, func() {})
+	in.Await()
+	var wire []byte
+	for k := range 40 {
+		wire = AppendPrefix16(wire, nil, bytes.Repeat([]byte{byte('a' + k%26)}, 1+k*7))
+	}
+	var want []string
+	for rest := wire; len(rest) > 0; rest = rest[2+int(binary.BigEndian.Uint16(rest)):] {
+		want = append(want, string(rest[2:2+int(binary.BigEndian.Uint16(rest))]))
+	}
+	poisoned := 0
+	for rest := wire; len(rest) > 0; {
+		n := min(len(rest), 1+len(rest)%97)
+		in.Sink(slices.Clone(rest[:n]), nil, nil, nil)
+		rest = rest[n:]
+		if in.lease != nil {
+			continue // a frame is partly in
+		}
+		b := frameBufs.Get().(*[]byte)
+		if full := (*b)[:cap(*b)]; len(handed) > 0 && cap(full) > 0 && &full[cap(full)-1] == &handed[:cap(handed)][cap(handed)-1] {
+			poisoned++
+			for i := range full {
+				full[i] = 0xee
+			}
+		}
+		frameBufs.Put(b)
+	}
+	if !slices.Equal(frames, want) {
+		t.Fatalf("handed %.80q, want %.80q", frames, want)
+	}
+	if poisoned == 0 {
+		t.Fatal("no handed frame's array was back in frameBufs once its handler returned")
 	}
 }

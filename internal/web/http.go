@@ -1,9 +1,7 @@
 package web
 
 import (
-	"bufio"
 	"bytes"
-	"cmp"
 	"errors"
 	"io"
 	"strconv"
@@ -27,12 +25,12 @@ import (
 // then n body bytes. The readers take exactly these bytes and refuse any
 // others. Hand-rolling them (rather than net/http) keeps byte-level
 // control over when the first body byte leaves the server, which the
-// TTFB metric depends on. The origin runs on clock events (origin.go),
-// so it reads a request with ReadRequest, a parser of the lines it has
-// read (a line longer than its 4 KiB read buffer is read on, as a
-// bufio.Reader's was), and appends its response header to its own
-// write buffer with appendResponseHeader; a client reads the response
-// header from its bufio.Reader with ReadResponse.
+// TTFB metric depends on. Each end parses the lines it has read: the
+// origin (origin.go) a request with ReadRequest, a client its response
+// header with ReadResponse. Each reads a line at a time as a
+// bufio.Reader did, a line longer than its read buffer read on, and the
+// origin appends its response header to its own write buffer with
+// appendResponseHeader.
 
 // Request is a parsed GET.
 type Request struct {
@@ -44,18 +42,6 @@ type Request struct {
 
 // errMalformed refuses bytes that are not the message expected.
 var errMalformed = errors.New("web: malformed HTTP message")
-
-// readLine returns the next line of r with its terminator, valid until
-// the next read of r. Only a line longer than r's buffer is copied.
-func readLine(r *bufio.Reader) ([]byte, error) {
-	line, err := r.ReadSlice('\n')
-	if err == bufio.ErrBufferFull {
-		head := append([]byte(nil), line...)
-		line, err = r.ReadBytes('\n')
-		line = append(head, line...)
-	}
-	return line, err
-}
 
 // isPath reports whether b is a path the simulator writes: one or more
 // bytes of visible ASCII.
@@ -85,35 +71,44 @@ func atoi[B []byte | string](b B, bits int) (int64, bool) {
 // not.
 func ReadRequest(b []byte) (req Request, n int, err error) {
 	var path []byte
-	for k := 0; ; k++ {
-		i := bytes.IndexByte(b[n:], '\n')
-		if i < 0 {
-			return Request{}, 0, nil
-		}
-		line := b[n : n+i+1]
-		n += i + 1
-		ok := false
+	n, err = readLines(b, 4, func(k int, line []byte) (ok bool) {
 		switch k {
 		case 0:
 			var get, proto bool
 			path, get = bytes.CutPrefix(line, []byte("GET "))
 			path, proto = bytes.CutSuffix(path, []byte(" HTTP/1.1\r\n"))
-			ok = get && proto && isPath(path)
+			return get && proto && isPath(path)
 		case 1:
-			ok = string(line) == "Host: origin\r\n"
+			return string(line) == "Host: origin\r\n"
 		case 2:
 			req.Close = string(line) == "Connection: close\r\n"
-			ok = req.Close || string(line) == "Connection: keep-alive\r\n"
-		case 3:
-			if ok = string(line) == "\r\n"; ok {
-				req.Path = string(path)
-				return req, n, nil
-			}
+			return req.Close || string(line) == "Connection: keep-alive\r\n"
 		}
-		if !ok {
-			return Request{}, 0, errMalformed
-		}
+		return string(line) == "\r\n"
+	})
+	if n == 0 {
+		return Request{}, 0, err
 	}
+	req.Path = string(path)
+	return req, n, nil
+}
+
+// readLines reads a message of count lines from the front of b, each
+// checked by ok with its index: it returns the message's length; 0 and
+// no error while b holds the beginning of one, every whole line of it
+// ok; and errMalformed at the first whole line that is not.
+func readLines(b []byte, count int, ok func(k int, line []byte) bool) (n int, err error) {
+	for k := range count {
+		i := bytes.IndexByte(b[n:], '\n')
+		if i < 0 {
+			return 0, nil
+		}
+		if !ok(k, b[n:n+i+1]) {
+			return 0, errMalformed
+		}
+		n += i + 1
+	}
+	return n, nil
 }
 
 // WriteRequest emits a GET for path in one Write, framed in a leased
@@ -151,27 +146,30 @@ func reason(status int64) string {
 	return "OK\r\n"
 }
 
-// ReadResponse reads a response header as appendResponseHeader writes
-// it; the body remains on r.
-func ReadResponse(r *bufio.Reader) (Response, error) {
-	line, err := readLine(r)
-	line, proto := bytes.CutPrefix(line, []byte("HTTP/1.1 "))
-	code, text, _ := bytes.Cut(line, []byte(" "))
-	status, ok := atoi(code, 0)
-	if err != nil || !proto || !ok || string(text) != reason(status) {
-		return Response{}, cmp.Or(err, errMalformed)
+// ReadResponse reads the response header appendResponseHeader writes
+// from the front of b, as ReadRequest reads a request.
+func ReadResponse(b []byte) (resp Response, n int, err error) {
+	n, err = readLines(b, 3, func(k int, line []byte) bool {
+		switch k {
+		case 0:
+			line, proto := bytes.CutPrefix(line, []byte("HTTP/1.1 "))
+			code, text, _ := bytes.Cut(line, []byte(" "))
+			status, ok := atoi(code, 0)
+			resp.Status = int(status)
+			return proto && ok && string(text) == reason(status)
+		case 1:
+			length, named := bytes.CutPrefix(line, []byte("Content-Length: "))
+			length, ended := bytes.CutSuffix(length, []byte("\r\n"))
+			var ok bool
+			resp.ContentLength, ok = atoi(length, 64)
+			return named && ended && ok
+		}
+		return string(line) == "\r\n"
+	})
+	if n == 0 {
+		return Response{}, 0, err
 	}
-	line, err = readLine(r)
-	n, named := bytes.CutPrefix(line, []byte("Content-Length: "))
-	n, ended := bytes.CutSuffix(n, []byte("\r\n"))
-	length, ok := atoi(n, 64)
-	if err != nil || !named || !ended || !ok {
-		return Response{}, cmp.Or(err, errMalformed)
-	}
-	if line, err = readLine(r); err != nil || string(line) != "\r\n" {
-		return Response{}, cmp.Or(err, errMalformed)
-	}
-	return Response{Status: int(status), ContentLength: length}, nil
+	return resp, n, nil
 }
 
 // appendResponseHeader appends the status line and headers for a body

@@ -13,8 +13,9 @@ import (
 // Origin serves the catalogs and bulk files over the minimal HTTP/1.1
 // subset. One origin stands in for the paper's "uncensored Internet".
 type Origin struct {
-	catalogs map[List]*Catalog
-	addr     string
+	catalogs  map[List]*Catalog
+	addr      string
+	manifests map[*Site][]byte // each page's manifest, built once
 }
 
 // StartOrigin launches the origin on host:port.
@@ -42,13 +43,15 @@ func (o *Origin) Addr() string { return o.addr }
 // chain of clock events that makes the Read and Write calls a loop over
 // a 4 KiB bufio.Reader and a 32 KiB bufio.Writer made, with the same
 // spans at the same instants: a span is where a segment ends, which
-// moves report bytes.
+// moves report bytes. Its buffers are leased only while they hold
+// bytes: in while it holds unread bytes or a read is filling it, out
+// from the response's start until it is written.
 type served struct {
 	o    *Origin
 	conn netem.Stream
-	// in[r:w] is read and not yet taken; head holds the lines of the
-	// request being read.
-	in   *[4 << 10]byte
+	// in[r:w] is read and not yet taken, in nil unless leased; head
+	// holds the lines of the request being read.
+	in   []byte
 	r, w int
 	head []byte
 	// out[:n] is the response buffered. The response goes on with body,
@@ -64,19 +67,20 @@ type served struct {
 	readFn, resumeFn func()
 }
 
-// The buffers are allocations of their own: with them inline, a served
-// would round up from 36 KiB to 40 KiB, and the web workload's peak RSS
-// rose by 1 MB.
-var servedPool = sync.Pool{New: func() any {
-	return &served{in: new([4 << 10]byte), out: new([32 << 10]byte)}
-}}
+// The pools are the package's, not an Origin's: every world's origin
+// leases from them, so concurrent worlds do not each fill a list.
+var (
+	servedPool = sync.Pool{New: func() any { return new(served) }}
+	inBufs     = sync.Pool{New: func() any { return new([4 << 10]byte) }}
+	outBufs    = sync.Pool{New: func() any { return new([32 << 10]byte) }}
+)
 
 func (o *Origin) serveConn(conn netem.Stream) {
 	s := servedPool.Get().(*served)
 	if s.readFn == nil {
 		s.readFn, s.resumeFn = s.read, s.resume
 	}
-	s.o, s.conn, s.r, s.w = o, conn, 0, 0
+	s.o, s.conn = o, conn
 	s.read()
 }
 
@@ -84,12 +88,14 @@ func (o *Origin) serveConn(conn netem.Stream) {
 // bufio.Reader of in's size: a line is looked for in what was read, and
 // in is refilled, its unread bytes moved to its front, only when none
 // is there. A line longer than in is read on, as readLine did. Each
-// request is answered before the next line is looked for.
+// request is answered before the next line is looked for. in goes back
+// once every byte in it is taken.
 func (s *served) read() {
 	for {
 		if i := bytes.IndexByte(s.in[s.r:s.w], '\n'); i >= 0 {
 			s.head = append(s.head, s.in[s.r:s.r+i+1]...)
 			s.r += i + 1
+			s.dropIn()
 			req, n, err := ReadRequest(s.head)
 			if err != nil {
 				s.hangUp()
@@ -100,14 +106,17 @@ func (s *served) read() {
 			}
 			continue
 		}
+		if s.in == nil {
+			s.in = inBufs.Get().(*[4 << 10]byte)[:]
+		}
 		if s.w-s.r == len(s.in) {
 			s.head = append(s.head, s.in[s.r:s.w]...)
 			s.r = s.w
 		}
-		s.w = copy(s.in[:], s.in[s.r:s.w])
-		s.r = 0
+		s.w, s.r = copy(s.in, s.in[s.r:s.w]), 0
 		n, err, done := s.conn.ReadEvent(s.in[s.w:], s.readFn)
 		if !done {
+			s.dropIn()
 			return
 		}
 		if s.w += n; err != nil {
@@ -117,11 +126,20 @@ func (s *served) read() {
 	}
 }
 
+// dropIn gives in back if every byte read into it is taken.
+func (s *served) dropIn() {
+	if s.in != nil && s.r == s.w {
+		inBufs.Put((*[4 << 10]byte)(s.in))
+		s.in, s.r, s.w = nil, 0, 0
+	}
+}
+
 // respond starts the response to req and reports whether it has been
 // written whole and the conn stays open.
 func (s *served) respond(req Request) bool {
 	status, prefix, n := s.o.route(req.Path)
 	s.head, s.close = s.head[:0], req.Close
+	s.out = outBufs.Get().(*[32 << 10]byte)
 	s.n = len(appendResponseHeader(s.out[:0], status, int64(n)))
 	s.body, s.left = prefix, n-len(prefix)
 	return s.write()
@@ -130,8 +148,9 @@ func (s *served) respond(req Request) bool {
 // write writes the response as a bufio.Writer of out's size wrote it:
 // a piece that fits is copied into out; one that does not goes straight
 // to the conn if out is empty, or else fills out, which is written
-// whole; and what is left in out is written at the end. It reports
-// whether the response is written and the conn stays open.
+// whole; and what is left in out is written at the end, and out goes
+// back. It reports whether the response is written and the conn stays
+// open.
 func (s *served) write() bool {
 	for {
 		if s.span != nil {
@@ -154,6 +173,8 @@ func (s *served) write() bool {
 			s.hangUp()
 			return false
 		case len(s.body) == 0:
+			outBufs.Put(s.out)
+			s.out = nil
 			return true
 		case len(s.body) <= len(s.out)-s.n:
 			s.n += copy(s.out[s.n:], s.body)
@@ -175,10 +196,15 @@ func (s *served) resume() {
 	}
 }
 
-// hangUp closes the conn and hands the state back.
+// hangUp closes the conn and hands the state and the buffers back.
 func (s *served) hangUp() {
 	s.conn.Close()
-	s.o, s.conn, s.head, s.body, s.span = nil, nil, s.head[:0], nil, nil
+	if s.out != nil {
+		outBufs.Put(s.out)
+	}
+	s.r = s.w // what is unread goes with the conn
+	s.dropIn()
+	s.o, s.conn, s.head, s.body, s.span, s.out, s.n = nil, nil, s.head[:0], nil, nil, nil, 0
 	servedPool.Put(s)
 }
 
@@ -223,7 +249,14 @@ func (o *Origin) page(path string) (int, []byte, int) {
 	if site == nil {
 		return 404, nil, 0
 	}
-	manifest := BuildManifest(site)
+	manifest, ok := o.manifests[site]
+	if !ok {
+		manifest = BuildManifest(site)
+		if o.manifests == nil {
+			o.manifests = make(map[*Site][]byte)
+		}
+		o.manifests[site] = manifest
+	}
 	return 200, manifest, max(site.PageBytes, len(manifest))
 }
 

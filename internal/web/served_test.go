@@ -13,16 +13,21 @@ import (
 
 // chunkConn is an origin's conn end on which every read returns the
 // next chunk, or what of it fits, and every write is taken whole. It
-// records the span of each call.
+// records the span of each call. Once the chunks are out, an event read
+// ends the stream, or with wait set waits for more.
 type chunkConn struct {
 	netem.Stream
 	chunks [][]byte
 	reads  []int
 	writes []int
 	wrote  []byte
+	wait   bool
 }
 
 func (c *chunkConn) ReadEvent(p []byte, again func()) (int, error, bool) {
+	if c.wait && len(c.chunks) == 0 {
+		return 0, nil, false
+	}
 	n, err := c.Read(p)
 	return n, err, true
 }
@@ -51,6 +56,35 @@ func (c *chunkConn) Write(p []byte) (int, error) {
 }
 
 func (c *chunkConn) Close() error { return nil }
+
+// readLine returns the next line of r with its terminator, valid until
+// the next read of r, as the origin took lines before it ran on clock
+// events. Only a line longer than r's buffer is copied.
+func readLine(r *bufio.Reader) ([]byte, error) {
+	line, err := r.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		head := append([]byte(nil), line...)
+		line, err = r.ReadBytes('\n')
+		line = append(head, line...)
+	}
+	return line, err
+}
+
+// readResponse reads a response header off r a line at a time, as the
+// fetch client reads one off its conn, and parses it with ReadResponse.
+func readResponse(r *bufio.Reader) (Response, error) {
+	var head []byte
+	for {
+		line, err := readLine(r)
+		head = append(head, line...)
+		if resp, n, perr := ReadResponse(head); perr != nil || n > 0 {
+			return resp, perr
+		}
+		if err != nil {
+			return Response{}, err
+		}
+	}
+}
 
 // TestServedReadsAsBufioDid: over keep-alive requests of random paths,
 // some longer than the read buffer, arriving in random chunks, the
@@ -124,7 +158,7 @@ func TestServedWritesAsBufioDid(t *testing.T) {
 		w.Flush()
 
 		c := &chunkConn{}
-		s := &served{conn: c, in: new([4 << 10]byte), out: new([32 << 10]byte)}
+		s := &served{conn: c, out: new([32 << 10]byte)}
 		s.n = len(appendResponseHeader(s.out[:0], 200, int64(n)))
 		s.body, s.left = prefix, n-len(prefix)
 		if !s.write() {
@@ -133,5 +167,29 @@ func TestServedWritesAsBufioDid(t *testing.T) {
 		if !slices.Equal(c.writes, ref.writes) || !bytes.Equal(c.wrote, ref.wrote) {
 			t.Fatalf("case %d (prefix %d, body %d): writes of %v, a bufio.Writer's %v", i, len(prefix), n, c.writes, ref.writes)
 		}
+	}
+}
+
+// TestServedHoldsNoArrayWhileWaiting: a served conn waiting for its next
+// request holds neither of its arrays, and one waiting for the rest of a
+// request holds only the array its first bytes are in.
+func TestServedHoldsNoArrayWhileWaiting(t *testing.T) {
+	var req bytes.Buffer
+	WriteRequest(&req, FilePath(100), false)
+	c := &chunkConn{chunks: [][]byte{req.Bytes(), req.Bytes()[:10]}, wait: true}
+	s := &served{o: &Origin{}, conn: c}
+	s.readFn, s.resumeFn = s.read, s.resume
+	s.read()
+	if s.in == nil || s.out != nil {
+		t.Fatalf("waiting for the rest of a request: holds in %v, out %v; want in only", s.in != nil, s.out != nil)
+	}
+	c.chunks = append(c.chunks, req.Bytes()[10:])
+	s.readFn() // the read's continuation, once the rest has come
+	if s.in != nil || s.out != nil {
+		t.Fatalf("waiting for the next request: holds in %v, out %v; want neither", s.in != nil, s.out != nil)
+	}
+	resp := append(appendResponseHeader(nil, 200, 100), bodyPattern[:100]...)
+	if want := append(slices.Clone(resp), resp...); !bytes.Equal(c.wrote, want) {
+		t.Fatalf("wrote %q, want two responses %q", c.wrote, want)
 	}
 }

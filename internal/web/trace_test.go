@@ -60,7 +60,7 @@ func (r *originRig) visit(t *testing.T, fn func(c netem.Stream)) {
 // fetch reads one response on br, chunk bytes at a time with pause
 // after each read, and records its status and length.
 func (r *originRig) fetch(br *bufio.Reader, chunk int, pause time.Duration) {
-	resp, err := ReadResponse(br)
+	resp, err := readResponse(br)
 	got := 0
 	buf := make([]byte, chunk)
 	for err == nil && int64(got) < resp.ContentLength {
@@ -169,7 +169,7 @@ var originScenarios = []struct {
 		r.visit(t, func(c netem.Stream) {
 			WriteRequest(c, FilePath(1<<20), false)
 			br := bufio.NewReader(c)
-			ReadResponse(br)
+			readResponse(br)
 			io.CopyN(io.Discard, br, 100<<10)
 			c.Close()
 		})

@@ -182,7 +182,7 @@ func TestHTTPResponseRoundTrip(t *testing.T) {
 		b := appendResponseHeader(nil, tc.status, tc.n)
 		next := appendResponseHeader([]byte("body"), 404, 0)
 		r := bufio.NewReaderSize(bytes.NewReader(append(b, next...)), 16)
-		resp, err := ReadResponse(r)
+		resp, err := readResponse(r)
 		if err != nil || resp != (Response{Status: tc.status, ContentLength: tc.n}) {
 			t.Fatalf("%+v: read %+v, %v", tc, resp, err)
 		}
@@ -291,7 +291,7 @@ func TestHTTPMalformed(t *testing.T) {
 	if _, _, err := ReadRequest([]byte("BOGUS\r\n\r\n")); err == nil {
 		t.Fatal("malformed request accepted")
 	}
-	if _, err := ReadResponse(bufio.NewReader(strings.NewReader("NOT-HTTP 200\r\n\r\n"))); err == nil {
+	if _, err := readResponse(bufio.NewReader(strings.NewReader("NOT-HTTP 200\r\n\r\n"))); err == nil {
 		t.Fatal("malformed response accepted")
 	}
 	const (
@@ -313,7 +313,7 @@ func TestHTTPMalformed(t *testing.T) {
 		ok + "Content-Length: 05\r\n\r\n", ok + "Content-Length: +5\r\n\r\n", ok + "content-length: 5\r\n\r\n", ok + "Content-Length:  5\r\n\r\n",
 		ok + "\r\n", ok + "Content-Length: 5\r\nServer: x\r\n\r\n",
 	} {
-		if got, err := ReadResponse(bufio.NewReader(strings.NewReader(resp))); err == nil {
+		if got, err := readResponse(bufio.NewReader(strings.NewReader(resp))); err == nil {
 			t.Errorf("response header %q read as %+v", resp, got)
 		}
 	}
@@ -333,7 +333,7 @@ func TestHTTPMalformed(t *testing.T) {
 	for i := range resp {
 		b := bytes.Clone(resp)
 		b[i] = 0
-		if got, err := ReadResponse(bufio.NewReader(bytes.NewReader(b))); err == nil {
+		if got, err := readResponse(bufio.NewReader(bytes.NewReader(b))); err == nil {
 			t.Errorf("response header %q read as %+v", b, got)
 		}
 	}
@@ -364,7 +364,7 @@ func get(t *testing.T, client *netem.Host, origin *Origin, path string) (int, []
 		t.Fatal(err)
 	}
 	br := bufio.NewReader(conn)
-	resp, err := ReadResponse(br)
+	resp, err := readResponse(br)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,7 +448,7 @@ func TestOriginKeepAlive(t *testing.T) {
 		if err := WriteRequest(conn, FilePath(500), false); err != nil {
 			t.Fatal(err)
 		}
-		resp, err := ReadResponse(br)
+		resp, err := readResponse(br)
 		if err != nil {
 			t.Fatalf("request %d: %v", i, err)
 		}
