@@ -222,17 +222,16 @@ func fetchOn(rd *reader, path string) (int64, error) {
 	return got, err
 }
 
-// bodyChunk sizes the threshold reads of copyBody.
+// bodyChunk sizes the threshold reads of copyBody, and the array.
 const bodyChunk = 64 << 10
 
-// readerSize is the array of a response reader: curl's and a browser
-// worker's alike.
+// readerSize is the part of the array a response reader's header reads
+// and plain fills use: curl's and a browser worker's alike.
 const readerSize = 32 << 10
 
 // A transfer leases its buffers: the reader for the length of one Get or
 // one browser worker conn, its array only while bytes are in it or a
-// read is filling it, and the threshold-read chunk for the length of one
-// copyBody (DESIGN.md "Buffer ownership").
+// threshold read is filling it (DESIGN.md "Buffer ownership").
 var (
 	readerPool = sync.Pool{New: func() any {
 		r := &reader{head: make([]byte, 0, 64)} // room for a whole header
@@ -244,20 +243,23 @@ var (
 		}
 		return r
 	}}
-	arrayPool = sync.Pool{New: func() any { return new([readerSize]byte) }}
-	chunkPool = sync.Pool{New: func() any { return new([bodyChunk]byte) }}
+	arrayPool = sync.Pool{New: func() any { return new([bodyChunk]byte) }}
 )
 
 // reader reads a conn's responses as a bufio.Reader of readerSize did:
 // the header a line at a time, and each read into the rest of the array
 // once the unread bytes are slid to its front. Where a read would park
 // it awaits the conn's ReadEvent (netem.Await), which reads nothing
-// there, so the array goes back meanwhile unless bytes are in it.
+// there, so the array goes back meanwhile unless bytes are in it. A
+// body's threshold requests await ReadFullEvent into the array's front,
+// and keep it while they wait: the bytes still to come land in it.
 type reader struct {
 	clock *netem.Clock
 	conn  netem.Stream
-	buf   []byte // buf[r:w] is read and not yet taken; nil unless leased
+	full  netem.FullEventReader // conn's threshold read, nil if it has none
+	buf   []byte                // buf[r:w] is read and not yet taken; nil unless leased
 	r, w  int
+	want  int           // the threshold request under way fills buf[:want]
 	err   error         // the last read's error, kept until its bytes are taken
 	head  []byte        // the header's lines read so far
 	first time.Duration // when the first byte came, -1 before
@@ -271,6 +273,7 @@ type reader struct {
 func newReader(clock *netem.Clock, conn netem.Stream) *reader {
 	r := readerPool.Get().(*reader)
 	r.clock, r.conn, r.first = clock, conn, -1
+	r.full, _ = conn.(netem.FullEventReader)
 	return r
 }
 
@@ -278,20 +281,20 @@ func newReader(clock *netem.Clock, conn netem.Stream) *reader {
 func (r *reader) release() {
 	r.r = r.w
 	r.drop()
-	r.clock, r.conn, r.err, r.done = nil, nil, nil, nil
+	r.clock, r.conn, r.full, r.err, r.done = nil, nil, nil, nil, nil
 	readerPool.Put(r)
 }
 
 // drop gives the array back if every byte in it is taken.
 func (r *reader) drop() {
 	if r.buf != nil && r.r == r.w {
-		arrayPool.Put((*[readerSize]byte)(r.buf))
+		arrayPool.Put((*[bodyChunk]byte)(r.buf[:bodyChunk]))
 		r.buf, r.r, r.w = nil, 0, 0
 	}
 }
 
-// fill slides buf[r:w] to the front, reads once into the rest and keeps
-// the read's error.
+// fill slides buf[r:w] to the front, reads once into the rest (up to
+// want, for a threshold request) and keeps the read's error.
 func (r *reader) fill() {
 	r.w, r.r = copy(r.buf, r.buf[r.r:r.w]), 0
 	n, err := netem.Await(r.clock, r.startFn)
@@ -302,10 +305,18 @@ func (r *reader) fill() {
 }
 
 // read is one ReadEvent into buf[w:], leasing the array if need be; a
-// read that waits has read nothing.
+// read that waits has read nothing. For a threshold request it is a
+// ReadFullEvent into buf[w:want], whose wait counts what it took in w.
 func (r *reader) read() (int, error, bool) {
 	if r.buf == nil {
-		r.buf = arrayPool.Get().(*[readerSize]byte)[:]
+		r.buf = arrayPool.Get().(*[bodyChunk]byte)[:readerSize]
+	}
+	if r.want > 0 {
+		n, err, ok := r.full.ReadFullEvent(r.buf[r.w:r.want], r.againFn)
+		if !ok {
+			r.w += n
+		}
+		return n, err, ok
 	}
 	n, err, ok := r.conn.ReadEvent(r.buf[r.w:], r.againFn)
 	if !ok {
@@ -343,47 +354,37 @@ func (r *reader) readResponse() (web.Response, error) {
 // copyBody drains a response body of n bytes, appending it to *keep
 // when keep is non-nil, and returns the count received: whatever
 // readResponse left in rd first, then the remainder from its conn.
-// When the conn supports threshold reads, the bulk is pulled in large
-// chunks so the reader parks once per chunk instead of once per arriving
-// cell; the last byte is still consumed at its arrival instant, so TTLB
-// and timeout behavior match an eager copy exactly. Otherwise each read
-// fills rd's array. Early end-of-stream returns a short count with nil
-// error; callers detect the short body from the count.
+// When the conn has a threshold read, the bulk is pulled in large
+// requests so the reader waits once per request instead of once per
+// arriving cell; the last byte is still consumed at its arrival instant,
+// so TTLB and timeout behavior match an eager copy exactly. Otherwise
+// each read fills rd's array. Early end-of-stream returns a short count
+// with nil error; callers detect the short body from the count.
 func copyBody(keep *[]byte, rd *reader, n int64) (int64, error) {
-	fr, threshold := rd.conn.(netem.FullReader)
-	var chunk *[bodyChunk]byte
-	if threshold {
-		chunk = chunkPool.Get().(*[bodyChunk]byte)
-		defer chunkPool.Put(chunk)
-	}
 	var got int64
-	for got < n {
-		rd.drop() // nothing is left in the array that p took from
-		var p []byte
-		var err error
+	var err error
+	for got < n && err == nil {
 		switch {
 		case rd.w > rd.r:
-			p = rd.buf[rd.r : rd.r+int(min(int64(rd.w-rd.r), n-got))]
+			p := rd.buf[rd.r : rd.r+int(min(int64(rd.w-rd.r), n-got))]
 			rd.r += len(p)
-		case threshold:
-			var m int
-			m, err = fr.ReadFull(chunk[:min(n-got, bodyChunk)])
-			p = chunk[:m]
-		case rd.err == nil:
-			rd.fill() // handed out by the next turn of the loop
-		default:
-			err, rd.err = rd.err, nil
-		}
-		got += int64(len(p))
-		if keep != nil {
-			*keep = append(*keep, p...)
-		}
-		if err != nil {
-			if err == io.EOF {
-				err = nil
+			got += int64(len(p))
+			if keep != nil {
+				*keep = append(*keep, p...)
 			}
-			return got, err
+		case rd.err != nil:
+			err, rd.err = rd.err, nil
+		default:
+			if rd.full != nil {
+				rd.want = int(min(n-got, bodyChunk))
+			}
+			rd.fill() // handed out by the next turn of the loop
+			rd.want = 0
 		}
 	}
-	return got, nil
+	rd.drop()
+	if err == io.EOF {
+		err = nil
+	}
+	return got, err
 }

@@ -30,24 +30,55 @@ type chunkConn struct {
 	rng    *rand.Rand
 	waits  bool
 	// waited marks an event read that has waited; idle reports, at
-	// each wait, whether the reader held an array with no bytes in it.
-	waited bool
-	idle   func() bool
-	holds  []bool
+	// each wait of a plain event read, whether the reader held an array
+	// with no bytes in it, and leased, at each wait of a threshold read,
+	// whether it held one.
+	waited        bool
+	idle, leased  func() bool
+	holds, filled []bool
+}
+
+// wait reports whether an event read waits here, and if so runs again
+// a millisecond later, after marking what the reader holds in marks.
+func (c *chunkConn) wait(again func(), mark func() bool, marks *[]bool) bool {
+	if !c.waits || c.waited || c.rng.Intn(3) != 0 {
+		c.waited = false
+		return false
+	}
+	c.waited = true
+	c.clock.EventAt(c.clock.Now()+time.Millisecond, func() {
+		*marks = append(*marks, mark())
+		again()
+	})
+	return true
 }
 
 func (c *chunkConn) ReadEvent(p []byte, again func()) (int, error, bool) {
-	if c.waits && !c.waited && c.rng.Intn(3) == 0 {
-		c.waited = true
-		c.clock.EventAt(c.clock.Now()+time.Millisecond, func() {
-			c.holds = append(c.holds, c.idle())
-			again()
-		})
+	if c.wait(again, c.idle, &c.holds) {
 		return 0, nil, false
 	}
-	c.waited = false
 	n, err := c.Read(p)
 	return n, err, true
+}
+
+// fullConn is a chunkConn with a threshold read, as netem conns and
+// streams have: it reads chunks until p is full, and with waits set it
+// now and then waits partway, returning what it took, for again to read
+// on into the rest.
+type fullConn struct{ *chunkConn }
+
+func (c fullConn) ReadFullEvent(p []byte, again func()) (int, error, bool) {
+	n := 0
+	for n < len(p) {
+		if c.wait(again, c.leased, &c.filled) {
+			return n, nil, false
+		}
+		m, err := c.Read(p[n:])
+		if n += m; err != nil {
+			return n, err, true
+		}
+	}
+	return n, nil, true
 }
 
 func (c *chunkConn) Read(p []byte) (int, error) {
@@ -129,10 +160,13 @@ func randomWire(rng *rand.Rand) []byte {
 
 // TestResponseReaderReadsAsBufioDid: over random keep-alive responses
 // arriving in random chunks, some longer than the reader's array, with
-// event reads that now and then wait, the reader asks for the spans a
-// 32 KiB bufio.Reader asked for through Read and returns the same
-// headers, bodies and errors. Each read that waits does so holding no
-// array when no byte is in it.
+// event reads that now and then wait, the reader returns the headers,
+// bodies and errors a 32 KiB bufio.Reader returned. On a conn without a
+// threshold read it asks for the spans the bufio.Reader asked for
+// through Read; on one with it (half the wires) it reads the header so
+// and each body in threshold requests. Each plain read that waits does
+// so holding no array when no byte is in it, and each threshold read
+// that waits holds the array its bytes land in.
 func TestResponseReaderReadsAsBufioDid(t *testing.T) {
 	rng := sim.NewRand(6)
 	clock := netem.NewClock()
@@ -156,8 +190,14 @@ func TestResponseReaderReadsAsBufioDid(t *testing.T) {
 		}
 
 		c := &chunkConn{chunks: chunks, clock: clock, rng: rng, waits: true}
-		rd := newReader(clock, c)
+		var conn netem.Stream = c
+		full := rng.Intn(2) == 0
+		if full {
+			conn = fullConn{c}
+		}
+		rd := newReader(clock, conn)
 		c.idle = func() bool { return rd.buf != nil && rd.r == rd.w }
+		c.leased = func() bool { return rd.buf != nil && cap(rd.buf) == bodyChunk }
 		var got []string
 		for {
 			resp, err := rd.readResponse()
@@ -175,7 +215,7 @@ func TestResponseReaderReadsAsBufioDid(t *testing.T) {
 			}
 		}
 		rd.release()
-		if !slices.Equal(c.reads, ref.reads) {
+		if !full && !slices.Equal(c.reads, ref.reads) {
 			t.Fatalf("case %d: reads of %v, a bufio.Reader's %v", i, c.reads, ref.reads)
 		}
 		if !slices.Equal(got, want) {
@@ -184,11 +224,16 @@ func TestResponseReaderReadsAsBufioDid(t *testing.T) {
 		if slices.Contains(c.holds, true) {
 			t.Fatalf("case %d: a read waited holding an array with no bytes in it", i)
 		}
+		if slices.Contains(c.filled, false) {
+			t.Fatalf("case %d: a threshold read waited holding no array for its bytes", i)
+		}
 	}
 }
 
 // TestReaderHoldsNoArrayWhileWaiting: a reader waiting for its response
-// holds no array, and one holding the response's first bytes does.
+// holds no array, and one holding the response's first bytes does; a
+// body's threshold read waits holding exactly the one array its bytes
+// land in, and the copy gives it back at the end.
 func TestReaderHoldsNoArrayWhileWaiting(t *testing.T) {
 	n, c, o, _ := testSetup(t)
 	conn, err := c.dial(o.Addr())
@@ -199,7 +244,7 @@ func TestReaderHoldsNoArrayWhileWaiting(t *testing.T) {
 	clock := n.Clock()
 	rd := newReader(clock, conn)
 	defer rd.release()
-	if err := web.WriteRequest(conn, web.FilePath(100<<10), false); err != nil {
+	if err := web.WriteRequest(conn, web.FilePath(1<<20), false); err != nil {
 		t.Fatal(err)
 	}
 	var waiting []bool
@@ -216,7 +261,22 @@ func TestReaderHoldsNoArrayWhileWaiting(t *testing.T) {
 	if rd.buf == nil || rd.w == rd.r {
 		t.Fatal("the reader holds the bytes that came after the header in no array")
 	}
+	if rd.full == nil {
+		t.Fatal("a netem conn has no threshold read")
+	}
+	var filling []bool
+	for _, at := range []time.Duration{time.Millisecond, 2 * time.Millisecond} {
+		clock.EventAt(clock.Now()+at, func() {
+			filling = append(filling, rd.want > 0 && rd.buf != nil && cap(rd.buf) == bodyChunk)
+		})
+	}
 	if got, err := copyBody(nil, rd, resp.ContentLength); err != nil || got != resp.ContentLength {
 		t.Fatalf("body: %d of %d, %v", got, resp.ContentLength, err)
+	}
+	if !slices.Equal(filling, []bool{true, true}) {
+		t.Fatalf("waiting for the body, the reader held its one array: %v, want [true true]", filling)
+	}
+	if rd.buf != nil {
+		t.Fatal("the reader kept its array after the body")
 	}
 }

@@ -36,7 +36,7 @@
 // Pure data-plane consumers need not be goroutines at all: Clock.EventAt
 // runs a callback inline on the driver's dispatch loop at a virtual
 // instant, Conn.SetReadSink delivers each arrived segment to an inline
-// callback at exactly its arrival time, and Conn.ReadFull parks a
+// callback at exactly its arrival time, and Conn.ReadFullEvent wakes a
 // record-structured reader once per request instead of once per segment.
 // Event callbacks must never park — they use the event forms
 // (Cond.WaitEvent, Mutex.LockEvent, Chan.RecvEvent, Conn.ReadEvent,

@@ -100,13 +100,12 @@ func (c *Conn) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// FullReader is the threshold read netem conns and tor streams
-// provide: fill p completely, parking once until the byte completing
-// the request arrives instead of waking for every segment or cell on
-// the way. The fetch body copy looks for it, and the PT record layer
-// reads through its event form, ReadFullEvent.
-type FullReader interface {
-	ReadFull(p []byte) (int, error)
+// FullEventReader is the threshold read netem conns and pt and tor
+// streams (Inbox) provide, with Conn.ReadFullEvent's contract: fill p,
+// waking once at the byte completing it, not for every segment or cell.
+// The PT record layer reads records with it, the fetch body copy bodies.
+type FullEventReader interface {
+	ReadFullEvent(p []byte, again func()) (n int, err error, done bool)
 }
 
 // EventReader and EventWriter are the event forms of a conn's Read and
@@ -132,9 +131,9 @@ type (
 //
 // net.Conn is embedded only because the benchmark passes Host.Dial's
 // result where a net.Conn goes; its three deadline setters refuse
-// (netDeadlines). ReadFull is deliberately not here: a wrapper that
-// embeds a Stream (pt.RecordConn) must not gain a raw-byte ReadFull by
-// promotion, so FullReader stays a check of what a conn really has.
+// (netDeadlines). ReadFullEvent is deliberately not here: a wrapper that
+// embeds a Stream (pt.RecordConn) must not gain a raw-byte threshold
+// read by promotion, so FullEventReader stays a check of a conn's own.
 type Stream interface {
 	net.Conn
 	EventReader

@@ -10,7 +10,7 @@ import (
 // Inbox is the read half of a simulated byte stream that is not a netem
 // conn: the queue its mechanism delivers into and its application reads
 // from, with the read deadline. pt.Stream and tor.Stream embed it, so
-// Read, ReadFull, ReadEvent and the three deadline setters are theirs.
+// its reads and the three deadline setters are theirs.
 // Deliver, End, Drop and Wake are for the stream's own mechanism.
 //
 // Reads drain what was delivered before they report the end: io.EOF
@@ -20,7 +20,7 @@ type Inbox struct {
 	cond Cond
 	// unread holds the delivered bytes no read has taken yet.
 	unread ByteQueue
-	// fill, while a ReadFull is parked, is the rest of its request:
+	// fill, while a threshold read waits, is the rest of its request:
 	// deliveries fill it in place of the queue (filled bytes so far)
 	// and wake the reader only once it is full.
 	fill   []byte
@@ -42,29 +42,29 @@ func (q *Inbox) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// ReadFull is FullReader's threshold read: it parks until len(p) bytes
-// have been delivered rather than waking for each delivery on the way,
-// so a bulk reader (the fetch body copy) parks once per request;
-// n < len(p) only with an error.
-func (q *Inbox) ReadFull(p []byte) (int, error) {
-	n, err, _ := q.read(p, len(p), nil)
-	return n, err
-}
-
 // ReadEvent is Read for an event callback, with Conn.ReadEvent's
 // contract.
 func (q *Inbox) ReadEvent(p []byte, again func()) (n int, err error, done bool) {
 	return q.read(p, 1, again)
 }
 
+// ReadFullEvent is the threshold read, with Conn.ReadFullEvent's
+// contract: a bulk reader (the fetch body copy) waits once per request,
+// not per delivery, and while it waits deliveries fill p[n:] in place.
+func (q *Inbox) ReadFullEvent(p []byte, again func()) (n int, err error, done bool) {
+	return q.read(p, len(p), again)
+}
+
 // read is the one read path: it returns once want bytes are in p, or
 // with what there is when the inbox ends or the read timeout passes. A
-// ReadFull takes what is queued and parks with the rest of its request
-// as fill. With again non-nil it is an event read (want 1), which
-// queues again where it would park.
+// threshold read takes what is queued and waits with the rest of its
+// request as fill, which the read going on counts. With again non-nil
+// it is an event read, which queues again where it would park.
 func (q *Inbox) read(p []byte, want int, again func()) (int, error, bool) {
 	n, want := 0, min(want, len(p))
 	for {
+		n += q.filled
+		q.fill, q.filled = nil, 0
 		if q.end != nil && q.end != io.EOF {
 			return 0, q.end, true
 		}
@@ -81,17 +81,15 @@ func (q *Inbox) read(p []byte, want int, again func()) (int, error, bool) {
 			q.fill = p[n:want]
 		}
 		if _, queued := q.cond.wait(q.rdl, again); queued {
-			return 0, nil, false
+			return n, nil, false
 		}
-		n += q.filled
-		q.fill, q.filled = nil, 0
 	}
 }
 
-// Deliver appends p to the read side, into a parked ReadFull's request
-// while it has room and then to the queue, and wakes the reader unless
-// it is a ReadFull still short of its request. Bytes arriving after
-// the inbox ended are dropped: nobody will read them.
+// Deliver appends p to the read side, into a waiting threshold read's
+// request while it has room and then to the queue, and wakes the reader
+// unless it is a threshold read still short of its request. Bytes
+// arriving after the inbox ended are dropped: nobody will read them.
 func (q *Inbox) Deliver(p []byte) {
 	if q.end != nil {
 		return

@@ -2,9 +2,11 @@ package netem
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"testing"
 	"time"
 
@@ -18,6 +20,26 @@ func allocated(f func()) uint64 {
 	f()
 	runtime.ReadMemStats(&after)
 	return after.TotalAlloc - before.TotalAlloc
+}
+
+// readFull awaits r's threshold read into p, as the fetch body copy
+// does: each wait's bytes count, and again reads on into the rest.
+func readFull(clock *Clock, r FullEventReader, p []byte) (int, error) {
+	n := 0
+	var done func(int, error)
+	var again func()
+	again = func() {
+		m, err, ok := r.ReadFullEvent(p[n:], again)
+		if n += m; ok {
+			done(n, err)
+		}
+	}
+	return Await(clock, func(d func(int, error)) (int, error, bool) {
+		done = d
+		m, err, ok := r.ReadFullEvent(p, again)
+		n += m
+		return n, err, ok
+	})
 }
 
 // TestInboxDeliverNeverRegrows: 4 MiB delivered in tor-cell-sized
@@ -68,7 +90,7 @@ func TestInboxDeliverNeverRegrows(t *testing.T) {
 					q.Deliver(cell)
 				}
 				for ; read < total/2; read += len(got) {
-					if n, err := q.ReadFull(got); n != len(got) || err != nil {
+					if n, err := readFull(clock, &q, got); n != len(got) || err != nil {
 						t.Fatalf("read %d, %v", n, err)
 					}
 					for i, b := range got {
@@ -89,7 +111,7 @@ func TestInboxDeliverNeverRegrows(t *testing.T) {
 			}
 			if end.drain {
 				for q.unread.n > 0 {
-					q.ReadFull(got[:min(len(got), q.unread.n)])
+					readFull(clock, &q, got[:min(len(got), q.unread.n)])
 				}
 			} else {
 				q.Drop(errors.New("closed"))
@@ -110,8 +132,8 @@ func TestInboxDeliverNeverRegrows(t *testing.T) {
 }
 
 // TestInboxContract pins the read half both stream kinds share: how it
-// ends, how its read timeout ends a read, and how a parked ReadFull is
-// filled.
+// ends, how its read timeout ends a read, and how a waiting threshold
+// read, awaited as the fetch body copy awaits it, is filled.
 func TestInboxContract(t *testing.T) {
 	errDropped := errors.New("dropped")
 	cases := []struct {
@@ -126,7 +148,7 @@ func TestInboxContract(t *testing.T) {
 			if n, err := q.Read(buf); string(buf[:n]) != "tail" || err != nil {
 				t.Fatalf("drain: %q %v", buf[:n], err)
 			}
-			if n, err := q.ReadFull(buf); n != 0 || err != io.EOF {
+			if n, err := readFull(clock, q, buf); n != 0 || err != io.EOF {
 				t.Fatalf("after drain: %d %v, want io.EOF", n, err)
 			}
 		}},
@@ -138,7 +160,8 @@ func TestInboxContract(t *testing.T) {
 			if q.unread.n != 0 || len(q.unread.chunks) != 0 {
 				t.Fatalf("%d bytes in %d chunks kept after Drop", q.unread.n, len(q.unread.chunks))
 			}
-			for _, read := range []func([]byte) (int, error){q.Read, q.ReadFull} {
+			full := func(p []byte) (int, error) { return readFull(clock, q, p) }
+			for _, read := range []func([]byte) (int, error){q.Read, full} {
 				if n, err := read(make([]byte, 4)); n != 0 || err != errDropped {
 					t.Fatalf("read after Drop: %d %v, want 0 and the drop error", n, err)
 				}
@@ -151,9 +174,9 @@ func TestInboxContract(t *testing.T) {
 			q.SetReadTimeout(50 * time.Millisecond)
 			clock.EventAt(20*time.Millisecond, func() { q.Deliver([]byte("ab")) })
 			buf := make([]byte, 4)
-			n, err := q.ReadFull(buf)
+			n, err := readFull(clock, q, buf)
 			if n != 2 || string(buf[:n]) != "ab" || err != ErrTimeout || clock.Now() != 50*time.Millisecond {
-				t.Fatalf("ReadFull: %q %v at %v, want \"ab\" and ErrTimeout at 50ms", buf[:n], err, clock.Now())
+				t.Fatalf("readFull: %q %v at %v, want \"ab\" and ErrTimeout at 50ms", buf[:n], err, clock.Now())
 			}
 			if n, err := q.Read(buf); n != 0 || err != ErrTimeout || clock.Now() != 50*time.Millisecond {
 				t.Fatalf("Read at the deadline: %d %v at %v", n, err, clock.Now())
@@ -171,9 +194,9 @@ func TestInboxContract(t *testing.T) {
 			}
 			before := clock.Stats()
 			buf := make([]byte, 8)
-			n, err := q.ReadFull(buf)
+			n, err := readFull(clock, q, buf)
 			if n != 8 || err != nil || clock.Now() != 8*time.Millisecond {
-				t.Fatalf("ReadFull: %d %v at %v, want 8 bytes at 8ms", n, err, clock.Now())
+				t.Fatalf("readFull: %d %v at %v, want 8 bytes at 8ms", n, err, clock.Now())
 			}
 			for i, b := range buf {
 				if b != byte(i) {
@@ -181,10 +204,32 @@ func TestInboxContract(t *testing.T) {
 				}
 			}
 			if parks := clock.Stats().Parks - before.Parks; parks != 1 {
-				t.Fatalf("ReadFull parked %d times, want once", parks)
+				t.Fatalf("readFull parked %d times, want once", parks)
 			}
 			if cap(q.unread.chunks) != 0 {
-				t.Fatal("a delivery to a parked ReadFull leased a chunk")
+				t.Fatal("a delivery to a parked readFull leased a chunk")
+			}
+		}},
+		{"an event threshold read returns what it took and is woken once, filled", func(t *testing.T, clock *Clock, q *Inbox) {
+			q.Deliver([]byte("ab"))
+			buf := make([]byte, 6)
+			var calls []string
+			var again func()
+			n := 0
+			again = func() {
+				m, err, ok := q.ReadFullEvent(buf[n:], again)
+				n += m
+				calls = append(calls, fmt.Sprintf("%d %v %v at %v", m, err, ok, clock.Now()))
+			}
+			clock.EventAt(time.Millisecond, func() { q.Deliver([]byte("cd")) })
+			clock.EventAt(2*time.Millisecond, func() { q.Deliver([]byte("efgh")) })
+			clock.EventAt(0, again)
+			clock.Sleep(time.Second)
+			if want := []string{"2 <nil> false at 0s", "4 <nil> true at 2ms"}; !slices.Equal(calls, want) || string(buf) != "abcdef" {
+				t.Fatalf("reads %q into %q, want %q into \"abcdef\"", calls, buf, want)
+			}
+			if cap(q.unread.chunks) == 0 || q.unread.n != 2 {
+				t.Fatalf("%d bytes queued, want the 2 past the request", q.unread.n)
 			}
 		}},
 	}

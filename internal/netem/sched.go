@@ -400,11 +400,12 @@ func (c *Clock) dispatch(own *waiter) {
 			if w.at > c.Now() {
 				c.now.Store(int64(w.at))
 			}
+			if w.cond != nil {
+				w.cond.remove(w) // a wait whose deadline came first
+				w.cond = nil
+			}
 			if w.fn != nil {
 				fn := w.fn
-				if w.cond != nil {
-					w.cond.remove(w) // an event wait whose deadline came first
-				}
 				c.release(w)
 				c.stats.Events++
 				// The event may use Try* primitives, ready goroutines or
@@ -416,10 +417,6 @@ func (c *Clock) dispatch(own *waiter) {
 			}
 			w.woken = true
 			w.timedOut = true
-			if w.cond != nil {
-				w.cond.remove(w)
-				w.cond = nil
-			}
 		default:
 			c.deadlock(own)
 		}

@@ -94,17 +94,11 @@ func NewCodecConn(conn netem.Stream, codec RecordCodec) *RecordConn {
 // caller did not wait for (cloak's zero-RTT ServerHello).
 func (rc *RecordConn) SkipFirst(n int) { rc.skip = n }
 
-// fullEventReader is the event form of netem.FullReader, which every
-// conn a RecordConn wraps has.
-type fullEventReader interface {
-	ReadFullEvent(p []byte, again func()) (n int, err error, done bool)
-}
-
 // fill reads the rest of the unit into rbuf[got:want] through the inner
-// conn's threshold path: its ReadFull for a nil again, and for an event
-// read its event form, where done false means again will fill on.
+// conn's threshold read, netem.FullEventReader, which parks for a nil
+// again; for an event read done false means again will fill on.
 func (rc *RecordConn) fill(again func()) (err error, done bool) {
-	n, err, done := rc.Stream.(fullEventReader).ReadFullEvent(rc.rbuf[rc.got:rc.want], again)
+	n, err, done := rc.Stream.(netem.FullEventReader).ReadFullEvent(rc.rbuf[rc.got:rc.want], again)
 	if rc.got += n; !done {
 		return nil, false
 	}

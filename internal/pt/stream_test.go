@@ -19,9 +19,29 @@ import (
 // net.Conn with the threshold read the fetch body copy looks for.
 var _ interface {
 	net.Conn
-	netem.FullReader
+	netem.FullEventReader
 	netem.EventReader
 } = (*pt.Stream)(nil)
+
+// readFull awaits s's threshold read into p, as the fetch body copy
+// does: each wait's bytes count, and again reads on into the rest.
+func readFull(clock *netem.Clock, s *pt.Stream, p []byte) (int, error) {
+	n := 0
+	var done func(int, error)
+	var again func()
+	again = func() {
+		m, err, ok := s.ReadFullEvent(p[n:], again)
+		if n += m; ok {
+			done(n, err)
+		}
+	}
+	return netem.Await(clock, func(d func(int, error)) (int, error, bool) {
+		done = d
+		m, err, ok := s.ReadFullEvent(p, again)
+		n += m
+		return n, err, ok
+	})
+}
 
 // readNow reads what the stream holds without waiting: a zero read
 // timeout turns "nothing yet" into netem.ErrTimeout.
@@ -204,15 +224,15 @@ func TestStreamConformance(t *testing.T) {
 			})
 			parks := clock.Stats().Parks
 			buf := make([]byte, 14)
-			n, err := s.ReadFull(buf)
+			n, err := readFull(clock, s, buf)
 			if n != 14 || err != nil || clock.Now() != 40*time.Millisecond || string(buf) != "abcdabcdabcdab" {
-				t.Fatalf("ReadFull = %d %v %q at %v, want all 14 bytes at 40ms", n, err, buf[:n], clock.Now())
+				t.Fatalf("readFull = %d %v %q at %v, want all 14 bytes at 40ms", n, err, buf[:n], clock.Now())
 			}
 			if parks = clock.Stats().Parks - parks; parks != 1 {
-				t.Fatalf("ReadFull over 4 deliveries took %d parks, want 1", parks)
+				t.Fatalf("readFull over 4 deliveries took %d parks, want 1", parks)
 			}
 			if got, err := readNow(clock, s); got != "cd" || err != nil {
-				t.Fatalf("after ReadFull: %q %v, want the rest of the last delivery", got, err)
+				t.Fatalf("after readFull: %q %v, want the rest of the last delivery", got, err)
 			}
 		}},
 		{"ReadFull returns what arrived at its deadline", 16, func(t *testing.T, clock *netem.Clock, s *pt.Stream) {
@@ -222,9 +242,9 @@ func TestStreamConformance(t *testing.T) {
 			})
 			s.SetReadTimeout(50 * time.Millisecond)
 			buf := make([]byte, 8)
-			n, err := s.ReadFull(buf)
+			n, err := readFull(clock, s, buf)
 			if n != 3 || err != netem.ErrTimeout || clock.Now() != 50*time.Millisecond || string(buf[:n]) != "abc" {
-				t.Fatalf("ReadFull = %d %v %q at %v, want 3 bytes and netem.ErrTimeout at 50ms", n, err, buf[:n], clock.Now())
+				t.Fatalf("readFull = %d %v %q at %v, want 3 bytes and netem.ErrTimeout at 50ms", n, err, buf[:n], clock.Now())
 			}
 		}},
 		{"ReadFull returns what arrived with EOF after PeerFin", 16, func(t *testing.T, clock *netem.Clock, s *pt.Stream) {
@@ -235,9 +255,9 @@ func TestStreamConformance(t *testing.T) {
 				s.PeerFin(0)
 			})
 			buf := make([]byte, 8)
-			n, err := s.ReadFull(buf)
+			n, err := readFull(clock, s, buf)
 			if n != 3 || err != io.EOF || clock.Now() != 20*time.Millisecond {
-				t.Fatalf("ReadFull = %d %v at %v, want 3 bytes and io.EOF at 20ms", n, err, clock.Now())
+				t.Fatalf("readFull = %d %v at %v, want 3 bytes and io.EOF at 20ms", n, err, clock.Now())
 			}
 		}},
 		{"ReadFull returns EOF at the delivery that ends the stream after PeerFin", 16, func(t *testing.T, clock *netem.Clock, s *pt.Stream) {
@@ -253,9 +273,9 @@ func TestStreamConformance(t *testing.T) {
 				s.DeliverSeq(1, []byte("de"))
 			})
 			buf := make([]byte, 8)
-			n, err := s.ReadFull(buf)
+			n, err := readFull(clock, s, buf)
 			if n != 5 || err != io.EOF || clock.Now() != 30*time.Millisecond || string(buf[:n]) != "abcde" {
-				t.Fatalf("ReadFull = %d %v %q at %v, want 5 bytes and io.EOF at 30ms", n, err, buf[:n], clock.Now())
+				t.Fatalf("readFull = %d %v %q at %v, want 5 bytes and io.EOF at 30ms", n, err, buf[:n], clock.Now())
 			}
 		}},
 		{"ReadFull returns what arrived with EOF after Fail", 16, func(t *testing.T, clock *netem.Clock, s *pt.Stream) {
@@ -266,9 +286,9 @@ func TestStreamConformance(t *testing.T) {
 				s.Fail()
 			})
 			buf := make([]byte, 8)
-			n, err := s.ReadFull(buf)
+			n, err := readFull(clock, s, buf)
 			if n != 3 || err != io.EOF || clock.Now() != 20*time.Millisecond {
-				t.Fatalf("ReadFull = %d %v at %v, want 3 bytes and io.EOF at 20ms", n, err, clock.Now())
+				t.Fatalf("readFull = %d %v at %v, want 3 bytes and io.EOF at 20ms", n, err, clock.Now())
 			}
 		}},
 		{"one Addr type", 16, func(t *testing.T, clock *netem.Clock, s *pt.Stream) {

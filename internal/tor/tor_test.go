@@ -18,7 +18,7 @@ import (
 // net.Conn with the threshold read the fetch body copy looks for.
 var _ interface {
 	net.Conn
-	netem.FullReader
+	netem.FullEventReader
 	netem.EventReader
 } = (*Stream)(nil)
 

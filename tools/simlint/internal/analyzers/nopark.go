@@ -67,7 +67,8 @@ import (
 //     its first wait. The walker does not enter an event form's body;
 //   - netem conn/pipe operations that park on backpressure or arrival:
 //     Conn.Read/ReadFull/Write, pipe.push (pipe.readEvent parks when
-//     called with nil, as every event form does);
+//     called with nil, as every event form does), and Inbox.Read, which
+//     a pt.Stream or tor.Stream has by promotion;
 //   - interface escape hatches that reach the same parking code
 //     dynamically: (net.Conn).Read/Write, (io.Reader).Read,
 //     (io.Writer).Write, and io.ReadFull/ReadAtLeast/Copy/CopyN/
@@ -111,6 +112,7 @@ var parkingMethods = map[primKey]string{
 	{"netem", "Chan", "Recv"}:          "parks while empty (use RecvEvent)",
 	{"netem", "Conn", "Read"}:          "parks until arrival (use ReadEvent)",
 	{"netem", "Conn", "ReadFull"}:      "parks until the record completes (use ReadFullEvent)",
+	{"netem", "Inbox", "Read"}:         "parks until a delivery (use ReadEvent)",
 	{"netem", "Conn", "Write"}:         "parks on receive-window backpressure (use WriteEvent)",
 	{"netem", "Host", "Dial"}:          "parks for the handshake's round trip (use DialEvent)",
 	{"netem", "Listener", "Accept"}:    "parks until a conn arrives (use Listener.Serve)",

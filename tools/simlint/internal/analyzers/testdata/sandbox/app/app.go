@@ -90,6 +90,21 @@ func badStream(c *netem.Clock, s netem.Stream) {
 	})
 }
 
+// tunnel is a pt.Stream-style endpoint: its read half is an embedded
+// netem.Inbox, whose plain Read it has by promotion.
+type tunnel struct{ netem.Inbox }
+
+// badPromotedRead reads a tunnel with the promoted plain Read; its
+// event forms are the legal surface.
+func badPromotedRead(c *netem.Clock, s *tunnel) {
+	c.EventAt(0, func() {
+		s.Read(nil)               // want `\(netem\.Inbox\)\.Read parks until a delivery \(use ReadEvent\).*Clock\.EventAt arm`
+		s.ReadFullEvent(nil, nil) // want `\(netem\.Inbox\)\.ReadFullEvent with a nil continuation parks`
+		s.ReadEvent(nil, func() {})
+		s.ReadFullEvent(nil, func() {})
+	})
+}
+
 // badChain is a paced sender: a ReadyEvent starts it, and each step
 // re-arms the method value it keeps in a field for the next.
 func badChain(p *proc) {

@@ -72,6 +72,18 @@ func (c *Conn) WriteEvent(p []byte, again func()) (int, error, bool) {
 	return 0, nil, true
 }
 
+// Inbox is the read half pt and tor streams embed, so its methods are
+// theirs by promotion.
+type Inbox struct{}
+
+func (q *Inbox) Read(p []byte) (int, error) { return 0, nil }
+func (q *Inbox) ReadEvent(p []byte, again func()) (int, error, bool) {
+	return 0, nil, true
+}
+func (q *Inbox) ReadFullEvent(p []byte, again func()) (int, error, bool) {
+	return 0, nil, true
+}
+
 // Stream is the world conn: its plain Read and Write are net.Conn's,
 // so a call through it dispatches into a parking Read or Write.
 type Stream interface {
