@@ -176,6 +176,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 				fmt.Fprintf(stderr, "ptperf: unknown transport %q (have %s)\n", p, strings.Join(methods, ", "))
 				return 1
 			}
+			if slices.Contains(cfg.Transports, p) {
+				fmt.Fprintf(stderr, "ptperf: transport %q given twice\n", p)
+				return 1
+			}
 			cfg.Transports = append(cfg.Transports, p)
 		}
 	}

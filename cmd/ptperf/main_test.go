@@ -68,6 +68,24 @@ func TestUnknownTransportListsMethods(t *testing.T) {
 	}
 }
 
+// TestRepeatedTransportRefused: a method given twice would be measured
+// twice into one result and printed as two identical rows; it is
+// refused, by name, before any world is built.
+func TestRepeatedTransportRefused(t *testing.T) {
+	var out, errb bytes.Buffer
+	code := run([]string{"-exp", "fig2a", "-transports", "tor, obfs4,tor", "-sites", "1", "-repeats", "1", "-progress"}, &out, &errb)
+	if code != 1 {
+		t.Fatalf("exit code = %d, want 1", code)
+	}
+	msg := errb.String()
+	if !strings.Contains(msg, `transport "tor" given twice`) {
+		t.Errorf("error does not name the repeated transport: %q", msg)
+	}
+	if out.Len() != 0 || strings.Contains(msg, "[cells]") {
+		t.Errorf("a campaign started before the transports were checked: stdout %q, stderr %q", out.String(), msg)
+	}
+}
+
 // TestListShowsExperimentsAndScenarios pins the -list shape both other
 // tests' registry errors point users at.
 func TestListShowsExperimentsAndScenarios(t *testing.T) {

@@ -256,8 +256,7 @@ var (
 type reader struct {
 	clock *netem.Clock
 	conn  netem.Stream
-	full  netem.FullEventReader // conn's threshold read, nil if it has none
-	buf   []byte                // buf[r:w] is read and not yet taken; nil unless leased
+	buf   []byte // buf[r:w] is read and not yet taken; nil unless leased
 	r, w  int
 	want  int           // the threshold request under way fills buf[:want]
 	err   error         // the last read's error, kept until its bytes are taken
@@ -273,7 +272,6 @@ type reader struct {
 func newReader(clock *netem.Clock, conn netem.Stream) *reader {
 	r := readerPool.Get().(*reader)
 	r.clock, r.conn, r.first = clock, conn, -1
-	r.full, _ = conn.(netem.FullEventReader)
 	return r
 }
 
@@ -281,7 +279,7 @@ func newReader(clock *netem.Clock, conn netem.Stream) *reader {
 func (r *reader) release() {
 	r.r = r.w
 	r.drop()
-	r.clock, r.conn, r.full, r.err, r.done = nil, nil, nil, nil, nil
+	r.clock, r.conn, r.err, r.done = nil, nil, nil, nil
 	readerPool.Put(r)
 }
 
@@ -312,7 +310,7 @@ func (r *reader) read() (int, error, bool) {
 		r.buf = arrayPool.Get().(*[bodyChunk]byte)[:readerSize]
 	}
 	if r.want > 0 {
-		n, err, ok := r.full.ReadFullEvent(r.buf[r.w:r.want], r.againFn)
+		n, err, ok := r.conn.ReadFullEvent(r.buf[r.w:r.want], r.againFn)
 		if !ok {
 			r.w += n
 		}
@@ -353,13 +351,11 @@ func (r *reader) readResponse() (web.Response, error) {
 
 // copyBody drains a response body of n bytes, appending it to *keep
 // when keep is non-nil, and returns the count received: whatever
-// readResponse left in rd first, then the remainder from its conn.
-// When the conn has a threshold read, the bulk is pulled in large
-// requests so the reader waits once per request instead of once per
-// arriving cell; the last byte is still consumed at its arrival instant,
-// so TTLB and timeout behavior match an eager copy exactly. Otherwise
-// each read fills rd's array. Early end-of-stream returns a short count
-// with nil error; callers detect the short body from the count.
+// readResponse left in rd first, then the rest from its conn in
+// threshold requests, each one wait, not one per cell or record; the
+// last byte is still taken at its arrival instant, so TTLB and timeouts
+// match an eager copy. Early end-of-stream returns a short count with
+// nil error; callers detect the short body from the count.
 func copyBody(keep *[]byte, rd *reader, n int64) (int64, error) {
 	var got int64
 	var err error
@@ -375,9 +371,7 @@ func copyBody(keep *[]byte, rd *reader, n int64) (int64, error) {
 		case rd.err != nil:
 			err, rd.err = rd.err, nil
 		default:
-			if rd.full != nil {
-				rd.want = int(min(n-got, bodyChunk))
-			}
+			rd.want = int(min(n-got, bodyChunk))
 			rd.fill() // handed out by the next turn of the loop
 			rd.want = 0
 		}

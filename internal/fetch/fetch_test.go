@@ -110,7 +110,7 @@ func TestTimeoutYieldsPartial(t *testing.T) {
 }
 
 // cutConn fails reads after a byte budget — a stand-in for a circuit
-// dying mid-transfer. Its reads in both forms are cut, as the embedded
+// dying mid-transfer. Its reads in every form are cut, as the embedded
 // conn's would otherwise be promoted past the budget.
 type cutConn struct {
 	netem.Stream
@@ -123,6 +123,22 @@ func (c *cutConn) Read(p []byte) (int, error) {
 }
 
 func (c *cutConn) ReadEvent(p []byte, again func()) (int, error, bool) {
+	return c.cut(c.Stream.ReadEvent, p, again)
+}
+
+// ReadFullEvent fails a request the budget cuts short once the budget's
+// bytes are in, as a threshold read ends short only with an error.
+func (c *cutConn) ReadFullEvent(p []byte, again func()) (int, error, bool) {
+	n, err, done := c.cut(c.Stream.ReadFullEvent, p, again)
+	if done && err == nil && n < len(p) {
+		c.Stream.Close()
+		err = io.ErrUnexpectedEOF
+	}
+	return n, err, done
+}
+
+// cut reads with read into at most the budget left of p.
+func (c *cutConn) cut(read func([]byte, func()) (int, error, bool), p []byte, again func()) (int, error, bool) {
 	if c.remaining <= 0 {
 		c.Stream.Close()
 		return 0, io.ErrUnexpectedEOF, true
@@ -130,7 +146,7 @@ func (c *cutConn) ReadEvent(p []byte, again func()) (int, error, bool) {
 	if len(p) > c.remaining {
 		p = p[:c.remaining]
 	}
-	n, err, done := c.Stream.ReadEvent(p, again)
+	n, err, done := read(p, again)
 	c.remaining -= n
 	return n, err, done
 }
@@ -348,6 +364,16 @@ func (c *cannedConn) ReadEvent(p []byte, _ func()) (int, error, bool) {
 	n, err := c.resp.Read(p)
 	return n, err, true
 }
+
+// ReadFullEvent ends short with io.EOF, as a threshold read does.
+func (c *cannedConn) ReadFullEvent(p []byte, _ func()) (int, error, bool) {
+	n, err := io.ReadFull(c.resp, p)
+	if err == io.ErrUnexpectedEOF {
+		err = io.EOF
+	}
+	return n, err, true
+}
+
 func (c *cannedConn) Write(p []byte) (int, error)        { return len(p), nil }
 func (c *cannedConn) Close() error                       { return nil }
 func (c *cannedConn) SetReadTimeout(time.Duration) error { return nil }

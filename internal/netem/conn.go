@@ -100,14 +100,6 @@ func (c *Conn) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// FullEventReader is the threshold read netem conns and pt and tor
-// streams (Inbox) provide, with Conn.ReadFullEvent's contract: fill p,
-// waking once at the byte completing it, not for every segment or cell.
-// The PT record layer reads records with it, the fetch body copy bodies.
-type FullEventReader interface {
-	ReadFullEvent(p []byte, again func()) (n int, err error, done bool)
-}
-
 // EventReader and EventWriter are the event forms of a conn's Read and
 // Write, for a caller that is a clock event and must not park. Each has
 // the contract of Conn.ReadEvent and Conn.WriteEvent: done with what the
@@ -131,13 +123,16 @@ type (
 //
 // net.Conn is embedded only because the benchmark passes Host.Dial's
 // result where a net.Conn goes; its three deadline setters refuse
-// (netDeadlines). ReadFullEvent is deliberately not here: a wrapper that
-// embeds a Stream (pt.RecordConn) must not gain a raw-byte threshold
-// read by promotion, so FullEventReader stays a check of a conn's own.
+// (netDeadlines).
 type Stream interface {
 	net.Conn
 	EventReader
 	EventWriter
+	// ReadFullEvent is the threshold read (Conn.ReadFullEvent's), here
+	// so that a reader of n bytes (a record, a cell, a body) wakes once
+	// for them over any stream. A wrapper that changes what reads return
+	// (pt.RecordConn) defines its own, or it reads the inner stream's.
+	ReadFullEvent(p []byte, again func()) (n int, err error, done bool)
 	// SetReadTimeout makes reads time out once d of virtual time has
 	// passed from now: at once for d <= 0, never for NoTimeout. A read
 	// that times out first returns what has arrived, then ErrTimeout.
@@ -178,10 +173,7 @@ func (netDeadlines) SetWriteDeadline(time.Time) error { return errNetDeadline }
 // ReadFull reads exactly len(p) bytes, parking once until the byte
 // completing the request arrives rather than waking per segment;
 // n < len(p) only with a non-nil error (io.EOF on early end-of-stream,
-// after draining what arrived). A protocol layer that knows its record
-// length takes bulk payloads off the per-segment wake-up path with it,
-// or, as the PT record framing does, with ReadFullEvent, whose nil form
-// it is.
+// after draining what arrived). It is ReadFullEvent's nil form.
 func (c *Conn) ReadFull(p []byte) (int, error) {
 	n, err, _ := c.rx.readEvent(p, len(p), c.rdl, nil)
 	return n, err

@@ -66,7 +66,7 @@ func (q *Inbox) read(p []byte, want int, again func()) (int, error, bool) {
 		n += q.filled
 		q.fill, q.filled = nil, 0
 		if q.end != nil && q.end != io.EOF {
-			return 0, q.end, true
+			return n, q.end, true
 		}
 		n += q.unread.TakeInto(p[n:])
 		switch {
@@ -113,8 +113,8 @@ func (q *Inbox) End() {
 	q.cond.Broadcast()
 }
 
-// Drop ends the inbox with err: the queue is released, and every read
-// from now on returns err at once. It wakes the reader.
+// Drop ends the inbox with err and releases the queue: every read then
+// returns err at once, a waiting one woken with what it took.
 func (q *Inbox) Drop(err error) {
 	q.end = err
 	q.unread.Release()

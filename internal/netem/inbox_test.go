@@ -22,21 +22,21 @@ func allocated(f func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// readFull awaits r's threshold read into p, as the fetch body copy
+// readFull awaits q's threshold read into p, as the fetch body copy
 // does: each wait's bytes count, and again reads on into the rest.
-func readFull(clock *Clock, r FullEventReader, p []byte) (int, error) {
+func readFull(clock *Clock, q *Inbox, p []byte) (int, error) {
 	n := 0
 	var done func(int, error)
 	var again func()
 	again = func() {
-		m, err, ok := r.ReadFullEvent(p[n:], again)
+		m, err, ok := q.ReadFullEvent(p[n:], again)
 		if n += m; ok {
 			done(n, err)
 		}
 	}
 	return Await(clock, func(d func(int, error)) (int, error, bool) {
 		done = d
-		m, err, ok := r.ReadFullEvent(p, again)
+		m, err, ok := q.ReadFullEvent(p, again)
 		n += m
 		return n, err, ok
 	})
@@ -168,6 +168,33 @@ func TestInboxContract(t *testing.T) {
 			}
 			if clock.Now() != 0 {
 				t.Fatalf("reads after Drop waited until %v", clock.Now())
+			}
+		}},
+		{"a Drop under a waiting threshold read keeps its count", func(t *testing.T, clock *Clock, q *Inbox) {
+			// Two bytes are taken before the wait and two filled in
+			// place while it waits; the Drop returns all four with its
+			// error, as a netem conn's read returns what it took with
+			// ErrClosed. The nil form parks; the event form returned the
+			// first two before its wait.
+			forms := []struct {
+				name string
+				read func(p []byte) (int, error)
+			}{
+				{"nil", func(p []byte) (int, error) { n, err, _ := q.ReadFullEvent(p, nil); return n, err }},
+				{"event", func(p []byte) (int, error) { return readFull(clock, q, p) }},
+			}
+			for _, f := range forms {
+				*q = NewInbox(clock)
+				start := clock.Now()
+				q.Deliver([]byte("ab"))
+				clock.EventAt(start+time.Millisecond, func() { q.Deliver([]byte("cd")) })
+				clock.EventAt(start+2*time.Millisecond, func() { q.Drop(errDropped) })
+				buf := make([]byte, 8)
+				n, err := f.read(buf)
+				if n != 4 || string(buf[:n]) != "abcd" || err != errDropped || clock.Now() != start+2*time.Millisecond {
+					t.Errorf("%s form: %q %v at %v, want \"abcd\" and the drop error at the Drop",
+						f.name, buf[:n], err, clock.Now()-start)
+				}
 			}
 		}},
 		{"ErrTimeout at exactly the deadline instant", func(t *testing.T, clock *Clock, q *Inbox) {

@@ -95,19 +95,16 @@ func NewCodecConn(conn netem.Stream, codec RecordCodec) *RecordConn {
 func (rc *RecordConn) SkipFirst(n int) { rc.skip = n }
 
 // fill reads the rest of the unit into rbuf[got:want] through the inner
-// conn's threshold read, netem.FullEventReader, which parks for a nil
-// again; for an event read done false means again will fill on.
+// conn's threshold read, which parks for a nil again; for an event read
+// done false means again will fill on. An end of stream inside a unit
+// (a body's unit holds its header) is io.ErrUnexpectedEOF.
 func (rc *RecordConn) fill(again func()) (err error, done bool) {
-	n, err, done := rc.Stream.(netem.FullEventReader).ReadFullEvent(rc.rbuf[rc.got:rc.want], again)
+	n, err, done := rc.Stream.ReadFullEvent(rc.rbuf[rc.got:rc.want], again)
 	if rc.got += n; !done {
 		return nil, false
 	}
 	if err != nil && rc.got < rc.want {
-		start := 0
-		if rc.unit == unitBody {
-			_, start, _ = rc.codec.Sizes()
-		}
-		if rc.got > start && err == io.EOF {
+		if rc.got > 0 && err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
 		rc.unit = unitNone
@@ -165,16 +162,31 @@ func (rc *RecordConn) Read(p []byte) (int, error) {
 }
 
 // ReadEvent is Read for an event callback (netem.Conn.ReadEvent has the
-// contract), or Read itself for a nil again: the inner conn's threshold
-// reads become its ReadFullEvent, and the record's place is kept across
-// their waits.
+// contract), or Read itself for a nil again.
 func (rc *RecordConn) ReadEvent(p []byte, again func()) (n int, err error, done bool) {
-	if err, done = rc.open(again); err != nil || !done {
-		return 0, err, done
+	return rc.read(p, 1, again)
+}
+
+// ReadFullEvent is the threshold read (netem.Conn.ReadFullEvent has the
+// contract): it opens records until p is full.
+func (rc *RecordConn) ReadFullEvent(p []byte, again func()) (n int, err error, done bool) {
+	return rc.read(p, len(p), again)
+}
+
+// read copies payload into p until want bytes are in, opening a record
+// at least once (open keeps a record's place across the inner waits).
+func (rc *RecordConn) read(p []byte, want int, again func()) (n int, err error, done bool) {
+	want = min(want, len(p))
+	for {
+		if err, done = rc.open(again); err != nil || !done {
+			return n, err, done
+		}
+		k := copy(p[n:], rc.pending)
+		rc.pending = rc.pending[k:]
+		if n += k; n >= want {
+			return n, nil, true
+		}
 	}
-	n = copy(p, rc.pending)
-	rc.pending = rc.pending[n:]
-	return n, nil, true
 }
 
 // open reads records until one opens to a payload, unless one is

@@ -236,21 +236,10 @@ func (f *fullRead) read(conn netem.EventReader, again func()) (err error, done b
 	return nil, true
 }
 
-// ReadFullEvent reads p off conn with the reads io.ReadFull makes, each
-// a ReadEvent, without parking: it returns done with io.ReadFull's
-// error, or false at its first wait, and done gets the error from the
-// event that completes the read.
-func ReadFullEvent(conn netem.EventReader, p []byte, done func(error)) (error, bool) {
-	r := &prefixed{conn: conn, body: true}
-	r.fill.buf = p
-	_, err, ok := r.start(func(_ []byte, err error) { done(err) })
-	return err, ok
-}
-
 // ReadPrefixed reads a field that opens with its length, size bytes
-// big-endian (at most 2), as ReadFullEvent reads: the length, then the
-// field, which it returns or done gets, or the error that ended the
-// read.
+// big-endian (at most 2), with the reads io.ReadFull makes, each a
+// ReadEvent: the length, then the field, which it returns or done gets,
+// or the error that ended the read.
 func ReadPrefixed(conn netem.EventReader, size int, done func(field []byte, err error)) ([]byte, error, bool) {
 	r := &prefixed{conn: conn}
 	r.fill.buf = r.head[:size]
@@ -258,7 +247,7 @@ func ReadPrefixed(conn netem.EventReader, size int, done func(field []byte, err 
 }
 
 // prefixed is a field being read: fill holds its length, then, once
-// body is set, the field (at once for ReadFullEvent); err ends it.
+// body is set, the field; err ends it.
 type prefixed struct {
 	conn  netem.EventReader
 	again func() // run on, bound once

@@ -57,9 +57,15 @@ func (c *callLog) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// ReadEvent and WriteEvent never wait: each is the plain call.
+// ReadEvent, ReadFullEvent and WriteEvent never wait: each is the plain
+// call, ReadFullEvent io.ReadFull over Read.
 func (c *callLog) ReadEvent(p []byte, _ func()) (int, error, bool) {
 	n, err := c.Read(p)
+	return n, err, true
+}
+
+func (c *callLog) ReadFullEvent(p []byte, _ func()) (int, error, bool) {
+	n, err := io.ReadFull(c, p)
 	return n, err, true
 }
 
@@ -290,6 +296,19 @@ func (c *segConn) ReadEvent(p []byte, again func()) (int, error, bool) {
 	}
 	n, err := c.take(p)
 	return n, err, true
+}
+
+// ReadFullEvent reads as ReadEvent does until p is full, leaving again
+// for the driver with what it took where ReadEvent would.
+func (c *segConn) ReadFullEvent(p []byte, again func()) (int, error, bool) {
+	n := 0
+	for n < len(p) {
+		m, err, done := c.ReadEvent(p[n:], again)
+		if n += m; !done || err != nil {
+			return n, err, done
+		}
+	}
+	return n, nil, true
 }
 
 func (c *segConn) Write(p []byte) (int, error) {

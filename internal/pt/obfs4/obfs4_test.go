@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"testing"
 
 	"ptperf/internal/netem"
@@ -20,9 +21,15 @@ type bufConn struct {
 func (c bufConn) Read(p []byte) (int, error)  { return c.buf.Read(p) }
 func (c bufConn) Write(p []byte) (int, error) { return c.buf.Write(p) }
 
-// ReadEvent and WriteEvent never wait: each is the plain call.
+// ReadEvent, ReadFullEvent and WriteEvent never wait: each is the plain
+// call.
 func (c bufConn) ReadEvent(p []byte, _ func()) (int, error, bool) {
 	n, err := c.buf.Read(p)
+	return n, err, true
+}
+
+func (c bufConn) ReadFullEvent(p []byte, _ func()) (int, error, bool) {
+	n, err := io.ReadFull(c.buf, p)
 	return n, err, true
 }
 

@@ -3,6 +3,7 @@ package psiphon
 import (
 	"bytes"
 	"errors"
+	"io"
 	"net"
 	"reflect"
 	"testing"
@@ -76,10 +77,15 @@ type pipeEnd struct {
 func (p pipeEnd) Read(b []byte) (int, error)  { return p.c.Read(b) }
 func (p pipeEnd) Write(b []byte) (int, error) { return p.c.Write(b) }
 
-// ReadEvent and WriteEvent are the plain calls, which wait on the pipe's
-// peer and never on a clock.
+// ReadEvent, ReadFullEvent and WriteEvent are the plain calls, which
+// wait on the pipe's peer and never on a clock.
 func (p pipeEnd) ReadEvent(b []byte, _ func()) (int, error, bool) {
 	n, err := p.c.Read(b)
+	return n, err, true
+}
+
+func (p pipeEnd) ReadFullEvent(b []byte, _ func()) (int, error, bool) {
+	n, err := io.ReadFull(p.c, b)
 	return n, err, true
 }
 

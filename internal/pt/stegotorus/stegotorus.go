@@ -407,17 +407,20 @@ func (s *Server) abandon(f *fanOut) {
 // serveConn reads one fan-out conn's preamble, [8B session][1B index]
 // [1B total], and serves the session once its last conn is in.
 func (s *Server) serveConn(c *netem.Conn) {
-	pre := make([]byte, 10)
-	read := func(err error) {
+	pre, got := make([]byte, 10), 0
+	var read func()
+	read = func() {
+		n, err, done := c.ReadFullEvent(pre[got:], read)
+		if got += n; !done {
+			return
+		}
 		if err != nil {
 			c.Close()
 			return
 		}
 		s.join(c, binary.BigEndian.Uint64(pre[:8]), int(pre[9]))
 	}
-	if err, done := pt.ReadFullEvent(c, pre, read); done {
-		read(err)
-	}
+	read()
 }
 
 // join adds c to session sid's fan-out of total conns.

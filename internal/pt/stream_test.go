@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"net"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -16,16 +15,12 @@ import (
 )
 
 // A Stream's read half is its netem.Inbox: the embedding must keep it a
-// net.Conn with the threshold read the fetch body copy looks for.
-var _ interface {
-	net.Conn
-	netem.FullEventReader
-	netem.EventReader
-} = (*pt.Stream)(nil)
+// netem.Stream, threshold read and all.
+var _ netem.Stream = (*pt.Stream)(nil)
 
 // readFull awaits s's threshold read into p, as the fetch body copy
 // does: each wait's bytes count, and again reads on into the rest.
-func readFull(clock *netem.Clock, s *pt.Stream, p []byte) (int, error) {
+func readFull(clock *netem.Clock, s netem.Stream, p []byte) (int, error) {
 	n := 0
 	var done func(int, error)
 	var again func()

@@ -88,9 +88,9 @@ func (tr *Trace) FilterSegment(f netem.Flow, n int) (v netem.Verdict) {
 // failed turns count a segment that the plain call's count does not.
 type Conn struct {
 	*netem.Conn
-	trace *Trace
-	who   string
-	taken int // what a write's unfinished turns took
+	trace       *Trace
+	who         string
+	taken, read int // what a write's and a threshold read's unfinished turns took
 }
 
 // Calls returns c recording into tr, its lines naming who.
@@ -104,6 +104,15 @@ func (c *Conn) ReadEvent(p []byte, again func()) (int, error, bool) {
 	n, err, done := c.Conn.ReadEvent(p, again)
 	if done {
 		c.note("read", len(p), n, err)
+	}
+	return n, err, done
+}
+
+func (c *Conn) ReadFullEvent(p []byte, again func()) (int, error, bool) {
+	n, err, done := c.Conn.ReadFullEvent(p, again)
+	if c.read += n; done {
+		c.note("readfull", c.read-n+len(p), c.read, err)
+		c.read = 0
 	}
 	return n, err, done
 }

@@ -184,12 +184,11 @@ func setWireHeader(buf []byte, id uint32, cmd Command) {
 func wirePayload(buf []byte) []byte { return buf[headerSize:CellSize] }
 
 // A cellPump reads cells one at a time into one buffer (a cellBufPool
-// lease if base is set) with the conn's ReadEvent, making the Read calls
-// io.ReadFull made; where a Read would park it leaves next, its owner's
-// continuation, bound once. The client's PT first hop, every relay link
-// and an EXTEND's CREATED read each keep one.
+// lease if base is set), one ReadFullEvent of the conn each; where that
+// would park it leaves next, its owner's continuation, bound once. The
+// client's PT first hop, every relay link and an EXTEND's CREATED keep one.
 type cellPump struct {
-	r    netem.EventReader
+	r    netem.Stream
 	cell []byte
 	base *[]byte
 	got  int
@@ -201,22 +200,18 @@ type cellPump struct {
 // or, with err, the stream has ended (io.ErrUnexpectedEOF inside a cell,
 // as io.ReadFull reports it).
 func (p *cellPump) read() (whole bool, err error) {
-	for {
-		n, err, done := p.r.ReadEvent(p.cell[p.got:], p.next)
-		if p.got += n; !done {
-			return false, nil
-		}
-		if p.got == CellSize {
-			p.got = 0
-			return true, nil
-		}
-		if err != nil {
-			if p.got > 0 && err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return false, err
-		}
+	n, err, done := p.r.ReadFullEvent(p.cell[p.got:], p.next)
+	if p.got += n; !done {
+		return false, nil
 	}
+	if p.got == CellSize {
+		p.got = 0
+		return true, nil
+	}
+	if p.got > 0 && err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return false, err
 }
 
 // A cellOut is one cell on its way out whole: a cellBufPool lease, or a

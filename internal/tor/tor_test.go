@@ -15,12 +15,8 @@ import (
 )
 
 // A Stream's read half is its netem.Inbox: the embedding must keep it a
-// net.Conn with the threshold read the fetch body copy looks for.
-var _ interface {
-	net.Conn
-	netem.FullEventReader
-	netem.EventReader
-} = (*Stream)(nil)
+// netem.Stream, threshold read and all.
+var _ netem.Stream = (*Stream)(nil)
 
 // testWorld builds a small Tor network plus an echo server.
 type testWorld struct {

@@ -32,6 +32,19 @@ func (c *chunkConn) ReadEvent(p []byte, again func()) (int, error, bool) {
 	return n, err, true
 }
 
+// ReadFullEvent reads chunks until p is full, waiting, with wait set,
+// where ReadEvent would.
+func (c *chunkConn) ReadFullEvent(p []byte, again func()) (int, error, bool) {
+	n := 0
+	for n < len(p) {
+		m, err, done := c.ReadEvent(p[n:], again)
+		if n += m; !done || err != nil {
+			return n, err, done
+		}
+	}
+	return n, nil, true
+}
+
 func (c *chunkConn) Read(p []byte) (int, error) {
 	c.reads = append(c.reads, len(p))
 	if len(c.chunks) == 0 {
