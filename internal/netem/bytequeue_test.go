@@ -2,11 +2,7 @@ package netem
 
 import (
 	"bytes"
-	"runtime"
-	"runtime/debug"
 	"testing"
-
-	"ptperf/internal/testkit"
 )
 
 // checkByteQueue holds b to its own bookkeeping: n counts what its
@@ -33,7 +29,7 @@ func checkByteQueue(t testing.TB, b *ByteQueue) {
 // the chunk boundary in every phase, and requires the bytes in the order
 // they were pushed.
 func TestByteQueueFIFOAcrossChunks(t *testing.T) {
-	var b ByteQueue
+	b := NewByteQueue(NewClock())
 	var pushed, taken int
 	push := func(k int) {
 		p := make([]byte, k)
@@ -76,18 +72,10 @@ func TestByteQueueFIFOAcrossChunks(t *testing.T) {
 
 // TestByteQueueCyclesItsSpare: a queue the consumer never empties holds
 // one chunk and the drained one as spare, or two chunks, and never
-// more: it cycles them without handing one back to the pool, which was
-// emptied first and is still empty at the end.
+// more: it cycles them without handing one back to its world.
 func TestByteQueueCyclesItsSpare(t *testing.T) {
-	if testkit.Race {
-		t.Skip("sync.Pool drops puts at random under the race detector")
-	}
-	runtime.GC()
-	runtime.GC() // the pool's leases and then its victim cache are gone
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-
-	var b ByteQueue
+	clock := NewClock()
+	b := NewByteQueue(clock)
 	b.Push(make([]byte, inboxChunk+100))
 	b.TakeInto(make([]byte, inboxChunk))
 	mine := map[*[]byte]bool{b.chunks[0]: true, b.spare: true}
@@ -107,36 +95,21 @@ func TestByteQueueCyclesItsSpare(t *testing.T) {
 				t.Fatal("the queue took a third chunk")
 			}
 		}
-	}
-	if c := inboxChunkPool.Get().(*[]byte); mine[c] {
-		t.Fatal("a cycled chunk went back to the pool")
+		if out, free := inboxChunks.Out(clock), len(clock.bufs[inboxChunks.id].free); out != 2 || free != 0 {
+			t.Fatalf("the world has %d chunks out and %d free, want 2 and 0", out, free)
+		}
 	}
 	b.Release()
 	checkByteQueue(t, &b)
 }
 
 // TestByteQueueReleaseReturnsEveryLease: Release empties a queue that
-// holds many chunks and a spare, and every one of its leases is in the
-// pool to be leased again without an allocation.
+// holds many chunks and a spare, and every one of its leases is back on
+// the world's list to be leased again without an allocation.
 func TestByteQueueReleaseReturnsEveryLease(t *testing.T) {
-	if testkit.Race {
-		t.Skip("sync.Pool drops puts at random under the race detector")
-	}
 	const chunks = 8
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	leaseAll := func() {
-		var leases [chunks]*[]byte
-		for i := range leases {
-			leases[i] = inboxChunkPool.Get().(*[]byte)
-		}
-		for _, l := range leases {
-			inboxChunkPool.Put(l)
-		}
-	}
-	leaseAll() // fills the pool
-
-	var b ByteQueue
+	clock := NewClock()
+	b := NewByteQueue(clock)
 	b.Push(make([]byte, chunks*inboxChunk))
 	b.TakeInto(make([]byte, inboxChunk+1))
 	if len(b.chunks) != chunks-1 || b.spare == nil {
@@ -144,8 +117,19 @@ func TestByteQueueReleaseReturnsEveryLease(t *testing.T) {
 	}
 	b.Release()
 	checkByteQueue(t, &b)
-	if missing := allocated(leaseAll); missing > 4<<10 {
-		t.Errorf("leasing %d chunks after Release allocated %d bytes: not every lease came back", chunks, missing)
+	if out, free := inboxChunks.Out(clock), len(clock.bufs[inboxChunks.id].free); out != 0 || free != chunks {
+		t.Fatalf("after Release the world has %d chunks out and %d free, want 0 and %d", out, free, chunks)
+	}
+	var leases [chunks]*[]byte
+	if a := testing.AllocsPerRun(10, func() {
+		for i := range leases {
+			leases[i] = inboxChunks.Get(clock)
+		}
+		for _, l := range leases {
+			inboxChunks.Put(clock, l)
+		}
+	}); a != 0 {
+		t.Errorf("leasing %d chunks after Release allocated %v times: not every lease came back", chunks, a)
 	}
 	b.Push([]byte("again"))
 	if got := make([]byte, 8); b.TakeInto(got) != 5 || string(got[:5]) != "again" {
@@ -163,7 +147,7 @@ func FuzzByteQueue(f *testing.F) {
 	f.Add([]byte{0, 0xff, 0xff, 0, 0x00, 0x10, 1, 0x80, 0x00, 2, 0, 0, 0, 0x01, 0xf2, 1, 0xff, 0xff})
 	f.Add([]byte{0, 0x01, 0xf2, 1, 0x01, 0x00, 0, 0x01, 0xf2, 1, 0x01, 0x00, 0, 0x40, 0x00, 1, 0x40, 0x00})
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		var b ByteQueue
+		b := NewByteQueue(NewClock())
 		var model []byte
 		var pushed uint32
 		buf := make([]byte, 1<<16)

@@ -250,7 +250,7 @@ func (c *Conn) WriteEvent(p []byte, again func()) (n int, err error, done bool) 
 	}
 	for len(p) > 0 {
 		k := min(len(p), segmentSize)
-		data, base, pool := getSegBuf(p[:k])
+		data, base, pool := getSegBuf(c.tx.clock, p[:k])
 		arrival, err := c.shape(data, base, pool)
 		if err != nil {
 			return n, err, c.unlockWrite()
@@ -303,8 +303,9 @@ func (c *Conn) landHeld(again func()) (ok bool, err error) {
 
 // TryWriteOwned is a zero-copy single-segment write for an inline
 // event callback that leaves nothing waiting: ownership of data's
-// backing array (base, recycled into pool when non-nil) passes to the
-// conn, which hands it through the pipe to the reader untouched. ok is
+// backing array base, a lease of the class whose token is pool (when
+// both are non-nil), passes to the conn, which hands it through the
+// pipe to the reader untouched. ok is
 // false, and ownership stays with the caller, when data is more than
 // one segment or a write would have to wait (writer lock held or
 // receive window full); the refusal comes before any bucket time is
@@ -350,7 +351,7 @@ func (c *Conn) shape(data []byte, base *[]byte, pool *sync.Pool) (time.Duration,
 		c.net.acct.addSegmentFiltered()
 		v := pol.FilterSegment(Flow{Src: c.local.host, Dst: c.remote.host, Memo: &c.memo}, n)
 		if v.Action == Reset {
-			putSegBuf(pool, base)
+			c.tx.clock.Recycle(pool, base)
 			c.Abort()
 			return 0, ErrReset
 		}
@@ -433,6 +434,10 @@ func (c *Conn) Abort() {
 // Closed reports whether Close or Abort has been called; policies use
 // it to prune their flow registries.
 func (c *Conn) Closed() bool { return c.closed }
+
+// Clock returns the clock of the conn's world, whose lists the leases a
+// read sink is handed go back to (Clock.Recycle).
+func (c *Conn) Clock() *Clock { return c.net.clock }
 
 // LocalAddr implements net.Conn.
 func (c *Conn) LocalAddr() net.Addr { return c.local }

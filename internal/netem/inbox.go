@@ -3,7 +3,6 @@ package netem
 import (
 	"io"
 	"slices"
-	"sync"
 	"time"
 )
 
@@ -33,7 +32,7 @@ type Inbox struct {
 
 // NewInbox returns an open, empty inbox parking its reader on clock.
 func NewInbox(clock *Clock) Inbox {
-	return Inbox{cond: Cond{clock: clock}, rdl: noDeadline}
+	return Inbox{cond: Cond{clock: clock}, unread: NewByteQueue(clock), rdl: noDeadline}
 }
 
 // Read implements net.Conn's Read.
@@ -133,20 +132,24 @@ func (q *Inbox) SetReadTimeout(d time.Duration) error {
 	return nil
 }
 
-// ByteQueue is a FIFO of bytes held in inboxChunkPool leases: Inbox's
-// unread bytes and pt.Stream's unsent ones. The queued bytes are
-// chunks[0][head:] and every later chunk, n in all. Push fills a chunk
-// before it leases the next and TakeInto returns each lease once
-// drained, so a consumer slower than its producer costs a lease per
-// chunk of backlog, and no array regrows or copies what it holds. While
-// bytes remain, a drained chunk waits as spare for the next lease: a
-// queue that is never empty cycles two chunks without the pool. The
-// zero ByteQueue is empty and holds no lease.
+// ByteQueue is a FIFO of bytes held in chunks leased from its world
+// (inboxChunks): Inbox's unread bytes and pt.Stream's unsent ones. The
+// queued bytes are chunks[0][head:] and every later chunk, n in all.
+// Push fills a chunk before it leases the next and TakeInto returns each
+// lease once drained, so a consumer slower than its producer costs a
+// lease per chunk of backlog, and no array regrows or copies what it
+// holds. While bytes remain, a drained chunk waits as spare for the next
+// lease: a queue that is never empty cycles two chunks without the
+// world's list. A queue from NewByteQueue is empty and holds no lease.
 type ByteQueue struct {
+	clock   *Clock
 	chunks  []*[]byte
 	head, n int
 	spare   *[]byte
 }
+
+// NewByteQueue returns an empty queue leasing from clock's world.
+func NewByteQueue(clock *Clock) ByteQueue { return ByteQueue{clock: clock} }
 
 // inboxChunk is what one chunk of a ByteQueue holds. A backlog is
 // mostly a few cells or one poll's worth, so a chunk a quarter of a
@@ -154,13 +157,11 @@ type ByteQueue struct {
 // one takes more leases, none of them copied.
 const inboxChunk = 16 << 10
 
-// inboxChunkPool leases the chunks of every ByteQueue.
-var inboxChunkPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, inboxChunk)
-		return &b
-	},
-}
+// inboxChunks are the chunks of every ByteQueue.
+var inboxChunks = NewBufClass("chunk", func() *[]byte {
+	b := make([]byte, 0, inboxChunk)
+	return &b
+})
 
 // Len counts the queued bytes.
 func (b *ByteQueue) Len() int { return b.n }
@@ -171,7 +172,7 @@ func (b *ByteQueue) Push(p []byte) {
 		if k := len(b.chunks); k == 0 || len(*b.chunks[k-1]) == inboxChunk {
 			c := b.spare
 			if b.spare = nil; c == nil {
-				c = inboxChunkPool.Get().(*[]byte)
+				c = inboxChunks.Get(b.clock)
 			}
 			b.chunks = append(b.chunks, c)
 		}
@@ -197,7 +198,7 @@ func (b *ByteQueue) TakeInto(p []byte) int {
 	return total
 }
 
-// Release empties the queue and returns every lease to the pool.
+// Release empties the queue and returns every lease to the world.
 func (b *ByteQueue) Release() {
 	b.n = 0
 	for len(b.chunks) > 0 {
@@ -206,7 +207,7 @@ func (b *ByteQueue) Release() {
 }
 
 // dropChunk drops the drained first chunk, the spare while bytes
-// remain, and returns it and the spare to the pool once none do; the
+// remain, and returns it and the spare to the world once none do; the
 // list keeps its array.
 func (b *ByteQueue) dropChunk() {
 	c := b.chunks[0]
@@ -216,9 +217,9 @@ func (b *ByteQueue) dropChunk() {
 		b.spare = c
 		return
 	}
-	inboxChunkPool.Put(c)
+	inboxChunks.Put(b.clock, c)
 	if b.n == 0 && b.spare != nil {
-		inboxChunkPool.Put(b.spare)
+		inboxChunks.Put(b.clock, b.spare)
 		b.spare = nil
 	}
 }

@@ -5,12 +5,9 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"runtime/debug"
 	"slices"
 	"testing"
 	"time"
-
-	"ptperf/internal/testkit"
 )
 
 // allocated reports the heap bytes f allocates.
@@ -43,33 +40,15 @@ func readFull(clock *Clock, q *Inbox, p []byte) (int, error) {
 }
 
 // TestInboxDeliverNeverRegrows: 4 MiB delivered in tor-cell-sized
-// pieces ahead of a reader that drains 64 KiB at a time queue in
-// inboxChunkPool leases and nowhere else (one array doubling its way
+// pieces ahead of a reader that drains 64 KiB at a time queue in chunks
+// leased from the world and nowhere else (one array doubling its way
 // there would allocate and copy 8 MiB), arrive in order, and every lease
-// is back in the pool once the reader has drained the queue, or once a
-// Drop has released what it left.
+// is back on the world's list once the reader has drained the queue, or
+// once a Drop has released what it left.
 func TestInboxDeliverNeverRegrows(t *testing.T) {
-	if testkit.Race {
-		t.Skip("sync.Pool drops puts at random under the race detector")
-	}
 	const total = 4 << 20
 	const piece = 498 // a tor RELAY_DATA cell's payload
 	const chunks = total/inboxChunk + 2
-
-	// What goes into the pool must be there to lease again: see
-	// fetch.TestAccessAllocationBudget.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	leaseAll := func() {
-		var leases [chunks]*[]byte
-		for i := range leases {
-			leases[i] = inboxChunkPool.Get().(*[]byte)
-		}
-		for _, l := range leases {
-			inboxChunkPool.Put(l)
-		}
-	}
-	leaseAll() // fills the pool
 
 	for _, end := range []struct {
 		name  string
@@ -78,6 +57,13 @@ func TestInboxDeliverNeverRegrows(t *testing.T) {
 		t.Run(end.name, func(t *testing.T) {
 			clock := NewClock()
 			defer clock.Shutdown()
+			var leases [chunks]*[]byte
+			for i := range leases {
+				leases[i] = inboxChunks.Get(clock)
+			}
+			for _, l := range leases {
+				inboxChunks.Put(clock, l) // the world's list holds them all
+			}
 			q := NewInbox(clock)
 			cell := make([]byte, piece)
 			got, read := make([]byte, 64<<10), 0
@@ -100,11 +86,10 @@ func TestInboxDeliverNeverRegrows(t *testing.T) {
 					}
 				}
 			})
-			// The list of leases and the pool's own chain grow; a chunk
-			// is 65 KiB.
-			t.Logf("allocated outside the pool: %d bytes", grew)
+			// The queue's list of leases grows; a chunk is 16 KiB.
+			t.Logf("allocated outside the world's list: %d bytes", grew)
 			if grew > 16<<10 {
-				t.Errorf("queueing %d bytes and reading half allocated %d outside the pool", total, grew)
+				t.Errorf("queueing %d bytes and reading half allocated %d outside the world's list", total, grew)
 			}
 			if want := sent - read; q.unread.n != want || len(q.unread.chunks) < want/inboxChunk {
 				t.Fatalf("%d bytes in %d chunks still queued, want %d bytes", q.unread.n, len(q.unread.chunks), want)
@@ -119,13 +104,13 @@ func TestInboxDeliverNeverRegrows(t *testing.T) {
 			if q.unread.n != 0 || len(q.unread.chunks) != 0 {
 				t.Fatalf("%d bytes in %d chunks queued at the end", q.unread.n, len(q.unread.chunks))
 			}
-			if missing := allocated(leaseAll); missing > 16<<10 {
-				t.Errorf("leasing %d chunks at the end allocated %d bytes: not every lease came back", chunks, missing)
+			if out, free := inboxChunks.Out(clock), len(clock.bufs[inboxChunks.id].free); out != 0 || free != chunks {
+				t.Errorf("at the end the world has %d chunks out and %d free, want 0 and %d: not every lease came back", out, free, chunks)
 			}
-			if l := inboxChunkPool.Get().(*[]byte); len(*l) != 0 || cap(*l) != inboxChunk {
-				t.Errorf("a lease came back with len %d cap %d", len(*l), cap(*l))
-			} else {
-				inboxChunkPool.Put(l)
+			for _, l := range clock.bufs[inboxChunks.id].free {
+				if len(*l) != 0 || cap(*l) != inboxChunk {
+					t.Errorf("a lease came back with len %d cap %d", len(*l), cap(*l))
+				}
 			}
 		})
 	}

@@ -632,8 +632,8 @@ func TestTryWriteOwnedHandsOverWhatWriteCopies(t *testing.T) {
 	if len(ownedGot) != 1 || ownedGot[0] != (handed{&cell, &cellPool}) {
 		t.Fatalf("the sink got %v, want the caller's array and pool %v", ownedGot, handed{&cell, &cellPool})
 	}
-	if len(copiedGot) != 1 || copiedGot[0].base == &cell || copiedGot[0].pool != &smallBufPool {
-		t.Fatalf("the sink got %v from Write, want a copy from netem's small pool", copiedGot)
+	if len(copiedGot) != 1 || copiedGot[0].base == &cell || copiedGot[0].pool != smallBufs.Token() {
+		t.Fatalf("the sink got %v from Write, want a copy leased from netem's small class", copiedGot)
 	}
 
 	for _, tc := range []struct {

@@ -27,12 +27,12 @@ func (*timeoutError) Temporary() bool { return true }
 // seg is one shaped segment in flight: its payload and the virtual time
 // at which the last byte arrives at the receiver. base retains the
 // backing array while data shrinks across partial reads; pool is the
-// pool base returns to once fully consumed (nil for plain GC-owned
-// allocations). Carrying the origin pool in the segment is what makes
-// zero-copy handoff safe: a caller can push a buffer drawn from its own
-// pool (e.g. the tor layer's 512-byte cell pool) and the pipe recycles
-// it to the right place instead of poisoning the 16K segment pool with
-// short arrays.
+// token of the class base returns to once fully consumed (nil for plain
+// GC-owned allocations). Carrying the class in the segment is what
+// makes zero-copy handoff safe: a caller can push a buffer leased from
+// its own class (e.g. the tor layer's 512-byte cells) and the pipe
+// recycles it to the right list instead of poisoning the 16K segment
+// list with short arrays.
 type seg struct {
 	data []byte
 	base *[]byte
@@ -40,61 +40,52 @@ type seg struct {
 	at   time.Duration
 }
 
-// segBufPool recycles bulk segment backing arrays; segment copies are
-// the simulation's dominant allocation.
-var segBufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, segmentSize)
-		return &b
-	},
-}
+// segBufs are the bulk segment arrays; segment copies are the
+// simulation's dominant allocation, so each world recycles its own
+// (BufClass).
+var segBufs = NewBufClass("segment", func() *[]byte {
+	b := make([]byte, segmentSize)
+	return &b
+})
 
-// smallBufSize bounds the small-frame pool class: cells, handshakes and
-// acks all fit, and a 2× size overhead on a transient buffer is cheaper
-// than a GC allocation per frame.
+// smallBufSize bounds the small-frame class: cells, handshakes and acks
+// all fit, and a 2× size overhead on a transient buffer is cheaper than
+// a GC allocation per frame.
 const smallBufSize = 1024
 
-// smallBufPool recycles small-frame backing arrays (protocol cells are
-// the hot case: a contention sweep pushes hundreds of thousands of
-// 512-byte frames).
-var smallBufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, smallBufSize)
-		return &b
-	},
-}
+// smallBufs are the small-frame arrays (protocol cells are the hot
+// case: a contention sweep pushes hundreds of thousands of 512-byte
+// frames).
+var smallBufs = NewBufClass("small", func() *[]byte {
+	b := make([]byte, smallBufSize)
+	return &b
+})
 
-// getSegBuf returns a buffer holding a copy of p: small frames and bulk
-// segments draw from their size-class pools; anything larger than
-// segmentSize falls back to a plain allocation (slicing the pooled
+// getSegBuf returns a buffer of c's world holding a copy of p: small
+// frames and bulk segments lease from their size classes; anything
+// larger than segmentSize falls back to a plain allocation (slicing a
 // segmentSize array used to panic with slice bounds out of range).
-func getSegBuf(p []byte) (data []byte, base *[]byte, pool *sync.Pool) {
+func getSegBuf(c *Clock, p []byte) (data []byte, base *[]byte, pool *sync.Pool) {
+	cls := segBufs
 	switch {
 	case len(p) <= smallBufSize:
-		pool = &smallBufPool
-	case len(p) <= segmentSize:
-		pool = &segBufPool
-	default:
+		cls = smallBufs
+	case len(p) > segmentSize:
 		data = make([]byte, len(p))
 		copy(data, p)
 		return data, nil, nil
 	}
-	base = pool.Get().(*[]byte)
+	base = cls.Get(c)
 	data = (*base)[:len(p)]
 	copy(data, p)
-	return data, base, pool
-}
-
-func putSegBuf(pool *sync.Pool, base *[]byte) {
-	if base != nil && pool != nil {
-		pool.Put(base)
-	}
+	return data, base, cls.Token()
 }
 
 // ReadSink is an inline segment consumer registered with
 // Conn.SetReadSink. Each arrived segment is delivered exactly at its
 // arrival instant on the clock's event dispatcher, with ownership of
-// the backing array (recycle base into pool when both are non-nil).
+// the backing array: Clock.Recycle(pool, base) returns it to the
+// world's list of its class.
 // After the terminal call — data nil and err non-nil (io.EOF once
 // drained, ErrClosed on reset/close) — no further calls are made.
 //
@@ -166,11 +157,11 @@ func (p *pipe) push(s *seg, fn func()) (done bool, err error) {
 		}
 	}
 	if p.wclosed {
-		putSegBuf(s.pool, s.base)
+		p.clock.Recycle(s.pool, s.base)
 		return true, ErrClosed
 	}
 	if p.rclosed {
-		putSegBuf(s.pool, s.base)
+		p.clock.Recycle(s.pool, s.base)
 		return true, ErrReset
 	}
 	p.enqueue(s.data, s.base, s.pool, s.at)
@@ -362,7 +353,7 @@ func (p *pipe) readPass(buf []byte, min int, vt time.Duration) (total int, err e
 			s.data = s.data[n:]
 			break
 		}
-		putSegBuf(s.pool, s.base)
+		p.clock.Recycle(s.pool, s.base)
 		p.segs.Pop()
 	}
 	if total > 0 {
@@ -432,7 +423,7 @@ func (p *pipe) closeRead() {
 	p.rclosed = true
 	for p.segs.Len() > 0 {
 		s := p.segs.Pop()
-		putSegBuf(s.pool, s.base)
+		p.clock.Recycle(s.pool, s.base)
 	}
 	p.acct.addDropped(p.buffered)
 	p.buffered = 0

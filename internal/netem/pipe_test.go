@@ -25,7 +25,7 @@ func newPipe(clock *Clock, acct *Acct) *pipe {
 func TestPopZeroLengthBuf(t *testing.T) {
 	clock := NewClock()
 	p := newPipe(clock, new(Acct))
-	data, base, pool := getSegBuf([]byte("abc"))
+	data, base, pool := getSegBuf(clock, []byte("abc"))
 	if _, err := p.push(&seg{data: data, base: base, pool: pool}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestPopZeroLengthBuf(t *testing.T) {
 func TestReadEOFBeforeTimeout(t *testing.T) {
 	clock := NewClock()
 	p := newPipe(clock, new(Acct))
-	data, base, pool := getSegBuf([]byte("abc"))
+	data, base, pool := getSegBuf(clock, []byte("abc"))
 	if _, err := p.push(&seg{data: data, base: base, pool: pool}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -70,8 +70,9 @@ func TestReadEOFBeforeTimeout(t *testing.T) {
 // larger than segmentSize gets a plain allocation instead of slicing
 // the pooled segmentSize array out of bounds (which panicked).
 func TestGetSegBufOversized(t *testing.T) {
+	clock := NewClock()
 	p := bytes.Repeat([]byte{0xAB}, segmentSize+1)
-	data, base, pool := getSegBuf(p)
+	data, base, pool := getSegBuf(clock, p)
 	if base != nil || pool != nil {
 		t.Fatalf("oversized payload should not be pooled (base=%v pool=%v)", base, pool)
 	}
@@ -79,17 +80,21 @@ func TestGetSegBufOversized(t *testing.T) {
 		t.Fatal("oversized payload not copied intact")
 	}
 
-	// Size classes: small frames and bulk segments draw pooled arrays.
-	small, sbase, spool := getSegBuf(make([]byte, 512))
-	if spool != &smallBufPool || sbase == nil || len(small) != 512 {
-		t.Fatal("512-byte frame should draw from smallBufPool")
+	// Size classes: small frames and bulk segments lease their class's
+	// arrays.
+	small, sbase, spool := getSegBuf(clock, make([]byte, 512))
+	if spool != smallBufs.Token() || sbase == nil || len(small) != 512 {
+		t.Fatal("512-byte frame should lease from smallBufs")
 	}
-	putSegBuf(spool, sbase)
-	bulk, bbase, bpool := getSegBuf(make([]byte, segmentSize))
-	if bpool != &segBufPool || bbase == nil || len(bulk) != segmentSize {
-		t.Fatal("segmentSize payload should draw from segBufPool")
+	clock.Recycle(spool, sbase)
+	bulk, bbase, bpool := getSegBuf(clock, make([]byte, segmentSize))
+	if bpool != segBufs.Token() || bbase == nil || len(bulk) != segmentSize {
+		t.Fatal("segmentSize payload should lease from segBufs")
 	}
-	putSegBuf(bpool, bbase)
+	clock.Recycle(bpool, bbase)
+	if smallBufs.Out(clock) != 0 || segBufs.Out(clock) != 0 {
+		t.Fatal("a recycled lease is still counted out")
+	}
 }
 
 // TestReadFull exercises the threshold-read contract: exactly len(p)
@@ -285,7 +290,7 @@ func TestReadSinkDeliversAll(t *testing.T) {
 				return
 			}
 			got = append(got, data...)
-			putSegBuf(pool, base)
+			n.clock.Recycle(pool, base)
 		})
 	})
 
@@ -334,7 +339,7 @@ func TestLoopSinkLearnsWhatALoopWould(t *testing.T) {
 			if err != nil {
 				note("closed")
 			}
-			putSegBuf(pool, base)
+			n.clock.Recycle(pool, base)
 		}
 		switch reader {
 		case "loop":
@@ -394,7 +399,7 @@ func TestReadAfterSinkPanics(t *testing.T) {
 	}
 	defer c.Close()
 	c.(*Conn).SetReadSink(func(data []byte, base *[]byte, pool *sync.Pool, err error) {
-		putSegBuf(pool, base)
+		n.clock.Recycle(pool, base)
 	})
 	defer func() {
 		if recover() == nil {
@@ -412,7 +417,7 @@ func TestPipeKeepsItsArray(t *testing.T) {
 	acct := new(Acct)
 	p := newPipe(clock, acct)
 	push := func() {
-		data, base, pool := getSegBuf([]byte{'x'})
+		data, base, pool := getSegBuf(clock, []byte{'x'})
 		if _, err := p.push(&seg{data: data, base: base, pool: pool}, nil); err != nil {
 			t.Fatal(err)
 		}

@@ -60,18 +60,19 @@ func TestQueueFIFOOnSharedNodes(t *testing.T) {
 }
 
 // TestPoppedNodeHoldsNoLease: a node back on the list keeps no pointer to
-// the segment buffer it carried, so the buffer's pool alone owns it.
+// the segment buffer it carried, so the world's list alone owns it.
 func TestPoppedNodeHoldsNoLease(t *testing.T) {
+	clock := NewClock()
 	var ns Nodes[seg]
 	var q Queue[seg]
 	q.Init(&ns)
 	for i := 0; i < 3; i++ {
-		data, base, pool := getSegBuf([]byte("lease"))
+		data, base, pool := getSegBuf(clock, []byte("lease"))
 		q.Push(seg{data: data, base: base, pool: pool, at: time.Second})
 	}
 	for q.Len() > 0 {
 		s := q.Pop()
-		putSegBuf(s.pool, s.base)
+		clock.Recycle(s.pool, s.base)
 	}
 	free := 0
 	for f := ns.free; f != nil; f = f.next {
@@ -87,7 +88,7 @@ func TestPoppedNodeHoldsNoLease(t *testing.T) {
 
 // TestPipeCycleAllocationFree: once warm, segments pushed into a pipe
 // and delivered to its sink allocate nothing: the nodes come from the
-// network's list and the buffers from their pool. A cycle queues two
+// network's list and the buffers from the world's. A cycle queues two
 // slabs' worth, so a node that never came back shows as allocations;
 // they arrive a microsecond apart, one to a delivery, because a delivery
 // of more than eight segments grows its batch on the heap.
@@ -102,12 +103,12 @@ func TestPipeCycleAllocationFree(t *testing.T) {
 	delivered := 0
 	p.setSink(func(data []byte, base *[]byte, pool *sync.Pool, err error) {
 		delivered += len(data)
-		putSegBuf(pool, base)
+		clock.Recycle(pool, base)
 	}, false)
 	payload := make([]byte, 512)
 	cycle := func() {
 		for i := 0; i < 2*nodeSlab; i++ {
-			data, base, pool := getSegBuf(payload)
+			data, base, pool := getSegBuf(clock, payload)
 			s := seg{data: data, base: base, pool: pool, at: clock.Now() + time.Duration(i+1)*time.Microsecond}
 			if _, err := p.push(&s, nil); err != nil {
 				t.Fatal(err)

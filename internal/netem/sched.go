@@ -223,7 +223,10 @@ type Clock struct {
 	spare []*waiter
 	// awaits holds the idle *awaited[T] of the Awaits so far.
 	awaits []any
-	stats  Stats
+	// bufs holds the world's free list of each buffer class (BufClass),
+	// indexed by the class's registration order.
+	bufs  [bufClassMax]bufList
+	stats Stats
 }
 
 // Stats counts what a clock has run: the goroutines it spawned, the

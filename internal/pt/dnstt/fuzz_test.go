@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"ptperf/internal/netem"
 	"ptperf/internal/pt"
 )
 
@@ -68,6 +69,7 @@ func FuzzFrames(f *testing.F) {
 	f.Add(wire[:len(wire)-3], []byte{9}) // a truncated tail
 	f.Add([]byte{0, 5}, []byte{})        // a length prefix and nothing after it
 	f.Add([]byte{0}, []byte{0})          // half a length prefix
+	conn := idleConn(f)
 	f.Fuzz(func(t *testing.T, stream, cuts []byte) {
 		var want [][]byte
 		whole := bytes.NewReader(stream)
@@ -89,6 +91,7 @@ func FuzzFrames(f *testing.F) {
 			got = append(got, slices.Clone(frame))
 			in.Await()
 		}, func() { stopped = true })
+		in.Attach(conn)
 		in.Await()
 		for rest, i := stream, 0; len(rest) > 0; i++ {
 			n := len(rest)
@@ -116,4 +119,21 @@ func FuzzFrames(f *testing.F) {
 			}
 		}
 	})
+}
+
+// idleConn returns a conn of a world of its own on which nothing
+// arrives: a FrameConn attached to it leases from that world, and the
+// test hands it segments through Sink.
+func idleConn(f *testing.F) *netem.Conn {
+	n := netem.New()
+	f.Cleanup(n.Clock().Shutdown)
+	h := n.MustAddHost(netem.HostConfig{Name: "r"})
+	if _, err := h.Listen(53); err != nil {
+		f.Fatal(err)
+	}
+	c, err := h.Dial("r:53")
+	if err != nil {
+		f.Fatal(err)
+	}
+	return c.(*netem.Conn)
 }

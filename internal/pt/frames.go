@@ -27,11 +27,13 @@ type FrameCut func(b []byte) (body, end int, err error)
 // longer come (the stream ended first, or the bytes do not cut). From
 // then on the endpoint recycles what arrives unread, so it never holds
 // more than one frame and the segment that completed it.
-// Frames are reassembled in an array lent by frameBufs from the delivery
-// that brings bytes until a handler has returned and every byte in it is
-// cut: the endpoint holds one only while a frame is partly in.
+// Frames are reassembled in an array leased from the world (frameArrays)
+// from the delivery that brings bytes until a handler has returned and
+// every byte in it is cut: the endpoint holds one only while a frame is
+// partly in.
 type FrameConn struct {
 	conn     *netem.Conn
+	clock    *netem.Clock // the attached conn's, whose world lends the leases
 	cut      FrameCut
 	frame    func(body []byte)
 	stop     func()
@@ -55,9 +57,10 @@ func NewFrameConn(cut FrameCut, frame func(body []byte), stop func()) *FrameConn
 }
 
 // Attach makes the endpoint c's reader: c's segments go to Sink, a loop
-// sink, so that the transport's handlers run when its read loop did.
+// sink, so that the transport's handlers run when its read loop did,
+// and the endpoint leases from c's world.
 func (f *FrameConn) Attach(c *netem.Conn) {
-	f.conn = c
+	f.conn, f.clock = c, c.Clock()
 	c.SetLoopSink(f.Sink)
 }
 
@@ -73,15 +76,13 @@ func (f *FrameConn) Sink(data []byte, base *[]byte, pool *sync.Pool, err error) 
 	} else {
 		if !f.stopped {
 			if f.lease == nil {
-				f.lease = frameBufs.Get().(*[]byte)
+				f.lease = frameArrays.Get(f.clock)
 				f.buf = *f.lease
 			}
 			f.buf, f.head = netem.Compact(f.buf, f.head, len(data))
 			f.buf = append(f.buf, data...)
 		}
-		if base != nil && pool != nil {
-			pool.Put(base)
-		}
+		f.clock.Recycle(pool, base)
 	}
 	if f.awaiting {
 		f.Await()
@@ -114,7 +115,7 @@ func (f *FrameConn) Await() {
 	}
 	if f.lease != nil && f.head == len(f.buf) && !f.handing {
 		*f.lease = f.buf[:0]
-		frameBufs.Put(f.lease)
+		frameArrays.Put(f.clock, f.lease)
 		f.lease, f.buf, f.head = nil, nil, 0
 	}
 }
@@ -145,8 +146,8 @@ func (f *FrameConn) Send(frame []byte) {
 	}
 }
 
-// frameBufs lends FrameConn its reassembly arrays.
-var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
+// frameArrays are FrameConn's reassembly arrays.
+var frameArrays = netem.NewBufClass("frame", func() *[]byte { return new([]byte) })
 
 // Prefix16 cuts frames that open with their body's length as a 16-bit
 // big-endian number.

@@ -3,14 +3,21 @@ package pt
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
-	"runtime"
-	"runtime/debug"
 	"slices"
 	"testing"
 
-	"ptperf/internal/testkit"
+	"ptperf/internal/netem"
 )
+
+// unattached returns an endpoint that a test feeds through Sink, leasing
+// from a world of its own as an attached one leases from its conn's.
+func unattached(cut FrameCut, frame func(body []byte), stop func()) *FrameConn {
+	f := NewFrameConn(cut, frame, stop)
+	f.clock = netem.NewClock()
+	return f
+}
 
 // FuzzFrameConnLeavesTheRestUncut: however a stream is split into
 // segments (cuts gives the segment lengths, less one, in turn), a
@@ -49,7 +56,7 @@ func FuzzFrameConnLeavesTheRestUncut(f *testing.F) {
 
 		got, stops := 0, 0
 		var in *FrameConn
-		in = NewFrameConn(Prefix16, func([]byte) {
+		in = unattached(Prefix16, func([]byte) {
 			got++
 			in.Await()
 		}, func() { stops++ })
@@ -86,7 +93,7 @@ func FuzzFrameConnLeavesTheRestUncut(f *testing.F) {
 func TestFrameConnStoppedHoldsNothing(t *testing.T) {
 	handed, stops := 0, 0
 	var in *FrameConn
-	in = NewFrameConn(Prefix16, func([]byte) {
+	in = unattached(Prefix16, func([]byte) {
 		handed++
 		in.Stop()
 	}, func() { stops++ })
@@ -110,7 +117,7 @@ func TestFrameConnStoppedHoldsNothing(t *testing.T) {
 func TestFrameConnLendsItsArray(t *testing.T) {
 	var frames []string
 	var in *FrameConn
-	in = NewFrameConn(Prefix16, func(b []byte) {
+	in = unattached(Prefix16, func(b []byte) {
 		if in.lease == nil {
 			t.Fatalf("frame %q handed from no array", b)
 		}
@@ -134,19 +141,14 @@ func TestFrameConnLendsItsArray(t *testing.T) {
 }
 
 // TestFrameConnPoisonedArray: the array a frame was handed from goes
-// back to frameBufs when the handler returns. Overwritten there, it
-// spoils no frame handed after it, whole or straddling deliveries.
+// back to the world's frameArrays list when the handler returns.
+// Overwritten there, it spoils no frame handed after it, whole or
+// straddling deliveries.
 func TestFrameConnPoisonedArray(t *testing.T) {
-	if testkit.Race {
-		t.Skip("sync.Pool drops puts at random under the race detector")
-	}
-	// One P and no collection: what was put is what the next Get returns.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var frames []string
 	var handed []byte
 	var in *FrameConn
-	in = NewFrameConn(Prefix16, func(b []byte) {
+	in = unattached(Prefix16, func(b []byte) {
 		frames, handed = append(frames, string(b)), b
 		in.Await()
 	}, func() {})
@@ -167,19 +169,72 @@ func TestFrameConnPoisonedArray(t *testing.T) {
 		if in.lease != nil {
 			continue // a frame is partly in
 		}
-		b := frameBufs.Get().(*[]byte)
+		b := frameArrays.Get(in.clock)
 		if full := (*b)[:cap(*b)]; len(handed) > 0 && cap(full) > 0 && &full[cap(full)-1] == &handed[:cap(handed)][cap(handed)-1] {
 			poisoned++
 			for i := range full {
 				full[i] = 0xee
 			}
 		}
-		frameBufs.Put(b)
+		frameArrays.Put(in.clock, b)
 	}
 	if !slices.Equal(frames, want) {
 		t.Fatalf("handed %.80q, want %.80q", frames, want)
 	}
 	if poisoned == 0 {
-		t.Fatal("no handed frame's array was back in frameBufs once its handler returned")
+		t.Fatal("no handed frame's array was back in frameArrays once its handler returned")
+	}
+}
+
+// TestFrameConnHandsOnlyAwaitedFrames: frames that arrive in one segment
+// go to the handler one per Await, and the handler's own Await takes
+// effect when it returns; a frame nobody awaits waits in the endpoint
+// until somebody does; stop runs once, when an awaited frame cannot come,
+// and not while the stream has only ended behind frames still waiting.
+func TestFrameConnHandsOnlyAwaitedFrames(t *testing.T) {
+	var got []string
+	stops := 0
+	var in *FrameConn
+	in = unattached(Prefix16, func(body []byte) {
+		got = append(got, string(body))
+		if string(body) != "two" {
+			in.Await()
+		}
+		if len(got) > 3 {
+			t.Fatal("the handler was entered again before it returned")
+		}
+	}, func() { stops++ })
+	in.Await()
+	var wire []byte
+	for _, f := range []string{"one", "two", "three"} {
+		wire = AppendPrefix16(wire, nil, []byte(f))
+	}
+	in.Sink(wire[:4], nil, nil, nil)
+	if len(got) != 0 {
+		t.Fatalf("handed %q before its last byte arrived", got)
+	}
+	in.Sink(wire[4:], nil, nil, nil)
+	in.Sink(nil, nil, nil, io.EOF)
+	if want := []string{"one", "two"}; !slices.Equal(got, want) || stops != 0 {
+		t.Fatalf("handed %q and stopped %d times, want %q and no stop: the handler did not await after \"two\"", got, stops, want)
+	}
+	in.Await()
+	if want := []string{"one", "two", "three"}; !slices.Equal(got, want) || stops != 1 {
+		t.Fatalf("handed %q and stopped %d times after a late Await, want %q and one stop", got, stops, want)
+	}
+}
+
+// TestFrameConnStopsOnBytesThatDoNotCut: a cut error stops the endpoint
+// once, like the end of the stream.
+func TestFrameConnStopsOnBytesThatDoNotCut(t *testing.T) {
+	stops := 0
+	in := unattached(func([]byte) (int, int, error) { return 0, 0, errors.New("no frame") },
+		func([]byte) { t.Fatal("a frame was handed out of bytes that do not cut") }, func() { stops++ })
+	in.Await()
+	in.Sink([]byte("garbage"), nil, nil, nil)
+	in.Sink([]byte("more"), nil, nil, nil)
+	in.Sink(nil, nil, nil, io.EOF)
+	if stops != 1 {
+		t.Fatalf("stopped %d times, want once", stops)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"io"
 	"math/rand"
 	"slices"
-	"sync"
 
 	"ptperf/internal/netem"
 	"ptperf/internal/sim"
@@ -97,7 +96,9 @@ func (rc *RecordConn) SkipFirst(n int) { rc.skip = n }
 // fill reads the rest of the unit into rbuf[got:want] through the inner
 // conn's threshold read, which parks for a nil again; for an event read
 // done false means again will fill on. An end of stream inside a unit
-// (a body's unit holds its header) is io.ErrUnexpectedEOF.
+// (a body's unit holds its header) is io.ErrUnexpectedEOF. A read that
+// times out keeps the unit and what it took, so the next read carries
+// on with it, as a netem conn's reads do; any other error ends the unit.
 func (rc *RecordConn) fill(again func()) (err error, done bool) {
 	n, err, done := rc.Stream.ReadFullEvent(rc.rbuf[rc.got:rc.want], again)
 	if rc.got += n; !done {
@@ -107,7 +108,9 @@ func (rc *RecordConn) fill(again func()) (err error, done bool) {
 		if rc.got > 0 && err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
-		rc.unit = unitNone
+		if err != netem.ErrTimeout {
+			rc.unit = unitNone
+		}
 		return err, true
 	}
 	return nil, true
@@ -408,9 +411,10 @@ type (
 // spliceBuf is what one read of a pump asks for.
 const spliceBuf = 32 << 10
 
-// pumpBufPool leases a pump the buffer its reads copy into while data
-// flows: a pump that waits for its source, or has ended, holds none.
-var pumpBufPool = sync.Pool{New: func() any { b := make([]byte, spliceBuf); return &b }}
+// pumpBufs are what a pump's reads copy into, leased from its world
+// while data flows: a pump that waits for its source, or has ended,
+// holds none.
+var pumpBufs = netem.NewBufClass("pump", func() *[]byte { b := make([]byte, spliceBuf); return &b })
 
 // Splice forwards both directions between a and b, half-closes each
 // destination when its source ends, and closes both when both have
@@ -453,7 +457,7 @@ type splice struct {
 type pump struct {
 	s        *splice
 	src, dst netem.Stream
-	// out[off:] was read into buf, a pumpBufPool lease, and not yet
+	// out[off:] was read into buf, a pumpBufs lease, and not yet
 	// written; rerr ended the source.
 	out              []byte
 	buf              *[]byte
@@ -487,7 +491,7 @@ func (p *pump) run() {
 			p.closing = err != nil || p.rerr != nil
 		default:
 			if p.buf == nil {
-				p.buf = pumpBufPool.Get().(*[]byte)
+				p.buf = pumpBufs.Get(p.s.clock)
 			}
 			n, err, done := p.src.ReadEvent(*p.buf, p.next)
 			p.out, p.off, p.rerr = (*p.buf)[:n], 0, err
@@ -506,7 +510,7 @@ func (p *pump) run() {
 // release returns the pump's buffer lease, if it holds one.
 func (p *pump) release() {
 	if p.buf != nil {
-		pumpBufPool.Put(p.buf)
+		pumpBufs.Put(p.s.clock, p.buf)
 		p.buf = nil
 	}
 }

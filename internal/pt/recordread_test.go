@@ -142,3 +142,35 @@ func TestRecordConnReadFullEvent(t *testing.T) {
 		}
 	}
 }
+
+// TestRecordConnReadResumesAfterTimeout: a read that times out halfway
+// through a record's body keeps the bytes it took, and the next read
+// carries on with the same record, as a netem conn's reads do, instead
+// of reading body bytes as the next header.
+func TestRecordConnReadResumesAfterTimeout(t *testing.T) {
+	clock := netem.NewClock()
+	defer clock.Shutdown()
+	cfg := pt.RecordConfig{Header: []byte{0x17, 0x03, 0x03}, MaxPadding: 16, Seed: 1}
+	out := &bufConn{}
+	w, _ := pt.NewRecordConn(out, cfg)
+	payload := bytes.Repeat([]byte{0xab}, 800)
+	if _, err := w.Write(payload); err != nil {
+		t.Fatal(err)
+	}
+	wire := out.buf.Bytes()
+	half := len(cfg.Header) + 4 + len(payload)/2 // the header and half the body
+
+	inner := pt.NewStream(clock, "test", "a", "b", 0)
+	rc := pt.NewCodecConn(inner, pt.NewRecordCodec(cfg))
+	inner.Deliver(wire[:half])
+	rc.SetReadTimeout(10 * time.Millisecond)
+	got := make([]byte, len(payload))
+	if n, err := rc.Read(got); n != 0 || err != netem.ErrTimeout {
+		t.Fatalf("a read halfway through the body = (%d, %v), want (0, %v)", n, err, netem.ErrTimeout)
+	}
+	inner.Deliver(wire[half:])
+	rc.SetReadTimeout(netem.NoTimeout)
+	if n, err := io.ReadFull(rc, got); n != len(payload) || err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("the read after the timeout = (%d, %v), same bytes %v; want the %d-byte record whole", n, err, bytes.Equal(got[:n], payload[:n]), len(payload))
+	}
+}

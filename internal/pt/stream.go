@@ -47,8 +47,8 @@ type Stream struct {
 	next  uint64
 	held  map[uint64][]byte
 	spare [][]byte
-	// unsent holds what was written and not yet taken, in pooled
-	// chunks that no write regrows.
+	// unsent holds what was written and not yet taken, in chunks leased
+	// from the world that no write regrows.
 	unsent netem.ByteQueue
 	// closed is the hard teardown (Close or Fail): reads drain what was
 	// delivered and then report io.EOF, writes fail.
@@ -64,7 +64,7 @@ type Stream struct {
 // taken.
 func NewStream(clock *netem.Clock, transport, local, remote string, outCap int) *Stream {
 	return &Stream{Inbox: netem.NewInbox(clock), local: Addr{transport, local}, remote: Addr{transport, remote},
-		outCap: outCap, writers: netem.NewCond(clock)}
+		outCap: outCap, writers: netem.NewCond(clock), unsent: netem.NewByteQueue(clock)}
 }
 
 // Write implements netem.Stream: bytes queue for the mechanism, and the

@@ -4,14 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"runtime"
-	"runtime/debug"
 	"testing"
 	"time"
 
 	"ptperf/internal/netem"
 	"ptperf/internal/pt"
-	"ptperf/internal/testkit"
 )
 
 // A Stream's read half is its netem.Inbox: the embedding must keep it a
@@ -341,25 +338,22 @@ func TestStreamKeepsItsArrays(t *testing.T) {
 // stream with meek's 256 KiB outCap and fails the stream once Write has
 // returned, with a full queue still to take. The bytes must arrive in
 // order, the last outCap of them taken after the Fail. The write half
-// queues in pooled chunks and nowhere else, and every lease is back
-// once drained: a second stream run the same way leases them all again
+// queues in chunks leased from its world and nowhere else, and every
+// lease is back once drained: a second stream, in a world after the
+// first closed as testbed.World.Close closes one, leases them all again
 // and allocates under 8 KiB, less than one lease, where a queue in an
 // array of the stream's own allocates at least one outCap.
 func TestStreamWriteNeverRegrows(t *testing.T) {
-	if testkit.Race {
-		t.Skip("sync.Pool drops puts at random under the race detector")
-	}
 	const total, outCap = 1 << 20, 256 << 10
-	// See TestAccessAllocationBudget for why the collector and the
-	// other Ps are off.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	up := bytes.Repeat([]byte("write-half/"), total/11+1)[:total]
 	got, buf := make([]byte, 0, total), make([]byte, 0, 4<<10)
 	afterFail := 0
 	run := func() {
 		clock := netem.NewClock()
-		defer clock.Shutdown()
+		defer func() {
+			clock.Shutdown()
+			clock.RetireBuffers()
+		}()
 		s := pt.NewStream(clock, "test", "a", "b", outCap)
 		clock.Go(func() {
 			if n, err := s.Write(up); n != total || err != nil {
@@ -382,7 +376,7 @@ func TestStreamWriteNeverRegrows(t *testing.T) {
 			t.Fatal("the stream held more than was written, or never failed")
 		}
 	}
-	run() // fills the pool
+	run() // fills the reservoir
 	grew := allocated(run)
 	t.Logf("allocated %d bytes queueing %d through a %d-byte window", grew, total, outCap)
 	if !bytes.Equal(got, up) {

@@ -1,6 +1,7 @@
 package simtest
 
 import (
+	"maps"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -142,6 +143,14 @@ func TestTeardownInvariants(t *testing.T) {
 	leaky.Closed.NodesOut = 1
 	if err := checkClosedWorldEmpty(&leaky); err == nil {
 		t.Error("closed-world-empty accepts a queue node not back on its list")
+	}
+	for _, class := range wholeLeaseClasses {
+		leaky = *o
+		leaky.Closed.LeasesOut = maps.Clone(o.Closed.LeasesOut)
+		leaky.Closed.LeasesOut[class] = 1
+		if err := checkClosedWorldEmpty(&leaky); err == nil {
+			t.Errorf("closed-world-empty accepts a %s buffer still leased", class)
+		}
 	}
 
 	// Fabricate a leak: the world grew by one goroutine more than the

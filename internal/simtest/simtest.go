@@ -246,13 +246,16 @@ type Outcome struct {
 	// Parked lists the goroutines Close found parked and on what; those
 	// spawned after FirstSample are what a leak report names. Closed is
 	// the same pair of counts once more, after Close, with the queue
-	// nodes the world's lists have not got back: the driver alone, no
-	// open conn and no node out (the closed-world-empty comparand).
+	// nodes the world's lists have not got back and the buffers of each
+	// class (netem.BufClass, by name) leased and not returned: the
+	// driver alone, no open conn, no node out and no lease of a class
+	// that comes back whole (the closed-world-empty comparand).
 	Parked []netem.Parked
 	Closed struct {
 		Registered int
 		OpenConns  int64
 		NodesOut   int
+		LeasesOut  map[string]int
 	}
 	// ClockErr records a virtual-clock monotonicity violation observed
 	// while measuring.
@@ -345,6 +348,10 @@ func Run(spec Spec) (*Outcome, error) {
 	out.Closed.Registered = clock.Registered()
 	out.Closed.OpenConns = w.Net.Acct().Snapshot().OpenConns()
 	out.Closed.NodesOut = w.Net.Acct().NodesOut()
+	out.Closed.LeasesOut = map[string]int{}
+	for _, b := range netem.BufClasses() {
+		out.Closed.LeasesOut[b.Name()] = b.Out(clock)
+	}
 	return out, nil
 }
 

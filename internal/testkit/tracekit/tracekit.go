@@ -144,8 +144,9 @@ func Stream(clock *netem.Clock, raw *netem.Conn, chunk int) *pt.Stream {
 	raw.SetReadSink(func(data []byte, base *[]byte, pool *sync.Pool, err error) {
 		if err != nil {
 			s.PeerFin(0)
-		} else if s.Deliver(data); base != nil && pool != nil {
-			pool.Put(base)
+		} else {
+			s.Deliver(data)
+			clock.Recycle(pool, base)
 		}
 	})
 	clock.Go(func() {

@@ -159,15 +159,15 @@ func (c *Cell) Decode(buf []byte) error {
 }
 
 // Wire-buffer accessors for the zero-copy cell path: hot loops operate
-// directly on pooled CellSize byte slices (cellBufPool) instead of
+// directly on leased CellSize byte slices (cellBufs) instead of
 // round-tripping through the Cell struct, so a relayed cell's payload
 // crosses a relay with exactly one in-copy and one out-copy (the pipe
 // boundary) and no intermediate allocation.
 
-// getCellBuf returns a pooled CellSize wire buffer and its backing
-// array for putCellBuf / ownership handoff.
-func getCellBuf() (buf []byte, base *[]byte) {
-	base = cellBufPool.Get().(*[]byte)
+// getCellBuf leases a CellSize wire buffer from clock's world, with its
+// backing array for its return (cellBufs.Put) or ownership handoff.
+func getCellBuf(clock *netem.Clock) (buf []byte, base *[]byte) {
+	base = cellBufs.Get(clock)
 	return (*base)[:CellSize], base
 }
 
@@ -183,7 +183,7 @@ func setWireHeader(buf []byte, id uint32, cmd Command) {
 // wirePayload returns the PayloadSize payload view of a wire cell.
 func wirePayload(buf []byte) []byte { return buf[headerSize:CellSize] }
 
-// A cellPump reads cells one at a time into one buffer (a cellBufPool
+// A cellPump reads cells one at a time into one buffer (a cellBufs
 // lease if base is set), one ReadFullEvent of the conn each; where that
 // would park it leaves next, its owner's continuation, bound once. The
 // client's PT first hop, every relay link and an EXTEND's CREATED keep one.
@@ -214,21 +214,22 @@ func (p *cellPump) read() (whole bool, err error) {
 	return false, err
 }
 
-// A cellOut is one cell on its way out whole: a cellBufPool lease, or a
-// view of a cell its writer keeps (nil base). A client's relay cell is
-// sealed for its hop once the send lock is held, so hop digest counters
-// see cells in wire order.
+// A cellOut is one cell on its way out whole: a cellBufs lease of
+// clock's world, or a view of a cell its writer keeps (nil base). A
+// client's relay cell is sealed for its hop once the send lock is held,
+// so hop digest counters see cells in wire order.
 type cellOut struct {
 	buf    []byte
 	base   *[]byte
+	clock  *netem.Clock
 	seal   *hopCrypto
 	locked bool
 }
 
-// lease encodes c into a fresh cellBufPool lease.
-func (o *cellOut) lease(c *Cell) {
-	buf, base := getCellBuf()
-	*o = cellOut{buf: c.Encode(buf[:0]), base: base}
+// lease encodes c into a fresh cellBufs lease of clock's world.
+func (o *cellOut) lease(clock *netem.Clock, c *Cell) {
+	buf, base := getCellBuf(clock)
+	*o = cellOut{buf: c.Encode(buf[:0]), base: base, clock: clock}
 }
 
 // sendEvent is the one lock → write → unlock step of a whole cell: it
@@ -252,7 +253,7 @@ func (o *cellOut) sendEvent(mu *netem.Mutex, w netem.EventWriter, fail func(erro
 		return nil, false
 	}
 	if o.base != nil {
-		putCellBuf(o.base)
+		cellBufs.Put(o.clock, o.base)
 	}
 	*o = cellOut{}
 	if err != nil && fail != nil {
@@ -279,7 +280,7 @@ var ErrRelayTooLong = errors.New("tor: relay data exceeds cell capacity")
 
 // marshalRelayInto builds the relay payload in p (a PayloadSize-byte
 // slice) with a zero tag and digest; the crypto layer's seal fills both.
-// p is zeroed first: it is typically a recycled pooled buffer carrying
+// p is zeroed first: it is typically a recycled leased buffer carrying
 // stale bytes, and the padding (which both digest computations cover)
 // must be deterministic.
 func marshalRelayInto(p []byte, rc *RelayCell) error {
@@ -318,17 +319,15 @@ func parseRelayView(p []byte) (RelayCell, bool) {
 
 // restage is the slow half of a cell sink, for a segment that is not
 // exactly one cell arriving on an empty stage: a partial or coalesced
-// frame. It appends data to *stage, releases data's lease, and hands
-// every whole cell now staged to cell. Like the sink itself, cell gets
-// the buffer together with its ownership: a staged cell is a view with
-// no lease (nil base and pool), which the callback may overwrite but
-// must copy to keep. The aligned case stays with the caller, a direct
+// frame. It appends data to *stage, returns data's lease to clock's
+// world, and hands every whole cell now staged to cell. Like the sink
+// itself, cell gets the buffer together with its ownership: a staged
+// cell is a view with no lease (nil base and pool), which the callback
+// may overwrite but must copy to keep. The aligned case stays with the caller, a direct
 // call that passes the segment's own lease on.
-func restage(stage *[]byte, data []byte, base *[]byte, pool *sync.Pool, cell func(buf []byte, base *[]byte, pool *sync.Pool)) {
+func restage(clock *netem.Clock, stage *[]byte, data []byte, base *[]byte, pool *sync.Pool, cell func(buf []byte, base *[]byte, pool *sync.Pool)) {
 	*stage = append(*stage, data...)
-	if base != nil && pool != nil {
-		pool.Put(base)
-	}
+	clock.Recycle(pool, base)
 	for len(*stage) >= CellSize {
 		buf := (*stage)[:CellSize]
 		*stage = (*stage)[CellSize:]

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"ptperf/internal/netem"
 	"ptperf/internal/sim"
 )
 
@@ -360,10 +361,11 @@ func TestRestageReassemblesCells(t *testing.T) {
 	for i := range wire {
 		wire[i] = byte(i / CellSize)
 	}
+	clock := netem.NewClock()
 	var stage, got []byte
 	for _, cut := range []int{1, CellSize - 1, 2*CellSize + 7, CellSize, CellSize - 7} {
-		_, lease := getCellBuf()
-		restage(&stage, wire[:cut], lease, &cellBufPool, func(buf []byte, base *[]byte, pool *sync.Pool) {
+		_, lease := getCellBuf(clock)
+		restage(clock, &stage, wire[:cut], lease, cellBufs.Token(), func(buf []byte, base *[]byte, pool *sync.Pool) {
 			if len(buf) != CellSize || base != nil || pool != nil {
 				t.Fatalf("staged cell: len %d, lease %v %v", len(buf), base, pool)
 			}
@@ -373,5 +375,8 @@ func TestRestageReassemblesCells(t *testing.T) {
 	}
 	if !bytes.Equal(got, []byte{0, 1, 2, 3, 4}) || stage != nil || len(wire) != 0 {
 		t.Fatalf("cells %v, %d bytes left staged, %d unsent", got, len(stage), len(wire))
+	}
+	if out := cellBufs.Out(clock); out != 0 {
+		t.Fatalf("%d cell leases restage took in are still out", out)
 	}
 }

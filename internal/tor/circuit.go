@@ -56,7 +56,7 @@ func newCircuit(client *Client, conn netem.Stream, path Path) *circuit {
 	return circ
 }
 
-// A relayOut is a relay cell on its way out: a cellBufPool lease
+// A relayOut is a relay cell on its way out: a cellBufs lease
 // carrying data bytes of its writer's, sealed for its hop once sendMu is
 // held. A dial keeps one for its EXTENDs and BEGIN, an asyncSend one for
 // its SENDME, and a Stream one for its writes and one for its END cell,
@@ -68,17 +68,18 @@ type relayOut struct {
 
 // pack is a relay cell's part before sendMu: rc goes into a cell lease.
 func (o *relayOut) pack(circ *circuit, h int, rc RelayCell) error {
-	buf, base := getCellBuf()
+	clock := circ.client.clock
+	buf, base := getCellBuf(clock)
 	if err := marshalRelayInto(wirePayload(buf), &rc); err != nil {
-		putCellBuf(base)
+		cellBufs.Put(clock, base)
 		return err
 	}
 	if circ.closed {
-		putCellBuf(base)
+		cellBufs.Put(clock, base)
 		return ErrCircuitClosed
 	}
 	setWireHeader(buf, circ.id, CmdRelay)
-	o.cellOut = cellOut{buf: buf, base: base, seal: circ.hops[h]}
+	o.cellOut = cellOut{buf: buf, base: base, clock: clock, seal: circ.hops[h]}
 	return nil
 }
 
@@ -129,7 +130,7 @@ func (circ *circuit) cellSink(data []byte, base *[]byte, pool *sync.Pool, err er
 		circ.clientCell(data, base, pool)
 		return
 	}
-	restage(&circ.rdStage, data, base, pool, circ.clientCell)
+	restage(circ.client.clock, &circ.rdStage, data, base, pool, circ.clientCell)
 }
 
 // clientCell handles one backward wire cell in place and then releases
@@ -149,9 +150,7 @@ func (circ *circuit) clientCell(buf []byte, base *[]byte, pool *sync.Pool) {
 	case CmdDestroy:
 		circ.close(ErrCircuitClosed)
 	}
-	if base != nil && pool != nil {
-		pool.Put(base)
-	}
+	circ.client.clock.Recycle(pool, base)
 }
 
 // peel finds the hop that recognizes the cell, nearest first. The

@@ -152,7 +152,7 @@ func (d *clientDial) run() bool {
 			// lossy first hops (a camoufler message drop, a dying
 			// snowflake proxy) can otherwise stall this read forever.
 			d.circ.conn.SetReadTimeout(c.cfg.BuildTimeout)
-			buf, base := getCellBuf()
+			buf, base := getCellBuf(c.clock)
 			d.rd, d.at = cellPump{r: d.circ.conn, cell: buf, base: base, next: d.again}, atCreated
 		case atCreated:
 			whole, err := d.rd.read()
@@ -169,7 +169,7 @@ func (d *clientDial) run() bool {
 				err = fmt.Errorf("tor: waiting for CREATED: %w", err)
 			}
 			d.grow(wirePayload(cell)[:HandshakeLen], err)
-			putCellBuf(d.rd.base)
+			cellBufs.Put(c.clock, d.rd.base)
 			d.rd = cellPump{}
 		case atExtend:
 			if d.next = d.circ.path.Middle; len(d.circ.hops) > 1 {
@@ -271,7 +271,7 @@ func (d *clientDial) hopDialed(conn netem.Stream, err error) {
 	d.hs = newHandshake(c.rng)
 	create := &Cell{CircID: d.circ.id, Cmd: CmdCreate}
 	copy(create.Payload[:], d.hs[:])
-	d.out.cellOut.lease(create)
+	d.out.cellOut.lease(d.c.clock, create)
 	d.at = atCreate
 }
 

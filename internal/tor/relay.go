@@ -129,6 +129,13 @@ func (r *Relay) Crash() bool {
 	return true
 }
 
+// DropQueues retires the relay's cell scheduler as a crash does: the
+// cells its circuit queues still hold are dropped and counted, and their
+// leases go back to the world. testbed.World.Close calls it once the
+// world has stopped, before it retires the world's buffer lists, so that
+// a relay's backlog is not lost to the worlds after it.
+func (r *Relay) DropQueues() { r.sched.stop() }
+
 // Crashed reports whether the relay is currently crashed.
 func (r *Relay) Crashed() bool { return r.crashed }
 
@@ -169,7 +176,7 @@ func (r *Relay) ServeConn(conn netem.Stream) {
 	// to a crashed incarnation.
 	fast, _ := conn.(*netem.Conn)
 	l := &link{relay: r, sched: r.sched, conn: conn, fast: fast, wmu: netem.NewMutex(r.clock), circs: make(map[uint32]*relayCirc)}
-	buf, base := getCellBuf()
+	buf, base := getCellBuf(r.clock)
 	l.rd = cellPump{r: l.conn, cell: buf, base: base, next: l.pump}
 	l.pump()
 }
@@ -277,7 +284,7 @@ const (
 // blocking scheduler ignored those write errors the same way).
 func (l *link) flushCell(s *cellScheduler, cell queuedCell) bool {
 	if l.fast != nil {
-		ok, _ := l.fast.TryWriteOwned(cell.buf, cell.base, &cellBufPool)
+		ok, _ := l.fast.TryWriteOwned(cell.buf, cell.base, cellBufs.Token())
 		return ok
 	}
 	if l.flusher == nil {
@@ -288,7 +295,7 @@ func (l *link) flushCell(s *cellScheduler, cell queuedCell) bool {
 		s.clock.ReadyEvent(f.next)
 	}
 	if !l.flusher.TrySend(cell) {
-		putCellBuf(cell.base)
+		cellBufs.Put(s.clock, cell.base)
 	}
 	return true
 }
@@ -313,7 +320,7 @@ func (f *flusher) run() {
 			if !done || !ok {
 				return
 			}
-			f.out = cellOut{buf: c.buf, base: c.base}
+			f.out = cellOut{buf: c.buf, base: c.base, clock: f.l.relay.clock}
 		}
 		if _, done := f.out.sendEvent(f.l.wmu, f.l.conn, nil, f.next); !done {
 			return
@@ -374,7 +381,7 @@ func (l *link) pump() {
 			}
 			l.at = reading
 			l.fail(l.circ.extended(l, whole))
-			putCellBuf(l.created.base)
+			cellBufs.Put(l.relay.clock, l.created.base)
 		case destroying:
 			if !l.circ.finishDestroy() {
 				return
@@ -397,7 +404,7 @@ func (l *link) pump() {
 			if l.flusher != nil {
 				l.flusher.Close()
 			}
-			putCellBuf(l.rd.base)
+			cellBufs.Put(l.relay.clock, l.rd.base)
 			l.at = ended
 		case ended:
 			return
@@ -491,7 +498,7 @@ func (l *link) handleCreate() {
 	// running). Refuse it with a DESTROY and leave the existing circuit
 	// untouched.
 	if l.circs[id] != nil {
-		l.out.lease(&Cell{CircID: id, Cmd: CmdDestroy})
+		l.out.lease(l.relay.clock, &Cell{CircID: id, Cmd: CmdDestroy})
 		l.write(l.wmu, l.conn)
 		return
 	}
@@ -515,7 +522,7 @@ func (l *link) handleCreate() {
 
 	reply := &Cell{CircID: id, Cmd: CmdCreated}
 	copy(reply.Payload[:], hs[:])
-	l.out.lease(reply)
+	l.out.lease(l.relay.clock, reply)
 	l.write(l.wmu, l.conn)
 }
 
@@ -618,7 +625,7 @@ func (c *relayCirc) extendDialed(l *link) error {
 	c.nextID = l.relay.randID(l)
 	create := &Cell{CircID: c.nextID, Cmd: CmdCreate}
 	copy(create.Payload[:], data[1+int(data[0]):][:HandshakeLen])
-	l.out.lease(create)
+	l.out.lease(l.relay.clock, create)
 	l.write(nil, l.dialed)
 	return nil
 }
@@ -630,7 +637,7 @@ func (c *relayCirc) createSent(l *link, err error) error {
 		l.dialed.Close()
 		return c.sendBackwardControl(RelayTruncated, nil)
 	}
-	buf, base := getCellBuf()
+	buf, base := getCellBuf(l.relay.clock)
 	l.created = cellPump{r: l.dialed, cell: buf, base: base, next: l.rd.next}
 	l.at = awaiting
 	return nil
@@ -668,40 +675,35 @@ func (c *relayCirc) backwardSink(data []byte, base *[]byte, pool *sync.Pool, err
 		c.backwardCell(data, base, pool)
 		return
 	}
-	restage(&c.bwdStage, data, base, pool, c.backwardCell)
+	restage(c.link.relay.clock, &c.bwdStage, data, base, pool, c.backwardCell)
 }
 
 // backwardCell processes one downstream wire cell, taking ownership of
 // its buffer.
 func (c *relayCirc) backwardCell(buf []byte, base *[]byte, pool *sync.Pool) {
+	clock := c.link.relay.clock
 	switch Command(buf[4]) {
 	case CmdRelay:
 		setWireHeader(buf, c.id, CmdRelay)
 		var err error
-		if pool == &cellBufPool {
-			// The buffer came out of the cell pool (a scheduler flush
-			// upstream): hand it to our queue as-is.
+		if pool == cellBufs.Token() {
+			// The buffer is a cell lease (a scheduler flush upstream):
+			// hand it to our queue as-is.
 			err = c.link.sched.enqueueWire(c.q, buf, base)
 		} else {
-			nb, nbase := getCellBuf()
+			nb, nbase := getCellBuf(clock)
 			copy(nb, buf)
-			if base != nil && pool != nil {
-				pool.Put(base)
-			}
+			clock.Recycle(pool, base)
 			err = c.link.sched.enqueueWire(c.q, nb, nbase)
 		}
 		if err != nil {
 			c.destroyLater(false, true)
 		}
 	case CmdDestroy:
-		if base != nil && pool != nil {
-			pool.Put(base)
-		}
+		clock.Recycle(pool, base)
 		c.destroyLater(true, false)
 	default:
-		if base != nil && pool != nil {
-			pool.Put(base)
-		}
+		clock.Recycle(pool, base)
 	}
 }
 
@@ -711,10 +713,10 @@ func (c *relayCirc) sendBackwardControl(cmd RelayCommand, data []byte) error {
 }
 
 func (c *relayCirc) sendBackward(rc RelayCell) error {
-	buf, base := getCellBuf()
+	buf, base := getCellBuf(c.link.relay.clock)
 	p := wirePayload(buf)
 	if err := marshalRelayInto(p, &rc); err != nil {
-		putCellBuf(base)
+		cellBufs.Put(c.link.relay.clock, base)
 		return err
 	}
 	// Seal and enqueue without a park in between, so digest counters
@@ -851,7 +853,7 @@ func (c *relayCirc) destroy(notifyUp, notifyDown bool, again func()) (done bool)
 	if c.next != nil {
 		if notifyDown {
 			c.destroyDown = true
-			c.out.lease(&Cell{CircID: c.nextID, Cmd: CmdDestroy})
+			c.out.lease(c.link.relay.clock, &Cell{CircID: c.nextID, Cmd: CmdDestroy})
 		} else {
 			c.next.Close()
 		}
@@ -872,7 +874,7 @@ func (c *relayCirc) finishDestroy() bool {
 	}
 	if c.destroyUp {
 		if c.out.base == nil {
-			c.out.lease(&Cell{CircID: c.id, Cmd: CmdDestroy})
+			c.out.lease(c.link.relay.clock, &Cell{CircID: c.id, Cmd: CmdDestroy})
 		}
 		if _, done := c.out.sendEvent(c.link.wmu, c.link.conn, nil, c.again); !done {
 			return false

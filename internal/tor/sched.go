@@ -3,7 +3,6 @@ package tor
 import (
 	"math"
 	"math/bits"
-	"sync"
 	"time"
 
 	"ptperf/internal/netem"
@@ -78,20 +77,17 @@ const (
 	minCellsPerPass = 4
 )
 
-// cellBufPool recycles wire buffers: backward cells are the
+// cellBufs are the wire cell arrays: backward cells are the
 // simulation's hottest relay path, and a fresh 512-byte allocation per
-// cell would churn the heap (same remedy as netem's segBufPool).
-var cellBufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, CellSize)
-		return &b
-	},
-}
-
-func putCellBuf(base *[]byte) { cellBufPool.Put(base) }
+// cell would churn the heap, so each world recycles its own (the
+// netem.BufClass remedy of netem's segment arrays).
+var cellBufs = netem.NewBufClass("cell", func() *[]byte {
+	b := make([]byte, CellSize)
+	return &b
+})
 
 // queuedCell is one wire-ready cell awaiting flush. base retains the
-// pooled backing array; buf is its encoded view.
+// leased backing array; buf is its encoded view.
 type queuedCell struct {
 	buf  []byte
 	base *[]byte
@@ -205,12 +201,12 @@ func (s *cellScheduler) newQueue(l *link, id uint32) *circQueue {
 }
 
 // enqueueWire accepts one wire-ready cell into q, taking ownership of
-// its pooled buffer (recycled on error). It never parks — relay
+// its leased buffer (recycled on error). It never parks — relay
 // backpressure is the flow-control windows' job — and fails only once
 // the circuit (or the relay) has been torn down.
 func (s *cellScheduler) enqueueWire(q *circQueue, buf []byte, base *[]byte) error {
 	if s.closed || q.closed {
-		putCellBuf(base)
+		cellBufs.Put(s.clock, base)
 		return ErrCircuitClosed
 	}
 	s.enqSeq++
@@ -264,7 +260,7 @@ func (s *cellScheduler) retireQueue(q *circQueue) {
 	q.closed = true
 	n := q.cells.Len()
 	for q.cells.Len() > 0 {
-		putCellBuf(q.cells.Pop().base)
+		cellBufs.Put(s.clock, q.cells.Pop().base)
 	}
 	q.dropped += int64(n)
 	s.pending -= n

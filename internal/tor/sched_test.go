@@ -391,9 +391,9 @@ func TestCircQueueKeepsItsArray(t *testing.T) {
 	s := newCellScheduler(clock, new(netem.Acct), SchedEWMA, 1<<20)
 	s.perPass = 1
 	defer s.stop()
-	q := s.newQueue(&link{conn: discardConn{}, wmu: netem.NewMutex(clock)}, 1)
+	q := s.newQueue(&link{relay: &Relay{clock: clock}, conn: discardConn{}, wmu: netem.NewMutex(clock)}, 1)
 	enqueue := func() {
-		buf, base := getCellBuf()
+		buf, base := getCellBuf(clock)
 		if err := s.enqueueWire(q, buf, base); err != nil {
 			t.Fatal(err)
 		}
@@ -413,7 +413,7 @@ func TestCircQueueKeepsItsArray(t *testing.T) {
 
 // TestCircQueueCycleAllocationFree: once warm, cells enqueued on a
 // circuit and flushed by a pass allocate nothing: the nodes come from
-// the scheduler's list and the buffers from their pool. A cycle queues
+// the scheduler's list and the buffers from the world's. A cycle queues
 // two slabs' worth, so a node that never came back shows as
 // allocations.
 func TestCircQueueCycleAllocationFree(t *testing.T) {
@@ -424,10 +424,10 @@ func TestCircQueueCycleAllocationFree(t *testing.T) {
 	t.Cleanup(clock.Shutdown)
 	s := newCellScheduler(clock, new(netem.Acct), SchedEWMA, 16<<20) // 328 cells a pass
 	defer s.stop()
-	q := s.newQueue(&link{conn: discardConn{}, wmu: netem.NewMutex(clock)}, 1)
+	q := s.newQueue(&link{relay: &Relay{clock: clock}, conn: discardConn{}, wmu: netem.NewMutex(clock)}, 1)
 	cycle := func() {
 		for i := 0; i < 64; i++ {
-			buf, base := getCellBuf()
+			buf, base := getCellBuf(clock)
 			if err := s.enqueueWire(q, buf, base); err != nil {
 				t.Fatal(err)
 			}
@@ -475,7 +475,7 @@ func TestRefusedLinkSkippedForRestOfPass(t *testing.T) {
 	defer s.stop()
 	fast := conn.(*netem.Conn)
 	refusing := &link{conn: fast, fast: fast, wmu: netem.NewMutex(clock)}
-	other := &link{conn: discardConn{}, wmu: netem.NewMutex(clock)}
+	other := &link{relay: &Relay{clock: clock}, conn: discardConn{}, wmu: netem.NewMutex(clock)}
 	qr, qo := s.newQueue(refusing, 1), s.newQueue(other, 3)
 	oversize := make([]byte, 32<<10)
 	// Enqueued first, so both policies pick it first.
@@ -483,7 +483,7 @@ func TestRefusedLinkSkippedForRestOfPass(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 6; i++ {
-		buf, base := getCellBuf()
+		buf, base := getCellBuf(clock)
 		if err := s.enqueueWire(qo, buf, base); err != nil {
 			t.Fatal(err)
 		}
@@ -498,7 +498,7 @@ func TestRefusedLinkSkippedForRestOfPass(t *testing.T) {
 	}
 
 	// Make the head cell writable: the next pass must try the link again.
-	buf, base := getCellBuf()
+	buf, base := getCellBuf(clock)
 	qr.cells.Front().buf, qr.cells.Front().base = buf, base
 	clock.Sleep(schedInterval)
 	if s.passes != 2 || qr.flushed != 1 || qo.flushed != 6 {

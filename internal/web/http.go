@@ -45,8 +45,9 @@ var errMalformed = errors.New("web: malformed HTTP message")
 
 // isPath reports whether b is a path the simulator writes: one or more
 // bytes of visible ASCII.
-func isPath(b []byte) bool {
-	for _, c := range b {
+func isPath[B []byte | string](b B) bool {
+	for i := 0; i < len(b); i++ {
+		c := b[i]
 		if c <= ' ' || c > '~' {
 			return false
 		}

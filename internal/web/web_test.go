@@ -108,6 +108,20 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestParseManifestAllocatesTwice: a page's manifest costs one string
+// for its resource lines, which every Path slices, and the resource
+// list, however many resources it names.
+func TestParseManifestAllocatesTwice(t *testing.T) {
+	site := GenerateCatalog(Tranco, 1, 1, 1).Sites[0]
+	body := append(BuildManifest(&site), bodyPattern[:50]...)
+	if len(site.Resources) < 2 {
+		t.Fatalf("the site names %d resources, want several", len(site.Resources))
+	}
+	if a := testing.AllocsPerRun(100, func() { ParseManifest(body) }); a != 2 {
+		t.Fatalf("parsing a manifest of %d resources allocated %v times, want 2", len(site.Resources), a)
+	}
+}
+
 // randomPath draws a path of n visible ASCII bytes.
 func randomPath(rng *rand.Rand, n int) string {
 	b := make([]byte, n)

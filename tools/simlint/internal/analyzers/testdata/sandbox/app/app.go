@@ -138,6 +138,14 @@ func badFrameHandler(p *proc) {
 	}, p.onStop)
 }
 
+// badFrameStop hands pt's frame endpoint a stop handler that parks: the
+// endpoint calls it when an awaited frame cannot come.
+func badFrameStop(p *proc) {
+	pt.NewFrameConn(cutAll, func([]byte) {}, func() {
+		p.clock.Sleep(1) // want `\(netem\.Clock\)\.Sleep parks until a virtual instant.*pt\.NewFrameConn handler`
+	})
+}
+
 // splicer is a splice pump: each event form it calls takes its
 // continuation, which runs where a parked goroutine would have resumed.
 type splicer struct {
