@@ -27,9 +27,12 @@ type Acct struct {
 
 	pipes []*pipe
 	conns []*Conn
-	// lists are the world's queue node lists, one per element type
-	// (NodesFor).
-	lists []interface{ Out() int }
+	// lists are the world's queue node lists (NodeClass.For).
+	lists []interface {
+		Out() int
+		Slabs() int
+		retire()
+	}
 }
 
 // AcctSnapshot is a point-in-time copy of a network's accounting.
@@ -223,6 +226,15 @@ func (a *Acct) NodesOut() int {
 	n := 0
 	for _, l := range a.lists {
 		n += l.Out()
+	}
+	return n
+}
+
+// NodeSlabs reports how many slabs of nodes the world's lists allocated.
+func (a *Acct) NodeSlabs() int {
+	n := 0
+	for _, l := range a.lists {
+		n += l.Slabs()
 	}
 	return n
 }

@@ -13,7 +13,7 @@ import (
 // Clock, touched only under the world's run token, so a lease is one pop
 // and a return one push. A closing world hands its lists whole, arrays
 // and slice, to the class's process-wide reservoir
-// (Clock.RetireBuffers); a world whose list runs dry takes one of them
+// (Network.Retire); a world whose list runs dry takes one of them
 // as its own, and finds a fresh buffer in the class's token pool only
 // when the reservoir is empty too.
 //
@@ -110,10 +110,22 @@ func (c *Clock) Recycle(pool *sync.Pool, base *[]byte) {
 	pool.Put(base)
 }
 
-// RetireBuffers hands the world's free lists to their classes'
-// reservoirs, for the worlds after it; a closing world calls it last
-// (testbed.World.Close), once its teardown has returned what it will.
-// The lease counts stay for the census.
+// Retire hands a stopped world's free buffers and queue nodes, and the
+// segments its writers held for the window, to their classes' reservoirs.
+func (n *Network) Retire() {
+	for _, c := range n.acct.conns {
+		if c.holding {
+			n.clock.Recycle(c.held.pool, c.held.base)
+			c.held, c.holding = seg{}, false
+		}
+	}
+	n.clock.RetireBuffers()
+	for _, l := range n.acct.lists {
+		l.retire()
+	}
+}
+
+// RetireBuffers hands the world's buffer lists on (Network.Retire).
 func (c *Clock) RetireBuffers() {
 	for _, b := range bufClasses {
 		l := &c.bufs[b.id]

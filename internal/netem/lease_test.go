@@ -150,3 +150,33 @@ func BenchmarkLease(b *testing.B) {
 		}
 	})
 }
+
+// TestRetireReturnsHeldSegment: a segment a writer shaped and holds for
+// a full window goes back to its class when its stopped world retires,
+// since no writer runs again to land it.
+func TestRetireReturnsHeldSegment(t *testing.T) {
+	n, a, b := testNetwork(t)
+	l, err := b.Listen(80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Go(func() { l.Accept() }) // accepted, never read
+	c, err := a.Dial("b:80")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Go(func() { c.Write(make([]byte, 2*pipeWindow)) })
+	n.clock.Sleep(time.Second)
+	if !c.(*Conn).holding {
+		t.Fatal("the writer holds no segment for the full window")
+	}
+	n.clock.Shutdown()
+	n.Acct().AbortOpenConns()
+	if out := segBufs.Out(n.clock); out != 1 {
+		t.Fatalf("%d segments out in the stopped world, want the held one", out)
+	}
+	n.Retire()
+	if out := segBufs.Out(n.clock); out != 0 || c.(*Conn).holding {
+		t.Fatalf("%d segments out after Retire, want 0", out)
+	}
+}

@@ -107,7 +107,7 @@ type pipe struct {
 
 	cond Cond
 	// segs queues the segments in flight, in write order, on nodes
-	// from the network's list (NodesFor[seg]): a closed pipe leaves no
+	// from the network's list of segNodes: a closed pipe leaves no
 	// array behind.
 	segs     Queue[seg]
 	buffered int // bytes queued and not yet read
@@ -130,6 +130,9 @@ type pipe struct {
 	rclosed   bool // reader has closed; writes fail
 }
 
+// segNodes is the class of the nodes pipes queue segments on.
+var segNodes NodeClass[seg]
+
 // pipeWindow is a pipe's receive window, the bound on its buffered
 // bytes that a writer waits on.
 const pipeWindow = 256 << 10
@@ -137,7 +140,7 @@ const pipeWindow = 256 << 10
 // init readies a pipe in place.
 func (p *pipe) init(clock *Clock, acct *Acct) {
 	*p = pipe{clock: clock, acct: acct, cond: Cond{clock: clock}}
-	p.segs.Init(NodesFor[seg](acct))
+	p.segs.Init(segNodes.For(acct))
 	acct.registerPipe(p)
 }
 

@@ -433,7 +433,7 @@ func TestPipeKeepsItsArray(t *testing.T) {
 	if got := p.segs.Len(); got != 1 {
 		t.Fatalf("%d segments queued, want 1", got)
 	}
-	if c := NodesFor[seg](acct).Cap(); c > nodeSlab {
-		t.Fatalf("segment list grew to %d nodes while the queue held at most 2", c)
+	if c := segNodes.For(acct).Slabs(); c > 1 {
+		t.Fatalf("segment list made %d slabs while the queue held at most 2", c)
 	}
 }

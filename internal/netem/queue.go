@@ -1,5 +1,7 @@
 package netem
 
+import "ptperf/internal/sim"
+
 // nodeSlab is how many nodes a Nodes list allocates at once.
 const nodeSlab = 32
 
@@ -8,38 +10,50 @@ type node[T any] struct {
 	next *node[T]
 }
 
-// Nodes is the free list a world's queues of one element type draw
-// their nodes from, a slab at a time, and give them back to on Pop. It
-// is used only under its world's run token.
-type Nodes[T any] struct {
-	free *node[T]
-	made int // nodes allocated, a whole number of slabs
+// A NodeClass is the queue nodes of one element type, a package-level
+// variable as each BufClass is. A world's list of it (For) that runs dry
+// takes a closed world's free chain (Network.Retire) before a slab.
+type NodeClass[T any] struct {
+	spare sim.Reservoir[Nodes[T]] // closed worlds' free chains
 }
 
-// NodesFor returns the network's list for elements of type T, made on
-// first use, which a's NodesOut counts.
-func NodesFor[T any](a *Acct) *Nodes[T] {
+// For returns the network's list of the class, made on first use, which
+// a's NodesOut counts.
+func (c *NodeClass[T]) For(a *Acct) *Nodes[T] {
 	for _, l := range a.lists {
-		if ns, ok := l.(*Nodes[T]); ok {
+		if ns, ok := l.(*Nodes[T]); ok && ns.class == c {
 			return ns
 		}
 	}
-	ns := new(Nodes[T])
+	ns := &Nodes[T]{class: c}
 	a.lists = append(a.lists, ns)
 	return ns
 }
 
-// Cap reports how many nodes the list owns, handed out or free.
-func (ns *Nodes[T]) Cap() int { return ns.made }
+// Nodes is the free list a world's queues of one element type draw
+// their nodes from and give them back to on Pop, only under its world's
+// run token. A zero Nodes is of no class: it takes and retires none.
+type Nodes[T any] struct {
+	class *NodeClass[T]
+	free  *node[T]
+	nfree int // nodes on free
+	made  int // nodes owned: slabs made and chains taken, less those retired
+	slabs int // slabs made
+}
 
-// Out reports how many of the list's nodes are not on it, counted by
-// walking it: 0 once every queue drawing from it is empty.
-func (ns *Nodes[T]) Out() int {
-	n := ns.made
-	for f := ns.free; f != nil; f = f.next {
-		n--
+// Slabs reports how many slabs the list has allocated.
+func (ns *Nodes[T]) Slabs() int { return ns.slabs }
+
+// Out reports how many of the list's nodes are not on it: 0 once every
+// queue drawing from it is empty.
+func (ns *Nodes[T]) Out() int { return ns.made - ns.nfree }
+
+// retire hands the free chain to the class's reservoir.
+func (ns *Nodes[T]) retire() {
+	if ns.class != nil && ns.free != nil {
+		ns.class.spare.Give(Nodes[T]{free: ns.free, nfree: ns.nfree})
+		ns.free, ns.made, ns.nfree = nil, ns.made-ns.nfree, 0
 	}
-	return n
 }
 
 // Queue is a FIFO on nodes from one Nodes list, bound by Init.
@@ -58,15 +72,19 @@ func (q *Queue[T]) Len() int { return q.n }
 // Push appends v.
 func (q *Queue[T]) Push(v T) {
 	ns := q.nodes
+	if ns.free == nil && ns.class != nil {
+		ch, _ := ns.class.spare.Take() // an empty chain when none is spare
+		ns.free, ns.nfree, ns.made = ch.free, ch.nfree, ns.made+ch.nfree
+	}
 	if ns.free == nil {
 		slab := make([]node[T], nodeSlab)
 		for i := range slab[:nodeSlab-1] {
 			slab[i].next = &slab[i+1]
 		}
-		ns.free, ns.made = &slab[0], ns.made+nodeSlab
+		ns.free, ns.nfree, ns.made, ns.slabs = &slab[0], nodeSlab, ns.made+nodeSlab, ns.slabs+1
 	}
 	n := ns.free
-	ns.free, n.v, n.next = n.next, v, nil
+	ns.free, ns.nfree, n.v, n.next = n.next, ns.nfree-1, v, nil
 	if q.tail == nil {
 		q.head = n
 	} else {
@@ -93,6 +111,6 @@ func (q *Queue[T]) Pop() T {
 		q.tail = nil
 	}
 	*n = node[T]{next: q.nodes.free}
-	q.nodes.free = n
+	q.nodes.free, q.nodes.nfree = n, q.nodes.nfree+1
 	return v
 }

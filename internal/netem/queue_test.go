@@ -10,7 +10,8 @@ import (
 
 // TestQueueFIFOOnSharedNodes: two queues drawing from one list each
 // give back what was pushed into them, in order, across several slabs,
-// and every node is back on the list once both are empty.
+// and every node is back on the list once both are empty; the list, a
+// zero Nodes of no class, keeps them when retired.
 func TestQueueFIFOOnSharedNodes(t *testing.T) {
 	var ns Nodes[int]
 	var a, b Queue[int]
@@ -54,8 +55,69 @@ func TestQueueFIFOOnSharedNodes(t *testing.T) {
 	if out := ns.Out(); out != 0 {
 		t.Fatalf("%d nodes not back on the list", out)
 	}
-	if c := ns.Cap(); c%nodeSlab != 0 || c > 2*n {
+	if c := ns.made; c%nodeSlab != 0 || c > 2*n {
 		t.Fatalf("the list owns %d nodes for at most %d queued", c, 2*n)
+	}
+	if ns.retire(); ns.nfree != ns.made || ns.Out() != 0 {
+		t.Fatalf("a list of no class retired its nodes: %d free of %d", ns.nfree, ns.made)
+	}
+}
+
+// TestRetiredNodesLeaseAgain: the free chain a closed world's list
+// retires is what the next list of its class takes, whole, before it
+// makes a slab; nodes out stay counted exactly across the hand-over, and
+// a list of another class does not take the chain.
+func TestRetiredNodesLeaseAgain(t *testing.T) {
+	var ints NodeClass[int]
+	var strs NodeClass[string]
+	old := New()
+	var q Queue[int]
+	q.Init(ints.For(old.Acct()))
+	for i := range 2*nodeSlab + 5 {
+		q.Push(i)
+	}
+	for q.Len() > 0 {
+		q.Pop()
+	}
+	retired := map[*node[int]]bool{}
+	for f := q.nodes.free; f != nil; f = f.next {
+		retired[f] = true
+	}
+	made := q.nodes.made
+	if made != 3*nodeSlab || len(retired) != made {
+		t.Fatalf("the list owns %d nodes, %d free, want %d and all", made, len(retired), 3*nodeSlab)
+	}
+	old.Clock().Shutdown()
+	old.Retire()
+	if out := old.Acct().NodesOut(); out != 0 || q.nodes.made != 0 || q.nodes.free != nil {
+		t.Fatalf("a retired list owns %d nodes, %d out", q.nodes.made, out)
+	}
+
+	fresh := New()
+	t.Cleanup(fresh.Clock().Shutdown)
+	var s Queue[string]
+	s.Init(strs.For(fresh.Acct()))
+	s.Push("other")
+	if s.nodes.made != nodeSlab {
+		t.Fatalf("a list of another class owns %d nodes, want one slab", s.nodes.made)
+	}
+	var p Queue[int]
+	p.Init(ints.For(fresh.Acct()))
+	for i := range made {
+		p.Push(i)
+		if !retired[p.tail] {
+			t.Fatalf("push %d took a node the closed world did not retire", i)
+		}
+		if out := p.nodes.Out(); out != i+1 || p.nodes.made != made {
+			t.Fatalf("after push %d the list owns %d nodes, %d out, want %d and %d", i, p.nodes.made, out, made, i+1)
+		}
+	}
+	if p.nodes.Slabs() != 0 {
+		t.Fatalf("a list that took a retired chain made %d slabs", p.nodes.Slabs())
+	}
+	p.Push(made)
+	if p.nodes.made != made+nodeSlab || p.nodes.Slabs() != 1 || fresh.Acct().NodesOut() != made+2 {
+		t.Fatalf("past the taken chain the list owns %d nodes in %d slabs, want %d: one chain, then a slab", p.nodes.made, p.nodes.Slabs(), made+nodeSlab)
 	}
 }
 
@@ -81,8 +143,8 @@ func TestPoppedNodeHoldsNoLease(t *testing.T) {
 		}
 		free++
 	}
-	if free != ns.Cap() || ns.Out() != 0 {
-		t.Fatalf("%d of %d nodes free, %d out", free, ns.Cap(), ns.Out())
+	if free != ns.made || ns.Out() != 0 {
+		t.Fatalf("%d of %d nodes free, %d out", free, ns.made, ns.Out())
 	}
 }
 

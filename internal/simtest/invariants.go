@@ -319,10 +319,10 @@ func checkClosedWorldEmpty(o *Outcome) error {
 
 // wholeLeaseClasses are the buffer classes whose every lease is back
 // once a world has closed. The others keep a residue that Close cannot
-// reach: a live relay link's cell lease, the chunks of a pt.Stream's
-// unsent bytes that nothing takes, a FrameConn's array while a frame is
-// partly in, and a segment held by a writer that waits for the window.
-var wholeLeaseClasses = []string{"small", "pump"}
+// reach: the cells of a PT link's flusher and of an EXTEND's CREATED
+// read, the chunks of a pt.Stream's unsent bytes that nothing takes, and
+// a FrameConn's array while a frame is partly in.
+var wholeLeaseClasses = []string{"small", "pump", "segment"}
 
 // Check is the fuzzer's per-world verdict: build and run the world,
 // apply every invariant, and — only if those pass — run the world a

@@ -267,19 +267,18 @@ func New(opts Options) (_ *World, err error) {
 // where it is parked (netem.Clock.Shutdown; each unwinds through its
 // deferred calls, closing what it owns), then the conns nothing owned
 // are aborted and the relays' queued cells dropped (tor.Relay.DropQueues),
-// and last the world's free buffers go to the worlds after it
-// (netem.Clock.RetireBuffers). Afterwards the world's measurements and
+// and last the world's free buffers and queue nodes go to the worlds
+// after it (netem.Network.Retire). Afterwards the world's measurements and
 // counters can still be read, but nothing in it can run again. Only the
 // goroutine that drives the world may call it; a second call does
 // nothing.
 func (w *World) Close() {
-	clock := w.Net.Clock()
-	clock.Shutdown()
+	w.Net.Clock().Shutdown()
 	w.Net.Acct().AbortOpenConns()
 	for _, r := range w.relays {
 		r.DropQueues()
 	}
-	clock.RetireBuffers()
+	w.Net.Retire()
 }
 
 // startRelay is the one place a relay is started: it gives the relay

@@ -3,6 +3,7 @@ package tor
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 
@@ -51,6 +52,7 @@ type Relay struct {
 	sched   *cellScheduler
 	retired []*cellScheduler // schedulers of crashed incarnations (stats survive restarts)
 	crashed bool
+	links   []*link // those served, for DropQueues; the ended pruned every 64
 }
 
 // StartRelay launches a relay and publishes its descriptor.
@@ -129,12 +131,18 @@ func (r *Relay) Crash() bool {
 	return true
 }
 
-// DropQueues retires the relay's cell scheduler as a crash does: the
-// cells its circuit queues still hold are dropped and counted, and their
-// leases go back to the world. testbed.World.Close calls it once the
-// world has stopped, before it retires the world's buffer lists, so that
-// a relay's backlog is not lost to the worlds after it.
-func (r *Relay) DropQueues() { r.sched.stop() }
+// DropQueues retires the relay's scheduler as a crash does, dropping and
+// counting its queued cells, and returns their leases and every live
+// link's pump cell to the world: testbed.World.Close calls it last but one.
+func (r *Relay) DropQueues() {
+	r.sched.stop()
+	for _, l := range r.links {
+		if l.at != ended {
+			cellBufs.Put(r.clock, l.rd.base)
+			l.at = ended
+		}
+	}
+}
 
 // Crashed reports whether the relay is currently crashed.
 func (r *Relay) Crashed() bool { return r.crashed }
@@ -178,6 +186,10 @@ func (r *Relay) ServeConn(conn netem.Stream) {
 	l := &link{relay: r, sched: r.sched, conn: conn, fast: fast, wmu: netem.NewMutex(r.clock), circs: make(map[uint32]*relayCirc)}
 	buf, base := getCellBuf(r.clock)
 	l.rd = cellPump{r: l.conn, cell: buf, base: base, next: l.pump}
+	if n := len(r.links); n >= 64 && n%64 == 0 {
+		r.links = slices.DeleteFunc(r.links, func(o *link) bool { return o.at == ended })
+	}
+	r.links = append(r.links, l)
 	l.pump()
 }
 

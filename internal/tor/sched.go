@@ -98,6 +98,9 @@ type queuedCell struct {
 	seq uint64
 }
 
+// cellNodes is the class of the nodes circuit queues hold cells on.
+var cellNodes netem.NodeClass[queuedCell]
+
 // circQueue is one circuit's output queue plus its scheduling state.
 type circQueue struct {
 	link *link
@@ -183,7 +186,7 @@ type cellScheduler struct {
 
 func newCellScheduler(clock *netem.Clock, acct *netem.Acct, policy SchedPolicy, bandwidth float64) *cellScheduler {
 	perPass := max(int(math.Ceil(bandwidth*schedInterval.Seconds()/CellSize)), minCellsPerPass)
-	s := &cellScheduler{clock: clock, acct: acct, policy: policy, perPass: perPass, nodes: netem.NodesFor[queuedCell](acct)}
+	s := &cellScheduler{clock: clock, acct: acct, policy: policy, perPass: perPass, nodes: cellNodes.For(acct)}
 	s.flushFn = s.flushEvent // one closure, not one per arm
 	return s
 }

@@ -201,3 +201,28 @@ func TestWindowsNeverGoNegativeUnderLoad(t *testing.T) {
 		}
 	}
 }
+
+// TestDropQueuesReturnsLinkCells: a stopped world's relays keep a cell
+// in the pump of every live link, which nothing runs again to return;
+// DropQueues hands each back to the world's list, once.
+func TestDropQueuesReturnsLinkCells(t *testing.T) {
+	w := buildWorld(t, 1, 1, 1)
+	c := newTestClient(t, w, nil)
+	if err := c.Preheat(); err != nil {
+		t.Fatal(err)
+	}
+	clock := w.net.Clock()
+	clock.Shutdown()
+	w.net.Acct().AbortOpenConns()
+	if out := cellBufs.Out(clock); out != 3 {
+		t.Fatalf("%d cells out in a stopped world of three live links, want 3", out)
+	}
+	for range 2 { // a second drop returns nothing twice
+		for _, r := range w.relays {
+			r.DropQueues()
+		}
+		if out := cellBufs.Out(clock); out != 0 {
+			t.Fatalf("%d cells out after DropQueues, want 0", out)
+		}
+	}
+}
