@@ -1,15 +1,14 @@
 package fetch
 
 import (
-	"io"
 	"net"
-	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"ptperf/internal/geo"
 	"ptperf/internal/netem"
+	"ptperf/internal/testkit/streamtest"
 	"ptperf/internal/web"
 )
 
@@ -109,48 +108,6 @@ func TestTimeoutYieldsPartial(t *testing.T) {
 	}
 }
 
-// cutConn fails reads after a byte budget — a stand-in for a circuit
-// dying mid-transfer. Its reads in every form are cut, as the embedded
-// conn's would otherwise be promoted past the budget.
-type cutConn struct {
-	netem.Stream
-	remaining int
-}
-
-func (c *cutConn) Read(p []byte) (int, error) {
-	n, err, _ := c.ReadEvent(p, nil)
-	return n, err
-}
-
-func (c *cutConn) ReadEvent(p []byte, again func()) (int, error, bool) {
-	return c.cut(c.Stream.ReadEvent, p, again)
-}
-
-// ReadFullEvent fails a request the budget cuts short once the budget's
-// bytes are in, as a threshold read ends short only with an error.
-func (c *cutConn) ReadFullEvent(p []byte, again func()) (int, error, bool) {
-	n, err, done := c.cut(c.Stream.ReadFullEvent, p, again)
-	if done && err == nil && n < len(p) {
-		c.Stream.Close()
-		err = io.ErrUnexpectedEOF
-	}
-	return n, err, done
-}
-
-// cut reads with read into at most the budget left of p.
-func (c *cutConn) cut(read func([]byte, func()) (int, error, bool), p []byte, again func()) (int, error, bool) {
-	if c.remaining <= 0 {
-		c.Stream.Close()
-		return 0, io.ErrUnexpectedEOF, true
-	}
-	if len(p) > c.remaining {
-		p = p[:c.remaining]
-	}
-	n, err, done := read(p, again)
-	c.remaining -= n
-	return n, err, done
-}
-
 // TestDownloadFileResumed kills the first leg partway and checks the
 // client finishes the file via ?from= legs: full byte count, one resume
 // counted, first-leg TTFB preserved.
@@ -172,8 +129,9 @@ func TestDownloadFileResumed(t *testing.T) {
 		}
 		legs++
 		if legs == 1 {
-			// First leg dies after ~20 KB (headers included).
-			return &cutConn{Stream: conn, remaining: 20_000}, nil
+			// First leg dies after ~20 KB (headers included), as a
+			// circuit dies mid-transfer.
+			return streamtest.Alter(conn, func(got, want int) int { return min(want, 20_000-got) }), nil
 		}
 		return conn, nil
 	}}
@@ -207,7 +165,7 @@ func TestDownloadFileResumedGivesUp(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		return &cutConn{Stream: conn, remaining: 5_000}, nil
+		return streamtest.Alter(conn, func(got, want int) int { return min(want, 5_000-got) }), nil
 	}}
 	res := c.DownloadFileResumed(o.Addr(), 1_000_000, 3)
 	if res.Complete() {
@@ -353,31 +311,6 @@ func TestFractionOfCompleteIsOne(t *testing.T) {
 	}
 }
 
-// cannedConn answers any request with one fixed response.
-type cannedConn struct {
-	netem.Stream
-	resp *strings.Reader
-}
-
-func (c *cannedConn) Read(p []byte) (int, error) { return c.resp.Read(p) }
-func (c *cannedConn) ReadEvent(p []byte, _ func()) (int, error, bool) {
-	n, err := c.resp.Read(p)
-	return n, err, true
-}
-
-// ReadFullEvent ends short with io.EOF, as a threshold read does.
-func (c *cannedConn) ReadFullEvent(p []byte, _ func()) (int, error, bool) {
-	n, err := io.ReadFull(c.resp, p)
-	if err == io.ErrUnexpectedEOF {
-		err = io.EOF
-	}
-	return n, err, true
-}
-
-func (c *cannedConn) Write(p []byte) (int, error)        { return len(p), nil }
-func (c *cannedConn) Close() error                       { return nil }
-func (c *cannedConn) SetReadTimeout(time.Duration) error { return nil }
-
 // TestGetContentLength: a response header must declare its length as a
 // non-negative number; one that declares none is malformed, its length
 // unknown and its body not complete, with nothing made room for.
@@ -400,9 +333,10 @@ func TestGetContentLength(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			n := netem.New()
 			t.Cleanup(n.Clock().Shutdown)
-			c := &Client{Net: n, Dial: func(string) (net.Conn, error) {
-				return &cannedConn{resp: strings.NewReader(tc.response)}, nil
-			}}
+			l, _ := n.MustAddHost(netem.HostConfig{Name: "origin"}).Listen(80)
+			l.Serve(func(c *netem.Conn) { c.TryWrite([]byte(tc.response)); c.CloseWrite() })
+			client := n.MustAddHost(netem.HostConfig{Name: "client"})
+			c := &Client{Net: n, Dial: func(target string) (net.Conn, error) { return client.Dial(target) }}
 			res := c.Get("origin:80", "/x", true)
 			if (res.Err != nil) != tc.wantErr {
 				t.Fatalf("Err = %v, want an error: %v", res.Err, tc.wantErr)

@@ -12,82 +12,10 @@ import (
 	"testing"
 	"time"
 
-	"ptperf/internal/netem"
 	"ptperf/internal/sim"
+	"ptperf/internal/testkit/streamtest"
 	"ptperf/internal/web"
 )
-
-// chunkConn is a client's conn end on which every read returns the next
-// chunk, or what of it fits, then io.EOF. It records the span each read
-// asked for. With waits set, an event read first waits, as a netem conn
-// with nothing arrived does: it reads nothing, and its again runs a
-// millisecond later. Its threshold read reads chunks until p is full,
-// and with waits set it now and then waits partway, returning what it
-// took, for again to read on into the rest.
-type chunkConn struct {
-	netem.Stream
-	chunks [][]byte
-	reads  []int
-	clock  *netem.Clock
-	rng    *rand.Rand
-	waits  bool
-	// waited marks an event read that has waited; idle reports, at
-	// each wait of a plain event read, whether the reader held an array
-	// with no bytes in it, and leased, at each wait of a threshold read,
-	// whether it held one.
-	waited        bool
-	idle, leased  func() bool
-	holds, filled []bool
-}
-
-// wait reports whether an event read waits here, and if so runs again
-// a millisecond later, after marking what the reader holds in marks.
-func (c *chunkConn) wait(again func(), mark func() bool, marks *[]bool) bool {
-	if !c.waits || c.waited || c.rng.Intn(3) != 0 {
-		c.waited = false
-		return false
-	}
-	c.waited = true
-	c.clock.EventAt(c.clock.Now()+time.Millisecond, func() {
-		*marks = append(*marks, mark())
-		again()
-	})
-	return true
-}
-
-func (c *chunkConn) ReadEvent(p []byte, again func()) (int, error, bool) {
-	if c.wait(again, c.idle, &c.holds) {
-		return 0, nil, false
-	}
-	n, err := c.Read(p)
-	return n, err, true
-}
-
-func (c *chunkConn) ReadFullEvent(p []byte, again func()) (int, error, bool) {
-	n := 0
-	for n < len(p) {
-		if c.wait(again, c.leased, &c.filled) {
-			return n, nil, false
-		}
-		m, err := c.Read(p[n:])
-		if n += m; err != nil {
-			return n, err, true
-		}
-	}
-	return n, nil, true
-}
-
-func (c *chunkConn) Read(p []byte) (int, error) {
-	c.reads = append(c.reads, len(p))
-	if len(c.chunks) == 0 {
-		return 0, io.EOF
-	}
-	n := copy(p, c.chunks[0])
-	if c.chunks[0] = c.chunks[0][n:]; len(c.chunks[0]) == 0 {
-		c.chunks = c.chunks[1:]
-	}
-	return n, nil
-}
 
 // bufioResponse reads a response as fetch read one through a bufio.Reader:
 // the header a line at a time with ReadSlice (a line longer than the
@@ -155,25 +83,24 @@ func randomWire(rng *rand.Rand) []byte {
 }
 
 // TestResponseReaderReadsAsBufioDid: over random keep-alive responses
-// arriving in random chunks, some longer than the reader's array, with
-// event reads that now and then wait, the reader returns the headers,
-// bodies and errors a 32 KiB bufio.Reader returned, reading each header
-// as the bufio.Reader did and each body in threshold requests. Each
-// plain read that waits does so holding no array when no byte is in it,
-// and each threshold read that waits holds the array its bytes land in.
+// written in random chunks over a netem conn, some longer than the
+// reader's array, with every read cut at its chunk's end
+// (streamtest.Alter), the reader returns the headers, bodies and errors
+// a 32 KiB bufio.Reader returned, reading each header as the
+// bufio.Reader did and each body in threshold requests. Whenever the
+// writer pauses, a plain read waits holding no array with no byte in it,
+// and a threshold read holds the array its bytes land in.
 func TestResponseReaderReadsAsBufioDid(t *testing.T) {
 	rng := sim.NewRand(6)
-	clock := netem.NewClock()
-	defer clock.Shutdown()
 	for i := 0; i < 300; i++ {
 		wire := randomWire(rng)
-		var chunks [][]byte
-		for b := wire; len(b) > 0; {
-			k := min(len(b), 1+rng.Intn(40000))
-			chunks, b = append(chunks, slices.Clone(b[:k])), b[k:]
+		var chunks []io.Reader
+		ends := []int{0} // chunk k is wire[ends[k-1]:ends[k]]
+		for at := 0; at < len(wire); at = ends[len(ends)-1] {
+			ends = append(ends, min(len(wire), at+1+rng.Intn(40000)))
+			chunks = append(chunks, bytes.NewReader(wire[at:ends[len(ends)-1]]))
 		}
-		ref := &chunkConn{chunks: slices.Clone(chunks)}
-		br := bufio.NewReaderSize(ref, readerSize)
+		br := bufio.NewReaderSize(io.MultiReader(chunks...), readerSize)
 		var want []string
 		for {
 			resp, body, err := bufioResponse(br)
@@ -183,10 +110,32 @@ func TestResponseReaderReadsAsBufioDid(t *testing.T) {
 			}
 		}
 
-		c := &chunkConn{chunks: chunks, clock: clock, rng: rng, waits: true}
-		rd := newReader(clock, c)
-		c.idle = func() bool { return rd.buf != nil && rd.r == rd.w }
-		c.leased = func() bool { return rd.buf != nil && cap(rd.buf) == bodyChunk }
+		n, a, b := streamtest.Conns(t, 0)
+		rd := newReader(n.Clock(), streamtest.Alter(b, func(got, want int) int {
+			if k, _ := slices.BinarySearch(ends, got+1); k < len(ends) {
+				return ends[k] - got
+			}
+			return want
+		}))
+		reading, waited := true, ""
+		pauses := make([]time.Duration, len(ends))
+		for k := range pauses {
+			pauses[k] = time.Duration(rng.Intn(2000)) * time.Microsecond
+		}
+		n.Go(func() {
+			for k := 1; k < len(ends); k++ {
+				n.Clock().Sleep(pauses[k])
+				switch {
+				case !reading:
+				case rd.want > 0 && (rd.buf == nil || cap(rd.buf) != bodyChunk):
+					waited = "a threshold read waited holding no array for its bytes"
+				case rd.want == 0 && rd.buf != nil && rd.r == rd.w:
+					waited = "a read waited holding an array with no bytes in it"
+				}
+				a.Write(wire[ends[k-1]:ends[k]])
+			}
+			a.CloseWrite()
+		})
 		var got []string
 		for {
 			resp, err := rd.readResponse()
@@ -203,15 +152,13 @@ func TestResponseReaderReadsAsBufioDid(t *testing.T) {
 				break
 			}
 		}
+		reading = false
 		rd.release()
 		if !slices.Equal(got, want) {
 			t.Fatalf("case %d: read\n%.200q\nwant\n%.200q", i, got, want)
 		}
-		if slices.Contains(c.holds, true) {
-			t.Fatalf("case %d: a read waited holding an array with no bytes in it", i)
-		}
-		if slices.Contains(c.filled, false) {
-			t.Fatalf("case %d: a threshold read waited holding no array for its bytes", i)
+		if waited != "" {
+			t.Fatalf("case %d: %s", i, waited)
 		}
 	}
 }

@@ -29,12 +29,14 @@ func TestAcctByteConservation(t *testing.T) {
 			n.Go(func() {
 				// First conn: echo everything. Later conns: read a
 				// little, then abort mid-stream to strand buffered
-				// bytes on both pipes.
+				// bytes on both pipes; a write to the aborted peer fails.
 				buf := make([]byte, 4096)
 				nr, _ := c.Read(buf)
 				c.Write(buf[:nr])
 				if _, err := io.ReadFull(c, make([]byte, msg-nr)); err == nil {
 					c.Close()
+				} else if _, err := c.Write(buf); err == nil {
+					t.Error("a write to an aborted peer succeeded")
 				}
 			})
 		}

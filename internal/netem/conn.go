@@ -116,14 +116,17 @@ type (
 	}
 )
 
-// Stream is the one conn type of a world: what Host.Dial and
-// Listener.Accept return, what a transport wraps and hands out and what
-// tor builds a circuit over. Reads and writes come in plain and event
-// form, and the read timeout is a virtual duration.
+// Stream is the one conn type of a world: what a dial's event form
+// (Host.DialEvent) and a listener's Serve hand out, what a transport
+// wraps and hands out and what tor builds a circuit over. Reads and
+// writes come in plain and event form, and the read timeout is a
+// virtual duration. The contract's executable statement is
+// internal/testkit/streamtest: every stream type of a world has a row
+// there that runs its cases.
 //
-// net.Conn is embedded only because the benchmark passes Host.Dial's
-// result where a net.Conn goes; its three deadline setters refuse
-// (netDeadlines).
+// net.Conn is embedded only because the benchmark passes the result of
+// Host.Dial, a form only it and tests use, where a net.Conn goes; its
+// three deadline setters refuse (netDeadlines).
 type Stream interface {
 	net.Conn
 	EventReader

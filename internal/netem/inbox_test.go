@@ -3,7 +3,6 @@ package netem
 import (
 	"errors"
 	"fmt"
-	"io"
 	"runtime"
 	"slices"
 	"testing"
@@ -17,26 +16,6 @@ func allocated(f func()) uint64 {
 	f()
 	runtime.ReadMemStats(&after)
 	return after.TotalAlloc - before.TotalAlloc
-}
-
-// readFull awaits q's threshold read into p, as the fetch body copy
-// does: each wait's bytes count, and again reads on into the rest.
-func readFull(clock *Clock, q *Inbox, p []byte) (int, error) {
-	n := 0
-	var done func(int, error)
-	var again func()
-	again = func() {
-		m, err, ok := q.ReadFullEvent(p[n:], again)
-		if n += m; ok {
-			done(n, err)
-		}
-	}
-	return Await(clock, func(d func(int, error)) (int, error, bool) {
-		done = d
-		m, err, ok := q.ReadFullEvent(p, again)
-		n += m
-		return n, err, ok
-	})
 }
 
 // TestInboxDeliverNeverRegrows: 4 MiB delivered in tor-cell-sized
@@ -76,7 +55,7 @@ func TestInboxDeliverNeverRegrows(t *testing.T) {
 					q.Deliver(cell)
 				}
 				for ; read < total/2; read += len(got) {
-					if n, err := readFull(clock, &q, got); n != len(got) || err != nil {
+					if n, err, _ := q.ReadFullEvent(got, nil); n != len(got) || err != nil {
 						t.Fatalf("read %d, %v", n, err)
 					}
 					for i, b := range got {
@@ -96,7 +75,7 @@ func TestInboxDeliverNeverRegrows(t *testing.T) {
 			}
 			if end.drain {
 				for q.unread.n > 0 {
-					readFull(clock, &q, got[:min(len(got), q.unread.n)])
+					q.ReadFullEvent(got[:min(len(got), q.unread.n)], nil)
 				}
 			} else {
 				q.Drop(errors.New("closed"))
@@ -116,27 +95,16 @@ func TestInboxDeliverNeverRegrows(t *testing.T) {
 	}
 }
 
-// TestInboxContract pins the read half both stream kinds share: how it
-// ends, how its read timeout ends a read, and how a waiting threshold
-// read, awaited as the fetch body copy awaits it, is filled.
+// TestInboxContract pins what the stream contract (streamtest) cannot
+// see of the read half pt.Stream and tor.Stream share: a Drop releases
+// the queue, SetReadTimeout reaches a parked read, and a waiting
+// threshold read is filled in place, leasing no chunk.
 func TestInboxContract(t *testing.T) {
 	errDropped := errors.New("dropped")
 	cases := []struct {
 		name string
 		run  func(t *testing.T, clock *Clock, q *Inbox)
 	}{
-		{"delivered bytes drain before EOF", func(t *testing.T, clock *Clock, q *Inbox) {
-			q.Deliver([]byte("tail"))
-			q.End()
-			q.Deliver([]byte("late")) // nobody will read it: dropped
-			buf := make([]byte, 64)
-			if n, err := q.Read(buf); string(buf[:n]) != "tail" || err != nil {
-				t.Fatalf("drain: %q %v", buf[:n], err)
-			}
-			if n, err := readFull(clock, q, buf); n != 0 || err != io.EOF {
-				t.Fatalf("after drain: %d %v, want io.EOF", n, err)
-			}
-		}},
 		{"a drop error is returned at once, the queue released", func(t *testing.T, clock *Clock, q *Inbox) {
 			q.Deliver([]byte("unread"))
 			q.End()
@@ -145,7 +113,7 @@ func TestInboxContract(t *testing.T) {
 			if q.unread.n != 0 || len(q.unread.chunks) != 0 {
 				t.Fatalf("%d bytes in %d chunks kept after Drop", q.unread.n, len(q.unread.chunks))
 			}
-			full := func(p []byte) (int, error) { return readFull(clock, q, p) }
+			full := func(p []byte) (int, error) { n, err, _ := q.ReadFullEvent(p, nil); return n, err }
 			for _, read := range []func([]byte) (int, error){q.Read, full} {
 				if n, err := read(make([]byte, 4)); n != 0 || err != errDropped {
 					t.Fatalf("read after Drop: %d %v, want 0 and the drop error", n, err)
@@ -153,45 +121,6 @@ func TestInboxContract(t *testing.T) {
 			}
 			if clock.Now() != 0 {
 				t.Fatalf("reads after Drop waited until %v", clock.Now())
-			}
-		}},
-		{"a Drop under a waiting threshold read keeps its count", func(t *testing.T, clock *Clock, q *Inbox) {
-			// Two bytes are taken before the wait and two filled in
-			// place while it waits; the Drop returns all four with its
-			// error, as a netem conn's read returns what it took with
-			// ErrClosed. The nil form parks; the event form returned the
-			// first two before its wait.
-			forms := []struct {
-				name string
-				read func(p []byte) (int, error)
-			}{
-				{"nil", func(p []byte) (int, error) { n, err, _ := q.ReadFullEvent(p, nil); return n, err }},
-				{"event", func(p []byte) (int, error) { return readFull(clock, q, p) }},
-			}
-			for _, f := range forms {
-				*q = NewInbox(clock)
-				start := clock.Now()
-				q.Deliver([]byte("ab"))
-				clock.EventAt(start+time.Millisecond, func() { q.Deliver([]byte("cd")) })
-				clock.EventAt(start+2*time.Millisecond, func() { q.Drop(errDropped) })
-				buf := make([]byte, 8)
-				n, err := f.read(buf)
-				if n != 4 || string(buf[:n]) != "abcd" || err != errDropped || clock.Now() != start+2*time.Millisecond {
-					t.Errorf("%s form: %q %v at %v, want \"abcd\" and the drop error at the Drop",
-						f.name, buf[:n], err, clock.Now()-start)
-				}
-			}
-		}},
-		{"ErrTimeout at exactly the deadline instant", func(t *testing.T, clock *Clock, q *Inbox) {
-			q.SetReadTimeout(50 * time.Millisecond)
-			clock.EventAt(20*time.Millisecond, func() { q.Deliver([]byte("ab")) })
-			buf := make([]byte, 4)
-			n, err := readFull(clock, q, buf)
-			if n != 2 || string(buf[:n]) != "ab" || err != ErrTimeout || clock.Now() != 50*time.Millisecond {
-				t.Fatalf("readFull: %q %v at %v, want \"ab\" and ErrTimeout at 50ms", buf[:n], err, clock.Now())
-			}
-			if n, err := q.Read(buf); n != 0 || err != ErrTimeout || clock.Now() != 50*time.Millisecond {
-				t.Fatalf("Read at the deadline: %d %v at %v", n, err, clock.Now())
 			}
 		}},
 		{"SetReadTimeout wakes a parked read", func(t *testing.T, clock *Clock, q *Inbox) {
@@ -206,9 +135,9 @@ func TestInboxContract(t *testing.T) {
 			}
 			before := clock.Stats()
 			buf := make([]byte, 8)
-			n, err := readFull(clock, q, buf)
+			n, err, _ := q.ReadFullEvent(buf, nil)
 			if n != 8 || err != nil || clock.Now() != 8*time.Millisecond {
-				t.Fatalf("readFull: %d %v at %v, want 8 bytes at 8ms", n, err, clock.Now())
+				t.Fatalf("ReadFullEvent: %d %v at %v, want 8 bytes at 8ms", n, err, clock.Now())
 			}
 			for i, b := range buf {
 				if b != byte(i) {
@@ -216,10 +145,10 @@ func TestInboxContract(t *testing.T) {
 				}
 			}
 			if parks := clock.Stats().Parks - before.Parks; parks != 1 {
-				t.Fatalf("readFull parked %d times, want once", parks)
+				t.Fatalf("ReadFullEvent parked %d times, want once", parks)
 			}
 			if cap(q.unread.chunks) != 0 {
-				t.Fatal("a delivery to a parked readFull leased a chunk")
+				t.Fatal("a delivery to a parked ReadFullEvent leased a chunk")
 			}
 		}},
 		{"an event threshold read returns what it took and is woken once, filled", func(t *testing.T, clock *Clock, q *Inbox) {

@@ -38,44 +38,6 @@ func TestDialRefused(t *testing.T) {
 	}
 }
 
-func TestRoundTripBytes(t *testing.T) {
-	n, a, b := testNetwork(t)
-	l, err := b.Listen(80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-
-	msg := bytes.Repeat([]byte("payload-"), 1000)
-	n.Go(func() {
-		c, err := l.Accept()
-		if err != nil {
-			return
-		}
-		defer c.Close()
-		buf, _ := io.ReadAll(c)
-		c.Write(buf) // echo
-		c.(*Conn).CloseWrite()
-	})
-
-	c, err := a.Dial("b:80")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.Write(msg); err != nil {
-		t.Fatal(err)
-	}
-	c.(*Conn).CloseWrite()
-	got, err := io.ReadAll(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, msg) {
-		t.Fatalf("echo mismatch: got %d bytes want %d", len(got), len(msg))
-	}
-}
-
 func TestLatencyAccounting(t *testing.T) {
 	n, a, b := testNetwork(t)
 	l, _ := b.Listen(80)
@@ -182,76 +144,6 @@ func TestUtilizationReducesRate(t *testing.T) {
 	ni := idle.Reserve(0, 1<<20)
 	if nb <= ni*3 {
 		t.Fatalf("75%% utilized link should be ~4x slower: busy=%v idle=%v", nb, ni)
-	}
-}
-
-func TestDeadline(t *testing.T) {
-	n, a, b := testNetwork(t)
-	l, _ := b.Listen(80)
-	defer l.Close()
-	n.Go(func() {
-		c, _ := l.Accept()
-		if c != nil {
-			// Never respond: park in a read that no data resolves.
-			c.Read(make([]byte, 1))
-			c.Close()
-		}
-	})
-	c, err := a.Dial("b:80")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	c.SetReadTimeout(20 * time.Millisecond)
-	buf := make([]byte, 1)
-	_, err = c.Read(buf)
-	ne, ok := err.(interface{ Timeout() bool })
-	if !ok || !ne.Timeout() {
-		t.Fatalf("want timeout error, got %v", err)
-	}
-}
-
-func TestCloseSemantics(t *testing.T) {
-	n, a, b := testNetwork(t)
-	l, _ := b.Listen(80)
-	defer l.Close()
-	srv := NewChan[*Conn](n.Clock(), 2)
-	n.Go(func() {
-		for {
-			c, err := l.Accept()
-			if err != nil {
-				return
-			}
-			srv.Send(c.(*Conn))
-		}
-	})
-	c, err := a.Dial("b:80")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, _ := srv.Recv()
-	c.Write([]byte("hi"))
-	c.Close()
-	buf := make([]byte, 16)
-	nr, _ := io.ReadFull(s, buf[:2])
-	if nr != 2 {
-		t.Fatalf("peer should read buffered data after close, got %d", nr)
-	}
-	if _, err := s.Read(buf); err != io.EOF {
-		t.Fatalf("want EOF after close, got %v", err)
-	}
-	if _, err := c.Write([]byte("x")); err == nil {
-		t.Fatal("write on closed conn should fail")
-	}
-	// Abort drops everything.
-	c2, err := a.Dial("b:80")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, _ := srv.Recv()
-	c2.(*Conn).Abort()
-	if _, err := s2.Write(make([]byte, 1<<20)); err == nil {
-		t.Fatal("write to aborted peer should eventually fail")
 	}
 }
 

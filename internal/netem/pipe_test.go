@@ -45,27 +45,6 @@ func TestPopZeroLengthBuf(t *testing.T) {
 	}
 }
 
-// TestReadEOFBeforeTimeout pins the one order both thresholds share: a
-// drained, writer-closed pipe reports io.EOF even when the deadline has
-// also passed, at one byte (Conn.Read) and at len(buf) (Conn.ReadFull).
-func TestReadEOFBeforeTimeout(t *testing.T) {
-	clock := NewClock()
-	p := newPipe(clock, new(Acct))
-	data, base, pool := getSegBuf(clock, []byte("abc"))
-	if _, err := p.push(&seg{data: data, base: base, pool: pool}, nil); err != nil {
-		t.Fatal(err)
-	}
-	p.closeWrite()
-	expired := clock.Now()
-	buf := make([]byte, 8)
-	if n, err, _ := p.readEvent(buf, len(buf), expired, nil); n != 3 || err != io.EOF {
-		t.Fatalf("threshold read = (%d, %v), want (3, EOF)", n, err)
-	}
-	if n, err, _ := p.readEvent(buf, 1, expired, nil); n != 0 || err != io.EOF {
-		t.Fatalf("one-byte read = (%d, %v), want (0, EOF)", n, err)
-	}
-}
-
 // TestGetSegBufOversized pins the oversized-payload fallback: anything
 // larger than segmentSize gets a plain allocation instead of slicing
 // the pooled segmentSize array out of bounds (which panicked).
@@ -94,171 +73,6 @@ func TestGetSegBufOversized(t *testing.T) {
 	clock.Recycle(bpool, bbase)
 	if smallBufs.Out(clock) != 0 || segBufs.Out(clock) != 0 {
 		t.Fatal("a recycled lease is still counted out")
-	}
-}
-
-// TestReadFull exercises the threshold-read contract: exactly len(p)
-// bytes with a nil error, a short count only alongside io.EOF, and
-// ErrTimeout on an expired deadline.
-func TestReadFull(t *testing.T) {
-	n, a, b := testNetwork(t)
-	l, err := b.Listen(80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-
-	msg := bytes.Repeat([]byte("full-read-"), 5000) // 50K, multi-segment
-	n.Go(func() {
-		c, err := l.Accept()
-		if err != nil {
-			return
-		}
-		defer c.Close()
-		c.Write(msg)
-		c.(*Conn).CloseWrite()
-	})
-
-	c, err := a.Dial("b:80")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	cc := c.(*Conn)
-
-	// Exact fill across several segments, in two requests.
-	half := len(msg) / 2
-	buf := make([]byte, len(msg))
-	if rn, err := cc.ReadFull(buf[:half]); rn != half || err != nil {
-		t.Fatalf("ReadFull(first half) = (%d, %v), want (%d, nil)", rn, err, half)
-	}
-	if rn, err := cc.ReadFull(buf[half:]); rn != len(msg)-half || err != nil {
-		t.Fatalf("ReadFull(second half) = (%d, %v), want (%d, nil)", rn, err, len(msg)-half)
-	}
-	if !bytes.Equal(buf, msg) {
-		t.Fatal("ReadFull payload mismatch")
-	}
-
-	// Past end of stream: zero bytes, io.EOF.
-	if rn, err := cc.ReadFull(make([]byte, 10)); rn != 0 || err != io.EOF {
-		t.Fatalf("ReadFull past EOF = (%d, %v), want (0, EOF)", rn, err)
-	}
-}
-
-// TestReadFullShortEOF checks that a request larger than the remaining
-// stream drains what arrived and reports io.EOF with the short count.
-func TestReadFullShortEOF(t *testing.T) {
-	n, a, b := testNetwork(t)
-	l, err := b.Listen(80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-
-	n.Go(func() {
-		c, err := l.Accept()
-		if err != nil {
-			return
-		}
-		defer c.Close()
-		c.Write([]byte("short"))
-		c.(*Conn).CloseWrite()
-	})
-
-	c, err := a.Dial("b:80")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	buf := make([]byte, 64)
-	rn, err := c.(*Conn).ReadFull(buf)
-	if rn != 5 || err != io.EOF || string(buf[:rn]) != "short" {
-		t.Fatalf("ReadFull on short stream = (%q, %v), want (\"short\", EOF)", buf[:rn], err)
-	}
-}
-
-// TestReadFullTimeout checks the deadline path: an unsatisfiable request
-// returns what arrived (here nothing) with a timeout error.
-func TestReadFullTimeout(t *testing.T) {
-	n, a, b := testNetwork(t)
-	l, err := b.Listen(80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	n.Go(func() {
-		c, _ := l.Accept()
-		if c != nil {
-			defer c.Close()
-			// Hold the conn open without writing past the deadline.
-			c.Read(make([]byte, 1))
-		}
-	})
-
-	c, err := a.Dial("b:80")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	c.SetReadTimeout(20 * time.Millisecond)
-	rn, err := c.(*Conn).ReadFull(make([]byte, 16))
-	ne, ok := err.(interface{ Timeout() bool })
-	if rn != 0 || !ok || !ne.Timeout() {
-		t.Fatalf("ReadFull past deadline = (%d, %v), want (0, timeout)", rn, err)
-	}
-}
-
-// TestReadFullTimingMatchesEagerRead runs the same transfer through an
-// eager Read loop and through ReadFull on identically-seeded networks:
-// the bytes and the virtual completion instant must agree, because a
-// threshold reader's last byte completes at exactly the instant an
-// eager reader would have consumed it.
-func TestReadFullTimingMatchesEagerRead(t *testing.T) {
-	msg := bytes.Repeat([]byte("equivalence-"), 8000) // 96K, below the window bound
-
-	run := func(full bool) ([]byte, time.Duration) {
-		n, a, b := testNetwork(t)
-		l, err := b.Listen(80)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer l.Close()
-		n.Go(func() {
-			c, err := l.Accept()
-			if err != nil {
-				return
-			}
-			defer c.Close()
-			c.Write(msg)
-			c.(*Conn).CloseWrite()
-		})
-		c, err := a.Dial("b:80")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		var got []byte
-		if full {
-			got = make([]byte, len(msg))
-			if _, err := c.(*Conn).ReadFull(got); err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			got, err = io.ReadAll(c)
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		return got, n.Now()
-	}
-
-	eager, eagerDone := run(false)
-	full, fullDone := run(true)
-	if !bytes.Equal(eager, full) {
-		t.Fatal("eager and threshold reads returned different bytes")
-	}
-	if eagerDone != fullDone {
-		t.Fatalf("completion time diverged: eager %v, threshold %v", eagerDone, fullDone)
 	}
 }
 

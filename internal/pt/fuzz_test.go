@@ -3,21 +3,19 @@ package pt_test
 import (
 	"bytes"
 	"io"
-	"net"
 	"testing"
-	"time"
 
 	"ptperf/internal/netem"
 	"ptperf/internal/pt"
 	"ptperf/internal/pt/psiphon"
 	"ptperf/internal/pt/shadowsocks"
+	"ptperf/internal/testkit/streamtest"
 )
 
 // readTarget decodes a target prologue off data as ServeStream reads it,
 // with pt.ReadPrefixed.
 func readTarget(data []byte) (target string, err error) {
-	c := new(bufConn)
-	c.buf.Write(data)
+	c := streamtest.Plain(bytes.NewBuffer(data))
 	field, err := netem.Await(netem.NewClock(), func(done func([]byte, error)) ([]byte, error, bool) {
 		return pt.ReadPrefixed(c, 1, done)
 	})
@@ -46,54 +44,6 @@ func FuzzReadTarget(f *testing.F) {
 	})
 }
 
-// bufConn is a netem.Stream over in-memory bytes: reads drain buf,
-// writes append to it. Its event forms never wait; the rest of the
-// interface is never called.
-type bufConn struct {
-	netem.Stream
-	buf bytes.Buffer
-}
-
-func (c *bufConn) Read(p []byte) (int, error)  { return c.buf.Read(p) }
-func (c *bufConn) Write(p []byte) (int, error) { return c.buf.Write(p) }
-
-func (c *bufConn) ReadEvent(p []byte, _ func()) (int, error, bool) {
-	n, err := c.Read(p)
-	return n, err, true
-}
-
-func (c *bufConn) ReadFullEvent(p []byte, _ func()) (int, error, bool) {
-	n, err := io.ReadFull(c, p)
-	return n, err, true
-}
-
-func (c *bufConn) WriteEvent(p []byte, _ func()) (int, error, bool) {
-	n, err := c.Write(p)
-	return n, err, true
-}
-
-// pipeEnd is a net.Pipe end with the event forms a RecordConn reads and
-// writes its inner conn through; the pipe blocks the calling goroutine
-// where a netem conn would queue again, so neither ever waits.
-type pipeEnd struct{ net.Conn }
-
-func (p pipeEnd) ReadFullEvent(b []byte, _ func()) (int, error, bool) {
-	n, err := io.ReadFull(p.Conn, b)
-	return n, err, true
-}
-
-func (p pipeEnd) WriteEvent(b []byte, _ func()) (int, error, bool) {
-	n, err := p.Conn.Write(b)
-	return n, err, true
-}
-
-func (p pipeEnd) ReadEvent(b []byte, _ func()) (int, error, bool) {
-	n, err := p.Conn.Read(b)
-	return n, err, true
-}
-
-func (p pipeEnd) SetReadTimeout(time.Duration) error { return nil }
-
 // recordCodecs builds the sealing and the opening end of each record
 // codec a transport installs under pt.RecordConn.
 var recordCodecs = []struct {
@@ -121,29 +71,29 @@ func TestRecordSizeLimits(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			seal, open := tc.pair()
 			maxPayload, headerLen, maxBody := seal.Sizes()
-			wire := &bufConn{}
+			var wire bytes.Buffer
 			full := seal.Seal(nil, make([]byte, maxPayload))
 			if len(full) > headerLen+maxBody {
 				t.Fatalf("a full record is %d bytes, more than the declared %d+%d", len(full), headerLen, maxBody)
 			}
-			wire.buf.Write(full)
+			wire.Write(full)
 			over := seal.Seal(nil, make([]byte, maxPayload+1))
-			wire.buf.Write(over)
-			rc := pt.NewCodecConn(wire, open)
+			wire.Write(over)
+			rc := pt.NewCodecConn(streamtest.Plain(&wire), open)
 			got, err := io.ReadAll(rc)
 			if len(got) != maxPayload || err != pt.ErrRecordTooLarge {
 				t.Fatalf("read %d bytes, %v; want %d bytes, then %v", len(got), err, maxPayload, pt.ErrRecordTooLarge)
 			}
-			if left := wire.buf.Len(); left != len(over)-headerLen {
+			if left := wire.Len(); left != len(over)-headerLen {
 				t.Errorf("%d wire bytes left of the oversized record, want its whole %d-byte body", left, len(over)-headerLen)
 			}
 		})
 	}
 	// The padded framing also bounds the padding a record may declare.
-	wire := &bufConn{}
-	wire.buf.Write([]byte{0, 1, 0, 9})
-	wire.buf.Write(make([]byte, 10))
-	rc, err := pt.NewRecordConn(wire, pt.RecordConfig{MaxPadding: 8})
+	var wire bytes.Buffer
+	wire.Write([]byte{0, 1, 0, 9})
+	wire.Write(make([]byte, 10))
+	rc, err := pt.NewRecordConn(streamtest.Plain(&wire), pt.RecordConfig{MaxPadding: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,22 +142,22 @@ func FuzzRecordConnRead(f *testing.F) {
 		for _, header := range []string{"", "\x17\x03\x03"} {
 			cfg := config(padded, uint8(len(header)))
 			cfg.Header, cfg.Seed = []byte(header), 1
-			wire := &bufConn{}
-			rc, err := pt.NewRecordConn(wire, cfg)
+			var wire bytes.Buffer
+			rc, err := pt.NewRecordConn(streamtest.Plain(&wire), cfg)
 			if err != nil {
 				f.Fatal(err)
 			}
 			rc.Write([]byte("one record"))
 			rc.Write(bytes.Repeat([]byte{7}, 300))
-			f.Add(wire.buf.Bytes(), padded, uint8(len(header)))
+			f.Add(wire.Bytes(), padded, uint8(len(header)))
 		}
 	}
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff}, false, uint8(0)) // oversized record
 	f.Add([]byte{0, 4, 0, 0, 'x'}, true, uint8(0))         // truncated body
 	f.Fuzz(func(t *testing.T, data []byte, padded bool, headerLen uint8) {
-		wire := &bufConn{}
-		wire.buf.Write(data)
-		rc, err := pt.NewRecordConn(wire, config(padded, headerLen))
+		var wire bytes.Buffer
+		wire.Write(data)
+		rc, err := pt.NewRecordConn(streamtest.Plain(&wire), config(padded, headerLen))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,10 +177,10 @@ func fuzzCodecRead(f *testing.F, pair func() (seal, open pt.RecordCodec)) {
 	f.Add(flipped)
 	f.Add(valid[:len(valid)-5])
 	f.Fuzz(func(t *testing.T, data []byte) {
-		wire := &bufConn{}
-		wire.buf.Write(data)
+		var wire bytes.Buffer
+		wire.Write(data)
 		_, open := pair()
-		drain(t, pt.NewCodecConn(wire, open), len(data))
+		drain(t, pt.NewCodecConn(streamtest.Plain(&wire), open), len(data))
 	})
 }
 

@@ -18,6 +18,7 @@ import (
 	"ptperf/internal/pt/shadowsocks"
 	"ptperf/internal/pt/webtunnel"
 	"ptperf/internal/sim"
+	"ptperf/internal/testkit/streamtest"
 )
 
 // runHandshake plays h over conn with seed, awaiting it on a clock of
@@ -328,13 +329,13 @@ func (c *segConn) WriteEvent(p []byte, again func()) (int, error, bool) {
 
 // teeEnd is a pipe end that keeps what is written to it.
 type teeEnd struct {
-	pipeEnd
+	netem.Stream
 	sent *bytes.Buffer
 }
 
 func (c teeEnd) WriteEvent(b []byte, again func()) (int, error, bool) {
 	c.sent.Write(b)
-	return c.pipeEnd.WriteEvent(b, again)
+	return c.Stream.WriteEvent(b, again)
 }
 
 // clientBytes plays w's client with seed against its server over a pipe
@@ -344,11 +345,11 @@ func clientBytes(w pt.WrapTransport, seed int64) []byte {
 	served := make(chan struct{})
 	go func() {
 		defer close(served)
-		runHandshake(w.Server, pipeEnd{b}, seed+1)
+		runHandshake(w.Server, streamtest.Plain(b), seed+1)
 		b.Close()
 	}()
 	var sent bytes.Buffer
-	runHandshake(w.Client, teeEnd{pipeEnd{a}, &sent}, seed)
+	runHandshake(w.Client, teeEnd{streamtest.Plain(a), &sent}, seed)
 	a.Close()
 	<-served
 	return sent.Bytes()

@@ -3,7 +3,6 @@ package psiphon
 import (
 	"bytes"
 	"errors"
-	"io"
 	"net"
 	"reflect"
 	"testing"
@@ -11,6 +10,7 @@ import (
 
 	"ptperf/internal/netem"
 	"ptperf/internal/pt"
+	"ptperf/internal/testkit/streamtest"
 )
 
 // macOf is the client's MAC of packet seq under secret, from a fresh
@@ -67,33 +67,6 @@ func TestDirectionKeysVaryWithSecret(t *testing.T) {
 	}
 }
 
-// pipeEnd is one end of a net.Pipe as a netem.Stream: a handshake only
-// reads and writes its conn, plainly or in event form.
-type pipeEnd struct {
-	netem.Stream
-	c net.Conn
-}
-
-func (p pipeEnd) Read(b []byte) (int, error)  { return p.c.Read(b) }
-func (p pipeEnd) Write(b []byte) (int, error) { return p.c.Write(b) }
-
-// ReadEvent, ReadFullEvent and WriteEvent are the plain calls, which
-// wait on the pipe's peer and never on a clock.
-func (p pipeEnd) ReadEvent(b []byte, _ func()) (int, error, bool) {
-	n, err := p.c.Read(b)
-	return n, err, true
-}
-
-func (p pipeEnd) ReadFullEvent(b []byte, _ func()) (int, error, bool) {
-	n, err := io.ReadFull(p.c, b)
-	return n, err, true
-}
-
-func (p pipeEnd) WriteEvent(b []byte, _ func()) (int, error, bool) {
-	n, err := p.c.Write(b)
-	return n, err, true
-}
-
 // flightsOf runs h over conn with seed and returns its transcript's
 // flights.
 func flightsOf(h pt.Handshake, conn netem.Stream, seed int64) ([][]byte, error) {
@@ -124,10 +97,10 @@ func handshake(clientKey, serverKey []byte) (client, server [][]byte, err error)
 	defer b.Close()
 	done := make(chan [][]byte, 1)
 	go func() {
-		flights, _ := flightsOf(Transport(Config{HostKey: serverKey}).Server, pipeEnd{c: b}, 11)
+		flights, _ := flightsOf(Transport(Config{HostKey: serverKey}).Server, streamtest.Plain(b), 11)
 		done <- flights
 	}()
-	client, err = flightsOf(Transport(Config{HostKey: clientKey}).Client, pipeEnd{c: a}, 12)
+	client, err = flightsOf(Transport(Config{HostKey: clientKey}).Client, streamtest.Plain(a), 12)
 	return client, <-done, err
 }
 
@@ -161,7 +134,7 @@ func TestBannerMismatch(t *testing.T) {
 	defer a.Close()
 	defer b.Close()
 	go a.Write([]byte("SSH-2.0-OpenSSH_9.6p1\r\n"))
-	if _, err := runHandshake(Transport(Config{HostKey: []byte("hk")}).Server, pipeEnd{c: b}, 1); !errors.Is(err, ErrVersion) {
+	if _, err := runHandshake(Transport(Config{HostKey: []byte("hk")}).Server, streamtest.Plain(b), 1); !errors.Is(err, ErrVersion) {
 		t.Fatalf("got %v, want %v", err, ErrVersion)
 	}
 }

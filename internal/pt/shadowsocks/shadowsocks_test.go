@@ -8,33 +8,11 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"ptperf/internal/netem"
 	"ptperf/internal/pt"
+	"ptperf/internal/testkit/streamtest"
 )
-
-// pipeEnd is a net.Pipe end with the event forms a RecordConn reads and
-// writes its inner conn through; the pipe blocks the calling goroutine
-// where a netem conn would queue again, so neither ever waits.
-type pipeEnd struct{ net.Conn }
-
-func (p pipeEnd) ReadFullEvent(b []byte, _ func()) (int, error, bool) {
-	n, err := io.ReadFull(p.Conn, b)
-	return n, err, true
-}
-
-func (p pipeEnd) WriteEvent(b []byte, _ func()) (int, error, bool) {
-	n, err := p.Conn.Write(b)
-	return n, err, true
-}
-
-func (p pipeEnd) ReadEvent(b []byte, _ func()) (int, error, bool) {
-	n, err := p.Conn.Read(b)
-	return n, err, true
-}
-
-func (p pipeEnd) SetReadTimeout(time.Duration) error { return nil }
 
 // runHandshake plays h over conn with seed, awaiting it on a clock of
 // its own: the pipe ends here never leave a wait to a clock event.
@@ -45,9 +23,9 @@ func runHandshake(h pt.Handshake, conn netem.Stream, seed int64) (netem.Stream, 
 }
 
 // pipe is net.Pipe with both ends wrapped.
-func pipe() (pipeEnd, pipeEnd) {
+func pipe() (netem.Stream, netem.Stream) {
 	a, b := net.Pipe()
-	return pipeEnd{a}, pipeEnd{b}
+	return streamtest.Plain(a), streamtest.Plain(b)
 }
 
 func pipePair(t *testing.T, psk []byte) (net.Conn, net.Conn) {

@@ -15,99 +15,16 @@ import (
 // netem.Stream, threshold read and all.
 var _ netem.Stream = (*pt.Stream)(nil)
 
-// readFull awaits s's threshold read into p, as the fetch body copy
-// does: each wait's bytes count, and again reads on into the rest.
-func readFull(clock *netem.Clock, s netem.Stream, p []byte) (int, error) {
-	n := 0
-	var done func(int, error)
-	var again func()
-	again = func() {
-		m, err, ok := s.ReadFullEvent(p[n:], again)
-		if n += m; ok {
-			done(n, err)
-		}
-	}
-	return netem.Await(clock, func(d func(int, error)) (int, error, bool) {
-		done = d
-		m, err, ok := s.ReadFullEvent(p, again)
-		n += m
-		return n, err, ok
-	})
-}
-
-// readNow reads what the stream holds without waiting: a zero read
-// timeout turns "nothing yet" into netem.ErrTimeout.
-func readNow(clock *netem.Clock, s *pt.Stream) (string, error) {
-	s.SetReadTimeout(0)
-	defer s.SetReadTimeout(netem.NoTimeout)
-	buf := make([]byte, 64)
-	n, err := s.Read(buf)
-	return string(buf[:n]), err
-}
-
-// TestStreamConformance is the one contract every tunnelled endpoint
-// (meek, dnstt, camoufler, stegotorus, marionette) inherits from
-// pt.Stream.
+// TestStreamConformance pins what the stream contract (streamtest) cannot
+// see of the endpoint every tunnelled transport inherits: the write cap
+// that Take relieves, the mechanism's half-close and FIN, reassembly by
+// sequence number and the one Addr type.
 func TestStreamConformance(t *testing.T) {
 	cases := []struct {
 		name   string
 		outCap int
 		run    func(t *testing.T, clock *netem.Clock, s *pt.Stream)
 	}{
-		{"delivered bytes drain before EOF", 16, func(t *testing.T, clock *netem.Clock, s *pt.Stream) {
-			s.Deliver([]byte("tail"))
-			s.Fail()
-			s.Deliver([]byte("late")) // nobody will read it: dropped
-			if got, err := readNow(clock, s); got != "tail" || err != nil {
-				t.Fatalf("drain: %q %v", got, err)
-			}
-			if _, err := readNow(clock, s); err != io.EOF {
-				t.Fatalf("after drain: %v, want io.EOF", err)
-			}
-			if !s.Closed() {
-				t.Fatal("Fail did not close the stream")
-			}
-		}},
-		{"read deadline expires with netem.ErrTimeout", 16, func(t *testing.T, clock *netem.Clock, s *pt.Stream) {
-			s.SetReadTimeout(50 * time.Millisecond)
-			_, err := s.Read(make([]byte, 1))
-			if err != netem.ErrTimeout || clock.Now() != 50*time.Millisecond {
-				t.Fatalf("err=%v at %v, want netem.ErrTimeout at 50ms", err, clock.Now())
-			}
-			// Clearing the timeout lets a later delivery through.
-			s.SetReadTimeout(netem.NoTimeout)
-			clock.Go(func() {
-				clock.Sleep(time.Second)
-				s.Deliver([]byte("x"))
-			})
-			if n, err := s.Read(make([]byte, 1)); n != 1 || err != nil {
-				t.Fatalf("read after clearing: n=%d err=%v", n, err)
-			}
-		}},
-		{"SetReadTimeout wakes a parked Read", 16, func(t *testing.T, clock *netem.Clock, s *pt.Stream) {
-			clock.Go(func() {
-				clock.Sleep(time.Second)
-				s.SetReadTimeout(2 * time.Second)
-			})
-			_, err := s.Read(make([]byte, 1))
-			if err != netem.ErrTimeout || clock.Now() != 3*time.Second {
-				t.Fatalf("err=%v at %v, want netem.ErrTimeout at 3s", err, clock.Now())
-			}
-		}},
-		{"wall-clock deadlines are rejected, not stored as expired", 16, func(t *testing.T, clock *netem.Clock, s *pt.Stream) {
-			// A fixed 2026 date stands in for the time.Now().Add(d)
-			// idiom, which simlint bans here too.
-			wall := time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC).Add(5 * time.Second)
-			for _, set := range []func(time.Time) error{s.SetDeadline, s.SetReadDeadline, s.SetWriteDeadline} {
-				if err := set(wall); err == nil {
-					t.Fatal("wall-clock deadline accepted; want a refusal")
-				}
-			}
-			s.Deliver([]byte("ok"))
-			if n, err := s.Read(make([]byte, 2)); n != 2 || err != nil {
-				t.Fatalf("rejected deadline was stored: n=%d err=%v", n, err)
-			}
-		}},
 		{"Write blocks at the cap and resumes on Take", 8, func(t *testing.T, clock *netem.Clock, s *pt.Stream) {
 			done := netem.NewChan[int](clock, 1)
 			clock.Go(func() {
@@ -168,88 +85,47 @@ func TestStreamConformance(t *testing.T) {
 			}
 			// The read side is still open until the peer's FIN, and
 			// what it sent before the FIN drains first.
-			if _, err := readNow(clock, s); err != netem.ErrTimeout {
+			s.SetReadTimeout(0)
+			buf := make([]byte, 64)
+			if _, err := s.Read(buf); err != netem.ErrTimeout {
 				t.Fatalf("half-closed read: %v, want a timeout", err)
 			}
 			s.Deliver([]byte("last"))
 			s.PeerFin(0)
-			if got, err := readNow(clock, s); got != "last" || err != nil {
-				t.Fatalf("before FIN: %q %v", got, err)
+			if n, err := s.Read(buf); string(buf[:n]) != "last" || err != nil {
+				t.Fatalf("before FIN: %q %v", buf[:n], err)
 			}
-			if _, err := readNow(clock, s); err != io.EOF {
+			if _, err := s.Read(buf); err != io.EOF {
 				t.Fatalf("after FIN: %v, want io.EOF", err)
 			}
 		}},
 		{"DeliverSeq: in order, gap, duplicate, FIN count", 16, func(t *testing.T, clock *netem.Clock, s *pt.Stream) {
+			s.SetReadTimeout(0)
+			buf := make([]byte, 64)
 			s.DeliverSeq(1, []byte("bb"))
 			s.DeliverSeq(2, []byte("cc"))
-			if _, err := readNow(clock, s); err != netem.ErrTimeout {
+			if _, err := s.Read(buf); err != netem.ErrTimeout {
 				t.Fatalf("gap at 0 must stall the stream, got %v", err)
 			}
 			s.DeliverSeq(0, []byte("aa"))
 			s.DeliverSeq(0, []byte("zz")) // duplicate
 			s.DeliverSeq(2, []byte("yy")) // stale
-			if got, _ := readNow(clock, s); got != "aabbcc" {
-				t.Fatalf("reassembly: %q", got)
+			if n, _ := s.Read(buf); string(buf[:n]) != "aabbcc" {
+				t.Fatalf("reassembly: %q", buf[:n])
 			}
 			// The FIN announces five units; EOF waits for all of them
 			// however late they arrive.
 			s.PeerFin(5)
 			s.DeliverSeq(4, []byte("ee"))
-			if _, err := readNow(clock, s); err != netem.ErrTimeout {
+			if _, err := s.Read(buf); err != netem.ErrTimeout {
 				t.Fatalf("FIN with a unit missing: %v, want a timeout", err)
 			}
 			s.DeliverSeq(3, []byte("dd"))
-			if got, _ := readNow(clock, s); got != "ddee" {
-				t.Fatalf("tail: %q", got)
+			if n, _ := s.Read(buf); string(buf[:n]) != "ddee" {
+				t.Fatalf("tail: %q", buf[:n])
 			}
-			if _, err := readNow(clock, s); err != io.EOF {
+			if _, err := s.Read(buf); err != io.EOF {
 				t.Fatalf("all units in: %v, want io.EOF", err)
-			}
-		}},
-		{"ReadFull wakes once, at the delivery that completes it", 16, func(t *testing.T, clock *netem.Clock, s *pt.Stream) {
-			clock.Go(func() {
-				for i := 1; i <= 4; i++ {
-					clock.Sleep(10 * time.Millisecond)
-					s.Deliver([]byte("abcd"))
-				}
-			})
-			parks := clock.Stats().Parks
-			buf := make([]byte, 14)
-			n, err := readFull(clock, s, buf)
-			if n != 14 || err != nil || clock.Now() != 40*time.Millisecond || string(buf) != "abcdabcdabcdab" {
-				t.Fatalf("readFull = %d %v %q at %v, want all 14 bytes at 40ms", n, err, buf[:n], clock.Now())
-			}
-			if parks = clock.Stats().Parks - parks; parks != 1 {
-				t.Fatalf("readFull over 4 deliveries took %d parks, want 1", parks)
-			}
-			if got, err := readNow(clock, s); got != "cd" || err != nil {
-				t.Fatalf("after readFull: %q %v, want the rest of the last delivery", got, err)
-			}
-		}},
-		{"ReadFull returns what arrived at its deadline", 16, func(t *testing.T, clock *netem.Clock, s *pt.Stream) {
-			clock.Go(func() {
-				clock.Sleep(10 * time.Millisecond)
-				s.Deliver([]byte("abc"))
-			})
-			s.SetReadTimeout(50 * time.Millisecond)
-			buf := make([]byte, 8)
-			n, err := readFull(clock, s, buf)
-			if n != 3 || err != netem.ErrTimeout || clock.Now() != 50*time.Millisecond || string(buf[:n]) != "abc" {
-				t.Fatalf("readFull = %d %v %q at %v, want 3 bytes and netem.ErrTimeout at 50ms", n, err, buf[:n], clock.Now())
-			}
-		}},
-		{"ReadFull returns what arrived with EOF after PeerFin", 16, func(t *testing.T, clock *netem.Clock, s *pt.Stream) {
-			clock.Go(func() {
-				clock.Sleep(10 * time.Millisecond)
-				s.Deliver([]byte("abc"))
-				clock.Sleep(10 * time.Millisecond)
-				s.PeerFin(0)
-			})
-			buf := make([]byte, 8)
-			n, err := readFull(clock, s, buf)
-			if n != 3 || err != io.EOF || clock.Now() != 20*time.Millisecond {
-				t.Fatalf("readFull = %d %v at %v, want 3 bytes and io.EOF at 20ms", n, err, clock.Now())
 			}
 		}},
 		{"ReadFull returns EOF at the delivery that ends the stream after PeerFin", 16, func(t *testing.T, clock *netem.Clock, s *pt.Stream) {
@@ -265,22 +141,9 @@ func TestStreamConformance(t *testing.T) {
 				s.DeliverSeq(1, []byte("de"))
 			})
 			buf := make([]byte, 8)
-			n, err := readFull(clock, s, buf)
+			n, err, _ := s.ReadFullEvent(buf, nil)
 			if n != 5 || err != io.EOF || clock.Now() != 30*time.Millisecond || string(buf[:n]) != "abcde" {
 				t.Fatalf("readFull = %d %v %q at %v, want 5 bytes and io.EOF at 30ms", n, err, buf[:n], clock.Now())
-			}
-		}},
-		{"ReadFull returns what arrived with EOF after Fail", 16, func(t *testing.T, clock *netem.Clock, s *pt.Stream) {
-			clock.Go(func() {
-				clock.Sleep(10 * time.Millisecond)
-				s.Deliver([]byte("abc"))
-				clock.Sleep(10 * time.Millisecond)
-				s.Fail()
-			})
-			buf := make([]byte, 8)
-			n, err := readFull(clock, s, buf)
-			if n != 3 || err != io.EOF || clock.Now() != 20*time.Millisecond {
-				t.Fatalf("readFull = %d %v at %v, want 3 bytes and io.EOF at 20ms", n, err, clock.Now())
 			}
 		}},
 		{"one Addr type", 16, func(t *testing.T, clock *netem.Clock, s *pt.Stream) {

@@ -24,6 +24,7 @@ import (
 	"ptperf/internal/pt/snowflake"
 	"ptperf/internal/pt/stegotorus"
 	"ptperf/internal/pt/webtunnel"
+	"ptperf/internal/testkit/streamtest"
 )
 
 // world is a tiny topology: client, pt-server and an echo destination.
@@ -640,11 +641,11 @@ func TestInfosComplete(t *testing.T) {
 
 func TestRecordConnRoundTrip(t *testing.T) {
 	a, b := net.Pipe()
-	ra, err := pt.NewRecordConn(pipeEnd{a}, pt.RecordConfig{MaxPadding: 32, Seed: 1})
+	ra, err := pt.NewRecordConn(streamtest.Plain(a), pt.RecordConfig{MaxPadding: 32, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := pt.NewRecordConn(pipeEnd{b}, pt.RecordConfig{MaxPadding: 32, Seed: 2})
+	rb, err := pt.NewRecordConn(streamtest.Plain(b), pt.RecordConfig{MaxPadding: 32, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -685,11 +686,11 @@ func TestRecordTagsRefuse(t *testing.T) {
 				return seal.Seal(nil, []byte("first")), seal.Seal(nil, []byte("second"))
 			}
 			read := func(wire ...[]byte) (string, error) {
-				conn := &bufConn{}
+				var conn bytes.Buffer
 				for _, r := range wire {
-					conn.buf.Write(r)
+					conn.Write(r)
 				}
-				got, err := io.ReadAll(pt.NewCodecConn(conn, c.end("k", false)))
+				got, err := io.ReadAll(pt.NewCodecConn(streamtest.Plain(&conn), c.end("k", false)))
 				return string(got), err
 			}
 			first, second := records("k")

@@ -66,7 +66,9 @@ func TestHandshakeAndRecords(t *testing.T) {
 	msg := bytes.Repeat([]byte("https-tunnel"), 2000)
 	n.Go(func() { cc.Write(msg) })
 	got := make([]byte, len(msg))
-	readFull(t, srv.conn, got)
+	if _, err, _ := srv.conn.ReadFullEvent(got, nil); err != nil {
+		t.Fatalf("read: %v", err)
+	}
 	if !bytes.Equal(got, msg) {
 		t.Fatal("tunnel corrupted payload")
 	}
@@ -105,17 +107,5 @@ func TestServerRejectsNonTunnelRequest(t *testing.T) {
 		if err, _ := errc.Recv(); !errors.Is(err, tc.want) {
 			t.Fatalf("%d B request: want %v, got %v", len(tc.req), tc.want, err)
 		}
-	}
-}
-
-func readFull(t *testing.T, c netem.Stream, buf []byte) {
-	t.Helper()
-	total := 0
-	for total < len(buf) {
-		n, err := c.Read(buf[total:])
-		if err != nil {
-			t.Fatalf("read: %v", err)
-		}
-		total += n
 	}
 }

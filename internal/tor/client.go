@@ -172,8 +172,17 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 type directHop struct{ host *netem.Host }
 
 func (h directHop) DialEvent(addr string, done func(netem.Stream, error)) (netem.Stream, error, bool) {
-	conn, err, ok := h.host.DialEvent(addr, func(conn *netem.Conn, err error) { done(conn, err) })
-	return conn, err, ok
+	conn, err, ok := h.host.DialEvent(addr, func(conn *netem.Conn, err error) { done(asStream(conn), err) })
+	return asStream(conn), err, ok
+}
+
+// asStream is c as a netem.Stream: nil for a failed dial's nil c, not a
+// nil *netem.Conn in a non-nil netem.Stream.
+func asStream(c *netem.Conn) netem.Stream {
+	if c == nil {
+		return nil
+	}
+	return c
 }
 
 // Recovery returns the client's cumulative recovery counters.

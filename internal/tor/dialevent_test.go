@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"ptperf/internal/geo"
 	"ptperf/internal/netem"
 	"ptperf/internal/pt"
 	"ptperf/internal/sim"
@@ -164,5 +165,30 @@ func TestDialEventMatchesDial(t *testing.T) {
 	t.Logf("the draws reached %+v", sum)
 	if sum.Rebuilds == 0 || sum.BuildTimeouts == 0 || sum.StreamFailures == 0 || sum.ReAttaches == 0 || sum.Abandoned == 0 || sum.GuardProbations == 0 {
 		t.Errorf("the draws reached %+v: a recovery path never ran", sum)
+	}
+}
+
+// TestDirectHopRefusedIsNil: a refused dial of the guard's ORPort hands
+// out a nil stream, not a nil *netem.Conn in a non-nil netem.Stream,
+// where nothing listens and where a censor refuses it after its round
+// trip: in place, or, with an event due first, to the continuation.
+func TestDirectHopRefusedIsNil(t *testing.T) {
+	n := netem.New()
+	t.Cleanup(n.Clock().Shutdown)
+	hop := directHop{n.MustAddHost(netem.HostConfig{Name: "client"})}
+	n.MustAddHost(netem.HostConfig{Name: "guard", Location: geo.Frankfurt}).Listen(9001)
+	for i, addr := range []string{"guard:1", "guard:9001", "guard:9001"} {
+		n.SetPolicy(&formTap{net: n, refuseHost: "guard", refuseUntil: time.Hour})
+		if i == 2 {
+			n.Clock().EventAt(n.Now()+time.Microsecond, func() {})
+		}
+		var got []netem.Stream
+		s, err, done := hop.DialEvent(addr, func(s netem.Stream, err error) { got = append(got, s) })
+		if n.Clock().Sleep(time.Second); done {
+			got = append(got, s)
+		}
+		if err == nil && done || len(got) != 1 || got[0] != nil || done == (i == 2) {
+			t.Fatalf("dial %d (in place %v) handed out %v, %v", i, done, got, err)
+		}
 	}
 }
