@@ -73,70 +73,44 @@ func (c *Client) Browse(origin, path string, maxConns int) PageResult {
 		if maxConns > len(resources) {
 			maxConns = len(resources)
 		}
-		type done struct {
-			ev    LoadEvent
-			bytes int64
-			err   error
-		}
-		// queue and results never block: queue is pre-filled and closed
-		// before the workers start, and results has room for every
-		// resource. Plain channels are therefore safe under the
-		// discrete-event scheduler; the workers themselves are
-		// simulation goroutines.
-		queue := make(chan web.Resource, len(resources))
-		for _, r := range resources {
-			queue <- r
-		}
-		close(queue)
-		results := make(chan done, len(resources))
-
+		// The workers are simulation goroutines, one running at a time,
+		// so they take resources from one cursor and record into pr and
+		// events without a lock. A failed dial or fetch poisons its
+		// worker, which then fails every resource not yet taken.
+		next := 0
 		wg := netem.NewWaitGroup(c.Net.Clock())
 		for w := 0; w < maxConns; w++ {
 			wg.Add(1)
 			c.Net.Go(func() {
 				defer wg.Done()
 				conn, err := c.dial(origin)
-				if err != nil {
-					for r := range queue {
-						results <- done{err: err, ev: LoadEvent{Weight: r.VisualWeight}}
-					}
-					return
+				var rd *reader
+				if err == nil {
+					defer conn.Close()
+					conn.SetReadTimeout(deadline - c.Net.Now())
+					rd = newReader(c.Net.Clock(), conn)
+					defer rd.release()
 				}
-				defer conn.Close()
-				conn.SetReadTimeout(deadline - c.Net.Now())
-				rd := newReader(c.Net.Clock(), conn)
-				defer rd.release()
-				for r := range queue {
-					n, err := fetchOn(rd, r.Path)
-					at := c.Net.Since(start)
-					results <- done{
-						ev:    LoadEvent{At: at, Weight: r.VisualWeight},
-						bytes: n,
-						err:   err,
-					}
-					if err != nil {
-						// The connection is poisoned; fail remaining work.
-						for r2 := range queue {
-							results <- done{err: err, ev: LoadEvent{Weight: r2.VisualWeight}}
+				for next < len(resources) {
+					r := resources[next]
+					next++
+					if err == nil {
+						var n int64
+						n, err = fetchOn(rd, r.Path)
+						pr.Bytes += n
+						if err == nil {
+							pr.ResourcesLoaded++
+							events = append(events, LoadEvent{At: c.Net.Since(start), Weight: r.VisualWeight})
+							continue
 						}
-						return
+					}
+					if pr.Err == nil {
+						pr.Err = err
 					}
 				}
 			})
 		}
 		wg.Wait()
-		close(results)
-		for d := range results {
-			pr.Bytes += d.bytes
-			if d.err != nil {
-				if pr.Err == nil {
-					pr.Err = d.err
-				}
-				continue
-			}
-			pr.ResourcesLoaded++
-			events = append(events, d.ev)
-		}
 	}
 
 	pr.PageLoadTime = maxEventTime(events)

@@ -1,6 +1,8 @@
 package fetch
 
 import (
+	"errors"
+	"io"
 	"net"
 	"testing"
 	"testing/quick"
@@ -219,6 +221,122 @@ func TestBrowseParallelismHelps(t *testing.T) {
 	if parallel.PageLoadTime >= serial.PageLoadTime {
 		t.Fatalf("6 conns (%v) should beat 1 conn (%v)", parallel.PageLoadTime, serial.PageLoadTime)
 	}
+}
+
+// TestBrowseFailuresAccountForEveryResource: workers whose dials are
+// refused after the base page, and worker conns that die mid-page, fail
+// the page with their error, and every resource is loaded once or
+// failed. A failure fails every resource no worker has taken: no request
+// goes out after it, and each request sent is a resource loaded or the
+// one whose conn died. The bytes are the base page's, those of the
+// resources loaded, and part of one more per conn that died; one worker
+// loads the resources in order, so there they are a prefix.
+func TestBrowseFailuresAccountForEveryResource(t *testing.T) {
+	refused := errors.New("dial refused")
+	for _, tc := range []struct {
+		name  string
+		conns int
+		// alter decides worker dial i's fate (the base page's is 0):
+		// refused, or cut after cut bytes read, or plain for cut < 0.
+		alter   func(i, total int) (refuse bool, cut int)
+		wantErr error
+		died    int // worker conns that die mid-page
+		loaded  func(n, total int) bool
+	}{
+		{"every worker refused", 3, func(i, _ int) (bool, int) { return i > 0, -1 }, refused, 0,
+			func(n, _ int) bool { return n == 0 }},
+		{"one worker dials, the rest refused", 3, func(i, _ int) (bool, int) { return i > 1, -1 }, refused, 0,
+			func(n, _ int) bool { return n == 0 }},
+		{"the one worker's conn dies mid-page", 1, func(i, total int) (bool, int) {
+			if i == 1 {
+				return false, total / 2
+			}
+			return false, -1
+		}, io.ErrUnexpectedEOF, 1, func(n, total int) bool { return n > 0 && n < total }},
+		{"one of six conns dies", 6, func(i, _ int) (bool, int) {
+			if i == 3 {
+				return false, 2_000
+			}
+			return false, -1
+		}, io.ErrUnexpectedEOF, 1, func(n, total int) bool { return n < total }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, c, o, cat := testSetup(t)
+			site := &cat.Sites[1]
+			var total int
+			for _, r := range site.Resources {
+				total += r.Bytes
+			}
+			base := c.Get(o.Addr(), site.Path, false)
+			dial, dials := c.Dial, 0
+			failed, requests, late := false, 0, 0
+			c.Dial = func(target string) (net.Conn, error) {
+				refuse, cut := tc.alter(dials, total)
+				dials++
+				if refuse {
+					failed = true
+					return nil, refused
+				}
+				conn, err := dial(target)
+				if err != nil || dials == 1 {
+					return conn, err
+				}
+				s := conn.(netem.Stream)
+				if cut >= 0 {
+					s = streamtest.Alter(s, func(got, want int) int {
+						if got >= cut {
+							failed = true
+						}
+						return min(want, cut-got)
+					})
+				}
+				return counted{s, func() {
+					requests++
+					if failed {
+						late++
+					}
+				}}, nil
+			}
+			pr := c.Browse(o.Addr(), site.Path, tc.conns)
+			if pr.OK || !errors.Is(pr.Err, tc.wantErr) {
+				t.Fatalf("OK %v, Err %v; want a failed page with %v", pr.OK, pr.Err, tc.wantErr)
+			}
+			if pr.ResourcesTotal != len(site.Resources) || !tc.loaded(pr.ResourcesLoaded, pr.ResourcesTotal) {
+				t.Fatalf("%d of %d resources loaded (site has %d)", pr.ResourcesLoaded, pr.ResourcesTotal, len(site.Resources))
+			}
+			if dials != 1+min(tc.conns, len(site.Resources)) {
+				t.Fatalf("%d dials, want the base page's and one per worker", dials)
+			}
+			if late != 0 || requests != pr.ResourcesLoaded+tc.died {
+				t.Fatalf("%d requests, %d after the first failure; want one per resource loaded and %d for the conns that died",
+					requests, late, tc.died)
+			}
+			got := int(pr.Bytes - base.BytesGot)
+			if tc.conns == 1 {
+				prefix := 0
+				for _, r := range site.Resources[:pr.ResourcesLoaded] {
+					prefix += r.Bytes
+				}
+				if next := site.Resources[pr.ResourcesLoaded].Bytes; got < prefix || got >= prefix+next {
+					t.Fatalf("%d resource bytes, want the %d loaded and part of %d", got, prefix, next)
+				}
+			} else if got < 0 || got > total {
+				t.Fatalf("%d resource bytes of the site's %d", got, total)
+			}
+		})
+	}
+}
+
+// counted calls wrote at each Write: a request, as web.WriteRequest
+// frames each in one Write.
+type counted struct {
+	netem.Stream
+	wrote func()
+}
+
+func (c counted) Write(p []byte) (int, error) {
+	c.wrote()
+	return c.Stream.Write(p)
 }
 
 func TestSpeedIndexProperties(t *testing.T) {

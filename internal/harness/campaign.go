@@ -113,7 +113,7 @@ func browserAccess(w *testbed.World, d *testbed.Deployment, path string) (total,
 // per method, the per-site means of in.Repeats accesses.
 func measureAccess(w *testbed.World, in accessIn, access func(*testbed.World, *testbed.Deployment, string) (total, ttfb, speedIndex float64)) (map[string]*accessData, error) {
 	sites := sitePaths(w)
-	return forEachMethod(w, in.Methods, in.Sequential, func(name string) (*accessData, error) {
+	return testbed.ForEachMethod(w, in.Methods, in.Sequential, func(name string) (*accessData, error) {
 		d, err := w.Deployment(name)
 		if err != nil {
 			return nil, err
@@ -232,9 +232,10 @@ func (c Config) filesCell() cell[filesIn, map[string]*fileData] {
 }
 
 // measureFiles downloads every size in.Attempts times per method, one
-// method at a time whatever Config.Sequential says (see forEachMethod).
+// method at a time whatever Config.Sequential says (see
+// testbed.ForEachMethod).
 func measureFiles(w *testbed.World, in filesIn) (map[string]*fileData, error) {
-	return forEachMethod(w, in.Methods, true, func(name string) (*fileData, error) {
+	return testbed.ForEachMethod(w, in.Methods, true, func(name string) (*fileData, error) {
 		d, err := w.Deployment(name)
 		if err != nil {
 			return nil, err

@@ -109,7 +109,7 @@ func (c Config) churnCells() []cell[churnIn, *churnCell] {
 // while the world's fault plan plays underneath them.
 func measureChurn(w *testbed.World, in churnIn) (*churnCell, error) {
 	size := w.Bytes(churnFileMB << 20)
-	methods, err := forEachMethod(w, in.Methods, in.Sequential, func(name string) (*churnMethod, error) {
+	methods, err := testbed.ForEachMethod(w, in.Methods, in.Sequential, func(name string) (*churnMethod, error) {
 		dep, err := w.Deployment(name)
 		if err != nil {
 			return nil, err

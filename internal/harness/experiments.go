@@ -91,7 +91,7 @@ type methodsIn struct {
 // vectors. It is the measurement of the medium and location cells.
 func accessSamples(w *testbed.World, in methodsIn) (map[string][]float64, error) {
 	sites := firstSites(w, len(w.Tranco.Sites))
-	return forEachMethod(w, in.Methods, in.Sequential, func(name string) ([]float64, error) {
+	return testbed.ForEachMethod(w, in.Methods, in.Sequential, func(name string) ([]float64, error) {
 		d, err := w.Deployment(name)
 		if err != nil {
 			return nil, err
@@ -466,7 +466,7 @@ func (c Config) fig9Cell() cell[methodsIn, map[string][]float64] {
 // vanilla Tor over an identical circuit for each Tranco site.
 func measureOverhead(w *testbed.World, in methodsIn) (map[string][]float64, error) {
 	sites := firstSites(w, len(w.Tranco.Sites))
-	return forEachMethod(w, in.Methods, in.Sequential, func(name string) ([]float64, error) {
+	return testbed.ForEachMethod(w, in.Methods, in.Sequential, func(name string) ([]float64, error) {
 		rig, err := w.NewOverheadRig(name, int64(len(name))*13)
 		if err != nil {
 			return nil, err

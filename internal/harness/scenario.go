@@ -84,7 +84,7 @@ func (c Config) sweepCells() []cell[methodsIn, *scenarioCell] {
 // world's scenario.
 func scenarioAccess(w *testbed.World, in methodsIn) (*scenarioCell, error) {
 	sites := sitePaths(w)
-	data, err := forEachMethod(w, in.Methods, in.Sequential, func(method string) (*scenarioResult, error) {
+	data, err := testbed.ForEachMethod(w, in.Methods, in.Sequential, func(method string) (*scenarioResult, error) {
 		d, err := w.Deployment(method)
 		if err != nil {
 			return nil, err

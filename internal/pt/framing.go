@@ -260,14 +260,14 @@ func RandFill(rng *rand.Rand, b []byte) {
 // for this table.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Tag is the one keyed check of the wrapping transports, on the recipe
-// of a relay cell's digest (DESIGN.md "What the simulated crypto is
-// for"): CRC-32C seeded with a key over counter ‖ data, its four bytes
-// repeated to the length of the field it fills. It hides nothing. The
-// CRC is affine in its seed over a fixed-length message, so each of
-// these alone is refused every time: data tagged under another key at
-// the same counter, a counter that differs only in its low 32 bits, and
-// a burst of up to 32 flipped bits.
+// Tag is the one keyed check of the simulator: a relay cell's digest,
+// and every MAC, tag or proof field of the wrapping transports (DESIGN.md
+// "What the simulated crypto is for"). It is CRC-32C seeded with a key
+// over counter ‖ data, its four bytes repeated to the length of the
+// field it fills. It hides nothing. The CRC is affine in its seed over a
+// fixed-length message, so each of these alone is refused every time:
+// data tagged under another key at the same counter, a counter that
+// differs only in its low 32 bits, and a burst of up to 32 flipped bits.
 type Tag struct {
 	key uint32
 	// ctr holds the counter's bytes for crc32.Update. It lives here
@@ -280,22 +280,27 @@ type Tag struct {
 // under key 0 at counter 0, of label ‖ parts.
 func NewTag(label string, secret ...[]byte) Tag {
 	var t Tag
-	k := t.sum(0, []byte(label))
+	k := t.Sum(0, []byte(label))
 	for _, p := range secret {
 		k = crc32.Update(k, castagnoli, p)
 	}
-	t.key = k
-	return t
+	return KeyTag(k)
 }
 
-func (t *Tag) sum(ctr uint64, data []byte) uint32 {
+// KeyTag is the Tag under a key derived elsewhere, as a relay hop's is
+// from its handshake.
+func KeyTag(key uint32) Tag { return Tag{key: key} }
+
+// Sum is the tag of ctr ‖ data as one word, the field Put fills when it
+// is four bytes long.
+func (t *Tag) Sum(ctr uint64, data []byte) uint32 {
 	binary.BigEndian.PutUint64(t.ctr[:], ctr)
 	return crc32.Update(crc32.Update(t.key, castagnoli, t.ctr[:]), castagnoli, data)
 }
 
 // Put fills field with the tag of ctr ‖ data.
 func (t *Tag) Put(field []byte, ctr uint64, data []byte) {
-	s := t.sum(ctr, data)
+	s := t.Sum(ctr, data)
 	for i := range field {
 		field[i] = byte(s >> (24 - 8*(i%4)))
 	}
@@ -303,7 +308,7 @@ func (t *Tag) Put(field []byte, ctr uint64, data []byte) {
 
 // Check reports whether field holds the tag of ctr ‖ data.
 func (t *Tag) Check(field []byte, ctr uint64, data []byte) bool {
-	s := t.sum(ctr, data)
+	s := t.Sum(ctr, data)
 	for i, b := range field {
 		if b != byte(s>>(24-8*(i%4))) {
 			return false

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strconv"
-	"sync"
 
 	"ptperf/internal/netem"
 	"ptperf/internal/pt"
@@ -66,9 +65,9 @@ const maxCover = 1 << 20
 // every block (possibly arriving out of order on other conns) is in.
 const finLen = 0xffffffff
 
-// A cover is built in a scratch buffer leased until its conn has taken
-// it (DESIGN.md "Buffer ownership").
-var coverPool = sync.Pool{New: func() any { b := make([]byte, 0, 8<<10); return &b }}
+// A cover is built in a scratch buffer leased from its conn's world
+// until the conn has taken it (DESIGN.md "Buffer ownership").
+var covers = netem.NewBufClass("cover", func() *[]byte { b := make([]byte, 0, 8<<10); return &b })
 
 // coverHead is a cover's header up to its Content-Length digits, which
 // "\r\n\r\n" ends.
@@ -157,7 +156,7 @@ type chopConn struct {
 	wblock  []byte
 	writing bool
 	// A write keeps the cover its conn has not taken whole (an event
-	// write across its waits): a coverPool lease, sent bytes of it to
+	// write across its waits): a lease from covers, sent bytes of it to
 	// conns[to]; fins counts the conns CloseWriteEvent has ended.
 	cover     *[]byte
 	to, sent  int
@@ -228,7 +227,7 @@ func (r *fanIn) stop() {
 
 // startCover leases the cover of block, bound for conn i.
 func (c *chopConn) startCover(i int, block []byte) {
-	c.cover = coverPool.Get().(*[]byte)
+	c.cover = covers.Get(c.conns[i].Clock())
 	*c.cover = appendCover((*c.cover)[:0], block)
 	c.to, c.sent = i, 0
 }
@@ -241,7 +240,7 @@ func (c *chopConn) flushCover(again func()) (err error, done bool) {
 	if c.sent += k; !done {
 		return nil, false
 	}
-	coverPool.Put(c.cover)
+	covers.Put(c.conns[c.to].Clock(), c.cover)
 	c.cover, c.werrs[c.to] = nil, err
 	return err, true
 }

@@ -22,8 +22,6 @@ import (
 	"ptperf/internal/pt/psiphon"
 	"ptperf/internal/pt/shadowsocks"
 	"ptperf/internal/pt/snowflake"
-	"ptperf/internal/pt/stegotorus"
-	"ptperf/internal/pt/webtunnel"
 	"ptperf/internal/testkit/streamtest"
 )
 
@@ -101,17 +99,6 @@ func exerciseEcho(t *testing.T, w *world, d pt.Dialer, payloadLen int) {
 	}
 }
 
-func TestObfs4EndToEnd(t *testing.T) {
-	w := newWorld(t)
-	secret := []byte("bridge-line-secret")
-	srv, err := obfs4.StartServer(w.server, 443, obfs4.Config{Secret: secret, Seed: 1}, echoHandler(t, w, "guard-0:9001"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := obfs4.NewDialer(w.client, srv.Addr(), obfs4.Config{Secret: secret, Seed: 2})
-	exerciseEcho(t, w, d, 60_000)
-}
-
 func TestObfs4RejectsWrongSecret(t *testing.T) {
 	w := newWorld(t)
 	srv, err := obfs4.StartServer(w.server, 443, obfs4.Config{Secret: []byte("right"), Seed: 1}, func(string, netem.Stream) {
@@ -132,17 +119,6 @@ func TestObfs4RejectsWrongSecret(t *testing.T) {
 		}
 		conn.Close()
 	}
-}
-
-func TestShadowsocksEndToEnd(t *testing.T) {
-	w := newWorld(t)
-	psk := []byte("shadowsocks-psk")
-	srv, err := shadowsocks.StartServer(w.server, 8388, shadowsocks.Config{PSK: psk, Seed: 1}, echoHandler(t, w, "guard-0:9001"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := shadowsocks.NewDialer(w.client, srv.Addr(), shadowsocks.Config{PSK: psk, Seed: 2})
-	exerciseEcho(t, w, d, 100_000)
 }
 
 func TestShadowsocksZeroRTTFasterThanObfs4(t *testing.T) {
@@ -170,27 +146,6 @@ func TestShadowsocksZeroRTTFasterThanObfs4(t *testing.T) {
 	}
 }
 
-func TestWebtunnelEndToEnd(t *testing.T) {
-	w := newWorld(t)
-	srv, err := webtunnel.StartServer(w.server, 443, webtunnel.Config{SNI: "cdn.example", Seed: 1}, echoHandler(t, w, "guard-0:9001"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := webtunnel.NewDialer(w.client, srv.Addr(), webtunnel.Config{SNI: "cdn.example", Seed: 2})
-	exerciseEcho(t, w, d, 50_000)
-}
-
-func TestPsiphonEndToEnd(t *testing.T) {
-	w := newWorld(t)
-	hostKey := []byte("psiphon-host-key")
-	srv, err := psiphon.StartServer(w.server, 22, psiphon.Config{HostKey: hostKey, Seed: 1}, echoHandler(t, w, "guard-0:9001"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := psiphon.NewDialer(w.client, srv.Addr(), psiphon.Config{HostKey: hostKey, Seed: 2})
-	exerciseEcho(t, w, d, 50_000)
-}
-
 func TestPsiphonRejectsWrongHostKey(t *testing.T) {
 	w := newWorld(t)
 	srv, err := psiphon.StartServer(w.server, 22, psiphon.Config{HostKey: []byte("right"), Seed: 1}, echoHandler(t, w, "x"))
@@ -200,30 +155,6 @@ func TestPsiphonRejectsWrongHostKey(t *testing.T) {
 	d := psiphon.NewDialer(w.client, srv.Addr(), psiphon.Config{HostKey: []byte("evil"), Seed: 2})
 	if _, err := dial(w.net, d, "x"); !errors.Is(err, psiphon.ErrHostKey) {
 		t.Fatalf("MITM host key must be rejected: %v, want %v", err, psiphon.ErrHostKey)
-	}
-}
-
-func TestCloakEndToEnd(t *testing.T) {
-	w := newWorld(t)
-	uid := []byte("cloak-uid")
-	srv, err := cloak.StartServer(w.server, 443, cloak.Config{UID: uid, Seed: 1}, echoHandler(t, w, "origin:80"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := cloak.NewDialer(w.client, srv.Addr(), cloak.Config{UID: uid, Seed: 2})
-	conn, err := dial(w.net, d, "origin:80")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	msg := bytes.Repeat([]byte("zero-rtt"), 2000)
-	w.net.Go(func() { conn.Write(msg) })
-	got := make([]byte, len(msg))
-	if _, err := io.ReadFull(conn, got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, msg) {
-		t.Fatal("cloak corrupted payload")
 	}
 }
 
@@ -264,21 +195,6 @@ func TestCloakClientHalfClose(t *testing.T) {
 	}
 }
 
-func TestConjureEndToEnd(t *testing.T) {
-	w := newWorld(t)
-	secret := []byte("conjure-secret")
-	bridge, err := conjure.StartBridge(w.server, 4443, conjure.Config{Secret: secret, Seed: 1}, echoHandler(t, w, "guard-0:9001"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	inf, err := conjure.StartInfra(w.extra, w.extra2, 53000, 443, conjure.Config{Secret: secret, Seed: 2}, bridge.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := conjure.NewDialer(w.client, inf.RegistrarAddr(), inf.PhantomAddr(), conjure.Config{Secret: secret, Seed: 3})
-	exerciseEcho(t, w, d, 40_000)
-}
-
 func TestConjureUnregisteredFlowDropped(t *testing.T) {
 	w := newWorld(t)
 	secret := []byte("s")
@@ -300,20 +216,6 @@ func TestConjureUnregisteredFlowDropped(t *testing.T) {
 	if _, err := conn.Read(make([]byte, 1)); err == nil {
 		t.Fatal("station must not answer unregistered flows")
 	}
-}
-
-func TestDnsttEndToEnd(t *testing.T) {
-	w := newWorld(t)
-	srv, err := dnstt.StartServer(w.server, 5300, dnstt.Config{Seed: 1}, echoHandler(t, w, "guard-0:9001"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := dnstt.StartResolver(w.extra, 443, dnstt.Config{Seed: 2}, srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := dnstt.NewDialer(w.client, res.Addr(), dnstt.Config{Seed: 3})
-	exerciseEcho(t, w, d, 20_000)
 }
 
 func TestDnsttRespCapLimitsThroughput(t *testing.T) {
@@ -379,20 +281,6 @@ func TestDnsttResolverBudgetThrottles(t *testing.T) {
 	}
 }
 
-func TestMeekEndToEnd(t *testing.T) {
-	w := newWorld(t)
-	bridge, err := meek.StartBridge(w.server, 7002, meek.Config{Seed: 1, SessionBudgetMedian: -1}, echoHandler(t, w, "guard-0:9001"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	front, err := meek.StartFront(w.extra, 443, meek.Config{Seed: 2}, bridge.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := meek.NewDialer(w.client, front.Addr(), meek.Config{Seed: 3})
-	exerciseEcho(t, w, d, 30_000)
-}
-
 func TestMeekSessionBudgetCutsBulk(t *testing.T) {
 	w := newWorld(t)
 	blob := make([]byte, 1<<20)
@@ -425,20 +313,6 @@ func TestMeekSessionBudgetCutsBulk(t *testing.T) {
 	if got == 0 {
 		t.Fatal("some bytes should arrive before the cut")
 	}
-}
-
-func TestSnowflakeEndToEnd(t *testing.T) {
-	w := newWorld(t)
-	bridge, err := snowflake.StartBridge(w.server, 7001, echoHandler(t, w, "guard-0:9001"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dep, err := snowflake.Deploy(w.extra, 443, snowflake.Config{Seed: 4, ProxyLifetime: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := snowflake.NewDialer(w.client, dep.BrokerAddr(), bridge.Addr())
-	exerciseEcho(t, w, d, 40_000)
 }
 
 func TestSnowflakeProxyChurnBreaksTransfer(t *testing.T) {
@@ -478,20 +352,6 @@ func TestSnowflakeProxyChurnBreaksTransfer(t *testing.T) {
 	if got >= len(blob) {
 		t.Fatalf("churn should break the transfer; got all %d bytes", got)
 	}
-}
-
-func TestCamouflerEndToEnd(t *testing.T) {
-	w := newWorld(t)
-	im, err := camoufler.StartIMServer(w.extra, 5222, camoufler.Config{Seed: 5, LossProb: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	proxy, err := camoufler.StartProxy(w.server, im.Addr(), "acct", camoufler.Config{Seed: 6, LossProb: -1}, echoHandler(t, w, "guard-0:9001"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := camoufler.NewDialer(w.client, im.Addr(), "acct", camoufler.Config{Seed: 7, LossProb: -1}, proxy)
-	exerciseEcho(t, w, d, 20_000)
 }
 
 func TestCamouflerSingleStreamOnly(t *testing.T) {
@@ -549,29 +409,6 @@ func TestCamouflerRateLimitPacesBulk(t *testing.T) {
 	if slow < 2*fast {
 		t.Fatalf("IM rate limit should dominate: slow=%v fast=%v", slow, fast)
 	}
-}
-
-func TestStegotorusEndToEnd(t *testing.T) {
-	w := newWorld(t)
-	srv, err := stegotorus.StartServer(w.server, 8080, stegotorus.Config{Seed: 8}, echoHandler(t, w, "guard-0:9001"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := stegotorus.NewDialer(w.client, srv.Addr(), stegotorus.Config{Seed: 9})
-	exerciseEcho(t, w, d, 80_000)
-}
-
-func TestMarionetteEndToEnd(t *testing.T) {
-	w := newWorld(t)
-	srv, err := marionette.StartServer(w.server, 2121, marionette.FTPWithCapacity(marionette.DefaultCapacity), 10, echoHandler(t, w, "guard-0:9001"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := marionette.NewDialer(w.client, srv.Addr(), marionette.FTPWithCapacity(marionette.DefaultCapacity), 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exerciseEcho(t, w, d, 4_000)
 }
 
 func TestMarionetteModelValidate(t *testing.T) {

@@ -28,12 +28,14 @@ import (
 // tunnels starts each of the 13 access methods' client-to-server legs in
 // a test world, with every budget, loss and churn model off so that any
 // number of bytes passes: "tor" is the vanilla leg, a plain netem conn
-// with the target prologue.
+// with the target prologue. payload is the size of the echo
+// TestTunnelsEndToEnd sends through the leg.
 var tunnels = []struct {
-	name  string
-	start func(w *world, h pt.StreamHandler) (pt.Dialer, error)
+	name    string
+	payload int
+	start   func(w *world, h pt.StreamHandler) (pt.Dialer, error)
 }{
-	{"tor", func(w *world, h pt.StreamHandler) (pt.Dialer, error) {
+	{"tor", 60_000, func(w *world, h pt.StreamHandler) (pt.Dialer, error) {
 		srv, err := pt.ListenAndServe(w.server, 9001, pt.Handshake{}, 0, h)
 		if err != nil {
 			return nil, err
@@ -42,14 +44,14 @@ var tunnels = []struct {
 			return pt.DialWrapped(w.client, srv.Addr(), pt.Handshake{}, 0, target, "tor", done)
 		}), nil
 	}},
-	{"obfs4", func(w *world, h pt.StreamHandler) (pt.Dialer, error) {
+	{"obfs4", 60_000, func(w *world, h pt.StreamHandler) (pt.Dialer, error) {
 		srv, err := obfs4.StartServer(w.server, 443, obfs4.Config{Secret: tunnelKey, Seed: 1}, h)
 		if err != nil {
 			return nil, err
 		}
 		return obfs4.NewDialer(w.client, srv.Addr(), obfs4.Config{Secret: tunnelKey, Seed: 2}), nil
 	}},
-	{"meek", func(w *world, h pt.StreamHandler) (pt.Dialer, error) {
+	{"meek", 30_000, func(w *world, h pt.StreamHandler) (pt.Dialer, error) {
 		bridge, err := meek.StartBridge(w.server, 7002, meek.Config{Seed: 1, SessionBudgetMedian: -1}, h)
 		if err != nil {
 			return nil, err
@@ -60,7 +62,7 @@ var tunnels = []struct {
 		}
 		return meek.NewDialer(w.client, front.Addr(), meek.Config{Seed: 3}), nil
 	}},
-	{"conjure", func(w *world, h pt.StreamHandler) (pt.Dialer, error) {
+	{"conjure", 40_000, func(w *world, h pt.StreamHandler) (pt.Dialer, error) {
 		bridge, err := conjure.StartBridge(w.server, 4443, conjure.Config{Secret: tunnelKey, Seed: 1}, h)
 		if err != nil {
 			return nil, err
@@ -71,7 +73,7 @@ var tunnels = []struct {
 		}
 		return conjure.NewDialer(w.client, inf.RegistrarAddr(), inf.PhantomAddr(), conjure.Config{Secret: tunnelKey, Seed: 3}), nil
 	}},
-	{"webtunnel", func(w *world, h pt.StreamHandler) (pt.Dialer, error) {
+	{"webtunnel", 50_000, func(w *world, h pt.StreamHandler) (pt.Dialer, error) {
 		cfg := webtunnel.Config{SNI: "cdn.example", Seed: 1}
 		srv, err := webtunnel.StartServer(w.server, 443, cfg, h)
 		if err != nil {
@@ -80,7 +82,7 @@ var tunnels = []struct {
 		cfg.Seed = 2
 		return webtunnel.NewDialer(w.client, srv.Addr(), cfg), nil
 	}},
-	{"dnstt", func(w *world, h pt.StreamHandler) (pt.Dialer, error) {
+	{"dnstt", 20_000, func(w *world, h pt.StreamHandler) (pt.Dialer, error) {
 		srv, err := dnstt.StartServer(w.server, 5300, dnstt.Config{Seed: 1, BudgetMedian: -1}, h)
 		if err != nil {
 			return nil, err
@@ -91,7 +93,7 @@ var tunnels = []struct {
 		}
 		return dnstt.NewDialer(w.client, res.Addr(), dnstt.Config{Seed: 3, BudgetMedian: -1}), nil
 	}},
-	{"snowflake", func(w *world, h pt.StreamHandler) (pt.Dialer, error) {
+	{"snowflake", 40_000, func(w *world, h pt.StreamHandler) (pt.Dialer, error) {
 		bridge, err := snowflake.StartBridge(w.server, 7001, h)
 		if err != nil {
 			return nil, err
@@ -102,28 +104,28 @@ var tunnels = []struct {
 		}
 		return snowflake.NewDialer(w.client, dep.BrokerAddr(), bridge.Addr()), nil
 	}},
-	{"psiphon", func(w *world, h pt.StreamHandler) (pt.Dialer, error) {
+	{"psiphon", 50_000, func(w *world, h pt.StreamHandler) (pt.Dialer, error) {
 		srv, err := psiphon.StartServer(w.server, 22, psiphon.Config{HostKey: tunnelKey, Seed: 1}, h)
 		if err != nil {
 			return nil, err
 		}
 		return psiphon.NewDialer(w.client, srv.Addr(), psiphon.Config{HostKey: tunnelKey, Seed: 2}), nil
 	}},
-	{"shadowsocks", func(w *world, h pt.StreamHandler) (pt.Dialer, error) {
+	{"shadowsocks", 100_000, func(w *world, h pt.StreamHandler) (pt.Dialer, error) {
 		srv, err := shadowsocks.StartServer(w.server, 8388, shadowsocks.Config{PSK: tunnelKey, Seed: 1}, h)
 		if err != nil {
 			return nil, err
 		}
 		return shadowsocks.NewDialer(w.client, srv.Addr(), shadowsocks.Config{PSK: tunnelKey, Seed: 2}), nil
 	}},
-	{"stegotorus", func(w *world, h pt.StreamHandler) (pt.Dialer, error) {
+	{"stegotorus", 80_000, func(w *world, h pt.StreamHandler) (pt.Dialer, error) {
 		srv, err := stegotorus.StartServer(w.server, 8080, stegotorus.Config{Seed: 8}, h)
 		if err != nil {
 			return nil, err
 		}
 		return stegotorus.NewDialer(w.client, srv.Addr(), stegotorus.Config{Seed: 9}), nil
 	}},
-	{"camoufler", func(w *world, h pt.StreamHandler) (pt.Dialer, error) {
+	{"camoufler", 20_000, func(w *world, h pt.StreamHandler) (pt.Dialer, error) {
 		im, err := camoufler.StartIMServer(w.extra, 5222, camoufler.Config{Seed: 5, LossProb: -1})
 		if err != nil {
 			return nil, err
@@ -134,7 +136,7 @@ var tunnels = []struct {
 		}
 		return camoufler.NewDialer(w.client, im.Addr(), "acct", camoufler.Config{Seed: 7, LossProb: -1}, proxy), nil
 	}},
-	{"cloak", func(w *world, h pt.StreamHandler) (pt.Dialer, error) {
+	{"cloak", 16_000, func(w *world, h pt.StreamHandler) (pt.Dialer, error) {
 		cfg := cloak.Config{UID: tunnelKey, Seed: 1}
 		srv, err := cloak.StartServer(w.server, 443, cfg, h)
 		if err != nil {
@@ -143,7 +145,7 @@ var tunnels = []struct {
 		cfg.Seed = 2
 		return cloak.NewDialer(w.client, srv.Addr(), cfg), nil
 	}},
-	{"marionette", func(w *world, h pt.StreamHandler) (pt.Dialer, error) {
+	{"marionette", 4_000, func(w *world, h pt.StreamHandler) (pt.Dialer, error) {
 		srv, err := marionette.StartServer(w.server, 2121, marionette.FTPWithCapacity(marionette.DefaultCapacity), 10, h)
 		if err != nil {
 			return nil, err
@@ -153,6 +155,21 @@ var tunnels = []struct {
 }
 
 var tunnelKey = []byte("tunnel-test-key")
+
+// TestTunnelsEndToEnd drives a full bidirectional transfer of each
+// leg's payload through it.
+func TestTunnelsEndToEnd(t *testing.T) {
+	for _, tn := range tunnels {
+		t.Run(tn.name, func(t *testing.T) {
+			w := newWorld(t)
+			d, err := tn.start(w, echoHandler(t, w, "guard-0:9001"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			exerciseEcho(t, w, d, tn.payload)
+		})
+	}
+}
 
 // TestTunnelsCoverEveryMethod: the table above is the 13 access methods.
 func TestTunnelsCoverEveryMethod(t *testing.T) {

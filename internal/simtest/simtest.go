@@ -356,10 +356,9 @@ func Run(spec Spec) (*Outcome, error) {
 }
 
 // measure runs one access pass: every transport fetches every site
-// `repeats` times, transports in parallel as simulation goroutines on
-// the world's scheduler (deterministic interleaving at virtual-time
-// waits). Results are keyed by method; a monotonicity violation is
-// written to clockErr.
+// `repeats` times, transports in parallel (testbed.ForEachMethod).
+// Results are keyed by method; a monotonicity violation is written to
+// clockErr.
 func measure(w *testbed.World, spec Spec, repeats int, clockErr *error) map[string]*methodResult {
 	clock := w.Net.Clock()
 	type site struct{ path string }
@@ -371,61 +370,51 @@ func measure(w *testbed.World, spec Spec, repeats int, clockErr *error) map[stri
 		sites = append(sites, site{w.CBL.Sites[i].Path})
 	}
 
-	// The per-method goroutines are simulation goroutines of w, one
-	// running at a time, so out and clockErr need no lock (as in the
-	// harness's forEachMethod).
-	out := make(map[string]*methodResult, len(spec.Transports))
-	wg := netem.NewWaitGroup(clock)
-	for _, name := range spec.Transports {
-		name := name
-		wg.Add(1)
-		clock.Go(func() {
-			defer wg.Done()
-			res := &methodResult{Name: name}
-			last := clock.Now()
-			record := func(sec float64, ok bool) {
-				res.Times = append(res.Times, sec)
-				if ok {
-					res.OK++
-				} else {
-					res.Failed++
-				}
-				if now := clock.Now(); now < last {
-					if *clockErr == nil {
-						*clockErr = fmt.Errorf("virtual clock moved backwards: %v after %v", now, last)
-					}
-				} else {
-					last = now
-				}
+	// The methods' goroutines run one at a time, so clockErr needs no
+	// lock. A method records its failures and returns no error.
+	out, _ := testbed.ForEachMethod(w, spec.Transports, false, func(name string) (*methodResult, error) {
+		res := &methodResult{Name: name}
+		last := clock.Now()
+		record := func(sec float64, ok bool) {
+			res.Times = append(res.Times, sec)
+			if ok {
+				res.OK++
+			} else {
+				res.Failed++
 			}
-			d, err := w.Deployment(name)
-			if err != nil {
-				// A deployment that cannot build records every access
-				// as a timeout — the campaign shape stays intact.
-				for i := 0; i < len(sites)*repeats; i++ {
+			if now := clock.Now(); now < last {
+				if *clockErr == nil {
+					*clockErr = fmt.Errorf("virtual clock moved backwards: %v after %v", now, last)
+				}
+			} else {
+				last = now
+			}
+		}
+		d, err := w.Deployment(name)
+		if err != nil {
+			// A deployment that cannot build records every access
+			// as a timeout — the campaign shape stays intact.
+			for i := 0; i < len(sites)*repeats; i++ {
+				record(pageTimeout.Seconds(), false)
+			}
+			return res, nil
+		}
+		// A failed preheat is not fatal: under blocking scenarios
+		// the accesses themselves record the failure.
+		_ = d.Preheat()
+		c := &fetch.Client{Net: w.Net, Dial: d.Dial, Timeout: pageTimeout}
+		for _, st := range sites {
+			for rep := 0; rep < repeats; rep++ {
+				got := c.Get(w.Origin.Addr(), st.path, false)
+				if got.Err != nil || !got.Complete() {
 					record(pageTimeout.Seconds(), false)
+					continue
 				}
-				out[name] = res
-				return
+				record(got.Total.Seconds(), true)
 			}
-			// A failed preheat is not fatal: under blocking scenarios
-			// the accesses themselves record the failure.
-			_ = d.Preheat()
-			c := &fetch.Client{Net: w.Net, Dial: d.Dial, Timeout: pageTimeout}
-			for _, st := range sites {
-				for rep := 0; rep < repeats; rep++ {
-					got := c.Get(w.Origin.Addr(), st.path, false)
-					if got.Err != nil || !got.Complete() {
-						record(pageTimeout.Seconds(), false)
-						continue
-					}
-					record(got.Total.Seconds(), true)
-				}
-			}
-			out[name] = res
-		})
-	}
-	wg.Wait()
+		}
+		return res, nil
+	})
 	return out
 }
 

@@ -14,6 +14,7 @@
 package testbed
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -279,6 +280,47 @@ func (w *World) Close() {
 		r.DropQueues()
 	}
 	w.Net.Retire()
+}
+
+// ForEachMethod runs fn for each method over world w — up to 16 at a
+// time, one at a time when sequential — and returns the results keyed
+// by method name. Bulk campaigns run sequentially so simultaneous
+// downloads do not contend on the shared relay fleet in a way the
+// paper's time-gapped measurements never did. The per-method goroutines
+// are simulation goroutines on w's scheduler, so they interleave
+// deterministically, and only at virtual-time waits: out and errs need
+// no lock. Any failure fails the whole call with every per-method error
+// aggregated (errors.Join), in deterministic order: the goroutines
+// finish in virtual-time order.
+func ForEachMethod[T any](w *World, methods []string, sequential bool, fn func(name string) (T, error)) (map[string]T, error) {
+	limit := 16
+	if sequential {
+		limit = 1
+	}
+	clock := w.Net.Clock()
+	out := make(map[string]T, len(methods))
+	var errs []error
+	wg := netem.NewWaitGroup(clock)
+	sem := netem.NewChan[struct{}](clock, limit)
+	for _, name := range methods {
+		wg.Add(1)
+		clock.Go(func() {
+			defer wg.Done()
+			sem.Send(struct{}{})
+			defer sem.Recv()
+			v, err := fn(name)
+			if err != nil {
+				errs = append(errs, fmt.Errorf("%s: %w", name, err))
+				return
+			}
+			out[name] = v
+		})
+	}
+	wg.Wait()
+	if len(errs) > 0 {
+		return nil, errors.Join(errs...)
+	}
+	return out, nil
 }
 
 // startRelay is the one place a relay is started: it gives the relay

@@ -2,13 +2,13 @@ package tor
 
 import (
 	"bytes"
-	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
 	"testing/quick"
 
 	"ptperf/internal/netem"
+	"ptperf/internal/pt"
 	"ptperf/internal/sim"
 )
 
@@ -136,10 +136,10 @@ func TestHandshakeKeysDistinct(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	k1, _ := handshakePair(t, rng)
 	k2, _ := handshakePair(t, rng)
-	if k1.fwd.key == k2.fwd.key || k1.bwd.key == k2.bwd.key || k1.fwd.tag == k2.fwd.tag {
+	if k1.fwd.sum == k2.fwd.sum || k1.bwd.sum == k2.bwd.sum || k1.fwd.tag == k2.fwd.tag {
 		t.Fatalf("two exchanges repeat a tag or key: %+v %+v", k1, k2)
 	}
-	if k1.fwd.key == k1.bwd.key || k1.fwd.tag == k1.bwd.tag {
+	if k1.fwd.sum == k1.bwd.sum || k1.fwd.tag == k1.bwd.tag {
 		t.Fatalf("one hop's directions share a tag or key: %+v", k1)
 	}
 }
@@ -162,10 +162,12 @@ func TestDeriveHopPinned(t *testing.T) {
 		secret[i] = 7
 	}
 	h := deriveHop(&secret)
-	got := fmt.Sprintf("%04x %08x %04x %08x", h.fwd.tag, h.fwd.key, h.bwd.tag, h.bwd.key)
-	const want = "69e3 6427b6f3 2276 00723357"
-	if got != want {
-		t.Fatalf("tags and keys\n got %s\nwant %s", got, want)
+	want := hopCrypto{
+		fwd: hopDir{tag: 0x69e3, sum: pt.KeyTag(0x6427b6f3)},
+		bwd: hopDir{tag: 0x2276, sum: pt.KeyTag(0x00723357)},
+	}
+	if *h != want {
+		t.Fatalf("tags and keys\n got %x\nwant %x", *h, want)
 	}
 	for i := 0; i < len(secret); i += 8 {
 		secret[i] ^= 1

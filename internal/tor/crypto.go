@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"math/rand"
 
+	"ptperf/internal/pt"
 	"ptperf/internal/sim"
 )
 
@@ -17,41 +17,31 @@ const HandshakeLen = 32
 // hopCrypto is one hop's share of the onion layer. There is no cipher:
 // what a layer is kept for is what it rejects (DESIGN.md "What the
 // simulated crypto is for"), and that needs only, per direction, a tag
-// naming the hop a relay cell is addressed to, a key seeding the cell's
-// checksum, and a count of the cells checked so far.
+// naming the hop a relay cell is addressed to, a keyed pt.Tag for the
+// cell's checksum, and a count of the cells checked so far.
 //
 // A cell's 2-byte recognized field carries the tag in plain text, so a
 // hop the cell is not for forwards it after one compare. Its 4-byte
-// digest is CRC-32C seeded with the key, over counter || payload with
-// the digest field zeroed. The CRC is affine in its seed over a
-// fixed-length message, so each of these alone is refused every time:
-// a cell sealed under another key at the same count, a count off by
-// less than 2^32 (a replayed, reordered or dropped cell), and a burst of
-// up to 32 flipped bits.
+// digest is the pt.Tag sum of counter || payload with the digest field
+// zeroed, so a cell sealed under another key at the same count, a count
+// off by less than 2^32 (a replayed, reordered or dropped cell), and a
+// burst of up to 32 flipped bits are each refused every time.
 //
 // Concurrency: each direction of one instance is driven by exactly one
 // goroutine or inline event stream — forward by whoever originates/
 // checks forward cells (the client under sendMu, a relay's link pump),
 // backward by the symmetric single reader/sealer — and a digest does
-// not park, which is what makes the shared ctrBuf safe.
+// not park, which is what makes the Tag's counter scratch safe.
 type hopCrypto struct {
 	fwd, bwd hopDir
-	// ctrBuf holds the counter's bytes for crc32.Update. It lives here
-	// because an array on the stack escapes through that call: one
-	// allocation per digest.
-	ctrBuf [8]byte
 }
 
 // hopDir is one direction of a hop.
 type hopDir struct {
 	tag uint16
-	key uint32
+	sum pt.Tag
 	ctr uint64
 }
-
-// castagnoli is the CRC-32C table; crc32.Update takes its hardware path
-// for this table.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // deriveHop expands a secret into a hop's tags and keys: the secret's
 // eight 64-bit words through sim.DeriveSeed, then one derived seed per
@@ -64,26 +54,19 @@ func deriveHop(secret *[2 * HandshakeLen]byte) *hopCrypto {
 	root := sim.DeriveSeed(w[0], w[1:]...)
 	f, b := uint64(sim.DeriveSeed(root, 0)), uint64(sim.DeriveSeed(root, 1))
 	return &hopCrypto{
-		fwd: hopDir{tag: uint16(f >> 32), key: uint32(f)},
-		bwd: hopDir{tag: uint16(b >> 32), key: uint32(b)},
+		fwd: hopDir{tag: uint16(f >> 32), sum: pt.KeyTag(uint32(f))},
+		bwd: hopDir{tag: uint16(b >> 32), sum: pt.KeyTag(uint32(b))},
 	}
 }
 
-// digest is the checksum of payload p, its digest field zeroed, for d's
-// next cell. The payload goes to crc32.Update whole: at 507 bytes it
-// takes the three-way path, which needs 504, and so costs half as much
-// as two calls around the digest field.
-func (h *hopCrypto) digest(d *hopDir, p []byte) uint32 {
-	binary.BigEndian.PutUint64(h.ctrBuf[:], d.ctr)
-	return crc32.Update(crc32.Update(d.key, castagnoli, h.ctrBuf[:]), castagnoli, p)
-}
-
 // seal stamps d's tag and digest on a marshalled relay payload and
-// advances the counter.
-func (h *hopCrypto) seal(d *hopDir, p []byte) {
+// advances the counter. The payload goes to the sum whole: at 507 bytes
+// CRC-32C takes the three-way path, which needs 504, and so costs half
+// as much as two calls around the digest field.
+func (d *hopDir) seal(p []byte) {
 	binary.BigEndian.PutUint16(p[1:3], d.tag)
 	binary.BigEndian.PutUint32(p[5:9], 0)
-	binary.BigEndian.PutUint32(p[5:9], h.digest(d, p))
+	binary.BigEndian.PutUint32(p[5:9], d.sum.Sum(d.ctr, p))
 	d.ctr++
 }
 
@@ -91,13 +74,13 @@ func (h *hopCrypto) seal(d *hopDir, p []byte) {
 // if it is. A foreign tag is refused without a digest. p's digest field
 // is zeroed while the digest is computed and then put back, so a
 // refused cell is forwarded as it arrived.
-func (h *hopCrypto) check(d *hopDir, p []byte) bool {
+func (d *hopDir) check(p []byte) bool {
 	if binary.BigEndian.Uint16(p[1:3]) != d.tag {
 		return false
 	}
 	got := binary.BigEndian.Uint32(p[5:9])
 	binary.BigEndian.PutUint32(p[5:9], 0)
-	want := h.digest(d, p)
+	want := d.sum.Sum(d.ctr, p)
 	binary.BigEndian.PutUint32(p[5:9], got)
 	if got != want {
 		return false
@@ -109,16 +92,16 @@ func (h *hopCrypto) check(d *hopDir, p []byte) bool {
 // sealForward marks a relay payload for this hop. Called by the party
 // that *originates* cells toward this hop (the client). p is the
 // PayloadSize-byte payload.
-func (h *hopCrypto) sealForward(p []byte) { h.seal(&h.fwd, p) }
+func (h *hopCrypto) sealForward(p []byte) { h.fwd.seal(p) }
 
 // checkForward recognizes an arrived forward cell at the hop.
-func (h *hopCrypto) checkForward(p []byte) bool { return h.check(&h.fwd, p) }
+func (h *hopCrypto) checkForward(p []byte) bool { return h.fwd.check(p) }
 
 // sealBackward marks a payload originated by this hop toward the client.
-func (h *hopCrypto) sealBackward(p []byte) { h.seal(&h.bwd, p) }
+func (h *hopCrypto) sealBackward(p []byte) { h.bwd.seal(p) }
 
 // checkBackward recognizes, at the client, a backward cell from the hop.
-func (h *hopCrypto) checkBackward(p []byte) bool { return h.check(&h.bwd, p) }
+func (h *hopCrypto) checkBackward(p []byte) bool { return h.bwd.check(p) }
 
 // handshake is one side's half of the exchange carried by CREATE/CREATED
 // and EXTEND/EXTENDED, sent as it is. It is no key agreement (whoever
