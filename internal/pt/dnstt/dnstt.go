@@ -91,7 +91,8 @@ func (c Config) withDefaults() Config {
 // Frame layout (shared by the resolver hop and the authoritative hop),
 // each a pt.Prefix16 frame read and written by a pt.FrameConn, so every
 // hop runs inline, in its conns' read sinks and in clock events, and no
-// goroutine parks per query:
+// goroutine parks per query; the ends build their frames in place in the
+// endpoint's Frame (takeFrame):
 //
 //	query:    [2B total len][8B session][4B qseq][data]
 //	response: [2B total len][4B rseq][data]        (rseq 0xffffffff = empty poll answer)
@@ -106,6 +107,18 @@ const (
 // sessionID is the session field of a query, the key of both session
 // tables.
 type sessionID [sessionLen]byte
+
+// takeFrame appends to dst a Prefix16 frame that opens with a head of n
+// (at most sessionLen+4) zero bytes, for the caller to fill, and carries
+// up to capBytes taken from s straight behind it. It returns the frame,
+// its head at offset 2, and how many stream bytes it carries.
+func takeFrame(dst []byte, n int, s *pt.Stream, capBytes int) ([]byte, int) {
+	var zero [2 + sessionLen + 4]byte
+	start := len(dst)
+	dst = s.Take(append(dst, zero[:2+n]...), capBytes)
+	binary.BigEndian.PutUint16(dst[start:], uint16(len(dst)-start-2))
+	return dst[start:], len(dst) - start - 2 - n
+}
 
 // check refuses caps whose frames would not fit their 16-bit length
 // prefix: it would wrap and understate the frame, and the peer's
@@ -306,11 +319,8 @@ type serverSession struct {
 // answerer is one resolver pipeline at the server: each query is
 // answered the instant it arrives.
 type answerer struct {
-	s     *Server
-	in    *pt.FrameConn
-	chunk []byte
-	head  [4]byte
-	frame []byte
+	s  *Server
+	in *pt.FrameConn
 }
 
 // serve starts answering one resolver pipeline.
@@ -334,12 +344,7 @@ func (a *answerer) answer(q []byte) {
 	qseq := binary.BigEndian.Uint32(q[sessionLen : sessionLen+4])
 	ss := a.s.sessions.Touch(sessionID(q[:sessionLen]))
 	ss.acceptUpstream(qseq, q[sessionLen+4:])
-
-	var rseq uint32
-	a.chunk, rseq = ss.takeDownstream(a.chunk, a.s.cfg.RespCap)
-	binary.BigEndian.PutUint32(a.head[:], rseq)
-	a.frame = pt.AppendPrefix16(a.frame[:0], a.head[:], a.chunk)
-	a.in.Send(a.frame)
+	a.in.Send(ss.takeDownstream(a.in.Frame(), a.s.cfg.RespCap))
 }
 
 // acceptUpstream reorders query payloads into the upstream byte stream.
@@ -350,15 +355,16 @@ func (ss *serverSession) acceptUpstream(qseq uint32, data []byte) {
 	}
 }
 
-// takeDownstream pops at most capBytes from the downstream queue into
-// buf's array and numbers the chunk.
-func (ss *serverSession) takeDownstream(buf []byte, capBytes int) ([]byte, uint32) {
-	chunk := ss.Take(buf, capBytes)
-	if len(chunk) == 0 {
-		return chunk, emptyRseq
+// takeDownstream appends to dst the response frame of at most capBytes
+// from the downstream queue, numbered.
+func (ss *serverSession) takeDownstream(dst []byte, capBytes int) []byte {
+	frame, n := takeFrame(dst, 4, ss.Stream, capBytes)
+	rseq := uint32(emptyRseq)
+	if n > 0 {
+		rseq, ss.rseq = ss.rseq, ss.rseq+1
 	}
-	ss.rseq++
-	return chunk, ss.rseq - 1
+	binary.BigEndian.PutUint32(frame[2:], rseq)
+	return frame
 }
 
 // Dialer is the dnstt client.
@@ -430,7 +436,7 @@ func (x *dial) Next() {
 		for _, c := range conns {
 			p := &poller{t: t, idle: firstIdlePoll}
 			p.in, p.pollFn = pt.NewFrameConn(pt.Prefix16, p.response, p.stop), p.poll
-			binary.BigEndian.PutUint64(p.head[:sessionLen], sid)
+			binary.BigEndian.PutUint64(p.sid[:], sid)
 			p.in.Attach(c)
 			p.poll()
 		}
@@ -447,15 +453,18 @@ type tunnelConn struct {
 	qseq uint32
 }
 
-// takeUpstream pops up to QueryCap pending upstream bytes into buf's
-// array and numbers them; a data-less poll consumes no sequence number.
-func (t *tunnelConn) takeUpstream(buf []byte) ([]byte, uint32) {
-	data := t.Take(buf, t.queryCap)
-	if len(data) == 0 {
-		return data, emptyQseq
+// takeUpstream appends to dst the query frame of session sid with up to
+// QueryCap pending upstream bytes, numbered, and returns it and how many
+// it carries; a data-less poll consumes no sequence number.
+func (t *tunnelConn) takeUpstream(dst []byte, sid *sessionID) ([]byte, int) {
+	frame, n := takeFrame(dst, sessionLen+4, t.Stream, t.queryCap)
+	qseq := uint32(emptyQseq)
+	if n > 0 {
+		qseq, t.qseq = t.qseq, t.qseq+1
 	}
-	t.qseq++
-	return data, t.qseq - 1
+	copy(frame[2:], sid[:])
+	binary.BigEndian.PutUint32(frame[2+sessionLen:], qseq)
+	return frame, n
 }
 
 // firstIdlePoll is the first idle back-off; each next one is half longer.
@@ -467,9 +476,8 @@ const firstIdlePoll = 50 * time.Millisecond
 type poller struct {
 	t      *tunnelConn
 	in     *pt.FrameConn
-	data   []byte
-	head   [sessionLen + 4]byte
-	frame  []byte
+	sid    sessionID
+	sent   int           // the upstream bytes of the query in flight
 	idle   time.Duration // the next idle back-off
 	pollFn func()        // p.poll, bound once
 }
@@ -481,11 +489,9 @@ func (p *poller) poll() {
 		p.stop()
 		return
 	}
-	var qseq uint32
-	p.data, qseq = p.t.takeUpstream(p.data)
-	binary.BigEndian.PutUint32(p.head[sessionLen:], qseq)
-	p.frame = pt.AppendPrefix16(p.frame[:0], p.head[:], p.data)
-	p.in.Send(p.frame)
+	var query []byte
+	query, p.sent = p.t.takeUpstream(p.in.Frame(), &p.sid)
+	p.in.Send(query)
 }
 
 // response delivers a query's response and paces the next query.
@@ -499,7 +505,7 @@ func (p *poller) response(resp []byte) {
 	if gotData {
 		p.t.DeliverSeq(uint64(rseq), resp[4:])
 	}
-	if len(p.data) == 0 && !gotData {
+	if p.sent == 0 && !gotData {
 		// Idle: back off, like dnstt's poll pacing.
 		p.t.clock.EventAt(p.t.clock.Now()+p.idle, p.pollFn)
 		if p.idle < time.Second {

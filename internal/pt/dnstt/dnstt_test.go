@@ -2,13 +2,17 @@ package dnstt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"ptperf/internal/netem"
 	"ptperf/internal/pt"
+	"ptperf/internal/testkit/streamtest"
 )
 
 // awaitDial dials target through d from a goroutine, which awaits the
@@ -74,13 +78,15 @@ func TestTakeDownstreamRespectsCap(t *testing.T) {
 	if _, err := ss.Write(bytes.Repeat([]byte{1}, 1500)); err != nil {
 		t.Fatal(err)
 	}
+	// A response frame is [2B len][4B rseq][data].
 	for i, want := range []int{512, 512, 476} {
-		if chunk, rseq := ss.takeDownstream(nil, 512); len(chunk) != want || rseq != uint32(i) {
-			t.Fatalf("chunk %d: len=%d rseq=%d", i, len(chunk), rseq)
+		frame := ss.takeDownstream(nil, 512)
+		if len(frame) != 6+want || int(binary.BigEndian.Uint16(frame)) != 4+want || binary.BigEndian.Uint32(frame[2:]) != uint32(i) {
+			t.Fatalf("chunk %d: frame of %d bytes, head % x", i, len(frame), frame[:6])
 		}
 	}
-	if chunk, rseq := ss.takeDownstream(nil, 512); len(chunk) != 0 || rseq != emptyRseq {
-		t.Fatal("empty queue must answer the empty sentinel")
+	if frame := ss.takeDownstream([]byte("kept"), 512); string(frame) != "\x00\x04\xff\xff\xff\xff" {
+		t.Fatalf("empty queue answered % x, want the empty sentinel", frame)
 	}
 }
 
@@ -182,5 +188,48 @@ func TestLargestCapsCarryData(t *testing.T) {
 	}
 	if !bytes.Equal(got, msg) {
 		t.Fatal("the echo differs from what was written")
+	}
+}
+
+// TestFramesBuiltInPlace: once its world's frame list holds an array, a
+// further answerer of the server takes RespCap bytes of its session's
+// stream into an answer and sends it with no allocation. An answerer
+// that kept arrays of its own grew them for its first answer.
+func TestFramesBuiltInPlace(t *testing.T) {
+	const runs = 4
+	n, conns, peers := streamtest.Pairs(t, 0, 2*(runs+1))
+	clock := n.Clock()
+	srv := &Server{cfg: Config{}.withDefaults()}
+	ss := &serverSession{Stream: pt.NewStream(clock, "dns", "dnstt-server", "dnstt-client", serverQueue)}
+	srv.sessions = pt.NewSessions(clock, func(sessionID) *serverSession { return ss }, (*serverSession).Fail)
+	answerers := make([]*answerer, len(conns))
+	got := 0
+	for k, c := range conns {
+		a := &answerer{s: srv}
+		a.in = pt.NewFrameConn(pt.Prefix16, a.answer, a.stop)
+		a.in.Attach(c)
+		answerers[k] = a
+		peers[k].SetReadSink(func(data []byte, base *[]byte, pool *sync.Pool, _ error) {
+			got += len(data)
+			clock.Recycle(pool, base)
+		})
+	}
+	query := binary.BigEndian.AppendUint32(make([]byte, sessionLen), emptyQseq)
+	down := bytes.Repeat([]byte("d"), srv.cfg.RespCap)
+	answer := func() {
+		a := answerers[0]
+		answerers = answerers[1:]
+		ss.Write(down)
+		a.answer(query)
+	}
+	for range runs + 1 {
+		answer()
+	}
+	clock.Sleep(time.Second) // the peers read the answers and their segments go back
+	if allocs := testing.AllocsPerRun(runs, answer); allocs != 0 {
+		t.Fatalf("a further answerer's %d-byte answer allocated %v objects, want 0", srv.cfg.RespCap, allocs)
+	}
+	if clock.Sleep(time.Second); got != len(conns)*(6+srv.cfg.RespCap) {
+		t.Fatalf("the peers read %d bytes, want %d answers of %d", got, len(conns), 6+srv.cfg.RespCap)
 	}
 }

@@ -30,7 +30,8 @@ type FrameCut func(b []byte) (body, end int, err error)
 // Frames are reassembled in an array leased from the world (frameArrays)
 // from the delivery that brings bytes until a handler has returned and
 // every byte in it is cut: the endpoint holds one only while a frame is
-// partly in.
+// partly in. A frame it writes is built in place in another (Frame), held
+// until the conn takes the frame.
 type FrameConn struct {
 	conn     *netem.Conn
 	clock    *netem.Clock // the attached conn's, whose world lends the leases
@@ -39,6 +40,7 @@ type FrameConn struct {
 	stop     func()
 	buf      []byte  // buf[head:] has arrived and is not yet cut
 	lease    *[]byte // buf's array while the endpoint holds one
+	out      *[]byte // the array of the frame being built, from Frame until a write takes it
 	head     int
 	end      error // what ended the stream, once it has arrived
 	awaiting bool
@@ -130,14 +132,39 @@ func (f *FrameConn) Stop() {
 	}
 }
 
-// Send writes one frame, as its transport built it, without parking,
-// and awaits the next frame; a failed write stops the endpoint. It is
-// for hops that alternate, and its write is never refused: each conn has
-// one writer, each direction at most one frame in flight, and the
-// receiver is a FrameConn, which drains at arrival. A refusal is a
-// broken invariant and panics.
+// Frame returns an empty array leased from the world, for the frame the
+// endpoint writes next to be built in: the header appended first, then
+// the body (a Stream's bytes straight from Take), then the length
+// patched. The frame goes to Send or Offer, which hands the array back
+// once the conn has taken it; until then Frame returns the same array.
+func (f *FrameConn) Frame() []byte {
+	if f.out == nil {
+		f.out = frameArrays.Get(f.clock)
+	}
+	return (*f.out)[:0]
+}
+
+// Offer writes one frame without parking and reports whether the conn
+// took it, with the error Write would have returned; a refused frame is
+// the caller's to offer again. Once the conn takes it, Offer hands back
+// the array Frame leased, if any: the frame must then be the one built
+// in it, as its builder grew it.
+func (f *FrameConn) Offer(frame []byte) (ok bool, err error) {
+	if ok, err = f.conn.TryWrite(frame); ok && f.out != nil {
+		*f.out = frame[:0]
+		frameArrays.Put(f.clock, f.out)
+		f.out = nil
+	}
+	return ok, err
+}
+
+// Send offers one frame (Offer) and awaits the next frame; a failed
+// write stops the endpoint. It is for hops that alternate, and its write
+// is never refused: each conn has one writer, each direction at most one
+// frame in flight, and the receiver is a FrameConn, which drains at
+// arrival. A refusal is a broken invariant and panics.
 func (f *FrameConn) Send(frame []byte) {
-	if ok, err := f.conn.TryWrite(frame); !ok {
+	if ok, err := f.Offer(frame); !ok {
 		panic(fmt.Sprintf("pt: a %d-byte frame to %v did not fit its conn: a second frame in flight, or a second writer", len(frame), f.conn.RemoteAddr()))
 	} else if err != nil {
 		f.Stop()
@@ -146,7 +173,8 @@ func (f *FrameConn) Send(frame []byte) {
 	}
 }
 
-// frameArrays are FrameConn's reassembly arrays.
+// frameArrays are FrameConn's reassembly arrays and the arrays its
+// writers build frames in.
 var frameArrays = netem.NewBufClass("frame", func() *[]byte { return new([]byte) })
 
 // Prefix16 cuts frames that open with their body's length as a 16-bit

@@ -247,18 +247,17 @@ const replyTimeout, maxReplies = 30 * time.Second, 16
 type marionetteConn struct {
 	*pt.Stream
 	model  *Model
-	conn   *netem.Conn
-	in     *pt.FrameConn
+	in     *pt.FrameConn // reads the peer's frames; its Frame and Offer write ours
 	clock  *netem.Clock
 	rng    *rand.Rand
 	fireFn func() // mc.fire, bound once
 	lateFn func() // mc.late, bound once
 
-	state         string        // where the next transition starts
-	t             *Transition   // the transition under way
-	delay         time.Duration // its pacing delay
-	payload, wbuf []byte        // its stream bytes; its frame, then the FIN
-	fin           bool          // wbuf holds the FIN
+	state string        // where the next transition starts
+	t     *Transition   // the transition under way
+	delay time.Duration // its pacing delay
+	wbuf  []byte        // its frame, then the FIN, built in the endpoint's Frame
+	fin   bool          // wbuf holds the FIN
 	// replies counts the peer's messages no wait has taken; waiting is
 	// the token of the wait in progress (0: none), one of waits so far,
 	// and lates counts the waits whose reply timeout has fired.
@@ -269,7 +268,6 @@ func newConn(model *Model, conn *netem.Conn, clock *netem.Clock, seed int64) *ma
 	mc := &marionetteConn{
 		Stream: pt.NewStream(clock, "marionette", "marionette", "marionette-peer", maxQueue),
 		model:  model,
-		conn:   conn,
 		clock:  clock,
 		rng:    sim.NewRand(seed),
 		state:  model.Start,
@@ -317,18 +315,23 @@ func (mc *marionetteConn) step() {
 	}
 }
 
-// fire frames the transition's cover with what it carries of the stream.
+// fire frames the transition's cover with what it carries of the
+// stream, taken straight behind the cover.
 func (mc *marionetteConn) fire() {
-	mc.payload = mc.Take(mc.payload, mc.t.Act.Capacity)
-	mc.wbuf = appendFrame(mc.wbuf[:0], mc.t.Act.Cover, mc.payload, false)
+	frame := appendFrame(mc.in.Frame(), mc.t.Act.Cover, nil, false)
+	head := len(frame)
+	frame = mc.Take(frame, mc.t.Act.Capacity)
+	binary.BigEndian.PutUint16(frame[head-2:], uint16(len(frame)-head))
+	mc.wbuf = frame
 	mc.send()
 }
 
 // send writes the frame and goes on with the walk. A refused frame keeps
-// its bytes and is offered again one pacing delay later, at least 1 ms so
-// that a zero delay cannot spin (DESIGN.md "Inline event execution").
+// its bytes and its lease and is offered again one pacing delay later, at
+// least 1 ms so that a zero delay cannot spin (DESIGN.md "Inline event
+// execution").
 func (mc *marionetteConn) send() {
-	switch ok, err := mc.conn.TryWrite(mc.wbuf); {
+	switch ok, err := mc.in.Offer(mc.wbuf); {
 	case !ok:
 		mc.clock.EventAt(mc.clock.Now()+max(mc.delay, time.Millisecond), mc.send)
 	case mc.fin: // the walk is over
@@ -336,7 +339,7 @@ func (mc *marionetteConn) send() {
 		mc.Fail()
 	case mc.t.Act.Capacity > 0 && mc.WriteEnded():
 		// All queued bytes are out: the FIN cover ends the walk.
-		mc.wbuf, mc.fin = appendFrame(mc.wbuf[:0], "QUIT\r\n", nil, true), true
+		mc.wbuf, mc.fin = appendFrame(mc.in.Frame(), "QUIT\r\n", nil, true), true
 		mc.send()
 	case mc.t.AwaitReply:
 		mc.await()
@@ -380,7 +383,7 @@ func (mc *marionetteConn) CloseWrite() error {
 // Close implements netem.Stream.
 func (mc *marionetteConn) Close() error {
 	mc.Fail()
-	return mc.conn.Close()
+	return mc.in.Conn().Close()
 }
 
 // transport is marionette as a wrapping transport: no flight, only the

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"ptperf/internal/testkit/streamtest"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -138,4 +141,46 @@ func TestModelStationaryThroughputBound(t *testing.T) {
 		t.Fatalf("data loop too slow (%.0f B/s) to ever finish a page", bestRate)
 	}
 	_ = time.Second
+}
+
+// TestFramesBuiltInPlace: once its world's frame list holds an array, a
+// further conn fires a data transition, its cover carrying a full
+// capacity of the stream, with no allocation. A conn that kept arrays of
+// its own grew them for its first frame. Each fire's walk draws its next
+// transition, whose event holds a clock waiter for an hour, so the
+// world's lists are filled by twice as many fires as are measured.
+func TestFramesBuiltInPlace(t *testing.T) {
+	const runs = 4
+	const primed = 2 * (runs + 1)
+	n, conns, peers := streamtest.Pairs(t, 0, primed+runs+1)
+	clock := n.Clock()
+	xfer := Transition{To: "xfer", Weight: 1, Act: Action{Cover: "APPE upload.jpg\r\n", Capacity: DefaultCapacity}, MinDelay: time.Hour, MaxDelay: time.Hour}
+	model := &Model{Start: "xfer", Data: "xfer", States: map[string][]Transition{"xfer": {xfer}}}
+	payload := bytes.Repeat([]byte("d"), DefaultCapacity)
+	walks := make([]*marionetteConn, len(conns))
+	got := 0
+	for k, c := range conns {
+		walks[k] = newConn(model, c, clock, int64(k))
+		walks[k].Write(payload)
+		peers[k].SetReadSink(func(data []byte, base *[]byte, pool *sync.Pool, _ error) {
+			got += len(data)
+			clock.Recycle(pool, base)
+		})
+	}
+	clock.Sleep(time.Millisecond) // every walk draws its first transition, due in an hour
+	fire := func() {
+		walks[0].fire()
+		walks = walks[1:]
+	}
+	for range primed {
+		fire()
+	}
+	clock.Sleep(time.Second) // the peers read the frames and their segments go back
+	if allocs := testing.AllocsPerRun(runs, fire); allocs != 0 {
+		t.Fatalf("a further conn's frame allocated %v objects, want 0", allocs)
+	}
+	frame := len(appendFrame(nil, xfer.Act.Cover, payload, false))
+	if clock.Sleep(time.Second); got != len(conns)*frame {
+		t.Fatalf("the peers read %d bytes, want %d frames of %d", got, len(conns), frame)
+	}
 }

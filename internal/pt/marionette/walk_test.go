@@ -2,6 +2,7 @@ package marionette
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"time"
 
@@ -125,8 +126,9 @@ func TestEarlyReplyIsACredit(t *testing.T) {
 }
 
 // TestRefusedFrameWaitsForTheWindow: a data frame the peer's full
-// receive window refuses is offered again, and once the peer reads,
-// every byte arrives once and in order.
+// receive window refuses is offered again, keeping the frame array it
+// was built in, and once the peer reads, every byte arrives once and in
+// order and the array is back.
 func TestRefusedFrameWaitsForTheWindow(t *testing.T) {
 	clock, c, peer := pair(t)
 	const capacity = 60000
@@ -149,6 +151,11 @@ func TestRefusedFrameWaitsForTheWindow(t *testing.T) {
 	if wrote || c.WriteBudget() >= capacity {
 		t.Fatalf("after 1 s, wrote=%v with %d bytes of window left: the peer's window never filled", wrote, c.WriteBudget())
 	}
+	i := slices.IndexFunc(netem.BufClasses(), func(b *netem.BufClass) bool { return b.Name() == "frame" })
+	frameArrays := netem.BufClasses()[i]
+	if out := frameArrays.Out(clock); out != 1 {
+		t.Fatalf("%d frame arrays out while a refused frame waits, want the one it was built in", out)
+	}
 	var got []byte
 	frames := frameReader{r: peer}
 	for {
@@ -163,5 +170,8 @@ func TestRefusedFrameWaitsForTheWindow(t *testing.T) {
 	}
 	if !bytes.Equal(got, msg) {
 		t.Fatalf("the peer read %d bytes, not the %d written in order", len(got), len(msg))
+	}
+	if out := frameArrays.Out(clock); out != 0 {
+		t.Fatalf("%d frame arrays out once the FIN was taken, want 0", out)
 	}
 }

@@ -79,16 +79,31 @@ func (c Config) withDefaults() Config {
 //	request:  [8B session][4B len][body]
 //	response: [1B status][4B len][body]
 //
-// Every hop reads them with a pt.FrameConn and frames them in a buffer it
-// keeps, so no goroutine parks per poll. No writer sends a body over
-// chunk; cutFrame refuses one.
+// Every hop reads them with a pt.FrameConn, so no goroutine parks per
+// poll, and the ends build each frame in place in the endpoint's Frame
+// (takeFrame). No writer sends a body over chunk; cutFrame refuses one.
 const statusOK, statusGone = 0, 1
+
+// goneReply is the reply to every poll of a session that is gone.
+var goneReply = []byte{statusGone, 0, 0, 0, 0}
 
 // appendFrame appends a frame of body under pre, the session or the
 // status.
 func appendFrame(dst, pre, body []byte) []byte {
 	dst = binary.BigEndian.AppendUint32(append(dst, pre...), uint32(len(body)))
 	return append(dst, body...)
+}
+
+// takeFrame appends to dst a frame under pre whose body is up to chunk
+// bytes taken from s, straight behind the header, and returns it and
+// the body's length.
+func takeFrame(dst, pre []byte, s *pt.Stream) ([]byte, int) {
+	dst = appendFrame(dst, pre, nil)
+	head := len(dst)
+	dst = s.Take(dst, chunk)
+	n := len(dst) - head
+	binary.BigEndian.PutUint32(dst[head-4:], uint32(n))
+	return dst, n
 }
 
 // cutPoll and cutReply are the pt.FrameCuts; a handler gets the whole frame.
@@ -263,8 +278,7 @@ func (b *Bridge) reserveRate(now time.Duration, n int) time.Duration {
 type answerer struct {
 	b       *Bridge
 	in      *pt.FrameConn
-	down    []byte // the reply's tunnelled bytes
-	reply   []byte
+	reply   []byte // built in the endpoint's Frame, or goneReply
 	replyFn func() // sends reply
 }
 
@@ -283,7 +297,7 @@ func (a *answerer) poll(poll []byte) {
 	b := a.b
 	s := b.sessions.Touch(binary.BigEndian.Uint64(poll))
 	if s.gone {
-		a.reply = appendFrame(a.reply[:0], []byte{statusGone}, nil)
+		a.reply = goneReply
 		a.replyFn()
 		return
 	}
@@ -291,15 +305,15 @@ func (a *answerer) poll(poll []byte) {
 	if len(body) > 0 {
 		s.Deliver(body)
 	}
-	a.down = s.Take(a.down, chunk)
+	var down int
+	a.reply, down = takeFrame(a.in.Frame(), []byte{statusOK}, s.Stream)
 	// The chunk that crosses the budget still ships; the session is gone
 	// from the next poll on.
-	if s.served += int64(len(body) + len(a.down)); s.served > s.budget {
+	if s.served += int64(len(body) + down); s.served > s.budget {
 		b.cut(s)
 	}
-	a.reply = appendFrame(a.reply[:0], []byte{statusOK}, a.down)
 	// Maintainer's rate limit applies to tunnelled bytes.
-	if wait := b.reserveRate(b.clock.Now(), len(a.down)); wait > 0 {
+	if wait := b.reserveRate(b.clock.Now(), down); wait > 0 {
 		b.clock.EventAt(b.clock.Now()+wait, a.replyFn)
 		return
 	}
@@ -366,8 +380,7 @@ type pollConn struct {
 	clock    *netem.Clock
 	sid      [8]byte
 	in       *pt.FrameConn
-	body     []byte // the poll's tunnelled bytes
-	poll     []byte
+	sent     int           // the tunnelled bytes of the poll in flight
 	interval time.Duration // the next idle back-off
 	pollFn   func()        // t.send, bound once
 }
@@ -379,9 +392,9 @@ func (t *pollConn) send() {
 		t.in.Stop()
 		return
 	}
-	t.body = t.Take(t.body, chunk)
-	t.poll = appendFrame(t.poll[:0], t.sid[:], t.body)
-	t.in.Send(t.poll)
+	var poll []byte
+	poll, t.sent = takeFrame(t.in.Frame(), t.sid[:], t.Stream)
+	t.in.Send(poll)
 }
 
 // reply delivers a poll's reply and paces the next poll.
@@ -394,7 +407,7 @@ func (t *pollConn) reply(reply []byte) {
 	if len(body) > 0 {
 		t.Deliver(body)
 	}
-	if len(t.body) == 0 && len(body) == 0 {
+	if t.sent == 0 && len(body) == 0 {
 		t.clock.EventAt(t.clock.Now()+t.interval, t.pollFn)
 		t.interval = min(t.interval*3/2, maxPoll)
 		return

@@ -3,9 +3,15 @@ package meek
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
+	"time"
+
+	"ptperf/internal/pt"
+	"ptperf/internal/testkit/streamtest"
 )
 
 func TestPollFrameRoundTrip(t *testing.T) {
@@ -68,5 +74,48 @@ func TestDrawBudgetRespectsDisable(t *testing.T) {
 		if got := b2.drawBudget(); got < 64<<10 {
 			t.Fatalf("budget draw below floor: %d", got)
 		}
+	}
+}
+
+// TestFramesBuiltInPlace: once its world's frame list holds an array, a
+// further answerer of the bridge takes a 64 KiB chunk of its session's
+// stream into a reply and sends it with no allocation. An answerer that
+// kept arrays of its own grew them for its first reply.
+func TestFramesBuiltInPlace(t *testing.T) {
+	const runs = 4
+	n, conns, peers := streamtest.Pairs(t, 0, 2*(runs+1))
+	clock := n.Clock()
+	b := &Bridge{cfg: Config{BridgeRate: math.Inf(1)}.withDefaults(), clock: clock}
+	s := &bridgeSession{Stream: pt.NewStream(clock, "meek", "meek-bridge", "meek-client", maxQueue), budget: 1 << 62}
+	b.sessions = pt.NewSessions(clock, func(uint64) *bridgeSession { return s }, b.cut)
+	answerers := make([]*answerer, len(conns))
+	got := 0
+	for k, c := range conns {
+		a := &answerer{b: b}
+		a.in = pt.NewFrameConn(cutPoll, a.poll, func() {})
+		a.replyFn = func() { a.in.Send(a.reply) }
+		a.in.Attach(c)
+		answerers[k] = a
+		peers[k].SetReadSink(func(data []byte, base *[]byte, pool *sync.Pool, _ error) {
+			got += len(data)
+			clock.Recycle(pool, base)
+		})
+	}
+	poll, down := appendFrame(nil, make([]byte, 8), nil), bytes.Repeat([]byte("d"), chunk)
+	reply := func() {
+		a := answerers[0]
+		answerers = answerers[1:]
+		s.Write(down)
+		a.poll(poll)
+	}
+	for range runs + 1 {
+		reply()
+	}
+	clock.Sleep(time.Second) // the peers read the replies and their segments go back
+	if allocs := testing.AllocsPerRun(runs, reply); allocs != 0 {
+		t.Fatalf("a further answerer's %d-byte reply allocated %v objects, want 0", chunk, allocs)
+	}
+	if clock.Sleep(time.Second); got != len(conns)*(5+chunk) {
+		t.Fatalf("the peers read %d bytes, want %d replies of %d", got, len(conns), 5+chunk)
 	}
 }

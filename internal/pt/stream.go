@@ -162,19 +162,20 @@ func (s *Stream) finished() bool {
 	return s.fin > 0 && s.next >= s.fin-1
 }
 
-// Take removes at most n written bytes and returns them in buf's array
-// (grown if it is too small; a poll loop hands back what the last call
-// returned), empty when none wait. It keeps working after Close, so a
-// queue filled before the close still drains to the peer.
-func (s *Stream) Take(buf []byte, n int) []byte {
+// Take removes at most n written bytes and appends them to dst (grown
+// if it is too small), which comes back unchanged when none wait: a
+// framer appends its header, takes the body straight after it and
+// patches the length. It keeps working after Close, so a queue filled
+// before the close still drains to the peer.
+func (s *Stream) Take(dst []byte, n int) []byte {
 	n = min(n, s.unsent.Len())
 	if n == 0 {
-		return buf[:0]
+		return dst
 	}
-	buf = slices.Grow(buf[:0], n)[:n]
-	s.unsent.TakeInto(buf)
+	dst = slices.Grow(dst, n)
+	s.unsent.TakeInto(dst[len(dst) : len(dst)+n])
 	s.writers.Broadcast()
-	return buf
+	return dst[:len(dst)+n]
 }
 
 // PeerFin records the peer's end of stream after total sequenced units

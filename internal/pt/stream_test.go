@@ -182,7 +182,7 @@ func TestStreamKeepsItsArrays(t *testing.T) {
 		s.Deliver(unit)
 		for i := 0; i < 1024; i++ {
 			s.Write(unit)
-			buf = s.Take(buf, len(unit))
+			buf = s.Take(buf[:0], len(unit))
 			moved += len(buf)
 			s.Deliver(unit)
 			n, _ := s.Read(buf[:len(unit)])
@@ -227,7 +227,7 @@ func TestStreamWriteNeverRegrows(t *testing.T) {
 		got, afterFail = got[:0], 0
 		for len(got) < total {
 			failed := s.Closed()
-			if buf = s.Take(buf, cap(buf)); len(buf) == 0 {
+			if buf = s.Take(buf[:0], cap(buf)); len(buf) == 0 {
 				clock.Sleep(time.Millisecond)
 			}
 			if failed {
@@ -235,7 +235,7 @@ func TestStreamWriteNeverRegrows(t *testing.T) {
 			}
 			got = append(got, buf...)
 		}
-		if len(s.Take(buf, 1)) != 0 || !s.Closed() {
+		if len(s.Take(buf[:0], 1)) != 0 || !s.Closed() {
 			t.Fatal("the stream held more than was written, or never failed")
 		}
 	}

@@ -321,7 +321,8 @@ func checkClosedWorldEmpty(o *Outcome) error {
 // once a world has closed. The others keep a residue that Close cannot
 // reach: the cells of a PT link's flusher and of an EXTEND's CREATED
 // read, the chunks of a pt.Stream's unsent bytes that nothing takes, and
-// a FrameConn's array while a frame is partly in.
+// a FrameConn's arrays while a frame is partly in or a frame it built
+// waits for its write.
 var wholeLeaseClasses = []string{"small", "pump", "segment"}
 
 // Check is the fuzzer's per-world verdict: build and run the world,

@@ -10,18 +10,28 @@ import (
 // world whose links carry bps bytes a second (0: netem's default), for
 // the rows that wrap netem conns. The world ends with the test.
 func Conns(t *testing.T, bps float64) (n *netem.Network, a, b *netem.Conn) {
+	n, as, bs := Pairs(t, bps, 1)
+	return n, as[0], bs[0]
+}
+
+// Pairs is Conns for k conns of one world: a[i] is the i-th dialed end
+// and b[i] the end host b accepted for it.
+func Pairs(t *testing.T, bps float64, k int) (n *netem.Network, a, b []*netem.Conn) {
 	n = netem.New()
 	t.Cleanup(n.Clock().Shutdown)
 	n.MustAddHost(netem.HostConfig{Name: "a", UplinkBps: bps, DownlinkBps: bps})
 	l, _ := n.MustAddHost(netem.HostConfig{Name: "b", UplinkBps: bps, DownlinkBps: bps}).Listen(1)
 	accepted := netem.NewChan[*netem.Conn](n.Clock(), 1)
 	l.Serve(func(c *netem.Conn) { accepted.TrySend(c) })
-	c, err := n.Host("a").Dial("b:1")
-	if err != nil {
-		t.Fatal(err)
+	for range k {
+		c, err := n.Host("a").Dial("b:1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		peer, _ := accepted.Recv()
+		a, b = append(a, c.(*netem.Conn)), append(b, peer)
 	}
-	b, _ = accepted.Recv()
-	return n, c.(*netem.Conn), b
+	return n, a, b
 }
 
 // Tunnel returns a transport server's stream handler and a dial through

@@ -151,7 +151,7 @@ func Stream(clock *netem.Clock, raw *netem.Conn, chunk int) *pt.Stream {
 	})
 	clock.Go(func() {
 		for buf := []byte(nil); ; clock.Sleep(time.Millisecond) {
-			if buf = s.Take(buf, chunk); len(buf) > 0 {
+			if buf = s.Take(buf[:0], chunk); len(buf) > 0 {
 				if _, err := raw.Write(buf); err != nil {
 					s.Fail()
 					return

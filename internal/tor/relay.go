@@ -53,6 +53,10 @@ type Relay struct {
 	retired []*cellScheduler // schedulers of crashed incarnations (stats survive restarts)
 	crashed bool
 	links   []*link // those served, for DropQueues; the ended pruned every 64
+	// exitBuf is what every exit pump reads its destination into. A pump
+	// packages what it read into a cell in the event that read it, and a
+	// read that waits reads nothing into it, so the pumps share one.
+	exitBuf [MaxRelayData]byte
 }
 
 // StartRelay launches a relay and publishes its descriptor.
@@ -918,9 +922,8 @@ type exitStream struct {
 	dlvWin int
 	closed bool
 
-	// buf is what the pump reads the destination into; reading marks a
-	// read under way, next is pump, bound once.
-	buf     [MaxRelayData]byte
+	// reading marks a read under way (into the relay's exitBuf), next
+	// is pump, bound once.
 	reading bool
 	next    func()
 }
@@ -944,7 +947,8 @@ func (s *exitStream) pump() {
 				return
 			}
 		}
-		n, err, done := s.conn.ReadEvent(s.buf[:], s.next)
+		buf := c.link.relay.exitBuf[:]
+		n, err, done := s.conn.ReadEvent(buf, s.next)
 		if !done {
 			return
 		}
@@ -952,7 +956,7 @@ func (s *exitStream) pump() {
 		if n > 0 {
 			c.circPkgWin--
 			s.pkgWin--
-			if c.sendBackward(RelayCell{Cmd: RelayData, StreamID: s.id, Data: s.buf[:n]}) != nil {
+			if c.sendBackward(RelayCell{Cmd: RelayData, StreamID: s.id, Data: buf[:n]}) != nil {
 				return
 			}
 		}
