@@ -28,7 +28,7 @@ func runWithMetrics(t *testing.T, cfg Config, exps ...string) (string, string, *
 		}
 	}
 	var prom bytes.Buffer
-	r.WritePrometheus(&prom)
+	obs.WritePrometheus(&prom, r.Timelines())
 	return buf.String(), prom.String(), r
 }
 
@@ -107,7 +107,7 @@ func cacheRun(t *testing.T, cfg Config, dir string) (string, string, obs.CacheSt
 		}
 	}
 	var prom bytes.Buffer
-	r.WritePrometheus(&prom)
+	obs.WritePrometheus(&prom, r.Timelines())
 	return buf.String(), prom.String(), r.CacheStats()
 }
 

@@ -3,7 +3,6 @@ package harness
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -113,12 +112,6 @@ func (r *Runner) configSummary() string {
 		strings.Join(c.Transports, ","), c.Scenario, c.Sequential, c.MetricsInterval)
 }
 
-// WritePrometheus writes the run's metric timelines as Prometheus text
-// exposition.
-func (r *Runner) WritePrometheus(w io.Writer) {
-	obs.WritePrometheus(w, r.Timelines())
-}
-
 // WriteArtifacts writes the run's export artifacts after Run returns:
 // metricsDir (when non-empty) receives metrics.prom, reportPath (when
 // non-empty) the self-contained HTML report. historyPath, when naming
@@ -130,7 +123,7 @@ func (r *Runner) WriteArtifacts(metricsDir, reportPath, historyPath string) erro
 			return fmt.Errorf("harness: metrics dir: %w", err)
 		}
 		var b bytes.Buffer
-		r.WritePrometheus(&b)
+		obs.WritePrometheus(&b, r.Timelines())
 		if err := os.WriteFile(filepath.Join(metricsDir, "metrics.prom"), b.Bytes(), 0o644); err != nil {
 			return fmt.Errorf("harness: write metrics: %w", err)
 		}

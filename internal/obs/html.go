@@ -85,6 +85,10 @@ type seriesRow struct {
 	Total  float64
 }
 
+// sparkRows are the sparkline rows shown per cell, in order: each sums
+// the families whose spark names it.
+var sparkRows = []string{"bytes delivered", "relay cells flushed", "dials", "censor interference", "recovery events"}
+
 // timelineSeries derives the sparkline series shown per cell, bucketing
 // the (possibly sparse) samples into at most buckets intervals across
 // the timeline's horizon.
@@ -93,48 +97,27 @@ func timelineSeries(tl *Timeline, buckets int) []seriesRow {
 	if horizon <= 0 || len(tl.Samples) == 0 {
 		return nil
 	}
-	n := int(horizon/tl.Interval) + 1
-	if n > buckets {
-		n = buckets
-	}
-	if n < 1 {
-		n = 1
-	}
+	n := max(1, min(buckets, int(horizon/tl.Interval)+1))
 	bucketOf := func(t time.Duration) int {
-		i := int(int64(t) * int64(n) / (int64(horizon) + 1))
-		if i < 0 {
-			i = 0
-		}
-		if i >= n {
-			i = n - 1
-		}
-		return i
+		return max(0, min(n-1, int(int64(t)*int64(n)/(int64(horizon)+1))))
 	}
-	mk := func(label string, val func(Sample) float64) seriesRow {
-		s := seriesRow{Label: label, Values: make([]float64, n)}
+	rows := make([]seriesRow, len(sparkRows))
+	for i, label := range sparkRows {
+		rows[i] = seriesRow{Label: label, Values: make([]float64, n)}
 		for _, sm := range tl.Samples {
-			v := val(sm)
-			s.Values[bucketOf(sm.T)] += v
-			s.Total += v
-		}
-		return s
-	}
-	return []seriesRow{
-		mk("bytes delivered", func(s Sample) float64 { return float64(s.Acct.BytesDelivered) }),
-		mk("relay cells flushed", func(s Sample) float64 { return float64(s.Acct.CellsFlushed) }),
-		mk("dials", func(s Sample) float64 { return float64(s.Acct.Dials) }),
-		mk("censor interference", func(s Sample) float64 {
-			c := s.Censor
-			return float64(c.BlockedDials + c.FlowsCut + c.Resets + c.LossEvents + c.ThrottledSegments)
-		}),
-		mk("recovery events", func(s Sample) float64 {
-			var t int64
-			for _, p := range s.Recovery {
-				t += p.Rebuilds + p.BuildTimeouts + p.StreamFailures + p.ReAttaches + p.Abandoned + p.GuardProbations
+			var v int64
+			for _, f := range families {
+				if f.spark == label {
+					for _, l := range f.labels([]Sample{sm}) {
+						v += f.value(sm, l)
+					}
+				}
 			}
-			return float64(t)
-		}),
+			rows[i].Values[bucketOf(sm.T)] += float64(v)
+			rows[i].Total += float64(v)
+		}
 	}
+	return rows
 }
 
 // WriteHTML renders the report artifact.

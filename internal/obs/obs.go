@@ -2,7 +2,9 @@
 // surfaces the simulator already keeps — netem's link accounting,
 // censor verdicts, the relay cell scheduler, client recovery — into
 // deterministic per-virtual-second timelines, and exports them as
-// Prometheus text exposition and a self-contained HTML report. On the
+// Prometheus text exposition and a self-contained HTML report, both
+// read from one table with a row per metric (families, prom.go): a new
+// metric is one row, and a new surface its sampling besides. On the
 // same plumbing it provides content-addressed caching of world-cell
 // results, so repeated campaigns recompute only cells whose inputs
 // changed.

@@ -108,9 +108,9 @@ func TestEveryCounterHasOneFamily(t *testing.T) {
 	}
 	base := render(sample())
 	surfaces := []struct {
-		label string
-		of    func(*Sample) reflect.Value
-		skip  string
+		name string
+		of   func(*Sample) reflect.Value
+		skip string
 	}{
 		{"netem.AcctSnapshot", func(s *Sample) reflect.Value { return reflect.ValueOf(&s.Acct).Elem() }, ""},
 		{"censor.Stats", func(s *Sample) reflect.Value { return reflect.ValueOf(&s.Censor).Elem() }, ""},
@@ -122,7 +122,7 @@ func TestEveryCounterHasOneFamily(t *testing.T) {
 		probe := sample()
 		typ := sf.of(&probe).Type()
 		for i := range typ.NumField() {
-			field := sf.label + "." + typ.Field(i).Name
+			field := sf.name + "." + typ.Field(i).Name
 			if typ.Field(i).Name == sf.skip {
 				continue
 			}

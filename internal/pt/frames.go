@@ -115,7 +115,13 @@ func (f *FrameConn) Await() {
 		f.frame(frame)
 		f.handing = false
 	}
-	if f.lease != nil && f.head == len(f.buf) && !f.handing {
+	f.release()
+}
+
+// release hands the reassembly array back once no handler holds a frame
+// in it and every byte is cut, or the endpoint has stopped.
+func (f *FrameConn) release() {
+	if f.lease != nil && !f.handing && (f.stopped || f.head == len(f.buf)) {
 		*f.lease = f.buf[:0]
 		frameArrays.Put(f.clock, f.lease)
 		f.lease, f.buf, f.head = nil, nil, 0
@@ -123,11 +129,13 @@ func (f *FrameConn) Await() {
 }
 
 // Stop ends reading, as a read loop that returned did, and runs stop
-// unless it has run.
+// unless it has run. The reassembly array goes back at once, or, when a
+// handler stops the endpoint, once it returns: the frame in its hand is
+// still read from the array.
 func (f *FrameConn) Stop() {
 	if !f.stopped {
 		f.stopped, f.awaiting = true, false
-		f.buf, f.lease, f.head = nil, nil, 0 // a frame in hand may still be read
+		f.release()
 		f.stop()
 	}
 }

@@ -140,6 +140,38 @@ func TestFrameConnLendsItsArray(t *testing.T) {
 	}
 }
 
+// TestFrameConnStopGivesItsArrayBack: a stopped endpoint hands its
+// reassembly array back to the world, at once when Stop runs outside a
+// handler and once the handler returns when Stop runs inside one, and the
+// frame in the handler's hand stays readable until then.
+func TestFrameConnStopGivesItsArrayBack(t *testing.T) {
+	wire := append(AppendPrefix16(nil, nil, []byte("one")), AppendPrefix16(nil, nil, []byte("two"))[:3]...)
+	for _, inside := range []bool{false, true} {
+		var in *FrameConn
+		in = unattached(Prefix16, func(b []byte) {
+			if inside {
+				in.Stop()
+				if string(b) != "one" || frameArrays.Out(in.clock) != 1 {
+					t.Errorf("stopped in the handler: frame %q with %d arrays out, want \"one\" still in its array", b, frameArrays.Out(in.clock))
+				}
+				return
+			}
+			in.Await()
+		}, func() {})
+		in.Await()
+		in.Sink(slices.Clone(wire), nil, nil, nil)
+		if !inside {
+			if frameArrays.Out(in.clock) != 1 {
+				t.Fatalf("%d arrays out with a frame partly in, want 1", frameArrays.Out(in.clock))
+			}
+			in.Stop()
+		}
+		if out := frameArrays.Out(in.clock); out != 0 || in.lease != nil {
+			t.Errorf("stopped (inside a handler: %v): %d arrays out, want 0", inside, out)
+		}
+	}
+}
+
 // TestFrameConnPoisonedArray: the array a frame was handed from goes
 // back to the world's frameArrays list when the handler returns.
 // Overwritten there, it spoils no frame handed after it, whole or
