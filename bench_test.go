@@ -151,16 +151,22 @@ func BenchmarkChurnSweep(b *testing.B) {
 // BenchmarkAblationGuardLoad toggles the volunteer-guard utilization gap
 // that explains §4.2.1 (PT bridges beating vanilla Tor). The reported
 // metrics are mean selenium page-load times for vanilla Tor with busy
-// vs. idle volunteer guards.
+// vs. idle volunteer guards: every volunteer relay's links are reloaded
+// at a utilization of util before the first circuit is built.
 func BenchmarkAblationGuardLoad(b *testing.B) {
-	measure := func(util [2]float64, seed int64) float64 {
+	measure := func(util float64, seed int64) float64 {
 		w, err := testbed.New(testbed.Options{
 			Seed: seed, ByteScale: 0.06,
 			TrancoN: 3, CBLN: 3,
-			GuardUtilization: util,
 		})
 		if err != nil {
 			b.Fatal(err)
+		}
+		defer w.Close()
+		for _, r := range w.Dir.Relays() {
+			h := w.Net.Host(r.Name)
+			h.Egress().Reload(r.Bandwidth, util)
+			h.Ingress().Reload(r.Bandwidth, util)
 		}
 		d, err := w.Deployment("tor")
 		if err != nil {
@@ -178,8 +184,8 @@ func BenchmarkAblationGuardLoad(b *testing.B) {
 		return stats.Mean(xs)
 	}
 	for i := 0; i < b.N; i++ {
-		busy := measure([2]float64{0.7, 0.85}, int64(i)+1)
-		idle := measure([2]float64{0.05, 0.1}, int64(i)+1)
+		busy := measure(0.8, int64(i)+1)
+		idle := measure(0.08, int64(i)+1)
 		b.ReportMetric(busy, "busy-guard-s")
 		b.ReportMetric(idle, "idle-guard-s")
 	}

@@ -138,13 +138,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	if *scenario != "" {
-		if _, err := censor.Lookup(*scenario); err != nil {
-			fmt.Fprintf(stderr, "ptperf: %v\n", err)
-			return 1
-		}
-	}
-
 	cfg := harness.Config{
 		Seed:         *seed,
 		ByteScale:    *byteScale,

@@ -28,12 +28,16 @@ func TestUnknownExperimentListsRegistry(t *testing.T) {
 	}
 }
 
-// TestUnknownScenarioListsRegistry does the same for -scenario.
+// TestUnknownScenarioListsRegistry does the same for -scenario, before
+// any report byte is written.
 func TestUnknownScenarioListsRegistry(t *testing.T) {
 	var out, errb bytes.Buffer
 	code := run([]string{"-exp", "fig2a", "-scenario", "weathergeddon"}, &out, &errb)
 	if code != 1 {
 		t.Fatalf("exit code = %d, want 1", code)
+	}
+	if out.Len() != 0 {
+		t.Errorf("report written before the scenario was refused: %q", out.String())
 	}
 	msg := errb.String()
 	if !strings.Contains(msg, `unknown scenario "weathergeddon"`) {

@@ -30,7 +30,7 @@ func main() {
 			Seed:      7,
 			ByteScale: 0.125,
 			TrancoN:   6, CBLN: 6,
-			Scenario: scenario,
+			Scenario: &sc,
 		})
 		if err != nil {
 			log.Fatal(err)

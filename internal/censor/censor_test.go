@@ -487,7 +487,7 @@ func TestFilterSegmentMatchesPerSegmentReference(t *testing.T) {
 	}
 	scenarios = append(scenarios, builtins...)
 	mixed := Compose("mixed", "every built-in and a random draw", builtins...)
-	mixed = Compose(mixed.Name, mixed.Description, mixed, RandomScenario(3, PaperBounds()), RandomScenario(4, PaperBounds()))
+	mixed = Compose(mixed.Name, mixed.Description, mixed, RandomScenario(3), RandomScenario(4))
 	wide := Scenario{Name: "wide"}
 	for len(wide.Events) <= 64 {
 		wide = Compose(wide.Name, "more events than a machine word has bits", wide, mixed)

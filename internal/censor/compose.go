@@ -9,11 +9,11 @@ import (
 // This file provides the scenario combinators the simulation-torture
 // suite (internal/simtest) builds randomized worlds from: Compose
 // splices existing scenarios into one timeline, RandomScenario draws a
-// fresh composed scenario from a seeded stream, and Bounds states the
-// paper-scale envelope every generated rule must stay inside — so a
-// fuzzed world is adversarial but never physically implausible (a
-// throttle below dial-up, a 90% reset rate) in a way the paper's
-// campaigns could not encounter.
+// fresh composed scenario from a seeded stream, and Validate holds a
+// scenario to the paper-scale envelope every generated rule stays
+// inside — so a fuzzed world is adversarial but never physically
+// implausible (a throttle below dial-up, a 90% reset rate) in a way the
+// paper's campaigns could not encounter.
 
 // Compose splices scenarios into one named timeline: the events of every
 // input concatenate in order, and the phases come from the first input
@@ -30,79 +30,57 @@ func Compose(name, description string, scs ...Scenario) Scenario {
 	return out
 }
 
-// Bounds is the envelope generated rules must stay inside. The zero
-// value is invalid; use PaperBounds.
-type Bounds struct {
-	// RateBps bounds throttle capacities [min, max] (paper-scale bytes
-	// per virtual second, before ByteScale).
-	RateBps [2]float64
-	// MaxExtraDelay bounds fixed added latency per rule.
-	MaxExtraDelay time.Duration
-	// MaxJitter bounds per-segment random extra latency.
-	MaxJitter time.Duration
-	// MaxLoss bounds added per-segment loss probability.
-	MaxLoss float64
-	// MaxResetProb bounds injected-RST probability.
-	MaxResetProb float64
-	// MaxAt bounds rule activation instants.
-	MaxAt time.Duration
-	// MaxDuration bounds finite rule windows (0 windows — "rest of the
-	// run" — are always allowed).
-	MaxDuration time.Duration
-	// MaxEvents bounds a scenario's total rule count.
-	MaxEvents int
-}
-
-// PaperBounds returns the envelope of the paper's measurement
-// conditions: throttles between dial-up-like 256 KB/s and the 8 MB/s
-// where they stop binding, loss under 8%, resets under 3% (GFW-style
+// The envelope generated rules must stay inside, that of the paper's
+// measurement conditions: throttles between dial-up-like 256 KB/s and
+// the 8 MB/s where they stop binding (paper-scale bytes per virtual
+// second, before ByteScale), loss under 8%, resets under 3% (GFW-style
 // injection observed in the wild stays in low single digits), and
 // windows inside the first simulated minute — the horizon the built-in
-// scenarios use.
-func PaperBounds() Bounds {
-	return Bounds{
-		RateBps:       [2]float64{256 << 10, 8 << 20},
-		MaxExtraDelay: 200 * time.Millisecond,
-		MaxJitter:     100 * time.Millisecond,
-		MaxLoss:       0.08,
-		MaxResetProb:  0.03,
-		MaxAt:         60 * time.Second,
-		MaxDuration:   60 * time.Second,
-		MaxEvents:     12,
-	}
-}
+// scenarios use (a window of 0, "rest of the run", is always allowed),
+// with at most maxEvents rules.
+const (
+	minRateBps    = 256 << 10
+	maxRateBps    = 8 << 20
+	maxExtraDelay = 200 * time.Millisecond
+	maxJitter     = 100 * time.Millisecond
+	maxLoss       = 0.08
+	maxResetProb  = 0.03
+	maxAt         = 60 * time.Second
+	maxDuration   = 60 * time.Second
+	maxEvents     = 12
+)
 
-// Validate checks every event of a scenario against the bounds. The
-// built-in registry scenarios satisfy PaperBounds, and RandomScenario
-// only emits scenarios that do; the fuzzer's invariant suite re-checks
-// both claims on every generated world.
-func (b Bounds) Validate(sc Scenario) error {
-	if b.MaxEvents > 0 && len(sc.Events) > b.MaxEvents {
-		return fmt.Errorf("censor: scenario %q has %d events, bound is %d", sc.Name, len(sc.Events), b.MaxEvents)
+// Validate checks every event of a scenario against the paper-scale
+// envelope. The built-in registry scenarios satisfy it, and
+// RandomScenario only emits scenarios that do; the fuzzer's invariant
+// suite re-checks both claims on every generated world.
+func Validate(sc Scenario) error {
+	if len(sc.Events) > maxEvents {
+		return fmt.Errorf("censor: scenario %q has %d events, bound is %d", sc.Name, len(sc.Events), maxEvents)
 	}
 	for i, ev := range sc.Events {
 		r := ev.Rule
 		where := fmt.Sprintf("censor: scenario %q event %d (%s)", sc.Name, i, r.Name)
-		if ev.At < 0 || ev.At > b.MaxAt {
-			return fmt.Errorf("%s: activation %v outside [0, %v]", where, ev.At, b.MaxAt)
+		if ev.At < 0 || ev.At > maxAt {
+			return fmt.Errorf("%s: activation %v outside [0, %v]", where, ev.At, maxAt)
 		}
-		if ev.Duration < 0 || ev.Duration > b.MaxDuration {
-			return fmt.Errorf("%s: duration %v outside [0, %v]", where, ev.Duration, b.MaxDuration)
+		if ev.Duration < 0 || ev.Duration > maxDuration {
+			return fmt.Errorf("%s: duration %v outside [0, %v]", where, ev.Duration, maxDuration)
 		}
-		if r.RateBps != 0 && (r.RateBps < b.RateBps[0] || r.RateBps > b.RateBps[1]) {
-			return fmt.Errorf("%s: rate %.0f B/s outside [%.0f, %.0f]", where, r.RateBps, b.RateBps[0], b.RateBps[1])
+		if r.RateBps != 0 && (r.RateBps < minRateBps || r.RateBps > maxRateBps) {
+			return fmt.Errorf("%s: rate %.0f B/s outside [%.0f, %.0f]", where, r.RateBps, float64(minRateBps), float64(maxRateBps))
 		}
-		if r.ExtraDelay < 0 || r.ExtraDelay > b.MaxExtraDelay {
-			return fmt.Errorf("%s: extra delay %v outside [0, %v]", where, r.ExtraDelay, b.MaxExtraDelay)
+		if r.ExtraDelay < 0 || r.ExtraDelay > maxExtraDelay {
+			return fmt.Errorf("%s: extra delay %v outside [0, %v]", where, r.ExtraDelay, maxExtraDelay)
 		}
-		if r.Jitter < 0 || r.Jitter > b.MaxJitter {
-			return fmt.Errorf("%s: jitter %v outside [0, %v]", where, r.Jitter, b.MaxJitter)
+		if r.Jitter < 0 || r.Jitter > maxJitter {
+			return fmt.Errorf("%s: jitter %v outside [0, %v]", where, r.Jitter, maxJitter)
 		}
-		if r.Loss < 0 || r.Loss > b.MaxLoss {
-			return fmt.Errorf("%s: loss %.3f outside [0, %.3f]", where, r.Loss, b.MaxLoss)
+		if r.Loss < 0 || r.Loss > maxLoss {
+			return fmt.Errorf("%s: loss %.3f outside [0, %.3f]", where, r.Loss, maxLoss)
 		}
-		if r.ResetProb < 0 || r.ResetProb > b.MaxResetProb {
-			return fmt.Errorf("%s: reset prob %.3f outside [0, %.3f]", where, r.ResetProb, b.MaxResetProb)
+		if r.ResetProb < 0 || r.ResetProb > maxResetProb {
+			return fmt.Errorf("%s: reset prob %.3f outside [0, %.3f]", where, r.ResetProb, maxResetProb)
 		}
 	}
 	for i, ph := range sc.Phases {
@@ -140,10 +118,10 @@ var randomHostPatterns = [][]string{
 // RandomScenario draws a composed scenario from the seeded stream:
 // zero to two registry scenarios spliced together plus zero to three
 // randomized throttle / loss / delay / RST / block rules, every knob
-// uniform inside the bounds. Equal seeds always produce the identical
-// scenario; the result always passes b.Validate (composition is capped
-// at MaxEvents).
-func RandomScenario(seed int64, b Bounds) Scenario {
+// uniform inside the envelope. Equal seeds always produce the identical
+// scenario; the result always passes Validate (composition is capped
+// at maxEvents).
+func RandomScenario(seed int64) Scenario {
 	//simlint:allow seededrand -- a spec generator, run once per world: the persisted simtest-v1 repro lines mean math/rand's draws
 	rng := rand.New(rand.NewSource(seed))
 	sc := Scenario{
@@ -162,16 +140,13 @@ func RandomScenario(seed int64, b Bounds) Scenario {
 
 	// Add fresh randomized rules.
 	dur := func(max time.Duration) time.Duration {
-		if max <= 0 {
-			return 0
-		}
 		return time.Duration(rng.Int63n(int64(max) + 1))
 	}
 	for i, n := 0, rng.Intn(4); i < n; i++ {
-		ev := Event{At: dur(b.MaxAt)}
+		ev := Event{At: dur(maxAt)}
 		// Half the windows are finite, half run to the end of the world.
 		if rng.Intn(2) == 0 {
-			ev.Duration = dur(b.MaxDuration)
+			ev.Duration = dur(maxDuration)
 		}
 		r := Rule{
 			Name:  fmt.Sprintf("random-rule-%d", i),
@@ -179,24 +154,24 @@ func RandomScenario(seed int64, b Bounds) Scenario {
 		}
 		switch rng.Intn(5) {
 		case 0:
-			r.RateBps = b.RateBps[0] + float64(rng.Float64()*(b.RateBps[1]-b.RateBps[0]))
-			r.ExtraDelay = dur(b.MaxExtraDelay)
+			r.RateBps = minRateBps + float64(rng.Float64()*(maxRateBps-minRateBps))
+			r.ExtraDelay = dur(maxExtraDelay)
 		case 1:
-			r.Loss = rng.Float64() * b.MaxLoss
-			r.Jitter = dur(b.MaxJitter)
+			r.Loss = rng.Float64() * maxLoss
+			r.Jitter = dur(maxJitter)
 		case 2:
-			r.ExtraDelay = dur(b.MaxExtraDelay)
-			r.Jitter = dur(b.MaxJitter)
+			r.ExtraDelay = dur(maxExtraDelay)
+			r.Jitter = dur(maxJitter)
 		case 3:
-			r.ResetProb = rng.Float64() * b.MaxResetProb
+			r.ResetProb = rng.Float64() * maxResetProb
 		case 4:
 			r.Block = true
 		}
 		ev.Rule = r
 		sc.Events = append(sc.Events, ev)
 	}
-	if b.MaxEvents > 0 && len(sc.Events) > b.MaxEvents {
-		sc.Events = sc.Events[:b.MaxEvents]
+	if len(sc.Events) > maxEvents {
+		sc.Events = sc.Events[:maxEvents]
 	}
 	return sc
 }

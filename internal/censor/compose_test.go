@@ -43,13 +43,12 @@ func TestComposeSplicesEventsAndPhases(t *testing.T) {
 // paper-scale envelope: a future scenario with a dial-up throttle or a
 // 50% reset rate should fail here, not surprise the fuzzer.
 func TestBuiltinScenariosWithinPaperBounds(t *testing.T) {
-	b := PaperBounds()
 	for _, name := range Names() {
 		sc, err := Lookup(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := b.Validate(sc); err != nil {
+		if err := Validate(sc); err != nil {
 			t.Errorf("built-in scenario %s: %v", name, err)
 		}
 	}
@@ -59,13 +58,12 @@ func TestBuiltinScenariosWithinPaperBounds(t *testing.T) {
 // one stays inside the paper-scale envelope and reproduces from its
 // seed.
 func TestRandomScenarioWithinBounds(t *testing.T) {
-	b := PaperBounds()
 	for seed := int64(0); seed < 200; seed++ {
-		sc := RandomScenario(seed, b)
-		if err := b.Validate(sc); err != nil {
+		sc := RandomScenario(seed)
+		if err := Validate(sc); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		again := RandomScenario(seed, b)
+		again := RandomScenario(seed)
 		if len(again.Events) != len(sc.Events) || again.Name != sc.Name {
 			t.Fatalf("seed %d not reproducible: %d vs %d events", seed, len(sc.Events), len(again.Events))
 		}
@@ -79,10 +77,9 @@ func TestRandomScenarioWithinBounds(t *testing.T) {
 // across a modest seed range it must produce throttles, loss, resets,
 // blocks and composed base scenarios.
 func TestRandomScenarioDiversity(t *testing.T) {
-	b := PaperBounds()
 	var throttles, losses, resets, blocks, phases int
 	for seed := int64(0); seed < 300; seed++ {
-		sc := RandomScenario(seed, b)
+		sc := RandomScenario(seed)
 		for _, ev := range sc.Events {
 			switch {
 			case ev.Rule.RateBps > 0:
@@ -111,7 +108,6 @@ func TestRandomScenarioDiversity(t *testing.T) {
 
 // TestValidateRejectsOutOfBounds checks each bound actually rejects.
 func TestValidateRejectsOutOfBounds(t *testing.T) {
-	b := PaperBounds()
 	cases := []struct {
 		label string
 		ev    Event
@@ -127,11 +123,11 @@ func TestValidateRejectsOutOfBounds(t *testing.T) {
 	}
 	for _, c := range cases {
 		sc := Scenario{Name: "bad", Events: []Event{c.ev}}
-		if err := b.Validate(sc); err == nil {
+		if err := Validate(sc); err == nil {
 			t.Errorf("%s: validated", c.label)
 		}
 	}
-	if err := b.Validate(Scenario{Name: "bad-phase", Phases: []LoadPhase{{Util: 1.5}}}); err == nil {
+	if err := Validate(Scenario{Name: "bad-phase", Phases: []LoadPhase{{Util: 1.5}}}); err == nil {
 		t.Error("phase utilization 1.5 validated")
 	}
 }
@@ -152,7 +148,7 @@ func TestRandomScenarioWindowsOnVirtualClock(t *testing.T) {
 			Rule:     Rule{Name: "win", Match: Match{Via: "client"}, Block: true},
 		}},
 	}
-	if err := PaperBounds().Validate(sc); err != nil {
+	if err := Validate(sc); err != nil {
 		t.Fatal(err)
 	}
 	n := netem.New(netem.WithSeed(5))

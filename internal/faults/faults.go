@@ -164,7 +164,7 @@ func (inj *Injector) fire(ev Event) {
 		}
 		inj.flapped[ev.Target] = h
 		h.SetLinkDown(true)
-		inj.net.AbortHostConns(ev.Target)
+		inj.net.Acct().AbortHostConns(ev.Target)
 		inj.stats.FlapsDown++
 		heal = func() {
 			h.SetLinkDown(false)

@@ -11,30 +11,63 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"ptperf/internal/obs"
+	"ptperf/internal/testbed"
 )
 
-// cellDigests names every cell of every experiment with its digest,
-// building no world.
-func cellDigests(c Config) map[string]string {
+// eachCell calls fn with every cell of every experiment, building no
+// world.
+func eachCell(c Config, fn func(key string, opts testbed.Options, in any)) {
 	c = c.withDefaults()
+	visit(fn, c.curlCell(), c.seleniumCell())
+	visit(fn, c.filesCell())
+	visit(fn, c.fig3Cell(), c.fig4Cell())
+	visit(fn, c.fig7Cells()...)
+	visit(fn, c.mediumCells()...)
+	visit(fn, c.fig9Cell())
+	visit(fn, c.fig10Cell())
+	visit(fn, c.fig12Cell())
+	visit(fn, c.sweepCells()...)
+	visit(fn, c.contentionCells()...)
+	visit(fn, c.churnCells()...)
+}
+
+func visit[In, Out any](fn func(string, testbed.Options, any), cells ...cell[In, Out]) {
+	for _, x := range cells {
+		fn(x.key, x.opts, x.in)
+	}
+}
+
+// cellDigests names every cell of every experiment with its digest.
+func cellDigests(c Config) map[string]string {
 	out := make(map[string]string)
-	put(out, c, c.curlCell(), c.seleniumCell())
-	put(out, c, c.filesCell())
-	put(out, c, c.fig3Cell(), c.fig4Cell())
-	put(out, c, c.fig7Cells()...)
-	put(out, c, c.mediumCells()...)
-	put(out, c, c.fig9Cell())
-	put(out, c, c.fig10Cell())
-	put(out, c, c.fig12Cell())
-	put(out, c, c.sweepCells()...)
-	put(out, c, c.contentionCells()...)
-	put(out, c, c.churnCells()...)
+	eachCell(c, func(key string, opts testbed.Options, in any) {
+		out[key] = obs.CellDigest(key, opts, in)
+	})
 	return out
 }
 
-func put[In, Out any](out map[string]string, c Config, cells ...cell[In, Out]) {
-	for _, x := range cells {
-		out[x.key] = x.digest()
+// TestEveryCellEncodes holds what a cell's digest encodes to what the
+// value codec accepts: every cell the experiments submit, at the
+// default Config and under a scenario, has defaulted Options and an In
+// that obs.EncodeValue encodes. An array, interface or func field in
+// either fails here instead of panicking in obs.CellDigest.
+func TestEveryCellEncodes(t *testing.T) {
+	for _, c := range []Config{{}, {Scenario: "snowflake-surge"}} {
+		n := 0
+		eachCell(c, func(key string, opts testbed.Options, in any) {
+			n++
+			if _, err := obs.EncodeValue(opts.WithDefaults()); err != nil {
+				t.Errorf("scenario %q, cell %s: options: %v", c.Scenario, key, err)
+			}
+			if _, err := obs.EncodeValue(in); err != nil {
+				t.Errorf("scenario %q, cell %s: inputs: %v", c.Scenario, key, err)
+			}
+		})
+		if n == 0 {
+			t.Fatalf("scenario %q: no cell enumerated", c.Scenario)
+		}
 	}
 }
 

@@ -112,7 +112,7 @@ func measureContention(w *testbed.World, in contentionIn) (*contentionCell, erro
 	// down the guard's queues are drained, so the reported counters
 	// satisfy queued == flushed + dropped.
 	rig.Stop()
-	out.Sched = rig.GuardSched()
+	out.Sched = rig.Relay.SchedStats()
 	return out, nil
 }
 

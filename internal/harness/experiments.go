@@ -528,10 +528,8 @@ var surgePhases = censor.SurgePhases
 // the manual SetLoad stepping mid-measurement.
 func (c Config) manualLoadOptions(stream int64) testbed.Options {
 	opts := c.worldOptions(stream)
-	if opts.Scenario != "" {
-		if sc, err := censor.Lookup(opts.Scenario); err == nil && len(sc.Phases) > 0 {
-			opts.Scenario = ""
-		}
+	if opts.Scenario != nil && len(opts.Scenario.Phases) > 0 {
+		opts.Scenario = nil
 	}
 	return opts
 }

@@ -125,10 +125,10 @@ type Runner struct {
 	cells map[string]any // cell key → its *sim.Future[Out] (see submit)
 
 	// omu guards the observability sinks: per-cell timelines, the
-	// experiments run (for Sections) and the worlds' scheduler counters.
+	// rendered experiments (Sections) and the worlds' scheduler counters.
 	omu       sync.Mutex
 	timelines map[string]*obs.Timeline
-	ran       []*Experiment
+	sections  []obs.Section
 	simStats  netem.Stats
 
 	// Render scratch, reused by every report (rendering is
@@ -244,6 +244,11 @@ var experiments = func() []Experiment {
 // Run executes one experiment by ID ("all" runs every paper artifact;
 // the scenario experiments and the sweep run by explicit ID).
 func (r *Runner) Run(id string) error {
+	if name := r.cfg.Scenario; name != "" {
+		if _, err := censor.Lookup(name); err != nil {
+			return err
+		}
+	}
 	exps := Experiments()
 	if id == "all" {
 		// Submit every experiment's world tasks before rendering any:
@@ -275,23 +280,32 @@ func (r *Runner) Run(id string) error {
 	return fmt.Errorf("harness: unknown experiment %q (have all, %s)", id, strings.Join(ids, ", "))
 }
 
-// run notes the experiment for Sections and renders it to r.out.
+// run renders the experiment to r.out. A sampled run (MetricsInterval
+// > 0, as the CLI's -report and -metrics-dir set) renders it into a
+// section first and keeps those bytes for Sections; an unsampled run,
+// which exports no artifact, writes straight through and keeps none.
+// Rendering is single-threaded (tasks never write r.out), so swapping
+// the writer is safe.
 func (r *Runner) run(e *Experiment) error {
+	if r.cfg.MetricsInterval == 0 {
+		return r.render(e)
+	}
+	out := r.out
+	var b strings.Builder
+	r.out = &b
+	err := r.render(e)
+	r.out = out
+	io.WriteString(out, b.String())
 	r.omu.Lock()
-	r.ran = append(r.ran, e)
+	r.sections = append(r.sections, obs.Section{ID: e.ID, Title: e.Title, Body: b.String()})
 	r.omu.Unlock()
-	return r.render(r.out, e)
+	return err
 }
 
-// render writes one experiment's report to w. Rendering is single-threaded
-// (tasks never write r.out), so swapping the writer is safe.
-func (r *Runner) render(w io.Writer, e *Experiment) error {
-	orig := r.out
-	r.out = w
-	fmt.Fprintf(w, "\n=== %s — %s (%s) ===\n", e.ID, e.Title, e.Artifact)
-	err := e.run(r)
-	r.out = orig
-	return err
+// render writes one experiment's report to r.out.
+func (r *Runner) render(e *Experiment) error {
+	fmt.Fprintf(r.out, "\n=== %s — %s (%s) ===\n", e.ID, e.Title, e.Artifact)
+	return e.run(r)
 }
 
 // Seed streams. Every cell derives its Options.Seed from
@@ -325,8 +339,22 @@ func (c Config) worldOptions(stream ...int64) testbed.Options {
 		ByteScale: c.ByteScale,
 		TrancoN:   c.Sites,
 		CBLN:      c.Sites,
-		Scenario:  c.Scenario,
+		Scenario:  lookupScenario(c.Scenario),
 	}
+}
+
+// lookupScenario resolves a scenario name for a world's Options: nil for
+// "" and for a name the registry lacks, which Run refuses before it
+// builds any cell.
+func lookupScenario(name string) *censor.Scenario {
+	if name == "" {
+		return nil
+	}
+	sc, err := censor.Lookup(name)
+	if err != nil {
+		return nil
+	}
+	return &sc
 }
 
 // sitePaths returns the measured site set: every site of each catalog

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 
@@ -86,20 +87,13 @@ func (r *Runner) Timelines() []obs.CellTimeline {
 	return out
 }
 
-// Sections renders every experiment Run rendered again, each into its own
-// buffer, in run order. Cells are memoised, so this reads no cache and
-// builds no world; call it after Run returns, as WriteArtifacts does.
+// Sections returns the bytes Run wrote for each experiment, in run order.
+// Only a sampled run (MetricsInterval > 0) keeps them; an unsampled run
+// has none. Call it after Run returns, as WriteArtifacts does.
 func (r *Runner) Sections() []obs.Section {
 	r.omu.Lock()
-	ran := r.ran
-	r.omu.Unlock()
-	out := make([]obs.Section, 0, len(ran))
-	for _, e := range ran {
-		var b strings.Builder
-		r.render(&b, e)
-		out = append(out, obs.Section{ID: e.ID, Title: e.Title, Body: b.String()})
-	}
-	return out
+	defer r.omu.Unlock()
+	return slices.Clone(r.sections)
 }
 
 // configSummary renders the campaign configuration lines the HTML

@@ -16,11 +16,10 @@ import (
 )
 
 // TestSectionsMatchReport holds the HTML report's sections to the text
-// report: over "all" and every optional experiment, with plots off and
-// on, the section bodies concatenate to exactly the bytes Run wrote, and
-// asking again returns the same sections without touching the cache. A
-// renderer that sorted or edited a cell's output in place would show
-// here as a section that differs from the report.
+// report: over "all" and every optional experiment of a sampled run,
+// with plots off and on, the section bodies concatenate to exactly the
+// bytes Run wrote, and asking again returns the same sections without
+// touching the cache.
 func TestSectionsMatchReport(t *testing.T) {
 	ids := []string{"all"}
 	for _, e := range Experiments() {
@@ -34,6 +33,7 @@ func TestSectionsMatchReport(t *testing.T) {
 	for _, plot := range []bool{false, true} {
 		cfg := tinyConfig()
 		cfg.Plot = plot
+		cfg.MetricsInterval = DefaultMetricsInterval
 		var report bytes.Buffer
 		r := New(cfg, &report)
 		if err := r.EnableCache(dir); err != nil {

@@ -62,7 +62,7 @@ func sweepScenarios() []string {
 // identical across the sweep.
 func (c Config) sweepCell(name string) cell[methodsIn, *scenarioCell] {
 	opts := c.worldOptions(streamScenario)
-	opts.Scenario = name
+	opts.Scenario = lookupScenario(name)
 	return cell[methodsIn, *scenarioCell]{
 		key:     "scenario:" + name,
 		opts:    opts,

@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"io"
+	"strings"
 	"testing"
 
 	"ptperf/internal/censor"
@@ -21,6 +22,21 @@ func sweepConfig(seed int64) Config {
 		Repeats:     1,
 		FileSizesMB: []int{5},
 		Transports:  []string{"tor", "obfs4", "snowflake"},
+	}
+}
+
+// TestUnknownScenarioRefused holds Run to naming a Config.Scenario the
+// registry lacks before it builds a world or writes a byte.
+func TestUnknownScenarioRefused(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.Scenario = "no-such"
+	var out bytes.Buffer
+	err := New(cfg, &out).Run("fig2a")
+	if err == nil || !strings.Contains(err.Error(), `unknown scenario "no-such"`) {
+		t.Fatalf("Run = %v, want an error naming the scenario", err)
+	}
+	if out.Len() != 0 {
+		t.Errorf("report written before the scenario was refused: %q", out.String())
 	}
 }
 

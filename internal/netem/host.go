@@ -60,7 +60,7 @@ func (h *Host) Network() *Network { return h.net }
 // dials from or to the host fail immediately with an unreachable error —
 // like the no-such-host path, no accounting counters move. Conns already
 // established are unaffected; a fault injector that wants them dead
-// aborts them explicitly (Network.AbortHostConns).
+// aborts them explicitly (Acct.AbortHostConns).
 func (h *Host) SetLinkDown(down bool) { h.down = down }
 
 // LinkDown reports whether the host's access link is currently down.

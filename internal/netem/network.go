@@ -104,12 +104,6 @@ func (n *Network) MustAddHost(cfg HostConfig) *Host {
 // Host looks up a host by name, or nil.
 func (n *Network) Host(name string) *Host { return n.hosts[name] }
 
-// AbortHostConns aborts every open conn touching the named host; fault
-// injection uses it as the blast radius of a crash or link cut.
-func (n *Network) AbortHostConns(host string) int {
-	return n.acct.AbortHostConns(host)
-}
-
 func (n *Network) nextSeed() int64 {
 	n.connSeq += 2
 	return n.seed*1e9 + n.connSeq

@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -20,15 +19,15 @@ import (
 // This file is the content-addressed world-result cache. A cell's cache
 // key digests everything its result is a function of: the code version,
 // the cell key, the fully-defaulted testbed.Options (scenario and fault
-// specs included — they are plain value trees, so encoding/json renders
-// them canonically), and the cell's declared inputs: the plain struct
-// holding every harness knob its measurement can read (method list,
-// repeats, ...). Equal digest ⇒ byte-identical result, because worlds
-// are deterministic functions of exactly those inputs — the determinism
-// tests are what make this cache sound. Observing a world moves none of
-// its bytes, so the sampling interval is not an input: a run with
-// metrics and one without share entries, and only a lookup that wants a
-// timeline asks more of one (LoadInto).
+// specs included — they are plain value trees, so the value codec
+// encodes them canonically), and the cell's declared inputs: the plain
+// struct holding every harness knob its measurement can read (method
+// list, repeats, ...). Equal digest ⇒ byte-identical result, because
+// worlds are deterministic functions of exactly those inputs — the
+// determinism tests are what make this cache sound. Observing a world
+// moves none of its bytes, so the sampling interval is not an input: a
+// run with metrics and one without share entries, and only a lookup
+// that wants a timeline asks more of one (LoadInto).
 //
 // Entries are binary files named <digest>.entry under the cache
 // directory, written atomically (temp file + rename) so a killed run
@@ -38,14 +37,14 @@ import (
 // included, and its Value with that of the cell's Out, so a file of
 // another layout or a value of another shape is a miss. Floats travel
 // as their IEEE bits, so a decoded value is the computed one and renders
-// byte-identically; only the digest's preimage is JSON.
+// byte-identically. The digest's preimage is the same codec's bytes.
 
 // CacheVersion invalidates every cache entry when the measurement
 // semantics or the digest layout change. It is combined with the
 // module's VCS revision when the binary carries one; bump it when making
 // changes that alter results without a revision change being visible
 // (e.g. `go test` in a dirty tree).
-const CacheVersion = "ptperf-cache-v4"
+const CacheVersion = "ptperf-cache-v5"
 
 // codeVersion is the cache's code-version component, fixed for the life
 // of the process: every digest of every run reads it.
@@ -65,26 +64,38 @@ var codeVersion = func() string {
 }()
 
 // CellDigest returns the content address of one world-cell computation:
-// sha256 over the canonical JSON of (version, cell key, fully-defaulted
-// options, declared inputs). opts is digested after defaulting so two
-// spellings of the same world share an entry; in is any JSON-marshalable
-// value (the harness passes the cell's input struct).
+// sha256 over the value codec's encoding of (version, cell key,
+// fully-defaulted options) followed by that of the declared inputs. Each
+// encoding reads back unambiguously, so the two laid end to end name one
+// pair of values. opts is digested after defaulting so two spellings of
+// the same world share an entry; in is any value EncodeValue accepts
+// (the harness passes the cell's input struct).
 func CellDigest(key string, opts testbed.Options, in any) string {
-	fp := struct {
-		Version string
-		Key     string
-		Opts    testbed.Options
-		In      any
-	}{codeVersion, key, opts.WithDefaults(), in}
-	b, err := json.Marshal(fp)
-	if err != nil {
-		// Options and cell inputs are plain value trees; a marshal
-		// failure is a programming error, not an input condition.
-		panic(fmt.Sprintf("obs: cell digest marshal: %v", err))
+	pre := digestBufs.Get().(*[]byte)
+	defer digestBufs.Put(pre)
+	b, err := appendEncoding((*pre)[:0], digestHead{codeVersion, key, opts.WithDefaults()})
+	if err == nil {
+		b, err = appendEncoding(b, in)
 	}
+	if err != nil {
+		// Options and cell inputs are plain value trees; an encoding
+		// failure is a programming error, not an input condition.
+		panic(fmt.Sprintf("obs: cell digest: %v", err))
+	}
+	*pre = b
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
 }
+
+// digestHead is what CellDigest encodes ahead of a cell's inputs.
+type digestHead struct {
+	Version string
+	Key     string
+	Opts    testbed.Options
+}
+
+// digestBufs lends CellDigest the array it builds a preimage in.
+var digestBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // Entry is one cached cell: the result value (EncodeValue's bytes) plus
 // the metric timeline recorded while computing it (nil when metrics were

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"ptperf/internal/censor"
 	"ptperf/internal/testbed"
 )
 
@@ -38,7 +39,11 @@ func TestCellDigest(t *testing.T) {
 		t.Fatal("digest insensitive to world options")
 	}
 	mutated = opts
-	mutated.Scenario = "lossy-path"
+	lossy, err := censor.Lookup("lossy-path")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutated.Scenario = &lossy
 	if d == CellDigest("cell", mutated, "spec") {
 		t.Fatal("digest insensitive to censor scenario")
 	}

@@ -110,7 +110,10 @@ func describe(b []byte, t reflect.Type, open []reflect.Type) ([]byte, error) {
 
 // EncodeValue returns v's encoding, or an error when v's type holds a
 // kind the codec does not encode.
-func EncodeValue(v any) ([]byte, error) {
+func EncodeValue(v any) ([]byte, error) { return appendEncoding(nil, v) }
+
+// appendEncoding appends v's encoding to b.
+func appendEncoding(b []byte, v any) ([]byte, error) {
 	rv := reflect.ValueOf(v)
 	if !rv.IsValid() {
 		return nil, errors.New("obs: cannot encode nil")
@@ -119,7 +122,7 @@ func EncodeValue(v any) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return appendValue(binary.LittleEndian.AppendUint64(nil, sum), rv), nil
+	return appendValue(binary.LittleEndian.AppendUint64(b, sum), rv), nil
 }
 
 // appendValue appends v, of a type shapeOf accepted, to b.

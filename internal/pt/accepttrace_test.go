@@ -117,54 +117,53 @@ var acceptScenarios = []struct {
 	run  func(t *testing.T, r *acceptRig)
 }{
 	{"obfs4", time.Minute, func(t *testing.T, r *acceptRig) {
-		srv, _ := obfs4.StartServer(r.server, 443, obfs4.Config{Secret: acceptKey, Seed: 1}, r.handler)
-		r.session(obfs4.NewDialer(r.client, srv.Addr(), obfs4.Config{Secret: acceptKey, Seed: 2}))
+		srv, _ := obfs4.Transport(obfs4.Config{Secret: acceptKey, Seed: 1}).StartServer(r.server, 443, r.handler)
+		r.session(obfs4.Transport(obfs4.Config{Secret: acceptKey, Seed: 2}).NewDialer(r.client, srv.Addr()))
 	}},
 	{"obfs4-refused", time.Minute, func(t *testing.T, r *acceptRig) {
-		srv, _ := obfs4.StartServer(r.server, 443, obfs4.Config{Secret: acceptKey, Seed: 1}, r.handler)
-		r.session(obfs4.NewDialer(r.client, srv.Addr(), obfs4.Config{Secret: []byte("wrong"), Seed: 2}))
+		srv, _ := obfs4.Transport(obfs4.Config{Secret: acceptKey, Seed: 1}).StartServer(r.server, 443, r.handler)
+		r.session(obfs4.Transport(obfs4.Config{Secret: []byte("wrong"), Seed: 2}).NewDialer(r.client, srv.Addr()))
 	}},
 	{"cloak", time.Minute, func(t *testing.T, r *acceptRig) {
-		srv, _ := cloak.StartServer(r.server, 443, cloak.Config{UID: acceptKey, Seed: 1}, r.handler)
-		r.session(cloak.NewDialer(r.client, srv.Addr(), cloak.Config{UID: acceptKey, Seed: 2}))
+		srv, _ := cloak.Transport(cloak.Config{UID: acceptKey, Seed: 1}).StartServer(r.server, 443, r.handler)
+		r.session(cloak.Transport(cloak.Config{UID: acceptKey, Seed: 2}).NewDialer(r.client, srv.Addr()))
 	}},
 	// cloak as set 3 runs it: the server opens the target through an
 	// event-form dialer.
 	{"cloak-dialer", time.Minute, func(t *testing.T, r *acceptRig) {
-		srv, _ := cloak.StartServer(r.server, 443, cloak.Config{UID: acceptKey, Seed: 1},
-			pt.HandleWithDialer(r.net.Clock(), pt.DialerFunc(func(target string, fn func(netem.Stream, error)) (netem.Stream, error, bool) {
-				up, err, done := r.server.DialEvent(target, func(c *netem.Conn, err error) { fn(c, err) })
-				return up, err, done
-			})))
-		r.session(cloak.NewDialer(r.client, srv.Addr(), cloak.Config{UID: acceptKey, Seed: 2}))
+		srv, _ := cloak.Transport(cloak.Config{UID: acceptKey, Seed: 1}).StartServer(r.server, 443, pt.HandleWithDialer(r.net.Clock(), pt.DialerFunc(func(target string, fn func(netem.Stream, error)) (netem.Stream, error, bool) {
+			up, err, done := r.server.DialEvent(target, func(c *netem.Conn, err error) { fn(c, err) })
+			return up, err, done
+		})))
+		r.session(cloak.Transport(cloak.Config{UID: acceptKey, Seed: 2}).NewDialer(r.client, srv.Addr()))
 	}},
 	{"shadowsocks", time.Minute, func(t *testing.T, r *acceptRig) {
-		srv, _ := shadowsocks.StartServer(r.server, 8388, shadowsocks.Config{PSK: acceptKey, Seed: 1}, r.handler)
-		r.session(shadowsocks.NewDialer(r.client, srv.Addr(), shadowsocks.Config{PSK: acceptKey, Seed: 2}))
+		srv, _ := shadowsocks.Transport(shadowsocks.Config{PSK: acceptKey, Seed: 1}).StartServer(r.server, 8388, r.handler)
+		r.session(shadowsocks.Transport(shadowsocks.Config{PSK: acceptKey, Seed: 2}).NewDialer(r.client, srv.Addr()))
 	}},
 	// shadowsocks as set 2 runs it: the server forwards to the target.
 	{"shadowsocks-forward", time.Minute, func(t *testing.T, r *acceptRig) {
-		srv, _ := shadowsocks.StartServer(r.server, 8388, shadowsocks.Config{PSK: acceptKey, Seed: 1}, pt.ForwardTo(r.server))
-		r.session(shadowsocks.NewDialer(r.client, srv.Addr(), shadowsocks.Config{PSK: acceptKey, Seed: 2}))
+		srv, _ := shadowsocks.Transport(shadowsocks.Config{PSK: acceptKey, Seed: 1}).StartServer(r.server, 8388, pt.ForwardTo(r.server))
+		r.session(shadowsocks.Transport(shadowsocks.Config{PSK: acceptKey, Seed: 2}).NewDialer(r.client, srv.Addr()))
 	}},
 	{"webtunnel", time.Minute, func(t *testing.T, r *acceptRig) {
-		srv, _ := webtunnel.StartServer(r.server, 443, webtunnel.Config{SNI: "cdn", Seed: 1}, r.handler)
-		r.session(webtunnel.NewDialer(r.client, srv.Addr(), webtunnel.Config{SNI: "cdn", Seed: 2}))
+		srv, _ := webtunnel.Transport(webtunnel.Config{SNI: "cdn", Seed: 1}).StartServer(r.server, 443, r.handler)
+		r.session(webtunnel.Transport(webtunnel.Config{SNI: "cdn", Seed: 2}).NewDialer(r.client, srv.Addr()))
 	}},
 	// Bytes after the upgrade request's terminator, in its flight.
 	{"webtunnel-overrun", time.Minute, func(t *testing.T, r *acceptRig) {
-		srv, _ := webtunnel.StartServer(r.server, 443, webtunnel.Config{SNI: "cdn", Seed: 1}, r.handler)
+		srv, _ := webtunnel.Transport(webtunnel.Config{SNI: "cdn", Seed: 1}).StartServer(r.server, 443, r.handler)
 		r.raw(t, srv.Addr(), webtunnelHello(), []byte("GET /tunnel HTTP/1.1\r\n\r\nearly"))
 	}},
 	// An upgrade request past the server's 4 KiB bound, in two flights.
 	{"webtunnel-too-long", time.Minute, func(t *testing.T, r *acceptRig) {
-		srv, _ := webtunnel.StartServer(r.server, 443, webtunnel.Config{SNI: "cdn", Seed: 1}, r.handler)
+		srv, _ := webtunnel.Transport(webtunnel.Config{SNI: "cdn", Seed: 1}).StartServer(r.server, 443, r.handler)
 		long := append([]byte("GET /tunnel HTTP/1.1\r\nX: "), bytes.Repeat([]byte("a"), 3000)...)
 		r.raw(t, srv.Addr(), webtunnelHello(), long, append(bytes.Repeat([]byte("b"), 2000), "\r\n\r\n"...))
 	}},
 	{"psiphon", time.Minute, func(t *testing.T, r *acceptRig) {
-		srv, _ := psiphon.StartServer(r.server, 22, psiphon.Config{HostKey: acceptKey, Seed: 1}, r.handler)
-		r.session(psiphon.NewDialer(r.client, srv.Addr(), psiphon.Config{HostKey: acceptKey, Seed: 2}))
+		srv, _ := psiphon.Transport(psiphon.Config{HostKey: acceptKey, Seed: 1}).StartServer(r.server, 22, r.handler)
+		r.session(psiphon.Transport(psiphon.Config{HostKey: acceptKey, Seed: 2}).NewDialer(r.client, srv.Addr()))
 	}},
 	// The bridge behind conjure's registrar and station.
 	{"conjure", time.Minute, func(t *testing.T, r *acceptRig) {

@@ -93,13 +93,3 @@ func Transport(cfg Config) pt.WrapTransport {
 		}},
 	}
 }
-
-// StartServer runs a cloak server on host:port.
-func StartServer(host *netem.Host, port int, cfg Config, handle pt.StreamHandler) (pt.Server, error) {
-	return Transport(cfg).StartServer(host, port, handle)
-}
-
-// NewDialer returns the cloak client for a server at addr.
-func NewDialer(host *netem.Host, addr string, cfg Config) pt.Dialer {
-	return Transport(cfg).NewDialer(host, addr)
-}

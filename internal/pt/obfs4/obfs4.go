@@ -88,14 +88,3 @@ func Transport(cfg Config) pt.WrapTransport {
 		Server: pt.Handshake{Steps: []pt.Step{peerHello(cfg.Secret, 'c'), hello(cfg.Secret, 's')}, Records: records},
 	}
 }
-
-// StartServer runs an obfs4 server on host:port, delivering unwrapped
-// streams to handle.
-func StartServer(host *netem.Host, port int, cfg Config, handle pt.StreamHandler) (pt.Server, error) {
-	return Transport(cfg).StartServer(host, port, handle)
-}
-
-// NewDialer returns the obfs4 client for a bridge at addr.
-func NewDialer(host *netem.Host, addr string, cfg Config) pt.Dialer {
-	return Transport(cfg).NewDialer(host, addr)
-}

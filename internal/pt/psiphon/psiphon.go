@@ -123,13 +123,3 @@ func Transport(cfg Config) pt.WrapTransport {
 		Server: pt.Handshake{Steps: []pt.Step{pt.Expect(banner, ErrVersion), pt.Send(banner), {N: kexLen}, reply}, Records: codec(false)},
 	}
 }
-
-// StartServer runs a psiphon server on host:port.
-func StartServer(host *netem.Host, port int, cfg Config, handle pt.StreamHandler) (pt.Server, error) {
-	return Transport(cfg).StartServer(host, port, handle)
-}
-
-// NewDialer returns the psiphon client for a server at addr.
-func NewDialer(host *netem.Host, addr string, cfg Config) pt.Dialer {
-	return Transport(cfg).NewDialer(host, addr)
-}

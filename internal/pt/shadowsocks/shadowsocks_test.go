@@ -205,10 +205,10 @@ func TestTranscriptsAgree(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := StartServer(nil, 0, Config{}, nil); err == nil {
+	if _, err := Transport(Config{}).StartServer(nil, 0, nil); err == nil {
 		t.Fatal("server without PSK must fail")
 	}
-	d := NewDialer(nil, "x:1", Config{})
+	d := Transport(Config{}).NewDialer(nil, "x:1")
 	if _, err := netem.Await(netem.NewClock(), func(done func(netem.Stream, error)) (netem.Stream, error, bool) {
 		return d.DialEvent("t:1", done)
 	}); err == nil {

@@ -50,9 +50,6 @@ type Config struct {
 	ProxyLifetime time.Duration
 	// ProxyUplink overrides DefaultProxyUplink.
 	ProxyUplink float64
-	// ProxyUtilization is background load on volunteers ([0,1)); the
-	// post-September scenario raises it.
-	ProxyUtilization float64
 	// Seed drives lifetimes and assignment.
 	Seed int64
 }
@@ -80,6 +77,9 @@ type Deployment struct {
 	rng     *rand.Rand
 	proxies []*proxy
 	nextID  int
+	// utilization is the volunteers' background load ([0,1)), 0 until
+	// SetLoad raises it (the post-September scenario).
+	utilization float64
 }
 
 // proxy is one volunteer.
@@ -126,7 +126,7 @@ func (d *Deployment) BrokerAddr() string { return d.brokerLn.Addr().String() }
 // proxy's lifetime is drawn when it spawns, so the new lifetime reaches
 // only proxies spawned after the call.
 func (d *Deployment) SetLoad(utilization float64, lifetime time.Duration) {
-	d.cfg.ProxyUtilization = utilization
+	d.utilization = utilization
 	d.cfg.ProxyLifetime = lifetime
 	proxies := append([]*proxy(nil), d.proxies...)
 	for _, p := range proxies {
@@ -153,7 +153,7 @@ func (d *Deployment) spawnProxy() error {
 		Location:    proxyLocation(id),
 		UplinkBps:   cfg.ProxyUplink,
 		DownlinkBps: cfg.ProxyUplink,
-		Utilization: cfg.ProxyUtilization,
+		Utilization: d.utilization,
 	})
 	if err != nil {
 		return err

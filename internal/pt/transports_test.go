@@ -101,13 +101,13 @@ func exerciseEcho(t *testing.T, w *world, d pt.Dialer, payloadLen int) {
 
 func TestObfs4RejectsWrongSecret(t *testing.T) {
 	w := newWorld(t)
-	srv, err := obfs4.StartServer(w.server, 443, obfs4.Config{Secret: []byte("right"), Seed: 1}, func(string, netem.Stream) {
+	srv, err := obfs4.Transport(obfs4.Config{Secret: []byte("right"), Seed: 1}).StartServer(w.server, 443, func(string, netem.Stream) {
 		t.Error("unauthorized client reached the handler")
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := obfs4.NewDialer(w.client, srv.Addr(), obfs4.Config{Secret: []byte("wrong"), Seed: 2})
+	d := obfs4.Transport(obfs4.Config{Secret: []byte("wrong"), Seed: 2}).NewDialer(w.client, srv.Addr())
 	conn, err := dial(w.net, d, "guard-0:9001")
 	if err == nil {
 		// The server drops us during the handshake; the failure may
@@ -124,8 +124,8 @@ func TestObfs4RejectsWrongSecret(t *testing.T) {
 func TestShadowsocksZeroRTTFasterThanObfs4(t *testing.T) {
 	w := newWorld(t)
 	psk := []byte("k")
-	ssrv, _ := shadowsocks.StartServer(w.server, 8388, shadowsocks.Config{PSK: psk}, echoHandler(t, w, "g:1"))
-	osrv, _ := obfs4.StartServer(w.server, 443, obfs4.Config{Secret: psk}, echoHandler(t, w, "g:1"))
+	ssrv, _ := shadowsocks.Transport(shadowsocks.Config{PSK: psk}).StartServer(w.server, 8388, echoHandler(t, w, "g:1"))
+	osrv, _ := obfs4.Transport(obfs4.Config{Secret: psk}).StartServer(w.server, 443, echoHandler(t, w, "g:1"))
 
 	measure := func(d pt.Dialer) time.Duration {
 		start := w.net.Now()
@@ -139,8 +139,8 @@ func TestShadowsocksZeroRTTFasterThanObfs4(t *testing.T) {
 		conn.Close()
 		return el
 	}
-	ss := measure(shadowsocks.NewDialer(w.client, ssrv.Addr(), shadowsocks.Config{PSK: psk}))
-	ob := measure(obfs4.NewDialer(w.client, osrv.Addr(), obfs4.Config{Secret: psk}))
+	ss := measure(shadowsocks.Transport(shadowsocks.Config{PSK: psk}).NewDialer(w.client, ssrv.Addr()))
+	ob := measure(obfs4.Transport(obfs4.Config{Secret: psk}).NewDialer(w.client, osrv.Addr()))
 	if ss >= ob {
 		t.Fatalf("zero-RTT shadowsocks (%v) should beat 1-RTT obfs4 (%v)", ss, ob)
 	}
@@ -148,11 +148,11 @@ func TestShadowsocksZeroRTTFasterThanObfs4(t *testing.T) {
 
 func TestPsiphonRejectsWrongHostKey(t *testing.T) {
 	w := newWorld(t)
-	srv, err := psiphon.StartServer(w.server, 22, psiphon.Config{HostKey: []byte("right"), Seed: 1}, echoHandler(t, w, "x"))
+	srv, err := psiphon.Transport(psiphon.Config{HostKey: []byte("right"), Seed: 1}).StartServer(w.server, 22, echoHandler(t, w, "x"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := psiphon.NewDialer(w.client, srv.Addr(), psiphon.Config{HostKey: []byte("evil"), Seed: 2})
+	d := psiphon.Transport(psiphon.Config{HostKey: []byte("evil"), Seed: 2}).NewDialer(w.client, srv.Addr())
 	if _, err := dial(w.net, d, "x"); !errors.Is(err, psiphon.ErrHostKey) {
 		t.Fatalf("MITM host key must be rejected: %v, want %v", err, psiphon.ErrHostKey)
 	}
@@ -165,7 +165,7 @@ func TestPsiphonRejectsWrongHostKey(t *testing.T) {
 func TestCloakClientHalfClose(t *testing.T) {
 	w := newWorld(t)
 	cfg := cloak.Config{UID: []byte("cloak-uid"), Seed: 1}
-	srv, err := cloak.StartServer(w.server, 443, cfg, spawned(w, func(_ string, conn netem.Stream) {
+	srv, err := cloak.Transport(cfg).StartServer(w.server, 443, spawned(w, func(_ string, conn netem.Stream) {
 		defer conn.Close()
 		req, err := io.ReadAll(conn)
 		if err != nil {
@@ -178,7 +178,7 @@ func TestCloakClientHalfClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Seed = 2
-	conn, err := dial(w.net, cloak.NewDialer(w.client, srv.Addr(), cfg), "origin:80")
+	conn, err := dial(w.net, cloak.Transport(cfg).NewDialer(w.client, srv.Addr()), "origin:80")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +426,7 @@ func TestMarionetteModelValidate(t *testing.T) {
 func TestMarionetteSlowerThanObfs4(t *testing.T) {
 	w := newWorld(t)
 	secret := []byte("k")
-	osrv, _ := obfs4.StartServer(w.server, 443, obfs4.Config{Secret: secret}, echoHandler(t, w, "g:1"))
+	osrv, _ := obfs4.Transport(obfs4.Config{Secret: secret}).StartServer(w.server, 443, echoHandler(t, w, "g:1"))
 	msrv, _ := marionette.StartServer(w.server, 2121, marionette.FTPWithCapacity(marionette.DefaultCapacity), 12, echoHandler(t, w, "g:1"))
 
 	const payload = 16 << 10
@@ -444,7 +444,7 @@ func TestMarionetteSlowerThanObfs4(t *testing.T) {
 		}
 		return w.net.Since(start)
 	}
-	od := obfs4.NewDialer(w.client, osrv.Addr(), obfs4.Config{Secret: secret})
+	od := obfs4.Transport(obfs4.Config{Secret: secret}).NewDialer(w.client, osrv.Addr())
 	md, _ := marionette.NewDialer(w.client, msrv.Addr(), marionette.FTPWithCapacity(marionette.DefaultCapacity), 13)
 	ot := measure(od)
 	mt := measure(md)

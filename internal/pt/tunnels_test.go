@@ -45,11 +45,11 @@ var tunnels = []struct {
 		}), nil
 	}},
 	{"obfs4", 60_000, func(w *world, h pt.StreamHandler) (pt.Dialer, error) {
-		srv, err := obfs4.StartServer(w.server, 443, obfs4.Config{Secret: tunnelKey, Seed: 1}, h)
+		srv, err := obfs4.Transport(obfs4.Config{Secret: tunnelKey, Seed: 1}).StartServer(w.server, 443, h)
 		if err != nil {
 			return nil, err
 		}
-		return obfs4.NewDialer(w.client, srv.Addr(), obfs4.Config{Secret: tunnelKey, Seed: 2}), nil
+		return obfs4.Transport(obfs4.Config{Secret: tunnelKey, Seed: 2}).NewDialer(w.client, srv.Addr()), nil
 	}},
 	{"meek", 30_000, func(w *world, h pt.StreamHandler) (pt.Dialer, error) {
 		bridge, err := meek.StartBridge(w.server, 7002, meek.Config{Seed: 1, SessionBudgetMedian: -1}, h)
@@ -75,12 +75,12 @@ var tunnels = []struct {
 	}},
 	{"webtunnel", 50_000, func(w *world, h pt.StreamHandler) (pt.Dialer, error) {
 		cfg := webtunnel.Config{SNI: "cdn.example", Seed: 1}
-		srv, err := webtunnel.StartServer(w.server, 443, cfg, h)
+		srv, err := webtunnel.Transport(cfg).StartServer(w.server, 443, h)
 		if err != nil {
 			return nil, err
 		}
 		cfg.Seed = 2
-		return webtunnel.NewDialer(w.client, srv.Addr(), cfg), nil
+		return webtunnel.Transport(cfg).NewDialer(w.client, srv.Addr()), nil
 	}},
 	{"dnstt", 20_000, func(w *world, h pt.StreamHandler) (pt.Dialer, error) {
 		srv, err := dnstt.StartServer(w.server, 5300, dnstt.Config{Seed: 1, BudgetMedian: -1}, h)
@@ -105,18 +105,18 @@ var tunnels = []struct {
 		return snowflake.NewDialer(w.client, dep.BrokerAddr(), bridge.Addr()), nil
 	}},
 	{"psiphon", 50_000, func(w *world, h pt.StreamHandler) (pt.Dialer, error) {
-		srv, err := psiphon.StartServer(w.server, 22, psiphon.Config{HostKey: tunnelKey, Seed: 1}, h)
+		srv, err := psiphon.Transport(psiphon.Config{HostKey: tunnelKey, Seed: 1}).StartServer(w.server, 22, h)
 		if err != nil {
 			return nil, err
 		}
-		return psiphon.NewDialer(w.client, srv.Addr(), psiphon.Config{HostKey: tunnelKey, Seed: 2}), nil
+		return psiphon.Transport(psiphon.Config{HostKey: tunnelKey, Seed: 2}).NewDialer(w.client, srv.Addr()), nil
 	}},
 	{"shadowsocks", 100_000, func(w *world, h pt.StreamHandler) (pt.Dialer, error) {
-		srv, err := shadowsocks.StartServer(w.server, 8388, shadowsocks.Config{PSK: tunnelKey, Seed: 1}, h)
+		srv, err := shadowsocks.Transport(shadowsocks.Config{PSK: tunnelKey, Seed: 1}).StartServer(w.server, 8388, h)
 		if err != nil {
 			return nil, err
 		}
-		return shadowsocks.NewDialer(w.client, srv.Addr(), shadowsocks.Config{PSK: tunnelKey, Seed: 2}), nil
+		return shadowsocks.Transport(shadowsocks.Config{PSK: tunnelKey, Seed: 2}).NewDialer(w.client, srv.Addr()), nil
 	}},
 	{"stegotorus", 80_000, func(w *world, h pt.StreamHandler) (pt.Dialer, error) {
 		srv, err := stegotorus.StartServer(w.server, 8080, stegotorus.Config{Seed: 8}, h)
@@ -138,12 +138,12 @@ var tunnels = []struct {
 	}},
 	{"cloak", 16_000, func(w *world, h pt.StreamHandler) (pt.Dialer, error) {
 		cfg := cloak.Config{UID: tunnelKey, Seed: 1}
-		srv, err := cloak.StartServer(w.server, 443, cfg, h)
+		srv, err := cloak.Transport(cfg).StartServer(w.server, 443, h)
 		if err != nil {
 			return nil, err
 		}
 		cfg.Seed = 2
-		return cloak.NewDialer(w.client, srv.Addr(), cfg), nil
+		return cloak.Transport(cfg).NewDialer(w.client, srv.Addr()), nil
 	}},
 	{"marionette", 4_000, func(w *world, h pt.StreamHandler) (pt.Dialer, error) {
 		srv, err := marionette.StartServer(w.server, 2121, marionette.FTPWithCapacity(marionette.DefaultCapacity), 10, h)
@@ -400,7 +400,7 @@ func TestVanishedClientIsReaped(t *testing.T) {
 				t.Fatal("handler saw EOF while the client was polling")
 			}
 			vanished := clock.Now()
-			w.net.AbortHostConns("client")
+			w.net.Acct().AbortHostConns("client")
 
 			at, _, timedOut, _ := ended.RecvUntilEvent(clock.Now()+4*pt.StaleAfter, nil)
 			if timedOut {

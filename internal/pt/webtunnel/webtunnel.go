@@ -95,13 +95,3 @@ func Transport(cfg Config) pt.WrapTransport {
 		}, Records: records},
 	}
 }
-
-// StartServer runs a webtunnel server on host:port.
-func StartServer(host *netem.Host, port int, cfg Config, handle pt.StreamHandler) (pt.Server, error) {
-	return Transport(cfg).StartServer(host, port, handle)
-}
-
-// NewDialer returns the webtunnel client for a bridge at addr.
-func NewDialer(host *netem.Host, addr string, cfg Config) pt.Dialer {
-	return Transport(cfg).NewDialer(host, addr)
-}

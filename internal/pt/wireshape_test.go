@@ -45,29 +45,29 @@ func TestWireShapePinned(t *testing.T) {
 		handshake, up, down wireShape
 	}{
 		{"obfs4", func(w *world, h pt.StreamHandler) (pt.Dialer, error) {
-			srv, err := obfs4.StartServer(w.server, 443, obfs4.Config{Secret: key, Seed: 1}, h)
+			srv, err := obfs4.Transport(obfs4.Config{Secret: key, Seed: 1}).StartServer(w.server, 443, h)
 			if err != nil {
 				return nil, err
 			}
-			return obfs4.NewDialer(w.client, srv.Addr(), obfs4.Config{Secret: key, Seed: 2}), nil
+			return obfs4.Transport(obfs4.Config{Secret: key, Seed: 2}).NewDialer(w.client, srv.Addr()), nil
 		}, wireShape{1254, 3}, wireShape{100325, 13}, wireShape{100177, 13}},
 		{"webtunnel", func(w *world, h pt.StreamHandler) (pt.Dialer, error) {
 			cfg := webtunnel.Config{SNI: "cdn.example", Seed: 1}
-			srv, err := webtunnel.StartServer(w.server, 443, cfg, h)
+			srv, err := webtunnel.Transport(cfg).StartServer(w.server, 443, h)
 			if err != nil {
 				return nil, err
 			}
 			cfg.Seed = 2
-			return webtunnel.NewDialer(w.client, srv.Addr(), cfg), nil
+			return webtunnel.Transport(cfg).NewDialer(w.client, srv.Addr()), nil
 		}, wireShape{1404, 5}, wireShape{100049, 13}, wireShape{100049, 13}},
 		{"cloak", func(w *world, h pt.StreamHandler) (pt.Dialer, error) {
 			cfg := cloak.Config{UID: key, Seed: 1}
-			srv, err := cloak.StartServer(w.server, 443, cfg, h)
+			srv, err := cloak.Transport(cfg).StartServer(w.server, 443, h)
 			if err != nil {
 				return nil, err
 			}
 			cfg.Seed = 2
-			return cloak.NewDialer(w.client, srv.Addr(), cfg), nil
+			return cloak.Transport(cfg).NewDialer(w.client, srv.Addr()), nil
 		}, wireShape{537, 2}, wireShape{100174, 14}, wireShape{100049, 13}},
 		{"conjure", func(w *world, h pt.StreamHandler) (pt.Dialer, error) {
 			bridge, err := conjure.StartBridge(w.server, 4443, conjure.Config{Secret: key, Seed: 1}, h)
@@ -81,18 +81,18 @@ func TestWireShapePinned(t *testing.T) {
 			return conjure.NewDialer(w.client, inf.RegistrarAddr(), inf.PhantomAddr(), conjure.Config{Secret: key, Seed: 3}), nil
 		}, wireShape{101, 4}, wireShape{200150, 21}, wireShape{200098, 23}},
 		{"shadowsocks", func(w *world, h pt.StreamHandler) (pt.Dialer, error) {
-			srv, err := shadowsocks.StartServer(w.server, 8388, shadowsocks.Config{PSK: key, Seed: 1}, h)
+			srv, err := shadowsocks.Transport(shadowsocks.Config{PSK: key, Seed: 1}).StartServer(w.server, 8388, h)
 			if err != nil {
 				return nil, err
 			}
-			return shadowsocks.NewDialer(w.client, srv.Addr(), shadowsocks.Config{PSK: key, Seed: 2}), nil
+			return shadowsocks.Transport(shadowsocks.Config{PSK: key, Seed: 2}).NewDialer(w.client, srv.Addr()), nil
 		}, wireShape{63, 2}, wireShape{100238, 13}, wireShape{100238, 13}},
 		{"psiphon", func(w *world, h pt.StreamHandler) (pt.Dialer, error) {
-			srv, err := psiphon.StartServer(w.server, 22, psiphon.Config{HostKey: key, Seed: 1}, h)
+			srv, err := psiphon.Transport(psiphon.Config{HostKey: key, Seed: 1}).StartServer(w.server, 22, h)
 			if err != nil {
 				return nil, err
 			}
-			return psiphon.NewDialer(w.client, srv.Addr(), psiphon.Config{HostKey: key, Seed: 2}), nil
+			return psiphon.Transport(psiphon.Config{HostKey: key, Seed: 2}).NewDialer(w.client, srv.Addr()), nil
 		}, wireShape{239, 5}, wireShape{100080, 10}, wireShape{100080, 10}},
 		{"stegotorus", func(w *world, h pt.StreamHandler) (pt.Dialer, error) {
 			srv, err := stegotorus.StartServer(w.server, 8080, stegotorus.Config{Seed: 1}, h)

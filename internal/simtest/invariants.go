@@ -56,7 +56,7 @@ var invariants = []invariant{
 // against the paper-scale envelope: the generator and the shrinker must
 // never emit a rule outside it.
 func checkScenarioBounds(o *Outcome) error {
-	return censor.PaperBounds().Validate(o.Spec.Scenario)
+	return censor.Validate(o.Spec.Scenario)
 }
 
 // checkReportShape is the sanity oracle over the measured data: counts

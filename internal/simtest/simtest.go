@@ -147,7 +147,7 @@ func Generate(root, index int64) Spec {
 	sort.Strings(s.Transports)
 
 	// Random composed scenario within paper-scale bounds.
-	s.Scenario = censor.RandomScenario(sim.DeriveSeed(root, streamWorld, index, 1), censor.PaperBounds())
+	s.Scenario = censor.RandomScenario(sim.DeriveSeed(root, streamWorld, index, 1))
 	s.EventIdx = make([]int, len(s.Scenario.Events))
 	for i := range s.EventIdx {
 		s.EventIdx[i] = i
@@ -284,7 +284,7 @@ func Run(spec Spec) (*Outcome, error) {
 		Exits:          spec.Exits,
 		TrancoN:        spec.Sites,
 		CBLN:           spec.Sites,
-		ScenarioSpec:   &sc,
+		Scenario:       &sc,
 		FaultSpec:      fp,
 	})
 	if err != nil {

@@ -21,11 +21,10 @@ type ChurnLevel struct {
 	// baseline).
 	Name string
 	// Period is the gap between consecutive scheduled failures; zero
-	// means no failures at all.
+	// means no failures at all. Each failure lasts half a period before
+	// the relay restarts, the link comes back, or the descriptor
+	// rejoins.
 	Period time.Duration
-	// Downtime is how long each failure lasts before the relay
-	// restarts, the link comes back, or the descriptor rejoins.
-	Downtime time.Duration
 }
 
 // ChurnLevels is the canonical churn sweep: the fault-free baseline,
@@ -34,8 +33,8 @@ type ChurnLevel struct {
 // relay mid-transfer.
 var ChurnLevels = []ChurnLevel{
 	{Name: "none"},
-	{Name: "slow", Period: 60 * time.Second, Downtime: 30 * time.Second},
-	{Name: "fast", Period: 20 * time.Second, Downtime: 10 * time.Second},
+	{Name: "slow", Period: 60 * time.Second},
+	{Name: "fast", Period: 20 * time.Second},
 }
 
 // ChurnLevelNames lists the family in sweep order.
@@ -87,7 +86,7 @@ func ChurnPlanFor(lv ChurnLevel, o Options, horizon time.Duration) faults.Plan {
 			gi++
 		}
 		ev.At = at
-		ev.Duration = lv.Downtime
+		ev.Duration = lv.Period / 2
 		p.Events = append(p.Events, ev)
 		k++
 	}

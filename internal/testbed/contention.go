@@ -24,27 +24,30 @@ type ContentionLevel struct {
 	Name string
 	// Competitors is the number of bulk clients sharing the guard.
 	Competitors int
-	// FileMB is each competitor's download size per iteration
-	// (paper-scale MB, byte-scaled on use).
-	FileMB int
-	// Think is the idle gap between a competitor's downloads.
-	Think time.Duration
-	// Stagger spaces competitor starts on the virtual clock.
-	Stagger time.Duration
 }
+
+// Every competitor loops the same way at every level: it starts
+// contentionStagger after the one before it, then downloads a
+// contentionFileMB file (paper-scale MB, byte-scaled on use) and idles
+// contentionThink, until Stop.
+const (
+	contentionFileMB  = 20
+	contentionThink   = 250 * time.Millisecond
+	contentionStagger = 500 * time.Millisecond
+)
 
 // RampTime is how long after Start the last competitor has begun.
 func (lv ContentionLevel) RampTime() time.Duration {
-	return time.Duration(lv.Competitors)*lv.Stagger + time.Second
+	return time.Duration(lv.Competitors)*contentionStagger + time.Second
 }
 
 // ContentionLevels is the canonical guard-contention sweep, from the
 // uncontended baseline to relay overload.
 var ContentionLevels = []ContentionLevel{
-	{Name: "idle", Competitors: 0, FileMB: 20, Think: 250 * time.Millisecond, Stagger: 500 * time.Millisecond},
-	{Name: "light", Competitors: 2, FileMB: 20, Think: 250 * time.Millisecond, Stagger: 500 * time.Millisecond},
-	{Name: "busy", Competitors: 4, FileMB: 20, Think: 250 * time.Millisecond, Stagger: 500 * time.Millisecond},
-	{Name: "overload", Competitors: 8, FileMB: 20, Think: 250 * time.Millisecond, Stagger: 500 * time.Millisecond},
+	{Name: "idle", Competitors: 0},
+	{Name: "light", Competitors: 2},
+	{Name: "busy", Competitors: 4},
+	{Name: "overload", Competitors: 8},
 }
 
 // ContentionLevelNames lists the family in sweep order.
@@ -63,7 +66,6 @@ func ContentionLevelNames() []string {
 // only variable across levels is relay-side contention.
 type ContentionRig struct {
 	*FixedCircuitRig
-	level       ContentionLevel
 	competitors []*tor.Client
 	stopped     bool
 	wg          *netem.WaitGroup
@@ -86,7 +88,6 @@ func (w *World) NewContentionRig(lv ContentionLevel) (*ContentionRig, error) {
 	}
 	r := &ContentionRig{
 		FixedCircuitRig: fixed,
-		level:           lv,
 		wg:              netem.NewWaitGroup(w.Net.Clock()),
 	}
 	g := fixed.Relay.Descriptor()
@@ -115,20 +116,20 @@ func (w *World) NewContentionRig(lv ContentionLevel) (*ContentionRig, error) {
 // staggered starts, then bulk download / think / repeat until Stop.
 func (r *ContentionRig) Start() {
 	clock := r.world.Net.Clock()
-	size := r.world.Bytes(r.level.FileMB << 20)
+	size := r.world.Bytes(contentionFileMB << 20)
 	for i, cl := range r.competitors {
 		i, cl := i, cl
 		r.wg.Add(1)
 		clock.Go(func() {
 			defer r.wg.Done()
-			clock.Sleep(time.Duration(i+1) * r.level.Stagger)
+			clock.Sleep(time.Duration(i+1) * contentionStagger)
 			c := &fetch.Client{Net: r.world.Net, Dial: TorDialer(cl), Timeout: 600 * time.Second}
 			for !r.stopped {
 				c.DownloadFile(r.world.Origin.Addr(), size)
 				if r.stopped {
 					return
 				}
-				clock.Sleep(r.level.Think)
+				clock.Sleep(contentionThink)
 			}
 		})
 	}
@@ -143,10 +144,4 @@ func (r *ContentionRig) Stop() {
 		cl.NewCircuit()
 	}
 	r.wg.Wait()
-}
-
-// GuardSched returns the shared guard's scheduler counters — the
-// experiment's queueing-delay evidence.
-func (r *ContentionRig) GuardSched() tor.SchedStats {
-	return r.Relay.SchedStats()
 }

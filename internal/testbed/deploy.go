@@ -126,12 +126,13 @@ func (w *World) startTransport(name string, s site) (pt.Dialer, *snowflake.Deplo
 	switch name {
 	case "obfs4":
 		secret := []byte("obfs4-bridge-secret")
-		_, err = obfs4.StartServer(s.host, s.port, obfs4.Config{Secret: secret, Seed: s.seed}, s.handle)
-		d = obfs4.NewDialer(w.Client, addr, obfs4.Config{Secret: secret, Seed: s.dialSeed})
+		_, err = obfs4.Transport(obfs4.Config{Secret: secret, Seed: s.seed}).StartServer(s.host, s.port, s.handle)
+		d = obfs4.Transport(obfs4.Config{Secret: secret, Seed: s.dialSeed}).NewDialer(w.Client, addr)
 	case "webtunnel":
 		cfg := webtunnel.Config{SNI: s.sni, Seed: s.seed}
-		_, err = webtunnel.StartServer(s.host, s.port, cfg, s.handle)
-		d = webtunnel.NewDialer(w.Client, addr, cfg)
+		t := webtunnel.Transport(cfg)
+		_, err = t.StartServer(s.host, s.port, s.handle)
+		d = t.NewDialer(w.Client, addr)
 	case "meek":
 		cfg := meek.Config{Seed: s.seed}
 		cfg.SessionBudgetMedian = int64(w.Bytes(int(meek.DefaultSessionBudgetMedian)))
@@ -179,12 +180,14 @@ func (w *World) startTransport(name string, s site) (pt.Dialer, *snowflake.Deplo
 		d = dnstt.NewDialer(w.Client, res.Addr(), cfg)
 	case "shadowsocks":
 		cfg := shadowsocks.Config{PSK: []byte("shadowsocks-psk"), Seed: s.seed}
-		_, err = shadowsocks.StartServer(s.host, s.port, cfg, s.handle)
-		d = shadowsocks.NewDialer(w.Client, addr, cfg)
+		t := shadowsocks.Transport(cfg)
+		_, err = t.StartServer(s.host, s.port, s.handle)
+		d = t.NewDialer(w.Client, addr)
 	case "psiphon":
 		cfg := psiphon.Config{HostKey: []byte("psiphon-host-key"), Seed: s.seed}
-		_, err = psiphon.StartServer(s.host, s.port, cfg, s.handle)
-		d = psiphon.NewDialer(w.Client, addr, cfg)
+		t := psiphon.Transport(cfg)
+		_, err = t.StartServer(s.host, s.port, s.handle)
+		d = t.NewDialer(w.Client, addr)
 	case "stegotorus":
 		cfg := stegotorus.Config{Seed: s.seed}
 		_, err = stegotorus.StartServer(s.host, s.port, cfg, s.handle)
@@ -227,8 +230,9 @@ func (w *World) startTransport(name string, s site) (pt.Dialer, *snowflake.Deplo
 		d = snowflake.NewDialer(w.Client, pool.BrokerAddr(), bridge.Addr())
 	case "cloak":
 		cfg := cloak.Config{UID: []byte("cloak-uid"), Seed: s.seed}
-		_, err = cloak.StartServer(s.host, s.port, cfg, s.handle)
-		d = cloak.NewDialer(w.Client, addr, cfg)
+		t := cloak.Transport(cfg)
+		_, err = t.StartServer(s.host, s.port, s.handle)
+		d = t.NewDialer(w.Client, addr)
 	case "marionette":
 		model := marionette.FTPForScale(w.Opts.ByteScale)
 		if _, err = marionette.StartServer(s.host, s.port, model, s.seed, s.handle); err == nil {

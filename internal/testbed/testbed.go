@@ -34,12 +34,17 @@ import (
 // The world's fixed infrastructure: PT servers and bridges sit in
 // infraLocation under bridgeUtilization background load, and a
 // volunteer relay's link runs at a rate drawn from [minRelayBandwidth,
-// maxRelayBandwidth] bytes per virtual second (before ByteScale).
+// maxRelayBandwidth] bytes per virtual second (before ByteScale) under
+// a background load drawn from [minGuardUtilization,
+// maxGuardUtilization]. The gap between the two loads reproduces the
+// paper's "PT bridges beat volunteer guards" finding (§4.2.1).
 const (
-	infraLocation     = geo.Frankfurt
-	bridgeUtilization = 0.08
-	minRelayBandwidth = 6 << 20
-	maxRelayBandwidth = 14 << 20
+	infraLocation       = geo.Frankfurt
+	bridgeUtilization   = 0.08
+	minRelayBandwidth   = 6 << 20
+	maxRelayBandwidth   = 14 << 20
+	minGuardUtilization = 0.55
+	maxGuardUtilization = 0.8
 )
 
 // Options configures a World.
@@ -57,21 +62,12 @@ type Options struct {
 	Medium geo.Medium
 	// Guards, Middles, Exits size the volunteer relay fleet.
 	Guards, Middles, Exits int
-	// GuardUtilization is the [min,max] background load on volunteer
-	// relays. The gap between this and bridgeUtilization reproduces the
-	// paper's "PT bridges beat volunteer guards" finding (§4.2.1).
-	GuardUtilization [2]float64
 	// TrancoN and CBLN size the website catalogs.
 	TrancoN, CBLN int
-	// Scenario names a censor scenario from the internal/censor
-	// registry ("clean", "throttle-surge", ...). Empty leaves the
+	// Scenario is the censor scenario the world runs under: a registry
+	// entry the caller looked up or one it built. Nil leaves the
 	// network unpoliced — identical to the pre-censor worlds.
-	Scenario string
-	// ScenarioSpec attaches an in-memory scenario directly, bypassing
-	// the registry; it takes precedence over Scenario. The
-	// simulation-torture suite uses it so randomly generated scenarios
-	// never leak into the global registry another world might list.
-	ScenarioSpec *censor.Scenario
+	Scenario *censor.Scenario
 	// SchedPolicy selects the relay cell scheduler's pick rule for
 	// every relay of the world (volunteers, shared-hop guards and PT
 	// bridges alike). The zero value is tor.SchedEWMA; the contention
@@ -79,7 +75,7 @@ type Options struct {
 	SchedPolicy tor.SchedPolicy
 	// FaultSpec attaches a deterministic fault-injection plan (relay
 	// crashes, link flaps, directory churn) compiled onto the virtual
-	// clock — the benign-failure counterpart of ScenarioSpec. Nil leaves
+	// clock — the benign-failure counterpart of Scenario. Nil leaves
 	// the infrastructure immortal, identical to pre-fault worlds.
 	FaultSpec *faults.Plan
 	// Retry is the circuit/stream retry policy applied to every Tor
@@ -113,9 +109,6 @@ func (o Options) WithDefaults() Options {
 	if o.Exits <= 0 {
 		o.Exits = 5
 	}
-	if o.GuardUtilization == [2]float64{} {
-		o.GuardUtilization = [2]float64{0.55, 0.8}
-	}
 	if o.TrancoN <= 0 {
 		o.TrancoN = 100
 	}
@@ -145,7 +138,7 @@ type World struct {
 	// Client is the measurement client machine.
 	Client *netem.Host
 	// Censor is the attached adversary, nil when Options.Scenario is
-	// empty.
+	// nil.
 	Censor *censor.Censor
 	// Faults is the attached fault injector, nil when Options.FaultSpec
 	// is nil.
@@ -174,19 +167,11 @@ func New(opts Options) (_ *World, err error) {
 			w.Close()
 		}
 	}()
-	sc := o.ScenarioSpec
-	if sc == nil && o.Scenario != "" {
-		named, err := censor.Lookup(o.Scenario)
-		if err != nil {
-			return nil, err
-		}
-		sc = &named
-	}
-	if sc != nil {
+	if o.Scenario != nil {
 		// Censor rates are paper-scale figures; they shrink with the
 		// world's byte quantities so a throttle that binds at full
 		// fidelity still binds in a miniature campaign.
-		w.Censor = censor.Attach(n, *sc, o.Seed, o.ByteScale)
+		w.Censor = censor.Attach(n, *o.Scenario, o.Seed, o.ByteScale)
 	}
 	if o.FaultSpec != nil {
 		// Events resolve targets at fire time, so attaching before the
@@ -209,7 +194,7 @@ func New(opts Options) (_ *World, err error) {
 	// Volunteer relay fleet.
 	mkRelay := func(kind string, i int, flags tor.Flag) error {
 		bw := w.uniform(minRelayBandwidth, maxRelayBandwidth) * o.ByteScale
-		util := w.uniform(o.GuardUtilization[0], o.GuardUtilization[1])
+		util := w.uniform(minGuardUtilization, maxGuardUtilization)
 		host, err := n.AddHost(netem.HostConfig{
 			Name:        fmt.Sprintf("%s-%d", kind, i),
 			Location:    relayLocations[(i*3+len(kind))%len(relayLocations)],

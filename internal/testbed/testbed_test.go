@@ -193,7 +193,7 @@ func TestCloseLeavesNothing(t *testing.T) {
 	}
 	contended.Start()
 	clock := w.Net.Clock()
-	clock.Sleep(contended.level.RampTime())
+	clock.Sleep(ContentionLevels[1].RampTime())
 	// Relays, PT servers and the origins wait as clock events, so what
 	// is parked here is the workload: the competitors' downloads (58
 	// goroutines while every relay link was a read loop, 5 while the

@@ -18,7 +18,11 @@ import (
 // before the block until well after it. It returns each access's
 // instant, time and error, what the censor counted, and the tap.
 func censoredAccesses(t *testing.T, tapped bool) (string, censor.Stats, *Trace) {
-	w, err := testbed.New(testbed.Options{Seed: 3, ByteScale: 0.1, Guards: 2, Middles: 2, Exits: 2, TrancoN: 2, CBLN: 2, Scenario: "bridge-block"})
+	sc, err := censor.Lookup("bridge-block")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := testbed.New(testbed.Options{Seed: 3, ByteScale: 0.1, Guards: 2, Middles: 2, Exits: 2, TrancoN: 2, CBLN: 2, Scenario: &sc})
 	if err != nil {
 		t.Fatal(err)
 	}

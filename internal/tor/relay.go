@@ -131,7 +131,7 @@ func (r *Relay) Crash() bool {
 	}
 	r.ln.Close()
 	r.sched.stop()
-	r.cfg.Host.Network().AbortHostConns(r.cfg.Host.Name())
+	r.cfg.Host.Network().Acct().AbortHostConns(r.cfg.Host.Name())
 	return true
 }
 

@@ -1,6 +1,7 @@
 package tor
 
 import (
+	"encoding/binary"
 	"io"
 	"testing"
 	"time"
@@ -224,5 +225,214 @@ func TestDropQueuesReturnsLinkCells(t *testing.T) {
 		if out := cellBufs.Out(clock); out != 0 {
 			t.Fatalf("%d cells out after DropQueues, want 0", out)
 		}
+	}
+}
+
+// TestLinkTeardownWithFullWindows ends a relay's link while the circuits
+// it carries cannot write. A raw client builds six circuits through the
+// relay cell by cell, each extended to a raw next hop that answers
+// CREATE and then reads nothing until told to, and fills five of the
+// circuits' downstream conns with cells the relay cannot parse and so
+// forwards. Then, in turn:
+//   - the client's DESTROY for one of them waits in the link's pump
+//     (destroying) until the next hop reads;
+//   - the next hop fills the client's window with backward cells on the
+//     sixth circuit and hangs up, and the relay's DESTROY upstream waits
+//     until the client reads;
+//   - the client hangs up, and the teardown destroys the four circuits
+//     left in circuit-ID order, each DESTROY downstream waiting for its
+//     conn to drain.
+//
+// The order the teardown's DESTROYs go out is pinned (the four IDs are
+// built out of order, so map order would show), and every cell lease is
+// back once the world closes.
+func TestLinkTeardownWithFullWindows(t *testing.T) {
+	n := netem.New(netem.WithSeed(3))
+	clock := n.Clock()
+	t.Cleanup(clock.Shutdown)
+	host := func(name string) *netem.Host {
+		return n.MustAddHost(netem.HostConfig{Name: name, Location: geo.Frankfurt, UplinkBps: 50 << 20, DownlinkBps: 50 << 20})
+	}
+	relay, err := StartRelay(RelayConfig{Name: "relay", Host: host("relay"), Unpublished: true, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := host("next")
+	ln, err := next.Listen(DefaultORPort)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hops []*netem.Conn // in the order the circuits were extended
+	n.Go(func() {
+		for {
+			s, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			c := s.(*netem.Conn)
+			cell := make([]byte, CellSize)
+			if _, err := c.ReadFull(cell); err != nil {
+				return
+			}
+			cell[4] = byte(CmdCreated)
+			c.Write(cell)
+			hops = append(hops, c)
+		}
+	})
+	s, err := host("client").Dial(relay.Descriptor().Addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	up := s.(*netem.Conn)
+	send := func(id uint32, cmd Command, payload []byte) {
+		cell := Cell{CircID: id, Cmd: cmd}
+		copy(cell.Payload[:], payload)
+		if _, err := up.Write(cell.Encode(nil)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recv := func() Cell {
+		var cell Cell
+		buf := make([]byte, CellSize)
+		if _, err := up.ReadFull(buf); err != nil {
+			t.Fatal(err)
+		}
+		cell.Decode(buf)
+		return cell
+	}
+
+	// Four circuits for the teardown, one for the client's DESTROY and
+	// one for the next hop's hang-up.
+	ids := []uint32{9, 3, 7, 5, 11, 13}
+	hopOf := make(map[uint32]*netem.Conn)
+	addr := ln.Addr().String()
+	for i, id := range ids {
+		hs := handshake{byte(id)}
+		send(id, CmdCreate, hs[:])
+		created := recv()
+		hc, err := hs.complete(created.Payload[:HandshakeLen])
+		if created.Cmd != CmdCreated || err != nil {
+			t.Fatalf("circuit %d: %v answered CREATE (%v)", id, created.Cmd, err)
+		}
+		var p [PayloadSize]byte
+		extend := append(append([]byte{byte(len(addr))}, addr...), make([]byte, HandshakeLen)...)
+		marshalRelayInto(p[:], &RelayCell{Cmd: RelayExtend, Data: extend})
+		hc.sealForward(p[:])
+		send(id, CmdRelay, p[:])
+		extended := recv()
+		rc, ok := parseRelayView(extended.Payload[:])
+		if !ok || !hc.checkBackward(extended.Payload[:]) || rc.Cmd != RelayExtended {
+			t.Fatalf("circuit %d: no EXTENDED: %v", id, rc.Cmd)
+		}
+		hopOf[id] = hops[i]
+	}
+	l := relay.links[0]
+
+	// A relay cell whose length no cell can hold is not this hop's, so
+	// the relay forwards it as it came. netem's receive window holds
+	// exactly window cells.
+	filler := make([]byte, PayloadSize)
+	binary.BigEndian.PutUint16(filler[9:11], 0xffff)
+	const window = (256 << 10) / CellSize
+	for _, id := range ids[:5] {
+		for range window {
+			send(id, CmdRelay, filler)
+		}
+	}
+	clock.Sleep(time.Second)
+	for _, id := range ids[:5] {
+		if b := l.circs[id].next.WriteBudget(); b >= CellSize {
+			t.Fatalf("circuit %d: %d bytes of window left downstream, want room for no cell", id, b)
+		}
+	}
+
+	destroyed := netem.NewChan[uint32](clock, len(ids))
+	drain := func(id uint32) {
+		n.Go(func() {
+			buf := make([]byte, CellSize)
+			for {
+				if _, err := hopOf[id].ReadFull(buf); err != nil {
+					return
+				}
+				if Command(buf[4]) == CmdDestroy {
+					destroyed.Send(id)
+				}
+			}
+		})
+	}
+
+	// The client's DESTROY waits in the pump.
+	send(11, CmdDestroy, nil)
+	clock.Sleep(time.Second)
+	if l.at != destroying {
+		t.Fatalf("pump at step %d after a DESTROY into a full window, want destroying", l.at)
+	}
+	drain(11)
+	if id, _ := destroyed.Recv(); id != 11 {
+		t.Fatalf("DESTROY reached the next hop on circuit %d, want 11", id)
+	}
+	clock.Sleep(time.Second)
+	if l.at != reading || l.circs[11] != nil {
+		t.Fatalf("after the DESTROY went out: pump at step %d, circuit 11 live %v", l.at, l.circs[11] != nil)
+	}
+
+	// The next hop fills the client's window and hangs up on circuit 13:
+	// its DESTROY upstream waits until the client reads.
+	n.Go(func() {
+		cell := (&Cell{Cmd: CmdRelay}).Encode(nil)
+		for range window + 8 {
+			hopOf[13].Write(cell)
+		}
+	})
+	clock.Sleep(time.Second)
+	if b := l.fast.WriteBudget(); b >= CellSize {
+		t.Fatalf("%d bytes of the client's window left, want room for no cell", b)
+	}
+	hopOf[13].Close()
+	clock.Sleep(time.Second)
+	if c := l.circs[13]; c == nil || !c.destroyUp {
+		t.Fatal("circuit 13's DESTROY upstream is not waiting on the client's full window")
+	}
+	for {
+		if cell := recv(); cell.Cmd == CmdDestroy {
+			if cell.CircID != 13 {
+				t.Fatalf("DESTROY for circuit %d, want 13", cell.CircID)
+			}
+			break
+		}
+	}
+	clock.Sleep(time.Second)
+	if l.circs[13] != nil {
+		t.Fatal("circuit 13 outlived its DESTROY")
+	}
+
+	// The client hangs up: the teardown's first DESTROY waits.
+	up.Close()
+	clock.Sleep(time.Second)
+	if l.at != tearingDown {
+		t.Fatalf("pump at step %d after the link ended, want tearingDown", l.at)
+	}
+	// The next hop reads one conn at a time, in ID order: each DESTROY
+	// goes out once its conn has room, and the next waits for its own.
+	for _, id := range []uint32{3, 5, 7, 9} {
+		drain(id)
+		clock.Sleep(time.Second)
+		if k := destroyed.Len(); k != 1 {
+			t.Fatalf("once circuit %d's conn drained, %d DESTROYs went out, want its own alone", id, k)
+		}
+		if got, _ := destroyed.Recv(); got != id {
+			t.Fatalf("once circuit %d's conn drained, DESTROY went out on circuit %d", id, got)
+		}
+	}
+	clock.Sleep(time.Second)
+	if l.at != ended {
+		t.Fatalf("pump at step %d after the teardown, want ended", l.at)
+	}
+
+	clock.Shutdown()
+	n.Acct().AbortOpenConns()
+	relay.DropQueues()
+	if out := cellBufs.Out(clock); out != 0 {
+		t.Fatalf("%d cell leases out after the world closed, want 0", out)
 	}
 }
