@@ -1,4 +1,4 @@
-// Package analyzers holds the seven simlint analyzers that turn
+// Package analyzers holds the eight simlint analyzers that turn
 // DESIGN.md's "Determinism contract" and "Inline event execution"
 // sections into machine-checked rules. See each analyzer's Doc and
 // DESIGN.md "Static enforcement of the determinism contract".
@@ -14,7 +14,7 @@ import (
 
 // All returns the full simlint analyzer suite in stable order.
 func All() []*lint.Analyzer {
-	return []*lint.Analyzer{Wallclock, SeededRand, NoParkInEvent, RawGo, MapRange, NoLocks, NoRecover}
+	return []*lint.Analyzer{Wallclock, SeededRand, NoParkInEvent, RawGo, MapRange, NoLocks, NoRecover, Layering}
 }
 
 // simSegments classifies simulation packages: code in a package whose
@@ -25,50 +25,18 @@ func All() []*lint.Analyzer {
 // sandboxes and the seeded-violation scratch module stand in for the
 // real tree: sandbox/netem is a simulation package exactly like
 // ptperf/internal/netem.
-var simSegments = map[string]bool{
-	"netem":   true,
-	"tor":     true,
-	"pt":      true,
-	"censor":  true,
-	"faults":  true,
-	"testbed": true,
-	"harness": true,
-	"fetch":   true,
-	"web":     true,
-	"simtest": true,
-}
+var simSegments = []string{"netem", "tor", "pt", "censor", "faults", "testbed", "harness", "fetch", "web", "simtest"}
 
 // renderSegments classifies report/render/digest packages: code whose
 // output bytes (reports, Prometheus text, HTML, fuzz digests, bench
 // tables) must not depend on Go's randomized map iteration order.
-var renderSegments = map[string]bool{
-	"harness":   true,
-	"obs":       true,
-	"simtest":   true,
-	"plot":      true,
-	"stats":     true,
-	"benchdiff": true,
-}
+var renderSegments = []string{"harness", "obs", "simtest", "plot", "stats", "benchdiff"}
 
 // isSimPkg reports whether the package at path is simulation code.
-func isSimPkg(path string) bool { return pathHasAnySegment(path, simSegments) }
+func isSimPkg(path string) bool { return lint.PathHasAnySegment(path, simSegments...) }
 
 // isRenderPkg reports whether the package at path renders report bytes.
-func isRenderPkg(path string) bool { return pathHasAnySegment(path, renderSegments) }
-
-func pathHasAnySegment(path string, set map[string]bool) bool {
-	for _, seg := range strings.Split(path, "/") {
-		// go vet analyzes test variants under "pkg [pkg.test]" IDs;
-		// strip the suffix so classification matches the real package.
-		if i := strings.IndexByte(seg, ' '); i >= 0 {
-			seg = seg[:i]
-		}
-		if set[seg] {
-			return true
-		}
-	}
-	return false
-}
+func isRenderPkg(path string) bool { return lint.PathHasAnySegment(path, renderSegments...) }
 
 // lastSegment returns the final "/"-separated element of an import path
 // (with any " [pkg.test]" test-variant suffix stripped).

@@ -11,11 +11,11 @@ import (
 // and join them from their own goroutines: like sim and obs they keep
 // real locks. Every other simulation package is a world package — code
 // that only ever runs on one world's run token.
-var multiWorldSegments = map[string]bool{"harness": true, "simtest": true}
+var multiWorldSegments = []string{"harness", "simtest"}
 
 // isWorldPkg reports whether the package at path is a world package.
 func isWorldPkg(path string) bool {
-	return isSimPkg(path) && !pathHasAnySegment(path, multiWorldSegments)
+	return isSimPkg(path) && !lint.PathHasAnySegment(path, multiWorldSegments...)
 }
 
 // lockTypes are the sync types that can only ever be uncontended inside

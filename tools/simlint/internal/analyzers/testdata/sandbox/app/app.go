@@ -99,7 +99,7 @@ type tunnel struct{ netem.Inbox }
 func badPromotedRead(c *netem.Clock, s *tunnel) {
 	c.EventAt(0, func() {
 		s.Read(nil)               // want `\(netem\.Inbox\)\.Read parks until a delivery \(use ReadEvent\).*Clock\.EventAt arm`
-		s.ReadFullEvent(nil, nil) // want `\(netem\.Inbox\)\.ReadFullEvent with a nil continuation parks`
+		s.ReadFullEvent(nil, nil) // want `\(netem\.Inbox\)\.ReadFullEvent with a nil continuation parks` `ReadFullEvent given a literal nil continuation.*\[layering\]`
 		s.ReadEvent(nil, func() {})
 		s.ReadFullEvent(nil, func() {})
 	})
@@ -284,7 +284,7 @@ func (l *relayLink) read() {
 	if _, _, done := l.next.ReadEvent(l.cell, l.pump); done {
 		l.next, _ = l.host.Dial("exit:9001") // want `\(netem\.Host\)\.Dial parks for the handshake's round trip \(use DialEvent\).*Conn\.ReadEvent continuation.*relayLink\.read`
 		l.ln.Accept()                        // want `\(netem\.Listener\)\.Accept parks until a conn arrives \(use Listener\.Serve\)`
-		l.host.DialEvent("exit:9001", nil)   // want `\(netem\.Host\)\.DialEvent with a nil continuation parks`
+		l.host.DialEvent("exit:9001", nil)   // want `\(netem\.Host\)\.DialEvent with a nil continuation parks` `DialEvent given a literal nil continuation.*\[layering\]`
 	}
 }
 
@@ -314,7 +314,7 @@ func (p *proc) serve(ln *netem.Listener) {
 
 func (p *proc) accepted(c *netem.Conn) {
 	p.clock.Sleep(1)                                                // want `\(netem\.Clock\)\.Sleep parks until a virtual instant.*Listener\.Serve handler`
-	pt.Handshake{}.RunEvent(c, 1, nil)                              // want `\(pt\.Handshake\)\.RunEvent with a nil continuation parks.*Listener\.Serve handler`
+	pt.Handshake{}.RunEvent(c, 1, nil)                              // want `\(pt\.Handshake\)\.RunEvent with a nil continuation parks.*Listener\.Serve handler` `RunEvent given a literal nil continuation.*\[layering\]`
 	pt.Handshake{}.RunEvent(c, 1, func(any, error) { c.Read(nil) }) // want `\(netem\.Conn\)\.Read parks until arrival.*Handshake\.RunEvent continuation`
 	p.clock.Go(func() { c.Read(nil) })
 }
@@ -330,7 +330,7 @@ func setThree(clock *netem.Clock, cl *tor.Client) {
 	pt.HandleWithDialer(clock, cl)
 	clock.EventAt(0, func() {
 		cl.Preheat()              // want `\(tor\.Client\)\.Preheat parks for the circuit's build.*Clock\.EventAt arm`
-		cl.DialEvent("exit", nil) // want `\(tor\.Client\)\.DialEvent with a nil continuation parks`
+		cl.DialEvent("exit", nil) // want `\(tor\.Client\)\.DialEvent with a nil continuation parks` `DialEvent given a literal nil continuation.*\[layering\]`
 		cl.DialEvent("exit", func(netem.Stream, error) {})
 	})
 }
@@ -340,7 +340,7 @@ func setThree(clock *netem.Clock, cl *tor.Client) {
 // goroutine awaits through netem.Await and an event calls itself.
 func firstHop(clock *netem.Clock, d pt.Dialer) {
 	clock.EventAt(0, func() {
-		d.DialEvent("guard:9001", nil) // want `\(pt\.Dialer\)\.DialEvent with a nil continuation parks.*Clock\.EventAt arm`
+		d.DialEvent("guard:9001", nil) // want `\(pt\.Dialer\)\.DialEvent with a nil continuation parks.*Clock\.EventAt arm` `DialEvent given a literal nil continuation.*\[layering\]`
 		d.DialEvent("guard:9001", func(netem.Stream, error) {})
 		netem.Await(clock, func(done func(netem.Stream, error)) (netem.Stream, error, bool) { // want `netem\.Await parks until the event form's continuation runs.*Clock\.EventAt arm`
 			return d.DialEvent("guard:9001", done)

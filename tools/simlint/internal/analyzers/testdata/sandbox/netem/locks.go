@@ -25,8 +25,9 @@ func withLocker(l sync.Locker) *sync.Cond { // want `sync\.Locker in world packa
 	return sync.NewCond(l)
 }
 
-// Pools and Once values are not locks a world can contend on.
-var bufs = sync.Pool{New: func() any { return new([512]byte) }}
+// Pools and Once values are not locks a world can contend on; a pool
+// on the data path is a layering row's.
+var bufs = sync.Pool{New: func() any { return new([512]byte) }} // want `sync\.Pool by value in sandbox/netem.*\[layering\]`
 
 // registry is shared by every world of the process and filled from
 // their drivers' goroutines: the directive records why it stays.

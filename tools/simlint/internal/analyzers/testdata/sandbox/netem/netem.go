@@ -17,6 +17,13 @@ func (c *Clock) SleepUntil(vt time.Duration)         {}
 func (c *Clock) Go(fn func())                        {}
 func (c *Clock) EventAt(vt time.Duration, fn func()) {}
 func (c *Clock) ReadyEvent(fn func())                {}
+func (c *Clock) SleepEvent(d time.Duration, fn func()) bool {
+	return true
+}
+
+type Network struct{}
+
+func (n *Network) Go(fn func()) {}
 
 func Await[T any](c *Clock, start func(done func(T, error)) (T, error, bool)) (T, error) {
 	v, err, _ := start(nil)

@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"regexp"
+	"slices"
 	"strings"
 )
 
@@ -24,9 +25,10 @@ import (
 //
 // One directive names one analyzer; stack directives to suppress more
 // than one. As a hard policy floor, noparkinevent may never be
-// suppressed inside internal/netem or internal/tor: those are exactly
-// the packages whose event paths the rule exists to protect, and a
-// directive there is rejected as an error rather than honored.
+// suppressed inside internal/netem or internal/tor, the packages whose
+// event paths the rule exists to protect, and layering nowhere: a row
+// writes its one exception, if any, into the table. Such a directive is
+// rejected as an error rather than honored (unsuppressible).
 
 // directive is one parsed, well-formed //simlint:allow comment.
 type directive struct {
@@ -37,9 +39,15 @@ type directive struct {
 
 var directiveRE = regexp.MustCompile(`^//simlint:allow\s+([A-Za-z0-9_-]+)\s+--\s*(.*)$`)
 
-// noSuppressNoParkSegments are package-path segments in which
-// noparkinevent directives are rejected outright.
-var noSuppressNoParkSegments = map[string]bool{"netem": true, "tor": true}
+// unsuppressible names the analyzers whose directives are rejected, the
+// package-path segments where (nil: everywhere) and why.
+var unsuppressible = map[string]struct {
+	in  []string
+	why string
+}{
+	"noparkinevent": {[]string{"netem", "tor"}, "netem/tor event paths are the contract this rule protects"},
+	"layering":      {nil, "a layering row writes its one exception, if any, into the table"},
+}
 
 // collectDirectives parses every //simlint:allow comment in files.
 // Malformed directives (missing analyzer, unknown analyzer, empty
@@ -55,7 +63,6 @@ func collectDirectives(fset *token.FileSet, files []*ast.File, known map[string]
 			Message:  fmt.Sprintf(format, args...),
 		})
 	}
-	banNoPark := pathHasAnySegment(pkgPath, noSuppressNoParkSegments)
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -77,8 +84,8 @@ func collectDirectives(fset *token.FileSet, files []*ast.File, known map[string]
 					report(c.Pos(), "simlint directive names unknown analyzer %q", name)
 					continue
 				}
-				if name == "noparkinevent" && banNoPark {
-					report(c.Pos(), "noparkinevent may not be suppressed in package %s: netem/tor event paths are the contract this rule protects", pkgPath)
+				if ban, ok := unsuppressible[name]; ok && (ban.in == nil || PathHasAnySegment(pkgPath, ban.in...)) {
+					report(c.Pos(), "%s may not be suppressed in package %s: %s", name, pkgPath, ban.why)
 					continue
 				}
 				pos := fset.Position(c.Pos())
@@ -101,16 +108,15 @@ func suppressed(dirs []directive, d Diagnostic) bool {
 	return false
 }
 
-// pathHasAnySegment reports whether any "/"-separated segment of path is
-// in set.
-func pathHasAnySegment(path string, set map[string]bool) bool {
+// PathHasAnySegment reports whether any "/"-separated segment of path
+// is one of segs. go vet names a test variant "pkg [pkg.test]"; the
+// suffix is stripped so that a variant matches as its package does.
+func PathHasAnySegment(path string, segs ...string) bool {
+	if i := strings.IndexByte(path, ' '); i >= 0 {
+		path = path[:i]
+	}
 	for _, seg := range strings.Split(path, "/") {
-		// Test variants carry a " [pkg.test]" suffix on the final
-		// segment; strip it so policy decisions match the real package.
-		if i := strings.IndexByte(seg, ' '); i >= 0 {
-			seg = seg[:i]
-		}
-		if set[seg] {
+		if slices.Contains(segs, seg) {
 			return true
 		}
 	}

@@ -16,7 +16,7 @@ func parseDirectives(t *testing.T, pkgPath, src string) ([]directive, []Diagnost
 	if err != nil {
 		t.Fatal(err)
 	}
-	known := map[string]bool{"wallclock": true, "noparkinevent": true}
+	known := map[string]bool{"wallclock": true, "noparkinevent": true, "layering": true}
 	return collectDirectives(fset, []*ast.File{f}, known, pkgPath)
 }
 
@@ -48,6 +48,10 @@ func TestDirectiveParsing(t *testing.T) {
 			comment: "//simlint:allow noparkinevent -- reason", wantErr: "may not be suppressed"},
 		{name: "nopark allowed elsewhere", pkg: "m/internal/app",
 			comment: "//simlint:allow noparkinevent -- reason", wantDir: true},
+		{name: "layering banned everywhere", pkg: "m/internal/app",
+			comment: "//simlint:allow layering -- reason", wantErr: "layering may not be suppressed"},
+		{name: "layering banned in a test variant", pkg: "m/cmd/x [m/cmd/x.test]",
+			comment: "//simlint:allow layering -- reason", wantErr: "layering may not be suppressed"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

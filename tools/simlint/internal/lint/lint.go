@@ -3,7 +3,7 @@
 // standard library only: golang.org/x/tools is not available, so the
 // Analyzer/Pass surface, the go-vet unitchecker protocol and the
 // analysistest harness are reimplemented here in the smallest form the
-// seven simlint analyzers need. The shape deliberately mirrors
+// eight simlint analyzers need. The shape deliberately mirrors
 // golang.org/x/tools/go/analysis so the analyzers can migrate verbatim
 // if that dependency ever lands.
 package lint

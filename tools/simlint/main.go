@@ -1,6 +1,6 @@
 // Command simlint is the static guardian of the simulator's
 // determinism and inline-event contracts (DESIGN.md "Static enforcement
-// of the determinism contract"). It bundles seven analyzers:
+// of the determinism contract"). It bundles eight analyzers:
 //
 //	wallclock      no time.Now/Sleep/After/Since/... anywhere in the module
 //	seededrand     no top-level math/rand draws, and no rand.NewSource/rand.New
@@ -13,10 +13,12 @@
 //	               one run token per world means they guard nothing
 //	norecover      world packages never recover(): it would swallow the
 //	               sentinel Clock.Shutdown unwinds parked frames with
+//	layering       each row of one table keeps an import, callee, nil
+//	               continuation, type, format verb or name out of a scope
 //
 // The only escape hatch is //simlint:allow <analyzer> -- <reason>, with
 // the reason mandatory; noparkinevent cannot be suppressed inside
-// internal/netem or internal/tor at all.
+// internal/netem or internal/tor at all, and layering nowhere.
 //
 // It runs two ways:
 //

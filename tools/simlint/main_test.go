@@ -47,6 +47,7 @@ func runIn(t *testing.T, dir string, name string, args ...string) (string, int) 
 // produce.
 var violationClasses = []string{
 	"[wallclock]", "[seededrand]", "[rawgo]", "[maprange]", "[noparkinevent]", "[nolocks]", "[norecover]",
+	"[layering]",
 }
 
 // TestSeededViolationsVetTool proves the real `go vet -vettool` path

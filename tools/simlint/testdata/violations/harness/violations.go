@@ -1,10 +1,12 @@
 // Package harness carries exactly one seeded violation of each simlint
 // class; the integration test proves the vettool catches every one of
 // them and exits nonzero. The "harness" segment makes this both a
-// simulation package (rawgo) and a render package (maprange).
+// simulation package (rawgo) and a render package (maprange), and puts
+// it on the render path a layering row keeps fmt float verbs out of.
 package harness
 
 import (
+	"fmt"
 	"math/rand"
 	"time"
 
@@ -46,4 +48,9 @@ func noparkViolation(s *state) {
 	s.clock.EventAt(0, func() {
 		s.mu.Lock()
 	})
+}
+
+// layeringViolation formats a float with a fmt verb on the render path.
+func layeringViolation(x float64) string {
+	return fmt.Sprintf("%.2f", x)
 }
